@@ -92,21 +92,10 @@ impl CreditLedger {
         n as u16
     }
 
-    /// Peers whose owed credits have crossed the explicit-return threshold
-    /// (candidates for credit-only packets).
-    pub fn needs_explicit_return(&self) -> impl Iterator<Item = usize> + '_ {
-        self.owed
-            .iter()
-            .enumerate()
-            .filter(|(_, &o)| o >= self.explicit_threshold)
-            .map(|(i, _)| i)
-    }
-
     /// Whether `peer`'s owed credits have crossed the explicit-return
-    /// threshold. Index-scan twin of [`CreditLedger::needs_explicit_return`]
-    /// for callers that must interleave the scan with mutation (the
-    /// send path checks this per peer rather than collecting the
-    /// iterator — no allocation on the datapath).
+    /// threshold (a credit-only packet is warranted). A per-peer
+    /// predicate rather than an iterator so the engine can interleave
+    /// the scan with mutation — no allocation on the datapath.
     pub fn explicit_return_due(&self, peer: usize) -> bool {
         self.owed[peer] >= self.explicit_threshold
     }
@@ -171,10 +160,10 @@ mod tests {
         for _ in 0..3 {
             l.packet_drained(0);
         }
-        assert_eq!(l.needs_explicit_return().count(), 0);
+        assert!(!l.explicit_return_due(0));
         l.packet_drained(0);
-        let due: Vec<_> = l.needs_explicit_return().collect();
-        assert_eq!(due, vec![0]);
+        assert!(l.explicit_return_due(0));
+        assert!(!l.explicit_return_due(1), "peers are scanned one by one");
     }
 
     #[test]
@@ -183,7 +172,7 @@ mod tests {
         assert!(l.try_reserve(1, 1));
         assert!(!l.try_reserve(1, 1));
         l.packet_drained(1);
-        assert_eq!(l.needs_explicit_return().count(), 1);
+        assert!(l.explicit_return_due(1));
         assert_eq!(l.take_owed(1), 1);
         l.credit_returned(1, 1);
         assert!(l.try_reserve(1, 1));

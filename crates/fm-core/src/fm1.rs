@@ -33,14 +33,13 @@ use std::collections::VecDeque;
 
 use fm_model::{MachineProfile, Nanos};
 
-use crate::buf::{BufPool, PacketBuf};
-use crate::device::NetDevice;
+use crate::buf::PacketBuf;
+use crate::device::{NetDevice, PeerEventKind};
+use crate::engine::{Admit, EngineCore, HandlerTable, PacketCosts, SendCost};
 use crate::error::{FmError, WouldBlock};
-use crate::flow::CreditLedger;
-use crate::fm2::{SinkHandlerFn, SinkMeta};
-use crate::obs::{ObsEvent, ObsSink, SpanKind};
-use crate::packet::{FmPacket, HandlerId, PacketFlags, PacketHeader};
-use crate::reliable::{RecvDecision, Reliability, ReliableState};
+use crate::obs::ObsSink;
+use crate::packet::{HandlerId, PacketFlags};
+use crate::reliable::Reliability;
 use crate::stats::FmStats;
 
 /// An FM 1.x message handler.
@@ -50,11 +49,6 @@ use crate::stats::FmStats;
 /// [`Fm1Engine::send_from_handler`] or account costs), the source node,
 /// and the complete contiguous message.
 pub type Fm1Handler<D> = Box<dyn FnMut(&mut Fm1Engine<D>, usize, &[u8])>;
-
-/// Free-list depth of each engine's send-payload pool. Deep enough to
-/// cover a full retransmit window of in-flight frames per peer on small
-/// clusters; beyond it, bursts fall back to the allocator harmlessly.
-const SEND_POOL_FRAMES: usize = 256;
 
 /// Cumulative implementation stages for the Figure 3a overhead breakdown.
 ///
@@ -77,12 +71,30 @@ pub enum Fm1Stage {
 }
 
 impl Fm1Stage {
-    fn io_bus(self) -> bool {
-        self >= Fm1Stage::IoBus
+    /// What a packet costs the host at this stage. FM 1.x stores every
+    /// packet — data, credit or ack alike — into NIC memory whole at
+    /// hand-off, so all are priced by wire size.
+    fn packet_costs(self, profile: &MachineProfile) -> PacketCosts {
+        let io_bus = self >= Fm1Stage::IoBus;
+        let flow_control = self >= Fm1Stage::FlowControl;
+        let mut send = SendCost {
+            fixed: Nanos(profile.host.per_packet_send_ns),
+            pio_ns_per_kb: 0,
+        };
+        if io_bus {
+            send.fixed += Nanos(profile.iobus.pio_setup_ns);
+            send.pio_ns_per_kb = profile.iobus.pio_ns_per_kb;
+        }
+        if flow_control {
+            send.fixed += Nanos(profile.host.flow_control_ns);
+        }
+        PacketCosts {
+            data: send,
+            control: send,
+            flow_control: flow_control.then_some(Nanos(profile.host.flow_control_ns)),
+        }
     }
-    fn flow_control(self) -> bool {
-        self >= Fm1Stage::FlowControl
-    }
+
     fn buffer_mgmt(self) -> bool {
         self >= Fm1Stage::Full
     }
@@ -96,44 +108,19 @@ struct Assembly {
     buf: Vec<u8>,
 }
 
-/// The FM 1.x engine for one node.
+/// The FM 1.x engine for one node: the contiguous-buffer face over the
+/// shared [`EngineCore`].
 pub struct Fm1Engine<D: NetDevice> {
-    device: D,
-    profile: MachineProfile,
+    core: EngineCore<D>,
     stage: Fm1Stage,
-    handlers: Vec<Option<Fm1Handler<D>>>,
-    /// Synchronous per-packet sink handlers, indexed like `handlers`. A
-    /// registered sink takes precedence for its id and consumes every
-    /// packet of every message directly from the extract loop — the
-    /// one-sided rendezvous datapath, which bypasses the FM 1.x staging
-    /// assembly entirely (no per-message buffer, no staging copy).
-    sink_handlers: Vec<Option<SinkHandlerFn>>,
-    flow: CreditLedger,
-    /// Next packet sequence number per destination.
-    send_pkt_seq: Vec<u32>,
-    /// Next message sequence number per destination.
-    send_msg_seq: Vec<u32>,
-    /// Expected next packet sequence number per source.
-    recv_pkt_seq: Vec<u32>,
+    handlers: HandlerTable<Fm1Handler<D>>,
     /// One in-progress assembly per source (FM 1.x sends are atomic per
     /// (src,dst) pair, so one suffices).
     assembly: Vec<Option<Assembly>>,
     /// Handler-initiated sends waiting for credits/space.
     deferred: VecDeque<(usize, HandlerId, Vec<u8>)>,
     /// Self-addressed messages (delivered on the next `extract`).
-    local: VecDeque<FmPacket>,
-    /// Retransmission state (`Some` in [`Reliability::Retransmit`] mode,
-    /// where it replaces the credit ledger entirely).
-    reliable: Option<ReliableState>,
-    /// MTU-sized frame pool for outgoing packet payloads: steady-state
-    /// sends recycle frames instead of allocating.
-    pool: BufPool,
-    errors: Vec<FmError>,
-    stats: FmStats,
-    in_extract: bool,
-    /// Observability sink (`None` by default: recording is opt-in and a
-    /// single branch per site when absent).
-    obs: Option<ObsSink>,
+    local: VecDeque<(HandlerId, PacketBuf)>,
 }
 
 impl<D: NetDevice> Fm1Engine<D> {
@@ -163,146 +150,98 @@ impl<D: NetDevice> Fm1Engine<D> {
         reliability: Reliability,
     ) -> Self {
         let n = device.num_nodes();
-        let reliable = match reliability {
-            Reliability::TrustSubstrate => None,
-            Reliability::Retransmit(cfg) => Some(ReliableState::new(n, cfg)),
-        };
-        assert!(
-            reliable.is_some() || !device.is_lossy(),
-            "this device really drops/reorders packets; construct the engine \
-             with Reliability::Retransmit (TrustSubstrate would break FM's \
-             delivery guarantee)"
-        );
+        let costs = stage.packet_costs(&profile);
         Fm1Engine {
-            device,
-            profile,
+            core: EngineCore::new(device, profile, reliability, costs),
             stage,
-            handlers: Vec::new(),
-            sink_handlers: Vec::new(),
-            flow: CreditLedger::new(n, profile.fm.credits_per_peer),
-            send_pkt_seq: vec![0; n],
-            send_msg_seq: vec![0; n],
-            recv_pkt_seq: vec![0; n],
+            handlers: HandlerTable::new(),
             assembly: (0..n).map(|_| None).collect(),
             deferred: VecDeque::new(),
             local: VecDeque::new(),
-            reliable,
-            pool: BufPool::new(profile.fm.mtu_payload, SEND_POOL_FRAMES),
-            errors: Vec::new(),
-            stats: FmStats::default(),
-            in_extract: false,
-            obs: None,
         }
     }
 
     /// Attach an observability sink: every send, extract, handler and
-    /// reliability action is recorded into it as an [`ObsEvent`] from now
-    /// on. Recording never charges the device clock, so attaching a sink
-    /// does not perturb virtual-time measurements.
+    /// reliability action is recorded into it as an
+    /// [`ObsEvent`](crate::obs::ObsEvent) from now on. Recording never
+    /// charges the device clock, so attaching a sink does not perturb
+    /// virtual-time measurements.
     pub fn attach_obs(&mut self, sink: ObsSink) {
-        self.obs = Some(sink);
+        self.core.obs = Some(sink);
     }
 
     /// The attached observability sink, if any.
     pub fn obs(&self) -> Option<&ObsSink> {
-        self.obs.as_ref()
-    }
-
-    /// Record an event if a sink is attached. The closure receives the
-    /// device clock and this node's id; it only runs when recording, so
-    /// the disabled path is a single `is_some` branch.
-    #[inline]
-    fn obs_emit(&self, make: impl FnOnce(Nanos, u16) -> ObsEvent) {
-        if let Some(obs) = &self.obs {
-            obs.record(make(self.device.now(), self.device.node_id() as u16));
-        }
+        self.core.obs.as_ref()
     }
 
     /// This node's id.
     pub fn node_id(&self) -> usize {
-        self.device.node_id()
+        self.core.device.node_id()
     }
 
     /// Number of nodes in the network.
     pub fn num_nodes(&self) -> usize {
-        self.device.num_nodes()
+        self.core.device.num_nodes()
     }
 
     /// Current time (virtual on the simulator).
     pub fn now(&self) -> Nanos {
-        self.device.now()
+        self.core.device.now()
     }
 
     /// Engine counters (pool hit/miss counters folded in live).
     pub fn stats(&self) -> FmStats {
-        let mut s = self.stats;
-        let p = self.pool.stats();
-        s.pool_hits = p.hits;
-        s.pool_misses = p.misses;
-        s
+        self.core.stats()
     }
 
     /// The machine profile in force.
     pub fn profile(&self) -> &MachineProfile {
-        &self.profile
+        &self.core.profile
     }
 
     /// Direct access to the underlying device (test harnesses and
     /// transports that need to pump packets by hand).
     pub fn device_mut(&mut self) -> &mut D {
-        &mut self.device
+        &mut self.core.device
     }
 
     /// Register `handler` under `id` (replacing any previous one).
     pub fn set_handler(&mut self, id: HandlerId, handler: Fm1Handler<D>) {
-        let idx = id.0 as usize;
-        if self.handlers.len() <= idx {
-            self.handlers.resize_with(idx + 1, || None);
-        }
-        self.handlers[idx] = Some(handler);
-    }
-
-    /// Register a synchronous per-packet **sink** handler under `id`
-    /// (replacing any previous one).
-    ///
-    /// A sink fires once per arriving packet of a message — any size —
-    /// with a zero-copy view of the packet's payload inside the arrival
-    /// frame, bypassing the FM 1.x staging assembly (no per-message
-    /// buffer, no staging copy). The same [`SinkMeta`] contract as
-    /// [`crate::Fm2Engine::set_sink_handler`] applies; a registered sink
-    /// takes precedence over the ordinary handler table for its id.
-    /// Unlike [`Fm1Handler`], sinks do not receive the engine: replies
-    /// must be queued in the layer's own state and flushed by its driver.
-    pub fn set_sink_handler<F>(&mut self, id: HandlerId, f: F)
-    where
-        F: FnMut(usize, SinkMeta, &[u8]) + 'static,
-    {
-        let idx = id.0 as usize;
-        if self.sink_handlers.len() <= idx {
-            self.sink_handlers.resize_with(idx + 1, || None);
-        }
-        self.sink_handlers[idx] = Some(Box::new(f));
+        self.handlers.set(id, handler);
     }
 
     /// Account arbitrary host cost (used by layered libraries for their own
     /// processing).
     pub fn charge(&mut self, cost: Nanos) {
-        self.device.charge(cost);
+        self.core.device.charge(cost);
     }
 
     /// Account a host memcpy of `bytes` (used by layered libraries — e.g.
     /// MPI-FM's assembly and delivery copies; also counted in
     /// [`FmStats::bytes_copied`]).
     pub fn charge_memcpy(&mut self, bytes: usize) {
-        self.stats.bytes_copied += bytes as u64;
-        let cost = self.profile.host.memcpy(bytes as u64);
-        self.device.charge(cost);
+        self.core.charge_memcpy(bytes);
     }
 
     /// Guarantee-violation reports accumulated by `extract` (empties the
     /// log).
     pub fn take_errors(&mut self) -> Vec<FmError> {
-        std::mem::take(&mut self.errors)
+        std::mem::take(&mut self.core.errors)
+    }
+
+    /// Whether `peer` is currently declared down by the device's
+    /// liveness engine (false for devices with static membership); a
+    /// later `Up` or `Rejoining` transition clears it. See
+    /// [`crate::Fm2Engine::is_peer_down`].
+    pub fn is_peer_down(&self, peer: usize) -> bool {
+        self.core.peer_down[peer]
+    }
+
+    /// The peers currently declared down, in node order (empty for
+    /// devices with static membership).
+    pub fn downed_peers(&self) -> Vec<usize> {
+        self.core.downed_peers()
     }
 
     /// `FM_send`: send `data` to `dst`, invoking `handler` there.
@@ -317,52 +256,22 @@ impl<D: NetDevice> Fm1Engine<D> {
         handler: HandlerId,
         data: &[u8],
     ) -> Result<(), WouldBlock> {
-        self.device.charge(Nanos(self.profile.host.send_call_ns));
-        if dst == self.device.node_id() {
-            return self.send_local(handler, data);
+        let core = &mut self.core;
+        core.device.charge(Nanos(core.profile.host.send_call_ns));
+        let len = data.len() as u32;
+        if dst == core.device.node_id() {
+            // Self-sends bypass the NIC entirely (no credits, no packets
+            // on the wire) and are delivered at the next extract.
+            let msg_seq = core.begin_message(dst, handler, data.len());
+            self.local.push_back((handler, data.to_vec().into()));
+            core.end_message(dst, handler, msg_seq, len);
+            return Ok(());
         }
-        let mtu = self.profile.fm.mtu_payload;
-        let packets = if data.is_empty() {
-            1
-        } else {
-            data.len().div_ceil(mtu)
-        } as u32;
-
-        if self.device.send_space() < packets as usize {
-            self.stats.device_stalls += 1;
-            self.obs_emit(|t, me| {
-                ObsEvent::new(t, me, SpanKind::DeviceStall)
-                    .peer(dst as u16)
-                    .bytes(data.len() as u32)
-            });
-            return Err(WouldBlock);
-        }
-        let window_closed = if let Some(rel) = self.reliable.as_ref() {
-            // Retransmit mode: the sliding window is the flow control.
-            !rel.can_send(dst, packets)
-        } else {
-            self.stage.flow_control() && !self.flow.try_reserve(dst, packets)
-        };
-        if window_closed {
-            self.stats.credit_stalls += 1;
-            self.obs_emit(|t, me| {
-                ObsEvent::new(t, me, SpanKind::CreditStall)
-                    .peer(dst as u16)
-                    .bytes(data.len() as u32)
-            });
-            return Err(WouldBlock);
-        }
-
-        let msg_seq = self.send_msg_seq[dst];
-        self.send_msg_seq[dst] += 1;
-        self.obs_emit(|t, me| {
-            ObsEvent::new(t, me, SpanKind::BeginMessage)
-                .peer(dst as u16)
-                .handler(handler.0)
-                .msg_seq(msg_seq)
-                .bytes(data.len() as u32)
-        });
-        let total = packets as usize;
+        let mtu = core.profile.fm.mtu_payload;
+        let total = data.len().div_ceil(mtu).max(1);
+        core.reserve(dst, total as u32, core.send_msg_seq[dst], len)
+            .map_err(|_| WouldBlock)?;
+        let msg_seq = core.begin_message(dst, handler, data.len());
         for (i, chunk) in chunks_or_empty(data, mtu).enumerate() {
             let mut flags = PacketFlags::EMPTY;
             if i == 0 {
@@ -371,60 +280,11 @@ impl<D: NetDevice> Fm1Engine<D> {
             if i + 1 == total {
                 flags = flags | PacketFlags::LAST;
             }
-            let credits = if self.reliable.is_none() && self.stage.flow_control() && i == 0 {
-                self.flow.take_owed(dst)
-            } else {
-                0
-            };
-            let ack = self.reliable.as_mut().map_or(0, |r| r.piggyback_ack(dst));
-            let pkt = FmPacket {
-                header: PacketHeader {
-                    src: self.device.node_id() as u16,
-                    dst: dst as u16,
-                    handler,
-                    msg_seq,
-                    pkt_seq: self.send_pkt_seq[dst],
-                    msg_len: data.len() as u32,
-                    flags,
-                    credits,
-                    ack,
-                },
-                payload: {
-                    let mut payload = self.pool.take();
-                    payload.extend_from_slice(chunk);
-                    payload
-                },
-            };
-            self.send_pkt_seq[dst] += 1;
-            let now = self.device.now();
-            if let Some(rel) = self.reliable.as_mut() {
-                rel.on_data_sent(dst, &pkt, now);
-            }
-            let (pkt_seq, payload_len) = (pkt.header.pkt_seq, pkt.payload.len() as u32);
-            self.charge_packet_send(pkt.wire_bytes());
-            self.device
-                .try_send(pkt)
-                .expect("space was checked before reserving");
-            self.stats.packets_sent += 1;
-            self.obs_emit(|t, me| {
-                ObsEvent::new(t, me, SpanKind::PacketSend)
-                    .peer(dst as u16)
-                    .handler(handler.0)
-                    .msg_seq(msg_seq)
-                    .seq(pkt_seq)
-                    .serial_opt(self.device.last_sent_serial())
-                    .bytes(payload_len)
-            });
+            let mut payload = core.pool.take();
+            payload.extend_from_slice(chunk);
+            core.emit_data(dst, handler, msg_seq, len, flags, payload);
         }
-        self.stats.messages_sent += 1;
-        self.stats.bytes_sent += data.len() as u64;
-        self.obs_emit(|t, me| {
-            ObsEvent::new(t, me, SpanKind::EndMessage)
-                .peer(dst as u16)
-                .handler(handler.0)
-                .msg_seq(msg_seq)
-                .bytes(data.len() as u32)
-        });
+        core.end_message(dst, handler, msg_seq, len);
         Ok(())
     }
 
@@ -452,147 +312,35 @@ impl<D: NetDevice> Fm1Engine<D> {
     /// Flush deferred handler-initiated sends and owed explicit credits.
     /// Returns true if everything deferred has been flushed.
     pub fn progress(&mut self) -> bool {
+        self.drain_peer_events();
         while let Some((dst, handler, data)) = self.deferred.pop_front() {
             if self.try_send(dst, handler, &data).is_err() {
                 self.deferred.push_front((dst, handler, data));
                 break;
             }
         }
-        self.return_explicit_credits();
-        self.reliability_poll();
+        self.core.return_explicit_credits();
+        self.core.reliability_poll();
         self.deferred.is_empty()
     }
 
-    /// Retransmit-mode housekeeping: flush standalone acks, re-send timed
-    /// out rings, and arm the timer alarm. No-op in TrustSubstrate mode.
-    fn reliability_poll(&mut self) {
-        let Some(mut rel) = self.reliable.take() else {
-            return;
-        };
-        let me = self.device.node_id() as u16;
-        // Standalone acks for one-sided traffic (piggybacking already
-        // discharged the duty wherever reverse data flowed).
-        for (peer, ack) in rel.take_due_acks() {
-            if self.device.send_space() == 0 {
-                rel.mark_ack_due(peer); // retry next poll
-                continue;
+    /// Apply pending membership transitions: the core resets the shared
+    /// per-peer protocol state, this face drops the contiguous buffers it
+    /// was filling from, and the sends it was holding for, a peer that
+    /// died or restarted.
+    fn drain_peer_events(&mut self) {
+        while let Some(ev) = self.core.poll_peer_event() {
+            if matches!(ev.kind, PeerEventKind::Down | PeerEventKind::Rejoining) {
+                self.assembly[ev.peer] = None;
+                self.deferred.retain(|(dst, ..)| *dst != ev.peer);
             }
-            let pkt = FmPacket::ack_only(me, peer as u16, ack);
-            self.charge_packet_send(pkt.wire_bytes());
-            self.device.try_send(pkt).expect("space checked");
-            self.stats.acks_sent += 1;
-            self.obs_emit(|t, me| {
-                ObsEvent::new(t, me, SpanKind::AckSend)
-                    .peer(peer as u16)
-                    .seq(ack)
-                    .serial_opt(self.device.last_sent_serial())
-            });
         }
-        // Go-back-N: re-send every unacked packet of each timed-out peer.
-        let now = self.device.now();
-        for peer in rel.due_retransmits(now) {
-            self.obs_emit(|t, me| {
-                ObsEvent::new(t, me, SpanKind::RetransmitTimeout).peer(peer as u16)
-            });
-            for pkt in rel.ring_packets(peer) {
-                if self.device.send_space() == 0 {
-                    break; // rest of the ring waits for the next timeout
-                }
-                let pkt_seq = pkt.header.pkt_seq;
-                self.charge_packet_send(pkt.wire_bytes());
-                self.device.try_send(pkt).expect("space checked");
-                self.stats.retransmissions += 1;
-                self.obs_emit(|t, me| {
-                    ObsEvent::new(t, me, SpanKind::Retransmit)
-                        .peer(peer as u16)
-                        .seq(pkt_seq)
-                        .serial_opt(self.device.last_sent_serial())
-                });
-            }
-            rel.on_timeout_handled(peer, now, &mut self.stats);
-        }
-        // Make sure we get polled again even on a quiet network.
-        if let Some(at) = rel.next_deadline() {
-            self.device.request_wake(at);
-        }
-        self.reliable = Some(rel);
     }
 
     /// Data packets sent but not yet acknowledged (always 0 in
     /// TrustSubstrate mode). Zero means every send is confirmed delivered.
     pub fn unacked_packets(&self) -> usize {
-        self.reliable
-            .as_ref()
-            .map_or(0, ReliableState::unacked_packets)
-    }
-
-    fn report_error(&mut self, e: FmError) {
-        self.stats.errors_reported += 1;
-        self.errors.push(e);
-    }
-
-    fn send_local(&mut self, handler: HandlerId, data: &[u8]) -> Result<(), WouldBlock> {
-        // Self-sends bypass the NIC entirely (no credits, no packets on the
-        // wire) and are delivered at the next extract.
-        self.obs_emit(|t, me| {
-            ObsEvent::new(t, me, SpanKind::BeginMessage)
-                .peer(me)
-                .handler(handler.0)
-                .msg_seq(0)
-                .bytes(data.len() as u32)
-        });
-        self.local.push_back(FmPacket {
-            header: PacketHeader {
-                src: self.device.node_id() as u16,
-                dst: self.device.node_id() as u16,
-                handler,
-                msg_seq: 0,
-                pkt_seq: 0,
-                msg_len: data.len() as u32,
-                flags: PacketFlags::FIRST | PacketFlags::LAST,
-                credits: 0,
-                ack: 0,
-            },
-            payload: data.to_vec().into(),
-        });
-        self.stats.messages_sent += 1;
-        self.stats.bytes_sent += data.len() as u64;
-        self.obs_emit(|t, me| {
-            ObsEvent::new(t, me, SpanKind::EndMessage)
-                .peer(me)
-                .handler(handler.0)
-                .msg_seq(0)
-                .bytes(data.len() as u32)
-        });
-        Ok(())
-    }
-
-    fn charge_packet_send(&mut self, wire_bytes: u32) {
-        let mut cost = Nanos(self.profile.host.per_packet_send_ns);
-        if self.stage.io_bus() {
-            cost += self.profile.iobus.pio(wire_bytes as u64);
-        }
-        if self.stage.flow_control() {
-            cost += Nanos(self.profile.host.flow_control_ns);
-        }
-        self.device.charge(cost);
-    }
-
-    fn return_explicit_credits(&mut self) {
-        let due: Vec<usize> = self.flow.needs_explicit_return().collect();
-        for peer in due {
-            if self.device.send_space() == 0 {
-                return; // retry next time
-            }
-            let credits = self.flow.take_owed(peer);
-            if credits == 0 {
-                continue;
-            }
-            let pkt = FmPacket::credit_only(self.device.node_id() as u16, peer as u16, credits);
-            self.charge_packet_send(pkt.wire_bytes());
-            self.device.try_send(pkt).expect("space checked");
-            self.stats.credit_packets_sent += 1;
-        }
+        self.core.unacked_packets()
     }
 
     /// `FM_extract`: process **all** pending incoming packets, running the
@@ -606,135 +354,39 @@ impl<D: NetDevice> Fm1Engine<D> {
     /// Panics if called from inside a handler (FM handlers must not
     /// recurse into extract).
     pub fn extract(&mut self) -> usize {
-        assert!(
-            !self.in_extract,
-            "FM_extract may not be called from a handler"
-        );
-        self.device.charge(Nanos(self.profile.host.extract_poll_ns));
-        self.obs_emit(|t, me| ObsEvent::new(t, me, SpanKind::ExtractPoll));
+        self.core.begin_extract(usize::MAX);
+        let me = self.core.device.node_id();
         let mut handled = 0;
 
         // Self-addressed messages first.
-        while let Some(pkt) = self.local.pop_front() {
-            if let Some(n) = self.try_dispatch_sink(pkt.header.src as usize, &pkt) {
-                handled += n;
-                continue;
-            }
-            handled += self.dispatch_complete(
-                pkt.header.src as usize,
-                pkt.header.handler,
-                pkt.header.msg_seq,
-                pkt.payload,
-            );
+        while let Some((handler, payload)) = self.local.pop_front() {
+            handled += self.dispatch_complete(me, handler, 0, payload);
         }
 
-        while let Some(pkt) = self.device.try_recv() {
-            self.device
-                .charge(Nanos(self.profile.host.per_packet_recv_ns));
+        loop {
+            // Membership first: a queued Rejoining/Down event must reset
+            // per-peer state before any packet that follows it is let
+            // through (the device gates new-incarnation data behind its
+            // event).
+            self.drain_peer_events();
+            let Some(pkt) = self.core.recv() else { break };
             let src = pkt.header.src as usize;
-            self.obs_emit(|t, me| {
-                ObsEvent::new(t, me, SpanKind::PacketRecv)
-                    .peer(src as u16)
-                    .handler(pkt.header.handler.0)
-                    .msg_seq(pkt.header.msg_seq)
-                    .seq(pkt.header.pkt_seq)
-                    .serial_opt(self.device.last_recv_serial())
-                    .bytes(pkt.payload.len() as u32)
-            });
-            if self.reliable.is_some() {
-                // Retransmit mode: ack/window bookkeeping replaces the
-                // credit bookkeeping (same charge).
-                self.device.charge(Nanos(self.profile.host.flow_control_ns));
-                let now = self.device.now();
-                let rel = self.reliable.as_mut().expect("checked above");
-                let resend = if rel.on_ack(src, pkt.header.ack, now) {
-                    rel.head_packet(src)
-                } else {
-                    None
-                };
-                if let Some(head) = resend {
-                    // Duplicate-ack fast retransmit: the peer is stuck
-                    // waiting for exactly this packet.
-                    if self.device.send_space() > 0 {
-                        let head_seq = head.header.pkt_seq;
-                        self.charge_packet_send(head.wire_bytes());
-                        self.device.try_send(head).expect("space checked");
-                        self.stats.retransmissions += 1;
-                        self.obs_emit(|t, me| {
-                            ObsEvent::new(t, me, SpanKind::Retransmit)
-                                .peer(src as u16)
-                                .seq(head_seq)
-                                .serial_opt(self.device.last_sent_serial())
-                        });
-                    }
-                }
-                if !pkt.is_data() {
-                    self.obs_emit(|t, me| {
-                        ObsEvent::new(t, me, SpanKind::AckRecv)
-                            .peer(src as u16)
-                            .seq(pkt.header.ack)
-                            .serial_opt(self.device.last_recv_serial())
-                    });
-                    continue; // ACK_ONLY carries nothing else
-                }
-                // The in-order filter: duplicates and loss shadows are
-                // suppressed here, never surfaced as errors — go-back-N
-                // repairs them instead.
-                let rel = self.reliable.as_mut().expect("checked above");
-                if rel.accept(src, pkt.header.pkt_seq, &mut self.stats) != RecvDecision::Accept {
-                    self.obs_emit(|t, me| {
-                        ObsEvent::new(t, me, SpanKind::DuplicateDrop)
-                            .peer(src as u16)
-                            .seq(pkt.header.pkt_seq)
-                            .serial_opt(self.device.last_recv_serial())
-                    });
-                    continue;
-                }
-            } else {
-                if self.stage.flow_control() {
-                    self.device.charge(Nanos(self.profile.host.flow_control_ns));
-                    if pkt.header.credits > 0 {
-                        self.flow.credit_returned(src, pkt.header.credits as u32);
-                    }
-                    if !pkt.is_data() {
-                        continue;
-                    }
-                    self.flow.packet_drained(src);
-                } else if !pkt.is_data() {
-                    continue;
-                }
-
-                // In-order guarantee check.
-                let expected = self.recv_pkt_seq[src];
-                if pkt.header.pkt_seq != expected {
-                    self.report_error(FmError::SequenceGap {
-                        src,
-                        expected,
-                        got: pkt.header.pkt_seq,
-                    });
-                    // Resynchronize and abandon any partial assembly.
-                    self.recv_pkt_seq[src] = pkt.header.pkt_seq + 1;
-                    self.assembly[src] = None;
-                    // Can't trust mid-message data without its start.
-                    if !pkt.header.flags.contains(PacketFlags::FIRST) {
-                        continue;
-                    }
-                } else {
-                    self.recv_pkt_seq[src] = expected + 1;
-                }
-            }
-            self.stats.packets_received += 1;
-
-            // Sink path: every packet of the message is consumed in
-            // place, bypassing the staging assembly entirely (the
-            // one-sided rendezvous receive).
-            if let Some(n) = self.try_dispatch_sink(src, &pkt) {
-                handled += n;
-                continue;
-            }
-
             let first = pkt.header.flags.contains(PacketFlags::FIRST);
             let last = pkt.header.flags.contains(PacketFlags::LAST);
+            match self.core.admit(&pkt) {
+                Admit::Control | Admit::Drop => continue,
+                Admit::Data { gap: false } => {}
+                Admit::Data { gap: true } => {
+                    // A contiguous buffer with a hole is worthless:
+                    // abandon any partial assembly, and mid-message data
+                    // can't be trusted without its start.
+                    self.assembly[src] = None;
+                    if !first {
+                        continue;
+                    }
+                }
+            }
+
             if first && last {
                 // Single-packet message: deliver in place, no staging copy.
                 handled += self.dispatch_complete(
@@ -754,7 +406,7 @@ impl<D: NetDevice> Fm1Engine<D> {
                 });
             }
             let Some(asm) = self.assembly[src].as_mut() else {
-                self.report_error(FmError::OrphanPacket {
+                self.core.report_error(FmError::OrphanPacket {
                     src,
                     msg_seq: pkt.header.msg_seq,
                 });
@@ -763,9 +415,7 @@ impl<D: NetDevice> Fm1Engine<D> {
             // Staging assembly: the FM 1.x receive-side copy.
             asm.buf.extend_from_slice(&pkt.payload);
             if self.stage.buffer_mgmt() {
-                self.stats.bytes_copied += pkt.payload.len() as u64;
-                let c = self.profile.host.memcpy(pkt.payload.len() as u64);
-                self.device.charge(c);
+                self.core.charge_memcpy(pkt.payload.len());
             }
             if last {
                 let asm = self.assembly[src].take().expect("just appended");
@@ -779,56 +429,6 @@ impl<D: NetDevice> Fm1Engine<D> {
         handled
     }
 
-    /// Dispatch one packet to a registered sink handler. Returns `None`
-    /// when no sink is registered for the packet's id (the caller falls
-    /// through to the assembly path), otherwise `Some(handled)` — 1 on
-    /// the message's last packet, 0 before it.
-    fn try_dispatch_sink(&mut self, src: usize, pkt: &FmPacket) -> Option<usize> {
-        let idx = pkt.header.handler.0 as usize;
-        let mut f = self.sink_handlers.get_mut(idx).and_then(Option::take)?;
-        let first = pkt.header.flags.contains(PacketFlags::FIRST);
-        let last = pkt.header.flags.contains(PacketFlags::LAST);
-        let msg_len = pkt.header.msg_len;
-        if first {
-            self.device
-                .charge(Nanos(self.profile.host.handler_dispatch_ns));
-            self.stats.handlers_run += 1;
-            self.obs_emit(|t, me| {
-                ObsEvent::new(t, me, SpanKind::HandlerStart)
-                    .peer(src as u16)
-                    .handler(pkt.header.handler.0)
-                    .msg_seq(pkt.header.msg_seq)
-                    .bytes(msg_len)
-            });
-        }
-        let meta = SinkMeta {
-            msg_seq: pkt.header.msg_seq,
-            msg_len,
-            first,
-            last,
-        };
-        self.in_extract = true;
-        f(src, meta, &pkt.payload);
-        self.in_extract = false;
-        if self.sink_handlers[idx].is_none() {
-            self.sink_handlers[idx] = Some(f);
-        }
-        if last {
-            self.stats.messages_received += 1;
-            self.stats.bytes_received += msg_len as u64;
-            self.obs_emit(|t, me| {
-                ObsEvent::new(t, me, SpanKind::HandlerEnd)
-                    .peer(src as u16)
-                    .handler(pkt.header.handler.0)
-                    .msg_seq(pkt.header.msg_seq)
-                    .bytes(msg_len)
-            });
-            Some(1)
-        } else {
-            Some(0)
-        }
-    }
-
     fn dispatch_complete(
         &mut self,
         src: usize,
@@ -836,35 +436,19 @@ impl<D: NetDevice> Fm1Engine<D> {
         msg_seq: u32,
         data: PacketBuf,
     ) -> usize {
-        self.device
-            .charge(Nanos(self.profile.host.handler_dispatch_ns));
-        let idx = handler.0 as usize;
-        let slot = self.handlers.get_mut(idx).and_then(Option::take);
-        let Some(mut h) = slot else {
-            self.report_error(FmError::UnknownHandler { handler: handler.0 });
+        let Some(mut h) = self.handlers.take(handler) else {
+            // The table lookup is the dispatch cost; a miss still pays it.
+            let dispatch = Nanos(self.core.profile.host.handler_dispatch_ns);
+            self.core.device.charge(dispatch);
+            self.core
+                .report_error(FmError::UnknownHandler { handler: handler.0 });
             return 0;
         };
-        self.obs_emit(|t, me| {
-            ObsEvent::new(t, me, SpanKind::HandlerStart)
-                .peer(src as u16)
-                .handler(handler.0)
-                .msg_seq(msg_seq)
-                .bytes(data.len() as u32)
-        });
-        self.in_extract = true;
+        let len = data.len() as u32;
+        self.core.sync_enter(src, handler, msg_seq, len, true);
         h(self, src, &data);
-        self.in_extract = false;
-        self.handlers[idx] = Some(h);
-        self.stats.handlers_run += 1;
-        self.stats.messages_received += 1;
-        self.stats.bytes_received += data.len() as u64;
-        self.obs_emit(|t, me| {
-            ObsEvent::new(t, me, SpanKind::HandlerEnd)
-                .peer(src as u16)
-                .handler(handler.0)
-                .msg_seq(msg_seq)
-                .bytes(data.len() as u32)
-        });
+        self.core.sync_exit(src, handler, msg_seq, len, true);
+        self.handlers.restore(handler, h);
         1
     }
 }
@@ -882,6 +466,7 @@ fn chunks_or_empty(data: &[u8], mtu: usize) -> impl Iterator<Item = &[u8]> {
 mod tests {
     use super::*;
     use crate::device::{LoopbackDevice, LoopbackPair};
+    use crate::packet::FmPacket;
     use std::cell::RefCell;
     use std::rc::Rc;
 
@@ -912,7 +497,7 @@ mod tests {
     }
 
     fn deliver(a: &mut Fm1Engine<LoopbackDevice>, b: &mut Fm1Engine<LoopbackDevice>) {
-        LoopbackPair::deliver(&mut a.device, &mut b.device);
+        LoopbackPair::deliver(&mut a.core.device, &mut b.core.device);
     }
 
     #[test]
@@ -988,27 +573,6 @@ mod tests {
         assert_eq!(r.extract(), 10);
         let got: Vec<u8> = log.borrow().iter().map(|(_, d)| d[0]).collect();
         assert_eq!(got, (0..10).collect::<Vec<u8>>());
-    }
-
-    #[test]
-    fn credits_exhaust_and_recover() {
-        let (mut s, mut r) = pair();
-        let _log = recording_handler(&mut r, H);
-        let window = profile().fm.credits_per_peer; // 32 single-packet sends
-        for i in 0..window {
-            assert!(s.try_send(1, H, &[i as u8]).is_ok(), "send {i}");
-        }
-        // Window exhausted.
-        assert_eq!(s.try_send(1, H, &[99]), Err(WouldBlock));
-        assert_eq!(s.stats().credit_stalls, 1);
-
-        // Receiver drains; explicit credit packets flow back.
-        deliver(&mut s, &mut r);
-        assert_eq!(r.extract(), window as usize);
-        assert!(r.stats().credit_packets_sent > 0);
-        deliver(&mut r, &mut s);
-        s.extract(); // processes the credit-only packets
-        assert!(s.try_send(1, H, &[99]).is_ok());
     }
 
     #[test]
@@ -1163,7 +727,7 @@ mod tests {
             let _log = recording_handler(&mut r, H);
             let data = vec![0u8; 512];
             s.try_send(1, H, &data).unwrap();
-            LoopbackPair::deliver(&mut s.device, &mut r.device);
+            LoopbackPair::deliver(&mut s.core.device, &mut r.core.device);
             r.extract();
             elapsed.push(s.now() + r.now());
         }
@@ -1224,6 +788,25 @@ mod tests {
             "one-sided traffic acked standalone"
         );
         assert_eq!(s.stats().errors_reported + r.stats().errors_reported, 0);
+
+        // Duplicate acks beat the timer: lose message 4 of a burst and
+        // feed the receiver its successors one at a time. Each is a loss
+        // shadow that forces a repeat of the same cumulative ack, and
+        // the third repeat fast-retransmits the head — counted as such.
+        for i in 4..=8u8 {
+            s.try_send(1, H, &[i]).unwrap();
+        }
+        let _ = s.device_out_remove_for_test(0);
+        while LoopbackPair::deliver_one(&mut s.core.device, &mut r.core.device) > 0 {
+            r.extract();
+        }
+        deliver(&mut r, &mut s);
+        s.extract();
+        assert_eq!(s.stats().fast_retransmits, 1);
+        assert_eq!(s.stats().retransmissions, 3, "only the head was re-sent");
+        assert_eq!(s.stats().retransmit_timeouts, 1, "ahead of the RTO");
+        deliver(&mut s, &mut r);
+        assert_eq!(r.extract(), 1, "message 4 recovered");
     }
 
     #[test]
@@ -1309,13 +892,13 @@ mod tests {
     // --- test-only accessors ---
     impl Fm1Engine<LoopbackDevice> {
         fn flow_owed_for_test(&self, peer: usize) -> u32 {
-            self.flow.owed(peer)
+            self.core.flow.owed(peer)
         }
         fn flow_available_for_test(&self, peer: usize) -> u32 {
-            self.flow.available(peer)
+            self.core.flow.available(peer)
         }
         fn device_out_remove_for_test(&mut self, idx: usize) -> FmPacket {
-            self.device.out_remove_for_test(idx)
+            self.core.device.out_remove_for_test(idx)
         }
     }
 }

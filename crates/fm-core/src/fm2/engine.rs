@@ -17,13 +17,13 @@ use std::task::{Context, Waker};
 
 use fm_model::{MachineProfile, Nanos};
 
-use crate::buf::{BufPool, PacketBuf};
+use crate::buf::PacketBuf;
 use crate::device::{NetDevice, PeerEvent, PeerEventKind};
+use crate::engine::{Admit, EngineCore, HandlerTable, PacketCosts, SendCost, Stall};
 use crate::error::{FmError, WouldBlock};
-use crate::flow::CreditLedger;
 use crate::obs::{ObsEvent, ObsSink, SpanKind};
-use crate::packet::{FmPacket, HandlerId, PacketFlags, PacketHeader};
-use crate::reliable::{RecvDecision, Reliability, ReliableState};
+use crate::packet::{FmPacket, HandlerId, PacketFlags};
+use crate::reliable::Reliability;
 use crate::stats::FmStats;
 
 use super::sendstream::SendStream;
@@ -62,11 +62,6 @@ pub struct SinkMeta {
 /// view is valid only for the duration of the call.
 pub type SinkHandlerFn = Box<dyn FnMut(usize, SinkMeta, &[u8])>;
 
-/// Free-list depth of each engine's send-payload pool. Deep enough to
-/// cover a full retransmit window of in-flight frames per peer on small
-/// clusters; beyond it, bursts fall back to the allocator harmlessly.
-const SEND_POOL_FRAMES: usize = 256;
-
 /// A handler-initiated send, possibly mid-flight: deferred sends stream
 /// through a [`SendStream`] so that messages of *any* size (including
 /// larger than the credit window) make incremental progress — FIFO, so
@@ -95,23 +90,19 @@ struct Task {
     polls: u32,
 }
 
+/// The stream face's state over the shared [`EngineCore`].
 struct Inner<D: NetDevice> {
-    device: D,
-    profile: MachineProfile,
-    handlers: Vec<Option<Fm2HandlerFn>>,
-    /// Synchronous fast-path handlers, indexed like `handlers`. `None`
-    /// entries fall through to the async handler table.
-    fast_handlers: Vec<Option<Fm2FastHandlerFn>>,
-    /// Synchronous per-packet sink handlers, indexed like `handlers`.
-    /// A registered sink takes precedence over both other tables for
-    /// its id and consumes every packet of every message — the one-sided
-    /// rendezvous datapath, where multi-packet payloads must land
-    /// without staging buffers or task allocation.
-    sink_handlers: Vec<Option<SinkHandlerFn>>,
-    flow: CreditLedger,
-    send_pkt_seq: Vec<u32>,
-    send_msg_seq: Vec<u32>,
-    recv_pkt_seq: Vec<u32>,
+    core: EngineCore<D>,
+    handlers: HandlerTable<Fm2HandlerFn>,
+    /// Synchronous fast-path handlers. Ids without one fall through to
+    /// the async handler table.
+    fast_handlers: HandlerTable<Fm2FastHandlerFn>,
+    /// Synchronous per-packet sink handlers. A registered sink takes
+    /// precedence over both other tables for its id and consumes every
+    /// packet of every message — the one-sided rendezvous datapath,
+    /// where multi-packet payloads must land without staging buffers or
+    /// task allocation.
+    sink_handlers: HandlerTable<SinkHandlerFn>,
     tasks: HashMap<(usize, u32), Task>,
     deferred: VecDeque<DeferredSend>,
     local: VecDeque<(HandlerId, PacketBuf)>,
@@ -120,39 +111,28 @@ struct Inner<D: NetDevice> {
     /// cannot collide with network messages (self never sends to itself
     /// over the wire).
     local_task_counter: u32,
-    /// Retransmission state (`Some` in [`Reliability::Retransmit`] mode,
-    /// where it replaces the credit ledger entirely).
-    reliable: Option<ReliableState>,
-    /// MTU-sized frame pool: `SendStream`s stage pieces directly into
-    /// pooled frames, which then *become* packet payloads — steady-state
-    /// sends never allocate.
-    pool: BufPool,
-    errors: Vec<FmError>,
-    stats: FmStats,
-    in_extract: bool,
-    /// Observability sink (`None` by default: recording is opt-in and a
-    /// single branch per site when absent).
-    obs: Option<ObsSink>,
     /// Application callback for membership transitions
     /// (`FM_set_peer_handler`); invoked outside any engine borrow, so it
     /// may call engine methods.
     peer_handler: Option<Rc<dyn Fn(PeerEvent)>>,
-    /// Peers currently declared down by the device's liveness engine.
-    /// Upper layers poll this ([`Fm2Engine::is_peer_down`]) to abort
-    /// instead of spinning on a dead peer.
-    peer_down: Vec<bool>,
 }
 
-impl<D: NetDevice> Inner<D> {
-    /// Record an event if a sink is attached. The closure receives the
-    /// device clock and this node's id; it only runs when recording, so
-    /// the disabled path is a single `is_some` branch. Recording never
-    /// charges the device clock.
-    #[inline]
-    fn obs_emit(&self, make: impl FnOnce(Nanos, u16) -> ObsEvent) {
-        if let Some(obs) = &self.obs {
-            obs.record(make(self.device.now(), self.device.node_id() as u16));
-        }
+/// What a packet costs the host under FM 2.x. Payload bytes are PIO'd
+/// into the NIC frame as each piece is gathered
+/// ([`Fm2Engine::try_send_piece`]), so hand-off pays only the PIO setup;
+/// credit and ack frames skip the flow-control bookkeeping that data
+/// packets (retransmissions included) pay.
+fn packet_costs(profile: &MachineProfile) -> PacketCosts {
+    let control = Nanos(profile.host.per_packet_send_ns) + Nanos(profile.iobus.pio_setup_ns);
+    let flow_control = Nanos(profile.host.flow_control_ns);
+    let at_handoff = |fixed| SendCost {
+        fixed,
+        pio_ns_per_kb: 0,
+    };
+    PacketCosts {
+        data: at_handoff(control + flow_control),
+        control: at_handoff(control),
+        flow_control: Some(flow_control),
     }
 }
 
@@ -250,40 +230,18 @@ impl<D: NetDevice> Fm2Engine<D> {
     /// window replaces credit-based flow control and delivery survives a
     /// lossy substrate. Both ends of a connection must use the same mode.
     pub fn with_reliability(device: D, profile: MachineProfile, reliability: Reliability) -> Self {
-        let n = device.num_nodes();
-        let reliable = match reliability {
-            Reliability::TrustSubstrate => None,
-            Reliability::Retransmit(cfg) => Some(ReliableState::new(n, cfg)),
-        };
-        assert!(
-            reliable.is_some() || !device.is_lossy(),
-            "this device really drops/reorders packets; construct the engine \
-             with Reliability::Retransmit (TrustSubstrate would break FM's \
-             delivery guarantee)"
-        );
+        let costs = packet_costs(&profile);
         Fm2Engine {
             inner: Rc::new(RefCell::new(Inner {
-                device,
-                profile,
-                handlers: Vec::new(),
-                fast_handlers: Vec::new(),
-                sink_handlers: Vec::new(),
-                flow: CreditLedger::new(n, profile.fm.credits_per_peer),
-                send_pkt_seq: vec![0; n],
-                send_msg_seq: vec![0; n],
-                recv_pkt_seq: vec![0; n],
+                core: EngineCore::new(device, profile, reliability, costs),
+                handlers: HandlerTable::new(),
+                fast_handlers: HandlerTable::new(),
+                sink_handlers: HandlerTable::new(),
                 tasks: HashMap::new(),
                 deferred: VecDeque::new(),
                 local: VecDeque::new(),
                 local_task_counter: 0,
-                reliable,
-                pool: BufPool::new(profile.fm.mtu_payload, SEND_POOL_FRAMES),
-                errors: Vec::new(),
-                stats: FmStats::default(),
-                in_extract: false,
-                obs: None,
                 peer_handler: None,
-                peer_down: vec![false; n],
             })),
         }
     }
@@ -293,12 +251,12 @@ impl<D: NetDevice> Fm2Engine<D> {
     /// on. Recording never charges the device clock, so attaching a sink
     /// does not perturb virtual-time measurements.
     pub fn attach_obs(&self, sink: ObsSink) {
-        self.inner.borrow_mut().obs = Some(sink);
+        self.inner.borrow_mut().core.obs = Some(sink);
     }
 
     /// A handle to the attached observability sink, if any.
     pub fn obs(&self) -> Option<ObsSink> {
-        self.inner.borrow().obs.clone()
+        self.inner.borrow().core.obs.clone()
     }
 
     /// Record a layered-library event into the attached sink (no-op
@@ -307,12 +265,12 @@ impl<D: NetDevice> Fm2Engine<D> {
     /// device clock. Used by MPI-FM to mark collective phases so they
     /// join the engine's spans in chrome traces.
     pub fn obs_record(&self, make: impl FnOnce(Nanos, u16) -> ObsEvent) {
-        self.inner.borrow().obs_emit(make);
+        self.inner.borrow().core.obs_emit(make);
     }
 
     /// This node's id.
     pub fn node_id(&self) -> usize {
-        self.inner.borrow().device.node_id()
+        self.inner.borrow().core.device.node_id()
     }
 
     /// A weak handle safe to capture inside handler closures (a strong
@@ -325,40 +283,35 @@ impl<D: NetDevice> Fm2Engine<D> {
 
     /// Number of nodes in the network.
     pub fn num_nodes(&self) -> usize {
-        self.inner.borrow().device.num_nodes()
+        self.inner.borrow().core.device.num_nodes()
     }
 
     /// Current time (virtual on the simulator).
     pub fn now(&self) -> Nanos {
-        self.inner.borrow().device.now()
+        self.inner.borrow().core.device.now()
     }
 
     /// Engine counters (pool hit/miss counters folded in live).
     pub fn stats(&self) -> FmStats {
-        let inner = self.inner.borrow();
-        let mut s = inner.stats;
-        let p = inner.pool.stats();
-        s.pool_hits = p.hits;
-        s.pool_misses = p.misses;
-        s
+        self.inner.borrow().core.stats()
     }
 
     /// The machine profile in force.
     pub fn profile(&self) -> MachineProfile {
-        self.inner.borrow().profile
+        self.inner.borrow().core.profile
     }
 
     /// Run `f` with direct access to the underlying device (test harnesses
     /// and transports that need to pump packets by hand). Do not call
     /// engine methods from inside `f`.
     pub fn with_device<R>(&self, f: impl FnOnce(&mut D) -> R) -> R {
-        f(&mut self.inner.borrow_mut().device)
+        f(&mut self.inner.borrow_mut().core.device)
     }
 
     /// Guarantee-violation reports accumulated by `extract` (empties the
     /// log).
     pub fn take_errors(&self) -> Vec<FmError> {
-        std::mem::take(&mut self.inner.borrow_mut().errors)
+        std::mem::take(&mut self.inner.borrow_mut().core.errors)
     }
 
     /// `FM_set_peer_handler`: register a callback for membership
@@ -380,40 +333,31 @@ impl<D: NetDevice> Fm2Engine<D> {
     /// instead of waiting forever on a dead peer; a later `Up` or
     /// `Rejoining` transition clears it.
     pub fn is_peer_down(&self, peer: usize) -> bool {
-        self.inner.borrow().peer_down[peer]
+        self.inner.borrow().core.peer_down[peer]
     }
 
     /// Whether *any* peer is currently declared down — an allocation-free
     /// check suitable for per-progress polling (unlike
     /// [`downed_peers`](Self::downed_peers), which collects).
     pub fn has_downed_peers(&self) -> bool {
-        self.inner.borrow().peer_down.iter().any(|&d| d)
+        self.inner.borrow().core.peer_down.iter().any(|&d| d)
     }
 
     /// The peers currently declared down, in node order (empty for
     /// devices with static membership).
     pub fn downed_peers(&self) -> Vec<usize> {
-        self.inner
-            .borrow()
-            .peer_down
-            .iter()
-            .enumerate()
-            .filter_map(|(i, &d)| d.then_some(i))
-            .collect()
+        self.inner.borrow().core.downed_peers()
     }
 
     /// Account arbitrary host cost (for layered libraries).
     pub fn charge(&self, cost: Nanos) {
-        self.inner.borrow_mut().device.charge(cost);
+        self.inner.borrow_mut().core.device.charge(cost);
     }
 
     /// Account a host memcpy of `bytes` (for layered libraries; counted in
     /// [`FmStats::bytes_copied`]).
     pub fn charge_memcpy(&self, bytes: usize) {
-        let mut inner = self.inner.borrow_mut();
-        inner.stats.bytes_copied += bytes as u64;
-        let c = inner.profile.host.memcpy(bytes as u64);
-        inner.device.charge(c);
+        self.inner.borrow_mut().core.charge_memcpy(bytes);
     }
 
     /// Register an async handler under `id` (replacing any previous one).
@@ -432,12 +376,7 @@ impl<D: NetDevice> Fm2Engine<D> {
         Fut: Future<Output = ()> + 'static,
     {
         let wrapped: Fm2HandlerFn = Rc::new(move |s, src| Box::pin(f(s, src)));
-        let mut inner = self.inner.borrow_mut();
-        let idx = id.0 as usize;
-        if inner.handlers.len() <= idx {
-            inner.handlers.resize_with(idx + 1, || None);
-        }
-        inner.handlers[idx] = Some(wrapped);
+        self.inner.borrow_mut().handlers.set(id, wrapped);
     }
 
     /// Register a synchronous **fast-path** handler under `id`.
@@ -459,12 +398,7 @@ impl<D: NetDevice> Fm2Engine<D> {
     where
         F: FnMut(usize, &[u8]) + 'static,
     {
-        let mut inner = self.inner.borrow_mut();
-        let idx = id.0 as usize;
-        if inner.fast_handlers.len() <= idx {
-            inner.fast_handlers.resize_with(idx + 1, || None);
-        }
-        inner.fast_handlers[idx] = Some(Box::new(f));
+        self.inner.borrow_mut().fast_handlers.set(id, Box::new(f));
     }
 
     /// Register a synchronous per-packet **sink** handler under `id`.
@@ -487,12 +421,7 @@ impl<D: NetDevice> Fm2Engine<D> {
     where
         F: FnMut(usize, SinkMeta, &[u8]) + 'static,
     {
-        let mut inner = self.inner.borrow_mut();
-        let idx = id.0 as usize;
-        if inner.sink_handlers.len() <= idx {
-            inner.sink_handlers.resize_with(idx + 1, || None);
-        }
-        inner.sink_handlers[idx] = Some(Box::new(f));
+        self.inner.borrow_mut().sink_handlers.set(id, Box::new(f));
     }
 
     // ------------------------------------------------------------------
@@ -503,23 +432,10 @@ impl<D: NetDevice> Fm2Engine<D> {
     /// handled there by `handler`.
     pub fn begin_message(&self, dst: usize, len: usize, handler: HandlerId) -> SendStream {
         let mut inner = self.inner.borrow_mut();
-        let call = Nanos(inner.profile.host.send_call_ns);
-        inner.device.charge(call);
-        let local = dst == inner.device.node_id();
-        let msg_seq = if local {
-            0
-        } else {
-            let s = inner.send_msg_seq[dst];
-            inner.send_msg_seq[dst] += 1;
-            s
-        };
-        inner.obs_emit(|t, me| {
-            ObsEvent::new(t, me, SpanKind::BeginMessage)
-                .peer(dst as u16)
-                .handler(handler.0)
-                .msg_seq(msg_seq)
-                .bytes(len as u32)
-        });
+        let core = &mut inner.core;
+        core.device.charge(Nanos(core.profile.host.send_call_ns));
+        let local = dst == core.device.node_id();
+        let msg_seq = core.begin_message(dst, handler, len);
         SendStream {
             dst,
             handler,
@@ -563,13 +479,13 @@ impl<D: NetDevice> Fm2Engine<D> {
         );
         {
             let mut inner = self.inner.borrow_mut();
-            let c = Nanos(inner.profile.host.piece_call_ns);
-            inner.device.charge(c);
+            let c = Nanos(inner.core.profile.host.piece_call_ns);
+            inner.core.device.charge(c);
         }
         if ss.local {
             ss.pending.extend_from_slice(data);
             ss.accepted += data.len();
-            self.inner.borrow().obs_emit(|t, me| {
+            self.inner.borrow().core.obs_emit(|t, me| {
                 ObsEvent::new(t, me, SpanKind::SendPiece)
                     .peer(me)
                     .handler(ss.handler.0)
@@ -580,7 +496,7 @@ impl<D: NetDevice> Fm2Engine<D> {
         }
         let (mtu, pool) = {
             let inner = self.inner.borrow();
-            (inner.profile.fm.mtu_payload, inner.pool.clone())
+            (inner.core.profile.fm.mtu_payload, inner.core.pool.clone())
         };
         let mut offset = 0;
         while offset < data.len() {
@@ -600,9 +516,11 @@ impl<D: NetDevice> Fm2Engine<D> {
             // staging — per-byte I/O bus cost, but no host memcpy.
             {
                 let mut inner = self.inner.borrow_mut();
-                let c =
-                    fm_model::time::ns_for_bytes(inner.profile.iobus.pio_ns_per_kb, take as u64);
-                inner.device.charge(c);
+                let c = fm_model::time::ns_for_bytes(
+                    inner.core.profile.iobus.pio_ns_per_kb,
+                    take as u64,
+                );
+                inner.core.device.charge(c);
             }
             offset += take;
             ss.accepted += take;
@@ -610,7 +528,7 @@ impl<D: NetDevice> Fm2Engine<D> {
         if offset == 0 && !data.is_empty() {
             return Err(WouldBlock);
         }
-        self.inner.borrow().obs_emit(|t, me| {
+        self.inner.borrow().core.obs_emit(|t, me| {
             ObsEvent::new(t, me, SpanKind::SendPiece)
                 .peer(ss.dst as u16)
                 .handler(ss.handler.0)
@@ -637,35 +555,17 @@ impl<D: NetDevice> Fm2Engine<D> {
             "FM_end_message before supplying the declared {} bytes",
             ss.msg_len
         );
-        if ss.local {
-            let payload = std::mem::take(&mut ss.pending);
-            let mut inner = self.inner.borrow_mut();
-            inner.local.push_back((ss.handler, payload));
-            inner.stats.messages_sent += 1;
-            inner.stats.bytes_sent += ss.msg_len as u64;
-            inner.obs_emit(|t, me| {
-                ObsEvent::new(t, me, SpanKind::EndMessage)
-                    .peer(me)
-                    .handler(ss.handler.0)
-                    .msg_seq(ss.msg_seq)
-                    .bytes(ss.msg_len)
-            });
-            ss.ended = true;
-            return Ok(());
-        }
-        if !self.flush_packet(ss, true) {
+        if !ss.local && !self.flush_packet(ss, true) {
             return Err(WouldBlock);
         }
         let mut inner = self.inner.borrow_mut();
-        inner.stats.messages_sent += 1;
-        inner.stats.bytes_sent += ss.msg_len as u64;
-        inner.obs_emit(|t, me| {
-            ObsEvent::new(t, me, SpanKind::EndMessage)
-                .peer(ss.dst as u16)
-                .handler(ss.handler.0)
-                .msg_seq(ss.msg_seq)
-                .bytes(ss.msg_len)
-        });
+        if ss.local {
+            let payload = std::mem::take(&mut ss.pending);
+            inner.local.push_back((ss.handler, payload));
+        }
+        inner
+            .core
+            .end_message(ss.dst, ss.handler, ss.msg_seq, ss.msg_len);
         ss.ended = true;
         Ok(())
     }
@@ -674,40 +574,24 @@ impl<D: NetDevice> Fm2Engine<D> {
     /// Returns false when out of credits or NIC space.
     fn flush_packet(&self, ss: &mut SendStream, last: bool) -> bool {
         let mut inner = self.inner.borrow_mut();
-        if inner.device.send_space() == 0 {
-            inner.stats.device_stalls += 1;
-            inner.obs_emit(|t, me| {
-                ObsEvent::new(t, me, SpanKind::DeviceStall)
-                    .peer(ss.dst as u16)
-                    .msg_seq(ss.msg_seq)
-            });
-            // The NIC queue is full but we still hold data for it: ask to
-            // be polled again after roughly one packet's wire time, when a
-            // slot has drained. Without this, an event-driven host (the
-            // simulator) refills the queue only when a packet happens to
-            // arrive — and the uplink runs dry between credit returns.
-            let now = inner.device.now();
-            let drain = inner
-                .profile
-                .link
-                .serialize(inner.profile.fm.mtu_payload as u64);
-            inner.device.request_wake(now + drain);
-            return false;
-        }
-        let window_closed = if let Some(rel) = inner.reliable.as_ref() {
-            // Retransmit mode: the sliding window is the flow control.
-            !rel.can_send(ss.dst, 1)
-        } else {
-            !inner.flow.try_reserve(ss.dst, 1)
-        };
-        if window_closed {
-            inner.stats.credit_stalls += 1;
-            inner.obs_emit(|t, me| {
-                ObsEvent::new(t, me, SpanKind::CreditStall)
-                    .peer(ss.dst as u16)
-                    .msg_seq(ss.msg_seq)
-            });
-            return false;
+        let core = &mut inner.core;
+        match core.reserve(ss.dst, 1, ss.msg_seq, ss.msg_len) {
+            Ok(()) => {}
+            Err(Stall::Device) => {
+                // The NIC queue is full but we still hold data for it: ask to
+                // be polled again after roughly one packet's wire time, when a
+                // slot has drained. Without this, an event-driven host (the
+                // simulator) refills the queue only when a packet happens to
+                // arrive — and the uplink runs dry between credit returns.
+                let now = core.device.now();
+                let drain = core
+                    .profile
+                    .link
+                    .serialize(core.profile.fm.mtu_payload as u64);
+                core.device.request_wake(now + drain);
+                return false;
+            }
+            Err(Stall::Window) => return false,
         }
         let mut flags = PacketFlags::EMPTY;
         if !ss.first_flushed {
@@ -716,51 +600,8 @@ impl<D: NetDevice> Fm2Engine<D> {
         if last {
             flags = flags | PacketFlags::LAST;
         }
-        let credits = if inner.reliable.is_some() {
-            0
-        } else {
-            inner.flow.take_owed(ss.dst)
-        };
-        let ack = inner
-            .reliable
-            .as_mut()
-            .map_or(0, |r| r.piggyback_ack(ss.dst));
-        let pkt_seq = inner.send_pkt_seq[ss.dst];
-        inner.send_pkt_seq[ss.dst] += 1;
-        let pkt = FmPacket {
-            header: PacketHeader {
-                src: inner.device.node_id() as u16,
-                dst: ss.dst as u16,
-                handler: ss.handler,
-                msg_seq: ss.msg_seq,
-                pkt_seq,
-                msg_len: ss.msg_len,
-                flags,
-                credits,
-                ack,
-            },
-            payload: std::mem::take(&mut ss.pending),
-        };
-        let now = inner.device.now();
-        if let Some(rel) = inner.reliable.as_mut() {
-            rel.on_data_sent(ss.dst, &pkt, now);
-        }
-        let cost = Nanos(inner.profile.host.per_packet_send_ns)
-            + Nanos(inner.profile.iobus.pio_setup_ns)
-            + Nanos(inner.profile.host.flow_control_ns);
-        let payload_len = pkt.payload.len() as u32;
-        inner.device.charge(cost);
-        inner.device.try_send(pkt).expect("space was checked above");
-        inner.stats.packets_sent += 1;
-        inner.obs_emit(|t, me| {
-            ObsEvent::new(t, me, SpanKind::PacketSend)
-                .peer(ss.dst as u16)
-                .handler(ss.handler.0)
-                .msg_seq(ss.msg_seq)
-                .seq(pkt_seq)
-                .serial_opt(inner.device.last_sent_serial())
-                .bytes(payload_len)
-        });
+        let payload = std::mem::take(&mut ss.pending);
+        core.emit_data(ss.dst, ss.handler, ss.msg_seq, ss.msg_len, flags, payload);
         ss.first_flushed = true;
         true
     }
@@ -777,16 +618,10 @@ impl<D: NetDevice> Fm2Engine<D> {
         let total: usize = pieces.iter().map(|p| p.len()).sum();
         {
             let inner = self.inner.borrow();
-            if dst != inner.device.node_id() {
-                let mtu = inner.profile.fm.mtu_payload;
-                let packets = if total == 0 { 1 } else { total.div_ceil(mtu) } as u32;
-                let flow_ok = match inner.reliable.as_ref() {
-                    Some(rel) => rel.can_send(dst, packets),
-                    None => inner.flow.available(dst) >= packets,
-                };
-                if inner.device.send_space() < packets as usize || !flow_ok {
-                    return Err(WouldBlock);
-                }
+            let core = &inner.core;
+            if dst != core.device.node_id() {
+                let packets = total.div_ceil(core.profile.fm.mtu_payload).max(1);
+                core.room_for(dst, packets as u32).map_err(|_| WouldBlock)?;
             }
         }
         let mut ss = self.begin_message(dst, total, handler);
@@ -865,77 +700,30 @@ impl<D: NetDevice> Fm2Engine<D> {
             self.inner.borrow_mut().deferred.push_front(d);
             break;
         }
-        self.return_explicit_credits();
-        self.reliability_poll();
-        self.inner.borrow().deferred.is_empty()
+        let mut inner = self.inner.borrow_mut();
+        inner.core.return_explicit_credits();
+        inner.core.reliability_poll();
+        inner.deferred.is_empty()
     }
 
-    /// Apply pending membership transitions from the device, then run the
-    /// application's peer callback for each. The device contract
-    /// ([`NetDevice::poll_event`]) guarantees no data from a peer's new
-    /// incarnation is returned by `try_recv` while its
-    /// `Rejoining`/`Down` event is still queued, so resetting per-peer
-    /// state here cannot race the new traffic.
+    /// Apply pending membership transitions, then run the application's
+    /// peer callback for each: the core resets the shared per-peer
+    /// protocol state, this face aborts the handler tasks fed by, and
+    /// the deferred sends held for, a peer that died or restarted.
     fn drain_peer_events(&self) {
         let (events, handler) = {
             let mut inner = self.inner.borrow_mut();
+            let inner = &mut *inner;
             let mut events: Vec<PeerEvent> = Vec::new();
-            while let Some(ev) = inner.device.poll_event() {
+            while let Some(ev) = inner.core.poll_peer_event() {
+                if matches!(ev.kind, PeerEventKind::Down | PeerEventKind::Rejoining) {
+                    inner.tasks.retain(|&(src, _), _| src != ev.peer);
+                    inner.deferred.retain(|d| d.dst != ev.peer);
+                }
                 events.push(ev);
             }
             if events.is_empty() {
                 return;
-            }
-            for ev in &events {
-                let peer = ev.peer;
-                match ev.kind {
-                    PeerEventKind::Up => {
-                        inner.peer_down[peer] = false;
-                    }
-                    PeerEventKind::Suspect => {
-                        // Liveness in doubt, protocol state intact: the
-                        // AIMD window is already shedding load toward a
-                        // silent peer; nothing structural to do.
-                    }
-                    PeerEventKind::Down => {
-                        inner.peer_down[peer] = true;
-                        // Stop the retransmit storm toward the corpse and
-                        // abort everything in flight either way.
-                        if let Some(rel) = inner.reliable.as_mut() {
-                            rel.abandon_peer(peer);
-                        }
-                        inner.tasks.retain(|&(src, _), _| src != peer);
-                        inner.deferred.retain(|d| d.dst != peer);
-                    }
-                    PeerEventKind::Rejoining => {
-                        // The peer restarted: every sequence number,
-                        // retransmit clone and partial message from its
-                        // old incarnation is invalid. Both sides reset
-                        // symmetrically (the restarted peer starts from
-                        // scratch by construction).
-                        inner.peer_down[peer] = false;
-                        if let Some(rel) = inner.reliable.as_mut() {
-                            rel.reset_peer(peer);
-                        }
-                        inner.send_pkt_seq[peer] = 0;
-                        inner.send_msg_seq[peer] = 0;
-                        inner.recv_pkt_seq[peer] = 0;
-                        inner.tasks.retain(|&(src, _), _| src != peer);
-                        inner.deferred.retain(|d| d.dst != peer);
-                        inner.stats.peer_resets += 1;
-                    }
-                }
-                let kind = match ev.kind {
-                    PeerEventKind::Up => SpanKind::PeerUp,
-                    PeerEventKind::Suspect => SpanKind::PeerSuspect,
-                    PeerEventKind::Down => SpanKind::PeerDown,
-                    PeerEventKind::Rejoining => SpanKind::PeerRejoin,
-                };
-                inner.obs_emit(|t, me| {
-                    ObsEvent::new(t, me, kind)
-                        .peer(peer as u16)
-                        .seq(ev.epoch as u32)
-                });
             }
             (events, inner.peer_handler.clone())
         };
@@ -946,79 +734,13 @@ impl<D: NetDevice> Fm2Engine<D> {
         }
     }
 
-    /// Retransmit-mode housekeeping: flush standalone acks, re-send timed
-    /// out rings, and arm the timer alarm. No-op in TrustSubstrate mode.
-    fn reliability_poll(&self) {
-        let mut inner = self.inner.borrow_mut();
-        let Some(mut rel) = inner.reliable.take() else {
-            return;
-        };
-        let me = inner.device.node_id() as u16;
-        let packet_cost =
-            Nanos(inner.profile.host.per_packet_send_ns) + Nanos(inner.profile.iobus.pio_setup_ns);
-        // Standalone acks for one-sided traffic (piggybacking already
-        // discharged the duty wherever reverse data flowed).
-        for (peer, ack) in rel.take_due_acks() {
-            if inner.device.send_space() == 0 {
-                rel.mark_ack_due(peer); // retry next poll
-                continue;
-            }
-            let pkt = FmPacket::ack_only(me, peer as u16, ack);
-            inner.device.charge(packet_cost);
-            inner.device.try_send(pkt).expect("space checked");
-            inner.stats.acks_sent += 1;
-            inner.obs_emit(|t, me| {
-                ObsEvent::new(t, me, SpanKind::AckSend)
-                    .peer(peer as u16)
-                    .seq(ack)
-                    .serial_opt(inner.device.last_sent_serial())
-            });
-        }
-        // Go-back-N: re-send every unacked packet of each timed-out peer.
-        let now = inner.device.now();
-        let retrans_cost = packet_cost + Nanos(inner.profile.host.flow_control_ns);
-        for peer in rel.due_retransmits(now) {
-            inner.obs_emit(|t, me| {
-                ObsEvent::new(t, me, SpanKind::RetransmitTimeout).peer(peer as u16)
-            });
-            for pkt in rel.ring_packets(peer) {
-                if inner.device.send_space() == 0 {
-                    break; // rest of the ring waits for the next timeout
-                }
-                let pkt_seq = pkt.header.pkt_seq;
-                inner.device.charge(retrans_cost);
-                inner.device.try_send(pkt).expect("space checked");
-                inner.stats.retransmissions += 1;
-                inner.obs_emit(|t, me| {
-                    ObsEvent::new(t, me, SpanKind::Retransmit)
-                        .peer(peer as u16)
-                        .seq(pkt_seq)
-                        .serial_opt(inner.device.last_sent_serial())
-                });
-            }
-            rel.on_timeout_handled(peer, now, &mut inner.stats);
-            if rel.is_adaptive() {
-                let cwnd = rel.cwnd_packets(peer);
-                inner.obs_emit(|t, me| {
-                    ObsEvent::new(t, me, SpanKind::CwndChange)
-                        .peer(peer as u16)
-                        .seq(cwnd)
-                });
-            }
-        }
-        // Make sure we get polled again even on a quiet network.
-        if let Some(at) = rel.next_deadline() {
-            inner.device.request_wake(at);
-        }
-        inner.reliable = Some(rel);
-    }
-
     /// The reliability sublayer's smoothed RTT estimate toward `peer`,
     /// in nanoseconds (`None` in TrustSubstrate mode, with adaptation
     /// off, or before the first sample).
     pub fn srtt_ns(&self, peer: usize) -> Option<u64> {
         self.inner
             .borrow()
+            .core
             .reliable
             .as_ref()
             .and_then(|r| r.srtt_ns(peer))
@@ -1029,6 +751,7 @@ impl<D: NetDevice> Fm2Engine<D> {
     pub fn current_rto_ns(&self, peer: usize) -> Option<u64> {
         self.inner
             .borrow()
+            .core
             .reliable
             .as_ref()
             .map(|r| r.current_rto_ns(peer))
@@ -1037,37 +760,7 @@ impl<D: NetDevice> Fm2Engine<D> {
     /// Data packets sent but not yet acknowledged (always 0 in
     /// TrustSubstrate mode). Zero means every send is confirmed delivered.
     pub fn unacked_packets(&self) -> usize {
-        self.inner
-            .borrow()
-            .reliable
-            .as_ref()
-            .map_or(0, ReliableState::unacked_packets)
-    }
-
-    fn return_explicit_credits(&self) {
-        let mut inner = self.inner.borrow_mut();
-        // Per-peer index scan (not a collected iterator): this runs on
-        // every extract/progress, and the datapath must stay
-        // allocation-free.
-        for peer in 0..inner.flow.num_peers() {
-            if !inner.flow.explicit_return_due(peer) {
-                continue;
-            }
-            if inner.device.send_space() == 0 {
-                return;
-            }
-            let credits = inner.flow.take_owed(peer);
-            if credits == 0 {
-                continue;
-            }
-            let me = inner.device.node_id() as u16;
-            let pkt = FmPacket::credit_only(me, peer as u16, credits);
-            let cost = Nanos(inner.profile.host.per_packet_send_ns)
-                + Nanos(inner.profile.iobus.pio_setup_ns);
-            inner.device.charge(cost);
-            inner.device.try_send(pkt).expect("space checked");
-            inner.stats.credit_packets_sent += 1;
-        }
+        self.inner.borrow().core.unacked_packets()
     }
 
     // ------------------------------------------------------------------
@@ -1089,19 +782,7 @@ impl<D: NetDevice> Fm2Engine<D> {
     /// # Panics
     /// Panics if called from inside a handler.
     pub fn extract(&self, budget: usize) -> usize {
-        {
-            let mut inner = self.inner.borrow_mut();
-            assert!(
-                !inner.in_extract,
-                "FM_extract may not be called from a handler"
-            );
-            let c = Nanos(inner.profile.host.extract_poll_ns);
-            inner.device.charge(c);
-            inner.obs_emit(|t, me| {
-                ObsEvent::new(t, me, SpanKind::ExtractPoll)
-                    .bytes(budget.min(u32::MAX as usize) as u32)
-            });
-        }
+        self.inner.borrow_mut().core.begin_extract(budget);
         let mut processed = 0usize;
 
         // Self-addressed messages first (they bypass the NIC).
@@ -1122,131 +803,19 @@ impl<D: NetDevice> Fm2Engine<D> {
             self.drain_peer_events();
             let pkt = {
                 let mut inner = self.inner.borrow_mut();
-                match inner.device.try_recv() {
-                    Some(p) => {
-                        let c = Nanos(inner.profile.host.per_packet_recv_ns);
-                        inner.device.charge(c);
-                        p
-                    }
-                    None => break,
+                let Some(pkt) = inner.core.recv() else { break };
+                match inner.core.admit(&pkt) {
+                    // After a gap the stream face still feeds the packet
+                    // in: a message that lost packets is reported as
+                    // orphans where it no longer joins an open stream.
+                    Admit::Data { .. } => pkt,
+                    Admit::Control | Admit::Drop => continue,
                 }
             };
-            let src = pkt.header.src as usize;
-            {
-                let mut inner = self.inner.borrow_mut();
-                let fc = Nanos(inner.profile.host.flow_control_ns);
-                inner.device.charge(fc);
-                inner.obs_emit(|t, me| {
-                    ObsEvent::new(t, me, SpanKind::PacketRecv)
-                        .peer(src as u16)
-                        .handler(pkt.header.handler.0)
-                        .msg_seq(pkt.header.msg_seq)
-                        .seq(pkt.header.pkt_seq)
-                        .serial_opt(inner.device.last_recv_serial())
-                        .bytes(pkt.payload.len() as u32)
-                });
-                if inner.reliable.is_some() {
-                    // Retransmit mode: ack/window bookkeeping replaces the
-                    // credit bookkeeping (same charge).
-                    let now = inner.device.now();
-                    let i = &mut *inner;
-                    let (resend, rtt_sample) = {
-                        let rel = i.reliable.as_mut().expect("checked above");
-                        let head = if rel.on_ack(src, pkt.header.ack, now) {
-                            rel.head_packet(src)
-                        } else {
-                            None
-                        };
-                        (head, rel.take_rtt_sample(src))
-                    };
-                    if let Some(sample) = rtt_sample {
-                        let rel = i.reliable.as_ref().expect("checked above");
-                        let rto_us = (rel.current_rto_ns(src) / 1_000).min(u32::MAX as u64);
-                        i.obs_emit(|t, me| {
-                            ObsEvent::new(t, me, SpanKind::RtoUpdate)
-                                .peer(src as u16)
-                                .seq(rto_us as u32)
-                                .bytes((sample / 1_000).min(u32::MAX as u64) as u32)
-                        });
-                    }
-                    if let Some(head) = resend {
-                        // Duplicate-ack fast retransmit: the peer is stuck
-                        // waiting for exactly this packet.
-                        let rel = i.reliable.as_ref().expect("checked above");
-                        i.stats.fast_retransmits += 1;
-                        if rel.is_adaptive() {
-                            let cwnd = rel.cwnd_packets(src);
-                            i.obs_emit(|t, me| {
-                                ObsEvent::new(t, me, SpanKind::CwndChange)
-                                    .peer(src as u16)
-                                    .seq(cwnd)
-                            });
-                        }
-                        if i.device.send_space() > 0 {
-                            let cost = Nanos(i.profile.host.per_packet_send_ns)
-                                + Nanos(i.profile.iobus.pio_setup_ns)
-                                + Nanos(i.profile.host.flow_control_ns);
-                            let head_seq = head.header.pkt_seq;
-                            i.device.charge(cost);
-                            i.device.try_send(head).expect("space checked");
-                            i.stats.retransmissions += 1;
-                            i.obs_emit(|t, me| {
-                                ObsEvent::new(t, me, SpanKind::Retransmit)
-                                    .peer(src as u16)
-                                    .seq(head_seq)
-                                    .serial_opt(i.device.last_sent_serial())
-                            });
-                        }
-                    }
-                    if !pkt.is_data() {
-                        i.obs_emit(|t, me| {
-                            ObsEvent::new(t, me, SpanKind::AckRecv)
-                                .peer(src as u16)
-                                .seq(pkt.header.ack)
-                                .serial_opt(i.device.last_recv_serial())
-                        });
-                        continue; // ACK_ONLY carries nothing else
-                    }
-                    // The in-order filter: duplicates and loss shadows are
-                    // suppressed here, never surfaced as errors —
-                    // go-back-N repairs them instead.
-                    let rel = i.reliable.as_mut().expect("checked above");
-                    if rel.accept(src, pkt.header.pkt_seq, &mut i.stats) != RecvDecision::Accept {
-                        i.obs_emit(|t, me| {
-                            ObsEvent::new(t, me, SpanKind::DuplicateDrop)
-                                .peer(src as u16)
-                                .seq(pkt.header.pkt_seq)
-                                .serial_opt(i.device.last_recv_serial())
-                        });
-                        continue;
-                    }
-                } else {
-                    if pkt.header.credits > 0 {
-                        inner.flow.credit_returned(src, pkt.header.credits as u32);
-                    }
-                    if !pkt.is_data() {
-                        continue;
-                    }
-                    inner.flow.packet_drained(src);
-                    let expected = inner.recv_pkt_seq[src];
-                    if pkt.header.pkt_seq != expected {
-                        inner.errors.push(FmError::SequenceGap {
-                            src,
-                            expected,
-                            got: pkt.header.pkt_seq,
-                        });
-                        inner.stats.errors_reported += 1;
-                        inner.recv_pkt_seq[src] = pkt.header.pkt_seq + 1;
-                    } else {
-                        inner.recv_pkt_seq[src] = expected + 1;
-                    }
-                }
-                inner.stats.packets_received += 1;
-            }
             // The budget counts handler-delivered payload bytes: a packet
             // that joins no stream (an orphan) is dropped with an error
             // and must not consume the receiver's intake allowance.
-            processed += self.ingest_data_packet(src, pkt);
+            processed += self.ingest_data_packet(pkt);
         }
 
         self.progress();
@@ -1264,81 +833,73 @@ impl<D: NetDevice> Fm2Engine<D> {
         self.inner.borrow().tasks.len()
     }
 
+    /// Run the synchronous handler registered in `table` under `handler`
+    /// for one packet (or one whole self-send) described by `meta`.
+    /// Returns false when the table has none. The handler is moved out
+    /// of its table and called with the engine unborrowed, so it may
+    /// send (not extract).
+    fn run_sync<T>(
+        &self,
+        table: impl Fn(&mut Inner<D>) -> &mut HandlerTable<T>,
+        src: usize,
+        handler: HandlerId,
+        meta: SinkMeta,
+        call: impl FnOnce(&mut T),
+    ) -> bool {
+        let mut f = {
+            let mut inner = self.inner.borrow_mut();
+            let Some(f) = table(&mut *inner).take(handler) else {
+                return false;
+            };
+            inner
+                .core
+                .sync_enter(src, handler, meta.msg_seq, meta.msg_len, meta.first);
+            f
+        };
+        call(&mut f);
+        let mut inner = self.inner.borrow_mut();
+        inner
+            .core
+            .sync_exit(src, handler, meta.msg_seq, meta.msg_len, meta.last);
+        table(&mut *inner).restore(handler, f);
+        true
+    }
+
     fn deliver_local(&self, handler: HandlerId, payload: PacketBuf) {
         let me = self.node_id();
+        let len = payload.len() as u32;
         // Sink handlers consume self-sends synchronously too: the whole
         // message arrives in one call (self-sends are never packetized),
         // so `first` and `last` are both set and `msg_seq` is 0.
-        let sink = {
-            let mut inner = self.inner.borrow_mut();
-            inner
-                .sink_handlers
-                .get_mut(handler.0 as usize)
-                .and_then(Option::take)
+        let meta = SinkMeta {
+            msg_seq: 0,
+            msg_len: len,
+            first: true,
+            last: true,
         };
-        if let Some(mut f) = sink {
-            let msg_len = payload.len() as u32;
-            {
-                let mut inner = self.inner.borrow_mut();
-                let c = Nanos(inner.profile.host.handler_dispatch_ns);
-                inner.device.charge(c);
-                inner.stats.handlers_run += 1;
-                inner.obs_emit(|t, me| {
-                    ObsEvent::new(t, me, SpanKind::HandlerStart)
-                        .peer(me)
-                        .handler(handler.0)
-                        .msg_seq(0)
-                        .bytes(msg_len)
-                });
-                inner.in_extract = true;
-            }
-            let meta = SinkMeta {
-                msg_seq: 0,
-                msg_len,
-                first: true,
-                last: true,
-            };
-            f(me, meta, &payload);
-            let mut inner = self.inner.borrow_mut();
-            inner.in_extract = false;
-            inner.stats.messages_received += 1;
-            inner.stats.bytes_received += msg_len as u64;
-            inner.obs_emit(|t, me| {
-                ObsEvent::new(t, me, SpanKind::HandlerEnd)
-                    .peer(me)
-                    .handler(handler.0)
-                    .msg_seq(0)
-                    .bytes(msg_len)
-            });
-            let idx = handler.0 as usize;
-            if inner.sink_handlers[idx].is_none() {
-                inner.sink_handlers[idx] = Some(f);
-            }
+        if self.run_sync(
+            |i| &mut i.sink_handlers,
+            me,
+            handler,
+            meta,
+            |f| f(me, meta, &payload),
+        ) {
             return;
         }
-        let len = payload.len() as u32;
-        let (stream, charge) = {
-            let inner = self.inner.borrow();
-            let state = StreamState::new(me, len);
-            {
-                let mut st = state.borrow_mut();
-                st.received = payload.len();
-                st.segments.push_back(payload);
-                st.ended = true;
-            }
-            let charge = ChargeCell::new(
-                inner.profile.host.memcpy_ns_per_kb,
-                inner.profile.host.piece_call_ns,
-            );
-            (state, charge)
-        };
+        let state = StreamState::new(me, len);
+        {
+            let mut st = state.borrow_mut();
+            st.received = payload.len();
+            st.segments.push_back(payload);
+            st.ended = true;
+        }
         let key = {
             let mut inner = self.inner.borrow_mut();
             let c = inner.local_task_counter;
             inner.local_task_counter = inner.local_task_counter.wrapping_add(1);
             (me, u32::MAX - c)
         };
-        self.spawn_task(key, handler, stream, charge, me);
+        self.spawn_task(key, handler, state, me);
         self.poll_task(key);
         // Local messages are complete on arrival; if the handler finished,
         // the task is already cleaned up by poll_task.
@@ -1349,134 +910,54 @@ impl<D: NetDevice> Fm2Engine<D> {
     /// (0 when the packet is an orphan and is dropped), so `extract` can
     /// account its budget in handler-delivered bytes rather than wire
     /// frames.
-    fn ingest_data_packet(&self, src: usize, pkt: FmPacket) -> usize {
+    fn ingest_data_packet(&self, pkt: FmPacket) -> usize {
+        let src = pkt.header.src as usize;
+        let handler = pkt.header.handler;
         let key = (src, pkt.header.msg_seq);
         let first = pkt.header.flags.contains(PacketFlags::FIRST);
         let last = pkt.header.flags.contains(PacketFlags::LAST);
+        let meta = SinkMeta {
+            msg_seq: pkt.header.msg_seq,
+            msg_len: pkt.header.msg_len,
+            first,
+            last,
+        };
 
         // Sink path: a registered per-packet sink consumes every packet
         // of the message synchronously — no stream, no task, no future,
         // no allocation — so multi-packet payloads (the one-sided
         // rendezvous DATA path) land without staging. The payload view
         // borrows the arrival frame and is valid only for the call.
-        let sink = {
-            let mut inner = self.inner.borrow_mut();
-            inner
-                .sink_handlers
-                .get_mut(pkt.header.handler.0 as usize)
-                .and_then(Option::take)
-        };
-        if let Some(mut f) = sink {
-            let handler = pkt.header.handler;
-            let msg_len = pkt.header.msg_len;
-            let n = pkt.payload.len();
-            {
-                let mut inner = self.inner.borrow_mut();
-                if first {
-                    let c = Nanos(inner.profile.host.handler_dispatch_ns);
-                    inner.device.charge(c);
-                    inner.stats.handlers_run += 1;
-                    inner.obs_emit(|t, me| {
-                        ObsEvent::new(t, me, SpanKind::HandlerStart)
-                            .peer(src as u16)
-                            .handler(handler.0)
-                            .msg_seq(key.1)
-                            .bytes(msg_len)
-                    });
-                }
-                inner.in_extract = true;
-            }
-            let meta = SinkMeta {
-                msg_seq: pkt.header.msg_seq,
-                msg_len,
-                first,
-                last,
-            };
-            // Engine unborrowed: the sink may send (not extract).
-            f(src, meta, &pkt.payload);
-            let mut inner = self.inner.borrow_mut();
-            inner.in_extract = false;
-            if last {
-                inner.stats.messages_received += 1;
-                inner.stats.bytes_received += msg_len as u64;
-                inner.obs_emit(|t, me| {
-                    ObsEvent::new(t, me, SpanKind::HandlerEnd)
-                        .peer(src as u16)
-                        .handler(handler.0)
-                        .msg_seq(key.1)
-                        .bytes(msg_len)
-                });
-            }
-            let idx = handler.0 as usize;
-            if inner.sink_handlers[idx].is_none() {
-                inner.sink_handlers[idx] = Some(f);
-            }
-            return n;
+        if self.run_sync(
+            |i| &mut i.sink_handlers,
+            src,
+            handler,
+            meta,
+            |f| f(src, meta, &pkt.payload),
+        ) {
+            return pkt.payload.len();
         }
 
         // Fast path: a complete single-packet message whose handler is
         // registered synchronously dispatches right here — no stream, no
         // task, no future, no allocation. The handler reads the payload
         // in place (a view of the arrival frame).
-        if first && last {
-            let fast = {
-                let mut inner = self.inner.borrow_mut();
-                inner
-                    .fast_handlers
-                    .get_mut(pkt.header.handler.0 as usize)
-                    .and_then(Option::take)
-            };
-            if let Some(mut f) = fast {
-                let handler = pkt.header.handler;
-                let msg_len = pkt.header.msg_len;
-                {
-                    let mut inner = self.inner.borrow_mut();
-                    let c = Nanos(inner.profile.host.handler_dispatch_ns);
-                    inner.device.charge(c);
-                    inner.stats.handlers_run += 1;
-                    inner.obs_emit(|t, me| {
-                        ObsEvent::new(t, me, SpanKind::HandlerStart)
-                            .peer(src as u16)
-                            .handler(handler.0)
-                            .msg_seq(key.1)
-                            .bytes(msg_len)
-                    });
-                    inner.in_extract = true;
-                }
-                // Engine unborrowed: the handler may send (not extract).
-                f(src, &pkt.payload);
-                let mut inner = self.inner.borrow_mut();
-                inner.in_extract = false;
-                inner.stats.messages_received += 1;
-                inner.stats.bytes_received += msg_len as u64;
-                inner.obs_emit(|t, me| {
-                    ObsEvent::new(t, me, SpanKind::HandlerEnd)
-                        .peer(src as u16)
-                        .handler(handler.0)
-                        .msg_seq(key.1)
-                        .bytes(msg_len)
-                });
-                let idx = handler.0 as usize;
-                if inner.fast_handlers[idx].is_none() {
-                    inner.fast_handlers[idx] = Some(f);
-                }
-                return msg_len as usize;
-            }
+        if first
+            && last
+            && self.run_sync(
+                |i| &mut i.fast_handlers,
+                src,
+                handler,
+                meta,
+                |f| f(src, &pkt.payload),
+            )
+        {
+            return meta.msg_len as usize;
         }
 
-        let spawn = if first {
-            let inner = self.inner.borrow();
+        if first {
             let state = StreamState::new(src, pkt.header.msg_len);
-            let charge = ChargeCell::new(
-                inner.profile.host.memcpy_ns_per_kb,
-                inner.profile.host.piece_call_ns,
-            );
-            Some((state, charge, pkt.header.handler))
-        } else {
-            None
-        };
-        if let Some((state, charge, handler)) = spawn {
-            self.spawn_task(key, handler, state, charge, src);
+            self.spawn_task(key, handler, state, src);
         }
 
         // Append the payload to the stream (if the task exists). An orphan
@@ -1497,11 +978,10 @@ impl<D: NetDevice> Fm2Engine<D> {
                     Some(n)
                 }
                 None => {
-                    inner.errors.push(FmError::OrphanPacket {
+                    inner.core.report_error(FmError::OrphanPacket {
                         src,
                         msg_seq: pkt.header.msg_seq,
                     });
-                    inner.stats.errors_reported += 1;
                     None
                 }
             }
@@ -1520,17 +1000,17 @@ impl<D: NetDevice> Fm2Engine<D> {
         key: (usize, u32),
         handler: HandlerId,
         stream: Rc<RefCell<StreamState>>,
-        charge: Rc<RefCell<ChargeCell>>,
         src: usize,
     ) {
-        let handler_fn = {
+        let (handler_fn, charge) = {
             let mut inner = self.inner.borrow_mut();
-            let c = Nanos(inner.profile.host.handler_dispatch_ns);
-            inner.device.charge(c);
-            inner
-                .handlers
-                .get(handler.0 as usize)
-                .and_then(|h| h.clone())
+            let msg_len = stream.borrow().msg_len;
+            inner.core.handler_started(src, handler, key.1, msg_len);
+            let charge = ChargeCell::new(
+                inner.core.profile.host.memcpy_ns_per_kb,
+                inner.core.profile.host.piece_call_ns,
+            );
+            (inner.handlers.get(handler).cloned(), charge)
         };
         let future = match handler_fn {
             Some(f) => {
@@ -1541,25 +1021,14 @@ impl<D: NetDevice> Fm2Engine<D> {
                 Some(f(fm_stream, src))
             }
             None => {
-                let mut inner = self.inner.borrow_mut();
-                inner
-                    .errors
-                    .push(FmError::UnknownHandler { handler: handler.0 });
-                inner.stats.errors_reported += 1;
+                self.inner
+                    .borrow_mut()
+                    .core
+                    .report_error(FmError::UnknownHandler { handler: handler.0 });
                 None // sink task: bytes drain into the void
             }
         };
-        let mut inner = self.inner.borrow_mut();
-        inner.stats.handlers_run += 1;
-        let msg_len = stream.borrow().msg_len;
-        inner.obs_emit(|t, me| {
-            ObsEvent::new(t, me, SpanKind::HandlerStart)
-                .peer(src as u16)
-                .handler(handler.0)
-                .msg_seq(key.1)
-                .bytes(msg_len)
-        });
-        inner.tasks.insert(
+        self.inner.borrow_mut().tasks.insert(
             key,
             Task {
                 future,
@@ -1577,35 +1046,34 @@ impl<D: NetDevice> Fm2Engine<D> {
     fn poll_task(&self, key: (usize, u32)) {
         let taken = {
             let mut inner = self.inner.borrow_mut();
+            let inner = &mut *inner;
             let Some(task) = inner.tasks.get_mut(&key) else {
                 return;
             };
-            let meta = (task.handler, task.src, task.polls);
+            let (handler, src, polls) = (task.handler, task.src, task.polls);
             let fut = task.future.take().map(|f| (f, Rc::clone(&task.charge)));
             if fut.is_some() {
                 task.polls += 1;
+                // Poll 0 was already recorded as HandlerStart by
+                // spawn_task; later polls mean new bytes resumed a
+                // suspended handler.
+                if polls > 0 {
+                    inner.core.obs_emit(|t, me| {
+                        ObsEvent::new(t, me, SpanKind::HandlerResume)
+                            .peer(src as u16)
+                            .handler(handler.0)
+                            .msg_seq(key.1)
+                    });
+                }
+                inner.core.in_extract = true;
             }
-            fut.map(|f| (f, meta))
+            fut.map(|f| (f, handler, src))
         };
-        if let Some(((mut future, charge), (handler, src, polls))) = taken {
-            if polls > 0 {
-                // Poll 0 was already recorded as HandlerStart by spawn_task;
-                // later polls mean new bytes resumed a suspended handler.
-                self.inner.borrow().obs_emit(|t, me| {
-                    ObsEvent::new(t, me, SpanKind::HandlerResume)
-                        .peer(src as u16)
-                        .handler(handler.0)
-                        .msg_seq(key.1)
-                });
-            }
+        if let Some(((mut future, charge), handler, src)) = taken {
             let waker = Waker::noop();
             let mut cx = Context::from_waker(waker);
             // The engine is not borrowed here: the handler may call engine
             // methods while it runs.
-            {
-                let mut inner = self.inner.borrow_mut();
-                inner.in_extract = true;
-            }
             let ready = future.as_mut().poll(&mut cx).is_ready();
             let (pending, copied) = {
                 let mut c = charge.borrow_mut();
@@ -1614,15 +1082,15 @@ impl<D: NetDevice> Fm2Engine<D> {
                 (p, b)
             };
             let mut inner = self.inner.borrow_mut();
-            inner.in_extract = false;
-            inner.device.charge(pending);
-            inner.stats.bytes_copied += copied;
+            inner.core.in_extract = false;
+            inner.core.device.charge(pending);
+            inner.core.stats.bytes_copied += copied;
             let kind = if ready {
                 SpanKind::HandlerEnd
             } else {
                 SpanKind::HandlerSuspend
             };
-            inner.obs_emit(|t, me| {
+            inner.core.obs_emit(|t, me| {
                 ObsEvent::new(t, me, kind)
                     .peer(src as u16)
                     .handler(handler.0)
@@ -1645,8 +1113,8 @@ impl<D: NetDevice> Fm2Engine<D> {
         if complete {
             let task = inner.tasks.remove(&key).expect("checked");
             let st = task.stream.borrow();
-            inner.stats.messages_received += 1;
-            inner.stats.bytes_received += st.msg_len as u64;
+            inner.core.stats.messages_received += 1;
+            inner.core.stats.bytes_received += st.msg_len as u64;
         }
     }
 }
@@ -1689,14 +1157,14 @@ mod tests {
     impl DevicePump {
         fn deliver(&self) -> usize {
             LoopbackPair::deliver(
-                &mut self.a.borrow_mut().device,
-                &mut self.b.borrow_mut().device,
+                &mut self.a.borrow_mut().core.device,
+                &mut self.b.borrow_mut().core.device,
             )
         }
         fn deliver_one(&self) -> usize {
             LoopbackPair::deliver_one(
-                &mut self.a.borrow_mut().device,
-                &mut self.b.borrow_mut().device,
+                &mut self.a.borrow_mut().core.device,
+                &mut self.b.borrow_mut().core.device,
             )
         }
     }
@@ -2071,7 +1539,7 @@ mod tests {
         // Drop the first message's packet in flight.
         {
             let mut inner = s.inner.borrow_mut();
-            let _ = inner.device.out_remove_for_test(0);
+            let _ = inner.core.device.out_remove_for_test(0);
         }
         pump.deliver();
         r.extract_all();
@@ -2329,63 +1797,6 @@ mod edge_tests {
     }
 
     #[test]
-    fn retransmit_recovers_a_dropped_packet() {
-        use crate::reliable::{Reliability, RetransmitConfig};
-        let (a, b) = LoopbackPair::new(256);
-        let p = MachineProfile::ppro200_fm2();
-        let rel = || Reliability::Retransmit(RetransmitConfig::default());
-        let s = Fm2Engine::with_reliability(a, p, rel());
-        let r = Fm2Engine::with_reliability(b, p, rel());
-        let log: Rc<RefCell<Vec<u8>>> = Rc::default();
-        {
-            let l = Rc::clone(&log);
-            r.set_handler(H, move |stream: FmStream, _| {
-                let l = Rc::clone(&l);
-                async move {
-                    let m = stream.receive_vec(stream.msg_len()).await;
-                    l.borrow_mut().push(m[0]);
-                }
-            });
-        }
-        for i in 1..=3u8 {
-            s.try_send_message(1, H, &[&[i][..]]).unwrap();
-        }
-        // Lose the middle packet below FM.
-        s.with_device(|d| {
-            let dropped = d.out_remove_for_test(1);
-            assert_eq!(dropped.payload, vec![2]);
-        });
-        deliver(&s, &r);
-        r.extract_all();
-        assert!(r.take_errors().is_empty(), "loss is repaired, not reported");
-        assert_eq!(r.stats().duplicates_dropped, 1, "loss shadow suppressed");
-        deliver(&r, &s); // cumulative ack for packet 0
-        s.extract_all();
-        assert_eq!(s.unacked_packets(), 2);
-        // Advance past the RTO; the poll re-sends the whole ring.
-        s.charge(Nanos(300_000));
-        s.progress();
-        assert_eq!(s.stats().retransmissions, 2);
-        assert_eq!(s.stats().retransmit_timeouts, 1);
-        deliver(&s, &r);
-        r.extract_all();
-        deliver(&r, &s);
-        s.extract_all();
-        assert_eq!(s.unacked_packets(), 0, "everything confirmed delivered");
-        assert_eq!(*log.borrow(), vec![1, 2, 3], "recovered in order");
-        assert!(s.take_errors().is_empty() && r.take_errors().is_empty());
-        assert!(
-            r.stats().acks_sent > 0,
-            "one-sided traffic acked standalone"
-        );
-        assert_eq!(
-            s.stats().credit_packets_sent + r.stats().credit_packets_sent,
-            0,
-            "retransmit mode sends no credit packets"
-        );
-    }
-
-    #[test]
     fn retransmit_window_bounds_streaming_sends() {
         use crate::reliable::{Reliability, RetransmitConfig};
         let (a, b) = LoopbackPair::new(256);
@@ -2418,185 +1829,5 @@ mod edge_tests {
         r.extract_all();
         assert_eq!(r.stats().messages_received, 1);
         assert_eq!(r.stats().bytes_received, big.len() as u64);
-    }
-
-    /// A scripted liveness-tracking device: the test queues packets and
-    /// membership events by hand and checks what the engine does with
-    /// them.
-    struct ChurnDevice {
-        node: usize,
-        inq: VecDeque<FmPacket>,
-        out: Vec<FmPacket>,
-        events: VecDeque<crate::device::PeerEvent>,
-        clock: Nanos,
-    }
-
-    impl ChurnDevice {
-        fn new(node: usize) -> ChurnDevice {
-            ChurnDevice {
-                node,
-                inq: VecDeque::new(),
-                out: Vec::new(),
-                events: VecDeque::new(),
-                clock: Nanos::ZERO,
-            }
-        }
-    }
-
-    impl NetDevice for ChurnDevice {
-        fn node_id(&self) -> usize {
-            self.node
-        }
-        fn num_nodes(&self) -> usize {
-            2
-        }
-        fn try_send(&mut self, pkt: FmPacket) -> Result<(), crate::device::DeviceFull> {
-            self.out.push(pkt);
-            Ok(())
-        }
-        fn try_recv(&mut self) -> Option<FmPacket> {
-            if !self.events.is_empty() {
-                // Honour the poll_event contract: no data crosses while
-                // a membership event is pending.
-                return None;
-            }
-            self.inq.pop_front()
-        }
-        fn send_space(&self) -> usize {
-            usize::MAX
-        }
-        fn now(&self) -> Nanos {
-            self.clock
-        }
-        fn charge(&mut self, cost: Nanos) {
-            self.clock += cost;
-        }
-        fn is_lossy(&self) -> bool {
-            true
-        }
-        fn poll_event(&mut self) -> Option<crate::device::PeerEvent> {
-            self.events.pop_front()
-        }
-    }
-
-    #[test]
-    fn peer_events_reset_state_and_fire_the_peer_handler() {
-        use crate::device::{PeerEvent, PeerEventKind};
-        use crate::reliable::Reliability;
-        let e = Fm2Engine::with_reliability(
-            ChurnDevice::new(1),
-            MachineProfile::ppro200_fm2(),
-            Reliability::Retransmit(Default::default()),
-        );
-        let seen: Rc<RefCell<Vec<u8>>> = Rc::default();
-        {
-            let s = Rc::clone(&seen);
-            e.set_fast_handler(H, move |_, payload| {
-                s.borrow_mut().push(payload[0]);
-            });
-        }
-        let log: Rc<RefCell<Vec<PeerEvent>>> = Rc::default();
-        {
-            let l = Rc::clone(&log);
-            e.set_peer_handler(move |ev| l.borrow_mut().push(ev));
-        }
-        let data = |pkt_seq: u32, val: u8| FmPacket {
-            header: PacketHeader {
-                src: 0,
-                dst: 1,
-                handler: H,
-                msg_seq: 0,
-                pkt_seq,
-                msg_len: 1,
-                flags: PacketFlags::FIRST | PacketFlags::LAST,
-                credits: 0,
-                ack: 0,
-            },
-            payload: vec![val].into(),
-        };
-
-        // Old incarnation: seq 0 delivered, later duplicates suppressed.
-        e.with_device(|d| d.inq.push_back(data(0, 1)));
-        e.extract_all();
-        assert_eq!(*seen.borrow(), vec![1]);
-        e.with_device(|d| d.inq.push_back(data(0, 1)));
-        e.extract_all();
-        assert_eq!(*seen.borrow(), vec![1], "duplicate suppressed");
-
-        // Send toward peer 0 so there is un-acked send state to reset.
-        e.try_send_message(0, H, &[&[9u8][..]]).unwrap();
-        assert_eq!(e.unacked_packets(), 1);
-        assert_eq!(
-            e.with_device(|d| d.out.iter().filter(|p| p.is_data()).count()),
-            1
-        );
-
-        // The peer restarts: Rejoining, then its new-incarnation seq 0.
-        e.with_device(|d| {
-            d.events.push_back(PeerEvent {
-                peer: 0,
-                kind: PeerEventKind::Rejoining,
-                epoch: 2,
-            });
-            d.inq.push_back(data(0, 7));
-        });
-        e.extract_all();
-        assert_eq!(
-            *seen.borrow(),
-            vec![1, 7],
-            "new-incarnation seq 0 accepted after the reset"
-        );
-        assert_eq!(e.stats().peer_resets, 1);
-        assert_eq!(e.unacked_packets(), 0, "old retransmit ring dropped");
-        assert!(!e.is_peer_down(0));
-        // The send sequence space restarted too: the next packet to the
-        // rejoined peer carries seq 0 again.
-        e.try_send_message(0, H, &[&[9u8][..]]).unwrap();
-        let last_seq = e.with_device(|d| {
-            d.out
-                .iter()
-                .rev()
-                .find(|p| p.is_data())
-                .unwrap()
-                .header
-                .pkt_seq
-        });
-        assert_eq!(last_seq, 0);
-
-        // Down: surfaced through the query API and stops retransmission.
-        e.with_device(|d| {
-            d.events.push_back(PeerEvent {
-                peer: 0,
-                kind: PeerEventKind::Down,
-                epoch: 2,
-            })
-        });
-        e.progress();
-        assert!(e.is_peer_down(0));
-        assert_eq!(e.downed_peers(), vec![0]);
-        assert_eq!(e.unacked_packets(), 0, "ring abandoned on Down");
-
-        // Up clears the flag.
-        e.with_device(|d| {
-            d.events.push_back(PeerEvent {
-                peer: 0,
-                kind: PeerEventKind::Up,
-                epoch: 2,
-            })
-        });
-        e.progress();
-        assert!(!e.is_peer_down(0));
-
-        let kinds: Vec<PeerEventKind> = log.borrow().iter().map(|ev| ev.kind).collect();
-        assert_eq!(
-            kinds,
-            vec![
-                PeerEventKind::Rejoining,
-                PeerEventKind::Down,
-                PeerEventKind::Up
-            ],
-            "callback saw every transition, in order"
-        );
-        assert!(e.take_errors().is_empty());
     }
 }

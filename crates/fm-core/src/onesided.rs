@@ -26,11 +26,8 @@
 //!
 //! The protocol core ([`OsCore`] behind [`OsPort`]) is sans-IO: it
 //! consumes packets and emits control frames / send jobs without
-//! touching an engine, so the same state machine drives both
-//! generations — [`Onesided`] wraps [`Fm2Engine`] (gather/scatter
-//! streaming of DATA chunks), [`Fm1Onesided`] wraps [`Fm1Engine`]
-//! (whole-message sends with a send-side staging copy, as FM 1.x
-//! always pays).
+//! touching an engine; [`Onesided`] drives it over [`Fm2Engine`]
+//! (gather/scatter streaming of DATA chunks).
 
 use std::cell::RefCell;
 use std::collections::{HashMap, HashSet, VecDeque};
@@ -38,7 +35,6 @@ use std::rc::Rc;
 
 use crate::device::NetDevice;
 use crate::error::WouldBlock;
-use crate::fm1::Fm1Engine;
 use crate::fm2::{Fm2Engine, SendStream, SinkMeta};
 use crate::packet::HandlerId;
 
@@ -69,7 +65,7 @@ pub struct OnesidedConfig {
     /// should sit per transport.
     pub eager_max: usize,
     /// Chunk size for rendezvous DATA segments (each chunk is one FM
-    /// message). Clamped by [`Fm1Onesided`] to fit the credit window.
+    /// message).
     pub chunk_bytes: usize,
 }
 
@@ -986,8 +982,7 @@ impl OsCore {
 
 /// Clonable handle to a node's one-sided state (region table, ops,
 /// grants). All registration and transfer-initiation APIs live here;
-/// engine drivers ([`Onesided`], [`Fm1Onesided`]) move its queued work
-/// onto the wire.
+/// engine driver ([`Onesided`]) moves its queued work onto the wire.
 #[derive(Clone)]
 pub struct OsPort {
     core: Rc<RefCell<OsCore>>,
@@ -1430,135 +1425,6 @@ impl<D: NetDevice> Onesided<D> {
 }
 
 // ----------------------------------------------------------------------
-// FM 1.x driver
-// ----------------------------------------------------------------------
-
-/// One-sided port over an [`Fm1Engine`]. The receive side is identical
-/// (per-packet sink, no staging copy), but FM 1.x sends are atomic
-/// whole-message `FM_send` calls, so each outbound chunk is staged
-/// through a scratch buffer (the send-side copy FM 1.x always pays) and
-/// the chunk size is clamped to fit the credit window.
-pub struct Fm1Onesided {
-    port: OsPort,
-    scratch: Vec<u8>,
-}
-
-impl Fm1Onesided {
-    /// Attach a one-sided port to `fm`, installing its sink and eager
-    /// handlers. `cfg.eager_max` and `cfg.chunk_bytes` are clamped so a
-    /// chunk message always fits in half the per-peer credit window
-    /// (FM 1.x sends whole messages atomically; an oversized chunk
-    /// would block forever).
-    pub fn new<D: NetDevice>(fm: &mut Fm1Engine<D>, mut cfg: OnesidedConfig) -> Self {
-        let mtu = fm.profile().fm.mtu_payload;
-        let credits = fm.profile().fm.credits_per_peer as usize;
-        let max_msg = (credits / 2).max(1) * mtu;
-        let max_payload = max_msg.saturating_sub(OP_HDR_BYTES).max(1);
-        cfg.eager_max = cfg.eager_max.min(max_payload);
-        cfg.chunk_bytes = cfg.chunk_bytes.min(max_payload);
-        let core = Rc::new(RefCell::new(OsCore::new(fm.num_nodes(), cfg)));
-        let c = Rc::clone(&core);
-        fm.set_sink_handler(ONESIDED_HANDLER, move |src, meta, payload| {
-            c.borrow_mut().on_packet(src, meta, payload);
-        });
-        let c = Rc::clone(&core);
-        fm.set_handler(
-            OS_EAGER_HANDLER,
-            Box::new(move |_fm, src, data| {
-                let mut core = c.borrow_mut();
-                match OpHeader::decode(data) {
-                    Some(hdr) if hdr.op == OP_PUT_EAGER => {
-                        core.apply_eager_put(src, hdr, &data[OP_HDR_BYTES..]);
-                    }
-                    _ => core.protocol_drops += 1,
-                }
-            }),
-        );
-        Fm1Onesided {
-            port: OsPort { core },
-            scratch: Vec::new(),
-        }
-    }
-
-    /// The shared state handle; see [`OsPort`].
-    pub fn port(&self) -> OsPort {
-        self.port.clone()
-    }
-
-    /// Flush queued control frames and stream jobs chunk by chunk.
-    /// Returns `true` when nothing remains queued. FM 1.x has no peer
-    /// failure detection, so ops to dead peers are not aborted here.
-    pub fn progress<D: NetDevice>(&mut self, fm: &mut Fm1Engine<D>) -> bool {
-        let copied = self.port.core.borrow_mut().take_pending_copy();
-        if copied > 0 {
-            fm.charge_memcpy(copied as usize);
-        }
-        loop {
-            let next = self.port.core.borrow_mut().outbox.pop_front();
-            let Some((dst, hdr)) = next else { break };
-            if fm.try_send(dst, ONESIDED_HANDLER, &hdr.encode()).is_err() {
-                self.port.core.borrow_mut().outbox.push_front((dst, hdr));
-                return false;
-            }
-        }
-        loop {
-            let Some(mut job) = self.port.core.borrow_mut().jobs.pop_front() else {
-                break;
-            };
-            let done = self.pump_job(fm, &mut job);
-            if done {
-                self.port.core.borrow_mut().finish_job_src(&job.src);
-            } else {
-                self.port.core.borrow_mut().jobs.push_front(job);
-                return false;
-            }
-        }
-        true
-    }
-
-    /// Send as many chunks of `job` as credits allow, each as one
-    /// atomic `FM_send` built in the scratch buffer (send staging copy,
-    /// charged to the memcpy model). Returns `true` when fully sent.
-    fn pump_job<D: NetDevice>(&mut self, fm: &mut Fm1Engine<D>, job: &mut SendJob) -> bool {
-        let chunk_max = self.port.core.borrow().cfg.chunk_bytes.max(1);
-        while job.cursor < job.len {
-            let (hdr, clen, handler) = match &job.kind {
-                JobKind::Eager { hdr } => {
-                    debug_assert_eq!(job.cursor, 0, "eager jobs send in one message");
-                    (*hdr, job.len, OS_EAGER_HANDLER)
-                }
-                JobKind::Data { xfer } => (
-                    OpHeader {
-                        a: *xfer,
-                        ..OpHeader::zero(OP_DATA)
-                    },
-                    chunk_max.min(job.len - job.cursor),
-                    ONESIDED_HANDLER,
-                ),
-            };
-            self.scratch.clear();
-            self.scratch.extend_from_slice(&hdr.encode());
-            {
-                let core = self.port.core.borrow();
-                let piece: &[u8] = match &job.src {
-                    JobSrc::Owned(v) => &v[job.cursor..job.cursor + clen],
-                    JobSrc::Region { index, offset } => {
-                        core.regions.slice(*index, offset + job.cursor, clen)
-                    }
-                };
-                self.scratch.extend_from_slice(piece);
-            }
-            fm.charge_memcpy(clen);
-            if fm.try_send(job.dst, handler, &self.scratch).is_err() {
-                return false;
-            }
-            job.cursor += clen;
-        }
-        true
-    }
-}
-
-// ----------------------------------------------------------------------
 
 #[cfg(test)]
 mod tests {
@@ -1811,41 +1677,5 @@ mod tests {
         p.pump_until(|p| p.b.port().take_grant_complete(0, xfer));
         let out = p.b.deregister_owned(buf).unwrap();
         assert_eq!(out, data);
-    }
-
-    #[test]
-    fn fm1_eager_and_rendezvous_roundtrip() {
-        let (da, db) = LoopbackPair::new(256);
-        let mut fa = Fm1Engine::new(da, MachineProfile::sparc_fm1());
-        let mut fb = Fm1Engine::new(db, MachineProfile::sparc_fm1());
-        let mut oa = Fm1Onesided::new(&mut fa, cfg());
-        let mut ob = Fm1Onesided::new(&mut fb, cfg());
-        let dst = ob.port().register(0, 32 * 1024).unwrap();
-        let small = pattern(300, 51);
-        let t_small = oa.port().put(1, dst, 0, &small);
-        let big = pattern(10 * 1024, 52);
-        let t_big = oa.port().put(1, dst, 1024, &big);
-        let mut seen = std::collections::HashSet::new();
-        for _ in 0..10_000 {
-            oa.progress(&mut fa);
-            ob.progress(&mut fb);
-            LoopbackPair::deliver(fa.device_mut(), fb.device_mut());
-            fa.extract();
-            fb.extract();
-            while let Some(c) = oa.port().poll_completion() {
-                assert_eq!(c.status, OsStatus::Ok);
-                seen.insert(c.token);
-            }
-            if seen.contains(&t_small) && seen.contains(&t_big) {
-                break;
-            }
-        }
-        assert!(seen.contains(&t_small) && seen.contains(&t_big));
-        let mut out = vec![0u8; small.len()];
-        ob.port().read_local(dst, 0, &mut out).unwrap();
-        assert_eq!(out, small);
-        let mut out = vec![0u8; big.len()];
-        ob.port().read_local(dst, 1024, &mut out).unwrap();
-        assert_eq!(out, big);
     }
 }

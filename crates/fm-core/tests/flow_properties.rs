@@ -88,10 +88,13 @@ fn owed_accounting() {
         }
         assert_eq!(ledger.owed(1), drains, "case {case}");
         let threshold = (window / 2).max(1);
-        let flagged = ledger.needs_explicit_return().any(|p| p == 1);
+        let flagged = ledger.explicit_return_due(1);
         assert_eq!(flagged, drains >= threshold, "case {case}");
         assert_eq!(u32::from(ledger.take_owed(1)), drains, "case {case}");
         assert_eq!(ledger.owed(1), 0, "case {case}");
-        assert_eq!(ledger.needs_explicit_return().count(), 0, "case {case}");
+        assert!(
+            (0..ledger.num_peers()).all(|p| !ledger.explicit_return_due(p)),
+            "case {case}"
+        );
     }
 }

@@ -116,8 +116,9 @@ pub trait Mpi {
     /// wrappers and collective drivers poll this between progress steps
     /// and abort (panic) rather than spin forever on a dead peer; an
     /// operation that can already complete from buffered data does so
-    /// first. The default is `None`: trusted substrates (simulators, the
-    /// threaded transport, FM 1.x) never lose peers.
+    /// first. The default is `None`: bindings over substrates with static
+    /// membership (simulators, the threaded transport) never lose peers;
+    /// both FM bindings override it with their engine's `Down` verdicts.
     fn lost_peer(&self) -> Option<usize> {
         None
     }

@@ -218,6 +218,12 @@ impl<D: NetDevice> Mpi for Mpi1<D> {
         self.fm.num_nodes()
     }
 
+    fn lost_peer(&self) -> Option<usize> {
+        // Same contract as the FM 2.x binding: the first peer (node
+        // order) the device's failure detector has declared `Down`.
+        self.fm.downed_peers().into_iter().next()
+    }
+
     fn isend(&mut self, dst: usize, tag: u32, data: Vec<u8>) -> SendReq {
         let seq = self.send_seq;
         self.send_seq = self.send_seq.wrapping_add(1);
