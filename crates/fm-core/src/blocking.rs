@@ -17,31 +17,83 @@ use crate::device::NetDevice;
 use crate::packet::HandlerId;
 use crate::{Fm1Engine, Fm2Engine, WouldBlock};
 
-/// Upper bound on fruitless spins before declaring the cluster wedged —
+/// Upper bound on fruitless polls before declaring the cluster wedged —
 /// generous, but turns a genuine deadlock into a diagnosis instead of a
-/// hang.
-const SPIN_LIMIT: u64 = 500_000_000;
+/// hang. (This crate's own unit tests never block on a live peer; they
+/// run with a low limit so the exit itself can be tested.)
+const SPIN_LIMIT: u64 = if cfg!(test) { 10_000 } else { 500_000_000 };
 
-fn spin_or_die(spins: &mut u64, what: &str) {
-    *spins += 1;
-    assert!(
-        *spins < SPIN_LIMIT,
-        "blocking {what} spun {SPIN_LIMIT} times without progress — peer gone?"
-    );
-    std::thread::yield_now();
+/// Fruitless polls spent spinning before the first `yield_now`: about
+/// 20 µs of polling, which covers a peer that is running on another core
+/// and is far under a scheduler time slice, so an oversubscribed box
+/// still hands the core over almost at once.
+const SPINS_BEFORE_YIELD: u64 = 64;
+
+/// The one wait primitive of every blocking call above the engines:
+/// poll, and after each fruitless poll call [`Backoff::snooze`]. The
+/// first [`SPINS_BEFORE_YIELD`] fruitless polls spin (a syscall per poll
+/// costs more than the poll), later ones yield the core, and a wait that
+/// stays fruitless for the whole limit panics with a diagnosis — no
+/// blocking wait is without an exit.
+pub struct Backoff {
+    what: &'static str,
+    limit: u64,
+    fruitless: u64,
+}
+
+impl Backoff {
+    /// A wait described as `what` in the wedge diagnosis.
+    pub fn new(what: &'static str) -> Self {
+        Self::with_limit(what, SPIN_LIMIT)
+    }
+
+    /// [`Backoff::new`] with a caller-chosen wedge limit, so that a layered
+    /// crate's unit tests can pin its waits' exit without polling 500
+    /// million times.
+    pub fn with_limit(what: &'static str, limit: u64) -> Self {
+        Backoff {
+            what,
+            limit,
+            fruitless: 0,
+        }
+    }
+
+    /// The last poll made progress: start over from spinning.
+    pub fn reset(&mut self) {
+        self.fruitless = 0;
+    }
+
+    /// The last poll was fruitless: spin or yield before the next one.
+    ///
+    /// # Panics
+    /// Panics once the wait has been fruitless `limit` polls in a row.
+    pub fn snooze(&mut self) {
+        self.fruitless += 1;
+        assert!(
+            self.fruitless < self.limit,
+            "blocking {} polled {} times without progress — peer gone?",
+            self.what,
+            self.limit
+        );
+        if self.fruitless <= SPINS_BEFORE_YIELD {
+            std::hint::spin_loop();
+        } else {
+            std::thread::yield_now();
+        }
+    }
 }
 
 /// Blocking `FM_send` on FM 1.x: retries until credits and queue space
 /// admit the whole message.
 pub fn fm1_send<D: NetDevice>(fm: &mut Fm1Engine<D>, dst: usize, handler: HandlerId, data: &[u8]) {
-    let mut spins = 0;
+    let mut backoff = Backoff::new("FM_send");
     loop {
         match fm.try_send(dst, handler, data) {
             Ok(()) => return,
             Err(WouldBlock) => {
                 // Drain incoming traffic: that is what returns credits.
                 fm.extract();
-                spin_or_die(&mut spins, "FM_send");
+                backoff.snooze();
             }
         }
     }
@@ -49,13 +101,13 @@ pub fn fm1_send<D: NetDevice>(fm: &mut Fm1Engine<D>, dst: usize, handler: Handle
 
 /// Blocking gather-send on FM 2.x.
 pub fn fm2_send<D: NetDevice>(fm: &Fm2Engine<D>, dst: usize, handler: HandlerId, pieces: &[&[u8]]) {
-    let mut spins = 0;
+    let mut backoff = Backoff::new("FM_send_piece");
     loop {
         match fm.try_send_message(dst, handler, pieces) {
             Ok(()) => return,
             Err(WouldBlock) => {
                 fm.extract_all();
-                spin_or_die(&mut spins, "FM_send_piece");
+                backoff.snooze();
             }
         }
     }
@@ -63,22 +115,52 @@ pub fn fm2_send<D: NetDevice>(fm: &Fm2Engine<D>, dst: usize, handler: HandlerId,
 
 /// Extract (unbounded) until `done()` turns true; yields between polls.
 pub fn fm2_wait_until<D: NetDevice>(fm: &Fm2Engine<D>, mut done: impl FnMut() -> bool) {
-    let mut spins = 0;
+    let mut backoff = Backoff::new("FM_extract wait");
     while !done() {
         if fm.extract_all() == 0 {
             fm.progress();
-            spin_or_die(&mut spins, "FM_extract wait");
+            backoff.snooze();
+        } else {
+            backoff.reset();
         }
     }
 }
 
 /// FM 1.x flavour of [`fm2_wait_until`].
 pub fn fm1_wait_until<D: NetDevice>(fm: &mut Fm1Engine<D>, mut done: impl FnMut() -> bool) {
-    let mut spins = 0;
+    let mut backoff = Backoff::new("FM_extract wait");
     while !done() {
         if fm.extract() == 0 {
             fm.progress();
-            spin_or_die(&mut spins, "FM_extract wait");
+            backoff.snooze();
+        } else {
+            backoff.reset();
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::device::LoopbackPair;
+    use fm_model::MachineProfile;
+
+    #[test]
+    fn progress_restarts_the_count() {
+        let mut b = Backoff::with_limit("test wait", 100);
+        for _ in 0..10 {
+            for _ in 0..99 {
+                b.snooze();
+            }
+            b.reset();
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "blocking FM_extract wait polled")]
+    fn a_wait_nothing_will_satisfy_panics_with_the_diagnosis() {
+        let (a, _b) = LoopbackPair::new(8);
+        let fm = Fm2Engine::new(a, MachineProfile::ppro200_fm2());
+        fm2_wait_until(&fm, || false); // the peer never sends
     }
 }

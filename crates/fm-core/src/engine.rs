@@ -230,6 +230,12 @@ impl<D: NetDevice> EngineCore<D> {
         self.errors.push(e);
     }
 
+    /// Whether any peer is currently declared down (one slice scan, no
+    /// allocation: blocking waits ask this on every poll).
+    pub(crate) fn has_downed_peers(&self) -> bool {
+        self.peer_down.contains(&true)
+    }
+
     /// The peers currently declared down, in node order.
     pub(crate) fn downed_peers(&self) -> Vec<usize> {
         self.peer_down

@@ -238,6 +238,13 @@ impl<D: NetDevice> Fm1Engine<D> {
         self.core.peer_down[peer]
     }
 
+    /// Whether *any* peer is currently declared down — the
+    /// allocation-free check for per-poll use. See
+    /// [`crate::Fm2Engine::has_downed_peers`].
+    pub fn has_downed_peers(&self) -> bool {
+        self.core.has_downed_peers()
+    }
+
     /// The peers currently declared down, in node order (empty for
     /// devices with static membership).
     pub fn downed_peers(&self) -> Vec<usize> {

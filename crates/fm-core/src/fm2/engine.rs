@@ -9,7 +9,7 @@
 //! the extract loop).
 
 use std::cell::RefCell;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::future::Future;
 use std::pin::Pin;
 use std::rc::Rc;
@@ -27,7 +27,7 @@ use crate::reliable::Reliability;
 use crate::stats::FmStats;
 
 use super::sendstream::SendStream;
-use super::stream::{ChargeCell, FmStream, StreamState};
+use super::stream::FmStream;
 
 /// A registered FM 2.x handler: called with the message stream and the
 /// sender when a message's first packet arrives; the returned future is
@@ -78,13 +78,15 @@ struct DeferredSend {
 /// One in-flight incoming message: its stream state and (while the handler
 /// is still running) its suspended future.
 struct Task {
+    /// The message's sequence number from its sender: the task's key
+    /// among that sender's open messages.
+    msg_seq: u32,
     future: Option<Pin<Box<dyn Future<Output = ()>>>>,
-    stream: Rc<RefCell<StreamState>>,
-    charge: Rc<RefCell<ChargeCell>>,
+    /// The engine's handle on the message stream (the handler holds
+    /// clones).
+    stream: FmStream,
     /// Which handler runs this message (observability).
     handler: HandlerId,
-    /// Sending node (observability).
-    src: usize,
     /// Times the future has been polled — poll 0 is the handler start,
     /// later polls are resumptions after an `FM_receive` suspension.
     polls: u32,
@@ -103,13 +105,20 @@ struct Inner<D: NetDevice> {
     /// where multi-packet payloads must land without staging buffers or
     /// task allocation.
     sink_handlers: HandlerTable<SinkHandlerFn>,
-    tasks: HashMap<(usize, u32), Task>,
+    /// In-flight incoming messages by source, found by `msg_seq` with a
+    /// linear scan: a source has one message open in the common case,
+    /// and interleaved messages stay few.
+    tasks: Vec<Vec<Task>>,
+    /// Stream cells of retired tasks, re-armed for the next message so
+    /// that a handler task in steady state allocates only its future.
+    /// Never longer than the most tasks that were open at once.
+    idle_streams: Vec<FmStream>,
     deferred: VecDeque<DeferredSend>,
     local: VecDeque<(HandlerId, PacketBuf)>,
     /// Distinguishes concurrently-pending local (self-send) handler tasks;
-    /// local tasks use the key space (self, u32::MAX - counter), which
-    /// cannot collide with network messages (self never sends to itself
-    /// over the wire).
+    /// local tasks count `msg_seq` down from `u32::MAX` under this node's
+    /// own source slot, which cannot collide with network messages (self
+    /// never sends to itself over the wire).
     local_task_counter: u32,
     /// Application callback for membership transitions
     /// (`FM_set_peer_handler`); invoked outside any engine borrow, so it
@@ -231,13 +240,15 @@ impl<D: NetDevice> Fm2Engine<D> {
     /// lossy substrate. Both ends of a connection must use the same mode.
     pub fn with_reliability(device: D, profile: MachineProfile, reliability: Reliability) -> Self {
         let costs = packet_costs(&profile);
+        let tasks = (0..device.num_nodes()).map(|_| Vec::new()).collect();
         Fm2Engine {
             inner: Rc::new(RefCell::new(Inner {
                 core: EngineCore::new(device, profile, reliability, costs),
                 handlers: HandlerTable::new(),
                 fast_handlers: HandlerTable::new(),
                 sink_handlers: HandlerTable::new(),
-                tasks: HashMap::new(),
+                tasks,
+                idle_streams: Vec::new(),
                 deferred: VecDeque::new(),
                 local: VecDeque::new(),
                 local_task_counter: 0,
@@ -340,7 +351,7 @@ impl<D: NetDevice> Fm2Engine<D> {
     /// check suitable for per-progress polling (unlike
     /// [`downed_peers`](Self::downed_peers), which collects).
     pub fn has_downed_peers(&self) -> bool {
-        self.inner.borrow().core.peer_down.iter().any(|&d| d)
+        self.inner.borrow().core.has_downed_peers()
     }
 
     /// The peers currently declared down, in node order (empty for
@@ -717,7 +728,7 @@ impl<D: NetDevice> Fm2Engine<D> {
             let mut events: Vec<PeerEvent> = Vec::new();
             while let Some(ev) = inner.core.poll_peer_event() {
                 if matches!(ev.kind, PeerEventKind::Down | PeerEventKind::Rejoining) {
-                    inner.tasks.retain(|&(src, _), _| src != ev.peer);
+                    inner.tasks[ev.peer].clear();
                     inner.deferred.retain(|d| d.dst != ev.peer);
                 }
                 events.push(ev);
@@ -830,7 +841,7 @@ impl<D: NetDevice> Fm2Engine<D> {
     /// Incoming messages whose handlers are still pending (suspended in
     /// `FM_receive` or waiting for more packets).
     pub fn pending_handlers(&self) -> usize {
-        self.inner.borrow().tasks.len()
+        self.inner.borrow().tasks.iter().map(Vec::len).sum()
     }
 
     /// Run the synchronous handler registered in `table` under `handler`
@@ -886,23 +897,19 @@ impl<D: NetDevice> Fm2Engine<D> {
         ) {
             return;
         }
-        let state = StreamState::new(me, len);
-        {
-            let mut st = state.borrow_mut();
-            st.received = payload.len();
-            st.segments.push_back(payload);
-            st.ended = true;
-        }
-        let key = {
+        let msg_seq = {
             let mut inner = self.inner.borrow_mut();
             let c = inner.local_task_counter;
             inner.local_task_counter = inner.local_task_counter.wrapping_add(1);
-            (me, u32::MAX - c)
+            u32::MAX - c
         };
-        self.spawn_task(key, handler, state, me);
-        self.poll_task(key);
-        // Local messages are complete on arrival; if the handler finished,
-        // the task is already cleaned up by poll_task.
+        let idx = self.spawn_task(me, msg_seq, handler, len);
+        // Local messages are complete on arrival; if the handler
+        // finishes, poll_task retires the task at once.
+        self.inner.borrow().tasks[me][idx]
+            .stream
+            .push_segment(payload, true);
+        self.poll_task(me, idx);
     }
 
     /// Feed one accepted data packet into the handler layer. Returns the
@@ -913,7 +920,6 @@ impl<D: NetDevice> Fm2Engine<D> {
     fn ingest_data_packet(&self, pkt: FmPacket) -> usize {
         let src = pkt.header.src as usize;
         let handler = pkt.header.handler;
-        let key = (src, pkt.header.msg_seq);
         let first = pkt.header.flags.contains(PacketFlags::FIRST);
         let last = pkt.header.flags.contains(PacketFlags::LAST);
         let meta = SinkMeta {
@@ -955,103 +961,90 @@ impl<D: NetDevice> Fm2Engine<D> {
             return meta.msg_len as usize;
         }
 
-        if first {
-            let state = StreamState::new(src, pkt.header.msg_len);
-            self.spawn_task(key, handler, state, src);
-        }
-
-        // Append the payload to the stream (if the task exists). An orphan
-        // packet delivers nothing and therefore consumes no extract budget.
-        let delivered = {
+        // Resolve the task once: the packet joins its stream and resumes
+        // its handler through the same slot. An orphan packet delivers
+        // nothing and therefore consumes no extract budget.
+        let msg_seq = pkt.header.msg_seq;
+        let idx = if first {
+            self.spawn_task(src, msg_seq, handler, pkt.header.msg_len)
+        } else {
             let mut inner = self.inner.borrow_mut();
-            match inner.tasks.get_mut(&key) {
-                Some(task) => {
-                    let mut st = task.stream.borrow_mut();
-                    let n = pkt.payload.len();
-                    st.received += n;
-                    if !pkt.payload.is_empty() {
-                        st.segments.push_back(pkt.payload);
-                    }
-                    if last {
-                        st.ended = true;
-                    }
-                    Some(n)
-                }
+            match inner.tasks[src].iter().position(|t| t.msg_seq == msg_seq) {
+                Some(idx) => idx,
                 None => {
-                    inner.core.report_error(FmError::OrphanPacket {
-                        src,
-                        msg_seq: pkt.header.msg_seq,
-                    });
-                    None
+                    inner
+                        .core
+                        .report_error(FmError::OrphanPacket { src, msg_seq });
+                    return 0;
                 }
             }
         };
-        match delivered {
-            Some(n) => {
-                self.poll_task(key);
-                n
-            }
-            None => 0,
-        }
+        let n = pkt.payload.len();
+        self.inner.borrow().tasks[src][idx]
+            .stream
+            .push_segment(pkt.payload, last);
+        self.poll_task(src, idx);
+        n
     }
 
-    fn spawn_task(
-        &self,
-        key: (usize, u32),
-        handler: HandlerId,
-        stream: Rc<RefCell<StreamState>>,
-        src: usize,
-    ) {
-        let (handler_fn, charge) = {
+    /// Open the task of message `msg_seq` from `src` — stream cells off
+    /// the idle list when there are any, the handler's future started but
+    /// not yet polled — and return its slot among `src`'s tasks.
+    fn spawn_task(&self, src: usize, msg_seq: u32, handler: HandlerId, msg_len: u32) -> usize {
+        let (handler_fn, stream) = {
             let mut inner = self.inner.borrow_mut();
-            let msg_len = stream.borrow().msg_len;
-            inner.core.handler_started(src, handler, key.1, msg_len);
-            let charge = ChargeCell::new(
-                inner.core.profile.host.memcpy_ns_per_kb,
-                inner.core.profile.host.piece_call_ns,
-            );
-            (inner.handlers.get(handler).cloned(), charge)
+            inner.core.handler_started(src, handler, msg_seq, msg_len);
+            let stream = inner.idle_streams.pop().unwrap_or_else(|| {
+                let host = &inner.core.profile.host;
+                FmStream::new(host.memcpy_ns_per_kb, host.piece_call_ns)
+            });
+            (inner.handlers.get(handler).cloned(), stream)
         };
-        let future = match handler_fn {
-            Some(f) => {
-                let fm_stream = FmStream {
-                    state: Rc::clone(&stream),
-                    charge: Rc::clone(&charge),
-                };
-                Some(f(fm_stream, src))
-            }
+        stream.arm(src, msg_len);
+        // The engine is not borrowed here: the handler's constructor may
+        // call engine methods.
+        let future = handler_fn.map(|f| f(stream.clone(), src));
+        let mut inner = self.inner.borrow_mut();
+        if future.is_none() {
+            // A task without a handler: its bytes drain into the void.
+            inner
+                .core
+                .report_error(FmError::UnknownHandler { handler: handler.0 });
+        }
+        let task = Task {
+            msg_seq,
+            future,
+            stream,
+            handler,
+            polls: 0,
+        };
+        let open = &mut inner.tasks[src];
+        // A FIRST packet for a sequence number still open replaces the
+        // stale task (only a sender that lost its state repeats one).
+        let (idx, stale) = match open.iter().position(|t| t.msg_seq == msg_seq) {
+            Some(idx) => (idx, Some(std::mem::replace(&mut open[idx], task))),
             None => {
-                self.inner
-                    .borrow_mut()
-                    .core
-                    .report_error(FmError::UnknownHandler { handler: handler.0 });
-                None // sink task: bytes drain into the void
+                open.push(task);
+                (open.len() - 1, None)
             }
         };
-        self.inner.borrow_mut().tasks.insert(
-            key,
-            Task {
-                future,
-                stream,
-                charge,
-                handler,
-                src,
-                polls: 0,
-            },
-        );
+        // A handler's future is dropped like it is polled: with the
+        // engine unborrowed.
+        drop(inner);
+        drop(stale);
+        idx
     }
 
-    /// Poll the task for `key` (if its handler is still running), apply
-    /// its accumulated charges, and clean it up if complete.
-    fn poll_task(&self, key: (usize, u32)) {
-        let taken = {
+    /// Poll the task in slot `idx` of `src`'s open messages (if its
+    /// handler is still running), apply its accumulated charges, and
+    /// retire it if complete.
+    fn poll_task(&self, src: usize, idx: usize) {
+        let (msg_seq, taken) = {
             let mut inner = self.inner.borrow_mut();
             let inner = &mut *inner;
-            let Some(task) = inner.tasks.get_mut(&key) else {
-                return;
-            };
-            let (handler, src, polls) = (task.handler, task.src, task.polls);
-            let fut = task.future.take().map(|f| (f, Rc::clone(&task.charge)));
+            let task = &mut inner.tasks[src][idx];
+            let (msg_seq, handler, polls) = (task.msg_seq, task.handler, task.polls);
+            let fut = task.future.take().map(|f| (f, task.stream.clone()));
             if fut.is_some() {
                 task.polls += 1;
                 // Poll 0 was already recorded as HandlerStart by
@@ -1062,25 +1055,20 @@ impl<D: NetDevice> Fm2Engine<D> {
                         ObsEvent::new(t, me, SpanKind::HandlerResume)
                             .peer(src as u16)
                             .handler(handler.0)
-                            .msg_seq(key.1)
+                            .msg_seq(msg_seq)
                     });
                 }
                 inner.core.in_extract = true;
             }
-            fut.map(|f| (f, handler, src))
+            (msg_seq, fut.map(|f| (f, handler)))
         };
-        if let Some(((mut future, charge), handler, src)) = taken {
+        if let Some(((mut future, stream), handler)) = taken {
             let waker = Waker::noop();
             let mut cx = Context::from_waker(waker);
             // The engine is not borrowed here: the handler may call engine
             // methods while it runs.
             let ready = future.as_mut().poll(&mut cx).is_ready();
-            let (pending, copied) = {
-                let mut c = charge.borrow_mut();
-                let p = std::mem::replace(&mut c.pending, Nanos::ZERO);
-                let b = std::mem::replace(&mut c.bytes_copied, 0);
-                (p, b)
-            };
+            let (pending, copied) = stream.take_charges();
             let mut inner = self.inner.borrow_mut();
             inner.core.in_extract = false;
             inner.core.device.charge(pending);
@@ -1094,27 +1082,32 @@ impl<D: NetDevice> Fm2Engine<D> {
                 ObsEvent::new(t, me, kind)
                     .peer(src as u16)
                     .handler(handler.0)
-                    .msg_seq(key.1)
+                    .msg_seq(msg_seq)
             });
             if !ready {
-                if let Some(task) = inner.tasks.get_mut(&key) {
-                    task.future = Some(future);
+                // The slot is still this task's unless the handler made
+                // the engine drop the peer's tasks while it ran.
+                if let Some(task) = inner.tasks[src].get_mut(idx) {
+                    if task.msg_seq == msg_seq {
+                        task.future = Some(future);
+                    }
                 }
             }
         }
-        // Clean up if the message has fully arrived and the handler is
-        // done (or was a sink).
+        // Retire the task if the message has fully arrived and the
+        // handler is done (or there was none).
         let mut inner = self.inner.borrow_mut();
-        let complete = inner
-            .tasks
-            .get(&key)
-            .map(|t| t.future.is_none() && t.stream.borrow().ended)
-            .unwrap_or(false);
+        let inner = &mut *inner;
+        let complete = inner.tasks[src]
+            .get(idx)
+            .is_some_and(|t| t.msg_seq == msg_seq && t.future.is_none() && t.stream.ended());
         if complete {
-            let task = inner.tasks.remove(&key).expect("checked");
-            let st = task.stream.borrow();
+            let task = inner.tasks[src].swap_remove(idx);
             inner.core.stats.messages_received += 1;
-            inner.core.stats.bytes_received += st.msg_len as u64;
+            inner.core.stats.bytes_received += task.stream.msg_len() as u64;
+            if task.stream.is_sole_handle() {
+                inner.idle_streams.push(task.stream);
+            }
         }
     }
 }
@@ -1580,6 +1573,87 @@ mod tests {
             .map(|(_, m)| u32::from_le_bytes(m[..4].try_into().unwrap()))
             .collect();
         assert_eq!(got, (0..100).collect::<Vec<u32>>());
+    }
+
+    #[test]
+    fn open_messages_of_one_source_retire_in_any_order() {
+        // Three messages open at once from one source; the middle one
+        // ends first, then the first, then the last: each packet must
+        // find its own task whatever the others' slots did meanwhile.
+        let (s, r, pump) = pair();
+        let log = recording_handler(&r, H, 4096);
+        let msgs: Vec<Vec<u8>> = (1..=3u8).map(|b| vec![b; 3000]).collect();
+        let mut open: Vec<SendStream> = msgs.iter().map(|_| s.begin_message(1, 3000, H)).collect();
+        for (ss, m) in open.iter_mut().zip(&msgs) {
+            // Past one MTU, so that the FIRST packet leaves now.
+            assert_eq!(s.try_send_piece(ss, &m[..2000]).unwrap(), 2000);
+        }
+        pump.deliver();
+        r.extract_all();
+        assert_eq!(r.pending_handlers(), 3);
+        for i in [1, 0, 2] {
+            assert_eq!(
+                s.try_send_piece(&mut open[i], &msgs[i][2000..]).unwrap(),
+                1000
+            );
+            s.try_end_message(&mut open[i]).unwrap();
+            pump.deliver();
+            r.extract_all();
+        }
+        assert_eq!(r.pending_handlers(), 0);
+        let got: Vec<Vec<u8>> = log.borrow().iter().map(|(_, m)| m.clone()).collect();
+        assert_eq!(got, vec![msgs[1].clone(), msgs[0].clone(), msgs[2].clone()]);
+        assert!(r.take_errors().is_empty());
+    }
+
+    #[test]
+    fn retired_tasks_lend_their_stream_cells_to_the_next_message() {
+        // One message open at a time: one set of stream cells serves them
+        // all (the free list never grows past the open-task high water).
+        let (s, r, pump) = pair();
+        let log = recording_handler(&r, H, 4096);
+        for i in 0..50u8 {
+            s.try_send_message(1, H, &[&vec![i; 3000]]).unwrap();
+            pump.deliver();
+            r.extract_all();
+            pump.deliver();
+            s.extract_all();
+            assert_eq!(r.inner.borrow().idle_streams.len(), 1, "message {i}");
+        }
+        assert_eq!(log.borrow().len(), 50);
+        assert!(log
+            .borrow()
+            .iter()
+            .enumerate()
+            .all(|(i, (_, m))| *m == vec![i as u8; 3000]));
+    }
+
+    #[test]
+    fn a_stream_handle_the_handler_kept_is_never_rearmed() {
+        // `FmStream` is `Clone`: a handler may stash its handle. Cells
+        // with a handle still out must not become another message's.
+        let (s, r, pump) = pair();
+        let kept: Rc<RefCell<Vec<FmStream>>> = Rc::default();
+        let k = Rc::clone(&kept);
+        r.set_handler(H, move |stream: FmStream, _| {
+            k.borrow_mut().push(stream.clone());
+            async move {
+                stream.skip(stream.msg_len()).await;
+            }
+        });
+        for len in [10usize, 20] {
+            s.try_send_message(1, H, &[&vec![0u8; len]]).unwrap();
+            pump.deliver();
+            r.extract_all();
+        }
+        assert_eq!(r.pending_handlers(), 0);
+        assert!(r.inner.borrow().idle_streams.is_empty());
+        let lens: Vec<usize> = kept.borrow().iter().map(FmStream::msg_len).collect();
+        assert_eq!(
+            lens,
+            vec![10, 20],
+            "each handle still views its own message"
+        );
     }
 }
 

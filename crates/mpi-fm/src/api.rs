@@ -16,6 +16,8 @@
 //! collective `poll` machines directly — from their step functions
 //! instead.
 
+use fm_core::blocking::Backoff;
+
 use crate::collectives::{AllreduceOp, BarrierOp, BcastOp, GatherOp, ReduceToRootOp, ScatterOp};
 use crate::comm::{CollConfig, CollPhase};
 use crate::hier::{HierAllreduceOp, HierBarrierOp, HierBcastOp, HostGeometry};
@@ -144,21 +146,13 @@ pub trait Mpi {
     /// churn-capable transport a dead peer would otherwise mean an
     /// infinite spin.
     fn wait_send(&mut self, req: &SendReq) {
-        while !req.is_done() {
-            abort_if_peer_lost(self, "wait_send");
-            self.progress();
-            std::thread::yield_now();
-        }
+        drive(self, "wait_send", |_| req.is_done());
     }
 
     /// Block until `req` completes; returns the payload and status.
     /// Aborts (panics) on confirmed peer loss, like [`Mpi::wait_send`].
     fn wait_recv(&mut self, req: &RecvReq) -> (Vec<u8>, Status) {
-        while !req.is_done() {
-            abort_if_peer_lost(self, "wait_recv");
-            self.progress();
-            std::thread::yield_now();
-        }
+        drive(self, "wait_recv", |_| req.is_done());
         let status = req.status().expect("completed");
         (req.take().expect("completed"), status)
     }
@@ -188,11 +182,11 @@ pub trait Mpi {
     {
         if let Some(geo) = hier_geometry(self) {
             let mut op = HierBarrierOp::new(self, &geo);
-            drive(self, |mpi| op.poll(mpi));
+            drive(self, "collective", |mpi| op.poll(mpi));
             return;
         }
         let mut op = BarrierOp::new(self);
-        drive(self, |mpi| op.poll(mpi));
+        drive(self, "collective", |mpi| op.poll(mpi));
     }
 
     /// Broadcast. The root passes `Some(data)`; everyone else passes
@@ -211,12 +205,12 @@ pub trait Mpi {
         if max_len < self.coll_config().pipeline_threshold {
             if let Some(geo) = hier_geometry(self) {
                 let mut op = HierBcastOp::new(self, root, data, max_len, &geo);
-                drive(self, |mpi| op.poll(mpi));
+                drive(self, "collective", |mpi| op.poll(mpi));
                 return op.take_result();
             }
         }
         let mut op = BcastOp::new(self, root, data, max_len);
-        drive(self, |mpi| op.poll(mpi));
+        drive(self, "collective", |mpi| op.poll(mpi));
         op.take_result()
     }
 
@@ -229,7 +223,7 @@ pub trait Mpi {
         Self: Sized,
     {
         let mut r = ReduceToRootOp::new(self, root, contrib, op);
-        drive(self, |mpi| r.poll(mpi));
+        drive(self, "collective", |mpi| r.poll(mpi));
         r.take_result()
     }
 
@@ -247,12 +241,12 @@ pub trait Mpi {
         if contrib.len() < self.coll_config().pipeline_threshold {
             if let Some(geo) = hier_geometry(self) {
                 let mut a = HierAllreduceOp::new(self, contrib, op, &geo);
-                drive(self, |mpi| a.poll(mpi));
+                drive(self, "collective", |mpi| a.poll(mpi));
                 return a.take_result();
             }
         }
         let mut a = AllreduceOp::new(self, contrib, op);
-        drive(self, |mpi| a.poll(mpi));
+        drive(self, "collective", |mpi| a.poll(mpi));
         a.take_result()
     }
 
@@ -263,7 +257,7 @@ pub trait Mpi {
         Self: Sized,
     {
         let mut g = GatherOp::new(self, root, data, max_len);
-        drive(self, |mpi| g.poll(mpi));
+        drive(self, "collective", |mpi| g.poll(mpi));
         g.take_result()
     }
 
@@ -273,7 +267,7 @@ pub trait Mpi {
         Self: Sized,
     {
         let mut s = ScatterOp::new(self, root, chunks, max_len);
-        drive(self, |mpi| s.poll(mpi));
+        drive(self, "collective", |mpi| s.poll(mpi));
         s.take_result()
     }
 
@@ -332,13 +326,21 @@ fn hier_geometry<M: Mpi + ?Sized>(mpi: &M) -> Option<HostGeometry> {
     geo.is_hierarchical().then_some(geo)
 }
 
-/// Blocking driver: poll a collective state machine to completion,
-/// driving `progress` between polls.
-fn drive<M: Mpi>(mpi: &mut M, mut poll: impl FnMut(&mut M) -> bool) {
+/// The one blocking driver: poll a request or a collective state machine
+/// to completion, driving `progress` between polls. Exits by panic on a
+/// confirmed peer loss, or when the wait stays fruitless for the whole
+/// wedge limit of [`Backoff`] (low under this crate's own unit tests,
+/// which never block on a live peer and pin that exit).
+fn drive<M: Mpi + ?Sized>(mpi: &mut M, during: &'static str, mut poll: impl FnMut(&mut M) -> bool) {
+    let mut backoff = if cfg!(test) {
+        Backoff::with_limit(during, 10_000)
+    } else {
+        Backoff::new(during)
+    };
     while !poll(mpi) {
-        abort_if_peer_lost(mpi, "collective");
+        abort_if_peer_lost(mpi, during);
         mpi.progress();
-        std::thread::yield_now();
+        backoff.snooze();
     }
 }
 
@@ -437,6 +439,16 @@ mod tests {
             lost: Some(1),
             seq: 0,
         };
+        let req = mpi.irecv(Some(1), Some(7), 64);
+        mpi.wait_recv(&req);
+    }
+
+    #[test]
+    #[should_panic(expected = "blocking wait_recv polled")]
+    fn a_wait_no_peer_will_satisfy_panics_with_the_diagnosis() {
+        // No failure detector verdict and no message: the wedge limit is
+        // the wait's only exit.
+        let mut mpi = DeadPeerMpi { lost: None, seq: 0 };
         let req = mpi.irecv(Some(1), Some(7), 64);
         mpi.wait_recv(&req);
     }

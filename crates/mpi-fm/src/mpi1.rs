@@ -221,6 +221,11 @@ impl<D: NetDevice> Mpi for Mpi1<D> {
     fn lost_peer(&self) -> Option<usize> {
         // Same contract as the FM 2.x binding: the first peer (node
         // order) the device's failure detector has declared `Down`.
+        // Asked on every poll of every blocking wait: collect only when
+        // there is something to collect.
+        if !self.fm.has_downed_peers() {
+            return None;
+        }
         self.fm.downed_peers().into_iter().next()
     }
 

@@ -78,15 +78,14 @@ struct GrantedRecv {
     posted: Posted,
 }
 
-/// A send FM could not yet fully admit. Pending sends *stream*: each
-/// flush pushes as many packets as credits allow per progress call, so a
-/// message of any size (even larger than the credit window) completes.
-/// Scheduling is arrival-order FIFO, but a send stalled on one peer's
-/// credit window only blocks later sends *to that peer* — MPI's
-/// non-overtaking guarantee is pairwise, and another peer's open window
-/// should soak up the uplink time the stall would otherwise waste.
+/// A send FM could not yet fully admit, queued behind the earlier sends
+/// to the same peer. Pending sends *stream*: each flush pushes as many
+/// packets as credits allow per progress call, so a message of any size
+/// (even larger than the credit window) completes.
 struct PendingSend {
-    dst: usize,
+    /// Arrival order over all peers: the scheduler visits heads oldest
+    /// first.
+    stamp: u64,
     hdr: [u8; MPI_HEADER_BYTES],
     data: Vec<u8>,
     /// Request to complete when fully handed to FM (`None` for RTS
@@ -105,14 +104,21 @@ pub struct Mpi2<D: NetDevice> {
     os: Onesided<D>,
     queues: Rc<RefCell<MatchQueues>>,
     rndv: Rc<RefCell<RndvState>>,
-    /// Stalled sends in arrival order (pairwise FIFO is the invariant).
-    pending: VecDeque<PendingSend>,
-    /// Pending-send count per destination (guards pairwise ordering in
-    /// `isend` without scanning the queue).
-    pending_by_dst: Vec<u32>,
-    /// Scratch for `try_flush_pending`: destinations that blocked during
-    /// the current pass (kept allocated across calls).
-    flush_blocked: Vec<bool>,
+    /// Stalled sends, one FIFO per destination: MPI's non-overtaking
+    /// guarantee is pairwise, so a send stalled on one peer's credit
+    /// window blocks only the later sends *to that peer*, and another
+    /// peer's open window can soak up the uplink time the stall would
+    /// otherwise waste. A non-empty queue makes `isend` queue behind it.
+    pending: Vec<VecDeque<PendingSend>>,
+    /// Arrival stamp of the next queued send.
+    next_stamp: u64,
+    /// Test probes: queued sends a pass looked at (the complexity pin),
+    /// and whether passes run the arrival-order scan this scheduler
+    /// replaced (the reference model).
+    #[cfg(test)]
+    visits: u64,
+    #[cfg(test)]
+    arrival_scan: bool,
     /// High-water `send_space` observation = the NIC queue's capacity
     /// (it is empty at construction). `send_space == nic_capacity` means
     /// the uplink is idle.
@@ -173,8 +179,8 @@ impl<D: NetDevice + 'static> Mpi2<D> {
                             Some(posted) => {
                                 // Posted: the payload lands directly in the
                                 // receive buffer — the one unavoidable copy.
-                                let mut buf = vec![0u8; hdr.len as usize];
-                                let got = stream.receive(&mut buf).await;
+                                let mut buf = Vec::new();
+                                let got = stream.receive_into(&mut buf, hdr.len as usize).await;
                                 debug_assert_eq!(got, hdr.len as usize);
                                 MatchQueues::complete(&posted, src_rank, hdr.tag, buf);
                             }
@@ -268,9 +274,12 @@ impl<D: NetDevice + 'static> Mpi2<D> {
             os,
             queues,
             rndv,
-            pending: VecDeque::new(),
-            pending_by_dst: vec![0; n],
-            flush_blocked: vec![false; n],
+            pending: (0..n).map(|_| VecDeque::new()).collect(),
+            next_stamp: 0,
+            #[cfg(test)]
+            visits: 0,
+            #[cfg(test)]
+            arrival_scan: false,
             nic_capacity,
             extract_budget: usize::MAX,
             eager_threshold: usize::MAX,
@@ -336,9 +345,10 @@ impl<D: NetDevice + 'static> Mpi2<D> {
         data: Vec<u8>,
         req: Option<SendReq>,
     ) {
-        self.pending_by_dst[dst] += 1;
-        self.pending.push_back(PendingSend {
-            dst,
+        let stamp = self.next_stamp;
+        self.next_stamp += 1;
+        self.pending[dst].push_back(PendingSend {
+            stamp,
             hdr,
             data,
             req,
@@ -346,62 +356,119 @@ impl<D: NetDevice + 'static> Mpi2<D> {
         });
     }
 
+    /// One scheduler pass: serve the queue heads oldest first. A head
+    /// that goes out whole uncovers its successor, which takes its place
+    /// in the order; a head that stalls keeps its place for the next pass
+    /// (never reordered: the oldest send keeps uplink priority across
+    /// passes) and takes its peer out of this one. The pass ends when
+    /// every head has had its attempt — the visiting order of one scan
+    /// over all queued sends in arrival order that skips the sends behind
+    /// a stalled one, at the cost of the sends actually attempted.
     fn try_flush_pending(&mut self) {
-        self.flush_blocked.fill(false);
-        // One pass in arrival order (indexed, never reordered: the head
-        // keeps uplink priority across passes). When the head stalls on
-        // its peer's *credit window* while the NIC queue sits idle, a
-        // later send to a peer with an open window soaks up the uplink
-        // time the stall would otherwise waste. But if the NIC still has
-        // queued packets the pass stops at the stall: the uplink isn't
-        // idle, and letting later sends interleave would only delay the
-        // head's completion (which downstream dependency chains — ring
-        // collectives — are waiting on).
-        let mut i = 0;
-        while i < self.pending.len() {
-            let p = &mut self.pending[i];
-            if self.flush_blocked[p.dst] {
-                i += 1;
+        #[cfg(test)]
+        if self.arrival_scan {
+            return self.flush_pending_by_arrival_scan();
+        }
+        // Every head stamped below the cursor stalled earlier in this
+        // pass; a successor is always stamped above its predecessor.
+        let mut cursor = 0;
+        while let Some((stamp, dst)) = self
+            .pending
+            .iter()
+            .enumerate()
+            .filter_map(|(dst, q)| Some((q.front()?.stamp, dst)))
+            .filter(|&(stamp, _)| stamp >= cursor)
+            .min()
+        {
+            cursor = stamp + 1;
+            #[cfg(test)]
+            {
+                self.visits += 1;
+            }
+            if self.push_head(dst) {
+                self.pending[dst].pop_front();
                 continue;
             }
-            let total = MPI_HEADER_BYTES + p.data.len();
-            let (mut ss, mut sent) = match p.started.take() {
-                Some(x) => x,
-                None => (self.fm.begin_message(p.dst, total, MPI_HANDLER), 0),
-            };
-            while sent < MPI_HEADER_BYTES {
-                match self.fm.try_send_piece(&mut ss, &p.hdr[sent..]) {
-                    Ok(n) => sent += n,
-                    Err(_) => break,
-                }
-            }
-            while sent >= MPI_HEADER_BYTES && sent < total {
-                let doff = sent - MPI_HEADER_BYTES;
-                match self.fm.try_send_piece(&mut ss, &p.data[doff..]) {
-                    Ok(n) => sent += n,
-                    Err(_) => break,
-                }
-            }
-            if sent == total && self.fm.try_end_message(&mut ss).is_ok() {
-                if let Some(req) = p.req.take() {
-                    req.inner.borrow_mut().done = true;
-                }
-                let dst = p.dst;
-                self.pending_by_dst[dst] -= 1;
-                self.pending.remove(i);
-                continue;
-            }
-            // Park the partial stream in place.
-            let dst = p.dst;
-            p.started = Some((ss, sent));
-            self.flush_blocked[dst] = true;
-            let space = self.fm.with_device(|d| d.send_space());
-            self.nic_capacity = self.nic_capacity.max(space);
-            if space < self.nic_capacity {
+            // The head stalled on its peer's *credit window* or on the
+            // NIC queue. While the NIC queue sits idle, a later send to a
+            // peer with an open window soaks up the uplink time the stall
+            // would otherwise waste. But if the NIC still has queued
+            // packets the pass stops at the stall: the uplink isn't idle,
+            // and letting later sends interleave would only delay the
+            // head's completion (which downstream dependency chains —
+            // ring collectives — are waiting on).
+            if !self.nic_idle() {
                 break;
             }
-            i += 1;
         }
+    }
+
+    /// The scheduler this one replaced, kept as the model the tests hold
+    /// it to: one scan over *all* queued sends in arrival order, skipping
+    /// each send whose peer stalled earlier in the pass.
+    #[cfg(test)]
+    fn flush_pending_by_arrival_scan(&mut self) {
+        let mut order: Vec<(u64, usize)> = (self.pending.iter().enumerate())
+            .flat_map(|(dst, q)| q.iter().map(move |p| (p.stamp, dst)))
+            .collect();
+        order.sort_unstable();
+        let mut blocked = vec![false; self.pending.len()];
+        for (stamp, dst) in order {
+            self.visits += 1;
+            if blocked[dst] {
+                continue;
+            }
+            assert_eq!(self.pending[dst].front().map(|p| p.stamp), Some(stamp));
+            if self.push_head(dst) {
+                self.pending[dst].pop_front();
+                continue;
+            }
+            blocked[dst] = true;
+            if !self.nic_idle() {
+                break;
+            }
+        }
+    }
+
+    /// Whether the NIC queue has drained completely (`send_space` back at
+    /// its high-water mark): the uplink is idle.
+    fn nic_idle(&mut self) -> bool {
+        let space = self.fm.with_device(|d| d.send_space());
+        self.nic_capacity = self.nic_capacity.max(space);
+        space == self.nic_capacity
+    }
+
+    /// Push as much of `dst`'s queue head into FM as it admits, parking
+    /// the partial stream in place. True when the whole message is handed
+    /// over (its request completed), false when it stalled.
+    fn push_head(&mut self, dst: usize) -> bool {
+        let p = self.pending[dst].front_mut().expect("a queued head");
+        let total = MPI_HEADER_BYTES + p.data.len();
+        let (mut ss, mut sent) = match p.started.take() {
+            Some(x) => x,
+            None => (self.fm.begin_message(dst, total, MPI_HANDLER), 0),
+        };
+        while sent < MPI_HEADER_BYTES {
+            match self.fm.try_send_piece(&mut ss, &p.hdr[sent..]) {
+                Ok(n) => sent += n,
+                Err(_) => break,
+            }
+        }
+        while sent >= MPI_HEADER_BYTES && sent < total {
+            let doff = sent - MPI_HEADER_BYTES;
+            match self.fm.try_send_piece(&mut ss, &p.data[doff..]) {
+                Ok(n) => sent += n,
+                Err(_) => break,
+            }
+        }
+        if sent == total && self.fm.try_end_message(&mut ss).is_ok() {
+            if let Some(req) = p.req.take() {
+                req.inner.borrow_mut().done = true;
+            }
+            return true;
+        }
+        p.started = Some((ss, sent));
+        false
     }
 
     /// Complete rendezvous receives whose granted one-sided transfer has
@@ -456,7 +523,11 @@ impl<D: NetDevice + 'static> Mpi for Mpi2<D> {
         // verdicts; the first downed peer (node order) is reason enough
         // to abort a blocking operation. Rejoins clear the flag, so a
         // peer mid-restart only aborts us if the detector had already
-        // declared it dead.
+        // declared it dead. Asked on every poll of every blocking wait:
+        // collect only when there is something to collect.
+        if !self.fm.has_downed_peers() {
+            return None;
+        }
         self.fm.downed_peers().into_iter().next()
     }
 
@@ -491,7 +562,7 @@ impl<D: NetDevice + 'static> Mpi for Mpi2<D> {
                 .borrow_mut()
                 .parked
                 .insert(seq, (dst, tag, data, req.clone()));
-            if self.pending_by_dst[dst] > 0
+            if !self.pending[dst].is_empty()
                 || self.fm.try_send_message(dst, MPI_HANDLER, &[&hdr]).is_err()
             {
                 self.enqueue_send(dst, hdr, Vec::new(), None);
@@ -513,7 +584,7 @@ impl<D: NetDevice + 'static> Mpi for Mpi2<D> {
         // behind it, or a small message could squeeze past a large one
         // and break MPI's non-overtaking matching order (which is
         // pairwise — other peers' queues don't gate this one).
-        if self.pending_by_dst[dst] > 0 {
+        if !self.pending[dst].is_empty() {
             let req = SendReq::new(false);
             self.enqueue_send(dst, hdr, data, Some(req.clone()));
             self.try_flush_pending();
@@ -623,7 +694,9 @@ impl<D: NetDevice + 'static> Mpi for Mpi2<D> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fm_core::device::{LoopbackDevice, LoopbackPair};
+    use fm_core::device::{DeviceFull, LoopbackDevice, LoopbackPair};
+    use fm_core::packet::FmPacket;
+    use fm_model::rng::{env_cases, DetRng};
     use fm_model::MachineProfile;
 
     fn pair() -> (Mpi2<LoopbackDevice>, Mpi2<LoopbackDevice>) {
@@ -924,6 +997,190 @@ mod tests {
         assert_eq!(r1.take(), Some(big1), "first big first");
         assert_eq!(r2.take(), Some(big2), "second big second");
         assert_eq!(r3.take(), Some(small), "small strictly last");
+    }
+
+    // ---- send scheduler ----
+
+    /// This rank's NIC toward four peers, as the scheduler sees it: a
+    /// bounded queue the test drains by hand, and a log of what was
+    /// emitted in what order. Peers exist only as credit returns.
+    struct Fanout {
+        capacity: usize,
+        /// Destinations of the packets still queued in the NIC.
+        queue: VecDeque<u16>,
+        /// Packets the NIC delivered, per peer, not yet credited back.
+        delivered: Vec<u16>,
+        /// Every data packet handed to the NIC: (dst, msg_seq, pkt_seq).
+        emitted: Vec<(u16, u32, u32)>,
+        inq: VecDeque<FmPacket>,
+    }
+
+    const PEERS: usize = 4;
+
+    impl NetDevice for Fanout {
+        fn node_id(&self) -> usize {
+            0
+        }
+        fn num_nodes(&self) -> usize {
+            PEERS + 1
+        }
+        fn try_send(&mut self, pkt: FmPacket) -> Result<(), DeviceFull> {
+            if self.queue.len() == self.capacity {
+                return Err(DeviceFull);
+            }
+            let h = pkt.header;
+            self.queue.push_back(h.dst);
+            self.emitted.push((h.dst, h.msg_seq, h.pkt_seq));
+            Ok(())
+        }
+        fn try_recv(&mut self) -> Option<FmPacket> {
+            self.inq.pop_front()
+        }
+        fn send_space(&self) -> usize {
+            self.capacity - self.queue.len()
+        }
+        fn now(&self) -> Nanos {
+            Nanos::ZERO
+        }
+        fn charge(&mut self, _cost: Nanos) {}
+    }
+
+    impl Fanout {
+        /// The NIC puts up to `k` queued packets on the wire.
+        fn drain(&mut self, k: usize) {
+            for _ in 0..k.min(self.queue.len()) {
+                let dst = self.queue.pop_front().expect("counted");
+                self.delivered[dst as usize] += 1;
+            }
+        }
+
+        /// `peer` returns `k` of the credits it holds for delivered packets.
+        fn credit(&mut self, peer: usize, k: u16) {
+            if k > 0 {
+                self.delivered[peer] -= k;
+                self.inq.push_back(FmPacket::credit_only(peer as u16, 0, k));
+            }
+        }
+    }
+
+    fn fanout(arrival_scan: bool) -> Mpi2<Fanout> {
+        let dev = Fanout {
+            capacity: 16,
+            queue: VecDeque::new(),
+            delivered: vec![0; PEERS + 1],
+            emitted: Vec::new(),
+            inq: VecDeque::new(),
+        };
+        let mut mpi = Mpi2::new(Fm2Engine::new(dev, MachineProfile::ppro200_fm2()));
+        mpi.arrival_scan = arrival_scan;
+        mpi
+    }
+
+    /// Replay one seeded schedule of sends, NIC drains, credit returns
+    /// and progress calls; returns everything emitted, in order.
+    fn replay(seed: u64, arrival_scan: bool) -> Vec<(u16, u32, u32)> {
+        const SIZES: [usize; 6] = [0, 8, 900, 3_000, 20_000, 70_000];
+        let mut rng = DetRng::seed_from_u64(seed);
+        let mut mpi = fanout(arrival_scan);
+        let mut reqs = Vec::new();
+        let mut packets = 0;
+        for _ in 0..rng.range_usize(20, 120) {
+            let peer = rng.range_usize(1, PEERS + 1);
+            match rng.below(100) {
+                0..=44 => {
+                    let size = SIZES[rng.below(SIZES.len() as u64) as usize];
+                    packets += (MPI_HEADER_BYTES + size).div_ceil(1024);
+                    reqs.push(mpi.isend(peer, 7, vec![peer as u8; size]));
+                }
+                45..=64 => {
+                    let k = rng.range_usize(1, 17);
+                    mpi.fm.with_device(|d| d.drain(k));
+                }
+                65..=84 => mpi.fm.with_device(|d| {
+                    let k = rng.below(d.delivered[peer] as u64 + 1) as u16;
+                    d.credit(peer, k);
+                }),
+                _ => mpi.progress(),
+            }
+        }
+        // Let everything through: the whole schedule must complete.
+        for _ in 0..10_000 {
+            if reqs.iter().all(|r| r.is_done()) {
+                break;
+            }
+            mpi.fm.with_device(|d| {
+                d.drain(usize::MAX);
+                for peer in 1..=PEERS {
+                    d.credit(peer, d.delivered[peer]);
+                }
+            });
+            mpi.progress();
+        }
+        assert!(reqs.iter().all(|r| r.is_done()), "seed {seed}: wedged");
+        let emitted = mpi.fm.with_device(|d| std::mem::take(&mut d.emitted));
+        assert_eq!(emitted.len(), packets, "seed {seed}: every packet, once");
+        emitted
+    }
+
+    #[test]
+    fn scheduler_emits_what_the_arrival_order_scan_emitted() {
+        for case in 0..env_cases(200) as u64 {
+            let seed = 0x5EED_0000 + case;
+            let (got, want) = (replay(seed, false), replay(seed, true));
+            assert_eq!(got, want, "seed {seed}: emission order diverged");
+            // Pairwise FIFO: each peer sees its packets in sequence.
+            for peer in 1..=PEERS as u16 {
+                let seqs: Vec<u32> = (got.iter().filter(|e| e.0 == peer)).map(|e| e.2).collect();
+                assert!(seqs.iter().copied().eq(0..seqs.len() as u32), "seed {seed}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_send_onto_a_stalled_peer_costs_one_visit() {
+        // Nobody returns credits: after the first window every `isend`
+        // queues behind a stalled head, and neither it nor a progress
+        // call may walk what is queued.
+        let mut mpi = fanout(false);
+        for i in 0..4096u32 {
+            let before = mpi.visits;
+            mpi.isend(1, 7, vec![0u8; 8]);
+            assert!(mpi.visits - before <= 2, "isend {i}");
+            mpi.fm.with_device(|d| d.drain(usize::MAX));
+            let before = mpi.visits;
+            mpi.progress();
+            assert!(mpi.visits - before <= 2, "progress {i}");
+        }
+        assert_eq!(mpi.pending[1].len(), 4096 - 64, "one credit window left");
+        // The scan it replaced looked at everything queued, every pass.
+        let mut scan = fanout(true);
+        for _ in 0..4096 {
+            scan.isend(1, 7, vec![0u8; 8]);
+            scan.fm.with_device(|d| d.drain(usize::MAX));
+        }
+        assert!(scan.visits > 4096 * 1024);
+    }
+
+    #[test]
+    fn an_idle_uplink_serves_the_next_peer_and_a_busy_one_waits() {
+        let mut mpi = fanout(false);
+        // 70 packets toward peer 1: its window (64) closes mid-message.
+        let big = mpi.isend(1, 7, vec![1u8; 70_000]);
+        let small = mpi.isend(2, 7, vec![2u8; 8]);
+        // The NIC (16 slots) is still busy with peer 1's packets: the
+        // pass stopped at the stall, peer 2 waits although its window
+        // is open.
+        assert!(!big.is_done() && !small.is_done());
+        for _ in 0..4 {
+            mpi.fm.with_device(|d| d.drain(usize::MAX));
+            mpi.progress();
+        }
+        // Window exhausted, NIC drained: the uplink is idle and peer 2's
+        // send goes out past the stalled head.
+        assert!(!big.is_done());
+        assert!(small.is_done());
+        let last = mpi.fm.with_device(|d| *d.emitted.last().expect("sent"));
+        assert_eq!((last.0, last.2), (2, 0));
     }
 
     #[test]

@@ -15,6 +15,7 @@ use std::cell::{Cell, RefCell};
 use std::collections::{HashMap, HashSet};
 use std::rc::Rc;
 
+use fm_core::blocking::Backoff;
 use fm_core::device::NetDevice;
 use fm_core::packet::HandlerId;
 use fm_core::{Fm2Engine, FmStream, Onesided, OnesidedConfig, OsPort, OsStatus, RegionHandle};
@@ -215,38 +216,43 @@ impl<D: NetDevice + 'static> Shmem<D> {
         }
     }
 
-    /// Block until the tracked op `token` completes, returning its
-    /// status.
-    fn wait_tracked(&self, token: u32) -> OsStatus {
-        let mut spins = 0u64;
+    /// The one blocking wait: poll `ready` until it yields a value,
+    /// driving communication between polls. Panics with the "peer gone?"
+    /// diagnosis when the wait stays fruitless for the whole wedge limit
+    /// of [`Backoff`] (low under this crate's own unit tests, which never
+    /// block on a live peer and pin that exit).
+    fn wait_for<T>(&self, what: &'static str, mut ready: impl FnMut() -> Option<T>) -> T {
+        let mut backoff = if cfg!(test) {
+            Backoff::with_limit(what, 10_000)
+        } else {
+            Backoff::new(what)
+        };
         loop {
-            let done = self.tracked.borrow().get(&token).cloned();
-            if let Some(Some(s)) = done {
-                self.tracked.borrow_mut().remove(&token);
-                return s;
+            if let Some(v) = ready() {
+                return v;
             }
             self.progress();
-            spins += 1;
-            assert!(spins < 500_000_000, "shmem op wedged — peer gone?");
-            std::thread::yield_now();
+            backoff.snooze();
         }
     }
 
+    /// Block until the tracked op `token` completes, returning its
+    /// status.
+    fn wait_tracked(&self, token: u32) -> OsStatus {
+        self.wait_for("shmem op", || {
+            let done = self.tracked.borrow().get(&token).cloned();
+            let status = done.flatten()?;
+            self.tracked.borrow_mut().remove(&token);
+            Some(status)
+        })
+    }
+
     fn send_op(&self, dst: usize, hdr: &[u8], payload: &[u8]) {
-        let mut spins = 0u64;
-        loop {
-            if self
-                .fm
+        self.wait_for("shmem send", || {
+            self.fm
                 .try_send_message(dst, SHMEM_HANDLER, &[hdr, payload])
-                .is_ok()
-            {
-                return;
-            }
-            self.progress();
-            spins += 1;
-            assert!(spins < 500_000_000, "shmem send wedged — peer gone?");
-            std::thread::yield_now();
-        }
+                .ok()
+        })
     }
 
     /// One-sided put: write `data` into `dst`'s heap at `offset`.
@@ -271,18 +277,11 @@ impl<D: NetDevice + 'static> Shmem<D> {
     /// been applied (or refused — see [`Shmem::take_put_failures`]) at
     /// its target.
     pub fn quiet(&self) {
-        let mut spins = 0u64;
-        loop {
+        self.wait_for("shmem quiet", || {
             let puts_quiet = self.puts_done.get() >= self.puts_issued.get();
             let accs_quiet = self.state.borrow().acc_acks >= self.accs_issued.get();
-            if puts_quiet && accs_quiet {
-                return;
-            }
-            self.progress();
-            spins += 1;
-            assert!(spins < 500_000_000, "shmem quiet wedged — peer gone?");
-            std::thread::yield_now();
-        }
+            (puts_quiet && accs_quiet).then_some(())
+        })
     }
 
     /// One-sided get: read `len` bytes from `dst`'s heap at `offset`
@@ -342,13 +341,9 @@ impl<D: NetDevice + 'static> Shmem<D> {
             .encode(),
             &[],
         );
-        loop {
-            if let Some(old) = self.state.borrow_mut().fadd_replies.remove(&req) {
-                return old;
-            }
-            self.progress();
-            std::thread::yield_now();
-        }
+        self.wait_for("shmem fetch_add", || {
+            self.state.borrow_mut().fadd_replies.remove(&req)
+        })
     }
 
     /// Block until the i64 at *local* heap `offset` satisfies `pred`
@@ -357,17 +352,10 @@ impl<D: NetDevice + 'static> Shmem<D> {
     /// then puts a flag the waiter spins on. Progress is driven while
     /// waiting, so the peer's puts land.
     pub fn wait_until_i64(&self, offset: usize, pred: impl Fn(i64) -> bool) -> i64 {
-        let mut spins = 0u64;
-        loop {
+        self.wait_for("shmem wait_until", || {
             let v = i64::from_le_bytes(self.local_read(offset, 8).try_into().expect("8 bytes"));
-            if pred(v) {
-                return v;
-            }
-            self.progress();
-            spins += 1;
-            assert!(spins < 500_000_000, "shmem wait_until wedged — peer gone?");
-            std::thread::yield_now();
-        }
+            pred(v).then_some(v)
+        })
     }
 
     /// Dissemination barrier across all PEs (blocking).
@@ -385,19 +373,14 @@ impl<D: NetDevice + 'static> Shmem<D> {
             let dst = (me + dist) % n;
             let src = (me + n - dist) % n;
             self.send_op(dst, &Op::Barrier { epoch, round }.encode(), &[]);
-            while !self
-                .state
-                .borrow()
-                .barrier_seen
-                .contains(&(epoch, round, src))
-            {
-                self.progress();
-                std::thread::yield_now();
-            }
-            self.state
-                .borrow_mut()
-                .barrier_seen
-                .remove(&(epoch, round, src));
+            self.wait_for("shmem barrier", || {
+                let seen = self
+                    .state
+                    .borrow_mut()
+                    .barrier_seen
+                    .remove(&(epoch, round, src));
+                seen.then_some(())
+            });
             dist *= 2;
             round += 1;
         }
@@ -507,5 +490,15 @@ mod tests {
         a.quiet();
         assert_eq!(b.local_read(4096, data.len()), data);
         assert!(a.take_put_failures().is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "blocking shmem quiet polled")]
+    fn a_wait_no_peer_will_satisfy_panics_with_the_diagnosis() {
+        // The put leaves, nobody carries it to the peer, no completion
+        // ever returns: the wedge limit is `quiet`'s only exit.
+        let (a, _b) = pair();
+        a.put(1, 0, &[1u8; 8]);
+        a.quiet();
     }
 }

@@ -4,6 +4,7 @@ use std::cell::RefCell;
 use std::collections::{HashMap, VecDeque};
 use std::rc::Rc;
 
+use fm_core::blocking::Backoff;
 use fm_core::device::NetDevice;
 use fm_core::packet::HandlerId;
 use fm_core::{Fm2Engine, FmStream};
@@ -228,13 +229,7 @@ impl<D: NetDevice + 'static> SocketStack<D> {
 
     /// Blocking accept (threaded transports).
     pub fn accept(&self, port: u16) -> SocketId {
-        loop {
-            if let Some(id) = self.try_accept(port) {
-                return id;
-            }
-            self.progress();
-            std::thread::yield_now();
-        }
+        self.wait_for("socket accept", || self.try_accept(port))
     }
 
     /// Start connecting to `port` on `node`; completes asynchronously
@@ -282,16 +277,15 @@ impl<D: NetDevice + 'static> SocketStack<D> {
     /// refuses (no listener on `port`).
     pub fn connect_checked(&self, node: usize, port: u16) -> Result<SocketId, ConnectionRefused> {
         let id = self.connect_start(node, port);
-        loop {
+        self.wait_for("socket connect", || {
             if self.is_established(id) {
-                return Ok(id);
+                Some(Ok(id))
+            } else if self.is_refused(id) {
+                Some(Err(ConnectionRefused))
+            } else {
+                None
             }
-            if self.is_refused(id) {
-                return Err(ConnectionRefused);
-            }
-            self.progress();
-            std::thread::yield_now();
-        }
+        })
     }
 
     /// Blocking connect (threaded transports).
@@ -360,12 +354,10 @@ impl<D: NetDevice + 'static> SocketStack<D> {
     pub fn send(&self, sock: SocketId, data: &[u8]) {
         let mut off = 0;
         while off < data.len() {
-            let n = self.try_send(sock, &data[off..]);
-            off += n;
-            if n == 0 {
-                self.progress();
-                std::thread::yield_now();
-            }
+            off += self.wait_for("socket send", || match self.try_send(sock, &data[off..]) {
+                0 => None,
+                n => Some(n),
+            });
         }
     }
 
@@ -418,13 +410,7 @@ impl<D: NetDevice + 'static> SocketStack<D> {
 
     /// Blocking receive: at least one byte, or 0 at EOF.
     pub fn recv(&self, sock: SocketId, buf: &mut [u8]) -> usize {
-        loop {
-            if let Some(n) = self.try_recv(sock, buf) {
-                return n;
-            }
-            self.progress();
-            std::thread::yield_now();
-        }
+        self.wait_for("socket recv", || self.try_recv(sock, buf))
     }
 
     /// True when `try_recv` would return immediately (buffered data or
@@ -484,19 +470,33 @@ impl<D: NetDevice + 'static> SocketStack<D> {
         self.send_ctl(peer_node, &hdr[..n], &[]);
     }
 
-    /// Send a control message, spinning on FM admission (control messages
-    /// are tiny; this cannot stall long).
+    /// Send a control message, waiting on FM admission (control messages
+    /// are tiny; this cannot stall long unless the peer is gone).
     fn send_ctl(&self, node: usize, hdr: &[u8], payload: &[u8]) {
-        loop {
-            if self
-                .fm
+        self.wait_for("socket control send", || {
+            self.fm
                 .try_send_message(node, SOCKET_HANDLER, &[hdr, payload])
-                .is_ok()
-            {
-                return;
+                .ok()
+        })
+    }
+
+    /// The one blocking wait: poll `ready` until it yields a value,
+    /// driving the stack between polls. Panics with the "peer gone?"
+    /// diagnosis when the wait stays fruitless for the whole wedge limit
+    /// of [`Backoff`] (low under this crate's own unit tests, which never
+    /// block on a live peer and pin that exit).
+    fn wait_for<T>(&self, what: &'static str, mut ready: impl FnMut() -> Option<T>) -> T {
+        let mut backoff = if cfg!(test) {
+            Backoff::with_limit(what, 10_000)
+        } else {
+            Backoff::new(what)
+        };
+        loop {
+            if let Some(v) = ready() {
+                return v;
             }
-            self.fm.extract_all();
-            std::thread::yield_now();
+            self.progress();
+            backoff.snooze();
         }
     }
 }
@@ -714,6 +714,15 @@ mod tests {
         a.try_send(c1, b"only this one");
         pump(&a, &b);
         assert_eq!(b.poll_readable(&[s1, s2]), vec![s1]);
+    }
+
+    #[test]
+    #[should_panic(expected = "blocking socket recv polled")]
+    fn a_wait_no_peer_will_satisfy_panics_with_the_diagnosis() {
+        // Established, nothing sent, nobody pumping: the wedge limit is
+        // `recv`'s only exit.
+        let (_a, b, _ca, cb) = connected_pair();
+        b.recv(cb, &mut [0u8; 4]);
     }
 
     #[test]
