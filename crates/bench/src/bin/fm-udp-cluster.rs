@@ -45,10 +45,11 @@ use std::net::SocketAddr;
 use std::process::{Command, Stdio};
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
+use fm_bench::fabric::adaptive;
 use fm_core::blocking::{fm2_send, fm2_wait_until};
 use fm_core::obs::chrome::chrome_trace_json;
 use fm_core::packet::HandlerId;
-use fm_core::{Fm2Engine, LogHistogram, ObsSink, Reliability, RetransmitConfig};
+use fm_core::{Fm2Engine, LogHistogram, ObsSink};
 use fm_model::workload::{decode_stamp, encode_stamp, Shape, WorkloadSpec, STAMP_BYTES};
 use fm_model::MachineProfile;
 use fm_route::{HostMap, RoutedDevice};
@@ -596,7 +597,9 @@ fn drive_workload<D: fm_core::NetDevice + 'static>(
     let elapsed = started.elapsed();
     workload_active.set(false);
 
-    linger(fm);
+    // A peer still waiting on our last ack (or a retransmit) is not
+    // abandoned; capped, so a vanished peer cannot wedge shutdown.
+    fm_bench::quiesce(fm);
 
     if let Some(sink) = sink {
         let dir = opts.trace.as_deref().unwrap();
@@ -631,11 +634,7 @@ fn run_node_udp(opts: &Opts) {
 
     // Adaptive reliability over a real network: RTT-sampled RTO and an
     // AIMD send window, instead of the simulator's fixed constants.
-    let fm = Fm2Engine::with_reliability(
-        device,
-        MachineProfile::ppro200_fm2(),
-        Reliability::Retransmit(RetransmitConfig::adaptive()),
-    );
+    let fm = Fm2Engine::with_reliability(device, MachineProfile::ppro200_fm2(), adaptive());
     let elapsed = drive_workload(&fm, opts, None);
 
     let st = fm.stats();
@@ -742,11 +741,7 @@ fn run_node_routed(opts: &Opts) {
 
     // The cross-host half is lossy UDP, so the engine keeps the adaptive
     // retransmission sublayer (correct, if redundant, over the shm half).
-    let fm = Fm2Engine::with_reliability(
-        device,
-        MachineProfile::ppro200_fm2(),
-        Reliability::Retransmit(RetransmitConfig::adaptive()),
-    );
+    let fm = Fm2Engine::with_reliability(device, MachineProfile::ppro200_fm2(), adaptive());
     // The placement feeds the hierarchy-aware collectives: barrier and
     // allreduce run leader-per-host schedules over this exact map.
     let elapsed = drive_workload(&fm, opts, Some(&hosts));
@@ -1131,25 +1126,4 @@ fn realtime_ns() -> u64 {
         .duration_since(UNIX_EPOCH)
         .expect("clock after 1970")
         .as_nanos() as u64
-}
-
-/// Keep the engine progressing until the reliability sublayer has no
-/// unacked packets and the wire has been quiet for a beat, so a peer
-/// still waiting on our last ack (or a retransmit) is not abandoned.
-/// Capped: a vanished peer must not wedge shutdown.
-fn linger<D: fm_core::NetDevice>(fm: &Fm2Engine<D>) {
-    let quiet_for = Duration::from_millis(100);
-    let cap = Instant::now() + Duration::from_secs(5);
-    let mut quiet_since = Instant::now();
-    while Instant::now() < cap {
-        let moved = fm.extract_all() > 0;
-        fm.progress();
-        if moved {
-            quiet_since = Instant::now();
-        }
-        if fm.unacked_packets() == 0 && quiet_since.elapsed() >= quiet_for {
-            return;
-        }
-        std::thread::yield_now();
-    }
 }

@@ -16,14 +16,12 @@
 //!
 //! `--scale smoke` shrinks the battery ~100× for a quick local check.
 
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
-use fm_bench::{sim_workload_dist, udp_workload_dist};
-use fm_core::{Fm2Engine, Reliability, RetransmitConfig};
+use fm_bench::{quiesce, sim_workload_dist, workload_dist, Fabric, Udp, WorkloadDist};
 use fm_model::workload::{Shape, WorkloadSpec};
-use fm_model::MachineProfile;
-use fm_udp::{UdpCluster, UdpConfig, UdpDevice};
-use mpi_fm::{run_shuffle, Mpi, Mpi2, ShuffleSpec};
+use fm_udp::UdpCluster;
+use mpi_fm::{run_shuffle, Mpi2, ShuffleSpec};
 
 const DROP: f64 = 0.01;
 
@@ -93,22 +91,29 @@ fn main() {
     let started = Instant::now();
     let mut total_msgs = 0u64;
 
-    // Leg 1: adversarial shapes on the deterministic lossy sim.
-    for shape in [Shape::Hotspot, Shape::Incast, Shape::Shuffle] {
-        let spec = WorkloadSpec::new(shape, cfg.sim_ranks, cfg.sim_msgs, 64, 0x50AC);
-        let t = Instant::now();
-        let d = sim_workload_dist(&spec, DROP);
-        assert_eq!(d.lost, 0, "sim {} leaked messages", shape.name());
+    // Zero FM-level loss or the process dies; then the `TAIL` line.
+    let mut tail = |name: &str, t: Instant, d: WorkloadDist| {
+        assert_eq!(d.lost, 0, "{name} leaked messages");
         total_msgs += d.delivered;
         println!(
-            "TAIL sim_{} p50_ns={} p99_ns={} p999_ns={} msgs={} retx={} wall_ms={}",
-            shape.name(),
+            "TAIL {name} p50_ns={} p99_ns={} p999_ns={} msgs={} retx={} wall_ms={}",
             d.latency_ns.p50(),
             d.latency_ns.p99(),
             d.latency_ns.p999(),
             d.delivered,
             d.retransmissions,
             t.elapsed().as_millis(),
+        );
+    };
+
+    // Leg 1: adversarial shapes on the deterministic lossy sim.
+    for shape in [Shape::Hotspot, Shape::Incast, Shape::Shuffle] {
+        let spec = WorkloadSpec::new(shape, cfg.sim_ranks, cfg.sim_msgs, 64, 0x50AC);
+        let t = Instant::now();
+        tail(
+            &format!("sim_{}", shape.name()),
+            t,
+            sim_workload_dist(&spec, DROP),
         );
     }
 
@@ -116,19 +121,9 @@ fn main() {
     {
         let spec = WorkloadSpec::new(Shape::Incast, cfg.udp_ranks, cfg.udp_msgs, 64, 0x50AD);
         let t = Instant::now();
-        let d = udp_workload_dist(&spec, DROP);
-        assert_eq!(d.lost, 0, "udp incast leaked messages");
+        let d = workload_dist(&Udp::lossy(DROP, spec.seed), &spec);
         assert!(d.retransmissions > 0, "1% drop must force retransmits");
-        total_msgs += d.delivered;
-        println!(
-            "TAIL udp_incast p50_ns={} p99_ns={} p999_ns={} msgs={} retx={} wall_ms={}",
-            d.latency_ns.p50(),
-            d.latency_ns.p99(),
-            d.latency_ns.p999(),
-            d.delivered,
-            d.retransmissions,
-            t.elapsed().as_millis(),
-        );
+        tail("udp_incast", t, d);
     }
 
     // Leg 3: the epoch-barrier partitioned shuffle over lossy UDP — the
@@ -136,21 +131,16 @@ fn main() {
     // panics on any per-key ordering break or incomplete epoch.
     {
         let spec = cfg.shuffle;
-        let ucfg = UdpConfig {
-            drop_outbound: DROP,
-            drop_seed: spec.seed,
-            ..UdpConfig::default()
-        };
+        let udp = Udp::lossy(DROP, spec.seed);
         let t = Instant::now();
-        let reports = UdpCluster::run(spec.ranks, ucfg, |_, dev| {
-            let fm = Fm2Engine::with_reliability(
-                dev,
-                MachineProfile::ppro200_fm2(),
-                Reliability::Retransmit(RetransmitConfig::adaptive()),
-            );
-            let mut mpi = Mpi2::new(fm);
+        // The shuffle runner blocks, so it runs on the cluster's threads
+        // directly rather than as a poll-step program of the fabric.
+        let reports = UdpCluster::run(spec.ranks, udp.0.clone(), |_, dev| {
+            let mut mpi = Mpi2::new(udp.engine(dev));
             let report = run_shuffle(&mut mpi, spec);
-            drain(&mut mpi);
+            // A peer whose final barrier (or our ack to it) was dropped
+            // needs us alive to recover.
+            quiesce(mpi.fm());
             let retx = mpi.fm().stats().retransmissions;
             let errors = mpi.fm().take_errors().len();
             (report, retx, errors)
@@ -181,22 +171,4 @@ fn main() {
         total_msgs,
         started.elapsed().as_millis()
     );
-}
-
-/// Service acks and retransmit timers after the shuffle so a peer whose
-/// final barrier (or our ack to it) was dropped can recover; capped.
-fn drain(mpi: &mut Mpi2<UdpDevice>) {
-    let quiet_for = Duration::from_millis(100);
-    let cap = Instant::now() + Duration::from_secs(5);
-    let mut quiet_since = Instant::now();
-    while Instant::now() < cap {
-        if mpi.fm().extract_all() > 0 {
-            quiet_since = Instant::now();
-        }
-        mpi.progress();
-        if mpi.fm().unacked_packets() == 0 && quiet_since.elapsed() >= quiet_for {
-            return;
-        }
-        std::thread::yield_now();
-    }
 }

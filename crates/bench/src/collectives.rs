@@ -1,126 +1,52 @@
-//! Collective-communication probes: virtual-time latency on the
-//! simulated cluster and wall-clock latency over loopback UDP.
+//! Collective-communication latency: one per-rank program over any
+//! [`Fabric`].
 //!
-//! The simulator probes drive the poll-based collective state machines
-//! (`BarrierOp`, `AllreduceOp`, `BcastOp`) from per-node step programs,
-//! so every node makes progress in lockstep virtual time — the numbers
-//! are properties of the modeled 1998 hardware and the tree/ring
-//! schedules, not of the bench machine. The UDP probes run the same
-//! collectives as blocking calls on OS threads and report real
-//! microseconds, mirroring [`crate::udp`].
+//! Each rank drives the poll-based collective state machines
+//! (`BarrierOp`, `AllreduceOp`, `BcastOp`) of MPI-FM 2.x from its step
+//! program: in lockstep virtual time on the simulator, where the numbers
+//! are properties of the modeled hardware and the tree/ring schedules,
+//! and in real microseconds on the wall-clock fabrics.
 
-use std::cell::Cell;
-use std::rc::Rc;
-use std::time::Instant;
-
-use fm_core::{Fm2Engine, FmPacket, Reliability, RetransmitConfig, SimDevice};
+use fm_core::{Fm2Engine, NetDevice};
 use fm_model::{MachineProfile, Nanos};
-use fm_udp::{UdpCluster, UdpConfig, UdpDevice};
 use mpi_fm::{AllreduceOp, BarrierOp, BcastAlgo, BcastOp, Mpi, Mpi2, ReduceOp};
-use myrinet_sim::{NodeId, Simulation, StepOutcome, Topology};
 
-/// Virtual-time guard (the collective probes are short).
-const SIM_LIMIT: Nanos = Nanos(120_000_000_000);
+use crate::fabric::{Fabric, Program, Sim, Step};
+
+/// Which collective a probe repeats.
+#[derive(Debug, Clone, Copy)]
+pub enum Coll {
+    /// A dissemination barrier.
+    Barrier,
+    /// A sum-allreduce of this many bytes of `f64`s (a multiple of 8).
+    Allreduce(usize),
+    /// A broadcast of this many bytes from rank 0 with an explicit
+    /// algorithm, each followed by a barrier (it keeps iterations from
+    /// overlapping; its cost is common to every algorithm being compared).
+    Bcast(usize, BcastAlgo),
+}
 
 /// A poll step for one in-flight collective: true when complete.
-type Poller = Box<dyn FnMut(&mut Mpi2<SimDevice>) -> bool>;
+type Poller<D> = Box<dyn FnMut(&mut Mpi2<D>) -> bool>;
 
-/// A factory producing iteration `iter`'s collective on `rank`.
-type Spawn = dyn Fn(&mut Mpi2<SimDevice>, usize, usize) -> Poller;
-
-/// Run `iters` back-to-back collectives on an `n`-node simulated
-/// cluster and return the virtual end time (all nodes finished).
-fn run_coll_sim(profile: MachineProfile, n: usize, iters: usize, spawn: Rc<Spawn>) -> Nanos {
-    let mut sim: Simulation<FmPacket> = Simulation::new(profile, Topology::single_crossbar(n));
-    for me in 0..n {
-        let mut mpi = Mpi2::new(Fm2Engine::new(
-            SimDevice::new(sim.host_interface(NodeId(me))),
-            profile,
-        ));
-        let spawn = Rc::clone(&spawn);
-        let mut iter = 0usize;
-        let mut current: Option<Poller> = None;
-        sim.set_program(
-            NodeId(me),
-            Box::new(move || {
-                mpi.progress();
-                loop {
-                    match &mut current {
-                        None if iter == iters => return StepOutcome::Done,
-                        None => current = Some(spawn(&mut mpi, me, iter)),
-                        Some(poll) => {
-                            if !poll(&mut mpi) {
-                                return StepOutcome::Wait;
-                            }
-                            current = None;
-                            iter += 1;
-                        }
-                    }
-                }
-            }),
-        );
-    }
-    let end = sim.run(Some(SIM_LIMIT));
-    assert!(sim.all_done(), "collective probe wedged (n={n})");
-    end
-}
-
-/// Mean virtual time per barrier over `iters` back-to-back barriers on
-/// `n` simulated nodes.
-pub fn sim_barrier_latency(profile: MachineProfile, n: usize, iters: usize) -> Nanos {
-    let end = run_coll_sim(
-        profile,
-        n,
-        iters,
-        Rc::new(|mpi, _rank, _iter| {
+/// Start iteration `iter`'s collective on this rank.
+fn start<D: NetDevice + 'static>(coll: Coll, mpi: &mut Mpi2<D>, iter: usize) -> Poller<D> {
+    let rank = mpi.rank();
+    match coll {
+        Coll::Barrier => {
             let mut op = BarrierOp::new(mpi);
             Box::new(move |m| op.poll(m))
-        }),
-    );
-    Nanos(end.as_ns() / iters as u64)
-}
-
-/// Mean virtual time per sum-allreduce of `bytes` (multiple of 8) over
-/// `iters` iterations on `n` simulated nodes.
-pub fn sim_allreduce_latency(
-    profile: MachineProfile,
-    n: usize,
-    bytes: usize,
-    iters: usize,
-) -> Nanos {
-    assert_eq!(bytes % 8, 0, "f64 reduction payload");
-    let end = run_coll_sim(
-        profile,
-        n,
-        iters,
-        Rc::new(move |mpi, rank, iter| {
+        }
+        Coll::Allreduce(bytes) => {
+            assert_eq!(bytes % 8, 0, "f64 reduction payload");
             let contrib: Vec<u8> = (0..bytes / 8)
                 .map(|j| ((j % 9 + 1) * (rank + 1) + iter % 3) as f64)
                 .flat_map(f64::to_le_bytes)
                 .collect();
             let mut op = AllreduceOp::new(mpi, &contrib, ReduceOp::SumF64);
             Box::new(move |m| op.poll(m))
-        }),
-    );
-    Nanos(end.as_ns() / iters as u64)
-}
-
-/// Mean virtual time per `bytes`-sized broadcast from rank 0 with an
-/// explicit algorithm, `iters` repetitions separated by barriers (the
-/// barrier keeps iterations from overlapping; its cost is common to
-/// every algorithm being compared).
-pub fn sim_bcast_latency(
-    profile: MachineProfile,
-    n: usize,
-    bytes: usize,
-    algo: BcastAlgo,
-    iters: usize,
-) -> Nanos {
-    let end = run_coll_sim(
-        profile,
-        n,
-        iters,
-        Rc::new(move |mpi, rank, iter| {
+        }
+        Coll::Bcast(bytes, algo) => {
             let data = (rank == 0).then(|| vec![(iter % 251) as u8; bytes]);
             let mut bc = Some(BcastOp::with_algo(mpi, 0, data, bytes, algo));
             let mut bar: Option<BarrierOp> = None;
@@ -135,68 +61,105 @@ pub fn sim_bcast_latency(
                 }
                 bar.as_mut().expect("barrier follows bcast").poll(m)
             })
-        }),
-    );
-    Nanos(end.as_ns() / iters as u64)
+        }
+    }
 }
 
-fn udp_engine(dev: UdpDevice) -> Fm2Engine<UdpDevice> {
-    Fm2Engine::with_reliability(
-        dev,
-        MachineProfile::ppro200_fm2(),
-        Reliability::Retransmit(RetransmitConfig::default()),
-    )
-}
-
-/// Wall-clock mean microseconds per barrier on `n` loopback-UDP nodes.
-pub fn udp_barrier_latency_us(n: usize, iters: usize) -> f64 {
-    udp_coll_latency_us(n, iters, None)
-}
-
-/// Wall-clock mean microseconds per `bytes`-sized sum-allreduce on `n`
-/// loopback-UDP nodes.
-pub fn udp_allreduce_latency_us(n: usize, bytes: usize, iters: usize) -> f64 {
-    assert_eq!(bytes % 8, 0, "f64 reduction payload");
-    udp_coll_latency_us(n, iters, Some(bytes))
-}
-
-fn udp_coll_latency_us(n: usize, iters: usize, allreduce_bytes: Option<usize>) -> f64 {
-    let timed: Rc<Cell<f64>> = Rc::default();
-    {
-        let timed = Rc::clone(&timed);
-        let out = UdpCluster::run(n, UdpConfig::default(), move |_node, dev| {
-            let fm = udp_engine(dev);
-            let mut mpi = Mpi2::new(fm.clone());
-            mpi.barrier(); // synchronized start
-            let t = Instant::now();
-            for _ in 0..iters {
-                match allreduce_bytes {
-                    None => mpi.barrier(),
-                    Some(bytes) => {
-                        let contrib = vec![0u8; bytes]; // all-zero f64s
-                        let _ = mpi.allreduce(&contrib, ReduceOp::SumF64);
+/// One rank of the shape: `warmup` untimed collectives (one is enough to
+/// give wall-clock ranks a synchronized start), then `iters` timed ones
+/// back to back. `hosts` selects the locality-aware two-level schedules
+/// for that placement; `None` runs the placement-blind flat ones.
+/// Reports this rank's time for the timed part.
+fn coll_program<D: NetDevice + 'static>(
+    fm: Fm2Engine<D>,
+    coll: Coll,
+    (warmup, iters): (usize, usize),
+    hosts: Option<Vec<usize>>,
+) -> Program<Nanos> {
+    let mut mpi = Mpi2::new(fm);
+    mpi.set_coll_hosts(hosts);
+    let mut iter = 0usize;
+    let mut current: Option<Poller<D>> = None;
+    let mut started = mpi.fm().now();
+    Box::new(move || {
+        mpi.progress();
+        let before = iter;
+        loop {
+            match &mut current {
+                None if iter == warmup + iters => return Step::Done(mpi.fm().now() - started),
+                None => current = Some(start(coll, &mut mpi, iter)),
+                Some(poll) => {
+                    if !poll(&mut mpi) {
+                        return Step::pending(iter > before);
+                    }
+                    current = None;
+                    iter += 1;
+                    if iter == warmup {
+                        started = mpi.fm().now();
                     }
                 }
             }
-            let us = t.elapsed().as_secs_f64() * 1e6 / iters.max(1) as f64;
-            crate::udp::linger(&fm);
-            us
-        });
-        timed.set(out[0]);
-    }
-    timed.get()
+        }
+    })
+}
+
+/// Wall-clock mean microseconds per `coll` on `n` ranks of `fabric`, as
+/// rank 0 sees it after a synchronizing warm-up collective.
+pub fn coll_latency_us<F: Fabric>(
+    fabric: &F,
+    n: usize,
+    iters: usize,
+    coll: Coll,
+    hosts: Option<Vec<usize>>,
+) -> f64 {
+    let out = fabric.run(n, |_, fm| coll_program(fm, coll, (1, iters), hosts.clone()));
+    out[0].as_ns() as f64 / 1e3 / iters.max(1) as f64
+}
+
+/// Mean virtual time per `coll` over `iters` back-to-back repetitions on
+/// `n` simulated nodes: the time all nodes have finished, over `iters`.
+pub fn sim_coll_latency(profile: MachineProfile, n: usize, iters: usize, coll: Coll) -> Nanos {
+    let sim = Sim::new(profile);
+    sim.run(n, |_, fm| coll_program(fm, coll, (0, iters), None));
+    Nanos(sim.end().as_ns() / iters as u64)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fabric::{Routed, Shm, Threads, Udp};
 
     const PPRO: fn() -> MachineProfile = MachineProfile::ppro200_fm2;
 
+    /// Barriers and small allreduces return sane microseconds on `fabric`.
+    fn sane_us<F: Fabric>(fabric: &F, n: usize, hosts: Option<Vec<usize>>) {
+        for coll in [Coll::Barrier, Coll::Allreduce(16)] {
+            let us = coll_latency_us(fabric, n, 16, coll, hosts.clone());
+            assert!(us > 0.0 && us < 1e6, "{coll:?}: {us} us");
+        }
+    }
+
+    #[test]
+    fn wall_clock_fabrics_time_collectives() {
+        sane_us(&Threads, 4, None);
+        sane_us(&Shm::SHALLOW, 4, None);
+        sane_us(&Udp::default(), 4, None);
+    }
+
+    #[test]
+    fn routed_fabric_times_flat_and_hierarchical_schedules() {
+        // Keep the in-test cluster small: 2 hosts x 2 ranks. Both run on
+        // the *same* routed transport — only the schedule differs — so
+        // the comparison isolates the schedule, not the fabric.
+        let routed = Routed::blocks(2, 2);
+        sane_us(&routed, 4, None);
+        sane_us(&routed, 4, Some(routed.hosts.clone()));
+    }
+
     #[test]
     fn barrier_latency_grows_with_log_node_count() {
-        let l2 = sim_barrier_latency(PPRO(), 2, 8);
-        let l8 = sim_barrier_latency(PPRO(), 8, 8);
+        let l2 = sim_coll_latency(PPRO(), 2, 8, Coll::Barrier);
+        let l8 = sim_coll_latency(PPRO(), 8, 8, Coll::Barrier);
         assert!(l2.as_ns() > 0);
         // 8 nodes = 3 dissemination rounds vs 1: more, but sublinear.
         assert!(l8 > l2, "{l8} vs {l2}");
@@ -205,7 +168,7 @@ mod tests {
 
     #[test]
     fn small_allreduce_is_microseconds_scale() {
-        let l = sim_allreduce_latency(PPRO(), 4, 16, 8);
+        let l = sim_coll_latency(PPRO(), 4, 8, Coll::Allreduce(16));
         // Sanity band: a 16 B allreduce is a handful of small-message
         // latencies (~17 us each in the model), far under a millisecond.
         assert!(l.as_ns() > 10_000, "{l}");
@@ -218,8 +181,8 @@ mod tests {
         // naive root-sends-to-all broadcast by >= 1.5x at 256 KiB on 4
         // nodes. (The binomial tree sits between the two.)
         const LEN: usize = 256 * 1024;
-        let flat = sim_bcast_latency(PPRO(), 4, LEN, BcastAlgo::Flat, 3);
-        let pipe = sim_bcast_latency(PPRO(), 4, LEN, BcastAlgo::Pipelined, 3);
+        let flat = sim_coll_latency(PPRO(), 4, 3, Coll::Bcast(LEN, BcastAlgo::Flat));
+        let pipe = sim_coll_latency(PPRO(), 4, 3, Coll::Bcast(LEN, BcastAlgo::Pipelined));
         let speedup = flat.as_ns() as f64 / pipe.as_ns() as f64;
         assert!(
             speedup >= 1.5,

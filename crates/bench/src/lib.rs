@@ -1,43 +1,33 @@
 //! Shared measurement harness for the figure-reproduction benches.
 //!
 //! Every paper figure is regenerated by a bench target under `benches/`;
-//! the heavy lifting — building a two-node simulated cluster, running a
-//! bandwidth stream or a ping-pong in virtual time, and summarizing curves
-//! — lives here so the bench binaries stay declarative.
+//! the heavy lifting — opening a cluster, running a bandwidth stream or a
+//! ping-pong, summarizing curves — lives here so the bench binaries stay
+//! declarative.
 //!
-//! Most measurements run on the discrete-event simulator
-//! ([`myrinet_sim`]), in *virtual* time: the numbers are properties of the
-//! modeled 1998 hardware, not of the machine running the bench. The
-//! [`udp`], [`shm`], and [`routed`] modules are the exception — real
-//! wall-clock probes over the `fm-udp` loopback transport, the `fm-shm`
-//! mapped-ring transport, and the locality-split composite of the two,
-//! for calibrating what the software stack costs on the machine
-//! actually running it.
+//! Every substrate is a [`fabric::Fabric`]: the simulated Myrinet
+//! ([`Sim`], *virtual* time — the numbers are properties of the modeled
+//! 1998 hardware, not of the machine running the bench) and the
+//! wall-clock ones ([`Threads`], [`Udp`], [`Shm`], [`Routed`]) that
+//! calibrate what the stack costs on the machine actually running it.
+//! Each probe shape is written once over that trait. This is also the
+//! top-of-stack crate — it depends on every layer — so the all-transport
+//! launcher `fm-udp-cluster` lives here, next to `calibrate` and `soak`.
 
 #![forbid(unsafe_code)]
 
 pub mod collectives;
+pub mod fabric;
 pub mod harness;
 pub mod onesided;
 pub mod report;
-pub mod routed;
-pub mod shm;
 pub mod udp;
 pub mod workload;
 
-pub use collectives::{
-    sim_allreduce_latency, sim_barrier_latency, sim_bcast_latency, udp_allreduce_latency_us,
-    udp_barrier_latency_us,
-};
+pub use collectives::{coll_latency_us, sim_coll_latency, Coll};
+pub use fabric::{quiesce, Fabric, Routed, Shm, Sim, Threads, Udp};
 pub use harness::*;
-pub use onesided::{
-    crossover_bytes, put_crossover, shm_put_stream, sim_put_stream, udp_put_stream, CrossoverRow,
-    PutMode,
-};
+pub use onesided::{put_stream, PutMode};
 pub use report::*;
-pub use routed::{block_hosts, routed_coll_latency_us};
-pub use shm::{
-    shm_allreduce_latency_us, shm_barrier_latency_us, shm_latency_dist, shm_stream_dist,
-};
-pub use udp::{udp_churn_dist, udp_latency_dist, udp_stream_dist, ChurnDist};
-pub use workload::{sim_workload_dist, udp_workload_dist, WorkloadDist};
+pub use udp::{udp_churn_dist, ChurnDist};
+pub use workload::{sim_workload_dist, workload_dist, WorkloadDist};

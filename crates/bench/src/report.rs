@@ -122,6 +122,11 @@ pub struct BenchReport {
 }
 
 impl BenchReport {
+    /// Append one headline scalar.
+    pub fn push(&mut self, key: impl Into<String>, value: f64) {
+        self.headline.push((key.into(), value));
+    }
+
     /// Render as a JSON document. Numbers are emitted finite (a NaN or
     /// infinity would poison the whole file for strict parsers); any
     /// non-finite value is reported as `null`.

@@ -1,185 +1,23 @@
-//! Wall-clock measurement programs over the real UDP transport.
-//!
-//! Mirror images of the virtual-time probes in [`crate::harness`], but
-//! the numbers are *real nanoseconds* on *this machine's* loopback: two
-//! OS threads, two kernel sockets, the full FM 2.x engine with the
-//! retransmission sublayer (mandatory over a lossy device) in between.
-//! They share the [`LatencyDist`] / [`StreamDist`] result shapes with
-//! the simulator probes so the same reporting works on both.
-//!
-//! These are calibration probes, not rigorous benchmarks: loopback UDP
-//! says nothing about a real network, but it pins down what the *stack*
-//! costs per message when the wire is nearly free, which is exactly the
-//! software-overhead lens of the paper.
+//! The one measurement only UDP has: how fast the membership layer
+//! readmits a restarted node. It kills and restarts a rank mid-run, which
+//! no [`crate::fabric::Fabric`] does — a fabric's ranks live exactly as
+//! long as the run — so it assembles its own two sockets; the engines are
+//! the UDP fabric's.
 
-use std::cell::{Cell, RefCell};
+use std::cell::Cell;
 use std::rc::Rc;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use fm_core::blocking::{fm2_send, fm2_wait_until};
+use fm_core::blocking::fm2_send;
 use fm_core::packet::HandlerId;
-use fm_core::{Fm2Engine, FmStream, LogHistogram, Reliability, RetransmitConfig};
-use fm_model::{MachineProfile, Nanos};
-use fm_udp::{UdpCluster, UdpConfig, UdpDevice};
+use fm_core::{Fm2Engine, FmStream, LogHistogram, PeerEventKind};
+use fm_udp::{loopback_cluster, restart_node, UdpConfig, UdpDevice};
 
-use crate::harness::{LatencyDist, StreamDist, StreamResult};
+use crate::fabric::{Fabric, Udp};
 
 const PING: HandlerId = HandlerId(1);
-const PONG: HandlerId = HandlerId(2);
-
-fn engine(dev: UdpDevice) -> Fm2Engine<UdpDevice> {
-    Fm2Engine::with_reliability(
-        dev,
-        MachineProfile::ppro200_fm2(),
-        Reliability::Retransmit(RetransmitConfig::default()),
-    )
-}
-
-/// Drain the tail of the ack conversation so the peer is never stranded
-/// waiting on a retransmission; capped so a dead peer cannot wedge us.
-pub(crate) fn linger(fm: &Fm2Engine<UdpDevice>) {
-    let quiet_for = Duration::from_millis(50);
-    let cap = Instant::now() + Duration::from_secs(5);
-    let mut quiet_since = Instant::now();
-    while Instant::now() < cap {
-        if fm.extract_all() > 0 {
-            quiet_since = Instant::now();
-        }
-        fm.progress();
-        if fm.unacked_packets() == 0 && quiet_since.elapsed() >= quiet_for {
-            return;
-        }
-        std::thread::yield_now();
-    }
-}
-
-/// One-way latency over real loopback UDP: half the measured wall-clock
-/// round trip, `rounds` samples, with the per-round distribution.
-/// `drop_outbound` injects seeded datagram loss (0.0 for calibration).
-pub fn udp_latency_dist(size: usize, rounds: usize, drop_outbound: f64) -> LatencyDist {
-    let cfg = UdpConfig {
-        drop_outbound,
-        ..UdpConfig::default()
-    };
-    let size = size.max(1);
-    let mut out = UdpCluster::run(2, cfg, |node, dev| {
-        let fm = engine(dev);
-        if node == 0 {
-            let hist = Rc::new(RefCell::new(LogHistogram::new()));
-            let pongs: Rc<Cell<usize>> = Rc::default();
-            {
-                let pongs = Rc::clone(&pongs);
-                fm.set_handler(PONG, move |stream: FmStream, _| {
-                    let pongs = Rc::clone(&pongs);
-                    async move {
-                        stream.skip(stream.msg_len()).await;
-                        pongs.set(pongs.get() + 1);
-                    }
-                });
-            }
-            let data = vec![7u8; size];
-            let started = Instant::now();
-            for round in 0..rounds {
-                let t0 = Instant::now();
-                fm2_send(&fm, 1, PING, &[&data]);
-                fm2_wait_until(&fm, || pongs.get() == round + 1);
-                hist.borrow_mut().record(t0.elapsed().as_nanos() as u64 / 2);
-            }
-            let total = started.elapsed();
-            linger(&fm);
-            let one_way_ns = hist.borrow().clone();
-            Some(LatencyDist {
-                mean: Nanos(total.as_nanos() as u64 / (2 * rounds as u64)),
-                one_way_ns,
-            })
-        } else {
-            let echoed: Rc<Cell<usize>> = Rc::default();
-            {
-                let echoed = Rc::clone(&echoed);
-                let fm_h = fm.clone();
-                fm.set_handler(PING, move |stream: FmStream, src| {
-                    let echoed = Rc::clone(&echoed);
-                    let fm = fm_h.clone();
-                    async move {
-                        let msg = stream.receive_vec(stream.msg_len()).await;
-                        fm.send_from_handler(src, PONG, msg);
-                        echoed.set(echoed.get() + 1);
-                    }
-                });
-            }
-            fm2_wait_until(&fm, || echoed.get() == rounds);
-            linger(&fm);
-            None
-        }
-    });
-    out.swap_remove(0).expect("node 0 returns the distribution")
-}
-
-/// Stream `count` `size`-byte messages through real loopback UDP and
-/// measure delivered wall-clock bandwidth plus the per-message
-/// distribution. The sender only finishes once every packet is
-/// *acknowledged*, so in the lossy case the time covers confirmed
-/// delivery, retransmissions included.
-pub fn udp_stream_dist(size: usize, count: usize, drop_outbound: f64) -> StreamDist {
-    let cfg = UdpConfig {
-        drop_outbound,
-        ..UdpConfig::default()
-    };
-    let size = size.max(1);
-    let mut out = UdpCluster::run(2, cfg, |node, dev| {
-        let fm = engine(dev);
-        if node == 0 {
-            let data = vec![0xCDu8; size];
-            for _ in 0..count {
-                fm2_send(&fm, 1, PING, &[&data]);
-            }
-            fm2_wait_until(&fm, || fm.unacked_packets() == 0);
-            linger(&fm);
-            None
-        } else {
-            let started = Instant::now();
-            let got: Rc<Cell<usize>> = Rc::default();
-            let per_msg = Rc::new(RefCell::new(LogHistogram::new()));
-            let last_done = Rc::new(Cell::new(0u64));
-            {
-                let got = Rc::clone(&got);
-                let per_msg = Rc::clone(&per_msg);
-                let last_done = Rc::clone(&last_done);
-                fm.set_handler(PING, move |stream: FmStream, _| {
-                    let got = Rc::clone(&got);
-                    let per_msg = Rc::clone(&per_msg);
-                    let last_done = Rc::clone(&last_done);
-                    async move {
-                        let msg = stream.receive_vec(stream.msg_len()).await;
-                        debug_assert_eq!(msg.len(), size);
-                        let t = started.elapsed().as_nanos() as u64;
-                        let gap = t - last_done.get();
-                        last_done.set(t);
-                        // KB/s per message from the inter-completion gap.
-                        if let Some(kbps) = (size as u64 * 1_000_000).checked_div(gap) {
-                            per_msg.borrow_mut().record(kbps);
-                        }
-                        got.set(got.get() + 1);
-                    }
-                });
-            }
-            fm2_wait_until(&fm, || got.get() == count);
-            let elapsed = Nanos(started.elapsed().as_nanos() as u64);
-            linger(&fm);
-            let per_message_kbps = per_msg.borrow().clone();
-            Some(StreamDist {
-                result: StreamResult {
-                    bytes: (size * count) as u64,
-                    elapsed,
-                    unexpected: 0,
-                    recv_copied: fm.stats().bytes_copied,
-                },
-                per_message_kbps,
-            })
-        }
-    });
-    out.swap_remove(1).expect("node 1 returns the distribution")
-}
 
 /// Result of the churn probe: how fast the membership layer readmits a
 /// restarted node, and what the reliability sublayer paid during the
@@ -211,42 +49,27 @@ pub struct ChurnDist {
 /// alive. Measures recovery wall-clock per cycle; aggressive liveness
 /// timeouts (5/40/120 ms) keep the probe in wall-clock seconds.
 pub fn udp_churn_dist(cycles: usize) -> ChurnDist {
-    use fm_core::PeerEventKind;
-    use fm_udp::restart_node;
-    use std::sync::atomic::{AtomicBool, Ordering};
-    use std::sync::Arc;
-
     let cfg = UdpConfig {
         heartbeat_interval: Duration::from_millis(5),
         suspect_after: Duration::from_millis(40),
         down_after: Duration::from_millis(120),
         ..UdpConfig::default()
     };
-    let sockets: Vec<std::net::UdpSocket> = (0..2)
-        .map(|_| std::net::UdpSocket::bind("127.0.0.1:0").expect("bind probe socket"))
-        .collect();
-    let peers: Vec<_> = sockets.iter().map(|s| s.local_addr().unwrap()).collect();
-    let mut sockets = sockets.into_iter();
-    let (survivor_socket, victim_socket) = (sockets.next().unwrap(), sockets.next().unwrap());
+    let mut devices = loopback_cluster(2, cfg.clone()).expect("bind probe sockets");
+    let peers = devices[0].peers().to_vec();
+    let (mut first_life, mut dev) = (devices.pop().unwrap(), devices.pop().unwrap());
 
     let stop = Arc::new(AtomicBool::new(false));
     let survivor = {
-        let cfg = cfg.clone();
-        let peers = peers.clone();
         let stop = Arc::clone(&stop);
         std::thread::spawn(move || {
-            let mut dev = UdpDevice::from_socket(survivor_socket, 0, peers, cfg).unwrap();
             dev.join(Duration::from_secs(10)).expect("probe join");
-            let fm = Fm2Engine::with_reliability(
-                dev,
-                MachineProfile::ppro200_fm2(),
-                Reliability::Retransmit(RetransmitConfig::adaptive()),
-            );
+            let fm: Fm2Engine<UdpDevice> = Udp::default().engine(dev);
             let down: Rc<Cell<bool>> = Rc::default();
             {
                 let down = Rc::clone(&down);
                 fm.set_peer_handler(move |ev| match ev.kind {
-                    fm_core::PeerEventKind::Down => down.set(true),
+                    PeerEventKind::Down => down.set(true),
                     PeerEventKind::Rejoining | PeerEventKind::Up => down.set(false),
                     PeerEventKind::Suspect => {}
                 });
@@ -259,29 +82,16 @@ pub fn udp_churn_dist(cycles: usize) -> ChurnDist {
                 let pace = Instant::now();
                 while pace.elapsed() < Duration::from_micros(200) {
                     fm.extract_all();
-                    fm.progress();
                 }
             }
-            let st = fm.stats();
-            let udp = fm.with_device(|d| d.stats());
-            (
-                st.retransmissions,
-                st.retransmit_timeouts,
-                udp.downs,
-                udp.rejoins,
-                udp.stale_rejected,
-            )
+            (fm.stats(), fm.with_device(|d| d.stats()))
         })
     };
 
     // A victim incarnation: join (or rejoin), receive one message to
     // prove the stream reached this life, and die without a word.
     let incarnation = |dev: UdpDevice| {
-        let fm = Fm2Engine::with_reliability(
-            dev,
-            MachineProfile::ppro200_fm2(),
-            Reliability::Retransmit(RetransmitConfig::adaptive()),
-        );
+        let fm = Udp::default().engine(dev);
         let got: Rc<Cell<usize>> = Rc::default();
         {
             let got = Rc::clone(&got);
@@ -300,13 +110,13 @@ pub fn udp_churn_dist(cycles: usize) -> ChurnDist {
                 "churn probe: stream never resumed"
             );
             fm.extract_all();
-            fm.progress();
         }
     };
 
-    let mut dev = UdpDevice::from_socket(victim_socket, 1, peers.clone(), cfg.clone()).unwrap();
-    dev.join(Duration::from_secs(10)).expect("probe join");
-    incarnation(dev); // first life, then the engine (and socket) drops
+    first_life
+        .join(Duration::from_secs(10))
+        .expect("probe join");
+    incarnation(first_life); // then the engine (and socket) drops
 
     let mut recovery_ns = LogHistogram::new();
     for cycle in 0..cycles {
@@ -320,48 +130,21 @@ pub fn udp_churn_dist(cycles: usize) -> ChurnDist {
         recovery_ns.record(t0.elapsed().as_nanos() as u64);
     }
     stop.store(true, Ordering::Relaxed);
-    let (retransmissions, retransmit_timeouts, downs, rejoins, stale_rejected) =
-        survivor.join().expect("survivor thread");
+    let (fm, udp) = survivor.join().expect("survivor thread");
     ChurnDist {
         cycles,
         recovery_ns,
-        retransmissions,
-        retransmit_timeouts,
-        downs,
-        rejoins,
-        stale_rejected,
+        retransmissions: fm.retransmissions,
+        retransmit_timeouts: fm.retransmit_timeouts,
+        downs: udp.downs,
+        rejoins: udp.rejoins,
+        stale_rejected: udp.stale_rejected,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn udp_latency_probe_measures_real_time() {
-        let d = udp_latency_dist(16, 30, 0.0);
-        assert_eq!(d.one_way_ns.count(), 30, "one sample per round");
-        // Loopback UDP through the full stack: more than a microsecond,
-        // far less than 10 ms one-way.
-        assert!(d.mean.as_ns() > 1_000, "mean = {}", d.mean);
-        assert!(d.mean.as_ns() < 10_000_000, "mean = {}", d.mean);
-        assert!(d.one_way_ns.p99() >= d.one_way_ns.p50());
-    }
-
-    #[test]
-    fn udp_stream_probe_delivers_everything() {
-        let d = udp_stream_dist(1024, 200, 0.0);
-        assert_eq!(d.result.bytes, 1024 * 200);
-        assert!(d.result.bandwidth().as_mbps() > 0.0, "nonzero bandwidth");
-        assert!(d.per_message_kbps.count() >= 100);
-    }
-
-    #[test]
-    fn udp_stream_survives_injected_loss() {
-        let d = udp_stream_dist(512, 100, 0.02);
-        assert_eq!(d.result.bytes, 512 * 100);
-        assert!(d.result.bandwidth().as_mbps() > 0.0);
-    }
 
     #[test]
     fn udp_churn_probe_measures_recovery() {

@@ -1,42 +1,34 @@
-//! Workload-driven soak probes: adversarial traffic shapes from
-//! [`fm_model::workload`] driven over both transports, with one-way
+//! Workload-driven soak probe: adversarial traffic shapes from
+//! [`fm_model::workload`] driven over any [`Fabric`], with one-way
 //! latency distributions (p50/p99/p999) as the result.
 //!
-//! Two drivers share one [`WorkloadSpec`]:
-//!
-//! * [`sim_workload_dist`] — an n-node lossy myrinet-sim cluster in
-//!   deterministic virtual time. Same spec + same seed ⇒ bit-identical
-//!   histograms, which is what the seed-sweep determinism tests pin.
-//! * [`udp_workload_dist`] — n OS threads over real loopback UDP sockets
-//!   with seeded datagram loss; wall-clock nanoseconds.
+//! Over [`Sim`] with a lossy wire it runs in deterministic virtual time —
+//! same spec + same seed ⇒ bit-identical histograms, which the seed-sweep
+//! determinism tests pin; over [`crate::fabric::Udp`] it is n OS threads,
+//! real loopback sockets, seeded datagram loss and wall-clock nanoseconds.
 //!
 //! Every message carries a [`STAMP_BYTES`]-byte header (send timestamp +
 //! per-sender sequence) so the receiving handler measures one-way latency
-//! without any out-of-band channel. Receivers know exactly how many
-//! messages they must see ([`WorkloadSpec::expected_inbound`]), so a run
-//! that completes proves zero FM-level loss by construction — `lost` in
-//! the result is the cross-check.
+//! without any out-of-band channel. A run completes only when every rank
+//! has sent its schedule, every expected message was delivered and every
+//! retransmit window has drained, so a run that completes proves zero
+//! FM-level loss by construction — `lost` in the result is the
+//! cross-check.
 
-use std::cell::{Cell, RefCell};
+use std::cell::RefCell;
 use std::rc::Rc;
-use std::time::{Duration, Instant};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering::SeqCst};
 
-use fm_core::blocking::{fm2_send, fm2_wait_until};
 use fm_core::packet::HandlerId;
-use fm_core::{
-    Fm2Engine, FmStream, LogHistogram, NetDevice, Reliability, RetransmitConfig, SimDevice,
-};
+use fm_core::{FmStream, LogHistogram, NetDevice};
 use fm_model::workload::{decode_stamp, encode_stamp, WorkloadSpec, STAMP_BYTES};
 use fm_model::{MachineProfile, Nanos};
-use fm_udp::{UdpCluster, UdpConfig};
 use myrinet_sim::fault::FaultModel;
-use myrinet_sim::{NodeId, Simulation, StepOutcome, Topology};
+
+use crate::fabric::{adaptive, Fabric, Sim, Step};
 
 /// Handler id carrying workload traffic.
 const WORK: HandlerId = HandlerId(41);
-
-/// Virtual-time guard for sim soaks — generous; a wedged run dies loudly.
-const SOAK_SIM_LIMIT: Nanos = Nanos(600_000_000_000); // 600 virtual seconds
 
 /// The measured outcome of one workload run on one transport.
 #[derive(Debug, Clone)]
@@ -45,7 +37,8 @@ pub struct WorkloadDist {
     pub spec: WorkloadSpec,
     /// One-way latency samples (ns), merged across every receiver.
     pub latency_ns: LogHistogram,
-    /// End-to-end run time (virtual on sim, wall-clock on UDP).
+    /// End-to-end run time: from the first rank's program being built to
+    /// the last rank's final poll, on the fabric's cross-rank clock.
     pub elapsed: Nanos,
     /// Messages delivered to handlers, summed over ranks.
     pub delivered: u64,
@@ -56,213 +49,142 @@ pub struct WorkloadDist {
     pub retransmissions: u64,
 }
 
-fn adaptive() -> Reliability {
-    Reliability::Retransmit(RetransmitConfig::adaptive())
+/// What the ranks of one run can see of each other: the exit condition
+/// is global, and ranks of a thread fabric share nothing else.
+struct Progress {
+    senders_done: AtomicUsize,
+    delivered: AtomicU64,
+    unacked: Vec<AtomicUsize>,
 }
 
-/// Drive `spec` over an n-node simulated cluster with `drop_p` seeded
-/// packet loss, in deterministic virtual time.
+/// One rank's share of the result.
+struct RankReport {
+    /// One sample per message delivered here.
+    latency_ns: LogHistogram,
+    retransmissions: u64,
+    first_poll: u64,
+    last_poll: u64,
+}
+
+/// Drive `spec` over `spec.ranks` ranks of `fabric`.
 ///
 /// Every rank runs its schedule concurrently: send what the window
-/// admits, drain what arrived, wait otherwise. A paused rank stops
-/// driving its engine entirely (no extracts, no acks) until its resume
-/// wake — the honest straggler. The run completes only when every rank
-/// has sent its schedule, every expected message was delivered, and
-/// every retransmit window has drained.
-pub fn sim_workload_dist(spec: &WorkloadSpec, drop_p: f64) -> WorkloadDist {
+/// admits, drain what arrived, park otherwise; messages are stamped with
+/// the time the poll that sent them began. A paused rank stops driving
+/// its engine entirely (no extracts, no acks, no heartbeats) until its
+/// resume time — the honest straggler, exactly what a stalled process
+/// looks like to its peers.
+pub fn workload_dist<F: Fabric>(fabric: &F, spec: &WorkloadSpec) -> WorkloadDist {
     let n = spec.ranks;
-    let profile = MachineProfile::ppro200_fm2();
-    let mut sim: Simulation<fm_core::FmPacket> =
-        Simulation::new(profile, Topology::single_crossbar(n));
-    if drop_p > 0.0 {
-        sim.set_fault_models(vec![FaultModel::Drop {
-            p: drop_p,
-            seed: spec.seed,
-        }]);
-    }
-    let engines: Vec<_> = (0..n)
-        .map(|i| {
-            Fm2Engine::with_reliability(
-                SimDevice::new(sim.host_interface(NodeId(i))),
-                profile,
-                adaptive(),
-            )
-        })
-        .collect();
-
-    let hist = Rc::new(RefCell::new(LogHistogram::new()));
-    let received: Rc<Cell<u64>> = Rc::default();
-    let sent_all = Rc::new(RefCell::new(vec![false; n]));
-    let all_engines = Rc::new(engines.clone());
-    let expected_total = spec.total_msgs();
-
-    for (me, fm) in engines.into_iter().enumerate() {
+    let total = spec.total_msgs();
+    let shared = Progress {
+        senders_done: AtomicUsize::new(0),
+        delivered: AtomicU64::new(0),
+        unacked: (0..n).map(|_| AtomicUsize::new(0)).collect(),
+    };
+    let shared = std::sync::Arc::new(shared);
+    let spec = *spec;
+    let out = fabric.run(n, |me, fm| {
+        let clock = F::clock(&fm);
+        let hist = Rc::new(RefCell::new(LogHistogram::new()));
         {
-            let hist = Rc::clone(&hist);
-            let received = Rc::clone(&received);
-            let fm_h = fm.clone();
+            let (hist, clock, shared) = (Rc::clone(&hist), Rc::clone(&clock), shared.clone());
             fm.set_handler(WORK, move |stream: FmStream, _src| {
-                let hist = Rc::clone(&hist);
-                let received = Rc::clone(&received);
-                let fm = fm_h.clone();
+                let (hist, clock, shared) = (Rc::clone(&hist), Rc::clone(&clock), shared.clone());
                 async move {
                     let msg = stream.receive_vec(stream.msg_len()).await;
                     let (t, _seq) = decode_stamp(&msg);
-                    hist.borrow_mut()
-                        .record(fm.now().as_ns().saturating_sub(t).max(1));
-                    received.set(received.get() + 1);
+                    hist.borrow_mut().record(clock().saturating_sub(t).max(1));
+                    shared.delivered.fetch_add(1, SeqCst);
                 }
             });
         }
         let sched = spec.schedule(me);
         let pause = spec.pause.filter(|p| p.rank == me);
-        let mut pause_until: Option<Nanos> = None;
+        let mut pause_until: Option<u64> = None;
         let mut pause_taken = false;
-        let mut sent = 0usize;
+        let (mut sent, mut sent_all) = (0usize, false);
         let mut payload = vec![0u8; spec.payload.max(STAMP_BYTES)];
-        let spec = *spec;
-        let sent_all = Rc::clone(&sent_all);
-        let received = Rc::clone(&received);
-        let all_engines = Rc::clone(&all_engines);
-        sim.set_program(
-            NodeId(me),
-            Box::new(move || {
-                let now = fm.now();
-                if let Some(resume) = pause_until {
-                    if now < resume {
-                        // Mid-pause: do not touch the engine — a straggler
-                        // neither extracts nor acks. Just re-arm the alarm.
-                        fm.with_device(|d| d.request_wake(resume));
-                        return StepOutcome::Wait;
-                    }
-                    pause_until = None;
+        let first_poll = clock();
+        let shared = shared.clone();
+        let wake_at = move |fm: &fm_core::Fm2Engine<F::Dev>, at: Nanos| {
+            fm.with_device(|d| d.request_wake(at));
+        };
+        Box::new(move || {
+            let now = clock();
+            if let Some(resume) = pause_until {
+                if now < resume {
+                    // Mid-pause: do not touch the engine — a straggler
+                    // neither extracts nor acks. Just re-arm the alarm.
+                    wake_at(&fm, Nanos(resume));
+                    return Step::Idle;
                 }
-                fm.extract_all();
-                while sent < sched.len() {
-                    if let Some(p) = pause {
-                        if !pause_taken && sent == p.after_msgs {
-                            pause_taken = true;
-                            let resume = now + Nanos(p.dur_ns);
-                            pause_until = Some(resume);
-                            fm.with_device(|d| d.request_wake(resume));
-                            return StepOutcome::Wait;
-                        }
-                    }
-                    encode_stamp(&mut payload, now.as_ns(), sent as u32);
-                    if fm.try_send_message(sched[sent], WORK, &[&payload]).is_ok() {
-                        sent += 1;
-                    } else {
-                        // Window full: an ack or credit return will wake us.
-                        return StepOutcome::Wait;
-                    }
+                pause_until = None;
+            }
+            let moved = fm.extract_all() > 0;
+            while sent < sched.len() {
+                if let Some(p) = pause.filter(|p| !pause_taken && sent == p.after_msgs) {
+                    pause_taken = true;
+                    let resume = now + p.dur_ns;
+                    pause_until = Some(resume);
+                    wake_at(&fm, Nanos(resume));
+                    return Step::Idle;
                 }
-                if !sent_all.borrow()[me] {
-                    sent_all.borrow_mut()[me] = true;
+                encode_stamp(&mut payload, now, sent as u32);
+                if fm.try_send_message(sched[sent], WORK, &[&payload]).is_err() {
+                    // Window full: an ack or credit return will wake us.
+                    return Step::pending(moved);
                 }
-                let everyone =
-                    sent_all.borrow().iter().all(|&d| d) && received.get() >= spec.total_msgs();
-                if everyone && all_engines.iter().all(|e| e.unacked_packets() == 0) {
-                    StepOutcome::Done
-                } else {
-                    // Own schedule done, but the exit condition polls other
-                    // nodes' state: heartbeat so the check re-runs.
-                    fm.with_device(|d| {
-                        let at = d.now() + Nanos::from_us(50);
-                        d.request_wake(at);
-                    });
-                    StepOutcome::Wait
-                }
-            }),
-        );
+                sent += 1;
+            }
+            if !std::mem::replace(&mut sent_all, true) {
+                shared.senders_done.fetch_add(1, SeqCst);
+            }
+            shared.unacked[me].store(fm.unacked_packets(), SeqCst);
+            let everyone = shared.senders_done.load(SeqCst) == n
+                && shared.delivered.load(SeqCst) >= total
+                && shared.unacked.iter().all(|u| u.load(SeqCst) == 0);
+            if !everyone {
+                // Own schedule done, but the exit condition polls other
+                // ranks' state: heartbeat so the check re-runs.
+                wake_at(&fm, fm.now() + Nanos::from_us(50));
+                return Step::pending(moved);
+            }
+            Step::Done(RankReport {
+                latency_ns: hist.borrow().clone(),
+                retransmissions: fm.stats().retransmissions,
+                first_poll,
+                last_poll: now,
+            })
+        })
+    });
+    let mut latency_ns = LogHistogram::new();
+    for r in &out {
+        latency_ns.merge(&r.latency_ns);
     }
-
-    let end = sim.run(Some(SOAK_SIM_LIMIT));
-    assert!(
-        sim.all_done(),
-        "{} workload wedged: {}/{} delivered",
-        spec.shape.name(),
-        received.get(),
-        expected_total
-    );
-    let delivered = received.get();
-    let latency_ns = hist.borrow().clone();
+    let delivered = latency_ns.count();
+    let first = out.iter().map(|r| r.first_poll).min().unwrap_or(0);
+    let last = out.iter().map(|r| r.last_poll).max().unwrap_or(0);
     WorkloadDist {
-        spec: *spec,
+        spec,
         latency_ns,
-        elapsed: end,
+        elapsed: Nanos(last - first),
         delivered,
-        lost: expected_total - delivered,
-        retransmissions: all_engines.iter().map(|e| e.stats().retransmissions).sum(),
+        lost: total - delivered,
+        retransmissions: out.iter().map(|r| r.retransmissions).sum(),
     }
 }
 
-/// Drive `spec` over `spec.ranks` OS threads and real loopback UDP
-/// sockets, with `drop_outbound` seeded datagram loss. Wall-clock.
-///
-/// A paused rank genuinely sleeps — its engine sends no heartbeats and
-/// acks nothing, exactly what a stalled process looks like to its peers.
-pub fn udp_workload_dist(spec: &WorkloadSpec, drop_outbound: f64) -> WorkloadDist {
-    let cfg = UdpConfig {
-        drop_outbound,
-        drop_seed: spec.seed,
-        ..UdpConfig::default()
+/// Drive `spec` over an n-node simulated cluster with `drop_p` seeded
+/// packet loss and adaptive retransmission, in deterministic virtual time.
+pub fn sim_workload_dist(spec: &WorkloadSpec, drop_p: f64) -> WorkloadDist {
+    let drop = FaultModel::Drop {
+        p: drop_p,
+        seed: spec.seed,
     };
-    let expected = spec.expected_inbound();
-    let expected_total = spec.total_msgs();
-    let epoch = Instant::now();
-    let out = UdpCluster::run(spec.ranks, cfg, |me, dev| {
-        let fm = Fm2Engine::with_reliability(dev, MachineProfile::ppro200_fm2(), adaptive());
-        let hist = Rc::new(RefCell::new(LogHistogram::new()));
-        let got: Rc<Cell<u64>> = Rc::default();
-        {
-            let hist = Rc::clone(&hist);
-            let got = Rc::clone(&got);
-            fm.set_handler(WORK, move |stream: FmStream, _src| {
-                let hist = Rc::clone(&hist);
-                let got = Rc::clone(&got);
-                async move {
-                    let msg = stream.receive_vec(stream.msg_len()).await;
-                    let (t, _seq) = decode_stamp(&msg);
-                    let now = epoch.elapsed().as_nanos() as u64;
-                    hist.borrow_mut().record(now.saturating_sub(t).max(1));
-                    got.set(got.get() + 1);
-                }
-            });
-        }
-        let sched = spec.schedule(me);
-        let mut payload = vec![0u8; spec.payload.max(STAMP_BYTES)];
-        for (i, &dst) in sched.iter().enumerate() {
-            if let Some(p) = spec.pause {
-                if p.rank == me && p.after_msgs == i {
-                    std::thread::sleep(Duration::from_nanos(p.dur_ns));
-                }
-            }
-            encode_stamp(&mut payload, epoch.elapsed().as_nanos() as u64, i as u32);
-            fm2_send(&fm, dst, WORK, &[&payload]);
-            fm.progress(); // keep heartbeats and retransmit timers serviced
-        }
-        fm2_wait_until(&fm, || got.get() >= expected[me]);
-        crate::udp::linger(&fm);
-        let local = hist.borrow().clone();
-        (local, got.get(), fm.stats().retransmissions)
-    });
-    let elapsed = Nanos(epoch.elapsed().as_nanos() as u64);
-    let mut latency_ns = LogHistogram::new();
-    let mut delivered = 0u64;
-    let mut retransmissions = 0u64;
-    for (h, got, retrans) in out {
-        latency_ns.merge(&h);
-        delivered += got;
-        retransmissions += retrans;
-    }
-    WorkloadDist {
-        spec: *spec,
-        latency_ns,
-        elapsed,
-        delivered,
-        lost: expected_total - delivered,
-        retransmissions,
-    }
+    let faults = if drop_p > 0.0 { vec![drop] } else { vec![] };
+    let sim = Sim::new(MachineProfile::ppro200_fm2()).unreliable(adaptive(), faults);
+    workload_dist(&sim, spec)
 }
 
 #[cfg(test)]

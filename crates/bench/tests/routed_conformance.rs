@@ -9,65 +9,42 @@
 //! bit. Locality-aware routing may change *where* bytes travel, never
 //! *what* the collectives compute.
 
-use std::time::{Duration, Instant};
-
-use fm_bench::routed::{probe_cfg, routed_run};
-use fm_core::{Fm2Engine, Reliability, RetransmitConfig};
-use fm_model::MachineProfile;
-use fm_route::RoutedDevice;
-use fm_shm::ShmDevice;
-use fm_udp::UdpDevice;
+use fm_bench::fabric::{Fabric, Routed, Step, Udp};
 use mpi_fm::testutil::{expected_outputs, ScriptRunner};
 use mpi_fm::{Mpi, Mpi2};
 
-type Routed = RoutedDevice<ShmDevice, UdpDevice>;
+const N: usize = 4;
 
-fn fm2(dev: Routed) -> Fm2Engine<Routed> {
-    // The UDP half is lossy, so the composite is lossy: the
-    // reliability sublayer is mandatory (and shm frames, which it also
-    // covers, simply never need the retransmissions).
-    Fm2Engine::with_reliability(
-        dev,
-        MachineProfile::ppro200_fm2(),
-        Reliability::Retransmit(RetransmitConfig::default()),
-    )
-}
-
-/// Keep servicing acks and retransmit timers after the script: a peer
-/// whose last cross-host packet (or our ack to it) was dropped needs us
-/// alive to recover. Capped so a wedged peer can't hang the test.
-fn drain(mpi: &mut Mpi2<Routed>) {
-    let quiet_for = Duration::from_millis(100);
-    let cap = Instant::now() + Duration::from_secs(5);
-    let mut quiet_since = Instant::now();
-    while Instant::now() < cap {
-        let moved = mpi.fm().extract_all() > 0;
-        mpi.progress();
-        if moved {
-            quiet_since = Instant::now();
-        }
-        if mpi.fm().unacked_packets() == 0 && quiet_since.elapsed() >= quiet_for {
-            return;
-        }
-        std::thread::yield_now();
-    }
+/// Run the script on every rank of `fabric` as a poll-step program. The
+/// fabric keeps each finished rank serviced until the wire is quiet, so a
+/// peer whose last cross-host packet (or our ack to it) was dropped still
+/// finds us alive. Each rank reports its outputs, how many engine errors
+/// surfaced, and what `inspect` reads off its device.
+fn run_script<F: Fabric, T: Send + 'static>(
+    fabric: &F,
+    inspect: fn(&mut F::Dev) -> T,
+) -> Vec<(Vec<String>, usize, T)> {
+    fabric.run(N, |_, fm| {
+        let mut mpi = Mpi2::new(fm);
+        let mut runner = ScriptRunner::new(false);
+        Box::new(move || {
+            mpi.progress();
+            if !runner.poll(&mut mpi) {
+                return Step::Idle;
+            }
+            let errors = mpi.fm().take_errors().len();
+            let seen = mpi.fm().with_device(inspect);
+            Step::Done((runner.outputs().to_vec(), errors, seen))
+        })
+    })
 }
 
 #[test]
 fn conformance_script_matches_model_over_mixed_placement() {
-    const N: usize = 4;
-    let hosts = [0usize, 0, 1, 1];
-    let results = routed_run(&hosts, probe_cfg(), |_, dev| {
-        let mut mpi = Mpi2::new(fm2(dev));
-        let out = ScriptRunner::run_blocking(&mut mpi, false);
-        drain(&mut mpi);
-        let route = mpi.fm().with_device(|d| d.stats());
-        let errors = mpi.fm().take_errors();
-        (out, route, errors)
-    });
-    for (rank, (got, route, errors)) in results.iter().enumerate() {
+    let results = run_script(&Routed::blocks(2, 2), |dev| dev.stats());
+    for (rank, (got, errors, route)) in results.iter().enumerate() {
         assert_eq!(*got, expected_outputs(rank, N, false), "rank {rank}");
-        assert!(errors.is_empty(), "rank {rank} engine errors: {errors:?}");
+        assert_eq!(*errors, 0, "rank {rank} engine errors");
         // The script's flat schedules talk to both neighbors and both
         // strangers, so every rank must genuinely have used both
         // fabrics — proof the match wasn't all-UDP in disguise.
@@ -83,38 +60,8 @@ fn conformance_script_is_identical_to_pure_udp() {
     // and require rank-for-rank equality (both already equal the model;
     // this pins transport-independence directly, including any
     // formatting of the outputs the model comparison might normalize).
-    const N: usize = 4;
-    let hosts = [0usize, 0, 1, 1];
-    let routed = routed_run(&hosts, probe_cfg(), |_, dev| {
-        let mut mpi = Mpi2::new(fm2(dev));
-        let out = ScriptRunner::run_blocking(&mut mpi, false);
-        drain(&mut mpi);
-        assert!(mpi.fm().take_errors().is_empty());
-        out
-    });
-    let pure = fm_udp::UdpCluster::run(N, fm_udp::UdpConfig::default(), |_, dev| {
-        let mut mpi = Mpi2::new(Fm2Engine::with_reliability(
-            dev,
-            MachineProfile::ppro200_fm2(),
-            Reliability::Retransmit(RetransmitConfig::default()),
-        ));
-        let out = ScriptRunner::run_blocking(&mut mpi, false);
-        // Same drain shape as the routed run, inlined for the device type.
-        let quiet_for = Duration::from_millis(100);
-        let cap = Instant::now() + Duration::from_secs(5);
-        let mut quiet_since = Instant::now();
-        while Instant::now() < cap {
-            let moved = mpi.fm().extract_all() > 0;
-            mpi.progress();
-            if moved {
-                quiet_since = Instant::now();
-            }
-            if mpi.fm().unacked_packets() == 0 && quiet_since.elapsed() >= quiet_for {
-                break;
-            }
-            std::thread::yield_now();
-        }
-        out
-    });
+    let routed = run_script(&Routed::blocks(2, 2), |_| ());
+    let pure = run_script(&Udp::default(), |_| ());
+    assert!(routed.iter().all(|(_, errors, ())| *errors == 0));
     assert_eq!(routed, pure, "routed and pure-udp script outputs diverged");
 }

@@ -12,6 +12,11 @@
 //! rather than in one transport crate. Never call these on a simulator
 //! device: virtual time only advances when the caller yields to the event
 //! loop, so a spin here would hang forever.
+//!
+//! [`run_ranks`] is the one rank spawner of the workspace: every
+//! in-process cluster runner (`ThreadedCluster`, `UdpCluster`,
+//! `ShmCluster`, the routed fabric of `fm-bench`) opens its devices its
+//! own way and hands them here.
 
 use crate::device::NetDevice;
 use crate::packet::HandlerId;
@@ -81,6 +86,37 @@ impl Backoff {
             std::thread::yield_now();
         }
     }
+}
+
+/// Run one rank per device: rank `i` runs `f(i, devices[i])` on its own
+/// scoped thread named `{name}-{i}`. Returns every rank's result in rank
+/// order; a panic in any rank propagates once the others have been joined.
+///
+/// Engines are single-threaded by design, so only the device crosses the
+/// spawn and `f` builds the engine inside the thread.
+pub fn run_ranks<D, F, R>(name: &str, devices: Vec<D>, f: F) -> Vec<R>
+where
+    D: Send,
+    F: Fn(usize, D) -> R + Sync,
+    R: Send,
+{
+    let f = &f;
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = devices
+            .into_iter()
+            .enumerate()
+            .map(|(i, dev)| {
+                std::thread::Builder::new()
+                    .name(format!("{name}-{i}"))
+                    .spawn_scoped(scope, move || f(i, dev))
+                    .expect("spawn node thread")
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("node thread panicked"))
+            .collect()
+    })
 }
 
 /// Blocking `FM_send` on FM 1.x: retries until credits and queue space
@@ -154,6 +190,25 @@ mod tests {
             }
             b.reset();
         }
+    }
+
+    #[test]
+    fn ranks_get_their_own_device_and_results_come_back_in_rank_order() {
+        let out = run_ranks("test-rank", vec![10usize, 20, 30, 40], |i, dev| {
+            let name = std::thread::current().name().map(str::to_owned);
+            assert_eq!(name.as_deref(), Some(format!("test-rank-{i}").as_str()));
+            // Later ranks finish first: order must come from the rank, not
+            // from completion.
+            std::thread::sleep(std::time::Duration::from_millis(4 * (4 - i as u64)));
+            (i, dev)
+        });
+        assert_eq!(out, vec![(0, 10), (1, 20), (2, 30), (3, 40)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "node thread panicked")]
+    fn a_panicking_rank_propagates() {
+        run_ranks("test-rank", vec![(), ()], |i, ()| assert_ne!(i, 1, "boom"));
     }
 
     #[test]

@@ -4,13 +4,14 @@
 //! (devices can then be moved onto threads); [`ShmCluster::run`] is the
 //! `UdpCluster::run` shape over shared memory: one OS thread per node,
 //! each running the join barrier and then the node program. Genuine
-//! multi-*process* clusters are driven by the `fm-udp-cluster` binary
-//! with `--transport shm`, which shares the run id over child argv
+//! multi-*process* clusters are driven by `fm-bench`'s `fm-udp-cluster`
+//! binary with `--transport shm`, which shares the run id over child argv
 //! instead.
 
 use std::io;
-use std::thread;
 use std::time::Duration;
+
+use fm_core::blocking::run_ranks;
 
 use crate::device::{ShmConfig, ShmDevice};
 
@@ -50,25 +51,9 @@ impl ShmCluster {
         R: Send,
     {
         let devices = shm_cluster(num_nodes, cfg).expect("open shm cluster");
-        let f = &f;
-        thread::scope(|scope| {
-            let handles: Vec<_> = devices
-                .into_iter()
-                .enumerate()
-                .map(|(i, mut dev)| {
-                    thread::Builder::new()
-                        .name(format!("fm-shm-node-{i}"))
-                        .spawn_scoped(scope, move || {
-                            dev.join(DEFAULT_JOIN_TIMEOUT).expect("join barrier");
-                            f(i, dev)
-                        })
-                        .expect("spawn node thread")
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("node thread panicked"))
-                .collect()
+        run_ranks("fm-shm-node", devices, |i, mut dev| {
+            dev.join(DEFAULT_JOIN_TIMEOUT).expect("join barrier");
+            f(i, dev)
         })
     }
 }
@@ -87,13 +72,11 @@ mod tests {
     }
 
     #[test]
-    fn results_come_back_in_node_order() {
-        let out = ShmCluster::run(3, cfg("ord"), |i, dev| {
+    fn shm_cluster_numbers_its_devices_by_rank() {
+        ShmCluster::run(3, cfg("ord"), |i, dev| {
             assert_eq!(dev.node_id(), i);
             assert_eq!(dev.num_nodes(), 3);
-            i * 10
         });
-        assert_eq!(out, vec![0, 10, 20]);
     }
 
     #[test]

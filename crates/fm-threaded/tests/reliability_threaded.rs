@@ -10,11 +10,11 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
+use fm_core::blocking::{fm1_send, fm2_send, fm2_wait_until};
 use fm_core::device::{DeviceFull, NetDevice};
 use fm_core::packet::HandlerId;
 use fm_core::{Fm1Engine, Fm2Engine, FmPacket, FmStream, Reliability, RetransmitConfig};
 use fm_model::{MachineProfile, Nanos};
-use fm_threaded::blocking::{fm1_send, fm2_send, fm2_wait_until};
 use fm_threaded::{ThreadedCluster, ThreadedDevice};
 
 const H: HandlerId = HandlerId(1);

@@ -13,12 +13,15 @@
 //!   threads is real datagrams through the kernel, lossy and all.
 //!
 //! Genuine multi-*process* clusters are driven by the `fm-udp-cluster`
-//! binary, which distributes the peer map over child stdin instead.
+//! binary (in `fm-bench`, the top of the stack: it also launches the shm
+//! and routed transports), which distributes the peer map over child
+//! stdin instead.
 
 use std::io;
 use std::net::UdpSocket;
-use std::thread;
 use std::time::Duration;
+
+use fm_core::blocking::run_ranks;
 
 use crate::device::{UdpConfig, UdpDevice};
 
@@ -83,25 +86,9 @@ impl UdpCluster {
         R: Send,
     {
         let devices = loopback_cluster(num_nodes, cfg).expect("bind loopback cluster");
-        let f = &f;
-        thread::scope(|scope| {
-            let handles: Vec<_> = devices
-                .into_iter()
-                .enumerate()
-                .map(|(i, mut dev)| {
-                    thread::Builder::new()
-                        .name(format!("fm-udp-node-{i}"))
-                        .spawn_scoped(scope, move || {
-                            dev.join(DEFAULT_JOIN_TIMEOUT).expect("join barrier");
-                            f(i, dev)
-                        })
-                        .expect("spawn node thread")
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("node thread panicked"))
-                .collect()
+        run_ranks("fm-udp-node", devices, |i, mut dev| {
+            dev.join(DEFAULT_JOIN_TIMEOUT).expect("join barrier");
+            f(i, dev)
         })
     }
 }
@@ -112,13 +99,11 @@ mod tests {
     use fm_core::device::NetDevice;
 
     #[test]
-    fn results_come_back_in_node_order() {
-        let out = UdpCluster::run(3, UdpConfig::default(), |i, dev| {
+    fn loopback_cluster_numbers_its_devices_by_rank() {
+        UdpCluster::run(3, UdpConfig::default(), |i, dev| {
             assert_eq!(dev.node_id(), i);
             assert_eq!(dev.num_nodes(), 3);
-            i * 10
         });
-        assert_eq!(out, vec![0, 10, 20]);
     }
 
     #[test]

@@ -35,9 +35,9 @@
 //!   measure real elapsed nanoseconds.
 //!
 //! In-process smoke clusters come from [`loopback_cluster`] /
-//! [`UdpCluster`]; genuine multi-process runs from the `fm-udp-cluster`
-//! binary (`spawn` forks N children on loopback; `node` joins an
-//! existing cluster from `--peers`). Seeded fault injection —
+//! [`UdpCluster`]; genuine multi-process runs from `fm-bench`'s
+//! `fm-udp-cluster` binary (`spawn` forks N children on loopback; `node`
+//! joins an existing cluster from `--peers`). Seeded fault injection —
 //! [`UdpConfig::drop_outbound`], [`UdpConfig::dup_outbound`],
 //! [`UdpConfig::reorder_outbound`] — exercises the retransmission and
 //! dedup machinery at chosen rates.

@@ -10,10 +10,10 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
+use fast_messages::fm::blocking::{fm2_send, fm2_wait_until};
 use fast_messages::fm::packet::HandlerId;
 use fast_messages::fm::{Fm2Engine, FmStream};
 use fast_messages::model::MachineProfile;
-use fast_messages::threaded::blocking::{fm2_send, fm2_wait_until};
 use fast_messages::threaded::ThreadedCluster;
 
 const HELLO: HandlerId = HandlerId(7);

@@ -235,13 +235,13 @@ fn mpi_and_raw_fm_share_an_engine() {
         }
         let mut mpi = Mpi2::new(fm.clone());
         if rank == 0 {
-            fast_messages::threaded::blocking::fm2_send(&fm, 1, HandlerId(50), &[b"side"]);
+            fast_messages::fm::blocking::fm2_send(&fm, 1, HandlerId(50), &[b"side"]);
             mpi.send(1, 1, b"main".to_vec());
             let (ack, _) = mpi.recv(Some(1), Some(2), 16);
             String::from_utf8(ack).unwrap()
         } else {
             let (m, _) = mpi.recv(Some(0), Some(1), 16);
-            fast_messages::threaded::blocking::fm2_wait_until(&fm, || side.borrow().len() == 4);
+            fast_messages::fm::blocking::fm2_wait_until(&fm, || side.borrow().len() == 4);
             let combined = format!(
                 "{}+{}",
                 String::from_utf8_lossy(&m),
