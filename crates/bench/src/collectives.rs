@@ -156,6 +156,45 @@ mod tests {
         sane_us(&routed, 4, Some(routed.hosts.clone()));
     }
 
+    /// Cross-host frames each rank of `routed` sent over 16 `coll`s,
+    /// driven the way every probe is: poll steps, not blocking calls.
+    fn remote_frames(routed: &Routed, coll: Coll, hosts: Option<Vec<usize>>) -> Vec<u64> {
+        routed.run(routed.hosts.len(), |_, fm| {
+            let mut program = coll_program(fm.clone(), coll, (1, 16), hosts.clone());
+            Box::new(move || match program() {
+                Step::Done(_) => Step::Done(fm.with_device(|dev| dev.stats().remote_sent)),
+                Step::Idle => Step::Idle,
+                Step::Busy => Step::Busy,
+                Step::Again => Step::Again,
+            })
+        })
+    }
+
+    #[test]
+    fn a_host_map_keeps_every_non_leader_off_the_wire() {
+        // The deterministic half of the routed rows: which ranks cross
+        // hosts is a property of the schedule, whatever the clock says.
+        for per_host in [2, 4] {
+            let routed = Routed::blocks(2, per_host);
+            for coll in [Coll::Barrier, Coll::Allreduce(16)] {
+                let sent = remote_frames(&routed, coll, Some(routed.hosts.clone()));
+                for (rank, &frames) in sent.iter().enumerate() {
+                    let leads = rank % per_host == 0;
+                    assert_eq!(
+                        frames > 0,
+                        leads,
+                        "{coll:?} 2x{per_host} rank {rank}: {sent:?}"
+                    );
+                }
+            }
+            // Placement-blind, the dissemination rounds cross hosts from
+            // ranks that lead nothing.
+            let flat = remote_frames(&routed, Coll::Barrier, None);
+            let members = (0..flat.len()).filter(|r| r % per_host != 0);
+            assert!(members.map(|r| flat[r]).any(|f| f > 0), "{flat:?}");
+        }
+    }
+
     #[test]
     fn barrier_latency_grows_with_log_node_count() {
         let l2 = sim_coll_latency(PPRO(), 2, 8, Coll::Barrier);

@@ -169,12 +169,16 @@ impl Drop for Mapping {
 mod tests {
     use super::*;
     use std::io::{Read, Seek, SeekFrom, Write};
+    use std::sync::atomic::{AtomicU64, Ordering};
 
     fn scratch_file(len: u64) -> (std::path::PathBuf, File) {
+        // Tests run on parallel threads: a process-wide counter, not a
+        // clock, keeps their names apart.
+        static NEXT: AtomicU64 = AtomicU64::new(0);
         let path = std::env::temp_dir().join(format!(
-            "fm-shm-mem-test-{}-{:x}",
+            "fm-shm-mem-test-{}-{}",
             std::process::id(),
-            std::time::Instant::now().elapsed().as_nanos()
+            NEXT.fetch_add(1, Ordering::Relaxed)
         ));
         let file = std::fs::OpenOptions::new()
             .read(true)

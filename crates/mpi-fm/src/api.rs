@@ -6,9 +6,10 @@
 //! point: the paper's efficiency gap is in the *binding*, not in MPI's
 //! algorithms. The algorithms themselves live in [`crate::collectives`]
 //! as poll-driven state machines (binomial trees and dissemination for
-//! small payloads, pipelined chunk rings for large ones, selected by
-//! [`crate::comm::Communicator`]); the default methods here are blocking
-//! `poll`+`progress` spin loops over those machines.
+//! small payloads, pipelined chunk rings for large ones, two-level
+//! compositions across hosts — each machine's constructor picks); the
+//! default methods here are blocking `poll`+`progress` spin loops over
+//! those machines and decide nothing.
 //!
 //! The blocking operations (and therefore these collective methods) spin
 //! on `progress`; use them on the threaded and UDP transports.
@@ -20,7 +21,6 @@ use fm_core::blocking::Backoff;
 
 use crate::collectives::{AllreduceOp, BarrierOp, BcastOp, GatherOp, ReduceToRootOp, ScatterOp};
 use crate::comm::{CollConfig, CollPhase};
-use crate::hier::{HierAllreduceOp, HierBarrierOp, HierBcastOp, HostGeometry};
 use crate::types::{RecvReq, SendReq, Status};
 use crate::wire::{coll_tag, CollKind};
 
@@ -103,11 +103,16 @@ pub trait Mpi {
     /// The host each rank lives on (`hosts[r]` = host id of rank `r`),
     /// when the transport knows the placement — e.g. a routed device
     /// composing shared memory within hosts and a network across them.
-    /// When this returns a map covering every rank with at least two
-    /// distinct hosts, the blocking `barrier`/`bcast`/`allreduce`
-    /// wrappers switch to the two-level schedules in [`crate::hier`]
-    /// for small payloads. Like [`Mpi::coll_config`], every rank must
-    /// return the same map (it is part of the distributed
+    /// Three constructors read it — [`BarrierOp::new`], [`BcastOp::new`]
+    /// and [`AllreduceOp::new`] — and nothing else does: when the map
+    /// covers every rank with at least two distinct hosts, they run the
+    /// two-level schedules of [`crate::hier`] (bcast and allreduce only
+    /// below the pipeline threshold; large payloads keep the flat ring
+    /// and chain, whose bandwidth a hierarchy cannot beat). So blocking
+    /// callers, poll-driven callers and simulated programs all take the
+    /// same schedule. `with_algo` constructors stay flat, as do reduce,
+    /// gather, scatter and alltoall. Like [`Mpi::coll_config`], every
+    /// rank must return the same map (it is part of the distributed
     /// algorithm-choice agreement). Default: `None` — flat schedules.
     fn coll_hosts(&self) -> Option<&[usize]> {
         None
@@ -171,44 +176,26 @@ pub trait Mpi {
 
     // ---- collectives (blocking drivers over crate::collectives) ----
 
-    /// Dissemination barrier: ⌈log₂ n⌉ rounds, each rank sends to
-    /// `rank + 2^k` and hears from `rank - 2^k`. With a hierarchical
-    /// host map configured ([`Mpi::coll_hosts`]), runs the two-level
-    /// leader barrier instead: ⌈log₂ H⌉ cross-host rounds plus local
-    /// gather/release.
+    /// Barrier: dissemination, ⌈log₂ n⌉ rounds — or, across hosts
+    /// ([`Mpi::coll_hosts`]), ⌈log₂ H⌉ cross-host rounds between a local
+    /// gather and release. See [`BarrierOp`].
     fn barrier(&mut self)
     where
         Self: Sized,
     {
-        if let Some(geo) = hier_geometry(self) {
-            let mut op = HierBarrierOp::new(self, &geo);
-            drive(self, "collective", |mpi| op.poll(mpi));
-            return;
-        }
         let mut op = BarrierOp::new(self);
         drive(self, "collective", |mpi| op.poll(mpi));
     }
 
     /// Broadcast. The root passes `Some(data)`; everyone else passes
     /// `None` and a `max_len` bound (`max_len` must be identical on all
-    /// ranks — it selects the algorithm: binomial tree below the
-    /// pipeline threshold, segmented chain pipeline above). Returns the
-    /// data on every rank.
+    /// ranks — it selects the algorithm: binomial tree, or two-level
+    /// across hosts, below the pipeline threshold; segmented chain
+    /// pipeline above). Returns the data on every rank.
     fn bcast(&mut self, root: usize, data: Option<Vec<u8>>, max_len: usize) -> Vec<u8>
     where
         Self: Sized,
     {
-        // Two-level only below the pipeline threshold: large payloads
-        // stay on the segmented chain pipeline, whose bandwidth the
-        // hierarchy cannot beat. `max_len` gates (identical on every
-        // rank), not the root's actual length, so all ranks agree.
-        if max_len < self.coll_config().pipeline_threshold {
-            if let Some(geo) = hier_geometry(self) {
-                let mut op = HierBcastOp::new(self, root, data, max_len, &geo);
-                drive(self, "collective", |mpi| op.poll(mpi));
-                return op.take_result();
-            }
-        }
         let mut op = BcastOp::new(self, root, data, max_len);
         drive(self, "collective", |mpi| op.poll(mpi));
         op.take_result()
@@ -228,23 +215,12 @@ pub trait Mpi {
     }
 
     /// Allreduce; every rank gets the result. Small payloads compose
-    /// binomial reduce + bcast, large ones run the bandwidth-optimal
-    /// ring (reduce-scatter + allgather).
+    /// binomial reduce + bcast (two-level across hosts), large ones run
+    /// the bandwidth-optimal ring (reduce-scatter + allgather).
     fn allreduce(&mut self, contrib: &[u8], op: ReduceOp) -> Vec<u8>
     where
         Self: Sized,
     {
-        // Same gate as bcast: small payloads take the two-level
-        // schedule when a hierarchical host map is configured; large
-        // ones keep the bandwidth-optimal ring. `contrib.len()` is
-        // required identical on every rank, so the choice agrees.
-        if contrib.len() < self.coll_config().pipeline_threshold {
-            if let Some(geo) = hier_geometry(self) {
-                let mut a = HierAllreduceOp::new(self, contrib, op, &geo);
-                drive(self, "collective", |mpi| a.poll(mpi));
-                return a.take_result();
-            }
-        }
         let mut a = AllreduceOp::new(self, contrib, op);
         drive(self, "collective", |mpi| a.poll(mpi));
         a.take_result()
@@ -311,19 +287,6 @@ pub trait Mpi {
         }
         out
     }
-}
-
-/// The host geometry for the two-level collective schedules, when the
-/// transport's host map makes them worthwhile: it must cover every rank
-/// and span at least two hosts (a single-host map degenerates to the
-/// flat schedules, which are strictly better there).
-fn hier_geometry<M: Mpi + ?Sized>(mpi: &M) -> Option<HostGeometry> {
-    let hosts = mpi.coll_hosts()?;
-    if hosts.len() != mpi.size() {
-        return None;
-    }
-    let geo = HostGeometry::new(mpi.rank(), hosts);
-    geo.is_hierarchical().then_some(geo)
 }
 
 /// The one blocking driver: poll a request or a collective state machine

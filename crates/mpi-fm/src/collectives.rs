@@ -2,21 +2,31 @@
 //! surface.
 //!
 //! Every collective here is a small state machine: construct it (which
-//! allocates a collective sequence number and may post the first sends
-//! and receives), then call `poll` until it returns `true`, driving
-//! [`Mpi::progress`] between polls. The blocking trait methods on
-//! [`Mpi`] are just `poll`+`progress` spin loops; discrete-event
-//! simulations drive `poll` from their step functions instead, which is
-//! what lets the *same* algorithms run over the threaded, UDP, and
-//! simulated transports.
+//! may post the first sends and receives), then call `poll` until it
+//! returns `true`, driving [`Mpi::progress`] between polls. The blocking
+//! trait methods on [`Mpi`] are just `poll`+`progress` spin loops;
+//! discrete-event simulations drive `poll` from their step functions
+//! instead, which is what lets the *same* algorithms run over the
+//! threaded, UDP, and simulated transports.
 //!
-//! Two algorithm families, chosen by [`Communicator::use_pipeline`]:
+//! Each machine has two constructors. `on` runs the flat algorithm on a
+//! group — a [`Communicator`] and a sequence number the caller owns — and
+//! is what the machines compose each other from. `new` is what callers
+//! use: it allocates the sequence number and is the **one place the
+//! schedule is picked**, from values every rank agrees on: the payload
+//! bound against the pipeline threshold and, for barrier, bcast and
+//! allreduce, the host map ([`Mpi::coll_hosts`]) — spanning two or more
+//! hosts, it selects the two-level composition of [`crate::hier`].
+//! Blocking wrappers, poll-driven probes and simulated programs all
+//! construct through `new`, so they all take the same schedule.
+//!
+//! Two flat algorithm families, chosen by [`Communicator::use_pipeline`]:
 //!
 //! * **Small payloads** — binomial trees (⌈log₂ n⌉ rounds) for
 //!   bcast/reduce, a dissemination pattern for barrier. Latency-bound:
 //!   minimize rounds.
-//! * **Large payloads** — pipelined chunk rings. Bcast becomes scatter +
-//!   ring allgather (the root's uplink carries ≈B instead of (n−1)·B);
+//! * **Large payloads** — pipelines. Bcast becomes a segmented chain
+//!   (the root's uplink carries ≈B instead of (n−1)·B);
 //!   reduce/allreduce become ring reduce-scatter followed by a chunk
 //!   gather or ring allgather. Bandwidth-bound: every link carries ≈B/n
 //!   per round and the FM 2.x stream engine pipelines fragments under
@@ -32,63 +42,76 @@ use fm_core::buf::{BufPool, PacketBuf};
 
 use crate::api::{Mpi, ReduceOp};
 use crate::comm::{elem_chunk_bounds, CollPhase, Communicator};
+use crate::hier::{self, Composed};
 use crate::types::{RecvReq, SendReq};
-use crate::wire::{coll_tag, CollKind};
-
-fn comm_of<M: Mpi + ?Sized>(mpi: &M) -> Communicator {
-    Communicator::new(mpi.rank(), mpi.size(), mpi.coll_config())
-}
+use crate::wire::CollKind;
 
 // ---------------------------------------------------------------- barrier
 
 /// Dissemination barrier: ⌈log₂ n⌉ rounds, each rank sends to
-/// `rank + 2^k` and hears from `rank - 2^k`.
+/// `rank + 2^k` and hears from `rank - 2^k`. Across hosts, two-level:
+/// ⌈log₂ H⌉ rounds among the host leaders between a local fan-in and a
+/// local release.
 pub struct BarrierOp {
+    comm: Communicator,
     seq: u32,
     dist: usize,
     round: u32,
     pending: Option<(SendReq, RecvReq)>,
-    done: bool,
+    /// Across hosts, the plan that runs in place of the rounds above.
+    composed: Option<Box<Composed>>,
 }
 
 impl BarrierOp {
     /// Start a barrier (allocates the collective sequence number).
     pub fn new<M: Mpi + ?Sized>(mpi: &mut M) -> Self {
+        let comm = Communicator::world(mpi);
         let seq = mpi.next_coll_seq();
-        let done = mpi.size() <= 1;
-        mpi.obs_coll(CollPhase::Start, CollKind::Barrier, seq, 0, 0);
-        if done {
-            mpi.obs_coll(CollPhase::End, CollKind::Barrier, seq, 0, 0);
+        let plan = mpi
+            .coll_hosts()
+            .and_then(|h| hier::reduce_plan(&comm, h, None));
+        match plan {
+            None => Self::on(mpi, &comm, seq),
+            Some(plan) => Self::rounds(comm, seq, Some(Composed::new(seq, plan, Vec::new(), 0))),
         }
+    }
+
+    fn rounds(comm: Communicator, seq: u32, composed: Option<Box<Composed>>) -> Self {
         BarrierOp {
+            comm,
             seq,
             dist: 1,
             round: 0,
             pending: None,
-            done,
+            composed,
         }
+    }
+
+    /// Start the dissemination rounds of collective `seq` on `comm`.
+    pub(crate) fn on<M: Mpi + ?Sized>(mpi: &mut M, comm: &Communicator, seq: u32) -> Self {
+        mpi.obs_coll(CollPhase::Start, CollKind::Barrier, seq, comm.round(0), 0);
+        if comm.size <= 1 {
+            mpi.obs_coll(CollPhase::End, CollKind::Barrier, seq, comm.round(0), 0);
+        }
+        Self::rounds(comm.clone(), seq, None)
     }
 
     /// Advance; `true` when every rank has passed the barrier point.
     pub fn poll<M: Mpi + ?Sized>(&mut self, mpi: &mut M) -> bool {
-        if self.done {
-            return true;
+        if let Some(composed) = &mut self.composed {
+            return composed.poll(mpi);
         }
+        let (comm, kind) = (&self.comm, CollKind::Barrier);
         loop {
             match &self.pending {
+                None if self.dist >= comm.size => return true,
                 None => {
-                    let (rank, size) = (mpi.rank(), mpi.size());
-                    if self.dist >= size {
-                        self.done = true;
-                        mpi.obs_coll(CollPhase::End, CollKind::Barrier, self.seq, self.round, 0);
-                        return true;
-                    }
-                    let tag = coll_tag(CollKind::Barrier, self.seq, self.round);
-                    let dst = (rank + self.dist) % size;
-                    let src = (rank + size - self.dist) % size;
-                    let s = mpi.isend(dst, tag, Vec::new());
-                    let r = mpi.irecv(Some(src), Some(tag), 0);
-                    mpi.obs_coll(CollPhase::Round, CollKind::Barrier, self.seq, self.round, 0);
+                    let tag = comm.tag(kind, self.seq, self.round);
+                    let dst = (comm.rank + self.dist) % comm.size;
+                    let src = (comm.rank + comm.size - self.dist) % comm.size;
+                    let s = comm.isend(mpi, dst, tag, Vec::new());
+                    let r = comm.irecv(mpi, src, tag, 0);
+                    mpi.obs_coll(CollPhase::Round, kind, self.seq, comm.round(self.round), 0);
                     self.pending = Some((s, r));
                 }
                 Some((s, r)) => {
@@ -97,6 +120,9 @@ impl BarrierOp {
                     }
                     self.pending = None;
                     self.dist *= 2;
+                    if self.dist >= comm.size {
+                        mpi.obs_coll(CollPhase::End, kind, self.seq, comm.round(self.round), 0);
+                    }
                     self.round += 1;
                 }
             }
@@ -111,11 +137,10 @@ impl BarrierOp {
 /// `(start − r − 1) mod n` from the left. After the last round every
 /// rank holds every chunk.
 struct RingAllgather {
-    kind: CollKind,
     seq: u32,
-    /// Tag-round offset so rounds don't collide with an earlier phase
-    /// of the same collective (scatter / reduce-scatter).
-    tag_offset: u32,
+    /// The ring, rebased so its rounds don't collide with the
+    /// reduce-scatter's under the same sequence number.
+    comm: Communicator,
     /// Chunk index this rank owns entering round 0.
     start: usize,
     /// Per-chunk receive bound.
@@ -127,17 +152,15 @@ struct RingAllgather {
 
 impl RingAllgather {
     fn new(
-        kind: CollKind,
         seq: u32,
-        tag_offset: u32,
+        comm: Communicator,
         start: usize,
         bound: usize,
         chunks: Vec<Option<Vec<u8>>>,
     ) -> Self {
         RingAllgather {
-            kind,
             seq,
-            tag_offset,
+            comm,
             start,
             bound,
             round: 0,
@@ -146,8 +169,8 @@ impl RingAllgather {
         }
     }
 
-    fn poll<M: Mpi + ?Sized>(&mut self, mpi: &mut M, comm: &Communicator) -> bool {
-        let n = comm.size;
+    fn poll<M: Mpi + ?Sized>(&mut self, mpi: &mut M) -> bool {
+        let (comm, n) = (&self.comm, self.comm.size);
         loop {
             if self.round >= n - 1 {
                 return true;
@@ -155,17 +178,18 @@ impl RingAllgather {
             match &self.pair {
                 None => {
                     let send_idx = (self.start + n - self.round % n) % n;
-                    let tag = coll_tag(self.kind, self.seq, self.tag_offset + self.round as u32);
+                    let round = self.round as u32;
+                    let tag = comm.tag(CollKind::Reduce, self.seq, round);
                     let data = self.chunks[send_idx]
                         .clone()
                         .expect("ring allgather owns the chunk it forwards");
-                    let s = mpi.isend(comm.right(), tag, data);
-                    let r = mpi.irecv(Some(comm.left()), Some(tag), self.bound);
+                    let s = comm.isend(mpi, comm.right(), tag, data);
+                    let r = comm.irecv(mpi, comm.left(), tag, self.bound);
                     mpi.obs_coll(
                         CollPhase::Round,
-                        self.kind,
+                        CollKind::Reduce,
                         self.seq,
-                        self.tag_offset + self.round as u32,
+                        comm.round(round),
                         0,
                     );
                     self.pair = Some((s, r));
@@ -202,7 +226,6 @@ impl RingAllgather {
 /// (reduction scratch), so soak loops recycle frames instead of
 /// reallocating each round.
 struct RingReduceScatter {
-    kind: CollKind,
     seq: u32,
     op: ReduceOp,
     acc: Vec<PacketBuf>,
@@ -214,7 +237,7 @@ struct RingReduceScatter {
 }
 
 impl RingReduceScatter {
-    fn new(kind: CollKind, seq: u32, contrib: &[u8], op: ReduceOp, n: usize) -> Self {
+    fn new(seq: u32, contrib: &[u8], op: ReduceOp, n: usize) -> Self {
         let max_chunk = elem_chunk_bounds(contrib.len(), n, 0).1;
         let pool = BufPool::new(max_chunk.max(8), n + 1);
         let mut acc = Vec::with_capacity(n);
@@ -227,7 +250,6 @@ impl RingReduceScatter {
             lens.push(e - s);
         }
         RingReduceScatter {
-            kind,
             seq,
             op,
             acc,
@@ -248,10 +270,16 @@ impl RingReduceScatter {
                 None => {
                     let send_idx = (comm.rank + n - self.round % n) % n;
                     let recv_idx = (comm.rank + 2 * n - self.round - 1) % n;
-                    let tag = coll_tag(self.kind, self.seq, self.round as u32);
-                    let s = mpi.isend(comm.right(), tag, self.acc[send_idx].to_vec());
-                    let r = mpi.irecv(Some(comm.left()), Some(tag), self.lens[recv_idx]);
-                    mpi.obs_coll(CollPhase::Round, self.kind, self.seq, self.round as u32, 0);
+                    let tag = comm.tag(CollKind::Reduce, self.seq, self.round as u32);
+                    let s = comm.isend(mpi, comm.right(), tag, self.acc[send_idx].to_vec());
+                    let r = comm.irecv(mpi, comm.left(), tag, self.lens[recv_idx]);
+                    mpi.obs_coll(
+                        CollPhase::Round,
+                        CollKind::Reduce,
+                        self.seq,
+                        self.round as u32,
+                        0,
+                    );
                     self.pair = Some((s, r));
                 }
                 Some((s, r)) => {
@@ -285,8 +313,9 @@ impl RingReduceScatter {
         self.acc[self.owned_idx(comm)].to_vec()
     }
 
-    fn chunk_lens(&self) -> &[usize] {
-        &self.lens
+    /// Length of the longest chunk: the receive bound of a later phase.
+    fn max_chunk(&self) -> usize {
+        self.lens.iter().copied().max().unwrap_or(0)
     }
 }
 
@@ -308,7 +337,7 @@ pub enum BcastAlgo {
     /// (the baseline the pipelined path is measured against).
     Flat,
     /// Segmented chain pipeline: the buffer streams down the chain
-    /// root → v1 → … → v(n−1) in [`CollConfig::pipeline_segment`]-sized
+    /// root → v1 → … → v(n−1) in [`pipeline_segment`](crate::CollConfig)-sized
     /// messages, each rank forwarding a segment the moment it lands.
     /// Every host touches each byte at most twice (receive + forward)
     /// and the root exactly once — the binding cost on a machine whose
@@ -319,7 +348,10 @@ pub enum BcastAlgo {
 
 enum BcastState {
     /// Non-root tree algorithms: waiting for the (whole) buffer.
-    TreeRecv(RecvReq),
+    TreeRecv {
+        recv: RecvReq,
+        algo: BcastAlgo,
+    },
     /// Forwarding to tree children (empty for leaves / flat non-roots;
     /// also the pipelined root, whose "children" are the per-segment
     /// sends down the chain).
@@ -334,6 +366,9 @@ enum BcastState {
         sends: Vec<SendReq>,
         segs: Vec<Vec<u8>>,
     },
+    /// Across hosts: root → its host's leader, leader → leaders,
+    /// leaders → their hosts.
+    Composed(Box<Composed>),
     Finished(Vec<u8>),
     Taken,
 }
@@ -344,32 +379,46 @@ pub struct BcastOp {
     root: usize,
     seq: u32,
     max_len: usize,
-    algo: BcastAlgo,
     state: BcastState,
 }
 
 impl BcastOp {
-    /// Start a broadcast, choosing the algorithm from `max_len` (which
+    /// Start a broadcast, choosing the schedule from `max_len` (which
     /// must be identical on every rank — it is what keeps the ranks'
-    /// algorithm choices in agreement; `data.len() <= max_len` at the
-    /// root). The root passes `Some(data)`, everyone else `None`.
+    /// choices in agreement; `data.len() <= max_len` at the root) and
+    /// the host map: the segmented chain at or above the pipeline
+    /// threshold, below it the two-level composition when the map spans
+    /// hosts and the binomial tree otherwise. The root passes
+    /// `Some(data)`, everyone else `None`.
     pub fn new<M: Mpi + ?Sized>(
         mpi: &mut M,
         root: usize,
         data: Option<Vec<u8>>,
         max_len: usize,
     ) -> Self {
-        let comm = comm_of(mpi);
-        let algo = if comm.use_pipeline(max_len) {
-            BcastAlgo::Pipelined
-        } else {
-            BcastAlgo::Binomial
+        let comm = Communicator::world(mpi);
+        let seq = mpi.next_coll_seq();
+        if comm.use_pipeline(max_len) {
+            return Self::on(mpi, &comm, seq, root, data, max_len, BcastAlgo::Pipelined);
+        }
+        let Some(plan) = mpi
+            .coll_hosts()
+            .and_then(|h| hier::bcast_plan(&comm, h, root))
+        else {
+            return Self::on(mpi, &comm, seq, root, data, max_len, BcastAlgo::Binomial);
         };
-        Self::with_algo(mpi, root, data, max_len, algo)
+        let data = data.unwrap_or_default();
+        BcastOp {
+            comm,
+            root,
+            seq,
+            max_len,
+            state: BcastState::Composed(Composed::new(seq, plan, data, max_len)),
+        }
     }
 
-    /// Start a broadcast with an explicit algorithm (must match on all
-    /// ranks).
+    /// Start a broadcast with an explicit flat algorithm (must match on
+    /// all ranks).
     pub fn with_algo<M: Mpi + ?Sized>(
         mpi: &mut M,
         root: usize,
@@ -377,45 +426,43 @@ impl BcastOp {
         max_len: usize,
         algo: BcastAlgo,
     ) -> Self {
-        let comm = comm_of(mpi);
+        let comm = Communicator::world(mpi);
         let seq = mpi.next_coll_seq();
+        Self::on(mpi, &comm, seq, root, data, max_len, algo)
+    }
+
+    /// Start broadcast `seq` from group rank `root` on `comm`.
+    pub(crate) fn on<M: Mpi + ?Sized>(
+        mpi: &mut M,
+        comm: &Communicator,
+        seq: u32,
+        root: usize,
+        data: Option<Vec<u8>>,
+        max_len: usize,
+        algo: BcastAlgo,
+    ) -> Self {
         let is_root = comm.rank == root;
         if is_root {
             let d = data.as_ref().expect("root must supply the broadcast data");
             assert!(d.len() <= max_len, "root data exceeds max_len");
         }
-        mpi.obs_coll(
-            CollPhase::Start,
-            CollKind::Bcast,
-            seq,
-            0,
-            data.as_ref().map_or(0, Vec::len),
-        );
+        let bytes = data.as_ref().map_or(0, Vec::len);
+        mpi.obs_coll(CollPhase::Start, CollKind::Bcast, seq, comm.round(0), bytes);
+        let tag = comm.tag(CollKind::Bcast, seq, 0);
         let state = if comm.size <= 1 {
             BcastState::Finished(data.unwrap_or_default())
         } else {
             match algo {
-                BcastAlgo::Binomial => {
-                    if is_root {
-                        Self::tree_send(mpi, &comm, root, seq, data.expect("root data"))
-                    } else {
-                        let parent = comm.binomial_parent(root).expect("non-root has a parent");
-                        let tag = coll_tag(CollKind::Bcast, seq, 0);
-                        BcastState::TreeRecv(mpi.irecv(Some(parent), Some(tag), max_len))
-                    }
+                BcastAlgo::Binomial | BcastAlgo::Flat if is_root => {
+                    Self::tree_send(mpi, comm, root, seq, algo, data.expect("root data"))
                 }
-                BcastAlgo::Flat => {
-                    let tag = coll_tag(CollKind::Bcast, seq, 0);
-                    if is_root {
-                        let buf = data.expect("root data");
-                        let sends = (0..comm.size)
-                            .filter(|&r| r != root)
-                            .map(|r| mpi.isend(r, tag, buf.clone()))
-                            .collect();
-                        BcastState::TreeSend { buf, sends }
-                    } else {
-                        BcastState::TreeRecv(mpi.irecv(Some(root), Some(tag), max_len))
-                    }
+                BcastAlgo::Binomial | BcastAlgo::Flat => {
+                    let parent = match algo {
+                        BcastAlgo::Flat => root,
+                        _ => comm.binomial_parent(root).expect("non-root has a parent"),
+                    };
+                    let recv = comm.irecv(mpi, parent, tag, max_len);
+                    BcastState::TreeRecv { recv, algo }
                 }
                 BcastAlgo::Pipelined => {
                     // The chain is laid out in virtual-rank order (root =
@@ -425,7 +472,6 @@ impl BcastOp {
                     // shorter (trailing segments travel empty).
                     let seg = comm.config.pipeline_segment.max(1);
                     let nsegs = pipe_segments(max_len, seg);
-                    let tag = coll_tag(CollKind::Bcast, seq, 0);
                     if is_root {
                         let buf = data.expect("root data");
                         let next = comm.from_vrank(1, root);
@@ -433,7 +479,7 @@ impl BcastOp {
                             .map(|k| {
                                 let s = (k * seg).min(buf.len());
                                 let e = ((k + 1) * seg).min(buf.len());
-                                mpi.isend(next, tag, buf[s..e].to_vec())
+                                comm.isend(mpi, next, tag, buf[s..e].to_vec())
                             })
                             .collect();
                         BcastState::TreeSend { buf, sends }
@@ -446,7 +492,7 @@ impl BcastOp {
                         let recvs = (0..nsegs)
                             .map(|k| {
                                 let bound = seg.min(max_len - k * seg);
-                                mpi.irecv(Some(prev), Some(tag), bound)
+                                comm.irecv(mpi, prev, tag, bound)
                             })
                             .collect();
                         BcastState::PipeChain {
@@ -459,70 +505,64 @@ impl BcastOp {
             }
         };
         BcastOp {
-            comm,
+            comm: comm.clone(),
             root,
             seq,
             max_len,
-            algo,
             state,
         }
     }
 
+    /// Forward `buf` down the tree of `algo`: to the binomial children,
+    /// biggest subtree first as in classic binomial bcast; in the flat
+    /// tree from the root to everyone, and from nobody else.
     fn tree_send<M: Mpi + ?Sized>(
         mpi: &mut M,
         comm: &Communicator,
         root: usize,
         seq: u32,
+        algo: BcastAlgo,
         buf: Vec<u8>,
     ) -> BcastState {
-        let tag = coll_tag(CollKind::Bcast, seq, 0);
-        // Biggest subtree first, as in classic binomial bcast.
-        let sends = comm
-            .binomial_children(root)
-            .into_iter()
-            .rev()
-            .map(|c| mpi.isend(c, tag, buf.clone()))
-            .collect();
+        let tag = comm.tag(CollKind::Bcast, seq, 0);
+        let children: Vec<usize> = match algo {
+            BcastAlgo::Flat if comm.rank != root => Vec::new(),
+            BcastAlgo::Flat => (0..comm.size).filter(|&r| r != root).collect(),
+            _ => comm.binomial_children(root).into_iter().rev().collect(),
+        };
+        let send = |c| comm.isend(mpi, c, tag, buf.clone());
+        let sends = children.into_iter().map(send).collect();
         BcastState::TreeSend { buf, sends }
     }
 
     /// Advance; `true` once this rank holds the full buffer and its
     /// forwarding duties are done.
     pub fn poll<M: Mpi + ?Sized>(&mut self, mpi: &mut M) -> bool {
+        let (kind, round0) = (CollKind::Bcast, self.comm.round(0));
         loop {
             match &mut self.state {
-                BcastState::TreeRecv(r) => {
-                    if !r.is_done() {
+                BcastState::TreeRecv { recv, algo } => {
+                    if !recv.is_done() {
                         return false;
                     }
-                    let buf = r.take().expect("done");
-                    mpi.obs_coll(CollPhase::Round, CollKind::Bcast, self.seq, 0, buf.len());
-                    // Only the binomial tree forwards: a flat non-root
-                    // received straight from the root and owes nobody
-                    // anything (its "children" in vrank space belong to
-                    // the tree schedule, not the flat one).
-                    self.state = if self.algo == BcastAlgo::Flat {
-                        BcastState::TreeSend {
-                            buf,
-                            sends: Vec::new(),
-                        }
-                    } else {
-                        Self::tree_send(mpi, &self.comm, self.root, self.seq, buf)
-                    };
+                    let buf = recv.take().expect("done");
+                    mpi.obs_coll(CollPhase::Round, kind, self.seq, round0, buf.len());
+                    let (comm, algo) = (&self.comm, *algo);
+                    self.state = Self::tree_send(mpi, comm, self.root, self.seq, algo, buf);
                 }
                 BcastState::TreeSend { buf, sends } => {
                     if !sends.iter().all(SendReq::is_done) {
                         return false;
                     }
                     let buf = std::mem::take(buf);
-                    mpi.obs_coll(CollPhase::End, CollKind::Bcast, self.seq, 0, buf.len());
+                    mpi.obs_coll(CollPhase::End, kind, self.seq, round0, buf.len());
                     self.state = BcastState::Finished(buf);
                 }
                 BcastState::PipeChain { recvs, sends, segs } => {
                     let vr = self.comm.vrank(self.root);
                     let next =
                         (vr + 1 < self.comm.size).then(|| self.comm.from_vrank(vr + 1, self.root));
-                    let tag = coll_tag(CollKind::Bcast, self.seq, 0);
+                    let tag = self.comm.tag(kind, self.seq, 0);
                     while segs.len() < recvs.len() {
                         let k = segs.len();
                         if !recvs[k].is_done() {
@@ -530,15 +570,9 @@ impl BcastOp {
                         }
                         let data = recvs[k].take().expect("done");
                         if let Some(dst) = next {
-                            sends.push(mpi.isend(dst, tag, data.clone()));
+                            sends.push(self.comm.isend(mpi, dst, tag, data.clone()));
                         }
-                        mpi.obs_coll(
-                            CollPhase::Round,
-                            CollKind::Bcast,
-                            self.seq,
-                            k as u32,
-                            data.len(),
-                        );
+                        mpi.obs_coll(CollPhase::Round, kind, self.seq, k as u32, data.len());
                         segs.push(data);
                     }
                     if segs.len() < recvs.len() || !sends.iter().all(SendReq::is_done) {
@@ -548,8 +582,14 @@ impl BcastOp {
                     for s in segs.iter() {
                         buf.extend_from_slice(s);
                     }
-                    mpi.obs_coll(CollPhase::End, CollKind::Bcast, self.seq, 0, buf.len());
+                    mpi.obs_coll(CollPhase::End, kind, self.seq, round0, buf.len());
                     self.state = BcastState::Finished(buf);
+                }
+                BcastState::Composed(composed) => {
+                    if !composed.poll(mpi) {
+                        return false;
+                    }
+                    self.state = BcastState::Finished(composed.take_value());
                 }
                 BcastState::Finished(_) => return true,
                 BcastState::Taken => panic!("poll after take_result"),
@@ -578,6 +618,12 @@ pub enum ReduceAlgo {
     Ring,
 }
 
+/// True when a reduction of `len` bytes on `comm` takes the ring: above
+/// the pipeline threshold, with at least one element per rank to scatter.
+fn ring_reduces(comm: &Communicator, len: usize) -> bool {
+    comm.use_pipeline(len) && len / 8 >= comm.size
+}
+
 enum ReduceState {
     /// Binomial: waiting for all children (ascending-mask order).
     Gather {
@@ -586,11 +632,7 @@ enum ReduceState {
     },
     SendUp(SendReq),
     RingRs(RingReduceScatter),
-    RingGatherRoot {
-        recvs: Vec<(usize, RecvReq)>,
-        chunks: Vec<Option<Vec<u8>>>,
-    },
-    RingSendRoot(SendReq),
+    RingGather(GatherOp),
     FinishedRoot(Vec<u8>),
     FinishedNonRoot,
     Taken,
@@ -609,8 +651,7 @@ impl ReduceToRootOp {
     /// Start a reduction, choosing the algorithm from `contrib.len()`
     /// (identical on every rank by contract).
     pub fn new<M: Mpi + ?Sized>(mpi: &mut M, root: usize, contrib: &[u8], rop: ReduceOp) -> Self {
-        let comm = comm_of(mpi);
-        let algo = if comm.use_pipeline(contrib.len()) && contrib.len() / 8 >= comm.size {
+        let algo = if ring_reduces(&Communicator::world(mpi), contrib.len()) {
             ReduceAlgo::Ring
         } else {
             ReduceAlgo::Binomial
@@ -627,36 +668,45 @@ impl ReduceToRootOp {
         rop: ReduceOp,
         algo: ReduceAlgo,
     ) -> Self {
-        let comm = comm_of(mpi);
+        let comm = Communicator::world(mpi);
         let seq = mpi.next_coll_seq();
+        Self::on(mpi, &comm, seq, root, contrib, rop, algo)
+    }
+
+    /// Start reduction `seq` to group rank `root` on `comm`.
+    pub(crate) fn on<M: Mpi + ?Sized>(
+        mpi: &mut M,
+        comm: &Communicator,
+        seq: u32,
+        root: usize,
+        contrib: &[u8],
+        rop: ReduceOp,
+        algo: ReduceAlgo,
+    ) -> Self {
         mpi.obs_coll(CollPhase::Start, CollKind::Reduce, seq, 0, contrib.len());
         let state = if comm.size <= 1 {
             ReduceState::FinishedRoot(contrib.to_vec())
         } else {
             match algo {
                 ReduceAlgo::Binomial => {
-                    let tag = coll_tag(CollKind::Reduce, seq, 0);
+                    let tag = comm.tag(CollKind::Reduce, seq, 0);
                     let recvs = comm
                         .binomial_children(root)
                         .into_iter()
-                        .map(|c| mpi.irecv(Some(c), Some(tag), contrib.len()))
+                        .map(|c| comm.irecv(mpi, c, tag, contrib.len()))
                         .collect();
                     ReduceState::Gather {
                         recvs,
                         acc: contrib.to_vec(),
                     }
                 }
-                ReduceAlgo::Ring => ReduceState::RingRs(RingReduceScatter::new(
-                    CollKind::Reduce,
-                    seq,
-                    contrib,
-                    rop,
-                    comm.size,
-                )),
+                ReduceAlgo::Ring => {
+                    ReduceState::RingRs(RingReduceScatter::new(seq, contrib, rop, comm.size))
+                }
             }
         };
         ReduceToRootOp {
-            comm,
+            comm: comm.clone(),
             root,
             seq,
             rop,
@@ -686,8 +736,8 @@ impl ReduceToRootOp {
                             ReduceState::FinishedRoot(acc)
                         }
                         Some(parent) => {
-                            let tag = coll_tag(CollKind::Reduce, self.seq, 0);
-                            ReduceState::SendUp(mpi.isend(parent, tag, acc))
+                            let tag = self.comm.tag(CollKind::Reduce, self.seq, 0);
+                            ReduceState::SendUp(self.comm.isend(mpi, parent, tag, acc))
                         }
                     };
                 }
@@ -702,50 +752,26 @@ impl ReduceToRootOp {
                     if !rs.poll(mpi, &self.comm) {
                         return false;
                     }
-                    let n = self.comm.size;
-                    let owned_idx = rs.owned_idx(&self.comm);
+                    // Rank i now owns reduced chunk (i + 1) mod n: gather
+                    // them at the root.
                     let owned = rs.owned_chunk(&self.comm);
-                    let lens = rs.chunk_lens().to_vec();
-                    if self.comm.rank == self.root {
-                        // Collect every other rank's owned chunk; chunk
-                        // (i+1) mod n comes from rank i, tagged by chunk
-                        // index past the reduce-scatter rounds.
-                        let mut chunks: Vec<Option<Vec<u8>>> = vec![None; n];
-                        chunks[owned_idx] = Some(owned);
-                        let recvs = (0..n)
-                            .filter(|&i| i != self.root)
-                            .map(|i| {
-                                let idx = (i + 1) % n;
-                                let tag = coll_tag(CollKind::Reduce, self.seq, (n + idx) as u32);
-                                (idx, mpi.irecv(Some(i), Some(tag), lens[idx]))
-                            })
-                            .collect();
-                        self.state = ReduceState::RingGatherRoot { recvs, chunks };
-                    } else {
-                        let tag = coll_tag(CollKind::Reduce, self.seq, (n + owned_idx) as u32);
-                        self.state = ReduceState::RingSendRoot(mpi.isend(self.root, tag, owned));
-                    }
+                    let bound = rs.max_chunk();
+                    self.state = ReduceState::RingGather(GatherOp::on(
+                        mpi, &self.comm, self.seq, self.root, owned, bound,
+                    ));
                 }
-                ReduceState::RingGatherRoot { recvs, chunks } => {
-                    if !recvs.iter().all(|(_, r)| r.is_done()) {
+                ReduceState::RingGather(g) => {
+                    if !g.poll(mpi) {
                         return false;
                     }
-                    for (idx, r) in recvs.iter() {
-                        chunks[*idx] = Some(r.take().expect("done"));
-                    }
-                    let mut out = Vec::new();
-                    for c in chunks.iter_mut() {
-                        out.extend_from_slice(c.as_ref().expect("all chunks gathered"));
-                    }
-                    mpi.obs_coll(CollPhase::End, CollKind::Reduce, self.seq, 0, out.len());
-                    self.state = ReduceState::FinishedRoot(out);
-                }
-                ReduceState::RingSendRoot(s) => {
-                    if !s.is_done() {
-                        return false;
-                    }
+                    self.state = match g.take_result() {
+                        None => ReduceState::FinishedNonRoot,
+                        Some(mut chunks) => {
+                            chunks.rotate_right(1); // rank order → chunk order
+                            ReduceState::FinishedRoot(chunks.concat())
+                        }
+                    };
                     mpi.obs_coll(CollPhase::End, CollKind::Reduce, self.seq, 0, 0);
-                    self.state = ReduceState::FinishedNonRoot;
                 }
                 ReduceState::FinishedRoot(_) | ReduceState::FinishedNonRoot => return true,
                 ReduceState::Taken => panic!("poll after take_result"),
@@ -771,48 +797,56 @@ enum AllreduceState {
     SmallBcast(BcastOp),
     LargeRs(RingReduceScatter),
     LargeAg(RingAllgather),
+    /// Across hosts: fold within each host, fold the hosts' partials at
+    /// the first leader, and fan the result back out the same way.
+    Composed(Box<Composed>),
     Finished(Vec<u8>),
     Taken,
 }
 
 /// Allreduce: every rank ends with the reduction of all contributions.
 ///
-/// Small payloads compose binomial reduce-to-0 + binomial bcast; large
-/// payloads run the classic ring (reduce-scatter + allgather, 2(n−1)
-/// rounds, each link carrying ≈`len/n` per round).
+/// Small payloads compose binomial reduce-to-0 + binomial bcast — or,
+/// across hosts, the two-level fold of [`crate::hier`]; large payloads
+/// run the classic ring (reduce-scatter + allgather, 2(n−1) rounds,
+/// each link carrying ≈`len/n` per round).
 pub struct AllreduceOp {
     comm: Communicator,
+    seq: u32,
     len: usize,
     state: AllreduceState,
 }
 
 impl AllreduceOp {
-    /// Start an allreduce (`contrib.len()` identical on every rank).
+    /// Start an allreduce (`contrib.len()` identical on every rank, so
+    /// every rank picks the same schedule from it and the host map).
     pub fn new<M: Mpi + ?Sized>(mpi: &mut M, contrib: &[u8], rop: ReduceOp) -> Self {
-        let comm = comm_of(mpi);
+        let comm = Communicator::world(mpi);
+        let seq = mpi.next_coll_seq();
         let len = contrib.len();
-        let state = if comm.size <= 1 {
-            AllreduceState::Finished(contrib.to_vec())
-        } else if comm.use_pipeline(len) && len / 8 >= comm.size {
-            let seq = mpi.next_coll_seq();
-            mpi.obs_coll(CollPhase::Start, CollKind::Reduce, seq, 0, len);
-            AllreduceState::LargeRs(RingReduceScatter::new(
-                CollKind::Reduce,
-                seq,
-                contrib,
-                rop,
-                comm.size,
-            ))
+        let plan = if comm.use_pipeline(len) {
+            None
         } else {
-            AllreduceState::SmallReduce(ReduceToRootOp::with_algo(
-                mpi,
-                0,
-                contrib,
-                rop,
-                ReduceAlgo::Binomial,
-            ))
+            mpi.coll_hosts()
+                .and_then(|h| hier::reduce_plan(&comm, h, Some(rop)))
         };
-        AllreduceOp { comm, len, state }
+        let state = if let Some(plan) = plan {
+            AllreduceState::Composed(Composed::new(seq, plan, contrib.to_vec(), len))
+        } else if comm.size <= 1 {
+            AllreduceState::Finished(contrib.to_vec())
+        } else if ring_reduces(&comm, len) {
+            mpi.obs_coll(CollPhase::Start, CollKind::Reduce, seq, 0, len);
+            AllreduceState::LargeRs(RingReduceScatter::new(seq, contrib, rop, comm.size))
+        } else {
+            let algo = ReduceAlgo::Binomial;
+            AllreduceState::SmallReduce(ReduceToRootOp::on(mpi, &comm, seq, 0, contrib, rop, algo))
+        };
+        AllreduceOp {
+            comm,
+            seq,
+            len,
+            state,
+        }
     }
 
     /// Advance; `true` once the reduced buffer is available here.
@@ -823,13 +857,9 @@ impl AllreduceOp {
                     if !r.poll(mpi) {
                         return false;
                     }
-                    let result = r.take_result();
-                    self.state = AllreduceState::SmallBcast(BcastOp::with_algo(
-                        mpi,
-                        0,
-                        result,
-                        self.len,
-                        BcastAlgo::Binomial,
+                    let (result, algo) = (r.take_result(), BcastAlgo::Binomial);
+                    self.state = AllreduceState::SmallBcast(BcastOp::on(
+                        mpi, &self.comm, self.seq, 0, result, self.len, algo,
                     ));
                 }
                 AllreduceState::SmallBcast(b) => {
@@ -844,27 +874,30 @@ impl AllreduceOp {
                     }
                     let n = self.comm.size;
                     let start = rs.owned_idx(&self.comm);
-                    let bound = rs.chunk_lens().iter().copied().max().unwrap_or(0);
+                    let bound = rs.max_chunk();
                     let mut chunks: Vec<Option<Vec<u8>>> = vec![None; n];
                     chunks[start] = Some(rs.owned_chunk(&self.comm));
-                    let seq = rs.seq;
                     self.state = AllreduceState::LargeAg(RingAllgather::new(
-                        CollKind::Reduce,
-                        seq,
-                        n as u32,
+                        self.seq,
+                        self.comm.rebased(n as u32),
                         start,
                         bound,
                         chunks,
                     ));
                 }
                 AllreduceState::LargeAg(ag) => {
-                    if !ag.poll(mpi, &self.comm) {
+                    if !ag.poll(mpi) {
                         return false;
                     }
                     let out = ag.assemble();
-                    let (seq, bytes) = (ag.seq, out.len());
-                    mpi.obs_coll(CollPhase::End, CollKind::Reduce, seq, 0, bytes);
+                    mpi.obs_coll(CollPhase::End, CollKind::Reduce, self.seq, 0, out.len());
                     self.state = AllreduceState::Finished(out);
+                }
+                AllreduceState::Composed(composed) => {
+                    if !composed.poll(mpi) {
+                        return false;
+                    }
+                    self.state = AllreduceState::Finished(composed.take_value());
                 }
                 AllreduceState::Finished(_) => return true,
                 AllreduceState::Taken => panic!("poll after take_result"),
@@ -897,62 +930,62 @@ enum GatherState {
 /// Gather every rank's buffer at `root` (rank order).
 pub struct GatherOp {
     seq: u32,
+    round: u32,
     state: GatherState,
 }
 
 impl GatherOp {
     /// Start a gather; every rank contributes `data`.
     pub fn new<M: Mpi + ?Sized>(mpi: &mut M, root: usize, data: Vec<u8>, max_len: usize) -> Self {
-        let comm = comm_of(mpi);
+        let comm = Communicator::world(mpi);
         let seq = mpi.next_coll_seq();
-        mpi.obs_coll(CollPhase::Start, CollKind::Gather, seq, 0, data.len());
-        let tag = coll_tag(CollKind::Gather, seq, 0);
+        Self::on(mpi, &comm, seq, root, data, max_len)
+    }
+
+    /// Start gather `seq` at group rank `root` on `comm`.
+    pub(crate) fn on<M: Mpi + ?Sized>(
+        mpi: &mut M,
+        comm: &Communicator,
+        seq: u32,
+        root: usize,
+        data: Vec<u8>,
+        max_len: usize,
+    ) -> Self {
+        let round = comm.round(0);
+        mpi.obs_coll(CollPhase::Start, CollKind::Gather, seq, round, data.len());
+        let tag = comm.tag(CollKind::Gather, seq, 0);
         let state = if comm.rank == root {
             let recvs = (0..comm.size)
-                .map(|r| {
-                    if r == root {
-                        None
-                    } else {
-                        Some(mpi.irecv(Some(r), Some(tag), max_len))
-                    }
-                })
+                .map(|r| (r != root).then(|| comm.irecv(mpi, r, tag, max_len)))
                 .collect();
             GatherState::Root { recvs, own: data }
         } else {
-            GatherState::Leaf(mpi.isend(root, tag, data))
+            GatherState::Leaf(comm.isend(mpi, root, tag, data))
         };
-        GatherOp { seq, state }
+        GatherOp { seq, round, state }
     }
 
     /// Advance; `true` once this rank's part is complete.
     pub fn poll<M: Mpi + ?Sized>(&mut self, mpi: &mut M) -> bool {
-        match &mut self.state {
+        let finished = match &mut self.state {
             GatherState::Root { recvs, own } => {
                 if !recvs.iter().flatten().all(RecvReq::is_done) {
                     return false;
                 }
-                let out = recvs
-                    .iter()
-                    .map(|r| match r {
-                        None => std::mem::take(own),
-                        Some(r) => r.take().expect("done"),
-                    })
-                    .collect();
-                mpi.obs_coll(CollPhase::End, CollKind::Gather, self.seq, 0, 0);
-                self.state = GatherState::FinishedRoot(out);
-                true
+                let part = |r: &Option<RecvReq>| match r {
+                    None => std::mem::take(own),
+                    Some(r) => r.take().expect("done"),
+                };
+                GatherState::FinishedRoot(recvs.iter().map(part).collect())
             }
-            GatherState::Leaf(s) => {
-                if !s.is_done() {
-                    return false;
-                }
-                mpi.obs_coll(CollPhase::End, CollKind::Gather, self.seq, 0, 0);
-                self.state = GatherState::FinishedNonRoot;
-                true
-            }
-            GatherState::FinishedRoot(_) | GatherState::FinishedNonRoot => true,
+            GatherState::Leaf(s) if s.is_done() => GatherState::FinishedNonRoot,
+            GatherState::Leaf(_) => return false,
+            GatherState::FinishedRoot(_) | GatherState::FinishedNonRoot => return true,
             GatherState::Taken => panic!("poll after take_result"),
-        }
+        };
+        mpi.obs_coll(CollPhase::End, CollKind::Gather, self.seq, self.round, 0);
+        self.state = finished;
+        true
     }
 
     /// `Some(buffers)` at the root (rank order), `None` elsewhere.
@@ -988,10 +1021,10 @@ impl ScatterOp {
         chunks: Option<Vec<Vec<u8>>>,
         max_len: usize,
     ) -> Self {
-        let comm = comm_of(mpi);
+        let comm = Communicator::world(mpi);
         let seq = mpi.next_coll_seq();
         mpi.obs_coll(CollPhase::Start, CollKind::Scatter, seq, 0, 0);
-        let tag = coll_tag(CollKind::Scatter, seq, 0);
+        let tag = comm.tag(CollKind::Scatter, seq, 0);
         let state = if comm.rank == root {
             let chunks = chunks.expect("root must supply the chunks");
             assert_eq!(chunks.len(), comm.size, "one chunk per rank");
@@ -1001,12 +1034,12 @@ impl ScatterOp {
                 if r == root {
                     own = c;
                 } else {
-                    sends.push(mpi.isend(r, tag, c));
+                    sends.push(comm.isend(mpi, r, tag, c));
                 }
             }
             ScatterState::Root { sends, own }
         } else {
-            ScatterState::Leaf(mpi.irecv(Some(root), Some(tag), max_len))
+            ScatterState::Leaf(comm.irecv(mpi, root, tag, max_len))
         };
         ScatterOp { seq, state }
     }
@@ -1014,28 +1047,18 @@ impl ScatterOp {
     /// Advance; `true` once this rank holds its chunk (root: once all
     /// chunks are handed off).
     pub fn poll<M: Mpi + ?Sized>(&mut self, mpi: &mut M) -> bool {
-        match &mut self.state {
-            ScatterState::Root { sends, own } => {
-                if !sends.iter().all(SendReq::is_done) {
-                    return false;
-                }
-                let own = std::mem::take(own);
-                mpi.obs_coll(CollPhase::End, CollKind::Scatter, self.seq, 0, own.len());
-                self.state = ScatterState::Finished(own);
-                true
+        let chunk = match &mut self.state {
+            ScatterState::Root { sends, own } if sends.iter().all(SendReq::is_done) => {
+                std::mem::take(own)
             }
-            ScatterState::Leaf(r) => {
-                if !r.is_done() {
-                    return false;
-                }
-                let c = r.take().expect("done");
-                mpi.obs_coll(CollPhase::End, CollKind::Scatter, self.seq, 0, c.len());
-                self.state = ScatterState::Finished(c);
-                true
-            }
-            ScatterState::Finished(_) => true,
+            ScatterState::Leaf(r) if r.is_done() => r.take().expect("done"),
+            ScatterState::Root { .. } | ScatterState::Leaf(_) => return false,
+            ScatterState::Finished(_) => return true,
             ScatterState::Taken => panic!("poll after take_result"),
-        }
+        };
+        mpi.obs_coll(CollPhase::End, CollKind::Scatter, self.seq, 0, chunk.len());
+        self.state = ScatterState::Finished(chunk);
+        true
     }
 
     /// This rank's chunk; call once after `poll` returns `true`.

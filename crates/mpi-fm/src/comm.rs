@@ -1,4 +1,5 @@
-//! Communicator: rank topology and collective algorithm selection.
+//! Communicator: a group of ranks, its topology, and collective
+//! algorithm selection.
 //!
 //! The collectives in [`crate::collectives`] are assembled from two tree
 //! shapes (a binomial tree rooted anywhere, and a unidirectional ring)
@@ -9,11 +10,27 @@
 //! (segmented chain for bcast, ring reduce-scatter / ring allgather for
 //! reductions).
 //!
+//! A [`Communicator`] is a *group*: all geometry is in group ranks, and
+//! the group is the one place a group rank becomes a world rank
+//! ([`Communicator::isend`] / [`Communicator::irecv`]) and a round
+//! becomes a tag ([`Communicator::tag`]). The world group has no member
+//! table and allocates nothing; a sub-group ([`Communicator::group`])
+//! carries one plus a tag round base, which is how several flat
+//! collectives run under one sequence number without their tags
+//! meeting — the two-level schedules in [`crate::hier`] are exactly
+//! that.
+//!
 //! Every rank must make the *same* algorithm choice for the same
 //! collective or the tag schedules disagree and the operation wedges, so
 //! selection keys off values that are identical everywhere by contract
 //! (the receive bound for bcast, the contribution length for reductions),
 //! never off root-only knowledge.
+
+use std::rc::Rc;
+
+use crate::api::Mpi;
+use crate::types::{RecvReq, SendReq};
+use crate::wire::{coll_tag, CollKind};
 
 /// Tuning knobs for collective algorithm selection.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -51,23 +68,98 @@ pub enum CollPhase {
     End,
 }
 
-/// Rank topology for one collective: who is my parent, who are my
-/// children, who are my ring neighbors.
-#[derive(Debug, Clone, Copy)]
+/// One collective's group: who is my parent, who are my children, who
+/// are my ring neighbors — in group ranks — and how those map onto the
+/// world.
+#[derive(Debug, Clone)]
 pub struct Communicator {
-    /// This process's rank.
+    /// This process's rank in the group.
     pub rank: usize,
-    /// Number of ranks.
+    /// Number of ranks in the group.
     pub size: usize,
     /// Algorithm-selection knobs.
     pub config: CollConfig,
+    /// Group rank → world rank; `None` is the world group (identity).
+    members: Option<Rc<[usize]>>,
+    /// Added to every round this group tags.
+    round_base: u32,
 }
 
 impl Communicator {
-    /// Build from a rank/size pair and the instance's config.
+    /// The world group, from a rank/size pair and the instance's config.
     pub fn new(rank: usize, size: usize, config: CollConfig) -> Self {
         assert!(rank < size, "rank {rank} out of range for size {size}");
-        Communicator { rank, size, config }
+        Communicator {
+            rank,
+            size,
+            config,
+            members: None,
+            round_base: 0,
+        }
+    }
+
+    /// The world group of `mpi`.
+    pub fn world<M: Mpi + ?Sized>(mpi: &M) -> Self {
+        Communicator::new(mpi.rank(), mpi.size(), mpi.coll_config())
+    }
+
+    /// The sub-group of this (world) group holding the world ranks
+    /// `members`, in that order, tagging its rounds from `round_base`;
+    /// `None` when this rank is not one of them.
+    pub fn group(&self, members: &[usize], round_base: u32) -> Option<Communicator> {
+        let rank = members.iter().position(|&r| r == self.rank)?;
+        Some(Communicator {
+            rank,
+            size: members.len(),
+            config: self.config,
+            members: Some(members.into()),
+            round_base,
+        })
+    }
+
+    /// The same group tagging its rounds from `round_base` instead.
+    pub fn rebased(&self, round_base: u32) -> Communicator {
+        Communicator {
+            round_base,
+            ..self.clone()
+        }
+    }
+
+    /// The world rank of group rank `r`.
+    fn world_rank(&self, r: usize) -> usize {
+        self.members.as_ref().map_or(r, |m| m[r])
+    }
+
+    /// Round `r` of this group in the collective's round space.
+    pub fn round(&self, r: u32) -> u32 {
+        self.round_base + r
+    }
+
+    /// The tag of round `r` of collective (`kind`, `seq`) on this group.
+    pub fn tag(&self, kind: CollKind, seq: u32, r: u32) -> u32 {
+        coll_tag(kind, seq, self.round(r))
+    }
+
+    /// Send to group rank `dst`.
+    pub fn isend<M: Mpi + ?Sized>(
+        &self,
+        mpi: &mut M,
+        dst: usize,
+        tag: u32,
+        data: Vec<u8>,
+    ) -> SendReq {
+        mpi.isend(self.world_rank(dst), tag, data)
+    }
+
+    /// Receive from group rank `src`.
+    pub fn irecv<M: Mpi + ?Sized>(
+        &self,
+        mpi: &mut M,
+        src: usize,
+        tag: u32,
+        max_len: usize,
+    ) -> RecvReq {
+        mpi.irecv(Some(self.world_rank(src)), Some(tag), max_len)
     }
 
     /// Virtual rank with `root` renumbered to 0 (binomial trees are
@@ -76,7 +168,7 @@ impl Communicator {
         (self.rank + self.size - root) % self.size
     }
 
-    /// Real rank for a virtual rank under `root`.
+    /// Group rank for a virtual rank under `root`.
     pub fn from_vrank(&self, vr: usize, root: usize) -> usize {
         (vr + root) % self.size
     }
@@ -92,7 +184,7 @@ impl Communicator {
         }
     }
 
-    /// Binomial parent (real rank), `None` at the root.
+    /// Binomial parent (group rank), `None` at the root.
     pub fn binomial_parent(&self, root: usize) -> Option<usize> {
         let vr = self.vrank(root);
         if vr == 0 {
@@ -102,7 +194,7 @@ impl Communicator {
         Some(self.from_vrank(vr - lsb, root))
     }
 
-    /// Binomial children (real ranks) in ascending-mask order — the
+    /// Binomial children (group ranks) in ascending-mask order — the
     /// fixed order reductions apply operands in, which is what makes
     /// floating-point results deterministic. Broadcast walks the same
     /// list in reverse (biggest subtree first).

@@ -1,800 +1,421 @@
-//! Hierarchy-aware collectives: leader-per-host two-level schedules.
+//! Hierarchy-aware collectives: two-level schedules *composed* from the
+//! flat machines of [`crate::collectives`] running on sub-groups.
 //!
 //! When ranks are spread across hosts — shared memory within a host,
-//! a network between hosts — the flat schedules in
-//! [`crate::collectives`] waste the asymmetry: a dissemination barrier
-//! crosses the wire on almost every round, and a binomial allreduce
-//! ships every rank's contribution across hosts individually. The
-//! two-level shape fixes the accounting: combine *within* each host
-//! first over the cheap fabric, cross the expensive fabric once per
-//! host, then fan back out locally.
+//! a network between hosts — the flat schedules waste the asymmetry: a
+//! dissemination barrier crosses the wire on almost every round, and a
+//! binomial allreduce ships every rank's contribution across hosts
+//! individually. The two-level shape fixes the accounting: combine
+//! *within* each host first over the cheap fabric, cross the expensive
+//! fabric once per host, then fan back out locally.
 //!
-//! Each operation runs in three phases, tag-partitioned by round
-//! offsets inside one collective sequence number so nothing collides:
+//! Nothing here sends a message. A host map ([`crate::Mpi::coll_hosts`])
+//! yields two groups ([`host_groups`]): the ranks of my host, led by its
+//! lowest rank, and the leaders of all hosts in ascending host id. A
+//! *plan* lists the `Step`s — each a flat gather, dissemination barrier
+//! or flat broadcast on a group — this rank takes part in, and
+//! `Composed` runs them in order under the collective's one sequence
+//! number, each group tagging from its own round base:
 //!
-//! 1. **Local gather** (round base [`R_LOCAL`]) — non-leader ranks send
-//!    to their host leader (the lowest rank on the host).
-//! 2. **Leader exchange** (round bases [`R_LEADER`] / [`R_LEADER_BC`])
-//!    — only leaders talk, one message per host in each direction:
-//!    dissemination among leaders for barrier, reduce-to-first-leader
-//!    plus leader broadcast for allreduce, root-leader fan-out for
-//!    bcast.
-//! 3. **Local release** (round base [`R_RELEASE`]) — leaders fan
-//!    results back out to their host members.
+//! * **barrier** — gather on my host → barrier among the leaders
+//!   (⌈log₂ H⌉ cross-host rounds) → flat bcast on my host.
+//! * **allreduce** — gather-and-fold on my host → gather-and-fold among
+//!   the leaders at the first, flat bcast back → flat bcast on my host.
+//!   Two cross-host messages per host.
+//! * **bcast** — flat bcast on {root, root's leader} when they differ →
+//!   flat bcast among the leaders from the root's → flat bcast on each
+//!   host, the root left out. The buffer crosses hosts once per host.
 //!
 //! Reduction fold order is fixed by *structure* (ascending rank within
 //! a host, ascending host at the leader level), never by arrival
 //! timing, so results are deterministic run-to-run. Note the order
 //! differs from the flat binomial fold, so `f64` sums can differ from
 //! the flat path in the last ulp — exactly as MPI permits between
-//! algorithms; integer operations are bitwise identical. The blocking
-//! wrappers select these schedules only when a host map with at least
-//! two hosts is configured (see [`crate::Mpi::coll_hosts`]), and only
-//! below the pipeline threshold: large payloads stay on the flat ring
-//! paths, whose bandwidth optimality a hierarchy cannot beat.
+//! algorithms; integer operations are bitwise identical.
+//!
+//! Who takes these schedules is decided elsewhere: the `new`
+//! constructors of `BarrierOp`, `BcastOp` and `AllreduceOp` ask for a
+//! plan, and get `None` unless the map covers every rank and spans at
+//! least two hosts.
 
 use crate::api::{Mpi, ReduceOp};
-use crate::comm::CollPhase;
-use crate::types::{RecvReq, SendReq};
-use crate::wire::{coll_tag, CollKind};
+use crate::collectives::{BarrierOp, BcastAlgo, BcastOp, GatherOp};
+use crate::comm::Communicator;
 
-/// Round base for the local-gather phase.
-pub const R_LOCAL: u32 = 0x100;
-/// Round base for the leader-exchange phase (dissemination rounds and
-/// the reduce-to-first-leader hop live here).
-pub const R_LEADER: u32 = 0x200;
-/// Round base for the leader-level broadcast-back hop of allreduce.
-pub const R_LEADER_BC: u32 = 0x280;
-/// Round base for the local-release phase.
-pub const R_RELEASE: u32 = 0x300;
+/// Round base of the fan-in on a host (and of a broadcast's hop from a
+/// non-leader root to its leader).
+const R_LOCAL: u32 = 0x100;
+/// Round base of the leaders' exchange.
+const R_LEADER: u32 = 0x200;
+/// Round base of the leaders' broadcast-back in allreduce.
+const R_LEADER_BC: u32 = 0x280;
+/// Round base of the release on a host.
+const R_RELEASE: u32 = 0x300;
 
-/// Rank → host geometry for the two-level schedules: which host each
-/// rank lives on, who leads each host (its lowest rank), and this
-/// rank's place in it. Every rank must construct it from the *same*
-/// host map or the schedules disagree and the operation wedges.
-#[derive(Debug, Clone)]
-pub struct HostGeometry {
-    rank: usize,
-    hosts: Vec<usize>,
-    /// Host leaders, ordered by ascending host id — the canonical
-    /// leader-level rank order.
-    leaders: Vec<usize>,
-    /// This rank's host's position in `leaders`.
-    my_leader_index: usize,
+/// The two groups of a host map (`hosts[r]` = host id of rank `r`), as
+/// world ranks: the ranks of `rank`'s host in ascending order — so its
+/// leader, the host's lowest rank, comes first — and the leaders of all
+/// hosts in ascending host id. Every rank must derive them from the
+/// *same* map or the schedules disagree and the operation wedges.
+pub fn host_groups(rank: usize, hosts: &[usize]) -> (Vec<usize>, Vec<usize>) {
+    let on_host = |h: usize| (0..hosts.len()).filter(move |&r| hosts[r] == h);
+    let mut host_ids = hosts.to_vec();
+    host_ids.sort_unstable();
+    host_ids.dedup();
+    let leader = |&h| on_host(h).next().expect("every host id has a rank");
+    (
+        on_host(hosts[rank]).collect(),
+        host_ids.iter().map(leader).collect(),
+    )
 }
 
-impl HostGeometry {
-    /// Build the geometry for `rank` under `hosts` (one host id per
-    /// rank).
-    pub fn new(rank: usize, hosts: &[usize]) -> HostGeometry {
-        assert!(rank < hosts.len(), "rank outside the host map");
-        let mut host_ids: Vec<usize> = hosts.to_vec();
-        host_ids.sort_unstable();
-        host_ids.dedup();
-        let leaders: Vec<usize> = host_ids
-            .iter()
-            .map(|&h| {
-                (0..hosts.len())
-                    .find(|&r| hosts[r] == h)
-                    .expect("every host id has a rank")
-            })
-            .collect();
-        let my_host = hosts[rank];
-        let my_leader_index = host_ids
-            .iter()
-            .position(|&h| h == my_host)
-            .expect("own host present");
-        HostGeometry {
-            rank,
-            hosts: hosts.to_vec(),
-            leaders,
-            my_leader_index,
+/// One step of a composed schedule: a flat machine on a group.
+pub(crate) enum Step {
+    /// Fan-in to the group's first rank, which with an operator folds
+    /// the contributions in ascending group rank.
+    Gather(Communicator, Option<ReduceOp>),
+    /// Dissemination rounds.
+    Barrier(Communicator),
+    /// Flat broadcast from this group rank.
+    Bcast(Communicator, usize),
+}
+
+/// This rank's host and leader groups, when `hosts` makes a two-level
+/// schedule worthwhile: it must cover every rank and span at least two
+/// hosts (on one host the flat schedules are strictly better).
+fn two_level(world: &Communicator, hosts: &[usize]) -> Option<(Vec<usize>, Vec<usize>)> {
+    if hosts.len() != world.size {
+        return None;
+    }
+    let (local, leaders) = host_groups(world.rank, hosts);
+    (leaders.len() >= 2).then_some((local, leaders))
+}
+
+/// This rank's steps of the two-level allreduce under `hosts` — or, with
+/// no operator and so nothing to fold, of the two-level barrier: up my
+/// host, across the leaders, down my host.
+pub(crate) fn reduce_plan(
+    world: &Communicator,
+    hosts: &[usize],
+    rop: Option<ReduceOp>,
+) -> Option<Vec<Step>> {
+    let (local, leaders) = two_level(world, hosts)?;
+    let local = world.group(&local, R_LOCAL)?;
+    let mut plan = vec![Step::Gather(local.clone(), rop)];
+    match (world.group(&leaders, R_LEADER), rop) {
+        (None, _) => {}
+        (Some(l), None) => plan.push(Step::Barrier(l)),
+        (Some(l), Some(_)) => {
+            let back = l.rebased(R_LEADER_BC);
+            plan.extend([Step::Gather(l, rop), Step::Bcast(back, 0)]);
         }
     }
-
-    /// Number of ranks.
-    pub fn num_ranks(&self) -> usize {
-        self.hosts.len()
-    }
-
-    /// Number of hosts.
-    pub fn num_hosts(&self) -> usize {
-        self.leaders.len()
-    }
-
-    /// The leader (lowest rank) of this rank's host.
-    pub fn my_leader(&self) -> usize {
-        self.leaders[self.my_leader_index]
-    }
-
-    /// Whether this rank leads its host.
-    pub fn is_leader(&self) -> bool {
-        self.my_leader() == self.rank
-    }
-
-    /// Host leaders in canonical (ascending host id) order.
-    pub fn leaders(&self) -> &[usize] {
-        &self.leaders
-    }
-
-    /// This host's position in [`HostGeometry::leaders`].
-    pub fn leader_index(&self) -> usize {
-        self.my_leader_index
-    }
-
-    /// The leader of the host `r` lives on.
-    pub fn leader_of(&self, r: usize) -> usize {
-        let h = self.hosts[r];
-        self.leaders[self
-            .leaders
-            .iter()
-            .position(|&l| self.hosts[l] == h)
-            .expect("host has a leader")]
-    }
-
-    /// Ranks on this rank's host, ascending, excluding this rank.
-    pub fn local_others(&self) -> Vec<usize> {
-        let h = self.hosts[self.rank];
-        (0..self.hosts.len())
-            .filter(|&r| r != self.rank && self.hosts[r] == h)
-            .collect()
-    }
-
-    /// Whether the map is genuinely hierarchical (at least two hosts,
-    /// so the two-level schedules have a leader level to win on).
-    pub fn is_hierarchical(&self) -> bool {
-        self.num_hosts() >= 2
-    }
+    plan.push(Step::Bcast(local.rebased(R_RELEASE), 0));
+    Some(plan)
 }
 
-// ---------------------------------------------------------------- barrier
-
-enum HBarrierState {
-    /// Non-leader: report to the leader, wait for the release.
-    Member {
-        report: SendReq,
-        release: RecvReq,
-    },
-    /// Leader: wait for every local member's report.
-    Gather {
-        recvs: Vec<RecvReq>,
-    },
-    /// Leader: dissemination among leaders.
-    Leaders {
-        dist: usize,
-        round: u32,
-        pair: Option<(SendReq, RecvReq)>,
-    },
-    /// Leader: releases in flight to local members.
-    Release {
-        sends: Vec<SendReq>,
-    },
-    Done,
+/// This rank's steps of the two-level broadcast from world rank `root`
+/// under `hosts`.
+pub(crate) fn bcast_plan(world: &Communicator, hosts: &[usize], root: usize) -> Option<Vec<Step>> {
+    let (local, leaders) = two_level(world, hosts)?;
+    let root_leader = leaders.iter().position(|&l| hosts[l] == hosts[root])?;
+    let hop = [root, leaders[root_leader]];
+    // The root already holds the buffer: it may lead its host's release
+    // but never receives it.
+    let release: Vec<usize> = local
+        .iter()
+        .copied()
+        .filter(|&r| r != root || r == local[0])
+        .collect();
+    let mut plan = Vec::new();
+    let mut bcast = |group: Option<Communicator>, from| {
+        plan.extend(group.map(|g| Step::Bcast(g, from)));
+    };
+    if hop[0] != hop[1] {
+        bcast(world.group(&hop, R_LOCAL), 0);
+    }
+    bcast(world.group(&leaders, R_LEADER), root_leader);
+    bcast(world.group(&release, R_RELEASE), 0);
+    Some(plan)
 }
 
-/// Two-level barrier: local gather to each host leader, dissemination
-/// among leaders (⌈log₂ H⌉ cross-host rounds instead of ⌈log₂ n⌉), and
-/// a local release.
-pub struct HierBarrierOp {
-    geo: HostGeometry,
+enum Running {
+    Gather(GatherOp, Option<ReduceOp>),
+    Barrier(BarrierOp),
+    Bcast(BcastOp),
+}
+
+/// A plan in progress: the steps run one after another, each handed the
+/// value the one before left here (a gather's fold, a broadcast's
+/// buffer), all under one sequence number.
+pub(crate) struct Composed {
     seq: u32,
-    state: HBarrierState,
+    max_len: usize,
+    value: Vec<u8>,
+    steps: std::vec::IntoIter<Step>,
+    running: Option<Running>,
 }
 
-impl HierBarrierOp {
-    /// Start a hierarchical barrier.
-    pub fn new<M: Mpi + ?Sized>(mpi: &mut M, geo: &HostGeometry) -> Self {
-        let geo = geo.clone();
-        let seq = mpi.next_coll_seq();
-        mpi.obs_coll(CollPhase::Start, CollKind::Barrier, seq, 0, 0);
-        let state = if geo.num_ranks() <= 1 {
-            mpi.obs_coll(CollPhase::End, CollKind::Barrier, seq, 0, 0);
-            HBarrierState::Done
-        } else if geo.is_leader() {
-            let tag = coll_tag(CollKind::Barrier, seq, R_LOCAL);
-            let recvs = geo
-                .local_others()
-                .into_iter()
-                .map(|r| mpi.irecv(Some(r), Some(tag), 0))
-                .collect();
-            HBarrierState::Gather { recvs }
-        } else {
-            let leader = geo.my_leader();
-            let report = mpi.isend(
-                leader,
-                coll_tag(CollKind::Barrier, seq, R_LOCAL),
-                Vec::new(),
-            );
-            let release = mpi.irecv(
-                Some(leader),
-                Some(coll_tag(CollKind::Barrier, seq, R_RELEASE)),
-                0,
-            );
-            HBarrierState::Member { report, release }
-        };
-        HierBarrierOp { geo, seq, state }
+impl Composed {
+    /// Run `plan` as collective `seq`, starting from this rank's
+    /// `value`; no step's message exceeds `max_len`.
+    pub(crate) fn new(seq: u32, plan: Vec<Step>, value: Vec<u8>, max_len: usize) -> Box<Self> {
+        Box::new(Composed {
+            seq,
+            max_len,
+            value,
+            steps: plan.into_iter(),
+            running: None,
+        })
     }
 
-    /// Advance; `true` when this rank has passed the barrier.
-    pub fn poll<M: Mpi + ?Sized>(&mut self, mpi: &mut M) -> bool {
+    /// Advance; `true` once this rank's last step is complete.
+    pub(crate) fn poll<M: Mpi + ?Sized>(&mut self, mpi: &mut M) -> bool {
         loop {
-            match &mut self.state {
-                HBarrierState::Member { report, release } => {
-                    if !(report.is_done() && release.is_done()) {
-                        return false;
-                    }
-                    mpi.obs_coll(CollPhase::End, CollKind::Barrier, self.seq, 0, 0);
-                    self.state = HBarrierState::Done;
-                }
-                HBarrierState::Gather { recvs } => {
-                    if !recvs.iter().all(RecvReq::is_done) {
-                        return false;
-                    }
-                    mpi.obs_coll(CollPhase::Round, CollKind::Barrier, self.seq, R_LOCAL, 0);
-                    self.state = HBarrierState::Leaders {
-                        dist: 1,
-                        round: 0,
-                        pair: None,
+            match &mut self.running {
+                None => {
+                    let Some(step) = self.steps.next() else {
+                        return true;
                     };
-                }
-                HBarrierState::Leaders { dist, round, pair } => {
-                    let leaders = self.geo.leaders();
-                    let li = self.geo.leader_index();
-                    let h = leaders.len();
-                    match pair {
-                        None => {
-                            if *dist >= h {
-                                let tag = coll_tag(CollKind::Barrier, self.seq, R_RELEASE);
-                                let sends = self
-                                    .geo
-                                    .local_others()
-                                    .into_iter()
-                                    .map(|r| mpi.isend(r, tag, Vec::new()))
-                                    .collect();
-                                self.state = HBarrierState::Release { sends };
-                                continue;
-                            }
-                            let tag = coll_tag(CollKind::Barrier, self.seq, R_LEADER + *round);
-                            let dst = leaders[(li + *dist) % h];
-                            let src = leaders[(li + h - *dist) % h];
-                            let s = mpi.isend(dst, tag, Vec::new());
-                            let r = mpi.irecv(Some(src), Some(tag), 0);
-                            mpi.obs_coll(
-                                CollPhase::Round,
-                                CollKind::Barrier,
-                                self.seq,
-                                R_LEADER + *round,
-                                0,
-                            );
-                            *pair = Some((s, r));
+                    let (seq, max_len) = (self.seq, self.max_len);
+                    let value = std::mem::take(&mut self.value);
+                    self.running = Some(match step {
+                        Step::Gather(g, fold) => {
+                            Running::Gather(GatherOp::on(mpi, &g, seq, 0, value, max_len), fold)
                         }
-                        Some((s, r)) => {
-                            if !(s.is_done() && r.is_done()) {
-                                return false;
-                            }
-                            *pair = None;
-                            *dist *= 2;
-                            *round += 1;
+                        Step::Barrier(g) => Running::Barrier(BarrierOp::on(mpi, &g, seq)),
+                        Step::Bcast(g, root) => {
+                            let data = (g.rank == root).then_some(value);
+                            let algo = BcastAlgo::Flat;
+                            Running::Bcast(BcastOp::on(mpi, &g, seq, root, data, max_len, algo))
                         }
-                    }
+                    });
+                    continue;
                 }
-                HBarrierState::Release { sends } => {
-                    if !sends.iter().all(SendReq::is_done) {
+                Some(Running::Gather(op, fold)) => {
+                    if !op.poll(mpi) {
                         return false;
                     }
-                    mpi.obs_coll(CollPhase::End, CollKind::Barrier, self.seq, 0, 0);
-                    self.state = HBarrierState::Done;
+                    if let (Some(parts), Some(rop)) = (op.take_result(), fold) {
+                        let mut parts = parts.into_iter();
+                        self.value = parts.next().expect("the root's own part");
+                        parts.for_each(|p| rop.apply(&mut self.value, &p));
+                    }
                 }
-                HBarrierState::Done => return true,
+                Some(Running::Barrier(op)) => {
+                    if !op.poll(mpi) {
+                        return false;
+                    }
+                }
+                Some(Running::Bcast(op)) => {
+                    if !op.poll(mpi) {
+                        return false;
+                    }
+                    self.value = op.take_result();
+                }
             }
-        }
-    }
-}
-
-// ---------------------------------------------------------------- bcast
-
-enum HBcastState {
-    /// Root, when it doesn't lead its host: ship the buffer to the
-    /// local leader, then wait out that send.
-    RootToLeader {
-        send: SendReq,
-        buf: Vec<u8>,
-    },
-    /// Root's leader (non-root): waiting for the root's buffer.
-    LeaderFromRoot(RecvReq),
-    /// A leader with the buffer: fan out to the other leaders.
-    LeaderFan {
-        sends: Vec<SendReq>,
-        buf: Vec<u8>,
-    },
-    /// A non-root-host leader: waiting for the root's leader.
-    LeaderRecv(RecvReq),
-    /// A leader: local fan-out in flight.
-    LocalFan {
-        sends: Vec<SendReq>,
-        buf: Vec<u8>,
-    },
-    /// A plain member: waiting for the local release.
-    MemberRecv(RecvReq),
-    Finished(Vec<u8>),
-    Taken,
-}
-
-/// Two-level broadcast: the buffer crosses hosts exactly once per host
-/// (root's leader → each other leader), with local hops at either end.
-pub struct HierBcastOp {
-    geo: HostGeometry,
-    root: usize,
-    seq: u32,
-    state: HBcastState,
-}
-
-impl HierBcastOp {
-    /// Start a hierarchical broadcast; the root passes `Some(data)`,
-    /// everyone else `None` plus the shared `max_len` bound.
-    pub fn new<M: Mpi + ?Sized>(
-        mpi: &mut M,
-        root: usize,
-        data: Option<Vec<u8>>,
-        max_len: usize,
-        geo: &HostGeometry,
-    ) -> Self {
-        let geo = geo.clone();
-        let seq = mpi.next_coll_seq();
-        let rank = geo.rank;
-        let is_root = rank == root;
-        if is_root {
-            let d = data.as_ref().expect("root must supply the broadcast data");
-            assert!(d.len() <= max_len, "root data exceeds max_len");
-        }
-        mpi.obs_coll(
-            CollPhase::Start,
-            CollKind::Bcast,
-            seq,
-            0,
-            data.as_ref().map_or(0, Vec::len),
-        );
-        let root_leader = geo.leader_of(root);
-        let state = if geo.num_ranks() <= 1 {
-            HBcastState::Finished(data.unwrap_or_default())
-        } else if is_root {
-            let buf = data.expect("root data");
-            if geo.is_leader() {
-                Self::leader_fan(mpi, &geo, seq, buf)
-            } else {
-                let send = mpi.isend(
-                    root_leader,
-                    coll_tag(CollKind::Bcast, seq, R_LOCAL),
-                    buf.clone(),
-                );
-                HBcastState::RootToLeader { send, buf }
-            }
-        } else if geo.is_leader() {
-            if rank == root_leader {
-                // The root is one of my members: its buffer arrives on
-                // the local-gather tag.
-                HBcastState::LeaderFromRoot(mpi.irecv(
-                    Some(root),
-                    Some(coll_tag(CollKind::Bcast, seq, R_LOCAL)),
-                    max_len,
-                ))
-            } else {
-                HBcastState::LeaderRecv(mpi.irecv(
-                    Some(root_leader),
-                    Some(coll_tag(CollKind::Bcast, seq, R_LEADER)),
-                    max_len,
-                ))
-            }
-        } else {
-            HBcastState::MemberRecv(mpi.irecv(
-                Some(geo.my_leader()),
-                Some(coll_tag(CollKind::Bcast, seq, R_RELEASE)),
-                max_len,
-            ))
-        };
-        HierBcastOp {
-            geo,
-            root,
-            seq,
-            state,
+            self.running = None;
         }
     }
 
-    fn leader_fan<M: Mpi + ?Sized>(
-        mpi: &mut M,
-        geo: &HostGeometry,
-        seq: u32,
-        buf: Vec<u8>,
-    ) -> HBcastState {
-        let tag = coll_tag(CollKind::Bcast, seq, R_LEADER);
-        let me = geo.rank;
-        let sends = geo
-            .leaders()
-            .iter()
-            .filter(|&&l| l != me)
-            .map(|&l| mpi.isend(l, tag, buf.clone()))
-            .collect();
-        HBcastState::LeaderFan { sends, buf }
-    }
-
-    fn local_fan<M: Mpi + ?Sized>(
-        mpi: &mut M,
-        geo: &HostGeometry,
-        root: usize,
-        seq: u32,
-        buf: Vec<u8>,
-    ) -> HBcastState {
-        let tag = coll_tag(CollKind::Bcast, seq, R_RELEASE);
-        let sends = geo
-            .local_others()
-            .into_iter()
-            .filter(|&r| r != root) // the root already holds the buffer
-            .map(|r| mpi.isend(r, tag, buf.clone()))
-            .collect();
-        HBcastState::LocalFan { sends, buf }
-    }
-
-    /// Advance; `true` once this rank holds the buffer and its
-    /// forwarding duties are done.
-    pub fn poll<M: Mpi + ?Sized>(&mut self, mpi: &mut M) -> bool {
-        loop {
-            match &mut self.state {
-                HBcastState::RootToLeader { send, buf } => {
-                    if !send.is_done() {
-                        return false;
-                    }
-                    let buf = std::mem::take(buf);
-                    mpi.obs_coll(CollPhase::End, CollKind::Bcast, self.seq, 0, buf.len());
-                    self.state = HBcastState::Finished(buf);
-                }
-                HBcastState::LeaderFromRoot(r) => {
-                    if !r.is_done() {
-                        return false;
-                    }
-                    let buf = r.take().expect("done");
-                    mpi.obs_coll(
-                        CollPhase::Round,
-                        CollKind::Bcast,
-                        self.seq,
-                        R_LOCAL,
-                        buf.len(),
-                    );
-                    self.state = Self::leader_fan(mpi, &self.geo, self.seq, buf);
-                }
-                HBcastState::LeaderFan { sends, buf } => {
-                    if !sends.iter().all(SendReq::is_done) {
-                        return false;
-                    }
-                    let buf = std::mem::take(buf);
-                    mpi.obs_coll(
-                        CollPhase::Round,
-                        CollKind::Bcast,
-                        self.seq,
-                        R_LEADER,
-                        buf.len(),
-                    );
-                    self.state = Self::local_fan(mpi, &self.geo, self.root, self.seq, buf);
-                }
-                HBcastState::LeaderRecv(r) => {
-                    if !r.is_done() {
-                        return false;
-                    }
-                    let buf = r.take().expect("done");
-                    mpi.obs_coll(
-                        CollPhase::Round,
-                        CollKind::Bcast,
-                        self.seq,
-                        R_LEADER,
-                        buf.len(),
-                    );
-                    self.state = Self::local_fan(mpi, &self.geo, self.root, self.seq, buf);
-                }
-                HBcastState::LocalFan { sends, buf } => {
-                    if !sends.iter().all(SendReq::is_done) {
-                        return false;
-                    }
-                    let buf = std::mem::take(buf);
-                    mpi.obs_coll(CollPhase::End, CollKind::Bcast, self.seq, 0, buf.len());
-                    self.state = HBcastState::Finished(buf);
-                }
-                HBcastState::MemberRecv(r) => {
-                    if !r.is_done() {
-                        return false;
-                    }
-                    let buf = r.take().expect("done");
-                    mpi.obs_coll(CollPhase::End, CollKind::Bcast, self.seq, 0, buf.len());
-                    self.state = HBcastState::Finished(buf);
-                }
-                HBcastState::Finished(_) => return true,
-                HBcastState::Taken => panic!("poll after take_result"),
-            }
-        }
-    }
-
-    /// The broadcast buffer; call once after `poll` returns `true`.
-    pub fn take_result(&mut self) -> Vec<u8> {
-        match std::mem::replace(&mut self.state, HBcastState::Taken) {
-            HBcastState::Finished(b) => b,
-            _ => panic!("broadcast not complete"),
-        }
-    }
-}
-
-// ---------------------------------------------------------------- allreduce
-
-enum HAllreduceState {
-    /// Non-leader: contribution sent, waiting for the reduced result.
-    Member {
-        report: SendReq,
-        result: RecvReq,
-    },
-    /// Leader: folding local members' contributions.
-    LocalGather {
-        recvs: Vec<RecvReq>,
-        acc: Vec<u8>,
-    },
-    /// First leader: folding the other hosts' partials.
-    LeaderGather {
-        recvs: Vec<RecvReq>,
-        acc: Vec<u8>,
-    },
-    /// Non-first leader: partial sent up, waiting for the result.
-    LeaderWait {
-        up: SendReq,
-        result: RecvReq,
-    },
-    /// First leader: result going back out to the other leaders.
-    LeaderFan {
-        sends: Vec<SendReq>,
-        buf: Vec<u8>,
-    },
-    /// Any leader: result going out to local members.
-    LocalFan {
-        sends: Vec<SendReq>,
-        buf: Vec<u8>,
-    },
-    Finished(Vec<u8>),
-    Taken,
-}
-
-/// Two-level allreduce: fold within each host (ascending rank), fold
-/// the per-host partials at the first leader (ascending host), then fan
-/// the result back out — two cross-host messages per host total,
-/// against the flat binomial's per-rank crossings.
-pub struct HierAllreduceOp {
-    geo: HostGeometry,
-    seq: u32,
-    rop: ReduceOp,
-    len: usize,
-    state: HAllreduceState,
-}
-
-impl HierAllreduceOp {
-    /// Start a hierarchical allreduce (`contrib.len()` identical on
-    /// every rank).
-    pub fn new<M: Mpi + ?Sized>(
-        mpi: &mut M,
-        contrib: &[u8],
-        rop: ReduceOp,
-        geo: &HostGeometry,
-    ) -> Self {
-        let geo = geo.clone();
-        let seq = mpi.next_coll_seq();
-        let len = contrib.len();
-        mpi.obs_coll(CollPhase::Start, CollKind::Reduce, seq, 0, len);
-        let state = if geo.num_ranks() <= 1 {
-            HAllreduceState::Finished(contrib.to_vec())
-        } else if geo.is_leader() {
-            let tag = coll_tag(CollKind::Reduce, seq, R_LOCAL);
-            let recvs = geo
-                .local_others()
-                .into_iter()
-                .map(|r| mpi.irecv(Some(r), Some(tag), len))
-                .collect();
-            HAllreduceState::LocalGather {
-                recvs,
-                acc: contrib.to_vec(),
-            }
-        } else {
-            let leader = geo.my_leader();
-            let report = mpi.isend(
-                leader,
-                coll_tag(CollKind::Reduce, seq, R_LOCAL),
-                contrib.to_vec(),
-            );
-            let result = mpi.irecv(
-                Some(leader),
-                Some(coll_tag(CollKind::Reduce, seq, R_RELEASE)),
-                len,
-            );
-            HAllreduceState::Member { report, result }
-        };
-        HierAllreduceOp {
-            geo,
-            seq,
-            rop,
-            len,
-            state,
-        }
-    }
-
-    fn local_fan<M: Mpi + ?Sized>(
-        mpi: &mut M,
-        geo: &HostGeometry,
-        seq: u32,
-        buf: Vec<u8>,
-    ) -> HAllreduceState {
-        let tag = coll_tag(CollKind::Reduce, seq, R_RELEASE);
-        let sends = geo
-            .local_others()
-            .into_iter()
-            .map(|r| mpi.isend(r, tag, buf.clone()))
-            .collect();
-        HAllreduceState::LocalFan { sends, buf }
-    }
-
-    /// Advance; `true` once the reduced buffer is available here.
-    pub fn poll<M: Mpi + ?Sized>(&mut self, mpi: &mut M) -> bool {
-        loop {
-            match &mut self.state {
-                HAllreduceState::Member { report, result } => {
-                    if !(report.is_done() && result.is_done()) {
-                        return false;
-                    }
-                    let buf = result.take().expect("done");
-                    mpi.obs_coll(CollPhase::End, CollKind::Reduce, self.seq, 0, buf.len());
-                    self.state = HAllreduceState::Finished(buf);
-                }
-                HAllreduceState::LocalGather { recvs, acc } => {
-                    if !recvs.iter().all(RecvReq::is_done) {
-                        return false;
-                    }
-                    // Ascending-rank fold order (recvs were posted in
-                    // local_others() order) — fixed, hence deterministic.
-                    for r in recvs.iter() {
-                        let data = r.take().expect("done");
-                        self.rop.apply(acc, &data);
-                    }
-                    let acc = std::mem::take(acc);
-                    mpi.obs_coll(
-                        CollPhase::Round,
-                        CollKind::Reduce,
-                        self.seq,
-                        R_LOCAL,
-                        acc.len(),
-                    );
-                    let leaders = self.geo.leaders();
-                    let first = leaders[0];
-                    if self.geo.rank == first {
-                        let tag = coll_tag(CollKind::Reduce, self.seq, R_LEADER);
-                        let recvs = leaders[1..]
-                            .iter()
-                            .map(|&l| mpi.irecv(Some(l), Some(tag), self.len))
-                            .collect();
-                        self.state = HAllreduceState::LeaderGather { recvs, acc };
-                    } else {
-                        let up =
-                            mpi.isend(first, coll_tag(CollKind::Reduce, self.seq, R_LEADER), acc);
-                        let result = mpi.irecv(
-                            Some(first),
-                            Some(coll_tag(CollKind::Reduce, self.seq, R_LEADER_BC)),
-                            self.len,
-                        );
-                        self.state = HAllreduceState::LeaderWait { up, result };
-                    }
-                }
-                HAllreduceState::LeaderGather { recvs, acc } => {
-                    if !recvs.iter().all(RecvReq::is_done) {
-                        return false;
-                    }
-                    // Ascending-host fold order (recvs posted in
-                    // leaders() order).
-                    for r in recvs.iter() {
-                        let data = r.take().expect("done");
-                        self.rop.apply(acc, &data);
-                    }
-                    let buf = std::mem::take(acc);
-                    mpi.obs_coll(
-                        CollPhase::Round,
-                        CollKind::Reduce,
-                        self.seq,
-                        R_LEADER,
-                        buf.len(),
-                    );
-                    let tag = coll_tag(CollKind::Reduce, self.seq, R_LEADER_BC);
-                    let me = self.geo.rank;
-                    let sends = self
-                        .geo
-                        .leaders()
-                        .iter()
-                        .filter(|&&l| l != me)
-                        .map(|&l| mpi.isend(l, tag, buf.clone()))
-                        .collect();
-                    self.state = HAllreduceState::LeaderFan { sends, buf };
-                }
-                HAllreduceState::LeaderWait { up, result } => {
-                    if !(up.is_done() && result.is_done()) {
-                        return false;
-                    }
-                    let buf = result.take().expect("done");
-                    mpi.obs_coll(
-                        CollPhase::Round,
-                        CollKind::Reduce,
-                        self.seq,
-                        R_LEADER_BC,
-                        buf.len(),
-                    );
-                    self.state = Self::local_fan(mpi, &self.geo, self.seq, buf);
-                }
-                HAllreduceState::LeaderFan { sends, buf } => {
-                    if !sends.iter().all(SendReq::is_done) {
-                        return false;
-                    }
-                    let buf = std::mem::take(buf);
-                    self.state = Self::local_fan(mpi, &self.geo, self.seq, buf);
-                }
-                HAllreduceState::LocalFan { sends, buf } => {
-                    if !sends.iter().all(SendReq::is_done) {
-                        return false;
-                    }
-                    let buf = std::mem::take(buf);
-                    mpi.obs_coll(CollPhase::End, CollKind::Reduce, self.seq, 0, buf.len());
-                    self.state = HAllreduceState::Finished(buf);
-                }
-                HAllreduceState::Finished(_) => return true,
-                HAllreduceState::Taken => panic!("poll after take_result"),
-            }
-        }
-    }
-
-    /// The reduced buffer; call once after `poll` returns `true`.
-    pub fn take_result(&mut self) -> Vec<u8> {
-        match std::mem::replace(&mut self.state, HAllreduceState::Taken) {
-            HAllreduceState::Finished(b) => b,
-            _ => panic!("allreduce not complete"),
-        }
+    /// The value the last step left (the reduction, the buffer).
+    pub(crate) fn take_value(&mut self) -> Vec<u8> {
+        std::mem::take(&mut self.value)
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use std::cell::RefCell;
+    use std::rc::Rc;
+
+    use fm_core::obs::{ObsSink, SpanKind};
+    use fm_core::{Fm2Engine, SimDevice};
+    use fm_model::{MachineProfile, Nanos};
+    use myrinet_sim::{NodeId, Simulation, StepOutcome, Topology};
+
     use super::*;
+    use crate::collectives::AllreduceOp;
+    use crate::wire::MPI_HEADER_BYTES;
+    use crate::{CollConfig, Mpi2};
+
+    type Node = Mpi2<SimDevice>;
+    /// A collective in flight: its result once complete.
+    type Poll = Box<dyn FnMut(&mut Node) -> Option<Vec<u8>>>;
 
     #[test]
-    fn geometry_identifies_leaders_and_members() {
-        // hosts: ranks 0,1 on host 0; 2,3 on host 1; 4 on host 2.
+    fn groups_put_leaders_first_and_order_them_by_host_id() {
+        // Ranks 0,1 on host 0; 2,3 on host 1; 4 on host 2.
         let hosts = [0, 0, 1, 1, 2];
-        let g0 = HostGeometry::new(0, &hosts);
-        assert!(g0.is_leader());
-        assert_eq!(g0.leaders(), &[0, 2, 4]);
-        assert_eq!(g0.local_others(), vec![1]);
-        assert_eq!(g0.leader_index(), 0);
-        let g3 = HostGeometry::new(3, &hosts);
-        assert!(!g3.is_leader());
-        assert_eq!(g3.my_leader(), 2);
-        assert_eq!(g3.leader_of(0), 0);
-        assert_eq!(g3.leader_of(4), 4);
-        assert!(g3.is_hierarchical());
-        assert_eq!(g3.num_hosts(), 3);
+        assert_eq!(host_groups(0, &hosts), (vec![0, 1], vec![0, 2, 4]));
+        assert_eq!(host_groups(3, &hosts), (vec![2, 3], vec![0, 2, 4]));
+        assert_eq!(host_groups(4, &hosts).0, vec![4]);
+        // Host ids need be neither dense nor ordered by rank: host 3 is
+        // led by rank 1, host 7 by rank 0.
+        assert_eq!(host_groups(2, &[7, 3, 7, 3]), (vec![0, 2], vec![1, 0]));
+        // One host, or a map that misses a rank, plans nothing.
+        let world = Communicator::new(2, 4, CollConfig::default());
+        assert!(reduce_plan(&world, &[0, 0, 0, 0], None).is_none());
+        assert!(bcast_plan(&world, &[0, 1, 0], 0).is_none());
+        assert!(reduce_plan(&world, &[0, 1, 0, 1], None).is_some());
+    }
+
+    #[derive(Clone, Copy, Debug)]
+    enum Op {
+        Barrier,
+        Bcast(usize),
+        Allreduce,
+    }
+
+    const BCAST_LEN: usize = 97;
+
+    /// Two non-integer `f64`s, so fold order shows in the bits.
+    fn contrib(rank: usize) -> Vec<u8> {
+        let v = [0.1 * (rank + 1) as f64, 1.0 / (rank + 3) as f64];
+        v.iter().flat_map(|x| x.to_le_bytes()).collect()
+    }
+
+    /// Start `op` through the public constructors — the poll-driven path.
+    fn start(op: Op, m: &mut Node) -> Poll {
+        match op {
+            Op::Barrier => {
+                let mut b = BarrierOp::new(m);
+                Box::new(move |m| b.poll(m).then(Vec::new))
+            }
+            Op::Bcast(root) => {
+                let data = (m.rank() == root).then(|| vec![root as u8; BCAST_LEN]);
+                let mut b = BcastOp::new(m, root, data, BCAST_LEN);
+                Box::new(move |m| b.poll(m).then(|| b.take_result()))
+            }
+            Op::Allreduce => {
+                let mut a = AllreduceOp::new(m, &contrib(m.rank()), ReduceOp::SumF64);
+                Box::new(move |m| a.poll(m).then(|| a.take_result()))
+            }
+        }
+    }
+
+    /// One collective on one rank: its sends in order as `(dst, len)`,
+    /// read off the engine's trace, and its result.
+    type Trace = (Vec<(usize, usize)>, Vec<u8>);
+
+    /// Run `ops` back to back on `ppro200_fm2` nodes placed by `hosts`:
+    /// the virtual time the last rank finished, and every rank's traces.
+    fn simulate(hosts: &[usize], ops: &[Op]) -> (u64, Vec<Vec<Trace>>) {
+        let profile = MachineProfile::ppro200_fm2();
+        let mut sim = Simulation::new(profile, Topology::single_crossbar(hosts.len()));
+        let traces: Vec<Rc<RefCell<Vec<Trace>>>> = hosts.iter().map(|_| Rc::default()).collect();
+        for (i, out) in traces.iter().enumerate() {
+            let fm = Fm2Engine::new(SimDevice::new(sim.host_interface(NodeId(i))), profile);
+            let sink = ObsSink::new(1024);
+            fm.attach_obs(sink.clone());
+            let mut m = Mpi2::new(fm);
+            m.set_coll_hosts(Some(hosts.to_vec()));
+            let (ops, out) = (ops.to_vec(), Rc::clone(out));
+            let mut current = None;
+            // One progress per wake, as every simulated probe steps.
+            let step = move || {
+                m.progress();
+                while out.borrow().len() < ops.len() {
+                    let next = ops[out.borrow().len()];
+                    let poll = current.get_or_insert_with(|| start(next, &mut m));
+                    let Some(result) = poll(&mut m) else {
+                        return StepOutcome::Wait;
+                    };
+                    let sends = sink.take_events().into_iter().filter_map(|e| {
+                        let len = (e.bytes as usize).wrapping_sub(MPI_HEADER_BYTES);
+                        (e.kind == SpanKind::BeginMessage).then_some((e.peer as usize, len))
+                    });
+                    out.borrow_mut().push((sends.collect(), result));
+                    current = None;
+                }
+                StepOutcome::Done
+            };
+            sim.set_program(NodeId(i), Box::new(step));
+        }
+        let end = sim.run(Some(Nanos(1_000_000_000))).as_ns();
+        (end, traces.iter().map(|t| t.take()).collect())
+    }
+
+    /// The sends of `rank` in `op`, written from the geometry: a member
+    /// sends up to its leader; a leader sends across the leaders, then
+    /// down to its members.
+    fn model(op: Op, rank: usize, hosts: &[usize]) -> Vec<(usize, usize)> {
+        let (local, leaders) = host_groups(rank, hosts);
+        let (leader, h) = (local[0], leaders.len());
+        let li = leaders.iter().position(|&l| l == leader).unwrap();
+        let except = |group: &[usize], skip: usize| -> Vec<usize> {
+            let keep = |r: &usize| *r != rank && *r != skip;
+            group.iter().copied().filter(keep).collect()
+        };
+        let (up, across, down, len) = match op {
+            Op::Barrier => {
+                let rounds = (0..h.next_power_of_two().trailing_zeros()).map(|k| 1 << k);
+                let across = rounds.map(|d| leaders[(li + d) % h]).collect();
+                (true, across, except(&local, rank), 0)
+            }
+            Op::Allreduce if li == 0 => (true, except(&leaders, rank), except(&local, rank), 16),
+            Op::Allreduce => (true, vec![leaders[0]], except(&local, rank), 16),
+            Op::Bcast(root) => {
+                let mut across = except(&leaders, rank);
+                across.retain(|_| leader == host_groups(root, hosts).0[0]);
+                (rank == root, across, except(&local, root), BCAST_LEN)
+            }
+        };
+        if rank != leader {
+            return vec![(leader, len); usize::from(up)];
+        }
+        across.into_iter().chain(down).map(|d| (d, len)).collect()
+    }
+
+    /// Left fold of `parts` under f64 sum.
+    fn fold(parts: impl Iterator<Item = Vec<u8>>) -> Vec<u8> {
+        let sum = |mut acc: Vec<u8>, part: Vec<u8>| {
+            ReduceOp::SumF64.apply(&mut acc, &part);
+            acc
+        };
+        parts.reduce(sum).expect("no group is empty")
     }
 
     #[test]
-    fn geometry_handles_non_dense_host_ids() {
-        // Host ids need not be dense or ordered by rank.
-        let hosts = [7, 3, 7, 3];
-        let g = HostGeometry::new(0, &hosts);
-        // Canonical order is ascending host id: host 3 (leader 1), then
-        // host 7 (leader 0).
-        assert_eq!(g.leaders(), &[1, 0]);
-        assert_eq!(g.leader_index(), 1);
-        assert!(g.is_leader());
-        assert_eq!(g.local_others(), vec![2]);
+    fn every_rank_sends_exactly_what_the_geometry_says() {
+        let maps: [&[usize]; 3] = [
+            &[0, 0, 0, 0, 1, 1, 1, 1],
+            &[0, 1, 2, 1, 1, 2],
+            &[7, 3, 7, 3],
+        ];
+        for hosts in maps {
+            let mut ops = vec![Op::Barrier, Op::Allreduce];
+            ops.extend((0..hosts.len()).map(Op::Bcast));
+            // Ascending rank within a host, then ascending host.
+            let on_host = |&l: &usize| fold(host_groups(l, hosts).0.into_iter().map(contrib));
+            let sum = fold(host_groups(0, hosts).1.iter().map(on_host));
+            let (_, traces) = simulate(hosts, &ops);
+            for (rank, trace) in traces.iter().enumerate() {
+                for (&op, (sent, result)) in ops.iter().zip(trace) {
+                    assert_eq!(
+                        *sent,
+                        model(op, rank, hosts),
+                        "{op:?} rank {rank} of {hosts:?}"
+                    );
+                    match op {
+                        Op::Barrier => {}
+                        Op::Allreduce => assert_eq!(*result, sum, "fold bits at rank {rank}"),
+                        Op::Bcast(root) => assert_eq!(*result, vec![root as u8; BCAST_LEN]),
+                    }
+                }
+            }
+        }
     }
 
     #[test]
-    fn single_host_map_is_not_hierarchical() {
-        let g = HostGeometry::new(2, &[0, 0, 0, 0]);
-        assert!(!g.is_hierarchical());
-        assert_eq!(g.num_hosts(), 1);
+    fn composition_costs_the_virtual_time_the_three_phase_machines_did() {
+        // Recorded at the last commit that had hand-written three-phase
+        // machines, driving them directly: 8 back-to-back operations on 8
+        // nodes as 2 hosts x 4 (bcast: 97 B from each root in turn).
+        let hosts = [0, 0, 0, 0, 1, 1, 1, 1];
+        let bcasts: Vec<Op> = (0..8).map(Op::Bcast).collect();
+        assert_eq!(simulate(&hosts, &[Op::Barrier; 8]).0, 392_333);
+        assert_eq!(simulate(&hosts, &[Op::Allreduce; 8]).0, 520_286);
+        assert_eq!(simulate(&hosts, &bcasts).0, 314_504);
     }
 }

@@ -70,7 +70,6 @@ pub use collectives::{
     AllreduceOp, BarrierOp, BcastAlgo, BcastOp, GatherOp, ReduceAlgo, ReduceToRootOp, ScatterOp,
 };
 pub use comm::{CollConfig, CollPhase, Communicator};
-pub use hier::{HierAllreduceOp, HierBarrierOp, HierBcastOp, HostGeometry};
 pub use mpi1::Mpi1;
 pub use mpi2::Mpi2;
 pub use shuffle::{run_shuffle, ShuffleReport, ShuffleRunner, ShuffleSpec};
