@@ -8,19 +8,22 @@
 //!   (default) runs the virtual-time probes against the modeled 1998
 //!   hardware; `udp` runs the same measurement shapes as wall-clock
 //!   probes over the real loopback UDP transport (two processes' worth
-//!   of stack on this machine), plus mixed-locality routed collectives;
-//!   `shm` runs them over the `fm-shm` mapped-ring transport; `all`
-//!   runs every substrate.
+//!   of stack on this machine), plus churn recovery and the lossy
+//!   workload tails; `shm` runs them over the `fm-shm` mapped-ring
+//!   transport; `all` runs every substrate. The wall-clock halves record
+//!   exactly the headlines `.github/bench_gate.py` gates — the numbers
+//!   `benchmark/` pools over 43 sessions are not re-recorded here from
+//!   one.
 //! * `--json <path>` — additionally write machine-readable results
 //!   (headline + p50/p99 per size class). With one transport the file
 //!   goes exactly to `<path>`; with `--transport all`, one file per
 //!   transport is written as `BENCH_<transport>.json` next to `<path>`.
 
 use fm_bench::{
-    coll_latency_us, fm1_latency_dist, fm1_stream, fm2_latency_dist, fm2_stream_dist, latency_dist,
-    latency_table, mpi_latency, mpi_stream, put_stream, sim_coll_latency, sim_workload_dist,
-    size_bandwidth_table, stream_count, stream_dist, udp_churn_dist, workload_dist, BenchReport,
-    Coll, Fabric, Fm1Stage, MpiBinding, PutMode, Routed, Shm, Sim, StreamResult, Udp, WorkloadDist,
+    fm1_latency_dist, fm1_stream, fm2_latency_dist, fm2_stream_dist, latency_dist, latency_table,
+    mpi_latency, mpi_stream, put_stream, sim_coll_latency, sim_workload_dist, size_bandwidth_table,
+    stream_count, stream_dist, udp_churn_dist, workload_dist, BenchReport, Coll, Fabric, Fm1Stage,
+    MpiBinding, PutMode, Shm, Sim, StreamResult, Udp, WorkloadDist,
 };
 use fm_core::obs::SizeHistograms;
 use fm_model::halfpower::{half_power_point, peak, BandwidthPoint};
@@ -143,16 +146,12 @@ struct WallPlan {
     stream_scale: usize,
     /// Timed ping-pong rounds, after a tenth as many untimed ones.
     latency_rounds: usize,
-    /// Cluster sizes for the barrier / 16 B allreduce rows.
-    coll_ns: &'static [usize],
-    coll_iters: usize,
 }
 
 /// The probe table every wall-clock transport runs: the FM 2.x stream
-/// sweep, the 16 B ping-pong, collectives at each cluster size, and the
-/// eager/rendezvous put crossover. `deep` carries the streaming shapes,
-/// `shallow` the round-trip ones (the same fabric twice unless the
-/// substrate has a depth to choose).
+/// sweep, the 16 B ping-pong, and the eager/rendezvous put crossover.
+/// `deep` carries the streaming shapes, `shallow` the round-trip one (the
+/// same fabric twice unless the substrate has a depth to choose).
 fn calibrate_wall<F: Fabric>(plan: &WallPlan, shallow: &F, deep: &F) -> BenchReport {
     let (tag, label) = (plan.tag, plan.tag.to_uppercase());
     let sizes: Vec<usize> = (4..=11).map(|p| 1usize << p).collect();
@@ -204,17 +203,6 @@ fn calibrate_wall<F: Fabric>(plan: &WallPlan, shallow: &F, deep: &F) -> BenchRep
         format!("{tag}_fm2_latency_16b_one_way_ns"),
         lat.mean.as_ns() as f64,
     );
-    println!();
-    for (name, key, coll) in [
-        ("barrier", "", Coll::Barrier),
-        ("allreduce", "_16b", Coll::Allreduce(16)),
-    ] {
-        for &n in plan.coll_ns {
-            let us = coll_latency_us(shallow, n, plan.coll_iters, coll, None);
-            println!("{:<34} {us:>9.1} us", format!("{name} n={n}"));
-            report.push(format!("{tag}_{name}_n{n}{key}_us"), us);
-        }
-    }
     put_battery(tag, deep, 3, &mut report);
     report
 }
@@ -408,57 +396,19 @@ fn calibrate_udp() -> BenchReport {
         trials: 1,
         stream_scale: 1,
         latency_rounds: 1_000,
-        coll_ns: &[4],
-        coll_iters: 64,
     };
     let udp = Udp::default();
     let mut report = calibrate_wall(&plan, &udp, &udp);
 
     // Churn recovery: kill node 1 and bring it back under a bumped
     // epoch, 8 times; how long until the stream flows to the new
-    // incarnation, and what the retransmit machinery paid meanwhile.
+    // incarnation.
     let churn = udp_churn_dist(8);
-    // Mixed-locality routed collectives: 8 ranks as 4 per host on 2
-    // simulated hosts (shm within, loopback UDP across), flat schedule
-    // vs the locality-aware two-level one — same transport both runs.
-    let routed = Routed::blocks(2, 4);
-    let time = |coll, hier: bool| {
-        let hosts = hier.then(|| routed.hosts.clone());
-        coll_latency_us(&routed, 8, 64, coll, hosts)
-    };
-    let (ar_flat, ar_hier) = (
-        time(Coll::Allreduce(16), false),
-        time(Coll::Allreduce(16), true),
-    );
+    let recovery_ms = churn.recovery_ns.p50() as f64 / 1e6;
     println!();
-    println!(
-        "--- churn recovery (8 kill/restart cycles); routed collectives (4 ranks x 2 hosts) ---"
-    );
-    for (key, value) in [
-        (
-            "udp_churn_recovery_p50_ms",
-            churn.recovery_ns.p50() as f64 / 1e6,
-        ),
-        (
-            "udp_churn_recovery_p99_ms",
-            churn.recovery_ns.p99() as f64 / 1e6,
-        ),
-        ("udp_churn_retransmissions", churn.retransmissions as f64),
-        (
-            "udp_churn_retransmit_timeouts",
-            churn.retransmit_timeouts as f64,
-        ),
-        ("udp_churn_stale_rejected", churn.stale_rejected as f64),
-        ("udp_churn_rejoins", churn.rejoins as f64),
-        ("routed_barrier_flat_n8_us", time(Coll::Barrier, false)),
-        ("routed_barrier_hier_n8_us", time(Coll::Barrier, true)),
-        ("routed_allreduce_flat_n8_us", ar_flat),
-        ("routed_allreduce_hier_n8_us", ar_hier),
-        ("routed_allreduce_hier_speedup_n8", ar_flat / ar_hier),
-    ] {
-        println!("{key:<36} {value:>10.3}");
-        report.push(key, value);
-    }
+    println!("--- churn recovery (8 kill/restart cycles) ---");
+    println!("{:<36} {recovery_ms:>10.3}", "udp_churn_recovery_p50_ms");
+    report.push("udp_churn_recovery_p50_ms", recovery_ms);
     let lossy = |spec: &WorkloadSpec| workload_dist(&Udp::lossy(0.01, spec.seed), spec);
     workload_battery("udp", lossy, &mut report);
     report
@@ -477,8 +427,6 @@ fn calibrate_shm() -> BenchReport {
         trials: 5,
         stream_scale: 4,
         latency_rounds: 2_000,
-        coll_ns: &[2, 4, 8],
-        coll_iters: 128,
     };
     let mut report = calibrate_wall(&plan, &Shm::SHALLOW, &Shm::DEEP);
     let bw_2k = report.size_classes.iter().find(|c| c.0 == 2048);

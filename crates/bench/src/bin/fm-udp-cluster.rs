@@ -15,14 +15,17 @@
 //! The default workload is ping-pong for 2 nodes (node 0 drives
 //! `--rounds` round trips; node 1 echoes) and a ring for more (every
 //! node sends `--rounds` messages to its successor and validates the
-//! stream from its predecessor). `--workload barrier` and `--workload
-//! allreduce` instead run MPI-FM collectives over the same engine:
-//! `--rounds` barriers, or `--rounds` sum-allreduces of `--msg-size`
-//! bytes with every rank validating the result. Either way the engine
-//! is `Fm2Engine` constructed with `Reliability::Retransmit` —
-//! mandatory over UDP — so the run completes with zero message loss at
-//! the FM API even under `--drop`-injected datagram loss; the `STATS`
-//! lines show the retransmission machinery paying for it.
+//! stream from its predecessor); `--workload uniform|hotspot|incast|
+//! shuffle` drives a seeded shape. These are `fm-bench`'s harness
+//! programs — the ones `calibrate` times in-process — with this process
+//! as one rank. `--workload barrier` and `--workload allreduce` instead
+//! run MPI-FM collectives over the same engine: `--rounds` barriers, or
+//! `--rounds` sum-allreduces of `--msg-size` bytes with every rank
+//! validating the result. The engine is the one the matching
+//! `fm_bench::fabric` builds — over UDP that means
+//! `Reliability::Retransmit`, so the run completes with zero message
+//! loss at the FM API even under `--drop`-injected datagram loss; the
+//! `STATS` lines show the retransmission machinery paying for it.
 //!
 //! `--transport` picks the fabric under the same workloads:
 //!
@@ -45,19 +48,20 @@ use std::net::SocketAddr;
 use std::process::{Command, Stdio};
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
-use fm_bench::fabric::adaptive;
-use fm_core::blocking::{fm2_send, fm2_wait_until};
+use fm_bench::fabric::{drive, Fabric, Routed, Shm, Udp};
+use fm_bench::ping_pong_program;
+use fm_bench::workload::{traffic_program, RankProgress, RankReport};
+use fm_core::blocking::{fm2_send, quiesce};
 use fm_core::obs::chrome::chrome_trace_json;
 use fm_core::packet::HandlerId;
-use fm_core::{Fm2Engine, LogHistogram, ObsSink};
-use fm_model::workload::{decode_stamp, encode_stamp, Shape, WorkloadSpec, STAMP_BYTES};
-use fm_model::MachineProfile;
+use fm_core::{Fm2Engine, ObsSink};
+use fm_model::workload::{Shape, WorkloadSpec};
 use fm_route::{HostMap, RoutedDevice};
 use fm_shm::{ShmConfig, ShmDevice};
 use fm_udp::{UdpConfig, UdpDevice};
 
+/// Handler carrying the churn workload's numbered streams.
 const PING: HandlerId = HandlerId(1);
-const PONG: HandlerId = HandlerId(2);
 
 #[derive(Debug, Clone)]
 struct Opts {
@@ -264,7 +268,7 @@ fn parse(args: &[String]) -> (String, Opts) {
         }
     }
     if o.msg_size < 4 {
-        o.msg_size = 4; // room for the round counter
+        o.msg_size = 4; // room for the churn workload's round counter
     }
     if o.transport != Transport::Udp && (o.workload == Workload::Churn || o.churn_kill.is_some()) {
         eprintln!("churn requires --transport udp: shm segments are per-run, no rejoin protocol");
@@ -585,10 +589,23 @@ fn drive_workload<D: fm_core::NetDevice + 'static>(
         });
     }
 
+    let (me, rounds) = (opts.node_id, opts.rounds as usize);
     let started = Instant::now();
     match opts.workload {
-        Workload::Auto if opts.nodes == 2 => ping_pong(fm, opts),
-        Workload::Auto => ring(fm, opts),
+        // Node 0 drives `rounds` round trips, node 1 echoes: the harness's
+        // latency shape, with both sides asserting each message's round
+        // number (a duplicated or reordered delivery panics, a lost one
+        // wedges the count).
+        Workload::Auto if opts.nodes == 2 => {
+            drive(ping_pong_program(me, fm.clone(), opts.msg_size, rounds));
+        }
+        // Every node streams `rounds` numbered messages to its ring
+        // successor and validates the numbered stream from its predecessor.
+        Workload::Auto => {
+            let n = opts.nodes;
+            let ring: Vec<_> = (0..n).map(|r| vec![(r + 1) % n; rounds]).collect();
+            traffic(fm, opts, &ring);
+        }
         Workload::Barrier => barrier_workload(fm, opts, hosts),
         Workload::Allreduce => allreduce_workload(fm, opts, hosts),
         Workload::Churn => churn_workload(fm, opts),
@@ -599,7 +616,7 @@ fn drive_workload<D: fm_core::NetDevice + 'static>(
 
     // A peer still waiting on our last ack (or a retransmit) is not
     // abandoned; capped, so a vanished peer cannot wedge shutdown.
-    fm_bench::quiesce(fm);
+    quiesce(fm);
 
     if let Some(sink) = sink {
         let dir = opts.trace.as_deref().unwrap();
@@ -632,9 +649,9 @@ fn run_node_udp(opts: &Opts) {
         .join(Duration::from_secs(opts.join_timeout_s))
         .expect("join barrier");
 
-    // Adaptive reliability over a real network: RTT-sampled RTO and an
-    // AIMD send window, instead of the simulator's fixed constants.
-    let fm = Fm2Engine::with_reliability(device, MachineProfile::ppro200_fm2(), adaptive());
+    // The UDP fabric's engine: adaptive reliability over a real network
+    // (RTT-sampled RTO, AIMD send window).
+    let fm = Udp::default().engine(device);
     let elapsed = drive_workload(&fm, opts, None);
 
     let st = fm.stats();
@@ -683,15 +700,19 @@ fn run_node_shm(opts: &Opts) {
         let _ = stdin_handshake(opts);
     }
     let local_peers: Vec<usize> = (0..opts.nodes).filter(|&p| p != opts.node_id).collect();
-    let mut device = ShmDevice::open(opts.node_id, opts.nodes, &local_peers, shm_cfg(opts))
-        .expect("open shm segments");
+    let cfg = ShmConfig {
+        slots: SHM.slots,
+        ..shm_cfg(opts)
+    };
+    let mut device =
+        ShmDevice::open(opts.node_id, opts.nodes, &local_peers, cfg).expect("open shm segments");
     device
         .join(Duration::from_secs(opts.join_timeout_s))
         .expect("shm join barrier");
 
-    // The rings are lossless and in-order, so FM's guarantees come
-    // straight from the substrate: no retransmission sublayer.
-    let fm = Fm2Engine::new(device, MachineProfile::ppro200_fm2());
+    // The shm fabric's engine: the rings are lossless and in-order, so
+    // FM's guarantees come straight from the substrate.
+    let fm = SHM.engine(device);
     let elapsed = drive_workload(&fm, opts, None);
 
     let sh = fm.with_device(|d| d.stats());
@@ -739,9 +760,12 @@ fn run_node_routed(opts: &Opts) {
         .expect("shm join barrier");
     let device = RoutedDevice::new(shm, udp, map);
 
-    // The cross-host half is lossy UDP, so the engine keeps the adaptive
-    // retransmission sublayer (correct, if redundant, over the shm half).
-    let fm = Fm2Engine::with_reliability(device, MachineProfile::ppro200_fm2(), adaptive());
+    // The routed fabric's engine: the cross-host half is lossy UDP, so it
+    // keeps the adaptive retransmission sublayer.
+    let fm = Routed {
+        hosts: hosts.clone(),
+    }
+    .engine(device);
     // The placement feeds the hierarchy-aware collectives: barrier and
     // allreduce run leader-per-host schedules over this exact map.
     let elapsed = drive_workload(&fm, opts, Some(&hosts));
@@ -786,6 +810,10 @@ fn udp_cfg(opts: &Opts) -> UdpConfig {
     }
 }
 
+/// `--transport shm`'s fabric: ring depth and the credit window matched
+/// to it.
+const SHM: Shm = Shm::SHALLOW;
+
 fn shm_cfg(opts: &Opts) -> ShmConfig {
     ShmConfig {
         // Every child of one spawn shares the parent's epoch stamp, so
@@ -794,89 +822,6 @@ fn shm_cfg(opts: &Opts) -> ShmConfig {
         attach_timeout: Duration::from_secs(opts.join_timeout_s),
         ..ShmConfig::default()
     }
-}
-
-/// Node 0 drives `rounds` round trips; node 1 echoes each ping back.
-/// Payload carries the round number; both sides validate it, so loss or
-/// reordering at the FM API would be caught, not silently absorbed.
-fn ping_pong<D: fm_core::NetDevice + 'static>(fm: &Fm2Engine<D>, opts: &Opts) {
-    use std::cell::RefCell;
-    use std::rc::Rc;
-    let body = vec![0xABu8; opts.msg_size - 4];
-    if opts.node_id == 0 {
-        let got: Rc<RefCell<u32>> = Rc::default();
-        let g = Rc::clone(&got);
-        fm.set_handler(PONG, move |stream, _src| {
-            let g = Rc::clone(&g);
-            async move {
-                let mut hdr = [0u8; 4];
-                stream.receive(&mut hdr).await;
-                stream.skip(stream.remaining()).await;
-                let round = u32::from_le_bytes(hdr);
-                let mut got = g.borrow_mut();
-                assert_eq!(round, *got, "pong out of order");
-                *got += 1;
-            }
-        });
-        for round in 0..opts.rounds {
-            fm2_send(fm, 1, PING, &[&round.to_le_bytes(), &body]);
-            fm2_wait_until(fm, || *got.borrow() == round + 1);
-        }
-    } else {
-        let done: Rc<RefCell<u32>> = Rc::default();
-        let d = Rc::clone(&done);
-        let fm_h = fm.handle();
-        fm.set_handler(PING, move |stream, src| {
-            let d = Rc::clone(&d);
-            let fm = fm_h.clone();
-            async move {
-                let mut hdr = [0u8; 4];
-                stream.receive(&mut hdr).await;
-                let rest = stream.receive_vec(stream.remaining()).await;
-                let round = u32::from_le_bytes(hdr);
-                {
-                    let mut done = d.borrow_mut();
-                    assert_eq!(round, *done, "ping out of order");
-                    *done += 1;
-                }
-                let mut reply = hdr.to_vec();
-                reply.extend_from_slice(&rest);
-                fm.send_from_handler(src, PONG, reply);
-            }
-        });
-        fm2_wait_until(fm, || *done.borrow() == opts.rounds);
-    }
-}
-
-/// Every node streams `rounds` numbered messages to its ring successor
-/// and validates the numbered stream from its predecessor.
-fn ring<D: fm_core::NetDevice + 'static>(fm: &Fm2Engine<D>, opts: &Opts) {
-    use std::cell::RefCell;
-    use std::rc::Rc;
-    let n = opts.nodes;
-    let me = opts.node_id;
-    let next = (me + 1) % n;
-    let prev = (me + n - 1) % n;
-    let body = vec![me as u8; opts.msg_size - 4];
-    let got: Rc<RefCell<u32>> = Rc::default();
-    let g = Rc::clone(&got);
-    fm.set_handler(PING, move |stream, src| {
-        let g = Rc::clone(&g);
-        async move {
-            assert_eq!(src, prev, "ring message from the wrong side");
-            let mut hdr = [0u8; 4];
-            stream.receive(&mut hdr).await;
-            stream.skip(stream.remaining()).await;
-            let round = u32::from_le_bytes(hdr);
-            let mut got = g.borrow_mut();
-            assert_eq!(round, *got, "ring stream out of order");
-            *got += 1;
-        }
-    });
-    for round in 0..opts.rounds {
-        fm2_send(fm, next, PING, &[&round.to_le_bytes(), &body]);
-    }
-    fm2_wait_until(fm, || *got.borrow() == opts.rounds);
 }
 
 /// `--rounds` dissemination barriers through the MPI-FM layer. Any
@@ -1033,87 +978,41 @@ fn churn_workload<D: fm_core::NetDevice + 'static>(fm: &Fm2Engine<D>, opts: &Opt
     }
 }
 
+/// This node's rank of a scheduled traffic pattern (`schedules[r]` is rank
+/// `r`'s destinations in send order), as the harness's program: every
+/// rank replays every schedule, so per-channel arrival order is checked
+/// against the replay and the rank knows how many messages it is owed.
+/// Stamps carry `CLOCK_REALTIME` nanoseconds, comparable across processes
+/// on one host.
+fn traffic<D: fm_core::NetDevice + 'static>(
+    fm: &Fm2Engine<D>,
+    opts: &Opts,
+    schedules: &[Vec<usize>],
+) -> RankReport {
+    // A process sees its own rank only: it leaves once everything owed
+    // here has arrived and everything it sent is acknowledged; the linger
+    // keeps it answering peers that are not there yet.
+    let mine_done = |mine: RankProgress| mine.delivered >= mine.expected && mine.unacked == 0;
+    let (me, size, clock) = (opts.node_id, opts.msg_size, std::rc::Rc::new(realtime_ns));
+    let program = traffic_program(me, fm.clone(), schedules, size, None, clock, mine_done);
+    drive(program)
+}
+
 /// Drive one seeded adversarial shape from [`fm_model::workload`] across
-/// the cluster. Every rank replays its schedule from `(seed, shape,
-/// rank)` alone, so each receiver also knows exactly which send indices
-/// every peer will direct at it — FIFO per channel makes the arrival
-/// order checkable against that replay — and how many messages it must
-/// see before the run is complete (zero FM-level loss by construction).
-/// Stamps carry `CLOCK_REALTIME` nanoseconds, comparable across
-/// processes on one host, so each node prints its one-way latency tail
-/// as a `WORKLOAD` line.
+/// the cluster and print this node's one-way latency tail as a `WORKLOAD`
+/// line.
 fn shape_workload<D: fm_core::NetDevice + 'static>(fm: &Fm2Engine<D>, opts: &Opts, shape: Shape) {
-    use std::cell::{Cell, RefCell};
-    use std::rc::Rc;
-    const WORK: HandlerId = HandlerId(41);
-    let me = opts.node_id;
-    let spec = WorkloadSpec::new(
-        shape,
-        opts.nodes,
-        opts.rounds as usize,
-        opts.msg_size.max(STAMP_BYTES),
-        opts.seed,
-    );
-    // Ground truth per channel: the send indices each peer aims at us,
-    // in its send order.
-    let expected_seqs: Rc<Vec<Vec<u32>>> = Rc::new(
-        (0..opts.nodes)
-            .map(|src| {
-                spec.schedule(src)
-                    .iter()
-                    .enumerate()
-                    .filter(|&(_, &d)| d == me)
-                    .map(|(i, _)| i as u32)
-                    .collect()
-            })
-            .collect(),
-    );
-    let expected_total: u64 = expected_seqs.iter().map(|v| v.len() as u64).sum();
-    let hist = Rc::new(RefCell::new(LogHistogram::new()));
-    let cursor = Rc::new(RefCell::new(vec![0usize; opts.nodes]));
-    let got: Rc<Cell<u64>> = Rc::default();
-    {
-        let hist = Rc::clone(&hist);
-        let cursor = Rc::clone(&cursor);
-        let got = Rc::clone(&got);
-        let expected_seqs = Rc::clone(&expected_seqs);
-        fm.set_handler(WORK, move |stream, src| {
-            let hist = Rc::clone(&hist);
-            let cursor = Rc::clone(&cursor);
-            let got = Rc::clone(&got);
-            let expected_seqs = Rc::clone(&expected_seqs);
-            async move {
-                let msg = stream.receive_vec(stream.msg_len()).await;
-                let (t, seq) = decode_stamp(&msg);
-                let mut cur = cursor.borrow_mut();
-                assert_eq!(
-                    seq, expected_seqs[src][cur[src]],
-                    "channel {src}->{me} broke schedule order"
-                );
-                cur[src] += 1;
-                hist.borrow_mut()
-                    .record(realtime_ns().saturating_sub(t).max(1));
-                got.set(got.get() + 1);
-            }
-        });
-    }
-    let sched = spec.schedule(me);
-    let mut payload = vec![0u8; spec.payload];
-    for (i, &dst) in sched.iter().enumerate() {
-        encode_stamp(&mut payload, realtime_ns(), i as u32);
-        fm2_send(fm, dst, WORK, &[&payload]);
-        fm.progress(); // keep heartbeats and retransmit timers serviced
-    }
-    fm2_wait_until(fm, || got.get() >= expected_total);
-    let h = {
-        let h = hist.borrow();
-        h.clone()
-    };
+    let rounds = opts.rounds as usize;
+    let spec = WorkloadSpec::new(shape, opts.nodes, rounds, opts.msg_size, opts.seed);
+    let schedules: Vec<_> = (0..opts.nodes).map(|r| spec.schedule(r)).collect();
+    let report = traffic(fm, opts, &schedules);
+    let h = &report.latency_ns;
     println!(
-        "WORKLOAD node={me} shape={} sent={} delivered={} p50_ns={} p99_ns={} p999_ns={}",
+        "WORKLOAD node={} shape={} sent={} delivered={} p50_ns={} p99_ns={} p999_ns={}",
+        opts.node_id,
         shape.name(),
-        sched.len(),
-        got.get(),
+        report.sent,
+        h.count(),
         h.p50(),
         h.p99(),
         h.p999(),

@@ -18,10 +18,10 @@
 
 use std::time::Instant;
 
-use fm_bench::{quiesce, sim_workload_dist, workload_dist, Fabric, Udp, WorkloadDist};
+use fm_bench::workload::shuffle_over;
+use fm_bench::{sim_workload_dist, workload_dist, Udp, WorkloadDist};
 use fm_model::workload::{Shape, WorkloadSpec};
-use fm_udp::UdpCluster;
-use mpi_fm::{run_shuffle, Mpi2, ShuffleSpec};
+use mpi_fm::ShuffleSpec;
 
 const DROP: f64 = 0.01;
 
@@ -133,28 +133,7 @@ fn main() {
         let spec = cfg.shuffle;
         let udp = Udp::lossy(DROP, spec.seed);
         let t = Instant::now();
-        // The shuffle runner blocks, so it runs on the cluster's threads
-        // directly rather than as a poll-step program of the fabric.
-        let reports = UdpCluster::run(spec.ranks, udp.0.clone(), |_, dev| {
-            let mut mpi = Mpi2::new(udp.engine(dev));
-            let report = run_shuffle(&mut mpi, spec);
-            // A peer whose final barrier (or our ack to it) was dropped
-            // needs us alive to recover.
-            quiesce(mpi.fm());
-            let retx = mpi.fm().stats().retransmissions;
-            let errors = mpi.fm().take_errors().len();
-            (report, retx, errors)
-        });
-        let sent: u64 = reports.iter().map(|(r, _, _)| r.records_sent).sum();
-        let received: u64 = reports.iter().map(|(r, _, _)| r.records_received).sum();
-        let retx: u64 = reports.iter().map(|(_, x, _)| x).sum();
-        let errors: usize = reports.iter().map(|(_, _, e)| e).sum();
-        assert_eq!(sent, spec.total_records(), "shuffle under-produced");
-        assert_eq!(received, spec.total_records(), "shuffle FM-level loss");
-        assert_eq!(errors, 0, "shuffle surfaced engine errors");
-        for (rank, (r, _, _)) in reports.iter().enumerate() {
-            assert_eq!(r.epochs_completed, spec.epochs, "rank {rank} epochs");
-        }
+        let (received, retx) = shuffle_over(&udp, spec);
         total_msgs += received;
         println!(
             "SHUFFLE records={} epochs={} ranks={} retx={} wall_ms={}",

@@ -15,9 +15,9 @@ use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
-use fm_core::blocking::{run_ranks, Backoff};
+use fm_core::blocking::{quiesce, run_ranks, Backoff};
 use fm_core::{Fm2Engine, NetDevice, ObsSink, Reliability, RetransmitConfig, SimDevice};
 use fm_model::{MachineProfile, Nanos};
 use fm_route::{HostMap, RoutedDevice};
@@ -105,44 +105,39 @@ pub trait Fabric {
     fn run<R: Send + 'static>(&self, n: usize, make: impl Programs<Self::Dev, R>) -> Vec<R>;
 }
 
-/// One rank of a thread fabric: poll the program under [`Backoff`] until
-/// it is done, then [`quiesce`] before the device is dropped.
-fn drive_rank<F: Fabric, R>(f: &F, rank: usize, dev: F::Dev, make: &impl Programs<F::Dev, R>) -> R {
-    let fm = f.engine(dev);
-    let mut step = make(rank, fm.clone());
-    let mut backoff = Backoff::new("probe program");
-    let report = loop {
-        match step() {
-            Step::Done(r) => break r,
+/// Poll `program` to completion under [`Backoff`]: how every rank that
+/// owns a thread runs — the thread fabrics' ranks below, and the one rank
+/// a process of the multi-process launcher is.
+pub fn drive<R>(mut program: Program<R>) -> R {
+    let mut backoff = Backoff::new("rank program");
+    loop {
+        match program() {
+            Step::Done(r) => return r,
             Step::Idle => backoff.snooze(),
             Step::Busy | Step::Again => backoff.reset(),
         }
-    };
-    quiesce(&fm);
-    report
+    }
 }
 
-/// How long the wire must stay silent before a finished rank leaves.
-const QUIET: Duration = Duration::from_millis(100);
-/// A vanished peer must not wedge teardown.
-const QUIESCE_CAP: Duration = Duration::from_secs(5);
+/// A blocking body (MPI's `barrier()`, a socket `recv`) as a one-step
+/// program. Thread fabrics only: on [`Sim`] a blocking call never
+/// returns.
+pub fn blocking<R: 'static>(body: impl FnOnce() -> R + 'static) -> Program<R> {
+    let mut body = Some(body);
+    Box::new(move || Step::Done(body.take().expect("polled after Done")()))
+}
 
-/// Keep a finished rank's engine serviced until every packet it sent is
-/// acknowledged (trivially so under `TrustSubstrate`) and nothing has
-/// arrived for [`QUIET`]: a peer still waiting on our last ack, or about
-/// to retransmit, is not abandoned mid-conversation. Capped.
-pub fn quiesce<D: NetDevice>(fm: &Fm2Engine<D>) {
-    let cap = Instant::now() + QUIESCE_CAP;
-    let mut quiet_since = Instant::now();
-    while Instant::now() < cap {
-        if fm.extract_all() > 0 {
-            quiet_since = Instant::now();
-        }
-        if fm.unacked_packets() == 0 && quiet_since.elapsed() >= QUIET {
-            return;
-        }
-        std::thread::yield_now();
-    }
+/// One rank of a thread fabric: [`drive`] its program, then [`quiesce`]
+/// before the device is dropped. No run may leave an engine error behind,
+/// the linger included (a program that wants to count them takes them
+/// first).
+fn drive_rank<F: Fabric, R>(f: &F, rank: usize, dev: F::Dev, make: &impl Programs<F::Dev, R>) -> R {
+    let fm = f.engine(dev);
+    let report = drive(make(rank, fm.clone()));
+    quiesce(&fm);
+    let errors = fm.take_errors();
+    assert!(errors.is_empty(), "rank {rank} engine errors: {errors:?}");
+    report
 }
 
 /// A segment run id no other cluster of this process shares: `cargo
@@ -341,6 +336,16 @@ impl Shm {
     /// most one window, so the window size sets how many bytes every
     /// context switch amortizes over.
     pub const DEEP: Shm = Shm { slots: 512 };
+
+    /// Segment geometry matching [`Fabric::profile`]'s credit window,
+    /// under a run id starting with `tag`.
+    pub fn config(&self, tag: &str) -> ShmConfig {
+        ShmConfig {
+            run_id: unique_run_id(tag),
+            slots: self.slots,
+            ..ShmConfig::default()
+        }
+    }
 }
 
 impl Fabric for Shm {
@@ -353,12 +358,9 @@ impl Fabric for Shm {
     }
 
     fn run<R: Send + 'static>(&self, n: usize, make: impl Programs<Self::Dev, R>) -> Vec<R> {
-        let cfg = ShmConfig {
-            run_id: unique_run_id("bench"),
-            slots: self.slots,
-            ..ShmConfig::default()
-        };
-        ShmCluster::run(n, cfg, |i, dev| drive_rank(self, i, dev, &make))
+        ShmCluster::run(n, self.config("bench"), |i, dev| {
+            drive_rank(self, i, dev, &make)
+        })
     }
 }
 
@@ -394,10 +396,7 @@ impl Fabric for Routed {
     fn run<R: Send + 'static>(&self, n: usize, make: impl Programs<Self::Dev, R>) -> Vec<R> {
         assert_eq!(n, self.hosts.len(), "one host per rank");
         let map = HostMap::new(self.hosts.clone());
-        let cfg = ShmConfig {
-            run_id: unique_run_id("routed"),
-            ..ShmConfig::default()
-        };
+        let cfg = Shm::SHALLOW.config("routed");
         // UDP sockets all bind before any device is built; shm devices
         // open sequentially in ascending rank order (attach-downward
         // makes that deadlock-free).

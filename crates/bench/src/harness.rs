@@ -95,6 +95,8 @@ pub struct StreamDist {
 enum Intake {
     /// Discard it without touching the payload.
     Skip,
+    /// Read its first bytes (four at most), discard the rest.
+    Lead,
     /// Consume it into a scratch buffer (the minimal realistic receive:
     /// one `FM_receive` per message).
     Copy,
@@ -116,12 +118,13 @@ trait RawFm: 'static {
     fn unacked(&self) -> usize;
     fn copied(&self) -> u64;
     /// Install `handler`: take each message in as `intake` says, then
-    /// call `seen(now_ns, message_len)`.
+    /// call `seen(now_ns, message_len, lead)`, `lead` being the message's
+    /// first bytes (four at most) where the intake read them.
     fn on_message(
         &mut self,
         handler: HandlerId,
         intake: Intake,
-        seen: impl FnMut(u64, usize) + 'static,
+        seen: impl FnMut(u64, usize, &[u8]) + 'static,
     );
 }
 
@@ -148,23 +151,32 @@ impl<D: NetDevice + 'static> RawFm for Fm2Engine<D> {
         &mut self,
         handler: HandlerId,
         intake: Intake,
-        seen: impl FnMut(u64, usize) + 'static,
+        seen: impl FnMut(u64, usize, &[u8]) + 'static,
     ) {
         let seen = Rc::new(RefCell::new(seen));
-        let fm = self.clone(); // strong: the weak handle has no clock
+        // Weak: a strong clone held by the engine's own handler table would
+        // keep engine and device alive forever (no socket flush, no unlink).
+        let fm = self.handle();
         self.set_handler(handler, move |stream: FmStream, src| {
             let (seen, fm) = (Rc::clone(&seen), fm.clone());
             async move {
                 let len = stream.msg_len();
+                let (mut lead, mut read) = ([0u8; 4], 0);
                 match intake {
                     Intake::Skip => assert_eq!(stream.skip(len).await, len),
+                    Intake::Lead => {
+                        read = stream.receive(&mut lead[..len.min(4)]).await;
+                        stream.skip(stream.remaining()).await;
+                    }
                     Intake::Copy => assert_eq!(stream.receive_vec(len).await.len(), len),
                     Intake::Echo(reply) => {
                         let msg = stream.receive_vec(len).await;
+                        read = len.min(4);
+                        lead[..read].copy_from_slice(&msg[..read]);
                         fm.send_from_handler(src, reply, msg);
                     }
                 }
-                (seen.borrow_mut())(fm.now().as_ns(), len);
+                (seen.borrow_mut())(fm.now().as_ns(), len, &lead[..read]);
             }
         });
     }
@@ -193,7 +205,7 @@ impl<D: NetDevice + 'static> RawFm for Fm1Engine<D> {
         &mut self,
         handler: HandlerId,
         intake: Intake,
-        mut seen: impl FnMut(u64, usize) + 'static,
+        mut seen: impl FnMut(u64, usize, &[u8]) + 'static,
     ) {
         // The handler is handed the contiguous message: nothing to consume.
         self.set_handler(
@@ -202,7 +214,7 @@ impl<D: NetDevice + 'static> RawFm for Fm1Engine<D> {
                 if let Intake::Echo(reply) = intake {
                     eng.send_from_handler(src, reply, msg.to_vec());
                 }
-                seen(eng.now().as_ns(), msg.len());
+                seen(eng.now().as_ns(), msg.len(), &msg[..msg.len().min(4)]);
             }),
         );
     }
@@ -211,29 +223,54 @@ impl<D: NetDevice + 'static> RawFm for Fm1Engine<D> {
 /// One-way latency over `fabric`: rank 0 plays `warmup` untimed round
 /// trips (pools fill and queues reach steady capacity first, the framing
 /// of the paper's latency figures; virtual time has nothing to warm),
-/// then `rounds` timed ones, each a sample of half the round trip.
+/// then `rounds` timed ones, each a sample of half the round trip. The
+/// pong is discarded untouched (reading it would be timed with the round).
 pub fn latency_dist<F: Fabric>(
     fabric: &F,
     size: usize,
     rounds: usize,
     warmup: usize,
 ) -> LatencyDist {
-    let mut out = fabric.run(2, |rank, fm| ping_pong(rank, fm, size, rounds, warmup));
+    let mut out = fabric.run(2, |rank, fm| {
+        ping_pong(rank, fm, size, rounds, warmup, Intake::Skip)
+    });
     out.swap_remove(0).expect("rank 0 reports the distribution")
 }
 
-/// Rank 0 pings, rank 1 echoes (done once every reply has left the
-/// deferred queue).
+/// Rank `rank` of [`latency_dist`]'s FM 2.x ping-pong, for a caller that
+/// is one rank of a run (a process of the multi-process launcher). Rank 0
+/// reads each pong's round number, so a pong delivered twice or out of
+/// order fails the run as a ping does on every fabric.
+pub fn ping_pong_program<D: NetDevice + 'static>(
+    rank: usize,
+    fm: Fm2Engine<D>,
+    size: usize,
+    rounds: usize,
+) -> Program<Option<LatencyDist>> {
+    ping_pong(rank, fm, size, rounds, 0, Intake::Lead)
+}
+
+/// Rank 0 pings and takes each pong in as `pong` says, rank 1 echoes
+/// (done once every reply has left the deferred queue). Every ping leads
+/// with its round number and the handlers hold each arrival whose lead
+/// they read to the count so far: a duplicated or reordered delivery
+/// panics instead of ending the run a round early.
 fn ping_pong<E: RawFm>(
     rank: usize,
     mut fm: E,
     size: usize,
     rounds: usize,
     warmup: usize,
+    pong: Intake,
 ) -> Program<Option<LatencyDist>> {
+    let numbered = |round: usize| (round as u32).to_le_bytes();
     let count: Rc<Cell<usize>> = Rc::default();
     let seen = Rc::clone(&count);
-    let bump = move |_, _| seen.set(seen.get() + 1);
+    let bump = move |_, _, lead: &[u8]| {
+        let round = seen.get();
+        assert_eq!(lead, &numbered(round)[..lead.len()], "round {round}");
+        seen.set(round + 1);
+    };
     if rank == 1 {
         fm.on_message(PING, Intake::Echo(PONG), bump);
         return Box::new(move || {
@@ -244,8 +281,8 @@ fn ping_pong<E: RawFm>(
             Step::pending(moved)
         });
     }
-    fm.on_message(PONG, Intake::Skip, bump);
-    let data = vec![7u8; size];
+    fm.on_message(PONG, pong, bump);
+    let mut data = vec![7u8; size];
     let mut hist = LogHistogram::new();
     let (mut sent, mut pongs) = (0usize, 0usize);
     let mut round_start = 0u64;
@@ -268,6 +305,8 @@ fn ping_pong<E: RawFm>(
             }));
         }
         // Send the next ping only after the previous pong.
+        let lead = size.min(4);
+        data[..lead].copy_from_slice(&numbered(sent)[..lead]);
         let t0 = fm.clock().as_ns();
         if sent == pongs && fm.try_send(1, PING, &data) {
             sent += 1;
@@ -322,7 +361,7 @@ fn stream<E: RawFm>(
     {
         let (got, per_msg) = (Rc::clone(&got), Rc::clone(&per_msg));
         let mut last_done = started.as_ns();
-        fm.on_message(PING, Intake::Copy, move |t, len| {
+        fm.on_message(PING, Intake::Copy, move |t, len, _| {
             assert_eq!(len, size);
             // Per-message delivered bandwidth (KB/s) from the gap since
             // the previous completion (the first gap, from the start,
@@ -458,7 +497,7 @@ pub fn fm1_latency_dist(
     let sim = Sim::new(profile).observed(obs);
     let out = sim.run_devices(2, |rank, dev| {
         let fm = fm1_engine(&sim, rank, dev, Fm1Stage::Full);
-        ping_pong(rank, fm, size, rounds, 0)
+        ping_pong(rank, fm, size, rounds, 0, Intake::Skip)
     });
     let mut out = sim.finished("FM1 ping-pong", out);
     out.swap_remove(0).expect("rank 0 reports the distribution")
@@ -502,7 +541,7 @@ pub fn fm2_reliable_stream(
         }
         let mut fm = fm;
         let seen = Rc::clone(&got);
-        fm.on_message(PING, Intake::Copy, move |_, len| {
+        fm.on_message(PING, Intake::Copy, move |_, len, _| {
             assert_eq!(len, size);
             seen.set(seen.get() + 1);
         });
@@ -962,6 +1001,18 @@ mod tests {
         let d1 = fm1_latency_dist(MachineProfile::sparc_fm1(), 16, 50, None);
         assert_eq!(d1.one_way_ns.count(), 50);
         assert_eq!(d1.mean, fm1_latency(MachineProfile::sparc_fm1(), 16, 50));
+    }
+
+    /// A wire that duplicates under engines that trust it hands the FM API
+    /// the same message twice: the round numbers catch it, on the pong
+    /// side too when the pong's lead is read (the launcher's form).
+    #[test]
+    #[should_panic(expected = "round")]
+    fn a_message_delivered_twice_fails_the_ping_pong() {
+        let dup = FaultModel::Duplicate { p: 0.2, seed: 3 };
+        let sim = Sim::new(MachineProfile::ppro200_fm2())
+            .unreliable(Reliability::TrustSubstrate, vec![dup]);
+        sim.run(2, |rank, fm| ping_pong_program(rank, fm, 16, 50));
     }
 
     #[test]

@@ -25,9 +25,9 @@ pub mod udp;
 pub mod workload;
 
 pub use collectives::{coll_latency_us, sim_coll_latency, Coll};
-pub use fabric::{quiesce, Fabric, Routed, Shm, Sim, Threads, Udp};
+pub use fabric::{Fabric, Routed, Shm, Sim, Threads, Udp};
 pub use harness::*;
 pub use onesided::{put_stream, PutMode};
 pub use report::*;
 pub use udp::{udp_churn_dist, ChurnDist};
-pub use workload::{sim_workload_dist, workload_dist, WorkloadDist};
+pub use workload::{sim_workload_dist, traffic_program, workload_dist, WorkloadDist};

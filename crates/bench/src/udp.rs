@@ -20,8 +20,7 @@ use crate::fabric::{Fabric, Udp};
 const PING: HandlerId = HandlerId(1);
 
 /// Result of the churn probe: how fast the membership layer readmits a
-/// restarted node, and what the reliability sublayer paid during the
-/// outages.
+/// restarted node.
 pub struct ChurnDist {
     /// Kill/restart cycles measured.
     pub cycles: usize,
@@ -29,18 +28,10 @@ pub struct ChurnDist {
     /// FM-level delivery (join barrier + rejoin propagation + the
     /// survivor resuming its stream), one sample per cycle, in ns.
     pub recovery_ns: LogHistogram,
-    /// Survivor-side retransmissions across the whole run — the
-    /// "retransmit storm" that peer abandonment and the adaptive RTO
-    /// keep bounded while the victim is dark.
-    pub retransmissions: u64,
-    /// Survivor-side retransmit timer expiries across the run.
-    pub retransmit_timeouts: u64,
     /// Down verdicts the survivor's detector issued.
     pub downs: u64,
     /// Epoch-bump rejoins the survivor admitted.
     pub rejoins: u64,
-    /// Frames from dead incarnations rejected at the survivor's device.
-    pub stale_rejected: u64,
 }
 
 /// Kill/restart churn probe over real loopback UDP: node 1 dies without
@@ -84,7 +75,7 @@ pub fn udp_churn_dist(cycles: usize) -> ChurnDist {
                     fm.extract_all();
                 }
             }
-            (fm.stats(), fm.with_device(|d| d.stats()))
+            fm.with_device(|d| d.stats())
         })
     };
 
@@ -130,15 +121,12 @@ pub fn udp_churn_dist(cycles: usize) -> ChurnDist {
         recovery_ns.record(t0.elapsed().as_nanos() as u64);
     }
     stop.store(true, Ordering::Relaxed);
-    let (fm, udp) = survivor.join().expect("survivor thread");
+    let udp = survivor.join().expect("survivor thread");
     ChurnDist {
         cycles,
         recovery_ns,
-        retransmissions: fm.retransmissions,
-        retransmit_timeouts: fm.retransmit_timeouts,
         downs: udp.downs,
         rejoins: udp.rejoins,
-        stale_rejected: udp.stale_rejected,
     }
 }
 

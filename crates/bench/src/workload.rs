@@ -20,12 +20,13 @@ use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering::SeqCst};
 
 use fm_core::packet::HandlerId;
-use fm_core::{FmStream, LogHistogram, NetDevice};
-use fm_model::workload::{decode_stamp, encode_stamp, WorkloadSpec, STAMP_BYTES};
+use fm_core::{Fm2Engine, FmStream, LogHistogram, NetDevice};
+use fm_model::workload::{decode_stamp, encode_stamp, PauseSpec, WorkloadSpec, STAMP_BYTES};
 use fm_model::{MachineProfile, Nanos};
+use mpi_fm::{run_shuffle, Mpi2, ShuffleSpec};
 use myrinet_sim::fault::FaultModel;
 
-use crate::fabric::{adaptive, Fabric, Sim, Step};
+use crate::fabric::{adaptive, blocking, Fabric, Program, Sim, Step};
 
 /// Handler id carrying workload traffic.
 const WORK: HandlerId = HandlerId(41);
@@ -49,114 +50,181 @@ pub struct WorkloadDist {
     pub retransmissions: u64,
 }
 
-/// What the ranks of one run can see of each other: the exit condition
-/// is global, and ranks of a thread fabric share nothing else.
-struct Progress {
-    senders_done: AtomicUsize,
-    delivered: AtomicU64,
-    unacked: Vec<AtomicUsize>,
+/// What a rank that has sent its whole schedule knows about itself; the
+/// `all_done` rule of [`traffic_program`] decides from it whether the
+/// rank may leave.
+pub struct RankProgress {
+    /// Messages delivered to this rank's handler so far.
+    pub delivered: u64,
+    /// Messages every schedule, replayed, directs at this rank.
+    pub expected: u64,
+    /// Packets this rank sent that are not yet acknowledged.
+    pub unacked: usize,
 }
 
 /// One rank's share of the result.
-struct RankReport {
+pub struct RankReport {
     /// One sample per message delivered here.
-    latency_ns: LogHistogram,
-    retransmissions: u64,
+    pub latency_ns: LogHistogram,
+    /// Messages this rank sent.
+    pub sent: usize,
+    /// Reliability-sublayer resends by this rank.
+    pub retransmissions: u64,
     first_poll: u64,
     last_poll: u64,
 }
 
-/// Drive `spec` over `spec.ranks` ranks of `fabric`.
+/// What a rank's handler keeps: the latency samples and, per source, how
+/// far into that source's replayed schedule its arrivals have got.
+struct Inbox {
+    latency_ns: LogHistogram,
+    cursor: Vec<usize>,
+}
+
+/// Rank `me` of a scheduled traffic pattern: `schedules[r]` lists rank
+/// `r`'s destinations in send order, every message `payload` bytes.
 ///
-/// Every rank runs its schedule concurrently: send what the window
-/// admits, drain what arrived, park otherwise; messages are stamped with
-/// the time the poll that sent them began. A paused rank stops driving
-/// its engine entirely (no extracts, no acks, no heartbeats) until its
-/// resume time — the honest straggler, exactly what a stalled process
-/// looks like to its peers.
+/// The rank sends what the window admits, drains what arrived, parks
+/// otherwise; messages are stamped on `clock` (which must be comparable
+/// across ranks) when the poll that sent them began. Every rank can replay
+/// every schedule, so the handler checks each arrival against the send
+/// index its channel owes next — FM's per-channel FIFO, asserted — and
+/// the rank knows how many messages it is owed in all. A paused rank
+/// stops driving its engine entirely (no extracts, no acks, no
+/// heartbeats) until its resume time — the honest straggler, exactly what
+/// a stalled process looks like to its peers. Once its schedule is sent
+/// the rank asks `all_done` on every poll whether it may leave.
+pub fn traffic_program<D: NetDevice + 'static>(
+    me: usize,
+    fm: Fm2Engine<D>,
+    schedules: &[Vec<usize>],
+    payload: usize,
+    pause: Option<PauseSpec>,
+    clock: Rc<dyn Fn() -> u64>,
+    mut all_done: impl FnMut(RankProgress) -> bool + 'static,
+) -> Program<RankReport> {
+    // Ground truth per channel: the send indices each peer aims at us,
+    // in its send order.
+    let aimed_here = |sched: &Vec<usize>| -> Vec<u32> {
+        let here = sched.iter().enumerate().filter(|&(_, &dst)| dst == me);
+        here.map(|(i, _)| i as u32).collect()
+    };
+    let owed: Vec<Vec<u32>> = schedules.iter().map(aimed_here).collect();
+    let expected = owed.iter().map(|seqs| seqs.len() as u64).sum();
+    let inbox = Rc::new(RefCell::new(Inbox {
+        latency_ns: LogHistogram::new(),
+        cursor: vec![0; schedules.len()],
+    }));
+    {
+        let (inbox, clock, owed) = (Rc::clone(&inbox), Rc::clone(&clock), Rc::new(owed));
+        fm.set_handler(WORK, move |stream: FmStream, src| {
+            let (inbox, clock, owed) = (Rc::clone(&inbox), Rc::clone(&clock), Rc::clone(&owed));
+            async move {
+                let msg = stream.receive_vec(stream.msg_len()).await;
+                let (t, seq) = decode_stamp(&msg);
+                let mut inbox = inbox.borrow_mut();
+                let next = owed[src].get(inbox.cursor[src]);
+                assert_eq!(next, Some(&seq), "channel {src}->{me} broke schedule order");
+                inbox.cursor[src] += 1;
+                inbox.latency_ns.record(clock().saturating_sub(t).max(1));
+            }
+        });
+    }
+    let sched = schedules[me].clone();
+    let pause = pause.filter(|p| p.rank == me);
+    let mut pause_until: Option<u64> = None;
+    let mut pause_taken = false;
+    let mut sent = 0usize;
+    let mut payload = vec![0u8; payload.max(STAMP_BYTES)];
+    let first_poll = clock();
+    let wake_at = |fm: &Fm2Engine<D>, at: Nanos| fm.with_device(|d| d.request_wake(at));
+    Box::new(move || {
+        let now = clock();
+        if let Some(resume) = pause_until {
+            if now < resume {
+                // Mid-pause: do not touch the engine — a straggler
+                // neither extracts nor acks. Just re-arm the alarm.
+                wake_at(&fm, Nanos(resume));
+                return Step::Idle;
+            }
+            pause_until = None;
+        }
+        let moved = fm.extract_all() > 0;
+        while sent < sched.len() {
+            if let Some(p) = pause.filter(|p| !pause_taken && sent == p.after_msgs) {
+                pause_taken = true;
+                let resume = now + p.dur_ns;
+                pause_until = Some(resume);
+                wake_at(&fm, Nanos(resume));
+                return Step::Idle;
+            }
+            encode_stamp(&mut payload, now, sent as u32);
+            if fm.try_send_message(sched[sent], WORK, &[&payload]).is_err() {
+                // Window full: an ack or credit return will wake us.
+                return Step::pending(moved);
+            }
+            sent += 1;
+        }
+        let progress = RankProgress {
+            delivered: inbox.borrow().latency_ns.count(),
+            expected,
+            unacked: fm.unacked_packets(),
+        };
+        if !all_done(progress) {
+            // Own schedule done, but the exit rule may poll other ranks'
+            // state: heartbeat so the check re-runs.
+            wake_at(&fm, fm.now() + Nanos::from_us(50));
+            return Step::pending(moved);
+        }
+        Step::Done(RankReport {
+            latency_ns: inbox.borrow().latency_ns.clone(),
+            sent,
+            retransmissions: fm.stats().retransmissions,
+            first_poll,
+            last_poll: now,
+        })
+    })
+}
+
+/// What the ranks of one in-process run can see of each other: there the
+/// exit rule is global (nothing keeps a finished simulated rank acking),
+/// and ranks of a thread fabric share nothing else.
+struct Progress {
+    senders_done: AtomicUsize,
+    delivered: Vec<AtomicU64>,
+    unacked: Vec<AtomicUsize>,
+}
+
+/// Drive `spec` over `spec.ranks` ranks of `fabric`, every rank running
+/// its schedule concurrently as a [`traffic_program`]. A run completes
+/// only when every rank has sent its schedule, every expected message was
+/// delivered and every retransmit window has drained.
 pub fn workload_dist<F: Fabric>(fabric: &F, spec: &WorkloadSpec) -> WorkloadDist {
     let n = spec.ranks;
     let total = spec.total_msgs();
-    let shared = Progress {
+    let shared = std::sync::Arc::new(Progress {
         senders_done: AtomicUsize::new(0),
-        delivered: AtomicU64::new(0),
+        delivered: (0..n).map(|_| AtomicU64::new(0)).collect(),
         unacked: (0..n).map(|_| AtomicUsize::new(0)).collect(),
-    };
-    let shared = std::sync::Arc::new(shared);
+    });
     let spec = *spec;
+    let schedules: Vec<Vec<usize>> = (0..n).map(|rank| spec.schedule(rank)).collect();
     let out = fabric.run(n, |me, fm| {
         let clock = F::clock(&fm);
-        let hist = Rc::new(RefCell::new(LogHistogram::new()));
-        {
-            let (hist, clock, shared) = (Rc::clone(&hist), Rc::clone(&clock), shared.clone());
-            fm.set_handler(WORK, move |stream: FmStream, _src| {
-                let (hist, clock, shared) = (Rc::clone(&hist), Rc::clone(&clock), shared.clone());
-                async move {
-                    let msg = stream.receive_vec(stream.msg_len()).await;
-                    let (t, _seq) = decode_stamp(&msg);
-                    hist.borrow_mut().record(clock().saturating_sub(t).max(1));
-                    shared.delivered.fetch_add(1, SeqCst);
-                }
-            });
-        }
-        let sched = spec.schedule(me);
-        let pause = spec.pause.filter(|p| p.rank == me);
-        let mut pause_until: Option<u64> = None;
-        let mut pause_taken = false;
-        let (mut sent, mut sent_all) = (0usize, false);
-        let mut payload = vec![0u8; spec.payload.max(STAMP_BYTES)];
-        let first_poll = clock();
         let shared = shared.clone();
-        let wake_at = move |fm: &fm_core::Fm2Engine<F::Dev>, at: Nanos| {
-            fm.with_device(|d| d.request_wake(at));
-        };
-        Box::new(move || {
-            let now = clock();
-            if let Some(resume) = pause_until {
-                if now < resume {
-                    // Mid-pause: do not touch the engine — a straggler
-                    // neither extracts nor acks. Just re-arm the alarm.
-                    wake_at(&fm, Nanos(resume));
-                    return Step::Idle;
-                }
-                pause_until = None;
-            }
-            let moved = fm.extract_all() > 0;
-            while sent < sched.len() {
-                if let Some(p) = pause.filter(|p| !pause_taken && sent == p.after_msgs) {
-                    pause_taken = true;
-                    let resume = now + p.dur_ns;
-                    pause_until = Some(resume);
-                    wake_at(&fm, Nanos(resume));
-                    return Step::Idle;
-                }
-                encode_stamp(&mut payload, now, sent as u32);
-                if fm.try_send_message(sched[sent], WORK, &[&payload]).is_err() {
-                    // Window full: an ack or credit return will wake us.
-                    return Step::pending(moved);
-                }
-                sent += 1;
-            }
-            if !std::mem::replace(&mut sent_all, true) {
+        let mut announced = false;
+        let everyone_done = move |mine: RankProgress| {
+            if !std::mem::replace(&mut announced, true) {
                 shared.senders_done.fetch_add(1, SeqCst);
             }
-            shared.unacked[me].store(fm.unacked_packets(), SeqCst);
-            let everyone = shared.senders_done.load(SeqCst) == n
-                && shared.delivered.load(SeqCst) >= total
-                && shared.unacked.iter().all(|u| u.load(SeqCst) == 0);
-            if !everyone {
-                // Own schedule done, but the exit condition polls other
-                // ranks' state: heartbeat so the check re-runs.
-                wake_at(&fm, fm.now() + Nanos::from_us(50));
-                return Step::pending(moved);
-            }
-            Step::Done(RankReport {
-                latency_ns: hist.borrow().clone(),
-                retransmissions: fm.stats().retransmissions,
-                first_poll,
-                last_poll: now,
-            })
-        })
+            shared.delivered[me].store(mine.delivered, SeqCst);
+            shared.unacked[me].store(mine.unacked, SeqCst);
+            shared.senders_done.load(SeqCst) == n
+                && shared.delivered.iter().map(|d| d.load(SeqCst)).sum::<u64>() >= total
+                && shared.unacked.iter().all(|u| u.load(SeqCst) == 0)
+        };
+        let (payload, pause) = (spec.payload, spec.pause);
+        traffic_program(me, fm, &schedules, payload, pause, clock, everyone_done)
     });
     let mut latency_ns = LogHistogram::new();
     for r in &out {
@@ -173,6 +241,37 @@ pub fn workload_dist<F: Fabric>(fabric: &F, spec: &WorkloadSpec) -> WorkloadDist
         lost: total - delivered,
         retransmissions: out.iter().map(|r| r.retransmissions).sum(),
     }
+}
+
+/// The epoch-barrier partitioned shuffle (`mpi_fm::run_shuffle`, the
+/// streaming-dataflow scenario) on `spec.ranks` ranks of a thread fabric.
+/// The runner asserts per-key ordering and epoch completeness inline;
+/// this adds the cross-rank conservation law — every record sent is
+/// received, no engine error. Returns (records received,
+/// retransmissions), both summed over ranks.
+pub fn shuffle_over<F: Fabric>(fabric: &F, spec: ShuffleSpec) -> (u64, u64) {
+    // The runner blocks: a one-step program. The fabric keeps each
+    // finished rank serviced, so a peer whose final barrier (or our ack
+    // to it) was dropped still finds us alive.
+    let reports = fabric.run(spec.ranks, |_, fm| {
+        blocking(move || {
+            let mut mpi = Mpi2::new(fm);
+            let report = run_shuffle(&mut mpi, spec);
+            let retx = mpi.fm().stats().retransmissions;
+            let errors = mpi.fm().take_errors().len();
+            (report, retx, errors)
+        })
+    });
+    let sent: u64 = reports.iter().map(|(r, _, _)| r.records_sent).sum();
+    let received: u64 = reports.iter().map(|(r, _, _)| r.records_received).sum();
+    let errors: usize = reports.iter().map(|(_, _, e)| e).sum();
+    assert_eq!(sent, spec.total_records(), "shuffle under-produced");
+    assert_eq!(received, spec.total_records(), "shuffle FM-level loss");
+    assert_eq!(errors, 0, "shuffle surfaced engine errors");
+    for (rank, (r, _, _)) in reports.iter().enumerate() {
+        assert_eq!(r.epochs_completed, spec.epochs, "rank {rank} epochs");
+    }
+    (received, reports.iter().map(|(_, retx, _)| retx).sum())
 }
 
 /// Drive `spec` over an n-node simulated cluster with `drop_p` seeded

@@ -1,19 +1,22 @@
 //! Allocation audit for the zero-copy datapath: once the buffer pools
-//! are warm, a steady-state FM 2.x send/extract stream over the
-//! simulated Myrinet must perform **zero heap allocations per message**.
+//! are warm, a steady-state FM 2.x send/extract stream must perform
+//! **zero heap allocations per message** — over the simulated Myrinet
+//! and over real mapped shm rings.
 //!
-//! A counting `#[global_allocator]` wraps the system allocator; the
-//! measurement program streams messages through a two-node simulation
-//! (sender `try_send_message`, receiver fast-path handler), snapshots
-//! the counter after a warm-up phase, and asserts the measured phase
-//! allocated nothing. Everything in the loop is included: engine
-//! staging, the simulated NIC/DMA event machinery, and delivery.
+//! A counting `#[global_allocator]` wraps the system allocator; each
+//! probe is two rank programs over a [`Fabric`] (sender
+//! `try_send_message`, receiver fast-path handler, …) that snapshot the
+//! counter after a warm-up phase, and the tests assert the measured
+//! phase allocated nothing. Everything in the loop is included: engine
+//! staging, the simulated NIC/DMA event machinery or the mapped ring,
+//! and delivery.
 //!
 //! The counter is **per-thread**: every measured datapath here runs
-//! entirely on one thread, and a process-global count would race with
-//! the test harness's own threads (libtest's output formatting lands
-//! at nondeterministic points and was observed polluting the window by
-//! a couple of allocations).
+//! entirely on one thread — [`Sim`]'s event loop, and [`ShmOneThread`],
+//! which round-robins the same rank programs over a real segment pair —
+//! and a process-global count would race with the test harness's own
+//! threads (libtest's output formatting lands at nondeterministic points
+//! and was observed polluting the window by a couple of allocations).
 //!
 //! The MPI rows count differently: MPI-FM's posted receive path is not
 //! allocation-free by contract (a request cell, the handler's future and
@@ -28,15 +31,17 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::collections::VecDeque;
 use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::time::{Duration, Instant};
 
-use fm_core::device::NetDevice;
+use fm_bench::fabric::{Fabric, Program, Programs, Shm, Sim, Step};
 use fm_core::packet::HandlerId;
-use fm_core::{Fm2Engine, Onesided, OnesidedConfig, OsStatus, RegionHandle, SimDevice};
-use fm_model::{MachineProfile, Nanos};
-use mpi_fm::{Mpi, Mpi2, RecvReq};
-use myrinet_sim::{NodeId, Simulation, StepOutcome, Topology};
+use fm_core::{Onesided, OnesidedConfig, OsStatus, RegionHandle};
+use fm_model::MachineProfile;
+use fm_shm::{shm_cluster, ShmDevice};
+use mpi_fm::{Mpi, Mpi2, RecvReq, SendReq};
 
 /// Counts every allocation and reallocation (frees are irrelevant: the
 /// claim is that the steady state takes nothing *from* the allocator).
@@ -109,145 +114,100 @@ fn allocations() -> u64 {
 }
 
 const BENCH_HANDLER: HandlerId = HandlerId(1);
-const SIM_LIMIT: Nanos = Nanos(120_000_000_000);
 
-/// Streams `warmup + measured` single-packet messages node 0 → node 1
-/// and returns the allocation-counter delta across the measured phase.
-fn stream_alloc_delta(size: usize, warmup: usize, measured: usize) -> u64 {
-    let profile = MachineProfile::ppro200_fm2();
-    let count = warmup + measured;
-    let mut sim = Simulation::new(profile, Topology::single_crossbar(2));
+/// The [`Shm`] fabric with every rank's program round-robined on the
+/// calling thread instead of handed to a thread each, so both ranks'
+/// datapaths (encode-in-place into the ring, doorbell, pooled copy-out,
+/// decode, delivery, credit return) are inside the per-thread counted
+/// window — as they are on [`Sim`], whose event loop is one thread.
+struct ShmOneThread(Shm);
 
-    let fm_s = Fm2Engine::new(SimDevice::new(sim.host_interface(NodeId(0))), profile);
-    let data = vec![0xC5u8; size];
-    let mut sent = 0usize;
-    {
-        let fm_s = fm_s.clone();
-        sim.set_program(
-            NodeId(0),
-            Box::new(move || loop {
-                if sent == count {
-                    return StepOutcome::Done;
-                }
-                if fm_s.try_send_message(1, BENCH_HANDLER, &[&data]).is_ok() {
-                    sent += 1;
-                    continue;
-                }
-                fm_s.extract_all(); // absorb returned credits
-                if fm_s.try_send_message(1, BENCH_HANDLER, &[&data]).is_ok() {
-                    sent += 1;
-                    continue;
-                }
-                return StepOutcome::Wait;
-            }),
-        );
+impl Fabric for ShmOneThread {
+    type Dev = ShmDevice;
+
+    fn profile(&self) -> MachineProfile {
+        self.0.profile()
     }
 
-    let fm_r = Fm2Engine::new(SimDevice::new(sim.host_interface(NodeId(1))), profile);
-    let got = Rc::new(Cell::new(0usize));
-    {
-        // The fast-path handler: synchronous, borrowed payload view, no
-        // task allocation — FM_receive's hot shape for small messages.
-        let got = Rc::clone(&got);
-        fm_r.set_fast_handler(BENCH_HANDLER, move |_src, payload: &[u8]| {
-            assert_eq!(payload.len(), size);
-            got.set(got.get() + 1);
-        });
-    }
-    let at_warm = Rc::new(Cell::new(0u64));
-    let at_done = Rc::new(Cell::new(0u64));
-    {
-        let got = Rc::clone(&got);
-        let at_warm = Rc::clone(&at_warm);
-        let at_done = Rc::clone(&at_done);
-        let fm_r = fm_r.clone();
-        sim.set_program(
-            NodeId(1),
-            Box::new(move || {
-                fm_r.extract_all();
-                if got.get() >= warmup && at_warm.get() == 0 {
-                    at_warm.set(allocations());
-                    if std::env::var_os("ALLOC_TRACE").is_some() {
-                        TRACE.store(true, Ordering::Relaxed);
+    fn run<R: Send + 'static>(&self, n: usize, make: impl Programs<ShmDevice, R>) -> Vec<R> {
+        let mut devs = shm_cluster(n, self.0.config("alloc")).expect("open shm ranks");
+        for dev in &mut devs {
+            dev.join(Duration::from_secs(5)).expect("shm join");
+        }
+        let engines = devs.into_iter().map(|dev| self.engine(dev));
+        let mut programs: Vec<Program<R>> =
+            engines.enumerate().map(|(i, fm)| make(i, fm)).collect();
+        let mut reports: Vec<Option<R>> = (0..n).map(|_| None).collect();
+        let deadline = Instant::now() + Duration::from_secs(30);
+        while reports.iter().any(Option::is_none) {
+            assert!(Instant::now() < deadline, "one-thread shm run wedged");
+            for (program, report) in programs.iter_mut().zip(&mut reports) {
+                if report.is_none() {
+                    if let Step::Done(r) = program() {
+                        *report = Some(r);
                     }
                 }
-                if got.get() >= count {
-                    at_done.set(allocations());
-                    return StepOutcome::Done;
-                }
-                StepOutcome::Wait
-            }),
-        );
-    }
-
-    sim.run(Some(SIM_LIMIT));
-    assert!(
-        sim.all_done(),
-        "alloc-count stream wedged: {}/{count} delivered",
-        got.get()
-    );
-    assert!(at_warm.get() > 0, "warm-up snapshot never taken");
-    at_done.get() - at_warm.get()
-}
-
-/// Streams `warmup + measured` single-packet messages through a real
-/// mapped-segment pair — both `ShmDevice` ends opened in this process
-/// and both engines hand-pumped on this thread, so the whole datapath
-/// (encode-in-place into the ring, doorbell, pooled copy-out, decode,
-/// fast-handler delivery, credit return) is inside the counted window.
-fn shm_stream_alloc_delta(size: usize, warmup: usize, measured: usize) -> u64 {
-    use fm_shm::{shm_cluster, ShmConfig};
-    use std::time::Duration;
-
-    let profile = MachineProfile::ppro200_fm2();
-    let count = warmup + measured;
-    let cfg = ShmConfig {
-        run_id: format!("alloc{}", std::process::id()),
-        dir: std::env::temp_dir(),
-        ..ShmConfig::default()
-    };
-    let mut devs = shm_cluster(2, cfg).expect("open shm pair");
-    let mut d1 = devs.pop().expect("rank 1 device");
-    let mut d0 = devs.pop().expect("rank 0 device");
-    d0.join(Duration::from_secs(5)).expect("rank 0 join");
-    d1.join(Duration::from_secs(5)).expect("rank 1 join");
-
-    let fm_s = Fm2Engine::new(d0, profile);
-    let fm_r = Fm2Engine::new(d1, profile);
-    let data = vec![0xC5u8; size];
-    let got = Rc::new(Cell::new(0usize));
-    {
-        let got = Rc::clone(&got);
-        fm_r.set_fast_handler(BENCH_HANDLER, move |_src, payload: &[u8]| {
-            assert_eq!(payload.len(), size);
-            got.set(got.get() + 1);
-        });
-    }
-
-    let mut sent = 0usize;
-    let mut at_warm = 0u64;
-    let deadline = std::time::Instant::now() + Duration::from_secs(30);
-    while got.get() < count {
-        assert!(
-            std::time::Instant::now() < deadline,
-            "shm alloc stream wedged: {}/{count} delivered",
-            got.get()
-        );
-        if sent < count && fm_s.try_send_message(1, BENCH_HANDLER, &[&data]).is_ok() {
-            sent += 1;
-        }
-        fm_r.extract_all();
-        fm_s.extract_all(); // absorb returned credits
-        if got.get() >= warmup && at_warm == 0 {
-            at_warm = allocations();
-            if std::env::var_os("ALLOC_TRACE").is_some() {
-                TRACE.store(true, Ordering::Relaxed);
             }
         }
+        reports.into_iter().flatten().collect()
     }
-    let at_done = allocations();
-    assert!(at_warm > 0, "warm-up snapshot never taken");
-    at_done - at_warm
+}
+
+/// Note the allocation count once `reached` warm-up, and switch the
+/// allocation backtraces on for what follows if `ALLOC_TRACE` is set.
+fn snapshot_at_warm(at_warm: &mut Option<u64>, reached: bool) {
+    if reached && at_warm.is_none() {
+        *at_warm = Some(allocations());
+        if std::env::var_os("ALLOC_TRACE").is_some() {
+            TRACE.store(true, Ordering::Relaxed);
+        }
+    }
+}
+
+/// Streams `warmup + measured` single-packet messages rank 0 → rank 1 of
+/// `fabric` (sender `try_send_message`, receiver fast-path handler) and
+/// returns the allocation-counter delta across the measured phase.
+fn stream_alloc_delta<F: Fabric>(fabric: &F, size: usize, warmup: usize, measured: usize) -> u64 {
+    let count = warmup + measured;
+    let out = fabric.run(2, |rank, fm| -> Program<u64> {
+        if rank == 0 {
+            let data = vec![0xC5u8; size];
+            let mut sent = 0usize;
+            return Box::new(move || loop {
+                if sent == count {
+                    return Step::Done(0);
+                }
+                if fm.try_send_message(1, BENCH_HANDLER, &[&data]).is_ok() {
+                    sent += 1;
+                    continue;
+                }
+                fm.extract_all(); // absorb returned credits
+                if fm.try_send_message(1, BENCH_HANDLER, &[&data]).is_ok() {
+                    sent += 1;
+                    continue;
+                }
+                return Step::Idle;
+            });
+        }
+        // The fast-path handler: synchronous, borrowed payload view, no
+        // task allocation — FM_receive's hot shape for small messages.
+        let got = Rc::new(Cell::new(0usize));
+        let seen = Rc::clone(&got);
+        fm.set_fast_handler(BENCH_HANDLER, move |_src, payload: &[u8]| {
+            assert_eq!(payload.len(), size);
+            seen.set(seen.get() + 1);
+        });
+        let mut at_warm = None;
+        Box::new(move || {
+            fm.extract_all();
+            snapshot_at_warm(&mut at_warm, got.get() >= warmup);
+            if got.get() < count {
+                return Step::Idle;
+            }
+            Step::Done(allocations() - at_warm.expect("warm-up snapshot"))
+        })
+    });
+    out[1]
 }
 
 /// Pipelined one-sided puts kept in flight by the alloc probes.
@@ -259,176 +219,70 @@ fn arena_handle() -> RegionHandle {
     RegionHandle { index: 0, epoch: 0 }
 }
 
-fn os_cfg(arena: usize) -> OnesidedConfig {
-    OnesidedConfig {
-        arena_bytes: arena,
-        ..OnesidedConfig::default()
-    }
-}
-
 /// Streams `warmup + measured` zero-copy `put_from` transfers of `size`
-/// bytes node 0 → node 1 over the simulator and returns the allocation
-/// delta across the measured phase plus the receiver engine's total
-/// copied bytes (staging-copy evidence: rendezvous placement is the
-/// *only* copy, so the total must equal the payload exactly).
-fn onesided_alloc_delta_sim(size: usize, warmup: usize, measured: usize) -> (u64, u64, u64) {
-    let profile = MachineProfile::ppro200_fm2();
+/// bytes rank 0 → rank 1 of `fabric` and returns the initiator's
+/// allocation delta across the measured phase, the receiver engine's
+/// total copied bytes (staging-copy evidence: rendezvous placement is the
+/// *only* copy, so the total must equal the payload exactly) and the
+/// payload bytes.
+fn onesided_alloc_delta<F: Fabric>(
+    fabric: &F,
+    size: usize,
+    warmup: usize,
+    measured: usize,
+) -> (u64, u64, u64) {
     let count = warmup + measured;
     let arena = size * OS_WINDOW;
-    let mut sim = Simulation::new(profile, Topology::single_crossbar(2));
-
-    let fm_s = Fm2Engine::new(SimDevice::new(sim.host_interface(NodeId(0))), profile);
-    let mut os_s = Onesided::new(&fm_s, os_cfg(arena));
-    os_s.register(0, arena).expect("sender arena");
-    os_s.port()
-        .write_local(arena_handle(), 0, &vec![0xC5u8; arena])
-        .expect("fill source");
-
-    let sender_done = Rc::new(Cell::new(false));
-    let at_warm = Rc::new(Cell::new(0u64));
-    let at_done = Rc::new(Cell::new(0u64));
-    {
-        let fm = fm_s.clone();
-        let port = os_s.port();
-        let sender_done = Rc::clone(&sender_done);
-        let at_warm = Rc::clone(&at_warm);
-        let at_done = Rc::clone(&at_done);
-        let mut issued = 0usize;
-        let mut done = 0usize;
-        sim.set_program(
-            NodeId(0),
-            Box::new(move || {
+    let payload = (size * count) as u64;
+    let out = fabric.run(2, |rank, fm| -> Program<u64> {
+        let cfg = OnesidedConfig {
+            arena_bytes: arena,
+            ..OnesidedConfig::default()
+        };
+        let mut os = Onesided::new(&fm, cfg);
+        os.register(0, arena).expect("arena");
+        if rank == 1 {
+            // The target runs no handler of its own: it is done once every
+            // byte has been placed and its last FIN is on the wire.
+            return Box::new(move || {
                 fm.extract_all();
-                os_s.progress();
-                while let Some(c) = port.poll_completion() {
-                    assert_eq!(c.status, OsStatus::Ok, "alloc-probe put failed");
-                    done += 1;
+                let flushed = os.progress();
+                let copied = fm.stats().bytes_copied;
+                if copied < payload || !flushed {
+                    return Step::Idle;
                 }
-                while issued < count && issued - done < OS_WINDOW {
-                    let off = (issued % OS_WINDOW) * size;
-                    port.put_from(1, arena_handle(), off as u64, arena_handle(), off, size)
-                        .expect("alloc-probe put_from");
-                    issued += 1;
-                }
-                // Issued work must hit the wire before sleeping —
-                // `Wait` wakes on *new* activity only.
-                os_s.progress();
-                if done >= warmup && at_warm.get() == 0 {
-                    at_warm.set(allocations());
-                }
-                if done == count {
-                    at_done.set(allocations());
-                    sender_done.set(true);
-                    return StepOutcome::Done;
-                }
-                StepOutcome::Wait
-            }),
-        );
-    }
-
-    let fm_r = Fm2Engine::new(SimDevice::new(sim.host_interface(NodeId(1))), profile);
-    let mut os_r = Onesided::new(&fm_r, os_cfg(arena));
-    os_r.register(0, arena).expect("receiver arena");
-    let copied = Rc::new(Cell::new(0u64));
-    {
-        let fm = fm_r.clone();
-        let copied = Rc::clone(&copied);
-        let sender_done = Rc::clone(&sender_done);
-        sim.set_program(
-            NodeId(1),
-            Box::new(move || {
-                fm.extract_all();
-                os_r.progress();
-                copied.set(fm.stats().bytes_copied);
-                if sender_done.get() {
-                    return StepOutcome::Done;
-                }
-                StepOutcome::Wait
-            }),
-        );
-    }
-
-    sim.run(Some(SIM_LIMIT));
-    assert!(sender_done.get(), "one-sided alloc stream wedged");
-    assert!(at_warm.get() > 0, "warm-up snapshot never taken");
-    (
-        at_done.get() - at_warm.get(),
-        copied.get(),
-        (size * count) as u64,
-    )
-}
-
-/// The same zero-copy put probe over a real mapped-segment pair, both
-/// ends hand-pumped on this thread (mirrors `shm_stream_alloc_delta`).
-fn onesided_alloc_delta_shm(size: usize, warmup: usize, measured: usize) -> (u64, u64, u64) {
-    use fm_shm::{shm_cluster, ShmConfig};
-    use std::time::Duration;
-
-    let mut profile = MachineProfile::ppro200_fm2();
-    profile.fm.credits_per_peer = 512;
-    let count = warmup + measured;
-    let arena = size * OS_WINDOW;
-    let cfg = ShmConfig {
-        run_id: format!("osalloc{}", std::process::id()),
-        dir: std::env::temp_dir(),
-        slots: 512,
-        ..ShmConfig::default()
-    };
-    let mut devs = shm_cluster(2, cfg).expect("open shm pair");
-    let mut d1 = devs.pop().expect("rank 1 device");
-    let mut d0 = devs.pop().expect("rank 0 device");
-    d0.join(Duration::from_secs(5)).expect("rank 0 join");
-    d1.join(Duration::from_secs(5)).expect("rank 1 join");
-
-    let fm_s = Fm2Engine::new(d0, profile);
-    let mut os_s = Onesided::new(&fm_s, os_cfg(arena));
-    os_s.register(0, arena).expect("sender arena");
-    let port = os_s.port();
-    port.write_local(arena_handle(), 0, &vec![0xC5u8; arena])
-        .expect("fill source");
-
-    let fm_r = Fm2Engine::new(d1, profile);
-    let mut os_r = Onesided::new(&fm_r, os_cfg(arena));
-    os_r.register(0, arena).expect("receiver arena");
-
-    let mut issued = 0usize;
-    let mut done = 0usize;
-    let mut at_warm = 0u64;
-    let deadline = std::time::Instant::now() + Duration::from_secs(30);
-    while done < count {
-        assert!(
-            std::time::Instant::now() < deadline,
-            "shm one-sided alloc stream wedged: {done}/{count} complete"
-        );
-        fm_s.extract_all();
-        os_s.progress();
-        while let Some(c) = port.poll_completion() {
-            assert_eq!(c.status, OsStatus::Ok, "alloc-probe put failed");
-            done += 1;
+                Step::Done(copied)
+            });
         }
-        while issued < count && issued - done < OS_WINDOW {
-            let off = (issued % OS_WINDOW) * size;
-            port.put_from(1, arena_handle(), off as u64, arena_handle(), off, size)
-                .expect("alloc-probe put_from");
-            issued += 1;
-        }
-        os_s.progress();
-        fm_r.extract_all();
-        os_r.progress();
-        if done >= warmup && at_warm == 0 {
-            at_warm = allocations();
-            if std::env::var_os("ALLOC_TRACE").is_some() {
-                TRACE.store(true, Ordering::Relaxed);
+        let port = os.port();
+        port.write_local(arena_handle(), 0, &vec![0xC5u8; arena])
+            .expect("fill source");
+        let (mut issued, mut done) = (0usize, 0usize);
+        let mut at_warm = None;
+        Box::new(move || {
+            fm.extract_all();
+            os.progress();
+            while let Some(c) = port.poll_completion() {
+                assert_eq!(c.status, OsStatus::Ok, "alloc-probe put failed");
+                done += 1;
             }
-        }
-    }
-    let at_done = allocations();
-    assert!(at_warm > 0, "warm-up snapshot never taken");
-    (
-        at_done - at_warm,
-        fm_r.stats().bytes_copied,
-        (size * count) as u64,
-    )
+            while issued < count && issued - done < OS_WINDOW {
+                let off = (issued % OS_WINDOW) * size;
+                port.put_from(1, arena_handle(), off as u64, arena_handle(), off, size)
+                    .expect("alloc-probe put_from");
+                issued += 1;
+            }
+            // Issued work must hit the wire before parking — a parked
+            // rank wakes on *new* activity only.
+            os.progress();
+            snapshot_at_warm(&mut at_warm, done >= warmup);
+            if done < count {
+                return Step::Idle;
+            }
+            Step::Done(allocations() - at_warm.expect("warm-up snapshot"))
+        })
+    });
+    (out[0], out[1], payload)
 }
 
 /// MPI stream message size and tag, receives kept posted ahead of the
@@ -442,156 +296,80 @@ const MPI_TAG: u32 = 9;
 const MPI_POSTED_AHEAD: usize = 8;
 const MPI_RECV_ALLOCS_PER_MSG: u64 = 3;
 
-/// The receiving rank of an `Mpi2` posted-receive stream, with every
-/// allocation made inside its calls (`irecv`, `progress`, taking the
-/// payload) counted and nothing else — the sender and the transport
-/// underneath run on the same thread.
-struct MpiReceiver<D: NetDevice + 'static> {
-    mpi: Mpi2<D>,
-    posted: std::collections::VecDeque<RecvReq>,
-    to_post: usize,
-    got: usize,
-    allocs: u64,
-}
-
-impl<D: NetDevice + 'static> MpiReceiver<D> {
-    fn new(mpi: Mpi2<D>, count: usize) -> Self {
-        MpiReceiver {
-            mpi,
-            posted: std::collections::VecDeque::with_capacity(MPI_POSTED_AHEAD),
-            to_post: count,
-            got: 0,
-            allocs: 0,
-        }
-    }
-
-    /// One turn: top the posted receives up, progress, and consume what
-    /// completed (in order: one source, one tag).
-    fn step(&mut self) {
-        let before = allocations();
-        while self.to_post > 0 && self.posted.len() < MPI_POSTED_AHEAD {
-            self.posted
-                .push_back(self.mpi.irecv(Some(0), Some(MPI_TAG), MPI_BYTES));
-            self.to_post -= 1;
-        }
-        self.mpi.progress();
-        while self.posted.front().is_some_and(RecvReq::is_done) {
-            let req = self.posted.pop_front().expect("checked");
-            let data = req.take().expect("done");
-            assert_eq!(data.len(), MPI_BYTES);
-            assert!(data.iter().all(|&b| b == 0xC5));
-            self.got += 1;
-        }
-        self.allocs += allocations() - before;
-    }
-}
-
 /// Receiver-side allocations, and the messages they were counted over
 /// (those after the first turn that ended past `warmup`), of an `Mpi2`
-/// 2 KB stream with pre-posted receives on the simulator.
-fn mpi_recv_allocs_sim(warmup: usize, measured: usize) -> (u64, u64) {
-    let profile = MachineProfile::ppro200_fm2();
+/// 2 KB stream rank 0 → rank 1 of `fabric` with pre-posted receives.
+fn mpi_recv_allocs<F: Fabric>(fabric: &F, warmup: usize, measured: usize) -> (u64, u64) {
     let count = warmup + measured;
-    let mut sim = Simulation::new(profile, Topology::single_crossbar(2));
-
-    let fm_s = Fm2Engine::new(SimDevice::new(sim.host_interface(NodeId(0))), profile);
-    let mut mpi_s = Mpi2::new(fm_s);
-    let mut reqs = std::collections::VecDeque::new();
-    let mut sent = 0usize;
-    sim.set_program(
-        NodeId(0),
-        Box::new(move || {
-            mpi_s.progress();
-            while reqs.front().is_some_and(mpi_fm::SendReq::is_done) {
-                reqs.pop_front();
-            }
-            // A bounded send backlog, like the receiver's posted window.
-            while sent < count && reqs.len() < MPI_POSTED_AHEAD {
-                reqs.push_back(mpi_s.isend(1, MPI_TAG, vec![0xC5u8; MPI_BYTES]));
-                sent += 1;
-            }
-            if sent == count && reqs.is_empty() {
-                return StepOutcome::Done;
-            }
-            StepOutcome::Wait
-        }),
-    );
-
-    let fm_r = Fm2Engine::new(SimDevice::new(sim.host_interface(NodeId(1))), profile);
-    let mut recv = MpiReceiver::new(Mpi2::new(fm_r), count);
-    let measured_allocs = Rc::new(Cell::new(None));
-    {
-        let measured_allocs = Rc::clone(&measured_allocs);
+    let out = fabric.run(2, |rank, fm| -> Program<(u64, u64)> {
+        if rank == 0 {
+            let mut mpi = Mpi2::new(fm);
+            let mut reqs = VecDeque::new();
+            let mut sent = 0usize;
+            return Box::new(move || {
+                mpi.progress();
+                while reqs.front().is_some_and(SendReq::is_done) {
+                    reqs.pop_front();
+                }
+                // A bounded send backlog, like the receiver's posted window.
+                while sent < count && reqs.len() < MPI_POSTED_AHEAD {
+                    reqs.push_back(mpi.isend(1, MPI_TAG, vec![0xC5u8; MPI_BYTES]));
+                    sent += 1;
+                }
+                if sent == count && reqs.is_empty() {
+                    return Step::Done((0, 0));
+                }
+                Step::Idle
+            });
+        }
+        // The receiver counts every allocation made inside its own turn
+        // (`irecv`, `progress`, taking the payload) and nothing else — the
+        // sender and the transport underneath run on the same thread.
+        let mut mpi = Mpi2::new(fm);
+        let mut posted = VecDeque::with_capacity(MPI_POSTED_AHEAD);
+        let (mut to_post, mut got, mut allocs) = (count, 0usize, 0u64);
         let mut at_warm = None;
-        sim.set_program(
-            NodeId(1),
-            Box::new(move || {
-                recv.step();
-                if recv.got >= warmup && at_warm.is_none() {
-                    at_warm = Some((recv.allocs, recv.got));
-                }
-                if recv.got == count {
-                    let (allocs, got) = at_warm.expect("warm-up snapshot");
-                    measured_allocs.set(Some((recv.allocs - allocs, (count - got) as u64)));
-                    return StepOutcome::Done;
-                }
-                StepOutcome::Wait
-            }),
-        );
-    }
-    sim.run(Some(SIM_LIMIT));
-    measured_allocs.get().expect("MPI alloc stream wedged")
+        Box::new(move || {
+            let before = allocations();
+            // Top the posted receives up, progress, and consume what
+            // completed (in order: one source, one tag).
+            while to_post > 0 && posted.len() < MPI_POSTED_AHEAD {
+                posted.push_back(mpi.irecv(Some(0), Some(MPI_TAG), MPI_BYTES));
+                to_post -= 1;
+            }
+            mpi.progress();
+            while posted.front().is_some_and(RecvReq::is_done) {
+                let data = posted.pop_front().and_then(|req| req.take()).expect("done");
+                assert_eq!(data.len(), MPI_BYTES);
+                assert!(data.iter().all(|&b| b == 0xC5));
+                got += 1;
+            }
+            allocs += allocations() - before;
+            if got >= warmup && at_warm.is_none() {
+                at_warm = Some((allocs, got));
+            }
+            if got < count {
+                return Step::Idle;
+            }
+            let (warm_allocs, warm_got) = at_warm.expect("warm-up snapshot");
+            Step::Done((allocs - warm_allocs, (count - warm_got) as u64))
+        })
+    });
+    out[1]
 }
 
-/// The same stream over a real mapped-segment pair, both ranks
-/// hand-pumped on this thread.
-fn mpi_recv_allocs_shm(warmup: usize, measured: usize) -> (u64, u64) {
-    use fm_shm::{shm_cluster, ShmConfig};
-    use std::time::Duration;
-
-    let profile = MachineProfile::ppro200_fm2();
-    let count = warmup + measured;
-    let cfg = ShmConfig {
-        run_id: format!("mpialloc{}", std::process::id()),
-        dir: std::env::temp_dir(),
-        ..ShmConfig::default()
-    };
-    let mut devs = shm_cluster(2, cfg).expect("open shm pair");
-    let mut d1 = devs.pop().expect("rank 1 device");
-    let mut d0 = devs.pop().expect("rank 0 device");
-    d0.join(Duration::from_secs(5)).expect("rank 0 join");
-    d1.join(Duration::from_secs(5)).expect("rank 1 join");
-
-    let mut mpi_s = Mpi2::new(Fm2Engine::new(d0, profile));
-    let mut recv = MpiReceiver::new(Mpi2::new(Fm2Engine::new(d1, profile)), count);
-    let mut sent = 0usize;
-    let mut at_warm = None;
-    let deadline = std::time::Instant::now() + Duration::from_secs(30);
-    while recv.got < count {
-        assert!(
-            std::time::Instant::now() < deadline,
-            "shm MPI alloc stream wedged: {}/{count} delivered",
-            recv.got
-        );
-        if sent < count && sent < recv.got + MPI_POSTED_AHEAD {
-            mpi_s.isend(1, MPI_TAG, vec![0xC5u8; MPI_BYTES]);
-            sent += 1;
-        }
-        mpi_s.progress();
-        recv.step();
-        if recv.got >= warmup && at_warm.is_none() {
-            at_warm = Some((recv.allocs, recv.got));
-        }
-    }
-    let (allocs, got) = at_warm.expect("warm-up snapshot");
-    (recv.allocs - allocs, (count - got) as u64)
+fn sim() -> Sim {
+    Sim::new(MachineProfile::ppro200_fm2())
 }
 
 #[test]
 fn mpi2_posted_stream_receiver_allocates_only_request_future_and_payload() {
     for (transport, (allocs, msgs)) in [
-        ("sim", mpi_recv_allocs_sim(256, 512)),
-        ("shm", mpi_recv_allocs_shm(256, 512)),
+        ("sim", mpi_recv_allocs(&sim(), 256, 512)),
+        (
+            "shm",
+            mpi_recv_allocs(&ShmOneThread(Shm::SHALLOW), 256, 512),
+        ),
     ] {
         assert!(
             msgs >= 256,
@@ -612,7 +390,7 @@ fn steady_state_fm2_stream_allocates_nothing() {
     // messages fill the send pool, the device queues, and the event
     // heap; the following 512 messages must then run entirely on
     // recycled frames.
-    let delta = stream_alloc_delta(64, 256, 512);
+    let delta = stream_alloc_delta(&sim(), 64, 256, 512);
     assert_eq!(
         delta,
         0,
@@ -629,7 +407,7 @@ fn steady_state_shm_stream_allocates_nothing() {
     // self-sizing queues are warm, a message's life — staged, encoded
     // in place into the mapped ring, copied out into a recycled pool
     // frame, decoded, delivered — takes nothing from the allocator.
-    let delta = shm_stream_alloc_delta(64, 256, 512);
+    let delta = stream_alloc_delta(&ShmOneThread(Shm::SHALLOW), 64, 256, 512);
     assert_eq!(
         delta,
         0,
@@ -646,7 +424,7 @@ fn steady_state_large_put_allocates_nothing_sim() {
     // fill the op tables, job queues, and engine pools; the next 32
     // must take nothing from the allocator — and the receiver's only
     // copy must be the placement itself (no staging).
-    let (delta, copied, payload) = onesided_alloc_delta_sim(64 * 1024, 16, 32);
+    let (delta, copied, payload) = onesided_alloc_delta(&sim(), 64 * 1024, 16, 32);
     assert_eq!(
         delta,
         0,
@@ -665,7 +443,8 @@ fn steady_state_large_put_allocates_nothing_sim() {
 fn steady_state_large_put_allocates_nothing_shm() {
     // The same ≥64 KiB zero-allocation, zero-staging claim over the
     // real mapped-ring transport.
-    let (delta, copied, payload) = onesided_alloc_delta_shm(64 * 1024, 16, 32);
+    let (delta, copied, payload) =
+        onesided_alloc_delta(&ShmOneThread(Shm::DEEP), 64 * 1024, 16, 32);
     assert_eq!(
         delta,
         0,
@@ -687,7 +466,7 @@ fn warmup_allocations_are_bounded_not_linear() {
     // message count dwarfs the pool size — i.e. the counter works and
     // the pool actually recycles across the whole run.
     let before = allocations();
-    let delta_after_warm = stream_alloc_delta(64, 64, 1024);
+    let delta_after_warm = stream_alloc_delta(&sim(), 64, 64, 1024);
     let total = allocations() - before;
     // 64 messages is a *short* warm-up: a queue or heap may still take
     // its last doubling inside the measured phase, but only a handful of

@@ -10,26 +10,18 @@
 //! what the rank just put, and landing verification of everything the
 //! upstream neighbor wrote into this rank's arena. Each rank renders its
 //! observations as a deterministic `Vec<String>`, and the battery
-//! requires rank-for-rank equality across four substrates — the virtual
-//! simulator, the in-process threaded mesh, real 4-process loopback UDP
-//! (with the retransmit sublayer), and `fm-shm` mapped rings — plus
-//! equality with the script's computed expectation. Transports may
-//! change how bytes travel, never what a one-sided op does.
+//! requires rank-for-rank equality across every [`Fabric`] — the virtual
+//! simulator, the in-process threaded mesh, loopback UDP (with the
+//! retransmit sublayer), `fm-shm` mapped rings, and the routed shm + UDP
+//! composite — plus equality with the script's computed expectation.
+//! Transports may change how bytes travel, never what a one-sided op
+//! does.
 
-use std::cell::RefCell;
 use std::collections::HashMap;
-use std::rc::Rc;
-use std::time::{Duration, Instant};
 
-use fm_core::{
-    Fm2Engine, NetDevice, Onesided, OnesidedConfig, OsPort, OsStatus, OsToken, RegionHandle,
-    Reliability, RetransmitConfig, SimDevice,
-};
-use fm_model::{MachineProfile, Nanos};
-use fm_shm::{ShmCluster, ShmConfig};
-use fm_threaded::ThreadedCluster;
-use fm_udp::{UdpCluster, UdpConfig};
-use myrinet_sim::{NodeId, Simulation, StepOutcome, Topology};
+use fm_bench::fabric::{Fabric, Routed, Shm, Sim, Step, Threads, Udp};
+use fm_core::{NetDevice, Onesided, OnesidedConfig, OsPort, OsStatus, OsToken, RegionHandle};
+use fm_model::MachineProfile;
 
 const N: usize = 4;
 
@@ -86,8 +78,8 @@ fn fnv(bytes: &[u8]) -> u64 {
 const PUT_LABELS: [&str; 6] = ["put_k0", "put_k1", "put_k2", "put_k3", "put_k4", "put_k5"];
 const FAIL_LABELS: [&str; 3] = ["fail_oob_eager", "fail_badhandle", "fail_oob_rndv"];
 
-/// The per-rank script, written as a poll-driven state machine so every
-/// substrate can drive it with its own progress loop. One `step` does
+/// The per-rank script, written as a poll-driven state machine so it is
+/// a rank program of any fabric. One `step` does
 /// all work currently possible; after it returns, nothing more can
 /// happen until new packets arrive (which is exactly the simulator's
 /// `Wait` wake-up contract).
@@ -351,161 +343,85 @@ fn expected_outputs(rank: usize) -> Vec<String> {
     out
 }
 
-/// Wall-clock driver shared by the threaded, UDP, and shm runs: pump
-/// the script to completion, then keep servicing the engine until the
-/// link has been quiet for a while and nothing is unacknowledged —
-/// peers still mid-script may need our acks and retransmissions.
-fn drive<D: NetDevice>(rank: usize, fm: &Fm2Engine<D>, os: &mut Onesided<D>) -> Vec<String> {
-    let mut script = OsScript::new(rank, os);
-    let deadline = Instant::now() + Duration::from_secs(60);
-    while !script.finished {
-        fm.extract_all();
-        os.progress();
-        script.step();
-        os.progress();
-        assert!(
-            Instant::now() < deadline,
-            "rank {rank} conformance script wedged: pending={} drops={}",
-            script.port.pending_ops(),
-            script.port.protocol_drops(),
-        );
-        std::thread::yield_now();
-    }
-    let quiet_for = Duration::from_millis(100);
-    let cap = Instant::now() + Duration::from_secs(5);
-    let mut quiet_since = Instant::now();
-    while Instant::now() < cap {
-        let moved = fm.extract_all() > 0;
-        os.progress();
-        if moved {
-            quiet_since = Instant::now();
-        }
-        if fm.unacked_packets() == 0 && quiet_since.elapsed() >= quiet_for {
-            break;
-        }
-        std::thread::yield_now();
-    }
-    script.out
-}
-
-/// Virtual-time guard for the simulated run.
-const SIM_LIMIT: Nanos = Nanos(60_000_000_000);
-
-fn sim_outputs() -> Vec<Vec<String>> {
-    let profile = MachineProfile::ppro200_fm2();
-    let mut sim = Simulation::new(profile, Topology::single_crossbar(N));
-    let outs: Vec<Rc<RefCell<Option<Vec<String>>>>> =
-        (0..N).map(|_| Rc::new(RefCell::new(None))).collect();
-    for (rank, slot) in outs.iter().enumerate() {
-        let fm = Fm2Engine::new(SimDevice::new(sim.host_interface(NodeId(rank))), profile);
+/// Run the script on every rank of `fabric` as a poll-step program and
+/// require every rank's computed expectation, with no engine error. A
+/// rank is done once its script has finished *and* everything the
+/// one-sided layer queued (the done flags, acks for the neighbor's puts)
+/// is on the wire — `at_end` then looks at its device; the fabric keeps
+/// it serviced until the wire is quiet, so peers still mid-script get
+/// their acks and retransmissions.
+fn outputs<F: Fabric>(
+    transport: &str,
+    fabric: &F,
+    at_end: fn(usize, &mut F::Dev),
+) -> Vec<Vec<String>> {
+    let results = fabric.run(N, |rank, fm| {
         let mut os = Onesided::new(&fm, script_cfg());
         let mut script = OsScript::new(rank, &os);
-        let out = Rc::clone(slot);
-        sim.set_program(
-            NodeId(rank),
-            Box::new(move || {
-                fm.extract_all();
-                os.progress();
-                script.step();
-                // Anything the step issued must hit the wire before
-                // sleeping — `Wait` wakes on *new* activity only.
-                os.progress();
-                if script.finished {
-                    *out.borrow_mut() = Some(script.out.clone());
-                    return StepOutcome::Done;
-                }
-                StepOutcome::Wait
-            }),
-        );
-    }
-    sim.run(Some(SIM_LIMIT));
-    outs.iter()
-        .enumerate()
-        .map(|(rank, o)| {
-            o.borrow()
-                .clone()
-                .unwrap_or_else(|| panic!("sim rank {rank} never finished (t={})", sim.now()))
+        Box::new(move || {
+            let moved = fm.extract_all() > 0;
+            os.progress();
+            script.step();
+            // Anything the step issued must hit the wire before the rank
+            // parks — a parked rank wakes on *new* activity only.
+            let flushed = os.progress();
+            if !(script.finished && flushed) {
+                return Step::pending(moved);
+            }
+            assert!(fm.take_errors().is_empty(), "rank {rank} engine errors");
+            fm.with_device(|dev| at_end(rank, dev));
+            Step::Done(script.out.clone())
         })
-        .collect()
-}
-
-fn threaded_outputs() -> Vec<Vec<String>> {
-    ThreadedCluster::run(N, |rank, dev| {
-        let fm = Fm2Engine::new(dev, MachineProfile::ppro200_fm2());
-        let mut os = Onesided::new(&fm, script_cfg());
-        drive(rank, &fm, &mut os)
-    })
-}
-
-fn udp_outputs() -> Vec<Vec<String>> {
-    UdpCluster::run(N, UdpConfig::default(), |rank, dev| {
-        let fm = Fm2Engine::with_reliability(
-            dev,
-            MachineProfile::ppro200_fm2(),
-            Reliability::Retransmit(RetransmitConfig::default()),
-        );
-        let mut os = Onesided::new(&fm, script_cfg());
-        drive(rank, &fm, &mut os)
-    })
-}
-
-fn shm_outputs() -> Vec<Vec<String>> {
-    let cfg = ShmConfig {
-        run_id: format!("os-conf{}", std::process::id()),
-        slots: 512,
-        ..ShmConfig::default()
-    };
-    ShmCluster::run(N, cfg, |rank, dev| {
-        let mut profile = MachineProfile::ppro200_fm2();
-        profile.fm.credits_per_peer = 512;
-        let fm = Fm2Engine::new(dev, profile);
-        let mut os = Onesided::new(&fm, script_cfg());
-        drive(rank, &fm, &mut os)
-    })
-}
-
-fn assert_conformant(transport: &str, results: &[Vec<String>]) {
-    assert_eq!(results.len(), N);
+    });
     for (rank, got) in results.iter().enumerate() {
-        assert_eq!(
-            *got,
-            expected_outputs(rank),
-            "{transport} rank {rank} diverged"
-        );
+        let want = expected_outputs(rank);
+        assert_eq!(*got, want, "{transport} rank {rank} diverged");
     }
+    results
+}
+
+fn sim() -> Sim {
+    Sim::new(MachineProfile::ppro200_fm2())
 }
 
 #[test]
 fn sim_matches_expectation() {
-    assert_conformant("sim", &sim_outputs());
+    outputs("sim", &sim(), |_, _| ());
 }
 
 #[test]
 fn threaded_matches_expectation() {
-    assert_conformant("threaded", &threaded_outputs());
+    outputs("threaded", &Threads, |_, _| ());
 }
 
 #[test]
 fn udp_matches_expectation() {
-    assert_conformant("udp", &udp_outputs());
+    outputs("udp", &Udp::default(), |_, _| ());
 }
 
 #[test]
 fn shm_matches_expectation() {
-    assert_conformant("shm", &shm_outputs());
+    outputs("shm", &Shm::DEEP, |_, _| ());
 }
 
 #[test]
 fn all_transports_bit_identical() {
     // The decisive check: rank-for-rank equality of the raw outputs
-    // across all four substrates, not merely each one matching the
+    // across all five substrates, not merely each one matching the
     // expectation (pins transport-independence directly, including any
     // formatting the per-transport asserts might normalize away).
-    let sim = sim_outputs();
-    let threaded = threaded_outputs();
-    let udp = udp_outputs();
-    let shm = shm_outputs();
-    assert_eq!(sim, threaded, "sim vs threaded diverged");
-    assert_eq!(sim, udp, "sim vs udp diverged");
-    assert_eq!(sim, shm, "sim vs shm diverged");
+    let reference = outputs("sim", &sim(), |_, _| ());
+    let same = |transport: &str, got| assert_eq!(reference, got, "sim vs {transport} diverged");
+    same("threaded", outputs("threaded", &Threads, |_, _| ()));
+    same("udp", outputs("udp", &Udp::default(), |_, _| ()));
+    same("shm", outputs("shm", &Shm::DEEP, |_, _| ()));
+    // Two hosts of two ranks: each rank's downstream neighbor and the
+    // peers it flags are split between its own host and the other, so
+    // every rank must have used both halves of the routed device.
+    let routed = outputs("routed", &Routed::blocks(2, 2), |rank, dev| {
+        let route = dev.stats();
+        assert!(route.local_sent > 0, "rank {rank} sent nothing over shm");
+        assert!(route.remote_sent > 0, "rank {rank} sent nothing over UDP");
+    });
+    same("routed", routed);
 }

@@ -16,7 +16,10 @@
 //! [`run_ranks`] is the one rank spawner of the workspace: every
 //! in-process cluster runner (`ThreadedCluster`, `UdpCluster`,
 //! `ShmCluster`, the routed fabric of `fm-bench`) opens its devices its
-//! own way and hands them here.
+//! own way and hands them here. [`quiesce`] is what each of those ranks
+//! does between finishing and dropping its device.
+
+use std::time::{Duration, Instant};
 
 use crate::device::NetDevice;
 use crate::packet::HandlerId;
@@ -117,6 +120,29 @@ where
             .map(|h| h.join().expect("node thread panicked"))
             .collect()
     })
+}
+
+/// How long the wire must stay silent before a finished rank leaves.
+const QUIET: Duration = Duration::from_millis(100);
+/// A vanished peer must not wedge teardown.
+const QUIESCE_CAP: Duration = Duration::from_secs(5);
+
+/// Keep a finished rank's engine serviced until every packet it sent is
+/// acknowledged (trivially so under `TrustSubstrate`) and nothing has
+/// arrived for [`QUIET`]: a peer still waiting on our last ack, or about
+/// to retransmit, is not abandoned mid-conversation. Capped.
+pub fn quiesce<D: NetDevice>(fm: &Fm2Engine<D>) {
+    let cap = Instant::now() + QUIESCE_CAP;
+    let mut quiet_since = Instant::now();
+    while Instant::now() < cap {
+        if fm.extract_all() > 0 {
+            quiet_since = Instant::now();
+        }
+        if fm.unacked_packets() == 0 && quiet_since.elapsed() >= QUIET {
+            return;
+        }
+        std::thread::yield_now();
+    }
 }
 
 /// Blocking `FM_send` on FM 1.x: retries until credits and queue space

@@ -206,6 +206,11 @@ impl<D: NetDevice> Fm2Handle<D> {
         self.engine().num_nodes()
     }
 
+    /// See [`Fm2Engine::now`].
+    pub fn now(&self) -> Nanos {
+        self.engine().now()
+    }
+
     /// See [`Fm2Engine::charge`].
     pub fn charge(&self, cost: Nanos) {
         self.engine().charge(cost);

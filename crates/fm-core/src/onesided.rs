@@ -901,7 +901,7 @@ impl OsCore {
     }
 
     /// Apply an eager put delivered as one assembled message (fast
-    /// handler, FM 2.x async fallback, or FM 1.x assembly).
+    /// handler or the FM 2.x async fallback).
     fn apply_eager_put(&mut self, src: usize, hdr: OpHeader, body: &[u8]) {
         let mut status = self.regions.check(hdr.b, hdr.c, hdr.d, hdr.e);
         if status == OsStatus::Ok && body.len() as u64 != hdr.e {

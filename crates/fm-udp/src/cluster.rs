@@ -107,6 +107,15 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "Reliability::Retransmit")]
+    fn trust_substrate_over_udp_is_refused() {
+        let mut devs = loopback_cluster(2, UdpConfig::default()).unwrap();
+        let dev = devs.pop().unwrap();
+        // UDP really loses packets: the engine must not pretend otherwise.
+        let _ = fm_core::Fm2Engine::new(dev, fm_model::MachineProfile::ppro200_fm2());
+    }
+
+    #[test]
     fn threads_exchange_datagrams_through_the_kernel() {
         use fm_core::packet::{FmPacket, HandlerId, PacketFlags, PacketHeader};
         let out = UdpCluster::run(2, UdpConfig::default(), |i, mut dev| {

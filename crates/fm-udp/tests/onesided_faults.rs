@@ -15,6 +15,7 @@
 
 use std::time::{Duration, Instant};
 
+use fm_core::blocking::quiesce;
 use fm_core::{
     Fm2Engine, Onesided, OnesidedConfig, OsStatus, RegionHandle, Reliability, RetransmitConfig,
 };
@@ -53,23 +54,42 @@ fn engine(dev: UdpDevice) -> Fm2Engine<UdpDevice> {
     )
 }
 
-/// Keep servicing acks and retransmit timers until the link is quiet:
-/// the peer may still need our acks to finish its own drain.
-fn drain(fm: &Fm2Engine<UdpDevice>, os: &mut Onesided<UdpDevice>) {
-    let quiet_for = Duration::from_millis(100);
-    let cap = Instant::now() + Duration::from_secs(5);
-    let mut quiet_since = Instant::now();
-    while Instant::now() < cap {
-        let moved = fm.extract_all() > 0;
-        os.progress();
-        if moved {
-            quiet_since = Instant::now();
-        }
-        if fm.unacked_packets() == 0 && quiet_since.elapsed() >= quiet_for {
+/// Pump the engine and the one-sided layer until `done(flushed)` holds
+/// (`flushed`: nothing the layer queued is still off the wire). A wedge is
+/// a failure naming `what`, never a hang.
+fn pump_until(
+    fm: &Fm2Engine<UdpDevice>,
+    os: &mut Onesided<UdpDevice>,
+    what: &str,
+    mut done: impl FnMut(bool) -> bool,
+) {
+    let deadline = Instant::now() + Duration::from_secs(60);
+    loop {
+        fm.extract_all();
+        let flushed = os.progress();
+        if done(flushed) {
             return;
         }
+        let pending = os.pending_ops();
+        assert!(
+            Instant::now() < deadline,
+            "{what} wedged: pending={pending}"
+        );
         std::thread::yield_now();
     }
+}
+
+/// Pump until `n` more operations have completed, every one `Ok`.
+fn complete_ok(fm: &Fm2Engine<UdpDevice>, os: &mut Onesided<UdpDevice>, what: &str, n: usize) {
+    let port = os.port();
+    let mut done = 0usize;
+    pump_until(fm, os, what, |_| {
+        while let Some(c) = port.poll_completion() {
+            assert_eq!(c.status, OsStatus::Ok, "{what} failed under loss");
+            done += 1;
+        }
+        done == n
+    });
 }
 
 #[test]
@@ -79,54 +99,32 @@ fn rendezvous_survives_seeded_datagram_loss_without_corruption() {
         drop_seed: 0x5EED05, // replayable: the loss schedule is fixed
         ..UdpConfig::default()
     };
-    let deadline = Instant::now() + Duration::from_secs(60);
     UdpCluster::run(2, cfg, move |rank, dev| {
         let fm = engine(dev);
         let mut os = Onesided::new(&fm, os_cfg());
         let port = os.port();
         port.register(0, ARENA).expect("arena");
         if rank == 1 {
-            // Target: pump until the initiator plants the done byte.
-            let mut flag = [0u8; 1];
-            while flag[0] != 0xFF {
-                fm.extract_all();
-                os.progress();
+            // Target: pump until the initiator plants the done byte and
+            // the reply to it is on the wire.
+            pump_until(&fm, &mut os, "lossy target", |flushed| {
+                let mut flag = [0u8; 1];
                 port.read_local(arena_handle(), 0, &mut flag)
                     .expect("flag probe");
-                assert!(Instant::now() < deadline, "lossy target wedged");
-                std::thread::yield_now();
-            }
-            drain(&fm, &mut os);
+                flushed && flag[0] == 0xFF
+            });
+            quiesce(&fm);
             assert!(fm.take_errors().is_empty(), "target engine errors");
             return;
         }
 
         // Initiator: one put per slot, then read every slot back over
         // the wire and require bit-exact contents.
-        let tokens: Vec<_> = SIZES
-            .iter()
-            .enumerate()
-            .map(|(k, &len)| {
-                let off = (PUT_BASE + k * SLOT) as u64;
-                port.put(1, arena_handle(), off, &pattern(k, len))
-            })
-            .collect();
-        let mut done = 0usize;
-        while done < tokens.len() {
-            fm.extract_all();
-            os.progress();
-            while let Some(c) = port.poll_completion() {
-                assert_eq!(c.status, OsStatus::Ok, "put failed under loss");
-                done += 1;
-            }
-            assert!(
-                Instant::now() < deadline,
-                "lossy puts wedged: {done}/{} complete, pending={}",
-                tokens.len(),
-                port.pending_ops()
-            );
-            std::thread::yield_now();
+        for (k, &len) in SIZES.iter().enumerate() {
+            let off = (PUT_BASE + k * SLOT) as u64;
+            port.put(1, arena_handle(), off, &pattern(k, len));
         }
+        complete_ok(&fm, &mut os, "lossy puts", SIZES.len());
 
         let gets: Vec<_> = SIZES
             .iter()
@@ -134,25 +132,14 @@ fn rendezvous_survives_seeded_datagram_loss_without_corruption() {
             .map(|(k, &len)| {
                 let local = port.register_owned(vec![0u8; len]).expect("get buffer");
                 let off = (PUT_BASE + k * SLOT) as u64;
-                let t = port
-                    .get(1, arena_handle(), off, local, 0, len)
+                port.get(1, arena_handle(), off, local, 0, len)
                     .expect("issue get");
-                (t, local)
+                local
             })
             .collect();
-        let mut done = 0usize;
-        while done < gets.len() {
-            fm.extract_all();
-            os.progress();
-            while let Some(c) = port.poll_completion() {
-                assert_eq!(c.status, OsStatus::Ok, "get failed under loss");
-                done += 1;
-            }
-            assert!(Instant::now() < deadline, "lossy gets wedged");
-            std::thread::yield_now();
-        }
-        for (k, (_, local)) in gets.iter().enumerate() {
-            let back = port.deregister_owned(*local).expect("get buffer back");
+        complete_ok(&fm, &mut os, "lossy gets", gets.len());
+        for (k, local) in gets.into_iter().enumerate() {
+            let back = port.deregister_owned(local).expect("get buffer back");
             assert_eq!(
                 back,
                 pattern(k, SIZES[k]),
@@ -161,19 +148,9 @@ fn rendezvous_survives_seeded_datagram_loss_without_corruption() {
         }
 
         // Release the target, then settle the link.
-        let t = port.put(1, arena_handle(), 0, &[0xFF]);
-        loop {
-            fm.extract_all();
-            os.progress();
-            if let Some(c) = port.poll_completion() {
-                assert_eq!(c.token, t);
-                assert_eq!(c.status, OsStatus::Ok);
-                break;
-            }
-            assert!(Instant::now() < deadline, "done flag wedged");
-            std::thread::yield_now();
-        }
-        drain(&fm, &mut os);
+        port.put(1, arena_handle(), 0, &[0xFF]);
+        complete_ok(&fm, &mut os, "done flag", 1);
+        quiesce(&fm);
         assert!(fm.take_errors().is_empty(), "initiator engine errors");
     });
 }
@@ -192,40 +169,31 @@ fn target_death_mid_rendezvous_completes_with_peer_down() {
         let mut os = Onesided::new(&fm, os_cfg());
         let port = os.port();
         port.register(0, ARENA).expect("arena");
-        let deadline = Instant::now() + Duration::from_secs(30);
         if rank == 1 {
             // The victim: answer the RTS, land at least one DATA chunk
             // (the transfer is provably mid-flight), then die without a
             // goodbye — returning drops the engine and the socket.
-            let mut first = [0u8; 1];
-            while first[0] == 0 {
-                fm.extract_all();
-                os.progress();
+            pump_until(&fm, &mut os, "victim waiting for DATA", |_| {
+                let mut first = [0u8; 1];
                 port.read_local(arena_handle(), PUT_BASE, &mut first)
                     .expect("first-byte probe");
-                assert!(Instant::now() < deadline, "victim never saw DATA");
-                std::thread::yield_now();
-            }
+                first[0] != 0
+            });
             return None;
         }
 
         // The initiator: one long rendezvous stream (49 chunks), which
         // must complete with PeerDown once the target goes silent.
         let token = port.put(1, arena_handle(), PUT_BASE as u64, &pattern(0, 200 * 1024));
-        loop {
-            fm.extract_all();
-            os.progress();
-            if let Some(c) = port.poll_completion() {
+        let mut status = None;
+        pump_until(&fm, &mut os, "put to dead target", |_| {
+            status = port.poll_completion().map(|c| {
                 assert_eq!(c.token, token);
-                return Some(c.status);
-            }
-            assert!(
-                Instant::now() < deadline,
-                "put to dead target hung: pending={}",
-                port.pending_ops()
-            );
-            std::thread::yield_now();
-        }
+                c.status
+            });
+            status.is_some()
+        });
+        status
     });
     assert_eq!(
         outcomes[0],

@@ -6,27 +6,8 @@
 /// Shmem operation kinds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Op {
-    /// Write payload into the target heap at `offset`; target acks.
-    Put {
-        /// Target heap offset.
-        offset: u64,
-    },
-    /// Acknowledge one put (drives `quiet`).
+    /// Acknowledge one accumulate (drives `quiet`).
     PutAck,
-    /// Ask the target to send `len` heap bytes at `offset` back.
-    GetReq {
-        /// Requester-chosen id to match the reply.
-        req: u32,
-        /// Target heap offset.
-        offset: u64,
-        /// Bytes requested.
-        len: u32,
-    },
-    /// Reply to a [`Op::GetReq`]; payload carries the data.
-    GetReply {
-        /// The request id being answered.
-        req: u32,
-    },
     /// Elementwise f64 add of the payload into the target heap at
     /// `offset` (one-sided accumulate).
     AccF64 {
@@ -68,21 +49,7 @@ impl Op {
     pub fn encode(&self) -> [u8; OP_BYTES] {
         let mut b = [0u8; OP_BYTES];
         match *self {
-            Op::Put { offset } => {
-                b[0] = 1;
-                b[8..16].copy_from_slice(&offset.to_le_bytes());
-            }
             Op::PutAck => b[0] = 2,
-            Op::GetReq { req, offset, len } => {
-                b[0] = 3;
-                b[4..8].copy_from_slice(&req.to_le_bytes());
-                b[8..16].copy_from_slice(&offset.to_le_bytes());
-                b[16..20].copy_from_slice(&len.to_le_bytes());
-            }
-            Op::GetReply { req } => {
-                b[0] = 4;
-                b[4..8].copy_from_slice(&req.to_le_bytes());
-            }
             Op::AccF64 { offset } => {
                 b[0] = 5;
                 b[8..16].copy_from_slice(&offset.to_le_bytes());
@@ -117,14 +84,7 @@ impl Op {
         let u64_at = |i: usize| u64::from_le_bytes(b[i..i + 8].try_into().unwrap());
         let i64_at = |i: usize| i64::from_le_bytes(b[i..i + 8].try_into().unwrap());
         match b[0] {
-            1 => Op::Put { offset: u64_at(8) },
             2 => Op::PutAck,
-            3 => Op::GetReq {
-                req: u32_at(4),
-                offset: u64_at(8),
-                len: u32_at(16),
-            },
-            4 => Op::GetReply { req: u32_at(4) },
             5 => Op::AccF64 { offset: u64_at(8) },
             6 => Op::Fadd {
                 req: u32_at(4),
@@ -151,14 +111,7 @@ mod tests {
     #[test]
     fn all_ops_round_trip() {
         let ops = [
-            Op::Put { offset: 4096 },
             Op::PutAck,
-            Op::GetReq {
-                req: 1,
-                offset: 8,
-                len: 64,
-            },
-            Op::GetReply { req: 1 },
             Op::AccF64 { offset: 16 },
             Op::Fadd {
                 req: 2,
