@@ -26,15 +26,16 @@
 //!
 //! The protocol core ([`OsCore`] behind [`OsPort`]) is sans-IO: it
 //! consumes packets and emits control frames / send jobs without
-//! touching an engine; [`Onesided`] drives it over [`Fm2Engine`]
-//! (gather/scatter streaming of DATA chunks).
+//! touching an engine; [`Onesided`] drives it over [`Fm2Engine`]: each
+//! DATA chunk is one gather message (op header ⧺ a slice of the source)
+//! that [`Fm2Engine::try_send_rest`] resumes until it is out, so the
+//! driver's only position is the number of whole chunks sent.
 
 use std::cell::RefCell;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::rc::Rc;
 
 use crate::device::NetDevice;
-use crate::error::WouldBlock;
 use crate::fm2::{Fm2Engine, SendStream, SinkMeta};
 use crate::packet::HandlerId;
 
@@ -1145,17 +1146,39 @@ impl OsPort {
 // FM 2.x driver
 // ----------------------------------------------------------------------
 
-struct OpenChunk {
-    ss: SendStream,
-    hdr: [u8; OP_HDR_BYTES],
-    hdr_off: usize,
-    chunk_len: usize,
-    chunk_off: usize,
-}
-
+/// The job being streamed: one FM message per chunk, every chunk under
+/// the same op header. An open message is resumed with
+/// [`Fm2Engine::try_send_rest`]; `job.cursor` counts only whole chunks.
 struct ActiveSend {
     job: SendJob,
-    open: Option<OpenChunk>,
+    hdr: [u8; OP_HDR_BYTES],
+    handler: HandlerId,
+    /// Bytes of payload per message (the last one may carry fewer).
+    chunk_max: usize,
+    open: Option<SendStream>,
+}
+
+impl ActiveSend {
+    fn new(job: SendJob, chunk_bytes: usize) -> Self {
+        let (hdr, handler, chunk_max) = match &job.kind {
+            JobKind::Eager { hdr } => (*hdr, OS_EAGER_HANDLER, job.len),
+            JobKind::Data { xfer } => (
+                OpHeader {
+                    a: *xfer,
+                    ..OpHeader::zero(OP_DATA)
+                },
+                ONESIDED_HANDLER,
+                chunk_bytes.max(1),
+            ),
+        };
+        ActiveSend {
+            job,
+            hdr: hdr.encode(),
+            handler,
+            chunk_max,
+            open: None,
+        }
+    }
 }
 
 /// One-sided port over an [`Fm2Engine`]: DATA chunks are gather-sent
@@ -1167,13 +1190,38 @@ pub struct Onesided<D: NetDevice> {
     fm: Fm2Engine<D>,
     port: OsPort,
     active: Option<ActiveSend>,
-    notify: Option<Box<dyn FnMut(OsCompletion)>>,
+}
+
+/// The registration and transfer verbs are [`OsPort`]'s: `os.put(..)`,
+/// `os.register(..)`, `os.poll_completion()` go through this.
+impl<D: NetDevice> std::ops::Deref for Onesided<D> {
+    type Target = OsPort;
+
+    fn deref(&self) -> &OsPort {
+        &self.port
+    }
 }
 
 impl<D: NetDevice> Onesided<D> {
     /// Attach a one-sided port to `fm`, installing its sink (control +
     /// DATA) and eager handlers.
+    ///
+    /// # Panics
+    /// Panics if the engine already carries a one-sided port: a second
+    /// one would take over handler ids 140 and 141 and with them every
+    /// packet addressed to the first.
     pub fn new(fm: &Fm2Engine<D>, cfg: OnesidedConfig) -> Self {
+        for id in [ONESIDED_HANDLER, OS_EAGER_HANDLER] {
+            assert!(
+                !fm.has_handler(id),
+                "handler id {} is taken: this engine already has a one-sided port (ids {} and \
+                 {}) and a second would steal its packets; share the first through \
+                 `Onesided::port`",
+                id.0,
+                ONESIDED_HANDLER.0,
+                OS_EAGER_HANDLER.0
+            );
+        }
         let core = Rc::new(RefCell::new(OsCore::new(fm.num_nodes(), cfg)));
         let c = Rc::clone(&core);
         fm.set_sink_handler(ONESIDED_HANDLER, move |src, meta, payload| {
@@ -1210,7 +1258,6 @@ impl<D: NetDevice> Onesided<D> {
             fm: fm.clone(),
             port: OsPort { core },
             active: None,
-            notify: None,
         }
     }
 
@@ -1220,79 +1267,11 @@ impl<D: NetDevice> Onesided<D> {
         self.port.clone()
     }
 
-    /// Install the local completion-notification handler, called from
-    /// [`progress`](Self::progress) as FINs arrive. Without one,
-    /// completions queue for [`OsPort::poll_completion`].
-    pub fn set_notify<F: FnMut(OsCompletion) + 'static>(&mut self, f: F) {
-        self.notify = Some(Box::new(f));
-    }
-
-    /// See [`OsPort::register`].
-    pub fn register(&self, offset: usize, len: usize) -> Result<RegionHandle, OsError> {
-        self.port.register(offset, len)
-    }
-
-    /// See [`OsPort::register_owned`].
-    pub fn register_owned(&self, buf: Vec<u8>) -> Result<RegionHandle, OsError> {
-        self.port.register_owned(buf)
-    }
-
-    /// See [`OsPort::deregister`].
-    pub fn deregister(&self, h: RegionHandle) -> Result<(), OsError> {
-        self.port.deregister(h)
-    }
-
-    /// See [`OsPort::deregister_owned`].
-    pub fn deregister_owned(&self, h: RegionHandle) -> Result<Vec<u8>, OsError> {
-        self.port.deregister_owned(h)
-    }
-
-    /// See [`OsPort::put`].
-    pub fn put(&self, dst: usize, h: RegionHandle, offset: u64, data: &[u8]) -> OsToken {
-        self.port.put(dst, h, offset, data)
-    }
-
-    /// See [`OsPort::put_from`].
-    pub fn put_from(
-        &self,
-        dst: usize,
-        dst_h: RegionHandle,
-        dst_off: u64,
-        src_h: RegionHandle,
-        src_off: usize,
-        len: usize,
-    ) -> Result<OsToken, OsError> {
-        self.port.put_from(dst, dst_h, dst_off, src_h, src_off, len)
-    }
-
-    /// See [`OsPort::get`].
-    pub fn get(
-        &self,
-        dst: usize,
-        remote_h: RegionHandle,
-        remote_off: u64,
-        local_h: RegionHandle,
-        local_off: usize,
-        len: usize,
-    ) -> Result<OsToken, OsError> {
-        self.port
-            .get(dst, remote_h, remote_off, local_h, local_off, len)
-    }
-
-    /// See [`OsPort::poll_completion`].
-    pub fn poll_completion(&self) -> Option<OsCompletion> {
-        self.port.poll_completion()
-    }
-
-    /// See [`OsPort::pending_ops`].
-    pub fn pending_ops(&self) -> usize {
-        self.port.pending_ops()
-    }
-
     /// Move queued protocol work onto the wire: charge sink copies to
-    /// the cost model, abort ops to downed peers, flush control frames,
-    /// stream DATA/eager jobs as credits allow, and deliver completion
-    /// notifications. Returns `true` when nothing remains queued.
+    /// the cost model, abort ops to downed peers, flush control frames
+    /// and stream DATA/eager jobs as credits allow. Returns `true` when
+    /// nothing remains queued (completions queue for
+    /// [`OsPort::poll_completion`]).
     /// Call from the transport's pump loop alongside `extract`.
     pub fn progress(&mut self) -> bool {
         self.fm.progress();
@@ -1330,20 +1309,14 @@ impl<D: NetDevice> Onesided<D> {
                 let Some(job) = self.port.core.borrow_mut().jobs.pop_front() else {
                     break;
                 };
-                self.active = Some(ActiveSend { job, open: None });
+                let chunk_bytes = self.port.core.borrow().cfg.chunk_bytes;
+                self.active = Some(ActiveSend::new(job, chunk_bytes));
             }
             if self.pump_active() {
                 let act = self.active.take().expect("pump_active had an active job");
                 self.port.core.borrow_mut().finish_job_src(&act.job.src);
             } else {
                 blocked = true;
-            }
-        }
-        if self.notify.is_some() {
-            while let Some(c) = self.port.poll_completion() {
-                if let Some(f) = self.notify.as_mut() {
-                    f(c);
-                }
             }
         }
         let core = self.port.core.borrow();
@@ -1354,73 +1327,25 @@ impl<D: NetDevice> Onesided<D> {
     /// when the job is fully on the wire.
     fn pump_active(&mut self) -> bool {
         let act = self.active.as_mut().expect("caller checked");
-        let chunk_max = {
-            let core = self.port.core.borrow();
-            core.cfg.chunk_bytes.max(1)
-        };
-        loop {
-            if act.open.is_none() {
-                if act.job.cursor >= act.job.len {
-                    return true;
-                }
-                let (hdr, clen, handler) = match &act.job.kind {
-                    JobKind::Eager { hdr } => (*hdr, act.job.len, OS_EAGER_HANDLER),
-                    JobKind::Data { xfer } => (
-                        OpHeader {
-                            a: *xfer,
-                            ..OpHeader::zero(OP_DATA)
-                        },
-                        chunk_max.min(act.job.len - act.job.cursor),
-                        ONESIDED_HANDLER,
-                    ),
-                };
-                let ss = self
-                    .fm
-                    .begin_message(act.job.dst, OP_HDR_BYTES + clen, handler);
-                act.open = Some(OpenChunk {
-                    ss,
-                    hdr: hdr.encode(),
-                    hdr_off: 0,
-                    chunk_len: clen,
-                    chunk_off: 0,
-                });
+        let fm = &self.fm;
+        let core = self.port.core.borrow();
+        while act.job.cursor < act.job.len {
+            let at = act.job.cursor;
+            let clen = act.chunk_max.min(act.job.len - at);
+            let chunk: &[u8] = match &act.job.src {
+                JobSrc::Owned(v) => &v[at..at + clen],
+                JobSrc::Region { index, offset } => core.regions.slice(*index, offset + at, clen),
+            };
+            let ss = act.open.get_or_insert_with(|| {
+                fm.begin_message(act.job.dst, OP_HDR_BYTES + clen, act.handler)
+            });
+            if fm.try_send_rest(ss, &[&act.hdr[..], chunk]).is_err() {
+                return false;
             }
-            let open = act.open.as_mut().expect("just ensured");
-            while open.hdr_off < OP_HDR_BYTES {
-                match self
-                    .fm
-                    .try_send_piece(&mut open.ss, &open.hdr[open.hdr_off..])
-                {
-                    Ok(n) => open.hdr_off += n,
-                    Err(WouldBlock) => return false,
-                }
-            }
-            while open.chunk_off < open.chunk_len {
-                let at = act.job.cursor + open.chunk_off;
-                let want = open.chunk_len - open.chunk_off;
-                let sent = {
-                    let core = self.port.core.borrow();
-                    let piece: &[u8] = match &act.job.src {
-                        JobSrc::Owned(v) => &v[at..at + want],
-                        JobSrc::Region { index, offset } => {
-                            core.regions.slice(*index, offset + at, want)
-                        }
-                    };
-                    self.fm.try_send_piece(&mut open.ss, piece)
-                };
-                match sent {
-                    Ok(n) => open.chunk_off += n,
-                    Err(WouldBlock) => return false,
-                }
-            }
-            match self.fm.try_end_message(&mut open.ss) {
-                Ok(()) => {
-                    act.job.cursor += open.chunk_len;
-                    act.open = None;
-                }
-                Err(WouldBlock) => return false,
-            }
+            act.open = None;
+            act.job.cursor += clen;
         }
+        true
     }
 }
 
@@ -1497,6 +1422,15 @@ mod tests {
             });
             got.expect("completion observed")
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "handler id 140 is taken")]
+    fn a_second_port_on_one_engine_is_refused() {
+        let (da, _db) = LoopbackPair::new(8);
+        let fm = Fm2Engine::new(da, MachineProfile::ppro200_fm2());
+        let _first = Onesided::new(&fm, cfg());
+        let _second = Onesided::new(&fm, cfg());
     }
 
     #[test]

@@ -40,7 +40,7 @@ use crate::stats::FmStats;
 
 /// Duplicate cumulative acks (same value, ring non-empty) before the head
 /// packet is fast-retransmitted without waiting for the timer. Dup acks
-/// only arise from duplicate/out-of-order receipt (`force_ack`), so they
+/// only arise from duplicate/out-of-order receipt, so they
 /// are a genuine loss signal. Besides cutting recovery latency, the
 /// one-packet resend is what breaks *periodic* loss: a whole-ring resend
 /// advances a deterministic drop counter by the ring length every round
@@ -98,10 +98,6 @@ pub struct RetransmitConfig {
     /// Cap on exponential backoff: the effective timeout is
     /// `rto_ns << min(consecutive_timeouts, max_backoff_exp)`.
     pub max_backoff_exp: u32,
-    /// Send a standalone ack once this many data packets are received
-    /// without an outgoing packet to piggyback on. 1 = ack immediately
-    /// (fewest retransmit stalls, most ack packets).
-    pub ack_every: u32,
     /// Adapt to the measured network instead of trusting the constants:
     ///
     /// * the RTO is re-estimated from RTT samples (`srtt + 4·rttvar`,
@@ -130,7 +126,6 @@ impl Default for RetransmitConfig {
             window: 32,
             rto_ns: 200_000, // 200 µs: a few round trips on the modeled fabric
             max_backoff_exp: 6,
-            ack_every: 1,
             adaptive: false,
             rto_min_ns: 50_000,        // 50 µs: several loopback round trips
             rto_max_ns: 1_000_000_000, // 1 s: a peer slower than this is Suspect anyway
@@ -208,11 +203,11 @@ struct PeerRecv {
     /// Next expected `pkt_seq` from this peer — also the cumulative ack
     /// we owe them.
     expected: u32,
-    /// Data packets accepted since we last sent any ack.
-    owed: u32,
-    /// A duplicate or out-of-order arrival demands an immediate ack
-    /// (the peer is, or soon will be, retransmitting).
-    force_ack: bool,
+    /// An ack is owed that no outgoing packet has carried yet: a data
+    /// packet was accepted since the last one, or a duplicate or
+    /// out-of-order arrival asked for a repeat (the peer is, or soon will
+    /// be, retransmitting).
+    ack_due: bool,
 }
 
 /// Per-engine state of the retransmission protocol. Owned by an engine;
@@ -228,10 +223,6 @@ impl ReliableState {
     pub(crate) fn new(num_nodes: usize, mut cfg: RetransmitConfig) -> Self {
         assert!(cfg.window >= 1, "a zero window can never send");
         cfg.rto_ns = cfg.rto_ns.max(MIN_RTO_NS);
-        assert!(
-            cfg.ack_every >= 1,
-            "ack_every is a divisor of received packets"
-        );
         cfg.rto_min_ns = cfg.rto_min_ns.max(MIN_RTO_NS);
         cfg.rto_max_ns = cfg.rto_max_ns.max(cfg.rto_min_ns);
         ReliableState {
@@ -279,8 +270,7 @@ impl ReliableState {
     /// mark the ack duty to that peer as discharged).
     pub(crate) fn piggyback_ack(&mut self, dst: usize) -> u32 {
         let pr = &mut self.recv[dst];
-        pr.owed = 0;
-        pr.force_ack = false;
+        pr.ack_due = false;
         pr.expected
     }
 
@@ -389,17 +379,17 @@ impl ReliableState {
         let pr = &mut self.recv[src];
         if pkt_seq == pr.expected {
             pr.expected = pr.expected.wrapping_add(1);
-            pr.owed += 1;
+            pr.ack_due = true;
             RecvDecision::Accept
         } else if seq_lt(pkt_seq, pr.expected) {
             stats.duplicates_dropped += 1;
-            pr.force_ack = true;
+            pr.ack_due = true;
             RecvDecision::Duplicate
         } else {
             stats.duplicates_dropped += 1;
             // Re-ack what we do have so the sender can tighten its window
             // accounting while it times out and goes back.
-            pr.force_ack = true;
+            pr.ack_due = true;
             RecvDecision::OutOfOrder
         }
     }
@@ -407,19 +397,15 @@ impl ReliableState {
     /// Re-arm the standalone-ack duty for `peer` (used when the device
     /// queue was full at flush time — retry on the next poll).
     pub(crate) fn mark_ack_due(&mut self, peer: usize) {
-        self.recv[peer].force_ack = true;
+        self.recv[peer].ack_due = true;
     }
 
     /// Peers we owe a standalone ack (no outgoing packet piggybacked it
-    /// first): ack duty is `owed >= ack_every` or an explicit force.
-    /// Returns `(peer, ack)` pairs and discharges the duty.
+    /// first). Returns `(peer, ack)` pairs and discharges the duty.
     pub(crate) fn take_due_acks(&mut self) -> Vec<(usize, u32)> {
-        let ack_every = self.cfg.ack_every;
         let mut due = Vec::new();
         for (peer, pr) in self.recv.iter_mut().enumerate() {
-            if pr.owed >= ack_every || pr.force_ack {
-                pr.owed = 0;
-                pr.force_ack = false;
+            if std::mem::take(&mut pr.ack_due) {
                 due.push((peer, pr.expected));
             }
         }
@@ -589,7 +575,6 @@ mod prop_tests {
             window: WINDOW,
             rto_ns: 1_000,
             max_backoff_exp: 4,
-            ack_every: 1,
             ..RetransmitConfig::default()
         }
     }
@@ -1029,7 +1014,6 @@ mod tests {
                 window: 4,
                 rto_ns: 1000,
                 max_backoff_exp: 3,
-                ack_every: 1,
                 ..RetransmitConfig::default()
             },
         )
@@ -1091,7 +1075,7 @@ mod tests {
         // Piggybacking discharges the duty...
         assert_eq!(r.piggyback_ack(1), 1);
         assert!(r.take_due_acks().is_empty());
-        // ...otherwise a standalone ack is due (ack_every = 1).
+        // ...otherwise a standalone ack is due.
         r.accept(1, 1, &mut stats);
         assert_eq!(r.take_due_acks(), vec![(1, 2)]);
         assert!(r.take_due_acks().is_empty(), "duty discharged");
@@ -1163,7 +1147,6 @@ mod tests {
                 window: 8,
                 rto_ns: 100_000,
                 max_backoff_exp: 3,
-                ack_every: 1,
                 adaptive: true,
                 rto_min_ns: 2_000,
                 rto_max_ns: 400_000,

@@ -39,6 +39,10 @@ use crate::seg::{pid_alive, SegGeometry, Segment};
 /// a ring).
 const SELF_QUEUE_SLOTS: usize = 64;
 
+/// Interval between [`NetDevice::poll_event`]'s sweeps for dead or
+/// departed peers.
+const DEATH_CHECK_INTERVAL: Duration = Duration::from_millis(200);
+
 /// Configuration for [`ShmDevice::open`].
 #[derive(Debug, Clone)]
 pub struct ShmConfig {
@@ -59,11 +63,6 @@ pub struct ShmConfig {
     /// How long `open` waits for a lower-rank peer to create a segment
     /// (and [`ShmDevice::join`] for higher-rank peers to attach).
     pub attach_timeout: Duration,
-    /// Whether [`NetDevice::poll_event`] sweeps for dead or departed
-    /// peers.
-    pub detect_peer_death: bool,
-    /// Interval between liveness sweeps.
-    pub death_check_interval: Duration,
     /// Minimum age before `open`'s crash-leftover sweep
     /// ([`crate::reclaim_stale_older_than`]) will touch a segment file
     /// in `dir`. Must exceed any concurrent cluster's create-to-publish
@@ -81,8 +80,6 @@ impl Default for ShmConfig {
             slots: 64,
             slot_payload: 4096,
             attach_timeout: Duration::from_secs(10),
-            detect_peer_death: true,
-            death_check_interval: Duration::from_millis(200),
             stale_grace: Duration::from_secs(60),
         }
     }
@@ -409,9 +406,7 @@ impl NetDevice for ShmDevice {
         if let Some(e) = self.events.pop_front() {
             return Some(e);
         }
-        if self.cfg.detect_peer_death
-            && self.last_death_check.elapsed() >= self.cfg.death_check_interval
-        {
+        if self.last_death_check.elapsed() >= DEATH_CHECK_INTERVAL {
             self.last_death_check = Instant::now();
             self.sweep_liveness();
         }

@@ -20,7 +20,7 @@
 use fm_core::blocking::Backoff;
 
 use crate::collectives::{AllreduceOp, BarrierOp, BcastOp, GatherOp, ReduceToRootOp, ScatterOp};
-use crate::comm::{CollConfig, CollPhase};
+use crate::comm::CollPhase;
 use crate::types::{RecvReq, SendReq, Status};
 use crate::wire::{coll_tag, CollKind};
 
@@ -93,13 +93,6 @@ pub trait Mpi {
     /// Per-instance counter distinguishing successive collectives.
     fn next_coll_seq(&mut self) -> u32;
 
-    /// Collective algorithm-selection knobs. Must return the same value
-    /// on every rank (the threshold is part of the distributed
-    /// algorithm-choice agreement).
-    fn coll_config(&self) -> CollConfig {
-        CollConfig::default()
-    }
-
     /// The host each rank lives on (`hosts[r]` = host id of rank `r`),
     /// when the transport knows the placement — e.g. a routed device
     /// composing shared memory within hosts and a network across them.
@@ -111,7 +104,7 @@ pub trait Mpi {
     /// and chain, whose bandwidth a hierarchy cannot beat). So blocking
     /// callers, poll-driven callers and simulated programs all take the
     /// same schedule. `with_algo` constructors stay flat, as do reduce,
-    /// gather, scatter and alltoall. Like [`Mpi::coll_config`], every
+    /// gather, scatter and alltoall. Every
     /// rank must return the same map (it is part of the distributed
     /// algorithm-choice agreement). Default: `None` — flat schedules.
     fn coll_hosts(&self) -> Option<&[usize]> {

@@ -41,7 +41,7 @@
 use fm_core::buf::{BufPool, PacketBuf};
 
 use crate::api::{Mpi, ReduceOp};
-use crate::comm::{elem_chunk_bounds, CollPhase, Communicator};
+use crate::comm::{elem_chunk_bounds, CollPhase, Communicator, PIPELINE_SEGMENT};
 use crate::hier::{self, Composed};
 use crate::types::{RecvReq, SendReq};
 use crate::wire::CollKind;
@@ -337,7 +337,7 @@ pub enum BcastAlgo {
     /// (the baseline the pipelined path is measured against).
     Flat,
     /// Segmented chain pipeline: the buffer streams down the chain
-    /// root → v1 → … → v(n−1) in [`pipeline_segment`](crate::CollConfig)-sized
+    /// root → v1 → … → v(n−1) in [`PIPELINE_SEGMENT`](crate::PIPELINE_SEGMENT)-sized
     /// messages, each rank forwarding a segment the moment it lands.
     /// Every host touches each byte at most twice (receive + forward)
     /// and the root exactly once — the binding cost on a machine whose
@@ -470,7 +470,7 @@ impl BcastOp {
                     // which every rank agrees on, so the per-segment
                     // message counts match even when the actual payload is
                     // shorter (trailing segments travel empty).
-                    let seg = comm.config.pipeline_segment.max(1);
+                    let seg = PIPELINE_SEGMENT;
                     let nsegs = pipe_segments(max_len, seg);
                     if is_root {
                         let buf = data.expect("root data");

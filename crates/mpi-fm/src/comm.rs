@@ -32,29 +32,19 @@ use crate::api::Mpi;
 use crate::types::{RecvReq, SendReq};
 use crate::wire::{coll_tag, CollKind};
 
-/// Tuning knobs for collective algorithm selection.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CollConfig {
-    /// Payloads of at least this many bytes take the pipelined-chunk
-    /// path (segmented chain for bcast, ring reduce-scatter for
-    /// reductions); smaller ones use binomial trees. The default (32 KiB)
-    /// sits well above the MTU so small collectives stay single-message.
-    pub pipeline_threshold: usize,
-    /// Segment size for the chain-pipelined broadcast. Small enough that
-    /// several segments are in flight across the chain (and each fits
-    /// comfortably inside the per-peer credit window), large enough that
-    /// per-message overheads stay negligible.
-    pub pipeline_segment: usize,
-}
+/// Payloads of at least this many bytes take the pipelined-chunk path
+/// (segmented chain for bcast, ring reduce-scatter for reductions);
+/// smaller ones use binomial trees. Well above the MTU, so small
+/// collectives stay single-message. The same on every rank by
+/// construction: it is part of the distributed algorithm-choice
+/// agreement.
+pub const PIPELINE_THRESHOLD: usize = 32 * 1024;
 
-impl Default for CollConfig {
-    fn default() -> Self {
-        CollConfig {
-            pipeline_threshold: 32 * 1024,
-            pipeline_segment: 16 * 1024,
-        }
-    }
-}
+/// Segment size for the chain-pipelined broadcast. Small enough that
+/// several segments are in flight across the chain (and each fits
+/// comfortably inside the per-peer credit window), large enough that
+/// per-message overheads stay negligible.
+pub const PIPELINE_SEGMENT: usize = 16 * 1024;
 
 /// Which obs span a collective is reporting (mapped by transports onto
 /// their tracing sink; see [`crate::Mpi::obs_coll`]).
@@ -77,8 +67,6 @@ pub struct Communicator {
     pub rank: usize,
     /// Number of ranks in the group.
     pub size: usize,
-    /// Algorithm-selection knobs.
-    pub config: CollConfig,
     /// Group rank → world rank; `None` is the world group (identity).
     members: Option<Rc<[usize]>>,
     /// Added to every round this group tags.
@@ -86,13 +74,12 @@ pub struct Communicator {
 }
 
 impl Communicator {
-    /// The world group, from a rank/size pair and the instance's config.
-    pub fn new(rank: usize, size: usize, config: CollConfig) -> Self {
+    /// The world group, from a rank/size pair.
+    pub fn new(rank: usize, size: usize) -> Self {
         assert!(rank < size, "rank {rank} out of range for size {size}");
         Communicator {
             rank,
             size,
-            config,
             members: None,
             round_base: 0,
         }
@@ -100,7 +87,7 @@ impl Communicator {
 
     /// The world group of `mpi`.
     pub fn world<M: Mpi + ?Sized>(mpi: &M) -> Self {
-        Communicator::new(mpi.rank(), mpi.size(), mpi.coll_config())
+        Communicator::new(mpi.rank(), mpi.size())
     }
 
     /// The sub-group of this (world) group holding the world ranks
@@ -111,7 +98,6 @@ impl Communicator {
         Some(Communicator {
             rank,
             size: members.len(),
-            config: self.config,
             members: Some(members.into()),
             round_base,
         })
@@ -227,7 +213,7 @@ impl Communicator {
     /// path. Single-rank and two-rank rings degenerate (a 2-ring is just
     /// the direct exchange), so pipelining needs at least 2 ranks.
     pub fn use_pipeline(&self, bytes: usize) -> bool {
-        self.size > 1 && bytes >= self.config.pipeline_threshold
+        self.size > 1 && bytes >= PIPELINE_THRESHOLD
     }
 }
 
@@ -257,7 +243,7 @@ mod tests {
     use super::*;
 
     fn comm(rank: usize, size: usize) -> Communicator {
-        Communicator::new(rank, size, CollConfig::default())
+        Communicator::new(rank, size)
     }
 
     #[test]

@@ -237,7 +237,7 @@ mod tests {
     use super::*;
     use crate::collectives::AllreduceOp;
     use crate::wire::MPI_HEADER_BYTES;
-    use crate::{CollConfig, Mpi2};
+    use crate::Mpi2;
 
     type Node = Mpi2<SimDevice>;
     /// A collective in flight: its result once complete.
@@ -254,7 +254,7 @@ mod tests {
         // led by rank 1, host 7 by rank 0.
         assert_eq!(host_groups(2, &[7, 3, 7, 3]), (vec![0, 2], vec![1, 0]));
         // One host, or a map that misses a rank, plans nothing.
-        let world = Communicator::new(2, 4, CollConfig::default());
+        let world = Communicator::new(2, 4);
         assert!(reduce_plan(&world, &[0, 0, 0, 0], None).is_none());
         assert!(bcast_plan(&world, &[0, 1, 0], 0).is_none());
         assert!(reduce_plan(&world, &[0, 1, 0, 1], None).is_some());

@@ -69,7 +69,7 @@ pub use api::{Mpi, ReduceOp};
 pub use collectives::{
     AllreduceOp, BarrierOp, BcastAlgo, BcastOp, GatherOp, ReduceAlgo, ReduceToRootOp, ScatterOp,
 };
-pub use comm::{CollConfig, CollPhase, Communicator};
+pub use comm::{CollPhase, Communicator, PIPELINE_SEGMENT, PIPELINE_THRESHOLD};
 pub use mpi1::Mpi1;
 pub use mpi2::Mpi2;
 pub use shuffle::{run_shuffle, ShuffleReport, ShuffleRunner, ShuffleSpec};

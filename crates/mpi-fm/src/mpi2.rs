@@ -28,12 +28,13 @@ use std::rc::Rc;
 use fm_core::device::NetDevice;
 use fm_core::packet::HandlerId;
 use fm_core::{
-    Fm2Engine, Fm2Handle, FmStream, ObsEvent, Onesided, OnesidedConfig, RegionHandle, SpanKind,
+    Fm2Engine, Fm2Handle, FmStream, ObsEvent, Onesided, OnesidedConfig, OsPort, RegionHandle,
+    SpanKind,
 };
 use fm_model::Nanos;
 
 use crate::api::Mpi;
-use crate::comm::{CollConfig, CollPhase};
+use crate::comm::CollPhase;
 use crate::matching::{MatchQueues, Posted, UnexpectedBody};
 use crate::types::{RecvReq, SendReq};
 use crate::wire::{
@@ -79,9 +80,10 @@ struct GrantedRecv {
 }
 
 /// A send FM could not yet fully admit, queued behind the earlier sends
-/// to the same peer. Pending sends *stream*: each flush pushes as many
-/// packets as credits allow per progress call, so a message of any size
-/// (even larger than the credit window) completes.
+/// to the same peer. Pending sends *stream*: each flush resumes the open
+/// message with `try_send_rest`, which pushes as many packets as credits
+/// allow, so a message of any size (even larger than the credit window)
+/// completes.
 struct PendingSend {
     /// Arrival order over all peers: the scheduler visits heads oldest
     /// first.
@@ -91,8 +93,8 @@ struct PendingSend {
     /// Request to complete when fully handed to FM (`None` for RTS
     /// headers, whose request completes at CTS instead).
     req: Option<SendReq>,
-    /// Open stream + bytes already accepted (over header ⧺ data).
-    started: Option<(fm_core::fm2::SendStream, usize)>,
+    /// The open message (header ⧺ data) once sending has started.
+    started: Option<fm_core::fm2::SendStream>,
 }
 
 /// MPI over FM 2.x.
@@ -129,8 +131,6 @@ pub struct Mpi2<D: NetDevice> {
     /// Payloads above this many bytes use the rendezvous protocol
     /// (`usize::MAX` = eager-only, the 1998 behaviour and the default).
     eager_threshold: usize,
-    /// Collective algorithm selection (must match across ranks).
-    coll_config: CollConfig,
     /// Rank → host placement for hierarchy-aware collectives (must match
     /// across ranks); `None` keeps the flat schedules.
     coll_hosts: Option<Vec<usize>>,
@@ -169,11 +169,11 @@ impl<D: NetDevice + 'static> Mpi2<D> {
                 debug_assert_eq!(n, MPI_HEADER_BYTES);
                 let hdr = MpiHeader::decode(&hdrb);
                 let src_rank = hdr.src_rank as usize;
+                debug_assert_eq!(src_rank, src_node, "ranks are FM node ids");
                 // MPI-level receive processing (matching, queue upkeep).
                 fm.charge(Nanos(MPI2_RECV_SW_NS));
                 match hdr.kind {
                     KIND_EAGER => {
-                        debug_assert_eq!(src_rank, src_node);
                         let matched = q.borrow_mut().match_arrival(src_rank, hdr.tag);
                         match matched {
                             Some(posted) => {
@@ -217,25 +217,8 @@ impl<D: NetDevice + 'static> Mpi2<D> {
                                     hdr.len,
                                     posted.max_len
                                 );
-                                // Register a buffer sized for the payload and
-                                // grant it to the sender: DATA will stream
-                                // into it with no staging copy.
                                 let len = hdr.len as usize;
-                                let buf_h =
-                                    port.register_owned(vec![0u8; len]).expect("slots free");
-                                let xfer = port
-                                    .grant_from(src_node, buf_h, 0, len)
-                                    .expect("fresh handle");
-                                rndv.borrow_mut().granted.insert(
-                                    (src_rank, hdr.seq),
-                                    GrantedRecv {
-                                        h: buf_h,
-                                        xfer,
-                                        tag: hdr.tag,
-                                        posted,
-                                    },
-                                );
-                                send_cts(&fm, src_node, hdr.seq, xfer);
+                                grant(&fm, &port, &rndv, (src_rank, hdr.seq), len, hdr.tag, posted);
                             }
                             None => q.borrow_mut().store_unexpected_body(
                                 src_rank,
@@ -283,18 +266,10 @@ impl<D: NetDevice + 'static> Mpi2<D> {
             nic_capacity,
             extract_budget: usize::MAX,
             eager_threshold: usize::MAX,
-            coll_config: CollConfig::default(),
             coll_hosts: None,
             send_seq: 0,
             coll_seq: 0,
         }
-    }
-
-    /// Override the collective algorithm-selection knobs. Every rank must
-    /// use the same configuration or the collectives' per-rank algorithm
-    /// choices disagree and the operation never completes.
-    pub fn set_coll_config(&mut self, config: CollConfig) {
-        self.coll_config = config;
     }
 
     /// Declare the rank → host placement so small-payload collectives
@@ -443,32 +418,17 @@ impl<D: NetDevice + 'static> Mpi2<D> {
     /// over (its request completed), false when it stalled.
     fn push_head(&mut self, dst: usize) -> bool {
         let p = self.pending[dst].front_mut().expect("a queued head");
-        let total = MPI_HEADER_BYTES + p.data.len();
-        let (mut ss, mut sent) = match p.started.take() {
-            Some(x) => x,
-            None => (self.fm.begin_message(dst, total, MPI_HANDLER), 0),
-        };
-        while sent < MPI_HEADER_BYTES {
-            match self.fm.try_send_piece(&mut ss, &p.hdr[sent..]) {
-                Ok(n) => sent += n,
-                Err(_) => break,
-            }
+        let fm = &self.fm;
+        let ss = p.started.get_or_insert_with(|| {
+            fm.begin_message(dst, MPI_HEADER_BYTES + p.data.len(), MPI_HANDLER)
+        });
+        if fm.try_send_rest(ss, &[&p.hdr[..], &p.data]).is_err() {
+            return false;
         }
-        while sent >= MPI_HEADER_BYTES && sent < total {
-            let doff = sent - MPI_HEADER_BYTES;
-            match self.fm.try_send_piece(&mut ss, &p.data[doff..]) {
-                Ok(n) => sent += n,
-                Err(_) => break,
-            }
+        if let Some(req) = p.req.take() {
+            req.inner.borrow_mut().done = true;
         }
-        if sent == total && self.fm.try_end_message(&mut ss).is_ok() {
-            if let Some(req) = p.req.take() {
-                req.inner.borrow_mut().done = true;
-            }
-            return true;
-        }
-        p.started = Some((ss, sent));
-        false
+        true
     }
 
     /// Complete rendezvous receives whose granted one-sided transfer has
@@ -494,6 +454,31 @@ impl<D: NetDevice + 'static> Mpi2<D> {
             MatchQueues::complete(&g.posted, key.0, g.tag, buf);
         }
     }
+}
+
+/// Answer the RTS `(src, seq)` now that `posted` matches it: register a
+/// buffer sized for the payload, grant it to the sender — DATA will
+/// stream into it with no staging copy — note the grant for
+/// [`Mpi2::poll_granted`], and release the sender with a CTS.
+fn grant<D: NetDevice>(
+    fm: &Fm2Handle<D>,
+    port: &OsPort,
+    rndv: &RefCell<RndvState>,
+    (src, seq): (usize, u32),
+    len: usize,
+    tag: u32,
+    posted: Posted,
+) {
+    let h = port.register_owned(vec![0u8; len]).expect("slots free");
+    let xfer = port.grant_from(src, h, 0, len).expect("fresh handle");
+    let granted = GrantedRecv {
+        h,
+        xfer,
+        tag,
+        posted,
+    };
+    rndv.borrow_mut().granted.insert((src, seq), granted);
+    send_cts(fm, src, seq, xfer);
 }
 
 /// Send a header-only CTS back to the rendezvous sender (deferred through
@@ -631,19 +616,8 @@ impl<D: NetDevice + 'static> Mpi for Mpi2<D> {
                         max_len,
                         slot: Rc::clone(&req.inner),
                     };
-                    let port = self.os.port();
-                    let buf_h = port.register_owned(vec![0u8; len]).expect("slots free");
-                    let xfer = port.grant_from(u.src, buf_h, 0, len).expect("fresh handle");
-                    self.rndv.borrow_mut().granted.insert(
-                        (u.src, seq),
-                        GrantedRecv {
-                            h: buf_h,
-                            xfer,
-                            tag: u.tag,
-                            posted,
-                        },
-                    );
-                    send_cts(&self.fm.handle(), u.src, seq, xfer);
+                    let fm = self.fm.handle();
+                    grant(&fm, &self.os, &self.rndv, (u.src, seq), len, u.tag, posted);
                     // Flush the CTS now — irecv runs outside extract, so
                     // nothing else would drain the deferred queue before
                     // the caller sleeps.
@@ -665,10 +639,6 @@ impl<D: NetDevice + 'static> Mpi for Mpi2<D> {
     fn next_coll_seq(&mut self) -> u32 {
         self.coll_seq = self.coll_seq.wrapping_add(1);
         self.coll_seq
-    }
-
-    fn coll_config(&self) -> CollConfig {
-        self.coll_config
     }
 
     fn coll_hosts(&self) -> Option<&[usize]> {

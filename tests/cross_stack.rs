@@ -254,3 +254,16 @@ fn mpi_and_raw_fm_share_an_engine() {
     assert_eq!(out[0], "main+side");
     assert_eq!(out[1], "main+side");
 }
+
+/// MPI-FM and Shmem-FM each bring a one-sided port, and a port owns fixed
+/// handler ids: stacking both on one engine used to hand the second every
+/// packet of the first (rendezvous payloads vanished). It is refused at
+/// construction instead.
+#[test]
+#[should_panic(expected = "already has a one-sided port (ids 140 and 141)")]
+fn shmem_after_mpi2_on_one_engine_is_refused() {
+    let (dev, _peer) = LoopbackPair::new(8);
+    let fm = Fm2Engine::new(dev, MachineProfile::ppro200_fm2());
+    let _mpi = Mpi2::new(fm.clone());
+    let _sh = fast_messages::shmem::Shmem::new(fm, 4096);
+}
