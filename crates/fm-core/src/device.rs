@@ -69,7 +69,12 @@ pub trait NetDevice {
     fn try_send(&mut self, pkt: FmPacket) -> Result<(), DeviceFull>;
     /// Pull the next fully-received packet, if any.
     fn try_recv(&mut self) -> Option<FmPacket>;
-    /// Free slots in the NIC send queue.
+    /// Free slots in the NIC send queue: an answer of `k` or more means
+    /// the next `k` [`NetDevice::try_send`] calls succeed, whatever their
+    /// destinations. The queue may drain between calls but fills only
+    /// through `try_send`, so the engine remembers the answer, counts its
+    /// own sends off it and asks again only when that runs out — once
+    /// per burst, not once per packet.
     fn send_space(&self) -> usize;
     /// Current time (virtual on the simulator, wall on real transports).
     fn now(&self) -> Nanos;

@@ -203,7 +203,7 @@ impl<D: NetDevice> Fm1Engine<D> {
     /// Direct access to the underlying device (test harnesses and
     /// transports that need to pump packets by hand).
     pub fn device_mut(&mut self) -> &mut D {
-        &mut self.core.device
+        self.core.device_mut()
     }
 
     /// Register `handler` under `id` (replacing any previous one).

@@ -258,7 +258,7 @@ impl<D: NetDevice> Fm2Engine<D> {
     /// and transports that need to pump packets by hand). Do not call
     /// engine methods from inside `f`.
     pub fn with_device<R>(&self, f: impl FnOnce(&mut D) -> R) -> R {
-        f(&mut self.inner.borrow_mut().core.device)
+        f(self.inner.borrow_mut().core.device_mut())
     }
 
     /// Guarantee-violation reports accumulated by `extract` (empties the

@@ -11,7 +11,7 @@ use fm_model::Nanos;
 
 use crate::buf::PacketBuf;
 use crate::device::NetDevice;
-use crate::engine::Stall;
+use crate::engine::{EngineCore, Stall};
 use crate::error::WouldBlock;
 use crate::obs::{ObsEvent, SpanKind};
 use crate::packet::{HandlerId, PacketFlags};
@@ -82,15 +82,15 @@ impl<D: NetDevice> Fm2Engine<D> {
             data.len(),
             ss.msg_len
         );
-        {
-            let mut inner = self.inner.borrow_mut();
-            let c = Nanos(inner.core.profile.host.piece_call_ns);
-            inner.core.device.charge(c);
-        }
+        // One borrow for the whole piece; frames come straight from the
+        // core's pool (a clone of the handle is two atomic RMWs a call).
+        let mut inner = self.inner.borrow_mut();
+        let core = &mut inner.core;
+        core.device.charge(Nanos(core.profile.host.piece_call_ns));
         if ss.local {
             ss.pending.extend_from_slice(data);
             ss.accepted += data.len();
-            self.inner.borrow().core.obs_emit(|t, me| {
+            core.obs_emit(|t, me| {
                 ObsEvent::new(t, me, SpanKind::SendPiece)
                     .peer(me)
                     .handler(ss.handler.0)
@@ -99,41 +99,34 @@ impl<D: NetDevice> Fm2Engine<D> {
             });
             return Ok(data.len());
         }
-        let (mtu, pool) = {
-            let inner = self.inner.borrow();
-            (inner.core.profile.fm.mtu_payload, inner.core.pool.clone())
-        };
+        let mtu = core.profile.fm.mtu_payload;
         let mut offset = 0;
         while offset < data.len() {
-            if ss.pending.len() == mtu && !self.flush_packet(ss, false) {
+            if ss.pending.len() == mtu && !Self::flush_packet(core, ss, false) {
                 break;
             }
             if ss.pending.is_detached() {
                 // First piece of a fresh packet: grab a recycled frame to
                 // gather into (flushing hands the previous frame to the
                 // packet wholesale).
-                ss.pending = pool.take();
+                ss.pending = core.pool.take();
             }
             let space = mtu - ss.pending.len();
             let take = space.min(data.len() - offset);
             ss.pending.extend_from_slice(&data[offset..offset + take]);
             // Gather: the piece is PIO'd straight into the NIC packet
             // staging — per-byte I/O bus cost, but no host memcpy.
-            {
-                let mut inner = self.inner.borrow_mut();
-                let c = fm_model::time::ns_for_bytes(
-                    inner.core.profile.iobus.pio_ns_per_kb,
-                    take as u64,
-                );
-                inner.core.device.charge(c);
-            }
+            core.device.charge(fm_model::time::ns_for_bytes(
+                core.profile.iobus.pio_ns_per_kb,
+                take as u64,
+            ));
             offset += take;
             ss.accepted += take;
         }
         if offset == 0 && !data.is_empty() {
             return Err(WouldBlock);
         }
-        self.inner.borrow().core.obs_emit(|t, me| {
+        core.obs_emit(|t, me| {
             ObsEvent::new(t, me, SpanKind::SendPiece)
                 .peer(ss.dst as u16)
                 .handler(ss.handler.0)
@@ -160,10 +153,10 @@ impl<D: NetDevice> Fm2Engine<D> {
             "FM_end_message before supplying the declared {} bytes",
             ss.msg_len
         );
-        if !ss.local && !self.flush_packet(ss, true) {
+        let mut inner = self.inner.borrow_mut();
+        if !ss.local && !Self::flush_packet(&mut inner.core, ss, true) {
             return Err(WouldBlock);
         }
-        let mut inner = self.inner.borrow_mut();
         if ss.local {
             let payload = std::mem::take(&mut ss.pending);
             inner.local.push_back((ss.handler, payload));
@@ -177,9 +170,7 @@ impl<D: NetDevice> Fm2Engine<D> {
 
     /// Flush the staged packet (possibly empty, for END) to the device.
     /// Returns false when out of credits or NIC space.
-    fn flush_packet(&self, ss: &mut SendStream, last: bool) -> bool {
-        let mut inner = self.inner.borrow_mut();
-        let core = &mut inner.core;
+    fn flush_packet(core: &mut EngineCore<D>, ss: &mut SendStream, last: bool) -> bool {
         match core.reserve(ss.dst, 1, ss.msg_seq, ss.msg_len) {
             Ok(()) => {}
             Err(Stall::Device) => {
@@ -222,8 +213,8 @@ impl<D: NetDevice> Fm2Engine<D> {
     ) -> Result<(), WouldBlock> {
         let total: usize = pieces.iter().map(|p| p.len()).sum();
         {
-            let inner = self.inner.borrow();
-            let core = &inner.core;
+            let mut inner = self.inner.borrow_mut();
+            let core = &mut inner.core;
             if dst != core.device.node_id() {
                 let packets = total.div_ceil(core.profile.fm.mtu_payload).max(1);
                 core.room_for(dst, packets as u32).map_err(|_| WouldBlock)?;

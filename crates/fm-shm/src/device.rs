@@ -19,9 +19,10 @@
 //!
 //! Peer liveness: a peer that leaves gracefully raises its gone-flag; a
 //! peer that crashes leaves a dead pid in the segment header. Both are
-//! detected by a periodic (default 200ms) sweep in
-//! [`NetDevice::poll_event`] and surfaced as [`PeerEventKind::Down`], so
-//! the engine's churn handling works unchanged over shared memory.
+//! detected by a periodic (200 ms) sweep in [`NetDevice::poll_event`] and
+//! surfaced as [`PeerEventKind::Down`], so the engine's churn handling
+//! works unchanged over shared memory. The engine polls once per packet
+//! it extracts, so the poll reads its clock on every 32nd call only.
 
 use std::collections::VecDeque;
 use std::io;
@@ -42,6 +43,12 @@ const SELF_QUEUE_SLOTS: usize = 64;
 /// Interval between [`NetDevice::poll_event`]'s sweeps for dead or
 /// departed peers.
 const DEATH_CHECK_INTERVAL: Duration = Duration::from_millis(200);
+
+/// [`NetDevice::poll_event`] is reached once per extracted packet, and a
+/// clock read costs as much as the rest of it: the interval is checked
+/// on the first poll and then on every this-many-th, so a departure is
+/// reported within `DEATH_CHECK_INTERVAL` plus this many polls.
+const POLLS_PER_CLOCK_READ: u32 = 32;
 
 /// Configuration for [`ShmDevice::open`].
 #[derive(Debug, Clone)]
@@ -148,6 +155,9 @@ pub struct ShmDevice {
     rr: usize,
     events: VecDeque<PeerEvent>,
     last_death_check: Instant,
+    /// Polls left before `last_death_check` is compared with the clock
+    /// again ([`POLLS_PER_CLOCK_READ`]).
+    polls_to_clock_read: u32,
     cfg: ShmConfig,
 }
 
@@ -222,6 +232,7 @@ impl ShmDevice {
             rr: 0,
             events: VecDeque::new(),
             last_death_check: now,
+            polls_to_clock_read: 0,
             cfg,
         })
     }
@@ -406,10 +417,14 @@ impl NetDevice for ShmDevice {
         if let Some(e) = self.events.pop_front() {
             return Some(e);
         }
-        if self.last_death_check.elapsed() >= DEATH_CHECK_INTERVAL {
-            self.last_death_check = Instant::now();
-            self.sweep_liveness();
+        if self.polls_to_clock_read == 0 {
+            self.polls_to_clock_read = POLLS_PER_CLOCK_READ;
+            if self.last_death_check.elapsed() >= DEATH_CHECK_INTERVAL {
+                self.last_death_check = Instant::now();
+                self.sweep_liveness();
+            }
         }
+        self.polls_to_clock_read -= 1;
         self.events.pop_front()
     }
 }
@@ -507,6 +522,26 @@ mod tests {
         let e = a.poll_event().expect("a Down event");
         assert_eq!(e.peer, 1);
         assert_eq!(e.kind, PeerEventKind::Down);
+        assert!(a.poll_event().is_none(), "reported once");
+    }
+
+    #[test]
+    fn departure_is_seen_within_the_interval_plus_the_poll_bound() {
+        let (mut a, b) = pair("bound");
+        // Polled while the peer is alive: the clock-read countdown is
+        // somewhere in mid-run when the peer goes.
+        for _ in 0..POLLS_PER_CLOCK_READ / 2 {
+            assert!(a.poll_event().is_none());
+        }
+        drop(b);
+        std::thread::sleep(DEATH_CHECK_INTERVAL);
+        let polls = (1..=POLLS_PER_CLOCK_READ)
+            .find(|_| {
+                a.poll_event()
+                    .is_some_and(|e| e.kind == PeerEventKind::Down)
+            })
+            .expect("a Down event inside the documented bound");
+        assert!(polls > 1, "the countdown, not the first poll, found it");
         assert!(a.poll_event().is_none(), "reported once");
     }
 

@@ -20,8 +20,10 @@
 //!   doorbell. The consumer acquires the tail, copies the frame into a
 //!   recycled [`fm_core::BufPool`] frame, decodes zero-copy
 //!   ([`fm_core::packet::FmPacket::decode_from_buf`]), and retires the
-//!   slot — one load-acquire and one store-release per frame per side,
-//!   no locks, no syscalls, 0 allocations per message in steady state.
+//!   slot. Each side works from a private copy of the other's cursor and
+//!   goes back to the shared line only when that copy says full or
+//!   empty — one load-acquire per *burst* per side, no locks, no
+//!   syscalls, 0 allocations per message in steady state.
 //! * **Segments** ([`seg`]) — one file per co-located rank pair, created
 //!   `O_EXCL` by the lower rank and attached by the higher with a
 //!   bounded spin on the ready flag (torn startup is a first-class

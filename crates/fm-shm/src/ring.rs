@@ -8,29 +8,59 @@
 //! +0    head: u32      consumer cursor (free-running, wraps mod 2^32)
 //! +64   tail: u32      producer cursor — the doorbell word
 //! +128  slot[0]        len: u32, _pad: u32, frame bytes...
-//! +128+slot_bytes  slot[1] ...
+//! +128+stride  slot[1] ...     stride = 8 + payload, rounded up to 64
 //! ```
 //!
 //! `head` and `tail` sit on their own cache lines so the producer's
 //! doorbell store and the consumer's cursor store never ping-pong one
-//! line between cores. Both cursors free-run (occupancy is
-//! `tail - head` in wrapping arithmetic), so full (`== slots`) and
-//! empty (`== 0`) are never ambiguous and no slot is sacrificed.
+//! line between cores, and every slot starts on a line of its own (the
+//! base is 64-byte aligned, the stride a multiple of 64), so a producer
+//! filling one slot and a consumer draining its neighbour never share a
+//! line either. Both cursors free-run (occupancy is `tail - head` in
+//! wrapping arithmetic), so full (`== slots`) and empty (`== 0`) are
+//! never ambiguous and no slot is sacrificed.
 //!
-//! Ordering protocol — the entire correctness argument:
+//! # Cached cursors
+//!
+//! The two cursor lines are the only words both cores write and read,
+//! so every look at the *other* side's line is a coherence miss waiting
+//! to happen. Each side therefore keeps — in its own `RawRing` handle,
+//! never in the mapping — the last value it saw there:
+//!
+//! * the producer remembers the last `head` it loaded and goes back to
+//!   the shared line only when that copy says the ring is full;
+//! * the consumer remembers the last `tail` it loaded and goes back only
+//!   when that copy says the ring is empty. It counts what it has
+//!   retired in a private cursor and stores that to `head` once per
+//!   [`RawRing::head_batch`] frames — and always before it reports
+//!   empty, so a full producer is never left waiting on a batch the
+//!   consumer has stopped adding to.
+//!
+//! `head` and `tail` never move backwards, so a stale copy only ever
+//! *under*-states what the other side has done: the producer may see
+//! fewer free slots than there are and the consumer fewer frames, never
+//! more. [`RawRing::free`] and [`RawRing::occupied`] are lower bounds.
+//!
+//! # Ordering protocol — the entire correctness argument
 //!
 //! * **Producer**: write the frame bytes and the slot's `len` with plain
 //!   stores, then publish with a `Release` store of `tail + 1`. The
 //!   doorbell *is* the release fence; everything written before it is
 //!   visible to whoever acquires it.
-//! * **Consumer**: `Acquire`-load `tail`; if it moved, the slot contents
-//!   are fully visible. Read them out, then retire the slot with a
-//!   `Release` store of `head + 1` — which is the producer's license
-//!   (via its `Acquire` load of `head`) to overwrite that slot.
+//! * **Consumer**: `Acquire`-load `tail`. Every slot below the value
+//!   loaded is fully visible, and stays so however long the value is
+//!   remembered: the producer cannot touch those slots again before
+//!   `head` passes them. Read frames out up to the remembered `tail`,
+//!   then retire them — one at a time or a batch at once — with a
+//!   `Release` store of the private cursor to `head`.
+//! * **Producer again**: its `Acquire` load of `head` is the license to
+//!   overwrite every slot below the value loaded, since the consumer's
+//!   reads of all of them precede that `Release` store. A remembered
+//!   value licenses exactly the slots it licensed when it was loaded.
 //!
-//! No CAS, no fetch-add, no spinning with the lock held — each side
-//! performs one load-acquire and one store-release per frame, which is
-//! as cheap as cross-core hand-off gets.
+//! No CAS, no fetch-add, no spinning with the lock held. In a burst each
+//! side performs one load-acquire of the other's line per *run* of
+//! frames rather than per frame; a lone frame costs what it always did.
 
 use std::sync::atomic::{AtomicU32, Ordering};
 
@@ -40,6 +70,15 @@ pub const RING_CTRL_BYTES: usize = 128;
 /// Per-slot record header: `len: u32` plus padding to an 8-byte
 /// boundary so frame bytes start aligned.
 pub const SLOT_HDR_BYTES: usize = 8;
+
+/// Cache line size the layout is padded to.
+const LINE: usize = 64;
+
+/// Distance between slot starts: header plus payload, rounded up so
+/// that no two slots share a cache line.
+fn slot_stride(payload_capacity: u32) -> usize {
+    (SLOT_HDR_BYTES + payload_capacity as usize).next_multiple_of(LINE)
+}
 
 /// A raw view of one SPSC ring inside a shared mapping. Both endpoints
 /// construct a `RawRing` over the same bytes; the role (producer or
@@ -51,7 +90,18 @@ pub struct RawRing {
     tail: *const AtomicU32,
     slots_base: *mut u8,
     slots: u32,
-    slot_bytes: u32,
+    stride: u32,
+    payload_capacity: u32,
+    // This handle's private cursors (see "Cached cursors" above). They
+    // are atomics only so that the handle stays `Sync` and its methods
+    // `&self`: each is touched by one role alone, always `Relaxed`.
+    /// Producer: the last `head` loaded from the shared line.
+    seen_head: AtomicU32,
+    /// Consumer: the last `tail` loaded from the shared line.
+    seen_tail: AtomicU32,
+    /// Consumer: the next slot to read; `head` trails it by less than
+    /// [`RawRing::head_batch`].
+    next_pop: AtomicU32,
 }
 
 // The raw pointers target a shared mapping whose lifetime is owned by
@@ -64,14 +114,17 @@ unsafe impl Send for RawRing {}
 unsafe impl Sync for RawRing {}
 
 impl RawRing {
-    /// Total bytes a ring with this geometry occupies.
+    /// Total bytes a ring with this geometry occupies (a multiple of 64,
+    /// so rings laid end to end keep their alignment).
     pub fn bytes_for(slots: u32, payload_capacity: u32) -> usize {
-        RING_CTRL_BYTES + slots as usize * (SLOT_HDR_BYTES + payload_capacity as usize)
+        RING_CTRL_BYTES + slots as usize * slot_stride(payload_capacity)
     }
 
     /// Build a view over `base`, which must point at `bytes_for(slots,
     /// payload_capacity)` bytes of shared, zero-initialized-at-creation
-    /// memory, 8-byte aligned.
+    /// memory, 64-byte aligned. The handle's private cursors start from
+    /// whatever the shared ones hold, so attaching to a ring that is
+    /// already in use is fine.
     ///
     /// # Safety
     /// `base` must stay valid (the mapping must outlive the ring view),
@@ -79,13 +132,30 @@ impl RawRing {
     /// consume.
     pub unsafe fn at(base: *mut u8, slots: u32, payload_capacity: u32) -> RawRing {
         assert!(slots.is_power_of_two(), "slot count must be a power of two");
-        debug_assert_eq!(base as usize % 8, 0, "ring base must be 8-byte aligned");
+        assert_eq!(
+            base as usize % LINE,
+            0,
+            "ring base (and so slot 0) must be 64-byte aligned"
+        );
+        let stride = u32::try_from(slot_stride(payload_capacity)).expect("slot stride fits u32");
+        let head = base as *const AtomicU32;
+        // The private cursors start from the shared `head`: for `tail`,
+        // having seen nothing yet is always a valid (stale) view.
+        // SAFETY: the caller vouches for `bytes_for(..)` valid bytes at
+        // `base`, aligned as just asserted; `head` is their first word.
+        let start = unsafe { &*head }.load(Ordering::Acquire);
         RawRing {
-            head: base as *const AtomicU32,
-            tail: unsafe { base.add(64) } as *const AtomicU32,
+            head,
+            // SAFETY: both offsets lie inside the control lines that
+            // `bytes_for` counts in.
+            tail: unsafe { base.add(LINE) } as *const AtomicU32,
             slots_base: unsafe { base.add(RING_CTRL_BYTES) },
             slots,
-            slot_bytes: SLOT_HDR_BYTES as u32 + payload_capacity,
+            stride,
+            payload_capacity,
+            seen_head: AtomicU32::new(start),
+            seen_tail: AtomicU32::new(start),
+            next_pop: AtomicU32::new(start),
         }
     }
 
@@ -99,28 +169,54 @@ impl RawRing {
 
     fn slot(&self, cursor: u32) -> *mut u8 {
         let idx = (cursor & (self.slots - 1)) as usize;
-        unsafe { self.slots_base.add(idx * self.slot_bytes as usize) }
+        // SAFETY: `idx < slots`, and `bytes_for` counts `slots` strides
+        // from `slots_base`.
+        unsafe { self.slots_base.add(idx * self.stride as usize) }
     }
 
     /// Frame bytes one slot can carry.
     pub fn payload_capacity(&self) -> usize {
-        self.slot_bytes as usize - SLOT_HDR_BYTES
+        self.payload_capacity as usize
     }
 
-    /// Slots currently free for the producer. The consumer may be
-    /// retiring concurrently, so this is a lower bound there and exact
-    /// from the producer's own thread between its pushes.
+    /// How many retired frames the consumer lets pile up before it
+    /// stores `head`: a quarter of the ring, so a producer that ran into
+    /// a full ring gets slots back in runs while three quarters of the
+    /// ring stay in flight.
+    pub fn head_batch(&self) -> u32 {
+        (self.slots / 4).max(1)
+    }
+
+    /// Producer: re-read the shared `head` into the private copy.
+    fn refresh_head(&self) -> u32 {
+        let h = self.head().load(Ordering::Acquire);
+        self.seen_head.store(h, Ordering::Relaxed);
+        h
+    }
+
+    /// Consumer: re-read the shared `tail` into the private copy.
+    fn refresh_tail(&self) -> u32 {
+        let t = self.tail().load(Ordering::Acquire);
+        self.seen_tail.store(t, Ordering::Relaxed);
+        t
+    }
+
+    /// Slots free for the producer, for the producer to call: always
+    /// reads the shared `head`, so the next `free()` pushes succeed
+    /// without touching that line again. A lower bound — the consumer
+    /// may be retiring concurrently, and may hold up to `head_batch() -
+    /// 1` retired slots it has not yet stored.
     pub fn free(&self) -> usize {
         let t = self.tail().load(Ordering::Relaxed);
-        let h = self.head().load(Ordering::Acquire);
+        let h = self.refresh_head();
         (self.slots - t.wrapping_sub(h)) as usize
     }
 
-    /// Frames currently queued (consumer-side lower bound).
+    /// Frames queued, for the consumer to call: always reads the shared
+    /// `tail`. A lower bound — the producer may be pushing concurrently.
     pub fn occupied(&self) -> usize {
-        let t = self.tail().load(Ordering::Acquire);
-        let h = self.head().load(Ordering::Relaxed);
-        t.wrapping_sub(h) as usize
+        let t = self.refresh_tail();
+        t.wrapping_sub(self.next_pop.load(Ordering::Relaxed)) as usize
     }
 
     /// Producer: reserve the next slot, let `write` fill it, publish.
@@ -134,8 +230,9 @@ impl RawRing {
         T: FrameLen,
     {
         let t = self.tail().load(Ordering::Relaxed);
-        let h = self.head().load(Ordering::Acquire);
-        if t.wrapping_sub(h) == self.slots {
+        if t.wrapping_sub(self.seen_head.load(Ordering::Relaxed)) == self.slots
+            && t.wrapping_sub(self.refresh_head()) == self.slots
+        {
             return None; // full
         }
         let slot = self.slot(t);
@@ -157,20 +254,29 @@ impl RawRing {
     }
 
     /// Consumer: read the oldest frame out through `read`, retire the
-    /// slot. Returns `None` when the ring is empty.
+    /// slot. Returns `None` when the ring is empty — by which time every
+    /// slot retired so far has been handed back to the producer.
     pub fn try_pop<T>(&self, read: impl FnOnce(&[u8]) -> T) -> Option<T> {
-        let h = self.head().load(Ordering::Relaxed);
-        let t = self.tail().load(Ordering::Acquire);
-        if h == t {
-            return None; // empty
+        let h = self.next_pop.load(Ordering::Relaxed);
+        if h == self.seen_tail.load(Ordering::Relaxed) && h == self.refresh_tail() {
+            // Empty. Nothing more will join the open batch: hand it back.
+            if self.head().load(Ordering::Relaxed) != h {
+                self.head().store(h, Ordering::Release);
+            }
+            return None;
         }
         let slot = self.slot(h);
         let len = unsafe { (slot as *const u32).read() } as usize;
         debug_assert!(len <= self.payload_capacity(), "corrupt slot length");
         let frame = unsafe { std::slice::from_raw_parts(slot.add(SLOT_HDR_BYTES), len) };
         let out = read(frame);
-        // License the producer to overwrite the slot.
-        self.head().store(h.wrapping_add(1), Ordering::Release);
+        let h = h.wrapping_add(1);
+        self.next_pop.store(h, Ordering::Relaxed);
+        // License the producer to overwrite the batch, once it is worth
+        // a store the producer's next look at `head` will miss on.
+        if h.wrapping_sub(self.head().load(Ordering::Relaxed)) >= self.head_batch() {
+            self.head().store(h, Ordering::Release);
+        }
         Some(out)
     }
 }
@@ -192,17 +298,22 @@ impl FrameLen for usize {
 mod tests {
     use super::*;
 
+    /// One cache line of ring storage.
+    #[derive(Clone, Copy)]
+    #[repr(align(64))]
+    struct Line(#[allow(dead_code)] [u8; LINE]);
+
     /// An owned, heap-backed ring for protocol tests (the segment layer
     /// provides the mmap-backed version).
     struct OwnedRing {
         /// Keeps the storage the ring points into alive.
-        _buf: Vec<u64>, // u64 storage guarantees 8-byte alignment
+        _buf: Vec<Line>,
         ring: RawRing,
     }
 
     fn owned(slots: u32, payload: u32) -> OwnedRing {
         let bytes = RawRing::bytes_for(slots, payload);
-        let mut buf = vec![0u64; bytes.div_ceil(8)];
+        let mut buf = vec![Line([0; LINE]); bytes.div_ceil(LINE)];
         let ring = unsafe { RawRing::at(buf.as_mut_ptr() as *mut u8, slots, payload) };
         OwnedRing { _buf: buf, ring }
     }
@@ -245,5 +356,81 @@ mod tests {
         assert!(matches!(out, Some(None)), "reservation made, not published");
         assert_eq!(r.ring.occupied(), 0);
         assert!(r.ring.try_pop(|_| ()).is_none());
+    }
+
+    #[test]
+    fn slots_start_on_their_own_cache_lines() {
+        // 8 + 4096 = 4104 would put slot 1's `len` in slot 0's last line.
+        let r = owned(4, 4096);
+        assert_eq!(RawRing::bytes_for(4, 4096), RING_CTRL_BYTES + 4 * 4160);
+        for cursor in 0..4 {
+            assert_eq!(r.ring.slot(cursor) as usize % LINE, 0);
+        }
+        assert_eq!(r.ring.payload_capacity(), 4096);
+    }
+
+    /// A consumer that pops fewer frames than the batch and then finds
+    /// the ring empty must have stored `head`: a full producer is never
+    /// left waiting on a batch the consumer has stopped adding to.
+    #[test]
+    fn seeing_empty_publishes_an_open_batch() {
+        let r = owned(16, 16);
+        let head = || r.ring.head().load(Ordering::Relaxed);
+        let batch = r.ring.head_batch();
+        assert_eq!(batch, 4);
+        let fill = |n: u32| {
+            for _ in 0..n {
+                assert!(r.ring.try_push(|_| Some(1usize)).is_some());
+            }
+        };
+        fill(16);
+        assert!(r.ring.try_push(|_| Some(1usize)).is_none(), "full");
+
+        // Inside a batch nothing is stored, so the producer still sees
+        // a full ring: `free()` is a lower bound, not a count.
+        for _ in 0..batch - 1 {
+            assert!(r.ring.try_pop(|_| ()).is_some());
+        }
+        assert_eq!(head(), 0);
+        assert_eq!(r.ring.free(), 0);
+        assert_eq!(r.ring.occupied(), 13);
+        // The pop that fills the batch stores it.
+        assert!(r.ring.try_pop(|_| ()).is_some());
+        assert_eq!(head(), batch);
+        assert_eq!(r.ring.free(), 4);
+
+        // Twelve frames left: three whole batches, each stored as it
+        // fills. Then two more frames open a batch that never fills —
+        // the pop that reports empty hands it back.
+        for _ in 0..12 {
+            assert!(r.ring.try_pop(|_| ()).is_some());
+        }
+        assert_eq!(head(), 16);
+        fill(2);
+        assert!(r.ring.try_pop(|_| ()).is_some());
+        assert!(r.ring.try_pop(|_| ()).is_some());
+        assert_eq!(head(), 16, "short batch still open");
+        assert_eq!(r.ring.free(), 14);
+        assert!(r.ring.try_pop(|_| ()).is_none(), "empty");
+        assert_eq!(head(), 18, "stored before reporting empty");
+        assert_eq!(r.ring.free(), 16);
+    }
+
+    #[test]
+    fn a_handle_built_over_a_ring_in_use_starts_from_its_cursors() {
+        let a = owned(4, 16);
+        for i in 0..3u8 {
+            a.ring.try_push(|slot| {
+                slot[0] = i;
+                Some(1usize)
+            });
+        }
+        // A batch of one: this pop is stored at once.
+        assert_eq!(a.ring.try_pop(|f| f[0]), Some(0));
+        // SAFETY: the same storage, geometry and thread as `a`.
+        let late = unsafe { RawRing::at(a.ring.head as *mut u8, 4, 16) };
+        assert_eq!(late.occupied(), 2);
+        assert_eq!(late.free(), 2);
+        assert_eq!(late.try_pop(|f| f[0]), Some(1));
     }
 }

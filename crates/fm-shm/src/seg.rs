@@ -59,7 +59,9 @@ pub const SEG_MAGIC: u64 = 0x01_00_32_4D_48_53_4D_46;
 pub const SEG_HDR_BYTES: usize = 4096;
 
 /// Current layout version (stored at +12, validated on attach).
-pub const SEG_VERSION: u32 = 1;
+/// Version 2 pads the ring slot stride to whole cache lines: same header
+/// fields, different slot offsets, so version 1 peers are refused.
+pub const SEG_VERSION: u32 = 2;
 
 const OFF_MAGIC: usize = 0;
 const OFF_READY: usize = 8;

@@ -9,17 +9,30 @@ use fm_model::rng::{env_cases, DetRng};
 use fm_shm::ring::RawRing;
 use fm_shm::{SegGeometry, Segment};
 
+/// One cache line of ring storage: rings want a 64-byte aligned base.
+#[derive(Clone, Copy)]
+#[repr(align(64))]
+struct Line([u32; 16]);
+
 /// A heap-backed ring whose storage outlives the view.
 struct OwnedRing {
-    _buf: Vec<u64>,
+    _buf: Vec<Line>,
     ring: RawRing,
 }
 
-fn owned(slots: u32, payload: u32) -> OwnedRing {
+/// A ring whose two cursors both start at `start` (the layout puts
+/// `head` in the first word of line 0 and `tail` in the first of line 1).
+fn owned_from(start: u32, slots: u32, payload: u32) -> OwnedRing {
     let bytes = RawRing::bytes_for(slots, payload);
-    let mut buf = vec![0u64; bytes.div_ceil(8)];
+    let mut buf = vec![Line([0; 16]); bytes.div_ceil(64)];
+    buf[0].0[0] = start;
+    buf[1].0[0] = start;
     let ring = unsafe { RawRing::at(buf.as_mut_ptr() as *mut u8, slots, payload) };
     OwnedRing { _buf: buf, ring }
+}
+
+fn owned(slots: u32, payload: u32) -> OwnedRing {
+    owned_from(0, slots, payload)
 }
 
 fn push(ring: &RawRing, body: &[u8]) -> bool {
@@ -47,20 +60,26 @@ fn unique_run(tag: &str) -> String {
 /// Random interleavings of pushes and pops never lose, duplicate, or
 /// reorder a frame, and full/empty boundary answers always match a
 /// model queue — including across many times the ring's capacity, so
-/// the cursors wrap the slot index repeatedly.
+/// the cursors wrap the slot index repeatedly. The model also keeps the
+/// consumer's open batch: slots it has retired but not yet handed back,
+/// which the producer must not see as free (`head_batch()`; returned
+/// when the batch fills or a pop finds the ring empty).
 #[test]
 fn prop_ring_matches_model_queue_across_wraparound() {
     let cases = env_cases(40);
     for case in 0..cases {
         let mut rng = DetRng::seed_from_u64(0x51_C0FFEE ^ case as u64);
-        let slots = [1u32, 2, 4, 8][rng.range_usize(0, 4)];
+        let slots = [1u32, 2, 4, 8, 16][rng.range_usize(0, 5)];
         let r = owned(slots, 32);
+        let batch = r.ring.head_batch() as usize;
         let mut model: std::collections::VecDeque<Vec<u8>> = Default::default();
+        let mut held = 0usize;
         let mut next_id: u64 = 0;
         // Enough operations to lap the ring many times over.
         for _ in 0..(slots as usize * 40) {
             assert_eq!(r.ring.occupied(), model.len(), "occupancy tracks model");
-            assert_eq!(r.ring.free(), slots as usize - model.len());
+            let free = slots as usize - model.len() - held;
+            assert_eq!(r.ring.free(), free, "free slots short by the open batch");
             if rng.chance(0.55) {
                 let body = {
                     let extra = rng.range_usize(0, 24);
@@ -69,7 +88,7 @@ fn prop_ring_matches_model_queue_across_wraparound() {
                     b
                 };
                 let pushed = push(&r.ring, &body);
-                if model.len() == slots as usize {
+                if free == 0 {
                     assert!(!pushed, "full ring must reject");
                 } else {
                     assert!(pushed, "non-full ring must accept");
@@ -81,12 +100,108 @@ fn prop_ring_matches_model_queue_across_wraparound() {
                 match model.pop_front() {
                     Some(expect) => {
                         assert_eq!(got.as_deref(), Some(&expect[..]), "FIFO order, exact bytes");
+                        held = (held + 1) % batch;
                     }
-                    None => assert!(got.is_none(), "empty ring must report empty"),
+                    None => {
+                        assert!(got.is_none(), "empty ring must report empty");
+                        held = 0;
+                    }
                 }
             }
         }
     }
+}
+
+/// The cached cursors under two real threads, across the `u32` wrap of
+/// both: a million frames of seeded varying length through a 4-slot ring
+/// whose cursors start just below `u32::MAX` (then a shorter run through
+/// 16 slots, where `head` is stored a batch of 4 at a time). Every frame
+/// is checked for sequence and content, and neither bound ever
+/// over-reports: after the producer reads `free() == n` its next `n`
+/// pushes are all accepted, and after the consumer reads `occupied() ==
+/// n` its next `n` pops all find a frame.
+#[test]
+fn stress_cached_cursors_across_the_u32_wrap() {
+    stress_ring(4, 1_000_000);
+    stress_ring(16, 250_000);
+}
+
+fn stress_ring(slots: u32, frames: u64) {
+    const PAYLOAD: usize = 64;
+    fn body(seq: u64, rng: &mut DetRng, out: &mut [u8; PAYLOAD]) -> usize {
+        let len = rng.range_usize(8, PAYLOAD + 1);
+        out[..8].copy_from_slice(&seq.to_le_bytes());
+        for (i, b) in out[8..len].iter_mut().enumerate() {
+            *b = (seq as u8).wrapping_mul(31).wrapping_add(i as u8);
+        }
+        len
+    }
+    /// Raised by a side that dies on an assertion, so the other fails too
+    /// instead of spinning on a ring nobody serves.
+    struct Flag<'a>(&'a AtomicBool);
+    impl Drop for Flag<'_> {
+        fn drop(&mut self) {
+            if std::thread::panicking() {
+                self.0.store(true, Ordering::Relaxed);
+            }
+        }
+    }
+    let failed = AtomicBool::new(false);
+    let started = std::time::Instant::now();
+    // Spin briefly, then give the core away: the two threads may share one.
+    let wait = |spins: &mut u32| {
+        *spins += 1;
+        if spins.is_multiple_of(64) {
+            assert!(!failed.load(Ordering::Relaxed), "the other side failed");
+            assert!(started.elapsed() < Duration::from_secs(120), "ring wedged");
+            std::thread::yield_now();
+        } else {
+            std::hint::spin_loop();
+        }
+    };
+    let r = owned_from(u32::MAX - 1000, slots, PAYLOAD as u32);
+    let ring = &r.ring;
+    std::thread::scope(|s| {
+        s.spawn(|| {
+            let _flag = Flag(&failed);
+            let mut rng = DetRng::seed_from_u64(0x57E55);
+            let mut buf = [0u8; PAYLOAD];
+            let (mut promised, mut spins) = (0usize, 0u32);
+            for seq in 0..frames {
+                let len = body(seq, &mut rng, &mut buf);
+                if promised == 0 && seq.is_multiple_of(3) {
+                    promised = ring.free();
+                }
+                while !push(ring, &buf[..len]) {
+                    assert_eq!(promised, 0, "free() over-reported at frame {seq}");
+                    wait(&mut spins);
+                }
+                promised = promised.saturating_sub(1);
+            }
+        });
+        let _flag = Flag(&failed);
+        let mut rng = DetRng::seed_from_u64(0x57E55);
+        let mut want = [0u8; PAYLOAD];
+        let (mut promised, mut spins) = (0usize, 0u32);
+        for seq in 0..frames {
+            let len = body(seq, &mut rng, &mut want);
+            if promised == 0 && seq.is_multiple_of(3) {
+                promised = ring.occupied();
+            }
+            while ring
+                .try_pop(|f| assert_eq!(f, &want[..len], "frame {seq}"))
+                .is_none()
+            {
+                assert_eq!(promised, 0, "occupied() over-reported at frame {seq}");
+                wait(&mut spins);
+            }
+            promised = promised.saturating_sub(1);
+        }
+        assert!(
+            ring.try_pop(|_| ()).is_none(),
+            "nothing past the last frame"
+        );
+    });
 }
 
 /// Doorbell ordering across real threads: the consumer must never

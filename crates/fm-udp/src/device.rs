@@ -1043,7 +1043,15 @@ impl NetDevice for UdpDevice {
     fn send_space(&self) -> usize {
         // Saturating: injected duplication may briefly hold one frame
         // over capacity.
-        self.capacity.saturating_sub(self.out.len())
+        let free = self.capacity.saturating_sub(self.out.len());
+        // The engine counts a promise of `k` down by one per send; with
+        // duplication injected a send may take two entries, so promise
+        // what holds even if every one of them does.
+        if self.dup_p > 0.0 {
+            free / 2
+        } else {
+            free
+        }
     }
 
     fn now(&self) -> Nanos {
