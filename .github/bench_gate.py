@@ -31,9 +31,7 @@ RULES = {
 TAILS = [f"{shape}_{tail}_ns"
          for shape in ("uniform", "hotspot", "incast", "shuffle")
          for tail in ("p99", "p999")]
-PUTS = [f"put_{mode}_{size}_mbps"
-        for size in ("64k", "256k")
-        for mode in ("eager", "rndv")]
+PUTS = [f"put_{size}_mbps" for size in ("64k", "256k")]
 
 GATES = {
     "sim": [(f"sim_{key}", "exact") for key in TAILS + PUTS],

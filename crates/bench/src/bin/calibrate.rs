@@ -23,7 +23,7 @@ use fm_bench::{
     fm1_latency_dist, fm1_stream, fm2_latency_dist, fm2_stream_dist, latency_dist, latency_table,
     mpi_latency, mpi_stream, put_stream, sim_coll_latency, sim_workload_dist, size_bandwidth_table,
     stream_count, stream_dist, udp_churn_dist, workload_dist, BenchReport, Coll, Fabric, Fm1Stage,
-    MpiBinding, PutMode, Shm, Sim, StreamResult, Udp, WorkloadDist,
+    MpiBinding, Shm, Sim, StreamResult, Udp, WorkloadDist,
 };
 use fm_core::obs::SizeHistograms;
 use fm_model::halfpower::{half_power_point, peak, BandwidthPoint};
@@ -78,18 +78,20 @@ fn workload_battery(
     }
 }
 
-/// Payload sizes swept by the eager/rendezvous crossover table, and the
-/// headline tag of the points the CI gate watches.
-const RNDV_SIZES: [(usize, Option<&str>); 4] = [
+/// Payload sizes swept by the one-sided put table, and the headline tag
+/// of the points the CI gate watches.
+const PUT_SIZES: [(usize, Option<&str>); 6] = [
+    (1, None),
+    (1 << 10, None),
     (4 << 10, None),
     (16 << 10, None),
     (64 << 10, Some("64k")),
     (256 << 10, Some("256k")),
 ];
 
-/// Put count per crossover point: a few MB of payload, clamped so the
-/// per-put RTS/CTS round trips still amortize at the small end.
-fn rndv_count(size: usize) -> usize {
+/// Put count per sweep point: a few MB of payload, clamped so the
+/// pipeline still fills at the large end and the small end stays short.
+fn put_count(size: usize) -> usize {
     ((4 << 20) / size.max(1)).clamp(8, 128)
 }
 
@@ -107,31 +109,21 @@ fn mbps(r: &StreamResult) -> f64 {
     r.bandwidth().as_mbps()
 }
 
-/// Sweep forced-eager and forced-rendezvous puts over [`RNDV_SIZES`] on
-/// `fabric` (best of `trials` per point), print the table and where
-/// rendezvous starts to win, and fold the 64 KiB and 256 KiB points of
-/// both curves into the report as `<tag>_put_{eager,rndv}_<size>_mbps`.
+/// Sweep put streams over [`PUT_SIZES`] on `fabric` (best of `trials`
+/// per point), print the table, and fold the 64 KiB and 256 KiB points
+/// into the report as `<tag>_put_<size>_mbps`.
 fn put_battery<F: Fabric>(tag: &str, fabric: &F, trials: usize, report: &mut BenchReport) {
     println!();
-    println!("--- one-sided put: eager vs rendezvous ({tag}) ---");
-    println!("{:>8} {:>12} {:>12}", "size", "eager", "rndv");
-    let mut wins_from = None;
-    for (size, headline) in RNDV_SIZES {
-        let n = rndv_count(size);
-        let run = |mode| mbps(&best_of(trials, || put_stream(fabric, size, n, mode), mbps));
-        let (eager, rndv) = (run(PutMode::Eager), run(PutMode::Rendezvous));
-        println!("{size:>8} {eager:>9.2} MB/s {rndv:>9.2} MB/s");
-        if rndv >= eager {
-            wins_from.get_or_insert(size);
-        }
+    println!("--- one-sided put ({tag}) ---");
+    println!("{:>8} {:>12} {:>14}", "size", "put", "copied/payload");
+    for (size, headline) in PUT_SIZES {
+        let n = put_count(size);
+        let best = best_of(trials, || put_stream(fabric, size, n), mbps);
+        let copied = best.recv_copied as f64 / best.bytes as f64;
+        println!("{size:>8} {:>9.3} MB/s {copied:>14.3}", mbps(&best));
         if let Some(k) = headline {
-            report.push(format!("{tag}_put_eager_{k}_mbps"), eager);
-            report.push(format!("{tag}_put_rndv_{k}_mbps"), rndv);
+            report.push(format!("{tag}_put_{k}_mbps"), mbps(&best));
         }
-    }
-    match wins_from {
-        Some(b) => println!("rendezvous wins from                  {b} B"),
-        None => println!("rendezvous never wins in this sweep"),
     }
 }
 
@@ -149,7 +141,7 @@ struct WallPlan {
 }
 
 /// The probe table every wall-clock transport runs: the FM 2.x stream
-/// sweep, the 16 B ping-pong, and the eager/rendezvous put crossover.
+/// sweep, the 16 B ping-pong, and the one-sided put sweep.
 /// `deep` carries the streaming shapes, `shallow` the round-trip one (the
 /// same fabric twice unless the substrate has a depth to choose).
 fn calibrate_wall<F: Fabric>(plan: &WallPlan, shallow: &F, deep: &F) -> BenchReport {

@@ -720,7 +720,7 @@ fn run_node_shm(opts: &Opts) {
     println!(
         "STATS node={} rounds={} elapsed_ms={:.1} op_us={:.2} \
          frames_sent={} bytes_sent={} frames_recv={} bytes_recv={} \
-         self_frames={} full_rejections={} corrupt={} errors={}",
+         full_rejections={} corrupt={} errors={}",
         opts.node_id,
         opts.rounds,
         elapsed.as_secs_f64() * 1e3,
@@ -729,7 +729,6 @@ fn run_node_shm(opts: &Opts) {
         sh.bytes_sent,
         sh.frames_recv,
         sh.bytes_recv,
-        sh.self_frames,
         sh.full_rejections,
         sh.corrupt_frames,
         errors.len(),

@@ -27,7 +27,7 @@ pub mod workload;
 pub use collectives::{coll_latency_us, sim_coll_latency, Coll};
 pub use fabric::{Fabric, Routed, Shm, Sim, Threads, Udp};
 pub use harness::*;
-pub use onesided::{put_stream, PutMode};
+pub use onesided::put_stream;
 pub use report::*;
 pub use udp::{udp_churn_dist, ChurnDist};
 pub use workload::{sim_workload_dist, traffic_program, workload_dist, WorkloadDist};

@@ -1,16 +1,13 @@
-//! One-sided put bandwidth: eager vs rendezvous, one probe over any
-//! [`Fabric`].
+//! One-sided put bandwidth: one probe over any [`Fabric`].
 //!
 //! The probe streams `count` `size`-byte `FM_put`s from rank 0 into a
 //! registered arena region on rank 1, keeping a small pipeline of
-//! transfers outstanding so the RTS/CTS round trip amortizes, and
-//! measures initiator-observed bandwidth (first put issued → last FIN
-//! received). The protocol is *forced* per run — [`PutMode::Eager`]
-//! staging-copies every payload regardless of size, [`PutMode::Rendezvous`]
-//! takes RTS/CTS/DATA/FIN even for one byte — so the two curves cross
-//! where the staging copy starts to cost more than the extra round
-//! trip. `calibrate` sweeps both curves on every substrate and commits
-//! the `*_put_*` headlines the CI gate watches.
+//! transfers outstanding, and measures initiator-observed bandwidth
+//! (first put issued → last FIN received) together with the bytes the
+//! target engine copied: a put lands through the per-packet sink, so
+//! that count equals the payload at every size. `calibrate` sweeps the
+//! sizes on every substrate and commits the `*_put_*` headlines the CI
+//! gate watches.
 
 use fm_core::{Fm2Engine, NetDevice, Onesided, OnesidedConfig, OsPort, OsStatus, RegionHandle};
 use fm_model::Nanos;
@@ -18,20 +15,9 @@ use fm_model::Nanos;
 use crate::fabric::{Fabric, Program, Step};
 use crate::harness::StreamResult;
 
-/// Outstanding puts kept in flight: enough to hide the RTS/CTS round
-/// trips behind the previous transfers' DATA streams.
+/// Outstanding puts kept in flight: the FIN of one put travels back
+/// behind the bytes of the next.
 const WINDOW: usize = 8;
-
-/// Which protocol the probe forces for every put, regardless of size.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PutMode {
-    /// Force the eager path: payload travels with the header and is
-    /// staged through a receive buffer before landing in the region.
-    Eager,
-    /// Force RTS/CTS rendezvous: DATA segments stream straight into
-    /// the registered destination, one delivery copy total.
-    Rendezvous,
-}
 
 /// Probe geometry: a `WINDOW`-slot rotation of put destinations plus one
 /// sentinel byte the initiator puts last to tell the target the stream is
@@ -48,20 +34,6 @@ fn geometry(size: usize) -> Geometry {
     Geometry {
         arena: slots + 64,
         sentinel_off: slots,
-    }
-}
-
-fn mode_cfg(mode: PutMode, arena: usize) -> OnesidedConfig {
-    OnesidedConfig {
-        arena_bytes: arena,
-        eager_max: match mode {
-            PutMode::Eager => usize::MAX,
-            PutMode::Rendezvous => 0,
-        },
-        // Wide DATA segments: the per-chunk message overhead amortizes
-        // and the comparison isolates the staging copy, which is what
-        // the eager/rendezvous decision is actually about.
-        chunk_bytes: 64 * 1024,
     }
 }
 
@@ -84,14 +56,20 @@ fn pump(port: &OsPort, size: usize, count: usize, issued: &mut usize, done: &mut
     }
 }
 
-/// Stream `count` forced-`mode` puts of `size` bytes rank 0 → rank 1 over
-/// `fabric`; bandwidth is payload bytes over the time (on rank 0's clock)
-/// at which the initiator saw the last FIN, and `recv_copied` the target
-/// engine's copied bytes (the staging-copy evidence).
-pub fn put_stream<F: Fabric>(fabric: &F, size: usize, count: usize, mode: PutMode) -> StreamResult {
+/// Stream `count` puts of `size` bytes rank 0 → rank 1 over `fabric`;
+/// bandwidth is payload bytes over the time (on rank 0's clock) at which
+/// the initiator saw the last FIN, and `recv_copied` the bytes the target
+/// engine copied for them (one delivery copy: the payload).
+pub fn put_stream<F: Fabric>(fabric: &F, size: usize, count: usize) -> StreamResult {
     let geo = geometry(size);
+    let cfg = OnesidedConfig {
+        arena_bytes: geo.arena,
+        // Wide segments: the per-chunk message overhead amortizes and
+        // the probe reads the landing path, not the chunking.
+        chunk_bytes: 64 * 1024,
+    };
     let out = fabric.run(2, |rank, fm| {
-        let os = Onesided::new(&fm, mode_cfg(mode, geo.arena));
+        let os = Onesided::new(&fm, cfg);
         os.register(0, geo.arena).expect("arena");
         match rank {
             0 => initiator(fm, os, size, count, geo),
@@ -102,7 +80,7 @@ pub fn put_stream<F: Fabric>(fabric: &F, size: usize, count: usize, mode: PutMod
         bytes: (size * count) as u64,
         elapsed: Nanos(out[0]),
         unexpected: 0,
-        recv_copied: out[1],
+        recv_copied: out[1] - 1, // less the sentinel byte
     }
 }
 
@@ -170,20 +148,18 @@ mod tests {
     use crate::fabric::{Routed, Shm, Sim, Threads, Udp};
     use fm_model::MachineProfile;
 
-    /// Both forced protocols move every byte over `fabric`.
+    /// The probe moves every byte over `fabric` and the target copies
+    /// each once.
     fn moves_every_byte<F: Fabric>(fabric: &F) {
-        for mode in [PutMode::Eager, PutMode::Rendezvous] {
-            let r = put_stream(fabric, 8 * 1024, 16, mode);
-            assert_eq!(r.bytes, 8 * 1024 * 16);
-            assert!(r.elapsed.as_ns() > 0);
-            assert!(r.bandwidth().as_mbps() > 0.0);
-            // Every payload byte is copied at least once at the target.
-            assert!(r.recv_copied >= r.bytes, "{mode:?}: {}", r.recv_copied);
-        }
+        let r = put_stream(fabric, 8 * 1024, 16);
+        assert_eq!(r.bytes, 8 * 1024 * 16);
+        assert!(r.elapsed.as_ns() > 0);
+        assert!(r.bandwidth().as_mbps() > 0.0);
+        assert_eq!(r.recv_copied, r.bytes);
     }
 
     #[test]
-    fn put_probe_moves_every_byte_in_both_modes_on_every_fabric() {
+    fn put_probe_moves_every_byte_on_every_fabric() {
         moves_every_byte(&Sim::new(MachineProfile::ppro200_fm2()));
         moves_every_byte(&Threads);
         moves_every_byte(&Shm::DEEP);
@@ -192,19 +168,12 @@ mod tests {
     }
 
     #[test]
-    fn sim_rendezvous_beats_eager_at_64k() {
+    fn sim_target_copies_exactly_the_payload() {
         let sim = Sim::new(MachineProfile::ppro200_fm2());
-        let eager = put_stream(&sim, 64 * 1024, 16, PutMode::Eager);
-        let rndv = put_stream(&sim, 64 * 1024, 16, PutMode::Rendezvous);
-        // The staging copy dominates at 64 KiB: rendezvous must win.
-        assert!(
-            rndv.bandwidth().as_mbps() > eager.bandwidth().as_mbps(),
-            "rndv {:.2} <= eager {:.2} MB/s",
-            rndv.bandwidth().as_mbps(),
-            eager.bandwidth().as_mbps()
-        );
-        // And the receiver copies strictly less: one delivery copy per
-        // message instead of staging + delivery.
-        assert!(rndv.recv_copied < eager.recv_copied);
+        for (size, count) in [(1 << 10, 128), (64 << 10, 64), (256 << 10, 16)] {
+            let r = put_stream(&sim, size, count);
+            // One delivery copy per byte — no staging at any size.
+            assert_eq!(r.recv_copied, r.bytes, "{size} B puts");
+        }
     }
 }

@@ -419,11 +419,12 @@ fn steady_state_shm_stream_allocates_nothing() {
 
 #[test]
 fn steady_state_large_put_allocates_nothing_sim() {
-    // 64 KiB zero-copy puts (rendezvous: RTS/CTS handshake plus chunked
-    // DATA straight into the registered region). 16 warm-up transfers
-    // fill the op tables, job queues, and engine pools; the next 32
-    // must take nothing from the allocator — and the receiver's only
-    // copy must be the placement itself (no staging).
+    // 64 KiB zero-copy puts (chunk messages landing packet by packet
+    // straight in the registered region; the landing tables are sized
+    // at construction). 16 warm-up transfers fill the op tables, job
+    // queues, and engine pools; the next 32 must take nothing from the
+    // allocator — and the receiver's only copy must be the placement
+    // itself (no staging).
     let (delta, copied, payload) = onesided_alloc_delta(&sim(), 64 * 1024, 16, 32);
     assert_eq!(
         delta,
@@ -435,7 +436,7 @@ fn steady_state_large_put_allocates_nothing_sim() {
     assert_eq!(
         copied, payload,
         "receiver copied {copied} bytes for {payload} payload bytes — \
-         a staging copy survived on the rendezvous path"
+         a staging copy survived on the put path"
     );
 }
 
@@ -455,7 +456,7 @@ fn steady_state_large_put_allocates_nothing_shm() {
     assert_eq!(
         copied, payload,
         "shm receiver copied {copied} bytes for {payload} payload bytes — \
-         a staging copy survived on the rendezvous path"
+         a staging copy survived on the put path"
     );
 }
 

@@ -1,12 +1,12 @@
-//! Cross-transport one-sided conformance: the same put/get/rendezvous
-//! script, bit-identical everywhere.
+//! Cross-transport one-sided conformance: the same put/get script,
+//! bit-identical everywhere.
 //!
 //! Every rank runs an identical poll-driven script against the
-//! `fm_core::onesided` port: six content puts whose sizes straddle the
-//! eager/rendezvous crossover (the big rendezvous put is issued *first*
-//! and must still complete *after* the one-byte eager put — out-of-order
-//! completion evidence), three refused puts (out-of-bounds eager,
-//! dangling handle, out-of-bounds rendezvous), two gets that read back
+//! `fm_core::onesided` port: six content puts from one byte to ten chunks
+//! (the ten-chunk put is issued *first*, and completions must come back
+//! in exactly the order the puts were issued), three refused puts
+//! (out-of-bounds in one packet, dangling handle, out-of-bounds over two
+//! chunks), two gets that read back
 //! what the rank just put, and landing verification of everything the
 //! upstream neighbor wrote into this rank's arena. Each rank renders its
 //! observations as a deterministic `Vec<String>`, and the battery
@@ -33,9 +33,9 @@ const ARENA: usize = 256 * 1024;
 const PUT_BASE: usize = 4096;
 const SLOT: usize = 40 * 1024;
 
-/// Content put sizes: straddle `eager_max` (2048) on both sides, hit it
-/// exactly, and include a multi-chunk rendezvous transfer (40000 bytes
-/// over 4096-byte DATA chunks).
+/// Content put sizes: one byte, one packet, around half a chunk, two
+/// whole chunks, and ten chunks ending in a runt (40000 bytes over
+/// 4096-byte segments).
 const SIZES: [usize; 6] = [1, 1024, 2048, 2049, 8192, 40000];
 
 fn slot_off(k: usize) -> usize {
@@ -45,7 +45,6 @@ fn slot_off(k: usize) -> usize {
 fn script_cfg() -> OnesidedConfig {
     OnesidedConfig {
         arena_bytes: ARENA,
-        eager_max: 2048,
         chunk_bytes: 4096,
     }
 }
@@ -76,7 +75,7 @@ fn fnv(bytes: &[u8]) -> u64 {
 }
 
 const PUT_LABELS: [&str; 6] = ["put_k0", "put_k1", "put_k2", "put_k3", "put_k4", "put_k5"];
-const FAIL_LABELS: [&str; 3] = ["fail_oob_eager", "fail_badhandle", "fail_oob_rndv"];
+const FAIL_LABELS: [&str; 3] = ["fail_oob_small", "fail_badhandle", "fail_oob_large"];
 
 /// The per-rank script, written as a poll-driven state machine so it is
 /// a rank program of any fabric. One `step` does
@@ -89,6 +88,7 @@ struct OsScript {
     out: Vec<String>,
     labels: HashMap<OsToken, &'static str>,
     status: HashMap<&'static str, OsStatus>,
+    issue_order: Vec<&'static str>,
     completion_order: Vec<&'static str>,
     puts_issued: bool,
     gets: Option<[(OsToken, RegionHandle); 2]>,
@@ -121,6 +121,7 @@ impl OsScript {
             out,
             labels: HashMap::new(),
             status: HashMap::new(),
+            issue_order: Vec::new(),
             completion_order: Vec::new(),
             puts_issued: false,
             gets: None,
@@ -196,38 +197,32 @@ impl OsScript {
         }
     }
 
+    fn issue_put(&mut self, label: &'static str, h: RegionHandle, off: usize, data: &[u8]) {
+        let t = self.port.put(self.dst(), h, off as u64, data);
+        self.labels.insert(t, label);
+        self.issue_order.push(label);
+    }
+
     fn issue_puts(&mut self) {
-        let dst = self.dst();
-        // The multi-chunk rendezvous put goes first; the one-byte eager
-        // put right behind it must still complete first (its ack beats
-        // ten DATA chunks on any FIFO transport).
+        // The ten-chunk put goes first; nothing issued behind it may
+        // complete before it.
         for k in [5usize, 0, 1, 2, 3, 4] {
             let data = pattern(self.rank, k, SIZES[k]);
-            let t = self
-                .port
-                .put(dst, arena_handle(), slot_off(k) as u64, &data);
-            self.labels.insert(t, PUT_LABELS[k]);
+            self.issue_put(PUT_LABELS[k], arena_handle(), slot_off(k), &data);
         }
-        // Refused ops: past the region end on both protocol paths, and
-        // a slot that was never registered.
-        let t = self
-            .port
-            .put(dst, arena_handle(), (ARENA - 50) as u64, &[0xAA; 100]);
-        self.labels.insert(t, FAIL_LABELS[0]);
+        // Refused ops: past the region end in one packet and over two
+        // chunks, and a slot that was never registered.
+        self.issue_put(FAIL_LABELS[0], arena_handle(), ARENA - 50, &[0xAA; 100]);
         let bad = RegionHandle {
             index: 99,
             epoch: 0,
         };
-        let t = self.port.put(dst, bad, 0, &[0xBB; 16]);
-        self.labels.insert(t, FAIL_LABELS[1]);
-        let t = self
-            .port
-            .put(dst, arena_handle(), (ARENA - 50) as u64, &vec![0xCC; 5000]);
-        self.labels.insert(t, FAIL_LABELS[2]);
+        self.issue_put(FAIL_LABELS[1], bad, 0, &[0xBB; 16]);
+        self.issue_put(FAIL_LABELS[2], arena_handle(), ARENA - 50, &[0xCC; 5000]);
     }
 
     /// Read back, over the wire, what this rank just put into the
-    /// neighbor's arena: one eager-sized get and one multi-chunk get.
+    /// neighbor's arena: one half-chunk get and one multi-chunk get.
     fn issue_gets(&mut self) {
         let dst = self.dst();
         let mut gets = [(OsToken(0), arena_handle()); 2];
@@ -255,7 +250,7 @@ impl OsScript {
     }
 
     /// Detect upstream landings by polling each slot's *last* byte
-    /// (DATA chunks stream in order, so the last byte lands last),
+    /// (a put's chunks stream in order, so the last byte lands last),
     /// then fingerprint the whole slot.
     fn poll_landings(&mut self) {
         let src = self.src();
@@ -285,22 +280,18 @@ impl OsScript {
         (0..N).filter(|&p| p != self.rank).all(|p| flags[p] == 0xFF)
     }
 
-    /// Assemble the deterministic output in fixed label order (arrival
-    /// order of completions differs across transports; the one ordering
-    /// fact that *is* transport-invariant is recorded as a line).
+    /// Assemble the deterministic output in fixed label order; the
+    /// ordering fact every transport must agree on — completions toward
+    /// one target arrive in issue order — is recorded as a line.
     fn finish(&mut self) {
         for label in PUT_LABELS.iter().chain(FAIL_LABELS.iter()) {
             let s = self.status.get(label).expect("all puts completed");
             self.out.push(format!("{label}:{s:?}"));
         }
-        let pos = |l: &str| {
-            self.completion_order
-                .iter()
-                .position(|&x| x == l)
-                .expect("completed")
-        };
-        self.out
-            .push(format!("eager_first:{}", pos("put_k0") < pos("put_k5")));
+        self.out.push(format!(
+            "fifo:{}",
+            self.completion_order == self.issue_order
+        ));
         self.out
             .push(format!("get_k2:{:016x}", self.get_crc[0].unwrap()));
         self.out
@@ -330,10 +321,10 @@ fn expected_outputs(rank: usize) -> Vec<String> {
     for label in PUT_LABELS {
         out.push(format!("{label}:Ok"));
     }
-    out.push("fail_oob_eager:OutOfBounds".into());
+    out.push("fail_oob_small:OutOfBounds".into());
     out.push("fail_badhandle:BadHandle".into());
-    out.push("fail_oob_rndv:OutOfBounds".into());
-    out.push("eager_first:true".into());
+    out.push("fail_oob_large:OutOfBounds".into());
+    out.push("fifo:true".into());
     out.push(format!("get_k2:{:016x}", fnv(&pattern(rank, 2, SIZES[2]))));
     out.push(format!("get_k5:{:016x}", fnv(&pattern(rank, 5, SIZES[5]))));
     for (k, &len) in SIZES.iter().enumerate() {

@@ -53,8 +53,6 @@ fn shm_two_process_ping_pong() {
     for l in &lines {
         assert_eq!(stat(l, "corrupt"), 0, "torn frame through the rings: {l}");
         assert_eq!(stat(l, "errors"), 0);
-        // Every frame crossed a real mapped segment, none the self-queue.
-        assert_eq!(stat(l, "self_frames"), 0);
         assert!(stat(l, "frames_sent") >= 2000, "ping or pong per round");
     }
 }

@@ -92,11 +92,13 @@ pub struct PoolStats {
 
 impl BufPool {
     /// A pool of `frame_capacity`-byte frames keeping at most `max_free`
-    /// recycled frames around.
+    /// recycled frames around. The free list is sized for all of them
+    /// here: a burst that returns more frames at once than any before it
+    /// recycles them without touching the allocator.
     pub fn new(frame_capacity: usize, max_free: usize) -> Self {
         BufPool {
             shared: Arc::new(PoolShared {
-                free: Mutex::new(Vec::new()),
+                free: Mutex::new(Vec::with_capacity(max_free)),
                 frame_capacity,
                 max_free,
                 hits: AtomicU64::new(0),

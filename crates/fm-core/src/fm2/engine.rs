@@ -25,7 +25,7 @@ use crate::packet::HandlerId;
 use crate::reliable::Reliability;
 use crate::stats::FmStats;
 
-use super::exec::{Fm2FastHandlerFn, Fm2HandlerFn, SinkHandlerFn, Task};
+use super::exec::{Fm2HandlerFn, SyncHandler, Task};
 use super::send::DeferredSend;
 use super::stream::FmStream;
 
@@ -33,15 +33,12 @@ use super::stream::FmStream;
 pub(super) struct Inner<D: NetDevice> {
     pub(super) core: EngineCore<D>,
     pub(super) handlers: HandlerTable<Fm2HandlerFn>,
-    /// Synchronous fast-path handlers. Ids without one fall through to
-    /// the async handler table.
-    pub(super) fast_handlers: HandlerTable<Fm2FastHandlerFn>,
-    /// Synchronous per-packet sink handlers. A registered sink takes
-    /// precedence over both other tables for its id and consumes every
-    /// packet of every message — the one-sided rendezvous datapath,
-    /// where multi-packet payloads must land without staging buffers or
-    /// task allocation.
-    pub(super) sink_handlers: HandlerTable<SinkHandlerFn>,
+    /// Synchronous handlers, consulted before the async table: a
+    /// per-packet sink takes every packet addressed to its id (the
+    /// one-sided datapath, where payloads land without staging buffers or
+    /// task allocation), a whole-message handler the messages one call
+    /// can deliver; what it does not take falls through to `handlers`.
+    pub(super) sync_handlers: HandlerTable<SyncHandler>,
     /// In-flight incoming messages by source, found by `msg_seq` with a
     /// linear scan: a source has one message open in the common case,
     /// and interleaved messages stay few.
@@ -187,8 +184,7 @@ impl<D: NetDevice> Fm2Engine<D> {
             inner: Rc::new(RefCell::new(Inner {
                 core: EngineCore::new(device, profile, reliability, costs),
                 handlers: HandlerTable::new(),
-                fast_handlers: HandlerTable::new(),
-                sink_handlers: HandlerTable::new(),
+                sync_handlers: HandlerTable::new(),
                 tasks,
                 idle_streams: Vec::new(),
                 deferred: VecDeque::new(),

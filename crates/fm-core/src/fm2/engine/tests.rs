@@ -541,3 +541,111 @@ fn a_stream_handle_the_handler_kept_is_never_rearmed() {
         "each handle still views its own message"
     );
 }
+
+/// A whole-message handler logging (src, payload) per call.
+fn whole_handler(e: &Fm2Engine<LoopbackDevice>, id: HandlerId) -> MsgLog {
+    let log: MsgLog = Rc::default();
+    let l = Rc::clone(&log);
+    e.set_fast_handler(id, move |src, payload| {
+        l.borrow_mut().push((src, payload.to_vec()))
+    });
+    log
+}
+
+/// One per-packet call as its sink saw it: (src, first, last, msg_len,
+/// payload bytes).
+type PacketLog = Rc<RefCell<Vec<(usize, bool, bool, u32, usize)>>>;
+
+fn packet_handler(e: &Fm2Engine<LoopbackDevice>, id: HandlerId) -> PacketLog {
+    let log: PacketLog = Rc::default();
+    let l = Rc::clone(&log);
+    e.set_sink_handler(id, move |src, meta, payload| {
+        l.borrow_mut()
+            .push((src, meta.first, meta.last, meta.msg_len, payload.len()));
+    });
+    log
+}
+
+#[test]
+fn whole_message_handler_takes_single_packet_messages_and_self_sends() {
+    let (s, r, pump) = pair();
+    let seen = whole_handler(&r, H);
+    s.try_send_message(1, H, &[&[1u8, 2, 3][..]]).unwrap();
+    pump.deliver();
+    r.extract_all();
+    // A self-send arrives whole too, and through the same table.
+    r.try_send_message(1, H, &[&[4u8][..], &[5u8][..]]).unwrap();
+    r.extract_all();
+    assert_eq!(*seen.borrow(), vec![(0, vec![1, 2, 3]), (1, vec![4, 5])]);
+    assert!(r.take_errors().is_empty());
+    assert_eq!(r.pending_handlers(), 0, "no task was spawned");
+    assert_eq!(r.stats().messages_received, 2);
+    assert_eq!(r.stats().bytes_received, 5);
+}
+
+#[test]
+fn multi_packet_message_falls_through_a_whole_message_handler() {
+    let (s, r, pump) = pair();
+    let fast = whole_handler(&r, H);
+    let slow = recording_handler(&r, H, 512);
+    let big: Vec<u8> = (0..2500).map(|i| i as u8).collect(); // three packets
+    s.try_send_message(1, H, &[&big]).unwrap();
+    s.try_send_message(1, H, &[&[7u8][..]]).unwrap();
+    pump.deliver();
+    r.extract_all();
+    assert_eq!(*slow.borrow(), vec![(0, big)]);
+    assert_eq!(*fast.borrow(), vec![(0, vec![7])]);
+    assert!(r.take_errors().is_empty());
+}
+
+#[test]
+fn per_packet_handler_sees_first_and_last() {
+    let (s, r, pump) = pair();
+    let seen = packet_handler(&r, H);
+    // An async handler under a sink's id never runs.
+    let shadowed = recording_handler(&r, H, 512);
+    s.try_send_message(1, H, &[&[0u8; 2500][..]]).unwrap();
+    pump.deliver();
+    r.extract_all();
+    r.try_send_message(1, H, &[&[0u8; 3000][..]]).unwrap();
+    r.extract_all();
+    assert_eq!(
+        *seen.borrow(),
+        vec![
+            (0, true, false, 2500, 1024),
+            (0, false, false, 2500, 1024),
+            (0, false, true, 2500, 452),
+            // Self-sends are never packetized: one call, first and last.
+            (1, true, true, 3000, 3000),
+        ]
+    );
+    assert!(shadowed.borrow().is_empty());
+    assert_eq!(r.stats().messages_received, 2);
+    assert_eq!(r.pending_handlers(), 0);
+}
+
+#[test]
+fn a_second_synchronous_registration_replaces_the_first() {
+    let (s, r, pump) = pair();
+    assert!(!r.has_handler(H));
+    let whole = whole_handler(&r, H);
+    assert!(r.has_handler(H));
+    let packets = packet_handler(&r, H);
+    let send_one = |byte: u8| {
+        s.try_send_message(1, H, &[&[byte][..]]).unwrap();
+        pump.deliver();
+        r.extract_all();
+    };
+    send_one(1);
+    assert!(whole.borrow().is_empty());
+    assert_eq!(packets.borrow().len(), 1);
+    let whole = whole_handler(&r, H);
+    send_one(2);
+    assert_eq!(*whole.borrow(), vec![(0, vec![2])]);
+    assert_eq!(packets.borrow().len(), 1);
+    // `has_handler` sees the async table and both synchronous kinds.
+    recording_handler(&r, HandlerId(2), 8);
+    packet_handler(&r, HandlerId(3));
+    assert!(r.has_handler(HandlerId(2)) && r.has_handler(HandlerId(3)));
+    assert!(!r.has_handler(HandlerId(4)));
+}

@@ -10,12 +10,12 @@ use std::task::{Context, Waker};
 
 use crate::buf::PacketBuf;
 use crate::device::NetDevice;
-use crate::engine::{Admit, HandlerTable};
+use crate::engine::Admit;
 use crate::error::FmError;
 use crate::obs::{ObsEvent, SpanKind};
 use crate::packet::{FmPacket, HandlerId, PacketFlags};
 
-use super::engine::{Fm2Engine, Inner};
+use super::engine::Fm2Engine;
 use super::stream::FmStream;
 
 /// A registered FM 2.x handler: called with the message stream and the
@@ -24,9 +24,9 @@ use super::stream::FmStream;
 pub type Fm2HandlerFn = Rc<dyn Fn(FmStream, usize) -> Pin<Box<dyn Future<Output = ()>>>>;
 
 /// A synchronous fast-path handler (see [`Fm2Engine::set_fast_handler`]):
-/// called with the sender and a zero-copy view of a single-packet
-/// message's payload. The view borrows the arrival frame — it is valid
-/// only for the duration of the call.
+/// called with the sender and a zero-copy view of a whole message's
+/// payload. The view borrows the arrival frame — it is valid only for the
+/// duration of the call.
 pub type Fm2FastHandlerFn = Box<dyn FnMut(usize, &[u8])>;
 
 /// Per-packet metadata passed to a sink handler (see
@@ -50,6 +50,20 @@ pub struct SinkMeta {
 /// zero-copy view of the packet's payload inside the arrival frame. The
 /// view is valid only for the duration of the call.
 pub type SinkHandlerFn = Box<dyn FnMut(usize, SinkMeta, &[u8])>;
+
+/// An entry of the synchronous handler table: called from the extract
+/// loop on a zero-copy view of the arrival frame — no stream, no task,
+/// no future, no allocation.
+pub(super) enum SyncHandler {
+    /// Sees a message only when one call delivers all of it (a
+    /// single-packet message or a self-send); a longer one to the same id
+    /// falls through to the async table
+    /// ([`Fm2Engine::set_fast_handler`]).
+    Whole(Fm2FastHandlerFn),
+    /// Sees every packet of every message
+    /// ([`Fm2Engine::set_sink_handler`]).
+    PerPacket(SinkHandlerFn),
+}
 
 /// One in-flight incoming message: its stream state and (while the handler
 /// is still running) its suspended future.
@@ -88,15 +102,17 @@ impl<D: NetDevice> Fm2Engine<D> {
         self.inner.borrow_mut().handlers.set(id, wrapped);
     }
 
-    /// Register a synchronous **fast-path** handler under `id`.
+    /// Register a synchronous **whole-message** handler under `id`
+    /// (replacing any synchronous handler already there).
     ///
-    /// A fast handler fires for *single-packet* messages (FIRST|LAST in
-    /// one frame) directly from the extract loop: no stream state, no
-    /// future allocation, no task bookkeeping — the handler sees a
-    /// zero-copy view of the payload inside the arrival frame. Messages
-    /// larger than one packet to the same id fall back to the async
-    /// handler registered with [`set_handler`](Self::set_handler) (or
-    /// are reported as unknown-handler if there is none).
+    /// It fires for messages that one call can deliver whole —
+    /// *single-packet* messages (FIRST|LAST in one frame) and self-sends
+    /// — directly from the extract loop: no stream state, no future
+    /// allocation, no task bookkeeping — the handler sees a zero-copy
+    /// view of the payload inside the arrival frame. Messages larger than
+    /// one packet to the same id fall back to the async handler
+    /// registered with [`set_handler`](Self::set_handler) (or are
+    /// reported as unknown-handler if there is none).
     ///
     /// The payload view is valid **only for the duration of the call**:
     /// the frame is recycled into the receive pool when the handler
@@ -107,10 +123,12 @@ impl<D: NetDevice> Fm2Engine<D> {
     where
         F: FnMut(usize, &[u8]) + 'static,
     {
-        self.inner.borrow_mut().fast_handlers.set(id, Box::new(f));
+        let entry = SyncHandler::Whole(Box::new(f));
+        self.inner.borrow_mut().sync_handlers.set(id, entry);
     }
 
-    /// Register a synchronous per-packet **sink** handler under `id`.
+    /// Register a synchronous per-packet **sink** handler under `id`
+    /// (replacing any synchronous handler already there).
     ///
     /// A sink fires once per arriving packet of a message — messages of
     /// *any* size, unlike [`set_fast_handler`](Self::set_fast_handler) —
@@ -119,28 +137,28 @@ impl<D: NetDevice> Fm2Engine<D> {
     /// zero-copy view of one packet's payload inside the arrival frame,
     /// plus [`SinkMeta`] (message sequence, declared length, first/last
     /// flags) so the sink can scatter the bytes to their final
-    /// destination itself. This is the one-sided rendezvous receive
-    /// path: DATA segments land straight in a registered region with no
+    /// destination itself. This is the one-sided receive path: put and
+    /// DATA segments land straight in a registered region with no
     /// staging copy.
     ///
-    /// A registered sink takes precedence over fast and async handlers
-    /// for its id. The payload view is valid **only for the duration of
-    /// the call**; sinks may call engine send methods but not `extract`.
+    /// A sink consumes everything addressed to its id; an async handler
+    /// under the same id never runs. The payload view is valid **only
+    /// for the duration of the call**; sinks may call engine send methods
+    /// but not `extract`.
     pub fn set_sink_handler<F>(&self, id: HandlerId, f: F)
     where
         F: FnMut(usize, SinkMeta, &[u8]) + 'static,
     {
-        self.inner.borrow_mut().sink_handlers.set(id, Box::new(f));
+        let entry = SyncHandler::PerPacket(Box::new(f));
+        self.inner.borrow_mut().sync_handlers.set(id, entry);
     }
 
-    /// Whether anything — async, fast or sink — is registered under `id`.
-    /// A layer that owns fixed ids checks this before installing itself,
-    /// since registration replaces silently.
+    /// Whether anything — async or synchronous — is registered under
+    /// `id`. A layer that owns fixed ids checks this before installing
+    /// itself, since registration replaces silently.
     pub fn has_handler(&self, id: HandlerId) -> bool {
         let inner = self.inner.borrow();
-        inner.handlers.get(id).is_some()
-            || inner.fast_handlers.get(id).is_some()
-            || inner.sink_handlers.get(id).is_some()
+        inner.handlers.get(id).is_some() || inner.sync_handlers.get(id).is_some()
     }
 
     /// `FM_extract(bytes)`: process up to `budget` payload bytes of
@@ -203,57 +221,51 @@ impl<D: NetDevice> Fm2Engine<D> {
         self.extract(usize::MAX)
     }
 
-    /// Run the synchronous handler registered in `table` under `handler`
-    /// for one packet (or one whole self-send) described by `meta`.
-    /// Returns false when the table has none. The handler is moved out
-    /// of its table and called with the engine unborrowed, so it may
-    /// send (not extract).
-    fn run_sync<T>(
-        &self,
-        table: impl Fn(&mut Inner<D>) -> &mut HandlerTable<T>,
-        src: usize,
-        handler: HandlerId,
-        meta: SinkMeta,
-        call: impl FnOnce(&mut T),
-    ) -> bool {
+    /// Hand one packet (or one whole self-send) described by `meta` to
+    /// the synchronous handler registered under `handler`. Returns false
+    /// when there is none that takes it — no entry, or a whole-message
+    /// one and `payload` is only part of its message. The handler is
+    /// moved out of the table and called with the engine unborrowed, so
+    /// it may send (not extract).
+    fn run_sync(&self, src: usize, handler: HandlerId, meta: SinkMeta, payload: &[u8]) -> bool {
         let mut f = {
             let mut inner = self.inner.borrow_mut();
-            let Some(f) = table(&mut *inner).take(handler) else {
-                return false;
-            };
+            let whole = meta.first && meta.last;
+            match inner.sync_handlers.get(handler) {
+                Some(SyncHandler::PerPacket(_)) => {}
+                Some(SyncHandler::Whole(_)) if whole => {}
+                _ => return false,
+            }
+            let f = inner.sync_handlers.take(handler).expect("matched above");
             inner
                 .core
                 .sync_enter(src, handler, meta.msg_seq, meta.msg_len, meta.first);
             f
         };
-        call(&mut f);
+        match &mut f {
+            SyncHandler::Whole(f) => f(src, payload),
+            SyncHandler::PerPacket(f) => f(src, meta, payload),
+        }
         let mut inner = self.inner.borrow_mut();
         inner
             .core
             .sync_exit(src, handler, meta.msg_seq, meta.msg_len, meta.last);
-        table(&mut *inner).restore(handler, f);
+        inner.sync_handlers.restore(handler, f);
         true
     }
 
     fn deliver_local(&self, handler: HandlerId, payload: PacketBuf) {
         let me = self.node_id();
         let len = payload.len() as u32;
-        // Sink handlers consume self-sends synchronously too: the whole
-        // message arrives in one call (self-sends are never packetized),
-        // so `first` and `last` are both set and `msg_seq` is 0.
+        // A self-send is never packetized: the whole message arrives in
+        // one call, so `first` and `last` are both set and `msg_seq` is 0.
         let meta = SinkMeta {
             msg_seq: 0,
             msg_len: len,
             first: true,
             last: true,
         };
-        if self.run_sync(
-            |i| &mut i.sink_handlers,
-            me,
-            handler,
-            meta,
-            |f| f(me, meta, &payload),
-        ) {
+        if self.run_sync(me, handler, meta, &payload) {
             return;
         }
         let msg_seq = {
@@ -288,36 +300,13 @@ impl<D: NetDevice> Fm2Engine<D> {
             last,
         };
 
-        // Sink path: a registered per-packet sink consumes every packet
-        // of the message synchronously — no stream, no task, no future,
-        // no allocation — so multi-packet payloads (the one-sided
-        // rendezvous DATA path) land without staging. The payload view
-        // borrows the arrival frame and is valid only for the call.
-        if self.run_sync(
-            |i| &mut i.sink_handlers,
-            src,
-            handler,
-            meta,
-            |f| f(src, meta, &pkt.payload),
-        ) {
+        // Synchronous path: a per-packet sink consumes every packet of
+        // its messages right here, a whole-message handler every complete
+        // single-packet one — no stream, no task, no future, no
+        // allocation. The handler reads the payload in place (a view of
+        // the arrival frame, valid only for the call).
+        if self.run_sync(src, handler, meta, &pkt.payload) {
             return pkt.payload.len();
-        }
-
-        // Fast path: a complete single-packet message whose handler is
-        // registered synchronously dispatches right here — no stream, no
-        // task, no future, no allocation. The handler reads the payload
-        // in place (a view of the arrival frame).
-        if first
-            && last
-            && self.run_sync(
-                |i| &mut i.fast_handlers,
-                src,
-                handler,
-                meta,
-                |f| f(src, &pkt.payload),
-            )
-        {
-            return meta.msg_len as usize;
         }
 
         // Resolve the task once: the packet joins its stream and resumes

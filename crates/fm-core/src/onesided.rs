@@ -1,10 +1,11 @@
-//! One-sided `FM_put` / `FM_get` with an eager/rendezvous switch
-//! (ROADMAP item 3).
+//! One-sided `FM_put` / `FM_get` over registered regions (ROADMAP
+//! item 3; DESIGN.md §16).
 //!
-//! The FM 2.x stream API still stages every large payload through the
-//! eager path: the sender copies into pool frames, the receiver's
-//! handler copies into the destination. Following the RDMA-channel
-//! design of MPICH2-over-InfiniBand (see PAPERS.md), this module adds:
+//! The paper's complaint about FM 1.x is that a contiguous-buffer receive
+//! "forces staging buffers and delivery copies"; a one-sided op names its
+//! destination up front, so every byte can land where it belongs as its
+//! packet arrives. Following the RDMA-write channel of
+//! MPICH2-over-InfiniBand (see PAPERS.md), this module has:
 //!
 //! * a **registered receive-buffer table** — [`OsPort::register`] /
 //!   [`OsPort::deregister`] hand out epoch-stamped [`RegionHandle`]s
@@ -13,23 +14,25 @@
 //! * **one-sided primitives** — [`OsPort::put`] / [`OsPort::put_from`]
 //!   / [`OsPort::get`] address a *remote* region by handle + offset and
 //!   complete with an [`OsCompletion`] token;
-//! * a **rendezvous protocol** for large transfers — RTS carries the
-//!   region handle + offset + length, CTS grants a transfer credit,
-//!   DATA segments then stream through a per-packet *sink* handler
-//!   straight into the registered destination (no staging copy), and
-//!   FIN completes the initiator with a local notification;
-//! * an **eager path** for small transfers (header + payload in one FM
-//!   message, staged and copied at the receiver) and a size threshold
-//!   ([`OnesidedConfig::eager_max`]) switching between the two — the
-//!   crossover is measured, not assumed, by `calibrate`'s rendezvous
-//!   sweep.
+//! * **four wire ops**. PUT carries the region handle + offset + length
+//!   and the bytes themselves: the target registered the region
+//!   beforehand, so there is nothing to ask. GET names a remote window
+//!   and a transfer credit the reply streams into as DATA; DATA is also
+//!   what a layered library streams into a credit it was granted out of
+//!   band ([`OsPort::grant_from`] / [`OsPort::send_granted`] — MPI-FM's
+//!   rendezvous, where the buffer is *not* known in advance). FIN
+//!   reports a put's (or a refused get's) outcome to its initiator;
+//! * **one landing path**: PUT and DATA both arrive through a per-packet
+//!   *sink* handler that writes each packet's bytes straight into the
+//!   registered destination — one delivery copy, no staging, at every
+//!   size.
 //!
 //! The protocol core ([`OsCore`] behind [`OsPort`]) is sans-IO: it
 //! consumes packets and emits control frames / send jobs without
 //! touching an engine; [`Onesided`] drives it over [`Fm2Engine`]: each
-//! DATA chunk is one gather message (op header ⧺ a slice of the source)
-//! that [`Fm2Engine::try_send_rest`] resumes until it is out, so the
-//! driver's only position is the number of whole chunks sent.
+//! chunk of a job is one gather message (op header ⧺ a slice of the
+//! source) that [`Fm2Engine::try_send_rest`] resumes until it is out, so
+//! the driver's only position is the number of whole chunks sent.
 
 use std::cell::RefCell;
 use std::collections::{HashMap, HashSet, VecDeque};
@@ -39,19 +42,18 @@ use crate::device::NetDevice;
 use crate::fm2::{Fm2Engine, SendStream, SinkMeta};
 use crate::packet::HandlerId;
 
-/// Handler id carrying one-sided control traffic (RTS/CTS/FIN/GET) and
-/// rendezvous DATA segments. Installed as a per-packet sink.
+/// Handler id carrying one-sided control traffic (GET/FIN) and granted
+/// DATA segments. Installed as a per-packet sink.
 pub const ONESIDED_HANDLER: HandlerId = HandlerId(140);
-/// Handler id carrying eager puts (header + payload in one message).
+/// Handler id carrying puts (header + payload, one message per chunk).
+/// Installed as a per-packet sink into the same landing path.
 pub const OS_EAGER_HANDLER: HandlerId = HandlerId(141);
 
 /// Bytes of the on-wire op header. Smaller than every profile's MTU, so
 /// the header always lands whole in the first packet of its message.
 pub const OP_HDR_BYTES: usize = 40;
 
-const OP_PUT_EAGER: u32 = 1;
-const OP_RTS: u32 = 2;
-const OP_CTS: u32 = 3;
+const OP_PUT: u32 = 1;
 const OP_DATA: u32 = 4;
 const OP_FIN: u32 = 5;
 const OP_GET: u32 = 6;
@@ -61,11 +63,7 @@ const OP_GET: u32 = 6;
 pub struct OnesidedConfig {
     /// Bytes of node-local arena backing [`OsPort::register`] windows.
     pub arena_bytes: usize,
-    /// Largest put sent eagerly; anything bigger goes through RTS/CTS
-    /// rendezvous. The `calibrate` crossover sweep measures where this
-    /// should sit per transport.
-    pub eager_max: usize,
-    /// Chunk size for rendezvous DATA segments (each chunk is one FM
+    /// Payload bytes per PUT / DATA segment (each chunk is one FM
     /// message).
     pub chunk_bytes: usize,
 }
@@ -74,7 +72,6 @@ impl Default for OnesidedConfig {
     fn default() -> Self {
         OnesidedConfig {
             arena_bytes: 1 << 20,
-            eager_max: 16 * 1024,
             chunk_bytes: 16 * 1024,
         }
     }
@@ -403,43 +400,42 @@ enum JobSrc {
     Region { index: u32, offset: usize },
 }
 
-enum JobKind {
-    /// One eager message: op header + whole payload.
-    Eager { hdr: OpHeader },
-    /// Rendezvous DATA: chunk-sized messages tagged with the transfer
-    /// credit granted by the receiver's CTS.
-    Data { xfer: u32 },
-}
-
+/// A payload to stream: chunk-sized FM messages to `handler`, every one
+/// under `hdr` — a put's own header (token, handle, offset, length) or
+/// DATA tagged with the transfer credit its receiver granted.
 struct SendJob {
     dst: usize,
-    kind: JobKind,
+    handler: HandlerId,
+    hdr: [u8; OP_HDR_BYTES],
     src: JobSrc,
     len: usize,
     cursor: usize,
 }
 
-enum OpKind {
-    /// Eager put in flight; completed by the target's FIN.
-    EagerPut,
-    /// RTS sent, waiting for CTS; the payload source is parked here.
-    RndvWait { src: JobSrc, len: usize },
-    /// CTS received, DATA streaming; completed by the target's FIN.
-    RndvData,
-    /// Get in flight; completed locally when the reply grant fills.
-    Get { grant_key: (usize, u32) },
-}
-
+/// An outstanding initiator-side op. A put is completed by its target's
+/// FIN; a get locally, when the credit `reply` names has filled.
 struct OpState {
     dst: usize,
-    kind: OpKind,
+    reply: Option<GrantKey>,
 }
+
+/// Which id space a landing entry's id is from.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+enum Lane {
+    /// The token the sending peer issued its put under.
+    Put,
+    /// A transfer credit this node granted the sending peer.
+    Xfer,
+}
+
+/// What names a landing entry: (sending peer, id space, id).
+type GrantKey = (usize, Lane, u32);
 
 /// Where a filled grant reports to.
 #[derive(Clone, Copy)]
 enum GrantOrigin {
-    /// Rendezvous put target: send FIN(token) back to the initiator.
-    PutFin { token: u32 },
+    /// Put target: send FIN(token, status) back to the initiator.
+    PutFin { token: u32, status: OsStatus },
     /// Get initiator: complete the local op.
     GetLocal { token: u32 },
     /// Externally granted ([`OsPort::grant_from`]): surface through
@@ -447,9 +443,12 @@ enum GrantOrigin {
     External,
 }
 
+/// Bytes expected into a region window: the pinned region's slot and
+/// the offset in it where they go, or `None` for a put the target
+/// refused — its bytes are counted and dropped, so a refused put touches
+/// nothing and still ends in one FIN.
 struct Grant {
-    slot: u32,
-    offset: usize,
+    window: Option<(u32, usize)>,
     len: usize,
     cursor: usize,
     origin: GrantOrigin,
@@ -462,10 +461,10 @@ struct OsCore {
     regions: RegionTable,
     /// Outstanding initiator-side ops, keyed by token.
     ops: HashMap<u32, OpState>,
-    /// Inbound transfer credits, keyed by (sending peer, xfer id).
-    grants: HashMap<(usize, u32), Grant>,
-    /// In-progress multi-packet DATA messages: (src, msg_seq) → grant.
-    rx: HashMap<(usize, u32), (usize, u32)>,
+    /// Open landing entries: puts part-way in and transfer credits.
+    grants: HashMap<GrantKey, Grant>,
+    /// In-progress multi-packet messages: (src, msg_seq) → their entry.
+    rx: HashMap<(usize, u32), GrantKey>,
     /// Control frames awaiting a credit slot on the wire.
     outbox: VecDeque<(usize, OpHeader)>,
     /// Payload jobs awaiting streaming by the driver.
@@ -517,7 +516,7 @@ impl OsCore {
         loop {
             let x = self.next_xfer[peer];
             self.next_xfer[peer] = self.next_xfer[peer].wrapping_add(1);
-            if !self.grants.contains_key(&(peer, x)) {
+            if !self.grants.contains_key(&(peer, Lane::Xfer, x)) {
                 return x;
             }
         }
@@ -530,10 +529,63 @@ impl OsCore {
         });
     }
 
+    /// Queue FIN(token, status) toward `dst`.
+    fn fin(&mut self, dst: usize, token: u32, status: OsStatus) {
+        self.outbox.push_back((
+            dst,
+            OpHeader {
+                a: token,
+                b: status.to_wire(),
+                ..OpHeader::zero(OP_FIN)
+            },
+        ));
+    }
+
     fn finish_job_src(&mut self, src: &JobSrc) {
         if let JobSrc::Region { index, .. } = src {
             self.regions.unpin(*index);
         }
+    }
+
+    /// Pin `h` and open a transfer credit for `len` bytes from `peer`
+    /// into it at `offset`; returns the credit's xfer id.
+    fn open_xfer(
+        &mut self,
+        peer: usize,
+        h: RegionHandle,
+        offset: usize,
+        len: usize,
+        origin: GrantOrigin,
+    ) -> Result<u32, OsError> {
+        self.regions.check_local(h, offset, len)?;
+        self.regions.pin(h.index);
+        let xfer = self.alloc_xfer(peer);
+        self.grants.insert(
+            (peer, Lane::Xfer, xfer),
+            Grant {
+                window: Some((h.index, offset)),
+                len,
+                cursor: 0,
+                origin,
+            },
+        );
+        Ok(xfer)
+    }
+
+    /// Queue `len` bytes of `src` as DATA into `dst`'s credit `xfer`.
+    fn send_data(&mut self, dst: usize, xfer: u32, src: JobSrc, len: usize) {
+        self.jobs.push_back(SendJob {
+            dst,
+            handler: ONESIDED_HANDLER,
+            hdr: OpHeader {
+                a: xfer,
+                ..OpHeader::zero(OP_DATA)
+            }
+            .encode(),
+            src,
+            len,
+            cursor: 0,
+        });
     }
 
     // -- initiator-side API ------------------------------------------
@@ -552,49 +604,25 @@ impl OsCore {
             self.complete(token, OsStatus::Ok);
             return OsToken(token);
         }
-        let hdr = OpHeader {
-            a: token,
-            b: h.index,
-            c: h.epoch,
-            d: offset,
-            e: len as u64,
-            ..OpHeader::zero(0)
-        };
-        if len <= self.cfg.eager_max {
-            self.ops.insert(
-                token,
-                OpState {
-                    dst,
-                    kind: OpKind::EagerPut,
-                },
-            );
-            self.jobs.push_back(SendJob {
-                dst,
-                kind: JobKind::Eager {
-                    hdr: OpHeader {
-                        op: OP_PUT_EAGER,
-                        ..hdr
-                    },
-                },
-                src,
-                len,
-                cursor: 0,
-            });
-        } else {
-            self.ops.insert(
-                token,
-                OpState {
-                    dst,
-                    kind: OpKind::RndvWait { src, len },
-                },
-            );
-            self.outbox.push_back((dst, OpHeader { op: OP_RTS, ..hdr }));
-        }
+        self.ops.insert(token, OpState { dst, reply: None });
+        self.jobs.push_back(SendJob {
+            dst,
+            handler: OS_EAGER_HANDLER,
+            hdr: OpHeader {
+                op: OP_PUT,
+                a: token,
+                b: h.index,
+                c: h.epoch,
+                d: offset,
+                e: len as u64,
+                f: 0,
+            }
+            .encode(),
+            src,
+            len,
+            cursor: 0,
+        });
         OsToken(token)
-    }
-
-    fn put(&mut self, dst: usize, h: RegionHandle, offset: u64, data: &[u8]) -> OsToken {
-        self.put_bytes(dst, h, offset, JobSrc::Owned(data.to_vec()), data.len())
     }
 
     fn put_from(
@@ -636,28 +664,10 @@ impl OsCore {
             self.complete(token, OsStatus::Ok);
             return Ok(OsToken(token));
         }
-        self.regions.check_local(local_h, local_off, len)?;
-        self.regions.pin(local_h.index);
-        let xfer = self.alloc_xfer(dst);
-        self.grants.insert(
-            (dst, xfer),
-            Grant {
-                slot: local_h.index,
-                offset: local_off,
-                len,
-                cursor: 0,
-                origin: GrantOrigin::GetLocal { token },
-            },
-        );
-        self.ops.insert(
-            token,
-            OpState {
-                dst,
-                kind: OpKind::Get {
-                    grant_key: (dst, xfer),
-                },
-            },
-        );
+        let origin = GrantOrigin::GetLocal { token };
+        let xfer = self.open_xfer(dst, local_h, local_off, len, origin)?;
+        let reply = Some((dst, Lane::Xfer, xfer));
+        self.ops.insert(token, OpState { dst, reply });
         self.outbox.push_back((
             dst,
             OpHeader {
@@ -673,66 +683,10 @@ impl OsCore {
         Ok(OsToken(token))
     }
 
-    fn grant_from(
-        &mut self,
-        src_peer: usize,
-        h: RegionHandle,
-        offset: usize,
-        len: usize,
-    ) -> Result<u32, OsError> {
-        self.regions.check_local(h, offset, len)?;
-        self.regions.pin(h.index);
-        let xfer = self.alloc_xfer(src_peer);
-        self.grants.insert(
-            (src_peer, xfer),
-            Grant {
-                slot: h.index,
-                offset,
-                len,
-                cursor: 0,
-                origin: GrantOrigin::External,
-            },
-        );
-        Ok(xfer)
-    }
-
-    fn send_granted(&mut self, dst: usize, xfer: u32, data: Vec<u8>) {
-        if data.is_empty() {
-            return;
-        }
-        let len = data.len();
-        self.jobs.push_back(SendJob {
-            dst,
-            kind: JobKind::Data { xfer },
-            src: JobSrc::Owned(data),
-            len,
-            cursor: 0,
-        });
-    }
-
     // -- packet ingestion (sink handler) -----------------------------
 
     fn on_packet(&mut self, src: usize, meta: SinkMeta, payload: &[u8]) {
-        if meta.first {
-            let Some(hdr) = OpHeader::decode(payload) else {
-                self.protocol_drops += 1;
-                return;
-            };
-            match hdr.op {
-                OP_RTS => self.on_rts(src, hdr),
-                OP_CTS => self.on_cts(src, hdr),
-                OP_FIN => self.on_fin(hdr),
-                OP_GET => self.on_get(src, hdr),
-                OP_DATA => {
-                    let key = (src, hdr.a);
-                    self.write_grant(key, &payload[OP_HDR_BYTES..]);
-                    if !meta.last {
-                        self.rx.insert((src, meta.msg_seq), key);
-                    }
-                }
-                _ => self.protocol_drops += 1,
-            }
-        } else {
+        if !meta.first {
             let rxk = (src, meta.msg_seq);
             let Some(&key) = self.rx.get(&rxk) else {
                 self.protocol_drops += 1;
@@ -742,75 +696,69 @@ impl OsCore {
             if meta.last {
                 self.rx.remove(&rxk);
             }
-        }
-    }
-
-    fn on_rts(&mut self, src: usize, hdr: OpHeader) {
-        let status = self.regions.check(hdr.b, hdr.c, hdr.d, hdr.e);
-        if status != OsStatus::Ok {
-            self.outbox.push_back((
-                src,
-                OpHeader {
-                    op: OP_FIN,
-                    a: hdr.a,
-                    b: status.to_wire(),
-                    ..OpHeader::zero(OP_FIN)
-                },
-            ));
             return;
         }
-        self.regions.pin(hdr.b);
-        let xfer = self.alloc_xfer(src);
-        self.grants.insert(
-            (src, xfer),
-            Grant {
-                slot: hdr.b,
-                offset: hdr.d as usize,
-                len: hdr.e as usize,
-                cursor: 0,
-                origin: GrantOrigin::PutFin { token: hdr.a },
+        let Some(hdr) = OpHeader::decode(payload) else {
+            self.protocol_drops += 1;
+            return;
+        };
+        let body = &payload[OP_HDR_BYTES..];
+        let key = match hdr.op {
+            OP_FIN => return self.on_fin(hdr),
+            OP_GET => return self.on_get(src, hdr),
+            OP_DATA => (src, Lane::Xfer, hdr.a),
+            OP_PUT => match self.on_put(src, hdr, body) {
+                Some(key) => key,
+                None => return,
             },
-        );
-        self.outbox.push_back((
-            src,
-            OpHeader {
-                op: OP_CTS,
-                a: hdr.a,
-                b: xfer,
-                ..OpHeader::zero(OP_CTS)
-            },
-        ));
+            _ => {
+                self.protocol_drops += 1;
+                return;
+            }
+        };
+        self.write_grant(key, body);
+        if !meta.last {
+            self.rx.insert((src, meta.msg_seq), key);
+        }
     }
 
-    fn on_cts(&mut self, src: usize, hdr: OpHeader) {
-        let token = hdr.a;
-        let Some(op) = self.ops.remove(&token) else {
-            return; // stale CTS (op aborted): ignore
-        };
-        match op.kind {
-            OpKind::RndvWait { src: data_src, len } => {
-                self.jobs.push_back(SendJob {
-                    dst: src,
-                    kind: JobKind::Data { xfer: hdr.b },
-                    src: data_src,
-                    len,
-                    cursor: 0,
-                });
-                self.ops.insert(
-                    token,
-                    OpState {
-                        dst: op.dst,
-                        kind: OpKind::RndvData,
-                    },
-                );
+    /// The first packet of one of a put's chunk messages, `body` its
+    /// bytes after the header. Returns the landing entry the message
+    /// feeds — opened here, region checked and pinned, when the chunk is
+    /// the put's first — or `None` when `body` is the whole put: that
+    /// lands (or is refused) and answers FIN without entering the table.
+    fn on_put(&mut self, src: usize, hdr: OpHeader, body: &[u8]) -> Option<GrantKey> {
+        if body.len() as u64 == hdr.e {
+            let status = self.regions.check(hdr.b, hdr.c, hdr.d, hdr.e);
+            if status == OsStatus::Ok {
+                self.regions.write(hdr.b, hdr.d as usize, body);
+                self.pending_copy_bytes += body.len() as u64;
             }
-            kind => {
-                // CTS for an op not in RndvWait: protocol violation;
-                // put the op back untouched.
-                self.protocol_drops += 1;
-                self.ops.insert(token, OpState { dst: op.dst, kind });
-            }
+            self.fin(src, hdr.a, status);
+            return None;
         }
+        let key = (src, Lane::Put, hdr.a);
+        if self.grants.contains_key(&key) {
+            return Some(key);
+        }
+        let status = self.regions.check(hdr.b, hdr.c, hdr.d, hdr.e);
+        let ok = status == OsStatus::Ok;
+        if ok {
+            self.regions.pin(hdr.b);
+        }
+        self.grants.insert(
+            key,
+            Grant {
+                window: ok.then_some((hdr.b, hdr.d as usize)),
+                len: hdr.e as usize,
+                cursor: 0,
+                origin: GrantOrigin::PutFin {
+                    token: hdr.a,
+                    status,
+                },
+            },
+        );
+        Some(key)
     }
 
     fn on_fin(&mut self, hdr: OpHeader) {
@@ -819,18 +767,9 @@ impl OsCore {
         let Some(op) = self.ops.remove(&token) else {
             return; // duplicate / stale FIN
         };
-        match op.kind {
-            OpKind::EagerPut | OpKind::RndvData => {}
-            OpKind::RndvWait { src, .. } => {
-                // Target refused the RTS; release the parked source.
-                self.finish_job_src(&src);
-            }
-            OpKind::Get { grant_key } => {
-                // Gets only receive FINs on error: tear the grant down.
-                if let Some(g) = self.grants.remove(&grant_key) {
-                    self.regions.unpin(g.slot);
-                }
-            }
+        if let Some(credit) = op.reply {
+            // Gets only receive FINs on error: tear the credit down.
+            self.drop_grant(credit);
         }
         self.complete(token, status);
     }
@@ -838,31 +777,25 @@ impl OsCore {
     fn on_get(&mut self, src: usize, hdr: OpHeader) {
         let status = self.regions.check(hdr.b, hdr.c, hdr.d, hdr.e);
         if status != OsStatus::Ok {
-            self.outbox.push_back((
-                src,
-                OpHeader {
-                    op: OP_FIN,
-                    a: hdr.a,
-                    b: status.to_wire(),
-                    ..OpHeader::zero(OP_FIN)
-                },
-            ));
+            self.fin(src, hdr.a, status);
             return;
         }
         self.regions.pin(hdr.b);
-        self.jobs.push_back(SendJob {
-            dst: src,
-            kind: JobKind::Data { xfer: hdr.f as u32 },
-            src: JobSrc::Region {
-                index: hdr.b,
-                offset: hdr.d as usize,
-            },
-            len: hdr.e as usize,
-            cursor: 0,
-        });
+        let from = JobSrc::Region {
+            index: hdr.b,
+            offset: hdr.d as usize,
+        };
+        self.send_data(src, hdr.f as u32, from, hdr.e as usize);
     }
 
-    fn write_grant(&mut self, key: (usize, u32), data: &[u8]) {
+    /// Close a landing entry — filled or abandoned — releasing its pin.
+    fn drop_grant(&mut self, key: GrantKey) {
+        if let Some((slot, _)) = self.grants.remove(&key).and_then(|g| g.window) {
+            self.regions.unpin(slot);
+        }
+    }
+
+    fn write_grant(&mut self, key: GrantKey, data: &[u8]) {
         let Some(g) = self.grants.get_mut(&key) else {
             self.protocol_drops += 1;
             return;
@@ -871,57 +804,27 @@ impl OsCore {
             self.protocol_drops += 1;
             return;
         }
-        let (slot, at) = (g.slot, g.offset + g.cursor);
+        let at = g.window.map(|(slot, offset)| (slot, offset + g.cursor));
         g.cursor += data.len();
         let done = g.cursor == g.len;
         let origin = g.origin;
-        self.regions.write(slot, at, data);
-        self.pending_copy_bytes += data.len() as u64;
+        if let Some((slot, at)) = at {
+            self.regions.write(slot, at, data);
+            self.pending_copy_bytes += data.len() as u64;
+        }
         if done {
-            self.grants.remove(&key);
-            self.regions.unpin(slot);
+            self.drop_grant(key);
             match origin {
-                GrantOrigin::PutFin { token } => self.outbox.push_back((
-                    key.0,
-                    OpHeader {
-                        op: OP_FIN,
-                        a: token,
-                        b: OsStatus::Ok.to_wire(),
-                        ..OpHeader::zero(OP_FIN)
-                    },
-                )),
+                GrantOrigin::PutFin { token, status } => self.fin(key.0, token, status),
                 GrantOrigin::GetLocal { token } => {
                     self.ops.remove(&token);
                     self.complete(token, OsStatus::Ok);
                 }
                 GrantOrigin::External => {
-                    self.completed_grants.insert(key);
+                    self.completed_grants.insert((key.0, key.2));
                 }
             }
         }
-    }
-
-    /// Apply an eager put delivered as one assembled message (fast
-    /// handler or the FM 2.x async fallback).
-    fn apply_eager_put(&mut self, src: usize, hdr: OpHeader, body: &[u8]) {
-        let mut status = self.regions.check(hdr.b, hdr.c, hdr.d, hdr.e);
-        if status == OsStatus::Ok && body.len() as u64 != hdr.e {
-            self.protocol_drops += 1;
-            status = OsStatus::OutOfBounds;
-        }
-        if status == OsStatus::Ok {
-            self.regions.write(hdr.b, hdr.d as usize, body);
-            self.pending_copy_bytes += body.len() as u64;
-        }
-        self.outbox.push_back((
-            src,
-            OpHeader {
-                op: OP_FIN,
-                a: hdr.a,
-                b: status.to_wire(),
-                ..OpHeader::zero(OP_FIN)
-            },
-        ));
     }
 
     // -- peer failure -------------------------------------------------
@@ -938,26 +841,14 @@ impl OsCore {
             .collect();
         for t in tokens {
             let op = self.ops.remove(&t).expect("collected above");
-            match op.kind {
-                OpKind::EagerPut | OpKind::RndvData => {}
-                OpKind::RndvWait { src, .. } => self.finish_job_src(&src),
-                OpKind::Get { grant_key } => {
-                    if let Some(g) = self.grants.remove(&grant_key) {
-                        self.regions.unpin(g.slot);
-                    }
-                }
+            if let Some(credit) = op.reply {
+                self.drop_grant(credit);
             }
             self.complete(t, OsStatus::PeerDown);
         }
-        let gone: Vec<(usize, u32)> = self
-            .grants
-            .keys()
-            .filter(|(p, _)| dead(*p))
-            .copied()
-            .collect();
+        let gone: Vec<GrantKey> = self.grants.keys().filter(|k| dead(k.0)).copied().collect();
         for key in gone {
-            let g = self.grants.remove(&key).expect("collected above");
-            self.regions.unpin(g.slot);
+            self.drop_grant(key);
         }
         self.rx.retain(|(p, _), _| !dead(*p));
         self.outbox.retain(|(d, _)| !dead(*d));
@@ -970,10 +861,6 @@ impl OsCore {
             }
         }
         self.jobs = keep;
-    }
-
-    fn take_pending_copy(&mut self) -> u64 {
-        std::mem::take(&mut self.pending_copy_bytes)
     }
 }
 
@@ -1055,10 +942,13 @@ impl OsPort {
 
     /// `FM_put`: copy `data` into the remote region `h` at `offset`.
     /// The payload is captured immediately (the caller's buffer is free
-    /// on return); completion arrives as an [`OsCompletion`]. Small
-    /// puts go eagerly, large ones via rendezvous.
+    /// on return); completion arrives as an [`OsCompletion`], and
+    /// completions of puts toward one target arrive in issue order.
     pub fn put(&self, dst: usize, h: RegionHandle, offset: u64, data: &[u8]) -> OsToken {
-        self.core.borrow_mut().put(dst, h, offset, data)
+        let src = JobSrc::Owned(data.to_vec());
+        self.core
+            .borrow_mut()
+            .put_bytes(dst, h, offset, src, data.len())
     }
 
     /// Zero-copy `FM_put`: source the payload from a *local* registered
@@ -1080,9 +970,9 @@ impl OsPort {
     }
 
     /// `FM_get`: fetch `len` bytes of remote region `remote_h` at
-    /// `remote_off` into the local region `local_h` at `local_off`.
-    /// Always rendezvous-shaped (the reply streams into the local
-    /// region through the sink with no staging copy).
+    /// `remote_off` into the local region `local_h` at `local_off` (the
+    /// reply streams into the local region through the sink with no
+    /// staging copy).
     pub fn get(
         &self,
         dst: usize,
@@ -1108,13 +998,20 @@ impl OsPort {
         offset: usize,
         len: usize,
     ) -> Result<u32, OsError> {
-        self.core.borrow_mut().grant_from(src_peer, h, offset, len)
+        self.core
+            .borrow_mut()
+            .open_xfer(src_peer, h, offset, len, GrantOrigin::External)
     }
 
     /// Stream `data` into a transfer credit previously granted by `dst`
     /// (the counterpart of [`grant_from`](Self::grant_from)).
     pub fn send_granted(&self, dst: usize, xfer: u32, data: Vec<u8>) {
-        self.core.borrow_mut().send_granted(dst, xfer, data)
+        if !data.is_empty() {
+            let len = data.len();
+            self.core
+                .borrow_mut()
+                .send_data(dst, xfer, JobSrc::Owned(data), len);
+        }
     }
 
     /// True once the grant `xfer` from `peer` has been filled; consumes
@@ -1147,45 +1044,18 @@ impl OsPort {
 // ----------------------------------------------------------------------
 
 /// The job being streamed: one FM message per chunk, every chunk under
-/// the same op header. An open message is resumed with
+/// the job's op header. An open message is resumed with
 /// [`Fm2Engine::try_send_rest`]; `job.cursor` counts only whole chunks.
 struct ActiveSend {
     job: SendJob,
-    hdr: [u8; OP_HDR_BYTES],
-    handler: HandlerId,
-    /// Bytes of payload per message (the last one may carry fewer).
-    chunk_max: usize,
     open: Option<SendStream>,
 }
 
-impl ActiveSend {
-    fn new(job: SendJob, chunk_bytes: usize) -> Self {
-        let (hdr, handler, chunk_max) = match &job.kind {
-            JobKind::Eager { hdr } => (*hdr, OS_EAGER_HANDLER, job.len),
-            JobKind::Data { xfer } => (
-                OpHeader {
-                    a: *xfer,
-                    ..OpHeader::zero(OP_DATA)
-                },
-                ONESIDED_HANDLER,
-                chunk_bytes.max(1),
-            ),
-        };
-        ActiveSend {
-            job,
-            hdr: hdr.encode(),
-            handler,
-            chunk_max,
-            open: None,
-        }
-    }
-}
-
-/// One-sided port over an [`Fm2Engine`]: DATA chunks are gather-sent
-/// straight out of the source region (no send staging copy) and land in
-/// the destination region through a per-packet sink handler (no receive
-/// staging copy) — one delivery copy end to end, zero allocations per
-/// message in steady state.
+/// One-sided port over an [`Fm2Engine`]: put and DATA chunks are
+/// gather-sent straight out of the source region (no send staging copy)
+/// and land in the destination region through a per-packet sink handler
+/// (no receive staging copy) — one delivery copy end to end, zero
+/// allocations per message in steady state.
 pub struct Onesided<D: NetDevice> {
     fm: Fm2Engine<D>,
     port: OsPort,
@@ -1203,8 +1073,8 @@ impl<D: NetDevice> std::ops::Deref for Onesided<D> {
 }
 
 impl<D: NetDevice> Onesided<D> {
-    /// Attach a one-sided port to `fm`, installing its sink (control +
-    /// DATA) and eager handlers.
+    /// Attach a one-sided port to `fm`, installing its two per-packet
+    /// sinks (control + DATA, and puts).
     ///
     /// # Panics
     /// Panics if the engine already carries a one-sided port: a second
@@ -1223,37 +1093,12 @@ impl<D: NetDevice> Onesided<D> {
             );
         }
         let core = Rc::new(RefCell::new(OsCore::new(fm.num_nodes(), cfg)));
-        let c = Rc::clone(&core);
-        fm.set_sink_handler(ONESIDED_HANDLER, move |src, meta, payload| {
-            c.borrow_mut().on_packet(src, meta, payload);
-        });
-        // Single-packet eager puts: zero-copy view, applied in place.
-        let c = Rc::clone(&core);
-        fm.set_fast_handler(OS_EAGER_HANDLER, move |src, payload| {
-            let mut core = c.borrow_mut();
-            match OpHeader::decode(payload) {
-                Some(hdr) if hdr.op == OP_PUT_EAGER => {
-                    core.apply_eager_put(src, hdr, &payload[OP_HDR_BYTES..]);
-                }
-                _ => core.protocol_drops += 1,
-            }
-        });
-        // Multi-packet eager puts: the honest staged path (header read,
-        // payload assembled in a temporary, then copied into place).
-        let c = Rc::clone(&core);
-        fm.set_handler(OS_EAGER_HANDLER, move |stream, src| {
-            let c = Rc::clone(&c);
-            async move {
-                let mut hdr = [0u8; OP_HDR_BYTES];
-                stream.receive(&mut hdr).await;
-                let body = stream.receive_vec(stream.remaining()).await;
-                let mut core = c.borrow_mut();
-                match OpHeader::decode(&hdr) {
-                    Some(h) if h.op == OP_PUT_EAGER => core.apply_eager_put(src, h, &body),
-                    _ => core.protocol_drops += 1,
-                }
-            }
-        });
+        for id in [ONESIDED_HANDLER, OS_EAGER_HANDLER] {
+            let c = Rc::clone(&core);
+            fm.set_sink_handler(id, move |src, meta, payload| {
+                c.borrow_mut().on_packet(src, meta, payload);
+            });
+        }
         Onesided {
             fm: fm.clone(),
             port: OsPort { core },
@@ -1269,13 +1114,13 @@ impl<D: NetDevice> Onesided<D> {
 
     /// Move queued protocol work onto the wire: charge sink copies to
     /// the cost model, abort ops to downed peers, flush control frames
-    /// and stream DATA/eager jobs as credits allow. Returns `true` when
+    /// and stream put/DATA jobs as credits allow. Returns `true` when
     /// nothing remains queued (completions queue for
     /// [`OsPort::poll_completion`]).
     /// Call from the transport's pump loop alongside `extract`.
     pub fn progress(&mut self) -> bool {
         self.fm.progress();
-        let copied = self.port.core.borrow_mut().take_pending_copy();
+        let copied = std::mem::take(&mut self.port.core.borrow_mut().pending_copy_bytes);
         if copied > 0 {
             self.fm.charge_memcpy(copied as usize);
         }
@@ -1309,8 +1154,7 @@ impl<D: NetDevice> Onesided<D> {
                 let Some(job) = self.port.core.borrow_mut().jobs.pop_front() else {
                     break;
                 };
-                let chunk_bytes = self.port.core.borrow().cfg.chunk_bytes;
-                self.active = Some(ActiveSend::new(job, chunk_bytes));
+                self.active = Some(ActiveSend { job, open: None });
             }
             if self.pump_active() {
                 let act = self.active.take().expect("pump_active had an active job");
@@ -1329,17 +1173,18 @@ impl<D: NetDevice> Onesided<D> {
         let act = self.active.as_mut().expect("caller checked");
         let fm = &self.fm;
         let core = self.port.core.borrow();
+        let chunk_max = core.cfg.chunk_bytes.max(1);
         while act.job.cursor < act.job.len {
             let at = act.job.cursor;
-            let clen = act.chunk_max.min(act.job.len - at);
+            let clen = chunk_max.min(act.job.len - at);
             let chunk: &[u8] = match &act.job.src {
                 JobSrc::Owned(v) => &v[at..at + clen],
                 JobSrc::Region { index, offset } => core.regions.slice(*index, offset + at, clen),
             };
             let ss = act.open.get_or_insert_with(|| {
-                fm.begin_message(act.job.dst, OP_HDR_BYTES + clen, act.handler)
+                fm.begin_message(act.job.dst, OP_HDR_BYTES + clen, act.job.handler)
             });
-            if fm.try_send_rest(ss, &[&act.hdr[..], chunk]).is_err() {
+            if fm.try_send_rest(ss, &[&act.job.hdr[..], chunk]).is_err() {
                 return false;
             }
             act.open = None;
@@ -1362,7 +1207,6 @@ mod tests {
     fn cfg() -> OnesidedConfig {
         OnesidedConfig {
             arena_bytes: ARENA,
-            eager_max: 2 * 1024,
             chunk_bytes: 4 * 1024,
         }
     }
@@ -1469,10 +1313,10 @@ mod tests {
     }
 
     #[test]
-    fn rendezvous_put_roundtrip_multi_chunk() {
+    fn multi_chunk_put_roundtrip() {
         let mut p = Pair::new();
         let dst = p.b.register(0, 40 * 1024).unwrap();
-        let data = pattern(20 * 1024 + 13, 3); // > eager_max, > chunk
+        let data = pattern(20 * 1024 + 13, 3); // five whole chunks and a runt
         let tok = p.a.put(1, dst, 512, &data);
         assert_eq!(p.wait_completion('a', tok), OsStatus::Ok);
         let mut out = vec![0u8; data.len()];
@@ -1521,10 +1365,12 @@ mod tests {
         };
         let t1 = p.a.put(1, bogus, 0, &pattern(100, 1));
         assert_eq!(p.wait_completion('a', t1), OsStatus::BadHandle);
-        // Out of bounds (eager and rendezvous shapes).
+        // Out of bounds (one packet, and several chunks to discard).
         let t2 = p.a.put(1, real, 1000, &pattern(100, 2));
         assert_eq!(p.wait_completion('a', t2), OsStatus::OutOfBounds);
         let t3 = p.a.put(1, real, 0, &pattern(8 * 1024, 3));
+        assert_eq!(p.wait_completion('a', t3), OsStatus::OutOfBounds);
+        let t3 = p.a.put(1, real, u64::MAX - 10, &pattern(8 * 1024, 3));
         assert_eq!(p.wait_completion('a', t3), OsStatus::OutOfBounds);
         // Use after deregister.
         p.b.deregister(real).unwrap();
@@ -1545,7 +1391,7 @@ mod tests {
         let data = pattern(12 * 1024, 11);
         p.a.port().write_local(src, 0, &data).unwrap();
         let tok = p.a.put_from(1, dst, 0, src, 0, data.len()).unwrap();
-        // The source is pinned while the rendezvous is outstanding.
+        // The source is pinned until the put has left the node.
         assert_eq!(p.a.deregister(src), Err(OsError::RegionBusy));
         assert_eq!(p.wait_completion('a', tok), OsStatus::Ok);
         p.a.deregister(src).unwrap();
@@ -1553,24 +1399,27 @@ mod tests {
     }
 
     #[test]
-    fn out_of_order_completions() {
+    fn completions_arrive_in_issue_order() {
         let mut p = Pair::new();
         let dst = p.b.register(0, 64 * 1024).unwrap();
-        // Issue a big rendezvous put, then a small eager put. The eager
-        // one overtakes (no RTS/CTS round trip before its data).
+        // A multi-chunk put, a refused one and two single-packet ones:
+        // one FIFO of jobs out, one FIFO of FINs back — no overtaking.
         let big = pattern(24 * 1024, 21);
         let small = pattern(256, 22);
-        let t_big = p.a.put(1, dst, 0, &big);
-        let t_small = p.a.put(1, dst, 32 * 1024, &small);
-        let mut order = Vec::new();
+        let issued = [
+            (p.a.put(1, dst, 0, &big), OsStatus::Ok),
+            (p.a.put(1, dst, 60 * 1024, &big), OsStatus::OutOfBounds),
+            (p.a.put(1, dst, 32 * 1024, &small), OsStatus::Ok),
+            (p.a.put(1, dst, 64 * 1024, &[1]), OsStatus::OutOfBounds),
+        ];
+        let mut seen = Vec::new();
         p.pump_until(|p| {
             while let Some(c) = p.a.port().poll_completion() {
-                assert_eq!(c.status, OsStatus::Ok);
-                order.push(c.token);
+                seen.push((c.token, c.status));
             }
-            order.len() == 2
+            seen.len() == issued.len()
         });
-        assert!(order.contains(&t_big) && order.contains(&t_small));
+        assert_eq!(seen, issued);
         let mut out = vec![0u8; big.len()];
         p.b.port().read_local(dst, 0, &mut out).unwrap();
         assert_eq!(out, big);

@@ -1,8 +1,8 @@
-//! Property battery for the one-sided registration table.
+//! Property battery for the one-sided registration table and put path.
 //!
 //! The region table is the safety core of `fm_core::onesided`: every
 //! remote byte lands through it, so a bounds or aliasing mistake is
-//! silent remote memory corruption. Three seeded batteries pin its
+//! silent remote memory corruption. Five seeded batteries pin its
 //! contract (case count follows `PROPTEST_CASES`, see
 //! `fm_model::rng::env_cases`):
 //!
@@ -14,13 +14,19 @@
 //!    initiator*, and refused puts leave target memory untouched;
 //! 3. a region pinned by an in-flight transfer cannot be deregistered
 //!    (`RegionBusy`), so handles never dangle — and once the transfer
-//!    drains, deregistration succeeds and the stale handle is dead.
+//!    drains, deregistration succeeds and the stale handle is dead;
+//! 4. over mixes of one-byte to multi-chunk puts with refusals
+//!    interleaved, the completions of each (initiator, target) pair
+//!    arrive in the order the puts were issued;
+//! 5. a refused multi-chunk put — whose bytes all still arrive — writes
+//!    nothing, trips no protocol drop, and holds no pin afterwards.
 
-use std::cell::Cell;
+use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
 use fm_core::{
-    Fm2Engine, Onesided, OnesidedConfig, OsError, OsStatus, OsToken, RegionHandle, SimDevice,
+    Fm2Engine, FmPacket, Onesided, OnesidedConfig, OsError, OsPort, OsStatus, OsToken,
+    RegionHandle, SimDevice,
 };
 use fm_model::rng::{env_cases, DetRng};
 use fm_model::{MachineProfile, Nanos};
@@ -28,30 +34,15 @@ use myrinet_sim::{NodeId, Simulation, StepOutcome, Topology};
 
 const SIM_LIMIT: Nanos = Nanos(30_000_000_000);
 
-/// A local engine whose network is never run: registration, local
-/// reads/writes, and deregistration are all node-local operations.
-fn local_setup(arena: usize) -> (Simulation<fm_core::FmPacket>, Onesided<SimDevice>) {
-    let profile = MachineProfile::ppro200_fm2();
-    let sim = Simulation::new(profile, Topology::single_crossbar(2));
-    let fm = Fm2Engine::new(SimDevice::new(sim.host_interface(NodeId(0))), profile);
-    let os = Onesided::new(
-        &fm,
-        OnesidedConfig {
-            arena_bytes: arena,
-            ..OnesidedConfig::default()
-        },
-    );
-    (sim, os)
-}
-
 #[test]
 fn prop_register_interleavings_never_alias() {
     const ARENA: usize = 4096;
     let cases = env_cases(192);
     for case in 0..cases {
         let mut rng = DetRng::seed_from_u64(0x0E51_DE00 ^ case as u64);
-        let (_sim, os) = local_setup(ARENA);
-        let port = os.port();
+        // The network is never run: registration, local reads/writes
+        // and deregistration are all node-local operations.
+        let port = Cluster::new(2, ARENA, 1024).port(0);
         // Model: every live region remembers the distinct fill byte it
         // wrote at registration time. If any two registrations aliased
         // the same arena byte, the later fill would clobber the earlier
@@ -156,146 +147,276 @@ fn prop_register_interleavings_never_alias() {
     }
 }
 
-/// One scripted put the initiator will issue, with its expected fate.
+/// One scripted put, with its expected fate.
 struct PlannedPut {
+    dst: usize,
     h: RegionHandle,
     offset: u64,
     data: Vec<u8>,
     expect: OsStatus,
 }
 
-#[test]
-fn prop_refused_puts_report_errors_and_touch_nothing() {
-    const ARENA: usize = 8192;
-    const LIVE_LEN: usize = 4096;
-    const SLOT: usize = 512;
-    let cases = env_cases(48);
-    for case in 0..cases {
-        let mut rng = DetRng::seed_from_u64(0xBAD_B075 ^ ((case as u64) << 4));
+/// A simulated cluster with a one-sided port on every node.
+struct Cluster {
+    sim: Simulation<FmPacket>,
+    nodes: Vec<(Fm2Engine<SimDevice>, Onesided<SimDevice>)>,
+}
+
+impl Cluster {
+    fn new(n: usize, arena_bytes: usize, chunk_bytes: usize) -> Self {
         let profile = MachineProfile::ppro200_fm2();
-        let mut sim = Simulation::new(profile, Topology::single_crossbar(2));
-        // Small eager/chunk thresholds so random sizes exercise both
-        // protocol paths without megabytes of traffic.
+        let sim = Simulation::new(profile, Topology::single_crossbar(n));
         let cfg = OnesidedConfig {
-            arena_bytes: ARENA,
-            eager_max: 256,
-            chunk_bytes: 128,
+            arena_bytes,
+            chunk_bytes,
         };
+        let nodes = (0..n)
+            .map(|i| {
+                let fm = Fm2Engine::new(SimDevice::new(sim.host_interface(NodeId(i))), profile);
+                let os = Onesided::new(&fm, cfg);
+                (fm, os)
+            })
+            .collect();
+        Cluster { sim, nodes }
+    }
 
-        // Target: a live window, a deregistered window, and nothing else
-        // — so BadHandle, Deregistered, and OutOfBounds all have a
-        // concrete target to be refused by.
-        let fm_t = Fm2Engine::new(SimDevice::new(sim.host_interface(NodeId(1))), profile);
-        let mut os_t = Onesided::new(&fm_t, cfg);
-        let t_port = os_t.port();
-        let h_live = t_port.register(0, LIVE_LEN).expect("target window");
-        let h_dead = t_port.register(LIVE_LEN, 2048).expect("doomed window");
-        t_port.deregister(h_dead).expect("retire doomed window");
+    fn port(&self, node: usize) -> OsPort {
+        self.nodes[node].1.port()
+    }
 
-        // Plan the initiator's puts: successful ones land in disjoint
-        // 512-byte slots (completion order of mixed eager/rendezvous
-        // puts is not write order, so overlap would make the expected
-        // image ambiguous); refused ones probe each failure mode.
-        let mut slots: Vec<usize> = (0..LIVE_LEN / SLOT).collect();
-        rng.shuffle(&mut slots);
-        let mut plan: Vec<PlannedPut> = Vec::new();
-        let mut image = vec![0u8; LIVE_LEN];
-        for i in 0..rng.range_usize(6, 14) {
-            let fill = (i % 250 + 1) as u8;
-            let len = rng.range_usize(1, SLOT + 1);
-            match rng.below(4) {
-                0 if !slots.is_empty() => {
-                    let slot = slots.pop().expect("nonempty") * SLOT;
-                    image[slot..slot + len].fill(fill);
-                    plan.push(PlannedPut {
-                        h: h_live,
-                        offset: slot as u64,
-                        data: vec![fill; len],
-                        expect: OsStatus::Ok,
-                    });
-                }
-                1 => plan.push(PlannedPut {
-                    h: h_live,
-                    offset: (LIVE_LEN - len / 2) as u64,
-                    data: vec![fill; len],
-                    expect: OsStatus::OutOfBounds,
-                }),
-                2 => plan.push(PlannedPut {
-                    h: h_dead,
-                    offset: 0,
-                    data: vec![fill; len],
-                    expect: OsStatus::Deregistered,
-                }),
-                _ => plan.push(PlannedPut {
-                    h: RegionHandle {
-                        index: 40 + i as u32,
-                        epoch: 0,
-                    },
-                    offset: 0,
-                    data: vec![fill; len],
-                    expect: OsStatus::BadHandle,
-                }),
-            }
-        }
-
-        let done = Rc::new(Cell::new(false));
-        {
-            let fm = Fm2Engine::new(SimDevice::new(sim.host_interface(NodeId(0))), profile);
-            let mut os = Onesided::new(&fm, cfg);
+    /// Issue `plans[i]` from node `i`, in order, and run the cluster
+    /// until every put has completed with the status its plan expects.
+    /// Returns, per node, the indices into its plan in the order their
+    /// completions arrived.
+    fn run_puts(mut self, case: usize, plans: &[Vec<PlannedPut>]) -> Vec<Vec<usize>> {
+        let orders: Vec<Rc<RefCell<Vec<usize>>>> = plans.iter().map(|_| Rc::default()).collect();
+        for (i, (fm, mut os)) in self.nodes.drain(..).enumerate() {
             let port = os.port();
-            let expected: Vec<(OsToken, OsStatus)> = plan
+            let expected: Vec<(OsToken, OsStatus)> = plans[i]
                 .iter()
-                .map(|p| (port.put(1, p.h, p.offset, &p.data), p.expect))
+                .map(|p| (port.put(p.dst, p.h, p.offset, &p.data), p.expect))
                 .collect();
-            let done = Rc::clone(&done);
-            let mut seen = 0usize;
-            sim.set_program(
-                NodeId(0),
+            let order = Rc::clone(&orders[i]);
+            self.sim.set_program(
+                NodeId(i),
                 Box::new(move || {
                     fm.extract_all();
                     os.progress();
                     while let Some(c) = port.poll_completion() {
-                        let (_, expect) = expected
+                        let at = expected
                             .iter()
-                            .find(|(t, _)| *t == c.token)
+                            .position(|(t, _)| *t == c.token)
                             .expect("known token");
-                        assert_eq!(c.status, *expect, "case {case}: wrong completion status");
-                        seen += 1;
+                        assert_eq!(c.status, expected[at].1, "case {case}: wrong status");
+                        order.borrow_mut().push(at);
                     }
                     os.progress();
-                    if seen == expected.len() {
-                        done.set(true);
-                        return StepOutcome::Done;
-                    }
+                    // Keep serving the others' puts: a parked node wakes
+                    // on arrivals, and the run ends when the wire is quiet.
                     StepOutcome::Wait
                 }),
             );
         }
-        {
-            let done = Rc::clone(&done);
-            sim.set_program(
-                NodeId(1),
-                Box::new(move || {
-                    fm_t.extract_all();
-                    os_t.progress();
-                    if done.get() {
-                        return StepOutcome::Done;
-                    }
-                    StepOutcome::Wait
-                }),
-            );
+        self.sim.run(Some(SIM_LIMIT));
+        let orders: Vec<Vec<usize>> = orders.iter().map(|o| o.borrow().clone()).collect();
+        for (order, plan) in orders.iter().zip(plans) {
+            assert_eq!(order.len(), plan.len(), "case {case}: puts hung");
         }
-        sim.run(Some(SIM_LIMIT));
-        assert!(done.get(), "case {case}: puts never all completed");
+        orders
+    }
+}
+
+/// What node 0's puts aim at on node 1 in the refusal batteries: a live
+/// window over the first half of the arena and a deregistered one over
+/// the second — so OutOfBounds, Deregistered and BadHandle each have
+/// something concrete to be refused by.
+struct Target {
+    port: OsPort,
+    live: RegionHandle,
+    live_len: usize,
+    dead: RegionHandle,
+}
+
+impl Target {
+    fn new(cluster: &Cluster, arena: usize) -> Self {
+        let port = cluster.port(1);
+        let live = port.register(0, arena / 2).expect("target window");
+        let dead = port.register(arena / 2, arena / 2).expect("doomed window");
+        port.deregister(dead).expect("retire doomed window");
+        Target {
+            port,
+            live,
+            live_len: arena / 2,
+            dead,
+        }
+    }
+
+    fn accepted(&self, offset: usize, data: Vec<u8>) -> PlannedPut {
+        PlannedPut {
+            dst: 1,
+            h: self.live,
+            offset: offset as u64,
+            data,
+            expect: OsStatus::Ok,
+        }
+    }
+
+    /// The `i`-th put of a plan, one the target must refuse — how is
+    /// drawn from `rng`.
+    fn refused(&self, rng: &mut DetRng, i: usize, data: Vec<u8>) -> PlannedPut {
+        let bogus = RegionHandle {
+            index: 40 + i as u32,
+            epoch: 0,
+        };
+        let (h, offset, expect) = match rng.below(3) {
+            0 => (
+                self.live,
+                self.live_len - data.len() / 2,
+                OsStatus::OutOfBounds,
+            ),
+            1 => (self.dead, 0, OsStatus::Deregistered),
+            _ => (bogus, 0, OsStatus::BadHandle),
+        };
+        PlannedPut {
+            dst: 1,
+            h,
+            offset: offset as u64,
+            data,
+            expect,
+        }
+    }
+
+    fn live_bytes(&self) -> Vec<u8> {
+        let mut got = vec![0u8; self.live_len];
+        self.port
+            .read_local(self.live, 0, &mut got)
+            .expect("target window readable");
+        got
+    }
+}
+
+#[test]
+fn prop_refused_puts_report_errors_and_touch_nothing() {
+    const ARENA: usize = 8192;
+    const SLOT: usize = 512;
+    let cases = env_cases(48);
+    for case in 0..cases {
+        let mut rng = DetRng::seed_from_u64(0xBAD_B075 ^ ((case as u64) << 4));
+        // A small chunk so random sizes run from one packet to several
+        // chunks without megabytes of traffic.
+        let cluster = Cluster::new(2, ARENA, 128);
+        let target = Target::new(&cluster, ARENA);
+
+        // Plan the initiator's puts: successful ones land in disjoint
+        // 512-byte slots; refused ones probe each failure mode.
+        let mut slots: Vec<usize> = (0..target.live_len / SLOT).collect();
+        rng.shuffle(&mut slots);
+        let mut plan: Vec<PlannedPut> = Vec::new();
+        let mut image = vec![0u8; target.live_len];
+        for i in 0..rng.range_usize(6, 14) {
+            let fill = (i % 250 + 1) as u8;
+            let len = rng.range_usize(1, SLOT + 1);
+            if rng.below(4) == 0 && !slots.is_empty() {
+                let at = slots.pop().expect("nonempty") * SLOT;
+                image[at..at + len].fill(fill);
+                plan.push(target.accepted(at, vec![fill; len]));
+            } else {
+                plan.push(target.refused(&mut rng, i, vec![fill; len]));
+            }
+        }
+        cluster.run_puts(case, &[plan, Vec::new()]);
 
         // The target image: accepted puts landed exactly, refused puts
-        // (including the multi-chunk rendezvous refusals) left every
-        // other byte zero.
-        let mut got = vec![0u8; LIVE_LEN];
-        t_port
-            .read_local(h_live, 0, &mut got)
-            .expect("target window readable");
-        assert_eq!(got, image, "case {case}: target memory diverged");
+        // left every other byte zero.
+        assert_eq!(target.live_bytes(), image, "case {case}: memory diverged");
+    }
+}
+
+#[test]
+fn prop_completions_arrive_in_issue_order() {
+    const N: usize = 3;
+    const ARENA: usize = 16 * 1024;
+    const CHUNK: usize = 512;
+    let cases = env_cases(32);
+    for case in 0..cases {
+        let mut rng = DetRng::seed_from_u64(0xF1F0_0DE2 ^ ((case as u64) << 8));
+        let cluster = Cluster::new(N, ARENA, CHUNK);
+        // Every node registers its whole arena first thing: slot 0,
+        // epoch 0 everywhere.
+        let arena = RegionHandle { index: 0, epoch: 0 };
+        for node in 0..N {
+            assert_eq!(cluster.port(node).register(0, ARENA), Ok(arena));
+        }
+        // Each node puts at both of the others: one byte, one packet, a
+        // few chunks with a runt — three in ten of them out of bounds.
+        let mut put = |me: usize, i: usize| {
+            let len = match rng.below(3) {
+                0 => 1,
+                1 => rng.range_usize(2, CHUNK),
+                _ => rng.range_usize(CHUNK + 1, 6 * CHUNK),
+            };
+            let (offset, expect) = match rng.chance(0.3) {
+                true => (ARENA - len / 2, OsStatus::OutOfBounds),
+                false => (0, OsStatus::Ok),
+            };
+            PlannedPut {
+                dst: (me + 1 + rng.range_usize(0, N - 1)) % N,
+                h: arena,
+                offset: offset as u64,
+                data: vec![(i % 250 + 1) as u8; len],
+                expect,
+            }
+        };
+        let plans: Vec<Vec<PlannedPut>> = (0..N)
+            .map(|me| (0..8 + 4 * me).map(|i| put(me, i)).collect())
+            .collect();
+        let orders = cluster.run_puts(case, &plans);
+        for (me, (order, plan)) in orders.iter().zip(&plans).enumerate() {
+            for dst in (0..N).filter(|&d| d != me) {
+                let toward = |at: &usize| plan[*at].dst == dst;
+                let seen: Vec<usize> = order.iter().copied().filter(toward).collect();
+                let issued: Vec<usize> = (0..plan.len()).filter(toward).collect();
+                assert_eq!(seen, issued, "case {case}: {me} -> {dst} out of order");
+            }
+        }
+    }
+}
+
+#[test]
+fn prop_refused_multi_chunk_put_touches_nothing_and_releases_its_pin() {
+    const ARENA: usize = 8192;
+    const CHUNK: usize = 256;
+    let cases = env_cases(32);
+    for case in 0..cases {
+        let mut rng = DetRng::seed_from_u64(0x0DD5_CA4D ^ ((case as u64) << 4));
+        let cluster = Cluster::new(2, ARENA, CHUNK);
+        let target = Target::new(&cluster, ARENA);
+        // The window is not zero to begin with: a refused byte that
+        // landed anywhere would show.
+        let image: Vec<u8> = (0..target.live_len).map(|i| (i % 199) as u8 + 1).collect();
+        target
+            .port
+            .write_local(target.live, 0, &image)
+            .expect("prefill");
+
+        // Refused puts of two to eight chunks — every byte of each still
+        // arrives and must be counted and dropped — with an accepted
+        // rewrite of the prefill after each, so a refusal that left a
+        // landing entry behind would corrupt or stall what follows.
+        let mut plan = Vec::new();
+        for i in 0..rng.range_usize(3, 9) {
+            let len = rng.range_usize(CHUNK + 1, 8 * CHUNK);
+            plan.push(target.refused(&mut rng, i, vec![0xEE; len]));
+            let at = rng.range_usize(0, target.live_len - 4 * CHUNK);
+            let len = rng.range_usize(1, 4 * CHUNK);
+            plan.push(target.accepted(at, image[at..at + len].to_vec()));
+        }
+        cluster.run_puts(case, &[plan, Vec::new()]);
+
+        assert_eq!(target.live_bytes(), image, "case {case}: a refusal wrote");
+        assert_eq!(target.port.protocol_drops(), 0, "case {case}");
+        let released = target.port.deregister(target.live);
+        assert_eq!(released, Ok(()), "case {case}: a refusal kept its pin");
     }
 }
 
@@ -312,7 +433,6 @@ fn prop_pinned_region_cannot_be_deregistered() {
         let mut sim = Simulation::new(profile, Topology::single_crossbar(2));
         let cfg = OnesidedConfig {
             arena_bytes: 32 * 1024,
-            eager_max: 256,
             chunk_bytes: 1024,
         };
 

@@ -36,10 +36,6 @@ use fm_model::Nanos;
 
 use crate::seg::{pid_alive, SegGeometry, Segment};
 
-/// Capacity of the self-send queue (node sending to itself never touches
-/// a ring).
-const SELF_QUEUE_SLOTS: usize = 64;
-
 /// Interval between [`NetDevice::poll_event`]'s sweeps for dead or
 /// departed peers.
 const DEATH_CHECK_INTERVAL: Duration = Duration::from_millis(200);
@@ -120,10 +116,7 @@ pub struct ShmStats {
     pub frames_recv: u64,
     /// Wire bytes popped from peer rings.
     pub bytes_recv: u64,
-    /// Self-addressed packets short-circuited through the local queue.
-    pub self_frames: u64,
-    /// Sends rejected because the destination ring (or self queue) was
-    /// full.
+    /// Sends rejected because the destination ring was full.
     pub full_rejections: u64,
     /// Frames dropped because they failed to decode (indicates
     /// corruption or a protocol bug; should stay 0).
@@ -147,7 +140,6 @@ pub struct ShmDevice {
     num_nodes: usize,
     /// Indexed by peer rank; `None` for self and non-co-located peers.
     links: Vec<Option<Link>>,
-    selfq: VecDeque<FmPacket>,
     pool: BufPool,
     started: Instant,
     stats: ShmStats,
@@ -225,7 +217,6 @@ impl ShmDevice {
             node,
             num_nodes,
             links,
-            selfq: VecDeque::with_capacity(SELF_QUEUE_SLOTS),
             pool,
             started: now,
             stats: ShmStats::default(),
@@ -314,15 +305,10 @@ impl NetDevice for ShmDevice {
 
     fn try_send(&mut self, pkt: FmPacket) -> Result<(), DeviceFull> {
         let dst = pkt.header.dst as usize;
-        if dst == self.node {
-            if self.selfq.len() >= SELF_QUEUE_SLOTS {
-                self.stats.full_rejections += 1;
-                return Err(DeviceFull);
-            }
-            self.selfq.push_back(pkt);
-            self.stats.self_frames += 1;
-            return Ok(());
-        }
+        assert!(
+            dst != self.node,
+            "engines deliver self-sends locally, not via the device"
+        );
         let link = self.links[dst]
             .as_ref()
             .unwrap_or_else(|| panic!("no shm segment to peer {dst} (not co-located)"));
@@ -347,9 +333,6 @@ impl NetDevice for ShmDevice {
     }
 
     fn try_recv(&mut self) -> Option<FmPacket> {
-        if let Some(p) = self.selfq.pop_front() {
-            return Some(p);
-        }
         // Round-robin over peer rings so one chatty peer cannot starve
         // the rest.
         for i in 0..self.num_nodes {
@@ -389,16 +372,12 @@ impl NetDevice for ShmDevice {
         // All-or-nothing admission: the engine may assume that when
         // send_space() >= k, the next k sends to *any* destinations
         // succeed — so report the worst case over every live sink.
-        let mut space = SELF_QUEUE_SLOTS - self.selfq.len();
-        for link in self.links.iter().flatten() {
-            // A dead peer's ring stops draining; excluding it keeps the
-            // engine from wedging on a guarantee nobody needs anymore.
-            if link.down {
-                continue;
-            }
-            space = space.min(link.seg.tx.free());
-        }
-        space
+        // A dead peer's ring stops draining; excluding it keeps the
+        // engine from wedging on a guarantee nobody needs anymore.
+        let live = self.links.iter().flatten().filter(|link| !link.down);
+        live.map(|link| link.seg.tx.free())
+            .min()
+            .unwrap_or(self.cfg.slots as usize)
     }
 
     fn now(&self) -> Nanos {
@@ -486,12 +465,10 @@ mod tests {
     }
 
     #[test]
-    fn self_sends_short_circuit() {
-        let (mut a, _b) = pair("selfq");
-        a.try_send(pkt(0, 0, b"me")).unwrap();
-        assert_eq!(&a.try_recv().unwrap().payload[..], b"me");
-        assert_eq!(a.stats().self_frames, 1);
-        assert_eq!(a.stats().frames_sent, 0, "no ring involved");
+    #[should_panic(expected = "engines deliver self-sends locally")]
+    fn self_sends_never_reach_the_device() {
+        let (mut a, _b) = pair("self");
+        let _ = a.try_send(pkt(0, 0, b"me"));
     }
 
     #[test]

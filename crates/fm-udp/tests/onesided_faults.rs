@@ -1,12 +1,12 @@
 //! One-sided transfers under real fault injection: seeded datagram loss
-//! and a target that dies mid-rendezvous.
+//! and a target that dies mid-put.
 //!
-//! The rendezvous protocol has three single-datagram control legs (RTS,
-//! CTS, FIN) and a chunked DATA stream; under injected loss *any* of
-//! them can vanish and the retransmission sublayer must recover all of
-//! them — the initiator's completions stay `Ok` and every landed byte
-//! must read back exactly. The loss schedule is seeded, so a failure
-//! replays byte-for-byte.
+//! A put is a stream of chunk messages answered by one single-datagram
+//! FIN, a get a single-datagram request answered by a DATA stream; under
+//! injected loss *any* of those datagrams can vanish and the
+//! retransmission sublayer must recover all of them — the initiator's
+//! completions stay `Ok` and every landed byte must read back exactly.
+//! The loss schedule is seeded, so a failure replays byte-for-byte.
 //!
 //! The churn half of the contract: a target that goes silent
 //! mid-transfer (its thread simply drops the device — no goodbye,
@@ -26,14 +26,13 @@ const ARENA: usize = 512 * 1024;
 const PUT_BASE: usize = 4096;
 const SLOT: usize = 40 * 1024;
 
-/// Mixed put sizes: eager singles, the eager/rendezvous boundary, and
-/// multi-chunk rendezvous streams (eager_max 2048, chunks of 4096).
+/// Mixed put sizes: single packets, one whole chunk and its neighbors,
+/// and multi-chunk streams ending in a runt (chunks of 4096).
 const SIZES: [usize; 10] = [1024, 4096, 40000, 2048, 16000, 1, 2049, 40000, 8192, 33000];
 
 fn os_cfg() -> OnesidedConfig {
     OnesidedConfig {
         arena_bytes: ARENA,
-        eager_max: 2048,
         chunk_bytes: 4096,
     }
 }
@@ -93,7 +92,7 @@ fn complete_ok(fm: &Fm2Engine<UdpDevice>, os: &mut Onesided<UdpDevice>, what: &s
 }
 
 #[test]
-fn rendezvous_survives_seeded_datagram_loss_without_corruption() {
+fn puts_and_gets_survive_seeded_datagram_loss_without_corruption() {
     let cfg = UdpConfig {
         drop_outbound: 0.01,
         drop_seed: 0x5EED05, // replayable: the loss schedule is fixed
@@ -156,7 +155,7 @@ fn rendezvous_survives_seeded_datagram_loss_without_corruption() {
 }
 
 #[test]
-fn target_death_mid_rendezvous_completes_with_peer_down() {
+fn target_death_mid_put_completes_with_peer_down() {
     // Aggressive liveness so the Down verdict lands in hundreds of ms.
     let cfg = UdpConfig {
         heartbeat_interval: Duration::from_millis(5),
@@ -170,10 +169,10 @@ fn target_death_mid_rendezvous_completes_with_peer_down() {
         let port = os.port();
         port.register(0, ARENA).expect("arena");
         if rank == 1 {
-            // The victim: answer the RTS, land at least one DATA chunk
-            // (the transfer is provably mid-flight), then die without a
+            // The victim: land the first bytes of the put (the
+            // transfer is provably mid-flight), then die without a
             // goodbye — returning drops the engine and the socket.
-            pump_until(&fm, &mut os, "victim waiting for DATA", |_| {
+            pump_until(&fm, &mut os, "victim waiting for the put", |_| {
                 let mut first = [0u8; 1];
                 port.read_local(arena_handle(), PUT_BASE, &mut first)
                     .expect("first-byte probe");
@@ -182,8 +181,8 @@ fn target_death_mid_rendezvous_completes_with_peer_down() {
             return None;
         }
 
-        // The initiator: one long rendezvous stream (49 chunks), which
-        // must complete with PeerDown once the target goes silent.
+        // The initiator: one long put (50 chunks), which must complete
+        // with PeerDown once the target goes silent.
         let token = port.put(1, arena_handle(), PUT_BASE as u64, &pattern(0, 200 * 1024));
         let mut status = None;
         pump_until(&fm, &mut os, "put to dead target", |_| {

@@ -4,9 +4,9 @@
 //! plain byte offsets into the target's heap. Bulk data movement (`put`,
 //! `get`) is re-based on [`fm_core::onesided`]: the heap *is* the
 //! one-sided arena, registered whole at startup, so every node holds the
-//! same [`RegionHandle`] for every peer's heap and puts/gets ride the
-//! eager/rendezvous machinery (large transfers stream straight into the
-//! heap through the sink handler, with no staging copy). The remaining
+//! same [`RegionHandle`] for every peer's heap and puts/gets ride its
+//! landing path (every transfer streams straight into the heap through
+//! the sink handler, with no staging copy). The remaining
 //! read-modify-write ops (`accumulate`, `fetch_add`) and the barrier stay
 //! Active-Messages-style on this crate's own FM handler — the target
 //! applies them during its `FM_extract`, which is what makes them atomic.
@@ -254,9 +254,8 @@ impl<D: NetDevice + 'static> Shmem<D> {
 
     /// One-sided put: write `data` into `dst`'s heap at `offset`.
     /// Completion (remotely visible) is guaranteed only after
-    /// [`Shmem::quiet`]. Small puts go eagerly; large ones through the
-    /// RTS/CTS rendezvous, landing in the remote heap with no staging
-    /// copy.
+    /// [`Shmem::quiet`]. The bytes land in the remote heap packet by
+    /// packet, with no staging copy at any size.
     pub fn put(&self, dst: usize, offset: usize, data: &[u8]) {
         self.puts_issued.set(self.puts_issued.get() + 1);
         self.port.put(dst, self.heap_h, offset as u64, data);
@@ -469,9 +468,9 @@ mod tests {
     }
 
     #[test]
-    fn large_put_takes_rendezvous_and_lands_intact() {
+    fn multi_chunk_put_lands_intact() {
         let (a, b) = pair();
-        // Bigger heap so a rendezvous-sized put fits.
+        // Bigger heap so a put of several chunks fits.
         let (a, b) = {
             drop((a, b));
             let (da, db) = LoopbackPair::new(256);
