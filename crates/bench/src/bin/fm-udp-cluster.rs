@@ -873,8 +873,8 @@ fn allreduce_workload<D: fm_core::NetDevice + 'static>(
 /// messages to every peer it currently believes alive, paced ~1ms per
 /// round so a kill lands mid-stream. Receivers validate the stream
 /// *per incarnation*: within one incarnation of a peer the round
-/// numbers must be exactly contiguous (go-back-N's zero-loss,
-/// in-order guarantee), and a `Rejoining` event resets the baseline —
+/// numbers must be exactly contiguous (the reliability sublayer's
+/// zero-loss, in-order guarantee), and a `Rejoining` event resets the baseline —
 /// the restarted sender legitimately starts over from round 0.
 /// Steady peers (never down, never rejoined, seen by a node that was
 /// itself present from the start) must deliver their *entire* stream:

@@ -36,12 +36,13 @@ use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
-use fm_bench::fabric::{Fabric, Program, Programs, Shm, Sim, Step};
+use fm_bench::fabric::{adaptive, Fabric, Program, Programs, Shm, Sim, Step};
 use fm_core::packet::HandlerId;
 use fm_core::{Onesided, OnesidedConfig, OsStatus, RegionHandle};
 use fm_model::MachineProfile;
 use fm_shm::{shm_cluster, ShmDevice};
 use mpi_fm::{Mpi, Mpi2, RecvReq, SendReq};
+use myrinet_sim::fault::FaultModel;
 
 /// Counts every allocation and reallocation (frees are irrelevant: the
 /// claim is that the steady state takes nothing *from* the allocator).
@@ -398,6 +399,32 @@ fn steady_state_fm2_stream_allocates_nothing() {
          ({} per message)",
         delta as f64 / 512.0
     );
+}
+
+#[test]
+fn steady_state_retransmit_stream_allocates_nothing() {
+    // The same stream under the adaptive Retransmit profile: the ring of
+    // retained clones, the per-poll ack flush and the timer scan take
+    // nothing from the allocator — and neither does recovery. Under
+    // seeded 1 % drop the receiver parks early packets in its hold table
+    // (sized at construction), acks carry bitmaps, holes and heads are
+    // re-sent from the ring: all of it on frames and slots that already
+    // exist. The warm-up is longer than the trusted stream's: the
+    // simulator's event heap and send-ready list size themselves to the
+    // widest burst one step ever sends, and under loss that is the burst
+    // after a repaired hole reopens the whole window — a few episodes in.
+    let lossy = vec![FaultModel::Drop { p: 0.01, seed: 7 }];
+    for (wire, faults) in [("loss-free", vec![]), ("1 % drop", lossy)] {
+        let fabric = sim().unreliable(adaptive(), faults);
+        let delta = stream_alloc_delta(&fabric, 64, 2048, 2048);
+        assert_eq!(
+            delta,
+            0,
+            "{wire}: the reliable datapath allocated {delta} times over 2048 messages \
+             ({} per message)",
+            delta as f64 / 2048.0
+        );
+    }
 }
 
 #[test]

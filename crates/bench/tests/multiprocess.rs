@@ -64,8 +64,9 @@ fn two_processes_10k_roundtrips_with_1pct_drop() {
         total_drops >= 50,
         "only {total_drops} drops injected:\n{out}"
     );
-    // ...and go-back-N really recovered (every drop forces at least one
-    // retransmission; zero errors + OK already proved delivery).
+    // ...and the sublayer really recovered (every dropped data frame
+    // forces one retransmission, a dropped standalone ack none; zero
+    // errors + OK already proved delivery).
     assert!(
         total_retx >= total_drops / 2,
         "retransmits={total_retx} vs drops={total_drops}:\n{out}"

@@ -77,9 +77,11 @@ pub(crate) enum Stall {
 pub(crate) enum Admit {
     /// A pure credit/ack frame, fully consumed.
     Control,
-    /// A duplicate or out-of-order data packet suppressed by the
-    /// reliability sublayer (go-back-N repairs it).
-    Drop,
+    /// A data packet the reliability sublayer kept from the face: a
+    /// duplicate, suppressed; or one that arrived early and is held until
+    /// the packets before it do ([`EngineCore::recv`] then yields it
+    /// again, in its turn).
+    Withheld,
     /// The next data packet to deliver. `gap` means packets before it
     /// were lost on a trusted substrate: the violation is already
     /// reported and the sequence resynchronized; what to salvage is the
@@ -447,7 +449,8 @@ impl<D: NetDevice> EngineCore<D> {
         });
     }
 
-    /// Re-send a retained data packet (go-back-N or fast retransmit).
+    /// Re-send a retained data packet (a SACK hole, or the head on a
+    /// timeout).
     fn resend(&mut self, peer: usize, pkt: FmPacket) {
         let pkt_seq = pkt.header.pkt_seq;
         self.hand_off(pkt, self.costs.data);
@@ -472,8 +475,9 @@ impl<D: NetDevice> EngineCore<D> {
         }
     }
 
-    /// Retransmit-mode housekeeping: flush standalone acks, re-send timed
-    /// out rings, and arm the timer alarm. No-op in TrustSubstrate mode.
+    /// Retransmit-mode housekeeping: flush standalone acks, re-send the
+    /// head packet of each timed-out peer, and arm the timer alarm. No-op
+    /// in TrustSubstrate mode.
     #[inline]
     pub(crate) fn reliability_poll(&mut self) {
         let Some(mut rel) = self.reliable.take() else {
@@ -482,12 +486,16 @@ impl<D: NetDevice> EngineCore<D> {
         let me = self.device.node_id() as u16;
         // Standalone acks for one-sided traffic (piggybacking already
         // discharged the duty wherever reverse data flowed).
-        for (peer, ack) in rel.take_due_acks() {
+        for peer in 0..rel.num_peers() {
+            let Some((ack, sack)) = rel.take_due_ack(peer) else {
+                continue;
+            };
             if !self.device_takes(1) {
                 rel.mark_ack_due(peer); // retry next poll
                 continue;
             }
-            self.hand_off(FmPacket::ack_only(me, peer as u16, ack), self.costs.control);
+            let pkt = FmPacket::ack_sack(me, peer as u16, ack, sack);
+            self.hand_off(pkt, self.costs.control);
             self.stats.acks_sent += 1;
             self.obs_emit(|t, me| {
                 ObsEvent::new(t, me, SpanKind::AckSend)
@@ -496,19 +504,21 @@ impl<D: NetDevice> EngineCore<D> {
                     .serial_opt(self.device.last_sent_serial())
             });
         }
-        // Go-back-N: re-send every unacked packet of each timed-out peer.
+        // A timeout costs one packet: the oldest unacknowledged,
+        // whatever else the ring holds.
         let now = self.device.now();
-        for peer in rel.due_retransmits(now) {
+        for peer in 0..rel.num_peers() {
+            if !rel.timed_out(peer, now) {
+                continue;
+            }
             self.obs_emit(|t, me| {
                 ObsEvent::new(t, me, SpanKind::RetransmitTimeout).peer(peer as u16)
             });
-            for pkt in rel.ring_packets(peer) {
-                if !self.device_takes(1) {
-                    break; // rest of the ring waits for the next timeout
+            if let Some(pkt) = rel.on_timeout(peer, now, &mut self.stats) {
+                if self.device_takes(1) {
+                    self.resend(peer, pkt); // else the next timeout retries
                 }
-                self.resend(peer, pkt);
             }
-            rel.on_timeout_handled(peer, now, &mut self.stats);
             self.emit_cwnd(&rel, peer);
         }
         // Make sure we get polled again even on a quiet network.
@@ -620,10 +630,17 @@ impl<D: NetDevice> EngineCore<D> {
         Some(ev)
     }
 
-    /// Pull the next packet off the NIC, charging the per-packet receive
-    /// cost.
+    /// The next packet to run through [`EngineCore::admit`]: one the
+    /// reliability sublayer held back whose turn has come, else the next
+    /// off the NIC, charging the per-packet receive cost.
     #[inline]
     pub(crate) fn recv(&mut self) -> Option<FmPacket> {
+        if let Some(rel) = self.reliable.as_mut() {
+            // A released packet was charged for when it arrived.
+            if let Some(pkt) = rel.take_released() {
+                return Some(pkt);
+            }
+        }
         let pkt = self.device.try_recv()?;
         self.device
             .charge(Nanos(self.profile.host.per_packet_recv_ns));
@@ -652,7 +669,7 @@ impl<D: NetDevice> EngineCore<D> {
         if self.reliable.is_some() {
             // Retransmit mode: ack/window bookkeeping replaces the credit
             // bookkeeping (same charge).
-            self.absorb_ack(src, h.ack);
+            self.absorb_ack(src, h.ack, pkt.sack());
             if !pkt.is_data() {
                 self.obs_emit(|t, me| {
                     ObsEvent::new(t, me, SpanKind::AckRecv)
@@ -662,21 +679,26 @@ impl<D: NetDevice> EngineCore<D> {
                 });
                 return Admit::Control; // ACK_ONLY carries nothing else
             }
-            // The in-order filter: duplicates and loss shadows are
-            // suppressed here, never surfaced as errors — go-back-N
-            // repairs them instead.
+            // The in-order filter: duplicates are suppressed and early
+            // arrivals held here, never surfaced as errors — selective
+            // repeat fills the gap instead.
             let rel = self.reliable.as_mut().expect("checked above");
-            if rel.accept(src, h.pkt_seq, &mut self.stats) != RecvDecision::Accept {
-                self.obs_emit(|t, me| {
-                    ObsEvent::new(t, me, SpanKind::DuplicateDrop)
-                        .peer(src as u16)
-                        .seq(h.pkt_seq)
-                        .serial_opt(self.device.last_recv_serial())
-                });
-                return Admit::Drop;
-            }
-            self.stats.packets_received += 1;
-            return Admit::Data { gap: false };
+            return match rel.accept(src, pkt, &mut self.stats) {
+                RecvDecision::Accept => {
+                    self.stats.packets_received += 1;
+                    Admit::Data { gap: false }
+                }
+                RecvDecision::Held => Admit::Withheld,
+                RecvDecision::Duplicate => {
+                    self.obs_emit(|t, me| {
+                        ObsEvent::new(t, me, SpanKind::DuplicateDrop)
+                            .peer(src as u16)
+                            .seq(h.pkt_seq)
+                            .serial_opt(self.device.last_recv_serial())
+                    });
+                    Admit::Withheld
+                }
+            };
         }
         let credits = self.costs.flow_control.is_some();
         if credits && h.credits > 0 {
@@ -704,17 +726,13 @@ impl<D: NetDevice> EngineCore<D> {
         Admit::Data { gap }
     }
 
-    /// Process the cumulative ack carried by a packet from `src`,
-    /// fast-retransmitting the head of the ring when duplicate acks say
-    /// the peer is stuck waiting for exactly that packet.
-    fn absorb_ack(&mut self, src: usize, ack: u32) {
+    /// Process the ack carried by a packet from `src` — cumulative, plus
+    /// the SACK bitmap of a standalone one — fast-retransmitting every
+    /// hole the bitmap exposes that is not already being repaired.
+    fn absorb_ack(&mut self, src: usize, ack: u32, sack: u64) {
         let now = self.device.now();
         let rel = self.reliable.as_mut().expect("retransmit mode");
-        let head = if rel.on_ack(src, ack, now) {
-            rel.head_packet(src)
-        } else {
-            None
-        };
+        let holes = rel.on_ack(src, ack, sack, now);
         if let Some(sample) = rel.take_rtt_sample(src) {
             let rto_us = (rel.current_rto_ns(src) / 1_000).min(u32::MAX as u64);
             self.obs_emit(|t, me| {
@@ -724,13 +742,22 @@ impl<D: NetDevice> EngineCore<D> {
                     .bytes((sample / 1_000).min(u32::MAX as u64) as u32)
             });
         }
-        if let Some(head) = head {
+        if !holes {
+            return;
+        }
+        let mut resent = false;
+        while self.device_takes(1) {
+            let rel = self.reliable.as_mut().expect("retransmit mode");
+            let Some(pkt) = rel.next_hole(src, now) else {
+                break;
+            };
             self.stats.fast_retransmits += 1;
+            self.resend(src, pkt);
+            resent = true;
+        }
+        if resent {
             let rel = self.reliable.as_ref().expect("retransmit mode");
             self.emit_cwnd(rel, src);
-            if self.device_takes(1) {
-                self.resend(src, head);
-            }
         }
     }
 

@@ -203,7 +203,7 @@ impl<D: NetDevice> Fm2Engine<D> {
                     // in: a message that lost packets is reported as
                     // orphans where it no longer joins an open stream.
                     Admit::Data { .. } => pkt,
-                    Admit::Control | Admit::Drop => continue,
+                    Admit::Control | Admit::Withheld => continue,
                 }
             };
             // The budget counts handler-delivered payload bytes: a packet

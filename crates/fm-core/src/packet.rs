@@ -83,7 +83,8 @@ bitflags_lite! {
         /// Carries no message data: exists only to return credits.
         const CREDIT_ONLY = 4;
         /// Carries no message data: exists only to carry a cumulative
-        /// acknowledgement (reliability sublayer, one-sided traffic).
+        /// acknowledgement and, in the header words a message would use,
+        /// a SACK bitmap (reliability sublayer, one-sided traffic).
         const ACK_ONLY = 8;
     }
 }
@@ -258,19 +259,42 @@ impl FmPacket {
     /// from `src` to `dst` (reliability sublayer; sent when there is no
     /// reverse data traffic to piggyback on).
     pub fn ack_only(src: u16, dst: u16, ack: u32) -> FmPacket {
+        FmPacket::ack_sack(src, dst, ack, 0)
+    }
+
+    /// An ack-only packet that also says which packets past the
+    /// cumulative ack the sender of this frame already holds: bit `i` of
+    /// `sack` stands for `pkt_seq == ack + i` (selective acknowledgement;
+    /// zero means a plain cumulative ack). The bitmap rides in the two
+    /// header words an ack-only frame has no other use for — `msg_seq`
+    /// the low half, `msg_len` the high half — so the frame is no longer
+    /// than a plain ack.
+    pub fn ack_sack(src: u16, dst: u16, ack: u32, sack: u64) -> FmPacket {
         FmPacket {
             header: PacketHeader {
                 src,
                 dst,
                 handler: HandlerId(0),
-                msg_seq: 0,
+                msg_seq: sack as u32,
                 pkt_seq: 0, // ack packets sit outside the data sequence
-                msg_len: 0,
+                msg_len: (sack >> 32) as u32,
                 flags: PacketFlags::ACK_ONLY,
                 credits: 0,
                 ack,
             },
             payload: PacketBuf::empty(),
+        }
+    }
+
+    /// The SACK bitmap this packet carries (see
+    /// [`ack_sack`](Self::ack_sack)). Only an ack-only frame has one: on
+    /// anything else those header words describe a message and the answer
+    /// is zero, whatever they hold.
+    pub fn sack(&self) -> u64 {
+        if self.header.flags.contains(PacketFlags::ACK_ONLY) {
+            self.header.msg_seq as u64 | (self.header.msg_len as u64) << 32
+        } else {
+            0
         }
     }
 
@@ -513,5 +537,24 @@ mod tests {
         assert!(p.header.flags.contains(PacketFlags::ACK_ONLY));
         assert!(!p.is_data());
         assert_eq!(p.wire_bytes(), HEADER_WIRE_BYTES);
+        assert_eq!(p.sack(), 0, "a plain cumulative ack");
+    }
+
+    #[test]
+    fn sack_bitmap_rides_in_an_ack_only_frame_and_nowhere_else() {
+        let sack = 0x8000_0001_4000_0006u64;
+        let p = FmPacket::ack_sack(3, 4, 17, sack);
+        assert_eq!(p.header.ack, 17);
+        assert_eq!(p.sack(), sack);
+        assert_eq!(p.wire_bytes(), HEADER_WIRE_BYTES, "no longer than an ack");
+        let back = FmPacket::decode_wire(&p.encode_wire().unwrap()).unwrap();
+        assert_eq!(back.sack(), sack);
+        // The same two words on a data or credit frame are not a bitmap.
+        let mut data = back.clone();
+        data.header.flags = PacketFlags::FIRST | PacketFlags::LAST;
+        assert_eq!(data.sack(), 0);
+        let mut credit = back;
+        credit.header.flags = PacketFlags::CREDIT_ONLY;
+        assert_eq!(credit.sack(), 0);
     }
 }

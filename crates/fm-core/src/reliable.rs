@@ -1,4 +1,5 @@
-//! The opt-in reliability sublayer: sliding-window go-back-N.
+//! The opt-in reliability sublayer: a sliding window with selective
+//! repeat.
 //!
 //! The paper's FM deliberately does **not** retransmit — Myrinet's
 //! bit-error rate is near zero and the hardware CRC catches what little
@@ -8,28 +9,50 @@
 //! to the engines' historical behaviour.
 //!
 //! [`Reliability::Retransmit`] makes the same in-order-delivery guarantee
-//! hold on lossy substrates. The design is classic go-back-N, shared by
-//! both engines ([`crate::Fm1Engine`] and [`crate::Fm2Engine`]):
+//! hold on lossy substrates, at the price of one packet per lost packet.
+//! One protocol, shared by both engines ([`crate::Fm1Engine`] and
+//! [`crate::Fm2Engine`]) and by both profiles (fixed and adaptive):
 //!
-//! * **Sender**, per destination: a ring of unacknowledged data-packet
-//!   clones, bounded by a window (which *replaces* credit-based flow
-//!   control — credits are not idempotent under duplication, while
-//!   cumulative acks are; the window bounds receive-buffer usage exactly
-//!   as credits did). A retransmit timer with exponential backoff re-sends
-//!   the whole ring when the oldest packet goes unacknowledged too long.
-//! * **Receiver**, per source: accepts exactly the next expected
-//!   `pkt_seq`; anything older is a duplicate (dropped, but forces an ack
-//!   so a sender stuck retransmitting learns quickly), anything newer is
-//!   an out-of-order arrival or loss shadow (dropped; go-back-N re-sends
-//!   it in order).
+//! * **Receiver**, per source: the next expected `pkt_seq` is delivered;
+//!   anything older is a duplicate (dropped, but forces an ack so a
+//!   sender stuck retransmitting learns quickly); anything newer that
+//!   falls inside the window is **held** — the refcounted packet as it
+//!   arrived, in a table of `window` slots built at construction, so
+//!   holding neither copies nor allocates. When the expected packet
+//!   arrives, the run held behind it is released in order before the
+//!   device is asked for more: the faces above still see every packet
+//!   exactly once and in order. A sender never has more than `window`
+//!   packets unacknowledged, so nothing legitimate falls outside the
+//!   table and it can never hold more than `window - 1` frames per peer.
 //! * **Acks** are cumulative (`ack` = next expected seq, i.e. everything
 //!   below is delivered) and piggybacked on every outgoing packet; when
 //!   traffic is one-sided, standalone [`crate::FmPacket::ack_only`]
-//!   packets carry them.
+//!   packets carry them. While anything is held, the standalone ack also
+//!   carries a **SACK bitmap** ([`crate::FmPacket::ack_sack`]): bit `i`
+//!   says the receiver holds `ack + i`. The bitmap is the receiver's
+//!   *state*, not an event: a later ack repeats everything an earlier one
+//!   said, so one ack per poll is enough, a lost ack costs nothing the
+//!   next does not repair, and nobody counts duplicates.
+//! * **Sender**, per destination: a ring of unacknowledged data-packet
+//!   clones, bounded by a window (which *replaces* credit-based flow
+//!   control — credits are not idempotent under duplication, while
+//!   acks are; the window bounds receive-buffer usage exactly as credits
+//!   did). A SACK marks ring entries delivered; every unmarked entry
+//!   below the highest marked one is a hole and is re-sent at once, and
+//!   at most once per round trip: it becomes eligible again only when the
+//!   receiver reports a packet first sent *after* the re-send, which
+//!   proves the re-send was lost too. The retransmit timer, with
+//!   exponential backoff, re-sends the **oldest unacknowledged packet
+//!   only** and forgets the marks (the next ack's bitmap restores them) —
+//!   one timeout is one packet on the wire, whatever the window holds, so
+//!   a periodic loss pattern has no fixed-size burst to phase-lock with.
 //!
 //! The header's `ack` field rides inside the fixed
-//! [`crate::HEADER_WIRE_BYTES`] framing, so enabling the sublayer does not
-//! change wire timing — only the extra packets (retransmissions, acks) do.
+//! [`crate::HEADER_WIRE_BYTES`] framing and the bitmap rides in the two
+//! header words an ack-only frame leaves zero, so enabling the sublayer
+//! does not change wire timing — only the extra packets (retransmissions,
+//! acks) do — and when nothing is lost the frames on the wire are the ones
+//! a cumulative-ack-only protocol would send.
 
 use std::collections::VecDeque;
 
@@ -38,15 +61,10 @@ use fm_model::Nanos;
 use crate::packet::FmPacket;
 use crate::stats::FmStats;
 
-/// Duplicate cumulative acks (same value, ring non-empty) before the head
-/// packet is fast-retransmitted without waiting for the timer. Dup acks
-/// only arise from duplicate/out-of-order receipt, so they
-/// are a genuine loss signal. Besides cutting recovery latency, the
-/// one-packet resend is what breaks *periodic* loss: a whole-ring resend
-/// advances a deterministic drop counter by the ring length every round
-/// (identical phase each time — the same position can be swallowed
-/// forever), while each head resend shifts the phase by one.
-const DUP_ACKS_FOR_FAST_RETRANSMIT: u32 = 3;
+/// Sequence numbers one SACK bitmap covers, counted from the cumulative
+/// ack. Held packets further ahead (only possible with a window above
+/// this) are kept but not reported; the timer repairs what precedes them.
+const SACK_BITS: u32 = 64;
 
 /// Floor for [`RetransmitConfig::rto_ns`]. A nanosecond-scale RTO (far
 /// below any round trip) turns every poll into a timeout: the sender
@@ -76,9 +94,9 @@ pub enum Reliability {
     /// gaps surface as [`crate::FmError`]) but never repaired. Default.
     #[default]
     TrustSubstrate,
-    /// Go-back-N retransmission: delivery survives packet drop,
-    /// duplication, and reordering at the cost of ack traffic and
-    /// sender-side buffering.
+    /// Selective-repeat retransmission: delivery survives packet drop,
+    /// duplication, and reordering at the cost of ack traffic,
+    /// sender-side buffering and a bounded receive-side hold table.
     Retransmit(RetransmitConfig),
 }
 
@@ -86,8 +104,9 @@ pub enum Reliability {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RetransmitConfig {
     /// Max unacknowledged data packets per destination (the sliding
-    /// window; also the sender-side buffering bound). Plays the role the
-    /// credit window plays in TrustSubstrate mode.
+    /// window; also the sender-side buffering bound and the size of the
+    /// receiver's hold table). Plays the role the credit window plays in
+    /// TrustSubstrate mode.
     pub window: u32,
     /// Initial retransmit timeout in nanoseconds (of `NetDevice::now()`
     /// time — virtual in the simulator, wall-clock on real transports).
@@ -104,13 +123,15 @@ pub struct RetransmitConfig {
     ///   the RFC 6298 shape, Karn-sampled so retransmitted packets never
     ///   pollute the estimate), clamped to `[rto_min_ns, rto_max_ns]`;
     ///   `rto_ns` remains the pre-sample initial value;
-    /// * the effective send window per peer becomes AIMD — grows by one
-    ///   packet per window of acks up to `window`, halves on a loss
-    ///   signal (timeout or fast retransmit) — so a lossy or slow peer
-    ///   sheds load instead of triggering retransmit storms.
+    /// * the packets in flight per peer are bounded by an AIMD window —
+    ///   grows by one packet per window of acks up to `window`, halves
+    ///   once per recovery episode (the first loss signal, timeout or
+    ///   SACK hole, until everything sent before it is acknowledged) —
+    ///   so a lossy or slow peer sheds load instead of triggering
+    ///   retransmit storms.
     ///
-    /// `false` (default) keeps the historical fixed-constant behaviour
-    /// bit-identical; real datagram transports (fm-udp) enable it.
+    /// `false` (default) keeps the constants; real datagram transports
+    /// (fm-udp) enable it. The protocol is the same either way.
     pub adaptive: bool,
     /// Clamp floor for the adaptive RTO estimate (ignored when
     /// `adaptive` is off).
@@ -149,27 +170,61 @@ impl RetransmitConfig {
 pub enum RecvDecision {
     /// The next expected packet: deliver it.
     Accept,
-    /// Already delivered (seq below expected): drop, force an ack.
+    /// Ahead of the next expected packet and inside the window: kept
+    /// until the packets before it arrive, then released in order.
+    Held,
+    /// Nothing to keep: already delivered, already held, or beyond the
+    /// window. Dropped and counted; forces an ack.
     Duplicate,
-    /// Beyond the next expected seq (a loss shadow or reordering): drop;
-    /// go-back-N will re-send it in order.
-    OutOfOrder,
+}
+
+/// One retained data packet in a send ring.
+#[derive(Debug)]
+struct Unacked {
+    /// The clone to re-send (a header copy and a payload refcount).
+    pkt: FmPacket,
+    /// A SACK said the receiver holds it: never re-sent, but still
+    /// unacknowledged until the cumulative ack passes it.
+    sacked: bool,
+    /// Set when re-sent: the next fresh sequence number at that moment.
+    /// A SACK hole is re-sent again only once the receiver reports a
+    /// packet at or past this — something sent after the re-send arrived,
+    /// so the re-send itself was lost.
+    resent_before: Option<u32>,
+}
+
+impl Unacked {
+    /// The clone to put on the wire again, its piggybacked ack refreshed
+    /// to `ack` (the stored copy's may be stale): a 24-byte header copy
+    /// and a payload refcount bump, no payload bytes move. `next_seq` is
+    /// the sender's next fresh sequence number now.
+    fn resend(&mut self, next_seq: u32, ack: u32) -> FmPacket {
+        self.resent_before = Some(next_seq);
+        let mut pkt = self.pkt.clone();
+        pkt.header.ack = ack;
+        pkt
+    }
 }
 
 #[derive(Debug, Default)]
 struct PeerSend {
     /// Unacked data packets in seq order (clones for retransmission).
-    ring: VecDeque<FmPacket>,
+    ring: VecDeque<Unacked>,
+    /// Ring entries marked [`Unacked::sacked`].
+    sacked: u32,
     /// Everything with `pkt_seq <` this is acknowledged.
     cum_acked: u32,
+    /// One past the highest `pkt_seq` sent.
+    next_seq: u32,
     /// When the retransmit timer fires (armed while the ring is
     /// non-empty).
     deadline: Option<Nanos>,
     /// Consecutive timeouts without ack progress (backoff exponent).
     timeouts: u32,
-    /// Consecutive duplicate cumulative acks since the last progress
-    /// (fast-retransmit trigger).
-    dup_acks: u32,
+    /// The recovery episode in progress (adaptive mode): `next_seq` when
+    /// the AIMD window last halved. Further loss signals halve nothing
+    /// until the cumulative ack reaches it.
+    recover: Option<u32>,
     /// Smoothed RTT estimate (adaptive mode; `None` until the first
     /// sample).
     srtt_ns: Option<u64>,
@@ -196,18 +251,60 @@ impl PeerSend {
             ..PeerSend::default()
         }
     }
+
+    /// A re-send toward this peer is going out: its ack is ambiguous
+    /// (Karn's rule), the timer gives it `rto` to land, and it is a loss
+    /// signal — the AIMD window halves if this opens a recovery episode.
+    fn on_resend(&mut self, adaptive: bool, now: Nanos, rto: u64) {
+        self.probe = None;
+        self.deadline = Some(now + Nanos(rto));
+        if adaptive && self.recover.is_none() {
+            self.cwnd = (self.cwnd / 2.0).max(1.0);
+            self.recover = Some(self.next_seq);
+        }
+    }
 }
 
-#[derive(Debug, Default)]
+#[derive(Debug)]
 struct PeerRecv {
     /// Next expected `pkt_seq` from this peer — also the cumulative ack
     /// we owe them.
     expected: u32,
     /// An ack is owed that no outgoing packet has carried yet: a data
-    /// packet was accepted since the last one, or a duplicate or
-    /// out-of-order arrival asked for a repeat (the peer is, or soon will
-    /// be, retransmitting).
+    /// packet was accepted or held since the last one, or a duplicate
+    /// asked for a repeat (the peer is, or soon will be, retransmitting).
     ack_due: bool,
+    /// Packets that arrived ahead of `expected`, at `pkt_seq % window`.
+    held: Box<[Option<FmPacket>]>,
+    /// Occupied `held` slots: zero on the loss-free path, which then
+    /// never touches the table.
+    holding: u32,
+    /// Bit `i`: `expected + i` is held (the SACK bitmap as it goes on the
+    /// wire). Bit 0 is set only while a held run is being released.
+    sack: u64,
+}
+
+impl PeerRecv {
+    fn fresh(cfg: &RetransmitConfig) -> PeerRecv {
+        PeerRecv {
+            expected: 0,
+            ack_due: false,
+            held: (0..cfg.window).map(|_| None).collect(),
+            holding: 0,
+            sack: 0,
+        }
+    }
+
+    fn slot(&self, pkt_seq: u32) -> usize {
+        pkt_seq as usize % self.held.len()
+    }
+
+    /// Let go of every held frame (the peer is gone or starting over).
+    fn drop_held(&mut self) {
+        self.held.fill(None);
+        self.holding = 0;
+        self.sack = 0;
+    }
 }
 
 /// Per-engine state of the retransmission protocol. Owned by an engine;
@@ -217,6 +314,11 @@ pub(crate) struct ReliableState {
     cfg: RetransmitConfig,
     send: Vec<PeerSend>,
     recv: Vec<PeerRecv>,
+    /// The source whose expected packet was last accepted with the next
+    /// one already held: [`ReliableState::take_released`] drains that run
+    /// before the device is asked again, so at most one peer has a run
+    /// pending.
+    releasing: Option<usize>,
 }
 
 impl ReliableState {
@@ -228,17 +330,25 @@ impl ReliableState {
         ReliableState {
             cfg,
             send: (0..num_nodes).map(|_| PeerSend::fresh(&cfg)).collect(),
-            recv: (0..num_nodes).map(|_| PeerRecv::default()).collect(),
+            recv: (0..num_nodes).map(|_| PeerRecv::fresh(&cfg)).collect(),
+            releasing: None,
         }
     }
 
-    /// Data packets that can still go to `dst` before the window closes
-    /// (the AIMD effective window in adaptive mode, the configured
-    /// window otherwise).
+    pub(crate) fn num_peers(&self) -> usize {
+        self.send.len()
+    }
+
+    /// Data packets that can still go to `dst` before the window closes:
+    /// the ring may not outgrow the configured window (the peer's hold
+    /// table is that big), and in adaptive mode the packets in flight —
+    /// the ring less what the peer says it holds — may not outgrow the
+    /// AIMD window.
     pub(crate) fn send_budget(&self, dst: usize) -> u32 {
         let ps = &self.send[dst];
-        self.effective_window(ps)
-            .saturating_sub(ps.ring.len() as u32)
+        let ring = ps.ring.len() as u32;
+        let room = self.cfg.window.saturating_sub(ring);
+        room.min(self.effective_window(ps).saturating_sub(ring - ps.sacked))
     }
 
     fn effective_window(&self, ps: &PeerSend) -> u32 {
@@ -266,11 +376,14 @@ impl ReliableState {
         extra <= self.send_budget(dst)
     }
 
-    /// The cumulative ack to piggyback on a packet headed to `dst` (and
-    /// mark the ack duty to that peer as discharged).
+    /// The cumulative ack to piggyback on a packet headed to `dst`. That
+    /// discharges the ack duty to that peer — unless packets from it are
+    /// held, which only a standalone ack's bitmap can say.
     pub(crate) fn piggyback_ack(&mut self, dst: usize) -> u32 {
         let pr = &mut self.recv[dst];
-        pr.ack_due = false;
+        if pr.sack == 0 {
+            pr.ack_due = false;
+        }
         pr.expected
     }
 
@@ -284,114 +397,184 @@ impl ReliableState {
         if self.cfg.adaptive && ps.probe.is_none() {
             ps.probe = Some((pkt.header.pkt_seq, now));
         }
-        ps.ring.push_back(pkt.clone());
+        ps.next_seq = pkt.header.pkt_seq.wrapping_add(1);
+        ps.ring.push_back(Unacked {
+            pkt: pkt.clone(),
+            sacked: false,
+            resent_before: None,
+        });
         if ps.deadline.is_none() {
             ps.deadline = Some(now + Nanos(rto));
         }
     }
 
-    /// Process a cumulative ack from `src` (who has received everything
-    /// with `pkt_seq < ack` that we sent them).
+    /// Process an ack from `src`: it has delivered everything with
+    /// `pkt_seq < ack` that we sent it, and holds `ack + i` for every set
+    /// bit `i` of `sack` (zero on piggybacked acks and whenever it holds
+    /// nothing).
     ///
-    /// Returns `true` when enough duplicate acks have accumulated that the
-    /// caller should fast-retransmit [`ReliableState::head_packet`] now
-    /// instead of waiting for the timer.
-    pub(crate) fn on_ack(&mut self, src: usize, ack: u32, now: Nanos) -> bool {
+    /// Returns `true` when the peer is holding packets behind a gap, so
+    /// the caller should re-send what [`ReliableState::next_hole`] yields
+    /// now instead of waiting for the timer.
+    pub(crate) fn on_ack(&mut self, src: usize, ack: u32, sack: u64, now: Nanos) -> bool {
         let adaptive = self.cfg.adaptive;
         let window = self.cfg.window;
-        let base_rto = self.rto_base(&self.send[src]);
         let ps = &mut self.send[src];
         if seq_lt(ack, ps.cum_acked) {
             return false; // ancient ack, reordered in transit
         }
-        if ack == ps.cum_acked {
-            // Duplicate: the peer is repeating "still waiting for seq
-            // `ack`" — it saw something out of order.
-            if ps.ring.is_empty() {
-                return false; // nothing outstanding; just a quiet peer
+        if ack != ps.cum_acked {
+            ps.cum_acked = ack;
+            let mut popped = 0u32;
+            while ps
+                .ring
+                .front()
+                .is_some_and(|u| seq_lt(u.pkt.header.pkt_seq, ack))
+            {
+                let u = ps.ring.pop_front().expect("front was checked");
+                ps.sacked -= u.sacked as u32;
+                popped += 1;
             }
-            ps.dup_acks += 1;
-            if ps.dup_acks >= DUP_ACKS_FOR_FAST_RETRANSMIT {
-                ps.dup_acks = 0;
-                // Push the timer back: the fast resend is in flight, give
-                // it a chance before the whole-ring timeout fires.
-                ps.deadline = Some(now + Nanos(base_rto << ps.timeouts));
-                if adaptive {
-                    // A loss signal: halve the effective window; the
-                    // resend also voids the RTT probe (Karn's rule).
-                    ps.cwnd = (ps.cwnd / 2.0).max(1.0);
-                    ps.probe = None;
-                }
-                return true;
+            if ps.recover.is_some_and(|r| !seq_lt(ack, r)) {
+                ps.recover = None; // everything sent before the loss is in
             }
-            return false;
-        }
-        ps.cum_acked = ack;
-        let mut popped = 0u32;
-        while ps
-            .ring
-            .front()
-            .is_some_and(|p| seq_lt(p.header.pkt_seq, ack))
-        {
-            ps.ring.pop_front();
-            popped += 1;
-        }
-        if adaptive {
-            // RTT sample: the timed probe is acknowledged and was never
-            // retransmitted (a timeout or fast retransmit would have
-            // cleared it).
-            if let Some((seq, sent)) = ps.probe {
-                if seq_lt(seq, ack) {
-                    let sample = now.0.saturating_sub(sent.0);
-                    match ps.srtt_ns {
-                        Some(srtt) => {
-                            ps.rttvar_ns = (3 * ps.rttvar_ns + srtt.abs_diff(sample)) / 4;
-                            ps.srtt_ns = Some((7 * srtt + sample) / 8);
+            if adaptive {
+                // RTT sample: the timed probe is acknowledged and was
+                // never retransmitted (any re-send toward this peer would
+                // have cleared it).
+                if let Some((seq, sent)) = ps.probe {
+                    if seq_lt(seq, ack) {
+                        let sample = now.0.saturating_sub(sent.0);
+                        match ps.srtt_ns {
+                            Some(srtt) => {
+                                ps.rttvar_ns = (3 * ps.rttvar_ns + srtt.abs_diff(sample)) / 4;
+                                ps.srtt_ns = Some((7 * srtt + sample) / 8);
+                            }
+                            None => {
+                                ps.srtt_ns = Some(sample);
+                                ps.rttvar_ns = sample / 2;
+                            }
                         }
-                        None => {
-                            ps.srtt_ns = Some(sample);
-                            ps.rttvar_ns = sample / 2;
-                        }
+                        ps.probe = None;
+                        ps.last_sample_ns = Some(sample);
                     }
-                    ps.probe = None;
-                    ps.last_sample_ns = Some(sample);
+                }
+                // Additive increase: one packet per window of acked
+                // packets.
+                ps.cwnd = (ps.cwnd + popped as f64 / ps.cwnd.max(1.0)).min(window as f64);
+            }
+            // Ack progress: reset backoff and restart the timer for
+            // whatever is still outstanding (under the *new* RTT
+            // estimate).
+            ps.timeouts = 0;
+            let rto = self.rto_base(&self.send[src]);
+            let ps = &mut self.send[src];
+            ps.deadline = if ps.ring.is_empty() {
+                None
+            } else {
+                Some(now + Nanos(rto))
+            };
+        }
+        // The bitmap is relative to `ack`, which is now `cum_acked`. An
+        // older bitmap for the same `ack` is a subset of a newer one, and
+        // an ack only ever adds marks, so ack reordering cannot unmark.
+        let ps = &mut self.send[src];
+        let Some(front) = ps.ring.front().map(|u| u.pkt.header.pkt_seq) else {
+            return false;
+        };
+        let mut bits = sack;
+        while bits != 0 {
+            let seq = ack.wrapping_add(bits.trailing_zeros());
+            bits &= bits - 1;
+            // A bit below the ring's front (or past its back) names
+            // nothing retained: the index wraps out of range.
+            if let Some(u) = ps.ring.get_mut(seq.wrapping_sub(front) as usize) {
+                if !u.sacked {
+                    u.sacked = true;
+                    ps.sacked += 1;
                 }
             }
-            // Additive increase: one packet per window of acked packets.
-            ps.cwnd = (ps.cwnd + popped as f64 / ps.cwnd.max(1.0)).min(window as f64);
         }
-        // Ack progress: reset backoff and restart the timer for whatever
-        // is still outstanding (under the *new* RTT estimate).
-        ps.timeouts = 0;
-        ps.dup_acks = 0;
-        let rto = self.rto_base(&self.send[src]);
-        let ps = &mut self.send[src];
-        ps.deadline = if ps.ring.is_empty() {
-            None
-        } else {
-            Some(now + Nanos(rto))
-        };
-        false
+        ps.sacked > 0
     }
 
-    /// Run an incoming data packet from `src` through the in-order filter.
-    pub(crate) fn accept(&mut self, src: usize, pkt_seq: u32, stats: &mut FmStats) -> RecvDecision {
+    /// The next hole toward `dst` to re-send: the oldest ring entry below
+    /// the highest SACKed one that the peer does not hold and that has
+    /// not been re-sent since (see [`Unacked::resent_before`]), as a clone
+    /// with its piggybacked ack refreshed. Marks it re-sent; `None` when
+    /// every hole has its re-send in flight.
+    pub(crate) fn next_hole(&mut self, dst: usize, now: Nanos) -> Option<FmPacket> {
+        let ack = self.recv[dst].expected;
+        let adaptive = self.cfg.adaptive;
+        let rto = self.rto_base(&self.send[dst]);
+        let ps = &mut self.send[dst];
+        let high = ps.ring.iter().rposition(|u| u.sacked)?;
+        let high_seq = ps.ring[high].pkt.header.pkt_seq;
+        let hole =
+            ps.ring.iter_mut().take(high).find(|u| {
+                !u.sacked && u.resent_before.is_none_or(|sent| !seq_lt(high_seq, sent))
+            })?;
+        let pkt = hole.resend(ps.next_seq, ack);
+        // Push the timer back: the re-send is in flight, give it a chance
+        // before the timeout fires on the same packet.
+        ps.on_resend(adaptive, now, rto << ps.timeouts);
+        Some(pkt)
+    }
+
+    /// Run an incoming data packet from `src` through the in-order
+    /// filter, keeping a clone (header copy, payload refcount) if it has
+    /// to wait for the packets before it.
+    pub(crate) fn accept(
+        &mut self,
+        src: usize,
+        pkt: &FmPacket,
+        stats: &mut FmStats,
+    ) -> RecvDecision {
         let pr = &mut self.recv[src];
+        let pkt_seq = pkt.header.pkt_seq;
+        // Every arrival owes an ack: progress to report, a bitmap that
+        // changed, or a peer that is retransmitting and needs telling.
+        pr.ack_due = true;
         if pkt_seq == pr.expected {
             pr.expected = pr.expected.wrapping_add(1);
-            pr.ack_due = true;
-            RecvDecision::Accept
-        } else if seq_lt(pkt_seq, pr.expected) {
-            stats.duplicates_dropped += 1;
-            pr.ack_due = true;
-            RecvDecision::Duplicate
-        } else {
-            stats.duplicates_dropped += 1;
-            // Re-ack what we do have so the sender can tighten its window
-            // accounting while it times out and goes back.
-            pr.ack_due = true;
-            RecvDecision::OutOfOrder
+            pr.sack >>= 1;
+            if pr.holding > 0 && pr.held[pr.slot(pr.expected)].is_some() {
+                self.releasing = Some(src);
+            }
+            return RecvDecision::Accept;
         }
+        let ahead = pkt_seq.wrapping_sub(pr.expected);
+        let slot = pr.slot(pkt_seq);
+        // Inside the window a slot names one sequence number, so an
+        // occupied slot is this very packet, already held.
+        if seq_lt(pkt_seq, pr.expected)
+            || ahead as usize >= pr.held.len()
+            || pr.held[slot].is_some()
+        {
+            stats.duplicates_dropped += 1;
+            return RecvDecision::Duplicate;
+        }
+        pr.held[slot] = Some(pkt.clone());
+        pr.holding += 1;
+        if ahead < SACK_BITS {
+            pr.sack |= 1 << ahead;
+        }
+        RecvDecision::Held
+    }
+
+    /// The held packet that has become the next expected one, if any:
+    /// hand it to [`ReliableState::accept`] like a fresh arrival (it *is*
+    /// the expected packet, so it is accepted and the run continues).
+    #[inline]
+    pub(crate) fn take_released(&mut self) -> Option<FmPacket> {
+        let pr = &mut self.recv[self.releasing?];
+        let pkt = pr.held[pr.slot(pr.expected)].take();
+        debug_assert!(pkt.as_ref().is_none_or(|p| p.header.pkt_seq == pr.expected));
+        match pkt {
+            Some(_) => pr.holding -= 1,
+            None => self.releasing = None,
+        }
+        pkt
     }
 
     /// Re-arm the standalone-ack duty for `peer` (used when the device
@@ -400,75 +583,47 @@ impl ReliableState {
         self.recv[peer].ack_due = true;
     }
 
-    /// Peers we owe a standalone ack (no outgoing packet piggybacked it
-    /// first). Returns `(peer, ack)` pairs and discharges the duty.
-    pub(crate) fn take_due_acks(&mut self) -> Vec<(usize, u32)> {
-        let mut due = Vec::new();
-        for (peer, pr) in self.recv.iter_mut().enumerate() {
-            if std::mem::take(&mut pr.ack_due) {
-                due.push((peer, pr.expected));
-            }
-        }
-        due
+    /// The standalone ack owed to `peer` (no outgoing packet piggybacked
+    /// it first), as `(ack, sack)`; discharges the duty.
+    pub(crate) fn take_due_ack(&mut self, peer: usize) -> Option<(u32, u64)> {
+        let pr = &mut self.recv[peer];
+        std::mem::take(&mut pr.ack_due).then_some((pr.expected, pr.sack))
     }
 
-    /// Peers whose retransmit timer has expired at `now`. For each, the
-    /// caller re-sends [`ReliableState::ring_packets`] and then calls
-    /// [`ReliableState::on_timeout_handled`].
-    pub(crate) fn due_retransmits(&self, now: Nanos) -> Vec<usize> {
-        self.send
-            .iter()
-            .enumerate()
-            .filter(|(_, ps)| ps.deadline.is_some_and(|d| d <= now))
-            .map(|(peer, _)| peer)
-            .collect()
+    /// Whether `peer`'s retransmit timer has expired at `now`; the caller
+    /// then re-sends what [`ReliableState::on_timeout`] yields.
+    pub(crate) fn timed_out(&self, peer: usize, now: Nanos) -> bool {
+        self.send[peer].deadline.is_some_and(|d| d <= now)
     }
 
-    /// The unacked packets to `dst`, oldest first, with their piggybacked
-    /// ack refreshed to the current value (the stored copy's ack may be
-    /// stale). Each "clone" copies the 24-byte header and bumps the
-    /// payload refcount; no payload bytes move.
-    pub(crate) fn ring_packets(&mut self, dst: usize) -> Vec<FmPacket> {
+    /// Handle an expired timer toward `dst`: back off exponentially,
+    /// re-arm, and yield the oldest unacknowledged packet — that one
+    /// only — to re-send.
+    ///
+    /// A timeout also forgets every SACK mark: silence may mean the peer
+    /// let go of what it reported (it keeps nothing for a peer it
+    /// declared down), and a mark that outlived the packet would never be
+    /// repaired. The bitmap is state, so the next ack restores whatever
+    /// still stands.
+    pub(crate) fn on_timeout(
+        &mut self,
+        dst: usize,
+        now: Nanos,
+        stats: &mut FmStats,
+    ) -> Option<FmPacket> {
         let ack = self.recv[dst].expected;
-        self.send[dst]
-            .ring
-            .iter()
-            .map(|p| {
-                let mut p = p.clone();
-                p.header.ack = ack;
-                p
-            })
-            .collect()
-    }
-
-    /// A clone of the oldest unacked packet to `dst` (ack refreshed), for
-    /// duplicate-ack fast retransmission. The head is the only packet the
-    /// peer's in-order filter can accept, so resending it alone suffices.
-    pub(crate) fn head_packet(&mut self, dst: usize) -> Option<FmPacket> {
-        let ack = self.recv[dst].expected;
-        self.send[dst].ring.front().map(|p| {
-            let mut p = p.clone();
-            p.header.ack = ack;
-            p
-        })
-    }
-
-    /// Apply exponential backoff and re-arm the timer after a timeout on
-    /// `dst` was handled (ring re-sent, fully or partially).
-    pub(crate) fn on_timeout_handled(&mut self, dst: usize, now: Nanos, stats: &mut FmStats) {
-        let base_rto = self.rto_base(&self.send[dst]);
         let adaptive = self.cfg.adaptive;
+        let rto = self.rto_base(&self.send[dst]);
         let ps = &mut self.send[dst];
         stats.retransmit_timeouts += 1;
         ps.timeouts = (ps.timeouts + 1).min(self.cfg.max_backoff_exp);
-        let rto = Nanos(base_rto << ps.timeouts);
-        ps.deadline = Some(now + rto);
-        if adaptive {
-            // Loss signal: halve the window; the whole ring was resent,
-            // so the probe's eventual ack is ambiguous (Karn's rule).
-            ps.cwnd = (ps.cwnd / 2.0).max(1.0);
-            ps.probe = None;
+        ps.on_resend(adaptive, now, rto << ps.timeouts);
+        for u in &mut ps.ring {
+            u.sacked = false;
         }
+        ps.sacked = 0;
+        let next_seq = ps.next_seq;
+        Some(ps.ring.front_mut()?.resend(next_seq, ack))
     }
 
     /// The earliest armed retransmit deadline across all peers, for
@@ -477,36 +632,42 @@ impl ReliableState {
         self.send.iter().filter_map(|ps| ps.deadline).min()
     }
 
-    /// Total unacknowledged data packets across all peers. Zero means
+    /// Total unacknowledged data packets across all peers — SACKed ones
+    /// included: only the cumulative ack confirms delivery. Zero means
     /// every send has been confirmed delivered.
     pub(crate) fn unacked_packets(&self) -> usize {
         self.send.iter().map(|ps| ps.ring.len()).sum()
     }
 
     /// Forget everything about `peer` — both sequence spaces restart at
-    /// zero, the retransmit ring is dropped, and the RTT/window
-    /// estimators return to their initial state. Called when the peer
-    /// restarts with a new incarnation epoch
+    /// zero, the retransmit ring and every held frame are dropped, and
+    /// the RTT/window estimators return to their initial state. Called
+    /// when the peer restarts with a new incarnation epoch
     /// ([`crate::device::PeerEventKind::Rejoining`]): its old in-flight
     /// state would otherwise poison the new incarnation's sequence
     /// numbers.
     pub(crate) fn reset_peer(&mut self, peer: usize) {
         self.send[peer] = PeerSend::fresh(&self.cfg);
-        self.recv[peer] = PeerRecv::default();
+        let pr = &mut self.recv[peer];
+        pr.drop_held();
+        pr.expected = 0;
+        pr.ack_due = false;
     }
 
     /// Stop retransmitting toward `peer` (declared down): drop the ring
-    /// and disarm the timer, but keep both sequence spaces — if the same
-    /// incarnation comes back (`Suspect`→`Up` without a restart), the
-    /// protocol state is still coherent and go-back-N resumes from the
-    /// cumulative ack.
+    /// and every frame held from it and disarm the timer, but keep both
+    /// sequence spaces — if the same incarnation comes back
+    /// (`Suspect`→`Up` without a restart), the protocol state is still
+    /// coherent and the window resumes from the cumulative ack.
     pub(crate) fn abandon_peer(&mut self, peer: usize) {
         let ps = &mut self.send[peer];
         ps.ring.clear();
+        ps.sacked = 0;
         ps.deadline = None;
         ps.timeouts = 0;
-        ps.dup_acks = 0;
+        ps.recover = None;
         ps.probe = None;
+        self.recv[peer].drop_held();
     }
 
     /// The current base RTO toward `peer` (adaptive estimate once a
@@ -547,13 +708,30 @@ impl ReliableState {
         let mut st = ReliableState::new(num_nodes, cfg);
         for ps in &mut st.send {
             ps.cum_acked = start;
+            ps.next_seq = start;
         }
         for pr in &mut st.recv {
             pr.expected = start;
         }
         st
     }
+
+    /// Test-only: frames held from all peers.
+    #[cfg(test)]
+    pub(crate) fn held_packets(&self) -> usize {
+        self.recv
+            .iter()
+            .map(|pr| {
+                let held = pr.held.iter().flatten().count();
+                assert_eq!(held, pr.holding as usize);
+                held
+            })
+            .sum()
+    }
 }
+
+#[cfg(test)]
+mod oracle;
 
 #[cfg(test)]
 mod prop_tests {
@@ -564,7 +742,10 @@ mod prop_tests {
     //! ([`DetRng`], seed printed in every assertion); case count follows
     //! the `PROPTEST_CASES` environment variable (CI raises it to 1024).
 
+    use std::collections::BTreeSet;
+
     use super::*;
+    use crate::buf::BufPool;
     use crate::packet::{HandlerId, PacketFlags, PacketHeader};
     use fm_model::rng::{env_cases, DetRng};
 
@@ -579,36 +760,27 @@ mod prop_tests {
         }
     }
 
-    fn data_pkt(seq: u32) -> FmPacket {
-        FmPacket {
-            header: PacketHeader {
-                src: 0,
-                dst: 1,
-                handler: HandlerId(1),
-                msg_seq: 0,
-                pkt_seq: seq,
-                msg_len: 4,
-                flags: PacketFlags::FIRST | PacketFlags::LAST,
-                credits: 0,
-                ack: 0,
-            },
-            payload: vec![0; 4].into(),
-        }
-    }
+    /// Frames of the pool every data payload comes from: a frame that has
+    /// not come back is pinned by a ring, a hold table or the wire.
+    const POOL_FRAMES: usize = 64;
 
     /// One sender (node 0) streaming to one receiver (node 1) over a
     /// hostile channel the test controls packet by packet, with a
-    /// reference model (`next_seq` / `model_expected` / `last_ack`)
-    /// checked at every event.
+    /// reference model (`next_seq` / `model_expected` / `model_held` /
+    /// `last_ack`) checked at every event.
     struct World {
         s: ReliableState,
         r: ReliableState,
         stats: FmStats,
+        pool: BufPool,
         wire: Vec<FmPacket>,
-        acks: Vec<u32>,
+        acks: Vec<(u32, u64)>,
         now: Nanos,
         next_seq: u32,
         model_expected: u32,
+        /// Sequence numbers the receiver must be holding: arrived ahead
+        /// of `model_expected`, inside the window, not yet released.
+        model_held: BTreeSet<u32>,
         last_ack: u32,
         case: usize,
     }
@@ -623,19 +795,40 @@ mod prop_tests {
                 s: ReliableState::with_start_seq(2, c, start),
                 r: ReliableState::with_start_seq(2, c, start),
                 stats: FmStats::default(),
+                pool: BufPool::new(4, POOL_FRAMES),
                 wire: Vec::new(),
                 acks: Vec::new(),
                 now: Nanos(0),
                 next_seq: start,
                 model_expected: start,
+                model_held: BTreeSet::new(),
                 last_ack: start,
                 case,
             }
         }
 
+        fn data_pkt(&self, seq: u32) -> FmPacket {
+            let mut payload = self.pool.take();
+            payload.extend_from_slice(&seq.to_le_bytes());
+            FmPacket {
+                header: PacketHeader {
+                    src: 0,
+                    dst: 1,
+                    handler: HandlerId(1),
+                    msg_seq: 0,
+                    pkt_seq: seq,
+                    msg_len: 4,
+                    flags: PacketFlags::FIRST | PacketFlags::LAST,
+                    credits: 0,
+                    ack: 0,
+                },
+                payload,
+            }
+        }
+
         fn try_send(&mut self) {
             if self.s.can_send(1, 1) {
-                let pkt = data_pkt(self.next_seq);
+                let pkt = self.data_pkt(self.next_seq);
                 self.s.on_data_sent(1, &pkt, self.now);
                 self.wire.push(pkt);
                 self.next_seq = self.next_seq.wrapping_add(1);
@@ -647,76 +840,150 @@ mod prop_tests {
             );
         }
 
+        /// The filter accepted `seq`: it must be exactly the next one.
+        fn model_accept(&mut self, seq: u32) {
+            assert_eq!(
+                seq, self.model_expected,
+                "case {}: accepted out of order",
+                self.case
+            );
+            self.model_expected = self.model_expected.wrapping_add(1);
+        }
+
         /// Deliver the `idx`-th in-flight data packet and check the filter
-        /// decision against the model.
+        /// decision — and everything it releases — against the model.
         fn deliver(&mut self, idx: usize) {
             let pkt = self.wire.remove(idx);
             let seq = pkt.header.pkt_seq;
-            let decision = self.r.accept(0, seq, &mut self.stats);
+            let case = self.case;
+            let dups_before = self.stats.duplicates_dropped;
+            let ahead = seq.wrapping_sub(self.model_expected);
+            let decision = self.r.accept(0, &pkt, &mut self.stats);
             match decision {
                 RecvDecision::Accept => {
-                    assert_eq!(
-                        seq, self.model_expected,
-                        "case {}: accepted out of order",
-                        self.case
+                    self.model_accept(seq);
+                    // The run held behind it comes out now, in order,
+                    // each packet exactly once.
+                    while let Some(p) = self.r.take_released() {
+                        let seq = p.header.pkt_seq;
+                        assert_eq!(&p.payload[..], seq.to_le_bytes(), "case {case}");
+                        assert!(
+                            self.model_held.remove(&seq),
+                            "case {case}: released seq {seq} was never held"
+                        );
+                        let again = self.r.accept(0, &p, &mut self.stats);
+                        assert_eq!(again, RecvDecision::Accept, "case {case}");
+                        self.model_accept(seq);
+                    }
+                }
+                RecvDecision::Held => {
+                    assert!(
+                        seq_lt(self.model_expected, seq) && ahead < WINDOW,
+                        "case {case}: seq {seq} held at expected {}",
+                        self.model_expected
                     );
-                    self.model_expected = self.model_expected.wrapping_add(1);
+                    assert!(
+                        self.model_held.insert(seq),
+                        "case {case}: seq {seq} held twice"
+                    );
                 }
                 RecvDecision::Duplicate => assert!(
-                    seq_lt(seq, self.model_expected),
-                    "case {}: seq {seq} classified Duplicate but not below expected {}",
-                    self.case,
-                    self.model_expected
-                ),
-                RecvDecision::OutOfOrder => assert!(
-                    !seq_lt(seq, self.model_expected) && seq != self.model_expected,
-                    "case {}: seq {seq} classified OutOfOrder at expected {}",
-                    self.case,
+                    seq_lt(seq, self.model_expected)
+                        || self.model_held.contains(&seq)
+                        || ahead >= WINDOW,
+                    "case {case}: fresh seq {seq} dropped at expected {}",
                     self.model_expected
                 ),
             }
+            // Only what is thrown away counts as a duplicate.
+            assert_eq!(
+                self.stats.duplicates_dropped - dups_before,
+                (decision == RecvDecision::Duplicate) as u64,
+                "case {case}: {decision:?}"
+            );
+            assert!(self.model_held.len() < WINDOW as usize, "case {case}");
+            assert_eq!(self.r.held_packets(), self.model_held.len(), "case {case}");
+            assert!(
+                !self.model_held.contains(&self.model_expected),
+                "case {case}: a releasable packet was left held"
+            );
             self.collect_acks();
         }
 
-        /// Move acks the receiver owes onto the ack channel, checking
-        /// cumulative-ack monotonicity (in serial order).
+        /// Move the ack the receiver owes onto the ack channel, checking
+        /// cumulative-ack monotonicity (in serial order) and that the
+        /// bitmap is exactly the held set.
         fn collect_acks(&mut self) {
-            for (peer, ack) in self.r.take_due_acks() {
-                assert_eq!(peer, 0);
-                assert!(
-                    !seq_lt(ack, self.last_ack),
-                    "case {}: cumulative ack went backwards ({} after {})",
-                    self.case,
-                    ack,
-                    self.last_ack
+            assert!(self.r.take_due_ack(1).is_none());
+            let Some((ack, sack)) = self.r.take_due_ack(0) else {
+                return;
+            };
+            assert!(
+                !seq_lt(ack, self.last_ack),
+                "case {}: cumulative ack went backwards ({} after {})",
+                self.case,
+                ack,
+                self.last_ack
+            );
+            assert_eq!(ack, self.model_expected, "case {}", self.case);
+            for i in 0..SACK_BITS {
+                assert_eq!(
+                    sack >> i & 1 == 1,
+                    self.model_held.contains(&ack.wrapping_add(i)),
+                    "case {}: bitmap {sack:#x} bit {i} at ack {ack}",
+                    self.case
                 );
-                self.last_ack = ack;
-                self.acks.push(ack);
             }
+            self.last_ack = ack;
+            self.acks.push((ack, sack));
         }
 
         fn deliver_ack(&mut self, idx: usize) {
-            let ack = self.acks.remove(idx);
+            let (ack, sack) = self.acks.remove(idx);
             let before = self.s.send[1].cum_acked;
-            let fast = self.s.on_ack(1, ack, self.now);
-            let after = self.s.send[1].cum_acked;
+            let holes = self.s.on_ack(1, ack, sack, self.now);
+            let ps = &self.s.send[1];
             assert!(
-                !seq_lt(after, before),
+                !seq_lt(ps.cum_acked, before),
                 "case {}: cum_acked went backwards",
                 self.case
             );
-            if fast {
-                if let Some(head) = self.s.head_packet(1) {
-                    self.wire.push(head);
+            assert_eq!(
+                ps.sacked as usize,
+                ps.ring.iter().filter(|u| u.sacked).count(),
+                "case {}",
+                self.case
+            );
+            if holes {
+                while let Some(hole) = self.s.next_hole(1, self.now) {
+                    self.resent(hole);
                 }
             }
         }
 
+        /// A re-send goes on the wire: it must be a retained packet the
+        /// receiver has not been heard to hold.
+        fn resent(&mut self, pkt: FmPacket) {
+            let seq = pkt.header.pkt_seq;
+            let entry = self.s.send[1]
+                .ring
+                .iter()
+                .find(|u| u.pkt.header.pkt_seq == seq);
+            assert!(
+                entry.is_some_and(|u| !u.sacked),
+                "case {}: re-sent seq {seq}, acknowledged or SACKed",
+                self.case
+            );
+            self.wire.push(pkt);
+        }
+
         fn fire_timeouts(&mut self) {
-            for peer in self.s.due_retransmits(self.now) {
-                let ring = self.s.ring_packets(peer);
-                self.wire.extend(ring);
-                self.s.on_timeout_handled(peer, self.now, &mut self.stats);
+            if self.s.timed_out(1, self.now) {
+                let unacked = self.s.unacked_packets();
+                if let Some(head) = self.s.on_timeout(1, self.now, &mut self.stats) {
+                    self.resent(head);
+                }
+                assert_eq!(self.s.unacked_packets(), unacked, "case {}", self.case);
             }
         }
 
@@ -754,6 +1021,62 @@ mod prop_tests {
                 self.case
             );
             assert_eq!(self.r.recv[0].expected, self.next_seq, "case {}", self.case);
+            assert_eq!(self.s.unacked_packets(), 0, "case {}", self.case);
+            assert_eq!(self.r.held_packets(), 0, "case {}", self.case);
+            assert_eq!(
+                self.pool.free_frames(),
+                self.frames_made(),
+                "case {}: a frame is still pinned after the drain",
+                self.case
+            );
+        }
+
+        /// Frames the pool has had to make so far (up to what its free
+        /// list keeps): all of them are home when nothing pins any.
+        fn frames_made(&self) -> usize {
+            (self.pool.stats().misses as usize).min(POOL_FRAMES)
+        }
+
+        fn rng_index(&self, rng: &mut DetRng) -> usize {
+            rng.range_usize(0, self.wire.len())
+        }
+
+        /// One step of the hostile channel: mostly send/deliver, some
+        /// drops, duplicates, reordering (random delivery index), acks in
+        /// any order, and time passing.
+        fn random_step(&mut self, rng: &mut DetRng) {
+            match rng.below(100) {
+                0..=34 => self.try_send(),
+                35..=64 => {
+                    if !self.wire.is_empty() {
+                        let idx = self.rng_index(rng);
+                        self.deliver(idx); // random index = reordering
+                    }
+                }
+                65..=74 => {
+                    if !self.wire.is_empty() {
+                        let idx = self.rng_index(rng);
+                        self.wire.remove(idx); // drop
+                    }
+                }
+                75..=84 => {
+                    if !self.wire.is_empty() {
+                        let idx = self.rng_index(rng);
+                        let copy = self.wire[idx].clone();
+                        self.wire.push(copy); // duplicate
+                    }
+                }
+                85..=94 => {
+                    if !self.acks.is_empty() {
+                        let idx = rng.range_usize(0, self.acks.len());
+                        self.deliver_ack(idx);
+                    }
+                }
+                _ => {
+                    self.now += Nanos(rng.below(2_000));
+                    self.fire_timeouts();
+                }
+            }
         }
     }
 
@@ -773,47 +1096,9 @@ mod prop_tests {
             let mut rng = DetRng::seed_from_u64(0x5E9_0000_u64 ^ case as u64);
             let mut w = World::new(start_seq(&mut rng, case), case);
             for _ in 0..rng.range_usize(20, 200) {
-                match rng.below(100) {
-                    // Weighted op mix: mostly send/deliver, some hostility.
-                    0..=34 => w.try_send(),
-                    35..=64 => {
-                        if !w.wire.is_empty() {
-                            let idx = w.rng_index(&mut rng);
-                            w.deliver(idx); // random index = reordering
-                        }
-                    }
-                    65..=74 => {
-                        if !w.wire.is_empty() {
-                            let idx = w.rng_index(&mut rng);
-                            w.wire.remove(idx); // drop
-                        }
-                    }
-                    75..=84 => {
-                        if !w.wire.is_empty() {
-                            let idx = w.rng_index(&mut rng);
-                            let copy = w.wire[idx].clone();
-                            w.wire.push(copy); // duplicate
-                        }
-                    }
-                    85..=94 => {
-                        if !w.acks.is_empty() {
-                            let idx = rng.range_usize(0, w.acks.len());
-                            w.deliver_ack(idx);
-                        }
-                    }
-                    _ => {
-                        w.now += Nanos(rng.below(2_000));
-                        w.fire_timeouts();
-                    }
-                }
+                w.random_step(&mut rng);
             }
             w.drain();
-        }
-    }
-
-    impl World {
-        fn rng_index(&self, rng: &mut DetRng) -> usize {
-            rng.range_usize(0, self.wire.len())
         }
     }
 
@@ -833,37 +1118,67 @@ mod prop_tests {
             let mut rng = DetRng::seed_from_u64(0xADA_0000_u64 ^ case as u64);
             let mut w = World::new_with(adaptive, start_seq(&mut rng, case), case);
             for _ in 0..rng.range_usize(20, 200) {
-                match rng.below(100) {
-                    0..=34 => w.try_send(),
-                    35..=64 => {
-                        if !w.wire.is_empty() {
-                            let idx = w.rng_index(&mut rng);
-                            w.deliver(idx);
-                        }
-                    }
-                    65..=74 => {
-                        if !w.wire.is_empty() {
-                            let idx = w.rng_index(&mut rng);
-                            w.wire.remove(idx);
-                        }
-                    }
-                    75..=84 => {
-                        if !w.wire.is_empty() {
-                            let idx = w.rng_index(&mut rng);
-                            let copy = w.wire[idx].clone();
-                            w.wire.push(copy);
-                        }
-                    }
-                    85..=94 => {
-                        if !w.acks.is_empty() {
-                            let idx = rng.range_usize(0, w.acks.len());
-                            w.deliver_ack(idx);
-                        }
-                    }
-                    _ => {
-                        w.now += Nanos(rng.below(2_000));
-                        w.fire_timeouts();
-                    }
+                w.random_step(&mut rng);
+            }
+            w.drain();
+        }
+    }
+
+    #[test]
+    fn prop_departed_peers_pin_no_frames() {
+        // A peer that restarts (`reset_peer`) or is declared down
+        // (`abandon_peer`) mid-conversation leaves nothing behind on
+        // either side: every frame a ring or a hold table shared comes
+        // back to the pool once the wire is empty too.
+        for case in 0..env_cases(64) {
+            let mut rng = DetRng::seed_from_u64(0xDE9_0000_u64 ^ case as u64);
+            let mut w = World::new(start_seq(&mut rng, case), case);
+            let mut held_something = false;
+            for _ in 0..rng.range_usize(20, 200) {
+                w.random_step(&mut rng);
+                held_something |= w.r.held_packets() > 0;
+            }
+            if case % 2 == 0 {
+                w.s.reset_peer(1);
+                w.r.reset_peer(0);
+                assert_eq!(w.r.recv[0].expected, 0, "case {case}");
+            } else {
+                let expected = w.r.recv[0].expected;
+                w.s.abandon_peer(1);
+                w.r.abandon_peer(0);
+                assert_eq!(
+                    w.r.recv[0].expected, expected,
+                    "case {case}: sequences kept"
+                );
+            }
+            assert_eq!(w.s.unacked_packets(), 0, "case {case}");
+            assert_eq!(w.s.next_deadline(), None, "case {case}");
+            assert_eq!(w.r.held_packets(), 0, "case {case}");
+            assert!(w.r.take_released().is_none(), "case {case}");
+            w.wire.clear();
+            assert_eq!(
+                w.pool.free_frames(),
+                w.frames_made(),
+                "case {case}: a departed peer still pins frames (held: {held_something})"
+            );
+        }
+    }
+
+    #[test]
+    fn prop_a_receiver_that_lets_go_is_repaired_by_the_timer() {
+        // The receiver alone gives up on its peer mid-conversation and
+        // drops what it held (the sender's view of the membership may lag
+        // or differ). Marks for packets that no longer exist must not
+        // outlive the next timeout: delivery still completes, exactly
+        // once and in order.
+        for case in 0..env_cases(64) {
+            let mut rng = DetRng::seed_from_u64(0x1E7_0000_u64 ^ case as u64);
+            let mut w = World::new(start_seq(&mut rng, case), case);
+            for _ in 0..rng.range_usize(20, 200) {
+                w.random_step(&mut rng);
+                if rng.chance(0.02) {
+                    w.r.abandon_peer(0);
+                    w.model_held.clear();
                 }
             }
             w.drain();
@@ -895,6 +1210,8 @@ mod prop_tests {
                 "case {case}: did not cross the boundary (next_seq {})",
                 w.next_seq
             );
+            assert_eq!(w.stats.duplicates_dropped, 0, "case {case}");
+            assert_eq!(w.stats.retransmit_timeouts, 0, "case {case}");
         }
     }
 
@@ -1019,6 +1336,14 @@ mod tests {
         )
     }
 
+    /// Every hole `r` would re-send toward node 1 right now, by sequence
+    /// number.
+    fn holes(r: &mut ReliableState, now: u64) -> Vec<u32> {
+        std::iter::from_fn(|| r.next_hole(1, Nanos(now)))
+            .map(|p| p.header.pkt_seq)
+            .collect()
+    }
+
     #[test]
     fn window_bounds_outstanding_packets() {
         let mut r = state();
@@ -1028,9 +1353,14 @@ mod tests {
         }
         assert!(!r.can_send(1, 1), "window full");
         assert_eq!(r.unacked_packets(), 4);
-        r.on_ack(1, 2, Nanos(10));
+        r.on_ack(1, 2, 0, Nanos(10));
         assert_eq!(r.unacked_packets(), 2);
         assert!(r.can_send(1, 2));
+        assert!(!r.can_send(1, 3));
+        // A SACKed packet still fills its slot of the peer's hold table:
+        // only the cumulative ack reopens the window.
+        r.on_ack(1, 2, 0b10, Nanos(20));
+        assert_eq!(r.unacked_packets(), 2, "SACKed is not acknowledged");
         assert!(!r.can_send(1, 3));
     }
 
@@ -1040,18 +1370,18 @@ mod tests {
         r.on_data_sent(1, &data_pkt(1, 0), Nanos(0));
         r.on_data_sent(1, &data_pkt(1, 1), Nanos(5));
         assert_eq!(r.next_deadline(), Some(Nanos(1000)), "armed at first send");
-        r.on_ack(1, 1, Nanos(500));
+        r.on_ack(1, 1, 0, Nanos(500));
         assert_eq!(r.unacked_packets(), 1);
         assert_eq!(
             r.next_deadline(),
             Some(Nanos(1500)),
             "restarted on progress"
         );
-        r.on_ack(1, 2, Nanos(800));
+        r.on_ack(1, 2, 0, Nanos(800));
         assert_eq!(r.unacked_packets(), 0);
         assert_eq!(r.next_deadline(), None, "disarmed when ring empties");
         // Stale ack is ignored.
-        r.on_ack(1, 1, Nanos(900));
+        r.on_ack(1, 1, 0, Nanos(900));
         assert_eq!(r.unacked_packets(), 0);
     }
 
@@ -1059,84 +1389,140 @@ mod tests {
     fn receive_filter_accepts_in_order_only() {
         let mut r = state();
         let mut stats = FmStats::default();
-        assert_eq!(r.accept(1, 0, &mut stats), RecvDecision::Accept);
-        assert_eq!(r.accept(1, 1, &mut stats), RecvDecision::Accept);
-        assert_eq!(r.accept(1, 1, &mut stats), RecvDecision::Duplicate);
-        assert_eq!(r.accept(1, 5, &mut stats), RecvDecision::OutOfOrder);
-        assert_eq!(r.accept(1, 2, &mut stats), RecvDecision::Accept);
-        assert_eq!(stats.duplicates_dropped, 2);
+        let mut accept = |r: &mut ReliableState, seq| r.accept(1, &data_pkt(1, seq), &mut stats);
+        assert_eq!(accept(&mut r, 0), RecvDecision::Accept);
+        assert!(r.take_released().is_none(), "nothing was waiting");
+        // Seq 1 is lost; 2 and 3 arrive and wait for it.
+        assert_eq!(accept(&mut r, 3), RecvDecision::Held);
+        assert_eq!(accept(&mut r, 2), RecvDecision::Held);
+        assert_eq!(accept(&mut r, 2), RecvDecision::Duplicate, "already held");
+        assert_eq!(accept(&mut r, 0), RecvDecision::Duplicate, "delivered");
+        assert_eq!(
+            accept(&mut r, 5),
+            RecvDecision::Duplicate,
+            "past the window"
+        );
+        assert_eq!(r.held_packets(), 2);
+        assert_eq!(r.take_due_ack(1), Some((1, 0b110)), "holds 1+1 and 1+2");
+        assert!(r.take_released().is_none(), "seq 1 is still missing");
+        // The repair arrives: the run behind it comes out in order.
+        assert_eq!(accept(&mut r, 1), RecvDecision::Accept);
+        for seq in [2, 3] {
+            let p = r.take_released().expect("held run");
+            assert_eq!(p.header.pkt_seq, seq);
+            assert_eq!(r.accept(1, &p, &mut stats), RecvDecision::Accept);
+        }
+        assert!(r.take_released().is_none());
+        assert_eq!(r.held_packets(), 0);
+        assert_eq!(r.take_due_ack(1), Some((4, 0)), "a plain ack again");
+        assert_eq!(stats.duplicates_dropped, 3, "held packets are not drops");
     }
 
     #[test]
     fn ack_duty_piggyback_and_standalone() {
         let mut r = state();
         let mut stats = FmStats::default();
-        r.accept(1, 0, &mut stats);
+        r.accept(1, &data_pkt(1, 0), &mut stats);
         // Piggybacking discharges the duty...
         assert_eq!(r.piggyback_ack(1), 1);
-        assert!(r.take_due_acks().is_empty());
+        assert_eq!(r.take_due_ack(1), None);
         // ...otherwise a standalone ack is due.
-        r.accept(1, 1, &mut stats);
-        assert_eq!(r.take_due_acks(), vec![(1, 2)]);
-        assert!(r.take_due_acks().is_empty(), "duty discharged");
+        r.accept(1, &data_pkt(1, 1), &mut stats);
+        assert_eq!(r.take_due_ack(1), Some((2, 0)));
+        assert_eq!(r.take_due_ack(1), None, "duty discharged");
         // A duplicate forces an ack even with nothing newly accepted.
-        r.accept(1, 0, &mut stats);
-        assert_eq!(r.take_due_acks(), vec![(1, 2)]);
+        r.accept(1, &data_pkt(1, 0), &mut stats);
+        assert_eq!(r.take_due_ack(1), Some((2, 0)));
+        // While something is held a piggybacked ack cannot say so: the
+        // standalone ack stays due.
+        r.accept(1, &data_pkt(1, 3), &mut stats);
+        assert_eq!(r.piggyback_ack(1), 2);
+        assert_eq!(r.take_due_ack(1), Some((2, 0b10)));
     }
 
     #[test]
-    fn duplicate_acks_trigger_fast_retransmit() {
-        let mut r = state();
-        for seq in 0..3 {
+    fn sack_holes_are_resent_once_per_round_trip() {
+        let mut r = ReliableState::new(
+            2,
+            RetransmitConfig {
+                window: 8,
+                rto_ns: 1000,
+                ..RetransmitConfig::default()
+            },
+        );
+        for seq in 0..6 {
             r.on_data_sent(1, &data_pkt(1, seq), Nanos(0));
         }
-        assert!(!r.on_ack(1, 1, Nanos(10)), "progress, not a duplicate");
-        assert!(!r.on_ack(1, 1, Nanos(20)), "first duplicate");
-        assert!(!r.on_ack(1, 1, Nanos(30)), "second duplicate");
-        assert!(r.on_ack(1, 1, Nanos(40)), "third duplicate fires");
-        let head = r.head_packet(1).unwrap();
-        assert_eq!(head.header.pkt_seq, 1, "the oldest unacked packet");
-        // The trigger resets; progress also resets it.
-        assert!(!r.on_ack(1, 1, Nanos(50)));
-        assert!(!r.on_ack(1, 2, Nanos(60)), "progress");
-        assert!(!r.on_ack(1, 2, Nanos(70)));
-        assert!(!r.on_ack(1, 2, Nanos(80)));
-        assert!(r.on_ack(1, 2, Nanos(90)), "re-armed after progress");
-        // With nothing outstanding, duplicates are just a quiet peer.
-        r.on_ack(1, 3, Nanos(100));
-        assert_eq!(r.unacked_packets(), 0);
-        for t in [110, 120, 130] {
-            assert!(!r.on_ack(1, 3, Nanos(t)));
-        }
-        assert!(r.head_packet(1).is_none());
+        assert!(!r.on_ack(1, 1, 0, Nanos(10)), "a plain ack exposes no hole");
+        assert!(holes(&mut r, 10).is_empty());
+        // The peer holds 2 and 4: 1 and 3 are holes, 5 is merely late.
+        assert!(r.on_ack(1, 1, 0b1010, Nanos(20)));
+        assert_eq!(holes(&mut r, 20), vec![1, 3]);
+        assert_eq!(
+            r.next_deadline(),
+            Some(Nanos(1020)),
+            "the re-sends get an RTO"
+        );
+        // The same news again, or more of it, re-sends nothing: the
+        // repairs are still in flight.
+        assert!(r.on_ack(1, 1, 0b11010, Nanos(30)));
+        assert!(holes(&mut r, 30).is_empty());
+        // Fresh packets go out after the re-sends...
+        r.on_data_sent(1, &data_pkt(1, 6), Nanos(40));
+        r.on_data_sent(1, &data_pkt(1, 7), Nanos(40));
+        // ...the repair of 1 lands, and then one of them is reported
+        // while 3 is still missing: the repair of 3 was lost too.
+        assert!(r.on_ack(1, 3, 0b110, Nanos(50)));
+        assert!(holes(&mut r, 50).is_empty(), "5 arrived, nothing newer did");
+        assert!(r.on_ack(1, 3, 0b1110, Nanos(60)));
+        assert_eq!(
+            holes(&mut r, 60),
+            vec![3],
+            "6 was sent after the re-send of 3"
+        );
+        assert_eq!(r.unacked_packets(), 5);
+        // SACKed packets are never re-sent, and the cumulative ack
+        // sweeps them out.
+        r.on_ack(1, 7, 0, Nanos(70));
+        assert_eq!(r.unacked_packets(), 1);
+        assert!(!r.on_ack(1, 7, 0, Nanos(80)));
     }
 
     #[test]
     fn timeouts_back_off_exponentially_and_refresh_acks() {
         let mut r = state();
         let mut stats = FmStats::default();
-        r.on_data_sent(1, &data_pkt(1, 0), Nanos(0));
+        for seq in 0..3 {
+            r.on_data_sent(1, &data_pkt(1, seq), Nanos(0));
+        }
         // Receive something so the refreshed piggyback ack is non-zero.
-        r.accept(1, 0, &mut stats);
+        r.accept(1, &data_pkt(1, 0), &mut stats);
 
-        assert!(r.due_retransmits(Nanos(999)).is_empty());
-        assert_eq!(r.due_retransmits(Nanos(1000)), vec![1]);
-        let ring = r.ring_packets(1);
-        assert_eq!(ring.len(), 1);
-        assert_eq!(ring[0].header.ack, 1, "stale stored ack refreshed");
-        r.on_timeout_handled(1, Nanos(1000), &mut stats);
+        assert!(!r.timed_out(1, Nanos(999)));
+        assert!(r.timed_out(1, Nanos(1000)));
+        assert!(!r.timed_out(0, Nanos(1000)), "nothing outstanding there");
+        let head = r.on_timeout(1, Nanos(1000), &mut stats).unwrap();
+        assert_eq!(head.header.pkt_seq, 0, "one packet, the oldest");
+        assert_eq!(head.header.ack, 1, "stale stored ack refreshed");
         assert_eq!(stats.retransmit_timeouts, 1);
+        assert_eq!(r.unacked_packets(), 3, "the rest of the ring stays put");
         assert_eq!(r.next_deadline(), Some(Nanos(1000 + 2000)), "rto doubled");
-        r.on_timeout_handled(1, Nanos(3000), &mut stats);
+        // Silence voids what the peer reported: the marks go (the next
+        // ack's bitmap restores what still stands) and with them their
+        // discount on the packets in flight.
+        assert!(r.on_ack(1, 0, 0b110, Nanos(2000)));
+        assert!(holes(&mut r, 2000).is_empty(), "the head was just re-sent");
+        let head = r.on_timeout(1, Nanos(3000), &mut stats).unwrap();
+        assert_eq!(head.header.pkt_seq, 0, "still one packet, still the oldest");
+        assert_eq!(r.send[1].sacked, 0);
         assert_eq!(r.next_deadline(), Some(Nanos(3000 + 4000)));
         // Backoff caps at max_backoff_exp.
         for _ in 0..10 {
-            r.on_timeout_handled(1, Nanos(0), &mut stats);
+            r.on_timeout(1, Nanos(0), &mut stats);
         }
         assert_eq!(r.next_deadline(), Some(Nanos(1000 << 3)));
         // Progress resets the backoff.
-        r.on_data_sent(1, &data_pkt(1, 1), Nanos(0));
-        r.on_ack(1, 1, Nanos(50_000));
+        r.on_ack(1, 1, 0, Nanos(50_000));
         assert_eq!(r.next_deadline(), Some(Nanos(51_000)), "plain rto again");
     }
 
@@ -1163,7 +1549,7 @@ mod tests {
         assert_eq!(r.next_deadline(), Some(Nanos(100_000)));
         // Acked 10 µs later: srtt = 10 000, rttvar = 5 000 →
         // rto = 10 000 + 4·5 000 = 30 000.
-        r.on_ack(1, 1, Nanos(10_000));
+        r.on_ack(1, 1, 0, Nanos(10_000));
         assert_eq!(r.srtt_ns(1), Some(10_000));
         assert_eq!(r.current_rto_ns(1), 30_000);
         assert_eq!(r.take_rtt_sample(1), Some(10_000));
@@ -1173,7 +1559,7 @@ mod tests {
         assert_eq!(r.next_deadline(), Some(Nanos(50_000)));
         // A second, identical sample tightens the variance: srtt stays
         // 10 000, rttvar → 3 750, rto → 25 000.
-        r.on_ack(1, 2, Nanos(30_000));
+        r.on_ack(1, 2, 0, Nanos(30_000));
         assert_eq!(r.current_rto_ns(1), 25_000);
     }
 
@@ -1183,11 +1569,11 @@ mod tests {
         // A ~0 RTT sample clamps to the floor rather than melting down
         // into a timeout-per-poll storm.
         r.on_data_sent(1, &data_pkt(1, 0), Nanos(0));
-        r.on_ack(1, 1, Nanos(1));
+        r.on_ack(1, 1, 0, Nanos(1));
         assert_eq!(r.current_rto_ns(1), 2_000);
         // An enormous sample clamps to the ceiling.
         r.on_data_sent(1, &data_pkt(1, 1), Nanos(10));
-        r.on_ack(1, 2, Nanos(900_000_000));
+        r.on_ack(1, 2, 0, Nanos(900_000_000));
         assert_eq!(r.current_rto_ns(1), 400_000);
     }
 
@@ -1196,16 +1582,24 @@ mod tests {
         let mut r = adaptive_state();
         let mut stats = FmStats::default();
         r.on_data_sent(1, &data_pkt(1, 0), Nanos(0));
-        // Timer fires; the ring is resent — the eventual ack for seq 0
+        // Timer fires; the head is resent — the eventual ack for seq 0
         // is now ambiguous and must not feed the estimator.
-        r.on_timeout_handled(1, Nanos(100_000), &mut stats);
-        r.on_ack(1, 1, Nanos(150_000));
+        r.on_timeout(1, Nanos(100_000), &mut stats);
+        r.on_ack(1, 1, 0, Nanos(150_000));
         assert_eq!(r.srtt_ns(1), None, "ambiguous ack not sampled");
         assert_eq!(r.take_rtt_sample(1), None);
         // The next never-retransmitted packet is sampled again.
         r.on_data_sent(1, &data_pkt(1, 1), Nanos(200_000));
-        r.on_ack(1, 2, Nanos(203_000));
+        r.on_ack(1, 2, 0, Nanos(203_000));
         assert_eq!(r.srtt_ns(1), Some(3_000));
+        // A SACK-driven re-send voids the probe just the same.
+        for seq in 2..5 {
+            r.on_data_sent(1, &data_pkt(1, seq), Nanos(300_000));
+        }
+        assert!(r.on_ack(1, 2, 0b100, Nanos(301_000)));
+        assert_eq!(holes(&mut r, 301_000), vec![2, 3]);
+        r.on_ack(1, 5, 0, Nanos(309_000));
+        assert_eq!(r.srtt_ns(1), Some(3_000), "no sample from the episode");
     }
 
     #[test]
@@ -1213,17 +1607,38 @@ mod tests {
         let mut r = adaptive_state();
         let mut stats = FmStats::default();
         assert_eq!(r.cwnd_packets(1), 8, "starts fully open");
-        r.on_data_sent(1, &data_pkt(1, 0), Nanos(0));
-        r.on_timeout_handled(1, Nanos(100_000), &mut stats);
-        assert_eq!(r.cwnd_packets(1), 4, "halved on timeout");
-        r.on_timeout_handled(1, Nanos(900_000), &mut stats);
-        r.on_timeout_handled(1, Nanos(2_000_000), &mut stats);
-        r.on_timeout_handled(1, Nanos(4_000_000), &mut stats);
+        for seq in 0..4 {
+            r.on_data_sent(1, &data_pkt(1, seq), Nanos(0));
+        }
+        r.on_timeout(1, Nanos(100_000), &mut stats);
+        assert_eq!(r.cwnd_packets(1), 4, "halved on the first loss signal");
+        // More signals about the same flight — a second timeout, a SACK
+        // hole — are the same episode.
+        r.on_timeout(1, Nanos(900_000), &mut stats);
+        assert!(r.on_ack(1, 0, 0b1000, Nanos(950_000)));
+        assert_eq!(holes(&mut r, 950_000), vec![1, 2]);
+        assert_eq!(r.cwnd_packets(1), 4, "one halving per episode");
+        // Partial progress does not end it; acknowledging everything
+        // sent before the halving does.
+        r.on_ack(1, 2, 0, Nanos(960_000));
+        r.on_timeout(1, Nanos(2_000_000), &mut stats);
+        assert_eq!(r.cwnd_packets(1), 4);
+        r.on_ack(1, 4, 0, Nanos(2_100_000));
+        r.on_data_sent(1, &data_pkt(1, 4), Nanos(2_200_000));
+        r.on_timeout(1, Nanos(3_000_000), &mut stats);
+        assert_eq!(r.cwnd_packets(1), 2, "a new episode halves again");
+        r.on_ack(1, 5, 0, Nanos(3_100_000));
+        r.on_data_sent(1, &data_pkt(1, 5), Nanos(3_200_000));
+        r.on_timeout(1, Nanos(4_000_000), &mut stats);
+        r.on_ack(1, 6, 0, Nanos(4_100_000));
+        r.on_data_sent(1, &data_pkt(1, 6), Nanos(4_200_000));
+        r.on_timeout(1, Nanos(5_000_000), &mut stats);
         assert_eq!(r.cwnd_packets(1), 1, "never below one packet");
         assert_eq!(r.send_budget(1), 0, "one outstanding fills cwnd 1");
+        r.on_ack(1, 7, 0, Nanos(5_100_000));
         // Acks regrow the window additively toward the configured cap.
-        let mut seq = 1u32;
-        let mut t = 5_000_000u64;
+        let mut seq = 7u32;
+        let mut t = 6_000_000u64;
         while r.cwnd_packets(1) < 8 {
             let budget = r.send_budget(1);
             for _ in 0..budget {
@@ -1231,7 +1646,7 @@ mod tests {
                 seq += 1;
             }
             t += 1_000;
-            r.on_ack(1, seq, Nanos(t));
+            r.on_ack(1, seq, 0, Nanos(t));
             assert!(seq < 10_000, "cwnd failed to regrow");
         }
         assert_eq!(r.cwnd_packets(1), 8, "capped at the configured window");
@@ -1240,15 +1655,21 @@ mod tests {
     #[test]
     fn fast_retransmit_is_a_loss_signal_in_adaptive_mode() {
         let mut r = adaptive_state();
-        for seq in 0..4 {
+        for seq in 0..6 {
             r.on_data_sent(1, &data_pkt(1, seq), Nanos(0));
         }
-        r.on_ack(1, 1, Nanos(10));
-        for t in [20, 30] {
-            assert!(!r.on_ack(1, 1, Nanos(t)));
-        }
-        assert!(r.on_ack(1, 1, Nanos(40)), "third duplicate fires");
-        assert_eq!(r.cwnd_packets(1), 4, "halved from 8 on fast retransmit");
+        assert_eq!(r.send_budget(1), 2);
+        // Seq 0 is lost, the peer holds 1..=5: the window halves to 4.
+        assert!(r.on_ack(1, 0, 0b111110, Nanos(10)));
+        assert_eq!(holes(&mut r, 10), vec![0]);
+        assert_eq!(r.cwnd_packets(1), 4, "halved from 8 on the hole");
+        // SACKed packets are not in flight — only the hole is — but they
+        // do fill the peer's table.
+        assert_eq!(
+            r.send_budget(1),
+            2,
+            "one in flight of four; the peer's table has two free slots"
+        );
     }
 
     #[test]
@@ -1258,19 +1679,25 @@ mod tests {
         for seq in 0..3 {
             r.on_data_sent(1, &data_pkt(1, seq), Nanos(0));
         }
-        r.on_ack(1, 2, Nanos(10));
-        r.accept(1, 0, &mut stats);
-        r.accept(1, 1, &mut stats);
+        r.on_ack(1, 2, 0, Nanos(10));
+        r.accept(1, &data_pkt(1, 0), &mut stats);
+        r.accept(1, &data_pkt(1, 1), &mut stats);
+        r.accept(1, &data_pkt(1, 3), &mut stats);
+        assert_eq!(r.held_packets(), 1);
         r.reset_peer(1);
         assert_eq!(r.unacked_packets(), 0, "ring dropped");
+        assert_eq!(r.held_packets(), 0, "held frames dropped");
         assert_eq!(r.next_deadline(), None, "timer disarmed");
         assert_eq!(r.send_budget(1), 4, "window fully open");
         // Both spaces restart at zero: seq 0 is the next expected packet
         // and the first send is unacked from zero again.
-        assert_eq!(r.accept(1, 0, &mut stats), RecvDecision::Accept);
+        assert_eq!(
+            r.accept(1, &data_pkt(1, 0), &mut stats),
+            RecvDecision::Accept
+        );
         assert_eq!(r.piggyback_ack(1), 1);
         r.on_data_sent(1, &data_pkt(1, 0), Nanos(20));
-        r.on_ack(1, 1, Nanos(30));
+        r.on_ack(1, 1, 0, Nanos(30));
         assert_eq!(r.unacked_packets(), 0);
     }
 
@@ -1281,14 +1708,23 @@ mod tests {
         for seq in 0..2 {
             r.on_data_sent(1, &data_pkt(1, seq), Nanos(0));
         }
-        r.accept(1, 0, &mut stats);
+        r.accept(1, &data_pkt(1, 0), &mut stats);
+        r.accept(1, &data_pkt(1, 2), &mut stats);
         r.abandon_peer(1);
         assert_eq!(r.unacked_packets(), 0);
+        assert_eq!(r.held_packets(), 0, "a downed peer pins no frames");
         assert_eq!(r.next_deadline(), None);
-        assert!(r.due_retransmits(Nanos(u64::MAX / 2)).is_empty());
+        assert!(!r.timed_out(1, Nanos(u64::MAX / 2)));
         // Sequence spaces survive: the receive side still expects seq 1,
         // and the send side still considers seqs 0..2 used.
-        assert_eq!(r.accept(1, 1, &mut stats), RecvDecision::Accept);
-        assert_eq!(r.accept(1, 0, &mut stats), RecvDecision::Duplicate);
+        assert_eq!(
+            r.accept(1, &data_pkt(1, 1), &mut stats),
+            RecvDecision::Accept
+        );
+        assert!(r.take_released().is_none(), "seq 2 has to come again");
+        assert_eq!(
+            r.accept(1, &data_pkt(1, 0), &mut stats),
+            RecvDecision::Duplicate
+        );
     }
 }

@@ -32,17 +32,20 @@ pub struct FmStats {
     pub device_stalls: u64,
     /// Handler invocations (FM 1.x) or handler task spawns (FM 2.x).
     pub handlers_run: u64,
-    /// Data packets re-sent by the reliability sublayer (go-back-N).
+    /// Data packets re-sent by the reliability sublayer (SACK holes and
+    /// timed-out heads: one re-send is one packet).
     pub retransmissions: u64,
     /// Standalone ACK_ONLY packets sent (piggybacked acks are free).
     pub acks_sent: u64,
-    /// Received data packets discarded as duplicates or out-of-window
-    /// (reliability sublayer's in-order filter).
+    /// Received data packets discarded as duplicates — already delivered
+    /// or already held — or out-of-window (reliability sublayer's
+    /// in-order filter). A packet held for later release is not one.
     pub duplicates_dropped: u64,
-    /// Retransmit timer expirations (each may re-send several packets).
+    /// Retransmit timer expirations (each re-sends one packet, the
+    /// oldest unacknowledged).
     pub retransmit_timeouts: u64,
-    /// Head-packet resends triggered by duplicate cumulative acks
-    /// (fast retransmit; a subset of `retransmissions`).
+    /// Resends of holes a SACK bitmap exposed, ahead of the timer (fast
+    /// retransmit; a subset of `retransmissions`).
     pub fast_retransmits: u64,
     /// Per-peer protocol-state resets after a peer restarted with a new
     /// incarnation epoch (`PeerEventKind::Rejoining`).

@@ -153,6 +153,55 @@ fn contradictory_flag_combinations_are_rejected() {
 }
 
 #[test]
+fn prop_sack_bitmaps_roundtrip_in_ack_only_frames_and_nowhere_else() {
+    // An ack-only frame carries a 64-bit SACK bitmap in the two header
+    // words a message would use. The property: every bitmap survives the
+    // wire in a frame no longer than a plain ack; and on any other kind
+    // of frame those words are never read as a bitmap — whatever bytes
+    // arrive, a data or credit frame acknowledges selectively nothing.
+    let cases = env_cases(512);
+    for case in 0..cases {
+        let mut rng = DetRng::seed_from_u64(0x5AC_0000_u64 ^ case as u64);
+        // Sparse, dense and edge bitmaps all occur.
+        let sack = match case % 4 {
+            0 => rng.next_u64(),
+            1 => rng.next_u64() & rng.next_u64() & rng.next_u64(),
+            2 => 1 << rng.below(64),
+            _ => [0, 1, 1 << 63, u64::MAX][rng.range_usize(0, 4)],
+        };
+        let (src, dst, ack) = (
+            rng.next_u64() as u16,
+            rng.next_u64() as u16,
+            rng.next_u64() as u32,
+        );
+        let pkt = FmPacket::ack_sack(src, dst, ack, sack);
+        let wire = pkt.encode_wire().expect("an ack frame encodes");
+        assert_eq!(wire.len(), HEADER_WIRE_BYTES as usize, "case {case}");
+        let back = FmPacket::decode_wire(&wire).expect("own encoding decodes");
+        assert_eq!(back, pkt, "case {case}");
+        assert_eq!(back.sack(), sack, "case {case}: bitmap {sack:#x}");
+        assert_eq!((back.header.ack, back.is_data()), (ack, false));
+        if sack == 0 {
+            assert_eq!(pkt, FmPacket::ack_only(src, dst, ack), "case {case}");
+        }
+
+        // The same 24 bytes with any other legal flag nibble: the words
+        // are a message's sequence number and length again.
+        for flags in legal_flag_sets() {
+            let mut other = wire.clone();
+            other[7] = (other[7] & 0x0F) | (flags.0 << 4);
+            let decoded = FmPacket::decode_wire(&other).expect("legal flags decode");
+            let is_ack = flags == PacketFlags::ACK_ONLY;
+            assert_eq!(
+                decoded.sack(),
+                if is_ack { sack } else { 0 },
+                "case {case}: flags {flags:?} carried a bitmap"
+            );
+        }
+    }
+}
+
+#[test]
 fn prop_wire_frames_roundtrip_and_oversize_is_an_error_not_a_truncation() {
     // The full-packet codec shares one size ceiling (MAX_WIRE_FRAME) with
     // every real transport. The property: any payload length up to the

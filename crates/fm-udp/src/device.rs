@@ -25,7 +25,11 @@
 //!   queued at once. Cumulative acks are monotone, so a data packet's
 //!   piggybacked ack — or a fresher standalone ack — supersedes any
 //!   queued ACK_ONLY datagram to that peer, which is dropped from the
-//!   queue ([`UdpStats::acks_coalesced`]).
+//!   queue ([`UdpStats::acks_coalesced`]). One exception: a queued ack
+//!   that carries a SACK bitmap says something a piggybacked ack cannot
+//!   (which packets past the cumulative one are already here), so only
+//!   a fresher standalone ack — whose bitmap is the receiver's whole
+//!   state — may replace it.
 //! * **Zero-copy frames.** Outbound packets are encoded in place into
 //!   pooled [`PacketBuf`] frames; inbound datagrams are received into
 //!   pooled frames and decoded zero-copy — the packet handed to the
@@ -216,6 +220,9 @@ struct OutFrame {
     /// True for standalone ACK_ONLY packets — the only frames the
     /// coalescing pass may drop.
     pure_ack: bool,
+    /// A standalone ack with a non-zero SACK bitmap: a data frame's
+    /// piggybacked ack does not supersede it.
+    has_sack: bool,
     frame: PacketBuf,
 }
 
@@ -590,8 +597,8 @@ impl UdpDevice {
                 if !is_hello {
                     // Old-incarnation stragglers, or a new incarnation
                     // racing ahead of its own hello: either way the
-                    // reliability state does not match — reject, go-back-N
-                    // re-sends once membership has caught up.
+                    // reliability state does not match — reject, the
+                    // sender's timer re-sends once membership has caught up.
                     self.stats.stale_rejected += 1;
                     return false;
                 }
@@ -953,11 +960,13 @@ impl NetDevice for UdpDevice {
             // cumulative ack at least as fresh as any standalone ack
             // already queued to the same peer (the reliability sublayer
             // stamps acks monotonically at enqueue time), so those
-            // datagrams are pure overhead. Credit-only packets do not
-            // carry acks and must not coalesce anything.
+            // datagrams are pure overhead — unless they carry a SACK
+            // bitmap, which no data header has room for. Credit-only
+            // packets do not carry acks and must not coalesce anything.
             let before = self.out.len();
             let dst16 = pkt.header.dst;
-            self.out.retain(|f| !(f.pure_ack && f.dst_node == dst16));
+            self.out
+                .retain(|f| !(f.pure_ack && !f.has_sack && f.dst_node == dst16));
             let dropped = before - self.out.len();
             self.queued_pure_acks -= dropped;
             self.stats.acks_coalesced += dropped as u64;
@@ -973,6 +982,7 @@ impl NetDevice for UdpDevice {
             to,
             dst_node: pkt.header.dst,
             pure_ack,
+            has_sack: pkt.sack() != 0,
             frame,
         };
         if displace && !self.out.is_empty() {
@@ -999,6 +1009,7 @@ impl NetDevice for UdpDevice {
                 to: back.to,
                 dst_node: back.dst_node,
                 pure_ack: back.pure_ack,
+                has_sack: back.has_sack,
                 frame: back.frame.clone(),
             };
             self.out.push_back(twin);
@@ -1162,6 +1173,30 @@ mod tests {
         assert_eq!(a.stats().frames_sent, 1, "only the data frame crossed");
         std::thread::sleep(Duration::from_millis(10));
         assert!(b.try_recv().is_none(), "the standalone ack never crossed");
+    }
+
+    #[test]
+    fn piggybacked_acks_do_not_supersede_a_queued_sack_bitmap() {
+        let (mut a, mut b) = pair(UdpConfig::default());
+        // "Everything below 5, and 7 and 8 are here too": a data frame's
+        // header can repeat the 5 but not the rest.
+        a.try_send(FmPacket::ack_sack(0, 1, 5, 0b1100)).unwrap();
+        a.try_send(pkt(0, 1, 7)).unwrap();
+        assert_eq!(a.stats().acks_coalesced, 0, "the bitmap has to cross");
+        // A fresher standalone ack still replaces it: its bitmap is the
+        // receiver's whole state, not an addition to the older one.
+        a.try_send(FmPacket::ack_sack(0, 1, 6, 0b100)).unwrap();
+        assert_eq!(a.stats().acks_coalesced, 1);
+        let _ = a.try_recv(); // flush the batch
+        assert_eq!(a.stats().frames_sent, 2);
+        assert_eq!(recv_spin(&mut b).payload, vec![7]);
+        let ack = recv_spin(&mut b);
+        assert_eq!((ack.header.ack, ack.sack()), (6, 0b100));
+        // Once the bitmap is back to zero the ack is a plain one again,
+        // and a data frame supersedes it as before.
+        a.try_send(FmPacket::ack_sack(0, 1, 9, 0)).unwrap();
+        a.try_send(pkt(0, 1, 8)).unwrap();
+        assert_eq!(a.stats().acks_coalesced, 2);
     }
 
     #[test]
@@ -1488,8 +1523,8 @@ mod tests {
         .unwrap();
         // This first data frame races ahead of the new incarnation's
         // hello: it is rejected (raw devices have no retransmission; a
-        // real engine's go-back-N re-sends it once membership catches
-        // up — here the test re-sends below).
+        // real engine's retransmit timer re-sends it once membership
+        // catches up — here the test re-sends below).
         reborn.try_send(pkt(1, 0, 4)).unwrap();
         let deadline = Instant::now() + Duration::from_secs(5);
         loop {

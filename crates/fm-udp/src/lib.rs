@@ -28,8 +28,8 @@
 //! * **Reliability** — UDP genuinely drops, duplicates, and reorders, so
 //!   [`UdpDevice`] reports [`fm_core::NetDevice::is_lossy`] and the
 //!   engine constructors insist on [`fm_core::Reliability::Retransmit`];
-//!   FM's delivery guarantee is then earned by the go-back-N sublayer,
-//!   not assumed of the substrate.
+//!   FM's delivery guarantee is then earned by the selective-repeat
+//!   sublayer, not assumed of the substrate.
 //! * **Timing** — [`fm_core::NetDevice::now`] reads a monotonic wall
 //!   clock, so retransmit timeouts, histograms, and chrome traces
 //!   measure real elapsed nanoseconds.

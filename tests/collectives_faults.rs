@@ -54,7 +54,7 @@ fn lossy_cluster(
 /// Exit protocol: a node that finishes its script keeps extracting and
 /// acking (StepOutcome::Wait) until *every* node is done and *every*
 /// engine's retransmit window has drained — otherwise a dropped final
-/// ack would strand a peer's go-back-N recovery.
+/// ack would strand a peer's loss recovery.
 fn run_script_lossy(
     n: usize,
     drop_p: f64,

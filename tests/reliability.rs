@@ -9,7 +9,7 @@
 
 use fast_messages::fm::packet::HandlerId;
 use fast_messages::fm::{
-    Fm1Engine, Fm2Engine, FmPacket, FmStream, Reliability, RetransmitConfig, SimDevice,
+    Fm1Engine, Fm2Engine, FmPacket, FmStats, FmStream, Reliability, RetransmitConfig, SimDevice,
 };
 use fast_messages::model::{MachineProfile, Nanos};
 use fast_messages::sim::fault::FaultModel;
@@ -29,13 +29,47 @@ fn retransmit() -> Reliability {
 /// fingerprint.
 type Outcome = (Nanos, usize, usize, u64);
 
-/// Stream `count` messages node 0 -> node 1 on FM 2.x under `faults`.
+/// [`stream_fm2`]'s outcome with every counter of both ranks: what the
+/// count gates read.
+#[derive(Debug, PartialEq, Eq)]
+struct Counted {
+    end: Nanos,
+    /// Messages delivered intact.
+    got: usize,
+    /// Engine errors on the receiver.
+    errs: usize,
+    sender: FmStats,
+    receiver: FmStats,
+}
+
+impl Counted {
+    /// Data packets the fabric swallowed: every data packet handed to the
+    /// wire either arrived (delivered, or suppressed as a duplicate) or
+    /// was dropped.
+    fn data_dropped(&self) -> u64 {
+        let (s, r) = (&self.sender, &self.receiver);
+        (s.packets_sent + s.retransmissions) - (r.packets_received + r.duplicates_dropped)
+    }
+}
+
+fn run_fm2(faults: Vec<FaultModel>, count: usize, reliability: Reliability) -> Outcome {
+    let c = stream_fm2(faults, count, SIZE, reliability);
+    (c.end, c.got, c.errs, c.sender.retransmissions)
+}
+
+/// Stream `count` messages of `size` bytes node 0 -> node 1 on FM 2.x
+/// under `faults`.
 ///
 /// The sender only finishes once every packet is acknowledged
 /// (`unacked_packets() == 0`), so in Retransmit mode "sender done" means
 /// "delivery confirmed"; the receiver keeps extracting (and acking) until
 /// then, so the tail of the ack conversation is never stranded.
-fn run_fm2(faults: Vec<FaultModel>, count: usize, reliability: Reliability) -> Outcome {
+fn stream_fm2(
+    faults: Vec<FaultModel>,
+    count: usize,
+    size: usize,
+    reliability: Reliability,
+) -> Counted {
     let profile = MachineProfile::ppro200_fm2();
     let mut sim: Simulation<FmPacket> = Simulation::new(profile, Topology::single_crossbar(2));
     sim.set_fault_models(faults);
@@ -46,13 +80,11 @@ fn run_fm2(faults: Vec<FaultModel>, count: usize, reliability: Reliability) -> O
         reliability.clone(),
     );
     let sender_done = Rc::new(Cell::new(false));
-    let retrans = Rc::new(Cell::new(0u64));
-    let data = vec![7u8; SIZE];
+    let data = vec![7u8; size];
     let mut sent = 0usize;
     {
         let fm_s = fm_s.clone();
         let sender_done = Rc::clone(&sender_done);
-        let retrans = Rc::clone(&retrans);
         sim.set_program(
             NodeId(0),
             Box::new(move || {
@@ -61,7 +93,6 @@ fn run_fm2(faults: Vec<FaultModel>, count: usize, reliability: Reliability) -> O
                     sent += 1;
                 }
                 if sent == count && fm_s.unacked_packets() == 0 {
-                    retrans.set(fm_s.stats().retransmissions);
                     sender_done.set(true);
                     return StepOutcome::Done;
                 }
@@ -84,7 +115,7 @@ fn run_fm2(faults: Vec<FaultModel>, count: usize, reliability: Reliability) -> O
             async move {
                 let m = stream.receive_vec(stream.msg_len()).await;
                 // Delivered means intact: full length, right contents.
-                if m.len() == SIZE && m.iter().all(|&b| b == 7) {
+                if m.len() == size && m.iter().all(|&b| b == 7) {
                     got.set(got.get() + 1);
                 }
             }
@@ -109,7 +140,13 @@ fn run_fm2(faults: Vec<FaultModel>, count: usize, reliability: Reliability) -> O
     }
 
     let end = sim.run(Some(Nanos::from_ms(2000)));
-    (end, got.get(), errs.get(), retrans.get())
+    Counted {
+        end,
+        got: got.get(),
+        errs: errs.get(),
+        sender: fm_s.stats(),
+        receiver: fm_r.stats(),
+    }
 }
 
 /// The FM 1.x flavour of [`run_fm2`] (same shape, eager-extract API).
@@ -202,9 +239,9 @@ fn fm2_recovers_all_messages_under_random_drop() {
 
 #[test]
 fn fm2_recovers_all_messages_under_periodic_drop() {
-    // Strictly periodic loss is the go-back-N worst case (a fixed-size
-    // ring resend can phase-lock with the drop period); duplicate-ack
-    // fast retransmit must break the cycle.
+    // Strictly periodic loss is the worst case for any fixed-size resend
+    // burst (it can phase-lock with the drop period); one packet per hole
+    // and per timeout has no period to lock with.
     let fault = vec![FaultModel::DropEveryNth(50)];
     assert_recovers("fm2/nth", run_fm2(fault, 300, retransmit()), 300);
 }
@@ -247,7 +284,7 @@ fn fm1_recovers_under_composed_drop_duplicate_reorder() {
 
 #[test]
 fn recovery_is_deterministic_per_seed() {
-    // The entire recovery — timeouts, fast retransmits, ack traffic —
+    // The entire recovery — SACK holes, timeouts, ack traffic —
     // replays bit-identically (same virtual end time) for a given seed,
     // and a different seed takes a different path.
     let fault = |seed| vec![FaultModel::Drop { p: 0.02, seed }];
@@ -276,4 +313,86 @@ fn trust_substrate_loses_what_retransmit_repairs() {
     let (_, got_r, errs_r, retrans_r) = run_fm2(fault(), 300, retransmit());
     assert_eq!((got_r, errs_r), (300, 0));
     assert!(retrans_r > 0);
+}
+
+/// The stream the count gates run: 2 KB x 4096 under the adaptive
+/// profile, the shape of the benchmark's `udp_*` stream leg.
+fn gate_stream(faults: Vec<FaultModel>) -> Counted {
+    let adaptive = Reliability::Retransmit(RetransmitConfig::adaptive());
+    stream_fm2(faults, 4096, 2048, adaptive)
+}
+
+#[test]
+fn loss_free_stream_is_count_for_count_the_go_back_n_one() {
+    // Every number here was read off the parent commit (go-back-N,
+    // 20286b2) before the protocol changed: when nothing is lost,
+    // selective repeat puts the same frames on the wire at the same
+    // nanoseconds, so the virtual end time and every counter of both
+    // ranks are that commit's.
+    let c = gate_stream(vec![]);
+    assert_eq!((c.got, c.errs), (4096, 0));
+    assert_eq!(c.end, Nanos(121_448_583));
+    assert_eq!(
+        c.sender,
+        FmStats {
+            messages_sent: 4096,
+            bytes_sent: 8_388_608,
+            packets_sent: 8192,
+            pool_hits: 8160,
+            pool_misses: 32,
+            ..FmStats::default()
+        }
+    );
+    assert_eq!(
+        c.receiver,
+        FmStats {
+            messages_received: 4096,
+            bytes_received: 8_388_608,
+            packets_received: 8192,
+            bytes_copied: 8_388_608,
+            handlers_run: 4096,
+            acks_sent: 8192,
+            ..FmStats::default()
+        }
+    );
+}
+
+#[test]
+fn a_lost_packet_costs_one_packet() {
+    // Seeded 1 % drop on every frame, acks included. The parent commit
+    // (go-back-N) repaired the 96 data packets it lost on this seed with
+    // 1008 re-sends, 86 timeouts and 912 packets thrown away at the
+    // receiver, ending at 160.9 ms against 121.4 ms loss-free.
+    const PARENT_TIMEOUTS: u64 = 86;
+    let c = gate_stream(vec![FaultModel::Drop { p: 0.01, seed: 7 }]);
+    assert_eq!((c.got, c.errs), (4096, 0));
+    let dropped = c.data_dropped();
+    let (s, r) = (&c.sender, &c.receiver);
+    assert!(dropped >= 50, "the faults must have fired ({dropped} lost)");
+    assert!(
+        s.retransmissions <= 2 * dropped,
+        "{} re-sends for {dropped} lost packets",
+        s.retransmissions
+    );
+    assert!(
+        5 * s.fast_retransmits >= 4 * s.retransmissions,
+        "{} of {} re-sends ahead of the timer",
+        s.fast_retransmits,
+        s.retransmissions
+    );
+    assert!(
+        r.duplicates_dropped <= s.retransmissions,
+        "{} packets thrown away",
+        r.duplicates_dropped
+    );
+    assert!(
+        5 * s.retransmit_timeouts <= PARENT_TIMEOUTS,
+        "{} timeouts",
+        s.retransmit_timeouts
+    );
+    assert!(
+        c.end < Nanos(130_000_000),
+        "1 % loss cost {} over the loss-free 121.4 ms",
+        c.end
+    );
 }
