@@ -18,8 +18,8 @@
 //!
 //! Everything here is safe Rust (`fm-core` is `#![forbid(unsafe_code)]`):
 //! unique ownership is detected with [`Arc::get_mut`], which doubles as
-//! the write gate — a frame is writable only while exactly one
-//! `PacketBuf` points at it.
+//! the write gate — a frame is writable only while exactly one reference
+//! points at it.
 //!
 //! Ownership protocol (see DESIGN.md §11 for the full story):
 //!
@@ -27,12 +27,21 @@
 //!   ([`BufPool::take`]) and fills it while uniquely owned.
 //! * **Share**: downstream layers clone the `PacketBuf` (refcount bump)
 //!   or re-window it ([`PacketBuf::slice`]); nobody copies payload.
-//! * **Recycle**: the *last* `PacketBuf` dropped returns the frame to
-//!   its home pool automatically. Frames outlive their pool gracefully
-//!   (they fall back to the global allocator if the pool is gone).
+//! * **Lend**: a filler that hands the frame on says so first
+//!   ([`BufPool::lend`]): its pool handle keeps a reference, in a FIFO,
+//!   and the next `take` that finds the oldest lent frame unshared again
+//!   hands that very frame back, empty — no lock, no trip through the
+//!   free list. A lent frame is read-only from then on: the pool's
+//!   reference closes the write gate until it is the only one left.
+//! * **Recycle**: the *last* `PacketBuf` dropped returns a frame the pool
+//!   holds no reference to (never lent, or read for so long that a
+//!   younger frame overtook it on the FIFO) to its home pool's free list.
+//!   Frames outlive their pool gracefully (they fall back to the global
+//!   allocator if the pool is gone).
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, Weak};
+use std::cell::{Cell, RefCell};
+use std::collections::VecDeque;
+use std::sync::{Arc, Mutex, MutexGuard, Weak};
 
 /// One slab frame: a fixed-size byte buffer plus a backpointer to the
 /// pool that recycles it. The `Vec` is sized once at allocation and
@@ -59,24 +68,44 @@ struct PoolShared {
     /// Free-list cap: frames returning beyond this are dropped for real
     /// so a burst cannot pin memory forever.
     max_free: usize,
-    /// `take()` calls served from the free list.
-    hits: AtomicU64,
-    /// `take()` calls that had to allocate a fresh frame.
-    misses: AtomicU64,
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Free-list lock acquisitions made by this thread.
+    static FREE_LIST_LOCKS: Cell<u64> = const { Cell::new(0) };
+}
+
+impl PoolShared {
+    fn free_list(&self) -> MutexGuard<'_, Vec<Arc<SlotInner>>> {
+        #[cfg(test)]
+        FREE_LIST_LOCKS.with(|n| n.set(n.get() + 1));
+        self.free.lock().expect("buf pool poisoned")
+    }
 }
 
 /// A slab-backed frame pool.
 ///
-/// `BufPool` is a handle (`Clone` shares the same pool). [`take`]
-/// returns an empty, uniquely-owned [`PacketBuf`] backed by a
-/// `frame_capacity`-byte frame — recycled from the free list when
-/// possible, freshly allocated otherwise. Dropping the last `PacketBuf`
-/// for a frame returns it here without touching the allocator.
+/// [`take`] returns an empty, uniquely-owned [`PacketBuf`] backed by a
+/// `frame_capacity`-byte frame — the oldest frame [`lend`] was told about
+/// that nobody reads any more, else one recycled from the free list,
+/// else a freshly allocated one. Dropping the last `PacketBuf` of a frame
+/// that is not on the lent FIFO returns it to the free list without
+/// touching the allocator.
+///
+/// The pool belongs to the one filler that takes from it (it is `Send`,
+/// not `Sync`); the frames it hands out go wherever their readers are.
 ///
 /// [`take`]: BufPool::take
-#[derive(Debug, Clone)]
+/// [`lend`]: BufPool::lend
+#[derive(Debug)]
 pub struct BufPool {
     shared: Arc<PoolShared>,
+    /// Frames handed downstream and still referenced here, oldest first;
+    /// at most `max_free` of them.
+    lent: RefCell<VecDeque<Arc<SlotInner>>>,
+    hits: Cell<u64>,
+    misses: Cell<u64>,
 }
 
 /// Running counters for one pool: how often `take()` reused a frame
@@ -84,7 +113,7 @@ pub struct BufPool {
 /// should be all hits.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PoolStats {
-    /// Frames served from the free list.
+    /// Frames served by refilling a lent frame or from the free list.
     pub hits: u64,
     /// Frames that required a fresh allocation.
     pub misses: u64,
@@ -92,18 +121,22 @@ pub struct PoolStats {
 
 impl BufPool {
     /// A pool of `frame_capacity`-byte frames keeping at most `max_free`
-    /// recycled frames around. The free list is sized for all of them
-    /// here: a burst that returns more frames at once than any before it
-    /// recycles them without touching the allocator.
+    /// recycled frames around, and a reference to at most as many lent
+    /// ones. The free list is sized for all of them here: a burst that
+    /// returns more frames at once than any before it recycles them
+    /// without touching the allocator. The lent FIFO grows, during
+    /// warm-up, to one frame more than the readers downstream keep in
+    /// flight — a handful, however large the pool.
     pub fn new(frame_capacity: usize, max_free: usize) -> Self {
         BufPool {
             shared: Arc::new(PoolShared {
                 free: Mutex::new(Vec::with_capacity(max_free)),
                 frame_capacity,
                 max_free,
-                hits: AtomicU64::new(0),
-                misses: AtomicU64::new(0),
             }),
+            lent: RefCell::new(VecDeque::new()),
+            hits: Cell::new(0),
+            misses: Cell::new(0),
         }
     }
 
@@ -113,40 +146,88 @@ impl BufPool {
     }
 
     /// Take an empty frame: `len() == 0`, writable, `capacity()` equal
-    /// to [`frame_capacity`](Self::frame_capacity). Reuses a recycled
-    /// frame when one is available.
+    /// to [`frame_capacity`](Self::frame_capacity). Reuses the oldest
+    /// lent frame its readers are done with, else a recycled frame, and
+    /// allocates only when every frame the pool can reach is still read.
     pub fn take(&self) -> PacketBuf {
-        let recycled = self.shared.free.lock().expect("buf pool poisoned").pop();
-        let slot = match recycled {
+        let reused = self
+            .take_back_lent()
+            .or_else(|| self.shared.free_list().pop());
+        let slot = match reused {
             Some(slot) => {
-                self.shared.hits.fetch_add(1, Ordering::Relaxed);
+                self.hits.set(self.hits.get() + 1);
                 slot
             }
             None => {
-                self.shared.misses.fetch_add(1, Ordering::Relaxed);
+                self.misses.set(self.misses.get() + 1);
                 Arc::new(SlotInner {
                     data: vec![0u8; self.shared.frame_capacity],
                     home: Arc::downgrade(&self.shared),
                 })
             }
         };
-        PacketBuf {
-            slot: Some(slot),
-            off: 0,
-            len: 0,
-        }
+        PacketBuf::over(slot)
     }
 
-    /// Number of recycled frames currently waiting for reuse.
+    /// The oldest lent frame this handle's reference is the only one left
+    /// to. Readers finish in the order frames were lent, so that is
+    /// almost always the frame at the front and the search ends on its
+    /// first look. Frames lent *before* the one found are still read:
+    /// overtaken once, they would hold the queue up on every take, so
+    /// they leave it here and recycle when their last reader drops.
+    fn take_back_lent(&self) -> Option<Arc<SlotInner>> {
+        let mut lent = self.lent.borrow_mut();
+        // A count of one cannot rise again: nobody else has a reference
+        // to clone from. (The writes that follow go through
+        // `Arc::get_mut`, which synchronises with the readers' drops.)
+        let free = lent.iter().position(|slot| Arc::strong_count(slot) == 1)?;
+        lent.drain(..free)
+            .for_each(|overtaken| drop(PacketBuf::over(overtaken)));
+        lent.pop_front()
+    }
+
+    /// Say that `buf`, taken from this pool and filled, is about to be
+    /// shared downstream: the pool keeps a reference, and [`take`] hands
+    /// the frame out again once every reader has dropped its view. Call
+    /// it while `buf` is still the frame's only owner; a frame that is
+    /// already shared, detached or from elsewhere is left alone. From
+    /// here on the frame is read-only.
+    ///
+    /// The FIFO is bounded: when it is full its oldest frame — `max_free`
+    /// others were lent after it and every one is still read — goes back
+    /// to being recycled by its last owner's drop.
+    ///
+    /// [`take`]: BufPool::take
+    pub fn lend(&self, buf: &PacketBuf) {
+        let Some(slot) = &buf.slot else { return };
+        let ours = std::ptr::eq(slot.home.as_ptr(), Arc::as_ptr(&self.shared));
+        if !ours || Arc::strong_count(slot) != 1 {
+            return;
+        }
+        let mut lent = self.lent.borrow_mut();
+        if lent.len() >= self.shared.max_free {
+            // (Nothing to let go of: a pool that keeps nothing.)
+            let Some(oldest) = lent.pop_front() else {
+                return;
+            };
+            // An ordinary owner from here on: recycled if it is the
+            // last, a plain reference drop if a reader remains.
+            drop(PacketBuf::over(oldest));
+        }
+        lent.push_back(Arc::clone(slot));
+    }
+
+    /// Number of recycled frames currently waiting on the free list
+    /// (lent frames are not among them).
     pub fn free_frames(&self) -> usize {
-        self.shared.free.lock().expect("buf pool poisoned").len()
+        self.shared.free_list().len()
     }
 
     /// Hit/miss counters since the pool was created.
     pub fn stats(&self) -> PoolStats {
         PoolStats {
-            hits: self.shared.hits.load(Ordering::Relaxed),
-            misses: self.shared.misses.load(Ordering::Relaxed),
+            hits: self.hits.get(),
+            misses: self.misses.get(),
         }
     }
 }
@@ -178,6 +259,15 @@ impl PacketBuf {
         PacketBuf::default()
     }
 
+    /// An empty window at the start of `slot`.
+    fn over(slot: Arc<SlotInner>) -> Self {
+        PacketBuf {
+            slot: Some(slot),
+            off: 0,
+            len: 0,
+        }
+    }
+
     /// A "homeless" writable buffer (no pool to recycle to) with room
     /// for `capacity` bytes, starting empty. For one-off frames whose
     /// size is known up front — e.g. staging a self-addressed message.
@@ -185,14 +275,10 @@ impl PacketBuf {
         if capacity == 0 {
             return PacketBuf::empty();
         }
-        PacketBuf {
-            slot: Some(Arc::new(SlotInner {
-                data: vec![0u8; capacity],
-                home: Weak::new(),
-            })),
-            off: 0,
-            len: 0,
-        }
+        PacketBuf::over(Arc::new(SlotInner {
+            data: vec![0u8; capacity],
+            home: Weak::new(),
+        }))
     }
 
     /// Bytes visible through this window.
@@ -310,20 +396,21 @@ impl PacketBuf {
 
 impl Drop for PacketBuf {
     /// Final-owner drop recycles the frame — `Arc` spine included — to
-    /// its home pool, capped at the pool's `max_free`. Shared drops and
-    /// homeless frames just decrement / free as usual. (If two clones
-    /// race on the "am I last?" check, at worst the frame goes to the
-    /// allocator instead of the free list — safe, merely a missed
-    /// recycle.)
+    /// its home pool's free list, capped at the pool's `max_free`.
+    /// Shared drops (a view remains, or the pool's lent FIFO holds the
+    /// frame for [`BufPool::take`] to find) and homeless frames just
+    /// decrement / free as usual. (If two clones race on the "am I
+    /// last?" check, at worst the frame goes to the allocator instead of
+    /// the free list — safe, merely a missed recycle.)
     fn drop(&mut self) {
-        let Some(mut slot) = self.slot.take() else {
+        let Some(slot) = self.slot.take() else {
             return;
         };
-        if Arc::get_mut(&mut slot).is_none() {
+        if Arc::strong_count(&slot) != 1 {
             return; // Another owner remains; it will recycle.
         }
         if let Some(pool) = slot.home.upgrade() {
-            let mut free = pool.free.lock().expect("buf pool poisoned");
+            let mut free = pool.free_list();
             if free.len() < pool.max_free {
                 free.push(slot);
             }
@@ -503,6 +590,83 @@ mod tests {
         drop(pool);
         assert_eq!(&b[..], &[1]);
         drop(b); // Pool gone: frame falls back to the allocator. No panic.
+    }
+
+    fn free_list_locks() -> u64 {
+        FREE_LIST_LOCKS.with(Cell::get)
+    }
+
+    /// Count, don't time: the cycle a fill site runs per packet — take,
+    /// fill, lend, share one view, let go of both — never reaches the
+    /// free list once the first frame is out, and allocates nothing.
+    /// (Without the lent FIFO every cycle locks the free list twice: the
+    /// take's pop and the last drop's push — 2 N for N frames.)
+    #[test]
+    fn a_lent_frame_cycles_without_the_free_list_lock() {
+        const N: u64 = 10_000;
+        let pool = BufPool::new(64, 8);
+        let cycle = |i: u64| {
+            let mut b = pool.take();
+            b.extend_from_slice(&i.to_le_bytes());
+            pool.lend(&b);
+            let view = b.slice(0, 8);
+            drop(b);
+            assert_eq!(view, i.to_le_bytes());
+        };
+        cycle(0); // warm-up: the one frame is made and lent
+        let (locks, before) = (free_list_locks(), pool.stats());
+        (1..=N).for_each(cycle);
+        assert_eq!(free_list_locks() - locks, 0, "free-list lock acquisitions");
+        let after = pool.stats();
+        assert_eq!(after.misses - before.misses, 0, "fresh allocations");
+        assert_eq!(after.hits - before.hits, N);
+        assert_eq!(pool.lent.borrow().len(), 1, "one frame kept cycling");
+    }
+
+    #[test]
+    fn an_unlent_frame_still_goes_round_the_free_list() {
+        let pool = BufPool::new(64, 8);
+        drop(pool.take());
+        let locks = free_list_locks();
+        drop(pool.take());
+        assert_eq!(free_list_locks() - locks, 2, "one pop, one push");
+    }
+
+    #[test]
+    fn lend_leaves_foreign_shared_and_detached_buffers_alone() {
+        let (pool, other) = (BufPool::new(16, 4), BufPool::new(16, 4));
+        pool.lend(&PacketBuf::empty());
+        pool.lend(&PacketBuf::from(vec![1, 2, 3]));
+        let foreign = other.take();
+        pool.lend(&foreign);
+        let mut shared = pool.take();
+        shared.extend_from_slice(&[7]);
+        let view = shared.clone();
+        pool.lend(&shared);
+        assert!(pool.lent.borrow().is_empty());
+        drop((view, foreign));
+        // Lending twice keeps one reference, not two.
+        pool.lend(&shared);
+        pool.lend(&shared);
+        assert_eq!(pool.lent.borrow().len(), 1);
+        assert!(shared.frame_mut().is_none(), "a lent frame is read-only");
+    }
+
+    #[test]
+    fn lent_frames_outlive_the_pool_handle_and_are_freed() {
+        let pool = BufPool::new(16, 4);
+        let mut b = pool.take();
+        b.extend_from_slice(&[5; 16]);
+        pool.lend(&b);
+        let done_with = pool.take();
+        pool.lend(&done_with);
+        let probes = [&b, &done_with].map(|f| Arc::downgrade(f.slot.as_ref().unwrap()));
+        drop(done_with);
+        drop(pool); // frees the frame nobody reads, lets go of the other
+        assert!(probes[1].upgrade().is_none(), "unread lent frame leaked");
+        assert_eq!(&b[..], &[5; 16]);
+        drop(b);
+        assert!(probes[0].upgrade().is_none(), "orphaned lent frame leaked");
     }
 
     #[test]

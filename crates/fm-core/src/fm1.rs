@@ -289,6 +289,7 @@ impl<D: NetDevice> Fm1Engine<D> {
             }
             let mut payload = core.pool.take();
             payload.extend_from_slice(chunk);
+            core.pool.lend(&payload);
             core.emit_data(dst, handler, msg_seq, len, flags, payload);
         }
         core.end_message(dst, handler, msg_seq, len);

@@ -197,6 +197,7 @@ impl<D: NetDevice> Fm2Engine<D> {
             flags = flags | PacketFlags::LAST;
         }
         let payload = std::mem::take(&mut ss.pending);
+        core.pool.lend(&payload);
         core.emit_data(ss.dst, ss.handler, ss.msg_seq, ss.msg_len, flags, payload);
         ss.first_flushed = true;
         true

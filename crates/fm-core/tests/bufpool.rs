@@ -185,3 +185,175 @@ fn prop_interleaved_take_drop_never_grows_past_live_set() {
         );
     }
 }
+
+// ---- the lend path (`BufPool::lend`): frames refilled in place ----
+
+/// Fill a frame from `pool` with `bytes`, lend it, and return the view a
+/// downstream layer would hold (the filler's own handle is dropped).
+fn fill_and_lend(pool: &BufPool, bytes: &[u8]) -> PacketBuf {
+    let mut b = pool.take();
+    b.extend_from_slice(bytes);
+    pool.lend(&b);
+    b.slice(0, bytes.len())
+}
+
+#[test]
+fn lent_frames_come_back_oldest_first() {
+    let pool = BufPool::new(32, 8);
+    let views: Vec<PacketBuf> = (0..4u8).map(|i| fill_and_lend(&pool, &[i; 4])).collect();
+    let frames: Vec<*const u8> = views.iter().map(|v| v.as_ptr()).collect();
+    let made = pool.stats().misses;
+    drop(views);
+    assert_eq!(pool.free_frames(), 0, "lent frames wait on the FIFO");
+    for (i, &frame) in frames.iter().enumerate() {
+        let b = pool.take();
+        assert!(
+            b.is_empty() && b.is_unique(),
+            "handed back empty and writable"
+        );
+        assert_eq!(b.as_ptr(), frame, "take {i} is the frame lent {i}th");
+    }
+    assert_eq!(pool.stats().misses, made, "nothing new was allocated");
+}
+
+#[test]
+fn a_lent_frame_with_a_live_view_is_skipped_not_rewritten() {
+    let pool = BufPool::new(32, 8);
+    let held = fill_and_lend(&pool, b"still being read");
+    let younger = fill_and_lend(&pool, b"done with");
+    let done_with = younger.as_ptr();
+    drop(younger);
+    // The oldest lent frame is still read: the take passes over it to
+    // the younger one nobody reads, and allocates nothing.
+    let made = pool.stats().misses;
+    let mut b = pool.take();
+    assert_eq!(b.as_ptr(), done_with);
+    assert_eq!(pool.stats().misses, made);
+    b.extend_from_slice(&[0xEE; 32]);
+    assert_eq!(&held[..], b"still being read");
+    // Overtaken, the held frame left the FIFO: its last reader's drop
+    // recycles it the old way.
+    drop(held);
+    assert_eq!(pool.free_frames(), 1);
+}
+
+#[test]
+fn a_frame_read_forever_costs_one_frame_not_a_growing_pool() {
+    let pool = BufPool::new(32, 4);
+    let held = fill_and_lend(&pool, b"held for the whole test");
+    // Every later frame is lent and released at once, behind `held`.
+    for i in 0..100 {
+        drop(fill_and_lend(&pool, &[i as u8; 8]));
+    }
+    assert_eq!(&held[..], b"held for the whole test");
+    assert_eq!(pool.stats().misses, 2, "the held frame and one that cycles");
+    assert_eq!(pool.free_frames(), 0);
+}
+
+#[test]
+fn a_full_fifo_lets_its_oldest_frame_go() {
+    const MAX_FREE: usize = 4;
+    let pool = BufPool::new(32, MAX_FREE);
+    // More frames in flight at once than the FIFO has places.
+    let views: Vec<PacketBuf> = (0..2 * MAX_FREE as u8)
+        .map(|i| fill_and_lend(&pool, &[i; 8]))
+        .collect();
+    for (i, view) in views.iter().enumerate() {
+        assert_eq!(&view[..], &[i as u8; 8]);
+    }
+    // The first MAX_FREE fell off the FIFO and recycle by their last
+    // drop; the rest wait on the FIFO for the next takes.
+    drop(views);
+    assert_eq!(pool.free_frames(), MAX_FREE);
+    let made = pool.stats().misses;
+    let again: Vec<PacketBuf> = (0..2 * MAX_FREE).map(|_| pool.take()).collect();
+    assert_eq!(pool.stats().misses, made, "all eight came back");
+    drop(again);
+    assert_eq!(pool.free_frames(), MAX_FREE, "free list stays at its cap");
+}
+
+#[test]
+fn lent_frames_outlive_the_pool_handle() {
+    let pool = BufPool::new(64, 4);
+    let view = fill_and_lend(&pool, b"orphan");
+    drop(pool);
+    assert_eq!(&view[..], b"orphan");
+    drop(view); // must not panic or reach for a dead pool
+}
+
+/// The `fm-threaded` shape: the frame is filled and lent on one thread,
+/// read and dropped on another, and the first thread gets it back.
+#[test]
+fn a_frame_dropped_on_another_thread_is_reused_by_its_filler() {
+    let pool = BufPool::new(64, 4);
+    let (to_reader, inbox) = std::sync::mpsc::channel::<PacketBuf>();
+    let (done, dropped) = std::sync::mpsc::channel::<()>();
+    std::thread::scope(|s| {
+        s.spawn(move || {
+            for (i, view) in inbox.iter().enumerate() {
+                assert_eq!(&view[..], &[i as u8; 16]);
+                drop(view);
+                done.send(()).expect("filler waits for this");
+            }
+        });
+        let mut frames = std::collections::BTreeSet::new();
+        for i in 0..100u8 {
+            let view = fill_and_lend(&pool, &[i; 16]);
+            frames.insert(view.as_ptr() as usize);
+            to_reader.send(view).expect("reader is up");
+            dropped.recv().expect("reader dropped the view");
+        }
+        drop(to_reader);
+        assert_eq!(frames.len(), 1, "one frame went back and forth");
+        assert_eq!(pool.stats().misses, 1);
+        assert_eq!(pool.free_frames(), 0, "and never through the free list");
+    });
+}
+
+/// `prop_views_always_read_what_the_owner_wrote` over the lend path:
+/// whatever the order readers let go in, a view reads what its filler
+/// wrote until it is dropped — no take ever refills a frame somebody
+/// still reads — and the pool makes no more frames than were ever live
+/// at once: it never allocates while it can reach a frame nobody reads.
+#[test]
+fn prop_lent_views_always_read_what_the_owner_wrote() {
+    const MAX_FREE: usize = 64; // above the peak: no frame is freed for real
+    let cases = env_cases(64);
+    for case in 0..cases {
+        let mut rng = DetRng::seed_from_u64(0x1E4D_0000 ^ case as u64);
+        let pool = BufPool::new(128, MAX_FREE);
+        let mut live: Vec<(PacketBuf, Vec<u8>)> = Vec::new();
+        let mut peak = 0usize;
+        for _ in 0..400 {
+            if live.is_empty() || rng.below(2) == 0 {
+                let len = rng.range_usize(1, 129);
+                let bytes = rng.bytes(len);
+                let mut b = pool.take();
+                assert!(b.is_empty() && b.is_unique(), "case {case}");
+                b.extend_from_slice(&bytes);
+                if rng.below(4) != 0 {
+                    pool.lend(&b); // most frames are lent, some are not
+                }
+                let off = rng.range_usize(0, len);
+                live.push((b.slice(off, len - off), bytes[off..].to_vec()));
+                peak = peak.max(live.len());
+            } else {
+                // Oldest-first mostly, as readers do; sometimes any.
+                let idx = if rng.below(4) != 0 {
+                    0
+                } else {
+                    rng.range_usize(0, live.len())
+                };
+                live.remove(idx);
+            }
+            for (view, wrote) in &live {
+                assert_eq!(&view[..], &wrote[..], "case {case}: a live view changed");
+            }
+        }
+        let made = pool.stats().misses as usize;
+        assert!(
+            made <= peak,
+            "case {case}: {made} frames made for a peak of {peak} live"
+        );
+    }
+}

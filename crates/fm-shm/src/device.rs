@@ -9,8 +9,12 @@
 //! the payload the engine sees is a refcounted view of the pooled frame
 //! and the mapped slot is retired immediately — a slow handler can hold
 //! its payload view indefinitely without wedging the producer, and the
-//! steady-state receive path performs zero allocations (the pool
-//! recycles frames on drop).
+//! steady-state receive path performs zero allocations. Each frame is
+//! lent ([`BufPool::lend`]) as it is filled: once the engine has dropped
+//! its view, the next receive refills that very frame in place, with no
+//! trip round the pool's free list. A frame that does not decode is
+//! counted ([`ShmStats::corrupt_frames`]) and skipped; the receive goes
+//! on to whatever is queued behind it.
 //!
 //! The device is lossless ([`NetDevice::is_lossy`] is `false`): rings
 //! never drop, duplicate, or reorder, so engines may run
@@ -341,27 +345,27 @@ impl NetDevice for ShmDevice {
                 continue;
             };
             let pool = &self.pool;
-            let popped = link.seg.rx.try_pop(|frame| {
-                let mut buf = pool.take();
-                buf.extend_from_slice(frame);
-                buf
-            });
-            if let Some(frame) = popped {
-                // Resume fairness scanning *after* this peer next time.
-                self.rr = (idx + 1) % self.num_nodes;
-                let bytes = frame.len() as u64;
+            let pop = || {
+                link.seg.rx.try_pop(|frame| {
+                    let mut buf = pool.take();
+                    buf.extend_from_slice(frame);
+                    pool.lend(&buf);
+                    buf
+                })
+            };
+            while let Some(frame) = pop() {
                 match FmPacket::decode_from_buf(&frame) {
                     Ok(pkt) => {
+                        // Resume fairness scanning *after* this peer
+                        // next time.
+                        self.rr = (idx + 1) % self.num_nodes;
                         self.stats.frames_recv += 1;
-                        self.stats.bytes_recv += bytes;
+                        self.stats.bytes_recv += frame.len() as u64;
                         return Some(pkt);
                     }
-                    Err(_) => {
-                        // Should be impossible over an intact ring;
-                        // count it and keep the device alive.
-                        self.stats.corrupt_frames += 1;
-                        return None;
-                    }
+                    // Should be impossible over an intact ring: count it
+                    // and look at what is queued behind it.
+                    Err(_) => self.stats.corrupt_frames += 1,
                 }
             }
         }
@@ -462,6 +466,25 @@ mod tests {
         assert_eq!(got.header.handler, HandlerId(7));
         assert_eq!(a.stats().frames_sent, 1);
         assert_eq!(b.stats().frames_recv, 1);
+    }
+
+    /// A frame that does not decode is counted and skipped, and the same
+    /// call goes on to what is queued behind it.
+    #[test]
+    fn a_corrupt_frame_does_not_hide_the_frames_behind_it() {
+        let (mut a, mut b) = pair("junk");
+        let ring = &a.links[1].as_ref().expect("link to 1").seg.tx;
+        let pushed = ring.try_push(|slot| {
+            slot[..3].copy_from_slice(b"\xFF\xFF\xFF"); // shorter than any header
+            Some(3usize)
+        });
+        assert!(matches!(pushed, Some(Some(3))));
+        a.try_send(pkt(0, 1, b"behind the garbage")).unwrap();
+        let got = b.try_recv().expect("the valid frame, from the same call");
+        assert_eq!(&got.payload[..], b"behind the garbage");
+        assert_eq!(b.stats().corrupt_frames, 1);
+        assert_eq!(b.stats().frames_recv, 1);
+        assert!(b.try_recv().is_none());
     }
 
     #[test]

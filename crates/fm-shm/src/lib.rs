@@ -2,8 +2,9 @@
 //!
 //! On one machine, the fastest network is no network: co-located
 //! processes exchange FM packets through memory-mapped lock-free SPSC
-//! ring pairs in `/dev/shm`, with a release-store doorbell word instead
-//! of an interrupt and the canonical FM wire codec as the frame format.
+//! ring pairs in `/dev/shm`, with a release-stored stamp in the frame's
+//! own slot instead of an interrupt and the canonical FM wire codec as
+//! the frame format.
 //! [`ShmDevice`] implements [`fm_core::NetDevice`], so every layer
 //! written against that seam — both FM engines, the reliability
 //! sublayer, MPI-FM, Sockets-FM, Shmem — runs over shared memory
@@ -16,14 +17,15 @@
 //!   ring of fixed slots. The producer writes the frame in place
 //!   ([`fm_core::packet::FmPacket::encode_into`] straight into the
 //!   mapped slot — the gather-send half of the zero-copy datapath) and
-//!   publishes with a single release store of the tail cursor: the
-//!   doorbell. The consumer acquires the tail, copies the frame into a
-//!   recycled [`fm_core::BufPool`] frame, decodes zero-copy
+//!   publishes with a single release store of a stamp into the slot's
+//!   header: the doorbell rides the frame's own cache line. The consumer
+//!   polls the stamp of the slot it is waiting for, copies the frame
+//!   into a recycled [`fm_core::BufPool`] frame, decodes zero-copy
 //!   ([`fm_core::packet::FmPacket::decode_from_buf`]), and retires the
-//!   slot. Each side works from a private copy of the other's cursor and
-//!   goes back to the shared line only when that copy says full or
-//!   empty — one load-acquire per *burst* per side, no locks, no
-//!   syscalls, 0 allocations per message in steady state.
+//!   slot — handing slots back a quarter ring at a time through the one
+//!   cursor both sides touch. No locks, no syscalls, one cache line
+//!   crossing per small frame, 0 allocations per message in steady
+//!   state.
 //! * **Segments** ([`seg`]) — one file per co-located rank pair, created
 //!   `O_EXCL` by the lower rank and attached by the higher with a
 //!   bounded spin on the ready flag (torn startup is a first-class

@@ -7,8 +7,12 @@
 //! goes through `std::fs`.
 //!
 //! The wrappers are deliberately minimal: always `PROT_READ |
-//! PROT_WRITE`, always `MAP_SHARED`, always offset 0 — exactly the one
-//! shape the segment layer needs. A [`Mapping`] owns its region and
+//! PROT_WRITE`, always `MAP_SHARED | MAP_POPULATE`, always offset 0 —
+//! exactly the one shape the segment layer needs. Populating at map time
+//! matters to the rings: a consumer polls the slot it is waiting for
+//! *before* the producer has written it, and on a page nobody has touched
+//! yet the two would take the page's first fault against each other, one
+//! slot after another, all through the ring's first lap. A [`Mapping`] owns its region and
 //! unmaps on drop; the backing file's lifetime is independent (Linux
 //! keeps the pages alive while any mapping exists, even after the name
 //! is unlinked — which is what makes last-one-out cleanup safe).
@@ -20,6 +24,9 @@ use std::os::unix::io::AsRawFd;
 const PROT_READ: usize = 1;
 const PROT_WRITE: usize = 2;
 const MAP_SHARED: usize = 1;
+/// Fault the whole mapping in (for a fresh tmpfs file: allocate its zero
+/// pages) inside the `mmap` call. Same value on x86_64 and aarch64.
+const MAP_POPULATE: usize = 0x8000;
 
 #[cfg(target_arch = "x86_64")]
 mod sys {
@@ -125,7 +132,7 @@ impl Mapping {
                 0,
                 len,
                 PROT_READ | PROT_WRITE,
-                MAP_SHARED,
+                MAP_SHARED | MAP_POPULATE,
                 fd as usize,
                 0,
             )

@@ -6,78 +6,121 @@
 //!
 //! ```text
 //! +0    head: u32      consumer cursor (free-running, wraps mod 2^32)
-//! +64   tail: u32      producer cursor — the doorbell word
-//! +128  slot[0]        len: u32, _pad: u32, frame bytes...
+//! +64   tail: u32      producer cursor — the producer's own bookkeeping
+//! +128  slot[0]        len: u32, stamp: u32, frame bytes...
 //! +128+stride  slot[1] ...     stride = 8 + payload, rounded up to 64
 //! ```
 //!
-//! `head` and `tail` sit on their own cache lines so the producer's
-//! doorbell store and the consumer's cursor store never ping-pong one
-//! line between cores, and every slot starts on a line of its own (the
-//! base is 64-byte aligned, the stride a multiple of 64), so a producer
-//! filling one slot and a consumer draining its neighbour never share a
-//! line either. Both cursors free-run (occupancy is `tail - head` in
-//! wrapping arithmetic), so full (`== slots`) and empty (`== 0`) are
-//! never ambiguous and no slot is sacrificed.
+//! `head` and `tail` sit on their own cache lines, and every slot starts
+//! on a line of its own (the base is 64-byte aligned, the stride a
+//! multiple of 64), so a producer filling one slot and a consumer
+//! draining its neighbour never share a line. Both cursors free-run
+//! (occupancy is `tail - head` in wrapping arithmetic), so full (`==
+//! slots`) and empty (`== 0`) are never ambiguous and no slot is
+//! sacrificed.
 //!
-//! # Cached cursors
+//! # One line per frame
 //!
-//! The two cursor lines are the only words both cores write and read,
-//! so every look at the *other* side's line is a coherence miss waiting
-//! to happen. Each side therefore keeps — in its own `RawRing` handle,
-//! never in the mapping — the last value it saw there:
+//! A frame is published **inside its own slot**: the slot header's second
+//! word is a *stamp* naming the cursor value the slot now holds
+//! ([`stamp`]). The consumer polls the stamp of the one slot it is
+//! waiting for and never looks at `tail`, so an arriving frame costs it
+//! one coherence miss — the slot's first line, which carries the stamp,
+//! the length and the first 56 frame bytes together — not a miss on the
+//! producer's cursor line followed by a second one on the slot. `tail`
+//! is a word only the producer touches; it lives in the mapping so that
+//! a handle built over a ring already in use ([`RawRing::at`]) starts
+//! from the right cursor.
 //!
-//! * the producer remembers the last `head` it loaded and goes back to
-//!   the shared line only when that copy says the ring is full;
-//! * the consumer remembers the last `tail` it loaded and goes back only
-//!   when that copy says the ring is empty. It counts what it has
-//!   retired in a private cursor and stores that to `head` once per
-//!   [`RawRing::head_batch`] frames — and always before it reports
-//!   empty, so a full producer is never left waiting on a batch the
-//!   consumer has stopped adding to.
+//! The stamp of cursor `c` is `c` with its top bit set. It is never zero,
+//! so a slot of a fresh, zero-filled ring reads "empty" at every cursor
+//! value, the `u32` wrap included; and two cursors share a stamp only
+//! when they are a multiple of 2^31 apart, so what a slot holds from the
+//! lap before (`c - slots`) never passes for the frame the consumer
+//! expects (`slots` is at most 2^30).
 //!
-//! `head` and `tail` never move backwards, so a stale copy only ever
-//! *under*-states what the other side has done: the producer may see
-//! fewer free slots than there are and the consumer fewer frames, never
-//! more. [`RawRing::free`] and [`RawRing::occupied`] are lower bounds.
+//! # What each side may touch
+//!
+//! * **Producer**: `tail` (loads and stores), the slot at `tail` (stores
+//!   only), and loads of `head` — from the shared line only when its
+//!   remembered copy says the ring is full.
+//! * **Consumer**: `head` (loads and stores), the slot at its private
+//!   read cursor (loads only). Nothing else: in particular never `tail`.
+//!
+//! The `head` line is the only word both sides touch, and each side keeps
+//! — in its own `RawRing` handle, never in the mapping — what makes those
+//! touches rare. The producer remembers the last `head` it loaded. The
+//! consumer counts what it has retired in a private cursor and stores
+//! that to `head` once per [`RawRing::head_batch`] frames — and always
+//! before it reports empty, so a full producer is never left waiting on a
+//! batch the consumer has stopped adding to. The batch is why `head` is
+//! still a cursor and not a per-slot "consumed" mark: handing slots back
+//! costs the consumer one store per quarter ring and the producer one
+//! miss per quarter ring, where a mark in the slot would make the
+//! consumer write every line it has just read.
+//!
+//! `head` never moves backwards, so a stale copy only ever *under*-states
+//! what the consumer has retired: [`RawRing::free`] is a lower bound.
 //!
 //! # Ordering protocol — the entire correctness argument
 //!
 //! * **Producer**: write the frame bytes and the slot's `len` with plain
-//!   stores, then publish with a `Release` store of `tail + 1`. The
-//!   doorbell *is* the release fence; everything written before it is
-//!   visible to whoever acquires it.
-//! * **Consumer**: `Acquire`-load `tail`. Every slot below the value
-//!   loaded is fully visible, and stays so however long the value is
-//!   remembered: the producer cannot touch those slots again before
-//!   `head` passes them. Read frames out up to the remembered `tail`,
-//!   then retire them — one at a time or a batch at once — with a
-//!   `Release` store of the private cursor to `head`.
+//!   stores, then publish with a `Release` store of `stamp(tail)` to the
+//!   slot's stamp word. The stamp *is* the doorbell: everything written
+//!   to the slot before it is visible to whoever acquires it. Then store
+//!   `tail + 1` (`Relaxed` — nobody else reads it).
+//! * **Consumer**: `Acquire`-load the stamp of the slot at its private
+//!   cursor `c`. Exactly `stamp(c)` means the frame for cursor `c` is
+//!   complete and fully visible; anything else — zero, or the stamp of an
+//!   earlier lap — means the producer has not got here yet, and the
+//!   consumer reads nothing more of the slot. The slot cannot hold a
+//!   *later* lap's stamp: the producer may not write it again until
+//!   `head` has passed `c`. Read the frame out, then retire it — alone or
+//!   a batch at once — with a `Release` store of the private cursor to
+//!   `head`.
 //! * **Producer again**: its `Acquire` load of `head` is the license to
 //!   overwrite every slot below the value loaded, since the consumer's
 //!   reads of all of them precede that `Release` store. A remembered
 //!   value licenses exactly the slots it licensed when it was loaded.
+//!   Overwriting starts with plain stores to a slot whose stamp still
+//!   names the lap before; the consumer, now waiting for this lap's
+//!   stamp, reads only the stamp word until it appears.
 //!
-//! No CAS, no fetch-add, no spinning with the lock held. In a burst each
-//! side performs one load-acquire of the other's line per *run* of
-//! frames rather than per frame; a lone frame costs what it always did.
+//! No CAS, no fetch-add, no spinning with the lock held. A frame crosses
+//! on the one line it is written to; the `head` line crosses once per
+//! quarter ring.
 
 use std::sync::atomic::{AtomicU32, Ordering};
 
 /// Bytes reserved for the two cursor cache lines at the ring's base.
 pub const RING_CTRL_BYTES: usize = 128;
 
-/// Per-slot record header: `len: u32` plus padding to an 8-byte
-/// boundary so frame bytes start aligned.
+/// Per-slot record header: `len: u32` and the publication `stamp: u32`,
+/// so frame bytes start 8-byte aligned.
 pub const SLOT_HDR_BYTES: usize = 8;
+
+/// Offset of the stamp word inside the slot header.
+const SLOT_STAMP_OFF: usize = 4;
 
 /// Cache line size the layout is padded to.
 const LINE: usize = 64;
+
+/// Most slots a ring may have: adjacent laps of one slot must differ in
+/// the 31 cursor bits a [`stamp`] keeps.
+const MAX_SLOTS: u32 = 1 << 30;
 
 /// Distance between slot starts: header plus payload, rounded up so
 /// that no two slots share a cache line.
 fn slot_stride(payload_capacity: u32) -> usize {
     (SLOT_HDR_BYTES + payload_capacity as usize).next_multiple_of(LINE)
+}
+
+/// What the slot holding the frame of cursor `cursor` is stamped with:
+/// the cursor with its top bit set. Never zero (a zero-filled slot is
+/// empty at every cursor), and equal for two cursors only when they are
+/// a multiple of 2^31 apart (never for adjacent laps of one slot).
+pub const fn stamp(cursor: u32) -> u32 {
+    cursor | 0x8000_0000
 }
 
 /// A raw view of one SPSC ring inside a shared mapping. Both endpoints
@@ -92,24 +135,28 @@ pub struct RawRing {
     slots: u32,
     stride: u32,
     payload_capacity: u32,
-    // This handle's private cursors (see "Cached cursors" above). They
-    // are atomics only so that the handle stays `Sync` and its methods
-    // `&self`: each is touched by one role alone, always `Relaxed`.
+    // This handle's private cursors (see "What each side may touch"
+    // above). They are atomics only so that the handle stays `Sync` and
+    // its methods `&self`: each is touched by one role alone, always
+    // `Relaxed`.
     /// Producer: the last `head` loaded from the shared line.
     seen_head: AtomicU32,
-    /// Consumer: the last `tail` loaded from the shared line.
-    seen_tail: AtomicU32,
     /// Consumer: the next slot to read; `head` trails it by less than
     /// [`RawRing::head_batch`].
     next_pop: AtomicU32,
+    /// Loads this handle has made of the `head` line as the producer —
+    /// the only line of the other side's that either role ever loads.
+    #[cfg(test)]
+    peer_line_loads: std::sync::atomic::AtomicU64,
 }
 
-// The raw pointers target a shared mapping whose lifetime is owned by
-// the Segment holding this ring; the SPSC protocol provides the
+// SAFETY: the raw pointers target a shared mapping whose lifetime is
+// owned by the Segment holding this ring; the SPSC protocol provides the
 // synchronization. Moving the handle across threads is safe, and so is
-// sharing it: every access goes through the acquire/release cursor
-// protocol, under the same single-producer/single-consumer convention
-// that `at` already demands across processes.
+// sharing it: every access to the mapping goes through the
+// acquire/release protocol of the module docs, under the same
+// single-producer/single-consumer convention that `at` already demands
+// across processes, and the private cursors are atomics.
 unsafe impl Send for RawRing {}
 unsafe impl Sync for RawRing {}
 
@@ -132,6 +179,7 @@ impl RawRing {
     /// consume.
     pub unsafe fn at(base: *mut u8, slots: u32, payload_capacity: u32) -> RawRing {
         assert!(slots.is_power_of_two(), "slot count must be a power of two");
+        assert!(slots <= MAX_SLOTS, "slot count must be at most 2^30");
         assert_eq!(
             base as usize % LINE,
             0,
@@ -139,8 +187,6 @@ impl RawRing {
         );
         let stride = u32::try_from(slot_stride(payload_capacity)).expect("slot stride fits u32");
         let head = base as *const AtomicU32;
-        // The private cursors start from the shared `head`: for `tail`,
-        // having seen nothing yet is always a valid (stale) view.
         // SAFETY: the caller vouches for `bytes_for(..)` valid bytes at
         // `base`, aligned as just asserted; `head` is their first word.
         let start = unsafe { &*head }.load(Ordering::Acquire);
@@ -154,16 +200,20 @@ impl RawRing {
             stride,
             payload_capacity,
             seen_head: AtomicU32::new(start),
-            seen_tail: AtomicU32::new(start),
             next_pop: AtomicU32::new(start),
+            #[cfg(test)]
+            peer_line_loads: Default::default(),
         }
     }
 
     fn head(&self) -> &AtomicU32 {
+        // SAFETY: `at`'s caller keeps the mapping valid for the handle's
+        // life; the word is only ever accessed atomically.
         unsafe { &*self.head }
     }
 
     fn tail(&self) -> &AtomicU32 {
+        // SAFETY: as for `head`.
         unsafe { &*self.tail }
     }
 
@@ -172,6 +222,14 @@ impl RawRing {
         // SAFETY: `idx < slots`, and `bytes_for` counts `slots` strides
         // from `slots_base`.
         unsafe { self.slots_base.add(idx * self.stride as usize) }
+    }
+
+    /// The stamp word of the slot at `slot`.
+    fn slot_stamp(&self, slot: *mut u8) -> &AtomicU32 {
+        // SAFETY: `slot` came from `Self::slot`, so the header's second
+        // word is inside the mapping and 4-byte aligned (slots start on
+        // cache lines); both sides access it only atomically.
+        unsafe { &*(slot.add(SLOT_STAMP_OFF) as *const AtomicU32) }
     }
 
     /// Frame bytes one slot can carry.
@@ -189,16 +247,11 @@ impl RawRing {
 
     /// Producer: re-read the shared `head` into the private copy.
     fn refresh_head(&self) -> u32 {
+        #[cfg(test)]
+        self.peer_line_loads.fetch_add(1, Ordering::Relaxed);
         let h = self.head().load(Ordering::Acquire);
         self.seen_head.store(h, Ordering::Relaxed);
         h
-    }
-
-    /// Consumer: re-read the shared `tail` into the private copy.
-    fn refresh_tail(&self) -> u32 {
-        let t = self.tail().load(Ordering::Acquire);
-        self.seen_tail.store(t, Ordering::Relaxed);
-        t
     }
 
     /// Slots free for the producer, for the producer to call: always
@@ -210,13 +263,6 @@ impl RawRing {
         let t = self.tail().load(Ordering::Relaxed);
         let h = self.refresh_head();
         (self.slots - t.wrapping_sub(h)) as usize
-    }
-
-    /// Frames queued, for the consumer to call: always reads the shared
-    /// `tail`. A lower bound — the producer may be pushing concurrently.
-    pub fn occupied(&self) -> usize {
-        let t = self.refresh_tail();
-        t.wrapping_sub(self.next_pop.load(Ordering::Relaxed)) as usize
     }
 
     /// Producer: reserve the next slot, let `write` fill it, publish.
@@ -236,6 +282,9 @@ impl RawRing {
             return None; // full
         }
         let slot = self.slot(t);
+        // SAFETY: the payload region of a slot inside the mapping; the
+        // `head` value checked above licenses the producer to write it,
+        // and the consumer reads none of it before this lap's stamp.
         let payload = unsafe {
             std::slice::from_raw_parts_mut(slot.add(SLOT_HDR_BYTES), self.payload_capacity())
         };
@@ -243,12 +292,14 @@ impl RawRing {
         if let Some(v) = &out {
             let len = v.frame_len() as u32;
             debug_assert!(len as usize <= self.payload_capacity());
+            // SAFETY: the slot's first word, licensed as the payload is.
             unsafe {
                 (slot as *mut u32).write(len);
             }
-            // The doorbell: everything above becomes visible with this
-            // one release store.
-            self.tail().store(t.wrapping_add(1), Ordering::Release);
+            // The doorbell, on the frame's own line: everything above
+            // becomes visible with this one release store.
+            self.slot_stamp(slot).store(stamp(t), Ordering::Release);
+            self.tail().store(t.wrapping_add(1), Ordering::Relaxed);
         }
         Some(out)
     }
@@ -258,16 +309,22 @@ impl RawRing {
     /// slot retired so far has been handed back to the producer.
     pub fn try_pop<T>(&self, read: impl FnOnce(&[u8]) -> T) -> Option<T> {
         let h = self.next_pop.load(Ordering::Relaxed);
-        if h == self.seen_tail.load(Ordering::Relaxed) && h == self.refresh_tail() {
+        let slot = self.slot(h);
+        if self.slot_stamp(slot).load(Ordering::Acquire) != stamp(h) {
             // Empty. Nothing more will join the open batch: hand it back.
             if self.head().load(Ordering::Relaxed) != h {
                 self.head().store(h, Ordering::Release);
             }
             return None;
         }
-        let slot = self.slot(h);
+        // SAFETY: this lap's stamp was acquired, so `len` and the frame
+        // bytes the producer wrote before it are visible, and the
+        // producer leaves the slot alone until `head` passes `h`.
         let len = unsafe { (slot as *const u32).read() } as usize;
         debug_assert!(len <= self.payload_capacity(), "corrupt slot length");
+        // SAFETY: as above; clamped, so that even a length the producer
+        // never wrote stays inside the slot.
+        let len = len.min(self.payload_capacity());
         let frame = unsafe { std::slice::from_raw_parts(slot.add(SLOT_HDR_BYTES), len) };
         let out = read(frame);
         let h = h.wrapping_add(1);
@@ -343,7 +400,6 @@ mod tests {
         }
         assert!(r.ring.try_push(|_| Some(1usize)).is_none(), "full");
         assert_eq!(r.ring.free(), 0);
-        assert_eq!(r.ring.occupied(), 2);
         // The queued frames are intact, in order.
         assert_eq!(r.ring.try_pop(|f| f[0]), Some(0));
         assert_eq!(r.ring.try_pop(|f| f[0]), Some(1));
@@ -354,8 +410,8 @@ mod tests {
         let r = owned(4, 16);
         let out = r.ring.try_push(|_slot| Option::<usize>::None);
         assert!(matches!(out, Some(None)), "reservation made, not published");
-        assert_eq!(r.ring.occupied(), 0);
         assert!(r.ring.try_pop(|_| ()).is_none());
+        assert_eq!(r.ring.free(), 4);
     }
 
     #[test]
@@ -393,7 +449,6 @@ mod tests {
         }
         assert_eq!(head(), 0);
         assert_eq!(r.ring.free(), 0);
-        assert_eq!(r.ring.occupied(), 13);
         // The pop that fills the batch stores it.
         assert!(r.ring.try_pop(|_| ()).is_some());
         assert_eq!(head(), batch);
@@ -429,8 +484,43 @@ mod tests {
         assert_eq!(a.ring.try_pop(|f| f[0]), Some(0));
         // SAFETY: the same storage, geometry and thread as `a`.
         let late = unsafe { RawRing::at(a.ring.head as *mut u8, 4, 16) };
-        assert_eq!(late.occupied(), 2);
         assert_eq!(late.free(), 2);
         assert_eq!(late.try_pop(|f| f[0]), Some(1));
+        assert_eq!(late.try_pop(|f| f[0]), Some(2));
+        assert!(late.try_pop(|_| ()).is_none());
+    }
+
+    /// Count, don't time: with the consumer keeping up (push one, pop
+    /// one), the consumer never loads a line the producer writes other
+    /// than the slot it is waiting for, and the producer loads `head`
+    /// once per batch the consumer hands back. Two handles over one
+    /// ring, as the two ends of a segment hold. (A consumer that went by
+    /// `tail` would find its remembered copy saying "empty" before every
+    /// pop here: N loads of the producer's cursor line for N frames.)
+    #[test]
+    fn a_frame_crosses_without_a_load_of_the_other_sides_cursor() {
+        const N: u64 = 10_000;
+        let storage = owned(64, 64);
+        let producer = &storage.ring;
+        // SAFETY: the same storage and geometry; one test thread plays
+        // the two roles in turn.
+        let consumer = unsafe { RawRing::at(producer.head as *mut u8, 64, 64) };
+        let loads = |r: &RawRing| r.peer_line_loads.load(Ordering::Relaxed);
+        for i in 0..N {
+            let pushed = producer.try_push(|slot| {
+                slot[..8].copy_from_slice(&i.to_le_bytes());
+                Some(8usize)
+            });
+            assert!(matches!(pushed, Some(Some(8))));
+            let got = consumer.try_pop(|f| u64::from_le_bytes(f.try_into().unwrap()));
+            assert_eq!(got, Some(i));
+        }
+        assert_eq!(loads(&consumer), 0, "the consumer never reads `tail`");
+        let batches = N / u64::from(producer.head_batch());
+        assert!(
+            loads(producer) <= batches + 1,
+            "{} loads of `head` for {N} frames, {batches} batches",
+            loads(producer)
+        );
     }
 }

@@ -59,9 +59,11 @@ pub const SEG_MAGIC: u64 = 0x01_00_32_4D_48_53_4D_46;
 pub const SEG_HDR_BYTES: usize = 4096;
 
 /// Current layout version (stored at +12, validated on attach).
-/// Version 2 pads the ring slot stride to whole cache lines: same header
-/// fields, different slot offsets, so version 1 peers are refused.
-pub const SEG_VERSION: u32 = 2;
+/// Version 2 padded the ring slot stride to whole cache lines. Version 3
+/// keeps every offset and publishes a frame by a stamp in its slot header
+/// instead of by the ring's `tail` word (see [`crate::ring`]): a version
+/// 2 peer neither writes stamps nor reads them, so it is refused.
+pub const SEG_VERSION: u32 = 3;
 
 const OFF_MAGIC: usize = 0;
 const OFF_READY: usize = 8;
@@ -525,6 +527,18 @@ mod tests {
         let err = Segment::attach(&test_dir(), &run, 0, 1, other, Duration::from_secs(1))
             .expect_err("mismatched geometry");
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+    }
+
+    #[test]
+    fn a_version_2_segment_is_refused() {
+        // Same offsets, but its creator would ring `tail`, not stamp slots.
+        let run = unique_run("v2");
+        let lo = Segment::create(&test_dir(), &run, 0, 1, geom(), 0).expect("create");
+        lo.header_u32(OFF_VERSION).store(2, Ordering::Relaxed);
+        let err = Segment::attach(&test_dir(), &run, 0, 1, geom(), Duration::from_secs(1))
+            .expect_err("a peer that never stamps");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("layout version mismatch"), "{err}");
     }
 
     #[test]

@@ -6,7 +6,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
 use fm_model::rng::{env_cases, DetRng};
-use fm_shm::ring::RawRing;
+use fm_shm::ring::{stamp, RawRing};
 use fm_shm::{SegGeometry, Segment};
 
 /// One cache line of ring storage: rings want a 64-byte aligned base.
@@ -77,7 +77,6 @@ fn prop_ring_matches_model_queue_across_wraparound() {
         let mut next_id: u64 = 0;
         // Enough operations to lap the ring many times over.
         for _ in 0..(slots as usize * 40) {
-            assert_eq!(r.ring.occupied(), model.len(), "occupancy tracks model");
             let free = slots as usize - model.len() - held;
             assert_eq!(r.ring.free(), free, "free slots short by the open batch");
             if rng.chance(0.55) {
@@ -112,21 +111,96 @@ fn prop_ring_matches_model_queue_across_wraparound() {
     }
 }
 
-/// The cached cursors under two real threads, across the `u32` wrap of
-/// both: a million frames of seeded varying length through a 4-slot ring
-/// whose cursors start just below `u32::MAX` (then a shorter run through
-/// 16 slots, where `head` is stored a batch of 4 at a time). Every frame
-/// is checked for sequence and content, and neither bound ever
-/// over-reports: after the producer reads `free() == n` its next `n`
-/// pushes are all accepted, and after the consumer reads `occupied() ==
-/// n` its next `n` pops all find a frame.
+/// The stamp encoding as a pure function: never zero (so a zero-filled
+/// slot is empty whatever cursor the consumer is at) and never the stamp
+/// the same slot carried a lap earlier — exhaustively either side of the
+/// `u32` wrap, then on a million seeded cursors at every legal ring size.
 #[test]
-fn stress_cached_cursors_across_the_u32_wrap() {
-    stress_ring(4, 1_000_000);
-    stress_ring(16, 250_000);
+fn prop_stamp_is_never_zero_and_never_the_previous_laps() {
+    let check = |c: u32, slots: u32| {
+        assert_ne!(stamp(c), 0, "cursor {c:#x}");
+        assert_ne!(
+            stamp(c),
+            stamp(c.wrapping_sub(slots)),
+            "cursor {c:#x}, {slots} slots"
+        );
+    };
+    for slots in [1u32, 4, 64] {
+        for back in 0..=4 * slots {
+            check(u32::MAX - back, slots);
+            check(back, slots);
+        }
+    }
+    let mut rng = DetRng::seed_from_u64(0x57A3B);
+    for _ in 0..1_000_000 {
+        let slots = 1u32 << rng.below(31); // 1 ..= 2^30, the most `at` takes
+        check(rng.next_u64() as u32, slots);
+    }
 }
 
-fn stress_ring(slots: u32, frames: u64) {
+/// A fresh, zero-filled ring is empty wherever its cursors start — also
+/// at the one cursor whose stamp would be zero were it the cursor plus
+/// one — and the first frame pushed is the first frame popped. Then two
+/// full laps, so every slot is read once holding nothing and once
+/// holding the stamp of the lap before.
+#[test]
+fn a_zero_filled_ring_is_empty_at_every_cursor_around_the_wrap() {
+    for slots in [1u32, 4, 64] {
+        let starts = (0..=2 * slots).flat_map(|d| [u32::MAX - d, d]);
+        for start in starts {
+            let r = owned_from(start, slots, 16);
+            let ring = &r.ring;
+            assert!(ring.try_pop(|_| ()).is_none(), "fresh ring at {start:#x}");
+            let mut next = 0u32;
+            for lap in 0..2 {
+                for i in 0..slots {
+                    assert!(push(ring, &(lap * slots + i).to_le_bytes()));
+                }
+                assert!(!push(ring, &[0; 4]), "full at {start:#x}");
+                for _ in 0..slots {
+                    let got = ring.try_pop(|f| u32::from_le_bytes(f.try_into().unwrap()));
+                    assert_eq!(got, Some(next), "start {start:#x}, {slots} slots");
+                    next += 1;
+                }
+                assert!(ring.try_pop(|_| ()).is_none(), "drained at {start:#x}");
+            }
+        }
+    }
+}
+
+/// Who, if anyone, dawdles in [`stress_ring`].
+#[derive(Clone, Copy, PartialEq)]
+enum Paced {
+    /// Both sides run flat out; which one waits is the scheduler's call.
+    Neither,
+    /// The consumer is always caught up and polls a slot that is still
+    /// empty: every frame is found by its stamp the moment it lands.
+    Producer,
+    /// The ring stays full: every push waits for `head`.
+    Consumer,
+}
+
+/// The stamps and the cached `head` under two real threads, across the
+/// `u32` wrap of both cursors: a million frames of seeded varying length
+/// through a 4-slot ring whose cursors start just below `u32::MAX` (then
+/// a shorter run through 16 slots, where `head` is stored a batch of 4
+/// at a time), then the two regimes a free-running pair may never settle
+/// in — the producer paced, so the consumer always waits on an empty
+/// slot, and the consumer paced, so the producer always waits on a full
+/// ring. Every frame is checked for sequence and content, and `free()`
+/// never over-reports: after the producer reads `free() == n` its next
+/// `n` pushes are all accepted.
+#[test]
+fn stress_cached_cursors_across_the_u32_wrap() {
+    stress_ring(4, 1_000_000, Paced::Neither);
+    stress_ring(16, 250_000, Paced::Neither);
+    for slots in [4, 16] {
+        stress_ring(slots, 40_000, Paced::Producer);
+        stress_ring(slots, 40_000, Paced::Consumer);
+    }
+}
+
+fn stress_ring(slots: u32, frames: u64, paced: Paced) {
     const PAYLOAD: usize = 64;
     fn body(seq: u64, rng: &mut DetRng, out: &mut [u8; PAYLOAD]) -> usize {
         let len = rng.range_usize(8, PAYLOAD + 1);
@@ -135,6 +209,12 @@ fn stress_ring(slots: u32, frames: u64) {
             *b = (seq as u8).wrapping_mul(31).wrapping_add(i as u8);
         }
         len
+    }
+    /// Long enough for the other side to finish a frame and come back.
+    fn dawdle() {
+        for _ in 0..32 {
+            std::hint::spin_loop();
+        }
     }
     /// Raised by a side that dies on an assertion, so the other fails too
     /// instead of spinning on a ring nobody serves.
@@ -159,6 +239,7 @@ fn stress_ring(slots: u32, frames: u64) {
             std::hint::spin_loop();
         }
     };
+    // The wrap is 1000 frames away: every run crosses it.
     let r = owned_from(u32::MAX - 1000, slots, PAYLOAD as u32);
     let ring = &r.ring;
     std::thread::scope(|s| {
@@ -177,25 +258,26 @@ fn stress_ring(slots: u32, frames: u64) {
                     wait(&mut spins);
                 }
                 promised = promised.saturating_sub(1);
+                if paced == Paced::Producer {
+                    dawdle();
+                }
             }
         });
         let _flag = Flag(&failed);
         let mut rng = DetRng::seed_from_u64(0x57E55);
         let mut want = [0u8; PAYLOAD];
-        let (mut promised, mut spins) = (0usize, 0u32);
+        let mut spins = 0u32;
         for seq in 0..frames {
             let len = body(seq, &mut rng, &mut want);
-            if promised == 0 && seq.is_multiple_of(3) {
-                promised = ring.occupied();
-            }
             while ring
                 .try_pop(|f| assert_eq!(f, &want[..len], "frame {seq}"))
                 .is_none()
             {
-                assert_eq!(promised, 0, "occupied() over-reported at frame {seq}");
                 wait(&mut spins);
             }
-            promised = promised.saturating_sub(1);
+            if paced == Paced::Consumer {
+                dawdle();
+            }
         }
         assert!(
             ring.try_pop(|_| ()).is_none(),
@@ -250,12 +332,9 @@ fn prop_doorbell_publishes_complete_frames_across_threads() {
                         assert_eq!(sum, f[f.len() - 1], "torn frame published");
                         expect += 1;
                     }
-                    None if done => {
-                        // Producer finished; drain whatever remains.
-                        if ring.occupied() == 0 && expect < frames_per_case {
-                            panic!("producer done but frames missing");
-                        }
-                    }
+                    // `done` was read before the pop: every frame had
+                    // been published by then, so empty means lost.
+                    None if done => panic!("producer done but frames missing"),
                     None => std::hint::spin_loop(),
                 }
             }

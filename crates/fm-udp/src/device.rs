@@ -759,6 +759,7 @@ impl UdpDevice {
                 Err(_) => break,
             };
             frame.set_window(0, len);
+            self.pool.lend(&frame);
             let pre = match wire::decode_preamble(&frame) {
                 Ok(p) => p,
                 Err(_) => {
@@ -931,6 +932,7 @@ impl NetDevice for UdpDevice {
         let mut frame = self.pool.take();
         wire::encode_data_frame_into(&pkt, self.node as u16, self.epoch, &mut frame)
             .expect("FM packet exceeds MAX_WIRE_FRAME: engine MTU misconfigured");
+        self.pool.lend(&frame);
         // Injected loss happens here, at the moment the frame would join
         // the wire path: the frame simply never enqueues (and recycles to
         // the pool), which models a dropped datagram without entangling
