@@ -7,8 +7,9 @@
 //! repeat: cumulative acks plus a SACK bitmap) on a healthy network, then
 //! `Retransmit` again under 1% random packet drop. On a clean wire the
 //! sublayer's price is ack traffic and window bookkeeping, never re-sends
-//! — and because the 32-packet retransmit window replaces (and out-sizes)
-//! the credit allotment, clean-wire bandwidth can even come out ahead.
+//! — the 64-packet retransmit window replaces a credit allotment of the
+//! same size, so clean-wire bandwidth stays within a few percent (95 %
+//! measured; the floor asserted below is 90 %).
 //! Under loss it must still deliver everything, and a lost packet costs
 //! one packet: about as many re-sends as drops, nearly all of them ahead
 //! of the timer, and next to nothing thrown away at the receiver.
@@ -87,8 +88,8 @@ fn main() {
     // never re-sends; under loss it recovers without collapsing.
     assert_eq!(clean_tx.retransmissions, 0);
     assert!(
-        clean_frac > 0.5,
-        "retransmit mode cost more than half the clean-wire bandwidth ({clean_frac:.2})"
+        clean_frac >= 0.9,
+        "retransmit mode cost more than a tenth of the clean-wire bandwidth ({clean_frac:.2})"
     );
     assert!(lossy_tx.retransmissions > 0);
     assert!(

@@ -892,11 +892,17 @@ mod tests {
         for i in 0..window {
             s.try_send(1, H, &[i as u8]).unwrap();
         }
-        assert_eq!(s.try_send(1, H, &[99]), Err(WouldBlock));
-        assert!(sink
-            .events()
+        // A sender polling until admitted counts every refusal and
+        // traces the message's stall once.
+        for _ in 0..3 {
+            assert_eq!(s.try_send(1, H, &[99]), Err(WouldBlock));
+        }
+        assert_eq!(s.stats().credit_stalls, 3);
+        let stalls = sink.events();
+        let stalls = stalls
             .iter()
-            .any(|e| e.kind == SpanKind::CreditStall && e.peer == 1));
+            .filter(|e| e.kind == SpanKind::CreditStall && e.peer == 1);
+        assert_eq!(stalls.count(), 1);
     }
 
     // --- test-only accessors ---

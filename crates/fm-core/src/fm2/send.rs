@@ -205,7 +205,11 @@ impl<D: NetDevice> Fm2Engine<D> {
 
     /// Convenience gather-send: the whole message from `pieces`, all or
     /// nothing. Fails with [`WouldBlock`] (sending nothing) unless credits
-    /// and NIC space for the entire message are available up front.
+    /// and NIC space for the entire message are available up front; each
+    /// refused call counts one `credit_stalls` or `device_stalls`, exactly
+    /// as a refused `FM_send_piece` does — a caller that polls until
+    /// admitted counts every poll; the stall span is traced once per
+    /// message.
     pub fn try_send_message(
         &self,
         dst: usize,
@@ -218,7 +222,9 @@ impl<D: NetDevice> Fm2Engine<D> {
             let core = &mut inner.core;
             if dst != core.device.node_id() {
                 let packets = total.div_ceil(core.profile.fm.mtu_payload).max(1);
-                core.room_for(dst, packets as u32).map_err(|_| WouldBlock)?;
+                let msg_seq = core.send_msg_seq[dst];
+                core.room_for(dst, packets as u32, msg_seq, total as u32)
+                    .map_err(|_| WouldBlock)?;
             }
         }
         let mut ss = self.begin_message(dst, total, handler);

@@ -33,6 +33,25 @@
 //!   *state*, not an event: a later ack repeats everything an earlier one
 //!   said, so one ack per poll is enough, a lost ack costs nothing the
 //!   next does not repair, and nobody counts duplicates.
+//! * **Ack cadence.** The cumulative ack is the sender's credit, and the
+//!   paper returns credits lazily *so that* a sender never sees an empty
+//!   window while its receiver keeps up. Two moments let a standalone ack
+//!   go: the end of every poll that accepted, held or dropped something
+//!   (burst tails, SACK state, duplicates), and — inside the poll, while
+//!   a burst is still being consumed — every `window / 2` packets
+//!   accepted since the last ack of either kind left
+//!   (`ReliableState::ack_overdue`). Without the second, a receiver
+//!   that drains a whole window in one poll acknowledges it once, after
+//!   the last packet, and the sender sits behind a closed window for the
+//!   whole drain: the two ends run in lock step and neither overlaps the
+//!   other. With it the first half of a window is acknowledged while the
+//!   second half is consumed, so the sender refills one half as the
+//!   receiver drains the other. Half is derived, not configured: a
+//!   quarter sends twice the ack frames for no more overlap (each costs a
+//!   system call on a socket), a whole window is the lock step again.
+//!   At the default window (64) that is an ack per 32 packets, what a
+//!   window of 32 acknowledged once per drain sent: the same number of
+//!   acks, leaving earlier.
 //! * **Sender**, per destination: a ring of unacknowledged data-packet
 //!   clones, bounded by a window (which *replaces* credit-based flow
 //!   control — credits are not idempotent under duplication, while
@@ -64,7 +83,7 @@ use crate::stats::FmStats;
 /// Sequence numbers one SACK bitmap covers, counted from the cumulative
 /// ack. Held packets further ahead (only possible with a window above
 /// this) are kept but not reported; the timer repairs what precedes them.
-const SACK_BITS: u32 = 64;
+pub const SACK_BITS: u32 = 64;
 
 /// Floor for [`RetransmitConfig::rto_ns`]. A nanosecond-scale RTO (far
 /// below any round trip) turns every poll into a timeout: the sender
@@ -106,7 +125,19 @@ pub struct RetransmitConfig {
     /// Max unacknowledged data packets per destination (the sliding
     /// window; also the sender-side buffering bound and the size of the
     /// receiver's hold table). Plays the role the credit window plays in
-    /// TrustSubstrate mode.
+    /// TrustSubstrate mode, and defaults to the `credits_per_peer` of the
+    /// FM 2.x profile it stands in for: 64, which is also two `fm-udp`
+    /// datagram trains, so one train is in flight while the next is
+    /// gathered (a window of exactly one train makes sender and receiver
+    /// take turns), and exactly what one SACK bitmap covers.
+    ///
+    /// A receiver acknowledges every `window / 2` packets it accepts
+    /// without waiting for its poll to end (see the module docs, "Ack
+    /// cadence"), so a sender whose receiver keeps up always has half a
+    /// window open. The window is also how deep a saturating sender
+    /// queues: many ranks offering load as fast as it admits wait in
+    /// proportion to it (32 → 64 roughly doubled the four-rank workload
+    /// batteries' tail latency; ROADMAP item 1(i)).
     pub window: u32,
     /// Initial retransmit timeout in nanoseconds (of `NetDevice::now()`
     /// time — virtual in the simulator, wall-clock on real transports).
@@ -144,7 +175,7 @@ pub struct RetransmitConfig {
 impl Default for RetransmitConfig {
     fn default() -> Self {
         RetransmitConfig {
-            window: 32,
+            window: 64,
             rto_ns: 200_000, // 200 µs: a few round trips on the modeled fabric
             max_backoff_exp: 6,
             adaptive: false,
@@ -270,6 +301,9 @@ struct PeerRecv {
     /// Next expected `pkt_seq` from this peer — also the cumulative ack
     /// we owe them.
     expected: u32,
+    /// `expected` as the last ack let go — standalone or piggybacked —
+    /// reported it: what the peer may already know.
+    acked: u32,
     /// An ack is owed that no outgoing packet has carried yet: a data
     /// packet was accepted or held since the last one, or a duplicate
     /// asked for a repeat (the peer is, or soon will be, retransmitting).
@@ -288,6 +322,7 @@ impl PeerRecv {
     fn fresh(cfg: &RetransmitConfig) -> PeerRecv {
         PeerRecv {
             expected: 0,
+            acked: 0,
             ack_due: false,
             held: (0..cfg.window).map(|_| None).collect(),
             holding: 0,
@@ -384,6 +419,7 @@ impl ReliableState {
         if pr.sack == 0 {
             pr.ack_due = false;
         }
+        pr.acked = pr.expected;
         pr.expected
     }
 
@@ -577,17 +613,32 @@ impl ReliableState {
         pkt
     }
 
-    /// Re-arm the standalone-ack duty for `peer` (used when the device
-    /// queue was full at flush time — retry on the next poll).
-    pub(crate) fn mark_ack_due(&mut self, peer: usize) {
-        self.recv[peer].ack_due = true;
+    /// Whether a standalone ack is owed to `peer`: ask before the device
+    /// is asked for room, so a full queue leaves the duty standing for
+    /// the next poll.
+    pub(crate) fn ack_due(&self, peer: usize) -> bool {
+        self.recv[peer].ack_due
+    }
+
+    /// Whether the ack owed to `peer` should leave now, mid-poll: half a
+    /// window of packets has been accepted since the last ack it was let
+    /// go, so the peer is about to run — or is running — into a window
+    /// this side has long since emptied. (A window of one acknowledges
+    /// every packet.)
+    pub(crate) fn ack_overdue(&self, peer: usize) -> bool {
+        let pr = &self.recv[peer];
+        pr.expected.wrapping_sub(pr.acked) >= (self.cfg.window / 2).max(1)
     }
 
     /// The standalone ack owed to `peer` (no outgoing packet piggybacked
     /// it first), as `(ack, sack)`; discharges the duty.
     pub(crate) fn take_due_ack(&mut self, peer: usize) -> Option<(u32, u64)> {
         let pr = &mut self.recv[peer];
-        std::mem::take(&mut pr.ack_due).then_some((pr.expected, pr.sack))
+        if !std::mem::take(&mut pr.ack_due) {
+            return None;
+        }
+        pr.acked = pr.expected;
+        Some((pr.expected, pr.sack))
     }
 
     /// Whether `peer`'s retransmit timer has expired at `now`; the caller
@@ -651,6 +702,7 @@ impl ReliableState {
         let pr = &mut self.recv[peer];
         pr.drop_held();
         pr.expected = 0;
+        pr.acked = 0;
         pr.ack_due = false;
     }
 
@@ -712,6 +764,7 @@ impl ReliableState {
         }
         for pr in &mut st.recv {
             pr.expected = start;
+            pr.acked = start;
         }
         st
     }
@@ -1438,6 +1491,90 @@ mod tests {
         r.accept(1, &data_pkt(1, 3), &mut stats);
         assert_eq!(r.piggyback_ack(1), 2);
         assert_eq!(r.take_due_ack(1), Some((2, 0b10)));
+    }
+
+    /// Accept `n` in-order packets from node 1 starting at `*seq`, the
+    /// way `EngineCore::admit` does: the ack leaves mid-burst whenever it
+    /// is overdue. Returns the acks that left.
+    fn accept_burst(r: &mut ReliableState, seq: &mut u32, n: u32) -> Vec<u32> {
+        let mut stats = FmStats::default();
+        let mut acks = Vec::new();
+        for _ in 0..n {
+            let decision = r.accept(1, &data_pkt(1, *seq), &mut stats);
+            assert_eq!(decision, RecvDecision::Accept);
+            *seq = seq.wrapping_add(1);
+            if r.ack_overdue(1) {
+                let (ack, sack) = r.take_due_ack(1).expect("an accept owes an ack");
+                assert_eq!((ack, sack), (*seq, 0));
+                acks.push(ack);
+            }
+        }
+        acks
+    }
+
+    #[test]
+    fn a_burst_is_acknowledged_every_half_window_and_at_its_tail() {
+        let window = 8;
+        let cfg = RetransmitConfig {
+            window,
+            ..RetransmitConfig::default()
+        };
+        // From zero, and from a start that crosses the u32 wrap mid-burst.
+        for start in [0, u32::MAX - 9] {
+            let mut r = ReliableState::with_start_seq(2, cfg, start);
+            let mut seq = start;
+            // No reverse traffic, nothing lost: 21 packets in one poll are
+            // acknowledged at every fourth, never in between...
+            let acks = accept_burst(&mut r, &mut seq, 21);
+            let at = |n: u32| start.wrapping_add(n);
+            assert_eq!(acks, [4, 8, 12, 16, 20].map(at), "start {start}");
+            // ...and the end of the poll owes the tail, once.
+            assert!(!r.ack_overdue(1));
+            assert_eq!(r.take_due_ack(1), Some((at(21), 0)));
+            assert_eq!(r.take_due_ack(1), None);
+            // The tail ack restarted the count: the next one is four on.
+            assert_eq!(accept_burst(&mut r, &mut seq, 7), [at(25)]);
+            // So does a piggybacked ack: it told the peer the same thing.
+            assert_eq!(r.piggyback_ack(1), at(28));
+            assert_eq!(accept_burst(&mut r, &mut seq, 3), []);
+            assert_eq!(accept_burst(&mut r, &mut seq, 1), [at(32)]);
+        }
+    }
+
+    #[test]
+    fn a_refused_mid_burst_ack_is_deferred_not_lost() {
+        let mut r = ReliableState::new(
+            2,
+            RetransmitConfig {
+                window: 8,
+                ..RetransmitConfig::default()
+            },
+        );
+        let mut stats = FmStats::default();
+        // The device has no room at the half-window mark: the caller asks
+        // (`ack_due`, `ack_overdue`) and takes nothing.
+        for seq in 0..4 {
+            r.accept(1, &data_pkt(1, seq), &mut stats);
+        }
+        assert!(r.ack_due(1) && r.ack_overdue(1));
+        // Every later packet asks again, and the ack that finally leaves
+        // covers everything accepted meanwhile.
+        for seq in 4..7 {
+            r.accept(1, &data_pkt(1, seq), &mut stats);
+            assert!(r.ack_due(1) && r.ack_overdue(1));
+        }
+        assert_eq!(r.take_due_ack(1), Some((7, 0)));
+        assert!(!r.ack_due(1) && !r.ack_overdue(1));
+        // A window of one has no half: every packet is acknowledged.
+        let mut one = ReliableState::new(
+            2,
+            RetransmitConfig {
+                window: 1,
+                ..RetransmitConfig::default()
+            },
+        );
+        assert!(!one.ack_overdue(1), "nothing accepted yet");
+        assert_eq!(accept_burst(&mut one, &mut 0, 3), [1, 2, 3]);
     }
 
     #[test]

@@ -4,12 +4,13 @@
 //! One seeded fault schedule — the fate of the n-th frame put on each
 //! direction of a link: delivered, dropped, duplicated or delayed past
 //! its successors — is driven through [`ReliableState`] (window, SACK
-//! bitmap, hold table, timers, AIMD) and through [`StopAndWait`] (one
-//! frame outstanding, resend on a fixed timer, accept only the expected
-//! sequence number). Both must hand the application the same stream:
-//! every message once, in order. The schedules include the strictly
-//! periodic drop a fixed-size resend burst can phase-lock with, and both
-//! protocols start from sequence numbers that cross the `u32` wrap.
+//! bitmap, hold table, timers, AIMD, an ack every half window from inside
+//! a burst) and through [`StopAndWait`] (one frame outstanding, resend on
+//! a fixed timer, accept only the expected sequence number). Both must
+//! hand the application the same stream: every message once, in order.
+//! The schedules include the strictly periodic drop a fixed-size resend
+//! burst can phase-lock with, and both protocols start from sequence
+//! numbers that cross the `u32` wrap.
 
 use std::collections::VecDeque;
 
@@ -184,6 +185,12 @@ struct Production {
     r: ReliableState,
     stats: FmStats,
     next_seq: u32,
+    /// Acks that left from inside the poll, half a window into a burst,
+    /// in the order they left. The link sees them when the poll ends —
+    /// the same tick, ahead of the poll's own ack — so the reverse
+    /// direction carries the frames, in the order, the engine would put
+    /// on it.
+    mid_burst: Vec<(u32, u64)>,
 }
 
 impl Production {
@@ -193,6 +200,7 @@ impl Production {
             r: ReliableState::with_start_seq(2, cfg, start),
             stats: FmStats::default(),
             next_seq: start,
+            mid_burst: Vec::new(),
         }
     }
 }
@@ -230,13 +238,19 @@ impl Arq for Production {
         while let Some(pkt) = next {
             if self.r.accept(0, &pkt, &mut self.stats) == RecvDecision::Accept {
                 delivered.push(u32::from_le_bytes(pkt.payload[..].try_into().unwrap()));
+                // Half a window into the burst — a released run counts —
+                // the ack leaves from inside the poll.
+                if self.r.ack_overdue(0) {
+                    self.mid_burst.extend(self.r.take_due_ack(0));
+                }
             }
             next = self.r.take_released();
         }
     }
 
     fn flush_ack(&mut self, now: u64, link: &mut Link<Vec<u8>>) {
-        if let Some((ack, sack)) = self.r.take_due_ack(0) {
+        let tail = self.r.take_due_ack(0);
+        for (ack, sack) in self.mid_burst.drain(..).chain(tail) {
             let wire = FmPacket::ack_sack(1, 0, ack, sack).encode_wire().unwrap();
             link.put(wire, now);
         }
@@ -264,9 +278,9 @@ impl Arq for Production {
     }
 }
 
-fn cfg(adaptive: bool) -> RetransmitConfig {
+fn cfg(window: u32, adaptive: bool) -> RetransmitConfig {
     RetransmitConfig {
-        window: WINDOW,
+        window,
         rto_ns: RTO,
         max_backoff_exp: 3,
         adaptive,
@@ -277,7 +291,7 @@ fn cfg(adaptive: bool) -> RetransmitConfig {
 
 /// Both protocols under the same schedule from the same start sequence:
 /// the same stream, which is the one that was sent.
-fn assert_same_stream(faults: Faults, seed: u64, start: u32, adaptive: bool, count: u32) {
+fn assert_same_stream(faults: Faults, seed: u64, start: u32, cfg: RetransmitConfig, count: u32) {
     let oracle = StopAndWait {
         seq: start,
         outstanding: None,
@@ -285,12 +299,9 @@ fn assert_same_stream(faults: Faults, seed: u64, start: u32, adaptive: bool, cou
         ack_due: false,
     };
     let expected = run(oracle, faults, seed, count);
-    let production = Production::new(cfg(adaptive), start);
+    let production = Production::new(cfg, start);
     let got = run(production, faults, seed, count);
-    assert_eq!(
-        got, expected,
-        "seed {seed:#x} start {start} adaptive {adaptive}"
-    );
+    assert_eq!(got, expected, "seed {seed:#x} start {start} {cfg:?}");
     assert_eq!(got, (0..count).collect::<Vec<_>>(), "seed {seed:#x}");
 }
 
@@ -311,7 +322,25 @@ fn prop_production_arq_delivers_what_stop_and_wait_delivers() {
         } else {
             Faults::Random
         };
-        assert_same_stream(faults, seed, start, case % 2 == 1, 120);
+        assert_same_stream(faults, seed, start, cfg(WINDOW, case % 2 == 1), 120);
+    }
+}
+
+#[test]
+fn the_default_window_delivers_what_stop_and_wait_delivers() {
+    // The same schedules at the window everything outside this file runs
+    // (64: whole bursts arrive in one poll and are acknowledged by
+    // halves), long enough to turn it over several times, wrap included.
+    let window = RetransmitConfig::default().window;
+    for case in 0..env_cases(16) {
+        let seed = 0x0DEF_A000_u64 ^ case as u64;
+        let start = u32::MAX - (case as u32 * 37) % (3 * window);
+        let faults = if case % 4 == 3 {
+            Faults::DropEveryNth(window as u64 / 2 + case as u64)
+        } else {
+            Faults::Random
+        };
+        assert_same_stream(faults, seed, start, cfg(window, case % 2 == 1), 500);
     }
 }
 
@@ -325,7 +354,7 @@ fn periodic_drops_cannot_phase_lock_with_the_window() {
     for period in 2..=4 * WINDOW as u64 {
         for adaptive in [false, true] {
             let faults = Faults::DropEveryNth(period);
-            assert_same_stream(faults, period, u32::MAX - 40, adaptive, 200);
+            assert_same_stream(faults, period, u32::MAX - 40, cfg(WINDOW, adaptive), 200);
         }
     }
 }

@@ -11,7 +11,9 @@
 //!   to [`SEND_BATCH`] on every poll — and eagerly once a full batch
 //!   has accumulated, so a sender streaming inside an open window stays
 //!   pipelined. `EWOULDBLOCK` leaves the remainder queued for the next
-//!   poll. The queue bound is the back-pressure `send_space` reports.
+//!   poll. The queue bound is the back-pressure `send_space` reports,
+//!   and its default (64) holds exactly one default retransmit window,
+//!   so the window, never the queue, is what stops a sender.
 //! * **Datagram trains.** A flush packs every consecutive queued frame
 //!   to the same destination into one [`wire::FrameKind::Train`]
 //!   datagram (up to the 65,507-byte ceiling). Small-message streams
@@ -19,7 +21,13 @@
 //!   `sendto`/`recvfrom` pair for the whole run, and the receiver
 //!   decodes every record as a zero-copy view of the single datagram
 //!   frame. A lone frame goes out as-is — no staging copy, no added
-//!   latency.
+//!   latency. A full train is [`SEND_BATCH`] (32) frames, half of
+//!   `fm_core::RetransmitConfig::default().window`: the receiver
+//!   acknowledges every half window from inside the poll that drains
+//!   it, so while one train is being consumed the ack for the one
+//!   before is already on its way back and the sender is gathering the
+//!   next. With a window of one train the two ends took turns instead (a
+//!   unit test below keeps the three defaults from drifting back).
 //! * **Ack coalescing.** Deferring the flush to the poll opens a window
 //!   in which several ack-carrying frames to the same peer can be
 //!   queued at once. Cumulative acks are monotone, so a data packet's
@@ -1138,6 +1146,27 @@ mod tests {
             out.push(ev);
         }
         out
+    }
+
+    /// The defaults of three layers have to fit each other, and once did
+    /// not: a retransmit window of exactly one train put sender and
+    /// receiver in lock step (the whole window left in one datagram, was
+    /// drained in one poll and acknowledged once, after its last packet).
+    #[test]
+    fn the_default_window_is_two_trains_one_bitmap_and_fits_the_queue() {
+        let window = fm_core::RetransmitConfig::default().window;
+        assert!(
+            window as usize >= 2 * SEND_BATCH,
+            "one train in flight while the next is gathered"
+        );
+        assert!(
+            window <= fm_core::reliable::SACK_BITS,
+            "one ack reports everything a peer can hold"
+        );
+        assert!(
+            UdpConfig::default().send_queue >= window as usize,
+            "a window the engine may send is a window the queue takes"
+        );
     }
 
     #[test]

@@ -318,18 +318,36 @@ fn trust_substrate_loses_what_retransmit_repairs() {
 /// The stream the count gates run: 2 KB x 4096 under the adaptive
 /// profile, the shape of the benchmark's `udp_*` stream leg.
 fn gate_stream(faults: Vec<FaultModel>) -> Counted {
-    let adaptive = Reliability::Retransmit(RetransmitConfig::adaptive());
+    gate_stream_at(RetransmitConfig::default().window, faults)
+}
+
+/// [`gate_stream`] with a retransmit window of `window` packets.
+fn gate_stream_at(window: u32, faults: Vec<FaultModel>) -> Counted {
+    let adaptive = Reliability::Retransmit(RetransmitConfig {
+        window,
+        ..RetransmitConfig::adaptive()
+    });
     stream_fm2(faults, 4096, 2048, adaptive)
 }
 
 #[test]
 fn loss_free_stream_is_count_for_count_the_go_back_n_one() {
-    // Every number here was read off the parent commit (go-back-N,
-    // 20286b2) before the protocol changed: when nothing is lost,
-    // selective repeat puts the same frames on the wire at the same
-    // nanoseconds, so the virtual end time and every counter of both
-    // ranks are that commit's.
-    let c = gate_stream(vec![]);
+    // Every number of the first case was read off the go-back-N commit
+    // (20286b2), which ran a window of 32, before the protocol changed:
+    // when nothing is lost, selective repeat puts the same frames on the
+    // wire at the same nanoseconds, so the virtual end time and every
+    // counter of both ranks are that commit's. One counter is newer than
+    // it: the 292 refused `try_send_message` calls were not counted then.
+    let receiver = FmStats {
+        messages_received: 4096,
+        bytes_received: 8_388_608,
+        packets_received: 8192,
+        bytes_copied: 8_388_608,
+        handlers_run: 4096,
+        acks_sent: 8192,
+        ..FmStats::default()
+    };
+    let c = gate_stream_at(32, vec![]);
     assert_eq!((c.got, c.errs), (4096, 0));
     assert_eq!(c.end, Nanos(121_448_583));
     assert_eq!(
@@ -338,23 +356,37 @@ fn loss_free_stream_is_count_for_count_the_go_back_n_one() {
             messages_sent: 4096,
             bytes_sent: 8_388_608,
             packets_sent: 8192,
+            credit_stalls: 292,
             pool_hits: 8160,
             pool_misses: 32,
             ..FmStats::default()
         }
     );
+    assert_eq!(c.receiver, receiver);
+
+    // The same stream under the default window (64), read off this code:
+    // the same 8192 packets and 8192 acks (the simulator wakes the
+    // receiver per packet, so every poll acknowledges one and the
+    // half-window ack never has to fire), 64 frames in the sender's pool
+    // instead of 32, fewer refused sends, and 0.48 % more virtual time —
+    // the deeper window queues, it does not stream faster here.
+    let c = gate_stream(vec![]);
+    assert_eq!((c.got, c.errs), (4096, 0));
+    assert_eq!(c.end, Nanos(122_032_002));
     assert_eq!(
-        c.receiver,
+        c.sender,
         FmStats {
-            messages_received: 4096,
-            bytes_received: 8_388_608,
-            packets_received: 8192,
-            bytes_copied: 8_388_608,
-            handlers_run: 4096,
-            acks_sent: 8192,
+            messages_sent: 4096,
+            bytes_sent: 8_388_608,
+            packets_sent: 8192,
+            credit_stalls: 135,
+            device_stalls: 1,
+            pool_hits: 8128,
+            pool_misses: 64,
             ..FmStats::default()
         }
     );
+    assert_eq!(c.receiver, receiver);
 }
 
 #[test]
