@@ -37,34 +37,48 @@ fn sweep(sizes: &[usize], probe: impl Fn(usize, usize) -> StreamResult) -> Vec<B
     sizes.iter().map(point).collect()
 }
 
+/// One row of the workload tail table.
+fn print_workload_row(name: &str, d: &WorkloadDist) {
+    let h = &d.latency_ns;
+    println!(
+        "{:>10} {:>8} {:>6} {:>10.3}ms {:>10.2}us {:>10.2}us {:>10.2}us",
+        name,
+        d.delivered,
+        d.retransmissions,
+        d.elapsed.as_ns() as f64 / 1e6,
+        h.p50() as f64 / 1000.0,
+        h.p99() as f64 / 1000.0,
+        h.p999() as f64 / 1000.0,
+    );
+}
+
 /// Run every workload shape through `run`, print the tail table, and fold
 /// `<prefix>_<shape>_p99_ns` / `<prefix>_<shape>_p999_ns` headlines plus
-/// one latency row per shape into the report.
+/// one latency row per shape into the report. With `loss_free`, each shape
+/// is also run through it and printed beneath (stdout only, never
+/// reported): what the wire's own queue costs, so the row above shows
+/// what the loss adds to it.
 fn workload_battery(
     prefix: &str,
     run: impl Fn(&WorkloadSpec) -> WorkloadDist,
+    loss_free: Option<fn(&WorkloadSpec) -> WorkloadDist>,
     report: &mut BenchReport,
 ) {
     println!();
     println!("--- adversarial workloads ({prefix}, 1% loss, adaptive RTO) ---");
     println!(
-        "{:>10} {:>8} {:>6} {:>12} {:>12} {:>12}",
-        "shape", "msgs", "retx", "p50", "p99", "p999"
+        "{:>10} {:>8} {:>6} {:>12} {:>12} {:>12} {:>12}",
+        "shape", "msgs", "retx", "elapsed", "p50", "p99", "p999"
     );
     for shape in Shape::ALL {
         let spec = WorkloadSpec::new(shape, 4, 400, 64, 0x50AC + shape as u64);
         let d = run(&spec);
         assert_eq!(d.lost, 0, "{prefix} {} leaked messages", shape.name());
+        print_workload_row(shape.name(), &d);
+        if let Some(loss_free) = loss_free {
+            print_workload_row("loss-free", &loss_free(&spec));
+        }
         let h = &d.latency_ns;
-        println!(
-            "{:>10} {:>8} {:>6} {:>10.2}us {:>10.2}us {:>10.2}us",
-            shape.name(),
-            d.delivered,
-            d.retransmissions,
-            h.p50() as f64 / 1000.0,
-            h.p99() as f64 / 1000.0,
-            h.p999() as f64 / 1000.0,
-        );
         report.push(format!("{prefix}_{}_p99_ns", shape.name()), h.p99() as f64);
         report.push(
             format!("{prefix}_{}_p999_ns", shape.name()),
@@ -372,7 +386,12 @@ fn calibrate_sim() -> BenchReport {
     let bc_speedup = bcast[0] / bcast[2];
     println!("bcast pipelined speedup vs flat       {bc_speedup:.2}x");
     report.push("bcast_n4_256k_pipeline_speedup", bc_speedup);
-    workload_battery("sim", |spec| sim_workload_dist(spec, 0.01), &mut report);
+    workload_battery(
+        "sim",
+        |spec| sim_workload_dist(spec, 0.01),
+        Some(|spec| sim_workload_dist(spec, 0.0)),
+        &mut report,
+    );
     put_battery("sim", &Sim::new(ppro), 1, &mut report);
     report
 }
@@ -402,7 +421,7 @@ fn calibrate_udp() -> BenchReport {
     println!("{:<36} {recovery_ms:>10.3}", "udp_churn_recovery_p50_ms");
     report.push("udp_churn_recovery_p50_ms", recovery_ms);
     let lossy = |spec: &WorkloadSpec| workload_dist(&Udp::lossy(0.01, spec.seed), spec);
-    workload_battery("udp", lossy, &mut report);
+    workload_battery("udp", lossy, None, &mut report);
     report
 }
 

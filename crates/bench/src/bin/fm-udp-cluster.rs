@@ -650,7 +650,8 @@ fn run_node_udp(opts: &Opts) {
         .expect("join barrier");
 
     // The UDP fabric's engine: adaptive reliability over a real network
-    // (RTT-sampled RTO, AIMD send window).
+    // (RTT-sampled RTO; SACK holes re-sent at once, and an AIMD send
+    // window that only a retransmit timeout halves).
     let fm = Udp::default().engine(device);
     let elapsed = drive_workload(&fm, opts, None);
 

@@ -176,7 +176,14 @@ fn stream_alloc_delta<F: Fabric>(fabric: &F, size: usize, warmup: usize, measure
             let mut sent = 0usize;
             return Box::new(move || loop {
                 if sent == count {
-                    return Step::Done(0);
+                    // Done only once every packet is acknowledged: a lost
+                    // tail has nothing behind it to expose it as a hole,
+                    // and only this side's timer can repair it.
+                    fm.extract_all();
+                    if fm.unacked_packets() == 0 {
+                        return Step::Done(0);
+                    }
+                    return Step::Idle;
                 }
                 if fm.try_send_message(1, BENCH_HANDLER, &[&data]).is_ok() {
                     sent += 1;

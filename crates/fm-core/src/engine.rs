@@ -471,7 +471,7 @@ impl<D: NetDevice> EngineCore<D> {
         });
     }
 
-    /// Trace the AIMD window toward `peer` after a loss signal moved it.
+    /// Trace the AIMD window toward `peer` after a timeout halved it.
     fn emit_cwnd(&self, rel: &ReliableState, peer: usize) {
         if rel.is_adaptive() {
             let cwnd = rel.cwnd_packets(peer);
@@ -774,7 +774,7 @@ impl<D: NetDevice> EngineCore<D> {
         if !holes {
             return;
         }
-        let mut resent = false;
+        // Repairs leave the window alone: only a timeout moves it.
         while self.device_takes(1) {
             let rel = self.reliable.as_mut().expect("retransmit mode");
             let Some(pkt) = rel.next_hole(src, now) else {
@@ -782,11 +782,6 @@ impl<D: NetDevice> EngineCore<D> {
             };
             self.stats.fast_retransmits += 1;
             self.resend(src, pkt);
-            resent = true;
-        }
-        if resent {
-            let rel = self.reliable.as_ref().expect("retransmit mode");
-            self.emit_cwnd(rel, src);
         }
     }
 

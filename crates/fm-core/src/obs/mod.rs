@@ -109,8 +109,9 @@ pub enum SpanKind {
     /// the new RTO in microseconds, `bytes` the RTT sample in
     /// microseconds).
     RtoUpdate,
-    /// The per-peer AIMD send window changed on a loss signal (`seq`
-    /// carries the new window in packets).
+    /// The per-peer AIMD send window was halved by a retransmit-timer
+    /// expiry — the only event that shrinks it; a SACK-repaired hole
+    /// leaves it alone (`seq` carries the new window in packets).
     CwndChange,
 }
 

@@ -65,6 +65,13 @@
 //!   only** and forgets the marks (the next ack's bitmap restores them) —
 //!   one timeout is one packet on the wire, whatever the window holds, so
 //!   a periodic loss pattern has no fixed-size burst to phase-lock with.
+//! * **Window policy** (adaptive profile only). A lost packet is
+//!   repaired, not punished: a SACK hole is re-sent without touching the
+//!   AIMD window, because the acks that exposed it prove the ack clock is
+//!   running and the repair costs exactly the packet that was lost. Only
+//!   the retransmit timer halves the window, once per expiry — silence
+//!   for a whole RTO is the one sign the peer has stopped keeping up, and
+//!   the exponential backoff already spaces expiries apart.
 //!
 //! The header's `ack` field rides inside the fixed
 //! [`crate::HEADER_WIRE_BYTES`] framing and the bitmap rides in the two
@@ -155,11 +162,13 @@ pub struct RetransmitConfig {
     ///   pollute the estimate), clamped to `[rto_min_ns, rto_max_ns]`;
     ///   `rto_ns` remains the pre-sample initial value;
     /// * the packets in flight per peer are bounded by an AIMD window —
-    ///   grows by one packet per window of acks up to `window`, halves
-    ///   once per recovery episode (the first loss signal, timeout or
-    ///   SACK hole, until everything sent before it is acknowledged) —
-    ///   so a lossy or slow peer sheds load instead of triggering
-    ///   retransmit storms.
+    ///   grows by one packet per window of acks up to `window`, halves on
+    ///   every retransmit-timer expiry (floor one packet) — so a peer
+    ///   that stops answering sheds load instead of drawing retransmit
+    ///   storms. A SACK hole does not move it: the acks that exposed the
+    ///   hole show the peer is answering, and selective repeat re-sends
+    ///   just the lost packet, so random loss costs one packet per loss
+    ///   and never throttles the window.
     ///
     /// `false` (default) keeps the constants; real datagram transports
     /// (fm-udp) enable it. The protocol is the same either way.
@@ -252,10 +261,6 @@ struct PeerSend {
     deadline: Option<Nanos>,
     /// Consecutive timeouts without ack progress (backoff exponent).
     timeouts: u32,
-    /// The recovery episode in progress (adaptive mode): `next_seq` when
-    /// the AIMD window last halved. Further loss signals halve nothing
-    /// until the cumulative ack reaches it.
-    recover: Option<u32>,
     /// Smoothed RTT estimate (adaptive mode; `None` until the first
     /// sample).
     srtt_ns: Option<u64>,
@@ -284,15 +289,10 @@ impl PeerSend {
     }
 
     /// A re-send toward this peer is going out: its ack is ambiguous
-    /// (Karn's rule), the timer gives it `rto` to land, and it is a loss
-    /// signal — the AIMD window halves if this opens a recovery episode.
-    fn on_resend(&mut self, adaptive: bool, now: Nanos, rto: u64) {
+    /// (Karn's rule) and the timer gives it `rto` to land.
+    fn on_resend(&mut self, now: Nanos, rto: u64) {
         self.probe = None;
         self.deadline = Some(now + Nanos(rto));
-        if adaptive && self.recover.is_none() {
-            self.cwnd = (self.cwnd / 2.0).max(1.0);
-            self.recover = Some(self.next_seq);
-        }
     }
 }
 
@@ -471,9 +471,6 @@ impl ReliableState {
                 ps.sacked -= u.sacked as u32;
                 popped += 1;
             }
-            if ps.recover.is_some_and(|r| !seq_lt(ack, r)) {
-                ps.recover = None; // everything sent before the loss is in
-            }
             if adaptive {
                 // RTT sample: the timed probe is acknowledged and was
                 // never retransmitted (any re-send toward this peer would
@@ -539,9 +536,9 @@ impl ReliableState {
     /// not been re-sent since (see [`Unacked::resent_before`]), as a clone
     /// with its piggybacked ack refreshed. Marks it re-sent; `None` when
     /// every hole has its re-send in flight.
+    /// The AIMD window is left alone (module docs, "Window policy").
     pub(crate) fn next_hole(&mut self, dst: usize, now: Nanos) -> Option<FmPacket> {
         let ack = self.recv[dst].expected;
-        let adaptive = self.cfg.adaptive;
         let rto = self.rto_base(&self.send[dst]);
         let ps = &mut self.send[dst];
         let high = ps.ring.iter().rposition(|u| u.sacked)?;
@@ -553,7 +550,7 @@ impl ReliableState {
         let pkt = hole.resend(ps.next_seq, ack);
         // Push the timer back: the re-send is in flight, give it a chance
         // before the timeout fires on the same packet.
-        ps.on_resend(adaptive, now, rto << ps.timeouts);
+        ps.on_resend(now, rto << ps.timeouts);
         Some(pkt)
     }
 
@@ -651,6 +648,9 @@ impl ReliableState {
     /// re-arm, and yield the oldest unacknowledged packet — that one
     /// only — to re-send.
     ///
+    /// In adaptive mode every expiry also halves the AIMD window, floor
+    /// one packet (module docs, "Window policy").
+    ///
     /// A timeout also forgets every SACK mark: silence may mean the peer
     /// let go of what it reported (it keeps nothing for a peer it
     /// declared down), and a mark that outlived the packet would never be
@@ -663,12 +663,14 @@ impl ReliableState {
         stats: &mut FmStats,
     ) -> Option<FmPacket> {
         let ack = self.recv[dst].expected;
-        let adaptive = self.cfg.adaptive;
         let rto = self.rto_base(&self.send[dst]);
         let ps = &mut self.send[dst];
         stats.retransmit_timeouts += 1;
         ps.timeouts = (ps.timeouts + 1).min(self.cfg.max_backoff_exp);
-        ps.on_resend(adaptive, now, rto << ps.timeouts);
+        ps.on_resend(now, rto << ps.timeouts);
+        if self.cfg.adaptive {
+            ps.cwnd = (ps.cwnd / 2.0).max(1.0);
+        }
         for u in &mut ps.ring {
             u.sacked = false;
         }
@@ -717,7 +719,6 @@ impl ReliableState {
         ps.sacked = 0;
         ps.deadline = None;
         ps.timeouts = 0;
-        ps.recover = None;
         ps.probe = None;
         self.recv[peer].drop_held();
     }
@@ -1748,33 +1749,28 @@ mod tests {
             r.on_data_sent(1, &data_pkt(1, seq), Nanos(0));
         }
         r.on_timeout(1, Nanos(100_000), &mut stats);
-        assert_eq!(r.cwnd_packets(1), 4, "halved on the first loss signal");
-        // More signals about the same flight — a second timeout, a SACK
-        // hole — are the same episode.
+        assert_eq!(r.cwnd_packets(1), 4, "halved by the expiry");
+        // A SACK hole in the same flight is repaired, and moves nothing.
+        assert!(r.on_ack(1, 0, 0b1000, Nanos(150_000)));
+        assert_eq!(holes(&mut r, 150_000), vec![1, 2]);
+        assert_eq!(r.cwnd_packets(1), 4, "a repair is not a loss signal");
+        // Every expiry halves: there is no episode to wait out, the
+        // backoff already spaces them a (doubling) RTO apart.
         r.on_timeout(1, Nanos(900_000), &mut stats);
-        assert!(r.on_ack(1, 0, 0b1000, Nanos(950_000)));
-        assert_eq!(holes(&mut r, 950_000), vec![1, 2]);
-        assert_eq!(r.cwnd_packets(1), 4, "one halving per episode");
-        // Partial progress does not end it; acknowledging everything
-        // sent before the halving does.
-        r.on_ack(1, 2, 0, Nanos(960_000));
+        assert_eq!(r.cwnd_packets(1), 2, "the second expiry halves again");
         r.on_timeout(1, Nanos(2_000_000), &mut stats);
-        assert_eq!(r.cwnd_packets(1), 4);
-        r.on_ack(1, 4, 0, Nanos(2_100_000));
-        r.on_data_sent(1, &data_pkt(1, 4), Nanos(2_200_000));
+        assert_eq!(r.cwnd_packets(1), 1);
         r.on_timeout(1, Nanos(3_000_000), &mut stats);
-        assert_eq!(r.cwnd_packets(1), 2, "a new episode halves again");
-        r.on_ack(1, 5, 0, Nanos(3_100_000));
-        r.on_data_sent(1, &data_pkt(1, 5), Nanos(3_200_000));
-        r.on_timeout(1, Nanos(4_000_000), &mut stats);
-        r.on_ack(1, 6, 0, Nanos(4_100_000));
-        r.on_data_sent(1, &data_pkt(1, 6), Nanos(4_200_000));
-        r.on_timeout(1, Nanos(5_000_000), &mut stats);
         assert_eq!(r.cwnd_packets(1), 1, "never below one packet");
-        assert_eq!(r.send_budget(1), 0, "one outstanding fills cwnd 1");
-        r.on_ack(1, 7, 0, Nanos(5_100_000));
-        // Acks regrow the window additively toward the configured cap.
-        let mut seq = 7u32;
+        assert_eq!(r.send_budget(1), 0, "four outstanding overfill cwnd 1");
+        // Acks regrow the window additively, one packet per window of
+        // acked packets: 1 → 2 → 2.5 → 2.9 → 3.24.
+        for (ack, cwnd) in [(1, 2), (2, 2), (3, 2), (4, 3)] {
+            r.on_ack(1, ack, 0, Nanos(3_100_000));
+            assert_eq!(r.cwnd_packets(1), cwnd, "after ack {ack}");
+        }
+        // ...toward the configured cap.
+        let mut seq = 4u32;
         let mut t = 6_000_000u64;
         while r.cwnd_packets(1) < 8 {
             let budget = r.send_budget(1);
@@ -1790,23 +1786,118 @@ mod tests {
     }
 
     #[test]
-    fn fast_retransmit_is_a_loss_signal_in_adaptive_mode() {
+    fn a_sack_hole_is_repaired_without_moving_the_window() {
         let mut r = adaptive_state();
+        let mut stats = FmStats::default();
         for seq in 0..6 {
             r.on_data_sent(1, &data_pkt(1, seq), Nanos(0));
         }
         assert_eq!(r.send_budget(1), 2);
-        // Seq 0 is lost, the peer holds 1..=5: the window halves to 4.
+        // Seq 0 is lost, the peer holds 1..=5: 0 is re-sent, and the
+        // window stays open.
         assert!(r.on_ack(1, 0, 0b111110, Nanos(10)));
         assert_eq!(holes(&mut r, 10), vec![0]);
-        assert_eq!(r.cwnd_packets(1), 4, "halved from 8 on the hole");
+        assert_eq!(r.cwnd_packets(1), 8, "a repaired hole is no loss signal");
         // SACKed packets are not in flight — only the hole is — but they
         // do fill the peer's table.
         assert_eq!(
             r.send_budget(1),
             2,
-            "one in flight of four; the peer's table has two free slots"
+            "one in flight of eight; the peer's table has two free slots"
         );
+        // The timer is what shrinks the window. It also forgets the marks,
+        // so all six count as in flight until the next bitmap restores them.
+        r.on_timeout(1, Nanos(200_000), &mut stats);
+        assert_eq!(r.cwnd_packets(1), 4);
+        assert_eq!(r.send_budget(1), 0, "six in flight of four");
+        assert!(r.on_ack(1, 0, 0b111110, Nanos(200_010)));
+        assert_eq!(r.send_budget(1), 2, "one in flight of four again");
+    }
+
+    /// A 2 → 1 stream of `count` packets at the default adaptive window,
+    /// one round per microsecond: the sender fills its budget, each fresh
+    /// packet is lost with probability 1 %, the receiver takes what
+    /// arrived and answers with one ack, and the holes it exposes go out
+    /// next round (re-sends are never lost). Before packet `stall_at`
+    /// goes the link stalls for one RTO, once, so the timer fires.
+    /// Returns the window after every round.
+    fn sack_repaired_stream(count: u32, stall_at: u32) -> Vec<u32> {
+        let cfg = RetransmitConfig::adaptive();
+        let (mut s, mut r) = (ReliableState::new(2, cfg), ReliableState::new(2, cfg));
+        let mut stats = FmStats::default();
+        let mut rng = fm_model::rng::DetRng::seed_from_u64(7);
+        let (mut sent, mut lost, mut resent) = (0u32, 0u32, 0u32);
+        let (mut wire, mut now, mut windows) = (Vec::new(), Nanos(0), Vec::new());
+        let mut stalled = false;
+        while sent < count || s.unacked_packets() > 0 {
+            now += Nanos(1_000);
+            assert!(!s.timed_out(1, now), "a timer expired at packet {sent}");
+            for _ in 0..s.send_budget(1).min(count - sent) {
+                let pkt = data_pkt(1, sent);
+                s.on_data_sent(1, &pkt, now);
+                sent += 1;
+                // The tail is never lost: nothing after it could expose it.
+                if sent + cfg.window < count && rng.chance(0.01) {
+                    lost += 1;
+                } else {
+                    wire.push(pkt);
+                }
+            }
+            if !stalled && sent >= stall_at {
+                stalled = true;
+                now = s.next_deadline().expect("packets are outstanding");
+                let head = s.on_timeout(1, now, &mut stats).expect("a head to re-send");
+                resent += 1;
+                wire.push(head);
+                windows.push(s.cwnd_packets(1));
+            }
+            for pkt in wire.drain(..) {
+                let mut next = Some(pkt);
+                while let Some(p) = next {
+                    r.accept(0, &p, &mut stats);
+                    next = r.take_released();
+                }
+            }
+            if let Some((ack, sack)) = r.take_due_ack(0) {
+                if s.on_ack(1, ack, sack, now) {
+                    while let Some(hole) = s.next_hole(1, now) {
+                        resent += 1;
+                        wire.push(hole);
+                    }
+                }
+            }
+            windows.push(s.cwnd_packets(1));
+        }
+        assert!(lost > 50, "1 % of {count} packets, seed 7: {lost}");
+        assert_eq!(
+            resent,
+            lost + stalled as u32,
+            "one packet per lost packet, plus the timer's head"
+        );
+        assert_eq!(stats.retransmit_timeouts, stalled as u64);
+        windows
+    }
+
+    #[test]
+    fn random_loss_repaired_by_sack_keeps_the_window_open() {
+        let window = RetransmitConfig::default().window;
+        // No expiry: every round, whatever it lost, ends fully open.
+        let windows = sack_repaired_stream(10_000, u32::MAX);
+        assert!(windows.iter().all(|&w| w == window), "{windows:?}");
+        // One expiry mid-run halves the window once; repairs after it
+        // move nothing, and acks regrow it to the cap.
+        let windows = sack_repaired_stream(10_000, 5_000);
+        let halved = windows
+            .iter()
+            .position(|&w| w < window)
+            .expect("the timer fired");
+        assert_eq!(windows[halved], window / 2);
+        assert!(windows[halved..].iter().all(|&w| w >= window / 2));
+        assert!(
+            windows[halved..].windows(2).all(|w| w[1] >= w[0]),
+            "only regrowth"
+        );
+        assert_eq!(windows.last(), Some(&window), "regrown to the cap");
     }
 
     #[test]

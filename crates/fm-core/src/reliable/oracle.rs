@@ -4,13 +4,15 @@
 //! One seeded fault schedule — the fate of the n-th frame put on each
 //! direction of a link: delivered, dropped, duplicated or delayed past
 //! its successors — is driven through [`ReliableState`] (window, SACK
-//! bitmap, hold table, timers, AIMD, an ack every half window from inside
-//! a burst) and through [`StopAndWait`] (one frame outstanding, resend on
-//! a fixed timer, accept only the expected sequence number). Both must
-//! hand the application the same stream: every message once, in order.
-//! The schedules include the strictly periodic drop a fixed-size resend
-//! burst can phase-lock with, and both protocols start from sequence
-//! numbers that cross the `u32` wrap.
+//! bitmap, hold table, timers, an AIMD window only the timer halves, an
+//! ack every half window from inside a burst) and through [`StopAndWait`]
+//! (one frame outstanding, resend on a fixed timer, accept only the
+//! expected sequence number). Both must hand the application the same
+//! stream: every message once, in order. Window policy decides when
+//! frames go, never which stream arrives, so this file does not change
+//! when it does. The schedules include the strictly periodic drop a
+//! fixed-size resend burst can phase-lock with, and both protocols start
+//! from sequence numbers that cross the `u32` wrap.
 
 use std::collections::VecDeque;
 
