@@ -274,8 +274,8 @@ impl Fabric for Sim {
     }
 }
 
-/// OS threads over `fm-threaded`'s bounded in-process channels: the
-/// `forbid(unsafe_code)` reference transport. Lossless.
+/// OS threads over `fm-threaded`: the shm rings in anonymous memory, with
+/// no segment file, run id or join. Lossless.
 pub struct Threads;
 
 impl Fabric for Threads {

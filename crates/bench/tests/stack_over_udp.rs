@@ -5,7 +5,7 @@
 //! [`fm_core::NetDevice`]; none of them was written with UDP in mind.
 //! These tests are the layering payoff: the same collective, socket,
 //! and one-sided-memory code that runs in the simulator and over
-//! in-process channels runs unchanged over a lossy kernel transport.
+//! in-process rings runs unchanged over a lossy kernel transport.
 //! Each body is a blocking application run as a one-step rank program of
 //! the lossy UDP [`Fabric`], whose engines retransmit.
 

@@ -1,12 +1,13 @@
 //! Blocking convenience wrappers over the non-blocking engine API.
 //!
 //! The engines are non-blocking by design (the simulator needs `try_*` +
-//! yield). On real transports (`fm-threaded` OS threads, `fm-udp`
-//! processes), blocking is just spin-with-progress: retry the operation,
-//! draining the network in between so flow-control credits — and, in
-//! [`crate::Reliability::Retransmit`] mode, acks and retransmit timers —
-//! keep circulating (this mirrors what the real FM library did inside
-//! `FM_send`: poll the NIC while waiting for credits, or risk deadlock).
+//! yield). On real transports (threads or processes over `fm-shm` rings
+//! or `fm-udp` sockets), blocking is just spin-with-progress: retry the
+//! operation, draining the network in between so flow-control credits —
+//! and, in [`crate::Reliability::Retransmit`] mode, acks and retransmit
+//! timers — keep circulating (this mirrors what the real FM library did
+//! inside `FM_send`: poll the NIC while waiting for credits, or risk
+//! deadlock).
 //!
 //! Generic over any [`NetDevice`], which is why this lives in `fm-core`
 //! rather than in one transport crate. Never call these on a simulator
@@ -14,10 +15,11 @@
 //! loop, so a spin here would hang forever.
 //!
 //! [`run_ranks`] is the one rank spawner of the workspace: every
-//! in-process cluster runner (`ThreadedCluster`, `UdpCluster`,
-//! `ShmCluster`, the routed fabric of `fm-bench`) opens its devices its
-//! own way and hands them here. [`quiesce`] is what each of those ranks
-//! does between finishing and dropping its device.
+//! in-process cluster runner (`ThreadedCluster` over anonymous shm rings,
+//! `ShmCluster` over named ones, `UdpCluster`, the routed fabric of
+//! `fm-bench`) opens its devices its own way and hands them here.
+//! [`quiesce`] is what each of those ranks does between finishing and
+//! dropping its device.
 
 use std::time::{Duration, Instant};
 

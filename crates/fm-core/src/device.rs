@@ -1,14 +1,16 @@
 //! The network device abstraction and its simulator adapter.
 //!
 //! The FM engines are written against [`NetDevice`]: a non-blocking,
-//! bounded-queue NIC interface plus a clock and a cost sink. Two
-//! implementations exist:
+//! bounded-queue NIC interface plus a clock and a cost sink. It has two
+//! kinds of implementation:
 //!
 //! * [`SimDevice`] (here) — adapts a `myrinet_sim::HostInterface` so the
 //!   engine runs in virtual time inside the discrete-event simulator;
 //!   `charge` advances the node's virtual clock.
-//! * `fm_threaded::ThreadedDevice` — real bounded channels between OS
-//!   threads; `charge` is a no-op and `now` reads a wall clock.
+//! * the real transports — `fm_shm::ShmDevice` (mapped rings, also under
+//!   `fm_threaded::ThreadedDevice` between threads), `fm_udp::UdpDevice`
+//!   and `fm_route::RoutedDevice` over them; `charge` is a no-op and
+//!   `now` reads a wall clock.
 //!
 //! [`LoopbackDevice`] is a test double: a deterministic in-process pair of
 //! queues with no timing model, used by unit tests that only care about
@@ -94,8 +96,8 @@ pub trait NetDevice {
     /// packets (real datagram networks; `fm-udp`). The engine constructors
     /// refuse to run [`crate::Reliability::TrustSubstrate`] over a lossy
     /// device — FM's reliability guarantee would be a lie there. Default:
-    /// `false` (the simulator without injected faults, bounded in-process
-    /// channels, and loopback queues never lose anything).
+    /// `false` (the simulator without injected faults, shared-memory
+    /// rings, and loopback queues never lose anything).
     fn is_lossy(&self) -> bool {
         false
     }

@@ -20,7 +20,8 @@
 //!
 //! Both engines run over any [`device::NetDevice`]: the discrete-event
 //! Myrinet simulator (virtual-time figures) via [`device::SimDevice`], or
-//! the real OS-thread transport in the `fm-threaded` crate.
+//! a real transport: shared-memory rings between threads (`fm-threaded`)
+//! or processes (`fm-shm`), or UDP (`fm-udp`).
 //!
 //! # Example: the FM 2.x stream API end to end
 //!

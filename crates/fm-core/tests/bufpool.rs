@@ -281,8 +281,8 @@ fn lent_frames_outlive_the_pool_handle() {
     drop(view); // must not panic or reach for a dead pool
 }
 
-/// The `fm-threaded` shape: the frame is filled and lent on one thread,
-/// read and dropped on another, and the first thread gets it back.
+/// A frame that crosses threads: filled and lent on one, read and
+/// dropped on another, and the first thread gets it back.
 #[test]
 fn a_frame_dropped_on_another_thread_is_reused_by_its_filler() {
     let pool = BufPool::new(64, 4);

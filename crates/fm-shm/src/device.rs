@@ -50,6 +50,22 @@ const DEATH_CHECK_INTERVAL: Duration = Duration::from_millis(200);
 /// reported within `DEATH_CHECK_INTERVAL` plus this many polls.
 const POLLS_PER_CLOCK_READ: u32 = 32;
 
+/// Minimum age before `open`'s crash-leftover sweep
+/// ([`crate::reclaim_stale_older_than`]) will touch a segment file. It
+/// must exceed any concurrent cluster's create-to-publish gap
+/// (microseconds in practice); the generous margin also keeps the sweep
+/// away from freshly crashed runs that an operator might still want to
+/// inspect.
+const STALE_GRACE: Duration = Duration::from_secs(60);
+
+/// Default frame capacity per ring slot: takes any frame the workspace
+/// profiles produce.
+const SLOT_PAYLOAD: u32 = 4096;
+
+/// Incarnation stamp of every segment: segments are per-run, with no
+/// rejoin incarnations.
+const SEG_EPOCH: u64 = 1;
+
 /// Configuration for [`ShmDevice::open`].
 #[derive(Debug, Clone)]
 pub struct ShmConfig {
@@ -70,13 +86,6 @@ pub struct ShmConfig {
     /// How long `open` waits for a lower-rank peer to create a segment
     /// (and [`ShmDevice::join`] for higher-rank peers to attach).
     pub attach_timeout: Duration,
-    /// Minimum age before `open`'s crash-leftover sweep
-    /// ([`crate::reclaim_stale_older_than`]) will touch a segment file
-    /// in `dir`. Must exceed any concurrent cluster's create-to-publish
-    /// gap (microseconds in practice); the generous default also keeps
-    /// the sweep away from freshly crashed runs that an operator might
-    /// still want to inspect.
-    pub stale_grace: Duration,
 }
 
 impl Default for ShmConfig {
@@ -85,9 +94,8 @@ impl Default for ShmConfig {
             run_id: unique_run_id(),
             dir: PathBuf::from("/dev/shm"),
             slots: 64,
-            slot_payload: 4096,
+            slot_payload: SLOT_PAYLOAD,
             attach_timeout: Duration::from_secs(10),
-            stale_grace: Duration::from_secs(60),
         }
     }
 }
@@ -134,6 +142,16 @@ struct Link {
     peer: usize,
     /// Down event already emitted for this peer.
     down: bool,
+}
+
+impl Link {
+    fn new(seg: Segment, peer: usize) -> Link {
+        Link {
+            seg,
+            peer,
+            down: false,
+        }
+    }
 }
 
 /// The shared-memory [`NetDevice`]. See the module docs for the
@@ -187,20 +205,15 @@ impl ShmDevice {
         // Errors are ignored: `dir` may hold files we can't stat, and
         // the sweep is a courtesy, not a correctness requirement
         // (`Segment::create` separately reclaims a same-name leftover).
-        let _ = crate::seg::reclaim_stale_older_than(&cfg.dir, cfg.stale_grace);
-        let epoch = 1; // segments are per-run; no rejoin incarnations
+        let _ = crate::seg::reclaim_stale_older_than(&cfg.dir, STALE_GRACE);
         let mut links: Vec<Option<Link>> = (0..num_nodes).map(|_| None).collect();
         // Phase 1: create every segment this rank owns (lower rank of
         // the pair), so no peer waits on our attach loop below.
         for &p in local_peers {
             assert!(p < num_nodes && p != node, "bad local peer {p}");
             if node < p {
-                let seg = Segment::create(&cfg.dir, &cfg.run_id, node, p, geom, epoch)?;
-                links[p] = Some(Link {
-                    seg,
-                    peer: p,
-                    down: false,
-                });
+                let seg = Segment::create(&cfg.dir, &cfg.run_id, node, p, geom, SEG_EPOCH)?;
+                links[p] = Some(Link::new(seg, p));
             }
         }
         // Phase 2: attach to the segments lower-rank peers own.
@@ -208,20 +221,55 @@ impl ShmDevice {
             if p < node {
                 let seg =
                     Segment::attach(&cfg.dir, &cfg.run_id, p, node, geom, cfg.attach_timeout)?;
-                links[p] = Some(Link {
-                    seg,
-                    peer: p,
-                    down: false,
-                });
+                links[p] = Some(Link::new(seg, p));
             }
         }
-        let pool = BufPool::new(cfg.slot_payload as usize, (cfg.slots as usize) * 2);
+        Ok(ShmDevice::with_links(node, links, cfg))
+    }
+
+    /// An all-pairs mesh of `num_nodes` devices whose ranks are threads of
+    /// this process: the rings [`ShmDevice::open`] maps, `slots` deep, each
+    /// pair's over one anonymous mapping ([`Segment::pair`]). Nothing is
+    /// named, so there is no run id, no join, and no file to sweep or
+    /// unlink. A rank that drops its device raises its gone-flags all the
+    /// same, and the others report it [`PeerEventKind::Down`].
+    pub fn in_process_mesh(num_nodes: usize, slots: u32) -> io::Result<Vec<ShmDevice>> {
+        let cfg = ShmConfig {
+            run_id: String::new(),
+            dir: PathBuf::new(),
+            slots,
+            slot_payload: SLOT_PAYLOAD,
+            attach_timeout: Duration::ZERO,
+        };
+        let geom = SegGeometry {
+            slots,
+            payload: SLOT_PAYLOAD,
+        };
+        let mut links: Vec<Vec<Option<Link>>> = (0..num_nodes)
+            .map(|_| (0..num_nodes).map(|_| None).collect())
+            .collect();
+        #[allow(clippy::needless_range_loop)] // lo and hi index links crosswise
+        for lo in 0..num_nodes {
+            for hi in lo + 1..num_nodes {
+                let (lo_end, hi_end) = Segment::pair(lo, hi, geom, SEG_EPOCH)?;
+                links[lo][hi] = Some(Link::new(lo_end, hi));
+                links[hi][lo] = Some(Link::new(hi_end, lo));
+            }
+        }
+        let devices = links.into_iter().enumerate();
+        Ok(devices
+            .map(|(node, links)| ShmDevice::with_links(node, links, cfg.clone()))
+            .collect())
+    }
+
+    /// The device of rank `node`, given its links indexed by peer rank.
+    fn with_links(node: usize, links: Vec<Option<Link>>, cfg: ShmConfig) -> ShmDevice {
         let now = Instant::now();
-        Ok(ShmDevice {
+        ShmDevice {
             node,
-            num_nodes,
+            num_nodes: links.len(),
             links,
-            pool,
+            pool: BufPool::new(cfg.slot_payload as usize, (cfg.slots as usize) * 2),
             started: now,
             stats: ShmStats::default(),
             rr: 0,
@@ -229,7 +277,7 @@ impl ShmDevice {
             last_death_check: now,
             polls_to_clock_read: 0,
             cfg,
-        })
+        }
     }
 
     /// Barrier half: wait until every created segment has its attacher
@@ -257,7 +305,8 @@ impl ShmDevice {
     }
 
     /// The run id actually in use (relevant when the default generated
-    /// one must be handed to other processes).
+    /// one must be handed to other processes); empty for a device of
+    /// [`ShmDevice::in_process_mesh`], which names nothing.
     pub fn run_id(&self) -> &str {
         &self.cfg.run_id
     }
@@ -534,7 +583,7 @@ mod tests {
             assert!(a.poll_event().is_none());
         }
         drop(b);
-        std::thread::sleep(DEATH_CHECK_INTERVAL);
+        a.last_death_check -= DEATH_CHECK_INTERVAL; // as if it had slept
         let polls = (1..=POLLS_PER_CLOCK_READ)
             .find(|_| {
                 a.poll_event()
@@ -559,25 +608,32 @@ mod tests {
         // other tests' mid-creation segments in the shared temp dir.
         let dir = std::env::temp_dir().join(format!("fm-shm-sweeptest-{}", std::process::id()));
         std::fs::create_dir_all(&dir).expect("mkdir");
-        // A torn leftover from a "crashed" run: too short to ever have
-        // been initialized, stale by definition at any age.
+        // Torn leftovers from "crashed" runs: too short to ever have been
+        // initialized, stale by definition. One has aged past the grace;
+        // the other could still be a live cluster's segment mid-creation.
         let leftover = dir.join("fm-shm-deadrun-p0x1");
+        let young = dir.join("fm-shm-newrun-p0x1");
         std::fs::write(&leftover, [0u8; 64]).expect("forge leftover");
+        std::fs::write(&young, [0u8; 64]).expect("forge young leftover");
+        let then = std::time::SystemTime::now() - STALE_GRACE - Duration::from_secs(1);
+        std::fs::File::options()
+            .write(true)
+            .open(&leftover)
+            .and_then(|f| f.set_modified(then))
+            .expect("age leftover");
         let c = ShmConfig {
             run_id: format!("sweep{}", std::process::id()),
             dir: dir.clone(),
-            stale_grace: Duration::ZERO,
             ..ShmConfig::default()
         };
-        // Open sequentially: with a zero grace, a concurrent open's
-        // sweep could catch the other side's segment mid-creation —
-        // exactly the race the nonzero default grace exists to prevent.
         let c2 = c.clone();
         let a = ShmDevice::open(0, 2, &[1], c).expect("open lo");
         let b = ShmDevice::open(1, 2, &[0], c2).expect("open hi");
         assert!(!leftover.exists(), "open reclaimed the crash leftover");
+        assert!(young.exists(), "a file inside the grace is left alone");
         drop(a);
         drop(b);
+        std::fs::remove_file(&young).expect("remove young leftover");
         let _ = std::fs::remove_dir(&dir); // empty again after graceful drops
     }
 }

@@ -41,8 +41,10 @@
 //!   [`fm_core::NetDevice::poll_event`], so churn handling above the
 //!   seam works unchanged.
 //!
-//! In-process clusters come from [`shm_cluster`] / [`ShmCluster`];
-//! genuine multi-process runs from `fm-bench`'s `fm-udp-cluster` binary
+//! In-process clusters come from [`shm_cluster`] / [`ShmCluster`] over
+//! named segments, or from [`ShmDevice::in_process_mesh`] over anonymous
+//! mappings that name no file (the mesh `fm-threaded` runs); genuine
+//! multi-process runs from `fm-bench`'s `fm-udp-cluster` binary
 //! with `--transport shm`. For mixed intra-/inter-host runs, `fm-route`
 //! composes this device with `fm-udp` behind one `NetDevice`.
 //!
@@ -54,8 +56,8 @@
 //! This is the one workspace crate that needs `unsafe`: `mmap`/`munmap`
 //! are issued as raw syscalls (the workspace takes no external crates),
 //! and the rings are raw views over the mapped bytes. The unsafety is
-//! confined to [`mem`] and [`ring`]; everything above handles only safe
-//! handles.
+//! confined to [`mem`], [`ring`] and [`seg`]'s header words; everything
+//! above handles only safe handles.
 
 #![warn(missing_docs)]
 

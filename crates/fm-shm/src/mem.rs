@@ -1,4 +1,4 @@
-//! File-backed shared memory mappings, without a `libc` dependency.
+//! Shared memory mappings, without a `libc` dependency.
 //!
 //! The workspace deliberately takes no external crates, so the two
 //! syscalls a shared-memory transport cannot live without — `mmap` and
@@ -8,14 +8,17 @@
 //!
 //! The wrappers are deliberately minimal: always `PROT_READ |
 //! PROT_WRITE`, always `MAP_SHARED | MAP_POPULATE`, always offset 0 —
-//! exactly the one shape the segment layer needs. Populating at map time
-//! matters to the rings: a consumer polls the slot it is waiting for
-//! *before* the producer has written it, and on a page nobody has touched
-//! yet the two would take the page's first fault against each other, one
-//! slot after another, all through the ring's first lap. A [`Mapping`] owns its region and
-//! unmaps on drop; the backing file's lifetime is independent (Linux
-//! keeps the pages alive while any mapping exists, even after the name
-//! is unlinked — which is what makes last-one-out cleanup safe).
+//! exactly the one shape the segment layer needs, over a file
+//! ([`Mapping::of_file`]) or over no file at all ([`Mapping::anonymous`],
+//! for ring pairs whose two ends are threads of one process). Populating
+//! at map time matters to the rings: a consumer polls the slot it is
+//! waiting for *before* the producer has written it, and on a page nobody
+//! has touched yet the two would take the page's first fault against each
+//! other, one slot after another, all through the ring's first lap. A
+//! [`Mapping`] owns its region and unmaps on drop; the backing file's
+//! lifetime is independent (Linux keeps the pages alive while any mapping
+//! exists, even after the name is unlinked — which is what makes
+//! last-one-out cleanup safe).
 
 use std::fs::File;
 use std::io;
@@ -27,6 +30,9 @@ const MAP_SHARED: usize = 1;
 /// Fault the whole mapping in (for a fresh tmpfs file: allocate its zero
 /// pages) inside the `mmap` call. Same value on x86_64 and aarch64.
 const MAP_POPULATE: usize = 0x8000;
+/// Back the mapping with fresh zero pages instead of a file (fd −1).
+/// Same value on x86_64 and aarch64.
+const MAP_ANONYMOUS: usize = 0x20;
 
 #[cfg(target_arch = "x86_64")]
 mod sys {
@@ -108,32 +114,45 @@ compile_error!(
      x86_64 and aarch64 Linux ABIs; add the numbers for this target"
 );
 
-/// A `MAP_SHARED`, read-write mapping of the front of a file. Unmapped
-/// on drop.
+/// A `MAP_SHARED`, read-write mapping of the front of a file, or of
+/// anonymous zero pages. Unmapped on drop.
 #[derive(Debug)]
 pub struct Mapping {
     ptr: *mut u8,
     len: usize,
 }
 
-// A Mapping is a dumb region handle; all concurrency control lives in
-// the atomics the segment layer places inside it. Moving the handle
-// between threads is fine.
+// SAFETY: a Mapping is a dumb region handle: `ptr` and `len` are never
+// written after construction, and all concurrency control lives in the
+// atomics the segment layer places inside the region. Moving the handle
+// between threads is fine, and so is sharing it: `&Mapping` only hands
+// out the base address, and every access through that is `unsafe`.
 unsafe impl Send for Mapping {}
+unsafe impl Sync for Mapping {}
 
 impl Mapping {
     /// Map the first `len` bytes of `file` shared and writable.
     pub fn of_file(file: &File, len: usize) -> io::Result<Mapping> {
+        Mapping::map(len, MAP_SHARED | MAP_POPULATE, file.as_raw_fd())
+    }
+
+    /// Map `len` bytes of fresh zero pages, shared and writable, backed by
+    /// no file: only this process (and whatever it hands the handle to)
+    /// can reach them, and they vanish with the last unmap.
+    pub fn anonymous(len: usize) -> io::Result<Mapping> {
+        Mapping::map(len, MAP_SHARED | MAP_ANONYMOUS | MAP_POPULATE, -1)
+    }
+
+    fn map(len: usize, flags: usize, fd: i32) -> io::Result<Mapping> {
         assert!(len > 0, "cannot map zero bytes");
-        let fd = file.as_raw_fd();
         let ret = unsafe {
             sys::syscall6(
                 sys::SYS_MMAP,
                 0,
                 len,
                 PROT_READ | PROT_WRITE,
-                MAP_SHARED | MAP_POPULATE,
-                fd as usize,
+                flags,
+                fd as usize, // sign-extends: −1 stays −1
                 0,
             )
         };

@@ -1,5 +1,8 @@
 //! Shared-memory segments: one file under `/dev/shm` per co-located
 //! rank pair, holding a pair of SPSC rings plus an ownership header.
+//! Two ranks that are threads of one process share the same layout over
+//! an anonymous mapping instead ([`Segment::pair`]): no file, so none of
+//! the startup and cleanup below applies to them.
 //!
 //! # Layout
 //!
@@ -47,6 +50,7 @@ use std::fs::{File, OpenOptions};
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crate::mem::Mapping;
@@ -112,8 +116,9 @@ impl SegGeometry {
 /// receive rings role-assigned.
 #[derive(Debug)]
 pub struct Segment {
-    path: PathBuf,
-    map: Mapping,
+    /// The backing file; `None` for an in-process pair ([`Segment::pair`]).
+    path: Option<PathBuf>,
+    map: Arc<Mapping>,
     side: Side,
     /// Ring this process produces into.
     pub tx: RawRing,
@@ -132,7 +137,7 @@ impl Segment {
         unsafe { &*(self.map.as_ptr().add(off) as *const AtomicU64) }
     }
 
-    fn build(path: PathBuf, map: Mapping, side: Side, geom: SegGeometry) -> Segment {
+    fn build(path: Option<PathBuf>, map: Arc<Mapping>, side: Side, geom: SegGeometry) -> Segment {
         let ring_bytes = RawRing::bytes_for(geom.slots, geom.payload);
         let lo_to_hi =
             unsafe { RawRing::at(map.as_ptr().add(SEG_HDR_BYTES), geom.slots, geom.payload) };
@@ -193,27 +198,52 @@ impl Segment {
         };
         file.set_len(geom.file_bytes() as u64)?;
         let map = Mapping::of_file(&file, geom.file_bytes())?;
-        let seg = Segment::build(path, map, Side::Lo, geom);
-        // tmpfs hands out zero pages, so cursors and gone-flags start 0.
-        seg.header_u32(OFF_VERSION)
-            .store(SEG_VERSION, Ordering::Relaxed);
-        seg.header_u32(OFF_SLOTS)
-            .store(geom.slots, Ordering::Relaxed);
-        seg.header_u32(OFF_PAYLOAD)
-            .store(geom.payload, Ordering::Relaxed);
-        seg.header_u32(OFF_LO_PID)
+        let seg = Segment::build(Some(path), Arc::new(map), Side::Lo, geom);
+        seg.init_header(lo, hi, geom, epoch);
+        Ok(seg)
+    }
+
+    /// Both ends of the segment for rank pair `(lo, hi)`, for two threads
+    /// of this process: the same header and rings as [`Segment::create`]
+    /// plus [`Segment::attach`] produce, over one anonymous mapping the
+    /// two ends share. No file is created, so there is nothing to find,
+    /// sweep or unlink; the pages go with the second end dropped.
+    pub fn pair(
+        lo: usize,
+        hi: usize,
+        geom: SegGeometry,
+        epoch: u64,
+    ) -> io::Result<(Segment, Segment)> {
+        let map = Arc::new(Mapping::anonymous(geom.file_bytes())?);
+        let lo_end = Segment::build(None, Arc::clone(&map), Side::Lo, geom);
+        lo_end
+            .header_u32(OFF_HI_PID)
             .store(std::process::id(), Ordering::Relaxed);
-        seg.header_u32(OFF_LO_RANK)
+        lo_end.init_header(lo, hi, geom, epoch);
+        Ok((lo_end, Segment::build(None, map, Side::Hi, geom)))
+    }
+
+    /// Fill in a fresh segment's header and publish it. The pages start
+    /// zero-filled, so cursors and gone-flags start 0.
+    fn init_header(&self, lo: usize, hi: usize, geom: SegGeometry, epoch: u64) {
+        self.header_u32(OFF_VERSION)
+            .store(SEG_VERSION, Ordering::Relaxed);
+        self.header_u32(OFF_SLOTS)
+            .store(geom.slots, Ordering::Relaxed);
+        self.header_u32(OFF_PAYLOAD)
+            .store(geom.payload, Ordering::Relaxed);
+        self.header_u32(OFF_LO_PID)
+            .store(std::process::id(), Ordering::Relaxed);
+        self.header_u32(OFF_LO_RANK)
             .store(lo as u32, Ordering::Relaxed);
-        seg.header_u32(OFF_HI_RANK)
+        self.header_u32(OFF_HI_RANK)
             .store(hi as u32, Ordering::Relaxed);
-        seg.header_u64(OFF_EPOCH).store(epoch, Ordering::Relaxed);
-        seg.header_u64(OFF_MAGIC)
+        self.header_u64(OFF_EPOCH).store(epoch, Ordering::Relaxed);
+        self.header_u64(OFF_MAGIC)
             .store(SEG_MAGIC, Ordering::Relaxed);
         // The publication point: nothing above is visible to the
         // attacher until this release store, and everything is after it.
-        seg.header_u32(OFF_READY).store(1, Ordering::Release);
-        Ok(seg)
+        self.header_u32(OFF_READY).store(1, Ordering::Release);
     }
 
     /// Attach to the segment for rank pair `(lo, hi)`; the caller is the
@@ -270,13 +300,13 @@ impl Segment {
         }
         drop(probe);
         let map = Mapping::of_file(&file, geom.file_bytes())?;
-        let seg = Segment::build(path, map, Side::Hi, geom);
         let corrupt = |what: &str| {
             io::Error::new(
                 io::ErrorKind::InvalidData,
-                format!("segment {}: {what}", seg.path.display()),
+                format!("segment {}: {what}", path.display()),
             )
         };
+        let seg = Segment::build(Some(path.clone()), Arc::new(map), Side::Hi, geom);
         if seg.header_u64(OFF_MAGIC).load(Ordering::Relaxed) != SEG_MAGIC {
             return Err(corrupt("bad magic"));
         }
@@ -320,9 +350,10 @@ impl Segment {
         self.header_u64(OFF_EPOCH).load(Ordering::Relaxed)
     }
 
-    /// Backing file path (for tests and diagnostics).
-    pub fn path(&self) -> &Path {
-        &self.path
+    /// Backing file path (for tests and diagnostics); `None` for an
+    /// in-process pair.
+    pub fn path(&self) -> Option<&Path> {
+        self.path.as_deref()
     }
 }
 
@@ -336,11 +367,12 @@ impl Drop for Segment {
             Side::Hi => OFF_HI_GONE,
         };
         self.header_u32(mine).store(1, Ordering::SeqCst);
+        let Some(path) = &self.path else { return };
         let peer_attached = self.peer_pid() != 0 || self.side == Side::Hi;
         if !peer_attached || self.peer_gone() {
             // Last one out (or the peer never came): remove the name.
             // ENOENT just means the peer won the race.
-            let _ = std::fs::remove_file(&self.path);
+            let _ = std::fs::remove_file(path);
         }
     }
 }
@@ -481,7 +513,7 @@ mod tests {
         });
         assert_eq!(lo.rx.try_pop(|f| f.to_vec()), Some(b"xyz".to_vec()));
 
-        let path = lo.path().to_path_buf();
+        let path = lo.path().expect("a file-backed segment").to_path_buf();
         drop(lo);
         assert!(path.exists(), "first leaver keeps the file for the peer");
         drop(hi);
@@ -489,9 +521,44 @@ mod tests {
     }
 
     #[test]
+    fn an_in_process_pair_moves_frames_both_ways_with_no_file() {
+        let (lo, hi) = Segment::pair(0, 1, geom(), 7).expect("pair");
+        assert!(lo.path().is_none() && hi.path().is_none());
+        let base = format!("{:x}-", lo.map.as_ptr() as usize);
+        let maps = std::fs::read_to_string("/proc/self/maps").expect("read maps");
+        let line = maps.lines().find(|l| l.starts_with(&base)).expect("mapped");
+        assert!(
+            !line.contains("fm-shm"),
+            "backed by no segment file: {line}"
+        );
+        // SAFETY: the whole mapping, read while no one writes it.
+        let bytes = unsafe { std::slice::from_raw_parts(lo.map.as_ptr(), lo.map.len()) };
+        let past_header = OFF_HI_GONE + 4;
+        assert!(bytes[past_header..].iter().all(|&b| b == 0), "zero-filled");
+        assert_eq!(hi.epoch(), 7);
+        assert_eq!(lo.peer_pid(), std::process::id());
+        assert_eq!(hi.peer_pid(), std::process::id());
+
+        lo.tx.try_push(|s| {
+            s[..3].copy_from_slice(b"abc");
+            Some(3usize)
+        });
+        assert_eq!(hi.rx.try_pop(|f| f.to_vec()), Some(b"abc".to_vec()));
+        hi.tx.try_push(|s| {
+            s[..3].copy_from_slice(b"xyz");
+            Some(3usize)
+        });
+        assert_eq!(lo.rx.try_pop(|f| f.to_vec()), Some(b"xyz".to_vec()));
+
+        assert!(!lo.peer_gone() && !hi.peer_gone());
+        drop(hi);
+        assert!(lo.peer_gone(), "the departed end's flag is seen");
+    }
+
+    #[test]
     fn attach_times_out_when_no_creator_shows_up() {
         let run = unique_run("noc");
-        let err = Segment::attach(&test_dir(), &run, 0, 1, geom(), Duration::from_millis(50))
+        let err = Segment::attach(&test_dir(), &run, 0, 1, geom(), Duration::from_millis(20))
             .expect_err("nothing to attach to");
         assert_eq!(err.kind(), io::ErrorKind::TimedOut);
     }
@@ -506,7 +573,7 @@ mod tests {
         let attacher = std::thread::spawn(move || {
             Segment::attach(&dir2, &run2, 0, 1, geom(), Duration::from_secs(5))
         });
-        std::thread::sleep(Duration::from_millis(30));
+        std::thread::sleep(Duration::from_millis(10));
         let lo = Segment::create(&dir, &run, 0, 1, geom(), 1).expect("create");
         let hi = attacher.join().unwrap().expect("attach survives the wait");
         lo.tx.try_push(|s| {
@@ -583,7 +650,7 @@ mod tests {
         assert!(reclaimed.contains(&dead_path), "dead-owned segment swept");
         assert!(reclaimed.contains(&torn_path), "torn leftover swept");
         assert!(!dead_path.exists() && !torn_path.exists());
-        assert!(live.path().exists(), "live segment untouched");
+        assert!(live.path().unwrap().exists(), "live segment untouched");
     }
 
     #[test]

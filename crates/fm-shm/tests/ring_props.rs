@@ -168,6 +168,21 @@ fn a_zero_filled_ring_is_empty_at_every_cursor_around_the_wrap() {
     }
 }
 
+/// Spin briefly, then give the core away: a ring's two threads may share
+/// one, with each other or with the threads of the tests running beside
+/// them, and a side that spins on burns its time slice while the side it
+/// waits for is not running. Briefly means a few polls: on a shared core
+/// every hand-off pays all the spins before its yield, and an unoptimised
+/// poll is slow.
+fn snooze(spins: &mut u32) {
+    *spins += 1;
+    if spins.is_multiple_of(8) {
+        std::thread::yield_now();
+    } else {
+        std::hint::spin_loop();
+    }
+}
+
 /// Who, if anyone, dawdles in [`stress_ring`].
 #[derive(Clone, Copy, PartialEq)]
 enum Paced {
@@ -189,25 +204,38 @@ enum Paced {
 /// slot, and the consumer paced, so the producer always waits on a full
 /// ring. Every frame is checked for sequence and content, and `free()`
 /// never over-reports: after the producer reads `free() == n` its next
-/// `n` pushes are all accepted.
+/// `n` pushes are all accepted. An unoptimised build runs a tenth of the
+/// frames (still past the wrap); the orderings that matter are the ones
+/// the optimiser is free to exploit, so `--release` runs them all.
 #[test]
 fn stress_cached_cursors_across_the_u32_wrap() {
-    stress_ring(4, 1_000_000, Paced::Neither);
-    stress_ring(16, 250_000, Paced::Neither);
+    let scale = if cfg!(debug_assertions) { 10 } else { 1 };
+    stress_ring(4, 1_000_000 / scale, Paced::Neither);
+    stress_ring(16, 250_000 / scale, Paced::Neither);
     for slots in [4, 16] {
-        stress_ring(slots, 40_000, Paced::Producer);
-        stress_ring(slots, 40_000, Paced::Consumer);
+        stress_ring(slots, 40_000 / scale, Paced::Producer);
+        stress_ring(slots, 40_000 / scale, Paced::Consumer);
     }
 }
 
 fn stress_ring(slots: u32, frames: u64, paced: Paced) {
     const PAYLOAD: usize = 64;
     fn body(seq: u64, rng: &mut DetRng, out: &mut [u8; PAYLOAD]) -> usize {
+        /// 0, 1, 2, …: byte `i` of a body is `31 * seq + i`, a slice of it
+        /// (copied, which an unoptimised build does far faster than a loop).
+        const RAMP: [u8; 256 + PAYLOAD] = {
+            let mut r = [0; 256 + PAYLOAD];
+            let mut i = 0;
+            while i < r.len() {
+                r[i] = i as u8;
+                i += 1;
+            }
+            r
+        };
         let len = rng.range_usize(8, PAYLOAD + 1);
         out[..8].copy_from_slice(&seq.to_le_bytes());
-        for (i, b) in out[8..len].iter_mut().enumerate() {
-            *b = (seq as u8).wrapping_mul(31).wrapping_add(i as u8);
-        }
+        let from = (seq as u8).wrapping_mul(31) as usize;
+        out[8..len].copy_from_slice(&RAMP[from..from + len - 8]);
         len
     }
     /// Long enough for the other side to finish a frame and come back.
@@ -228,16 +256,12 @@ fn stress_ring(slots: u32, frames: u64, paced: Paced) {
     }
     let failed = AtomicBool::new(false);
     let started = std::time::Instant::now();
-    // Spin briefly, then give the core away: the two threads may share one.
     let wait = |spins: &mut u32| {
-        *spins += 1;
         if spins.is_multiple_of(64) {
             assert!(!failed.load(Ordering::Relaxed), "the other side failed");
             assert!(started.elapsed() < Duration::from_secs(120), "ring wedged");
-            std::thread::yield_now();
-        } else {
-            std::hint::spin_loop();
         }
+        snooze(spins);
     };
     // The wrap is 1000 frames away: every run crosses it.
     let r = owned_from(u32::MAX - 1000, slots, PAYLOAD as u32);
@@ -302,7 +326,7 @@ fn prop_doorbell_publishes_complete_frames_across_threads() {
         std::thread::scope(|s| {
             s.spawn(|| {
                 let mut rng = DetRng::seed_from_u64(0xD00_8E11 ^ case as u64);
-                let mut seq: u64 = 0;
+                let (mut seq, mut spins) = (0u64, 0u32);
                 while seq < frames_per_case {
                     let len = rng.range_usize(9, 56);
                     let mut body = vec![0u8; len];
@@ -315,12 +339,12 @@ fn prop_doorbell_publishes_complete_frames_across_threads() {
                     if push(ring, &body) {
                         seq += 1;
                     } else {
-                        std::hint::spin_loop();
+                        snooze(&mut spins);
                     }
                 }
                 stop.store(true, Ordering::Release);
             });
-            let mut expect: u64 = 0;
+            let (mut expect, mut spins) = (0u64, 0u32);
             while expect < frames_per_case {
                 let done = stop.load(Ordering::Acquire);
                 match ring.try_pop(|f| f.to_vec()) {
@@ -335,7 +359,7 @@ fn prop_doorbell_publishes_complete_frames_across_threads() {
                     // `done` was read before the pop: every frame had
                     // been published by then, so empty means lost.
                     None if done => panic!("producer done but frames missing"),
-                    None => std::hint::spin_loop(),
+                    None => snooze(&mut spins),
                 }
             }
         });

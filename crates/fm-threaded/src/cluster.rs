@@ -8,9 +8,9 @@ use crate::net::ThreadedDevice;
 pub struct ThreadedCluster;
 
 impl ThreadedCluster {
-    /// Default per-link channel capacity, sized comfortably above the FM
-    /// credit windows so the transport never binds tighter than FM's own
-    /// flow control.
+    /// Default per-link ring depth, sized comfortably above the FM credit
+    /// windows so the transport never binds tighter than FM's own flow
+    /// control.
     pub const DEFAULT_CAPACITY: usize = 128;
 
     /// Spawn `num_nodes` threads; thread `i` runs `f(i, device_i)`.
@@ -24,16 +24,8 @@ impl ThreadedCluster {
         F: Fn(usize, ThreadedDevice) -> R + Send + Sync,
         R: Send,
     {
-        Self::run_with_capacity(num_nodes, Self::DEFAULT_CAPACITY, f)
-    }
-
-    /// [`ThreadedCluster::run`] with an explicit per-link capacity.
-    pub fn run_with_capacity<F, R>(num_nodes: usize, capacity: usize, f: F) -> Vec<R>
-    where
-        F: Fn(usize, ThreadedDevice) -> R + Send + Sync,
-        R: Send,
-    {
-        run_ranks("fm-node", ThreadedDevice::mesh(num_nodes, capacity), f)
+        let devices = ThreadedDevice::mesh(num_nodes, Self::DEFAULT_CAPACITY);
+        run_ranks("fm-node", devices, f)
     }
 }
 

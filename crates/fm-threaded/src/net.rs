@@ -1,132 +1,85 @@
-//! The threaded network: bounded channels as links.
+//! The threaded network: the shared-memory rings, between threads.
 //!
-//! Topologically a full mesh: every ordered (src, dst) pair has its own
-//! bounded channel. Per-pair channels make `send_space` race-free (only
-//! the owning node pushes to its outgoing channels), which the FM engines
-//! rely on for all-or-nothing message admission. Bounded capacity is the
-//! back-pressure: a full channel means `try_send` fails and the engine
-//! retries after progress, exactly like a full NIC queue — nothing is
-//! dropped.
+//! Topologically a full mesh: every rank pair has its own segment of two
+//! SPSC rings, the production `fm-shm` ring over an anonymous mapping
+//! ([`ShmDevice::in_process_mesh`]). Per-pair rings make `send_space`
+//! race-free (only the owning node pushes to its outgoing rings), which
+//! the FM engines rely on for all-or-nothing message admission. Bounded
+//! capacity is the back-pressure: a full ring means `try_send` fails and
+//! the engine retries after progress, exactly like a full NIC queue —
+//! nothing is dropped. A node whose thread has returned raises its
+//! gone-flags, and the survivors report it [`PeerEventKind::Down`].
+//!
+//! [`PeerEventKind::Down`]: fm_core::device::PeerEventKind::Down
 
-use std::time::Instant;
-
-use crate::channel::{bounded, Receiver, Sender, TrySendError};
-use fm_core::device::{DeviceFull, NetDevice};
+use fm_core::device::{DeviceFull, NetDevice, PeerEvent};
 use fm_core::FmPacket;
 use fm_model::Nanos;
+use fm_shm::ShmDevice;
 
-/// [`NetDevice`] backed by bounded in-process channels; one per node
+/// [`NetDevice`] over in-process shared-memory rings; one per node
 /// thread.
-pub struct ThreadedDevice {
-    node: usize,
-    num_nodes: usize,
-    /// `out[d]` carries packets to node `d` (None for self).
-    out: Vec<Option<Sender<FmPacket>>>,
-    /// `inq[s]` carries packets from node `s` (None for self).
-    inq: Vec<Option<Receiver<FmPacket>>>,
-    /// Round-robin receive cursor for fairness among sources.
-    rr: usize,
-    /// Per-link capacity (for `send_space`).
-    capacity: usize,
-    epoch: Instant,
-}
+#[derive(Debug)]
+pub struct ThreadedDevice(ShmDevice);
 
 impl ThreadedDevice {
     /// Build a fully-connected mesh of `num_nodes` devices with per-link
-    /// `capacity` packets.
+    /// `capacity` packets (a power of two: the ring's slot count).
     pub fn mesh(num_nodes: usize, capacity: usize) -> Vec<ThreadedDevice> {
         assert!(num_nodes >= 1 && capacity >= 1);
-        let epoch = Instant::now();
-        // senders[s][d] / receivers[d][s]
-        let mut senders: Vec<Vec<Option<Sender<FmPacket>>>> = (0..num_nodes)
-            .map(|_| (0..num_nodes).map(|_| None).collect())
-            .collect();
-        let mut receivers: Vec<Vec<Option<Receiver<FmPacket>>>> = (0..num_nodes)
-            .map(|_| (0..num_nodes).map(|_| None).collect())
-            .collect();
-        for s in 0..num_nodes {
-            for d in 0..num_nodes {
-                if s == d {
-                    continue;
-                }
-                let (tx, rx) = bounded(capacity);
-                senders[s][d] = Some(tx);
-                receivers[d][s] = Some(rx);
-            }
-        }
-        senders
+        let slots = u32::try_from(capacity).expect("per-link capacity fits u32");
+        ShmDevice::in_process_mesh(num_nodes, slots)
+            .expect("map the in-process rings")
             .into_iter()
-            .zip(receivers)
-            .enumerate()
-            .map(|(node, (out, inq))| ThreadedDevice {
-                node,
-                num_nodes,
-                out,
-                inq,
-                rr: 0,
-                capacity,
-                epoch,
-            })
+            .map(ThreadedDevice)
             .collect()
     }
 }
 
 impl NetDevice for ThreadedDevice {
+    #[inline]
     fn node_id(&self) -> usize {
-        self.node
+        self.0.node_id()
     }
 
+    #[inline]
     fn num_nodes(&self) -> usize {
-        self.num_nodes
+        self.0.num_nodes()
     }
 
+    #[inline]
     fn try_send(&mut self, pkt: FmPacket) -> Result<(), DeviceFull> {
-        let dst = pkt.header.dst as usize;
-        let tx = self.out[dst]
-            .as_ref()
-            .expect("engines deliver self-sends locally, not via the device");
-        match tx.try_send(pkt) {
-            Ok(()) => Ok(()),
-            Err((TrySendError::Full, _)) => Err(DeviceFull),
-            // The peer thread has already finished and dropped its device.
-            // FM has no node-departure protocol; late traffic to a departed
-            // node (typically credit returns) is discarded, matching a
-            // powered-off workstation.
-            Err((TrySendError::Disconnected, _)) => Ok(()),
-        }
+        self.0.try_send(pkt)
     }
 
+    #[inline]
     fn try_recv(&mut self) -> Option<FmPacket> {
-        // Round-robin over sources so one chatty peer cannot starve others.
-        for i in 0..self.num_nodes {
-            let s = (self.rr + i) % self.num_nodes;
-            if let Some(rx) = &self.inq[s] {
-                if let Some(pkt) = rx.try_recv() {
-                    self.rr = (s + 1) % self.num_nodes;
-                    return Some(pkt);
-                }
-            }
-        }
-        None
+        self.0.try_recv()
     }
 
+    #[inline]
     fn send_space(&self) -> usize {
-        // Conservative: the engine's all-or-nothing admission must hold for
-        // whichever destination it picks, so report the tightest link.
-        self.out
-            .iter()
-            .flatten()
-            .map(|tx| self.capacity - tx.len())
-            .min()
-            .unwrap_or(self.capacity)
+        self.0.send_space()
     }
 
+    #[inline]
     fn now(&self) -> Nanos {
-        Nanos(self.epoch.elapsed().as_nanos() as u64)
+        self.0.now()
     }
 
-    fn charge(&mut self, _cost: Nanos) {
-        // Real transport: cost is the actual CPU time already spent.
+    #[inline]
+    fn charge(&mut self, cost: Nanos) {
+        self.0.charge(cost)
+    }
+
+    #[inline]
+    fn is_lossy(&self) -> bool {
+        self.0.is_lossy()
+    }
+
+    #[inline]
+    fn poll_event(&mut self) -> Option<PeerEvent> {
+        self.0.poll_event()
     }
 }
 

@@ -10,6 +10,7 @@ use fm_model::MachineProfile;
 use fm_threaded::ThreadedCluster;
 use std::cell::RefCell;
 use std::rc::Rc;
+use std::time::{Duration, Instant};
 
 const H: HandlerId = HandlerId(1);
 
@@ -98,4 +99,32 @@ fn bidirectional_blocking_traffic_no_deadlock() {
         n
     });
     assert_eq!(results, vec![MSGS, MSGS]);
+}
+
+/// A rank whose thread has returned is reported down to the others, and
+/// what they had queued for it is abandoned, not left waiting on credits
+/// that will never come back.
+#[test]
+fn a_departed_rank_is_reported_down_and_pending_sends_complete() {
+    let results = ThreadedCluster::run(2, |i, dev| {
+        if i == 1 {
+            return true; // leaves at once
+        }
+        let fm = Fm2Engine::new(dev, MachineProfile::ppro200_fm2());
+        // 128 packets against a window of 64 credits.
+        for _ in 0..64 {
+            fm.send_from_handler(1, H, vec![0u8; 2048]);
+        }
+        let deadline = Instant::now() + Duration::from_secs(2);
+        while Instant::now() < deadline {
+            fm.extract_all();
+            let flushed = fm.progress();
+            if fm.is_peer_down(1) && flushed {
+                return true;
+            }
+            std::thread::yield_now();
+        }
+        false
+    });
+    assert!(results[0], "rank 1's departure went unreported for 2 s");
 }

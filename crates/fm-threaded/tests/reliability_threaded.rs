@@ -1,6 +1,6 @@
 //! The reliability sublayer on real OS threads.
 //!
-//! The in-process channels never lose packets, so loss is injected with a
+//! The in-process rings never lose packets, so loss is injected with a
 //! wrapper device that silently discards every nth outgoing packet. In
 //! `Reliability::Retransmit` mode the engines must still deliver every
 //! message intact — driven purely by wall-clock retransmit timeouts

@@ -7,8 +7,8 @@
 //!   them), then build a device per node. The devices can be moved onto
 //!   threads; this is how the in-crate tests get a real-socket cluster
 //!   without spawning processes.
-//! * [`UdpCluster::run`] — the [`fm_threaded::ThreadedCluster::run`]
-//!   shape over loopback UDP: one OS thread per node, each running the
+//! * [`UdpCluster::run`] — the `ThreadedCluster::run` shape (fm-threaded)
+//!   over loopback UDP: one OS thread per node, each running the
 //!   join barrier and then the node program. The transport between the
 //!   threads is real datagrams through the kernel, lossy and all.
 //!

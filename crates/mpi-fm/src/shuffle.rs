@@ -311,7 +311,8 @@ impl ShuffleRunner {
 }
 
 /// Spin one rank's shuffle to completion on a blocking-capable transport
-/// (OS threads over fm-threaded or fm-udp — never the simulator).
+/// (OS threads or processes over shm rings or fm-udp — never the
+/// simulator).
 pub fn run_shuffle(mpi: &mut impl Mpi, spec: ShuffleSpec) -> ShuffleReport {
     let mut runner = ShuffleRunner::new(spec, mpi.rank());
     while !runner.poll(mpi) {
