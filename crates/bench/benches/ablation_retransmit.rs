@@ -8,11 +8,12 @@
 //! `Retransmit` again under 1% random packet drop. On a clean wire the
 //! sublayer's price is ack traffic and window bookkeeping, never re-sends
 //! — the 64-packet retransmit window replaces a credit allotment of the
-//! same size, so clean-wire bandwidth stays within a few percent (95 %
-//! measured; the floor asserted below is 90 %).
+//! same size, so clean-wire bandwidth stays within a few percent (95.3 %
+//! of TrustSubstrate measured; the floor asserted below is 90 %).
 //! Under loss it must still deliver everything, and a lost packet costs
-//! one packet: about as many re-sends as drops, nearly all of them ahead
-//! of the timer, and next to nothing thrown away at the receiver.
+//! one packet: at 1 % drop the stream measures 5 re-sends, all of them
+//! SACK repairs ahead of the timer (0 timeouts), nothing thrown away at
+//! the receiver, and 98.8 % of the clean-wire bandwidth.
 
 use fm_bench::{banner, compare, fm2_reliable_stream};
 use fm_core::{Reliability, RetransmitConfig};

@@ -62,10 +62,11 @@ pub type Program<R> = Box<dyn FnMut() -> Step<R>>;
 pub trait Programs<D: NetDevice, R>: Fn(usize, Fm2Engine<D>) -> Program<R> + Sync {}
 impl<D: NetDevice, R, T: Fn(usize, Fm2Engine<D>) -> Program<R> + Sync> Programs<D, R> for T {}
 
-/// The adaptive retransmission profile: what every engine over a lossy
-/// substrate in this repository runs (launcher, soak, benchmark).
-pub fn adaptive() -> Reliability {
-    Reliability::Retransmit(RetransmitConfig::adaptive())
+/// The reliability every engine over a lossy substrate in this
+/// repository runs (launcher, soak, benchmark): retransmission at the
+/// default window.
+pub fn retransmit() -> Reliability {
+    Reliability::Retransmit(RetransmitConfig::default())
 }
 
 /// A substrate the probes can run on.
@@ -307,7 +308,7 @@ impl Fabric for Udp {
     type Dev = UdpDevice;
 
     fn reliability(&self) -> Reliability {
-        adaptive()
+        retransmit()
     }
 
     fn run<R: Send + 'static>(&self, n: usize, make: impl Programs<Self::Dev, R>) -> Vec<R> {
@@ -390,7 +391,7 @@ impl Fabric for Routed {
     type Dev = RoutedDevice<ShmDevice, UdpDevice>;
 
     fn reliability(&self) -> Reliability {
-        adaptive()
+        retransmit()
     }
 
     fn run<R: Send + 'static>(&self, n: usize, make: impl Programs<Self::Dev, R>) -> Vec<R> {

@@ -26,7 +26,7 @@ use fm_model::{MachineProfile, Nanos};
 use mpi_fm::{run_shuffle, Mpi2, ShuffleSpec};
 use myrinet_sim::fault::FaultModel;
 
-use crate::fabric::{adaptive, blocking, Fabric, Program, Sim, Step};
+use crate::fabric::{blocking, retransmit, Fabric, Program, Sim, Step};
 
 /// Handler id carrying workload traffic.
 const WORK: HandlerId = HandlerId(41);
@@ -282,7 +282,7 @@ pub fn sim_workload_dist(spec: &WorkloadSpec, drop_p: f64) -> WorkloadDist {
         seed: spec.seed,
     };
     let faults = if drop_p > 0.0 { vec![drop] } else { vec![] };
-    let sim = Sim::new(MachineProfile::ppro200_fm2()).unreliable(adaptive(), faults);
+    let sim = Sim::new(MachineProfile::ppro200_fm2()).unreliable(retransmit(), faults);
     workload_dist(&sim, spec)
 }
 

@@ -36,7 +36,7 @@ use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
-use fm_bench::fabric::{adaptive, Fabric, Program, Programs, Shm, Sim, Step};
+use fm_bench::fabric::{retransmit, Fabric, Program, Programs, Shm, Sim, Step};
 use fm_core::packet::HandlerId;
 use fm_core::{Onesided, OnesidedConfig, OsStatus, RegionHandle};
 use fm_model::MachineProfile;
@@ -410,8 +410,8 @@ fn steady_state_fm2_stream_allocates_nothing() {
 
 #[test]
 fn steady_state_retransmit_stream_allocates_nothing() {
-    // The same stream under the adaptive Retransmit profile: the ring of
-    // retained clones, the per-poll ack flush and the timer scan take
+    // The same stream under Retransmit: the ring of retained clones, the
+    // per-poll ack flush, the timer scan and the RTT estimator take
     // nothing from the allocator — and neither does recovery. Under
     // seeded 1 % drop the receiver parks early packets in its hold table
     // (sized at construction), acks carry bitmaps, holes and heads are
@@ -422,7 +422,7 @@ fn steady_state_retransmit_stream_allocates_nothing() {
     // after a repaired hole reopens the whole window — a few episodes in.
     let lossy = vec![FaultModel::Drop { p: 0.01, seed: 7 }];
     for (wire, faults) in [("loss-free", vec![]), ("1 % drop", lossy)] {
-        let fabric = sim().unreliable(adaptive(), faults);
+        let fabric = sim().unreliable(retransmit(), faults);
         let delta = stream_alloc_delta(&fabric, 64, 2048, 2048);
         assert_eq!(
             delta,

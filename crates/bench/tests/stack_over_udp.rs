@@ -56,7 +56,7 @@ fn mpi1_ping_pong_over_lossy_udp() {
         let fm = Fm1Engine::with_reliability(
             dev,
             MachineProfile::sparc_fm1(),
-            Reliability::Retransmit(RetransmitConfig::adaptive()),
+            Reliability::Retransmit(RetransmitConfig::default()),
         );
         let mut mpi = Mpi1::new(fm);
         let peer = 1 - rank;

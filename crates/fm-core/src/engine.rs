@@ -473,14 +473,12 @@ impl<D: NetDevice> EngineCore<D> {
 
     /// Trace the AIMD window toward `peer` after a timeout halved it.
     fn emit_cwnd(&self, rel: &ReliableState, peer: usize) {
-        if rel.is_adaptive() {
-            let cwnd = rel.cwnd_packets(peer);
-            self.obs_emit(|t, me| {
-                ObsEvent::new(t, me, SpanKind::CwndChange)
-                    .peer(peer as u16)
-                    .seq(cwnd)
-            });
-        }
+        let cwnd = rel.cwnd_packets(peer);
+        self.obs_emit(|t, me| {
+            ObsEvent::new(t, me, SpanKind::CwndChange)
+                .peer(peer as u16)
+                .seq(cwnd)
+        });
     }
 
     /// Send the standalone ack owed to `peer`, if one is: the one place an

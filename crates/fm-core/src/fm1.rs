@@ -823,10 +823,7 @@ mod tests {
     fn retransmit_window_gates_sends_without_credits() {
         use crate::reliable::{Reliability, RetransmitConfig};
         let (a, b) = LoopbackPair::new(256);
-        let cfg = RetransmitConfig {
-            window: 4,
-            ..RetransmitConfig::default()
-        };
+        let cfg = RetransmitConfig { window: 4 };
         let mut s = Fm1Engine::with_reliability(a, profile(), Reliability::Retransmit(cfg));
         let mut r = Fm1Engine::with_reliability(b, profile(), Reliability::Retransmit(cfg));
         let _log = recording_handler(&mut r, H);

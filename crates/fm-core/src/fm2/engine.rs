@@ -338,8 +338,8 @@ impl<D: NetDevice> Fm2Engine<D> {
     }
 
     /// The reliability sublayer's smoothed RTT estimate toward `peer`,
-    /// in nanoseconds (`None` in TrustSubstrate mode, with adaptation
-    /// off, or before the first sample).
+    /// in nanoseconds (`None` in TrustSubstrate mode or before the first
+    /// sample).
     pub fn srtt_ns(&self, peer: usize) -> Option<u64> {
         self.inner
             .borrow()
@@ -350,7 +350,8 @@ impl<D: NetDevice> Fm2Engine<D> {
     }
 
     /// The reliability sublayer's current base retransmit timeout toward
-    /// `peer`, in nanoseconds (`None` in TrustSubstrate mode).
+    /// `peer`, in nanoseconds: the RTT-derived estimate, or the initial
+    /// 200 µs before the first sample (`None` in TrustSubstrate mode).
     pub fn current_rto_ns(&self, peer: usize) -> Option<u64> {
         self.inner
             .borrow()

@@ -217,10 +217,7 @@ fn retransmit_window_bounds_streaming_sends() {
     use crate::reliable::{Reliability, RetransmitConfig};
     let (a, b) = LoopbackPair::new(256);
     let p = MachineProfile::ppro200_fm2();
-    let cfg = RetransmitConfig {
-        window: 4,
-        ..RetransmitConfig::default()
-    };
+    let cfg = RetransmitConfig { window: 4 };
     let s = Fm2Engine::with_reliability(a, p, Reliability::Retransmit(cfg));
     let r = Fm2Engine::with_reliability(b, p, Reliability::Retransmit(cfg));
     recording(&r);

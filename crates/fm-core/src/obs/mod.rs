@@ -105,7 +105,7 @@ pub enum SpanKind {
     /// A peer returned with a newer incarnation epoch; its per-peer
     /// protocol state was reset.
     PeerRejoin,
-    /// The adaptive retransmit timer re-estimated the RTO (`seq` carries
+    /// An RTT sample re-estimated the retransmit timeout (`seq` carries
     /// the new RTO in microseconds, `bytes` the RTT sample in
     /// microseconds).
     RtoUpdate,

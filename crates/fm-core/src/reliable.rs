@@ -10,8 +10,11 @@
 //!
 //! [`Reliability::Retransmit`] makes the same in-order-delivery guarantee
 //! hold on lossy substrates, at the price of one packet per lost packet.
-//! One protocol, shared by both engines ([`crate::Fm1Engine`] and
-//! [`crate::Fm2Engine`]) and by both profiles (fixed and adaptive):
+//! One protocol and one profile, shared by both engines
+//! ([`crate::Fm1Engine`] and [`crate::Fm2Engine`]). Like the paper's
+//! credit window, its one knob is how much may be in flight
+//! ([`RetransmitConfig::window`]); the timers set themselves from the
+//! measured round trip:
 //!
 //! * **Receiver**, per source: the next expected `pkt_seq` is delivered;
 //!   anything older is a duplicate (dropped, but forces an ack so a
@@ -65,13 +68,20 @@
 //!   only** and forgets the marks (the next ack's bitmap restores them) —
 //!   one timeout is one packet on the wire, whatever the window holds, so
 //!   a periodic loss pattern has no fixed-size burst to phase-lock with.
-//! * **Window policy** (adaptive profile only). A lost packet is
-//!   repaired, not punished: a SACK hole is re-sent without touching the
-//!   AIMD window, because the acks that exposed it prove the ack clock is
-//!   running and the repair costs exactly the packet that was lost. Only
-//!   the retransmit timer halves the window, once per expiry — silence
-//!   for a whole RTO is the one sign the peer has stopped keeping up, and
-//!   the exponential backoff already spaces expiries apart.
+//! * **Timer.** The RTO is estimated from RTT samples (`srtt + 4·rttvar`,
+//!   the RFC 6298 shape, Karn-sampled so a re-sent packet's ambiguous ack
+//!   never feeds the estimate) and clamped to 50 µs ..= 1 s; before the
+//!   first sample it is 200 µs. Each consecutive expiry doubles it, six
+//!   times at most.
+//! * **Window policy.** The packets in flight per peer are bounded by an
+//!   AIMD window: it grows by one packet per window of acks, up to
+//!   `window`. A lost packet is repaired, not punished: a SACK hole is
+//!   re-sent without touching the AIMD window, because the acks that
+//!   exposed it prove the ack clock is running and the repair costs
+//!   exactly the packet that was lost. Only the retransmit timer halves
+//!   the window (floor one packet), once per expiry — silence for a whole
+//!   RTO is the one sign the peer has stopped keeping up, and the
+//!   exponential backoff already spaces expiries apart.
 //!
 //! The header's `ack` field rides inside the fixed
 //! [`crate::HEADER_WIRE_BYTES`] framing and the bitmap rides in the two
@@ -92,13 +102,22 @@ use crate::stats::FmStats;
 /// this) are kept but not reported; the timer repairs what precedes them.
 pub const SACK_BITS: u32 = 64;
 
-/// Floor for [`RetransmitConfig::rto_ns`]. A nanosecond-scale RTO (far
-/// below any round trip) turns every poll into a timeout: the sender
-/// saturates the wire with duplicates of the head packet and goodput
-/// collapses ~50x while still (very slowly) progressing. Clamping to a
-/// microsecond keeps a degenerate config merely noisy instead of
-/// pathological.
-pub const MIN_RTO_NS: u64 = 1_000;
+/// The retransmit timeout before the first RTT sample (of
+/// `NetDevice::now()` time — virtual in the simulator, wall-clock on real
+/// transports): a few round trips on the modeled fabric.
+const INITIAL_RTO_NS: u64 = 200_000;
+
+/// Floor of the RTO estimate: several loopback round trips. An RTO far
+/// below the round trip turns every poll into a timeout and drowns the
+/// wire in duplicates of the head packet.
+const RTO_MIN_NS: u64 = 50_000;
+
+/// Ceiling of the RTO estimate: a peer slower than this is Suspect anyway.
+const RTO_MAX_NS: u64 = 1_000_000_000;
+
+/// Cap on exponential backoff: the armed timeout is
+/// `rto << min(consecutive_timeouts, MAX_BACKOFF_EXP)`.
+const MAX_BACKOFF_EXP: u32 = 6;
 
 /// Serial-number comparison in the 32-bit sequence space (RFC 1982
 /// flavour): `a` precedes `b` when the forward wrapping distance from `a`
@@ -126,7 +145,9 @@ pub enum Reliability {
     Retransmit(RetransmitConfig),
 }
 
-/// Tuning knobs for [`Reliability::Retransmit`].
+/// The one knob of [`Reliability::Retransmit`]: how much may be in
+/// flight. The timers adapt to the measured network (module docs,
+/// "Timer").
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RetransmitConfig {
     /// Max unacknowledged data packets per destination (the sliding
@@ -146,62 +167,20 @@ pub struct RetransmitConfig {
     /// proportion to it (32 → 64 roughly doubled the four-rank workload
     /// batteries' tail latency; ROADMAP item 1(i)).
     pub window: u32,
-    /// Initial retransmit timeout in nanoseconds (of `NetDevice::now()`
-    /// time — virtual in the simulator, wall-clock on real transports).
-    /// Clamped up to [`MIN_RTO_NS`]: an RTO orders of magnitude below the
-    /// round trip makes every poll a timeout and drowns the wire in
-    /// duplicate re-sends.
-    pub rto_ns: u64,
-    /// Cap on exponential backoff: the effective timeout is
-    /// `rto_ns << min(consecutive_timeouts, max_backoff_exp)`.
-    pub max_backoff_exp: u32,
-    /// Adapt to the measured network instead of trusting the constants:
-    ///
-    /// * the RTO is re-estimated from RTT samples (`srtt + 4·rttvar`,
-    ///   the RFC 6298 shape, Karn-sampled so retransmitted packets never
-    ///   pollute the estimate), clamped to `[rto_min_ns, rto_max_ns]`;
-    ///   `rto_ns` remains the pre-sample initial value;
-    /// * the packets in flight per peer are bounded by an AIMD window —
-    ///   grows by one packet per window of acks up to `window`, halves on
-    ///   every retransmit-timer expiry (floor one packet) — so a peer
-    ///   that stops answering sheds load instead of drawing retransmit
-    ///   storms. A SACK hole does not move it: the acks that exposed the
-    ///   hole show the peer is answering, and selective repeat re-sends
-    ///   just the lost packet, so random loss costs one packet per loss
-    ///   and never throttles the window.
-    ///
-    /// `false` (default) keeps the constants; real datagram transports
-    /// (fm-udp) enable it. The protocol is the same either way.
-    pub adaptive: bool,
-    /// Clamp floor for the adaptive RTO estimate (ignored when
-    /// `adaptive` is off).
-    pub rto_min_ns: u64,
-    /// Clamp ceiling for the adaptive RTO estimate (ignored when
-    /// `adaptive` is off).
-    pub rto_max_ns: u64,
 }
 
 impl Default for RetransmitConfig {
     fn default() -> Self {
-        RetransmitConfig {
-            window: 64,
-            rto_ns: 200_000, // 200 µs: a few round trips on the modeled fabric
-            max_backoff_exp: 6,
-            adaptive: false,
-            rto_min_ns: 50_000,        // 50 µs: several loopback round trips
-            rto_max_ns: 1_000_000_000, // 1 s: a peer slower than this is Suspect anyway
-        }
+        RetransmitConfig { window: 64 }
     }
 }
 
 impl RetransmitConfig {
-    /// The adaptive profile real datagram transports start from:
-    /// defaults with [`RetransmitConfig::adaptive`] on.
+    /// The same value as [`RetransmitConfig::default`], kept under the
+    /// name it had when a fixed-timer profile was the default: callers
+    /// outside the workspace still use it.
     pub fn adaptive() -> Self {
-        RetransmitConfig {
-            adaptive: true,
-            ..RetransmitConfig::default()
-        }
+        RetransmitConfig::default()
     }
 }
 
@@ -261,17 +240,16 @@ struct PeerSend {
     deadline: Option<Nanos>,
     /// Consecutive timeouts without ack progress (backoff exponent).
     timeouts: u32,
-    /// Smoothed RTT estimate (adaptive mode; `None` until the first
-    /// sample).
+    /// Smoothed RTT estimate (`None` until the first sample).
     srtt_ns: Option<u64>,
-    /// RTT variance estimate (adaptive mode).
+    /// RTT variance estimate.
     rttvar_ns: u64,
     /// The one in-flight packet currently timed for an RTT sample:
     /// `(pkt_seq, sent_at)`. Karn's rule: cleared on any retransmission
     /// toward this peer, so a resent packet's ambiguous ack never feeds
     /// the estimator.
     probe: Option<(u32, Nanos)>,
-    /// AIMD effective window in packets (adaptive mode; meaningful range
+    /// AIMD effective window in packets (meaningful range
     /// `1.0 ..= cfg.window`).
     cwnd: f64,
     /// RTT sample taken by the most recent ack, for the engine's
@@ -286,6 +264,14 @@ impl PeerSend {
             cwnd: cfg.window as f64,
             ..PeerSend::default()
         }
+    }
+
+    /// The base (pre-backoff) retransmit timeout toward this peer: the
+    /// RTT-derived estimate once a sample exists, the initial RTO before.
+    fn rto(&self) -> u64 {
+        self.srtt_ns.map_or(INITIAL_RTO_NS, |srtt| {
+            (srtt + 4 * self.rttvar_ns).clamp(RTO_MIN_NS, RTO_MAX_NS)
+        })
     }
 
     /// A re-send toward this peer is going out: its ack is ambiguous
@@ -357,11 +343,8 @@ pub(crate) struct ReliableState {
 }
 
 impl ReliableState {
-    pub(crate) fn new(num_nodes: usize, mut cfg: RetransmitConfig) -> Self {
+    pub(crate) fn new(num_nodes: usize, cfg: RetransmitConfig) -> Self {
         assert!(cfg.window >= 1, "a zero window can never send");
-        cfg.rto_ns = cfg.rto_ns.max(MIN_RTO_NS);
-        cfg.rto_min_ns = cfg.rto_min_ns.max(MIN_RTO_NS);
-        cfg.rto_max_ns = cfg.rto_max_ns.max(cfg.rto_min_ns);
         ReliableState {
             cfg,
             send: (0..num_nodes).map(|_| PeerSend::fresh(&cfg)).collect(),
@@ -376,9 +359,8 @@ impl ReliableState {
 
     /// Data packets that can still go to `dst` before the window closes:
     /// the ring may not outgrow the configured window (the peer's hold
-    /// table is that big), and in adaptive mode the packets in flight —
-    /// the ring less what the peer says it holds — may not outgrow the
-    /// AIMD window.
+    /// table is that big), and the packets in flight — the ring less what
+    /// the peer says it holds — may not outgrow the AIMD window.
     pub(crate) fn send_budget(&self, dst: usize) -> u32 {
         let ps = &self.send[dst];
         let ring = ps.ring.len() as u32;
@@ -387,23 +369,7 @@ impl ReliableState {
     }
 
     fn effective_window(&self, ps: &PeerSend) -> u32 {
-        if self.cfg.adaptive {
-            (ps.cwnd as u32).clamp(1, self.cfg.window)
-        } else {
-            self.cfg.window
-        }
-    }
-
-    /// The base (pre-backoff) retransmit timeout toward `ps`: the
-    /// RTT-derived estimate in adaptive mode once a sample exists, the
-    /// configured constant otherwise.
-    fn rto_base(&self, ps: &PeerSend) -> u64 {
-        if self.cfg.adaptive {
-            if let Some(srtt) = ps.srtt_ns {
-                return (srtt + 4 * ps.rttvar_ns).clamp(self.cfg.rto_min_ns, self.cfg.rto_max_ns);
-            }
-        }
-        self.cfg.rto_ns
+        (ps.cwnd as u32).clamp(1, self.cfg.window)
     }
 
     /// Can `extra` more data packets to `dst` fit in the window right now?
@@ -428,9 +394,8 @@ impl ReliableState {
     /// copy plus a payload refcount bump — the ring shares the packet's
     /// pooled frame, it does not deep-copy it.
     pub(crate) fn on_data_sent(&mut self, dst: usize, pkt: &FmPacket, now: Nanos) {
-        let rto = self.rto_base(&self.send[dst]);
         let ps = &mut self.send[dst];
-        if self.cfg.adaptive && ps.probe.is_none() {
+        if ps.probe.is_none() {
             ps.probe = Some((pkt.header.pkt_seq, now));
         }
         ps.next_seq = pkt.header.pkt_seq.wrapping_add(1);
@@ -440,7 +405,7 @@ impl ReliableState {
             resent_before: None,
         });
         if ps.deadline.is_none() {
-            ps.deadline = Some(now + Nanos(rto));
+            ps.deadline = Some(now + Nanos(ps.rto()));
         }
     }
 
@@ -453,7 +418,6 @@ impl ReliableState {
     /// the caller should re-send what [`ReliableState::next_hole`] yields
     /// now instead of waiting for the timer.
     pub(crate) fn on_ack(&mut self, src: usize, ack: u32, sack: u64, now: Nanos) -> bool {
-        let adaptive = self.cfg.adaptive;
         let window = self.cfg.window;
         let ps = &mut self.send[src];
         if seq_lt(ack, ps.cum_acked) {
@@ -471,47 +435,41 @@ impl ReliableState {
                 ps.sacked -= u.sacked as u32;
                 popped += 1;
             }
-            if adaptive {
-                // RTT sample: the timed probe is acknowledged and was
-                // never retransmitted (any re-send toward this peer would
-                // have cleared it).
-                if let Some((seq, sent)) = ps.probe {
-                    if seq_lt(seq, ack) {
-                        let sample = now.0.saturating_sub(sent.0);
-                        match ps.srtt_ns {
-                            Some(srtt) => {
-                                ps.rttvar_ns = (3 * ps.rttvar_ns + srtt.abs_diff(sample)) / 4;
-                                ps.srtt_ns = Some((7 * srtt + sample) / 8);
-                            }
-                            None => {
-                                ps.srtt_ns = Some(sample);
-                                ps.rttvar_ns = sample / 2;
-                            }
+            // RTT sample: the timed probe is acknowledged and was never
+            // retransmitted (any re-send toward this peer would have
+            // cleared it).
+            if let Some((seq, sent)) = ps.probe {
+                if seq_lt(seq, ack) {
+                    let sample = now.0.saturating_sub(sent.0);
+                    match ps.srtt_ns {
+                        Some(srtt) => {
+                            ps.rttvar_ns = (3 * ps.rttvar_ns + srtt.abs_diff(sample)) / 4;
+                            ps.srtt_ns = Some((7 * srtt + sample) / 8);
                         }
-                        ps.probe = None;
-                        ps.last_sample_ns = Some(sample);
+                        None => {
+                            ps.srtt_ns = Some(sample);
+                            ps.rttvar_ns = sample / 2;
+                        }
                     }
+                    ps.probe = None;
+                    ps.last_sample_ns = Some(sample);
                 }
-                // Additive increase: one packet per window of acked
-                // packets.
-                ps.cwnd = (ps.cwnd + popped as f64 / ps.cwnd.max(1.0)).min(window as f64);
             }
+            // Additive increase: one packet per window of acked packets.
+            ps.cwnd = (ps.cwnd + popped as f64 / ps.cwnd.max(1.0)).min(window as f64);
             // Ack progress: reset backoff and restart the timer for
             // whatever is still outstanding (under the *new* RTT
             // estimate).
             ps.timeouts = 0;
-            let rto = self.rto_base(&self.send[src]);
-            let ps = &mut self.send[src];
             ps.deadline = if ps.ring.is_empty() {
                 None
             } else {
-                Some(now + Nanos(rto))
+                Some(now + Nanos(ps.rto()))
             };
         }
         // The bitmap is relative to `ack`, which is now `cum_acked`. An
         // older bitmap for the same `ack` is a subset of a newer one, and
         // an ack only ever adds marks, so ack reordering cannot unmark.
-        let ps = &mut self.send[src];
         let Some(front) = ps.ring.front().map(|u| u.pkt.header.pkt_seq) else {
             return false;
         };
@@ -539,8 +497,8 @@ impl ReliableState {
     /// The AIMD window is left alone (module docs, "Window policy").
     pub(crate) fn next_hole(&mut self, dst: usize, now: Nanos) -> Option<FmPacket> {
         let ack = self.recv[dst].expected;
-        let rto = self.rto_base(&self.send[dst]);
         let ps = &mut self.send[dst];
+        let rto = ps.rto();
         let high = ps.ring.iter().rposition(|u| u.sacked)?;
         let high_seq = ps.ring[high].pkt.header.pkt_seq;
         let hole =
@@ -645,11 +603,9 @@ impl ReliableState {
     }
 
     /// Handle an expired timer toward `dst`: back off exponentially,
-    /// re-arm, and yield the oldest unacknowledged packet — that one
-    /// only — to re-send.
-    ///
-    /// In adaptive mode every expiry also halves the AIMD window, floor
-    /// one packet (module docs, "Window policy").
+    /// re-arm, halve the AIMD window (floor one packet; module docs,
+    /// "Window policy"), and yield the oldest unacknowledged packet — that
+    /// one only — to re-send.
     ///
     /// A timeout also forgets every SACK mark: silence may mean the peer
     /// let go of what it reported (it keeps nothing for a peer it
@@ -663,14 +619,11 @@ impl ReliableState {
         stats: &mut FmStats,
     ) -> Option<FmPacket> {
         let ack = self.recv[dst].expected;
-        let rto = self.rto_base(&self.send[dst]);
         let ps = &mut self.send[dst];
         stats.retransmit_timeouts += 1;
-        ps.timeouts = (ps.timeouts + 1).min(self.cfg.max_backoff_exp);
-        ps.on_resend(now, rto << ps.timeouts);
-        if self.cfg.adaptive {
-            ps.cwnd = (ps.cwnd / 2.0).max(1.0);
-        }
+        ps.timeouts = (ps.timeouts + 1).min(MAX_BACKOFF_EXP);
+        ps.on_resend(now, ps.rto() << ps.timeouts);
+        ps.cwnd = (ps.cwnd / 2.0).max(1.0);
         for u in &mut ps.ring {
             u.sacked = false;
         }
@@ -723,21 +676,15 @@ impl ReliableState {
         self.recv[peer].drop_held();
     }
 
-    /// The current base RTO toward `peer` (adaptive estimate once a
-    /// sample exists; the configured constant otherwise).
+    /// The current base RTO toward `peer` (the estimate once a sample
+    /// exists; the initial RTO before).
     pub(crate) fn current_rto_ns(&self, peer: usize) -> u64 {
-        self.rto_base(&self.send[peer])
+        self.send[peer].rto()
     }
 
     /// The effective AIMD window toward `peer`, in packets.
     pub(crate) fn cwnd_packets(&self, peer: usize) -> u32 {
         self.effective_window(&self.send[peer])
-    }
-
-    /// Whether the adaptive estimators (RTT-derived RTO, AIMD window)
-    /// are enabled.
-    pub(crate) fn is_adaptive(&self) -> bool {
-        self.cfg.adaptive
     }
 
     /// Take the RTT sample recorded by the most recent ack from `peer`,
@@ -747,8 +694,8 @@ impl ReliableState {
         self.send[peer].last_sample_ns.take()
     }
 
-    /// The smoothed RTT estimate toward `peer` (adaptive mode; `None`
-    /// before the first sample).
+    /// The smoothed RTT estimate toward `peer` (`None` before the first
+    /// sample).
     pub(crate) fn srtt_ns(&self, peer: usize) -> Option<u64> {
         self.send[peer].srtt_ns
     }
@@ -805,15 +752,6 @@ mod prop_tests {
 
     const WINDOW: u32 = 8;
 
-    fn cfg() -> RetransmitConfig {
-        RetransmitConfig {
-            window: WINDOW,
-            rto_ns: 1_000,
-            max_backoff_exp: 4,
-            ..RetransmitConfig::default()
-        }
-    }
-
     /// Frames of the pool every data payload comes from: a frame that has
     /// not come back is pinned by a ring, a hold table or the wire.
     const POOL_FRAMES: usize = 64;
@@ -823,6 +761,7 @@ mod prop_tests {
     /// reference model (`next_seq` / `model_expected` / `model_held` /
     /// `last_ack`) checked at every event.
     struct World {
+        window: u32,
         s: ReliableState,
         r: ReliableState,
         stats: FmStats,
@@ -841,11 +780,13 @@ mod prop_tests {
 
     impl World {
         fn new(start: u32, case: usize) -> World {
-            World::new_with(cfg(), start, case)
+            World::with_window(WINDOW, start, case)
         }
 
-        fn new_with(c: RetransmitConfig, start: u32, case: usize) -> World {
+        fn with_window(window: u32, start: u32, case: usize) -> World {
+            let c = RetransmitConfig { window };
             World {
+                window,
                 s: ReliableState::with_start_seq(2, c, start),
                 r: ReliableState::with_start_seq(2, c, start),
                 stats: FmStats::default(),
@@ -888,7 +829,7 @@ mod prop_tests {
                 self.next_seq = self.next_seq.wrapping_add(1);
             }
             assert!(
-                self.s.unacked_packets() <= WINDOW as usize,
+                self.s.unacked_packets() <= self.window as usize,
                 "case {}: window exceeded",
                 self.case
             );
@@ -932,7 +873,7 @@ mod prop_tests {
                 }
                 RecvDecision::Held => {
                     assert!(
-                        seq_lt(self.model_expected, seq) && ahead < WINDOW,
+                        seq_lt(self.model_expected, seq) && ahead < self.window,
                         "case {case}: seq {seq} held at expected {}",
                         self.model_expected
                     );
@@ -944,7 +885,7 @@ mod prop_tests {
                 RecvDecision::Duplicate => assert!(
                     seq_lt(seq, self.model_expected)
                         || self.model_held.contains(&seq)
-                        || ahead >= WINDOW,
+                        || ahead >= self.window,
                     "case {case}: fresh seq {seq} dropped at expected {}",
                     self.model_expected
                 ),
@@ -955,7 +896,7 @@ mod prop_tests {
                 (decision == RecvDecision::Duplicate) as u64,
                 "case {case}: {decision:?}"
             );
-            assert!(self.model_held.len() < WINDOW as usize, "case {case}");
+            assert!(self.model_held.len() < self.window as usize, "case {case}");
             assert_eq!(self.r.held_packets(), self.model_held.len(), "case {case}");
             assert!(
                 !self.model_held.contains(&self.model_expected),
@@ -1127,7 +1068,7 @@ mod prop_tests {
                     }
                 }
                 _ => {
-                    self.now += Nanos(rng.below(2_000));
+                    self.now += Nanos(rng.below(2 * INITIAL_RTO_NS));
                     self.fire_timeouts();
                 }
             }
@@ -1158,19 +1099,14 @@ mod prop_tests {
 
     #[test]
     fn prop_adaptive_mode_holds_under_arbitrary_interleavings() {
-        // The same hostile-channel battery with the adaptive RTO and
-        // AIMD window enabled: the estimators change *when* things are
-        // resent and how many may be outstanding, never whether delivery
-        // and ordering hold.
-        let adaptive = RetransmitConfig {
-            adaptive: true,
-            rto_min_ns: 1_000,
-            rto_max_ns: 100_000,
-            ..cfg()
-        };
+        // The same hostile-channel battery at a window of two, where the
+        // AIMD window's floor of one packet is half of it and every
+        // accepted packet makes an ack overdue: the estimators change
+        // *when* things are resent and how many may be outstanding, never
+        // whether delivery and ordering hold.
         for case in 0..env_cases(64) {
             let mut rng = DetRng::seed_from_u64(0xADA_0000_u64 ^ case as u64);
-            let mut w = World::new_with(adaptive, start_seq(&mut rng, case), case);
+            let mut w = World::with_window(2, start_seq(&mut rng, case), case);
             for _ in 0..rng.range_usize(20, 200) {
                 w.random_step(&mut rng);
             }
@@ -1340,27 +1276,6 @@ mod tests {
         assert!(!seq_lt(0, 1 << 31));
     }
 
-    #[test]
-    fn sub_microsecond_rto_is_clamped() {
-        let st = ReliableState::new(
-            2,
-            RetransmitConfig {
-                rto_ns: 1,
-                ..RetransmitConfig::default()
-            },
-        );
-        assert_eq!(st.cfg.rto_ns, MIN_RTO_NS);
-        // At or above the floor the configured value is kept.
-        let st = ReliableState::new(
-            2,
-            RetransmitConfig {
-                rto_ns: MIN_RTO_NS + 5,
-                ..RetransmitConfig::default()
-            },
-        );
-        assert_eq!(st.cfg.rto_ns, MIN_RTO_NS + 5);
-    }
-
     fn data_pkt(dst: u16, pkt_seq: u32) -> FmPacket {
         FmPacket {
             header: PacketHeader {
@@ -1378,16 +1293,8 @@ mod tests {
         }
     }
 
-    fn state() -> ReliableState {
-        ReliableState::new(
-            2,
-            RetransmitConfig {
-                window: 4,
-                rto_ns: 1000,
-                max_backoff_exp: 3,
-                ..RetransmitConfig::default()
-            },
-        )
+    fn state(window: u32) -> ReliableState {
+        ReliableState::new(2, RetransmitConfig { window })
     }
 
     /// Every hole `r` would re-send toward node 1 right now, by sequence
@@ -1400,7 +1307,7 @@ mod tests {
 
     #[test]
     fn window_bounds_outstanding_packets() {
-        let mut r = state();
+        let mut r = state(4);
         for seq in 0..4 {
             assert!(r.can_send(1, 1));
             r.on_data_sent(1, &data_pkt(1, seq), Nanos(0));
@@ -1420,16 +1327,21 @@ mod tests {
 
     #[test]
     fn cumulative_acks_release_and_rearm() {
-        let mut r = state();
+        let mut r = state(4);
         r.on_data_sent(1, &data_pkt(1, 0), Nanos(0));
         r.on_data_sent(1, &data_pkt(1, 1), Nanos(5));
-        assert_eq!(r.next_deadline(), Some(Nanos(1000)), "armed at first send");
-        r.on_ack(1, 1, 0, Nanos(500));
-        assert_eq!(r.unacked_packets(), 1);
         assert_eq!(
             r.next_deadline(),
-            Some(Nanos(1500)),
-            "restarted on progress"
+            Some(Nanos(INITIAL_RTO_NS)),
+            "armed at first send, before any sample"
+        );
+        r.on_ack(1, 1, 0, Nanos(500));
+        assert_eq!(r.unacked_packets(), 1);
+        // The ack timed seq 0 at 500 ns: an estimate far below the floor.
+        assert_eq!(
+            r.next_deadline(),
+            Some(Nanos(500 + RTO_MIN_NS)),
+            "restarted on progress, under the estimate"
         );
         r.on_ack(1, 2, 0, Nanos(800));
         assert_eq!(r.unacked_packets(), 0);
@@ -1441,7 +1353,7 @@ mod tests {
 
     #[test]
     fn receive_filter_accepts_in_order_only() {
-        let mut r = state();
+        let mut r = state(4);
         let mut stats = FmStats::default();
         let mut accept = |r: &mut ReliableState, seq| r.accept(1, &data_pkt(1, seq), &mut stats);
         assert_eq!(accept(&mut r, 0), RecvDecision::Accept);
@@ -1474,7 +1386,7 @@ mod tests {
 
     #[test]
     fn ack_duty_piggyback_and_standalone() {
-        let mut r = state();
+        let mut r = state(4);
         let mut stats = FmStats::default();
         r.accept(1, &data_pkt(1, 0), &mut stats);
         // Piggybacking discharges the duty...
@@ -1515,11 +1427,7 @@ mod tests {
 
     #[test]
     fn a_burst_is_acknowledged_every_half_window_and_at_its_tail() {
-        let window = 8;
-        let cfg = RetransmitConfig {
-            window,
-            ..RetransmitConfig::default()
-        };
+        let cfg = RetransmitConfig { window: 8 };
         // From zero, and from a start that crosses the u32 wrap mid-burst.
         for start in [0, u32::MAX - 9] {
             let mut r = ReliableState::with_start_seq(2, cfg, start);
@@ -1544,13 +1452,7 @@ mod tests {
 
     #[test]
     fn a_refused_mid_burst_ack_is_deferred_not_lost() {
-        let mut r = ReliableState::new(
-            2,
-            RetransmitConfig {
-                window: 8,
-                ..RetransmitConfig::default()
-            },
-        );
+        let mut r = state(8);
         let mut stats = FmStats::default();
         // The device has no room at the half-window mark: the caller asks
         // (`ack_due`, `ack_overdue`) and takes nothing.
@@ -1567,27 +1469,14 @@ mod tests {
         assert_eq!(r.take_due_ack(1), Some((7, 0)));
         assert!(!r.ack_due(1) && !r.ack_overdue(1));
         // A window of one has no half: every packet is acknowledged.
-        let mut one = ReliableState::new(
-            2,
-            RetransmitConfig {
-                window: 1,
-                ..RetransmitConfig::default()
-            },
-        );
+        let mut one = state(1);
         assert!(!one.ack_overdue(1), "nothing accepted yet");
         assert_eq!(accept_burst(&mut one, &mut 0, 3), [1, 2, 3]);
     }
 
     #[test]
     fn sack_holes_are_resent_once_per_round_trip() {
-        let mut r = ReliableState::new(
-            2,
-            RetransmitConfig {
-                window: 8,
-                rto_ns: 1000,
-                ..RetransmitConfig::default()
-            },
-        );
+        let mut r = state(8);
         for seq in 0..6 {
             r.on_data_sent(1, &data_pkt(1, seq), Nanos(0));
         }
@@ -1596,9 +1485,10 @@ mod tests {
         // The peer holds 2 and 4: 1 and 3 are holes, 5 is merely late.
         assert!(r.on_ack(1, 1, 0b1010, Nanos(20)));
         assert_eq!(holes(&mut r, 20), vec![1, 3]);
+        // The 10 ns sample put the estimate at its floor.
         assert_eq!(
             r.next_deadline(),
-            Some(Nanos(1020)),
+            Some(Nanos(20 + RTO_MIN_NS)),
             "the re-sends get an RTO"
         );
         // The same news again, or more of it, re-sends nothing: the
@@ -1628,7 +1518,7 @@ mod tests {
 
     #[test]
     fn timeouts_back_off_exponentially_and_refresh_acks() {
-        let mut r = state();
+        let mut r = state(4);
         let mut stats = FmStats::default();
         for seq in 0..3 {
             r.on_data_sent(1, &data_pkt(1, seq), Nanos(0));
@@ -1636,88 +1526,94 @@ mod tests {
         // Receive something so the refreshed piggyback ack is non-zero.
         r.accept(1, &data_pkt(1, 0), &mut stats);
 
-        assert!(!r.timed_out(1, Nanos(999)));
-        assert!(r.timed_out(1, Nanos(1000)));
-        assert!(!r.timed_out(0, Nanos(1000)), "nothing outstanding there");
-        let head = r.on_timeout(1, Nanos(1000), &mut stats).unwrap();
+        // No ack has come back, so no sample: the initial RTO applies.
+        let rto = INITIAL_RTO_NS;
+        assert!(!r.timed_out(1, Nanos(rto - 1)));
+        assert!(r.timed_out(1, Nanos(rto)));
+        assert!(!r.timed_out(0, Nanos(rto)), "nothing outstanding there");
+        let head = r.on_timeout(1, Nanos(rto), &mut stats).unwrap();
         assert_eq!(head.header.pkt_seq, 0, "one packet, the oldest");
         assert_eq!(head.header.ack, 1, "stale stored ack refreshed");
         assert_eq!(stats.retransmit_timeouts, 1);
         assert_eq!(r.unacked_packets(), 3, "the rest of the ring stays put");
-        assert_eq!(r.next_deadline(), Some(Nanos(1000 + 2000)), "rto doubled");
+        assert_eq!(r.next_deadline(), Some(Nanos(rto + 2 * rto)), "rto doubled");
         // Silence voids what the peer reported: the marks go (the next
         // ack's bitmap restores what still stands) and with them their
         // discount on the packets in flight.
-        assert!(r.on_ack(1, 0, 0b110, Nanos(2000)));
-        assert!(holes(&mut r, 2000).is_empty(), "the head was just re-sent");
-        let head = r.on_timeout(1, Nanos(3000), &mut stats).unwrap();
+        assert!(r.on_ack(1, 0, 0b110, Nanos(2 * rto)));
+        assert!(
+            holes(&mut r, 2 * rto).is_empty(),
+            "the head was just re-sent"
+        );
+        let head = r.on_timeout(1, Nanos(3 * rto), &mut stats).unwrap();
         assert_eq!(head.header.pkt_seq, 0, "still one packet, still the oldest");
         assert_eq!(r.send[1].sacked, 0);
-        assert_eq!(r.next_deadline(), Some(Nanos(3000 + 4000)));
-        // Backoff caps at max_backoff_exp.
+        assert_eq!(r.next_deadline(), Some(Nanos(3 * rto + 4 * rto)));
+        // Backoff caps at MAX_BACKOFF_EXP.
         for _ in 0..10 {
             r.on_timeout(1, Nanos(0), &mut stats);
         }
-        assert_eq!(r.next_deadline(), Some(Nanos(1000 << 3)));
-        // Progress resets the backoff.
-        r.on_ack(1, 1, 0, Nanos(50_000));
-        assert_eq!(r.next_deadline(), Some(Nanos(51_000)), "plain rto again");
-    }
-
-    fn adaptive_state() -> ReliableState {
-        ReliableState::new(
-            2,
-            RetransmitConfig {
-                window: 8,
-                rto_ns: 100_000,
-                max_backoff_exp: 3,
-                adaptive: true,
-                rto_min_ns: 2_000,
-                rto_max_ns: 400_000,
-            },
-        )
+        assert_eq!(r.next_deadline(), Some(Nanos(rto << 6)));
+        // Progress resets the backoff. The acknowledged head was re-sent,
+        // so its ack is no sample (Karn): the initial RTO again.
+        r.on_ack(1, 1, 0, Nanos(100 * rto));
+        assert_eq!(r.next_deadline(), Some(Nanos(101 * rto)), "plain rto again");
     }
 
     #[test]
     fn adaptive_rto_tracks_rtt_samples() {
-        let mut r = adaptive_state();
-        // No sample yet: the configured initial RTO applies.
-        assert_eq!(r.current_rto_ns(1), 100_000);
+        let mut r = state(8);
+        // No sample yet: the initial RTO applies.
+        assert_eq!(r.current_rto_ns(1), INITIAL_RTO_NS);
         r.on_data_sent(1, &data_pkt(1, 0), Nanos(0));
-        assert_eq!(r.next_deadline(), Some(Nanos(100_000)));
-        // Acked 10 µs later: srtt = 10 000, rttvar = 5 000 →
-        // rto = 10 000 + 4·5 000 = 30 000.
-        r.on_ack(1, 1, 0, Nanos(10_000));
-        assert_eq!(r.srtt_ns(1), Some(10_000));
-        assert_eq!(r.current_rto_ns(1), 30_000);
-        assert_eq!(r.take_rtt_sample(1), Some(10_000));
+        assert_eq!(r.next_deadline(), Some(Nanos(INITIAL_RTO_NS)));
+        // Acked 100 µs later: srtt = 100 000, rttvar = 50 000 →
+        // rto = 100 000 + 4·50 000 = 300 000.
+        r.on_ack(1, 1, 0, Nanos(100_000));
+        assert_eq!(r.srtt_ns(1), Some(100_000));
+        assert_eq!(r.current_rto_ns(1), 300_000);
+        assert_eq!(r.take_rtt_sample(1), Some(100_000));
         assert_eq!(r.take_rtt_sample(1), None, "sample consumed");
-        // The next send arms the estimated RTO, not the constant.
-        r.on_data_sent(1, &data_pkt(1, 1), Nanos(20_000));
-        assert_eq!(r.next_deadline(), Some(Nanos(50_000)));
+        // The next send arms the estimated RTO, not the initial one.
+        r.on_data_sent(1, &data_pkt(1, 1), Nanos(200_000));
+        assert_eq!(r.next_deadline(), Some(Nanos(500_000)));
         // A second, identical sample tightens the variance: srtt stays
-        // 10 000, rttvar → 3 750, rto → 25 000.
-        r.on_ack(1, 2, 0, Nanos(30_000));
-        assert_eq!(r.current_rto_ns(1), 25_000);
+        // 100 000, rttvar → 37 500, rto → 250 000.
+        r.on_ack(1, 2, 0, Nanos(300_000));
+        assert_eq!(r.current_rto_ns(1), 250_000);
+    }
+
+    #[test]
+    fn sub_microsecond_rto_is_clamped() {
+        // A sub-microsecond round trip (a peer polled on the same core)
+        // arms the floor, not a timeout per poll that would drown the
+        // wire in duplicates of the head packet.
+        let mut r = state(8);
+        r.on_data_sent(1, &data_pkt(1, 0), Nanos(0));
+        r.on_ack(1, 1, 0, Nanos(500));
+        assert_eq!(r.srtt_ns(1), Some(500));
+        assert_eq!(r.current_rto_ns(1), RTO_MIN_NS);
+        r.on_data_sent(1, &data_pkt(1, 1), Nanos(1_000));
+        assert_eq!(r.next_deadline(), Some(Nanos(1_000 + RTO_MIN_NS)));
     }
 
     #[test]
     fn adaptive_rto_clamps_to_configured_bounds() {
-        let mut r = adaptive_state();
+        let mut r = state(8);
         // A ~0 RTT sample clamps to the floor rather than melting down
         // into a timeout-per-poll storm.
         r.on_data_sent(1, &data_pkt(1, 0), Nanos(0));
         r.on_ack(1, 1, 0, Nanos(1));
-        assert_eq!(r.current_rto_ns(1), 2_000);
+        assert_eq!(r.current_rto_ns(1), RTO_MIN_NS);
         // An enormous sample clamps to the ceiling.
         r.on_data_sent(1, &data_pkt(1, 1), Nanos(10));
-        r.on_ack(1, 2, 0, Nanos(900_000_000));
-        assert_eq!(r.current_rto_ns(1), 400_000);
+        r.on_ack(1, 2, 0, Nanos(10_000_000_000));
+        assert_eq!(r.current_rto_ns(1), RTO_MAX_NS);
     }
 
     #[test]
     fn karn_rule_discards_samples_after_retransmission() {
-        let mut r = adaptive_state();
+        let mut r = state(8);
         let mut stats = FmStats::default();
         r.on_data_sent(1, &data_pkt(1, 0), Nanos(0));
         // Timer fires; the head is resent — the eventual ack for seq 0
@@ -1742,7 +1638,7 @@ mod tests {
 
     #[test]
     fn aimd_window_halves_on_loss_and_regrows_on_acks() {
-        let mut r = adaptive_state();
+        let mut r = state(8);
         let mut stats = FmStats::default();
         assert_eq!(r.cwnd_packets(1), 8, "starts fully open");
         for seq in 0..4 {
@@ -1787,7 +1683,7 @@ mod tests {
 
     #[test]
     fn a_sack_hole_is_repaired_without_moving_the_window() {
-        let mut r = adaptive_state();
+        let mut r = state(8);
         let mut stats = FmStats::default();
         for seq in 0..6 {
             r.on_data_sent(1, &data_pkt(1, seq), Nanos(0));
@@ -1814,7 +1710,7 @@ mod tests {
         assert_eq!(r.send_budget(1), 2, "one in flight of four again");
     }
 
-    /// A 2 → 1 stream of `count` packets at the default adaptive window,
+    /// A 2 → 1 stream of `count` packets at the default window,
     /// one round per microsecond: the sender fills its budget, each fresh
     /// packet is lost with probability 1 %, the receiver takes what
     /// arrived and answers with one ack, and the holes it exposes go out
@@ -1822,7 +1718,7 @@ mod tests {
     /// goes the link stalls for one RTO, once, so the timer fires.
     /// Returns the window after every round.
     fn sack_repaired_stream(count: u32, stall_at: u32) -> Vec<u32> {
-        let cfg = RetransmitConfig::adaptive();
+        let cfg = RetransmitConfig::default();
         let (mut s, mut r) = (ReliableState::new(2, cfg), ReliableState::new(2, cfg));
         let mut stats = FmStats::default();
         let mut rng = fm_model::rng::DetRng::seed_from_u64(7);
@@ -1902,7 +1798,7 @@ mod tests {
 
     #[test]
     fn reset_peer_restarts_both_sequence_spaces() {
-        let mut r = state();
+        let mut r = state(4);
         let mut stats = FmStats::default();
         for seq in 0..3 {
             r.on_data_sent(1, &data_pkt(1, seq), Nanos(0));
@@ -1931,7 +1827,7 @@ mod tests {
 
     #[test]
     fn abandon_peer_stops_retransmits_but_keeps_sequences() {
-        let mut r = state();
+        let mut r = state(4);
         let mut stats = FmStats::default();
         for seq in 0..2 {
             r.on_data_sent(1, &data_pkt(1, seq), Nanos(0));

@@ -21,10 +21,12 @@ use fm_model::rng::{env_cases, DetRng};
 use super::*;
 use crate::packet::{HandlerId, PacketFlags, PacketHeader};
 
-const TICK: u64 = 100;
+/// The stop-and-wait timer: the production protocol's RTO before its
+/// first RTT sample, so both start from the same timer.
+const RTO: u64 = INITIAL_RTO_NS;
+const TICK: u64 = RTO / 10;
 /// Ticks a frame spends on the link.
 const LATENCY: u64 = 3 * TICK;
-const RTO: u64 = 10 * TICK;
 const WINDOW: u32 = 8;
 
 #[derive(Clone, Copy)]
@@ -105,7 +107,7 @@ fn run<A: Arq>(mut arq: A, faults: Faults, seed: u64, count: u32) -> Vec<u32> {
     let (mut next, mut now) = (0u32, 0u64);
     while next < count || !arq.all_acked() {
         now += TICK;
-        assert!(now < 100_000_000, "seed {seed:#x}: no progress");
+        assert!(now < 1_000_000 * TICK, "seed {seed:#x}: no progress");
         while let Some(frame) = fwd.due(now) {
             arq.on_data(frame, &mut delivered);
         }
@@ -280,20 +282,9 @@ impl Arq for Production {
     }
 }
 
-fn cfg(window: u32, adaptive: bool) -> RetransmitConfig {
-    RetransmitConfig {
-        window,
-        rto_ns: RTO,
-        max_backoff_exp: 3,
-        adaptive,
-        rto_min_ns: RTO,
-        rto_max_ns: 8 * RTO,
-    }
-}
-
 /// Both protocols under the same schedule from the same start sequence:
 /// the same stream, which is the one that was sent.
-fn assert_same_stream(faults: Faults, seed: u64, start: u32, cfg: RetransmitConfig, count: u32) {
+fn assert_same_stream(faults: Faults, seed: u64, start: u32, window: u32, count: u32) {
     let oracle = StopAndWait {
         seq: start,
         outstanding: None,
@@ -301,9 +292,12 @@ fn assert_same_stream(faults: Faults, seed: u64, start: u32, cfg: RetransmitConf
         ack_due: false,
     };
     let expected = run(oracle, faults, seed, count);
-    let production = Production::new(cfg, start);
+    let production = Production::new(RetransmitConfig { window }, start);
     let got = run(production, faults, seed, count);
-    assert_eq!(got, expected, "seed {seed:#x} start {start} {cfg:?}");
+    assert_eq!(
+        got, expected,
+        "seed {seed:#x} start {start} window {window}"
+    );
     assert_eq!(got, (0..count).collect::<Vec<_>>(), "seed {seed:#x}");
 }
 
@@ -324,7 +318,7 @@ fn prop_production_arq_delivers_what_stop_and_wait_delivers() {
         } else {
             Faults::Random
         };
-        assert_same_stream(faults, seed, start, cfg(WINDOW, case % 2 == 1), 120);
+        assert_same_stream(faults, seed, start, WINDOW, 120);
     }
 }
 
@@ -342,7 +336,7 @@ fn the_default_window_delivers_what_stop_and_wait_delivers() {
         } else {
             Faults::Random
         };
-        assert_same_stream(faults, seed, start, cfg(window, case % 2 == 1), 500);
+        assert_same_stream(faults, seed, start, window, 500);
     }
 }
 
@@ -354,9 +348,7 @@ fn periodic_drops_cannot_phase_lock_with_the_window() {
     // period around the window size (and its multiples) gets through,
     // from a start that crosses the wrap.
     for period in 2..=4 * WINDOW as u64 {
-        for adaptive in [false, true] {
-            let faults = Faults::DropEveryNth(period);
-            assert_same_stream(faults, period, u32::MAX - 40, cfg(WINDOW, adaptive), 200);
-        }
+        let faults = Faults::DropEveryNth(period);
+        assert_same_stream(faults, period, u32::MAX - 40, WINDOW, 200);
     }
 }

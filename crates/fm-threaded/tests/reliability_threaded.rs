@@ -68,10 +68,7 @@ impl NetDevice for LossyDevice {
 }
 
 fn retransmit() -> Reliability {
-    Reliability::Retransmit(RetransmitConfig {
-        rto_ns: 200_000, // wall-clock 200 µs on the threaded transport
-        ..RetransmitConfig::default()
-    })
+    Reliability::Retransmit(RetransmitConfig::default())
 }
 
 #[test]

@@ -49,7 +49,7 @@ fn engine(dev: UdpDevice) -> Fm2Engine<UdpDevice> {
     Fm2Engine::with_reliability(
         dev,
         MachineProfile::ppro200_fm2(),
-        Reliability::Retransmit(RetransmitConfig::adaptive()),
+        Reliability::Retransmit(RetransmitConfig::default()),
     )
 }
 

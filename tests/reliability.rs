@@ -40,6 +40,10 @@ struct Counted {
     errs: usize,
     sender: FmStats,
     receiver: FmStats,
+    /// The sender's smoothed RTT estimate toward the receiver at the end.
+    srtt: Option<u64>,
+    /// The sender's base retransmit timeout toward the receiver at the end.
+    rto: Option<u64>,
 }
 
 impl Counted {
@@ -146,6 +150,8 @@ fn stream_fm2(
         errs: errs.get(),
         sender: fm_s.stats(),
         receiver: fm_r.stats(),
+        srtt: fm_s.srtt_ns(1),
+        rto: fm_s.current_rto_ns(1),
     }
 }
 
@@ -315,19 +321,25 @@ fn trust_substrate_loses_what_retransmit_repairs() {
     assert!(retrans_r > 0);
 }
 
-/// The stream the count gates run: 2 KB x 4096 under the adaptive
-/// profile, the shape of the benchmark's `udp_*` stream leg.
-fn gate_stream(faults: Vec<FaultModel>) -> Counted {
-    gate_stream_at(RetransmitConfig::default().window, faults)
+/// The stream the count gates run: 2 KB x 4096, the shape of the
+/// benchmark's `udp_*` stream leg.
+fn gate_stream(faults: Vec<FaultModel>, reliability: Reliability) -> Counted {
+    stream_fm2(faults, 4096, 2048, reliability)
 }
 
-/// [`gate_stream`] with a retransmit window of `window` packets.
-fn gate_stream_at(window: u32, faults: Vec<FaultModel>) -> Counted {
-    let adaptive = Reliability::Retransmit(RetransmitConfig {
-        window,
-        ..RetransmitConfig::adaptive()
-    });
-    stream_fm2(faults, 4096, 2048, adaptive)
+#[test]
+fn the_default_config_estimates_its_timer() {
+    // There is one retransmit profile and the default is it: a loss-free
+    // stream samples the round trip, and the timer leaves its initial
+    // 200 µs for the estimate.
+    let c = stream_fm2(vec![], 300, SIZE, retransmit());
+    assert_eq!((c.got, c.errs), (300, 0));
+    assert!(c.srtt.is_some(), "no RTT sample was taken");
+    assert_ne!(
+        c.rto,
+        Some(200_000),
+        "the timer never left its initial value"
+    );
 }
 
 #[test]
@@ -347,7 +359,8 @@ fn loss_free_stream_is_count_for_count_the_go_back_n_one() {
         acks_sent: 8192,
         ..FmStats::default()
     };
-    let c = gate_stream_at(32, vec![]);
+    let window_32 = Reliability::Retransmit(RetransmitConfig { window: 32 });
+    let c = gate_stream(vec![], window_32);
     assert_eq!((c.got, c.errs), (4096, 0));
     assert_eq!(c.end, Nanos(121_448_583));
     assert_eq!(
@@ -370,7 +383,7 @@ fn loss_free_stream_is_count_for_count_the_go_back_n_one() {
     // half-window ack never has to fire), 64 frames in the sender's pool
     // instead of 32, fewer refused sends, and 0.48 % more virtual time —
     // the deeper window queues, it does not stream faster here.
-    let c = gate_stream(vec![]);
+    let c = gate_stream(vec![], retransmit());
     assert_eq!((c.got, c.errs), (4096, 0));
     assert_eq!(c.end, Nanos(122_032_002));
     assert_eq!(
@@ -396,7 +409,7 @@ fn a_lost_packet_costs_one_packet() {
     // 1008 re-sends, 86 timeouts and 912 packets thrown away at the
     // receiver, ending at 160.9 ms against 121.4 ms loss-free.
     const PARENT_TIMEOUTS: u64 = 86;
-    let c = gate_stream(vec![FaultModel::Drop { p: 0.01, seed: 7 }]);
+    let c = gate_stream(vec![FaultModel::Drop { p: 0.01, seed: 7 }], retransmit());
     assert_eq!((c.got, c.errs), (4096, 0));
     let dropped = c.data_dropped();
     let (s, r) = (&c.sender, &c.receiver);
