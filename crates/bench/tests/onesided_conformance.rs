@@ -15,7 +15,9 @@
 //! retransmit sublayer), `fm-shm` mapped rings, and the routed shm + UDP
 //! composite — plus equality with the script's computed expectation.
 //! Transports may change how bytes travel, never what a one-sided op
-//! does.
+//! does — and how they travel is pinned too: on the same-host fabrics
+//! the ops longer than a chunk are read out of the peer's memory, on
+//! the simulator and UDP they stream as packets.
 
 use std::collections::HashMap;
 
@@ -334,16 +336,44 @@ fn expected_outputs(rank: usize) -> Vec<String> {
     out
 }
 
+/// The bytes `rank` must have read out of a peer's memory: how the
+/// script's ops longer than a chunk travelled. Fabrics may differ here
+/// and nowhere else.
+type Pulled = fn(usize) -> u64;
+
+/// The content puts longer than a chunk that a rank receives (the
+/// refused one never reads), and its get longer than a chunk.
+fn long_puts() -> u64 {
+    let chunk = script_cfg().chunk_bytes;
+    SIZES.iter().filter(|&&len| len > chunk).sum::<usize>() as u64
+}
+
+fn long_get() -> u64 {
+    SIZES[5] as u64
+}
+
+/// Simulator and UDP: every byte streams as packets.
+fn none(_: usize) -> u64 {
+    0
+}
+
+/// Every rank's neighbors share its host: each reads its upstream
+/// neighbor's long puts and its own long get out of the peer.
+fn all_local(_: usize) -> u64 {
+    long_puts() + long_get()
+}
+
 /// Run the script on every rank of `fabric` as a poll-step program and
-/// require every rank's computed expectation, with no engine error. A
-/// rank is done once its script has finished *and* everything the
-/// one-sided layer queued (the done flags, acks for the neighbor's puts)
-/// is on the wire — `at_end` then looks at its device; the fabric keeps
-/// it serviced until the wire is quiet, so peers still mid-script get
-/// their acks and retransmissions.
+/// require every rank's computed expectation, with no engine error, and
+/// the bytes it must have `pulled`. A rank is done once its script has
+/// finished *and* everything the one-sided layer queued (the done flags,
+/// acks for the neighbor's puts) is on the wire — `at_end` then looks at
+/// its device; the fabric keeps it serviced until the wire is quiet, so
+/// peers still mid-script get their acks and retransmissions.
 fn outputs<F: Fabric>(
     transport: &str,
     fabric: &F,
+    pulled: Pulled,
     at_end: fn(usize, &mut F::Dev),
 ) -> Vec<Vec<String>> {
     let results = fabric.run(N, |rank, fm| {
@@ -360,39 +390,47 @@ fn outputs<F: Fabric>(
                 return Step::pending(moved);
             }
             assert!(fm.take_errors().is_empty(), "rank {rank} engine errors");
+            assert_eq!(os.pull_declines(), 0, "rank {rank}: a pull was declined");
             fm.with_device(|dev| at_end(rank, dev));
-            Step::Done(script.out.clone())
+            Step::Done((script.out.clone(), os.pulled_bytes()))
         })
     });
-    for (rank, got) in results.iter().enumerate() {
+    let mut outs = Vec::new();
+    for (rank, (got, read)) in results.into_iter().enumerate() {
         let want = expected_outputs(rank);
-        assert_eq!(*got, want, "{transport} rank {rank} diverged");
+        assert_eq!(got, want, "{transport} rank {rank} diverged");
+        assert_eq!(read, pulled(rank), "{transport} rank {rank}: bytes pulled");
+        outs.push(got);
     }
-    results
+    outs
 }
 
 fn sim() -> Sim {
     Sim::new(MachineProfile::ppro200_fm2())
 }
 
+// Same-host fabrics pull (the ranks are threads of this process, which
+// may always read itself); the simulator and UDP never do. A fabric that
+// silently changed path fails here, on the byte count.
+
 #[test]
 fn sim_matches_expectation() {
-    outputs("sim", &sim(), |_, _| ());
+    outputs("sim", &sim(), none, |_, _| ());
 }
 
 #[test]
 fn threaded_matches_expectation() {
-    outputs("threaded", &Threads, |_, _| ());
+    outputs("threaded", &Threads, all_local, |_, _| ());
 }
 
 #[test]
 fn udp_matches_expectation() {
-    outputs("udp", &Udp::default(), |_, _| ());
+    outputs("udp", &Udp::default(), none, |_, _| ());
 }
 
 #[test]
 fn shm_matches_expectation() {
-    outputs("shm", &Shm::DEEP, |_, _| ());
+    outputs("shm", &Shm::DEEP, all_local, |_, _| ());
 }
 
 #[test]
@@ -401,18 +439,31 @@ fn all_transports_bit_identical() {
     // across all five substrates, not merely each one matching the
     // expectation (pins transport-independence directly, including any
     // formatting the per-transport asserts might normalize away).
-    let reference = outputs("sim", &sim(), |_, _| ());
+    let reference = outputs("sim", &sim(), none, |_, _| ());
     let same = |transport: &str, got| assert_eq!(reference, got, "sim vs {transport} diverged");
-    same("threaded", outputs("threaded", &Threads, |_, _| ()));
-    same("udp", outputs("udp", &Udp::default(), |_, _| ()));
-    same("shm", outputs("shm", &Shm::DEEP, |_, _| ()));
+    same(
+        "threaded",
+        outputs("threaded", &Threads, all_local, |_, _| ()),
+    );
+    same("udp", outputs("udp", &Udp::default(), none, |_, _| ()));
+    same("shm", outputs("shm", &Shm::DEEP, all_local, |_, _| ()));
     // Two hosts of two ranks: each rank's downstream neighbor and the
     // peers it flags are split between its own host and the other, so
-    // every rank must have used both halves of the routed device.
-    let routed = outputs("routed", &Routed::blocks(2, 2), |rank, dev| {
-        let route = dev.stats();
-        assert!(route.local_sent > 0, "rank {rank} sent nothing over shm");
-        assert!(route.remote_sent > 0, "rank {rank} sent nothing over UDP");
-    });
+    // every rank must have used both halves of the routed device — and
+    // each pulls only from its same-host neighbor: ranks 1 and 3 the
+    // puts from upstream, ranks 0 and 2 their gets from downstream.
+    let routed = outputs(
+        "routed",
+        &Routed::blocks(2, 2),
+        |rank| match rank % 2 {
+            1 => long_puts(),
+            _ => long_get(),
+        },
+        |rank, dev| {
+            let route = dev.stats();
+            assert!(route.local_sent > 0, "rank {rank} sent nothing over shm");
+            assert!(route.remote_sent > 0, "rank {rank} sent nothing over UDP");
+        },
+    );
     same("routed", routed);
 }

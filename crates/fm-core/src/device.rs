@@ -26,10 +26,19 @@ use crate::packet::FmPacket;
 pub struct DeviceFull;
 
 /// Membership transition reported by a device that tracks peer liveness
-/// (fm-udp's heartbeat engine). Substrates with static membership never
-/// produce these.
+/// (fm-udp's heartbeat engine), or a fact about where a peer lives.
+/// Substrates with static membership on a wire never produce these.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PeerEventKind {
+    /// The peer runs on this host as process `pid` (fm-shm reports it
+    /// once per linked peer; a rank in this process reports this
+    /// process's pid). Not a liveness change: it tells a one-sided port
+    /// whose memory it may read instead of streaming packets, and it
+    /// holds until the peer's `Down` or `Rejoining`.
+    SameHost {
+        /// The peer's process id.
+        pid: u32,
+    },
     /// The peer is (back) in full contact: heartbeats flowing, same
     /// incarnation as before (or the first one we ever saw).
     Up,
@@ -121,8 +130,9 @@ pub trait NetDevice {
     /// [`NetDevice::try_recv`] while a [`PeerEventKind::Rejoining`] or
     /// [`PeerEventKind::Down`] event for that peer is still queued here —
     /// that ordering is what lets the engine reset per-peer sequence
-    /// state without racing the new traffic. Default: `None` (static
-    /// membership).
+    /// state without racing the new traffic. A device reports a
+    /// [`PeerEventKind::SameHost`] fact before it returns any packet from
+    /// that peer, or never. Default: `None` (static membership).
     fn poll_event(&mut self) -> Option<PeerEvent> {
         None
     }

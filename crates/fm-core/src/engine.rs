@@ -163,6 +163,9 @@ pub(crate) struct EngineCore<D: NetDevice> {
     /// Upper layers poll this to abort instead of spinning on a dead
     /// peer.
     pub(crate) peer_down: Vec<bool>,
+    /// The pid of each peer the device reported on this host
+    /// ([`PeerEventKind::SameHost`]), until its `Down` or `Rejoining`.
+    pub(crate) same_host: Vec<Option<u32>>,
     /// `(dst, msg_seq)` of the message whose stall span is out: a sender
     /// polling until admitted traces its stall once, not once per poll.
     stall_traced: (usize, u32),
@@ -209,6 +212,7 @@ impl<D: NetDevice> EngineCore<D> {
             in_extract: false,
             obs: None,
             peer_down: vec![false; n],
+            same_host: vec![None; n],
             stall_traced: (usize::MAX, 0),
         }
     }
@@ -614,6 +618,12 @@ impl<D: NetDevice> EngineCore<D> {
         let ev = self.device.poll_event()?;
         let peer = ev.peer;
         let kind = match ev.kind {
+            // Where the peer lives, not whether it lives: recorded, not
+            // traced.
+            PeerEventKind::SameHost { pid } => {
+                self.same_host[peer] = Some(pid);
+                return Some(ev);
+            }
             PeerEventKind::Up => {
                 self.peer_down[peer] = false;
                 SpanKind::PeerUp
@@ -624,6 +634,7 @@ impl<D: NetDevice> EngineCore<D> {
             PeerEventKind::Suspect => SpanKind::PeerSuspect,
             PeerEventKind::Down => {
                 self.peer_down[peer] = true;
+                self.same_host[peer] = None;
                 // Stop the retransmit storm toward the corpse.
                 if let Some(rel) = self.reliable.as_mut() {
                     rel.abandon_peer(peer);
@@ -636,6 +647,7 @@ impl<D: NetDevice> EngineCore<D> {
                 // Both sides reset symmetrically (the restarted peer
                 // starts from scratch by construction).
                 self.peer_down[peer] = false;
+                self.same_host[peer] = None;
                 if let Some(rel) = self.reliable.as_mut() {
                     rel.reset_peer(peer);
                 }

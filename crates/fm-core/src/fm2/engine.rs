@@ -155,6 +155,11 @@ impl<D: NetDevice> Fm2Handle<D> {
         self.engine().charge_memcpy(bytes);
     }
 
+    /// See [`Fm2Engine::same_host_pid`].
+    pub fn same_host_pid(&self, peer: usize) -> Option<u32> {
+        self.engine().same_host_pid(peer)
+    }
+
     /// See [`Fm2Engine::send_from_handler`].
     pub fn send_from_handler(&self, dst: usize, handler: HandlerId, data: Vec<u8>) {
         self.engine().send_from_handler(dst, handler, data);
@@ -265,7 +270,8 @@ impl<D: NetDevice> Fm2Engine<D> {
 
     /// `FM_set_peer_handler`: register a callback for membership
     /// transitions reported by the device (peers going
-    /// up/suspect/down/rejoining — see [`PeerEventKind`]). The callback
+    /// up/suspect/down/rejoining, and same-host facts — see
+    /// [`PeerEventKind`]). The callback
     /// runs during `extract`/`progress`, *after* the engine has already
     /// applied the transition's protocol consequences (state reset on
     /// rejoin, retransmit abandonment on down), and outside any engine
@@ -283,6 +289,20 @@ impl<D: NetDevice> Fm2Engine<D> {
     /// `Rejoining` transition clears it.
     pub fn is_peer_down(&self, peer: usize) -> bool {
         self.inner.borrow().core.peer_down[peer]
+    }
+
+    /// The process id of `peer` if the device reported it on this host
+    /// ([`PeerEventKind::SameHost`]) and it has not gone `Down` or
+    /// `Rejoining` since; `None` on the simulator, on UDP, and for
+    /// cross-host peers.
+    pub fn same_host_pid(&self, peer: usize) -> Option<u32> {
+        self.inner
+            .borrow()
+            .core
+            .same_host
+            .get(peer)
+            .copied()
+            .flatten()
     }
 
     /// Whether *any* peer is currently declared down — an allocation-free

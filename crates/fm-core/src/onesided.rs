@@ -14,7 +14,7 @@
 //! * **one-sided primitives** — [`OsPort::put`] / [`OsPort::put_from`]
 //!   / [`OsPort::get`] address a *remote* region by handle + offset and
 //!   complete with an [`OsCompletion`] token;
-//! * **four wire ops**. PUT carries the region handle + offset + length
+//! * **four packet ops**. PUT carries the region handle + offset + length
 //!   and the bytes themselves: the target registered the region
 //!   beforehand, so there is nothing to ask. GET names a remote window
 //!   and a transfer credit the reply streams into as DATA; DATA is also
@@ -25,14 +25,24 @@
 //! * **one landing path**: PUT and DATA both arrive through a per-packet
 //!   *sink* handler that writes each packet's bytes straight into the
 //!   registered destination — one delivery copy, no staging, at every
-//!   size.
+//!   size;
+//! * **a same-host pull**: to a peer its engine knows runs on this host
+//!   ([`Fm2Engine::same_host_pid`]), a put or get longer than one chunk
+//!   moves no payload through FM at all. The side that owns the
+//!   destination reads the bytes out of the other's memory in one call
+//!   (`/proc/<pid>/mem`), and FM carries only the request (PULL, or GET with
+//!   an offer to pull) and its answer (FIN, or ADDR and RELEASE). A
+//!   peer that cannot be read declines once, and from then on that
+//!   peer's ops travel as packets.
 //!
 //! The protocol core ([`OsCore`] behind [`OsPort`]) is sans-IO: it
 //! consumes packets and emits control frames / send jobs without
-//! touching an engine; [`Onesided`] drives it over [`Fm2Engine`]: each
-//! chunk of a job is one gather message (op header ⧺ a slice of the
-//! source) that [`Fm2Engine::try_send_rest`] resumes until it is out, so
-//! the driver's only position is the number of whole chunks sent.
+//! touching an engine, and a packet that asks for a pull returns the
+//! read it wants; [`Onesided`] drives it over [`Fm2Engine`]: each chunk
+//! of a job is one gather message (op header ⧺ a slice of the source)
+//! that [`Fm2Engine::try_send_rest`] resumes until it is out, so the
+//! driver's only position is the number of whole chunks sent, and the
+//! sink makes each read at once, in FM order, and reports how it went.
 
 use std::cell::RefCell;
 use std::collections::{HashMap, HashSet, VecDeque};
@@ -41,6 +51,10 @@ use std::rc::Rc;
 use crate::device::NetDevice;
 use crate::fm2::{Fm2Engine, SendStream, SinkMeta};
 use crate::packet::HandlerId;
+
+mod peer_mem;
+
+use peer_mem::PeerMem;
 
 /// Handler id carrying one-sided control traffic (GET/FIN) and granted
 /// DATA segments. Installed as a per-packet sink.
@@ -57,6 +71,21 @@ const OP_PUT: u32 = 1;
 const OP_DATA: u32 = 4;
 const OP_FIN: u32 = 5;
 const OP_GET: u32 = 6;
+/// GET from an initiator that offers to read the window itself.
+const OP_GET_OFFER: u32 = OP_GET | 1 << 16;
+/// A put as its header alone, the source's address in `f`: the target
+/// reads the bytes (same-host pull).
+const OP_PULL: u32 = 7;
+/// The answer to an accepted GET offer: the window's address in `f`,
+/// pinned until the initiator's RELEASE.
+const OP_ADDR: u32 = 8;
+/// The initiator is done with an ADDR window; `b` = 1 asks for it as
+/// DATA instead (the initiator could not read it).
+const OP_RELEASE: u32 = 9;
+
+/// FIN status of a pull the target declined: never surfaced, the put
+/// goes again as packets.
+const DECLINED: u32 = u32::MAX;
 
 /// Tuning knobs for a one-sided port.
 #[derive(Debug, Clone, Copy)]
@@ -362,20 +391,23 @@ impl RegionTable {
     /// Copy `data` into the region at `offset`. Bounds must have been
     /// validated (the region is pinned, so it cannot have moved).
     fn write(&mut self, index: u32, offset: usize, data: &[u8]) {
-        match self.slots[index as usize].kind.as_mut() {
-            Some(RegionKind::Arena { offset: base, .. }) => {
-                let at = *base + offset;
-                self.arena[at..at + data.len()].copy_from_slice(data);
-            }
-            Some(RegionKind::Owned(v)) => {
-                v[offset..offset + data.len()].copy_from_slice(data);
-            }
-            None => debug_assert!(false, "write to freed region"),
-        }
+        self.slice_mut(index, offset, data.len())
+            .copy_from_slice(data);
     }
 
     fn read(&self, index: u32, offset: usize, out: &mut [u8]) {
         out.copy_from_slice(self.slice(index, offset, out.len()));
+    }
+
+    /// Mutably borrow `len` bytes of the region starting at `offset`.
+    fn slice_mut(&mut self, index: u32, offset: usize, len: usize) -> &mut [u8] {
+        match self.slots[index as usize].kind.as_mut() {
+            Some(RegionKind::Arena { offset: base, .. }) => {
+                &mut self.arena[*base + offset..*base + offset + len]
+            }
+            Some(RegionKind::Owned(v)) => &mut v[offset..offset + len],
+            None => panic!("slice of freed region"),
+        }
     }
 
     /// Borrow `len` bytes of the region starting at `offset`.
@@ -413,10 +445,55 @@ struct SendJob {
 }
 
 /// An outstanding initiator-side op. A put is completed by its target's
-/// FIN; a get locally, when the credit `reply` names has filled.
+/// FIN; a get locally, when the credit `reply` names has filled or the
+/// window it names has been read.
 struct OpState {
     dst: usize,
     reply: Option<GrantKey>,
+    /// A put that left as a pull request: its job, source and all, kept
+    /// until the FIN says the target has read it — or has declined, and
+    /// the job goes again as packets.
+    pulled: Option<SendJob>,
+}
+
+/// How a put longer than a chunk travels to a peer the engine knows
+/// runs on this host.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum PullPath {
+    /// No pull tried yet: the next one is the probe.
+    Untried,
+    /// The probe is out. Nothing more leaves for that peer until it is
+    /// answered, so a declined probe goes again as packets ahead of
+    /// everything issued after it, and puts still land in issue order.
+    Probing,
+    /// The peer has read a put: pull.
+    Open,
+    /// The peer, or this node, could not read: packets, for the port's
+    /// life.
+    Closed,
+}
+
+/// A read [`OsCore::on_packet`] asks its driver to make: `len` bytes of
+/// `peer`'s memory (process `pid`) at `addr`, into this node's region
+/// slot `slot` at `offset` — a window `check` has passed. The driver
+/// makes it before any other packet is handled and reports the outcome
+/// to [`OsCore::pulled`].
+struct Pull {
+    peer: usize,
+    pid: u32,
+    addr: u64,
+    slot: u32,
+    offset: usize,
+    len: usize,
+    of: Pulled,
+}
+
+/// What a pull's read completes.
+enum Pulled {
+    /// The target's side of a put: FIN the initiator.
+    Put { token: u32 },
+    /// The initiator's side of a get: complete it, release the window.
+    Get { token: u32, xfer: u32 },
 }
 
 /// Which id space a landing entry's id is from.
@@ -478,6 +555,16 @@ struct OsCore {
     protocol_drops: u64,
     next_token: u32,
     next_xfer: Vec<u32>,
+    /// Windows lent to get initiators that read them themselves, pinned
+    /// until RELEASE: (initiator, its xfer) → (slot, offset, len). The
+    /// wire names only the key; the slot is this node's own record.
+    lent: HashMap<(usize, u32), (u32, usize, usize)>,
+    /// Per peer: how puts longer than a chunk travel there.
+    pull_path: Vec<PullPath>,
+    /// Bytes this node read out of peers' memory.
+    pulled_bytes: u64,
+    /// This node's ops whose pull was declined and went as packets.
+    pull_declines: u64,
 }
 
 impl OsCore {
@@ -496,6 +583,10 @@ impl OsCore {
             protocol_drops: 0,
             next_token: 0,
             next_xfer: vec![0; num_nodes.max(1)],
+            lent: HashMap::new(),
+            pull_path: vec![PullPath::Untried; num_nodes],
+            pulled_bytes: 0,
+            pull_declines: 0,
         }
     }
 
@@ -529,16 +620,37 @@ impl OsCore {
         });
     }
 
-    /// Queue FIN(token, status) toward `dst`.
-    fn fin(&mut self, dst: usize, token: u32, status: OsStatus) {
+    /// Queue FIN(token, status) toward `dst`; `status` is an
+    /// [`OsStatus`] on the wire, or [`DECLINED`].
+    fn fin(&mut self, dst: usize, token: u32, status: u32) {
         self.outbox.push_back((
             dst,
             OpHeader {
                 a: token,
-                b: status.to_wire(),
+                b: status,
                 ..OpHeader::zero(OP_FIN)
             },
         ));
+    }
+
+    /// Queue RELEASE of the window `dst` lent for our credit `xfer`, as
+    /// DATA into it if `stream`.
+    fn release(&mut self, dst: usize, xfer: u32, stream: bool) {
+        self.outbox.push_back((
+            dst,
+            OpHeader {
+                a: xfer,
+                b: stream as u32,
+                ..OpHeader::zero(OP_RELEASE)
+            },
+        ));
+    }
+
+    /// A pull of ours toward or from `peer` was declined: its ops travel
+    /// as packets from now on.
+    fn close_pull(&mut self, peer: usize) {
+        self.pull_path[peer] = PullPath::Closed;
+        self.pull_declines += 1;
     }
 
     fn finish_job_src(&mut self, src: &JobSrc) {
@@ -604,7 +716,12 @@ impl OsCore {
             self.complete(token, OsStatus::Ok);
             return OsToken(token);
         }
-        self.ops.insert(token, OpState { dst, reply: None });
+        let op = OpState {
+            dst,
+            reply: None,
+            pulled: None,
+        };
+        self.ops.insert(token, op);
         self.jobs.push_back(SendJob {
             dst,
             handler: OS_EAGER_HANDLER,
@@ -667,7 +784,12 @@ impl OsCore {
         let origin = GrantOrigin::GetLocal { token };
         let xfer = self.open_xfer(dst, local_h, local_off, len, origin)?;
         let reply = Some((dst, Lane::Xfer, xfer));
-        self.ops.insert(token, OpState { dst, reply });
+        let op = OpState {
+            dst,
+            reply,
+            pulled: None,
+        };
+        self.ops.insert(token, op);
         self.outbox.push_back((
             dst,
             OpHeader {
@@ -683,42 +805,238 @@ impl OsCore {
         Ok(OsToken(token))
     }
 
+    // -- same-host pulls (driver side) --------------------------------
+
+    /// Take the next control frame to send. A GET longer than a chunk to
+    /// a peer `same_host` says shares this host offers to read the
+    /// window itself, unless that peer is packet-only.
+    fn next_control(&mut self, same_host: impl FnOnce(usize) -> bool) -> Option<(usize, OpHeader)> {
+        let (dst, mut hdr) = self.outbox.pop_front()?;
+        let long_get = hdr.op == OP_GET && hdr.e > self.cfg.chunk_bytes as u64;
+        if long_get && self.pull_path[dst] != PullPath::Closed && same_host(dst) {
+            hdr.op = OP_GET_OFFER;
+        }
+        Some((dst, hdr))
+    }
+
+    /// Take the next job to stream, and whether it leaves as a pull
+    /// request: a put longer than a chunk to a peer `same_host` says
+    /// shares this host, unless that peer is packet-only. `None` when
+    /// the queue is empty or its head waits on its peer's probe.
+    fn next_job(&mut self, same_host: impl FnOnce(usize) -> bool) -> Option<(SendJob, bool)> {
+        let job = self.jobs.front()?;
+        let dst = job.dst;
+        let long_put = job.handler == OS_EAGER_HANDLER && job.len > self.cfg.chunk_bytes;
+        let pull = match self.pull_path[dst] {
+            PullPath::Probing => return None,
+            PullPath::Closed => false,
+            path => {
+                let pull = long_put && same_host(dst);
+                if pull && path == PullPath::Untried {
+                    self.pull_path[dst] = PullPath::Probing;
+                }
+                pull
+            }
+        };
+        let job = self.jobs.pop_front().expect("front was checked");
+        Some((job, pull))
+    }
+
+    /// The header a pulled put leaves as: its own, naming where its
+    /// source is for the target to read.
+    fn pull_request(&self, job: &SendJob) -> OpHeader {
+        let src = match &job.src {
+            JobSrc::Owned(v) => v.as_ptr(),
+            JobSrc::Region { index, offset } => {
+                self.regions.slice(*index, *offset, job.len).as_ptr()
+            }
+        };
+        let put = OpHeader::decode(&job.hdr).expect("a job's header is whole");
+        OpHeader {
+            op: OP_PULL,
+            f: src as u64,
+            ..put
+        }
+    }
+
+    /// A pull request is on the wire: its job, which owns or pins the
+    /// source, waits in the op for the FIN.
+    fn await_fin(&mut self, job: SendJob) {
+        let token = OpHeader::decode(&job.hdr)
+            .expect("a job's header is whole")
+            .a;
+        match self.ops.get_mut(&token) {
+            Some(op) => op.pulled = Some(job),
+            None => self.finish_job_src(&job.src),
+        }
+    }
+
+    /// The driver made `pull`'s read; `ok` if every byte came.
+    fn pulled(&mut self, pull: Pull, ok: bool) {
+        let peer = pull.peer;
+        if ok {
+            self.pulled_bytes += pull.len as u64;
+            self.pending_copy_bytes += pull.len as u64;
+        }
+        match pull.of {
+            Pulled::Put { token } => {
+                let status = if ok { OsStatus::Ok.to_wire() } else { DECLINED };
+                self.fin(peer, token, status);
+            }
+            Pulled::Get { token, xfer } => {
+                if ok {
+                    self.drop_grant((peer, Lane::Xfer, xfer));
+                    self.ops.remove(&token);
+                    self.complete(token, OsStatus::Ok);
+                } else {
+                    self.close_pull(peer);
+                }
+                self.release(peer, xfer, !ok);
+            }
+        }
+    }
+
     // -- packet ingestion (sink handler) -----------------------------
 
-    fn on_packet(&mut self, src: usize, meta: SinkMeta, payload: &[u8]) {
+    /// Take one packet from `src`. `same_host` answers whether the
+    /// engine knows `src` runs on this host, and as which pid; it is
+    /// asked only by a packet that wants to read or be read, and a read
+    /// it allows comes back for the driver to make.
+    fn on_packet(
+        &mut self,
+        src: usize,
+        meta: SinkMeta,
+        payload: &[u8],
+        same_host: impl FnOnce() -> Option<u32>,
+    ) -> Option<Pull> {
         if !meta.first {
             let rxk = (src, meta.msg_seq);
             let Some(&key) = self.rx.get(&rxk) else {
                 self.protocol_drops += 1;
-                return;
+                return None;
             };
             self.write_grant(key, payload);
             if meta.last {
                 self.rx.remove(&rxk);
             }
-            return;
+            return None;
         }
         let Some(hdr) = OpHeader::decode(payload) else {
             self.protocol_drops += 1;
-            return;
+            return None;
         };
         let body = &payload[OP_HDR_BYTES..];
         let key = match hdr.op {
-            OP_FIN => return self.on_fin(hdr),
-            OP_GET => return self.on_get(src, hdr),
+            OP_FIN => {
+                self.on_fin(hdr);
+                return None;
+            }
+            OP_GET | OP_GET_OFFER => {
+                self.on_get(src, hdr, same_host);
+                return None;
+            }
+            OP_PULL => return self.on_pull(src, hdr, same_host),
+            OP_ADDR => return self.on_addr(src, hdr, same_host),
+            OP_RELEASE => {
+                self.on_release(src, hdr);
+                return None;
+            }
             OP_DATA => (src, Lane::Xfer, hdr.a),
-            OP_PUT => match self.on_put(src, hdr, body) {
-                Some(key) => key,
-                None => return,
-            },
+            OP_PUT => self.on_put(src, hdr, body)?,
             _ => {
                 self.protocol_drops += 1;
-                return;
+                return None;
             }
         };
         self.write_grant(key, body);
         if !meta.last {
             self.rx.insert((src, meta.msg_seq), key);
+        }
+        None
+    }
+
+    /// A pulled put's request. A window that fails `check` is refused
+    /// as a put's would be; one that passes is read — if `src` is known
+    /// to share this host — or declined, and the put comes again as
+    /// packets. Either way the put ends in one FIN.
+    fn on_pull(
+        &mut self,
+        src: usize,
+        hdr: OpHeader,
+        same_host: impl FnOnce() -> Option<u32>,
+    ) -> Option<Pull> {
+        let status = self.regions.check(hdr.b, hdr.c, hdr.d, hdr.e);
+        if status != OsStatus::Ok {
+            self.fin(src, hdr.a, status.to_wire());
+            return None;
+        }
+        let Some(pid) = same_host() else {
+            self.fin(src, hdr.a, DECLINED);
+            return None;
+        };
+        Some(Pull {
+            peer: src,
+            pid,
+            addr: hdr.f,
+            slot: hdr.b,
+            offset: hdr.d as usize,
+            len: hdr.e as usize,
+            of: Pulled::Put { token: hdr.a },
+        })
+    }
+
+    /// The target lent the window of our get `hdr.a`: read it into the
+    /// credit if the target is known to share this host, else hand the
+    /// window back to come as DATA.
+    fn on_addr(
+        &mut self,
+        src: usize,
+        hdr: OpHeader,
+        same_host: impl FnOnce() -> Option<u32>,
+    ) -> Option<Pull> {
+        let (token, xfer) = (hdr.a, hdr.b);
+        let window = self.grants.get(&(src, Lane::Xfer, xfer)).filter(|g| {
+            let ours = matches!(g.origin, GrantOrigin::GetLocal { token: t } if t == token);
+            ours && g.cursor == 0 && g.len as u64 == hdr.e
+        });
+        let Some((slot, offset)) = window.and_then(|g| g.window) else {
+            self.protocol_drops += 1;
+            self.release(src, xfer, false);
+            return None;
+        };
+        let Some(pid) = same_host() else {
+            self.close_pull(src);
+            self.release(src, xfer, true);
+            return None;
+        };
+        Some(Pull {
+            peer: src,
+            pid,
+            addr: hdr.f,
+            slot,
+            offset,
+            len: hdr.e as usize,
+            of: Pulled::Get { token, xfer },
+        })
+    }
+
+    /// The initiator is done with the window lent for its credit
+    /// `hdr.a`: unpin it, or stream it as DATA if asked. Only a window
+    /// this node lent to `src` is touched.
+    fn on_release(&mut self, src: usize, hdr: OpHeader) {
+        let Some((slot, offset, len)) = self.lent.remove(&(src, hdr.a)) else {
+            self.protocol_drops += 1;
+            return;
+        };
+        if hdr.b == 1 {
+            // The pin goes with the job: finishing it unpins.
+            let from = JobSrc::Region {
+                index: slot,
+                offset,
+            };
+            self.send_data(src, hdr.a, from, len);
+        } else {
+            self.regions.unpin(slot);
         }
     }
 
@@ -734,7 +1052,7 @@ impl OsCore {
                 self.regions.write(hdr.b, hdr.d as usize, body);
                 self.pending_copy_bytes += body.len() as u64;
             }
-            self.fin(src, hdr.a, status);
+            self.fin(src, hdr.a, status.to_wire());
             return None;
         }
         let key = (src, Lane::Put, hdr.a);
@@ -763,29 +1081,63 @@ impl OsCore {
 
     fn on_fin(&mut self, hdr: OpHeader) {
         let token = hdr.a;
-        let status = OsStatus::from_wire(hdr.b);
-        let Some(op) = self.ops.remove(&token) else {
+        let Some(mut op) = self.ops.remove(&token) else {
             return; // duplicate / stale FIN
         };
+        if let Some(job) = op.pulled.take() {
+            let dst = op.dst;
+            if hdr.b == DECLINED {
+                // Again, as packets, ahead of everything still queued.
+                self.close_pull(dst);
+                self.jobs.push_front(job);
+                self.ops.insert(token, op);
+                return;
+            }
+            if self.pull_path[dst] == PullPath::Probing {
+                // A refused probe read nothing: the next pull probes.
+                self.pull_path[dst] = match hdr.b == OsStatus::Ok.to_wire() {
+                    true => PullPath::Open,
+                    false => PullPath::Untried,
+                };
+            }
+            self.finish_job_src(&job.src);
+        }
         if let Some(credit) = op.reply {
             // Gets only receive FINs on error: tear the credit down.
             self.drop_grant(credit);
         }
-        self.complete(token, status);
+        self.complete(token, OsStatus::from_wire(hdr.b));
     }
 
-    fn on_get(&mut self, src: usize, hdr: OpHeader) {
+    fn on_get(&mut self, src: usize, hdr: OpHeader, same_host: impl FnOnce() -> Option<u32>) {
         let status = self.regions.check(hdr.b, hdr.c, hdr.d, hdr.e);
         if status != OsStatus::Ok {
-            self.fin(src, hdr.a, status);
+            self.fin(src, hdr.a, status.to_wire());
             return;
         }
         self.regions.pin(hdr.b);
+        let (xfer, offset, len) = (hdr.f as u32, hdr.d as usize, hdr.e as usize);
+        // An offer is taken from a peer known to share this host: it
+        // gets the window's address, not its bytes.
+        let key = (src, xfer);
+        if hdr.op == OP_GET_OFFER && !self.lent.contains_key(&key) && same_host().is_some() {
+            let addr = self.regions.slice(hdr.b, offset, len).as_ptr() as u64;
+            self.lent.insert(key, (hdr.b, offset, len));
+            let answer = OpHeader {
+                a: hdr.a,
+                b: xfer,
+                e: hdr.e,
+                f: addr,
+                ..OpHeader::zero(OP_ADDR)
+            };
+            self.outbox.push_back((src, answer));
+            return;
+        }
         let from = JobSrc::Region {
             index: hdr.b,
-            offset: hdr.d as usize,
+            offset,
         };
-        self.send_data(src, hdr.f as u32, from, hdr.e as usize);
+        self.send_data(src, xfer, from, len);
     }
 
     /// Close a landing entry — filled or abandoned — releasing its pin.
@@ -815,7 +1167,7 @@ impl OsCore {
         if done {
             self.drop_grant(key);
             match origin {
-                GrantOrigin::PutFin { token, status } => self.fin(key.0, token, status),
+                GrantOrigin::PutFin { token, status } => self.fin(key.0, token, status.to_wire()),
                 GrantOrigin::GetLocal { token } => {
                     self.ops.remove(&token);
                     self.complete(token, OsStatus::Ok);
@@ -844,11 +1196,27 @@ impl OsCore {
             if let Some(credit) = op.reply {
                 self.drop_grant(credit);
             }
+            if let Some(job) = op.pulled {
+                self.finish_job_src(&job.src);
+            }
             self.complete(t, OsStatus::PeerDown);
         }
         let gone: Vec<GrantKey> = self.grants.keys().filter(|k| dead(k.0)).copied().collect();
         for key in gone {
             self.drop_grant(key);
+        }
+        let regions = &mut self.regions;
+        self.lent.retain(|&(p, _), &mut (slot, ..)| {
+            if dead(p) {
+                regions.unpin(slot);
+            }
+            !dead(p)
+        });
+        // A probe that will never be answered holds nothing back.
+        for &p in downed {
+            if self.pull_path[p] == PullPath::Probing {
+                self.pull_path[p] = PullPath::Untried;
+            }
         }
         self.rx.retain(|(p, _), _| !dead(*p));
         self.outbox.retain(|(d, _)| !dead(*d));
@@ -953,8 +1321,8 @@ impl OsPort {
 
     /// Zero-copy `FM_put`: source the payload from a *local* registered
     /// region instead of copying it. The source region is pinned until
-    /// the transfer leaves the node; steady-state this path allocates
-    /// nothing.
+    /// the transfer leaves the node — or, when a same-host target reads
+    /// it, until its FIN; steady-state this path allocates nothing.
     pub fn put_from(
         &self,
         dst: usize,
@@ -1037,6 +1405,20 @@ impl OsPort {
     pub fn protocol_drops(&self) -> u64 {
         self.core.borrow().protocol_drops
     }
+
+    /// Bytes this port read straight out of same-host peers' memory:
+    /// the puts it was the target of and the gets it issued, where they
+    /// took the pull path (module docs).
+    pub fn pulled_bytes(&self) -> u64 {
+        self.core.borrow().pulled_bytes
+    }
+
+    /// Ops of this port whose pull was declined — the peer could not be
+    /// read — and that went again as packets. After the first, that
+    /// peer's ops travel as packets for the port's life.
+    pub fn pull_declines(&self) -> u64 {
+        self.core.borrow().pull_declines
+    }
 }
 
 // ----------------------------------------------------------------------
@@ -1046,9 +1428,11 @@ impl OsPort {
 /// The job being streamed: one FM message per chunk, every chunk under
 /// the job's op header. An open message is resumed with
 /// [`Fm2Engine::try_send_rest`]; `job.cursor` counts only whole chunks.
+/// A pulled put is one header-only message instead.
 struct ActiveSend {
     job: SendJob,
     open: Option<SendStream>,
+    pull: bool,
 }
 
 /// One-sided port over an [`Fm2Engine`]: put and DATA chunks are
@@ -1080,7 +1464,10 @@ impl<D: NetDevice> Onesided<D> {
     /// Panics if the engine already carries a one-sided port: a second
     /// one would take over handler ids 140 and 141 and with them every
     /// packet addressed to the first.
-    pub fn new(fm: &Fm2Engine<D>, cfg: OnesidedConfig) -> Self {
+    pub fn new(fm: &Fm2Engine<D>, cfg: OnesidedConfig) -> Self
+    where
+        D: 'static,
+    {
         for id in [ONESIDED_HANDLER, OS_EAGER_HANDLER] {
             assert!(
                 !fm.has_handler(id),
@@ -1093,10 +1480,19 @@ impl<D: NetDevice> Onesided<D> {
             );
         }
         let core = Rc::new(RefCell::new(OsCore::new(fm.num_nodes(), cfg)));
+        let mem = Rc::new(RefCell::new(PeerMem::default()));
         for id in [ONESIDED_HANDLER, OS_EAGER_HANDLER] {
-            let c = Rc::clone(&core);
+            let (c, mem, engine) = (Rc::clone(&core), Rc::clone(&mem), fm.handle());
             fm.set_sink_handler(id, move |src, meta, payload| {
-                c.borrow_mut().on_packet(src, meta, payload);
+                let mut core = c.borrow_mut();
+                let same_host = || engine.same_host_pid(src);
+                // A pull is made here, before the next packet: it lands
+                // exactly where its chunks would have.
+                if let Some(pull) = core.on_packet(src, meta, payload, same_host) {
+                    let into = core.regions.slice_mut(pull.slot, pull.offset, pull.len);
+                    let ok = mem.borrow_mut().read(pull.peer, pull.pid, pull.addr, into);
+                    core.pulled(pull, ok);
+                }
             });
         }
         Onesided {
@@ -1135,9 +1531,11 @@ impl<D: NetDevice> Onesided<D> {
             }
             self.port.core.borrow_mut().abort_peers(&downed);
         }
+        let fm = self.fm.clone();
+        let same_host = |dst| fm.same_host_pid(dst).is_some();
         let mut blocked = false;
         loop {
-            let next = self.port.core.borrow_mut().outbox.pop_front();
+            let next = self.port.core.borrow_mut().next_control(same_host);
             let Some((dst, hdr)) = next else { break };
             if self
                 .fm
@@ -1151,14 +1549,22 @@ impl<D: NetDevice> Onesided<D> {
         }
         while !blocked {
             if self.active.is_none() {
-                let Some(job) = self.port.core.borrow_mut().jobs.pop_front() else {
+                let Some((job, pull)) = self.port.core.borrow_mut().next_job(same_host) else {
                     break;
                 };
-                self.active = Some(ActiveSend { job, open: None });
+                self.active = Some(ActiveSend {
+                    job,
+                    open: None,
+                    pull,
+                });
             }
             if self.pump_active() {
                 let act = self.active.take().expect("pump_active had an active job");
-                self.port.core.borrow_mut().finish_job_src(&act.job.src);
+                let mut core = self.port.core.borrow_mut();
+                match act.pull {
+                    true => core.await_fin(act.job),
+                    false => core.finish_job_src(&act.job.src),
+                }
             } else {
                 blocked = true;
             }
@@ -1173,6 +1579,12 @@ impl<D: NetDevice> Onesided<D> {
         let act = self.active.as_mut().expect("caller checked");
         let fm = &self.fm;
         let core = self.port.core.borrow();
+        if act.pull {
+            let request = core.pull_request(&act.job).encode();
+            return fm
+                .try_send_message(act.job.dst, act.job.handler, &[&request])
+                .is_ok();
+        }
         let chunk_max = core.cfg.chunk_bytes.max(1);
         while act.job.cursor < act.job.len {
             let at = act.job.cursor;

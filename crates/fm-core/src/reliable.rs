@@ -294,8 +294,13 @@ struct PeerRecv {
     /// packet was accepted or held since the last one, or a duplicate
     /// asked for a repeat (the peer is, or soon will be, retransmitting).
     ack_due: bool,
-    /// Packets that arrived ahead of `expected`, at `pkt_seq % window`.
+    /// Packets that arrived ahead of `expected`, each `ahead` of it at
+    /// slot `(head + ahead) % window`. Keyed by distance, not by
+    /// `pkt_seq % window`: across the `u32` wrap two live sequence
+    /// numbers can never share a slot, whatever the window.
     held: Box<[Option<FmPacket>]>,
+    /// The slot of `expected`; it moves on with `expected`.
+    head: usize,
     /// Occupied `held` slots: zero on the loss-free path, which then
     /// never touches the table.
     holding: u32,
@@ -311,13 +316,25 @@ impl PeerRecv {
             acked: 0,
             ack_due: false,
             held: (0..cfg.window).map(|_| None).collect(),
+            head: 0,
             holding: 0,
             sack: 0,
         }
     }
 
-    fn slot(&self, pkt_seq: u32) -> usize {
-        pkt_seq as usize % self.held.len()
+    /// The slot of the packet `ahead` of `expected`.
+    fn slot(&self, ahead: u32) -> usize {
+        (self.head + ahead as usize) % self.held.len()
+    }
+
+    /// `expected` was accepted: the next one is expected, in the next
+    /// slot.
+    fn advance(&mut self) {
+        self.expected = self.expected.wrapping_add(1);
+        self.head += 1;
+        if self.head == self.held.len() {
+            self.head = 0;
+        }
     }
 
     /// Let go of every held frame (the peer is gone or starting over).
@@ -527,15 +544,15 @@ impl ReliableState {
         // changed, or a peer that is retransmitting and needs telling.
         pr.ack_due = true;
         if pkt_seq == pr.expected {
-            pr.expected = pr.expected.wrapping_add(1);
+            pr.advance();
             pr.sack >>= 1;
-            if pr.holding > 0 && pr.held[pr.slot(pr.expected)].is_some() {
+            if pr.holding > 0 && pr.held[pr.head].is_some() {
                 self.releasing = Some(src);
             }
             return RecvDecision::Accept;
         }
         let ahead = pkt_seq.wrapping_sub(pr.expected);
-        let slot = pr.slot(pkt_seq);
+        let slot = pr.slot(ahead);
         // Inside the window a slot names one sequence number, so an
         // occupied slot is this very packet, already held.
         if seq_lt(pkt_seq, pr.expected)
@@ -559,7 +576,7 @@ impl ReliableState {
     #[inline]
     pub(crate) fn take_released(&mut self) -> Option<FmPacket> {
         let pr = &mut self.recv[self.releasing?];
-        let pkt = pr.held[pr.slot(pr.expected)].take();
+        let pkt = pr.held[pr.head].take();
         debug_assert!(pkt.as_ref().is_none_or(|p| p.header.pkt_seq == pr.expected));
         match pkt {
             Some(_) => pr.holding -= 1,
@@ -1107,6 +1124,32 @@ mod prop_tests {
         for case in 0..env_cases(64) {
             let mut rng = DetRng::seed_from_u64(0xADA_0000_u64 ^ case as u64);
             let mut w = World::with_window(2, start_seq(&mut rng, case), case);
+            for _ in 0..rng.range_usize(20, 200) {
+                w.random_step(&mut rng);
+            }
+            w.drain();
+        }
+    }
+
+    #[test]
+    fn prop_a_window_that_does_not_divide_the_sequence_space_holds_across_the_wrap() {
+        // Windows of 3, 5 and 7 do not divide 2³². Were the hold table
+        // keyed by `pkt_seq % window`, `u32::MAX` and 0 would share a
+        // slot at window 3: with 0 held, `u32::MAX` would be dropped as
+        // a duplicate, and accepting `u32::MAX - 1` would release 0 in
+        // its place. Each case plays that script first, then goes on
+        // through the hostile channel from there.
+        for case in 0..env_cases(64) {
+            let mut rng = DetRng::seed_from_u64(0x3_0000_u64 ^ case as u64);
+            let window = [3, 5, 7][case % 3];
+            let mut w = World::with_window(window, u32::MAX - 1, case);
+            for _ in 0..3 {
+                w.try_send(); // u32::MAX - 1, u32::MAX, 0
+            }
+            w.deliver(2); // 0: held
+            w.deliver(1); // u32::MAX: held beside it
+            w.deliver(0); // u32::MAX - 1: accepted, and both follow
+            assert_eq!(w.model_expected, 1, "case {case}");
             for _ in 0..rng.range_usize(20, 200) {
                 w.random_step(&mut rng);
             }

@@ -2,7 +2,7 @@
 //!
 //! The region table is the safety core of `fm_core::onesided`: every
 //! remote byte lands through it, so a bounds or aliasing mistake is
-//! silent remote memory corruption. Five seeded batteries pin its
+//! silent remote memory corruption. Seeded batteries pin its
 //! contract (case count follows `PROPTEST_CASES`, see
 //! `fm_model::rng::env_cases`):
 //!
@@ -20,13 +20,29 @@
 //!    arrive in the order the puts were issued;
 //! 5. a refused multi-chunk put — whose bytes all still arrive — writes
 //!    nothing, trips no protocol drop, and holds no pin afterwards.
+//!
+//! The same-host pull path (a put or get longer than a chunk, read out
+//! of the peer's memory) runs between two engines of this process whose
+//! devices report each other on this host, so every read is of this
+//! process's own memory:
+//!
+//! 6. a refused pulled put reads nothing, touches nothing, and ends in
+//!    exactly one FIN with the refusal's status;
+//! 7. a window lent to a pulled get is pinned — `deregister` says
+//!    `RegionBusy` — until the initiator's RELEASE, or until the
+//!    initiator goes down;
+//! 8. a peer that cannot be read (its fact names a pid no process can
+//!    have) costs one declined pull, and every put and get still lands
+//!    bit-exact, over packets.
 
 use std::cell::{Cell, RefCell};
+use std::collections::{HashMap, VecDeque};
 use std::rc::Rc;
 
+use fm_core::device::{DeviceFull, LoopbackDevice, LoopbackPair};
 use fm_core::{
-    Fm2Engine, FmPacket, Onesided, OnesidedConfig, OsError, OsPort, OsStatus, OsToken,
-    RegionHandle, SimDevice,
+    Fm2Engine, FmPacket, NetDevice, Onesided, OnesidedConfig, OsError, OsPort, OsStatus, OsToken,
+    PeerEvent, PeerEventKind, RegionHandle, SimDevice,
 };
 use fm_model::rng::{env_cases, DetRng};
 use fm_model::{MachineProfile, Nanos};
@@ -226,10 +242,10 @@ impl Cluster {
     }
 }
 
-/// What node 0's puts aim at on node 1 in the refusal batteries: a live
-/// window over the first half of the arena and a deregistered one over
-/// the second — so OutOfBounds, Deregistered and BadHandle each have
-/// something concrete to be refused by.
+/// What node 0's puts aim at on node 1 (whose port is `port`) in the
+/// refusal batteries: a live window over the first half of the arena
+/// and a deregistered one over the second — so OutOfBounds, Deregistered
+/// and BadHandle each have something concrete to be refused by.
 struct Target {
     port: OsPort,
     live: RegionHandle,
@@ -238,8 +254,7 @@ struct Target {
 }
 
 impl Target {
-    fn new(cluster: &Cluster, arena: usize) -> Self {
-        let port = cluster.port(1);
+    fn new(port: OsPort, arena: usize) -> Self {
         let live = port.register(0, arena / 2).expect("target window");
         let dead = port.register(arena / 2, arena / 2).expect("doomed window");
         port.deregister(dead).expect("retire doomed window");
@@ -305,7 +320,7 @@ fn prop_refused_puts_report_errors_and_touch_nothing() {
         // A small chunk so random sizes run from one packet to several
         // chunks without megabytes of traffic.
         let cluster = Cluster::new(2, ARENA, 128);
-        let target = Target::new(&cluster, ARENA);
+        let target = Target::new(cluster.port(1), ARENA);
 
         // Plan the initiator's puts: successful ones land in disjoint
         // 512-byte slots; refused ones probe each failure mode.
@@ -390,7 +405,7 @@ fn prop_refused_multi_chunk_put_touches_nothing_and_releases_its_pin() {
     for case in 0..cases {
         let mut rng = DetRng::seed_from_u64(0x0DD5_CA4D ^ ((case as u64) << 4));
         let cluster = Cluster::new(2, ARENA, CHUNK);
-        let target = Target::new(&cluster, ARENA);
+        let target = Target::new(cluster.port(1), ARENA);
         // The window is not zero to begin with: a refused byte that
         // landed anywhere would show.
         let image: Vec<u8> = (0..target.live_len).map(|i| (i % 199) as u8 + 1).collect();
@@ -516,4 +531,345 @@ fn prop_pinned_region_cannot_be_deregistered() {
         busy_seen.get() > 0,
         "battery never observed RegionBusy mid-transfer"
     );
+}
+
+// ----------------------------------------------------------------------
+// The same-host pull path
+// ----------------------------------------------------------------------
+
+/// A loopback endpoint whose device reports the events the test queues
+/// — a same-host fact first of all, as `fm-shm` reports its peers.
+struct Facts {
+    dev: LoopbackDevice,
+    events: VecDeque<PeerEvent>,
+}
+
+impl NetDevice for Facts {
+    fn node_id(&self) -> usize {
+        self.dev.node_id()
+    }
+    fn num_nodes(&self) -> usize {
+        self.dev.num_nodes()
+    }
+    fn try_send(&mut self, pkt: FmPacket) -> Result<(), DeviceFull> {
+        self.dev.try_send(pkt)
+    }
+    fn try_recv(&mut self) -> Option<FmPacket> {
+        self.dev.try_recv()
+    }
+    fn send_space(&self) -> usize {
+        self.dev.send_space()
+    }
+    fn now(&self) -> Nanos {
+        self.dev.now()
+    }
+    fn charge(&mut self, cost: Nanos) {
+        self.dev.charge(cost)
+    }
+    fn poll_event(&mut self) -> Option<PeerEvent> {
+        self.events.pop_front()
+    }
+}
+
+fn event(peer: usize, kind: PeerEventKind) -> PeerEvent {
+    PeerEvent {
+        peer,
+        kind,
+        epoch: 0,
+    }
+}
+
+/// Two engines of this process, each told the other runs as `pid`.
+/// Packets move only when the test says so.
+struct PullPair {
+    fm: [Fm2Engine<Facts>; 2],
+    os: [Onesided<Facts>; 2],
+}
+
+impl PullPair {
+    fn new(pid: u32, arena_bytes: usize, chunk_bytes: usize) -> Self {
+        let (a, b) = LoopbackPair::new(1024);
+        let fm = [a, b].map(|dev| {
+            let fact = event(1 - dev.node_id(), PeerEventKind::SameHost { pid });
+            let dev = Facts {
+                dev,
+                events: VecDeque::from([fact]),
+            };
+            Fm2Engine::new(dev, MachineProfile::ppro200_fm2())
+        });
+        let cfg = OnesidedConfig {
+            arena_bytes,
+            chunk_bytes,
+        };
+        let os = [0, 1].map(|node| Onesided::new(&fm[node], cfg));
+        PullPair { fm, os }
+    }
+
+    fn port(&self, node: usize) -> OsPort {
+        self.os[node].port()
+    }
+
+    /// Move every queued packet across, both ways.
+    fn deliver(&self) {
+        let [a, b] = &self.fm;
+        a.with_device(|x| b.with_device(|y| LoopbackPair::deliver(&mut x.dev, &mut y.dev)));
+    }
+
+    /// `node` takes what has arrived and puts what it queued on the wire.
+    fn turn(&mut self, node: usize) {
+        self.fm[node].extract_all();
+        self.os[node].progress();
+    }
+
+    /// Pump both nodes until node 0 has seen a completion for every one
+    /// of `tokens` and has nothing outstanding, then a while longer, so
+    /// a second completion for any op would show. Returns what each
+    /// token completed with.
+    fn complete(&mut self, tokens: &[OsToken]) -> HashMap<OsToken, Vec<OsStatus>> {
+        let mut seen: HashMap<OsToken, Vec<OsStatus>> = HashMap::new();
+        let mut settle = None;
+        for round in 0..10_000 {
+            self.turn(0);
+            self.turn(1);
+            self.deliver();
+            while let Some(c) = self.os[0].poll_completion() {
+                seen.entry(c.token).or_default().push(c.status);
+            }
+            let done = tokens.iter().all(|t| seen.contains_key(t)) && self.os[0].pending_ops() == 0;
+            match settle {
+                None if done => settle = Some(round + 8),
+                Some(end) if round == end => return seen,
+                _ => {}
+            }
+        }
+        panic!("pull pair: ops never completed");
+    }
+}
+
+#[test]
+fn prop_refused_pulled_put_touches_nothing_and_ends_in_one_fin() {
+    const ARENA: usize = 64 * 1024;
+    const CHUNK: usize = 1024;
+    for case in 0..env_cases(32) {
+        let mut rng = DetRng::seed_from_u64(0x9011_ED00 ^ ((case as u64) << 4));
+        let mut pair = PullPair::new(std::process::id(), ARENA, CHUNK);
+        let target = Target::new(pair.port(1), ARENA);
+        let image: Vec<u8> = (0..target.live_len).map(|i| (i % 197) as u8 + 1).collect();
+        target
+            .port
+            .write_local(target.live, 0, &image)
+            .expect("prefill");
+
+        // Refused pulls, each followed by an accepted one that rewrites
+        // part of the prefill with itself: a refusal that read anything,
+        // or left a pin or a landing entry behind, shows in the image,
+        // the FIN count or the deregistration below.
+        let mut plan = Vec::new();
+        let mut accepted_bytes = 0;
+        for i in 0..rng.range_usize(3, 9) {
+            let len = rng.range_usize(CHUNK + 1, 8 * CHUNK);
+            plan.push(target.refused(&mut rng, i, vec![0xEE; len]));
+            let len = rng.range_usize(CHUNK + 1, 4 * CHUNK);
+            let at = rng.range_usize(0, target.live_len - len);
+            plan.push(target.accepted(at, image[at..at + len].to_vec()));
+            accepted_bytes += len as u64;
+        }
+        let initiator = pair.port(0);
+        let issued: Vec<(OsToken, OsStatus)> = plan
+            .iter()
+            .map(|p| (initiator.put(p.dst, p.h, p.offset, &p.data), p.expect))
+            .collect();
+        let tokens: Vec<OsToken> = issued.iter().map(|&(t, _)| t).collect();
+        let seen = pair.complete(&tokens);
+
+        for (t, want) in &issued {
+            assert_eq!(
+                seen[t],
+                vec![*want],
+                "case {case}: one FIN, with its status"
+            );
+        }
+        assert_eq!(target.live_bytes(), image, "case {case}: a refusal wrote");
+        assert_eq!(
+            target.port.pulled_bytes(),
+            accepted_bytes,
+            "case {case}: the accepted puts, and only they, were read"
+        );
+        assert_eq!(initiator.pull_declines(), 0, "case {case}");
+        assert_eq!(target.port.protocol_drops(), 0, "case {case}");
+        let released = target.port.deregister(target.live);
+        assert_eq!(released, Ok(()), "case {case}: a refusal kept its pin");
+    }
+}
+
+#[test]
+fn prop_a_window_lent_to_a_pulled_get_is_pinned_until_release_or_down() {
+    const ARENA: usize = 64 * 1024;
+    const CHUNK: usize = 1024;
+    for case in 0..env_cases(32) {
+        let mut rng = DetRng::seed_from_u64(0x1E47_0000 ^ ((case as u64) << 4));
+        let mut pair = PullPair::new(std::process::id(), ARENA, CHUNK);
+        let (initiator, target) = (pair.port(0), pair.port(1));
+        let len = rng.range_usize(CHUNK + 1, 16 * CHUNK);
+        let data: Vec<u8> = (0..len).map(|i| (i * 7 + case) as u8).collect();
+        let window = match rng.chance(0.5) {
+            true => target.register_owned(data.clone()).expect("owned window"),
+            false => {
+                let h = target
+                    .register(rng.range_usize(0, ARENA - len), len)
+                    .expect("arena window");
+                target.write_local(h, 0, &data).expect("fill window");
+                h
+            }
+        };
+        let local = initiator.register(0, len).expect("local window");
+        let token = initiator.get(1, window, 0, local, 0, len).expect("get");
+
+        // The GET goes out; the target lends the window and answers with
+        // its address.
+        pair.turn(0);
+        pair.deliver();
+        pair.turn(1);
+        let busy = Err(OsError::RegionBusy);
+        assert_eq!(
+            target.deregister(window),
+            busy,
+            "case {case}: lent window freed"
+        );
+        if rng.chance(0.5) {
+            // The initiator reads the window and completes at once; the
+            // window stays pinned until its RELEASE arrives.
+            pair.deliver();
+            pair.turn(0);
+            let done = initiator
+                .poll_completion()
+                .expect("the read completed the get");
+            assert_eq!(
+                (done.token, done.status),
+                (token, OsStatus::Ok),
+                "case {case}"
+            );
+            let mut got = vec![0u8; len];
+            initiator.read_local(local, 0, &mut got).expect("read back");
+            assert_eq!(got, data, "case {case}: the pull read the wrong bytes");
+            assert_eq!(initiator.pulled_bytes(), len as u64, "case {case}");
+            assert_eq!(
+                target.deregister(window),
+                busy,
+                "case {case}: freed before RELEASE"
+            );
+            pair.deliver();
+            pair.turn(1);
+        } else {
+            // The initiator goes down before it reads.
+            pair.fm[1].with_device(|d| d.events.push_back(event(0, PeerEventKind::Down)));
+            pair.turn(1);
+        }
+        assert_eq!(
+            target.deregister(window),
+            Ok(()),
+            "case {case}: the pin outlived it"
+        );
+        assert_eq!(target.protocol_drops(), 0, "case {case}");
+    }
+}
+
+#[test]
+fn a_pulled_put_from_keeps_its_source_pinned_until_the_fin() {
+    let mut pair = PullPair::new(std::process::id(), 64 * 1024, 1024);
+    let (initiator, target) = (pair.port(0), pair.port(1));
+    let src = initiator.register(0, 8 * 1024).expect("source");
+    let dst = target.register(0, 8 * 1024).expect("destination");
+    let data: Vec<u8> = (0..8 * 1024).map(|i| (i % 241) as u8).collect();
+    initiator.write_local(src, 0, &data).expect("fill source");
+    let token = initiator
+        .put_from(1, dst, 0, src, 0, data.len())
+        .expect("put_from");
+    // The request leaves as one header; the target reads, then FINs.
+    pair.turn(0);
+    assert_eq!(initiator.deregister(src), Err(OsError::RegionBusy));
+    pair.deliver();
+    pair.turn(1);
+    assert_eq!(target.pulled_bytes(), data.len() as u64);
+    assert_eq!(
+        initiator.deregister(src),
+        Err(OsError::RegionBusy),
+        "pinned until the FIN"
+    );
+    pair.deliver();
+    pair.turn(0);
+    let done = initiator
+        .poll_completion()
+        .expect("the FIN completed the put");
+    assert_eq!((done.token, done.status), (token, OsStatus::Ok));
+    initiator
+        .deregister(src)
+        .expect("the FIN unpinned the source");
+    let mut got = vec![0u8; data.len()];
+    target.read_local(dst, 0, &mut got).expect("read back");
+    assert_eq!(got, data);
+}
+
+#[test]
+fn an_unreadable_peer_declines_once_and_everything_lands_over_packets() {
+    // One past the largest pid the kernel hands out: no process has it,
+    // so the open of its memory fails, as it does for a peer the ptrace
+    // policy hides.
+    let pid_max: u32 = std::fs::read_to_string("/proc/sys/kernel/pid_max")
+        .ok()
+        .and_then(|s| s.trim().parse().ok())
+        .unwrap_or(1 << 22);
+    const KIB: usize = 1024;
+    let ours = |seed: usize, len: usize| -> Vec<u8> {
+        (0..len).map(|i| ((i * 13 + seed) % 251) as u8).collect()
+    };
+    for gets_first in [false, true] {
+        let mut pair = PullPair::new(pid_max + 1, 1 << 20, OnesidedConfig::default().chunk_bytes);
+        let (initiator, target) = (pair.port(0), pair.port(1));
+        let [mine, theirs] = [&initiator, &target].map(|p| p.register(0, 1 << 20).expect("arena"));
+        let remote = ours(7, 320 * KIB);
+        target
+            .write_local(theirs, 512 * KIB, &remote)
+            .expect("fill");
+        let puts = [(0, ours(1, 64 * KIB)), (64 * KIB, ours(2, 256 * KIB))];
+        let gets = [(512 * KIB, 64 * KIB), (576 * KIB, 256 * KIB)];
+        let mut tokens = Vec::new();
+        for phase in [gets_first, !gets_first] {
+            if phase {
+                for &(at, len) in &gets {
+                    tokens.push(
+                        initiator
+                            .get(1, theirs, at as u64, mine, at, len)
+                            .expect("get"),
+                    );
+                }
+            } else {
+                for (at, data) in &puts {
+                    tokens.push(initiator.put(1, theirs, *at as u64, data));
+                }
+            }
+        }
+        let seen = pair.complete(&tokens);
+        for t in &tokens {
+            assert_eq!(seen[t], vec![OsStatus::Ok], "gets first: {gets_first}");
+        }
+        for (at, data) in &puts {
+            let mut got = vec![0u8; data.len()];
+            target.read_local(theirs, *at, &mut got).expect("read back");
+            assert!(
+                got == *data,
+                "gets first: {gets_first}: put at {at} diverged"
+            );
+        }
+        let mut got = vec![0u8; remote.len()];
+        initiator
+            .read_local(mine, 512 * KIB, &mut got)
+            .expect("read back");
+        assert!(got == remote, "gets first: {gets_first}: gets diverged");
+        for port in [&initiator, &target] {
+            assert_eq!(port.pulled_bytes(), 0, "gets first: {gets_first}");
+            assert_eq!(port.protocol_drops(), 0, "gets first: {gets_first}");
+        }
+        assert!(initiator.pull_declines() >= 1, "gets first: {gets_first}");
+    }
 }

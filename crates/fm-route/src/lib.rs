@@ -29,7 +29,9 @@
 //!   cross-host peers only from the remote — each fabric is the
 //!   authority for the peers actually reached through it, and a peer
 //!   can never produce duplicate or contradictory events through the
-//!   fabric that doesn't carry its data.
+//!   fabric that doesn't carry its data. The local leg's same-host
+//!   facts pass the same way, so only a peer reached through shared
+//!   memory is ever one whose memory the engine may read.
 //!
 //! The [`HostMap`] is also what makes collectives hierarchy-aware:
 //! `mpi-fm` consumes the same rank→host assignment to run two-level
@@ -442,17 +444,25 @@ mod tests {
             kind: PeerEventKind::Down,
             epoch: 0,
         };
+        let here = |peer| PeerEvent {
+            peer,
+            kind: PeerEventKind::SameHost { pid: 4242 },
+            epoch: 0,
+        };
         // 4 ranks, hosts 0,0,1,1; this is rank 0. Local transport
         // reports both a same-host peer (1, believed) and a cross-host
         // peer (2, dropped); remote reports 3 (believed) and 1
-        // (dropped).
+        // (dropped). The same-host fact follows the same rule: from the
+        // local leg about a local peer it passes; the remote leg cannot
+        // make a peer readable by claiming it is here.
         let (l0, _l1) = LoopbackPair::new(4);
         let (r0, _r1) = LoopbackPair::new(4);
         let mut d = RoutedDevice::new(
-            Events(l0, vec![ev(2), ev(1)]),
-            Events(r0, vec![ev(1), ev(3)]),
+            Events(l0, vec![ev(2), here(1), ev(1)]),
+            Events(r0, vec![here(1), ev(1), ev(3)]),
             HostMap::parse("0,0,1,1").unwrap(),
         );
+        assert_eq!(d.poll_event(), Some(here(1)), "local leg, local peer");
         assert_eq!(d.poll_event(), Some(ev(1)), "local authority for rank 1");
         assert_eq!(d.poll_event(), Some(ev(3)), "remote authority for rank 3");
         assert_eq!(d.poll_event(), None, "cross-claims dropped");

@@ -27,6 +27,13 @@
 //! surfaced as [`PeerEventKind::Down`], so the engine's churn handling
 //! works unchanged over shared memory. The engine polls once per packet
 //! it extracts, so the poll reads its clock on every 32nd call only.
+//!
+//! Locality: every linked peer's pid is reported once, as
+//! [`PeerEventKind::SameHost`], as soon as the segment header names it —
+//! at construction for attached and in-process links, at
+//! [`ShmDevice::join`] for created ones. That fact is what lets a
+//! one-sided port read a large put or get straight out of the peer's
+//! memory instead of streaming it through the ring.
 
 use std::collections::VecDeque;
 use std::io;
@@ -142,6 +149,8 @@ struct Link {
     peer: usize,
     /// Down event already emitted for this peer.
     down: bool,
+    /// SameHost event already emitted for this peer.
+    announced: bool,
 }
 
 impl Link {
@@ -150,6 +159,7 @@ impl Link {
             seg,
             peer,
             down: false,
+            announced: false,
         }
     }
 }
@@ -265,7 +275,7 @@ impl ShmDevice {
     /// The device of rank `node`, given its links indexed by peer rank.
     fn with_links(node: usize, links: Vec<Option<Link>>, cfg: ShmConfig) -> ShmDevice {
         let now = Instant::now();
-        ShmDevice {
+        let mut dev = ShmDevice {
             node,
             num_nodes: links.len(),
             links,
@@ -277,12 +287,15 @@ impl ShmDevice {
             last_death_check: now,
             polls_to_clock_read: 0,
             cfg,
-        }
+        };
+        dev.announce_same_host();
+        dev
     }
 
     /// Barrier half: wait until every created segment has its attacher
     /// registered (attached segments are complete at `open` already).
-    /// After `join` returns, all rings are live in both directions.
+    /// After `join` returns, all rings are live in both directions, and
+    /// every peer's pid is queued as a [`PeerEventKind::SameHost`] fact.
     pub fn join(&mut self, timeout: Duration) -> io::Result<()> {
         let deadline = Instant::now() + timeout;
         for link in self.links.iter().flatten() {
@@ -296,7 +309,26 @@ impl ShmDevice {
                 std::thread::yield_now();
             }
         }
+        self.announce_same_host();
         Ok(())
+    }
+
+    /// Queue a [`PeerEventKind::SameHost`] fact, once, for every peer
+    /// whose pid the segment header names. The engine drains events
+    /// before it receives, so the fact reaches it ahead of any packet
+    /// from that peer.
+    fn announce_same_host(&mut self) {
+        for link in self.links.iter_mut().flatten() {
+            let pid = link.seg.peer_pid();
+            if pid != 0 && !link.announced {
+                link.announced = true;
+                self.events.push_back(PeerEvent {
+                    peer: link.peer,
+                    kind: PeerEventKind::SameHost { pid },
+                    epoch: link.seg.epoch(),
+                });
+            }
+        }
     }
 
     /// Counters so far.
@@ -491,6 +523,22 @@ mod tests {
         }
     }
 
+    /// The same-host facts queued so far, as (peer, pid).
+    fn same_host_facts(dev: &mut ShmDevice) -> Vec<(usize, u32)> {
+        let mut facts = Vec::new();
+        while let Some(PeerEvent {
+            peer,
+            kind: PeerEventKind::SameHost { pid },
+            ..
+        }) = dev.events.front().copied()
+        {
+            dev.events.pop_front();
+            facts.push((peer, pid));
+        }
+        facts
+    }
+
+    /// A joined pair, its same-host facts taken.
     fn pair(run: &str) -> (ShmDevice, ShmDevice) {
         let c = cfg(run);
         let c2 = c.clone();
@@ -499,7 +547,28 @@ mod tests {
         let mut b = t.join().unwrap();
         a.join(Duration::from_secs(5)).expect("join lo");
         b.join(Duration::from_secs(5)).expect("join hi");
+        same_host_facts(&mut a);
+        same_host_facts(&mut b);
         (a, b)
+    }
+
+    #[test]
+    fn every_linked_peer_is_announced_once_with_its_pid() {
+        let me = std::process::id();
+        // Attached links know the creator at open; created ones at join.
+        let c = cfg("facts");
+        let mut lo = ShmDevice::open(0, 2, &[1], c.clone()).expect("open lo");
+        let mut hi = ShmDevice::open(1, 2, &[0], c).expect("open hi");
+        assert_eq!(same_host_facts(&mut lo), vec![], "nobody attached yet");
+        assert_eq!(same_host_facts(&mut hi), vec![(0, me)]);
+        lo.join(Duration::from_secs(5)).expect("join lo");
+        hi.join(Duration::from_secs(5)).expect("join hi");
+        assert_eq!(same_host_facts(&mut lo), vec![(1, me)]);
+        assert_eq!(same_host_facts(&mut hi), vec![], "announced once");
+        // In-process links name this process, at construction.
+        let mut mesh = ShmDevice::in_process_mesh(3, 8).expect("mesh");
+        assert_eq!(same_host_facts(&mut mesh[1]), vec![(0, me), (2, me)]);
+        assert!(mesh[1].poll_event().is_none());
     }
 
     #[test]
@@ -566,6 +635,7 @@ mod tests {
         let mut a = ShmDevice::open(0, 2, &[1], c).expect("open lo");
         let b = t.join().unwrap();
         a.join(Duration::from_secs(5)).expect("join");
+        assert_eq!(same_host_facts(&mut a), vec![(1, std::process::id())]);
         drop(b); // peer leaves gracefully: raises its gone-flag
         a.last_death_check = Instant::now() - Duration::from_secs(1);
         let e = a.poll_event().expect("a Down event");
