@@ -293,6 +293,78 @@ fn onesided_alloc_delta<F: Fabric>(
     (out[0], out[1], payload)
 }
 
+/// Streams `warmup + measured` `get`s of `size` bytes by rank 0 out of
+/// rank 1's arena of `fabric`, and returns the allocation delta across
+/// the measured phase (both ranks: every fabric here runs them on one
+/// thread), the reader's copied bytes and the bytes it read out of its
+/// peer's memory, against the payload.
+fn onesided_get_alloc_delta<F: Fabric>(
+    fabric: &F,
+    size: usize,
+    warmup: usize,
+    measured: usize,
+) -> (u64, u64, u64, u64) {
+    let count = warmup + measured;
+    let arena = size * OS_WINDOW;
+    let payload = (size * count) as u64;
+    let out = fabric.run(2, |rank, fm| -> Program<(u64, u64, u64)> {
+        let cfg = OnesidedConfig {
+            arena_bytes: arena,
+            ..OnesidedConfig::default()
+        };
+        let mut os = Onesided::new(&fm, cfg);
+        os.register(0, arena).expect("arena");
+        let port = os.port();
+        if rank == 1 {
+            // The window every get reads. It serves until the reader's
+            // last act, a one-byte put over its first byte, has landed.
+            port.write_local(arena_handle(), 0, &vec![0xC5u8; arena])
+                .expect("fill source");
+            return Box::new(move || {
+                fm.extract_all();
+                let flushed = os.progress();
+                let mut flag = [0u8];
+                port.read_local(arena_handle(), 0, &mut flag)
+                    .expect("flag read");
+                if flag[0] != 0xFF || !flushed {
+                    return Step::Idle;
+                }
+                Step::Done((0, 0, 0))
+            });
+        }
+        let (mut issued, mut done) = (0usize, 0usize);
+        let (mut at_warm, mut result) = (None, None);
+        Box::new(move || {
+            fm.extract_all();
+            os.progress();
+            while let Some(c) = port.poll_completion() {
+                assert_eq!(c.status, OsStatus::Ok, "alloc-probe get failed");
+                done += 1;
+            }
+            while issued < count && issued - done < OS_WINDOW {
+                let off = (issued % OS_WINDOW) * size;
+                port.get(1, arena_handle(), off as u64, arena_handle(), off, size)
+                    .expect("alloc-probe get");
+                issued += 1;
+            }
+            snapshot_at_warm(&mut at_warm, done >= warmup);
+            if done == count && result.is_none() {
+                let allocs = allocations() - at_warm.expect("warm-up snapshot");
+                result = Some((allocs, fm.stats().bytes_copied, port.pulled_bytes()));
+                port.put(1, arena_handle(), 0, &[0xFF]);
+            }
+            // Issued work must hit the wire before parking.
+            os.progress();
+            match result {
+                Some(r) if done > count => Step::Done(r),
+                _ => Step::Idle,
+            }
+        })
+    });
+    let (allocs, copied, pulled) = out[0];
+    (allocs, copied, pulled, payload)
+}
+
 /// MPI stream message size and tag, receives kept posted ahead of the
 /// sender, and the receiver's allocations one posted eager message is
 /// allowed: the request cell (`irecv`), the handler's boxed future, and
@@ -492,6 +564,41 @@ fn steady_state_large_put_allocates_nothing_shm() {
         "shm receiver copied {copied} bytes for {payload} payload bytes — \
          a staging copy survived on the put path"
     );
+}
+
+#[test]
+fn steady_state_large_get_allocates_nothing() {
+    // 64 KiB gets: on the simulator the reply streams as DATA chunks into
+    // the reader's credit; over the mapped ring the target answers with
+    // one PULL header and the reader copies the window out of its peer.
+    // Either way a get takes nothing from the allocator once warm, and
+    // the reader's one copy is the placement.
+    for (transport, (delta, copied, pulled, payload), pulls) in [
+        (
+            "sim",
+            onesided_get_alloc_delta(&sim(), 64 * 1024, 16, 32),
+            false,
+        ),
+        (
+            "shm",
+            onesided_get_alloc_delta(&ShmOneThread(Shm::DEEP), 64 * 1024, 16, 32),
+            true,
+        ),
+    ] {
+        assert_eq!(
+            delta,
+            0,
+            "{transport}: steady-state gets allocated {delta} times over 32 gets \
+             ({} per get)",
+            delta as f64 / 32.0
+        );
+        assert_eq!(
+            copied, payload,
+            "{transport}: the reader copied {copied} bytes for {payload} payload bytes"
+        );
+        let want = if pulls { payload } else { 0 };
+        assert_eq!(pulled, want, "{transport}: bytes read out of the peer");
+    }
 }
 
 #[test]

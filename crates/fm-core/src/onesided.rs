@@ -21,19 +21,20 @@
 //!   what a layered library streams into a credit it was granted out of
 //!   band ([`OsPort::grant_from`] / [`OsPort::send_granted`] — MPI-FM's
 //!   rendezvous, where the buffer is *not* known in advance). FIN
-//!   reports a put's (or a refused get's) outcome to its initiator;
+//!   reports a put's (or a refused get's) outcome to its initiator, and
+//!   a pull's to the payload's owner;
 //! * **one landing path**: PUT and DATA both arrive through a per-packet
 //!   *sink* handler that writes each packet's bytes straight into the
 //!   registered destination — one delivery copy, no staging, at every
 //!   size;
 //! * **a same-host pull**: to a peer its engine knows runs on this host
-//!   ([`Fm2Engine::same_host_pid`]), a put or get longer than one chunk
-//!   moves no payload through FM at all. The side that owns the
-//!   destination reads the bytes out of the other's memory in one call
-//!   (`/proc/<pid>/mem`), and FM carries only the request (PULL, or GET with
-//!   an offer to pull) and its answer (FIN, or ADDR and RELEASE). A
-//!   peer that cannot be read declines once, and from then on that
-//!   peer's ops travel as packets.
+//!   ([`Fm2Engine::same_host_pid`]), a payload longer than one chunk — a
+//!   put's, a get's DATA reply, or DATA into a granted credit — moves no
+//!   bytes through FM at all. It leaves as one PULL header naming where
+//!   the bytes are; the side that owns the destination reads them out
+//!   of the other's memory in one call (`/proc/<pid>/mem`) and answers
+//!   FIN. A peer that cannot read this process declines once, and from
+//!   then on every payload to it travels as packets.
 //!
 //! The protocol core ([`OsCore`] behind [`OsPort`]) is sans-IO: it
 //! consumes packets and emits control frames / send jobs without
@@ -71,19 +72,12 @@ const OP_PUT: u32 = 1;
 const OP_DATA: u32 = 4;
 const OP_FIN: u32 = 5;
 const OP_GET: u32 = 6;
-/// GET from an initiator that offers to read the window itself.
-const OP_GET_OFFER: u32 = OP_GET | 1 << 16;
-/// A put as its header alone, the source's address in `f`: the target
-/// reads the bytes (same-host pull).
+/// A PUT or DATA job as its header alone, the length in `e` and the
+/// source's address in `f`: the receiver reads the bytes (same-host
+/// pull). It travels on its job's handler, which names its lane.
 const OP_PULL: u32 = 7;
-/// The answer to an accepted GET offer: the window's address in `f`,
-/// pinned until the initiator's RELEASE.
-const OP_ADDR: u32 = 8;
-/// The initiator is done with an ADDR window; `b` = 1 asks for it as
-/// DATA instead (the initiator could not read it).
-const OP_RELEASE: u32 = 9;
 
-/// FIN status of a pull the target declined: never surfaced, the put
+/// FIN status of a pull the reader declined: never surfaced, the job
 /// goes again as packets.
 const DECLINED: u32 = u32::MAX;
 
@@ -212,13 +206,15 @@ impl OsStatus {
         }
     }
 
-    fn from_wire(v: u32) -> Self {
+    /// `None` for a code no status has — [`DECLINED`] among them.
+    fn from_wire(v: u32) -> Option<Self> {
         match v {
-            1 => OsStatus::BadHandle,
-            2 => OsStatus::OutOfBounds,
-            3 => OsStatus::Deregistered,
-            4 => OsStatus::PeerDown,
-            _ => OsStatus::Ok,
+            0 => Some(OsStatus::Ok),
+            1 => Some(OsStatus::BadHandle),
+            2 => Some(OsStatus::OutOfBounds),
+            3 => Some(OsStatus::Deregistered),
+            4 => Some(OsStatus::PeerDown),
+            _ => None,
         }
     }
 }
@@ -432,12 +428,13 @@ enum JobSrc {
     Region { index: u32, offset: usize },
 }
 
-/// A payload to stream: chunk-sized FM messages to `handler`, every one
-/// under `hdr` — a put's own header (token, handle, offset, length) or
-/// DATA tagged with the transfer credit its receiver granted.
+/// A payload to stream: chunk-sized FM messages on its lane's handler,
+/// every one under `hdr` — a put's own header (token, handle, offset,
+/// length) or DATA tagged with the transfer credit its receiver granted.
+/// Either way `hdr`'s `a` is the job's id in its lane.
 struct SendJob {
     dst: usize,
-    handler: HandlerId,
+    lane: Lane,
     hdr: [u8; OP_HDR_BYTES],
     src: JobSrc,
     len: usize,
@@ -445,8 +442,8 @@ struct SendJob {
 }
 
 /// An outstanding initiator-side op. A put is completed by its target's
-/// FIN; a get locally, when the credit `reply` names has filled or the
-/// window it names has been read.
+/// FIN; a get locally, when the credit `reply` names has filled — by
+/// DATA packets or by one read.
 struct OpState {
     dst: usize,
     reply: Option<GrantKey>,
@@ -456,8 +453,8 @@ struct OpState {
     pulled: Option<SendJob>,
 }
 
-/// How a put longer than a chunk travels to a peer the engine knows
-/// runs on this host.
+/// Whether a peer the engine knows runs on this host may read this
+/// process: how a payload longer than a chunk travels there.
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum PullPath {
     /// No pull tried yet: the next one is the probe.
@@ -466,18 +463,19 @@ enum PullPath {
     /// answered, so a declined probe goes again as packets ahead of
     /// everything issued after it, and puts still land in issue order.
     Probing,
-    /// The peer has read a put: pull.
+    /// The peer has read a payload: pull.
     Open,
-    /// The peer, or this node, could not read: packets, for the port's
+    /// The peer could not read this process: packets, for the port's
     /// life.
     Closed,
 }
 
 /// A read [`OsCore::on_packet`] asks its driver to make: `len` bytes of
 /// `peer`'s memory (process `pid`) at `addr`, into this node's region
-/// slot `slot` at `offset` — a window `check` has passed. The driver
-/// makes it before any other packet is handled and reports the outcome
-/// to [`OsCore::pulled`].
+/// slot `slot` at `offset` — a window `check` has passed, or a live
+/// credit's. The sink makes it before any other packet is handled and
+/// reports the outcome to [`OsCore::pulled`], which answers the job
+/// `(lane, id)` with its FIN.
 struct Pull {
     peer: usize,
     pid: u32,
@@ -485,24 +483,29 @@ struct Pull {
     slot: u32,
     offset: usize,
     len: usize,
-    of: Pulled,
+    lane: Lane,
+    id: u32,
 }
 
-/// What a pull's read completes.
-enum Pulled {
-    /// The target's side of a put: FIN the initiator.
-    Put { token: u32 },
-    /// The initiator's side of a get: complete it, release the window.
-    Get { token: u32, xfer: u32 },
-}
-
-/// Which id space a landing entry's id is from.
+/// Which id space an id is from: a landing entry's, a payload job's, and
+/// the job a FIN answers (`c` on the wire, as numbered here).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 enum Lane {
-    /// The token the sending peer issued its put under.
-    Put,
-    /// A transfer credit this node granted the sending peer.
-    Xfer,
+    /// An op token of the sending peer: its puts, and the FIN of any op.
+    Op = 0,
+    /// A transfer credit the receiving node granted: DATA, and the FIN
+    /// of a pulled DATA job.
+    Xfer = 1,
+}
+
+impl Lane {
+    /// The handler a lane's payload travels on, pulled or not.
+    fn handler(self) -> HandlerId {
+        match self {
+            Lane::Op => OS_EAGER_HANDLER,
+            Lane::Xfer => ONESIDED_HANDLER,
+        }
+    }
 }
 
 /// What names a landing entry: (sending peer, id space, id).
@@ -555,15 +558,14 @@ struct OsCore {
     protocol_drops: u64,
     next_token: u32,
     next_xfer: Vec<u32>,
-    /// Windows lent to get initiators that read them themselves, pinned
-    /// until RELEASE: (initiator, its xfer) → (slot, offset, len). The
-    /// wire names only the key; the slot is this node's own record.
-    lent: HashMap<(usize, u32), (u32, usize, usize)>,
-    /// Per peer: how puts longer than a chunk travel there.
+    /// DATA jobs that left as a pull request, each holding its source
+    /// until its reader's FIN or `Down`: (reader, its credit) → job.
+    pulled_data: HashMap<(usize, u32), SendJob>,
+    /// Per peer: whether it may read this process.
     pull_path: Vec<PullPath>,
     /// Bytes this node read out of peers' memory.
     pulled_bytes: u64,
-    /// This node's ops whose pull was declined and went as packets.
+    /// This node's payloads whose pull was declined and went as packets.
     pull_declines: u64,
 }
 
@@ -583,7 +585,7 @@ impl OsCore {
             protocol_drops: 0,
             next_token: 0,
             next_xfer: vec![0; num_nodes.max(1)],
-            lent: HashMap::new(),
+            pulled_data: HashMap::new(),
             pull_path: vec![PullPath::Untried; num_nodes],
             pulled_bytes: 0,
             pull_declines: 0,
@@ -620,37 +622,40 @@ impl OsCore {
         });
     }
 
-    /// Queue FIN(token, status) toward `dst`; `status` is an
-    /// [`OsStatus`] on the wire, or [`DECLINED`].
-    fn fin(&mut self, dst: usize, token: u32, status: u32) {
+    /// Queue FIN(id, status) toward `dst`, answering its `lane` job
+    /// `id`; `status` is an [`OsStatus`] on the wire, or [`DECLINED`].
+    fn fin(&mut self, dst: usize, lane: Lane, id: u32, status: u32) {
         self.outbox.push_back((
             dst,
             OpHeader {
-                a: token,
+                a: id,
                 b: status,
+                c: lane as u32,
                 ..OpHeader::zero(OP_FIN)
             },
         ));
     }
 
-    /// Queue RELEASE of the window `dst` lent for our credit `xfer`, as
-    /// DATA into it if `stream`.
-    fn release(&mut self, dst: usize, xfer: u32, stream: bool) {
-        self.outbox.push_back((
-            dst,
-            OpHeader {
-                a: xfer,
-                b: stream as u32,
-                ..OpHeader::zero(OP_RELEASE)
-            },
-        ));
-    }
-
-    /// A pull of ours toward or from `peer` was declined: its ops travel
-    /// as packets from now on.
-    fn close_pull(&mut self, peer: usize) {
+    /// `peer` could not read the pulled `job`: it reads nothing more of
+    /// ours, and the job goes again as packets, ahead of everything
+    /// still queued.
+    fn decline(&mut self, peer: usize, job: SendJob) {
         self.pull_path[peer] = PullPath::Closed;
         self.pull_declines += 1;
+        self.jobs.push_front(job);
+    }
+
+    /// `peer` answered the pulled `job`, having read it (`read`) or
+    /// refused its window: the job is finished. A refused probe read
+    /// nothing, so the next pull probes.
+    fn answered(&mut self, peer: usize, job: SendJob, read: bool) {
+        if self.pull_path[peer] == PullPath::Probing {
+            self.pull_path[peer] = match read {
+                true => PullPath::Open,
+                false => PullPath::Untried,
+            };
+        }
+        self.finish_job_src(&job.src);
     }
 
     fn finish_job_src(&mut self, src: &JobSrc) {
@@ -688,7 +693,7 @@ impl OsCore {
     fn send_data(&mut self, dst: usize, xfer: u32, src: JobSrc, len: usize) {
         self.jobs.push_back(SendJob {
             dst,
-            handler: ONESIDED_HANDLER,
+            lane: Lane::Xfer,
             hdr: OpHeader {
                 a: xfer,
                 ..OpHeader::zero(OP_DATA)
@@ -724,7 +729,7 @@ impl OsCore {
         self.ops.insert(token, op);
         self.jobs.push_back(SendJob {
             dst,
-            handler: OS_EAGER_HANDLER,
+            lane: Lane::Op,
             hdr: OpHeader {
                 op: OP_PUT,
                 a: token,
@@ -807,31 +812,19 @@ impl OsCore {
 
     // -- same-host pulls (driver side) --------------------------------
 
-    /// Take the next control frame to send. A GET longer than a chunk to
-    /// a peer `same_host` says shares this host offers to read the
-    /// window itself, unless that peer is packet-only.
-    fn next_control(&mut self, same_host: impl FnOnce(usize) -> bool) -> Option<(usize, OpHeader)> {
-        let (dst, mut hdr) = self.outbox.pop_front()?;
-        let long_get = hdr.op == OP_GET && hdr.e > self.cfg.chunk_bytes as u64;
-        if long_get && self.pull_path[dst] != PullPath::Closed && same_host(dst) {
-            hdr.op = OP_GET_OFFER;
-        }
-        Some((dst, hdr))
-    }
-
     /// Take the next job to stream, and whether it leaves as a pull
-    /// request: a put longer than a chunk to a peer `same_host` says
+    /// request: a job longer than a chunk to a peer `same_host` says
     /// shares this host, unless that peer is packet-only. `None` when
     /// the queue is empty or its head waits on its peer's probe.
     fn next_job(&mut self, same_host: impl FnOnce(usize) -> bool) -> Option<(SendJob, bool)> {
         let job = self.jobs.front()?;
         let dst = job.dst;
-        let long_put = job.handler == OS_EAGER_HANDLER && job.len > self.cfg.chunk_bytes;
+        let long = job.len > self.cfg.chunk_bytes;
         let pull = match self.pull_path[dst] {
             PullPath::Probing => return None,
             PullPath::Closed => false,
             path => {
-                let pull = long_put && same_host(dst);
+                let pull = long && same_host(dst);
                 if pull && path == PullPath::Untried {
                     self.pull_path[dst] = PullPath::Probing;
                 }
@@ -842,8 +835,8 @@ impl OsCore {
         Some((job, pull))
     }
 
-    /// The header a pulled put leaves as: its own, naming where its
-    /// source is for the target to read.
+    /// The header a pulled job leaves as: its own, naming its length and
+    /// where its source is for the receiver to read.
     fn pull_request(&self, job: &SendJob) -> OpHeader {
         let src = match &job.src {
             JobSrc::Owned(v) => v.as_ptr(),
@@ -851,60 +844,62 @@ impl OsCore {
                 self.regions.slice(*index, *offset, job.len).as_ptr()
             }
         };
-        let put = OpHeader::decode(&job.hdr).expect("a job's header is whole");
+        let own = OpHeader::decode(&job.hdr).expect("a job's header is whole");
         OpHeader {
             op: OP_PULL,
+            e: job.len as u64,
             f: src as u64,
-            ..put
+            ..own
         }
     }
 
     /// A pull request is on the wire: its job, which owns or pins the
-    /// source, waits in the op for the FIN.
+    /// source, waits for the FIN — a put's in its op, DATA by the credit
+    /// it fills.
     fn await_fin(&mut self, job: SendJob) {
-        let token = OpHeader::decode(&job.hdr)
+        let id = OpHeader::decode(&job.hdr)
             .expect("a job's header is whole")
             .a;
-        match self.ops.get_mut(&token) {
-            Some(op) => op.pulled = Some(job),
-            None => self.finish_job_src(&job.src),
+        let job = match job.lane {
+            Lane::Op => match self.ops.get_mut(&id) {
+                Some(op) => op.pulled.replace(job),
+                None => Some(job),
+            },
+            Lane::Xfer => self.pulled_data.insert((job.dst, id), job),
+        };
+        // Only a duplicate credit or a lost op leaves one over.
+        if let Some(job) = job {
+            self.finish_job_src(&job.src);
         }
     }
 
-    /// The driver made `pull`'s read; `ok` if every byte came.
+    /// The sink made `pull`'s read; `ok` if every byte came. A credit
+    /// read in full completes as if its DATA had landed.
     fn pulled(&mut self, pull: Pull, ok: bool) {
-        let peer = pull.peer;
-        if ok {
-            self.pulled_bytes += pull.len as u64;
-            self.pending_copy_bytes += pull.len as u64;
-        }
-        match pull.of {
-            Pulled::Put { token } => {
-                let status = if ok { OsStatus::Ok.to_wire() } else { DECLINED };
-                self.fin(peer, token, status);
-            }
-            Pulled::Get { token, xfer } => {
-                if ok {
-                    self.drop_grant((peer, Lane::Xfer, xfer));
-                    self.ops.remove(&token);
-                    self.complete(token, OsStatus::Ok);
-                } else {
-                    self.close_pull(peer);
+        let status = match ok {
+            true => {
+                self.pulled_bytes += pull.len as u64;
+                self.pending_copy_bytes += pull.len as u64;
+                if pull.lane == Lane::Xfer {
+                    self.grant_filled((pull.peer, Lane::Xfer, pull.id));
                 }
-                self.release(peer, xfer, !ok);
+                OsStatus::Ok.to_wire()
             }
-        }
+            false => DECLINED,
+        };
+        self.fin(pull.peer, pull.lane, pull.id, status);
     }
 
     // -- packet ingestion (sink handler) -----------------------------
 
-    /// Take one packet from `src`. `same_host` answers whether the
-    /// engine knows `src` runs on this host, and as which pid; it is
-    /// asked only by a packet that wants to read or be read, and a read
-    /// it allows comes back for the driver to make.
+    /// Take one packet from `src` that came on `lane`'s handler.
+    /// `same_host` answers whether the engine knows `src` runs on this
+    /// host, and as which pid; it is asked only by a PULL, and a read it
+    /// allows comes back for the sink to make.
     fn on_packet(
         &mut self,
         src: usize,
+        lane: Lane,
         meta: SinkMeta,
         payload: &[u8],
         same_host: impl FnOnce() -> Option<u32>,
@@ -928,19 +923,14 @@ impl OsCore {
         let body = &payload[OP_HDR_BYTES..];
         let key = match hdr.op {
             OP_FIN => {
-                self.on_fin(hdr);
+                self.on_fin(src, hdr);
                 return None;
             }
-            OP_GET | OP_GET_OFFER => {
-                self.on_get(src, hdr, same_host);
+            OP_GET => {
+                self.on_get(src, hdr);
                 return None;
             }
-            OP_PULL => return self.on_pull(src, hdr, same_host),
-            OP_ADDR => return self.on_addr(src, hdr, same_host),
-            OP_RELEASE => {
-                self.on_release(src, hdr);
-                return None;
-            }
+            OP_PULL => return self.on_pull(src, lane, hdr, same_host),
             OP_DATA => (src, Lane::Xfer, hdr.a),
             OP_PUT => self.on_put(src, hdr, body)?,
             _ => {
@@ -955,58 +945,42 @@ impl OsCore {
         None
     }
 
-    /// A pulled put's request. A window that fails `check` is refused
-    /// as a put's would be; one that passes is read — if `src` is known
-    /// to share this host — or declined, and the put comes again as
-    /// packets. Either way the put ends in one FIN.
+    /// A pulled job's request, `hdr.a` its id in `lane`. A put's window
+    /// that fails `check` is refused as a put's would be, and DATA for
+    /// anything but a live credit that nothing has filled is dropped; a
+    /// window that passes is read — if `src` is known to share this host
+    /// — or declined, and the job comes again as packets. Either way
+    /// the request ends in one FIN.
     fn on_pull(
         &mut self,
         src: usize,
+        lane: Lane,
         hdr: OpHeader,
         same_host: impl FnOnce() -> Option<u32>,
     ) -> Option<Pull> {
-        let status = self.regions.check(hdr.b, hdr.c, hdr.d, hdr.e);
-        if status != OsStatus::Ok {
-            self.fin(src, hdr.a, status.to_wire());
-            return None;
-        }
-        let Some(pid) = same_host() else {
-            self.fin(src, hdr.a, DECLINED);
-            return None;
+        let id = hdr.a;
+        let window = match lane {
+            Lane::Op => match self.regions.check(hdr.b, hdr.c, hdr.d, hdr.e) {
+                OsStatus::Ok => Ok((hdr.b, hdr.d as usize)),
+                refused => Err(refused),
+            },
+            Lane::Xfer => {
+                let credit = self.grants.get(&(src, Lane::Xfer, id));
+                let fresh = credit.filter(|g| g.cursor == 0 && g.len as u64 == hdr.e);
+                let window = fresh.and_then(|g| g.window);
+                self.protocol_drops += window.is_none() as u64;
+                window.ok_or(OsStatus::BadHandle)
+            }
         };
-        Some(Pull {
-            peer: src,
-            pid,
-            addr: hdr.f,
-            slot: hdr.b,
-            offset: hdr.d as usize,
-            len: hdr.e as usize,
-            of: Pulled::Put { token: hdr.a },
-        })
-    }
-
-    /// The target lent the window of our get `hdr.a`: read it into the
-    /// credit if the target is known to share this host, else hand the
-    /// window back to come as DATA.
-    fn on_addr(
-        &mut self,
-        src: usize,
-        hdr: OpHeader,
-        same_host: impl FnOnce() -> Option<u32>,
-    ) -> Option<Pull> {
-        let (token, xfer) = (hdr.a, hdr.b);
-        let window = self.grants.get(&(src, Lane::Xfer, xfer)).filter(|g| {
-            let ours = matches!(g.origin, GrantOrigin::GetLocal { token: t } if t == token);
-            ours && g.cursor == 0 && g.len as u64 == hdr.e
-        });
-        let Some((slot, offset)) = window.and_then(|g| g.window) else {
-            self.protocol_drops += 1;
-            self.release(src, xfer, false);
-            return None;
+        let (slot, offset) = match window {
+            Ok(window) => window,
+            Err(status) => {
+                self.fin(src, lane, id, status.to_wire());
+                return None;
+            }
         };
         let Some(pid) = same_host() else {
-            self.close_pull(src);
-            self.release(src, xfer, true);
+            self.fin(src, lane, id, DECLINED);
             return None;
         };
         Some(Pull {
@@ -1016,28 +990,9 @@ impl OsCore {
             slot,
             offset,
             len: hdr.e as usize,
-            of: Pulled::Get { token, xfer },
+            lane,
+            id,
         })
-    }
-
-    /// The initiator is done with the window lent for its credit
-    /// `hdr.a`: unpin it, or stream it as DATA if asked. Only a window
-    /// this node lent to `src` is touched.
-    fn on_release(&mut self, src: usize, hdr: OpHeader) {
-        let Some((slot, offset, len)) = self.lent.remove(&(src, hdr.a)) else {
-            self.protocol_drops += 1;
-            return;
-        };
-        if hdr.b == 1 {
-            // The pin goes with the job: finishing it unpins.
-            let from = JobSrc::Region {
-                index: slot,
-                offset,
-            };
-            self.send_data(src, hdr.a, from, len);
-        } else {
-            self.regions.unpin(slot);
-        }
     }
 
     /// The first packet of one of a put's chunk messages, `body` its
@@ -1052,10 +1007,10 @@ impl OsCore {
                 self.regions.write(hdr.b, hdr.d as usize, body);
                 self.pending_copy_bytes += body.len() as u64;
             }
-            self.fin(src, hdr.a, status.to_wire());
+            self.fin(src, Lane::Op, hdr.a, status.to_wire());
             return None;
         }
-        let key = (src, Lane::Put, hdr.a);
+        let key = (src, Lane::Op, hdr.a);
         if self.grants.contains_key(&key) {
             return Some(key);
         }
@@ -1079,71 +1034,104 @@ impl OsCore {
         Some(key)
     }
 
-    fn on_fin(&mut self, hdr: OpHeader) {
-        let token = hdr.a;
-        let Some(mut op) = self.ops.remove(&token) else {
-            return; // duplicate / stale FIN
+    /// A FIN from `src` answering its `c` lane's job `a` with status `b`.
+    /// One that cannot be that job's answer is dropped, and the job
+    /// stays outstanding.
+    fn on_fin(&mut self, src: usize, hdr: OpHeader) {
+        let answered = match hdr.c {
+            0 => self.on_op_fin(hdr.a, hdr.b),
+            1 => self.on_data_fin(src, hdr.a, hdr.b),
+            _ => false,
         };
-        if let Some(job) = op.pulled.take() {
-            let dst = op.dst;
-            if hdr.b == DECLINED {
-                // Again, as packets, ahead of everything still queued.
-                self.close_pull(dst);
-                self.jobs.push_front(job);
-                self.ops.insert(token, op);
-                return;
-            }
-            if self.pull_path[dst] == PullPath::Probing {
-                // A refused probe read nothing: the next pull probes.
-                self.pull_path[dst] = match hdr.b == OsStatus::Ok.to_wire() {
-                    true => PullPath::Open,
-                    false => PullPath::Untried,
-                };
-            }
-            self.finish_job_src(&job.src);
+        if !answered {
+            self.protocol_drops += 1;
         }
-        if let Some(credit) = op.reply {
-            // Gets only receive FINs on error: tear the credit down.
-            self.drop_grant(credit);
-        }
-        self.complete(token, OsStatus::from_wire(hdr.b));
     }
 
-    fn on_get(&mut self, src: usize, hdr: OpHeader, same_host: impl FnOnce() -> Option<u32>) {
+    /// The FIN of our op `token`. A put's carries its verdict, or
+    /// declines a pulled put's read; a get's only refuses the get, whose
+    /// `Ok` comes from its bytes landing.
+    fn on_op_fin(&mut self, token: u32, status: u32) -> bool {
+        let Some(op) = self.ops.get_mut(&token) else {
+            return true; // the op was aborted: a late FIN
+        };
+        let dst = op.dst;
+        if let Some(job) = op.pulled.take_if(|_| status == DECLINED) {
+            self.decline(dst, job);
+            return true;
+        }
+        let is_get = op.reply.is_some();
+        let valid = |v: &OsStatus| *v != OsStatus::Ok || !is_get;
+        let Some(verdict) = OsStatus::from_wire(status).filter(valid) else {
+            return false;
+        };
+        let op = self.ops.remove(&token).expect("found above");
+        if let Some(job) = op.pulled {
+            self.answered(dst, job, verdict == OsStatus::Ok);
+        }
+        if let Some(credit) = op.reply {
+            self.drop_grant(credit);
+        }
+        self.complete(token, verdict);
+        true
+    }
+
+    /// The FIN of our DATA job into `peer`'s credit `xfer`, which `peer`
+    /// was asked to read.
+    fn on_data_fin(&mut self, peer: usize, xfer: u32, status: u32) -> bool {
+        let verdict = OsStatus::from_wire(status);
+        if verdict.is_none() && status != DECLINED {
+            return false;
+        }
+        let Some(job) = self.pulled_data.remove(&(peer, xfer)) else {
+            return false;
+        };
+        match verdict {
+            Some(verdict) => self.answered(peer, job, verdict == OsStatus::Ok),
+            None => self.decline(peer, job),
+        }
+        true
+    }
+
+    fn on_get(&mut self, src: usize, hdr: OpHeader) {
         let status = self.regions.check(hdr.b, hdr.c, hdr.d, hdr.e);
         if status != OsStatus::Ok {
-            self.fin(src, hdr.a, status.to_wire());
+            self.fin(src, Lane::Op, hdr.a, status.to_wire());
             return;
         }
         self.regions.pin(hdr.b);
-        let (xfer, offset, len) = (hdr.f as u32, hdr.d as usize, hdr.e as usize);
-        // An offer is taken from a peer known to share this host: it
-        // gets the window's address, not its bytes.
-        let key = (src, xfer);
-        if hdr.op == OP_GET_OFFER && !self.lent.contains_key(&key) && same_host().is_some() {
-            let addr = self.regions.slice(hdr.b, offset, len).as_ptr() as u64;
-            self.lent.insert(key, (hdr.b, offset, len));
-            let answer = OpHeader {
-                a: hdr.a,
-                b: xfer,
-                e: hdr.e,
-                f: addr,
-                ..OpHeader::zero(OP_ADDR)
-            };
-            self.outbox.push_back((src, answer));
-            return;
-        }
         let from = JobSrc::Region {
             index: hdr.b,
-            offset,
+            offset: hdr.d as usize,
         };
-        self.send_data(src, xfer, from, len);
+        self.send_data(src, hdr.f as u32, from, hdr.e as usize);
     }
 
     /// Close a landing entry — filled or abandoned — releasing its pin.
     fn drop_grant(&mut self, key: GrantKey) {
         if let Some((slot, _)) = self.grants.remove(&key).and_then(|g| g.window) {
             self.regions.unpin(slot);
+        }
+    }
+
+    /// Close the landing entry `key`, which has all its bytes — by
+    /// packets or by one read — and report to where it came from.
+    fn grant_filled(&mut self, key: GrantKey) {
+        let Some(origin) = self.grants.get(&key).map(|g| g.origin) else {
+            return;
+        };
+        self.drop_grant(key);
+        match origin {
+            GrantOrigin::PutFin { token, status } => {
+                self.fin(key.0, Lane::Op, token, status.to_wire())
+            }
+            GrantOrigin::GetLocal { token } => {
+                self.ops.remove(&token);
+                self.complete(token, OsStatus::Ok);
+            }
+            GrantOrigin::External => {
+                self.completed_grants.insert((key.0, key.2));
+            }
         }
     }
 
@@ -1159,23 +1147,12 @@ impl OsCore {
         let at = g.window.map(|(slot, offset)| (slot, offset + g.cursor));
         g.cursor += data.len();
         let done = g.cursor == g.len;
-        let origin = g.origin;
         if let Some((slot, at)) = at {
             self.regions.write(slot, at, data);
             self.pending_copy_bytes += data.len() as u64;
         }
         if done {
-            self.drop_grant(key);
-            match origin {
-                GrantOrigin::PutFin { token, status } => self.fin(key.0, token, status.to_wire()),
-                GrantOrigin::GetLocal { token } => {
-                    self.ops.remove(&token);
-                    self.complete(token, OsStatus::Ok);
-                }
-                GrantOrigin::External => {
-                    self.completed_grants.insert((key.0, key.2));
-                }
-            }
+            self.grant_filled(key);
         }
     }
 
@@ -1205,13 +1182,14 @@ impl OsCore {
         for key in gone {
             self.drop_grant(key);
         }
-        let regions = &mut self.regions;
-        self.lent.retain(|&(p, _), &mut (slot, ..)| {
-            if dead(p) {
-                regions.unpin(slot);
-            }
-            !dead(p)
-        });
+        let unread: Vec<SendJob> = self
+            .pulled_data
+            .extract_if(|&(p, _), _| dead(p))
+            .map(|(_, job)| job)
+            .collect();
+        for job in unread {
+            self.finish_job_src(&job.src);
+        }
         // A probe that will never be answered holds nothing back.
         for &p in downed {
             if self.pull_path[p] == PullPath::Probing {
@@ -1372,7 +1350,8 @@ impl OsPort {
     }
 
     /// Stream `data` into a transfer credit previously granted by `dst`
-    /// (the counterpart of [`grant_from`](Self::grant_from)).
+    /// (the counterpart of [`grant_from`](Self::grant_from)); a same-host
+    /// `dst` reads it instead, as it reads a put.
     pub fn send_granted(&self, dst: usize, xfer: u32, data: Vec<u8>) {
         if !data.is_empty() {
             let len = data.len();
@@ -1407,15 +1386,17 @@ impl OsPort {
     }
 
     /// Bytes this port read straight out of same-host peers' memory:
-    /// the puts it was the target of and the gets it issued, where they
-    /// took the pull path (module docs).
+    /// the puts it was the target of, the replies to the gets it issued
+    /// and the DATA into credits it granted, where they took the pull
+    /// path (module docs).
     pub fn pulled_bytes(&self) -> u64 {
         self.core.borrow().pulled_bytes
     }
 
-    /// Ops of this port whose pull was declined — the peer could not be
-    /// read — and that went again as packets. After the first, that
-    /// peer's ops travel as packets for the port's life.
+    /// Payloads this port sent whose pull was declined — the peer could
+    /// not read this process — and that went again as packets. After
+    /// the first, every payload to that peer travels as packets for the
+    /// port's life.
     pub fn pull_declines(&self) -> u64 {
         self.core.borrow().pull_declines
     }
@@ -1428,7 +1409,7 @@ impl OsPort {
 /// The job being streamed: one FM message per chunk, every chunk under
 /// the job's op header. An open message is resumed with
 /// [`Fm2Engine::try_send_rest`]; `job.cursor` counts only whole chunks.
-/// A pulled put is one header-only message instead.
+/// A pulled job is one header-only message instead.
 struct ActiveSend {
     job: SendJob,
     open: Option<SendStream>,
@@ -1481,14 +1462,14 @@ impl<D: NetDevice> Onesided<D> {
         }
         let core = Rc::new(RefCell::new(OsCore::new(fm.num_nodes(), cfg)));
         let mem = Rc::new(RefCell::new(PeerMem::default()));
-        for id in [ONESIDED_HANDLER, OS_EAGER_HANDLER] {
+        for lane in [Lane::Xfer, Lane::Op] {
             let (c, mem, engine) = (Rc::clone(&core), Rc::clone(&mem), fm.handle());
-            fm.set_sink_handler(id, move |src, meta, payload| {
+            fm.set_sink_handler(lane.handler(), move |src, meta, payload| {
                 let mut core = c.borrow_mut();
                 let same_host = || engine.same_host_pid(src);
                 // A pull is made here, before the next packet: it lands
                 // exactly where its chunks would have.
-                if let Some(pull) = core.on_packet(src, meta, payload, same_host) {
+                if let Some(pull) = core.on_packet(src, lane, meta, payload, same_host) {
                     let into = core.regions.slice_mut(pull.slot, pull.offset, pull.len);
                     let ok = mem.borrow_mut().read(pull.peer, pull.pid, pull.addr, into);
                     core.pulled(pull, ok);
@@ -1511,8 +1492,8 @@ impl<D: NetDevice> Onesided<D> {
     /// Move queued protocol work onto the wire: charge sink copies to
     /// the cost model, abort ops to downed peers, flush control frames
     /// and stream put/DATA jobs as credits allow. Returns `true` when
-    /// nothing remains queued (completions queue for
-    /// [`OsPort::poll_completion`]).
+    /// nothing remains queued and no peer is still to read a DATA job's
+    /// source (completions queue for [`OsPort::poll_completion`]).
     /// Call from the transport's pump loop alongside `extract`.
     pub fn progress(&mut self) -> bool {
         self.fm.progress();
@@ -1531,11 +1512,9 @@ impl<D: NetDevice> Onesided<D> {
             }
             self.port.core.borrow_mut().abort_peers(&downed);
         }
-        let fm = self.fm.clone();
-        let same_host = |dst| fm.same_host_pid(dst).is_some();
         let mut blocked = false;
         loop {
-            let next = self.port.core.borrow_mut().next_control(same_host);
+            let next = self.port.core.borrow_mut().outbox.pop_front();
             let Some((dst, hdr)) = next else { break };
             if self
                 .fm
@@ -1547,6 +1526,8 @@ impl<D: NetDevice> Onesided<D> {
                 break;
             }
         }
+        let fm = self.fm.clone();
+        let same_host = |dst| fm.same_host_pid(dst).is_some();
         while !blocked {
             if self.active.is_none() {
                 let Some((job, pull)) = self.port.core.borrow_mut().next_job(same_host) else {
@@ -1570,7 +1551,11 @@ impl<D: NetDevice> Onesided<D> {
             }
         }
         let core = self.port.core.borrow();
-        !blocked && core.outbox.is_empty() && core.jobs.is_empty() && self.active.is_none()
+        !blocked
+            && core.outbox.is_empty()
+            && core.jobs.is_empty()
+            && self.active.is_none()
+            && core.pulled_data.is_empty()
     }
 
     /// Stream the active job as far as credits allow. Returns `true`
@@ -1582,7 +1567,7 @@ impl<D: NetDevice> Onesided<D> {
         if act.pull {
             let request = core.pull_request(&act.job).encode();
             return fm
-                .try_send_message(act.job.dst, act.job.handler, &[&request])
+                .try_send_message(act.job.dst, act.job.lane.handler(), &[&request])
                 .is_ok();
         }
         let chunk_max = core.cfg.chunk_bytes.max(1);
@@ -1594,7 +1579,7 @@ impl<D: NetDevice> Onesided<D> {
                 JobSrc::Region { index, offset } => core.regions.slice(*index, offset + at, clen),
             };
             let ss = act.open.get_or_insert_with(|| {
-                fm.begin_message(act.job.dst, OP_HDR_BYTES + clen, act.job.handler)
+                fm.begin_message(act.job.dst, OP_HDR_BYTES + clen, act.job.lane.handler())
             });
             if fm.try_send_rest(ss, &[&act.job.hdr[..], chunk]).is_err() {
                 return false;
@@ -1793,6 +1778,53 @@ mod tests {
         let t5 = p.a.get(1, real, 0, local, 0, 64).unwrap();
         assert_eq!(p.wait_completion('a', t5), OsStatus::Deregistered);
         p.a.deregister(local).unwrap();
+    }
+
+    #[test]
+    fn a_fin_that_cannot_answer_its_op_is_dropped() {
+        let mut p = Pair::new();
+        let remote = p.b.register(0, 4096).unwrap();
+        let local = p.a.register(0, 4096).unwrap();
+        let data = pattern(64, 3);
+        p.b.port().write_local(remote, 0, &data).unwrap();
+        // Neither op has left `a`; the FINs `b` injects name them anyway:
+        // an Ok for a get whose bytes never came, a decline for a put
+        // that was never pulled, and a status no FIN has.
+        let get = p.a.get(1, remote, 0, local, 0, data.len()).unwrap();
+        let put = p.a.put(1, remote, 1024, &data);
+        let fin = |token: OsToken, status: u32| {
+            OpHeader {
+                a: token.0,
+                b: status,
+                ..OpHeader::zero(OP_FIN)
+            }
+            .encode()
+        };
+        let forged = [fin(get, 0), fin(get, 99), fin(put, DECLINED), fin(put, 99)];
+        for f in &forged {
+            p.b.fm.try_send_message(0, ONESIDED_HANDLER, &[f]).unwrap();
+        }
+        p.a.fm
+            .with_device(|x| p.b.fm.with_device(|y| LoopbackPair::deliver(x, y)));
+        p.a.fm.extract_all();
+        assert_eq!(p.a.protocol_drops(), forged.len() as u64);
+        assert_eq!(p.a.pending_ops(), 2, "a forged FIN completed an op");
+        assert_eq!(p.a.poll_completion(), None);
+        // The real answers still complete both.
+        let mut seen = Vec::new();
+        p.pump_until(|p| {
+            seen.extend(p.a.poll_completion());
+            seen.len() == 2
+        });
+        seen.sort_by_key(|c| c.token.0);
+        let ok = |token| OsCompletion {
+            token,
+            status: OsStatus::Ok,
+        };
+        assert_eq!(seen, [ok(get), ok(put)]);
+        let mut out = vec![0u8; data.len()];
+        p.a.port().read_local(local, 0, &mut out).unwrap();
+        assert_eq!(out, data);
     }
 
     #[test]

@@ -21,19 +21,20 @@
 //! 5. a refused multi-chunk put — whose bytes all still arrive — writes
 //!    nothing, trips no protocol drop, and holds no pin afterwards.
 //!
-//! The same-host pull path (a put or get longer than a chunk, read out
-//! of the peer's memory) runs between two engines of this process whose
-//! devices report each other on this host, so every read is of this
-//! process's own memory:
+//! The same-host pull path (a put, or a get's reply, longer than a
+//! chunk, read out of the peer's memory by the side that owns the
+//! destination) runs between two engines of this process whose devices
+//! report each other on this host, so every read is of this process's
+//! own memory:
 //!
 //! 6. a refused pulled put reads nothing, touches nothing, and ends in
 //!    exactly one FIN with the refusal's status;
-//! 7. a window lent to a pulled get is pinned — `deregister` says
-//!    `RegionBusy` — until the initiator's RELEASE, or until the
-//!    initiator goes down;
+//! 7. a window served to a pulled get is pinned — `deregister` says
+//!    `RegionBusy` — until the reader's FIN, or until the reader goes
+//!    down;
 //! 8. a peer that cannot be read (its fact names a pid no process can
-//!    have) costs one declined pull, and every put and get still lands
-//!    bit-exact, over packets.
+//!    have) costs one declined pull each way, and every put and get
+//!    still lands bit-exact, over packets.
 
 use std::cell::{Cell, RefCell};
 use std::collections::{HashMap, VecDeque};
@@ -703,7 +704,7 @@ fn prop_refused_pulled_put_touches_nothing_and_ends_in_one_fin() {
 }
 
 #[test]
-fn prop_a_window_lent_to_a_pulled_get_is_pinned_until_release_or_down() {
+fn prop_a_window_served_to_a_pulled_get_is_pinned_until_the_fin_or_down() {
     const ARENA: usize = 64 * 1024;
     const CHUNK: usize = 1024;
     for case in 0..env_cases(32) {
@@ -725,8 +726,8 @@ fn prop_a_window_lent_to_a_pulled_get_is_pinned_until_release_or_down() {
         let local = initiator.register(0, len).expect("local window");
         let token = initiator.get(1, window, 0, local, 0, len).expect("get");
 
-        // The GET goes out; the target lends the window and answers with
-        // its address.
+        // The GET goes out; the target pins the window and answers with
+        // a PULL naming its address.
         pair.turn(0);
         pair.deliver();
         pair.turn(1);
@@ -734,11 +735,11 @@ fn prop_a_window_lent_to_a_pulled_get_is_pinned_until_release_or_down() {
         assert_eq!(
             target.deregister(window),
             busy,
-            "case {case}: lent window freed"
+            "case {case}: served window freed"
         );
         if rng.chance(0.5) {
             // The initiator reads the window and completes at once; the
-            // window stays pinned until its RELEASE arrives.
+            // window stays pinned until its FIN arrives.
             pair.deliver();
             pair.turn(0);
             let done = initiator
@@ -756,7 +757,7 @@ fn prop_a_window_lent_to_a_pulled_get_is_pinned_until_release_or_down() {
             assert_eq!(
                 target.deregister(window),
                 busy,
-                "case {case}: freed before RELEASE"
+                "case {case}: freed before the FIN"
             );
             pair.deliver();
             pair.turn(1);
@@ -866,10 +867,12 @@ fn an_unreadable_peer_declines_once_and_everything_lands_over_packets() {
             .read_local(mine, 512 * KIB, &mut got)
             .expect("read back");
         assert!(got == remote, "gets first: {gets_first}: gets diverged");
+        // Each side owns a payload the other cannot read: the puts, and
+        // the gets' replies.
         for port in [&initiator, &target] {
             assert_eq!(port.pulled_bytes(), 0, "gets first: {gets_first}");
             assert_eq!(port.protocol_drops(), 0, "gets first: {gets_first}");
+            assert!(port.pull_declines() >= 1, "gets first: {gets_first}");
         }
-        assert!(initiator.pull_declines() >= 1, "gets first: {gets_first}");
     }
 }

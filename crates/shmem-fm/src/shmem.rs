@@ -44,8 +44,6 @@ pub struct Shmem<D: NetDevice> {
     heap_bytes: usize,
     state: Rc<RefCell<ShState>>,
     accs_issued: Cell<u64>,
-    puts_issued: Cell<u64>,
-    puts_done: Cell<u64>,
     /// Statuses of puts that failed at the target (e.g. out of the
     /// remote heap's bounds) instead of landing.
     put_failures: RefCell<Vec<OsStatus>>,
@@ -138,8 +136,6 @@ impl<D: NetDevice + 'static> Shmem<D> {
             heap_bytes,
             state,
             accs_issued: Cell::new(0),
-            puts_issued: Cell::new(0),
-            puts_done: Cell::new(0),
             put_failures: RefCell::new(Vec::new()),
             tracked: RefCell::new(HashMap::new()),
             barrier_epoch: Cell::new(0),
@@ -203,12 +199,8 @@ impl<D: NetDevice + 'static> Shmem<D> {
             let mut tracked = self.tracked.borrow_mut();
             if let Some(slot) = tracked.get_mut(&c.token.0) {
                 *slot = Some(c.status);
-            } else {
-                drop(tracked);
-                self.puts_done.set(self.puts_done.get() + 1);
-                if c.status != OsStatus::Ok {
-                    self.put_failures.borrow_mut().push(c.status);
-                }
+            } else if c.status != OsStatus::Ok {
+                self.put_failures.borrow_mut().push(c.status);
             }
         }
     }
@@ -257,7 +249,6 @@ impl<D: NetDevice + 'static> Shmem<D> {
     /// [`Shmem::quiet`]. The bytes land in the remote heap packet by
     /// packet, with no staging copy at any size.
     pub fn put(&self, dst: usize, offset: usize, data: &[u8]) {
-        self.puts_issued.set(self.puts_issued.get() + 1);
         self.port.put(dst, self.heap_h, offset as u64, data);
     }
 
@@ -271,12 +262,13 @@ impl<D: NetDevice + 'static> Shmem<D> {
 
     /// Block until every put and accumulate issued by this node has
     /// been applied (or refused — see [`Shmem::take_put_failures`]) at
-    /// its target.
+    /// its target. Completions are drained first, so every refusal in by
+    /// then is in the failures too.
     pub fn quiet(&self) {
         self.wait_for("shmem quiet", || {
-            let puts_quiet = self.puts_done.get() >= self.puts_issued.get();
+            self.drain_completions();
             let accs_quiet = self.state.borrow().acc_acks >= self.accs_issued.get();
-            (puts_quiet && accs_quiet).then_some(())
+            (self.port.pending_ops() == 0 && accs_quiet).then_some(())
         })
     }
 
@@ -417,7 +409,7 @@ mod tests {
         pump(&a, &b);
         assert_eq!(b.local_read(100, 4), vec![1, 2, 3, 4]);
         // The completion came back: quiet() returns immediately.
-        assert_eq!(a.puts_done.get(), 1);
+        assert_eq!(a.port.pending_ops(), 0);
         a.quiet();
     }
 
