@@ -32,9 +32,10 @@
 //!   put's, a get's DATA reply, or DATA into a granted credit — moves no
 //!   bytes through FM at all. It leaves as one PULL header naming where
 //!   the bytes are; the side that owns the destination reads them out
-//!   of the other's memory in one call (`/proc/<pid>/mem`) and answers
-//!   FIN. A peer that cannot read this process declines once, and from
-//!   then on every payload to it travels as packets.
+//!   of the other's memory in one kernel copy (`process_vm_readv`,
+//!   checked against the peer's pidfd; `peer_mem.rs`) and answers FIN.
+//!   A peer that cannot read this process declines once, and from then
+//!   on every payload to it travels as packets.
 //!
 //! The protocol core ([`OsCore`] behind [`OsPort`]) is sans-IO: it
 //! consumes packets and emits control frames / send jobs without

@@ -1,60 +1,41 @@
 //! Reading a same-host peer's memory: the one I/O of the one-sided pull
 //! path (DESIGN.md §16, "Same-host pull").
 //!
-//! `/proc/<pid>/mem` is a file over the peer's address space, so a pull
-//! is one positioned read of it, in safe Rust. The file is opened once
-//! per peer and stays bound to the address space it was opened on: a
-//! peer that exits leaves it reading nothing, and a later process that
-//! reuses the pid is never read through it. Whether this process may
-//! read the peer at all (same user, and whatever the ptrace policy
-//! allows) is the kernel's decision at open; a refused open is
-//! remembered, not retried.
+//! A pull is one `process_vm_readv` from the peer's address space
+//! straight into the destination, one kernel copy, through
+//! [`fm_sys::Process`] (so this crate keeps `#![forbid(unsafe_code)]`).
+//! The peer is opened once (a pidfd) and every read checks afterwards
+//! that it is still the process that was opened: a peer that exits
+//! reads nothing, and a later process that reuses the pid is never read.
+//! Whether this process may read the peer at all (same user, and
+//! whatever the ptrace policy allows) is the kernel's decision on every
+//! read; a refused open is remembered, not retried.
 
-use std::fs::File;
+use fm_sys::Process;
 
-/// The open `/proc/<pid>/mem` of every peer read so far.
+/// The opened process of every peer read so far.
 #[derive(Default)]
 pub(super) struct PeerMem {
-    /// By peer rank: the pid the file was opened for, and the file
+    /// By peer rank: the pid the process was opened for, and its handle
     /// (`None` where the open was refused).
-    files: Vec<Option<(u32, Option<File>)>>,
+    procs: Vec<Option<(u32, Option<Process>)>>,
 }
 
 impl PeerMem {
     /// Fill `out` from the memory of `peer` (process `pid`) at `addr`.
-    /// False when the peer may not be read or the read comes up short.
+    /// False when the peer may not be read, has exited, or the read
+    /// comes up short.
     pub(super) fn read(&mut self, peer: usize, pid: u32, addr: u64, out: &mut [u8]) -> bool {
-        if self.files.len() <= peer {
-            self.files.resize_with(peer + 1, || None);
+        if self.procs.len() <= peer {
+            self.procs.resize_with(peer + 1, || None);
         }
-        let entry = &mut self.files[peer];
+        let entry = &mut self.procs[peer];
         if entry.as_ref().is_none_or(|(opened, _)| *opened != pid) {
-            *entry = Some((pid, open(pid)));
+            *entry = Some((pid, Process::open(pid).ok()));
         }
         match entry {
-            Some((_, Some(file))) => read_at(file, addr, out),
+            Some((_, Some(process))) => process.read(addr, out).is_ok(),
             _ => false,
         }
     }
-}
-
-#[cfg(target_os = "linux")]
-fn open(pid: u32) -> Option<File> {
-    File::open(format!("/proc/{pid}/mem")).ok()
-}
-
-#[cfg(target_os = "linux")]
-fn read_at(file: &File, addr: u64, out: &mut [u8]) -> bool {
-    use std::os::unix::fs::FileExt;
-    file.read_exact_at(out, addr).is_ok()
-}
-
-#[cfg(not(target_os = "linux"))]
-fn open(_pid: u32) -> Option<File> {
-    None
-}
-
-#[cfg(not(target_os = "linux"))]
-fn read_at(_file: &File, _addr: u64, _out: &mut [u8]) -> bool {
-    false
 }

@@ -53,11 +53,12 @@
 //! put/get layer above them). `shmem-fm` re-exports this crate as
 //! `shmem_fm::transport` for discoverability.
 //!
-//! This is the one workspace crate that needs `unsafe`: `mmap`/`munmap`
-//! are issued as raw syscalls (the workspace takes no external crates),
-//! and the rings are raw views over the mapped bytes. The unsafety is
-//! confined to [`mem`], [`ring`] and [`seg`]'s header words; everything
-//! above handles only safe handles.
+//! Besides `fm-sys` (the raw syscalls), this is the one workspace crate
+//! that needs `unsafe`: `mmap`/`munmap` are issued through
+//! `fm_sys::syscall6` (the workspace takes no external crates), and the
+//! rings are raw views over the mapped bytes. The unsafety is confined to
+//! [`mem`], [`ring`] and [`seg`]'s header words; everything above handles
+//! only safe handles.
 
 #![warn(missing_docs)]
 

@@ -2,7 +2,7 @@
 //!
 //! The workspace deliberately takes no external crates, so the two
 //! syscalls a shared-memory transport cannot live without — `mmap` and
-//! `munmap` — are issued directly via `core::arch::asm!`. Everything
+//! `munmap` — are issued raw, through `fm_sys::syscall6`. Everything
 //! else (creating the file under `/dev/shm`, sizing it, unlinking it)
 //! goes through `std::fs`.
 //!
@@ -33,86 +33,6 @@ const MAP_POPULATE: usize = 0x8000;
 /// Back the mapping with fresh zero pages instead of a file (fd −1).
 /// Same value on x86_64 and aarch64.
 const MAP_ANONYMOUS: usize = 0x20;
-
-#[cfg(target_arch = "x86_64")]
-mod sys {
-    pub const SYS_MMAP: usize = 9;
-    pub const SYS_MUNMAP: usize = 11;
-
-    /// Six-argument Linux syscall on x86_64.
-    ///
-    /// # Safety
-    /// The caller vouches for the syscall number and arguments.
-    pub unsafe fn syscall6(
-        n: usize,
-        a1: usize,
-        a2: usize,
-        a3: usize,
-        a4: usize,
-        a5: usize,
-        a6: usize,
-    ) -> isize {
-        let ret: isize;
-        unsafe {
-            core::arch::asm!(
-                "syscall",
-                inlateout("rax") n as isize => ret,
-                in("rdi") a1,
-                in("rsi") a2,
-                in("rdx") a3,
-                in("r10") a4,
-                in("r8") a5,
-                in("r9") a6,
-                out("rcx") _,
-                out("r11") _,
-                options(nostack),
-            );
-        }
-        ret
-    }
-}
-
-#[cfg(target_arch = "aarch64")]
-mod sys {
-    pub const SYS_MMAP: usize = 222;
-    pub const SYS_MUNMAP: usize = 215;
-
-    /// Six-argument Linux syscall on aarch64.
-    ///
-    /// # Safety
-    /// The caller vouches for the syscall number and arguments.
-    pub unsafe fn syscall6(
-        n: usize,
-        a1: usize,
-        a2: usize,
-        a3: usize,
-        a4: usize,
-        a5: usize,
-        a6: usize,
-    ) -> isize {
-        let ret: isize;
-        unsafe {
-            core::arch::asm!(
-                "svc 0",
-                in("x8") n,
-                inlateout("x0") a1 => ret,
-                in("x1") a2,
-                in("x2") a3,
-                in("x3") a4,
-                in("x4") a5,
-                in("x5") a6,
-                options(nostack),
-            );
-        }
-        ret
-    }
-}
-
-#[cfg(not(any(target_arch = "x86_64", target_arch = "aarch64")))]
-compile_error!(
-    "fm-shm issues mmap/munmap via raw syscalls and only knows the \
-     x86_64 and aarch64 Linux ABIs; add the numbers for this target"
-);
 
 /// A `MAP_SHARED`, read-write mapping of the front of a file, or of
 /// anonymous zero pages. Unmapped on drop.
@@ -145,9 +65,11 @@ impl Mapping {
 
     fn map(len: usize, flags: usize, fd: i32) -> io::Result<Mapping> {
         assert!(len > 0, "cannot map zero bytes");
-        let ret = unsafe {
-            sys::syscall6(
-                sys::SYS_MMAP,
+        // SAFETY: a fresh mapping at an address the kernel picks (hint 0)
+        // overlaps nothing this process already uses.
+        let addr = fm_sys::errno(unsafe {
+            fm_sys::syscall6(
+                fm_sys::SYS_MMAP,
                 0,
                 len,
                 PROT_READ | PROT_WRITE,
@@ -155,14 +77,9 @@ impl Mapping {
                 fd as usize, // sign-extends: −1 stays −1
                 0,
             )
-        };
-        // On error the kernel returns -errno in the usual [-4095, -1]
-        // window; anything else is the mapped address.
-        if (-4095..0).contains(&ret) {
-            return Err(io::Error::from_raw_os_error(-ret as i32));
-        }
+        })?;
         Ok(Mapping {
-            ptr: ret as *mut u8,
+            ptr: addr as *mut u8,
             len,
         })
     }
@@ -185,8 +102,10 @@ impl Mapping {
 
 impl Drop for Mapping {
     fn drop(&mut self) {
+        // SAFETY: `ptr`/`len` are exactly what `map` got back, and the
+        // handle owns the region, so nothing maps it after this.
         unsafe {
-            sys::syscall6(sys::SYS_MUNMAP, self.ptr as usize, self.len, 0, 0, 0, 0);
+            fm_sys::syscall6(fm_sys::SYS_MUNMAP, self.ptr as usize, self.len, 0, 0, 0, 0);
         }
     }
 }

@@ -5,8 +5,11 @@
 //! `get`) is re-based on [`fm_core::onesided`]: the heap *is* the
 //! one-sided arena, registered whole at startup, so every node holds the
 //! same [`RegionHandle`] for every peer's heap and puts/gets ride its
-//! landing path (every transfer streams straight into the heap through
-//! the sink handler, with no staging copy). The remaining
+//! landing path, with no staging copy: a transfer up to one chunk, or any
+//! transfer to a peer on another host, streams into the destination
+//! through the sink handler; on a same-host link a longer one is read out
+//! of the other process by the side that owns the destination (the
+//! target of a put, the caller of a get), in one kernel copy. The remaining
 //! read-modify-write ops (`accumulate`, `fetch_add`) and the barrier stay
 //! Active-Messages-style on this crate's own FM handler — the target
 //! applies them during its `FM_extract`, which is what makes them atomic.
@@ -47,8 +50,10 @@ pub struct Shmem<D: NetDevice> {
     /// Statuses of puts that failed at the target (e.g. out of the
     /// remote heap's bounds) instead of landing.
     put_failures: RefCell<Vec<OsStatus>>,
-    /// Get/typed-op completion statuses awaiting pickup, by token.
-    tracked: RefCell<HashMap<u32, Option<OsStatus>>>,
+    /// The token of the get being waited for, and its status once in.
+    /// `get` blocks and is the only op that waits on its own token, so
+    /// there is at most one.
+    awaited: Cell<Option<(u32, Option<OsStatus>)>>,
     barrier_epoch: Cell<u64>,
 }
 
@@ -137,7 +142,7 @@ impl<D: NetDevice + 'static> Shmem<D> {
             state,
             accs_issued: Cell::new(0),
             put_failures: RefCell::new(Vec::new()),
-            tracked: RefCell::new(HashMap::new()),
+            awaited: Cell::new(None),
             barrier_epoch: Cell::new(0),
         }
     }
@@ -196,11 +201,12 @@ impl<D: NetDevice + 'static> Shmem<D> {
 
     fn drain_completions(&self) {
         while let Some(c) = self.port.poll_completion() {
-            let mut tracked = self.tracked.borrow_mut();
-            if let Some(slot) = tracked.get_mut(&c.token.0) {
-                *slot = Some(c.status);
-            } else if c.status != OsStatus::Ok {
-                self.put_failures.borrow_mut().push(c.status);
+            match self.awaited.get() {
+                Some((token, _)) if token == c.token.0 => {
+                    self.awaited.set(Some((token, Some(c.status))));
+                }
+                _ if c.status != OsStatus::Ok => self.put_failures.borrow_mut().push(c.status),
+                _ => {}
             }
         }
     }
@@ -225,13 +231,12 @@ impl<D: NetDevice + 'static> Shmem<D> {
         }
     }
 
-    /// Block until the tracked op `token` completes, returning its
-    /// status.
+    /// Block until the op `token` completes, returning its status.
     fn wait_tracked(&self, token: u32) -> OsStatus {
+        self.awaited.set(Some((token, None)));
         self.wait_for("shmem op", || {
-            let done = self.tracked.borrow().get(&token).cloned();
-            let status = done.flatten()?;
-            self.tracked.borrow_mut().remove(&token);
+            let status = self.awaited.get()?.1?;
+            self.awaited.set(None);
             Some(status)
         })
     }
@@ -246,8 +251,12 @@ impl<D: NetDevice + 'static> Shmem<D> {
 
     /// One-sided put: write `data` into `dst`'s heap at `offset`.
     /// Completion (remotely visible) is guaranteed only after
-    /// [`Shmem::quiet`]. The bytes land in the remote heap packet by
-    /// packet, with no staging copy at any size.
+    /// [`Shmem::quiet`]. `data` is copied at once, so the caller may
+    /// reuse it on return. Up to one chunk, or to a peer on another host,
+    /// the bytes land in the remote heap packet by packet. On a same-host
+    /// link a longer put sends only a header, and the target reads the
+    /// bytes out of this process straight into its heap: one kernel copy,
+    /// where packets would be copied into the ring and out again.
     pub fn put(&self, dst: usize, offset: usize, data: &[u8]) {
         self.port.put(dst, self.heap_h, offset as u64, data);
     }
@@ -273,8 +282,10 @@ impl<D: NetDevice + 'static> Shmem<D> {
     }
 
     /// One-sided get: read `len` bytes from `dst`'s heap at `offset`
-    /// (blocking). The reply streams straight into the result buffer
-    /// through the one-sided layer's sink — no bounce copy.
+    /// (blocking). The reply lands straight in the result buffer, no
+    /// bounce copy: through the one-sided layer's sink, or, on a
+    /// same-host link and longer than a chunk, read out of the target's
+    /// heap by this process in one kernel copy.
     pub fn get(&self, dst: usize, offset: usize, len: usize) -> Vec<u8> {
         if len == 0 {
             return Vec::new();
@@ -287,7 +298,6 @@ impl<D: NetDevice + 'static> Shmem<D> {
             .port
             .get(dst, self.heap_h, offset as u64, scratch, 0, len)
             .expect("scratch window valid");
-        self.tracked.borrow_mut().insert(token.0, None);
         let status = self.wait_tracked(token.0);
         assert_eq!(status, OsStatus::Ok, "get refused by target: {status:?}");
         self.port
