@@ -614,13 +614,11 @@ impl MpiStats for Mpi2<SimDevice> {
 }
 
 /// The sender of every MPI stream probe: issue all `count` sends on the
-/// first poll, then drive progress until each has completed and
-/// `flushed` agrees nothing is left behind.
+/// first poll, then drive progress until each has completed.
 fn mpi_send_all<M: Mpi + 'static, R: 'static>(
     mut mpi: M,
     size: usize,
     count: usize,
-    mut flushed: impl FnMut(&mut M) -> bool + 'static,
 ) -> Program<Option<R>> {
     let mut reqs: Option<Vec<SendReq>> = None;
     Box::new(move || {
@@ -630,7 +628,7 @@ fn mpi_send_all<M: Mpi + 'static, R: 'static>(
                 .collect()
         });
         mpi.progress();
-        if reqs.iter().all(SendReq::is_done) && flushed(&mut mpi) {
+        if reqs.iter().all(SendReq::is_done) {
             return Step::Done(None);
         }
         Step::Idle
@@ -667,7 +665,7 @@ fn run_mpi_stream<M: MpiStats>(
     let out = sim.run_devices(2, |rank, dev| {
         let mut mpi = mk(dev);
         if rank == 0 {
-            return mpi_send_all(mpi, size, count, |_| true);
+            return mpi_send_all(mpi, size, count);
         }
         let mut reqs: Option<Vec<RecvReq>> = None;
         Box::new(move || {
@@ -846,21 +844,18 @@ pub fn fm2_layered_single_latency(
     fm2_layered_stream(profile, size, 1, false, recv_staged).elapsed
 }
 
-/// Two MPI-FM 2.x ranks on the simulator: rank 0 streams `count` sends
-/// (staying until `flushed`), rank 1 runs `receiver`.
+/// Two MPI-FM 2.x ranks on the simulator: rank 0 streams `count` sends,
+/// rank 1 runs `receiver`.
 fn mpi2_stream_into(
     profile: MachineProfile,
     (size, count): (usize, usize),
-    tune: impl Fn(&mut Mpi2<SimDevice>),
-    flushed: impl Fn(&mut Mpi2<SimDevice>) -> bool + Clone + 'static,
     receiver: impl Fn(Mpi2<SimDevice>) -> Program<Option<StreamResult>>,
 ) -> StreamResult {
     let sim = Sim::new(profile);
     let out = sim.run_devices(2, |rank, dev| {
-        let mut mpi = Mpi2::new(sim.engine(dev));
-        tune(&mut mpi);
+        let mpi = Mpi2::new(sim.engine(dev));
         match rank {
-            0 => mpi_send_all(mpi, size, count, flushed.clone()),
+            0 => mpi_send_all(mpi, size, count),
             _ => receiver(mpi),
         }
     });
@@ -914,24 +909,15 @@ pub fn mpi2_paced_stream(
             Step::Again
         })
     };
-    mpi2_stream_into(profile, (size, count), |_| {}, |_| true, receiver)
+    mpi2_stream_into(profile, (size, count), receiver)
 }
 
 /// One *unexpected* MPI-FM 2.x message: sent before any receive is
 /// posted; the receiver posts its receive only after noticing the arrival
-/// (the worst case for eager, the motivating case for rendezvous).
-/// `eager_threshold = None` keeps the 1998 eager-only behaviour;
-/// `Some(t)` turns on RTS/CTS above `t` bytes.
-pub fn mpi_unexpected_latency(
-    profile: MachineProfile,
-    size: usize,
-    eager_threshold: Option<usize>,
-) -> StreamResult {
-    let tune = |mpi: &mut Mpi2<SimDevice>| {
-        if let Some(t) = eager_threshold {
-            mpi.set_eager_threshold(t);
-        }
-    };
+/// (the worst case for eager, the motivating case for rendezvous). The
+/// size picks the protocol: eager up to one one-sided chunk, RTS/CTS
+/// above it.
+pub fn mpi_unexpected_latency(profile: MachineProfile, size: usize) -> StreamResult {
     let receiver = move |mut mpi: Mpi2<SimDevice>| -> Program<Option<StreamResult>> {
         let mut posted: Option<RecvReq> = None;
         Box::new(move || {
@@ -950,10 +936,7 @@ pub fn mpi_unexpected_latency(
             }
         })
     };
-    // The sender stays alive until FM's deferred queue has drained too: the
-    // rendezvous payload travels through it after the CTS.
-    let flushed = |mpi: &mut Mpi2<SimDevice>| mpi.fm().progress();
-    mpi2_stream_into(profile, (size, 1), tune, flushed, receiver)
+    mpi2_stream_into(profile, (size, 1), receiver)
 }
 
 #[cfg(test)]

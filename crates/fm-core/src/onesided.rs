@@ -82,6 +82,13 @@ const OP_PULL: u32 = 7;
 /// goes again as packets.
 const DECLINED: u32 = u32::MAX;
 
+/// The size above which a payload is large, everywhere in the stack: a
+/// one-sided job longer than this is pulled from a same-host peer (the
+/// default [`OnesidedConfig::chunk_bytes`]), an MPI-FM 2.x message
+/// longer than this is a rendezvous, and a pipelined collective's
+/// segment is this long, so it stays eager.
+pub const CHUNK_BYTES: usize = 16 * 1024;
+
 /// Tuning knobs for a one-sided port.
 #[derive(Debug, Clone, Copy)]
 pub struct OnesidedConfig {
@@ -96,7 +103,7 @@ impl Default for OnesidedConfig {
     fn default() -> Self {
         OnesidedConfig {
             arena_bytes: 1 << 20,
-            chunk_bytes: 16 * 1024,
+            chunk_bytes: CHUNK_BYTES,
         }
     }
 }

@@ -43,8 +43,10 @@ pub const PIPELINE_THRESHOLD: usize = 32 * 1024;
 /// Segment size for the chain-pipelined broadcast. Small enough that
 /// several segments are in flight across the chain (and each fits
 /// comfortably inside the per-peer credit window), large enough that
-/// per-message overheads stay negligible.
-pub const PIPELINE_SEGMENT: usize = 16 * 1024;
+/// per-message overheads stay negligible. It is the one-sided chunk, the
+/// largest message MPI-FM 2.x sends eagerly, so no segment waits for a
+/// rendezvous.
+pub const PIPELINE_SEGMENT: usize = fm_core::onesided::CHUNK_BYTES;
 
 /// Which obs span a collective is reporting (mapped by transports onto
 /// their tracing sink; see [`crate::Mpi::obs_coll`]).

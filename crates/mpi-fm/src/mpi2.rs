@@ -15,17 +15,21 @@
 //!   instead of being flooded into unexpected-queue copies.
 //!
 //! *Eagerly* unexpected messages still pay a bounce copy plus a delivery
-//! copy — the price of not posting receives, in any MPI. For messages
-//! above a configurable threshold an optional **rendezvous protocol**
-//! (RTS/CTS, an extension beyond the eager-only 1998 MPI-FM) parks the
-//! payload at the sender until a receive exists, so even unexpected large
-//! messages travel once and land directly in the user buffer.
+//! copy — the price of not posting receives, in any MPI. A message longer
+//! than one one-sided chunk ([`CHUNK_BYTES`], 16 KiB) takes the
+//! **rendezvous protocol** instead (RTS/CTS, an extension beyond the
+//! eager-only 1998 MPI-FM): the payload is parked at the sender until a
+//! receive exists, so even an unexpected large message travels once and
+//! lands directly in the user buffer — read out of the sender's memory
+//! on a same-host link, streamed everywhere else. The size decides; there
+//! is no knob.
 
 use std::cell::RefCell;
 use std::collections::{HashMap, VecDeque};
 use std::rc::Rc;
 
 use fm_core::device::NetDevice;
+use fm_core::onesided::CHUNK_BYTES;
 use fm_core::packet::HandlerId;
 use fm_core::{
     Fm2Engine, Fm2Handle, FmStream, ObsEvent, Onesided, OnesidedConfig, OsPort, RegionHandle,
@@ -60,9 +64,12 @@ const MPI2_RECV_SW_NS: u64 = 1_500;
 /// registers receives).
 #[derive(Default)]
 struct RndvState {
-    next_seq: u32,
-    /// Parked sends awaiting CTS: seq -> (dst, tag, payload, request).
-    parked: HashMap<u32, (usize, u32, Vec<u8>, SendReq)>,
+    /// Parked sends awaiting CTS: seq -> (dst, payload, request).
+    parked: HashMap<u32, (usize, Vec<u8>, SendReq)>,
+    /// Sends whose payload went to the one-sided layer at CTS: complete
+    /// once that layer holds no payload, so a sender that waits for its
+    /// sends and then exits leaves no bytes behind to stream or be read.
+    handed: Vec<SendReq>,
     /// Receives whose buffer is granted to the one-sided layer and is
     /// being filled by streaming DATA segments: (src_rank, seq).
     granted: HashMap<(usize, u32), GrantedRecv>,
@@ -91,7 +98,7 @@ struct PendingSend {
     hdr: [u8; MPI_HEADER_BYTES],
     data: Vec<u8>,
     /// Request to complete when fully handed to FM (`None` for RTS
-    /// headers, whose request completes at CTS instead).
+    /// headers, whose request completes once their payload is out).
     req: Option<SendReq>,
     /// The open message (header ⧺ data) once sending has started.
     started: Option<fm_core::fm2::SendStream>,
@@ -128,9 +135,6 @@ pub struct Mpi2<D: NetDevice> {
     /// Byte budget passed to `FM_extract` on each progress call (receiver
     /// flow control; `usize::MAX` = unpaced).
     extract_budget: usize,
-    /// Payloads above this many bytes use the rendezvous protocol
-    /// (`usize::MAX` = eager-only, the 1998 behaviour and the default).
-    eager_threshold: usize,
     /// Rank → host placement for hierarchy-aware collectives (must match
     /// across ranks); `None` keeps the flat schedules.
     coll_hosts: Option<Vec<usize>>,
@@ -235,12 +239,10 @@ impl<D: NetDevice + 'static> Mpi2<D> {
                         // one-sided transfer (xfer id rides in the CTS `len`
                         // field); the DATA segments stream straight into the
                         // buffer the receiver registered.
-                        let parked = rndv.borrow_mut().parked.remove(&hdr.seq);
-                        if let Some((dst, _tag, data, req)) = parked {
+                        let mut rv = rndv.borrow_mut();
+                        if let Some((dst, data, req)) = rv.parked.remove(&hdr.seq) {
                             port.send_granted(dst, hdr.len, data);
-                            // The buffer now belongs to the one-sided layer:
-                            // the isend is complete in the MPI sense.
-                            req.inner.borrow_mut().done = true;
+                            rv.handed.push(req);
                         }
                     }
                     k => panic!("unknown MPI wire kind {k}"),
@@ -265,7 +267,6 @@ impl<D: NetDevice + 'static> Mpi2<D> {
             arrival_scan: false,
             nic_capacity,
             extract_budget: usize::MAX,
-            eager_threshold: usize::MAX,
             coll_hosts: None,
             send_seq: 0,
             coll_seq: 0,
@@ -282,12 +283,6 @@ impl<D: NetDevice + 'static> Mpi2<D> {
             assert_eq!(h.len(), self.size(), "host map must cover every rank");
         }
         self.coll_hosts = hosts;
-    }
-
-    /// Payloads strictly larger than `bytes` use the rendezvous protocol.
-    /// Default: `usize::MAX` (eager-only, the 1998 MPI-FM behaviour).
-    pub fn set_eager_threshold(&mut self, bytes: usize) {
-        self.eager_threshold = bytes;
     }
 
     /// The underlying FM engine (stats, errors, clock).
@@ -523,30 +518,27 @@ impl<D: NetDevice + 'static> Mpi for Mpi2<D> {
     fn isend(&mut self, dst: usize, tag: u32, data: Vec<u8>) -> SendReq {
         // MPI-level send processing.
         self.fm.charge(Nanos(MPI2_SEND_SW_NS));
-        // Self-sends always go eager (the local queue has no flow-control
-        // pressure for rendezvous to relieve).
-        if data.len() > self.eager_threshold && dst != self.rank() {
-            // Rendezvous: announce with an RTS, park the payload.
-            let seq = {
-                let mut rv = self.rndv.borrow_mut();
-                let s = rv.next_seq;
-                rv.next_seq = rv.next_seq.wrapping_add(1);
-                s
-            };
-            let hdr = MpiHeader {
-                src_rank: self.rank() as u32,
-                tag,
-                comm: COMM_WORLD,
-                len: data.len() as u32,
-                kind: KIND_RTS,
-                seq,
-            }
-            .encode();
+        // A message longer than one one-sided chunk is a rendezvous: the
+        // one-sided layer lands it once, in the user buffer, however late
+        // the receive. Self-sends always go eager (the local queue has no
+        // flow-control pressure for rendezvous to relieve).
+        let rendezvous = data.len() > CHUNK_BYTES && dst != self.rank();
+        let seq = self.send_seq;
+        self.send_seq = seq.wrapping_add(1);
+        let hdr = MpiHeader {
+            src_rank: self.rank() as u32,
+            tag,
+            comm: COMM_WORLD,
+            len: data.len() as u32,
+            kind: if rendezvous { KIND_RTS } else { KIND_EAGER },
+            seq,
+        }
+        .encode();
+        if rendezvous {
+            // Announce with a header-only RTS and park the payload until
+            // the CTS hands it to the one-sided layer.
             let req = SendReq::new(false);
-            self.rndv
-                .borrow_mut()
-                .parked
-                .insert(seq, (dst, tag, data, req.clone()));
+            (self.rndv.borrow_mut().parked).insert(seq, (dst, data, req.clone()));
             if !self.pending[dst].is_empty()
                 || self.fm.try_send_message(dst, MPI_HANDLER, &[&hdr]).is_err()
             {
@@ -555,16 +547,6 @@ impl<D: NetDevice + 'static> Mpi for Mpi2<D> {
             }
             return req;
         }
-        let hdr = MpiHeader {
-            src_rank: self.rank() as u32,
-            tag,
-            comm: COMM_WORLD,
-            len: data.len() as u32,
-            kind: KIND_EAGER,
-            seq: self.send_seq,
-        }
-        .encode();
-        self.send_seq = self.send_seq.wrapping_add(1);
         // Sends behind a stalled send *to the same peer* must queue
         // behind it, or a small message could squeeze past a large one
         // and break MPI's non-overtaking matching order (which is
@@ -631,7 +613,13 @@ impl<D: NetDevice + 'static> Mpi for Mpi2<D> {
     fn progress(&mut self) {
         self.try_flush_pending();
         self.fm.extract(self.extract_budget);
-        self.os.progress();
+        if self.os.progress() {
+            // The one-sided layer holds no payload: every rendezvous
+            // payload it was handed is on the wire or read.
+            for req in self.rndv.borrow_mut().handed.drain(..) {
+                req.inner.borrow_mut().done = true;
+            }
+        }
         self.poll_granted();
         self.try_flush_pending();
     }
@@ -665,7 +653,8 @@ impl<D: NetDevice + 'static> Mpi for Mpi2<D> {
 mod tests {
     use super::*;
     use fm_core::device::{DeviceFull, LoopbackDevice, LoopbackPair};
-    use fm_core::packet::FmPacket;
+    use fm_core::onesided::ONESIDED_HANDLER;
+    use fm_core::packet::{FmPacket, PacketFlags};
     use fm_model::rng::{env_cases, DetRng};
     use fm_model::MachineProfile;
 
@@ -833,18 +822,101 @@ mod tests {
 
     // ---- rendezvous protocol ----
 
-    fn rndv_pair() -> (Mpi2<LoopbackDevice>, Mpi2<LoopbackDevice>) {
-        let (mut s, mut r) = pair();
-        s.set_eager_threshold(256);
-        r.set_eager_threshold(256);
-        (s, r)
+    /// Rank 0's end of a `LoopbackPair` that logs `(handler, length)` of
+    /// every message it sends.
+    struct Tap {
+        dev: LoopbackDevice,
+        sent: Vec<(HandlerId, u32)>,
+    }
+
+    impl NetDevice for Tap {
+        fn node_id(&self) -> usize {
+            self.dev.node_id()
+        }
+        fn num_nodes(&self) -> usize {
+            self.dev.num_nodes()
+        }
+        fn try_send(&mut self, pkt: FmPacket) -> Result<(), DeviceFull> {
+            let h = pkt.header;
+            self.dev.try_send(pkt)?;
+            if h.flags.contains(PacketFlags::FIRST) {
+                self.sent.push((h.handler, h.msg_len));
+            }
+            Ok(())
+        }
+        fn try_recv(&mut self) -> Option<FmPacket> {
+            self.dev.try_recv()
+        }
+        fn send_space(&self) -> usize {
+            self.dev.send_space()
+        }
+        fn now(&self) -> Nanos {
+            self.dev.now()
+        }
+        fn charge(&mut self, cost: Nanos) {
+            self.dev.charge(cost)
+        }
+    }
+
+    #[test]
+    fn a_message_longer_than_one_chunk_is_a_rendezvous() {
+        let (a, b) = LoopbackPair::new(64);
+        let p = MachineProfile::ppro200_fm2();
+        let tap = Tap {
+            dev: a,
+            sent: Vec::new(),
+        };
+        let mut s = Mpi2::new(Fm2Engine::new(tap, p));
+        let mut r = Mpi2::new(Fm2Engine::new(b, p));
+        let exchange = |s: &mut Mpi2<Tap>, r: &mut Mpi2<LoopbackDevice>| {
+            for _ in 0..8 {
+                s.progress();
+                r.progress();
+                let (fs, fr) = (s.fm.clone(), r.fm.clone());
+                fs.with_device(|t| fr.with_device(|d| LoopbackPair::deliver(&mut t.dev, d)));
+            }
+            s.fm.with_device(|t| std::mem::take(&mut t.sent))
+        };
+        let mpi = |len: usize| (MPI_HEADER_BYTES + len) as u32;
+
+        // One chunk: one eager MPI message, header and payload together.
+        let req = r.irecv(Some(0), Some(1), CHUNK_BYTES);
+        assert!(s.isend(1, 1, vec![1; CHUNK_BYTES]).is_done(), "eager");
+        let sent = exchange(&mut s, &mut r);
+        assert_eq!(sent, [(MPI_HANDLER, mpi(CHUNK_BYTES))]);
+        assert_eq!(req.take(), Some(vec![1; CHUNK_BYTES]));
+
+        // One byte more: a header-only RTS; after the CTS the payload
+        // crosses as granted one-sided DATA, a chunk per message.
+        let big = CHUNK_BYTES + 1;
+        let req = r.irecv(Some(0), Some(2), big);
+        let sreq = s.isend(1, 2, vec![2; big]);
+        assert!(!sreq.is_done(), "a rendezvous send waits for its CTS");
+        let sent = exchange(&mut s, &mut r);
+        assert_eq!(sent[0], (MPI_HANDLER, mpi(0)), "the RTS");
+        assert!(
+            sent[1..].iter().all(|&(h, _)| h == ONESIDED_HANDLER),
+            "{sent:?}"
+        );
+        assert_eq!(sent.len(), 3, "two DATA chunks: {sent:?}");
+        assert!(sreq.is_done());
+        assert_eq!(req.take(), Some(vec![2; big]));
+
+        // A self-send of the same size stays eager: nothing on the wire.
+        let req = s.irecv(Some(0), Some(3), big);
+        assert!(
+            s.isend(0, 3, vec![3; big]).is_done(),
+            "self-sends are eager"
+        );
+        assert_eq!(exchange(&mut s, &mut r), []);
+        assert_eq!(req.take(), Some(vec![3; big]));
     }
 
     #[test]
     fn rendezvous_round_trip_posted_first() {
-        let (mut s, mut r) = rndv_pair();
-        let payload = vec![0xA5u8; 5000];
-        let req = r.irecv(Some(0), Some(7), 8192);
+        let (mut s, mut r) = pair();
+        let payload = vec![0xA5u8; CHUNK_BYTES + 5000];
+        let req = r.irecv(Some(0), Some(7), 2 * CHUNK_BYTES);
         let sreq = s.isend(1, 7, payload.clone());
         assert!(!sreq.is_done(), "rendezvous sends wait for CTS");
         pump(&mut s, &mut r);
@@ -855,8 +927,8 @@ mod tests {
 
     #[test]
     fn rendezvous_unexpected_skips_bounce_copy() {
-        let (mut s, mut r) = rndv_pair();
-        let payload = vec![0x5Au8; 4000];
+        let (mut s, mut r) = pair();
+        let payload = vec![0x5Au8; CHUNK_BYTES + 4000];
         // Send before any receive is posted: only the 24-byte RTS travels.
         s.isend(1, 7, payload.clone());
         pump(&mut s, &mut r);
@@ -867,12 +939,13 @@ mod tests {
         );
         // Posting the receive triggers CTS; the payload then lands
         // directly in the user buffer — exactly one payload copy.
-        let req = r.irecv(Some(0), Some(7), 8192);
+        let req = r.irecv(Some(0), Some(7), 2 * CHUNK_BYTES);
         pump(&mut s, &mut r);
         assert_eq!(req.take(), Some(payload));
         let copied_after = r.fm().stats().bytes_copied;
+        let len = (CHUNK_BYTES + 4000) as u64;
         assert!(
-            copied_after - copied_before >= 4000 && copied_after - copied_before < 4100,
+            copied_after - copied_before >= len && copied_after - copied_before < len + 100,
             "one payload copy, not two (delta = {})",
             copied_after - copied_before
         );
@@ -880,21 +953,21 @@ mod tests {
 
     #[test]
     fn small_messages_stay_eager_under_threshold() {
-        let (mut s, mut r) = rndv_pair();
-        let sreq = s.isend(1, 1, vec![1u8; 256]); // == threshold: eager
+        let (mut s, mut r) = pair();
+        let sreq = s.isend(1, 1, vec![1u8; CHUNK_BYTES]); // one chunk: eager
         assert!(sreq.is_done(), "eager sends complete immediately");
-        let req = r.irecv(Some(0), Some(1), 512);
+        let req = r.irecv(Some(0), Some(1), CHUNK_BYTES);
         pump(&mut s, &mut r);
-        assert_eq!(req.take(), Some(vec![1u8; 256]));
+        assert_eq!(req.take(), Some(vec![1u8; CHUNK_BYTES]));
     }
 
     #[test]
     fn mixed_eager_and_rendezvous_same_tag_do_not_overtake() {
-        let (mut s, mut r) = rndv_pair();
+        let (mut s, mut r) = pair();
         // Alternate small (eager) and large (rendezvous) under one tag.
         let msgs: Vec<Vec<u8>> = (0..6)
             .map(|i| {
-                let n = if i % 2 == 0 { 64 } else { 2000 };
+                let n = if i % 2 == 0 { 64 } else { CHUNK_BYTES + 2000 };
                 vec![i as u8; n]
             })
             .collect();
@@ -903,7 +976,7 @@ mod tests {
         }
         pump(&mut s, &mut r);
         for expect in &msgs {
-            let req = r.irecv(Some(0), Some(3), 4096);
+            let req = r.irecv(Some(0), Some(3), 2 * CHUNK_BYTES);
             pump(&mut s, &mut r);
             assert_eq!(req.take().as_ref(), Some(expect), "matching order holds");
         }
@@ -911,10 +984,10 @@ mod tests {
 
     #[test]
     fn many_concurrent_rendezvous_transfers() {
-        let (mut s, mut r) = rndv_pair();
-        let payloads: Vec<Vec<u8>> = (0..8).map(|i| vec![i as u8; 3000]).collect();
+        let (mut s, mut r) = pair();
+        let payloads: Vec<Vec<u8>> = (0..8).map(|i| vec![i as u8; CHUNK_BYTES + 3000]).collect();
         let reqs: Vec<_> = (0..8)
-            .map(|i| r.irecv(Some(0), Some(i as u32), 4096))
+            .map(|i| r.irecv(Some(0), Some(i as u32), 2 * CHUNK_BYTES))
             .collect();
         let sreqs: Vec<_> = payloads
             .iter()
@@ -932,8 +1005,9 @@ mod tests {
 
     #[test]
     fn oversized_message_streams_through_the_window() {
-        // 100 KB = ~98 packets, far beyond the 64-credit window: the
-        // pending queue must stream it across many progress calls.
+        // 100 KB = ~98 packets, far beyond the 64-credit window: a
+        // rendezvous, whose granted DATA chunks must stream through the
+        // window across many progress calls.
         let (mut s, mut r) = pair();
         let payload: Vec<u8> = (0..100_000u32).map(|i| (i % 251) as u8).collect();
         let req = r.irecv(Some(0), Some(1), 128 * 1024);
@@ -948,25 +1022,24 @@ mod tests {
     #[test]
     fn small_send_cannot_overtake_stalled_large_send() {
         let (mut s, mut r) = pair();
-        // Exhaust credits with a first big message, then queue a second
-        // big one (stalls) and a small one (must wait its turn).
-        let big1 = vec![1u8; 60 * 1024];
-        let big2 = vec![2u8; 60 * 1024];
-        let small = vec![3u8; 8];
-        s.isend(1, 5, big1.clone());
-        s.isend(1, 5, big2.clone());
-        s.isend(1, 5, small.clone());
+        // Four one-chunk messages (17 packets each) overrun the 64-credit
+        // window: the fourth stalls mid-message, and a small one queued
+        // behind it must wait its turn.
+        let bigs: Vec<Vec<u8>> = (1..=4).map(|i| vec![i; CHUNK_BYTES]).collect();
+        let small = vec![9u8; 8];
+        let sent: Vec<SendReq> = (bigs.iter().chain([&small]))
+            .map(|m| s.isend(1, 5, m.clone()))
+            .collect();
+        assert!(!sent[3].is_done() && !sent[4].is_done(), "stalled");
         for _ in 0..128 {
             pump(&mut s, &mut r);
         }
         // Same tag: matching order must be send order.
-        let r1 = r.irecv(Some(0), Some(5), 128 * 1024);
-        let r2 = r.irecv(Some(0), Some(5), 128 * 1024);
-        let r3 = r.irecv(Some(0), Some(5), 128 * 1024);
-        pump(&mut s, &mut r);
-        assert_eq!(r1.take(), Some(big1), "first big first");
-        assert_eq!(r2.take(), Some(big2), "second big second");
-        assert_eq!(r3.take(), Some(small), "small strictly last");
+        for (k, m) in bigs.iter().chain([&small]).enumerate() {
+            let req = r.irecv(Some(0), Some(5), CHUNK_BYTES);
+            pump(&mut s, &mut r);
+            assert_eq!(req.take().as_ref(), Some(m), "message {k} in send order");
+        }
     }
 
     // ---- send scheduler ----
@@ -1049,7 +1122,9 @@ mod tests {
     /// Replay one seeded schedule of sends, NIC drains, credit returns
     /// and progress calls; returns everything emitted, in order.
     fn replay(seed: u64, arrival_scan: bool) -> Vec<(u16, u32, u32)> {
-        const SIZES: [usize; 6] = [0, 8, 900, 3_000, 20_000, 70_000];
+        // Eager sizes only (`Fanout` never answers an RTS): a few one-chunk
+        // messages overrun a 64-packet window mid-message.
+        const SIZES: [usize; 6] = [0, 8, 900, 3_000, 9_000, CHUNK_BYTES];
         let mut rng = DetRng::seed_from_u64(seed);
         let mut mpi = fanout(arrival_scan);
         let mut reqs = Vec::new();
@@ -1134,8 +1209,12 @@ mod tests {
     #[test]
     fn an_idle_uplink_serves_the_next_peer_and_a_busy_one_waits() {
         let mut mpi = fanout(false);
-        // 70 packets toward peer 1: its window (64) closes mid-message.
-        let big = mpi.isend(1, 7, vec![1u8; 70_000]);
+        // Four one-chunk messages, 68 packets toward peer 1: its window
+        // (64) closes in the middle of the fourth.
+        let bigs: Vec<SendReq> = (0..4)
+            .map(|_| mpi.isend(1, 7, vec![1u8; CHUNK_BYTES]))
+            .collect();
+        let big = &bigs[3];
         let small = mpi.isend(2, 7, vec![2u8; 8]);
         // The NIC (16 slots) is still busy with peer 1's packets: the
         // pass stopped at the stall, peer 2 waits although its window
@@ -1158,7 +1237,7 @@ mod tests {
         // The FM-level deferred queue must also stream: a rendezvous
         // payload larger than the credit window travels via
         // send_pieces_from_handler.
-        let (mut s, mut r) = rndv_pair();
+        let (mut s, mut r) = pair();
         let payload: Vec<u8> = (0..100_000u32).map(|i| (i % 241) as u8).collect();
         let req = r.irecv(Some(0), Some(2), 128 * 1024);
         let sreq = s.isend(1, 2, payload.clone()); // rendezvous path
@@ -1173,12 +1252,12 @@ mod tests {
     fn rendezvous_posted_mid_flight_via_late_rts_match() {
         // RTS arrives, goes unexpected; receive posted later matches the
         // parked RTS and pulls the payload.
-        let (mut s, mut r) = rndv_pair();
-        let payload = vec![7u8; 1500];
+        let (mut s, mut r) = pair();
+        let payload = vec![7u8; CHUNK_BYTES + 1500];
         s.isend(1, 9, payload.clone());
         pump(&mut s, &mut r);
         assert_eq!(r.unexpected_total(), 1, "the RTS itself went unexpected");
-        let req = r.irecv(None, None, 2048);
+        let req = r.irecv(None, None, 2 * CHUNK_BYTES);
         assert!(!req.is_done(), "payload still at the sender");
         pump(&mut s, &mut r);
         assert_eq!(req.take(), Some(payload));

@@ -1,6 +1,6 @@
 //! Property battery over MPI matching: random posting orders, wildcard
-//! patterns, message interleavings, payload sizes, and protocol knobs
-//! (rendezvous threshold, extract pacing), asserting the envelope
+//! patterns, message interleavings, payload sizes on both sides of the
+//! eager/rendezvous boundary, and extract pacing, asserting the envelope
 //! invariants that every MPI implementation must keep:
 //!
 //! * **No lost or duplicated envelopes** — the delivered multiset of
@@ -22,6 +22,7 @@
 use std::collections::HashMap;
 
 use fm_core::device::{LoopbackDevice, LoopbackPair};
+use fm_core::onesided::CHUNK_BYTES;
 use fm_core::Fm2Engine;
 use fm_model::rng::{env_cases, DetRng};
 use fm_model::MachineProfile;
@@ -67,16 +68,19 @@ struct SentMsg {
     payload: Vec<u8>,
 }
 
-const MAX_LEN: usize = 8192;
+const MAX_LEN: usize = 2 * CHUNK_BYTES;
 
 fn run_case(rng: &mut DetRng) {
     let (mut s, mut r) = pair();
 
-    // Random protocol knobs: sometimes rendezvous for big payloads,
-    // sometimes receiver pacing — matching must be invariant to both.
-    if rng.chance(0.3) {
-        s.set_eager_threshold(512);
-    }
+    // Sometimes big payloads straddle the one-sided chunk, so a remote
+    // send of one is a rendezvous; sometimes the receiver paces — matching
+    // must be invariant to both.
+    let big = if rng.chance(0.3) {
+        CHUNK_BYTES - 4000..CHUNK_BYTES + 4000
+    } else {
+        1000..6000
+    };
     if rng.chance(0.3) {
         r.set_extract_budget(rng.range_usize(256, 4096));
     }
@@ -104,7 +108,7 @@ fn run_case(rng: &mut DetRng) {
                 v
             };
             let extra = if rng.chance(0.1) {
-                rng.range_usize(1000, 6000) // multi-packet / rendezvous-size
+                rng.range_usize(big.start, big.end) // multi-packet, maybe rendezvous
             } else {
                 rng.range_usize(0, 64)
             };

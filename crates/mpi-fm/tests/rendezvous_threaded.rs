@@ -1,8 +1,8 @@
 //! MPI-FM 2.x's rendezvous on a same-host fabric: the granted DATA is
 //! read out of the sender's memory, not streamed.
 //!
-//! One two-rank script moves 64 KiB and 256 KiB messages over the
-//! rendezvous path (eager threshold 512 B), each once with the receive
+//! One two-rank script moves 64 KiB and 256 KiB messages, both longer
+//! than one one-sided chunk and so rendezvous, each once with the receive
 //! posted before the RTS arrives and once with the RTS stored as
 //! unexpected first. The receiver checks every byte and acknowledges
 //! each message; the sender counts the packets it sent between `isend`
@@ -22,7 +22,6 @@ use mpi_fm::{Mpi, Mpi2, RecvReq, SendReq};
 use myrinet_sim::{NodeId, Simulation, StepOutcome, Topology};
 
 const KIB: usize = 1024;
-const EAGER_THRESHOLD: usize = 512;
 const TAG_DATA: u32 = 1;
 const TAG_READY: u32 = 2;
 const TAG_ACK: u32 = 3;
@@ -139,17 +138,11 @@ impl Script {
     }
 }
 
-fn mpi<D: NetDevice + 'static>(fm: Fm2Engine<D>) -> Mpi2<D> {
-    let mut mpi = Mpi2::new(fm);
-    mpi.set_eager_threshold(EAGER_THRESHOLD);
-    mpi
-}
-
 /// The sender's packets per message on the threaded mesh.
 fn threaded() -> Vec<u64> {
     let profile = MachineProfile::ppro200_fm2();
     let mut out = ThreadedCluster::run(2, |rank, dev| {
-        let mut mpi = mpi(Fm2Engine::new(dev, profile));
+        let mut mpi = Mpi2::new(Fm2Engine::new(dev, profile));
         let mut script = Script::new(rank);
         let mut backoff = Backoff::new("rendezvous script");
         while !script.step(&mut mpi) {
@@ -167,7 +160,7 @@ fn simulated() -> Vec<u64> {
     let packets = Rc::new(RefCell::new(None));
     for rank in 0..2 {
         let fm = Fm2Engine::new(SimDevice::new(sim.host_interface(NodeId(rank))), profile);
-        let mut mpi = mpi(fm);
+        let mut mpi = Mpi2::new(fm);
         let mut script = Script::new(rank);
         let out = Rc::clone(&packets);
         sim.set_program(
@@ -204,5 +197,25 @@ fn rendezvous_is_pulled_on_a_same_host_fabric_and_streams_on_the_simulator() {
             "sim: {what} cost the sender {} packets, fewer than one per MTU",
             streamed[k]
         );
+    }
+}
+
+#[test]
+fn a_sender_that_returns_after_its_blocking_send_leaves_the_payload_whole() {
+    // A rendezvous send completes only once the one-sided layer holds
+    // none of its payload — streamed onto the wire, or read by the
+    // receiver and answered — so the sender may return, freeing its
+    // engine and every buffer, as soon as its blocking send does.
+    for len in [64 * KIB, 256 * KIB] {
+        let delivered = ThreadedCluster::run(2, move |rank, dev| {
+            let mut mpi = Mpi2::new(Fm2Engine::new(dev, MachineProfile::ppro200_fm2()));
+            if rank == 0 {
+                mpi.send(1, TAG_DATA, payload(0, len));
+                return true;
+            }
+            let (got, _) = mpi.recv(Some(0), Some(TAG_DATA), len);
+            got == payload(0, len)
+        });
+        assert!(delivered[1], "{len} B arrived corrupted");
     }
 }
