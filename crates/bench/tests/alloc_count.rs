@@ -18,6 +18,11 @@
 //! threads (libtest's output formatting lands at nondeterministic points
 //! and was observed polluting the window by a couple of allocations).
 //!
+//! The `Shmem` put row is the exception: a large same-host put blocks
+//! until its target has read it, so the target turns on a thread of its
+//! own and the count covers the initiator's thread — the put, its wait
+//! and the FIN that ends it.
+//!
 //! The MPI rows count differently: MPI-FM's posted receive path is not
 //! allocation-free by contract (a request cell, the handler's future and
 //! the payload it returns are per message), so they pin the *receiver's*
@@ -36,13 +41,14 @@ use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
-use fm_bench::fabric::{retransmit, Fabric, Program, Programs, Shm, Sim, Step};
+use fm_bench::fabric::{blocking, retransmit, Fabric, Program, Programs, Shm, Sim, Step};
 use fm_core::packet::HandlerId;
 use fm_core::{Onesided, OnesidedConfig, OsStatus, RegionHandle};
 use fm_model::MachineProfile;
 use fm_shm::{shm_cluster, ShmDevice};
 use mpi_fm::{Mpi, Mpi2, RecvReq, SendReq};
 use myrinet_sim::fault::FaultModel;
+use shmem_fm::Shmem;
 
 /// Counts every allocation and reallocation (frees are irrelevant: the
 /// claim is that the steady state takes nothing *from* the allocator).
@@ -563,6 +569,72 @@ fn steady_state_large_put_allocates_nothing_shm() {
         copied, payload,
         "shm receiver copied {copied} bytes for {payload} payload bytes — \
          a staging copy survived on the put path"
+    );
+}
+
+/// Runs `warmup + measured` rounds of one 64 KiB and one 256 KiB
+/// `Shmem::put` from rank 0 into rank 1's heap over the two-thread
+/// [`Shm`] fabric, and returns the initiator thread's allocation delta
+/// across the measured rounds, the target's copied bytes and the payload
+/// bytes. Each put blocks until the target has read it, so the target
+/// must turn on a thread of its own: the one-thread fabric would wedge.
+fn shmem_put_alloc_delta(warmup: usize, measured: usize) -> (u64, u64, u64) {
+    const KIB: usize = 1024;
+    const SIZES: [usize; 2] = [64 * KIB, 256 * KIB];
+    const FLAG: usize = 320 * KIB;
+    const HEAP: usize = FLAG + 8;
+    let payload = ((warmup + measured) * SIZES.iter().sum::<usize>()) as u64;
+    let out = Shm::DEEP.run(2, |rank, fm| -> Program<u64> {
+        blocking(move || {
+            let sh = Shmem::new(fm.clone(), HEAP);
+            // The barrier turns the engine, which learns from the device
+            // that its peer shares this host: until then a put copies.
+            sh.barrier_all();
+            if rank == 1 {
+                // Serve until the initiator's last act, a flag put.
+                let before = fm.stats().bytes_copied;
+                sh.wait_until_i64(FLAG, |v| v == 1);
+                return fm.stats().bytes_copied - before;
+            }
+            let bufs = SIZES.map(|len| vec![0xC5u8; len]);
+            let round = || {
+                let mut at = 0;
+                for buf in &bufs {
+                    sh.put(1, at, buf);
+                    at += buf.len();
+                }
+            };
+            (0..warmup).for_each(|_| round());
+            let mut at_warm = None;
+            snapshot_at_warm(&mut at_warm, true);
+            (0..measured).for_each(|_| round());
+            let allocs = allocations() - at_warm.expect("warm-up snapshot");
+            sh.put(1, FLAG, &1i64.to_le_bytes());
+            sh.quiet();
+            allocs
+        })
+    });
+    // The flag is a copied put of eight bytes.
+    (out[0], out[1] - 8, payload)
+}
+
+#[test]
+fn steady_state_large_put_allocates_nothing_shmem() {
+    // `Shmem::put` at 64 KiB and 256 KiB to a same-host PE: the target
+    // reads the caller's buffer in place and the put waits for its FIN,
+    // so once warm a put copies nothing here and allocates nothing on
+    // the initiator's thread. Named to fall under CI's zero-copy put gate
+    // filter (`steady_state_large_put_allocates_nothing`).
+    let (delta, copied, payload) = shmem_put_alloc_delta(16, 32);
+    assert_eq!(
+        delta,
+        0,
+        "steady-state shmem puts allocated {delta} times over 64 puts ({} per put)",
+        delta as f64 / 64.0
+    );
+    assert_eq!(
+        copied, payload,
+        "shmem target copied {copied} bytes for {payload} payload bytes"
     );
 }
 

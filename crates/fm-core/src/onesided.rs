@@ -35,7 +35,9 @@
 //!   of the other's memory in one kernel copy (`process_vm_readv`,
 //!   checked against the peer's pidfd; `peer_mem.rs`) and answers FIN.
 //!   A peer that cannot read this process declines once, and from then
-//!   on every payload to it travels as packets.
+//!   on every payload to it travels as packets. A put can also be left
+//!   in place ([`OsPort::put_in_place`]): the PULL names the caller's own
+//!   buffer, so the payload is not even copied into the job.
 //!
 //! The protocol core ([`OsCore`] behind [`OsPort`]) is sans-IO: it
 //! consumes packets and emits control frames / send jobs without
@@ -77,10 +79,6 @@ const OP_GET: u32 = 6;
 /// source's address in `f`: the receiver reads the bytes (same-host
 /// pull). It travels on its job's handler, which names its lane.
 const OP_PULL: u32 = 7;
-
-/// FIN status of a pull the reader declined: never surfaced, the job
-/// goes again as packets.
-const DECLINED: u32 = u32::MAX;
 
 /// The size above which a payload is large, everywhere in the stack: a
 /// one-sided job longer than this is pulled from a same-host peer (the
@@ -201,6 +199,11 @@ pub enum OsStatus {
     Deregistered,
     /// The peer died mid-transfer; the op was aborted locally.
     PeerDown,
+    /// An in-place put ([`OsPort::put_in_place`]) was handed back,
+    /// having landed nothing: its target could not read this process,
+    /// or is not on this host. On the wire, the FIN of any pull its
+    /// reader declined; no other op completes with it.
+    Declined,
 }
 
 impl OsStatus {
@@ -211,10 +214,11 @@ impl OsStatus {
             OsStatus::OutOfBounds => 2,
             OsStatus::Deregistered => 3,
             OsStatus::PeerDown => 4,
+            OsStatus::Declined => u32::MAX,
         }
     }
 
-    /// `None` for a code no status has — [`DECLINED`] among them.
+    /// `None` for a code no status has.
     fn from_wire(v: u32) -> Option<Self> {
         match v {
             0 => Some(OsStatus::Ok),
@@ -222,6 +226,7 @@ impl OsStatus {
             2 => Some(OsStatus::OutOfBounds),
             3 => Some(OsStatus::Deregistered),
             4 => Some(OsStatus::PeerDown),
+            u32::MAX => Some(OsStatus::Declined),
             _ => None,
         }
     }
@@ -430,10 +435,13 @@ impl RegionTable {
 // Sans-IO protocol core
 // ----------------------------------------------------------------------
 
-/// Source bytes for an outbound job: parked copy or pinned region.
+/// Source bytes for an outbound job: parked copy, pinned region, or
+/// the address of a caller's buffer that a same-host target reads in
+/// place — such a job is always pulled, never streamed.
 enum JobSrc {
     Owned(Vec<u8>),
     Region { index: u32, offset: usize },
+    Addr(u64),
 }
 
 /// A payload to stream: chunk-sized FM messages on its lane's handler,
@@ -457,7 +465,7 @@ struct OpState {
     reply: Option<GrantKey>,
     /// A put that left as a pull request: its job, source and all, kept
     /// until the FIN says the target has read it — or has declined, and
-    /// the job goes again as packets.
+    /// the job goes again as packets (or, in place, is handed back).
     pulled: Option<SendJob>,
 }
 
@@ -630,14 +638,13 @@ impl OsCore {
         });
     }
 
-    /// Queue FIN(id, status) toward `dst`, answering its `lane` job
-    /// `id`; `status` is an [`OsStatus`] on the wire, or [`DECLINED`].
-    fn fin(&mut self, dst: usize, lane: Lane, id: u32, status: u32) {
+    /// Queue FIN(id, status) toward `dst`, answering its `lane` job `id`.
+    fn fin(&mut self, dst: usize, lane: Lane, id: u32, status: OsStatus) {
         self.outbox.push_back((
             dst,
             OpHeader {
                 a: id,
-                b: status,
+                b: status.to_wire(),
                 c: lane as u32,
                 ..OpHeader::zero(OP_FIN)
             },
@@ -646,7 +653,7 @@ impl OsCore {
 
     /// `peer` could not read the pulled `job`: it reads nothing more of
     /// ours, and the job goes again as packets, ahead of everything
-    /// still queued.
+    /// still queued — or, left in place, is handed back by `next_job`.
     fn decline(&mut self, peer: usize, job: SendJob) {
         self.pull_path[peer] = PullPath::Closed;
         self.pull_declines += 1;
@@ -755,6 +762,18 @@ impl OsCore {
         OsToken(token)
     }
 
+    fn put_in_place(
+        &mut self,
+        dst: usize,
+        h: RegionHandle,
+        offset: u64,
+        data: &[u8],
+    ) -> Option<OsToken> {
+        let pullable = data.len() > self.cfg.chunk_bytes && self.pull_path[dst] != PullPath::Closed;
+        let src = JobSrc::Addr(data.as_ptr() as u64);
+        pullable.then(|| self.put_bytes(dst, h, offset, src, data.len()))
+    }
+
     fn put_from(
         &mut self,
         dst: usize,
@@ -822,41 +841,57 @@ impl OsCore {
 
     /// Take the next job to stream, and whether it leaves as a pull
     /// request: a job longer than a chunk to a peer `same_host` says
-    /// shares this host, unless that peer is packet-only. `None` when
+    /// shares this host, unless that peer is packet-only. An in-place
+    /// put that would not be pulled (its peer is on another host, or
+    /// has declined a pull) is handed back instead: it completes
+    /// [`OsStatus::Declined`]. `None` when
     /// the queue is empty or its head waits on its peer's probe.
-    fn next_job(&mut self, same_host: impl FnOnce(usize) -> bool) -> Option<(SendJob, bool)> {
-        let job = self.jobs.front()?;
-        let dst = job.dst;
-        let long = job.len > self.cfg.chunk_bytes;
-        let pull = match self.pull_path[dst] {
-            PullPath::Probing => return None,
-            PullPath::Closed => false,
-            path => {
-                let pull = long && same_host(dst);
-                if pull && path == PullPath::Untried {
-                    self.pull_path[dst] = PullPath::Probing;
+    fn next_job(&mut self, same_host: impl Fn(usize) -> bool) -> Option<(SendJob, bool)> {
+        loop {
+            let job = self.jobs.front()?;
+            let dst = job.dst;
+            let long = job.len > self.cfg.chunk_bytes;
+            let pull = match self.pull_path[dst] {
+                PullPath::Probing => return None,
+                PullPath::Closed => false,
+                path => {
+                    let pull = long && same_host(dst);
+                    if pull && path == PullPath::Untried {
+                        self.pull_path[dst] = PullPath::Probing;
+                    }
+                    pull
                 }
-                pull
+            };
+            let job = self.jobs.pop_front().expect("front was checked");
+            match (pull, &job.src) {
+                // None of it landed, and its caller still holds the bytes.
+                (false, JobSrc::Addr(_)) => {
+                    let token = OpHeader::decode(&job.hdr)
+                        .expect("a job's header is whole")
+                        .a;
+                    self.ops.remove(&token);
+                    self.complete(token, OsStatus::Declined);
+                }
+                _ => return Some((job, pull)),
             }
-        };
-        let job = self.jobs.pop_front().expect("front was checked");
-        Some((job, pull))
+        }
     }
 
     /// The header a pulled job leaves as: its own, naming its length and
     /// where its source is for the receiver to read.
     fn pull_request(&self, job: &SendJob) -> OpHeader {
         let src = match &job.src {
-            JobSrc::Owned(v) => v.as_ptr(),
+            JobSrc::Owned(v) => v.as_ptr() as u64,
             JobSrc::Region { index, offset } => {
-                self.regions.slice(*index, *offset, job.len).as_ptr()
+                self.regions.slice(*index, *offset, job.len).as_ptr() as u64
             }
+            JobSrc::Addr(addr) => *addr,
         };
         let own = OpHeader::decode(&job.hdr).expect("a job's header is whole");
         OpHeader {
             op: OP_PULL,
             e: job.len as u64,
-            f: src as u64,
+            f: src,
             ..own
         }
     }
@@ -891,9 +926,9 @@ impl OsCore {
                 if pull.lane == Lane::Xfer {
                     self.grant_filled((pull.peer, Lane::Xfer, pull.id));
                 }
-                OsStatus::Ok.to_wire()
+                OsStatus::Ok
             }
-            false => DECLINED,
+            false => OsStatus::Declined,
         };
         self.fin(pull.peer, pull.lane, pull.id, status);
     }
@@ -983,12 +1018,12 @@ impl OsCore {
         let (slot, offset) = match window {
             Ok(window) => window,
             Err(status) => {
-                self.fin(src, lane, id, status.to_wire());
+                self.fin(src, lane, id, status);
                 return None;
             }
         };
         let Some(pid) = same_host() else {
-            self.fin(src, lane, id, DECLINED);
+            self.fin(src, lane, id, OsStatus::Declined);
             return None;
         };
         Some(Pull {
@@ -1015,7 +1050,7 @@ impl OsCore {
                 self.regions.write(hdr.b, hdr.d as usize, body);
                 self.pending_copy_bytes += body.len() as u64;
             }
-            self.fin(src, Lane::Op, hdr.a, status.to_wire());
+            self.fin(src, Lane::Op, hdr.a, status);
             return None;
         }
         let key = (src, Lane::Op, hdr.a);
@@ -1064,15 +1099,19 @@ impl OsCore {
             return true; // the op was aborted: a late FIN
         };
         let dst = op.dst;
-        if let Some(job) = op.pulled.take_if(|_| status == DECLINED) {
+        let Some(verdict) = OsStatus::from_wire(status) else {
+            return false;
+        };
+        if verdict == OsStatus::Declined {
+            let Some(job) = op.pulled.take() else {
+                return false;
+            };
             self.decline(dst, job);
             return true;
         }
-        let is_get = op.reply.is_some();
-        let valid = |v: &OsStatus| *v != OsStatus::Ok || !is_get;
-        let Some(verdict) = OsStatus::from_wire(status).filter(valid) else {
+        if verdict == OsStatus::Ok && op.reply.is_some() {
             return false;
-        };
+        }
         let op = self.ops.remove(&token).expect("found above");
         if let Some(job) = op.pulled {
             self.answered(dst, job, verdict == OsStatus::Ok);
@@ -1087,16 +1126,15 @@ impl OsCore {
     /// The FIN of our DATA job into `peer`'s credit `xfer`, which `peer`
     /// was asked to read.
     fn on_data_fin(&mut self, peer: usize, xfer: u32, status: u32) -> bool {
-        let verdict = OsStatus::from_wire(status);
-        if verdict.is_none() && status != DECLINED {
+        let Some(verdict) = OsStatus::from_wire(status) else {
             return false;
-        }
+        };
         let Some(job) = self.pulled_data.remove(&(peer, xfer)) else {
             return false;
         };
         match verdict {
-            Some(verdict) => self.answered(peer, job, verdict == OsStatus::Ok),
-            None => self.decline(peer, job),
+            OsStatus::Declined => self.decline(peer, job),
+            verdict => self.answered(peer, job, verdict == OsStatus::Ok),
         }
         true
     }
@@ -1104,7 +1142,7 @@ impl OsCore {
     fn on_get(&mut self, src: usize, hdr: OpHeader) {
         let status = self.regions.check(hdr.b, hdr.c, hdr.d, hdr.e);
         if status != OsStatus::Ok {
-            self.fin(src, Lane::Op, hdr.a, status.to_wire());
+            self.fin(src, Lane::Op, hdr.a, status);
             return;
         }
         self.regions.pin(hdr.b);
@@ -1130,9 +1168,7 @@ impl OsCore {
         };
         self.drop_grant(key);
         match origin {
-            GrantOrigin::PutFin { token, status } => {
-                self.fin(key.0, Lane::Op, token, status.to_wire())
-            }
+            GrantOrigin::PutFin { token, status } => self.fin(key.0, Lane::Op, token, status),
             GrantOrigin::GetLocal { token } => {
                 self.ops.remove(&token);
                 self.complete(token, OsStatus::Ok);
@@ -1305,6 +1341,30 @@ impl OsPort {
             .put_bytes(dst, h, offset, src, data.len())
     }
 
+    /// `FM_put` with no copy at all, to a peer the engine knows runs on
+    /// this host ([`Fm2Engine::same_host_pid`]): the target reads `data`
+    /// straight out of the caller's buffer (module docs). The port keeps
+    /// only `data`'s address, so the caller must leave `data` alive and
+    /// unchanged until the op completes — nothing here reads it, and a
+    /// buffer changed early lands changed bytes. A target that cannot
+    /// read this process hands the put back: it completes
+    /// [`OsStatus::Declined`] having landed nothing, and the caller
+    /// issues it again with [`put`](Self::put), which then streams.
+    /// `None`, with nothing queued, where the put would not be pulled:
+    /// `data` is no longer than one chunk, or `dst` has declined before.
+    /// A `dst` on another host is handed back unread. A put handed back
+    /// lands after those issued behind it, so a caller that needs issue
+    /// order waits for its completion first, as `shmem-fm`'s `put` does.
+    pub fn put_in_place(
+        &self,
+        dst: usize,
+        h: RegionHandle,
+        offset: u64,
+        data: &[u8],
+    ) -> Option<OsToken> {
+        self.core.borrow_mut().put_in_place(dst, h, offset, data)
+    }
+
     /// Zero-copy `FM_put`: source the payload from a *local* registered
     /// region instead of copying it. The source region is pinned until
     /// the transfer leaves the node — or, when a same-host target reads
@@ -1402,9 +1462,9 @@ impl OsPort {
     }
 
     /// Payloads this port sent whose pull was declined — the peer could
-    /// not read this process — and that went again as packets. After
-    /// the first, every payload to that peer travels as packets for the
-    /// port's life.
+    /// not read this process — and that went again as packets or, put
+    /// in place, were handed back. After the first, every payload to
+    /// that peer travels as packets for the port's life.
     pub fn pull_declines(&self) -> u64 {
         self.core.borrow().pull_declines
     }
@@ -1585,6 +1645,7 @@ impl<D: NetDevice> Onesided<D> {
             let chunk: &[u8] = match &act.job.src {
                 JobSrc::Owned(v) => &v[at..at + clen],
                 JobSrc::Region { index, offset } => core.regions.slice(*index, offset + at, clen),
+                JobSrc::Addr(_) => unreachable!("an in-place job is pulled, never streamed"),
             };
             let ss = act.open.get_or_insert_with(|| {
                 fm.begin_message(act.job.dst, OP_HDR_BYTES + clen, act.job.lane.handler())
@@ -1808,7 +1869,8 @@ mod tests {
             }
             .encode()
         };
-        let forged = [fin(get, 0), fin(get, 99), fin(put, DECLINED), fin(put, 99)];
+        let declined = OsStatus::Declined.to_wire();
+        let forged = [fin(get, 0), fin(get, 99), fin(put, declined), fin(put, 99)];
         for f in &forged {
             p.b.fm.try_send_message(0, ONESIDED_HANDLER, &[f]).unwrap();
         }
@@ -1898,6 +1960,20 @@ mod tests {
         assert_eq!(p.wait_completion('a', t3), OsStatus::Ok);
         let out = p.a.deregister_owned(scratch).unwrap();
         assert_eq!(out, small);
+    }
+
+    #[test]
+    fn an_in_place_put_to_a_peer_on_another_host_is_handed_back_unread() {
+        let mut p = Pair::new();
+        let dst = p.b.register(0, 32 * 1024).unwrap();
+        let data = pattern(12 * 1024, 51);
+        let tok = p.a.put_in_place(1, dst, 0, &data).unwrap();
+        assert_eq!(p.wait_completion('a', tok), OsStatus::Declined);
+        assert_eq!(p.a.pull_declines(), 0, "the peer declined nothing");
+        let mut out = vec![0u8; data.len()];
+        p.b.port().read_local(dst, 0, &mut out).unwrap();
+        assert_eq!(out, vec![0u8; data.len()], "nothing was sent");
+        assert_eq!(p.a.pending_ops(), 0);
     }
 
     #[test]

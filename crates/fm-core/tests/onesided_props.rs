@@ -34,7 +34,10 @@
 //!    down;
 //! 8. a peer that cannot be read (its fact names a pid no process can
 //!    have) costs one declined pull each way, and every put and get
-//!    still lands bit-exact, over packets.
+//!    still lands bit-exact, over packets;
+//! 9. a put left in place is read out of the caller's buffer when the
+//!    target takes its PULL, and one the peer cannot read is handed
+//!    back having written nothing, after which a copying put streams.
 
 use std::cell::{Cell, RefCell};
 use std::collections::{HashMap, VecDeque};
@@ -811,21 +814,29 @@ fn a_pulled_put_from_keeps_its_source_pinned_until_the_fin() {
     assert_eq!(got, data);
 }
 
-#[test]
-fn an_unreadable_peer_declines_once_and_everything_lands_over_packets() {
-    // One past the largest pid the kernel hands out: no process has it,
-    // so the open of its memory fails, as it does for a peer the ptrace
-    // policy hides.
+/// One past the largest pid the kernel hands out: no process has it, so
+/// the open of its memory fails, as it does for a peer the ptrace policy
+/// hides.
+fn unreadable_pid() -> u32 {
     let pid_max: u32 = std::fs::read_to_string("/proc/sys/kernel/pid_max")
         .ok()
         .and_then(|s| s.trim().parse().ok())
         .unwrap_or(1 << 22);
+    pid_max + 1
+}
+
+#[test]
+fn an_unreadable_peer_declines_once_and_everything_lands_over_packets() {
     const KIB: usize = 1024;
     let ours = |seed: usize, len: usize| -> Vec<u8> {
         (0..len).map(|i| ((i * 13 + seed) % 251) as u8).collect()
     };
     for gets_first in [false, true] {
-        let mut pair = PullPair::new(pid_max + 1, 1 << 20, OnesidedConfig::default().chunk_bytes);
+        let mut pair = PullPair::new(
+            unreadable_pid(),
+            1 << 20,
+            OnesidedConfig::default().chunk_bytes,
+        );
         let (initiator, target) = (pair.port(0), pair.port(1));
         let [mine, theirs] = [&initiator, &target].map(|p| p.register(0, 1 << 20).expect("arena"));
         let remote = ours(7, 320 * KIB);
@@ -873,6 +884,106 @@ fn an_unreadable_peer_declines_once_and_everything_lands_over_packets() {
             assert_eq!(port.pulled_bytes(), 0, "gets first: {gets_first}");
             assert_eq!(port.protocol_drops(), 0, "gets first: {gets_first}");
             assert!(port.pull_declines() >= 1, "gets first: {gets_first}");
+        }
+    }
+}
+
+#[test]
+fn an_in_place_put_is_read_out_of_the_callers_buffer() {
+    const KIB: usize = 1024;
+    let chunk = OnesidedConfig::default().chunk_bytes;
+    let mut pair = PullPair::new(std::process::id(), 1 << 20, chunk);
+    let (initiator, target) = (pair.port(0), pair.port(1));
+    let dst = target.register(0, 1 << 20).expect("arena");
+    assert_eq!(
+        initiator.put_in_place(1, dst, 0, &vec![1u8; chunk]),
+        None,
+        "a chunk is not pulled, so it is not left in place"
+    );
+    let mut read = 0;
+    for (at, len) in [(0, 64 * KIB), (64 * KIB, 256 * KIB)] {
+        let mut data: Vec<u8> = (0..len).map(|i| (i % 239) as u8).collect();
+        let token = initiator
+            .put_in_place(1, dst, at as u64, &data)
+            .expect("a long put to a same-host peer goes in place");
+        // Rewritten after the call and before the target's turn: what
+        // lands is what the buffer holds when it is read, so nothing
+        // copied it on the way.
+        data.iter_mut().for_each(|b| *b = b.wrapping_add(1));
+        let seen = pair.complete(&[token]);
+        assert_eq!(seen[&token], vec![OsStatus::Ok], "{len} B");
+        read += len as u64;
+        assert_eq!(
+            target.pulled_bytes(),
+            read,
+            "{len} B: one read of the payload"
+        );
+        let mut got = vec![0u8; len];
+        target.read_local(dst, at, &mut got).expect("read back");
+        assert!(got == data, "{len} B: the target holds other bytes");
+    }
+    for port in [&initiator, &target] {
+        assert_eq!(port.pull_declines(), 0);
+        assert_eq!(port.protocol_drops(), 0);
+    }
+}
+
+#[test]
+fn an_in_place_put_the_peer_cannot_read_is_handed_back_and_goes_again_as_packets() {
+    const KIB: usize = 1024;
+    let chunk = OnesidedConfig::default().chunk_bytes;
+    // Alone, the in-place put is the probe and its FIN hands it back.
+    // Behind a copying put that probes first, it is handed back unsent
+    // once that probe's decline has closed the path.
+    for behind_a_probe in [false, true] {
+        let mut pair = PullPair::new(unreadable_pid(), 1 << 20, chunk);
+        let (initiator, target) = (pair.port(0), pair.port(1));
+        let dst = target.register(0, 1 << 20).expect("arena");
+        let probe: Vec<u8> = (0..64 * KIB).map(|i| (i % 233) as u8).collect();
+        let data: Vec<u8> = (0..256 * KIB).map(|i| (i % 251) as u8).collect();
+        let at = 64 * KIB;
+        let mut tokens = Vec::new();
+        if behind_a_probe {
+            tokens.push(initiator.put(1, dst, 0, &probe));
+        }
+        let token = initiator
+            .put_in_place(1, dst, at as u64, &data)
+            .expect("nothing has declined yet");
+        tokens.push(token);
+        let seen = pair.complete(&tokens);
+        let case = format!("behind a probe: {behind_a_probe}");
+        assert_eq!(seen[&token], vec![OsStatus::Declined], "{case}");
+        let mut got = vec![0u8; data.len()];
+        target.read_local(dst, at, &mut got).expect("read back");
+        assert!(
+            got.iter().all(|&b| b == 0),
+            "{case}: a handed-back put wrote"
+        );
+
+        // The path is closed: nothing more goes in place, and the copy
+        // the caller issues again streams.
+        assert_eq!(
+            initiator.put_in_place(1, dst, at as u64, &data),
+            None,
+            "{case}"
+        );
+        let token = initiator.put(1, dst, at as u64, &data);
+        assert_eq!(
+            pair.complete(&[token])[&token],
+            vec![OsStatus::Ok],
+            "{case}"
+        );
+        target.read_local(dst, at, &mut got).expect("read back");
+        assert!(got == data, "{case}: the re-issued put diverged");
+        if behind_a_probe {
+            let mut got = vec![0u8; probe.len()];
+            target.read_local(dst, 0, &mut got).expect("read back");
+            assert!(got == probe, "{case}: the probe diverged");
+        }
+        assert_eq!(initiator.pull_declines(), 1, "{case}");
+        assert_eq!(target.pulled_bytes(), 0, "{case}");
+        for port in [&initiator, &target] {
+            assert_eq!(port.protocol_drops(), 0, "{case}");
         }
     }
 }

@@ -9,7 +9,10 @@
 //! transfer to a peer on another host, streams into the destination
 //! through the sink handler; on a same-host link a longer one is read out
 //! of the other process by the side that owns the destination (the
-//! target of a put, the caller of a get), in one kernel copy. The remaining
+//! target of a put, the caller of a get), in one kernel copy. Such a put
+//! is read straight out of the caller's buffer, so, like a get, it
+//! returns only once the target has read it: the target must progress on
+//! its own thread or process, as every same-host PE does. The remaining
 //! read-modify-write ops (`accumulate`, `fetch_add`) and the barrier stay
 //! Active-Messages-style on this crate's own FM handler — the target
 //! applies them during its `FM_extract`, which is what makes them atomic.
@@ -50,9 +53,9 @@ pub struct Shmem<D: NetDevice> {
     /// Statuses of puts that failed at the target (e.g. out of the
     /// remote heap's bounds) instead of landing.
     put_failures: RefCell<Vec<OsStatus>>,
-    /// The token of the get being waited for, and its status once in.
-    /// `get` blocks and is the only op that waits on its own token, so
-    /// there is at most one.
+    /// The token of the op being waited for, and its status once in.
+    /// Only `get` and a same-host `put` longer than a chunk wait on their
+    /// own token, and both block, so there is at most one.
     awaited: Cell<Option<(u32, Option<OsStatus>)>>,
     barrier_epoch: Cell<u64>,
 }
@@ -249,16 +252,29 @@ impl<D: NetDevice + 'static> Shmem<D> {
         })
     }
 
-    /// One-sided put: write `data` into `dst`'s heap at `offset`.
-    /// Completion (remotely visible) is guaranteed only after
-    /// [`Shmem::quiet`]. `data` is copied at once, so the caller may
-    /// reuse it on return. Up to one chunk, or to a peer on another host,
-    /// the bytes land in the remote heap packet by packet. On a same-host
-    /// link a longer put sends only a header, and the target reads the
-    /// bytes out of this process straight into its heap: one kernel copy,
-    /// where packets would be copied into the ring and out again.
+    /// One-sided put: write `data` into `dst`'s heap at `offset`. The
+    /// caller may reuse `data` on return. Up to one chunk, or to a peer
+    /// on another host, `data` is copied at once and lands in the remote
+    /// heap packet by packet; completion (remotely visible) is
+    /// guaranteed only after [`Shmem::quiet`]. On a same-host link a
+    /// longer put sends only a header, and the target reads the bytes
+    /// straight out of `data` into its heap — one kernel copy, where
+    /// packets would be copied into the ring and out again — so this
+    /// returns once the target has read them, which needs the target to
+    /// progress, as [`Shmem::get`] does. A target that cannot read this
+    /// process gets the bytes as packets instead.
     pub fn put(&self, dst: usize, offset: usize, data: &[u8]) {
-        self.port.put(dst, self.heap_h, offset as u64, data);
+        let offset = offset as u64;
+        if self.fm.same_host_pid(dst).is_some() {
+            if let Some(token) = self.port.put_in_place(dst, self.heap_h, offset, data) {
+                match self.wait_tracked(token.0) {
+                    OsStatus::Ok => return,
+                    OsStatus::Declined => {}
+                    refused => return self.put_failures.borrow_mut().push(refused),
+                }
+            }
+        }
+        self.port.put(dst, self.heap_h, offset, data);
     }
 
     /// Statuses of puts refused by their target (bad offset, stale

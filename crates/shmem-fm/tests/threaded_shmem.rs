@@ -1,8 +1,9 @@
 //! Shmem and Global Arrays over real OS threads.
 
-use fm_core::Fm2Engine;
-use fm_model::MachineProfile;
-use fm_threaded::ThreadedCluster;
+use fm_core::device::DeviceFull;
+use fm_core::{Fm2Engine, FmPacket, NetDevice, PeerEvent, PeerEventKind};
+use fm_model::{MachineProfile, Nanos};
+use fm_threaded::{ThreadedCluster, ThreadedDevice};
 use shmem_fm::{GlobalArray, Shmem};
 
 fn make(dev: fm_threaded::ThreadedDevice, heap: usize) -> Shmem<fm_threaded::ThreadedDevice> {
@@ -241,4 +242,121 @@ fn shmem_runs_over_the_shared_memory_transport() {
     });
     assert_eq!(out[0], b"over the rings");
     assert_eq!(out[1], b"over the rings");
+}
+
+#[test]
+fn a_large_put_leaves_its_buffer_free_on_return() {
+    // On the threaded ring every peer is on this host, so a put longer
+    // than a chunk is read straight out of the caller's buffer. `put`
+    // returns only once that read is done: a buffer overwritten right
+    // after, before `quiet`, must not show at the target.
+    const KIB: usize = 1024;
+    const SIZES: [usize; 2] = [64 * KIB, 256 * KIB];
+    let payload = |i: usize, len: usize| -> Vec<u8> {
+        (0..len).map(|j| ((j * 7 + i * 13) % 251) as u8).collect()
+    };
+    let heap: usize = SIZES.iter().sum();
+    let out = ThreadedCluster::run(2, move |pe, dev| {
+        let sh = make(dev, heap);
+        // The engine learns its peer shares this host when it first
+        // turns; until then a put copies.
+        sh.barrier_all();
+        if pe == 0 {
+            let mut at = 0;
+            for (i, len) in SIZES.into_iter().enumerate() {
+                let mut buf = payload(i, len);
+                sh.put(1, at, &buf);
+                buf.fill(0xEE);
+                at += len;
+            }
+            sh.quiet();
+        }
+        sh.barrier_all();
+        (sh.take_put_failures(), sh.local_read(0, heap))
+    });
+    let want: Vec<u8> = SIZES
+        .into_iter()
+        .enumerate()
+        .flat_map(|(i, len)| payload(i, len))
+        .collect();
+    assert_eq!(out[0].0, []);
+    assert!(
+        out[1].1 == want,
+        "the target holds bytes written after put returned"
+    );
+}
+
+/// A threaded endpoint that names every same-host peer by a pid one past
+/// the largest the kernel hands out, so every read it is asked to make
+/// fails — as between sibling processes under Yama `ptrace_scope=1`.
+struct Unreadable(ThreadedDevice);
+
+impl NetDevice for Unreadable {
+    fn node_id(&self) -> usize {
+        self.0.node_id()
+    }
+    fn num_nodes(&self) -> usize {
+        self.0.num_nodes()
+    }
+    fn try_send(&mut self, pkt: FmPacket) -> Result<(), DeviceFull> {
+        self.0.try_send(pkt)
+    }
+    fn try_recv(&mut self) -> Option<FmPacket> {
+        self.0.try_recv()
+    }
+    fn send_space(&self) -> usize {
+        self.0.send_space()
+    }
+    fn now(&self) -> Nanos {
+        self.0.now()
+    }
+    fn charge(&mut self, cost: Nanos) {
+        self.0.charge(cost)
+    }
+    fn is_lossy(&self) -> bool {
+        self.0.is_lossy()
+    }
+    fn poll_event(&mut self) -> Option<PeerEvent> {
+        let mut ev = self.0.poll_event()?;
+        if let PeerEventKind::SameHost { .. } = ev.kind {
+            let pid_max: u32 = std::fs::read_to_string("/proc/sys/kernel/pid_max")
+                .ok()
+                .and_then(|s| s.trim().parse().ok())
+                .unwrap_or(1 << 22);
+            ev.kind = PeerEventKind::SameHost { pid: pid_max + 1 };
+        }
+        Some(ev)
+    }
+}
+
+#[test]
+fn a_large_put_the_target_cannot_read_lands_over_packets() {
+    // The first large put leaves as one PULL naming the caller's buffer;
+    // the target cannot read it, so it is handed back and goes again as
+    // four 16 KiB chunks. The second goes straight to the chunks.
+    const KIB: usize = 1024;
+    let payload =
+        |i: usize| -> Vec<u8> { (0..64 * KIB).map(|j| ((j + i * 31) % 253) as u8).collect() };
+    let out = ThreadedCluster::run(2, move |pe, dev| {
+        let sh = Shmem::new(
+            Fm2Engine::new(Unreadable(dev), MachineProfile::ppro200_fm2()),
+            128 * KIB,
+        );
+        sh.barrier_all();
+        let mut sent = Vec::new();
+        if pe == 0 {
+            for i in 0..2 {
+                let before = sh.fm().stats().messages_sent;
+                sh.put(1, i * 64 * KIB, &payload(i));
+                sh.quiet();
+                sent.push(sh.fm().stats().messages_sent - before);
+            }
+        }
+        sh.barrier_all();
+        (sent, sh.take_put_failures(), sh.local_read(0, 128 * KIB))
+    });
+    assert_eq!(out[0].0, [5, 4], "messages each put sent");
+    assert_eq!(out[0].1, [], "a decline reached the caller");
+    let want: Vec<u8> = (0..2).flat_map(payload).collect();
+    assert!(out[1].2 == want, "a declined put did not land intact");
 }
