@@ -45,7 +45,7 @@ use fm_bench::fabric::{blocking, retransmit, Fabric, Program, Programs, Shm, Sim
 use fm_core::packet::HandlerId;
 use fm_core::{Onesided, OnesidedConfig, OsStatus, RegionHandle};
 use fm_model::MachineProfile;
-use fm_shm::{shm_cluster, ShmDevice};
+use fm_shm::{shm_cluster, ShmConfig, ShmDevice};
 use mpi_fm::{Mpi, Mpi2, RecvReq, SendReq};
 use myrinet_sim::fault::FaultModel;
 use shmem_fm::Shmem;
@@ -181,6 +181,12 @@ fn stream_alloc_delta<F: Fabric>(fabric: &F, size: usize, warmup: usize, measure
             let data = vec![0xC5u8; size];
             let mut sent = 0usize;
             return Box::new(move || loop {
+                if sent == 0 {
+                    // The engine learns what its device knows about the
+                    // peer — on shm, that it shares this host over a link
+                    // of slot-sized packets — when it turns.
+                    fm.extract_all();
+                }
                 if sent == count {
                     // Done only once every packet is acknowledged: a lost
                     // tail has nothing behind it to expose it as a hole,
@@ -519,14 +525,26 @@ fn steady_state_shm_stream_allocates_nothing() {
     // self-sizing queues are warm, a message's life — staged, encoded
     // in place into the mapped ring, copied out into a recycled pool
     // frame, decoded, delivered — takes nothing from the allocator.
-    let delta = stream_alloc_delta(&ShmOneThread(Shm::SHALLOW), 64, 256, 512);
-    assert_eq!(
-        delta,
-        0,
-        "steady-state shm datapath allocated {delta} times over 512 messages \
-         ({} per message)",
-        delta as f64 / 512.0
-    );
+    //
+    // A same-host peer's packets are as large as its ring slot: a 2 KB
+    // message, and one of exactly the link's payload, is one packet, so
+    // the whole-message fast handler sees it — were it cut at the
+    // profile's 1024-byte MTU, the handler would never fire and the run
+    // would wedge. The send pool grows its frames to the link's size
+    // once, when the engine hears of the link, so those sizes allocate
+    // nothing either. CI's `bench-smoke` job runs this test
+    // (`alloc_count --release`).
+    let link = (ShmConfig::default().slot_payload - fm_core::HEADER_WIRE_BYTES) as usize;
+    for size in [64, 2048, link] {
+        let delta = stream_alloc_delta(&ShmOneThread(Shm::SHALLOW), size, 256, 512);
+        assert_eq!(
+            delta,
+            0,
+            "steady-state shm datapath allocated {delta} times over 512 {size}-byte \
+             messages ({} per message)",
+            delta as f64 / 512.0
+        );
+    }
 }
 
 #[test]

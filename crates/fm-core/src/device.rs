@@ -32,12 +32,18 @@ pub struct DeviceFull;
 pub enum PeerEventKind {
     /// The peer runs on this host as process `pid` (fm-shm reports it
     /// once per linked peer; a rank in this process reports this
-    /// process's pid). Not a liveness change: it tells a one-sided port
-    /// whose memory it may read instead of streaming packets, and it
+    /// process's pid), over a link whose packets carry up to
+    /// `max_payload` bytes. Not a liveness change: it tells a one-sided
+    /// port whose memory it may read instead of streaming packets, tells
+    /// the engine how large a packet toward the peer may be, and it
     /// holds until the peer's `Down` or `Rejoining`.
     SameHost {
         /// The peer's process id.
         pid: u32,
+        /// The largest packet payload the link to the peer carries (for
+        /// fm-shm, a ring slot less the packet header). Messages to the
+        /// peer are cut at this size instead of the profile's MTU.
+        max_payload: u32,
     },
     /// The peer is (back) in full contact: heartbeats flowing, same
     /// incarnation as before (or the first one we ever saw).
@@ -207,6 +213,8 @@ pub struct LoopbackDevice {
     out: std::collections::VecDeque<FmPacket>,
     /// Incoming packets.
     inq: std::collections::VecDeque<FmPacket>,
+    /// Events queued by [`LoopbackDevice::report`].
+    events: std::collections::VecDeque<PeerEvent>,
     capacity: usize,
     clock: Nanos,
 }
@@ -225,6 +233,7 @@ impl LoopbackPair {
                 node: 0,
                 out: Default::default(),
                 inq: Default::default(),
+                events: Default::default(),
                 capacity,
                 clock: Nanos::ZERO,
             },
@@ -232,6 +241,7 @@ impl LoopbackPair {
                 node: 1,
                 out: Default::default(),
                 inq: Default::default(),
+                events: Default::default(),
                 capacity,
                 clock: Nanos::ZERO,
             },
@@ -266,6 +276,16 @@ impl LoopbackPair {
             n += 1;
         }
         n
+    }
+}
+
+impl LoopbackDevice {
+    /// Queue `ev` for [`NetDevice::poll_event`], as a device that tracks
+    /// membership or locality would: a test plays the substrate telling
+    /// the engine that its peer went down, or shares this host over a
+    /// link of some packet size.
+    pub fn report(&mut self, ev: PeerEvent) {
+        self.events.push_back(ev);
     }
 }
 
@@ -309,6 +329,10 @@ impl NetDevice for LoopbackDevice {
 
     fn charge(&mut self, cost: Nanos) {
         self.clock += cost;
+    }
+
+    fn poll_event(&mut self) -> Option<PeerEvent> {
+        self.events.pop_front()
     }
 }
 

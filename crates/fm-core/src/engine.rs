@@ -148,9 +148,9 @@ pub(crate) struct EngineCore<D: NetDevice> {
     /// Retransmission state (`Some` in [`Reliability::Retransmit`] mode,
     /// where it replaces the credit ledger entirely).
     pub(crate) reliable: Option<ReliableState>,
-    /// MTU-sized frame pool: faces stage payload bytes directly into
-    /// pooled frames, which then *become* packet payloads — steady-state
-    /// sends never allocate.
+    /// Frame pool sized to the largest MTU of any link ([`Self::mtu`]):
+    /// faces stage payload bytes directly into pooled frames, which then
+    /// *become* packet payloads — steady-state sends never allocate.
     pub(crate) pool: BufPool,
     pub(crate) errors: Vec<FmError>,
     pub(crate) stats: FmStats,
@@ -166,6 +166,10 @@ pub(crate) struct EngineCore<D: NetDevice> {
     /// The pid of each peer the device reported on this host
     /// ([`PeerEventKind::SameHost`]), until its `Down` or `Rejoining`.
     pub(crate) same_host: Vec<Option<u32>>,
+    /// The largest packet payload toward each peer: the profile's MTU,
+    /// or what a [`PeerEventKind::SameHost`] fact says the link carries,
+    /// until the peer's `Down` or `Rejoining`.
+    link_mtu: Vec<usize>,
     /// `(dst, msg_seq)` of the message whose stall span is out: a sender
     /// polling until admitted traces its stall once, not once per poll.
     stall_traced: (usize, u32),
@@ -213,6 +217,7 @@ impl<D: NetDevice> EngineCore<D> {
             obs: None,
             peer_down: vec![false; n],
             same_host: vec![None; n],
+            link_mtu: vec![profile.fm.mtu_payload; n],
             stall_traced: (usize::MAX, 0),
         }
     }
@@ -228,13 +233,37 @@ impl<D: NetDevice> EngineCore<D> {
         }
     }
 
-    /// Engine counters (pool hit/miss counters folded in live).
+    /// Engine counters (pool hit/miss counters folded in live, on top
+    /// of those of any pool a larger link MTU retired).
     pub(crate) fn stats(&self) -> FmStats {
         let mut s = self.stats;
         let p = self.pool.stats();
-        s.pool_hits = p.hits;
-        s.pool_misses = p.misses;
+        s.pool_hits += p.hits;
+        s.pool_misses += p.misses;
         s
+    }
+
+    /// The largest payload a packet to `dst` may carry: what its link
+    /// takes, as the device reported it, else the profile's MTU.
+    #[inline]
+    pub(crate) fn mtu(&self, dst: usize) -> usize {
+        self.link_mtu[dst]
+    }
+
+    /// Record that the link to `peer` carries packets of up to
+    /// `max_payload` bytes, growing the send pool's frames to match —
+    /// once, here, never per message. Frames of the retired pool still
+    /// in flight are freed by their last reader.
+    fn set_link_mtu(&mut self, peer: usize, max_payload: u32) {
+        assert!(max_payload > 0, "a link that carries no payload byte");
+        let mtu = max_payload as usize;
+        self.link_mtu[peer] = mtu;
+        if mtu > self.pool.frame_capacity() {
+            let retired = std::mem::replace(&mut self.pool, BufPool::new(mtu, SEND_POOL_FRAMES));
+            let p = retired.stats();
+            self.stats.pool_hits += p.hits;
+            self.stats.pool_misses += p.misses;
+        }
     }
 
     /// Account a host memcpy of `bytes`.
@@ -620,8 +649,9 @@ impl<D: NetDevice> EngineCore<D> {
         let kind = match ev.kind {
             // Where the peer lives, not whether it lives: recorded, not
             // traced.
-            PeerEventKind::SameHost { pid } => {
+            PeerEventKind::SameHost { pid, max_payload } => {
                 self.same_host[peer] = Some(pid);
+                self.set_link_mtu(peer, max_payload);
                 return Some(ev);
             }
             PeerEventKind::Up => {
@@ -635,6 +665,7 @@ impl<D: NetDevice> EngineCore<D> {
             PeerEventKind::Down => {
                 self.peer_down[peer] = true;
                 self.same_host[peer] = None;
+                self.link_mtu[peer] = self.profile.fm.mtu_payload;
                 // Stop the retransmit storm toward the corpse.
                 if let Some(rel) = self.reliable.as_mut() {
                     rel.abandon_peer(peer);
@@ -648,6 +679,7 @@ impl<D: NetDevice> EngineCore<D> {
                 // starts from scratch by construction).
                 self.peer_down[peer] = false;
                 self.same_host[peer] = None;
+                self.link_mtu[peer] = self.profile.fm.mtu_payload;
                 if let Some(rel) = self.reliable.as_mut() {
                     rel.reset_peer(peer);
                 }
@@ -876,7 +908,7 @@ mod tests {
     use std::rc::Rc;
 
     use super::*;
-    use crate::device::DeviceFull;
+    use crate::device::{DeviceFull, LoopbackDevice, LoopbackPair};
     use crate::{Fm1Engine, Fm2Engine, FmStream};
 
     const H: HandlerId = HandlerId(1);
@@ -1170,7 +1202,6 @@ mod tests {
     /// refill that half while the second is still being drained.
     #[test]
     fn a_burst_is_acknowledged_by_halves_from_inside_extract() {
-        use crate::device::{LoopbackDevice, LoopbackPair};
         type Engine = Fm2Engine<LoopbackDevice>;
 
         let window = crate::RetransmitConfig::default().window as usize;
@@ -1350,5 +1381,185 @@ mod tests {
         assert!(e.try_send_rest(&mut ss, &[&msg]).is_err());
         assert_eq!((nic.sends.get(), nic.space_calls.get()), (53, 6));
         assert_eq!(e.stats().device_stalls, 4);
+    }
+
+    // ------------------------------------------------------------------
+    // Packet size follows the link
+    // ------------------------------------------------------------------
+
+    /// The packet payload fm-shm's default ring slot carries.
+    const LINK: u32 = 4072;
+
+    /// What fm-shm tells an engine about its peer `peer`.
+    fn same_host(peer: usize) -> PeerEvent {
+        PeerEvent {
+            peer,
+            kind: PeerEventKind::SameHost {
+                pid: 1,
+                max_payload: LINK,
+            },
+            epoch: 0,
+        }
+    }
+
+    fn pattern(len: usize) -> Vec<u8> {
+        (0..len).map(|i| (i % 251) as u8).collect()
+    }
+
+    /// Every message a receiver was handed, whole, in order.
+    type Log = Rc<RefCell<Vec<Vec<u8>>>>;
+
+    /// A FM 2.x sender (node 0) and a receiver (node 1) that logs every
+    /// message it is handed.
+    fn fm2_pair() -> (Fm2Engine<LoopbackDevice>, Fm2Engine<LoopbackDevice>, Log) {
+        let (a, b) = LoopbackPair::new(256);
+        let profile = MachineProfile::ppro200_fm2();
+        let (s, r) = (Fm2Engine::new(a, profile), Fm2Engine::new(b, profile));
+        let got: Log = Rc::default();
+        let log = Rc::clone(&got);
+        r.set_handler(H, move |stream: FmStream, _| {
+            let log = Rc::clone(&log);
+            async move {
+                let msg = stream.receive_vec(stream.msg_len()).await;
+                log.borrow_mut().push(msg);
+            }
+        });
+        (s, r, got)
+    }
+
+    /// Tell `e` what its device reports and let it drain the event.
+    fn fm2_told(e: &Fm2Engine<LoopbackDevice>, ev: PeerEvent) {
+        e.with_device(|d| d.report(ev));
+        e.progress();
+    }
+
+    fn fm2_deliver(s: &Fm2Engine<LoopbackDevice>, r: &Fm2Engine<LoopbackDevice>) {
+        s.with_device(|a| r.with_device(|b| LoopbackPair::deliver(a, b)));
+        r.extract_all();
+        s.extract_all();
+    }
+
+    /// Data packets `send` puts on the wire.
+    fn fm2_packets(e: &Fm2Engine<LoopbackDevice>, send: impl FnOnce()) -> u64 {
+        let before = e.stats().packets_sent;
+        send();
+        e.stats().packets_sent - before
+    }
+
+    /// A 2 KB message and one with MPI-FM's 24-byte header on it are one
+    /// packet each to a peer whose link takes 4072 bytes, by either send
+    /// form, and two and three to a peer with no such fact; the receiver,
+    /// which was told nothing, takes both sizes.
+    #[test]
+    fn fm2_a_message_leaves_in_packets_of_its_links_size() {
+        let (s, r, got) = fm2_pair();
+        let mtu = s.profile().fm.mtu_payload;
+        let (two_k, with_hdr) = (pattern(2048), pattern(2072));
+        let whole = |m: &[u8]| fm2_packets(&s, || s.try_send_message(1, H, &[m]).unwrap());
+        let streamed = |m: &[u8]| {
+            fm2_packets(&s, || {
+                let mut ss = s.begin_message(1, m.len(), H);
+                let (hdr, body) = m.split_at(24);
+                s.try_send_rest(&mut ss, &[hdr, body]).unwrap();
+            })
+        };
+        assert_eq!(whole(&two_k), 2048u64.div_ceil(mtu as u64), "no fact yet");
+        assert_eq!(streamed(&with_hdr), 3, "no fact yet");
+        fm2_told(&s, same_host(1));
+        assert_eq!(whole(&two_k), 1);
+        assert_eq!(whole(&with_hdr), 1);
+        assert_eq!(streamed(&with_hdr), 1);
+        let at_link = pattern(LINK as usize);
+        assert_eq!(streamed(&at_link), 1, "a full link MTU is one packet");
+        assert_eq!(whole(&pattern(LINK as usize + 1)), 2);
+        fm2_deliver(&s, &r);
+        let sent = [&two_k, &with_hdr, &two_k, &with_hdr, &with_hdr, &at_link];
+        assert_eq!(got.borrow()[..6], sent.map(|m| m.clone()));
+        assert_eq!(got.borrow()[6], pattern(LINK as usize + 1));
+        assert!(r.take_errors().is_empty());
+    }
+
+    /// The link's size is fixed for a message when it opens: one opened
+    /// before the fact finishes in profile-MTU packets and arrives
+    /// intact, and the next one takes the link's size.
+    #[test]
+    fn fm2_a_message_opened_before_the_fact_finishes_at_the_profile_mtu() {
+        let (s, r, got) = fm2_pair();
+        let msg = pattern(2072);
+        let (head, tail) = msg.split_at(100);
+        let early = fm2_packets(&s, || {
+            let mut ss = s.begin_message(1, msg.len(), H);
+            assert_eq!(s.try_send_piece(&mut ss, head), Ok(head.len()));
+            fm2_told(&s, same_host(1));
+            s.try_send_rest(&mut ss, &[head, tail]).unwrap();
+        });
+        assert_eq!(early, 3, "1024 + 1024 + 24");
+        let late = fm2_packets(&s, || s.try_send_message(1, H, &[&msg]).unwrap());
+        assert_eq!(late, 1);
+        fm2_deliver(&s, &r);
+        assert_eq!(*got.borrow(), vec![msg.clone(), msg]);
+    }
+
+    /// `Down` and `Rejoining` end the fact, and with it the link's size:
+    /// the peer is back on the profile MTU until the device says again.
+    #[test]
+    fn fm2_down_and_rejoining_return_the_peer_to_the_profile_mtu() {
+        let (s, _r, _) = fm2_pair();
+        let msg = pattern(2048);
+        let send = || fm2_packets(&s, || s.try_send_message(1, H, &[&msg]).unwrap());
+        let event = |kind| PeerEvent {
+            peer: 1,
+            kind,
+            epoch: 0,
+        };
+        fm2_told(&s, same_host(1));
+        assert_eq!(send(), 1);
+        fm2_told(&s, event(PeerEventKind::Down));
+        assert_eq!(send(), 2, "down");
+        fm2_told(&s, event(PeerEventKind::Up));
+        assert_eq!(send(), 2, "up again, but nobody said where");
+        fm2_told(&s, same_host(1));
+        assert_eq!(send(), 1);
+        fm2_told(&s, event(PeerEventKind::Rejoining));
+        assert_eq!(send(), 2, "a new incarnation");
+        assert_eq!(s.same_host_pid(1), None);
+    }
+
+    /// FM 1.x's `FM_send` follows the same rule: with the fact, a 2 KB
+    /// message and a 2072-byte one are one packet each, where its own
+    /// 128-byte profile MTU would cut them in 16 and 17; `Down` ends it.
+    #[test]
+    fn fm1_a_message_leaves_in_packets_of_its_links_size() {
+        let (a, b) = LoopbackPair::new(256);
+        let profile = MachineProfile::sparc_fm1();
+        let mut s = Fm1Engine::new(a, profile);
+        let mut r = Fm1Engine::new(b, profile);
+        let got: Log = Rc::default();
+        let log = Rc::clone(&got);
+        r.set_handler(
+            H,
+            Box::new(move |_, _, msg| log.borrow_mut().push(msg.to_vec())),
+        );
+        let send = |s: &mut Fm1Engine<LoopbackDevice>, m: &[u8]| {
+            let before = s.stats().packets_sent;
+            s.try_send(1, H, m).unwrap();
+            s.stats().packets_sent - before
+        };
+        let (two_k, with_hdr) = (pattern(2048), pattern(2072));
+        assert_eq!(send(&mut s, &two_k), 16, "no fact yet");
+        s.device_mut().report(same_host(1));
+        s.progress();
+        assert_eq!(send(&mut s, &two_k), 1);
+        assert_eq!(send(&mut s, &with_hdr), 1);
+        LoopbackPair::deliver(s.device_mut(), r.device_mut());
+        r.extract();
+        assert_eq!(*got.borrow(), vec![two_k.clone(), two_k, with_hdr.clone()]);
+        s.device_mut().report(PeerEvent {
+            peer: 1,
+            kind: PeerEventKind::Down,
+            epoch: 0,
+        });
+        s.progress();
+        assert_eq!(send(&mut s, &with_hdr), 17, "down");
     }
 }

@@ -274,7 +274,7 @@ impl<D: NetDevice> Fm1Engine<D> {
             core.end_message(dst, handler, msg_seq, len);
             return Ok(());
         }
-        let mtu = core.profile.fm.mtu_payload;
+        let mtu = core.mtu(dst);
         let total = data.len().div_ceil(mtu).max(1);
         core.reserve(dst, total as u32, core.send_msg_seq[dst], len)
             .map_err(|_| WouldBlock)?;

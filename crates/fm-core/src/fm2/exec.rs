@@ -170,8 +170,10 @@ impl<D: NetDevice> Fm2Engine<D> {
     /// wire-frame headers, pure ack/credit frames, suppressed duplicates
     /// and orphan-dropped packets consume none of it, so a budget of `N`
     /// never feeds handlers more than `N` payload bytes plus one packet
-    /// of boundary slack (one whole message for NIC-bypassing self-sends,
-    /// which are never packetized).
+    /// of boundary slack. That packet is as large as its link's MTU — up
+    /// to a ring slot's payload from a same-host peer — and for a
+    /// NIC-bypassing self-send, which is never packetized, it is the
+    /// whole message.
     ///
     /// # Panics
     /// Panics if called from inside a handler.

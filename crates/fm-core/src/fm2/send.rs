@@ -47,9 +47,10 @@ impl<D: NetDevice> Fm2Engine<D> {
             msg_seq,
             msg_len: len as u32,
             accepted: 0,
+            mtu: core.mtu(dst),
             // Local sends stage the whole message in one exact-size
-            // frame; network sends fill MTU-sized pool frames lazily in
-            // `try_send_piece`.
+            // frame; network sends fill pool frames lazily, one link MTU
+            // each, in `try_send_piece`.
             pending: if local {
                 PacketBuf::with_capacity(len)
             } else {
@@ -99,7 +100,7 @@ impl<D: NetDevice> Fm2Engine<D> {
             });
             return Ok(data.len());
         }
-        let mtu = core.profile.fm.mtu_payload;
+        let mtu = ss.mtu;
         let mut offset = 0;
         while offset < data.len() {
             if ss.pending.len() == mtu && !Self::flush_packet(core, ss, false) {
@@ -221,7 +222,7 @@ impl<D: NetDevice> Fm2Engine<D> {
             let mut inner = self.inner.borrow_mut();
             let core = &mut inner.core;
             if dst != core.device.node_id() {
-                let packets = total.div_ceil(core.profile.fm.mtu_payload).max(1);
+                let packets = total.div_ceil(core.mtu(dst)).max(1);
                 let msg_seq = core.send_msg_seq[dst];
                 core.room_for(dst, packets as u32, msg_seq, total as u32)
                     .map_err(|_| WouldBlock)?;

@@ -8,8 +8,10 @@ use crate::packet::HandlerId;
 /// [`super::Fm2Engine::try_send_piece`], finished by
 /// [`super::Fm2Engine::try_end_message`].
 ///
-/// The engine packetizes transparently: pieces accumulate in an MTU-sized
-/// staging slot and full packets are flushed to the NIC as credits allow.
+/// The engine packetizes transparently: pieces accumulate in a staging
+/// frame as large as the packets of the destination's link (its MTU,
+/// fixed when the message opens) and full packets are flushed to the NIC
+/// as credits allow.
 /// Several `SendStream`s (to the same or different destinations) may be
 /// open at once — their packets interleave on the wire and the receiver's
 /// handler multithreading sorts them back out.
@@ -20,7 +22,11 @@ pub struct SendStream {
     pub(crate) msg_len: u32,
     /// Payload bytes accepted so far (buffered or flushed).
     pub(crate) accepted: usize,
-    /// Partial packet being filled (length < MTU): a pooled frame that
+    /// The largest payload of each packet: the destination link's MTU as
+    /// the engine knew it at `begin_message`. A message opened before the
+    /// device reported a larger link finishes at the size it began with.
+    pub(crate) mtu: usize,
+    /// Partial packet being filled (length < `mtu`): a pooled frame that
     /// pieces are written straight into (gather — no staging copy) and
     /// that *becomes* the packet payload on flush, no allocation in
     /// between. Detached after a flush; the engine re-takes a frame from
@@ -73,6 +79,7 @@ mod tests {
             msg_seq: 0,
             msg_len: 100,
             accepted: 40,
+            mtu: 1024,
             pending: PacketBuf::empty(),
             first_flushed: false,
             ended: false,

@@ -40,10 +40,10 @@
 //!    back having written nothing, after which a copying put streams.
 
 use std::cell::{Cell, RefCell};
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::rc::Rc;
 
-use fm_core::device::{DeviceFull, LoopbackDevice, LoopbackPair};
+use fm_core::device::{LoopbackDevice, LoopbackPair};
 use fm_core::{
     Fm2Engine, FmPacket, NetDevice, Onesided, OnesidedConfig, OsError, OsPort, OsStatus, OsToken,
     PeerEvent, PeerEventKind, RegionHandle, SimDevice,
@@ -541,40 +541,6 @@ fn prop_pinned_region_cannot_be_deregistered() {
 // The same-host pull path
 // ----------------------------------------------------------------------
 
-/// A loopback endpoint whose device reports the events the test queues
-/// — a same-host fact first of all, as `fm-shm` reports its peers.
-struct Facts {
-    dev: LoopbackDevice,
-    events: VecDeque<PeerEvent>,
-}
-
-impl NetDevice for Facts {
-    fn node_id(&self) -> usize {
-        self.dev.node_id()
-    }
-    fn num_nodes(&self) -> usize {
-        self.dev.num_nodes()
-    }
-    fn try_send(&mut self, pkt: FmPacket) -> Result<(), DeviceFull> {
-        self.dev.try_send(pkt)
-    }
-    fn try_recv(&mut self) -> Option<FmPacket> {
-        self.dev.try_recv()
-    }
-    fn send_space(&self) -> usize {
-        self.dev.send_space()
-    }
-    fn now(&self) -> Nanos {
-        self.dev.now()
-    }
-    fn charge(&mut self, cost: Nanos) {
-        self.dev.charge(cost)
-    }
-    fn poll_event(&mut self) -> Option<PeerEvent> {
-        self.events.pop_front()
-    }
-}
-
 fn event(peer: usize, kind: PeerEventKind) -> PeerEvent {
     PeerEvent {
         peer,
@@ -583,22 +549,23 @@ fn event(peer: usize, kind: PeerEventKind) -> PeerEvent {
     }
 }
 
-/// Two engines of this process, each told the other runs as `pid`.
+/// Two engines of this process, each told the other runs as `pid`, over
+/// a link that carries the packets fm-shm's default ring slot does.
 /// Packets move only when the test says so.
 struct PullPair {
-    fm: [Fm2Engine<Facts>; 2],
-    os: [Onesided<Facts>; 2],
+    fm: [Fm2Engine<LoopbackDevice>; 2],
+    os: [Onesided<LoopbackDevice>; 2],
 }
 
 impl PullPair {
     fn new(pid: u32, arena_bytes: usize, chunk_bytes: usize) -> Self {
         let (a, b) = LoopbackPair::new(1024);
-        let fm = [a, b].map(|dev| {
-            let fact = event(1 - dev.node_id(), PeerEventKind::SameHost { pid });
-            let dev = Facts {
-                dev,
-                events: VecDeque::from([fact]),
-            };
+        let fm = [a, b].map(|mut dev| {
+            let max_payload = 4072;
+            dev.report(event(
+                1 - dev.node_id(),
+                PeerEventKind::SameHost { pid, max_payload },
+            ));
             Fm2Engine::new(dev, MachineProfile::ppro200_fm2())
         });
         let cfg = OnesidedConfig {
@@ -616,7 +583,7 @@ impl PullPair {
     /// Move every queued packet across, both ways.
     fn deliver(&self) {
         let [a, b] = &self.fm;
-        a.with_device(|x| b.with_device(|y| LoopbackPair::deliver(&mut x.dev, &mut y.dev)));
+        a.with_device(|x| b.with_device(|y| LoopbackPair::deliver(x, y)));
     }
 
     /// `node` takes what has arrived and puts what it queued on the wire.
@@ -766,7 +733,7 @@ fn prop_a_window_served_to_a_pulled_get_is_pinned_until_the_fin_or_down() {
             pair.turn(1);
         } else {
             // The initiator goes down before it reads.
-            pair.fm[1].with_device(|d| d.events.push_back(event(0, PeerEventKind::Down)));
+            pair.fm[1].with_device(|d| d.report(event(0, PeerEventKind::Down)));
             pair.turn(1);
         }
         assert_eq!(

@@ -408,37 +408,6 @@ mod tests {
     #[test]
     fn events_filtered_by_locality() {
         use fm_core::device::PeerEventKind;
-        struct Events(LoopbackDevice, Vec<PeerEvent>);
-        impl NetDevice for Events {
-            fn node_id(&self) -> usize {
-                self.0.node_id()
-            }
-            fn num_nodes(&self) -> usize {
-                self.0.num_nodes()
-            }
-            fn try_send(&mut self, p: FmPacket) -> Result<(), DeviceFull> {
-                self.0.try_send(p)
-            }
-            fn try_recv(&mut self) -> Option<FmPacket> {
-                self.0.try_recv()
-            }
-            fn send_space(&self) -> usize {
-                self.0.send_space()
-            }
-            fn now(&self) -> Nanos {
-                self.0.now()
-            }
-            fn charge(&mut self, c: Nanos) {
-                self.0.charge(c)
-            }
-            fn poll_event(&mut self) -> Option<PeerEvent> {
-                if self.1.is_empty() {
-                    None
-                } else {
-                    Some(self.1.remove(0))
-                }
-            }
-        }
         let ev = |peer| PeerEvent {
             peer,
             kind: PeerEventKind::Down,
@@ -446,25 +415,65 @@ mod tests {
         };
         let here = |peer| PeerEvent {
             peer,
-            kind: PeerEventKind::SameHost { pid: 4242 },
+            kind: PeerEventKind::SameHost {
+                pid: 4242,
+                max_payload: 4072,
+            },
             epoch: 0,
         };
         // 4 ranks, hosts 0,0,1,1; this is rank 0. Local transport
         // reports both a same-host peer (1, believed) and a cross-host
         // peer (2, dropped); remote reports 3 (believed) and 1
         // (dropped). The same-host fact follows the same rule: from the
-        // local leg about a local peer it passes; the remote leg cannot
-        // make a peer readable by claiming it is here.
-        let (l0, _l1) = LoopbackPair::new(4);
-        let (r0, _r1) = LoopbackPair::new(4);
-        let mut d = RoutedDevice::new(
-            Events(l0, vec![ev(2), here(1), ev(1)]),
-            Events(r0, vec![here(1), ev(1), ev(3)]),
-            HostMap::parse("0,0,1,1").unwrap(),
-        );
+        // local leg about a local peer it passes, link size and all; the
+        // remote leg cannot make a peer readable by claiming it is here.
+        let (mut l0, _l1) = LoopbackPair::new(4);
+        let (mut r0, _r1) = LoopbackPair::new(4);
+        [ev(2), here(1), ev(1)]
+            .into_iter()
+            .for_each(|e| l0.report(e));
+        [here(1), ev(1), ev(3)]
+            .into_iter()
+            .for_each(|e| r0.report(e));
+        let mut d = RoutedDevice::new(l0, r0, HostMap::parse("0,0,1,1").unwrap());
         assert_eq!(d.poll_event(), Some(here(1)), "local leg, local peer");
         assert_eq!(d.poll_event(), Some(ev(1)), "local authority for rank 1");
         assert_eq!(d.poll_event(), Some(ev(3)), "remote authority for rank 3");
         assert_eq!(d.poll_event(), None, "cross-claims dropped");
+    }
+
+    /// A routed rank cuts each message at the size of the link it leaves
+    /// on: a 2 KB message to its same-host peer, whose local leg reported
+    /// a 4072-byte link, is one packet; the same message to a peer on
+    /// another host keeps the profile's 1024-byte MTU and is two.
+    #[test]
+    fn packets_follow_the_link_they_leave_on() {
+        use fm_core::device::PeerEventKind;
+        use fm_core::Fm2Engine;
+        use fm_model::MachineProfile;
+
+        // 3 ranks, hosts 0,0,1; this is rank 0.
+        let (mut local, _l1) = LoopbackPair::new(8);
+        let (remote, _r1) = LoopbackPair::new(8);
+        local.report(PeerEvent {
+            peer: 1,
+            kind: PeerEventKind::SameHost {
+                pid: 4242,
+                max_payload: 4072,
+            },
+            epoch: 0,
+        });
+        let d = RoutedDevice::new(local, remote, HostMap::parse("0,0,1").unwrap());
+        let profile = MachineProfile::ppro200_fm2();
+        let fm = Fm2Engine::new(d, profile);
+        fm.progress(); // the engine drains the fact
+        let msg = vec![5u8; 2048];
+        fm.try_send_message(1, HandlerId(1), &[&msg]).unwrap();
+        fm.try_send_message(2, HandlerId(1), &[&msg]).unwrap();
+        let split = fm.with_device(|d| d.stats());
+        assert_eq!(split.local_sent, 1, "one 4072-byte-link packet");
+        let profile_packets = msg.len().div_ceil(profile.fm.mtu_payload) as u64;
+        assert_eq!(split.remote_sent, profile_packets);
+        assert_eq!(profile_packets, 2);
     }
 }

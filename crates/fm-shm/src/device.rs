@@ -86,9 +86,12 @@ pub struct ShmConfig {
     pub dir: PathBuf,
     /// Ring depth per direction, power of two.
     pub slots: u32,
-    /// Frame capacity per ring slot. Must hold the largest wire frame
-    /// the engine emits (header + MTU payload); the default takes any
-    /// frame the workspace profiles produce.
+    /// Frame capacity per ring slot, at least a page. It also sets the
+    /// link's packet size: each peer is reported with a
+    /// [`PeerEventKind::SameHost`] fact whose `max_payload` is a slot less
+    /// the 24-byte packet header (4072 by default), capped at
+    /// [`fm_core::packet::MAX_FRAME_PAYLOAD`], and the engine cuts its
+    /// messages to that peer at that size instead of the profile's MTU.
     pub slot_payload: u32,
     /// How long `open` waits for a lower-rank peer to create a segment
     /// (and [`ShmDevice::join`] for higher-rank peers to attach).
@@ -314,17 +317,19 @@ impl ShmDevice {
     }
 
     /// Queue a [`PeerEventKind::SameHost`] fact, once, for every peer
-    /// whose pid the segment header names. The engine drains events
-    /// before it receives, so the fact reaches it ahead of any packet
-    /// from that peer.
+    /// whose pid the segment header names, with the largest packet
+    /// payload the peer's ring takes ([`link_payload`]). The engine
+    /// drains events before it receives, so the fact reaches it ahead of
+    /// any packet from that peer.
     fn announce_same_host(&mut self) {
         for link in self.links.iter_mut().flatten() {
             let pid = link.seg.peer_pid();
             if pid != 0 && !link.announced {
                 link.announced = true;
+                let max_payload = link_payload(link.seg.tx.payload_capacity());
                 self.events.push_back(PeerEvent {
                     peer: link.peer,
-                    kind: PeerEventKind::SameHost { pid },
+                    kind: PeerEventKind::SameHost { pid, max_payload },
                     epoch: link.seg.epoch(),
                 });
             }
@@ -372,11 +377,23 @@ impl ShmDevice {
     }
 }
 
-/// Smallest slot payload that can carry any frame the engines emit: the
-/// full wire form of a packet at the largest profile MTU in the
-/// workspace, with headroom for future profiles (a page).
+/// Smallest slot payload a link may have: a page, which holds the full
+/// wire form of a packet at the largest profile MTU in the workspace with
+/// headroom. The slot must take such a packet because the engine cuts at
+/// the profile MTU until it drains the link's
+/// [`PeerEventKind::SameHost`] fact, and a message opened before then
+/// finishes at that size; from then on it cuts at [`link_payload`], which
+/// fits the slot by construction.
 fn frame_capacity_floor() -> usize {
     4096.min(fm_core::packet::MAX_WIRE_FRAME)
+}
+
+/// The largest packet payload a ring of `slot_payload`-byte slots carries:
+/// a slot less the packet header, and never more than one wire frame
+/// holds, however large the slot.
+fn link_payload(slot_payload: usize) -> u32 {
+    let header = fm_core::packet::HEADER_WIRE_BYTES as usize;
+    (slot_payload - header).min(fm_core::packet::MAX_FRAME_PAYLOAD) as u32
 }
 
 impl NetDevice for ShmDevice {
@@ -523,52 +540,102 @@ mod tests {
         }
     }
 
-    /// The same-host facts queued so far, as (peer, pid).
-    fn same_host_facts(dev: &mut ShmDevice) -> Vec<(usize, u32)> {
+    /// The same-host facts queued so far, as (peer, pid, max_payload).
+    fn same_host_facts(dev: &mut ShmDevice) -> Vec<(usize, u32, u32)> {
         let mut facts = Vec::new();
         while let Some(PeerEvent {
             peer,
-            kind: PeerEventKind::SameHost { pid },
+            kind: PeerEventKind::SameHost { pid, max_payload },
             ..
         }) = dev.events.front().copied()
         {
             dev.events.pop_front();
-            facts.push((peer, pid));
+            facts.push((peer, pid, max_payload));
         }
         facts
     }
 
+    /// The packet payload a default slot carries: a slot less the header.
+    const LINK: u32 = SLOT_PAYLOAD - fm_core::packet::HEADER_WIRE_BYTES;
+
     /// A joined pair, its same-host facts taken.
     fn pair(run: &str) -> (ShmDevice, ShmDevice) {
-        let c = cfg(run);
+        let (mut a, mut b) = joined(cfg(run));
+        same_host_facts(&mut a);
+        same_host_facts(&mut b);
+        (a, b)
+    }
+
+    /// A joined pair on `c`, its same-host facts still queued.
+    fn joined(c: ShmConfig) -> (ShmDevice, ShmDevice) {
         let c2 = c.clone();
         let t = std::thread::spawn(move || ShmDevice::open(1, 2, &[0], c2).expect("open hi"));
         let mut a = ShmDevice::open(0, 2, &[1], c).expect("open lo");
         let mut b = t.join().unwrap();
         a.join(Duration::from_secs(5)).expect("join lo");
         b.join(Duration::from_secs(5)).expect("join hi");
-        same_host_facts(&mut a);
-        same_host_facts(&mut b);
         (a, b)
     }
 
     #[test]
     fn every_linked_peer_is_announced_once_with_its_pid() {
         let me = std::process::id();
+        assert_eq!(LINK, 4072);
         // Attached links know the creator at open; created ones at join.
         let c = cfg("facts");
         let mut lo = ShmDevice::open(0, 2, &[1], c.clone()).expect("open lo");
         let mut hi = ShmDevice::open(1, 2, &[0], c).expect("open hi");
         assert_eq!(same_host_facts(&mut lo), vec![], "nobody attached yet");
-        assert_eq!(same_host_facts(&mut hi), vec![(0, me)]);
+        assert_eq!(same_host_facts(&mut hi), vec![(0, me, LINK)]);
         lo.join(Duration::from_secs(5)).expect("join lo");
         hi.join(Duration::from_secs(5)).expect("join hi");
-        assert_eq!(same_host_facts(&mut lo), vec![(1, me)]);
+        assert_eq!(same_host_facts(&mut lo), vec![(1, me, LINK)]);
         assert_eq!(same_host_facts(&mut hi), vec![], "announced once");
         // In-process links name this process, at construction.
         let mut mesh = ShmDevice::in_process_mesh(3, 8).expect("mesh");
-        assert_eq!(same_host_facts(&mut mesh[1]), vec![(0, me), (2, me)]);
+        let facts = vec![(0, me, LINK), (2, me, LINK)];
+        assert_eq!(same_host_facts(&mut mesh[1]), facts);
         assert!(mesh[1].poll_event().is_none());
+    }
+
+    /// A packet of exactly the payload the fact announces crosses the
+    /// ring whole.
+    #[test]
+    fn a_packet_of_the_announced_size_crosses_the_ring() {
+        let (mut a, mut b) = pair("fit");
+        let body: Vec<u8> = (0..LINK).map(|i| (i % 251) as u8).collect();
+        a.try_send(pkt(0, 1, &body)).unwrap();
+        let got = loop {
+            if let Some(p) = b.try_recv() {
+                break p;
+            }
+        };
+        assert_eq!(&got.payload[..], &body[..]);
+        assert_eq!(a.stats().bytes_sent, SLOT_PAYLOAD as u64);
+    }
+
+    /// One byte past the announced payload is a packet the engine never
+    /// makes: the device fails loudly instead of truncating it.
+    #[test]
+    #[should_panic(expected = "exceeds shm slot capacity")]
+    fn one_byte_past_the_announced_size_does_not_fit() {
+        let (mut a, _b) = pair("overfit");
+        let _ = a.try_send(pkt(0, 1, &vec![1u8; LINK as usize + 1]));
+    }
+
+    /// A slot wider than any wire frame announces what one frame holds,
+    /// not the slot: the cap is what keeps packets decodable.
+    #[test]
+    fn a_slot_wider_than_a_wire_frame_announces_the_frame_payload() {
+        let (mut lo, mut hi) = joined(ShmConfig {
+            slots: 2,
+            slot_payload: (fm_core::packet::MAX_WIRE_FRAME + 4096) as u32,
+            ..cfg("wide")
+        });
+        let me = std::process::id();
+        let cap = fm_core::packet::MAX_FRAME_PAYLOAD as u32;
+        assert_eq!(same_host_facts(&mut lo), vec![(1, me, cap)]);
+        assert_eq!(same_host_facts(&mut hi), vec![(0, me, cap)]);
     }
 
     #[test]
@@ -635,7 +702,7 @@ mod tests {
         let mut a = ShmDevice::open(0, 2, &[1], c).expect("open lo");
         let b = t.join().unwrap();
         a.join(Duration::from_secs(5)).expect("join");
-        assert_eq!(same_host_facts(&mut a), vec![(1, std::process::id())]);
+        assert_eq!(same_host_facts(&mut a), vec![(1, std::process::id(), LINK)]);
         drop(b); // peer leaves gracefully: raises its gone-flag
         a.last_death_check = Instant::now() - Duration::from_secs(1);
         let e = a.poll_event().expect("a Down event");
