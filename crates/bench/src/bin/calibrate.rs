@@ -422,6 +422,14 @@ fn calibrate_udp() -> BenchReport {
     report.push("udp_churn_recovery_p50_ms", recovery_ms);
     let lossy = |spec: &WorkloadSpec| workload_dist(&Udp::lossy(0.01, spec.seed), spec);
     workload_battery("udp", lossy, None, &mut report);
+    // Not a headline: a count of datagrams lost before any code of ours
+    // saw them, which the retransmit sublayer had to pay for.
+    println!();
+    println!(
+        "{:<36} {:>10}",
+        "udp kernel receive-buffer drops",
+        Udp::kernel_drops()
+    );
     report
 }
 

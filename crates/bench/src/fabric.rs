@@ -104,6 +104,10 @@ pub trait Fabric {
     /// tear down. Reports come back in rank order; a rank that cannot
     /// finish is a wedge and panics.
     fn run<R: Send + 'static>(&self, n: usize, make: impl Programs<Self::Dev, R>) -> Vec<R>;
+
+    /// Called on each thread rank's engine once it has quiesced, before
+    /// its device is dropped. Default: nothing.
+    fn settled(&self, _fm: &Fm2Engine<Self::Dev>) {}
 }
 
 /// Poll `program` to completion under [`Backoff`]: how every rank that
@@ -136,6 +140,7 @@ fn drive_rank<F: Fabric, R>(f: &F, rank: usize, dev: F::Dev, make: &impl Program
     let fm = f.engine(dev);
     let report = drive(make(rank, fm.clone()));
     quiesce(&fm);
+    f.settled(&fm);
     let errors = fm.take_errors();
     assert!(errors.is_empty(), "rank {rank} engine errors: {errors:?}");
     report
@@ -302,7 +307,16 @@ impl Udp {
             ..UdpConfig::default()
         })
     }
+
+    /// Datagrams the kernel dropped at a full receive buffer, summed over
+    /// every socket a run of this fabric closed in this process
+    /// ([`UdpDevice::kernel_drops`]). Injected loss is not among them.
+    pub fn kernel_drops() -> u64 {
+        UDP_KERNEL_DROPS.load(Ordering::Relaxed)
+    }
 }
+
+static UDP_KERNEL_DROPS: AtomicU64 = AtomicU64::new(0);
 
 impl Fabric for Udp {
     type Dev = UdpDevice;
@@ -313,6 +327,11 @@ impl Fabric for Udp {
 
     fn run<R: Send + 'static>(&self, n: usize, make: impl Programs<Self::Dev, R>) -> Vec<R> {
         UdpCluster::run(n, self.0.clone(), |i, dev| drive_rank(self, i, dev, &make))
+    }
+
+    fn settled(&self, fm: &Fm2Engine<UdpDevice>) {
+        let drops = fm.with_device(|d| d.kernel_drops()).unwrap_or(0);
+        UDP_KERNEL_DROPS.fetch_add(drops, Ordering::Relaxed);
     }
 }
 

@@ -62,7 +62,9 @@ pub fn udp_churn_dist(cycles: usize) -> ChurnDist {
                 fm.set_peer_handler(move |ev| match ev.kind {
                     PeerEventKind::Down => down.set(true),
                     PeerEventKind::Rejoining | PeerEventKind::Up => down.set(false),
-                    PeerEventKind::Suspect | PeerEventKind::SameHost { .. } => {}
+                    PeerEventKind::Suspect
+                    | PeerEventKind::SameHost { .. }
+                    | PeerEventKind::Link { .. } => {}
                 });
             }
             let payload = [0x5Au8; 64];

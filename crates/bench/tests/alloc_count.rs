@@ -1,7 +1,7 @@
 //! Allocation audit for the zero-copy datapath: once the buffer pools
 //! are warm, a steady-state FM 2.x send/extract stream must perform
-//! **zero heap allocations per message** — over the simulated Myrinet
-//! and over real mapped shm rings.
+//! **zero heap allocations per message** — over the simulated Myrinet,
+//! over real mapped shm rings and over loopback UDP sockets.
 //!
 //! A counting `#[global_allocator]` wraps the system allocator; each
 //! probe is two rank programs over a [`Fabric`] (sender
@@ -12,11 +12,12 @@
 //! and delivery.
 //!
 //! The counter is **per-thread**: every measured datapath here runs
-//! entirely on one thread — [`Sim`]'s event loop, and [`ShmOneThread`],
-//! which round-robins the same rank programs over a real segment pair —
-//! and a process-global count would race with the test harness's own
-//! threads (libtest's output formatting lands at nondeterministic points
-//! and was observed polluting the window by a couple of allocations).
+//! entirely on one thread — [`Sim`]'s event loop, [`ShmOneThread`],
+//! which round-robins the same rank programs over a real segment pair,
+//! and the receiving rank's own thread over [`Udp`] — and a
+//! process-global count would race with the test harness's own threads
+//! (libtest's output formatting lands at nondeterministic points and was
+//! observed polluting the window by a couple of allocations).
 //!
 //! The `Shmem` put row is the exception: a large same-host put blocks
 //! until its target has read it, so the target turns on a thread of its
@@ -41,7 +42,7 @@ use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
-use fm_bench::fabric::{blocking, retransmit, Fabric, Program, Programs, Shm, Sim, Step};
+use fm_bench::fabric::{blocking, retransmit, Fabric, Program, Programs, Shm, Sim, Step, Udp};
 use fm_core::packet::HandlerId;
 use fm_core::{Onesided, OnesidedConfig, OsStatus, RegionHandle};
 use fm_model::MachineProfile;
@@ -174,7 +175,21 @@ fn snapshot_at_warm(at_warm: &mut Option<u64>, reached: bool) {
 /// Streams `warmup + measured` single-packet messages rank 0 → rank 1 of
 /// `fabric` (sender `try_send_message`, receiver fast-path handler) and
 /// returns the allocation-counter delta across the measured phase.
-fn stream_alloc_delta<F: Fabric>(fabric: &F, size: usize, warmup: usize, measured: usize) -> u64 {
+///
+/// With a non-zero `pause`, the first half of the warm-up sends each
+/// message on its own (the sender polls after every send, so each leaves
+/// as a datagram of its own), and at a quarter of the warm-up the
+/// receiver stops polling for `pause`: the sender fills its window while
+/// it sleeps, and the receiver then finds the most datagrams a window can
+/// leave waiting. A pool that grows with that backlog has grown to it
+/// before the count starts.
+fn stream_alloc_delta<F: Fabric>(
+    fabric: &F,
+    size: usize,
+    warmup: usize,
+    measured: usize,
+    pause: Duration,
+) -> u64 {
     let count = warmup + measured;
     let out = fabric.run(2, |rank, fm| -> Program<u64> {
         if rank == 0 {
@@ -199,6 +214,9 @@ fn stream_alloc_delta<F: Fabric>(fabric: &F, size: usize, warmup: usize, measure
                 }
                 if fm.try_send_message(1, BENCH_HANDLER, &[&data]).is_ok() {
                     sent += 1;
+                    if !pause.is_zero() && sent < warmup / 2 {
+                        fm.extract_all(); // out on its own
+                    }
                     continue;
                 }
                 fm.extract_all(); // absorb returned credits
@@ -218,7 +236,12 @@ fn stream_alloc_delta<F: Fabric>(fabric: &F, size: usize, warmup: usize, measure
             seen.set(seen.get() + 1);
         });
         let mut at_warm = None;
+        let mut paused = pause.is_zero();
         Box::new(move || {
+            if !paused && got.get() >= warmup / 4 {
+                paused = true;
+                std::thread::sleep(pause);
+            }
             fm.extract_all();
             snapshot_at_warm(&mut at_warm, got.get() >= warmup);
             if got.get() < count {
@@ -482,7 +505,7 @@ fn steady_state_fm2_stream_allocates_nothing() {
     // messages fill the send pool, the device queues, and the event
     // heap; the following 512 messages must then run entirely on
     // recycled frames.
-    let delta = stream_alloc_delta(&sim(), 64, 256, 512);
+    let delta = stream_alloc_delta(&sim(), 64, 256, 512, Duration::ZERO);
     assert_eq!(
         delta,
         0,
@@ -507,7 +530,7 @@ fn steady_state_retransmit_stream_allocates_nothing() {
     let lossy = vec![FaultModel::Drop { p: 0.01, seed: 7 }];
     for (wire, faults) in [("loss-free", vec![]), ("1 % drop", lossy)] {
         let fabric = sim().unreliable(retransmit(), faults);
-        let delta = stream_alloc_delta(&fabric, 64, 2048, 2048);
+        let delta = stream_alloc_delta(&fabric, 64, 2048, 2048, Duration::ZERO);
         assert_eq!(
             delta,
             0,
@@ -536,13 +559,50 @@ fn steady_state_shm_stream_allocates_nothing() {
     // (`alloc_count --release`).
     let link = (ShmConfig::default().slot_payload - fm_core::HEADER_WIRE_BYTES) as usize;
     for size in [64, 2048, link] {
-        let delta = stream_alloc_delta(&ShmOneThread(Shm::SHALLOW), size, 256, 512);
+        let delta = stream_alloc_delta(&ShmOneThread(Shm::SHALLOW), size, 256, 512, Duration::ZERO);
         assert_eq!(
             delta,
             0,
             "steady-state shm datapath allocated {delta} times over 512 {size}-byte \
              messages ({} per message)",
             delta as f64 / 512.0
+        );
+    }
+}
+
+#[test]
+fn steady_state_udp_stream_allocates_nothing() {
+    // The same claim over real loopback sockets, reliability and all:
+    // frames encoded in place and packed into trains, datagrams received
+    // straight into pooled frames, the retransmit ring's clones and the
+    // acks recycle what the warm-up made. Each rank turns on its own
+    // thread, and the count is the receiver's thread.
+    //
+    // fm-udp reports a 3048-byte link on admission, so a 2 KB message and
+    // one of exactly the link's payload are one packet each, which the
+    // whole-message fast handler needs: cut at the profile's 1024-byte
+    // MTU, the handler would never fire and the run would wedge. The
+    // heartbeat hellos that cross every 20 ms are encoded and decoded in
+    // retained buffers, so they take nothing either.
+    //
+    // The device receives each datagram into a pooled frame, and the pool
+    // grows to the most datagrams ever waiting at once. A receiver that
+    // kept up through the whole warm-up grows it in the measured phase,
+    // the first time the scheduler makes it late (4 frames, 9
+    // allocations, in about 1 run in 10 without the warm-up below). So
+    // the warm-up leaves the receiver a window of datagrams, each one
+    // message, to find at once, and the pool grows to that there. CI's
+    // `alloc_count --release` steps run this test with the others.
+    let link = (3072 - fm_core::HEADER_WIRE_BYTES) as usize;
+    for size in [64, 2048, link] {
+        let pause = Duration::from_millis(5);
+        let delta = stream_alloc_delta(&Udp::default(), size, 2048, 2048, pause);
+        assert_eq!(
+            delta,
+            0,
+            "steady-state UDP datapath allocated {delta} times over 2048 {size}-byte \
+             messages ({} per message)",
+            delta as f64 / 2048.0
         );
     }
 }
@@ -698,7 +758,7 @@ fn warmup_allocations_are_bounded_not_linear() {
     // message count dwarfs the pool size — i.e. the counter works and
     // the pool actually recycles across the whole run.
     let before = allocations();
-    let delta_after_warm = stream_alloc_delta(&sim(), 64, 64, 1024);
+    let delta_after_warm = stream_alloc_delta(&sim(), 64, 64, 1024, Duration::ZERO);
     let total = allocations() - before;
     // 64 messages is a *short* warm-up: a queue or heap may still take
     // its last doubling inside the measured phase, but only a handful of

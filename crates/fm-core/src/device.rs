@@ -26,23 +26,29 @@ use crate::packet::FmPacket;
 pub struct DeviceFull;
 
 /// Membership transition reported by a device that tracks peer liveness
-/// (fm-udp's heartbeat engine), or a fact about where a peer lives.
+/// (fm-udp's heartbeat engine), or a fact about where a peer lives or
+/// what its link carries.
 /// Substrates with static membership on a wire never produce these.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PeerEventKind {
     /// The peer runs on this host as process `pid` (fm-shm reports it
     /// once per linked peer; a rank in this process reports this
-    /// process's pid), over a link whose packets carry up to
-    /// `max_payload` bytes. Not a liveness change: it tells a one-sided
-    /// port whose memory it may read instead of streaming packets, tells
-    /// the engine how large a packet toward the peer may be, and it
+    /// process's pid). Not a liveness change: it tells a one-sided port
+    /// whose memory it may read instead of streaming packets, and it
     /// holds until the peer's `Down` or `Rejoining`.
     SameHost {
         /// The peer's process id.
         pid: u32,
-        /// The largest packet payload the link to the peer carries (for
-        /// fm-shm, a ring slot less the packet header). Messages to the
-        /// peer are cut at this size instead of the profile's MTU.
+    },
+    /// Packets to the peer may carry up to `max_payload` payload bytes:
+    /// the engine cuts messages to it at this size instead of the
+    /// profile's MTU, until the peer's `Down` or `Rejoining`. Every real
+    /// link reports it — fm-shm a ring slot less the packet header (4072
+    /// by default), fm-udp a 3 KiB wire frame less the header (3048, so a
+    /// window of them fits a socket's default receive buffer) — and the
+    /// simulator never does, so it keeps timing the profile's packets.
+    Link {
+        /// The largest packet payload the link to the peer carries.
         max_payload: u32,
     },
     /// The peer is (back) in full contact: heartbeats flowing, same
@@ -137,8 +143,9 @@ pub trait NetDevice {
     /// [`PeerEventKind::Down`] event for that peer is still queued here —
     /// that ordering is what lets the engine reset per-peer sequence
     /// state without racing the new traffic. A device reports a
-    /// [`PeerEventKind::SameHost`] fact before it returns any packet from
-    /// that peer, or never. Default: `None` (static membership).
+    /// [`PeerEventKind::SameHost`] or [`PeerEventKind::Link`] fact
+    /// before it returns any packet from that peer, or never. Default:
+    /// `None` (static membership).
     fn poll_event(&mut self) -> Option<PeerEvent> {
         None
     }

@@ -167,7 +167,7 @@ pub(crate) struct EngineCore<D: NetDevice> {
     /// ([`PeerEventKind::SameHost`]), until its `Down` or `Rejoining`.
     pub(crate) same_host: Vec<Option<u32>>,
     /// The largest packet payload toward each peer: the profile's MTU,
-    /// or what a [`PeerEventKind::SameHost`] fact says the link carries,
+    /// or what a [`PeerEventKind::Link`] fact says the link carries,
     /// until the peer's `Down` or `Rejoining`.
     link_mtu: Vec<usize>,
     /// `(dst, msg_seq)` of the message whose stall span is out: a sender
@@ -647,10 +647,13 @@ impl<D: NetDevice> EngineCore<D> {
         let ev = self.device.poll_event()?;
         let peer = ev.peer;
         let kind = match ev.kind {
-            // Where the peer lives, not whether it lives: recorded, not
-            // traced.
-            PeerEventKind::SameHost { pid, max_payload } => {
+            // Where the peer lives and what its link carries, not
+            // whether it lives: recorded, not traced.
+            PeerEventKind::SameHost { pid } => {
                 self.same_host[peer] = Some(pid);
+                return Some(ev);
+            }
+            PeerEventKind::Link { max_payload } => {
                 self.set_link_mtu(peer, max_payload);
                 return Some(ev);
             }
@@ -1390,14 +1393,11 @@ mod tests {
     /// The packet payload fm-shm's default ring slot carries.
     const LINK: u32 = 4072;
 
-    /// What fm-shm tells an engine about its peer `peer`.
-    fn same_host(peer: usize) -> PeerEvent {
+    /// What a real link tells an engine about its peer `peer`'s packets.
+    fn link(peer: usize) -> PeerEvent {
         PeerEvent {
             peer,
-            kind: PeerEventKind::SameHost {
-                pid: 1,
-                max_payload: LINK,
-            },
+            kind: PeerEventKind::Link { max_payload: LINK },
             epoch: 0,
         }
     }
@@ -1465,7 +1465,7 @@ mod tests {
         };
         assert_eq!(whole(&two_k), 2048u64.div_ceil(mtu as u64), "no fact yet");
         assert_eq!(streamed(&with_hdr), 3, "no fact yet");
-        fm2_told(&s, same_host(1));
+        fm2_told(&s, link(1));
         assert_eq!(whole(&two_k), 1);
         assert_eq!(whole(&with_hdr), 1);
         assert_eq!(streamed(&with_hdr), 1);
@@ -1490,7 +1490,7 @@ mod tests {
         let early = fm2_packets(&s, || {
             let mut ss = s.begin_message(1, msg.len(), H);
             assert_eq!(s.try_send_piece(&mut ss, head), Ok(head.len()));
-            fm2_told(&s, same_host(1));
+            fm2_told(&s, link(1));
             s.try_send_rest(&mut ss, &[head, tail]).unwrap();
         });
         assert_eq!(early, 3, "1024 + 1024 + 24");
@@ -1512,17 +1512,49 @@ mod tests {
             kind,
             epoch: 0,
         };
-        fm2_told(&s, same_host(1));
+        fm2_told(&s, link(1));
         assert_eq!(send(), 1);
         fm2_told(&s, event(PeerEventKind::Down));
         assert_eq!(send(), 2, "down");
         fm2_told(&s, event(PeerEventKind::Up));
-        assert_eq!(send(), 2, "up again, but nobody said where");
-        fm2_told(&s, same_host(1));
+        assert_eq!(send(), 2, "up again, but no link size yet");
+        fm2_told(&s, event(PeerEventKind::SameHost { pid: 1 }));
+        fm2_told(&s, link(1));
         assert_eq!(send(), 1);
         fm2_told(&s, event(PeerEventKind::Rejoining));
         assert_eq!(send(), 2, "a new incarnation");
         assert_eq!(s.same_host_pid(1), None);
+    }
+
+    /// Where a peer lives and what its link carries are two facts: a
+    /// `SameHost` alone leaves the packet size at the profile's MTU, and
+    /// a `Link` alone makes no peer's memory readable.
+    #[test]
+    fn fm2_same_host_and_link_size_are_separate_facts() {
+        let (s, _r, _) = fm2_pair();
+        let msg = pattern(2048);
+        let send = || fm2_packets(&s, || s.try_send_message(1, H, &[&msg]).unwrap());
+        fm2_told(
+            &s,
+            PeerEvent {
+                peer: 1,
+                kind: PeerEventKind::SameHost { pid: 7 },
+                epoch: 0,
+            },
+        );
+        assert_eq!(s.same_host_pid(1), Some(7));
+        assert_eq!(send(), 2, "a same-host peer at the profile MTU");
+        let (s, _r, _) = fm2_pair();
+        fm2_told(&s, link(1));
+        assert_eq!(
+            s.same_host_pid(1),
+            None,
+            "a link size says nothing of place"
+        );
+        assert_eq!(
+            fm2_packets(&s, || s.try_send_message(1, H, &[&msg]).unwrap()),
+            1
+        );
     }
 
     /// FM 1.x's `FM_send` follows the same rule: with the fact, a 2 KB
@@ -1547,7 +1579,7 @@ mod tests {
         };
         let (two_k, with_hdr) = (pattern(2048), pattern(2072));
         assert_eq!(send(&mut s, &two_k), 16, "no fact yet");
-        s.device_mut().report(same_host(1));
+        s.device_mut().report(link(1));
         s.progress();
         assert_eq!(send(&mut s, &two_k), 1);
         assert_eq!(send(&mut s, &with_hdr), 1);

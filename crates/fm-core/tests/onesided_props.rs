@@ -561,11 +561,9 @@ impl PullPair {
     fn new(pid: u32, arena_bytes: usize, chunk_bytes: usize) -> Self {
         let (a, b) = LoopbackPair::new(1024);
         let fm = [a, b].map(|mut dev| {
-            let max_payload = 4072;
-            dev.report(event(
-                1 - dev.node_id(),
-                PeerEventKind::SameHost { pid, max_payload },
-            ));
+            let peer = 1 - dev.node_id();
+            dev.report(event(peer, PeerEventKind::SameHost { pid }));
+            dev.report(event(peer, PeerEventKind::Link { max_payload: 4072 }));
             Fm2Engine::new(dev, MachineProfile::ppro200_fm2())
         });
         let cfg = OnesidedConfig {

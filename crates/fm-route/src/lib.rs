@@ -29,9 +29,10 @@
 //!   cross-host peers only from the remote — each fabric is the
 //!   authority for the peers actually reached through it, and a peer
 //!   can never produce duplicate or contradictory events through the
-//!   fabric that doesn't carry its data. The local leg's same-host
-//!   facts pass the same way, so only a peer reached through shared
-//!   memory is ever one whose memory the engine may read.
+//!   fabric that doesn't carry its data. Facts pass the same way: only
+//!   a peer reached through shared memory is ever one whose memory the
+//!   engine may read, and each peer's packet size is the one its own
+//!   link reported (by default 4072 bytes over shm, 3048 over UDP).
 //!
 //! The [`HostMap`] is also what makes collectives hierarchy-aware:
 //! `mpi-fm` consumes the same rank→host assignment to run two-level
@@ -415,65 +416,80 @@ mod tests {
         };
         let here = |peer| PeerEvent {
             peer,
-            kind: PeerEventKind::SameHost {
-                pid: 4242,
-                max_payload: 4072,
-            },
+            kind: PeerEventKind::SameHost { pid: 4242 },
+            epoch: 0,
+        };
+        let link = |peer| PeerEvent {
+            peer,
+            kind: PeerEventKind::Link { max_payload: 4072 },
             epoch: 0,
         };
         // 4 ranks, hosts 0,0,1,1; this is rank 0. Local transport
         // reports both a same-host peer (1, believed) and a cross-host
         // peer (2, dropped); remote reports 3 (believed) and 1
-        // (dropped). The same-host fact follows the same rule: from the
-        // local leg about a local peer it passes, link size and all; the
-        // remote leg cannot make a peer readable by claiming it is here.
+        // (dropped). Facts follow the same rule: from the local leg
+        // about a local peer both pass; the remote leg's link size for
+        // its own peer 3 passes, but it cannot make a peer readable by
+        // claiming it is here, nor size a link it does not carry.
         let (mut l0, _l1) = LoopbackPair::new(4);
         let (mut r0, _r1) = LoopbackPair::new(4);
-        [ev(2), here(1), ev(1)]
+        [ev(2), link(2), here(1), link(1), ev(1)]
             .into_iter()
             .for_each(|e| l0.report(e));
-        [here(1), ev(1), ev(3)]
+        [here(1), link(1), ev(1), ev(3), link(3)]
             .into_iter()
             .for_each(|e| r0.report(e));
         let mut d = RoutedDevice::new(l0, r0, HostMap::parse("0,0,1,1").unwrap());
         assert_eq!(d.poll_event(), Some(here(1)), "local leg, local peer");
+        assert_eq!(d.poll_event(), Some(link(1)), "local leg sizes rank 1");
         assert_eq!(d.poll_event(), Some(ev(1)), "local authority for rank 1");
         assert_eq!(d.poll_event(), Some(ev(3)), "remote authority for rank 3");
+        assert_eq!(d.poll_event(), Some(link(3)), "remote leg sizes rank 3");
         assert_eq!(d.poll_event(), None, "cross-claims dropped");
     }
 
     /// A routed rank cuts each message at the size of the link it leaves
-    /// on: a 2 KB message to its same-host peer, whose local leg reported
-    /// a 4072-byte link, is one packet; the same message to a peer on
-    /// another host keeps the profile's 1024-byte MTU and is two.
+    /// on: a 2 KB message is one packet to its same-host peer, whose
+    /// local leg reported a 4072-byte link, and one to a peer on another
+    /// host whose remote leg reported a 3048-byte one, as fm-udp does on
+    /// admission. To a remote peer with no such fact it keeps the
+    /// profile's 1024-byte MTU and is two.
     #[test]
     fn packets_follow_the_link_they_leave_on() {
         use fm_core::device::PeerEventKind;
         use fm_core::Fm2Engine;
         use fm_model::MachineProfile;
 
-        // 3 ranks, hosts 0,0,1; this is rank 0.
-        let (mut local, _l1) = LoopbackPair::new(8);
-        let (remote, _r1) = LoopbackPair::new(8);
-        local.report(PeerEvent {
-            peer: 1,
-            kind: PeerEventKind::SameHost {
-                pid: 4242,
-                max_payload: 4072,
-            },
+        let fact = |peer, kind| PeerEvent {
+            peer,
+            kind,
             epoch: 0,
-        });
-        let d = RoutedDevice::new(local, remote, HostMap::parse("0,0,1").unwrap());
+        };
+        let link = |max_payload| PeerEventKind::Link { max_payload };
+        // 4 ranks, hosts 0,0,1,1; this is rank 0.
+        let (mut local, _l1) = LoopbackPair::new(8);
+        let (mut remote, _r1) = LoopbackPair::new(8);
+        local.report(fact(1, PeerEventKind::SameHost { pid: 4242 }));
+        local.report(fact(1, link(4072)));
+        remote.report(fact(2, link(3048)));
+        let d = RoutedDevice::new(local, remote, HostMap::parse("0,0,1,1").unwrap());
         let profile = MachineProfile::ppro200_fm2();
         let fm = Fm2Engine::new(d, profile);
-        fm.progress(); // the engine drains the fact
+        fm.progress(); // the engine drains the facts
         let msg = vec![5u8; 2048];
-        fm.try_send_message(1, HandlerId(1), &[&msg]).unwrap();
-        fm.try_send_message(2, HandlerId(1), &[&msg]).unwrap();
+        for dst in 1..4 {
+            fm.try_send_message(dst, HandlerId(1), &[&msg]).unwrap();
+        }
         let split = fm.with_device(|d| d.stats());
         assert_eq!(split.local_sent, 1, "one 4072-byte-link packet");
         let profile_packets = msg.len().div_ceil(profile.fm.mtu_payload) as u64;
-        assert_eq!(split.remote_sent, profile_packets);
         assert_eq!(profile_packets, 2);
+        assert_eq!(split.remote_sent, 1 + profile_packets);
+        assert_eq!(fm.same_host_pid(1), Some(4242));
+        assert_eq!(
+            fm.same_host_pid(2),
+            None,
+            "a link size says nothing of place"
+        );
     }
 }

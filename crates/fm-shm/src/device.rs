@@ -33,7 +33,9 @@
 //! at construction for attached and in-process links, at
 //! [`ShmDevice::join`] for created ones. That fact is what lets a
 //! one-sided port read a large put or get straight out of the peer's
-//! memory instead of streaming it through the ring.
+//! memory instead of streaming it through the ring. A
+//! [`PeerEventKind::Link`] fact follows it, giving the packet size the
+//! peer's ring takes.
 
 use std::collections::VecDeque;
 use std::io;
@@ -88,8 +90,9 @@ pub struct ShmConfig {
     pub slots: u32,
     /// Frame capacity per ring slot, at least a page. It also sets the
     /// link's packet size: each peer is reported with a
-    /// [`PeerEventKind::SameHost`] fact whose `max_payload` is a slot less
-    /// the 24-byte packet header (4072 by default), capped at
+    /// [`PeerEventKind::Link`] fact whose `max_payload` is a slot less
+    /// the 24-byte packet header (4072 by default; fm-udp's packets carry
+    /// 3048, and a 2 KB message is one packet on either), capped at
     /// [`fm_core::packet::MAX_FRAME_PAYLOAD`], and the engine cuts its
     /// messages to that peer at that size instead of the profile's MTU.
     pub slot_payload: u32,
@@ -152,7 +155,7 @@ struct Link {
     peer: usize,
     /// Down event already emitted for this peer.
     down: bool,
-    /// SameHost event already emitted for this peer.
+    /// SameHost and Link events already emitted for this peer.
     announced: bool,
 }
 
@@ -317,21 +320,27 @@ impl ShmDevice {
     }
 
     /// Queue a [`PeerEventKind::SameHost`] fact, once, for every peer
-    /// whose pid the segment header names, with the largest packet
-    /// payload the peer's ring takes ([`link_payload`]). The engine
-    /// drains events before it receives, so the fact reaches it ahead of
-    /// any packet from that peer.
+    /// whose pid the segment header names, and beside it a
+    /// [`PeerEventKind::Link`] fact with the largest packet payload the
+    /// peer's ring takes ([`link_payload`]). The engine drains events
+    /// before it receives, so both reach it ahead of any packet from
+    /// that peer.
     fn announce_same_host(&mut self) {
         for link in self.links.iter_mut().flatten() {
             let pid = link.seg.peer_pid();
             if pid != 0 && !link.announced {
                 link.announced = true;
                 let max_payload = link_payload(link.seg.tx.payload_capacity());
-                self.events.push_back(PeerEvent {
-                    peer: link.peer,
-                    kind: PeerEventKind::SameHost { pid, max_payload },
-                    epoch: link.seg.epoch(),
-                });
+                for kind in [
+                    PeerEventKind::SameHost { pid },
+                    PeerEventKind::Link { max_payload },
+                ] {
+                    self.events.push_back(PeerEvent {
+                        peer: link.peer,
+                        kind,
+                        epoch: link.seg.epoch(),
+                    });
+                }
             }
         }
     }
@@ -381,7 +390,7 @@ impl ShmDevice {
 /// wire form of a packet at the largest profile MTU in the workspace with
 /// headroom. The slot must take such a packet because the engine cuts at
 /// the profile MTU until it drains the link's
-/// [`PeerEventKind::SameHost`] fact, and a message opened before then
+/// [`PeerEventKind::Link`] fact, and a message opened before then
 /// finishes at that size; from then on it cuts at [`link_payload`], which
 /// fits the slot by construction.
 fn frame_capacity_floor() -> usize {
@@ -540,16 +549,22 @@ mod tests {
         }
     }
 
-    /// The same-host facts queued so far, as (peer, pid, max_payload).
+    /// The facts queued so far, as (peer, pid, max_payload): each peer's
+    /// `SameHost` with the `Link` that follows it.
     fn same_host_facts(dev: &mut ShmDevice) -> Vec<(usize, u32, u32)> {
         let mut facts = Vec::new();
         while let Some(PeerEvent {
             peer,
-            kind: PeerEventKind::SameHost { pid, max_payload },
+            kind: PeerEventKind::SameHost { pid },
             ..
         }) = dev.events.front().copied()
         {
             dev.events.pop_front();
+            let link = dev.events.pop_front().expect("a Link after each SameHost");
+            let PeerEventKind::Link { max_payload } = link.kind else {
+                panic!("expected a Link fact, got {link:?}");
+            };
+            assert_eq!(link.peer, peer);
             facts.push((peer, pid, max_payload));
         }
         facts

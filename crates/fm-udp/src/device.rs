@@ -21,7 +21,9 @@
 //!   `sendto`/`recvfrom` pair for the whole run, and the receiver
 //!   decodes every record as a zero-copy view of the single datagram
 //!   frame. A lone frame goes out as-is — no staging copy, no added
-//!   latency. A full train is [`SEND_BATCH`] (32) frames, half of
+//!   latency. A full train is [`SEND_BATCH`] (32) frames or the
+//!   ceiling, whichever comes first (21 frames of the link's 3 KiB), and
+//!   32 frames is half of
 //!   `fm_core::RetransmitConfig::default().window`: the receiver
 //!   acknowledges every half window from inside the poll that drains
 //!   it, so while one train is being consumed the ack for the one
@@ -44,6 +46,15 @@
 //!   engine holds a refcounted view of the very bytes `recv_from`
 //!   wrote. Steady-state traffic recycles frames through the pool and
 //!   never touches the allocator.
+//! * **Packet size.** Every peer this device admits — at first contact,
+//!   and again after a `Rejoining` — is followed in the event queue by a
+//!   [`PeerEventKind::Link`] fact of `LINK_PAYLOAD` bytes (3048), and
+//!   the engine cuts messages to that peer at that size instead of the
+//!   profile's 1024-byte MTU: a 2 KB message is one packet. The frame is
+//!   3 KiB, not a page, so that a full retransmit window of them fits
+//!   the receive buffer a socket gets by default and a receiver a window
+//!   behind loses nothing in the kernel; [`UdpDevice::kernel_drops`]
+//!   reads what it did lose.
 //! * **Membership and liveness.** Hellos double as heartbeats: every
 //!   [`UdpConfig::heartbeat_interval`] the device beacons its view
 //!   (seen-bitmap + per-peer epochs) to every non-down peer, and any
@@ -80,10 +91,11 @@
 use std::collections::VecDeque;
 use std::io;
 use std::net::{SocketAddr, UdpSocket};
+use std::os::fd::AsRawFd;
 use std::time::{Duration, Instant};
 
 use fm_core::device::{DeviceFull, NetDevice, PeerEvent, PeerEventKind};
-use fm_core::packet::PacketFlags;
+use fm_core::packet::{PacketFlags, HEADER_WIRE_BYTES};
 use fm_core::{BufPool, FmPacket, PacketBuf};
 use fm_model::rng::DetRng;
 use fm_model::Nanos;
@@ -105,6 +117,25 @@ const SEND_BATCH: usize = 32;
 /// node has already joined (their join beacons pace the conversation;
 /// this is just a flood guard).
 const HELLO_REPLY_GAP: Duration = Duration::from_millis(1);
+
+/// The largest packet payload this link carries, reported to the engine
+/// as a [`PeerEventKind::Link`] fact each time a peer is admitted (first
+/// contact, or a new incarnation): a 3 KiB wire frame less the packet
+/// header, 3048 bytes. A 2 KB message, MPI-FM's header and all, is one
+/// packet, not the profile MTU's two.
+///
+/// Not a page, as fm-shm's default slot is: the kernel, not the engine,
+/// holds a peer's packets until this device reads them, and a full
+/// retransmit window of them must fit the receive buffer a socket gets
+/// by default (208 KiB, Linux's `net.core.rmem_default`), or a receiver
+/// that falls a window behind loses datagrams before `recv_from` sees
+/// them. 64 packets in 4 KiB frames are about 263 KB: on loopback a
+/// stream of 256 KiB puts lost 1-22 datagrams per 8 MB in nearly every
+/// run ([`UdpDevice::kernel_drops`]). In 3 KiB frames they are about
+/// 198 KB, and the same stream lost none (a unit test keeps the
+/// default window inside the buffer). On a 1500-byte LAN such a
+/// datagram is IP-fragmented, as every multi-frame train already is.
+const LINK_PAYLOAD: u32 = 3072 - HEADER_WIRE_BYTES;
 
 /// Most undrained [`PeerEvent`]s kept. Raw-device users (no engine) may
 /// never call `poll_event`; beyond this the oldest event is discarded so
@@ -248,7 +279,9 @@ pub struct UdpDevice {
     queued_pure_acks: usize,
     capacity: usize,
     /// Data packets decoded while looking for something else (e.g. during
-    /// the join barrier); drained before the socket is polled again.
+    /// the join barrier); drained before the socket is polled again. Made
+    /// with room for a poll's worth of one-packet datagrams, so a window
+    /// a late receiver finds all at once does not grow it mid-stream.
     inq: VecDeque<FmPacket>,
     clock_epoch: Instant,
     /// Incarnation epoch last heard from each peer; `None` = never heard
@@ -289,6 +322,10 @@ pub struct UdpDevice {
     /// Reusable staging buffer for multi-frame train datagrams (retains
     /// its capacity across flushes — no steady-state allocation).
     train: Vec<u8>,
+    /// This node's last encoded hello, and the last peer view decoded
+    /// from one: retained, so heartbeats allocate nothing either.
+    hello: Vec<u8>,
+    hello_view: Vec<Option<u64>>,
 }
 
 impl UdpDevice {
@@ -355,7 +392,7 @@ impl UdpDevice {
             out: VecDeque::with_capacity(cfg.send_queue),
             queued_pure_acks: 0,
             capacity: cfg.send_queue,
-            inq: VecDeque::new(),
+            inq: VecDeque::with_capacity(RECV_BATCH),
             clock_epoch: Instant::now(),
             peer_epoch,
             health,
@@ -377,6 +414,8 @@ impl UdpDevice {
             stats: UdpStats::default(),
             pool: BufPool::new(wire::MAX_DATAGRAM, cfg.send_queue + RECV_BATCH),
             train: Vec::new(),
+            hello: Vec::new(),
+            hello_view: Vec::new(),
             peers,
         })
     }
@@ -417,6 +456,35 @@ impl UdpDevice {
         self.pool.stats()
     }
 
+    /// Datagrams the kernel dropped at this socket because its receive
+    /// buffer was full: the `drops` column of `/proc/net/udp` (or
+    /// `udp6`) on the line of this socket's inode. No counter of
+    /// [`UdpDevice::stats`] can see these — they never reach
+    /// `recv_from` — and the retransmit sublayer pays for each one. It
+    /// reads procfs, so it stays out of `stats()`; `None` where procfs
+    /// does not list the socket.
+    pub fn kernel_drops(&self) -> Option<u64> {
+        let fd = self.socket.as_raw_fd();
+        let link = std::fs::read_link(format!("/proc/self/fd/{fd}")).ok()?;
+        let inode = link.to_str()?.strip_prefix("socket:[")?.strip_suffix(']')?;
+        let lookup = |table: &&str| {
+            let text = std::fs::read_to_string(table).ok()?;
+            // sl local rem st tx:rx tr:when retrnsmt uid timeout inode ref pointer drops
+            text.lines().skip(1).find_map(|line| {
+                let cols: Vec<&str> = line.split_whitespace().collect();
+                if cols.get(9) != Some(&inode) {
+                    return None;
+                }
+                cols.get(12)?.parse().ok()
+            })
+        };
+        // procfs hands the table out a page per read, by position: a
+        // socket another thread closes meanwhile can shift this one's
+        // line past the reader. This socket is open, so a miss is read
+        // again.
+        (0..3).find_map(|_| ["/proc/net/udp", "/proc/net/udp6"].iter().find_map(lookup))
+    }
+
     /// Run the join barrier: beacon hellos to every peer until this node
     /// has heard from all of them *and* every peer's latest beacon shows
     /// a full view that includes this node's current epoch. Under
@@ -451,7 +519,7 @@ impl UdpDevice {
                 // exit may hinge on it). A small burst rides over stray
                 // kernel drops; true loss is mopped up by straggler
                 // replies once the workload polls.
-                let hello = wire::encode_hello(self.node as u16, self.epoch, &self.peer_epoch);
+                let hello = self.take_hello();
                 for _ in 0..3 {
                     for (i, addr) in self.peers.clone().into_iter().enumerate() {
                         if i != self.node {
@@ -459,6 +527,7 @@ impl UdpDevice {
                         }
                     }
                 }
+                self.hello = hello;
                 return Ok(());
             }
             if Instant::now() >= deadline {
@@ -475,7 +544,7 @@ impl UdpDevice {
             }
             if last_beacon.is_none_or(|t| t.elapsed() >= beacon_gap) {
                 last_beacon = Some(Instant::now());
-                let hello = wire::encode_hello(self.node as u16, self.epoch, &self.peer_epoch);
+                let hello = self.take_hello();
                 // Beacon only the peers that have not yet confirmed a
                 // full view including us: a converged pair stops
                 // chattering, which keeps the barrier's datagram flood
@@ -485,6 +554,7 @@ impl UdpDevice {
                         self.send_hello(addr, &hello);
                     }
                 }
+                self.hello = hello;
             }
             self.flush_out();
             self.poll_socket();
@@ -512,6 +582,16 @@ impl UdpDevice {
             .all(|i| i == self.node || (self.peer_view_full[i] && self.peer_sees_us[i]))
     }
 
+    /// This node's hello — its view of every peer's epoch — encoded into
+    /// the device's retained buffer, which the caller takes and puts
+    /// back (`self.hello = hello`) once sent: heartbeats allocate
+    /// nothing.
+    fn take_hello(&mut self) -> Vec<u8> {
+        let mut hello = std::mem::take(&mut self.hello);
+        wire::encode_hello(&mut hello, self.node as u16, self.epoch, &self.peer_epoch);
+        hello
+    }
+
     fn send_hello(&mut self, to: SocketAddr, frame: &[u8]) {
         match self.socket.send_to(frame, to) {
             Ok(_) => self.stats.hellos_sent += 1,
@@ -535,6 +615,16 @@ impl UdpDevice {
             self.gating_events += 1;
         }
         self.events.push_back(PeerEvent { peer, kind, epoch });
+    }
+
+    /// Tell the engine how large a packet to `peer` may be. Queued after
+    /// each `Up` that admits an incarnation: at first contact, and after
+    /// a `Rejoining`, which sent the engine back to the profile's MTU.
+    fn push_link(&mut self, peer: usize, epoch: u64) {
+        let kind = PeerEventKind::Link {
+            max_payload: LINK_PAYLOAD,
+        };
+        self.push_event(peer, kind, epoch);
     }
 
     /// Take `peer` down for its current incarnation: terminal until an
@@ -580,6 +670,7 @@ impl UdpDevice {
                 self.health[src] = PeerHealth::Up;
                 self.last_heard[src] = Some(Instant::now());
                 self.push_event(src, PeerEventKind::Up, fe);
+                self.push_link(src, fe);
                 true
             }
             Some(e) if fe == e => match self.health[src] {
@@ -621,6 +712,7 @@ impl UdpDevice {
                 self.stats.rejoins += 1;
                 self.push_event(src, PeerEventKind::Rejoining, fe);
                 self.push_event(src, PeerEventKind::Up, fe);
+                self.push_link(src, fe);
                 true
             }
         }
@@ -635,7 +727,7 @@ impl UdpDevice {
             .is_none_or(|t| now.duration_since(t) >= self.heartbeat_interval)
         {
             self.last_heartbeat = Some(now);
-            let hello = wire::encode_hello(self.node as u16, self.epoch, &self.peer_epoch);
+            let hello = self.take_hello();
             for i in 0..self.peers.len() {
                 // Down peers get no heartbeats; their next incarnation
                 // beacons us and is answered as a straggler.
@@ -644,6 +736,7 @@ impl UdpDevice {
                     self.send_hello(addr, &hello);
                 }
             }
+            self.hello = hello;
         }
         for i in 0..self.peers.len() {
             if i == self.node {
@@ -784,20 +877,18 @@ impl UdpDevice {
             }
             match pre.kind {
                 wire::FrameKind::Hello => {
-                    let Ok(view) = wire::decode_hello_body(&frame[wire::PREAMBLE_BYTES..]) else {
+                    let mut view = std::mem::take(&mut self.hello_view);
+                    let body = &frame[wire::PREAMBLE_BYTES..];
+                    // A view of another cluster's shape is no hello of ours.
+                    let ours = wire::decode_hello_body(body, &mut view).is_ok()
+                        && view.len() == self.peers.len();
+                    if ours && self.admit(src, pre.epoch, true) {
+                        self.stats.hellos_received += 1;
+                        self.reply_to_straggler(src, &view);
+                    } else {
                         self.stats.frames_rejected += 1;
-                        continue;
-                    };
-                    if view.len() != self.peers.len() {
-                        self.stats.frames_rejected += 1; // another cluster's shape
-                        continue;
                     }
-                    if !self.admit(src, pre.epoch, true) {
-                        self.stats.frames_rejected += 1;
-                        continue;
-                    }
-                    self.stats.hellos_received += 1;
-                    self.reply_to_straggler(src, &view);
+                    self.hello_view = view;
                 }
                 wire::FrameKind::Goodbye => {
                     if self.peer_epoch[src] == Some(pre.epoch)
@@ -890,8 +981,9 @@ impl UdpDevice {
             }
         }
         self.last_hello_reply[src] = Some(Instant::now());
-        let hello = wire::encode_hello(self.node as u16, self.epoch, &self.peer_epoch);
+        let hello = self.take_hello();
         self.send_hello(self.peers[src], &hello);
+        self.hello = hello;
     }
 }
 
@@ -1169,6 +1261,26 @@ mod tests {
         );
     }
 
+    /// The kernel holds a peer's unread packets, at most one window of
+    /// them: in link-sized frames, each with its train record and (at
+    /// worst) its own preamble, a full default window must fit the
+    /// receive buffer a socket gets by default, `net.core.rmem_default`.
+    #[test]
+    fn a_window_of_link_sized_packets_fits_the_default_receive_buffer() {
+        const RMEM_DEFAULT: usize = 212_992;
+        let window = fm_core::RetransmitConfig::default().window as usize;
+        let frame = |payload: u32| {
+            wire::PREAMBLE_BYTES
+                + wire::TRAIN_RECORD_HEADER
+                + (HEADER_WIRE_BYTES + payload) as usize
+        };
+        assert!(window * frame(LINK_PAYLOAD) <= RMEM_DEFAULT);
+        assert!(
+            window * frame(4096 - HEADER_WIRE_BYTES) > RMEM_DEFAULT,
+            "page-sized packets would not fit"
+        );
+    }
+
     #[test]
     fn datagrams_cross_real_sockets_both_ways() {
         let (mut a, mut b) = pair(UdpConfig::default());
@@ -1182,11 +1294,46 @@ mod tests {
         assert!(a.try_recv().is_none(), "b has not flushed its queue yet");
         assert_eq!(recv_spin(&mut b).payload, vec![7]);
         assert_eq!(recv_spin(&mut a).payload, vec![9]);
-        // First contact surfaced as an Up event on both sides.
-        assert!(drain_events(&mut b)
-            .iter()
-            .any(|e| e.peer == 0 && e.kind == PeerEventKind::Up));
+        // First contact surfaced as an Up event on both sides, and the
+        // link's packet size right after it.
+        let link = PeerEventKind::Link {
+            max_payload: LINK_PAYLOAD,
+        };
+        let kinds: Vec<_> = drain_events(&mut b)
+            .into_iter()
+            .map(|e| (e.peer, e.kind))
+            .collect();
+        assert_eq!(kinds, [(0, PeerEventKind::Up), (0, link)]);
+        assert_eq!(LINK_PAYLOAD, 3048);
         assert_eq!(b.peer_health(0), PeerHealth::Up);
+    }
+
+    /// A receiver that never polls while its peer floods it overflows its
+    /// socket's receive buffer, and `kernel_drops` reads what the kernel
+    /// threw away; the sender's own socket lost nothing.
+    #[test]
+    fn a_receiver_that_never_polls_counts_kernel_drops() {
+        let (mut a, b) = pair(UdpConfig::default());
+        assert_eq!(b.kernel_drops(), Some(0));
+        let body: PacketBuf = vec![0x5A; LINK_PAYLOAD as usize].into();
+        for tag in 0..2000u32 {
+            while a.send_space() == 0 {
+                a.flush_out();
+            }
+            let mut p = pkt(0, 1, 0);
+            p.header.pkt_seq = tag;
+            p.header.msg_len = LINK_PAYLOAD;
+            p.payload = body.clone();
+            a.try_send(p).unwrap();
+        }
+        while !a.out.is_empty() {
+            a.flush_out();
+        }
+        assert!(
+            b.kernel_drops().unwrap() > 0,
+            "8 MB into a buffer nobody reads"
+        );
+        assert_eq!(a.kernel_drops(), Some(0));
     }
 
     #[test]
@@ -1571,8 +1718,13 @@ mod tests {
             std::thread::sleep(Duration::from_millis(2));
         }
         let kinds: Vec<_> = drain_events(&mut a).into_iter().map(|e| e.kind).collect();
-        assert!(kinds.contains(&PeerEventKind::Rejoining));
-        assert!(kinds.contains(&PeerEventKind::Up));
+        let link = PeerEventKind::Link {
+            max_payload: LINK_PAYLOAD,
+        };
+        assert!(
+            kinds.ends_with(&[PeerEventKind::Rejoining, PeerEventKind::Up, link]),
+            "the new incarnation is sized again: {kinds:?}"
+        );
         assert_eq!(a.stats().rejoins, 1);
         assert_eq!(a.peer_health(1), PeerHealth::Up);
         // With the gate drained and the epoch admitted, the new

@@ -269,16 +269,19 @@ pub fn next_train_record(buf: &[u8], off: usize) -> Option<Result<(usize, usize)
 /// `seen_mask: u64` cluster cap; epochs ride only for seen peers, so a
 /// sparse view stays small.
 ///
+/// The frame replaces whatever `out` held, in its existing capacity: a
+/// device that keeps one buffer beacons its heartbeats without touching
+/// the allocator.
+///
 /// # Panics
 /// If `peer_epochs` names more than [`MAX_CLUSTER`] nodes — the device
 /// constructor refuses such peer maps long before a hello is built.
-pub fn encode_hello(src_node: u16, epoch: u64, peer_epochs: &[Option<u64>]) -> Vec<u8> {
+pub fn encode_hello(out: &mut Vec<u8>, src_node: u16, epoch: u64, peer_epochs: &[Option<u64>]) {
     let count = peer_epochs.len();
     assert!(count <= MAX_CLUSTER, "peer map exceeds MAX_CLUSTER");
     let bitmap_bytes = count.div_ceil(8);
-    let seen = peer_epochs.iter().filter(|e| e.is_some()).count();
-    let mut out = Vec::with_capacity(PREAMBLE_BYTES + 2 + bitmap_bytes + 8 * seen);
-    put_preamble(&mut out, FrameKind::Hello, src_node, epoch);
+    out.clear();
+    put_preamble(out, FrameKind::Hello, src_node, epoch);
     out.extend_from_slice(&(count as u16).to_le_bytes());
     let bitmap_at = out.len();
     out.resize(bitmap_at + bitmap_bytes, 0);
@@ -288,13 +291,13 @@ pub fn encode_hello(src_node: u16, epoch: u64, peer_epochs: &[Option<u64>]) -> V
             out.extend_from_slice(&e.to_le_bytes());
         }
     }
-    out
 }
 
 /// Decode the body of a [`FrameKind::Hello`] frame back into the
-/// sender's per-peer view: `None` = unseen, `Some(epoch)` = seen at that
-/// incarnation.
-pub fn decode_hello_body(body: &[u8]) -> Result<Vec<Option<u64>>, &'static str> {
+/// sender's per-peer view, written over `view` in its existing capacity:
+/// `None` = unseen, `Some(epoch)` = seen at that incarnation. On an error
+/// `view` is left as it was.
+pub fn decode_hello_body(body: &[u8], view: &mut Vec<Option<u64>>) -> Result<(), &'static str> {
     let Some(c) = body.get(..2) else {
         return Err("short hello body");
     };
@@ -321,7 +324,8 @@ pub fn decode_hello_body(body: &[u8]) -> Result<Vec<Option<u64>>, &'static str> 
     if epochs.len() != 8 * seen {
         return Err("hello epoch list does not match its bitmap");
     }
-    let mut view = vec![None; count];
+    view.clear();
+    view.resize(count, None);
     let mut at = 0;
     for (i, slot) in view.iter_mut().enumerate() {
         if bitmap[i / 8] & (1 << (i % 8)) != 0 {
@@ -330,7 +334,7 @@ pub fn decode_hello_body(body: &[u8]) -> Result<Vec<Option<u64>>, &'static str> 
             at += 8;
         }
     }
-    Ok(view)
+    Ok(())
 }
 
 /// Encode a [`FrameKind::Goodbye`] frame (preamble only): the sender is
@@ -465,15 +469,26 @@ mod tests {
             .is_err());
     }
 
+    fn hello(src_node: u16, epoch: u64, view: &[Option<u64>]) -> Vec<u8> {
+        let mut frame = Vec::new();
+        encode_hello(&mut frame, src_node, epoch, view);
+        frame
+    }
+
+    fn decode_hello(body: &[u8]) -> Result<Vec<Option<u64>>, &'static str> {
+        let mut view = Vec::new();
+        decode_hello_body(body, &mut view).map(|()| view)
+    }
+
     #[test]
     fn hello_frame_roundtrips() {
         let view = vec![Some(11), None, Some(13), Some(7)];
-        let frame = encode_hello(3, 7, &view);
+        let frame = hello(3, 7, &view);
         let pre = decode_preamble(&frame).unwrap();
         assert_eq!(pre.kind, FrameKind::Hello);
         assert_eq!(pre.src_node, 3);
         assert_eq!(pre.epoch, 7);
-        assert_eq!(decode_hello_body(&frame[PREAMBLE_BYTES..]), Ok(view));
+        assert_eq!(decode_hello(&frame[PREAMBLE_BYTES..]), Ok(view));
     }
 
     #[test]
@@ -483,32 +498,32 @@ mod tests {
         let view: Vec<Option<u64>> = (0..321)
             .map(|i| (i % 3 != 1).then_some(0x1000 + i as u64))
             .collect();
-        let frame = encode_hello(320, 0x1140, &view);
+        let frame = hello(320, 0x1140, &view);
         assert!(frame.len() < MAX_DATAGRAM);
-        assert_eq!(decode_hello_body(&frame[PREAMBLE_BYTES..]), Ok(view));
+        assert_eq!(decode_hello(&frame[PREAMBLE_BYTES..]), Ok(view));
         // An all-unseen view of the widest legal cluster also fits.
         let empty = vec![None; MAX_CLUSTER];
-        let frame = encode_hello(0, 1, &empty);
-        assert_eq!(decode_hello_body(&frame[PREAMBLE_BYTES..]), Ok(empty));
+        let frame = hello(0, 1, &empty);
+        assert_eq!(decode_hello(&frame[PREAMBLE_BYTES..]), Ok(empty));
     }
 
     #[test]
     fn corrupt_hello_bodies_are_rejected() {
         let view = vec![Some(5), None, Some(9)];
-        let frame = encode_hello(0, 5, &view);
+        let frame = hello(0, 5, &view);
         let body = &frame[PREAMBLE_BYTES..];
-        assert!(decode_hello_body(&body[..1]).is_err(), "short count");
-        assert!(decode_hello_body(&body[..2]).is_err(), "bitmap truncated");
+        assert!(decode_hello(&body[..1]).is_err(), "short count");
+        assert!(decode_hello(&body[..2]).is_err(), "bitmap truncated");
         assert!(
-            decode_hello_body(&body[..body.len() - 1]).is_err(),
+            decode_hello(&body[..body.len() - 1]).is_err(),
             "epoch list truncated"
         );
         let mut absurd = body.to_vec();
         absurd[0..2].copy_from_slice(&u16::MAX.to_le_bytes());
-        assert!(decode_hello_body(&absurd).is_err(), "absurd count");
+        assert!(decode_hello(&absurd).is_err(), "absurd count");
         let mut ghost = body.to_vec();
         ghost[2] |= 1 << 7; // bit past count=3
-        assert!(decode_hello_body(&ghost).is_err(), "ghost bit past count");
+        assert!(decode_hello(&ghost).is_err(), "ghost bit past count");
     }
 
     #[test]
@@ -523,7 +538,7 @@ mod tests {
 
     #[test]
     fn garbage_preambles_are_rejected_but_epochs_pass_through() {
-        let frame = encode_hello(0, 1, &[Some(1)]);
+        let frame = hello(0, 1, &[Some(1)]);
         // Epoch is returned for the device to judge, not rejected here.
         assert_eq!(decode_preamble(&frame).unwrap().epoch, 1);
         assert!(decode_preamble(&frame[..10]).is_err(), "truncated");

@@ -318,13 +318,12 @@ impl NetDevice for Unreadable {
     }
     fn poll_event(&mut self) -> Option<PeerEvent> {
         let mut ev = self.0.poll_event()?;
-        if let PeerEventKind::SameHost { max_payload, .. } = ev.kind {
+        if let PeerEventKind::SameHost { .. } = ev.kind {
             let pid_max: u32 = std::fs::read_to_string("/proc/sys/kernel/pid_max")
                 .ok()
                 .and_then(|s| s.trim().parse().ok())
                 .unwrap_or(1 << 22);
-            let pid = pid_max + 1;
-            ev.kind = PeerEventKind::SameHost { pid, max_payload };
+            ev.kind = PeerEventKind::SameHost { pid: pid_max + 1 };
         }
         Some(ev)
     }
