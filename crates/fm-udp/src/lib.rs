@@ -37,10 +37,9 @@
 //! In-process smoke clusters come from [`loopback_cluster`] /
 //! [`UdpCluster`]; genuine multi-process runs from `fm-bench`'s
 //! `fm-udp-cluster` binary (`spawn` forks N children on loopback; `node`
-//! joins an existing cluster from `--peers`). Seeded fault injection —
-//! [`UdpConfig::drop_outbound`], [`UdpConfig::dup_outbound`],
-//! [`UdpConfig::reorder_outbound`] — exercises the retransmission and
-//! dedup machinery at chosen rates.
+//! joins an existing cluster from `--peers`). Seeded loss injection,
+//! [`UdpConfig::drop_outbound`], makes the retransmission machinery work
+//! at a chosen rate.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
