@@ -435,7 +435,7 @@ fn calibrate_udp() -> BenchReport {
 
 /// Wall-clock calibration over the intra-host shared-memory transport:
 /// the same probe table as the UDP run, but through `fm-shm`'s mapped
-/// rings with the engine in `TrustSubstrate` mode — the numbers isolate
+/// rings, which the engine trusts — the numbers isolate
 /// the stack's cost when both the kernel and the reliability sublayer
 /// drop out of the per-message path.
 fn calibrate_shm() -> BenchReport {

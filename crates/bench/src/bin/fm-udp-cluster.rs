@@ -22,17 +22,17 @@
 //! run MPI-FM collectives over the same engine: `--rounds` barriers, or
 //! `--rounds` sum-allreduces of `--msg-size` bytes with every rank
 //! validating the result. The engine is the one the matching
-//! `fm_bench::fabric` builds — over UDP that means
-//! `Reliability::Retransmit`, so the run completes with zero message
-//! loss at the FM API even under `--drop`-injected datagram loss; the
-//! `STATS` lines show the retransmission machinery paying for it.
+//! `fm_bench::fabric` builds — over UDP it retransmits to every peer, so
+//! the run completes with zero message loss at the FM API even under
+//! `--drop`-injected datagram loss; the `STATS` lines show the
+//! retransmission machinery paying for it.
 //!
 //! `--transport` picks the fabric under the same workloads:
 //!
 //! * `udp` (default) — every pair talks UDP, exactly as above.
 //! * `shm` — every pair talks through `fm-shm` mapped segments; the
 //!   processes must share a host. The device is lossless, so the engine
-//!   runs `TrustSubstrate` (no retransmission sublayer). The UDP socket
+//!   trusts it (no retransmission sublayer). The UDP socket
 //!   is still bound for the spawn handshake, then dropped.
 //! * `routed` — a `fm-route` composite: `--hosts 0,0,1,1` (default:
 //!   first half / second half) assigns ranks to simulated hosts;

@@ -18,7 +18,7 @@ use std::sync::OnceLock;
 use std::time::Instant;
 
 use fm_core::blocking::{quiesce, run_ranks, Backoff};
-use fm_core::{Fm2Engine, NetDevice, ObsSink, Reliability, RetransmitConfig, SimDevice};
+use fm_core::{Fm2Engine, NetDevice, ObsSink, SimDevice};
 use fm_model::{MachineProfile, Nanos};
 use fm_route::{HostMap, RoutedDevice};
 use fm_shm::{ShmCluster, ShmConfig, ShmDevice};
@@ -62,32 +62,21 @@ pub type Program<R> = Box<dyn FnMut() -> Step<R>>;
 pub trait Programs<D: NetDevice, R>: Fn(usize, Fm2Engine<D>) -> Program<R> + Sync {}
 impl<D: NetDevice, R, T: Fn(usize, Fm2Engine<D>) -> Program<R> + Sync> Programs<D, R> for T {}
 
-/// The reliability every engine over a lossy substrate in this
-/// repository runs (launcher, soak, benchmark): retransmission at the
-/// default window.
-pub fn retransmit() -> Reliability {
-    Reliability::Retransmit(RetransmitConfig::default())
-}
-
 /// A substrate the probes can run on.
 pub trait Fabric {
     /// The device each rank's engine sits on.
     type Dev: NetDevice + 'static;
 
-    /// Machine profile for the engines; carries the credit window.
+    /// Machine profile for the engines; carries the credit window (and
+    /// with it the retransmit window toward peers a lossy link reaches).
     fn profile(&self) -> MachineProfile {
         MachineProfile::ppro200_fm2()
     }
 
-    /// Reliability mode for the engines: trust a lossless substrate (FM on
-    /// Myrinet), retransmit over one that really drops.
-    fn reliability(&self) -> Reliability {
-        Reliability::TrustSubstrate
-    }
-
-    /// The engine a rank of this fabric runs.
+    /// The engine a rank of this fabric runs: it trusts a lossless link
+    /// (FM on Myrinet) and retransmits over one that really drops.
     fn engine(&self, dev: Self::Dev) -> Fm2Engine<Self::Dev> {
-        Fm2Engine::with_reliability(dev, self.profile(), self.reliability())
+        Fm2Engine::new(dev, self.profile())
     }
 
     /// Nanoseconds on a clock all ranks of one run share, for stamps that
@@ -163,7 +152,6 @@ const SIM_LIMIT: Nanos = Nanos(600_000_000_000);
 /// virtual time. Same configuration, same numbers, to the nanosecond.
 pub struct Sim {
     profile: MachineProfile,
-    reliability: Reliability,
     faults: Vec<FaultModel>,
     obs: Option<(ObsSink, ObsSink)>,
     end: Cell<Nanos>,
@@ -174,16 +162,15 @@ impl Sim {
     pub fn new(profile: MachineProfile) -> Self {
         Sim {
             profile,
-            reliability: Reliability::TrustSubstrate,
             faults: Vec::new(),
             obs: None,
             end: Cell::new(Nanos::ZERO),
         }
     }
 
-    /// Engines run `reliability` over a wire that injects `faults`.
-    pub fn unreliable(mut self, reliability: Reliability, faults: Vec<FaultModel>) -> Self {
-        self.reliability = reliability;
+    /// A wire that injects `faults`. With any fault model installed,
+    /// `Drop { p: 0.0 }` included, the engines retransmit.
+    pub fn faulty(mut self, faults: Vec<FaultModel>) -> Self {
         self.faults = faults;
         self
     }
@@ -256,13 +243,9 @@ impl Fabric for Sim {
         self.profile
     }
 
-    fn reliability(&self) -> Reliability {
-        self.reliability.clone()
-    }
-
     fn engine(&self, dev: SimDevice) -> Fm2Engine<SimDevice> {
         let sink = self.sink(dev.node_id());
-        let fm = Fm2Engine::with_reliability(dev, self.profile, self.reliability.clone());
+        let fm = Fm2Engine::new(dev, self.profile);
         if let Some(sink) = sink {
             fm.attach_obs(sink);
         }
@@ -320,10 +303,6 @@ static UDP_KERNEL_DROPS: AtomicU64 = AtomicU64::new(0);
 
 impl Fabric for Udp {
     type Dev = UdpDevice;
-
-    fn reliability(&self) -> Reliability {
-        retransmit()
-    }
 
     fn run<R: Send + 'static>(&self, n: usize, make: impl Programs<Self::Dev, R>) -> Vec<R> {
         UdpCluster::run(n, self.0.clone(), |i, dev| drive_rank(self, i, dev, &make))
@@ -388,8 +367,8 @@ impl Fabric for Shm {
 /// simulated host `hosts[i]`; same-host frames ride `fm-shm` rings,
 /// cross-host frames ride loopback UDP, behind one [`RoutedDevice`].
 /// Real multi-host runs swap the loopback sockets for the wire; the
-/// routing is identical. The UDP half is lossy, so engines retransmit
-/// (correct, if redundant, over the shm half).
+/// routing is identical. The UDP half is lossy, so engines retransmit to
+/// the ranks on other hosts and trust their same-host ones.
 pub struct Routed {
     /// Host of each rank; the run's `n` must equal its length.
     pub hosts: Vec<usize>,
@@ -408,10 +387,6 @@ impl Routed {
 
 impl Fabric for Routed {
     type Dev = RoutedDevice<ShmDevice, UdpDevice>;
-
-    fn reliability(&self) -> Reliability {
-        retransmit()
-    }
 
     fn run<R: Send + 'static>(&self, n: usize, make: impl Programs<Self::Dev, R>) -> Vec<R> {
         assert_eq!(n, self.hosts.len(), "one host per rank");

@@ -8,9 +8,7 @@ use std::rc::Rc;
 
 use fm_core::packet::HandlerId;
 use fm_core::stats::FmStats;
-use fm_core::{
-    Fm1Engine, Fm2Engine, FmStream, LogHistogram, NetDevice, ObsSink, Reliability, SimDevice,
-};
+use fm_core::{Fm1Engine, Fm2Engine, FmStream, LogHistogram, NetDevice, ObsSink, SimDevice};
 use fm_model::halfpower::BandwidthPoint;
 use fm_model::{Bandwidth, MachineProfile, Nanos};
 use mpi_fm::{Mpi, Mpi1, Mpi2, RecvReq, SendReq};
@@ -503,8 +501,8 @@ pub fn fm1_latency_dist(
     out.swap_remove(0).expect("rank 0 reports the distribution")
 }
 
-/// [`fm2_stream`] with an explicit reliability mode and fault models on
-/// the wire. Nothing quiesces a simulated rank, so the receiver itself
+/// [`fm2_stream`] with fault models on the wire: with any installed, the
+/// engines retransmit, with none they trust it. Nothing quiesces a simulated rank, so the receiver itself
 /// keeps acking until the sender has confirmed delivery (once traffic
 /// stops it may simply stay parked — the sender's report is the
 /// completion signal). Returns the stream result plus the sender's and
@@ -514,10 +512,9 @@ pub fn fm2_reliable_stream(
     profile: MachineProfile,
     size: usize,
     count: usize,
-    reliability: Reliability,
     faults: Vec<FaultModel>,
 ) -> (StreamResult, FmStats, FmStats) {
-    let sim = Sim::new(profile).unreliable(reliability, faults);
+    let sim = Sim::new(profile).faulty(faults);
     let sender_done = Rc::new(Cell::new(false));
     let got: Rc<Cell<usize>> = Rc::default();
     let received = Rc::new(Cell::new((Nanos::ZERO, FmStats::default())));
@@ -986,16 +983,16 @@ mod tests {
         assert_eq!(d1.mean, fm1_latency(MachineProfile::sparc_fm1(), 16, 50));
     }
 
-    /// A wire that duplicates under engines that trust it hands the FM API
-    /// the same message twice: the round numbers catch it, on the pong
-    /// side too when the pong's lead is read (the launcher's form).
+    /// A wire that duplicates is a wire the engines retransmit over: they
+    /// hand the FM API each ping and pong once, in order, so every round
+    /// number the handlers check holds, on the pong side too.
     #[test]
-    #[should_panic(expected = "round")]
-    fn a_message_delivered_twice_fails_the_ping_pong() {
+    fn a_duplicating_wire_delivers_each_round_once() {
         let dup = FaultModel::Duplicate { p: 0.2, seed: 3 };
-        let sim = Sim::new(MachineProfile::ppro200_fm2())
-            .unreliable(Reliability::TrustSubstrate, vec![dup]);
-        sim.run(2, |rank, fm| ping_pong_program(rank, fm, 16, 50));
+        let sim = Sim::new(MachineProfile::ppro200_fm2()).faulty(vec![dup]);
+        let out = sim.run(2, |rank, fm| ping_pong_program(rank, fm, 16, 50));
+        let d = out[0].as_ref().expect("rank 0 reports the distribution");
+        assert_eq!(d.one_way_ns.count(), 50);
     }
 
     #[test]

@@ -26,7 +26,7 @@ use fm_model::{MachineProfile, Nanos};
 use mpi_fm::{run_shuffle, Mpi2, ShuffleSpec};
 use myrinet_sim::fault::FaultModel;
 
-use crate::fabric::{blocking, retransmit, Fabric, Program, Sim, Step};
+use crate::fabric::{blocking, Fabric, Program, Sim, Step};
 
 /// Handler id carrying workload traffic.
 const WORK: HandlerId = HandlerId(41);
@@ -276,13 +276,14 @@ pub fn shuffle_over<F: Fabric>(fabric: &F, spec: ShuffleSpec) -> (u64, u64) {
 
 /// Drive `spec` over an n-node simulated cluster with `drop_p` seeded
 /// packet loss and adaptive retransmission, in deterministic virtual time.
+/// The drop model is installed at `drop_p = 0` too, so a loss-free run
+/// still retransmits: it is the baseline a lossy one is judged against.
 pub fn sim_workload_dist(spec: &WorkloadSpec, drop_p: f64) -> WorkloadDist {
     let drop = FaultModel::Drop {
         p: drop_p,
         seed: spec.seed,
     };
-    let faults = if drop_p > 0.0 { vec![drop] } else { vec![] };
-    let sim = Sim::new(MachineProfile::ppro200_fm2()).unreliable(retransmit(), faults);
+    let sim = Sim::new(MachineProfile::ppro200_fm2()).faulty(vec![drop]);
     workload_dist(&sim, spec)
 }
 

@@ -42,7 +42,7 @@ use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
-use fm_bench::fabric::{blocking, retransmit, Fabric, Program, Programs, Shm, Sim, Step, Udp};
+use fm_bench::fabric::{blocking, Fabric, Program, Programs, Shm, Sim, Step, Udp};
 use fm_core::packet::HandlerId;
 use fm_core::{Onesided, OnesidedConfig, OsStatus, RegionHandle};
 use fm_model::MachineProfile;
@@ -517,7 +517,8 @@ fn steady_state_fm2_stream_allocates_nothing() {
 
 #[test]
 fn steady_state_retransmit_stream_allocates_nothing() {
-    // The same stream under Retransmit: the ring of retained clones, the
+    // The same stream over a wire with a fault model installed, which the
+    // engines retransmit over: the ring of retained clones, the
     // per-poll ack flush, the timer scan and the RTT estimator take
     // nothing from the allocator — and neither does recovery. Under
     // seeded 1 % drop the receiver parks early packets in its hold table
@@ -527,9 +528,8 @@ fn steady_state_retransmit_stream_allocates_nothing() {
     // simulator's event heap and send-ready list size themselves to the
     // widest burst one step ever sends, and under loss that is the burst
     // after a repaired hole reopens the whole window — a few episodes in.
-    let lossy = vec![FaultModel::Drop { p: 0.01, seed: 7 }];
-    for (wire, faults) in [("loss-free", vec![]), ("1 % drop", lossy)] {
-        let fabric = sim().unreliable(retransmit(), faults);
+    for (wire, p) in [("loss-free", 0.0), ("1 % drop", 0.01)] {
+        let fabric = sim().faulty(vec![FaultModel::Drop { p, seed: 7 }]);
         let delta = stream_alloc_delta(&fabric, 64, 2048, 2048, Duration::ZERO);
         assert_eq!(
             delta,
@@ -660,7 +660,8 @@ fn shmem_put_alloc_delta(warmup: usize, measured: usize) -> (u64, u64, u64) {
     const KIB: usize = 1024;
     const SIZES: [usize; 2] = [64 * KIB, 256 * KIB];
     const FLAG: usize = 320 * KIB;
-    const HEAP: usize = FLAG + 8;
+    const READY: usize = FLAG + 8;
+    const HEAP: usize = READY + 8;
     let payload = ((warmup + measured) * SIZES.iter().sum::<usize>()) as u64;
     let out = Shm::DEEP.run(2, |rank, fm| -> Program<u64> {
         blocking(move || {
@@ -669,11 +670,18 @@ fn shmem_put_alloc_delta(warmup: usize, measured: usize) -> (u64, u64, u64) {
             // that its peer shares this host: until then a put copies.
             sh.barrier_all();
             if rank == 1 {
-                // Serve until the initiator's last act, a flag put.
+                // Count from here, and only then let the initiator start:
+                // it may leave the barrier first, and a put it issued at
+                // once would be served inside this rank's barrier, before
+                // the count began. Then serve until the initiator's last
+                // act, a flag put.
                 let before = fm.stats().bytes_copied;
+                sh.put(0, READY, &1i64.to_le_bytes());
+                sh.quiet();
                 sh.wait_until_i64(FLAG, |v| v == 1);
                 return fm.stats().bytes_copied - before;
             }
+            sh.wait_until_i64(READY, |v| v == 1);
             let bufs = SIZES.map(|len| vec![0xC5u8; len]);
             let round = || {
                 let mut at = 0;

@@ -11,7 +11,7 @@
 
 use fm_bench::fabric::{blocking, Fabric, Udp};
 use fm_bench::workload::shuffle_over;
-use fm_core::{Fm1Engine, Reliability, RetransmitConfig};
+use fm_core::Fm1Engine;
 use fm_model::MachineProfile;
 use fm_udp::UdpCluster;
 use mpi_fm::{Mpi, Mpi1, Mpi2, ReduceOp, ShuffleSpec};
@@ -53,11 +53,7 @@ fn mpi1_ping_pong_over_lossy_udp() {
     // A fabric's ranks run FM 2.x; FM 1.x over UDP exists only here, so
     // this one is written against the UDP cluster directly.
     let out = UdpCluster::run(2, lossy().0, |rank, dev| {
-        let fm = Fm1Engine::with_reliability(
-            dev,
-            MachineProfile::sparc_fm1(),
-            Reliability::Retransmit(RetransmitConfig::default()),
-        );
+        let fm = Fm1Engine::new(dev, MachineProfile::sparc_fm1());
         let mut mpi = Mpi1::new(fm);
         let peer = 1 - rank;
         for i in 0..ROUNDS {

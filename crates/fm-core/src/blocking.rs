@@ -4,8 +4,8 @@
 //! yield). On real transports (threads or processes over `fm-shm` rings
 //! or `fm-udp` sockets), blocking is just spin-with-progress: retry the
 //! operation, draining the network in between so flow-control credits —
-//! and, in [`crate::Reliability::Retransmit`] mode, acks and retransmit
-//! timers — keep circulating (this mirrors what the real FM library did
+//! and, toward peers over a lossy link, acks and retransmit timers —
+//! keep circulating (this mirrors what the real FM library did
 //! inside `FM_send`: poll the NIC while waiting for credits, or risk
 //! deadlock).
 //!
@@ -130,7 +130,7 @@ const QUIET: Duration = Duration::from_millis(100);
 const QUIESCE_CAP: Duration = Duration::from_secs(5);
 
 /// Keep a finished rank's engine serviced until every packet it sent is
-/// acknowledged (trivially so under `TrustSubstrate`) and nothing has
+/// acknowledged (trivially so over trusted links) and nothing has
 /// arrived for [`QUIET`]: a peer still waiting on our last ack, or about
 /// to retransmit, is not abandoned mid-conversation. Capped.
 pub fn quiesce<D: NetDevice>(fm: &Fm2Engine<D>) {

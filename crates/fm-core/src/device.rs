@@ -113,14 +113,21 @@ pub trait NetDevice {
     fn request_wake(&mut self, at: Nanos) {
         let _ = at;
     }
-    /// True when this substrate can genuinely drop, duplicate, or reorder
-    /// packets (real datagram networks; `fm-udp`). The engine constructors
-    /// refuse to run [`crate::Reliability::TrustSubstrate`] over a lossy
-    /// device — FM's reliability guarantee would be a lie there. Default:
-    /// `false` (the simulator without injected faults, shared-memory
-    /// rings, and loopback queues never lose anything).
+    /// True when some link of this substrate can genuinely drop,
+    /// duplicate, or reorder packets; [`NetDevice::is_lossy_to`] answers
+    /// it for every peer unless told better. Default: `false`.
     fn is_lossy(&self) -> bool {
         false
+    }
+    /// True when the link to `peer` can genuinely drop, duplicate, or
+    /// reorder packets: the engine then runs the retransmit sublayer
+    /// ([`crate::reliable`]) toward that peer and trusts every other
+    /// link, as FM trusts Myrinet. Asked once per peer when the engine
+    /// is built; both ends of a link must answer alike. Default:
+    /// [`NetDevice::is_lossy`].
+    fn is_lossy_to(&self, peer: usize) -> bool {
+        let _ = peer;
+        self.is_lossy()
     }
     /// Substrate serial of the packet accepted by the most recent
     /// successful [`NetDevice::try_send`], when the substrate stamps one
@@ -203,6 +210,11 @@ impl NetDevice for SimDevice {
         self.iface.request_wake(at);
     }
 
+    /// Lossy exactly when the simulation has a fault model installed.
+    fn is_lossy(&self) -> bool {
+        self.iface.faulty()
+    }
+
     fn last_sent_serial(&self) -> Option<u64> {
         self.iface.last_sent_serial()
     }
@@ -224,6 +236,8 @@ pub struct LoopbackDevice {
     events: std::collections::VecDeque<PeerEvent>,
     capacity: usize,
     clock: Nanos,
+    /// What [`NetDevice::is_lossy`] answers.
+    lossy: bool,
 }
 
 /// A pair of [`LoopbackDevice`] endpoints with manual packet delivery —
@@ -232,27 +246,29 @@ pub struct LoopbackDevice {
 pub struct LoopbackPair;
 
 impl LoopbackPair {
-    /// Two connected endpoints with `capacity`-bounded send queues.
+    /// Two connected endpoints with `capacity`-bounded send queues, over
+    /// a link that never loses a packet the test does not take.
     #[allow(clippy::new_ret_no_self)] // a factory for the pair, by design
     pub fn new(capacity: usize) -> (LoopbackDevice, LoopbackDevice) {
-        (
-            LoopbackDevice {
-                node: 0,
-                out: Default::default(),
-                inq: Default::default(),
-                events: Default::default(),
-                capacity,
-                clock: Nanos::ZERO,
-            },
-            LoopbackDevice {
-                node: 1,
-                out: Default::default(),
-                inq: Default::default(),
-                events: Default::default(),
-                capacity,
-                clock: Nanos::ZERO,
-            },
-        )
+        let end = |node| LoopbackDevice {
+            node,
+            out: Default::default(),
+            inq: Default::default(),
+            events: Default::default(),
+            capacity,
+            clock: Nanos::ZERO,
+            lossy: false,
+        };
+        (end(0), end(1))
+    }
+
+    /// Two endpoints as [`LoopbackPair::new`] makes them, over a link
+    /// that says it may lose packets: engines over it retransmit, and
+    /// the test plays the loss.
+    pub fn lossy(capacity: usize) -> (LoopbackDevice, LoopbackDevice) {
+        let (mut a, mut b) = Self::new(capacity);
+        (a.lossy, b.lossy) = (true, true);
+        (a, b)
     }
 
     /// Move every queued packet from `a`'s out-queue to `b`'s in-queue and
@@ -336,6 +352,10 @@ impl NetDevice for LoopbackDevice {
 
     fn charge(&mut self, cost: Nanos) {
         self.clock += cost;
+    }
+
+    fn is_lossy(&self) -> bool {
+        self.lossy
     }
 
     fn poll_event(&mut self) -> Option<PeerEvent> {

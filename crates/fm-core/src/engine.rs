@@ -23,7 +23,7 @@ use crate::error::FmError;
 use crate::flow::CreditLedger;
 use crate::obs::{ObsEvent, ObsSink, SpanKind};
 use crate::packet::{FmPacket, HandlerId, PacketFlags, PacketHeader};
-use crate::reliable::{RecvDecision, Reliability, ReliableState};
+use crate::reliable::{RecvDecision, ReliableState};
 use crate::stats::FmStats;
 
 /// Free-list depth of each engine's send-payload pool. Deep enough to
@@ -142,12 +142,12 @@ pub(crate) struct EngineCore<D: NetDevice> {
     send_pkt_seq: Vec<u32>,
     /// Next message sequence number per destination.
     pub(crate) send_msg_seq: Vec<u32>,
-    /// Expected next packet sequence number per source (TrustSubstrate
-    /// mode; the reliable window keeps its own).
+    /// Expected next packet sequence number per trusted source (the
+    /// reliable window keeps its own for a lossy one).
     recv_pkt_seq: Vec<u32>,
-    /// Retransmission state (`Some` in [`Reliability::Retransmit`] mode,
-    /// where it replaces the credit ledger entirely).
-    pub(crate) reliable: Option<ReliableState>,
+    /// Retransmission state for the peers whose links may lose packets
+    /// (`None` if none may): toward them it replaces the credit ledger.
+    reliable: Option<ReliableState>,
     /// Frame pool sized to the largest MTU of any link ([`Self::mtu`]):
     /// faces stage payload bytes directly into pooled frames, which then
     /// *become* packet payloads — steady-state sends never allocate.
@@ -183,23 +183,14 @@ pub(crate) struct EngineCore<D: NetDevice> {
 // hinted, the simulator pass of `sim_layering` measured 3–5 % slower and
 // the shm workloads no different.
 impl<D: NetDevice> EngineCore<D> {
-    pub(crate) fn new(
-        device: D,
-        profile: MachineProfile,
-        reliability: Reliability,
-        costs: PacketCosts,
-    ) -> Self {
+    /// A core that retransmits, in a window of `credits_per_peer`, to
+    /// the peers whose links may lose packets, and trusts the rest.
+    pub(crate) fn new(device: D, profile: MachineProfile, costs: PacketCosts) -> Self {
         let n = device.num_nodes();
-        let reliable = match reliability {
-            Reliability::TrustSubstrate => None,
-            Reliability::Retransmit(cfg) => Some(ReliableState::new(n, cfg)),
-        };
-        assert!(
-            reliable.is_some() || !device.is_lossy(),
-            "this device really drops/reorders packets; construct the engine \
-             with Reliability::Retransmit (TrustSubstrate would break FM's \
-             delivery guarantee)"
-        );
+        let lossy: Vec<bool> = (0..n).map(|peer| device.is_lossy_to(peer)).collect();
+        let reliable = lossy
+            .contains(&true)
+            .then(|| ReliableState::new(lossy, profile.fm.credits_per_peer));
         EngineCore {
             device,
             room: 0,
@@ -293,8 +284,14 @@ impl<D: NetDevice> EngineCore<D> {
             .collect()
     }
 
-    /// Data packets sent but not yet acknowledged (always 0 in
-    /// TrustSubstrate mode).
+    /// The retransmission state, if the link to `peer` may lose packets.
+    #[inline]
+    pub(crate) fn reliable_to(&self, peer: usize) -> Option<&ReliableState> {
+        self.reliable.as_ref().filter(|r| r.covers(peer))
+    }
+
+    /// Data packets sent to lossy peers but not yet acknowledged (always
+    /// 0 toward trusted ones).
     pub(crate) fn unacked_packets(&self) -> usize {
         self.reliable
             .as_ref()
@@ -355,8 +352,8 @@ impl<D: NetDevice> EngineCore<D> {
             self.stats.device_stalls += 1;
             (Stall::Device, SpanKind::DeviceStall)
         } else {
-            let open = match &self.reliable {
-                // Retransmit mode: the sliding window is the flow control.
+            let open = match self.reliable_to(dst) {
+                // A lossy link: the sliding window is the flow control.
                 Some(rel) => rel.can_send(dst, packets),
                 None => self.costs.flow_control.is_none() || self.flow.available(dst) >= packets,
             };
@@ -391,7 +388,7 @@ impl<D: NetDevice> EngineCore<D> {
         msg_len: u32,
     ) -> Result<(), Stall> {
         self.room_for(dst, packets, msg_seq, msg_len)?;
-        if self.reliable.is_none() && self.costs.flow_control.is_some() {
+        if self.reliable_to(dst).is_none() && self.costs.flow_control.is_some() {
             let reserved = self.flow.try_reserve(dst, packets);
             debug_assert!(reserved, "room_for saw the credits");
         }
@@ -448,12 +445,10 @@ impl<D: NetDevice> EngineCore<D> {
         flags: PacketFlags,
         payload: PacketBuf,
     ) {
-        let credits = if self.reliable.is_some() {
-            0
-        } else {
-            self.flow.take_owed(dst)
+        let (credits, ack) = match self.reliable.as_mut().filter(|r| r.covers(dst)) {
+            Some(rel) => (0, rel.piggyback_ack(dst)),
+            None => (self.flow.take_owed(dst), 0),
         };
-        let ack = self.reliable.as_mut().map_or(0, |r| r.piggyback_ack(dst));
         let pkt_seq = self.send_pkt_seq[dst];
         self.send_pkt_seq[dst] += 1;
         let pkt = FmPacket {
@@ -472,7 +467,7 @@ impl<D: NetDevice> EngineCore<D> {
         };
         // Only the retransmit timer wants to know when: a trusted
         // packet leaves without a clock read.
-        if let Some(rel) = self.reliable.as_mut() {
+        if let Some(rel) = self.reliable.as_mut().filter(|r| r.covers(dst)) {
             let now = self.device.now();
             rel.on_data_sent(dst, &pkt, now);
         }
@@ -541,14 +536,14 @@ impl<D: NetDevice> EngineCore<D> {
     /// trusted receive path 4–6 % on the simulator workloads.
     #[inline(never)]
     fn ack_mid_burst(&mut self, src: usize) {
-        let mut rel = self.reliable.take().expect("retransmit mode");
+        let mut rel = self.reliable.take().expect("a lossy peer");
         self.send_due_ack(&mut rel, src);
         self.reliable = Some(rel);
     }
 
-    /// Retransmit-mode housekeeping: flush standalone acks, re-send the
-    /// head packet of each timed-out peer, and arm the timer alarm. No-op
-    /// in TrustSubstrate mode.
+    /// Housekeeping toward lossy peers: flush standalone acks, re-send
+    /// the head packet of each timed-out peer, and arm the timer alarm
+    /// (a trusted peer never owes an ack nor arms a timer).
     #[inline]
     pub(crate) fn reliability_poll(&mut self) {
         let Some(mut rel) = self.reliable.take() else {
@@ -670,7 +665,7 @@ impl<D: NetDevice> EngineCore<D> {
                 self.same_host[peer] = None;
                 self.link_mtu[peer] = self.profile.fm.mtu_payload;
                 // Stop the retransmit storm toward the corpse.
-                if let Some(rel) = self.reliable.as_mut() {
+                if let Some(rel) = self.reliable.as_mut().filter(|r| r.covers(peer)) {
                     rel.abandon_peer(peer);
                 }
                 SpanKind::PeerDown
@@ -683,7 +678,7 @@ impl<D: NetDevice> EngineCore<D> {
                 self.peer_down[peer] = false;
                 self.same_host[peer] = None;
                 self.link_mtu[peer] = self.profile.fm.mtu_payload;
-                if let Some(rel) = self.reliable.as_mut() {
+                if let Some(rel) = self.reliable.as_mut().filter(|r| r.covers(peer)) {
                     rel.reset_peer(peer);
                 }
                 self.send_pkt_seq[peer] = 0;
@@ -737,8 +732,8 @@ impl<D: NetDevice> EngineCore<D> {
                 .serial_opt(self.device.last_recv_serial())
                 .bytes(pkt.payload.len() as u32)
         });
-        if self.reliable.is_some() {
-            // Retransmit mode: ack/window bookkeeping replaces the credit
+        if self.reliable_to(src).is_some() {
+            // A lossy link: ack/window bookkeeping replaces the credit
             // bookkeeping (same charge).
             self.absorb_ack(src, h.ack, pkt.sack());
             if !pkt.is_data() {
@@ -753,7 +748,7 @@ impl<D: NetDevice> EngineCore<D> {
             // The in-order filter: duplicates are suppressed and early
             // arrivals held here, never surfaced as errors — selective
             // repeat fills the gap instead.
-            let rel = self.reliable.as_mut().expect("checked above");
+            let rel = self.reliable.as_mut().expect("a lossy peer");
             return match rel.accept(src, pkt, &mut self.stats) {
                 RecvDecision::Accept => {
                     self.stats.packets_received += 1;
@@ -805,7 +800,7 @@ impl<D: NetDevice> EngineCore<D> {
     /// hole the bitmap exposes that is not already being repaired.
     fn absorb_ack(&mut self, src: usize, ack: u32, sack: u64) {
         let now = self.device.now();
-        let rel = self.reliable.as_mut().expect("retransmit mode");
+        let rel = self.reliable.as_mut().expect("a lossy peer");
         let holes = rel.on_ack(src, ack, sack, now);
         if let Some(sample) = rel.take_rtt_sample(src) {
             let rto_us = (rel.current_rto_ns(src) / 1_000).min(u32::MAX as u64);
@@ -821,7 +816,7 @@ impl<D: NetDevice> EngineCore<D> {
         }
         // Repairs leave the window alone: only a timeout moves it.
         while self.device_takes(1) {
-            let rel = self.reliable.as_mut().expect("retransmit mode");
+            let rel = self.reliable.as_mut().expect("a lossy peer");
             let Some(pkt) = rel.next_hole(src, now) else {
                 break;
             };
@@ -977,7 +972,7 @@ mod tests {
 
     /// The slice of either engine's API the shared script drives.
     trait Face {
-        /// A Retransmit-mode engine on node 1 whose handler `H` logs the
+        /// An engine on node 1, over a lossy link, whose handler `H` logs the
         /// first byte of each message it is given.
         fn new(log: Rc<RefCell<Vec<u8>>>) -> Self;
         fn dev<R>(&mut self, f: impl FnOnce(&mut ChurnDevice) -> R) -> R;
@@ -991,14 +986,10 @@ mod tests {
         fn take_errors(&mut self) -> Vec<FmError>;
     }
 
-    fn retransmit() -> Reliability {
-        Reliability::Retransmit(Default::default())
-    }
-
     impl Face for Fm1Engine<ChurnDevice> {
         fn new(log: Rc<RefCell<Vec<u8>>>) -> Self {
             let profile = MachineProfile::sparc_fm1();
-            let mut e = Fm1Engine::with_reliability(ChurnDevice::new(1), profile, retransmit());
+            let mut e = Fm1Engine::new(ChurnDevice::new(1), profile);
             e.set_handler(H, Box::new(move |_, _, msg| log.borrow_mut().push(msg[0])));
             e
         }
@@ -1034,7 +1025,7 @@ mod tests {
     impl Face for Fm2Engine<ChurnDevice> {
         fn new(log: Rc<RefCell<Vec<u8>>>) -> Self {
             let profile = MachineProfile::ppro200_fm2();
-            let e = Fm2Engine::with_reliability(ChurnDevice::new(1), profile, retransmit());
+            let e = Fm2Engine::new(ChurnDevice::new(1), profile);
             e.set_handler(H, move |stream: FmStream, _| {
                 let log = Rc::clone(&log);
                 async move {
@@ -1207,11 +1198,11 @@ mod tests {
     fn a_burst_is_acknowledged_by_halves_from_inside_extract() {
         type Engine = Fm2Engine<LoopbackDevice>;
 
-        let window = crate::RetransmitConfig::default().window as usize;
-        let (a, b) = LoopbackPair::new(4 * window);
         let profile = MachineProfile::ppro200_fm2();
-        let s = Fm2Engine::with_reliability(a, profile, retransmit());
-        let r = Fm2Engine::with_reliability(b, profile, retransmit());
+        let window = profile.fm.credits_per_peer as usize;
+        let (a, b) = LoopbackPair::lossy(4 * window);
+        let s = Fm2Engine::new(a, profile);
+        let r = Fm2Engine::new(b, profile);
         let exchange = |s: &Engine, r: &Engine| {
             s.with_device(|a| r.with_device(|b| LoopbackPair::deliver(a, b)));
         };

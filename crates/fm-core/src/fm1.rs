@@ -39,7 +39,6 @@ use crate::engine::{Admit, EngineCore, HandlerTable, PacketCosts, SendCost};
 use crate::error::{FmError, WouldBlock};
 use crate::obs::ObsSink;
 use crate::packet::{HandlerId, PacketFlags};
-use crate::reliable::Reliability;
 use crate::stats::FmStats;
 
 /// An FM 1.x message handler.
@@ -124,35 +123,18 @@ pub struct Fm1Engine<D: NetDevice> {
 }
 
 impl<D: NetDevice> Fm1Engine<D> {
-    /// A full FM 1.x engine (all stages enabled).
+    /// A full FM 1.x engine (all stages enabled), retransmitting where a
+    /// link may lose packets ([`NetDevice::is_lossy_to`]).
     pub fn new(device: D, profile: MachineProfile) -> Self {
         Self::with_stage(device, profile, Fm1Stage::Full)
     }
 
     /// An engine at a particular implementation stage (Figure 3a).
     pub fn with_stage(device: D, profile: MachineProfile, stage: Fm1Stage) -> Self {
-        Self::build(device, profile, stage, Reliability::TrustSubstrate)
-    }
-
-    /// A full engine with an explicit reliability mode. With
-    /// [`Reliability::TrustSubstrate`] this is identical to
-    /// [`Fm1Engine::new`]; with [`Reliability::Retransmit`] the sliding
-    /// window replaces credit-based flow control and delivery survives a
-    /// lossy substrate. Both ends of a connection must use the same mode.
-    pub fn with_reliability(device: D, profile: MachineProfile, reliability: Reliability) -> Self {
-        Self::build(device, profile, Fm1Stage::Full, reliability)
-    }
-
-    fn build(
-        device: D,
-        profile: MachineProfile,
-        stage: Fm1Stage,
-        reliability: Reliability,
-    ) -> Self {
         let n = device.num_nodes();
         let costs = stage.packet_costs(&profile);
         Fm1Engine {
-            core: EngineCore::new(device, profile, reliability, costs),
+            core: EngineCore::new(device, profile, costs),
             stage,
             handlers: HandlerTable::new(),
             assembly: (0..n).map(|_| None).collect(),
@@ -346,7 +328,7 @@ impl<D: NetDevice> Fm1Engine<D> {
     }
 
     /// Data packets sent but not yet acknowledged (always 0 in
-    /// TrustSubstrate mode). Zero means every send is confirmed delivered.
+    /// trusted links). Zero means every send is confirmed delivered.
     pub fn unacked_packets(&self) -> usize {
         self.core.unacked_packets()
     }
@@ -759,11 +741,9 @@ mod tests {
 
     #[test]
     fn retransmit_recovers_a_dropped_packet() {
-        use crate::reliable::{Reliability, RetransmitConfig};
-        let (a, b) = LoopbackPair::new(256);
-        let rel = || Reliability::Retransmit(RetransmitConfig::default());
-        let mut s = Fm1Engine::with_reliability(a, profile(), rel());
-        let mut r = Fm1Engine::with_reliability(b, profile(), rel());
+        let (a, b) = LoopbackPair::lossy(256);
+        let mut s = Fm1Engine::new(a, profile());
+        let mut r = Fm1Engine::new(b, profile());
         let log = recording_handler(&mut r, H);
         for i in 1..=3u8 {
             s.try_send(1, H, &[i]).unwrap();
@@ -821,11 +801,11 @@ mod tests {
 
     #[test]
     fn retransmit_window_gates_sends_without_credits() {
-        use crate::reliable::{Reliability, RetransmitConfig};
-        let (a, b) = LoopbackPair::new(256);
-        let cfg = RetransmitConfig { window: 4 };
-        let mut s = Fm1Engine::with_reliability(a, profile(), Reliability::Retransmit(cfg));
-        let mut r = Fm1Engine::with_reliability(b, profile(), Reliability::Retransmit(cfg));
+        let (a, b) = LoopbackPair::lossy(256);
+        let mut p = profile();
+        p.fm.credits_per_peer = 4;
+        let mut s = Fm1Engine::new(a, p);
+        let mut r = Fm1Engine::new(b, p);
         let _log = recording_handler(&mut r, H);
         for i in 0..4u8 {
             s.try_send(1, H, &[i]).unwrap();
@@ -840,7 +820,7 @@ mod tests {
         assert_eq!(
             s.stats().credit_packets_sent + r.stats().credit_packets_sent,
             0,
-            "retransmit mode sends no credit packets"
+            "a lossy link sends no credit packets"
         );
     }
 

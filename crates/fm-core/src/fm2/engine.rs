@@ -22,7 +22,6 @@ use crate::engine::{EngineCore, HandlerTable, PacketCosts, SendCost};
 use crate::error::FmError;
 use crate::obs::{ObsEvent, ObsSink};
 use crate::packet::HandlerId;
-use crate::reliable::Reliability;
 use crate::stats::FmStats;
 
 use super::exec::{Fm2HandlerFn, SyncHandler, Task};
@@ -173,21 +172,13 @@ impl<D: NetDevice> Fm2Handle<D> {
 
 impl<D: NetDevice> Fm2Engine<D> {
     /// An FM 2.x engine over `device`, charging costs per `profile`.
+    /// It retransmits where a link may lose packets ([`NetDevice::is_lossy_to`]).
     pub fn new(device: D, profile: MachineProfile) -> Self {
-        Self::with_reliability(device, profile, Reliability::TrustSubstrate)
-    }
-
-    /// An engine with an explicit reliability mode. With
-    /// [`Reliability::TrustSubstrate`] this is identical to
-    /// [`Fm2Engine::new`]; with [`Reliability::Retransmit`] the sliding
-    /// window replaces credit-based flow control and delivery survives a
-    /// lossy substrate. Both ends of a connection must use the same mode.
-    pub fn with_reliability(device: D, profile: MachineProfile, reliability: Reliability) -> Self {
         let costs = packet_costs(&profile);
         let tasks = (0..device.num_nodes()).map(|_| Vec::new()).collect();
         Fm2Engine {
             inner: Rc::new(RefCell::new(Inner {
-                core: EngineCore::new(device, profile, reliability, costs),
+                core: EngineCore::new(device, profile, costs),
                 handlers: HandlerTable::new(),
                 sync_handlers: HandlerTable::new(),
                 tasks,
@@ -358,31 +349,29 @@ impl<D: NetDevice> Fm2Engine<D> {
     }
 
     /// The reliability sublayer's smoothed RTT estimate toward `peer`,
-    /// in nanoseconds (`None` in TrustSubstrate mode or before the first
+    /// in nanoseconds (`None` over a trusted link or before the first
     /// sample).
     pub fn srtt_ns(&self, peer: usize) -> Option<u64> {
         self.inner
             .borrow()
             .core
-            .reliable
-            .as_ref()
+            .reliable_to(peer)
             .and_then(|r| r.srtt_ns(peer))
     }
 
     /// The reliability sublayer's current base retransmit timeout toward
     /// `peer`, in nanoseconds: the RTT-derived estimate, or the initial
-    /// 200 µs before the first sample (`None` in TrustSubstrate mode).
+    /// 200 µs before the first sample (`None` over a trusted link).
     pub fn current_rto_ns(&self, peer: usize) -> Option<u64> {
         self.inner
             .borrow()
             .core
-            .reliable
-            .as_ref()
+            .reliable_to(peer)
             .map(|r| r.current_rto_ns(peer))
     }
 
     /// Data packets sent but not yet acknowledged (always 0 in
-    /// TrustSubstrate mode). Zero means every send is confirmed delivered.
+    /// trusted links). Zero means every send is confirmed delivered.
     pub fn unacked_packets(&self) -> usize {
         self.inner.borrow().core.unacked_packets()
     }

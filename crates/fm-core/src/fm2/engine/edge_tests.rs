@@ -18,7 +18,7 @@ fn deliver(a: &Fm2Engine<LoopbackDevice>, b: &Fm2Engine<LoopbackDevice>) {
 
 #[test]
 fn dropped_first_packet_is_reported_as_orphan() {
-    // TrustSubstrate mode: losing the FIRST packet of a multi-packet
+    // A trusted link: losing the FIRST packet of a multi-packet
     // message leaves the rest with no open stream — a sequence gap at
     // the next packet, then orphan reports for the in-sequence tail.
     let (s, r) = pair();
@@ -214,12 +214,11 @@ fn obs_records_streaming_lifecycle_with_suspension() {
 
 #[test]
 fn retransmit_window_bounds_streaming_sends() {
-    use crate::reliable::{Reliability, RetransmitConfig};
-    let (a, b) = LoopbackPair::new(256);
-    let p = MachineProfile::ppro200_fm2();
-    let cfg = RetransmitConfig { window: 4 };
-    let s = Fm2Engine::with_reliability(a, p, Reliability::Retransmit(cfg));
-    let r = Fm2Engine::with_reliability(b, p, Reliability::Retransmit(cfg));
+    let (a, b) = LoopbackPair::lossy(256);
+    let mut p = MachineProfile::ppro200_fm2();
+    p.fm.credits_per_peer = 4;
+    let s = Fm2Engine::new(a, p);
+    let r = Fm2Engine::new(b, p);
     recording(&r);
     // A message bigger than the whole window streams through it.
     let mtu = p.fm.mtu_payload;

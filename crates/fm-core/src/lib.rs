@@ -84,6 +84,7 @@ pub mod fm2;
 pub mod obs;
 pub mod onesided;
 pub mod packet;
+mod reliability_shim;
 pub mod reliable;
 pub mod stats;
 
@@ -99,5 +100,5 @@ pub use onesided::{
 pub use packet::{
     FmPacket, HandlerId, PacketHeader, HEADER_WIRE_BYTES, MAX_FRAME_PAYLOAD, MAX_WIRE_FRAME,
 };
-pub use reliable::{Reliability, RetransmitConfig};
+pub use reliability_shim::{Reliability, RetransmitConfig};
 pub use stats::FmStats;

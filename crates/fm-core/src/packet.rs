@@ -114,7 +114,8 @@ pub struct PacketHeader {
     pub credits: u16,
     /// Piggybacked cumulative acknowledgement: the sender of this packet
     /// has received every data packet from `dst` with `pkt_seq < ack`.
-    /// Only meaningful in `Reliability::Retransmit` mode; 0 otherwise.
+    /// Only meaningful between peers whose link may lose packets; 0
+    /// otherwise.
     /// Like `credits`, it rides inside [`HEADER_WIRE_BYTES`] — wire size
     /// and therefore timing are unchanged.
     pub ack: u32,

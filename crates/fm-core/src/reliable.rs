@@ -1,20 +1,20 @@
-//! The opt-in reliability sublayer: a sliding window with selective
-//! repeat.
+//! The reliability sublayer for lossy links: a sliding window with
+//! selective repeat.
 //!
 //! The paper's FM deliberately does **not** retransmit — Myrinet's
 //! bit-error rate is near zero and the hardware CRC catches what little
 //! there is (§3.1), so FM's reliability guarantee *trusts the substrate*
-//! and spends zero cycles on recovery. That is
-//! [`Reliability::TrustSubstrate`], the default, and it is bit-identical
-//! to the engines' historical behaviour.
+//! and spends zero cycles on recovery. Whether a link deserves that
+//! trust is a fact the engine reads from its device, once per peer
+//! ([`crate::NetDevice::is_lossy_to`]): shm rings and a fault-free
+//! simulator do, bit-identically to the historical engines; UDP and a
+//! simulator with a fault model installed do not.
 //!
-//! [`Reliability::Retransmit`] makes the same in-order-delivery guarantee
-//! hold on lossy substrates, at the price of one packet per lost packet.
-//! One protocol and one profile, shared by both engines
-//! ([`crate::Fm1Engine`] and [`crate::Fm2Engine`]). Like the paper's
-//! credit window, its one knob is how much may be in flight
-//! ([`RetransmitConfig::window`]); the timers set themselves from the
-//! measured round trip:
+//! Toward a lossy peer this sublayer makes the same in-order-delivery
+//! guarantee hold, at the price of one packet per lost packet, for both
+//! engines ([`crate::Fm1Engine`] and [`crate::Fm2Engine`]). Its window
+//! is the profile's `credits_per_peer`, the credit window it stands in
+//! for, and the timers set themselves from the measured round trip:
 //!
 //! * **Receiver**, per source: the next expected `pkt_seq` is delivered;
 //!   anything older is a duplicate (dropped, but forces an ack so a
@@ -52,9 +52,9 @@
 //!   receiver drains the other. Half is derived, not configured: a
 //!   quarter sends twice the ack frames for no more overlap (each costs a
 //!   system call on a socket), a whole window is the lock step again.
-//!   At the default window (64) that is an ack per 32 packets, what a
-//!   window of 32 acknowledged once per drain sent: the same number of
-//!   acks, leaving earlier.
+//!   At a window of 64 that is an ack per 32 packets, what a window of
+//!   32 acknowledged once per drain sent: the same number of acks,
+//!   leaving earlier.
 //! * **Sender**, per destination: a ring of unacknowledged data-packet
 //!   clones, bounded by a window (which *replaces* credit-based flow
 //!   control — credits are not idempotent under duplication, while
@@ -131,59 +131,6 @@ pub(crate) fn seq_lt(a: u32, b: u32) -> bool {
     a != b && b.wrapping_sub(a) < (1 << 31)
 }
 
-/// How an engine guarantees reliable in-order delivery.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub enum Reliability {
-    /// Trust the substrate (the paper's choice): no retransmission, no
-    /// acks, credit-based flow control. Loss is *detected* (sequence
-    /// gaps surface as [`crate::FmError`]) but never repaired. Default.
-    #[default]
-    TrustSubstrate,
-    /// Selective-repeat retransmission: delivery survives packet drop,
-    /// duplication, and reordering at the cost of ack traffic,
-    /// sender-side buffering and a bounded receive-side hold table.
-    Retransmit(RetransmitConfig),
-}
-
-/// The one knob of [`Reliability::Retransmit`]: how much may be in
-/// flight. The timers adapt to the measured network (module docs,
-/// "Timer").
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RetransmitConfig {
-    /// Max unacknowledged data packets per destination (the sliding
-    /// window; also the sender-side buffering bound and the size of the
-    /// receiver's hold table). Plays the role the credit window plays in
-    /// TrustSubstrate mode, and defaults to the `credits_per_peer` of the
-    /// FM 2.x profile it stands in for: 64, which is also two `fm-udp`
-    /// datagram trains, so one train is in flight while the next is
-    /// gathered (a window of exactly one train makes sender and receiver
-    /// take turns), and exactly what one SACK bitmap covers.
-    ///
-    /// A receiver acknowledges every `window / 2` packets it accepts
-    /// without waiting for its poll to end (see the module docs, "Ack
-    /// cadence"), so a sender whose receiver keeps up always has half a
-    /// window open. The window is also how deep a saturating sender
-    /// queues: many ranks offering load as fast as it admits wait in
-    /// proportion to it (32 → 64 roughly doubled the four-rank workload
-    /// batteries' tail latency; ROADMAP item 1(i)).
-    pub window: u32,
-}
-
-impl Default for RetransmitConfig {
-    fn default() -> Self {
-        RetransmitConfig { window: 64 }
-    }
-}
-
-impl RetransmitConfig {
-    /// The same value as [`RetransmitConfig::default`], kept under the
-    /// name it had when a fixed-timer profile was the default: callers
-    /// outside the workspace still use it.
-    pub fn adaptive() -> Self {
-        RetransmitConfig::default()
-    }
-}
-
 /// What the receive filter decided about an incoming data packet.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RecvDecision {
@@ -250,7 +197,7 @@ struct PeerSend {
     /// the estimator.
     probe: Option<(u32, Nanos)>,
     /// AIMD effective window in packets (meaningful range
-    /// `1.0 ..= cfg.window`).
+    /// `1.0 ..= window`).
     cwnd: f64,
     /// RTT sample taken by the most recent ack, for the engine's
     /// observability hook ([`ReliableState::take_rtt_sample`]).
@@ -259,9 +206,9 @@ struct PeerSend {
 
 impl PeerSend {
     /// A peer-send slot with no history and a fully open AIMD window.
-    fn fresh(cfg: &RetransmitConfig) -> PeerSend {
+    fn fresh(window: u32) -> PeerSend {
         PeerSend {
-            cwnd: cfg.window as f64,
+            cwnd: window as f64,
             ..PeerSend::default()
         }
     }
@@ -310,12 +257,12 @@ struct PeerRecv {
 }
 
 impl PeerRecv {
-    fn fresh(cfg: &RetransmitConfig) -> PeerRecv {
+    fn fresh(slots: u32) -> PeerRecv {
         PeerRecv {
             expected: 0,
             acked: 0,
             ack_due: false,
-            held: (0..cfg.window).map(|_| None).collect(),
+            held: (0..slots).map(|_| None).collect(),
             head: 0,
             holding: 0,
             sack: 0,
@@ -345,11 +292,14 @@ impl PeerRecv {
     }
 }
 
-/// Per-engine state of the retransmission protocol. Owned by an engine;
-/// `None` in TrustSubstrate mode.
+/// Per-engine state of the retransmission protocol, for the peers whose
+/// links may lose packets. Owned by an engine that has such a peer.
 #[derive(Debug)]
 pub(crate) struct ReliableState {
-    cfg: RetransmitConfig,
+    /// Max unacknowledged data packets per destination (and hold slots).
+    window: u32,
+    /// Which peers this state serves; the engine trusts the others.
+    lossy: Box<[bool]>,
     send: Vec<PeerSend>,
     recv: Vec<PeerRecv>,
     /// The source whose expected packet was last accepted with the next
@@ -360,14 +310,27 @@ pub(crate) struct ReliableState {
 }
 
 impl ReliableState {
-    pub(crate) fn new(num_nodes: usize, cfg: RetransmitConfig) -> Self {
-        assert!(cfg.window >= 1, "a zero window can never send");
+    /// State for the peers `lossy` marks, in a window of `window`
+    /// packets. Only they get a hold table.
+    pub(crate) fn new(lossy: Vec<bool>, window: u32) -> Self {
+        assert!(window >= 1, "a zero window can never send");
+        let recv = lossy
+            .iter()
+            .map(|&l| PeerRecv::fresh(if l { window } else { 0 }));
         ReliableState {
-            cfg,
-            send: (0..num_nodes).map(|_| PeerSend::fresh(&cfg)).collect(),
-            recv: (0..num_nodes).map(|_| PeerRecv::fresh(&cfg)).collect(),
+            window,
+            send: lossy.iter().map(|_| PeerSend::fresh(window)).collect(),
+            recv: recv.collect(),
+            lossy: lossy.into(),
             releasing: None,
         }
+    }
+
+    /// Whether the link to `peer` may lose packets, so that this state
+    /// carries its traffic.
+    #[inline]
+    pub(crate) fn covers(&self, peer: usize) -> bool {
+        self.lossy[peer]
     }
 
     pub(crate) fn num_peers(&self) -> usize {
@@ -381,12 +344,12 @@ impl ReliableState {
     pub(crate) fn send_budget(&self, dst: usize) -> u32 {
         let ps = &self.send[dst];
         let ring = ps.ring.len() as u32;
-        let room = self.cfg.window.saturating_sub(ring);
+        let room = self.window.saturating_sub(ring);
         room.min(self.effective_window(ps).saturating_sub(ring - ps.sacked))
     }
 
     fn effective_window(&self, ps: &PeerSend) -> u32 {
-        (ps.cwnd as u32).clamp(1, self.cfg.window)
+        (ps.cwnd as u32).clamp(1, self.window)
     }
 
     /// Can `extra` more data packets to `dst` fit in the window right now?
@@ -435,7 +398,7 @@ impl ReliableState {
     /// the caller should re-send what [`ReliableState::next_hole`] yields
     /// now instead of waiting for the timer.
     pub(crate) fn on_ack(&mut self, src: usize, ack: u32, sack: u64, now: Nanos) -> bool {
-        let window = self.cfg.window;
+        let window = self.window;
         let ps = &mut self.send[src];
         if seq_lt(ack, ps.cum_acked) {
             return false; // ancient ack, reordered in transit
@@ -599,7 +562,7 @@ impl ReliableState {
     /// every packet.)
     pub(crate) fn ack_overdue(&self, peer: usize) -> bool {
         let pr = &self.recv[peer];
-        pr.expected.wrapping_sub(pr.acked) >= (self.cfg.window / 2).max(1)
+        pr.expected.wrapping_sub(pr.acked) >= (self.window / 2).max(1)
     }
 
     /// The standalone ack owed to `peer` (no outgoing packet piggybacked
@@ -670,7 +633,7 @@ impl ReliableState {
     /// state would otherwise poison the new incarnation's sequence
     /// numbers.
     pub(crate) fn reset_peer(&mut self, peer: usize) {
-        self.send[peer] = PeerSend::fresh(&self.cfg);
+        self.send[peer] = PeerSend::fresh(self.window);
         let pr = &mut self.recv[peer];
         pr.drop_held();
         pr.expected = 0;
@@ -721,8 +684,8 @@ impl ReliableState {
     /// `start` instead of 0, so wraparound behaviour can be exercised
     /// without sending 2³² packets first.
     #[cfg(test)]
-    pub(crate) fn with_start_seq(num_nodes: usize, cfg: RetransmitConfig, start: u32) -> Self {
-        let mut st = ReliableState::new(num_nodes, cfg);
+    pub(crate) fn with_start_seq(num_nodes: usize, window: u32, start: u32) -> Self {
+        let mut st = ReliableState::new(vec![true; num_nodes], window);
         for ps in &mut st.send {
             ps.cum_acked = start;
             ps.next_seq = start;
@@ -801,11 +764,10 @@ mod prop_tests {
         }
 
         fn with_window(window: u32, start: u32, case: usize) -> World {
-            let c = RetransmitConfig { window };
             World {
                 window,
-                s: ReliableState::with_start_seq(2, c, start),
-                r: ReliableState::with_start_seq(2, c, start),
+                s: ReliableState::with_start_seq(2, window, start),
+                r: ReliableState::with_start_seq(2, window, start),
                 stats: FmStats::default(),
                 pool: BufPool::new(4, POOL_FRAMES),
                 wire: Vec::new(),
@@ -1305,6 +1267,9 @@ mod tests {
     use super::*;
     use crate::packet::{HandlerId, PacketFlags, PacketHeader};
 
+    /// The window every machine profile's `credits_per_peer` gives.
+    const WINDOW: u32 = 64;
+
     #[test]
     fn seq_lt_is_a_serial_order() {
         assert!(seq_lt(0, 1));
@@ -1337,7 +1302,7 @@ mod tests {
     }
 
     fn state(window: u32) -> ReliableState {
-        ReliableState::new(2, RetransmitConfig { window })
+        ReliableState::new(vec![true; 2], window)
     }
 
     /// Every hole `r` would re-send toward node 1 right now, by sequence
@@ -1470,10 +1435,10 @@ mod tests {
 
     #[test]
     fn a_burst_is_acknowledged_every_half_window_and_at_its_tail() {
-        let cfg = RetransmitConfig { window: 8 };
+        let window = 8;
         // From zero, and from a start that crosses the u32 wrap mid-burst.
         for start in [0, u32::MAX - 9] {
-            let mut r = ReliableState::with_start_seq(2, cfg, start);
+            let mut r = ReliableState::with_start_seq(2, window, start);
             let mut seq = start;
             // No reverse traffic, nothing lost: 21 packets in one poll are
             // acknowledged at every fourth, never in between...
@@ -1753,7 +1718,7 @@ mod tests {
         assert_eq!(r.send_budget(1), 2, "one in flight of four again");
     }
 
-    /// A 2 → 1 stream of `count` packets at the default window,
+    /// A 2 → 1 stream of `count` packets at a profile's window,
     /// one round per microsecond: the sender fills its budget, each fresh
     /// packet is lost with probability 1 %, the receiver takes what
     /// arrived and answers with one ack, and the holes it exposes go out
@@ -1761,8 +1726,7 @@ mod tests {
     /// goes the link stalls for one RTO, once, so the timer fires.
     /// Returns the window after every round.
     fn sack_repaired_stream(count: u32, stall_at: u32) -> Vec<u32> {
-        let cfg = RetransmitConfig::default();
-        let (mut s, mut r) = (ReliableState::new(2, cfg), ReliableState::new(2, cfg));
+        let (mut s, mut r) = (state(WINDOW), state(WINDOW));
         let mut stats = FmStats::default();
         let mut rng = fm_model::rng::DetRng::seed_from_u64(7);
         let (mut sent, mut lost, mut resent) = (0u32, 0u32, 0u32);
@@ -1776,7 +1740,7 @@ mod tests {
                 s.on_data_sent(1, &pkt, now);
                 sent += 1;
                 // The tail is never lost: nothing after it could expose it.
-                if sent + cfg.window < count && rng.chance(0.01) {
+                if sent + WINDOW < count && rng.chance(0.01) {
                     lost += 1;
                 } else {
                     wire.push(pkt);
@@ -1819,24 +1783,23 @@ mod tests {
 
     #[test]
     fn random_loss_repaired_by_sack_keeps_the_window_open() {
-        let window = RetransmitConfig::default().window;
         // No expiry: every round, whatever it lost, ends fully open.
         let windows = sack_repaired_stream(10_000, u32::MAX);
-        assert!(windows.iter().all(|&w| w == window), "{windows:?}");
+        assert!(windows.iter().all(|&w| w == WINDOW), "{windows:?}");
         // One expiry mid-run halves the window once; repairs after it
         // move nothing, and acks regrow it to the cap.
         let windows = sack_repaired_stream(10_000, 5_000);
         let halved = windows
             .iter()
-            .position(|&w| w < window)
+            .position(|&w| w < WINDOW)
             .expect("the timer fired");
-        assert_eq!(windows[halved], window / 2);
-        assert!(windows[halved..].iter().all(|&w| w >= window / 2));
+        assert_eq!(windows[halved], WINDOW / 2);
+        assert!(windows[halved..].iter().all(|&w| w >= WINDOW / 2));
         assert!(
             windows[halved..].windows(2).all(|w| w[1] >= w[0]),
             "only regrowth"
         );
-        assert_eq!(windows.last(), Some(&window), "regrown to the cap");
+        assert_eq!(windows.last(), Some(&WINDOW), "regrown to the cap");
     }
 
     #[test]

@@ -198,10 +198,10 @@ struct Production {
 }
 
 impl Production {
-    fn new(cfg: RetransmitConfig, start: u32) -> Self {
+    fn new(window: u32, start: u32) -> Self {
         Production {
-            s: ReliableState::with_start_seq(2, cfg, start),
-            r: ReliableState::with_start_seq(2, cfg, start),
+            s: ReliableState::with_start_seq(2, window, start),
+            r: ReliableState::with_start_seq(2, window, start),
             stats: FmStats::default(),
             next_seq: start,
             mid_burst: Vec::new(),
@@ -292,7 +292,7 @@ fn assert_same_stream(faults: Faults, seed: u64, start: u32, window: u32, count:
         ack_due: false,
     };
     let expected = run(oracle, faults, seed, count);
-    let production = Production::new(RetransmitConfig { window }, start);
+    let production = Production::new(window, start);
     let got = run(production, faults, seed, count);
     assert_eq!(
         got, expected,
@@ -324,10 +324,11 @@ fn prop_production_arq_delivers_what_stop_and_wait_delivers() {
 
 #[test]
 fn the_default_window_delivers_what_stop_and_wait_delivers() {
-    // The same schedules at the window everything outside this file runs
-    // (64: whole bursts arrive in one poll and are acknowledged by
-    // halves), long enough to turn it over several times, wrap included.
-    let window = RetransmitConfig::default().window;
+    // The same schedules at the window everything outside this file runs,
+    // a profile's credit window (64: whole bursts arrive in one poll and
+    // are acknowledged by halves), long enough to turn it over several
+    // times, wrap included.
+    let window = fm_model::MachineProfile::ppro200_fm2().fm.credits_per_peer;
     for case in 0..env_cases(16) {
         let seed = 0x0DEF_A000_u64 ^ case as u64;
         let start = u32::MAX - (case as u32 * 37) % (3 * window);

@@ -11,7 +11,7 @@ use std::rc::Rc;
 
 use fm_core::device::{LoopbackDevice, LoopbackPair, NetDevice};
 use fm_core::packet::{FmPacket, HandlerId, PacketFlags, PacketHeader};
-use fm_core::{Fm2Engine, FmError, FmStream, Reliability, RetransmitConfig};
+use fm_core::{Fm2Engine, FmError, FmStream};
 use fm_model::MachineProfile;
 
 const H: HandlerId = HandlerId(1);
@@ -84,11 +84,10 @@ fn budget_paces_payload_bytes_with_one_packet_slack() {
 
 #[test]
 fn ack_only_frames_drain_without_consuming_budget() {
-    let (a, b) = LoopbackPair::new(64);
+    let (a, b) = LoopbackPair::lossy(64);
     let p = MachineProfile::ppro200_fm2();
-    let rel = || Reliability::Retransmit(RetransmitConfig::default());
-    let s = Fm2Engine::with_reliability(a, p, rel());
-    let r = Fm2Engine::with_reliability(b, p, rel());
+    let s = Fm2Engine::new(a, p);
+    let r = Fm2Engine::new(b, p);
     let (msgs, _) = counting_handler(&r);
 
     const N: usize = 5;

@@ -136,7 +136,12 @@ pub struct FmParams {
     pub mtu_payload: usize,
     /// Credit window per sender→receiver pair, in packets. Each credit is a
     /// guaranteed slot in the receiver's pinned host receive region; this is
-    /// FM's sender flow control.
+    /// FM's sender flow control. Toward a peer whose link may lose packets
+    /// it is the retransmit window instead: 64 in every profile, which is
+    /// two `fm-udp` datagram trains (one in flight while the next is
+    /// gathered) and exactly what one SACK bitmap covers. It is also how
+    /// deep a saturating sender queues: 32 → 64 roughly doubled the
+    /// four-rank workload batteries' tail latency.
     pub credits_per_peer: u32,
 }
 

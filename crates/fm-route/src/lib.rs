@@ -20,10 +20,12 @@
 //!   next destinations.
 //! * **`now`** reads the remote device's clock exclusively, so every
 //!   timestamp the engine sees is from one monotonic source.
-//! * **`is_lossy`** is the OR: one lossy member makes the composite
-//!   lossy, and the engine constructors then (correctly) insist on
-//!   `Reliability::Retransmit`. The retransmit sublayer is simply
-//!   never exercised on the lossless local paths.
+//! * **`is_lossy_to`** asks the member that carries the peer, by the
+//!   [`HostMap`]: a routed rank trusts its shared-memory peers exactly
+//!   as a pure shm rank does (no acks, no window, no retransmit timer)
+//!   and retransmits only across the network. `is_lossy` is whether
+//!   any peer's link is lossy: false when the map keeps every rank on
+//!   one host, whatever the idle remote member could lose.
 //! * **`poll_event`** filters by locality: membership transitions for
 //!   same-host peers are believed only from the local transport, and
 //!   cross-host peers only from the remote — each fabric is the
@@ -264,7 +266,15 @@ impl<L: NetDevice, R: NetDevice> NetDevice for RoutedDevice<L, R> {
     }
 
     fn is_lossy(&self) -> bool {
-        self.local.is_lossy() || self.remote.is_lossy()
+        (0..self.num_nodes()).any(|peer| self.is_lossy_to(peer))
+    }
+
+    fn is_lossy_to(&self, peer: usize) -> bool {
+        if self.is_local(peer) {
+            self.local.is_lossy_to(peer)
+        } else {
+            self.remote.is_lossy_to(peer)
+        }
     }
 
     fn poll_event(&mut self) -> Option<PeerEvent> {
@@ -371,39 +381,23 @@ mod tests {
         assert_eq!(d.send_space(), 2, "tighter member bounds the promise");
     }
 
+    /// Each peer is as lossy as the member that carries it: over a
+    /// lossless local leg and a lossy remote one, rank 0 of hosts
+    /// `0,0,1,1` trusts itself and rank 1 and may lose packets to ranks 2
+    /// and 3. With every rank on one host no peer is lossy, so neither
+    /// is the device.
     #[test]
-    fn lossy_if_either_member_is() {
-        struct Lossy(LoopbackDevice);
-        impl NetDevice for Lossy {
-            fn node_id(&self) -> usize {
-                self.0.node_id()
-            }
-            fn num_nodes(&self) -> usize {
-                self.0.num_nodes()
-            }
-            fn try_send(&mut self, p: FmPacket) -> Result<(), DeviceFull> {
-                self.0.try_send(p)
-            }
-            fn try_recv(&mut self) -> Option<FmPacket> {
-                self.0.try_recv()
-            }
-            fn send_space(&self) -> usize {
-                self.0.send_space()
-            }
-            fn now(&self) -> Nanos {
-                self.0.now()
-            }
-            fn charge(&mut self, c: Nanos) {
-                self.0.charge(c)
-            }
-            fn is_lossy(&self) -> bool {
-                true
-            }
-        }
-        let (local, _l) = LoopbackPair::new(4);
-        let (remote, _r) = LoopbackPair::new(4);
-        let d = RoutedDevice::new(local, Lossy(remote), HostMap::new(vec![0, 1]));
+    fn a_peer_is_as_lossy_as_the_leg_that_carries_it() {
+        let routed = |map| {
+            let (local, _l) = LoopbackPair::new(4);
+            let (remote, _r) = LoopbackPair::lossy(4);
+            RoutedDevice::new(local, remote, map)
+        };
+        let d = routed(HostMap::parse("0,0,1,1").unwrap());
+        let lossy: Vec<bool> = (0..4).map(|p| d.is_lossy_to(p)).collect();
+        assert_eq!(lossy, [false, false, true, true]);
         assert!(d.is_lossy());
+        assert!(!routed(HostMap::all_on_one_host(2)).is_lossy());
     }
 
     #[test]

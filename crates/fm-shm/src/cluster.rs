@@ -42,9 +42,9 @@ impl ShmCluster {
     ///
     /// The engine must be constructed *inside* `f` (engines are
     /// single-threaded; only the device crosses the spawn). Shared
-    /// memory is lossless, so `Reliability::TrustSubstrate` is the
-    /// right engine mode here — the substrate really does guarantee
-    /// delivery, exactly as FM assumes of Myrinet.
+    /// memory is lossless, so the engine trusts every peer — the
+    /// substrate really does guarantee delivery, exactly as FM assumes
+    /// of Myrinet.
     pub fn run<F, R>(num_nodes: usize, cfg: ShmConfig, f: F) -> Vec<R>
     where
         F: Fn(usize, ShmDevice) -> R + Send + Sync,

@@ -17,9 +17,9 @@
 //! on to whatever is queued behind it.
 //!
 //! The device is lossless ([`NetDevice::is_lossy`] is `false`): rings
-//! never drop, duplicate, or reorder, so engines may run
-//! `Reliability::TrustSubstrate` over it — the FM guarantee comes
-//! straight from the substrate, as on Myrinet.
+//! never drop, duplicate, or reorder, so engines trust every peer over
+//! it — the FM guarantee comes straight from the substrate, as on
+//! Myrinet.
 //!
 //! Peer liveness: a peer that leaves gracefully raises its gone-flag; a
 //! peer that crashes leaves a dead pid in the segment header. Both are

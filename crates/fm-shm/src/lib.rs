@@ -33,9 +33,8 @@
 //!   last-one-out unlink, crashed owners are detected by `/proc` probes
 //!   and their segments reclaimed ([`seg::reclaim_stale`]).
 //! * **Reliability** — rings never drop, duplicate, or reorder, so the
-//!   device is lossless and engines run
-//!   [`fm_core::Reliability::TrustSubstrate`], exactly the trust FM
-//!   places in Myrinet.
+//!   device is lossless and engines trust every peer over it (no acks,
+//!   no retransmit timer), exactly the trust FM places in Myrinet.
 //! * **Membership** — peer death (crash or graceful exit) surfaces as
 //!   [`fm_core::device::PeerEventKind::Down`] through
 //!   [`fm_core::NetDevice::poll_event`], so churn handling above the

@@ -407,8 +407,8 @@ fn prop_torn_startup_always_converges() {
 
 /// Full FM stack smoke over the shared-memory device: two engines
 /// exchange handler-dispatched multi-packet messages through a real
-/// mapped segment, running `TrustSubstrate` (the shm device is
-/// lossless, so FM's guarantee comes straight from the rings).
+/// mapped segment, trusting it (the shm device is lossless, so FM's
+/// guarantee comes straight from the rings).
 #[test]
 fn fm2_engines_roundtrip_over_shared_memory() {
     use std::cell::RefCell;

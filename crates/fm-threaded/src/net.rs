@@ -78,6 +78,11 @@ impl NetDevice for ThreadedDevice {
     }
 
     #[inline]
+    fn is_lossy_to(&self, peer: usize) -> bool {
+        self.0.is_lossy_to(peer)
+    }
+
+    #[inline]
     fn poll_event(&mut self) -> Option<PeerEvent> {
         self.0.poll_event()
     }

@@ -1,9 +1,9 @@
 //! The reliability sublayer on real OS threads.
 //!
 //! The in-process rings never lose packets, so loss is injected with a
-//! wrapper device that silently discards every nth outgoing packet. In
-//! `Reliability::Retransmit` mode the engines must still deliver every
-//! message intact — driven purely by wall-clock retransmit timeouts
+//! wrapper device that silently discards every nth outgoing packet and
+//! says it may. The engines retransmit over it and must still deliver
+//! every message intact — driven purely by wall-clock retransmit timeouts
 //! (`ThreadedDevice::now`), since there is no simulator to schedule wake
 //! alarms.
 
@@ -13,7 +13,7 @@ use std::sync::Arc;
 use fm_core::blocking::{fm1_send, fm2_send, fm2_wait_until};
 use fm_core::device::{DeviceFull, NetDevice};
 use fm_core::packet::HandlerId;
-use fm_core::{Fm1Engine, Fm2Engine, FmPacket, FmStream, Reliability, RetransmitConfig};
+use fm_core::{Fm1Engine, Fm2Engine, FmPacket, FmStream};
 use fm_model::{MachineProfile, Nanos};
 use fm_threaded::{ThreadedCluster, ThreadedDevice};
 
@@ -65,10 +65,9 @@ impl NetDevice for LossyDevice {
     fn charge(&mut self, cost: Nanos) {
         self.inner.charge(cost);
     }
-}
-
-fn retransmit() -> Reliability {
-    Reliability::Retransmit(RetransmitConfig::default())
+    fn is_lossy(&self) -> bool {
+        true
+    }
 }
 
 #[test]
@@ -81,7 +80,7 @@ fn fm2_recovers_all_messages_over_a_lossy_device() {
             // Different drop periods per direction, so data and ack losses
             // de-correlate.
             let dev = LossyDevice::new(dev, if i == 0 { 5 } else { 7 });
-            let fm = Fm2Engine::with_reliability(dev, MachineProfile::ppro200_fm2(), retransmit());
+            let fm = Fm2Engine::new(dev, MachineProfile::ppro200_fm2());
             if i == 0 {
                 for seq in 0..MSGS {
                     let body = vec![seq as u8; 100];
@@ -145,8 +144,7 @@ fn fm1_recovers_all_messages_over_a_lossy_device() {
         let sender_confirmed = Arc::clone(&sender_confirmed);
         move |i, dev| {
             let dev = LossyDevice::new(dev, if i == 0 { 4 } else { 9 });
-            let mut fm =
-                Fm1Engine::with_reliability(dev, MachineProfile::sparc_fm1(), retransmit());
+            let mut fm = Fm1Engine::new(dev, MachineProfile::sparc_fm1());
             if i == 0 {
                 for seq in 0..MSGS {
                     fm1_send(&mut fm, 1, H, &vec![seq as u8; 300]);

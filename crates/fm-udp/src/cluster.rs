@@ -77,9 +77,8 @@ impl UdpCluster {
     ///
     /// The engine for a node must be constructed *inside* `f` (engines
     /// are deliberately single-threaded; only the device crosses the
-    /// spawn) — and over this device it must be constructed with
-    /// [`fm_core::Reliability::Retransmit`]: the constructors panic on
-    /// `TrustSubstrate` because UDP really drops datagrams.
+    /// spawn). UDP really drops datagrams, and the engine, asking the
+    /// device, retransmits to every peer.
     pub fn run<F, R>(num_nodes: usize, cfg: UdpConfig, f: F) -> Vec<R>
     where
         F: Fn(usize, UdpDevice) -> R + Send + Sync,
@@ -104,15 +103,6 @@ mod tests {
             assert_eq!(dev.node_id(), i);
             assert_eq!(dev.num_nodes(), 3);
         });
-    }
-
-    #[test]
-    #[should_panic(expected = "Reliability::Retransmit")]
-    fn trust_substrate_over_udp_is_refused() {
-        let mut devs = loopback_cluster(2, UdpConfig::default()).unwrap();
-        let dev = devs.pop().unwrap();
-        // UDP really loses packets: the engine must not pretend otherwise.
-        let _ = fm_core::Fm2Engine::new(dev, fm_model::MachineProfile::ppro200_fm2());
     }
 
     #[test]

@@ -26,8 +26,8 @@
 //!   frame. A lone frame goes out as-is — no staging copy, no added
 //!   latency. A full train is [`SEND_BATCH`] (32) frames or the
 //!   ceiling, whichever comes first (21 frames of the link's 3 KiB), and
-//!   32 frames is half of
-//!   `fm_core::RetransmitConfig::default().window`: the receiver
+//!   32 frames is half of the retransmit window, a profile's
+//!   `credits_per_peer` (64): the receiver
 //!   acknowledges every half window from inside the poll that drains
 //!   it, so while one train is being consumed the ack for the one
 //!   before is already on its way back and the sender is gathering the
@@ -65,8 +65,8 @@
 //!   packet from the new incarnation.
 //! * **Loss is real.** UDP drops, duplicates, and reorders; so can the
 //!   kernel under buffer pressure. The device reports
-//!   [`NetDevice::is_lossy`] = `true`, which makes the engine
-//!   constructors insist on [`fm_core::Reliability::Retransmit`].
+//!   [`NetDevice::is_lossy`] = `true`, so the engine retransmits to and
+//!   from every peer it reaches through this device.
 //! * **Clock domain.** `now()` is wall time from a per-device monotonic
 //!   epoch ([`std::time::Instant`]), so retransmit timeouts measure real
 //!   elapsed time. Clocks are *per process* — cross-node timestamps (e.g.
@@ -1098,7 +1098,7 @@ mod tests {
     /// drained in one poll and acknowledged once, after its last packet).
     #[test]
     fn the_default_window_is_two_trains_one_bitmap_and_fits_the_queue() {
-        let window = fm_core::RetransmitConfig::default().window;
+        let window = fm_model::MachineProfile::ppro200_fm2().fm.credits_per_peer;
         assert!(
             window as usize >= 2 * SEND_BATCH,
             "one train in flight while the next is gathered"
@@ -1120,7 +1120,7 @@ mod tests {
     #[test]
     fn a_window_of_link_sized_packets_fits_the_default_receive_buffer() {
         const RMEM_DEFAULT: usize = 212_992;
-        let window = fm_core::RetransmitConfig::default().window as usize;
+        let window = fm_model::MachineProfile::ppro200_fm2().fm.credits_per_peer as usize;
         let frame = |payload: u32| {
             wire::PREAMBLE_BYTES
                 + wire::TRAIN_RECORD_HEADER

@@ -26,10 +26,10 @@
 //!   application's peer handler — via
 //!   [`fm_core::NetDevice::poll_event`].
 //! * **Reliability** — UDP genuinely drops, duplicates, and reorders, so
-//!   [`UdpDevice`] reports [`fm_core::NetDevice::is_lossy`] and the
-//!   engine constructors insist on [`fm_core::Reliability::Retransmit`];
-//!   FM's delivery guarantee is then earned by the selective-repeat
-//!   sublayer, not assumed of the substrate.
+//!   [`UdpDevice`] reports [`fm_core::NetDevice::is_lossy`], and an
+//!   engine over it retransmits to every peer: FM's delivery guarantee
+//!   is earned by the selective-repeat sublayer, not assumed of the
+//!   substrate.
 //! * **Timing** — [`fm_core::NetDevice::now`] reads a monotonic wall
 //!   clock, so retransmit timeouts, histograms, and chrome traces
 //!   measure real elapsed nanoseconds.

@@ -22,7 +22,7 @@ use std::time::{Duration, Instant};
 
 use fm_core::blocking::{fm2_send, fm2_wait_until};
 use fm_core::packet::HandlerId;
-use fm_core::{Fm2Engine, PeerEventKind, Reliability, RetransmitConfig};
+use fm_core::{Fm2Engine, PeerEventKind};
 use fm_model::MachineProfile;
 use fm_udp::{restart_node, UdpConfig, UdpDevice};
 
@@ -41,11 +41,7 @@ fn churn_cfg() -> UdpConfig {
 }
 
 fn engine(dev: UdpDevice) -> Fm2Engine<UdpDevice> {
-    Fm2Engine::with_reliability(
-        dev,
-        MachineProfile::ppro200_fm2(),
-        Reliability::Retransmit(RetransmitConfig::default()),
-    )
+    Fm2Engine::new(dev, MachineProfile::ppro200_fm2())
 }
 
 /// Bind the cluster by hand (instead of `loopback_cluster`) so the peer

@@ -16,9 +16,7 @@
 use std::time::{Duration, Instant};
 
 use fm_core::blocking::quiesce;
-use fm_core::{
-    Fm2Engine, Onesided, OnesidedConfig, OsStatus, RegionHandle, Reliability, RetransmitConfig,
-};
+use fm_core::{Fm2Engine, Onesided, OnesidedConfig, OsStatus, RegionHandle};
 use fm_model::MachineProfile;
 use fm_udp::{UdpCluster, UdpConfig, UdpDevice};
 
@@ -46,11 +44,7 @@ fn pattern(k: usize, len: usize) -> Vec<u8> {
 }
 
 fn engine(dev: UdpDevice) -> Fm2Engine<UdpDevice> {
-    Fm2Engine::with_reliability(
-        dev,
-        MachineProfile::ppro200_fm2(),
-        Reliability::Retransmit(RetransmitConfig::default()),
-    )
+    Fm2Engine::new(dev, MachineProfile::ppro200_fm2())
 }
 
 /// Pump the engine and the one-sided layer until `done(flushed)` holds
@@ -171,13 +165,22 @@ fn target_death_mid_put_completes_with_peer_down() {
         if rank == 1 {
             // The victim: land the first bytes of the put (the
             // transfer is provably mid-flight), then die without a
-            // goodbye — returning drops the engine and the socket.
-            pump_until(&fm, &mut os, "victim waiting for the put", |_| {
-                let mut first = [0u8; 1];
+            // goodbye — returning drops the engine and the socket. It
+            // takes in one packet per poll: a drain of everything
+            // waiting could take in the whole put, which then completes
+            // before the first byte is looked at (4 runs in 40 did).
+            let deadline = Instant::now() + Duration::from_secs(60);
+            let mut first = [0u8; 1];
+            while first[0] == 0 {
+                assert!(
+                    Instant::now() < deadline,
+                    "victim waiting for the put wedged"
+                );
+                fm.extract(1);
+                os.progress();
                 port.read_local(arena_handle(), PUT_BASE, &mut first)
                     .expect("first-byte probe");
-                first[0] != 0
-            });
+            }
             return None;
         }
 

@@ -19,7 +19,7 @@ use fm_core::blocking::{fm1_send, fm1_wait_until, fm2_send, fm2_wait_until, quie
 use fm_core::device::{DeviceFull, NetDevice, PeerEvent, PeerEventKind};
 use fm_core::{
     Fm1Engine, Fm2Engine, FmPacket, FmStream, HandlerId, Onesided, OnesidedConfig, OsStatus,
-    RegionHandle, Reliability, RetransmitConfig,
+    RegionHandle,
 };
 use fm_model::{MachineProfile, Nanos};
 use fm_udp::{loopback_cluster, restart_node, UdpCluster, UdpConfig, UdpDevice};
@@ -29,12 +29,8 @@ const H: HandlerId = HandlerId(9);
 /// What a `Link` fact from fm-udp announces.
 const LINK: usize = 3048;
 
-fn retransmit() -> Reliability {
-    Reliability::Retransmit(RetransmitConfig::default())
-}
-
 fn fm2<D: NetDevice>(dev: D) -> Fm2Engine<D> {
-    Fm2Engine::with_reliability(dev, MachineProfile::ppro200_fm2(), retransmit())
+    Fm2Engine::new(dev, MachineProfile::ppro200_fm2())
 }
 
 fn pattern(k: usize, len: usize) -> Vec<u8> {
@@ -97,7 +93,7 @@ fn a_joined_peer_gets_page_sized_packets_fm1() {
     let profile = MachineProfile::sparc_fm1();
     let two_k = pattern(0, 2048);
     let out = UdpCluster::run(2, UdpConfig::default(), move |rank, dev| {
-        let mut fm = Fm1Engine::with_reliability(dev, profile, retransmit());
+        let mut fm = Fm1Engine::new(dev, profile);
         if rank == 1 {
             let got: Rc<RefCell<Vec<Vec<u8>>>> = Rc::default();
             let log = Rc::clone(&got);

@@ -8,8 +8,8 @@
 //!
 //! * corruption faults exercise the NIC CRC check (corrupted packets are
 //!   dropped and counted, never delivered wrong);
-//! * drop / duplicate / reorder faults exercise the engines'
-//!   `Reliability::Retransmit` mode, which must recover from all of them.
+//! * drop / duplicate / reorder faults exercise the engines' retransmit
+//!   sublayer (on whenever a model is installed), which must recover.
 //!
 //! Every probabilistic model carries its own seed and draws from its own
 //! [`fm_model::rng::DetRng`] stream, so a run is bit-identical for a given

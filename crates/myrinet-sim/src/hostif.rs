@@ -71,6 +71,8 @@ pub(crate) struct HostIfInner<P> {
     /// step.
     pub(crate) wake_request: Option<Nanos>,
     pub(crate) stats: NodeStats,
+    /// The fabric has a fault model installed.
+    pub(crate) faulty: bool,
     /// Packet serial counter shared by every interface of one simulation;
     /// a serial is stamped onto each packet as it enters the send queue, so
     /// upper layers can correlate their own records with the simulator's
@@ -117,6 +119,7 @@ impl<P> HostInterface<P> {
                 activity: false,
                 wake_request: None,
                 stats: NodeStats::default(),
+                faulty: false,
                 serials,
                 last_sent_serial: None,
                 last_recv_serial: None,
@@ -132,6 +135,12 @@ impl<P> HostInterface<P> {
     /// Number of nodes in the fabric.
     pub fn num_nodes(&self) -> usize {
         self.inner.borrow().num_nodes
+    }
+
+    /// Whether the simulation has a fault model installed, whatever its
+    /// rates: packets to and from this node may then be lost.
+    pub fn faulty(&self) -> bool {
+        self.inner.borrow().faulty
     }
 
     /// Current virtual time as seen by the program: wake time plus compute

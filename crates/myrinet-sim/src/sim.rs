@@ -165,14 +165,26 @@ impl<P: Clone> Simulation<P> {
         sim
     }
 
-    /// Install a fault model (default: none).
+    /// Install a fault model (default: none). Panics while a host
+    /// interface is out: it has told its host whether packets may be
+    /// lost ([`HostInterface::faulty`]).
     pub fn set_fault_model(&mut self, model: FaultModel) {
-        self.fault = FaultInjector::new(model);
+        self.set_fault_models(vec![model]);
     }
 
     /// Install several fault models at once; they are consulted in order
-    /// and the first that fires on a packet decides its fate.
+    /// and the first that fires on a packet decides its fate. Panics as
+    /// [`Simulation::set_fault_model`] does.
     pub fn set_fault_models(&mut self, models: Vec<FaultModel>) {
+        let faulty = models.iter().any(|m| !matches!(m, FaultModel::None));
+        for slot in &self.nodes {
+            let out = std::rc::Rc::strong_count(&slot.iface.inner) > 1;
+            assert!(
+                !out,
+                "install fault models before handing out a host interface"
+            );
+            slot.iface.inner.borrow_mut().faulty = faulty;
+        }
         self.fault = FaultInjector::compose(models);
     }
 
@@ -1044,5 +1056,34 @@ mod tests {
         assert_eq!(woken.borrow().len(), 2);
         assert_eq!(woken.borrow()[1], Nanos::from_us(50));
         assert_eq!(end, Nanos::from_us(50));
+    }
+
+    /// Any installed model makes the fabric faulty, one that drops
+    /// nothing included; a perfect-network model does not.
+    #[test]
+    fn a_fault_model_makes_every_interface_faulty() {
+        let faulty = |models: Vec<FaultModel>| {
+            let mut sim = two_node_sim();
+            sim.set_fault_models(models);
+            (0..2)
+                .map(|i| sim.host_interface(NodeId(i)).faulty())
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(faulty(vec![]), [false, false]);
+        assert_eq!(faulty(vec![FaultModel::None]), [false, false]);
+        assert_eq!(
+            faulty(vec![FaultModel::Drop { p: 0.0, seed: 1 }]),
+            [true, true]
+        );
+        assert_eq!(faulty(vec![FaultModel::EveryNth(9)]), [true, true]);
+    }
+
+    /// A host told that nothing is lost is never told otherwise.
+    #[test]
+    #[should_panic(expected = "before handing out a host interface")]
+    fn a_fault_model_cannot_follow_a_handed_out_interface() {
+        let mut sim = two_node_sim();
+        let _iface = sim.host_interface(NodeId(1));
+        sim.set_fault_model(FaultModel::Drop { p: 0.0, seed: 1 });
     }
 }

@@ -1,7 +1,7 @@
 //! Collectives under injected packet loss, in deterministic virtual time.
 //!
-//! A 4-node simulated cluster with a seeded 1–2 % drop fault and
-//! `Reliability::Retransmit` runs the shared cross-transport collective
+//! A 4-node simulated cluster with a seeded 1–2 % drop fault, whose
+//! engines therefore retransmit, runs the shared cross-transport collective
 //! script (testutil::ScriptRunner) and a 1 000-iteration barrier +
 //! 16-byte-allreduce soak. Every collective must complete with exactly
 //! the model-predicted result, zero engine errors (no message loss), and
@@ -11,7 +11,7 @@
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
-use fast_messages::fm::{Fm2Engine, FmPacket, NetDevice, Reliability, RetransmitConfig, SimDevice};
+use fast_messages::fm::{Fm2Engine, FmPacket, NetDevice, SimDevice};
 use fast_messages::model::{MachineProfile, Nanos};
 use fast_messages::mpi::{Mpi, Mpi2, ReduceOp};
 use fast_messages::sim::fault::FaultModel;
@@ -19,11 +19,8 @@ use fast_messages::sim::{NodeId, Simulation, StepOutcome, Topology};
 use mpi_fm::testutil::{expected_outputs, ScriptRunner};
 use mpi_fm::{AllreduceOp, BarrierOp};
 
-fn retransmit() -> Reliability {
-    Reliability::Retransmit(RetransmitConfig::default())
-}
-
-/// Build an n-node lossy sim plus one Retransmit-mode engine per node.
+/// Build an n-node lossy sim plus one engine per node (each retransmits:
+/// the wire has a fault model).
 ///
 /// Returns the sim and the engines; callers wrap each engine in an
 /// `Mpi2` for their program. The engine list is shared (engines are
@@ -38,13 +35,7 @@ fn lossy_cluster(
     let mut sim: Simulation<FmPacket> = Simulation::new(profile, Topology::single_crossbar(n));
     sim.set_fault_models(vec![FaultModel::Drop { p: drop_p, seed }]);
     let engines: Vec<_> = (0..n)
-        .map(|i| {
-            Fm2Engine::with_reliability(
-                SimDevice::new(sim.host_interface(NodeId(i))),
-                profile,
-                retransmit(),
-            )
-        })
+        .map(|i| Fm2Engine::new(SimDevice::new(sim.host_interface(NodeId(i))), profile))
         .collect();
     (sim, engines)
 }

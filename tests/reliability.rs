@@ -1,16 +1,15 @@
 //! End-to-end loss recovery in the simulator.
 //!
-//! `Reliability::Retransmit` must deliver **every** message intact — zero
-//! engine errors — under random drops, periodic drops, duplication, and
-//! reordering, for both FM engines, and the whole recovery must be
-//! bit-deterministic per fault seed. `Reliability::TrustSubstrate` (the
-//! paper's choice) is run as a contrast: under the same faults it loses
-//! messages and reports errors instead of repairing them.
+//! A simulation with a fault model installed tells its engines that
+//! packets may be lost, so they retransmit: they must deliver **every**
+//! message intact — zero engine errors — under random drops, periodic
+//! drops, duplication, and reordering, for both FM engines, and the
+//! whole recovery must be bit-deterministic per fault seed. A model that
+//! drops nothing (`Drop { p: 0.0 }`) runs the same retransmit sublayer
+//! over a loss-free wire: the count gates below compare over it.
 
 use fast_messages::fm::packet::HandlerId;
-use fast_messages::fm::{
-    Fm1Engine, Fm2Engine, FmPacket, FmStats, FmStream, Reliability, RetransmitConfig, SimDevice,
-};
+use fast_messages::fm::{Fm1Engine, Fm2Engine, FmPacket, FmStats, FmStream, SimDevice};
 use fast_messages::model::{MachineProfile, Nanos};
 use fast_messages::sim::fault::FaultModel;
 use fast_messages::sim::{NodeId, Simulation, StepOutcome, Topology};
@@ -20,8 +19,10 @@ use std::rc::Rc;
 const H: HandlerId = HandlerId(1);
 const SIZE: usize = 700;
 
-fn retransmit() -> Reliability {
-    Reliability::Retransmit(RetransmitConfig::default())
+/// A fault model that drops nothing: the wire loses no packet, but the
+/// engines over it retransmit.
+fn loss_free() -> Vec<FaultModel> {
+    vec![FaultModel::Drop { p: 0.0, seed: 0 }]
 }
 
 /// (virtual end time, messages delivered intact, engine errors,
@@ -56,33 +57,29 @@ impl Counted {
     }
 }
 
-fn run_fm2(faults: Vec<FaultModel>, count: usize, reliability: Reliability) -> Outcome {
-    let c = stream_fm2(faults, count, SIZE, reliability);
+fn run_fm2(faults: Vec<FaultModel>, count: usize) -> Outcome {
+    let c = stream_fm2(faults, count, SIZE, MachineProfile::ppro200_fm2());
     (c.end, c.got, c.errs, c.sender.retransmissions)
 }
 
 /// Stream `count` messages of `size` bytes node 0 -> node 1 on FM 2.x
-/// under `faults`.
+/// under `faults` and `profile`, whose credit window is the retransmit
+/// window.
 ///
 /// The sender only finishes once every packet is acknowledged
-/// (`unacked_packets() == 0`), so in Retransmit mode "sender done" means
+/// (`unacked_packets() == 0`), so over a faulty wire "sender done" means
 /// "delivery confirmed"; the receiver keeps extracting (and acking) until
 /// then, so the tail of the ack conversation is never stranded.
 fn stream_fm2(
     faults: Vec<FaultModel>,
     count: usize,
     size: usize,
-    reliability: Reliability,
+    profile: MachineProfile,
 ) -> Counted {
-    let profile = MachineProfile::ppro200_fm2();
     let mut sim: Simulation<FmPacket> = Simulation::new(profile, Topology::single_crossbar(2));
     sim.set_fault_models(faults);
 
-    let fm_s = Fm2Engine::with_reliability(
-        SimDevice::new(sim.host_interface(NodeId(0))),
-        profile,
-        reliability.clone(),
-    );
+    let fm_s = Fm2Engine::new(SimDevice::new(sim.host_interface(NodeId(0))), profile);
     let sender_done = Rc::new(Cell::new(false));
     let data = vec![7u8; size];
     let mut sent = 0usize;
@@ -105,11 +102,7 @@ fn stream_fm2(
         );
     }
 
-    let fm_r = Fm2Engine::with_reliability(
-        SimDevice::new(sim.host_interface(NodeId(1))),
-        profile,
-        reliability,
-    );
+    let fm_r = Fm2Engine::new(SimDevice::new(sim.host_interface(NodeId(1))), profile);
     let got = Rc::new(Cell::new(0usize));
     let errs = Rc::new(Cell::new(0usize));
     {
@@ -156,16 +149,12 @@ fn stream_fm2(
 }
 
 /// The FM 1.x flavour of [`run_fm2`] (same shape, eager-extract API).
-fn run_fm1(faults: Vec<FaultModel>, count: usize, reliability: Reliability) -> Outcome {
+fn run_fm1(faults: Vec<FaultModel>, count: usize) -> Outcome {
     let profile = MachineProfile::sparc_fm1();
     let mut sim: Simulation<FmPacket> = Simulation::new(profile, Topology::single_crossbar(2));
     sim.set_fault_models(faults);
 
-    let mut fm_s = Fm1Engine::with_reliability(
-        SimDevice::new(sim.host_interface(NodeId(0))),
-        profile,
-        reliability.clone(),
-    );
+    let mut fm_s = Fm1Engine::new(SimDevice::new(sim.host_interface(NodeId(0))), profile);
     let sender_done = Rc::new(Cell::new(false));
     let retrans = Rc::new(Cell::new(0u64));
     let data = vec![7u8; SIZE];
@@ -190,11 +179,7 @@ fn run_fm1(faults: Vec<FaultModel>, count: usize, reliability: Reliability) -> O
         );
     }
 
-    let mut fm_r = Fm1Engine::with_reliability(
-        SimDevice::new(sim.host_interface(NodeId(1))),
-        profile,
-        reliability,
-    );
+    let mut fm_r = Fm1Engine::new(SimDevice::new(sim.host_interface(NodeId(1))), profile);
     let got = Rc::new(Cell::new(0usize));
     let errs = Rc::new(Cell::new(0usize));
     {
@@ -229,7 +214,7 @@ fn run_fm1(faults: Vec<FaultModel>, count: usize, reliability: Reliability) -> O
     (end, got.get(), errs.get(), retrans.get())
 }
 
-/// Retransmit mode must fully recover: all messages intact, no errors,
+/// Retransmission must fully recover: all messages intact, no errors,
 /// and the faults really fired (retransmissions happened).
 fn assert_recovers(label: &str, (_, got, errs, retrans): Outcome, count: usize) {
     assert_eq!(got, count, "{label}: every message delivered intact");
@@ -240,7 +225,7 @@ fn assert_recovers(label: &str, (_, got, errs, retrans): Outcome, count: usize) 
 #[test]
 fn fm2_recovers_all_messages_under_random_drop() {
     let fault = vec![FaultModel::Drop { p: 0.01, seed: 42 }];
-    assert_recovers("fm2/drop", run_fm2(fault, 300, retransmit()), 300);
+    assert_recovers("fm2/drop", run_fm2(fault, 300), 300);
 }
 
 #[test]
@@ -249,19 +234,19 @@ fn fm2_recovers_all_messages_under_periodic_drop() {
     // burst (it can phase-lock with the drop period); one packet per hole
     // and per timeout has no period to lock with.
     let fault = vec![FaultModel::DropEveryNth(50)];
-    assert_recovers("fm2/nth", run_fm2(fault, 300, retransmit()), 300);
+    assert_recovers("fm2/nth", run_fm2(fault, 300), 300);
 }
 
 #[test]
 fn fm1_recovers_all_messages_under_random_drop() {
     let fault = vec![FaultModel::Drop { p: 0.01, seed: 42 }];
-    assert_recovers("fm1/drop", run_fm1(fault, 300, retransmit()), 300);
+    assert_recovers("fm1/drop", run_fm1(fault, 300), 300);
 }
 
 #[test]
 fn fm1_recovers_all_messages_under_periodic_drop() {
     let fault = vec![FaultModel::DropEveryNth(50)];
-    assert_recovers("fm1/nth", run_fm1(fault, 300, retransmit()), 300);
+    assert_recovers("fm1/nth", run_fm1(fault, 300), 300);
 }
 
 #[test]
@@ -271,7 +256,7 @@ fn fm2_recovers_under_composed_drop_duplicate_reorder() {
         FaultModel::Duplicate { p: 0.02, seed: 2 },
         FaultModel::Reorder { p: 0.02, seed: 3 },
     ];
-    let (_, got, errs, _) = run_fm2(faults, 300, retransmit());
+    let (_, got, errs, _) = run_fm2(faults, 300);
     assert_eq!(got, 300);
     assert_eq!(errs, 0);
 }
@@ -283,7 +268,7 @@ fn fm1_recovers_under_composed_drop_duplicate_reorder() {
         FaultModel::Duplicate { p: 0.02, seed: 2 },
         FaultModel::Reorder { p: 0.02, seed: 3 },
     ];
-    let (_, got, errs, _) = run_fm1(faults, 300, retransmit());
+    let (_, got, errs, _) = run_fm1(faults, 300);
     assert_eq!(got, 300);
     assert_eq!(errs, 0);
 }
@@ -294,37 +279,23 @@ fn recovery_is_deterministic_per_seed() {
     // replays bit-identically (same virtual end time) for a given seed,
     // and a different seed takes a different path.
     let fault = |seed| vec![FaultModel::Drop { p: 0.02, seed }];
-    let a = run_fm2(fault(7), 200, retransmit());
-    let b = run_fm2(fault(7), 200, retransmit());
+    let a = run_fm2(fault(7), 200);
+    let b = run_fm2(fault(7), 200);
     assert_eq!(a, b, "identical seeds must replay identically");
-    let c = run_fm2(fault(8), 200, retransmit());
+    let c = run_fm2(fault(8), 200);
     assert_ne!(a.0, c.0, "a different seed drops different packets");
 
-    let d = run_fm1(fault(7), 200, retransmit());
-    let e = run_fm1(fault(7), 200, retransmit());
+    let d = run_fm1(fault(7), 200);
+    let e = run_fm1(fault(7), 200);
     assert_eq!(d, e);
 }
 
-#[test]
-fn trust_substrate_loses_what_retransmit_repairs() {
-    // The same workload under the same periodic drop: the paper's
-    // trust-the-substrate mode loses messages and reports errors;
-    // Retransmit mode delivers everything silently.
-    let fault = || vec![FaultModel::DropEveryNth(40)];
-    let (_, got_t, errs_t, retrans_t) = run_fm2(fault(), 300, Reliability::TrustSubstrate);
-    assert!(got_t < 300, "TrustSubstrate must lose messages ({got_t})");
-    assert!(errs_t > 0, "and report the losses as errors");
-    assert_eq!(retrans_t, 0, "and never retransmit");
-
-    let (_, got_r, errs_r, retrans_r) = run_fm2(fault(), 300, retransmit());
-    assert_eq!((got_r, errs_r), (300, 0));
-    assert!(retrans_r > 0);
-}
-
 /// The stream the count gates run: 2 KB x 4096, the shape of the
-/// benchmark's `udp_*` stream leg.
-fn gate_stream(faults: Vec<FaultModel>, reliability: Reliability) -> Counted {
-    stream_fm2(faults, 4096, 2048, reliability)
+/// benchmark's `udp_*` stream leg, in a retransmit window of `window`.
+fn gate_stream(faults: Vec<FaultModel>, window: u32) -> Counted {
+    let mut profile = MachineProfile::ppro200_fm2();
+    profile.fm.credits_per_peer = window;
+    stream_fm2(faults, 4096, 2048, profile)
 }
 
 #[test]
@@ -332,7 +303,7 @@ fn the_default_config_estimates_its_timer() {
     // There is one retransmit profile and the default is it: a loss-free
     // stream samples the round trip, and the timer leaves its initial
     // 200 µs for the estimate.
-    let c = stream_fm2(vec![], 300, SIZE, retransmit());
+    let c = stream_fm2(loss_free(), 300, SIZE, MachineProfile::ppro200_fm2());
     assert_eq!((c.got, c.errs), (300, 0));
     assert!(c.srtt.is_some(), "no RTT sample was taken");
     assert_ne!(
@@ -350,6 +321,7 @@ fn loss_free_stream_is_count_for_count_the_go_back_n_one() {
     // wire at the same nanoseconds, so the virtual end time and every
     // counter of both ranks are that commit's. One counter is newer than
     // it: the 292 refused `try_send_message` calls were not counted then.
+    // The window is the profile's credit window, set to 32 here.
     let receiver = FmStats {
         messages_received: 4096,
         bytes_received: 8_388_608,
@@ -359,8 +331,7 @@ fn loss_free_stream_is_count_for_count_the_go_back_n_one() {
         acks_sent: 8192,
         ..FmStats::default()
     };
-    let window_32 = Reliability::Retransmit(RetransmitConfig { window: 32 });
-    let c = gate_stream(vec![], window_32);
+    let c = gate_stream(loss_free(), 32);
     assert_eq!((c.got, c.errs), (4096, 0));
     assert_eq!(c.end, Nanos(121_448_583));
     assert_eq!(
@@ -377,13 +348,13 @@ fn loss_free_stream_is_count_for_count_the_go_back_n_one() {
     );
     assert_eq!(c.receiver, receiver);
 
-    // The same stream under the default window (64), read off this code:
+    // The same stream under every profile's window (64), read off this code:
     // the same 8192 packets and 8192 acks (the simulator wakes the
     // receiver per packet, so every poll acknowledges one and the
     // half-window ack never has to fire), 64 frames in the sender's pool
     // instead of 32, fewer refused sends, and 0.48 % more virtual time —
     // the deeper window queues, it does not stream faster here.
-    let c = gate_stream(vec![], retransmit());
+    let c = gate_stream(loss_free(), 64);
     assert_eq!((c.got, c.errs), (4096, 0));
     assert_eq!(c.end, Nanos(122_032_002));
     assert_eq!(
@@ -409,7 +380,7 @@ fn a_lost_packet_costs_one_packet() {
     // 1008 re-sends, 86 timeouts and 912 packets thrown away at the
     // receiver, ending at 160.9 ms against 121.4 ms loss-free.
     const PARENT_TIMEOUTS: u64 = 86;
-    let c = gate_stream(vec![FaultModel::Drop { p: 0.01, seed: 7 }], retransmit());
+    let c = gate_stream(vec![FaultModel::Drop { p: 0.01, seed: 7 }], 64);
     assert_eq!((c.got, c.errs), (4096, 0));
     let dropped = c.data_dropped();
     let (s, r) = (&c.sender, &c.receiver);

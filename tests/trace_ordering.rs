@@ -13,10 +13,7 @@ use std::rc::Rc;
 
 use fast_messages::fm::obs::NO_SERIAL;
 use fast_messages::fm::packet::HandlerId;
-use fast_messages::fm::{
-    Fm2Engine, FmPacket, FmStream, ObsEvent, ObsSink, Reliability, RetransmitConfig, SimDevice,
-    SpanKind,
-};
+use fast_messages::fm::{Fm2Engine, FmPacket, FmStream, ObsEvent, ObsSink, SimDevice, SpanKind};
 use fast_messages::model::{MachineProfile, Nanos};
 use fast_messages::sim::fault::FaultModel;
 use fast_messages::sim::trace::{TraceEvent, TraceKind};
@@ -36,19 +33,16 @@ struct RunRecord {
 
 /// Run `SENDERS` nodes streaming `MSGS` messages each into node 0, all
 /// engines feeding observability sinks, the simulator tracing the wire.
-/// `fault` optionally drops packets (with the retransmission sublayer
-/// switched on so the run still completes).
+/// `fault` optionally drops packets (a faulty wire switches the
+/// retransmission sublayer on, so the run still completes).
 fn traced_run(fault: Option<FaultModel>) -> RunRecord {
     let profile = MachineProfile::ppro200_fm2();
     let mut sim: Simulation<FmPacket> =
         Simulation::new(profile, Topology::single_crossbar(SENDERS + 1));
     sim.enable_trace(100_000);
-    let reliability = if let Some(f) = fault {
+    if let Some(f) = fault {
         sim.set_fault_model(f);
-        Reliability::Retransmit(RetransmitConfig::default())
-    } else {
-        Reliability::TrustSubstrate
-    };
+    }
 
     let sinks: Vec<ObsSink> = (0..=SENDERS).map(|_| ObsSink::new(100_000)).collect();
 
@@ -56,11 +50,7 @@ fn traced_run(fault: Option<FaultModel>) -> RunRecord {
     // `s` is the node id (NodeId, payload byte), not just a sink index.
     #[allow(clippy::needless_range_loop)]
     for s in 1..=SENDERS {
-        let fm = Fm2Engine::with_reliability(
-            SimDevice::new(sim.host_interface(NodeId(s))),
-            profile,
-            reliability.clone(),
-        );
+        let fm = Fm2Engine::new(SimDevice::new(sim.host_interface(NodeId(s))), profile);
         fm.attach_obs(sinks[s].clone());
         let senders_done = Rc::clone(&senders_done);
         let mut sent = 0usize;
@@ -85,11 +75,7 @@ fn traced_run(fault: Option<FaultModel>) -> RunRecord {
         );
     }
 
-    let fm_r = Fm2Engine::with_reliability(
-        SimDevice::new(sim.host_interface(NodeId(0))),
-        profile,
-        reliability,
-    );
+    let fm_r = Fm2Engine::new(SimDevice::new(sim.host_interface(NodeId(0))), profile);
     fm_r.attach_obs(sinks[0].clone());
     let got = Rc::new(Cell::new(0usize));
     {
