@@ -21,7 +21,12 @@
 //! as one rank. `--workload barrier` and `--workload allreduce` instead
 //! run MPI-FM collectives over the same engine: `--rounds` barriers, or
 //! `--rounds` sum-allreduces of `--msg-size` bytes with every rank
-//! validating the result. The engine is the one the matching
+//! validating the result. `--workload shmem` runs `shmem-fm` once: every
+//! rank puts 64 KiB and 256 KiB into its ring successor's heap and gets
+//! the 64 KiB back, each checked byte for byte; over `--transport shm`
+//! those are copies through the successor's heap, mapped across
+//! processes (`SHMEM bulk_msgs=0` when the kernel lets the ranks take
+//! each other's heaps). The engine is the one the matching
 //! `fm_bench::fabric` builds — over UDP it retransmits to every peer, so
 //! the run completes with zero message loss at the FM API even under
 //! `--drop`-injected datagram loss; the `STATS` lines show the
@@ -127,6 +132,8 @@ enum Workload {
     Barrier,
     /// `--rounds` MPI-FM sum-allreduces of `--msg-size` bytes.
     Allreduce,
+    /// One round of `shmem-fm` bulk puts and a get to the ring successor.
+    Shmem,
     /// Churn-tolerant all-to-all: paced numbered streams to every live
     /// peer, per-incarnation order validated, peers allowed to die and
     /// rejoin mid-run.
@@ -145,6 +152,7 @@ impl Workload {
             Workload::Auto => "auto",
             Workload::Barrier => "barrier",
             Workload::Allreduce => "allreduce",
+            Workload::Shmem => "shmem",
             Workload::Churn => "churn",
             Workload::Shape(s) => s.name(),
         }
@@ -181,15 +189,15 @@ fn usage() -> ! {
     eprintln!(
         "usage:\n  \
          fm-udp-cluster spawn --nodes N [--rounds R] [--msg-size B] [--drop P] \
-         [--seed S] [--workload auto|barrier|allreduce|churn|uniform|hotspot|\
-         incast|shuffle] [--transport udp|shm|routed] [--hosts h0,h1,...] \
+         [--seed S] [--workload auto|barrier|allreduce|shmem|churn|uniform|\
+         hotspot|incast|shuffle] [--transport udp|shm|routed] [--hosts h0,h1,...] \
          [--trace DIR] \
          [--churn-kill I] [--churn-at-ms T] [--churn-restart-ms T] \
          [--churn-no-restart]\n  \
          fm-udp-cluster node --node-id I --nodes N [--peers a0,a1,...] \
          [--bind ADDR] [--epoch E] [--rounds R] [--msg-size B] [--drop P] \
-         [--seed S] [--workload auto|barrier|allreduce|churn|uniform|hotspot|\
-         incast|shuffle] [--transport udp|shm|routed] [--hosts h0,h1,...] \
+         [--seed S] [--workload auto|barrier|allreduce|shmem|churn|uniform|\
+         hotspot|incast|shuffle] [--transport udp|shm|routed] [--hosts h0,h1,...] \
          [--trace DIR] \
          [--rejoin]\n\n\
          spawn forks N `node` children on loopback and wires them up; `node` \
@@ -227,6 +235,7 @@ fn parse(args: &[String]) -> (String, Opts) {
                     "auto" => Workload::Auto,
                     "barrier" => Workload::Barrier,
                     "allreduce" => Workload::Allreduce,
+                    "shmem" => Workload::Shmem,
                     "churn" => Workload::Churn,
                     other => match Shape::parse(other) {
                         Some(s) => Workload::Shape(s),
@@ -608,6 +617,7 @@ fn drive_workload<D: fm_core::NetDevice + 'static>(
         }
         Workload::Barrier => barrier_workload(fm, opts, hosts),
         Workload::Allreduce => allreduce_workload(fm, opts, hosts),
+        Workload::Shmem => shmem_workload(fm, opts),
         Workload::Churn => churn_workload(fm, opts),
         Workload::Shape(shape) => shape_workload(fm, opts, shape),
     }
@@ -868,6 +878,46 @@ fn allreduce_workload<D: fm_core::NetDevice + 'static>(
             assert_eq!(got, want, "allreduce round {round} elem {j}");
         }
     }
+}
+
+/// Every node puts 64 KiB and 256 KiB into its ring successor's heap,
+/// gets the 64 KiB back, and checks what its predecessor put into its
+/// own; prints how many FM messages the puts and the get took.
+fn shmem_workload<D: fm_core::NetDevice + 'static>(fm: &Fm2Engine<D>, opts: &Opts) {
+    const KIB: usize = 1024;
+    const SIZES: [usize; 2] = [64 * KIB, 256 * KIB];
+    let (me, n) = (opts.node_id, opts.nodes);
+    let (next, prev) = ((me + 1) % n, (me + n - 1) % n);
+    let pattern = |node: usize, at: usize, len: usize| -> Vec<u8> {
+        (at..at + len)
+            .map(|j| ((j * 7 + node * 31) % 251) as u8)
+            .collect()
+    };
+    let sh = shmem_fm::Shmem::new(fm.clone(), SIZES.iter().sum());
+    sh.barrier_all();
+    let before = fm.stats().messages_sent;
+    sh.put(next, 0, &pattern(me, 0, SIZES[0]));
+    sh.put(next, SIZES[0], &pattern(me, SIZES[0], SIZES[1]));
+    // A get over messages may overtake the puts before it: quiet first.
+    sh.quiet();
+    let back = sh.get(next, 0, SIZES[0]);
+    let bulk_msgs = fm.stats().messages_sent - before;
+    assert!(
+        back == pattern(me, 0, SIZES[0]),
+        "node {me}: get from {next} diverged"
+    );
+    assert_eq!(sh.take_put_failures(), [], "node {me}: puts refused");
+    sh.barrier_all();
+    let mut at = 0;
+    for len in SIZES {
+        let got = sh.local_read(at, len);
+        assert!(
+            got == pattern(prev, at, len),
+            "node {me}: put from {prev} at {at} diverged"
+        );
+        at += len;
+    }
+    println!("SHMEM node={me} bulk_msgs={bulk_msgs}");
 }
 
 /// Churn-tolerant all-to-all: every node streams `rounds` numbered

@@ -19,10 +19,10 @@
 //! (libtest's output formatting lands at nondeterministic points and was
 //! observed polluting the window by a couple of allocations).
 //!
-//! The `Shmem` put row is the exception: a large same-host put blocks
-//! until its target has read it, so the target turns on a thread of its
-//! own and the count covers the initiator's thread — the put, its wait
-//! and the FIN that ends it.
+//! The `Shmem` rows are the exception: a large same-host put or get is
+//! one copy into or out of the target's mapped heap, made on the
+//! initiator's thread, so the count covers that thread while the target
+//! waits on a thread of its own.
 //!
 //! The MPI rows count differently: MPI-FM's posted receive path is not
 //! allocation-free by contract (a request cell, the handler's future and
@@ -650,78 +650,116 @@ fn steady_state_large_put_allocates_nothing_shm() {
     );
 }
 
-/// Runs `warmup + measured` rounds of one 64 KiB and one 256 KiB
-/// `Shmem::put` from rank 0 into rank 1's heap over the two-thread
-/// [`Shm`] fabric, and returns the initiator thread's allocation delta
-/// across the measured rounds, the target's copied bytes and the payload
-/// bytes. Each put blocks until the target has read it, so the target
-/// must turn on a thread of its own: the one-thread fabric would wedge.
-fn shmem_put_alloc_delta(warmup: usize, measured: usize) -> (u64, u64, u64) {
+/// What a [`shmem_alloc_delta`] run counted: the initiator thread's
+/// allocations over the measured rounds, the bytes each side's engine
+/// copied over all rounds, and the payload bytes.
+struct ShmemCount {
+    allocs: u64,
+    initiator_copied: u64,
+    target_copied: u64,
+    payload: u64,
+}
+
+/// Runs `warmup + measured` rounds of `op` on rank 0 of the two-thread
+/// [`Shm`] fabric, each moving `round_bytes` between rank 0 and rank 1's
+/// heap, and counts them ([`ShmemCount`]). `op` gets send buffers of
+/// `bufs` bytes, made before the warm-up. The target only waits for the
+/// initiator's last act, an eight-byte flag put (a message, which it
+/// copies; not counted here).
+fn shmem_alloc_delta(
+    warmup: usize,
+    measured: usize,
+    round_bytes: usize,
+    bufs: &'static [usize],
+    op: fn(&Shmem<fm_shm::ShmDevice>, &[Vec<u8>]),
+) -> ShmemCount {
     const KIB: usize = 1024;
-    const SIZES: [usize; 2] = [64 * KIB, 256 * KIB];
     const FLAG: usize = 320 * KIB;
     const READY: usize = FLAG + 8;
     const HEAP: usize = READY + 8;
-    let payload = ((warmup + measured) * SIZES.iter().sum::<usize>()) as u64;
-    let out = Shm::DEEP.run(2, |rank, fm| -> Program<u64> {
+    let out = Shm::DEEP.run(2, |rank, fm| -> Program<(u64, u64)> {
         blocking(move || {
             let sh = Shmem::new(fm.clone(), HEAP);
-            // The barrier turns the engine, which learns from the device
-            // that its peer shares this host: until then a put copies.
+            // The barrier attaches each PE's heap to the other.
             sh.barrier_all();
             if rank == 1 {
-                // Count from here, and only then let the initiator start:
-                // it may leave the barrier first, and a put it issued at
-                // once would be served inside this rank's barrier, before
-                // the count began. Then serve until the initiator's last
-                // act, a flag put.
+                // Count from here, and only then let the initiator start,
+                // so nothing it sends is served before the count began.
                 let before = fm.stats().bytes_copied;
                 sh.put(0, READY, &1i64.to_le_bytes());
                 sh.quiet();
                 sh.wait_until_i64(FLAG, |v| v == 1);
-                return fm.stats().bytes_copied - before;
+                return (0, fm.stats().bytes_copied - before - 8);
             }
             sh.wait_until_i64(READY, |v| v == 1);
-            let bufs = SIZES.map(|len| vec![0xC5u8; len]);
-            let round = || {
-                let mut at = 0;
-                for buf in &bufs {
-                    sh.put(1, at, buf);
-                    at += buf.len();
-                }
-            };
-            (0..warmup).for_each(|_| round());
+            let bufs: Vec<Vec<u8>> = bufs.iter().map(|&len| vec![0xC5u8; len]).collect();
+            let before = fm.stats().bytes_copied;
+            (0..warmup).for_each(|_| op(&sh, &bufs));
             let mut at_warm = None;
             snapshot_at_warm(&mut at_warm, true);
-            (0..measured).for_each(|_| round());
+            (0..measured).for_each(|_| op(&sh, &bufs));
             let allocs = allocations() - at_warm.expect("warm-up snapshot");
+            let copied = fm.stats().bytes_copied - before;
             sh.put(1, FLAG, &1i64.to_le_bytes());
             sh.quiet();
-            allocs
+            (allocs, copied)
         })
     });
-    // The flag is a copied put of eight bytes.
-    (out[0], out[1] - 8, payload)
+    ShmemCount {
+        allocs: out[0].0,
+        initiator_copied: out[0].1,
+        target_copied: out[1].1,
+        payload: ((warmup + measured) * round_bytes) as u64,
+    }
 }
 
 #[test]
 fn steady_state_large_put_allocates_nothing_shmem() {
-    // `Shmem::put` at 64 KiB and 256 KiB to a same-host PE: the target
-    // reads the caller's buffer in place and the put waits for its FIN,
-    // so once warm a put copies nothing here and allocates nothing on
-    // the initiator's thread. Named to fall under CI's zero-copy put gate
-    // filter (`steady_state_large_put_allocates_nothing`).
-    let (delta, copied, payload) = shmem_put_alloc_delta(16, 32);
+    // `Shmem::put` at 64 KiB and 256 KiB to a same-host PE: one copy
+    // into the target's mapped heap, made by the initiator, which
+    // allocates nothing once warm; the target copies nothing. Named to
+    // fall under CI's zero-copy put gate filter
+    // (`steady_state_large_put_allocates_nothing`).
+    const SIZES: [usize; 2] = [64 * 1024, 256 * 1024];
+    let c = shmem_alloc_delta(16, 32, SIZES.iter().sum(), &SIZES, |sh, bufs| {
+        sh.put(1, 0, &bufs[0]);
+        sh.put(1, SIZES[0], &bufs[1]);
+    });
     assert_eq!(
-        delta,
+        c.allocs,
         0,
-        "steady-state shmem puts allocated {delta} times over 64 puts ({} per put)",
-        delta as f64 / 64.0
+        "steady-state shmem puts allocated {} times over 64 puts ({} per put)",
+        c.allocs,
+        c.allocs as f64 / 64.0
     );
     assert_eq!(
-        copied, payload,
-        "shmem target copied {copied} bytes for {payload} payload bytes"
+        c.initiator_copied, c.payload,
+        "shmem initiator copied {} bytes for {} payload bytes",
+        c.initiator_copied, c.payload
     );
+    assert_eq!(c.target_copied, 0, "the target copied put bytes");
+}
+
+#[test]
+fn steady_state_large_get_allocates_nothing_but_its_result_shmem() {
+    // `Shmem::get` of 64 KiB from a same-host PE: one copy out of the
+    // target's mapped heap into the buffer `get` returns — its one
+    // allocation, by the API's contract — and no message.
+    const GETS: u64 = 32;
+    let c = shmem_alloc_delta(16, GETS as usize, 64 * 1024, &[], |sh, _| {
+        std::hint::black_box(sh.get(1, 0, 64 * 1024));
+    });
+    assert_eq!(
+        c.allocs, GETS,
+        "steady-state shmem gets allocated {} times over {GETS} gets",
+        c.allocs
+    );
+    assert_eq!(
+        c.initiator_copied, c.payload,
+        "shmem initiator copied {} bytes for {} payload bytes",
+        c.initiator_copied, c.payload
+    );
+    assert_eq!(c.target_copied, 0, "the target copied get bytes");
 }
 
 #[test]

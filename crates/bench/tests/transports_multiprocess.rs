@@ -193,3 +193,33 @@ fn segment_count() -> usize {
         })
         .unwrap_or(0)
 }
+
+#[test]
+fn shm_two_process_shmem_puts_and_gets_through_the_mapped_heap() {
+    // Each process puts 64 KiB and 256 KiB into the other's heap and
+    // gets the 64 KiB back; both check every byte (the workload panics
+    // on a mismatch). Where the kernel lets a process take a sibling's
+    // descriptor (no Yama, or ptrace_scope 0), each heap is mapped across
+    // the processes and the three ops send no FM message at all; under a
+    // stricter policy they travel as packets.
+    let out = run_cluster(&[
+        "spawn",
+        "--nodes",
+        "2",
+        "--workload",
+        "shmem",
+        "--transport",
+        "shm",
+    ]);
+    assert!(out.contains("OK nodes=2"), "{out}");
+    let bulk: Vec<u64> = out
+        .lines()
+        .filter(|l| l.contains("SHMEM "))
+        .map(|l| stat(l, "bulk_msgs"))
+        .collect();
+    assert_eq!(bulk.len(), 2, "one SHMEM line per node:\n{out}");
+    let scope = std::fs::read_to_string("/proc/sys/kernel/yama/ptrace_scope");
+    if scope.map_or(true, |s| s.trim() == "0") {
+        assert_eq!(bulk, [0, 0], "the heaps were not mapped across processes");
+    }
+}

@@ -35,9 +35,12 @@
 //!   of the other's memory in one kernel copy (`process_vm_readv`,
 //!   checked against the peer's pidfd; `peer_mem.rs`) and answers FIN.
 //!   A peer that cannot read this process declines once, and from then
-//!   on every payload to it travels as packets. A put can also be left
-//!   in place ([`OsPort::put_in_place`]): the PULL names the caller's own
-//!   buffer, so the payload is not even copied into the job.
+//!   on every payload to it travels as packets;
+//! * **an arena peers may share**: a [`fm_sys::SharedMem`], reached only
+//!   through ranged copies. A port built [`Onesided::with_arena`] over
+//!   one its same-host peers copy into and out of themselves (`shmem-fm`'s
+//!   symmetric heap) never pulls: a peer that could not map the arena
+//!   could not read this process either.
 //!
 //! The protocol core ([`OsCore`] behind [`OsPort`]) is sans-IO: it
 //! consumes packets and emits control frames / send jobs without
@@ -51,6 +54,9 @@
 use std::cell::RefCell;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::rc::Rc;
+use std::sync::Arc;
+
+use fm_sys::SharedMem;
 
 use crate::device::NetDevice;
 use crate::fm2::{Fm2Engine, SendStream, SinkMeta};
@@ -199,10 +205,9 @@ pub enum OsStatus {
     Deregistered,
     /// The peer died mid-transfer; the op was aborted locally.
     PeerDown,
-    /// An in-place put ([`OsPort::put_in_place`]) was handed back,
-    /// having landed nothing: its target could not read this process,
-    /// or is not on this host. On the wire, the FIN of any pull its
-    /// reader declined; no other op completes with it.
+    /// The FIN of a pull its reader declined. It travels only on the
+    /// wire: the declined payload goes again as packets, and no op
+    /// completes with it.
     Declined,
 }
 
@@ -276,15 +281,15 @@ struct Slot {
 }
 
 struct RegionTable {
-    arena: Vec<u8>,
+    arena: Arc<SharedMem>,
     slots: Vec<Slot>,
     free: Vec<usize>,
 }
 
 impl RegionTable {
-    fn new(arena_bytes: usize) -> Self {
+    fn new(arena: Arc<SharedMem>) -> Self {
         RegionTable {
-            arena: vec![0u8; arena_bytes],
+            arena,
             slots: Vec::new(),
             free: Vec::new(),
         }
@@ -400,33 +405,45 @@ impl RegionTable {
     /// Copy `data` into the region at `offset`. Bounds must have been
     /// validated (the region is pinned, so it cannot have moved).
     fn write(&mut self, index: u32, offset: usize, data: &[u8]) {
-        self.slice_mut(index, offset, data.len())
-            .copy_from_slice(data);
+        self.with_window_mut(index, offset, data.len(), |w| w.copy_from_slice(data));
     }
 
     fn read(&self, index: u32, offset: usize, out: &mut [u8]) {
-        out.copy_from_slice(self.slice(index, offset, out.len()));
+        self.with_window(index, offset, out.len(), |w| out.copy_from_slice(w));
     }
 
-    /// Mutably borrow `len` bytes of the region starting at `offset`.
-    fn slice_mut(&mut self, index: u32, offset: usize, len: usize) -> &mut [u8] {
+    /// Lend `f` the `len` bytes of the region at `offset` to fill: the
+    /// window alone, as peers may copy into the rest of the arena.
+    fn with_window_mut<R>(
+        &mut self,
+        index: u32,
+        offset: usize,
+        len: usize,
+        f: impl FnOnce(&mut [u8]) -> R,
+    ) -> R {
         match self.slots[index as usize].kind.as_mut() {
             Some(RegionKind::Arena { offset: base, .. }) => {
-                &mut self.arena[*base + offset..*base + offset + len]
+                self.arena.with_range_mut(*base + offset, len, f)
             }
-            Some(RegionKind::Owned(v)) => &mut v[offset..offset + len],
-            None => panic!("slice of freed region"),
+            Some(RegionKind::Owned(v)) => f(&mut v[offset..offset + len]),
+            None => panic!("window of freed region"),
         }
     }
 
-    /// Borrow `len` bytes of the region starting at `offset`.
-    fn slice(&self, index: u32, offset: usize, len: usize) -> &[u8] {
+    /// Lend `f` the `len` bytes of the region starting at `offset`.
+    fn with_window<R>(
+        &self,
+        index: u32,
+        offset: usize,
+        len: usize,
+        f: impl FnOnce(&[u8]) -> R,
+    ) -> R {
         match self.slots[index as usize].kind.as_ref() {
             Some(RegionKind::Arena { offset: base, .. }) => {
-                &self.arena[base + offset..base + offset + len]
+                self.arena.with_range(base + offset, len, f)
             }
-            Some(RegionKind::Owned(v)) => &v[offset..offset + len],
-            None => panic!("slice of freed region"),
+            Some(RegionKind::Owned(v)) => f(&v[offset..offset + len]),
+            None => panic!("window of freed region"),
         }
     }
 }
@@ -435,13 +452,10 @@ impl RegionTable {
 // Sans-IO protocol core
 // ----------------------------------------------------------------------
 
-/// Source bytes for an outbound job: parked copy, pinned region, or
-/// the address of a caller's buffer that a same-host target reads in
-/// place — such a job is always pulled, never streamed.
+/// Source bytes for an outbound job: parked copy or pinned region.
 enum JobSrc {
     Owned(Vec<u8>),
     Region { index: u32, offset: usize },
-    Addr(u64),
 }
 
 /// A payload to stream: chunk-sized FM messages on its lane's handler,
@@ -465,7 +479,7 @@ struct OpState {
     reply: Option<GrantKey>,
     /// A put that left as a pull request: its job, source and all, kept
     /// until the FIN says the target has read it — or has declined, and
-    /// the job goes again as packets (or, in place, is handed back).
+    /// the job goes again as packets.
     pulled: Option<SendJob>,
 }
 
@@ -586,10 +600,11 @@ struct OsCore {
 }
 
 impl OsCore {
-    fn new(num_nodes: usize, cfg: OnesidedConfig) -> Self {
+    /// A core over `arena`, every peer's pull path starting at `path`.
+    fn new(num_nodes: usize, cfg: OnesidedConfig, arena: Arc<SharedMem>, path: PullPath) -> Self {
         OsCore {
             cfg,
-            regions: RegionTable::new(cfg.arena_bytes),
+            regions: RegionTable::new(arena),
             ops: HashMap::new(),
             grants: HashMap::new(),
             rx: HashMap::new(),
@@ -602,7 +617,7 @@ impl OsCore {
             next_token: 0,
             next_xfer: vec![0; num_nodes.max(1)],
             pulled_data: HashMap::new(),
-            pull_path: vec![PullPath::Untried; num_nodes],
+            pull_path: vec![path; num_nodes],
             pulled_bytes: 0,
             pull_declines: 0,
         }
@@ -653,7 +668,7 @@ impl OsCore {
 
     /// `peer` could not read the pulled `job`: it reads nothing more of
     /// ours, and the job goes again as packets, ahead of everything
-    /// still queued — or, left in place, is handed back by `next_job`.
+    /// still queued.
     fn decline(&mut self, peer: usize, job: SendJob) {
         self.pull_path[peer] = PullPath::Closed;
         self.pull_declines += 1;
@@ -762,18 +777,6 @@ impl OsCore {
         OsToken(token)
     }
 
-    fn put_in_place(
-        &mut self,
-        dst: usize,
-        h: RegionHandle,
-        offset: u64,
-        data: &[u8],
-    ) -> Option<OsToken> {
-        let pullable = data.len() > self.cfg.chunk_bytes && self.pull_path[dst] != PullPath::Closed;
-        let src = JobSrc::Addr(data.as_ptr() as u64);
-        pullable.then(|| self.put_bytes(dst, h, offset, src, data.len()))
-    }
-
     fn put_from(
         &mut self,
         dst: usize,
@@ -841,40 +844,24 @@ impl OsCore {
 
     /// Take the next job to stream, and whether it leaves as a pull
     /// request: a job longer than a chunk to a peer `same_host` says
-    /// shares this host, unless that peer is packet-only. An in-place
-    /// put that would not be pulled (its peer is on another host, or
-    /// has declined a pull) is handed back instead: it completes
-    /// [`OsStatus::Declined`]. `None` when
+    /// shares this host, unless that peer is packet-only. `None` when
     /// the queue is empty or its head waits on its peer's probe.
     fn next_job(&mut self, same_host: impl Fn(usize) -> bool) -> Option<(SendJob, bool)> {
-        loop {
-            let job = self.jobs.front()?;
-            let dst = job.dst;
-            let long = job.len > self.cfg.chunk_bytes;
-            let pull = match self.pull_path[dst] {
-                PullPath::Probing => return None,
-                PullPath::Closed => false,
-                path => {
-                    let pull = long && same_host(dst);
-                    if pull && path == PullPath::Untried {
-                        self.pull_path[dst] = PullPath::Probing;
-                    }
-                    pull
+        let job = self.jobs.front()?;
+        let dst = job.dst;
+        let long = job.len > self.cfg.chunk_bytes;
+        let pull = match self.pull_path[dst] {
+            PullPath::Probing => return None,
+            PullPath::Closed => false,
+            path => {
+                let pull = long && same_host(dst);
+                if pull && path == PullPath::Untried {
+                    self.pull_path[dst] = PullPath::Probing;
                 }
-            };
-            let job = self.jobs.pop_front().expect("front was checked");
-            match (pull, &job.src) {
-                // None of it landed, and its caller still holds the bytes.
-                (false, JobSrc::Addr(_)) => {
-                    let token = OpHeader::decode(&job.hdr)
-                        .expect("a job's header is whole")
-                        .a;
-                    self.ops.remove(&token);
-                    self.complete(token, OsStatus::Declined);
-                }
-                _ => return Some((job, pull)),
+                pull
             }
-        }
+        };
+        self.jobs.pop_front().map(|job| (job, pull))
     }
 
     /// The header a pulled job leaves as: its own, naming its length and
@@ -883,9 +870,9 @@ impl OsCore {
         let src = match &job.src {
             JobSrc::Owned(v) => v.as_ptr() as u64,
             JobSrc::Region { index, offset } => {
-                self.regions.slice(*index, *offset, job.len).as_ptr() as u64
+                self.regions
+                    .with_window(*index, *offset, job.len, |w| w.as_ptr() as u64)
             }
-            JobSrc::Addr(addr) => *addr,
         };
         let own = OpHeader::decode(&job.hdr).expect("a job's header is whole");
         OpHeader {
@@ -1341,30 +1328,6 @@ impl OsPort {
             .put_bytes(dst, h, offset, src, data.len())
     }
 
-    /// `FM_put` with no copy at all, to a peer the engine knows runs on
-    /// this host ([`Fm2Engine::same_host_pid`]): the target reads `data`
-    /// straight out of the caller's buffer (module docs). The port keeps
-    /// only `data`'s address, so the caller must leave `data` alive and
-    /// unchanged until the op completes — nothing here reads it, and a
-    /// buffer changed early lands changed bytes. A target that cannot
-    /// read this process hands the put back: it completes
-    /// [`OsStatus::Declined`] having landed nothing, and the caller
-    /// issues it again with [`put`](Self::put), which then streams.
-    /// `None`, with nothing queued, where the put would not be pulled:
-    /// `data` is no longer than one chunk, or `dst` has declined before.
-    /// A `dst` on another host is handed back unread. A put handed back
-    /// lands after those issued behind it, so a caller that needs issue
-    /// order waits for its completion first, as `shmem-fm`'s `put` does.
-    pub fn put_in_place(
-        &self,
-        dst: usize,
-        h: RegionHandle,
-        offset: u64,
-        data: &[u8],
-    ) -> Option<OsToken> {
-        self.core.borrow_mut().put_in_place(dst, h, offset, data)
-    }
-
     /// Zero-copy `FM_put`: source the payload from a *local* registered
     /// region instead of copying it. The source region is pinned until
     /// the transfer leaves the node — or, when a same-host target reads
@@ -1448,6 +1411,12 @@ impl OsPort {
         self.core.borrow().ops.len()
     }
 
+    /// Outstanding initiator-side ops addressed to `dst`.
+    pub fn pending_ops_to(&self, dst: usize) -> usize {
+        let core = self.core.borrow();
+        core.ops.values().filter(|op| op.dst == dst).count()
+    }
+
     /// Malformed or unmatchable protocol packets dropped so far.
     pub fn protocol_drops(&self) -> u64 {
         self.core.borrow().protocol_drops
@@ -1462,9 +1431,9 @@ impl OsPort {
     }
 
     /// Payloads this port sent whose pull was declined — the peer could
-    /// not read this process — and that went again as packets or, put
-    /// in place, were handed back. After the first, every payload to
-    /// that peer travels as packets for the port's life.
+    /// not read this process — and that went again as packets. After
+    /// the first, every payload to that peer travels as packets for the
+    /// port's life.
     pub fn pull_declines(&self) -> u64 {
         self.core.borrow().pull_declines
     }
@@ -1505,18 +1474,37 @@ impl<D: NetDevice> std::ops::Deref for Onesided<D> {
     }
 }
 
-impl<D: NetDevice> Onesided<D> {
-    /// Attach a one-sided port to `fm`, installing its two per-packet
-    /// sinks (control + DATA, and puts).
+impl<D: NetDevice + 'static> Onesided<D> {
+    /// Attach a one-sided port to `fm` over a fresh arena of
+    /// `cfg.arena_bytes` only this process reaches, installing its two
+    /// per-packet sinks (control + DATA, and puts).
     ///
     /// # Panics
     /// Panics if the engine already carries a one-sided port: a second
     /// one would take over handler ids 140 and 141 and with them every
     /// packet addressed to the first.
-    pub fn new(fm: &Fm2Engine<D>, cfg: OnesidedConfig) -> Self
-    where
-        D: 'static,
-    {
+    pub fn new(fm: &Fm2Engine<D>, cfg: OnesidedConfig) -> Self {
+        let arena = Arc::new(SharedMem::zeroed(cfg.arena_bytes));
+        Self::build(fm, cfg, arena, PullPath::Untried)
+    }
+
+    /// Attach a one-sided port over `arena`, which this node's same-host
+    /// peers copy into and out of themselves: it never pulls (module
+    /// docs). Chunks are [`CHUNK_BYTES`] long. Panics as `new` does.
+    pub fn with_arena(fm: &Fm2Engine<D>, arena: Arc<SharedMem>) -> Self {
+        let cfg = OnesidedConfig {
+            arena_bytes: arena.len(),
+            ..OnesidedConfig::default()
+        };
+        Self::build(fm, cfg, arena, PullPath::Closed)
+    }
+
+    fn build(
+        fm: &Fm2Engine<D>,
+        cfg: OnesidedConfig,
+        arena: Arc<SharedMem>,
+        path: PullPath,
+    ) -> Self {
         for id in [ONESIDED_HANDLER, OS_EAGER_HANDLER] {
             assert!(
                 !fm.has_handler(id),
@@ -1528,7 +1516,7 @@ impl<D: NetDevice> Onesided<D> {
                 OS_EAGER_HANDLER.0
             );
         }
-        let core = Rc::new(RefCell::new(OsCore::new(fm.num_nodes(), cfg)));
+        let core = Rc::new(RefCell::new(OsCore::new(fm.num_nodes(), cfg, arena, path)));
         let mem = Rc::new(RefCell::new(PeerMem::default()));
         for lane in [Lane::Xfer, Lane::Op] {
             let (c, mem, engine) = (Rc::clone(&core), Rc::clone(&mem), fm.handle());
@@ -1538,8 +1526,12 @@ impl<D: NetDevice> Onesided<D> {
                 // A pull is made here, before the next packet: it lands
                 // exactly where its chunks would have.
                 if let Some(pull) = core.on_packet(src, lane, meta, payload, same_host) {
-                    let into = core.regions.slice_mut(pull.slot, pull.offset, pull.len);
-                    let ok = mem.borrow_mut().read(pull.peer, pull.pid, pull.addr, into);
+                    let read = |into: &mut [u8]| {
+                        mem.borrow_mut().read(pull.peer, pull.pid, pull.addr, into)
+                    };
+                    let ok = core
+                        .regions
+                        .with_window_mut(pull.slot, pull.offset, pull.len, read);
                     core.pulled(pull, ok);
                 }
             });
@@ -1550,7 +1542,9 @@ impl<D: NetDevice> Onesided<D> {
             active: None,
         }
     }
+}
 
+impl<D: NetDevice> Onesided<D> {
     /// The shared state handle (registration + transfer APIs). Clone it
     /// freely; the driver and all clones see the same tables.
     pub fn port(&self) -> OsPort {
@@ -1642,15 +1636,17 @@ impl<D: NetDevice> Onesided<D> {
         while act.job.cursor < act.job.len {
             let at = act.job.cursor;
             let clen = chunk_max.min(act.job.len - at);
-            let chunk: &[u8] = match &act.job.src {
-                JobSrc::Owned(v) => &v[at..at + clen],
-                JobSrc::Region { index, offset } => core.regions.slice(*index, offset + at, clen),
-                JobSrc::Addr(_) => unreachable!("an in-place job is pulled, never streamed"),
-            };
             let ss = act.open.get_or_insert_with(|| {
                 fm.begin_message(act.job.dst, OP_HDR_BYTES + clen, act.job.lane.handler())
             });
-            if fm.try_send_rest(ss, &[&act.job.hdr[..], chunk]).is_err() {
+            let mut send = |chunk: &[u8]| fm.try_send_rest(ss, &[&act.job.hdr[..], chunk]);
+            let sent = match &act.job.src {
+                JobSrc::Owned(v) => send(&v[at..at + clen]),
+                JobSrc::Region { index, offset } => {
+                    core.regions.with_window(*index, offset + at, clen, send)
+                }
+            };
+            if sent.is_err() {
                 return false;
             }
             act.open = None;
@@ -1960,20 +1956,6 @@ mod tests {
         assert_eq!(p.wait_completion('a', t3), OsStatus::Ok);
         let out = p.a.deregister_owned(scratch).unwrap();
         assert_eq!(out, small);
-    }
-
-    #[test]
-    fn an_in_place_put_to_a_peer_on_another_host_is_handed_back_unread() {
-        let mut p = Pair::new();
-        let dst = p.b.register(0, 32 * 1024).unwrap();
-        let data = pattern(12 * 1024, 51);
-        let tok = p.a.put_in_place(1, dst, 0, &data).unwrap();
-        assert_eq!(p.wait_completion('a', tok), OsStatus::Declined);
-        assert_eq!(p.a.pull_declines(), 0, "the peer declined nothing");
-        let mut out = vec![0u8; data.len()];
-        p.b.port().read_local(dst, 0, &mut out).unwrap();
-        assert_eq!(out, vec![0u8; data.len()], "nothing was sent");
-        assert_eq!(p.a.pending_ops(), 0);
     }
 
     #[test]

@@ -35,13 +35,13 @@
 //! 8. a peer that cannot be read (its fact names a pid no process can
 //!    have) costs one declined pull each way, and every put and get
 //!    still lands bit-exact, over packets;
-//! 9. a put left in place is read out of the caller's buffer when the
-//!    target takes its PULL, and one the peer cannot read is handed
-//!    back having written nothing, after which a copying put streams.
+//! 9. a port over an arena its same-host peers map themselves
+//!    (`Onesided::with_arena`) pulls nothing and streams every payload.
 
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 use std::rc::Rc;
+use std::sync::Arc;
 
 use fm_core::device::{LoopbackDevice, LoopbackPair};
 use fm_core::{
@@ -50,6 +50,7 @@ use fm_core::{
 };
 use fm_model::rng::{env_cases, DetRng};
 use fm_model::{MachineProfile, Nanos};
+use fm_sys::SharedMem;
 use myrinet_sim::{NodeId, Simulation, StepOutcome, Topology};
 
 const SIM_LIMIT: Nanos = Nanos(30_000_000_000);
@@ -559,6 +560,18 @@ struct PullPair {
 
 impl PullPair {
     fn new(pid: u32, arena_bytes: usize, chunk_bytes: usize) -> Self {
+        let cfg = OnesidedConfig {
+            arena_bytes,
+            chunk_bytes,
+        };
+        Self::over(pid, |_, fm| Onesided::new(fm, cfg))
+    }
+
+    /// The pair with each node's port built by `port(node, engine)`.
+    fn over(
+        pid: u32,
+        port: impl Fn(usize, &Fm2Engine<LoopbackDevice>) -> Onesided<LoopbackDevice>,
+    ) -> Self {
         let (a, b) = LoopbackPair::new(1024);
         let fm = [a, b].map(|mut dev| {
             let peer = 1 - dev.node_id();
@@ -566,11 +579,7 @@ impl PullPair {
             dev.report(event(peer, PeerEventKind::Link { max_payload: 4072 }));
             Fm2Engine::new(dev, MachineProfile::ppro200_fm2())
         });
-        let cfg = OnesidedConfig {
-            arena_bytes,
-            chunk_bytes,
-        };
-        let os = [0, 1].map(|node| Onesided::new(&fm[node], cfg));
+        let os = [0, 1].map(|node| port(node, &fm[node]));
         PullPair { fm, os }
     }
 
@@ -854,101 +863,49 @@ fn an_unreadable_peer_declines_once_and_everything_lands_over_packets() {
 }
 
 #[test]
-fn an_in_place_put_is_read_out_of_the_callers_buffer() {
+fn a_port_over_a_shared_arena_streams_every_payload() {
+    // Two engines of this process that know each other on this host, as
+    // in-process PEs do, each over an arena its peer could map: nothing
+    // is pulled either way, and every put and get lands over packets.
     const KIB: usize = 1024;
-    let chunk = OnesidedConfig::default().chunk_bytes;
-    let mut pair = PullPair::new(std::process::id(), 1 << 20, chunk);
+    let arenas = [0, 1].map(|_| Arc::new(SharedMem::memfd(1 << 20).expect("memfd arena")));
+    let mut pair = PullPair::over(std::process::id(), |node, fm| {
+        Onesided::with_arena(fm, Arc::clone(&arenas[node]))
+    });
     let (initiator, target) = (pair.port(0), pair.port(1));
-    let dst = target.register(0, 1 << 20).expect("arena");
-    assert_eq!(
-        initiator.put_in_place(1, dst, 0, &vec![1u8; chunk]),
-        None,
-        "a chunk is not pulled, so it is not left in place"
+    let [mine, theirs] = [&initiator, &target].map(|p| p.register(0, 1 << 20).expect("arena"));
+    let remote: Vec<u8> = (0..64 * KIB).map(|i| (i % 241) as u8).collect();
+    target
+        .write_local(theirs, 512 * KIB, &remote)
+        .expect("fill");
+    let puts = [(0, 64 * KIB), (64 * KIB, 256 * KIB)].map(|(at, len)| {
+        let data: Vec<u8> = (0..len).map(|i| ((i * 7 + at) % 251) as u8).collect();
+        (at, data)
+    });
+    let mut tokens: Vec<OsToken> = puts
+        .iter()
+        .map(|(at, data)| initiator.put(1, theirs, *at as u64, data))
+        .collect();
+    tokens.push(
+        initiator
+            .get(1, theirs, 512 * KIB as u64, mine, 0, remote.len())
+            .expect("get"),
     );
-    let mut read = 0;
-    for (at, len) in [(0, 64 * KIB), (64 * KIB, 256 * KIB)] {
-        let mut data: Vec<u8> = (0..len).map(|i| (i % 239) as u8).collect();
-        let token = initiator
-            .put_in_place(1, dst, at as u64, &data)
-            .expect("a long put to a same-host peer goes in place");
-        // Rewritten after the call and before the target's turn: what
-        // lands is what the buffer holds when it is read, so nothing
-        // copied it on the way.
-        data.iter_mut().for_each(|b| *b = b.wrapping_add(1));
-        let seen = pair.complete(&[token]);
-        assert_eq!(seen[&token], vec![OsStatus::Ok], "{len} B");
-        read += len as u64;
-        assert_eq!(
-            target.pulled_bytes(),
-            read,
-            "{len} B: one read of the payload"
-        );
-        let mut got = vec![0u8; len];
-        target.read_local(dst, at, &mut got).expect("read back");
-        assert!(got == data, "{len} B: the target holds other bytes");
+    let seen = pair.complete(&tokens);
+    for t in &tokens {
+        assert_eq!(seen[t], vec![OsStatus::Ok]);
     }
+    for (at, data) in &puts {
+        let mut got = vec![0u8; data.len()];
+        arenas[1].read(*at, &mut got);
+        assert!(got == *data, "put at {at} diverged");
+    }
+    let mut got = vec![0u8; remote.len()];
+    arenas[0].read(0, &mut got);
+    assert!(got == remote, "the get diverged");
     for port in [&initiator, &target] {
+        assert_eq!(port.pulled_bytes(), 0);
         assert_eq!(port.pull_declines(), 0);
         assert_eq!(port.protocol_drops(), 0);
-    }
-}
-
-#[test]
-fn an_in_place_put_the_peer_cannot_read_is_handed_back_and_goes_again_as_packets() {
-    const KIB: usize = 1024;
-    let chunk = OnesidedConfig::default().chunk_bytes;
-    // Alone, the in-place put is the probe and its FIN hands it back.
-    // Behind a copying put that probes first, it is handed back unsent
-    // once that probe's decline has closed the path.
-    for behind_a_probe in [false, true] {
-        let mut pair = PullPair::new(unreadable_pid(), 1 << 20, chunk);
-        let (initiator, target) = (pair.port(0), pair.port(1));
-        let dst = target.register(0, 1 << 20).expect("arena");
-        let probe: Vec<u8> = (0..64 * KIB).map(|i| (i % 233) as u8).collect();
-        let data: Vec<u8> = (0..256 * KIB).map(|i| (i % 251) as u8).collect();
-        let at = 64 * KIB;
-        let mut tokens = Vec::new();
-        if behind_a_probe {
-            tokens.push(initiator.put(1, dst, 0, &probe));
-        }
-        let token = initiator
-            .put_in_place(1, dst, at as u64, &data)
-            .expect("nothing has declined yet");
-        tokens.push(token);
-        let seen = pair.complete(&tokens);
-        let case = format!("behind a probe: {behind_a_probe}");
-        assert_eq!(seen[&token], vec![OsStatus::Declined], "{case}");
-        let mut got = vec![0u8; data.len()];
-        target.read_local(dst, at, &mut got).expect("read back");
-        assert!(
-            got.iter().all(|&b| b == 0),
-            "{case}: a handed-back put wrote"
-        );
-
-        // The path is closed: nothing more goes in place, and the copy
-        // the caller issues again streams.
-        assert_eq!(
-            initiator.put_in_place(1, dst, at as u64, &data),
-            None,
-            "{case}"
-        );
-        let token = initiator.put(1, dst, at as u64, &data);
-        assert_eq!(
-            pair.complete(&[token])[&token],
-            vec![OsStatus::Ok],
-            "{case}"
-        );
-        target.read_local(dst, at, &mut got).expect("read back");
-        assert!(got == data, "{case}: the re-issued put diverged");
-        if behind_a_probe {
-            let mut got = vec![0u8; probe.len()];
-            target.read_local(dst, 0, &mut got).expect("read back");
-            assert!(got == probe, "{case}: the probe diverged");
-        }
-        assert_eq!(initiator.pull_declines(), 1, "{case}");
-        assert_eq!(target.pulled_bytes(), 0, "{case}");
-        for port in [&initiator, &target] {
-            assert_eq!(port.protocol_drops(), 0, "{case}");
-        }
     }
 }

@@ -14,7 +14,8 @@
 //!   transport, different host → remote.
 //! * **Receive** drains both, local first (it is the cheaper poll and
 //!   the lower-latency path; alternation keeps the remote side from
-//!   starving under local load).
+//!   starving under local load) — or only the local one, when the map
+//!   keeps every rank on this host and the remote member carries nobody.
 //! * **`send_space`** is the minimum over both transports — the
 //!   all-or-nothing admission guarantee must hold for *any* mix of
 //!   next destinations.
@@ -151,6 +152,9 @@ pub struct RoutedDevice<L, R> {
     stats: RouteStats,
     /// Receive alternation: poll local first on even turns.
     flip: bool,
+    /// Whether the map puts any rank on another host: if not, the remote
+    /// member's receive path is never polled.
+    any_remote: bool,
 }
 
 impl<L: NetDevice, R: NetDevice> RoutedDevice<L, R> {
@@ -166,6 +170,7 @@ impl<L: NetDevice, R: NetDevice> RoutedDevice<L, R> {
             "local and remote transports disagree on this node's id"
         );
         assert!(node < map.num_ranks(), "node id outside the host map");
+        let any_remote = (0..map.num_ranks()).any(|r| !map.same_host(node, r));
         RoutedDevice {
             local,
             remote,
@@ -173,6 +178,7 @@ impl<L: NetDevice, R: NetDevice> RoutedDevice<L, R> {
             node,
             stats: RouteStats::default(),
             flip: false,
+            any_remote,
         }
     }
 
@@ -224,6 +230,11 @@ impl<L: NetDevice, R: NetDevice> NetDevice for RoutedDevice<L, R> {
     }
 
     fn try_recv(&mut self) -> Option<FmPacket> {
+        if !self.any_remote {
+            let got = self.local.try_recv();
+            self.stats.local_recv += got.is_some() as u64;
+            return got;
+        }
         // Alternate which member is polled first so neither fabric
         // starves the other under sustained load.
         self.flip = !self.flip;
@@ -369,6 +380,61 @@ mod tests {
         assert!(d.try_recv().is_none());
         assert_eq!(d.stats().local_recv, 1);
         assert_eq!(d.stats().remote_recv, 1);
+    }
+
+    /// A member that counts the polls of its receive path.
+    struct Counting(LoopbackDevice, usize);
+
+    impl NetDevice for Counting {
+        fn node_id(&self) -> usize {
+            self.0.node_id()
+        }
+        fn num_nodes(&self) -> usize {
+            self.0.num_nodes()
+        }
+        fn try_send(&mut self, pkt: FmPacket) -> Result<(), DeviceFull> {
+            self.0.try_send(pkt)
+        }
+        fn try_recv(&mut self) -> Option<FmPacket> {
+            self.1 += 1;
+            self.0.try_recv()
+        }
+        fn send_space(&self) -> usize {
+            self.0.send_space()
+        }
+        fn now(&self) -> Nanos {
+            self.0.now()
+        }
+        fn charge(&mut self, cost: Nanos) {
+            self.0.charge(cost)
+        }
+        fn poll_event(&mut self) -> Option<PeerEvent> {
+            self.0.poll_event()
+        }
+    }
+
+    #[test]
+    fn an_idle_remote_member_is_never_polled_when_every_rank_is_local() {
+        const POLLS: usize = 1000;
+        let (local, mut lpeer) = LoopbackPair::new(8);
+        let (remote, _r) = LoopbackPair::new(8);
+        let mut d = RoutedDevice::new(local, Counting(remote, 0), HostMap::all_on_one_host(2));
+        lpeer.try_send(pkt(1, 0, 7)).unwrap();
+        LoopbackPair::deliver(d.local_mut(), &mut lpeer);
+        assert_eq!(d.try_recv().expect("the local packet").payload[0], 7);
+        for _ in 0..POLLS {
+            assert!(d.try_recv().is_none());
+        }
+        assert_eq!(d.remote_mut().1, 0, "polls of the idle remote member");
+        assert_eq!(d.stats().local_recv, 1);
+        // Split over two hosts, the same polls reach the remote member.
+        let (local, _l) = LoopbackPair::new(8);
+        let (remote, _r) = LoopbackPair::new(8);
+        let mut d = RoutedDevice::new(local, Counting(remote, 0), HostMap::new(vec![0, 1]));
+        for _ in 0..POLLS {
+            assert!(d.try_recv().is_none());
+        }
+        assert_eq!(d.remote_mut().1, POLLS);
     }
 
     #[test]

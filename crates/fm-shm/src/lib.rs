@@ -47,6 +47,11 @@
 //! with `--transport shm`. For mixed intra-/inter-host runs, `fm-route`
 //! composes this device with `fm-udp` behind one `NetDevice`.
 //!
+//! Besides packets, the crate holds the registry through which
+//! `shmem-fm`'s PEs on one host reach each other's symmetric heaps
+//! ([`heap`]): shared by reference in one process, and across processes
+//! a `memfd` taken through the owner's pidfd.
+//!
 //! Naming note: this crate is the shared-memory *transport* (a device
 //! below the FM engines); the `shmem-fm` crate is the SHMEM *API* (a
 //! put/get layer above them). `shmem-fm` re-exports this crate as
@@ -63,6 +68,7 @@
 
 pub mod cluster;
 pub mod device;
+pub mod heap;
 pub mod mem;
 pub mod ring;
 pub mod seg;

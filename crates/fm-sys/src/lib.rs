@@ -10,7 +10,11 @@
 //! * `fm-core`'s one-sided same-host pull reads a peer's memory through
 //!   [`Process`], a safe handle that pairs a pidfd with
 //!   `process_vm_readv`, so `fm-core` itself keeps
-//!   `#![forbid(unsafe_code)]`.
+//!   `#![forbid(unsafe_code)]`;
+//! * a one-sided arena lives in a [`SharedMem`]: memory reached only
+//!   through ranged copies. A `shmem-fm` heap a PE in another process
+//!   reaches is one over a `memfd`, which that PE takes with
+//!   [`Process::take_fd`] (`pidfd_getfd`) and maps.
 //!
 //! Only the x86_64 and aarch64 Linux ABIs are known; any other target is
 //! a compile error, not a wrong syscall number.
@@ -20,8 +24,10 @@
 use std::io;
 
 mod process;
+mod shared_mem;
 
 pub use process::Process;
+pub use shared_mem::SharedMem;
 
 #[cfg(target_arch = "x86_64")]
 mod nr {
@@ -30,6 +36,8 @@ mod nr {
     pub const PPOLL: usize = 271;
     pub const PROCESS_VM_READV: usize = 310;
     pub const PIDFD_OPEN: usize = 434;
+    pub const PIDFD_GETFD: usize = 438;
+    pub const MEMFD_CREATE: usize = 319;
 }
 
 #[cfg(target_arch = "aarch64")]
@@ -39,6 +47,8 @@ mod nr {
     pub const PPOLL: usize = 73;
     pub const PROCESS_VM_READV: usize = 270;
     pub const PIDFD_OPEN: usize = 434;
+    pub const PIDFD_GETFD: usize = 438;
+    pub const MEMFD_CREATE: usize = 279;
 }
 
 /// `mmap(2)`'s number on this target.

@@ -15,6 +15,7 @@
 //! and whatever the ptrace policy allows: Yama `ptrace_scope=1` refuses
 //! a sibling). A process may always read itself.
 
+use std::fs::File;
 use std::io;
 use std::os::fd::{AsRawFd, FromRawFd, OwnedFd};
 
@@ -105,6 +106,28 @@ impl Process {
             return Err(io::Error::from_raw_os_error(ESRCH));
         }
         Ok(())
+    }
+
+    /// A duplicate of the process's descriptor `fd` (`pidfd_getfd`):
+    /// how a peer's `memfd` crosses into this process. The kernel makes
+    /// the ptrace-attach check `process_vm_readv` makes, and the pidfd
+    /// names the process opened, whoever holds its pid by now.
+    pub fn take_fd(&self, fd: i32) -> io::Result<File> {
+        // SAFETY: pidfd_getfd takes two descriptors and flags (0) by
+        // value and touches no memory of ours.
+        let got = errno(unsafe {
+            syscall6(
+                nr::PIDFD_GETFD,
+                self.pidfd.as_raw_fd() as usize,
+                fd as usize,
+                0,
+                0,
+                0,
+                0,
+            )
+        })?;
+        // SAFETY: a new descriptor nothing else in this process owns.
+        Ok(unsafe { File::from_raw_fd(got as i32) })
     }
 
     /// Whether the process has exited: its pidfd polls readable.

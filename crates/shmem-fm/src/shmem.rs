@@ -1,30 +1,32 @@
 //! The symmetric heap and one-sided operations.
 //!
 //! Every node allocates a heap of identical size; remote operations name
-//! plain byte offsets into the target's heap. Bulk data movement (`put`,
-//! `get`) is re-based on [`fm_core::onesided`]: the heap *is* the
-//! one-sided arena, registered whole at startup, so every node holds the
-//! same [`RegionHandle`] for every peer's heap and puts/gets ride its
-//! landing path, with no staging copy: a transfer up to one chunk, or any
-//! transfer to a peer on another host, streams into the destination
-//! through the sink handler; on a same-host link a longer one is read out
-//! of the other process by the side that owns the destination (the
-//! target of a put, the caller of a get), in one kernel copy. Such a put
-//! is read straight out of the caller's buffer, so, like a get, it
-//! returns only once the target has read it: the target must progress on
-//! its own thread or process, as every same-host PE does. The remaining
-//! read-modify-write ops (`accumulate`, `fetch_add`) and the barrier stay
-//! Active-Messages-style on this crate's own FM handler — the target
-//! applies them during its `FM_extract`, which is what makes them atomic.
+//! plain byte offsets into the target's heap. The heap *is* the
+//! [`fm_core::onesided`] arena, registered whole at startup, so every
+//! node holds the same [`RegionHandle`] for every peer's heap. Between
+//! PEs of one host it is shared memory ([`fm_shm::heap`]; DESIGN.md §16,
+//! "The mapped heap"), announced in one op on [`SHMEM_HANDLER`] and
+//! attached by the end of the first [`Shmem::barrier_all`]: a put or get
+//! longer than one chunk to such a PE is one copy into or out of its
+//! heap, made by the caller, with no message. Everything else is a
+//! message the target applies inside its own `FM_extract` — puts and
+//! gets through the one-sided landing path, with no staging copy, and
+//! `accumulate`, `fetch_add` and the barrier Active-Messages-style on
+//! this crate's own handler, which is what makes them atomic.
 
 use std::cell::{Cell, RefCell};
 use std::collections::{HashMap, HashSet};
 use std::rc::Rc;
+use std::sync::atomic::{fence, Ordering};
+use std::sync::Arc;
 
 use fm_core::blocking::Backoff;
 use fm_core::device::NetDevice;
+use fm_core::onesided::CHUNK_BYTES;
 use fm_core::packet::HandlerId;
-use fm_core::{Fm2Engine, FmStream, Onesided, OnesidedConfig, OsPort, OsStatus, RegionHandle};
+use fm_core::{Fm2Engine, FmStream, Onesided, OsPort, OsStatus, OsToken, RegionHandle};
+use fm_shm::heap;
+use fm_sys::SharedMem;
 
 use crate::wire::{Op, OP_BYTES};
 
@@ -39,7 +41,12 @@ struct ShState {
     acc_acks: u64,
     /// Barrier notifications seen: (epoch, round, src).
     barrier_seen: HashSet<(u64, u32, usize)>,
+    /// Heap ids heard, and per PE its heap if that could be attached.
+    heard: usize,
+    heaps: Vec<Option<Heap>>,
 }
+
+type Heap = Arc<SharedMem>;
 
 /// One node's shmem context.
 pub struct Shmem<D: NetDevice> {
@@ -47,32 +54,30 @@ pub struct Shmem<D: NetDevice> {
     os: RefCell<Onesided<D>>,
     port: OsPort,
     heap_h: RegionHandle,
-    heap_bytes: usize,
+    /// The heap itself, which the port's arena is.
+    heap: Heap,
     state: Rc<RefCell<ShState>>,
     accs_issued: Cell<u64>,
-    /// Statuses of puts that failed at the target (e.g. out of the
-    /// remote heap's bounds) instead of landing.
-    put_failures: RefCell<Vec<OsStatus>>,
-    /// The token of the op being waited for, and its status once in.
-    /// Only `get` and a same-host `put` longer than a chunk wait on their
-    /// own token, and both block, so there is at most one.
-    awaited: Cell<Option<(u32, Option<OsStatus>)>>,
+    /// Ops refused (e.g. out of the remote heap's bounds), by token.
+    refused: RefCell<Vec<(Option<OsToken>, OsStatus)>>,
     barrier_epoch: Cell<u64>,
+    /// PEs this heap's id was sent to, each of which sends its own.
+    local: usize,
 }
 
 impl<D: NetDevice + 'static> Shmem<D> {
     /// Create a shmem context with a `heap_bytes` symmetric heap and
     /// install the FM handlers. Every node must use the same size, so
     /// the whole-heap registration yields the *same* region handle on
-    /// every node — the symmetry SHMEM addressing relies on.
+    /// every node — the symmetry SHMEM addressing relies on. The engine
+    /// is turned once, to learn which peers to announce the heap to.
     pub fn new(fm: Fm2Engine<D>, heap_bytes: usize) -> Self {
-        let os = Onesided::new(
-            &fm,
-            OnesidedConfig {
-                arena_bytes: heap_bytes,
-                ..OnesidedConfig::default()
-            },
-        );
+        fm.progress();
+        let local: Vec<(usize, u32)> = (0..fm.num_nodes())
+            .filter_map(|p| Some((p, fm.same_host_pid(p)?)))
+            .collect();
+        let (own, id) = heap::publish(heap_bytes, local.iter().map(|&(_, pid)| pid));
+        let os = Onesided::with_arena(&fm, Arc::clone(&own));
         let port = os.port();
         let heap_h = os.register(0, heap_bytes).expect("whole-heap registration");
         let state = Rc::new(RefCell::new(ShState {
@@ -80,14 +85,15 @@ impl<D: NetDevice + 'static> Shmem<D> {
             fadd_replies: HashMap::new(),
             acc_acks: 0,
             barrier_seen: HashSet::new(),
+            heard: 0,
+            heaps: vec![None; fm.num_nodes()],
         }));
         let st = Rc::clone(&state);
-        let fm_h = fm.handle();
-        let hport = port.clone();
+        let (fm_h, hheap) = (fm.handle(), Arc::clone(&own));
         fm.set_handler(SHMEM_HANDLER, move |stream: FmStream, src| {
             let st = Rc::clone(&st);
             let fm = fm_h.clone();
-            let port = hport.clone();
+            let heap = Arc::clone(&hheap);
             async move {
                 let mut hdr = [0u8; OP_BYTES];
                 stream.receive(&mut hdr).await;
@@ -99,28 +105,23 @@ impl<D: NetDevice + 'static> Shmem<D> {
                         let len = stream.msg_len() - OP_BYTES;
                         assert_eq!(len % 8, 0, "accumulate operates on f64s");
                         let contrib = stream.receive_vec(len).await;
-                        let o = offset as usize;
                         let mut cur = vec![0u8; len];
-                        port.read_local(heap_h, o, &mut cur)
-                            .expect("acc out of heap bounds");
+                        heap.read(offset as usize, &mut cur);
                         for (c, slot) in contrib.chunks_exact(8).zip(cur.chunks_exact_mut(8)) {
                             let a = f64::from_le_bytes(slot[..8].try_into().unwrap());
                             let b = f64::from_le_bytes(c.try_into().unwrap());
                             slot.copy_from_slice(&(a + b).to_le_bytes());
                         }
-                        port.write_local(heap_h, o, &cur).expect("checked above");
+                        heap.write(offset as usize, &cur);
                         // Accumulates are acked like puts so `quiet`
                         // covers them.
                         fm.send_from_handler(src, SHMEM_HANDLER, Op::PutAck.encode().to_vec());
                     }
                     Op::Fadd { req, offset, delta } => {
-                        let o = offset as usize;
                         let mut cur = [0u8; 8];
-                        port.read_local(heap_h, o, &mut cur)
-                            .expect("fadd out of heap bounds");
+                        heap.read(offset as usize, &mut cur);
                         let old = i64::from_le_bytes(cur);
-                        port.write_local(heap_h, o, &old.wrapping_add(delta).to_le_bytes())
-                            .expect("checked above");
+                        heap.write(offset as usize, &old.wrapping_add(delta).to_le_bytes());
                         fm.send_from_handler(
                             src,
                             SHMEM_HANDLER,
@@ -133,21 +134,31 @@ impl<D: NetDevice + 'static> Shmem<D> {
                     Op::Barrier { epoch, round } => {
                         st.borrow_mut().barrier_seen.insert((epoch, round, src));
                     }
+                    Op::Heap(id) => {
+                        let pid = fm.same_host_pid(src);
+                        let mut st = st.borrow_mut();
+                        st.heard += 1;
+                        st.heaps[src] = pid.and_then(|pid| heap::attach(pid, id, heap_bytes).ok());
+                    }
                 }
             }
         });
-        Shmem {
+        let sh = Shmem {
             fm,
             os: RefCell::new(os),
             port,
             heap_h,
-            heap_bytes,
+            heap: own,
             state,
             accs_issued: Cell::new(0),
-            put_failures: RefCell::new(Vec::new()),
-            awaited: Cell::new(None),
+            refused: RefCell::new(Vec::new()),
             barrier_epoch: Cell::new(0),
+            local: local.len(),
+        };
+        for (p, _) in local {
+            sh.send_op(p, &Op::Heap(id).encode(), &[]);
         }
+        sh
     }
 
     /// The underlying FM engine.
@@ -172,27 +183,19 @@ impl<D: NetDevice + 'static> Shmem<D> {
 
     /// Heap size in bytes.
     pub fn heap_len(&self) -> usize {
-        self.heap_bytes
+        self.heap.len()
     }
 
-    /// Read local heap bytes.
+    /// Read local heap bytes. Panics outside the heap.
     pub fn local_read(&self, offset: usize, len: usize) -> Vec<u8> {
         let mut out = vec![0u8; len];
-        if len > 0 {
-            self.port
-                .read_local(self.heap_h, offset, &mut out)
-                .expect("local read out of heap bounds");
-        }
+        self.heap.read(offset, &mut out);
         out
     }
 
-    /// Write local heap bytes.
+    /// Write local heap bytes. Panics outside the heap.
     pub fn local_write(&self, offset: usize, data: &[u8]) {
-        if !data.is_empty() {
-            self.port
-                .write_local(self.heap_h, offset, data)
-                .expect("local write out of heap bounds");
-        }
+        self.heap.write(offset, data);
     }
 
     /// Drive communication.
@@ -204,12 +207,8 @@ impl<D: NetDevice + 'static> Shmem<D> {
 
     fn drain_completions(&self) {
         while let Some(c) = self.port.poll_completion() {
-            match self.awaited.get() {
-                Some((token, _)) if token == c.token.0 => {
-                    self.awaited.set(Some((token, Some(c.status))));
-                }
-                _ if c.status != OsStatus::Ok => self.put_failures.borrow_mut().push(c.status),
-                _ => {}
+            if c.status != OsStatus::Ok {
+                self.refused.borrow_mut().push((Some(c.token), c.status));
             }
         }
     }
@@ -234,16 +233,6 @@ impl<D: NetDevice + 'static> Shmem<D> {
         }
     }
 
-    /// Block until the op `token` completes, returning its status.
-    fn wait_tracked(&self, token: u32) -> OsStatus {
-        self.awaited.set(Some((token, None)));
-        self.wait_for("shmem op", || {
-            let status = self.awaited.get()?.1?;
-            self.awaited.set(None);
-            Some(status)
-        })
-    }
-
     fn send_op(&self, dst: usize, hdr: &[u8], payload: &[u8]) {
         self.wait_for("shmem send", || {
             self.fm
@@ -252,29 +241,42 @@ impl<D: NetDevice + 'static> Shmem<D> {
         })
     }
 
+    /// `dst`'s heap for a copy of `len` bytes at `offset` made here, once
+    /// this PE's message-path ops to `dst` are done; `None` where the
+    /// bytes travel as messages: one chunk or less, or no heap attached
+    /// (another host, a failed attach, `Down`).
+    fn mapped(&self, dst: usize, offset: usize, len: usize) -> Option<Result<Heap, OsStatus>> {
+        if len <= CHUNK_BYTES {
+            return None;
+        }
+        self.fm.same_host_pid(dst)?;
+        let heap = self.state.borrow().heaps.get(dst)?.clone()?;
+        self.wait_for("shmem put order", || {
+            (self.port.pending_ops_to(dst) == 0 && self.accs_quiet()).then_some(())
+        });
+        let inside = offset
+            .checked_add(len)
+            .is_some_and(|end| end <= self.heap.len());
+        Some(inside.then_some(heap).ok_or(OsStatus::OutOfBounds))
+    }
+
     /// One-sided put: write `data` into `dst`'s heap at `offset`. The
-    /// caller may reuse `data` on return. Up to one chunk, or to a peer
-    /// on another host, `data` is copied at once and lands in the remote
-    /// heap packet by packet; completion (remotely visible) is
-    /// guaranteed only after [`Shmem::quiet`]. On a same-host link a
-    /// longer put sends only a header, and the target reads the bytes
-    /// straight out of `data` into its heap — one kernel copy, where
-    /// packets would be copied into the ring and out again — so this
-    /// returns once the target has read them, which needs the target to
-    /// progress, as [`Shmem::get`] does. A target that cannot read this
-    /// process gets the bytes as packets instead.
+    /// caller may reuse `data` on return. To a PE whose heap this one
+    /// has mapped (module docs), a put longer than one chunk is copied
+    /// into that heap here and now. Otherwise `data` is copied at once
+    /// and lands in the remote heap packet by packet; completion
+    /// (remotely visible) is guaranteed only after [`Shmem::quiet`].
     pub fn put(&self, dst: usize, offset: usize, data: &[u8]) {
-        let offset = offset as u64;
-        if self.fm.same_host_pid(dst).is_some() {
-            if let Some(token) = self.port.put_in_place(dst, self.heap_h, offset, data) {
-                match self.wait_tracked(token.0) {
-                    OsStatus::Ok => return,
-                    OsStatus::Declined => {}
-                    refused => return self.put_failures.borrow_mut().push(refused),
-                }
+        match self.mapped(dst, offset, data.len()) {
+            Some(Ok(heap)) => {
+                heap.write(offset, data);
+                self.fm.charge_memcpy(data.len());
+            }
+            Some(Err(status)) => self.refused.borrow_mut().push((None, status)),
+            None => {
+                self.port.put(dst, self.heap_h, offset as u64, data);
             }
         }
-        self.port.put(dst, self.heap_h, offset, data);
     }
 
     /// Statuses of puts refused by their target (bad offset, stale
@@ -282,7 +284,8 @@ impl<D: NetDevice + 'static> Shmem<D> {
     /// remotely still counts as complete for [`Shmem::quiet`] — SHMEM
     /// has no reply channel for puts, so refusals surface here.
     pub fn take_put_failures(&self) -> Vec<OsStatus> {
-        std::mem::take(&mut self.put_failures.borrow_mut())
+        let refused = std::mem::take(&mut *self.refused.borrow_mut());
+        refused.into_iter().map(|(_, status)| status).collect()
     }
 
     /// Block until every put and accumulate issued by this node has
@@ -292,19 +295,32 @@ impl<D: NetDevice + 'static> Shmem<D> {
     pub fn quiet(&self) {
         self.wait_for("shmem quiet", || {
             self.drain_completions();
-            let accs_quiet = self.state.borrow().acc_acks >= self.accs_issued.get();
-            (self.port.pending_ops() == 0 && accs_quiet).then_some(())
-        })
+            (self.port.pending_ops() == 0 && self.accs_quiet()).then_some(())
+        });
+        // Orders this PE's copies into mapped heaps before later stores;
+        // the target acquires them with the next ring packet's stamp.
+        fence(Ordering::Release);
+    }
+
+    fn accs_quiet(&self) -> bool {
+        self.state.borrow().acc_acks >= self.accs_issued.get()
     }
 
     /// One-sided get: read `len` bytes from `dst`'s heap at `offset`
     /// (blocking). The reply lands straight in the result buffer, no
-    /// bounce copy: through the one-sided layer's sink, or, on a
-    /// same-host link and longer than a chunk, read out of the target's
-    /// heap by this process in one kernel copy.
+    /// bounce copy: through the one-sided layer's sink, or, longer than
+    /// a chunk from a PE whose heap this one has mapped, copied out of
+    /// that heap here, with no message at all.
     pub fn get(&self, dst: usize, offset: usize, len: usize) -> Vec<u8> {
         if len == 0 {
             return Vec::new();
+        }
+        if let Some(heap) = self.mapped(dst, offset, len) {
+            let heap = heap.unwrap_or_else(|status| panic!("get refused by target: {status:?}"));
+            let mut out = vec![0u8; len];
+            heap.read(offset, &mut out);
+            self.fm.charge_memcpy(len);
+            return out;
         }
         let scratch = self
             .port
@@ -314,11 +330,14 @@ impl<D: NetDevice + 'static> Shmem<D> {
             .port
             .get(dst, self.heap_h, offset as u64, scratch, 0, len)
             .expect("scratch window valid");
-        let status = self.wait_tracked(token.0);
-        assert_eq!(status, OsStatus::Ok, "get refused by target: {status:?}");
-        self.port
-            .deregister_owned(scratch)
-            .expect("scratch unpinned after completion")
+        // The scratch is pinned until the get has completed, either way.
+        let out = self.wait_for("shmem get", || self.port.deregister_owned(scratch).ok());
+        self.drain_completions();
+        let refused = self.refused.borrow();
+        if let Some((_, status)) = refused.iter().find(|r| r.0 == Some(token)) {
+            panic!("get refused by target: {status:?}");
+        }
+        out
     }
 
     /// One-sided elementwise f64 accumulate into `dst`'s heap. Covered by
@@ -398,6 +417,11 @@ impl<D: NetDevice + 'static> Shmem<D> {
             dist *= 2;
             round += 1;
         }
+        // Every same-host PE sent its heap's id before entering this
+        // barrier: wait for any still on the way.
+        self.wait_for("shmem heap handshake", || {
+            (self.state.borrow().heard >= self.local).then_some(())
+        });
     }
 }
 
@@ -407,12 +431,12 @@ mod tests {
     use fm_core::device::{LoopbackDevice, LoopbackPair};
     use fm_model::MachineProfile;
 
-    fn pair() -> (Shmem<LoopbackDevice>, Shmem<LoopbackDevice>) {
+    fn pair(heap: usize) -> (Shmem<LoopbackDevice>, Shmem<LoopbackDevice>) {
         let (a, b) = LoopbackPair::new(256);
         let p = MachineProfile::ppro200_fm2();
         (
-            Shmem::new(Fm2Engine::new(a, p), 4096),
-            Shmem::new(Fm2Engine::new(b, p), 4096),
+            Shmem::new(Fm2Engine::new(a, p), heap),
+            Shmem::new(Fm2Engine::new(b, p), heap),
         )
     }
 
@@ -420,9 +444,8 @@ mod tests {
         for _ in 0..12 {
             a.progress();
             b.progress();
-            let fa = a.fm().clone();
-            let fb = b.fm().clone();
-            fa.with_device(|da| fb.with_device(|db| LoopbackPair::deliver(da, db)));
+            a.fm()
+                .with_device(|da| b.fm().with_device(|db| LoopbackPair::deliver(da, db)));
         }
         a.progress();
         b.progress();
@@ -430,7 +453,7 @@ mod tests {
 
     #[test]
     fn put_lands_in_remote_heap() {
-        let (a, b) = pair();
+        let (a, b) = pair(4096);
         a.put(1, 100, &[1, 2, 3, 4]);
         pump(&a, &b);
         assert_eq!(b.local_read(100, 4), vec![1, 2, 3, 4]);
@@ -441,7 +464,7 @@ mod tests {
 
     #[test]
     fn local_read_write_round_trip() {
-        let (a, _b) = pair();
+        let (a, _b) = pair(4096);
         a.local_write(8, &[9, 9]);
         assert_eq!(a.local_read(8, 2), vec![9, 9]);
         assert_eq!(a.heap_len(), 4096);
@@ -451,7 +474,7 @@ mod tests {
 
     #[test]
     fn accumulate_adds_elementwise() {
-        let (a, b) = pair();
+        let (a, b) = pair(4096);
         b.local_write(0, &1.5f64.to_le_bytes());
         a.accumulate_f64(1, 0, &[2.25]);
         pump(&a, &b);
@@ -466,7 +489,7 @@ mod tests {
 
     #[test]
     fn multi_packet_put_is_intact() {
-        let (a, b) = pair();
+        let (a, b) = pair(4096);
         let data: Vec<u8> = (0..3000u32).map(|i| (i % 256) as u8).collect();
         a.put(1, 512, &data);
         pump(&a, &b);
@@ -475,7 +498,7 @@ mod tests {
 
     #[test]
     fn put_beyond_heap_is_refused_with_reported_error() {
-        let (a, b) = pair();
+        let (a, b) = pair(4096);
         a.put(1, 4090, &[0u8; 16]);
         pump(&a, &b);
         a.quiet();
@@ -487,17 +510,8 @@ mod tests {
 
     #[test]
     fn multi_chunk_put_lands_intact() {
-        let (a, b) = pair();
         // Bigger heap so a put of several chunks fits.
-        let (a, b) = {
-            drop((a, b));
-            let (da, db) = LoopbackPair::new(256);
-            let p = MachineProfile::ppro200_fm2();
-            (
-                Shmem::new(Fm2Engine::new(da, p), 128 * 1024),
-                Shmem::new(Fm2Engine::new(db, p), 128 * 1024),
-            )
-        };
+        let (a, b) = pair(128 * 1024);
         let data: Vec<u8> = (0..80_000u32).map(|i| (i % 251) as u8).collect();
         a.put(1, 4096, &data);
         pump(&a, &b);
@@ -511,7 +525,7 @@ mod tests {
     fn a_wait_no_peer_will_satisfy_panics_with_the_diagnosis() {
         // The put leaves, nobody carries it to the peer, no completion
         // ever returns: the wedge limit is `quiet`'s only exit.
-        let (a, _b) = pair();
+        let (a, _b) = pair(4096);
         a.put(1, 0, &[1u8; 8]);
         a.quiet();
     }

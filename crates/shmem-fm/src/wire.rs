@@ -3,6 +3,8 @@
 //! Fixed-size little-endian headers, payload (when any) as a second gather
 //! piece.
 
+use fm_shm::heap::HeapId;
+
 /// Shmem operation kinds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Op {
@@ -39,6 +41,8 @@ pub enum Op {
         /// Dissemination round within the epoch.
         round: u32,
     },
+    /// The sender's heap, for a PE on its host to attach.
+    Heap(HeapId),
 }
 
 /// Encoded header size (fixed for simplicity; small next to any payload).
@@ -70,6 +74,12 @@ impl Op {
                 b[4..8].copy_from_slice(&round.to_le_bytes());
                 b[8..16].copy_from_slice(&epoch.to_le_bytes());
             }
+            Op::Heap(id) => {
+                b[0] = 9;
+                b[4..8].copy_from_slice(&id.fd.to_le_bytes());
+                b[8..16].copy_from_slice(&id.dev.to_le_bytes());
+                b[16..24].copy_from_slice(&id.ino.to_le_bytes());
+            }
         }
         b
     }
@@ -99,6 +109,11 @@ impl Op {
                 epoch: u64_at(8),
                 round: u32_at(4),
             },
+            9 => Op::Heap(HeapId {
+                fd: u32_at(4) as i32,
+                dev: u64_at(8),
+                ino: u64_at(16),
+            }),
             k => panic!("unknown shmem op kind {k}"),
         }
     }
@@ -120,6 +135,11 @@ mod tests {
             },
             Op::FaddReply { req: 2, old: 41 },
             Op::Barrier { epoch: 9, round: 3 },
+            Op::Heap(HeapId {
+                fd: -1,
+                dev: 7,
+                ino: u64::MAX,
+            }),
         ];
         for op in ops {
             assert_eq!(Op::decode(&op.encode()), op, "{op:?}");

@@ -1,7 +1,11 @@
 //! Shmem and Global Arrays over real OS threads.
 
+use std::cell::Cell;
+use std::rc::Rc;
+use std::sync::{Arc, Barrier};
+
 use fm_core::device::DeviceFull;
-use fm_core::{Fm2Engine, FmPacket, NetDevice, PeerEvent, PeerEventKind};
+use fm_core::{Fm2Engine, FmPacket, NetDevice, OsStatus, PeerEvent, PeerEventKind};
 use fm_model::{MachineProfile, Nanos};
 use fm_threaded::{ThreadedCluster, ThreadedDevice};
 use shmem_fm::{GlobalArray, Shmem};
@@ -247,10 +251,9 @@ fn shmem_runs_over_the_shared_memory_transport() {
 #[test]
 fn a_large_put_leaves_its_buffer_free_on_return() {
     // On the threaded ring every peer is on this host, so a put longer
-    // than a chunk is read straight out of the caller's buffer. `put`
-    // returns only once that read is done: a buffer overwritten right
-    // after, before `quiet`, must not show at the target.
-    const KIB: usize = 1024;
+    // than a chunk is copied into the target's mapped heap before `put`
+    // returns: a buffer overwritten right after, before `quiet`, must
+    // not show at the target.
     const SIZES: [usize; 2] = [64 * KIB, 256 * KIB];
     let payload = |i: usize, len: usize| -> Vec<u8> {
         (0..len).map(|j| ((j * 7 + i * 13) % 251) as u8).collect()
@@ -258,8 +261,6 @@ fn a_large_put_leaves_its_buffer_free_on_return() {
     let heap: usize = SIZES.iter().sum();
     let out = ThreadedCluster::run(2, move |pe, dev| {
         let sh = make(dev, heap);
-        // The engine learns its peer shares this host when it first
-        // turns; until then a put copies.
         sh.barrier_all();
         if pe == 0 {
             let mut at = 0;
@@ -286,12 +287,160 @@ fn a_large_put_leaves_its_buffer_free_on_return() {
     );
 }
 
-/// A threaded endpoint that names every same-host peer by a pid one past
-/// the largest the kernel hands out, so every read it is asked to make
-/// fails — as between sibling processes under Yama `ptrace_scope=1`.
-struct Unreadable(ThreadedDevice);
+const KIB: usize = 1024;
 
-impl NetDevice for Unreadable {
+fn pattern(len: usize, seed: usize) -> Vec<u8> {
+    (0..len)
+        .map(|j| ((j * 7 + seed * 31) % 251) as u8)
+        .collect()
+}
+
+#[test]
+fn a_large_put_lands_after_the_small_puts_issued_before_it() {
+    // The small put is a message still queued when the large one, to
+    // the same bytes, is copied into the mapped heap: the copy waits it
+    // out, so the large put's bytes are the ones left.
+    let big = pattern(64 * KIB, 1);
+    let want = big.clone();
+    let out = ThreadedCluster::run(2, move |pe, dev| {
+        let sh = make(dev, 128 * KIB);
+        sh.barrier_all();
+        if pe == 0 {
+            sh.put(1, 0, &[0xAA; 64]);
+            sh.put(1, 0, &big);
+            sh.quiet();
+        }
+        sh.barrier_all();
+        sh.local_read(0, 64 * KIB)
+    });
+    assert!(out[1] == want, "the earlier small put landed last");
+}
+
+#[test]
+fn a_get_after_a_large_put_sees_it_and_neither_sends_a_message() {
+    let big = pattern(64 * KIB, 2);
+    let out = ThreadedCluster::run(2, move |pe, dev| {
+        let sh = make(dev, 128 * KIB);
+        sh.barrier_all();
+        let mut seen = None;
+        if pe == 0 {
+            let before = sh.fm().stats().messages_sent;
+            sh.put(1, 4 * KIB, &big);
+            let large = sh.get(1, 4 * KIB, big.len());
+            let sent = sh.fm().stats().messages_sent - before;
+            // A get of a chunk or less is a message, and sees it too.
+            let small = sh.get(1, 4 * KIB + 100, 64);
+            seen = Some((sent, large == big, small == big[100..164]));
+        }
+        sh.barrier_all();
+        seen
+    });
+    assert_eq!(
+        out[0],
+        Some((0, true, true)),
+        "(messages, large get, small get)"
+    );
+}
+
+#[test]
+fn every_heap_is_attached_by_the_first_barrier() {
+    // Four PEs: right after the first barrier each puts into and gets
+    // from every other PE's heap without a message, whichever PEs it
+    // heard from during the barrier itself.
+    const PES: usize = 4;
+    let out = ThreadedCluster::run(PES, |pe, dev| {
+        let sh = make(dev, PES * 32 * KIB);
+        sh.barrier_all();
+        let before = sh.fm().stats().messages_sent;
+        let mine = pattern(32 * KIB, pe);
+        let mut back = true;
+        for dst in (0..PES).filter(|&d| d != pe) {
+            sh.put(dst, pe * 32 * KIB, &mine);
+            back &= sh.get(dst, pe * 32 * KIB, mine.len()) == mine;
+        }
+        let sent = sh.fm().stats().messages_sent - before;
+        sh.barrier_all();
+        (sent, back)
+    });
+    assert_eq!(
+        out,
+        vec![(0, true); PES],
+        "(messages, gets read back) per PE"
+    );
+}
+
+#[test]
+fn a_heap_outlives_its_owner_while_a_peer_still_copies_into_it() {
+    // Once PE 0 has left the barrier, which attaches PE 1's heap, PE 1
+    // drops its whole context — heap, engine, device. PE 0 has not turned
+    // since, so it still knows PE 1 on this host, and its put and get go
+    // through the heap, which its own reference keeps alive.
+    let (attached, gone) = (Arc::new(Barrier::new(2)), Arc::new(Barrier::new(2)));
+    let out = ThreadedCluster::run(2, move |pe, dev| {
+        let sh = make(dev, 128 * KIB);
+        sh.barrier_all();
+        attached.wait();
+        if pe == 1 {
+            drop(sh);
+            gone.wait();
+            return true;
+        }
+        gone.wait();
+        let data = pattern(64 * KIB, 3);
+        let before = sh.fm().stats().messages_sent;
+        sh.put(1, 0, &data);
+        let back = sh.get(1, 0, data.len());
+        sh.fm().stats().messages_sent == before && back == data
+    });
+    assert!(
+        out[0],
+        "the put and get did not go through the kept mapping"
+    );
+}
+
+#[test]
+fn a_put_to_a_down_same_host_peer_reports_peer_down_and_writes_nothing() {
+    // PE 0's device reports PE 1 `Down` on cue, while PE 1 lives on to
+    // look at its heap.
+    let put_made = Arc::new(Barrier::new(2));
+    let out = ThreadedCluster::run(2, move |pe, dev| {
+        let cue = Rc::new(Cell::new(false));
+        let cued = Rc::clone(&cue);
+        let down = PeerEvent {
+            peer: 1 - pe,
+            kind: PeerEventKind::Down,
+            epoch: 0,
+        };
+        let dev = Doctored(dev, move |ev: Option<PeerEvent>| {
+            ev.or_else(|| cued.take().then_some(down))
+        });
+        let fm = Fm2Engine::new(dev, MachineProfile::ppro200_fm2());
+        let sh = Shmem::new(fm.clone(), 128 * KIB);
+        sh.barrier_all();
+        if pe == 0 {
+            cue.set(true);
+            while !fm.is_peer_down(1) {
+                sh.progress();
+            }
+            sh.put(1, 0, &pattern(64 * KIB, 4));
+            sh.quiet();
+            put_made.wait();
+            return sh.take_put_failures();
+        }
+        put_made.wait();
+        assert!(
+            sh.local_read(0, 64 * KIB).iter().all(|&b| b == 0),
+            "a put to a peer declared down wrote"
+        );
+        Vec::new()
+    });
+    assert_eq!(out[0], [OsStatus::PeerDown]);
+}
+
+/// A threaded endpoint whose peer events pass through `.1` first.
+struct Doctored<F>(ThreadedDevice, F);
+
+impl<F: FnMut(Option<PeerEvent>) -> Option<PeerEvent>> NetDevice for Doctored<F> {
     fn node_id(&self) -> usize {
         self.0.node_id()
     }
@@ -317,29 +466,39 @@ impl NetDevice for Unreadable {
         self.0.is_lossy()
     }
     fn poll_event(&mut self) -> Option<PeerEvent> {
-        let mut ev = self.0.poll_event()?;
-        if let PeerEventKind::SameHost { .. } = ev.kind {
-            let pid_max: u32 = std::fs::read_to_string("/proc/sys/kernel/pid_max")
-                .ok()
-                .and_then(|s| s.trim().parse().ok())
-                .unwrap_or(1 << 22);
-            ev.kind = PeerEventKind::SameHost { pid: pid_max + 1 };
-        }
-        Some(ev)
+        (self.1)(self.0.poll_event())
     }
+}
+
+/// Names every same-host peer by a pid one past the largest the kernel
+/// hands out, so no heap of theirs can be attached and none of their
+/// memory read — as between sibling processes under Yama
+/// `ptrace_scope=1`.
+fn unreadable(mut ev: Option<PeerEvent>) -> Option<PeerEvent> {
+    if let Some(PeerEvent {
+        kind: PeerEventKind::SameHost { pid },
+        ..
+    }) = ev.as_mut()
+    {
+        let pid_max: u32 = std::fs::read_to_string("/proc/sys/kernel/pid_max")
+            .ok()
+            .and_then(|s| s.trim().parse().ok())
+            .unwrap_or(1 << 22);
+        *pid = pid_max + 1;
+    }
+    ev
 }
 
 #[test]
 fn a_large_put_the_target_cannot_read_lands_over_packets() {
-    // The first large put leaves as one PULL naming the caller's buffer;
-    // the target cannot read it, so it is handed back and goes again as
-    // four 16 KiB chunks. The second goes straight to the chunks.
-    const KIB: usize = 1024;
+    // The target's heap cannot be attached, and a port over a shared
+    // heap never pulls: each large put goes as four 16 KiB chunks, from
+    // the first.
     let payload =
         |i: usize| -> Vec<u8> { (0..64 * KIB).map(|j| ((j + i * 31) % 253) as u8).collect() };
     let out = ThreadedCluster::run(2, move |pe, dev| {
         let sh = Shmem::new(
-            Fm2Engine::new(Unreadable(dev), MachineProfile::ppro200_fm2()),
+            Fm2Engine::new(Doctored(dev, unreadable), MachineProfile::ppro200_fm2()),
             128 * KIB,
         );
         sh.barrier_all();
@@ -355,8 +514,8 @@ fn a_large_put_the_target_cannot_read_lands_over_packets() {
         sh.barrier_all();
         (sent, sh.take_put_failures(), sh.local_read(0, 128 * KIB))
     });
-    assert_eq!(out[0].0, [5, 4], "messages each put sent");
-    assert_eq!(out[0].1, [], "a decline reached the caller");
+    assert_eq!(out[0].0, [4, 4], "messages each put sent");
+    assert_eq!(out[0].1, [], "a put was refused");
     let want: Vec<u8> = (0..2).flat_map(payload).collect();
-    assert!(out[1].2 == want, "a declined put did not land intact");
+    assert!(out[1].2 == want, "a put over packets did not land intact");
 }
