@@ -898,8 +898,6 @@ fn shmem_workload<D: fm_core::NetDevice + 'static>(fm: &Fm2Engine<D>, opts: &Opt
     let before = fm.stats().messages_sent;
     sh.put(next, 0, &pattern(me, 0, SIZES[0]));
     sh.put(next, SIZES[0], &pattern(me, SIZES[0], SIZES[1]));
-    // A get over messages may overtake the puts before it: quiet first.
-    sh.quiet();
     let back = sh.get(next, 0, SIZES[0]);
     let bulk_msgs = fm.stats().messages_sent - before;
     assert!(

@@ -12,7 +12,7 @@
 
 use std::cell::RefCell;
 use std::collections::VecDeque;
-use std::rc::Rc;
+use std::rc::{Rc, Weak};
 
 use fm_model::{MachineProfile, Nanos};
 
@@ -25,7 +25,7 @@ use crate::packet::HandlerId;
 use crate::stats::FmStats;
 
 use super::exec::{Fm2HandlerFn, SyncHandler, Task};
-use super::send::DeferredSend;
+use super::send::{Message, SendQueue};
 use super::stream::FmStream;
 
 /// The stream face's state over the shared [`EngineCore`].
@@ -46,7 +46,10 @@ pub(super) struct Inner<D: NetDevice> {
     /// that a handler task in steady state allocates only its future.
     /// Never longer than the most tasks that were open at once.
     pub(super) idle_streams: Vec<FmStream>,
-    pub(super) deferred: VecDeque<DeferredSend>,
+    /// High-water `send_space` observation = the NIC queue's capacity
+    /// (it is empty at construction). `send_space == nic_capacity` means
+    /// the uplink is idle.
+    pub(super) nic_capacity: usize,
     pub(super) local: VecDeque<(HandlerId, PacketBuf)>,
     /// Distinguishes concurrently-pending local (self-send) handler tasks;
     /// local tasks count `msg_seq` down from `u32::MAX` under this node's
@@ -82,13 +85,15 @@ fn packet_costs(profile: &MachineProfile) -> PacketCosts {
 /// engine.
 pub struct Fm2Engine<D: NetDevice> {
     pub(super) inner: Rc<RefCell<Inner<D>>>,
+    /// Sends FM could not admit yet, one FIFO per destination (`send.rs`),
+    /// in a cell of its own: a pass keeps it borrowed while it calls FM.
+    pub(super) sendq: Rc<RefCell<SendQueue>>,
 }
 
 impl<D: NetDevice> Clone for Fm2Engine<D> {
     fn clone(&self) -> Self {
-        Fm2Engine {
-            inner: Rc::clone(&self.inner),
-        }
+        let (inner, sendq) = (Rc::clone(&self.inner), Rc::clone(&self.sendq));
+        Fm2Engine { inner, sendq }
     }
 }
 
@@ -106,14 +111,14 @@ impl<D: NetDevice> Clone for Fm2Engine<D> {
 /// Handlers only run while the engine is polled from `FM_extract`, so
 /// the engine is always alive when these methods execute.
 pub struct Fm2Handle<D: NetDevice> {
-    inner: std::rc::Weak<RefCell<Inner<D>>>,
+    inner: Weak<RefCell<Inner<D>>>,
+    sendq: Weak<RefCell<SendQueue>>,
 }
 
 impl<D: NetDevice> Clone for Fm2Handle<D> {
     fn clone(&self) -> Self {
-        Fm2Handle {
-            inner: std::rc::Weak::clone(&self.inner),
-        }
+        let (inner, sendq) = (Weak::clone(&self.inner), Weak::clone(&self.sendq));
+        Fm2Handle { inner, sendq }
     }
 }
 
@@ -121,12 +126,10 @@ impl<D: NetDevice> Fm2Handle<D> {
     /// The live engine. Panics if the engine was dropped, which cannot
     /// happen from inside a running handler.
     fn engine(&self) -> Fm2Engine<D> {
-        Fm2Engine {
-            inner: self
-                .inner
-                .upgrade()
-                .expect("handler outlived its Fm2Engine"),
-        }
+        let gone = "handler outlived its Fm2Engine";
+        let inner = self.inner.upgrade().expect(gone);
+        let sendq = self.sendq.upgrade().expect(gone);
+        Fm2Engine { inner, sendq }
     }
 
     /// See [`Fm2Engine::node_id`].
@@ -160,13 +163,8 @@ impl<D: NetDevice> Fm2Handle<D> {
     }
 
     /// See [`Fm2Engine::send_from_handler`].
-    pub fn send_from_handler(&self, dst: usize, handler: HandlerId, data: Vec<u8>) {
-        self.engine().send_from_handler(dst, handler, data);
-    }
-
-    /// See [`Fm2Engine::send_pieces_from_handler`].
-    pub fn send_pieces_from_handler(&self, dst: usize, handler: HandlerId, pieces: Vec<Vec<u8>>) {
-        self.engine().send_pieces_from_handler(dst, handler, pieces);
+    pub fn send_from_handler<'a>(&self, dst: usize, id: HandlerId, msg: impl Into<Message<'a>>) {
+        self.engine().send_from_handler(dst, id, msg);
     }
 }
 
@@ -177,13 +175,16 @@ impl<D: NetDevice> Fm2Engine<D> {
         let costs = packet_costs(&profile);
         let tasks = (0..device.num_nodes()).map(|_| Vec::new()).collect();
         Fm2Engine {
+            sendq: SendQueue::new(device.num_nodes()),
             inner: Rc::new(RefCell::new(Inner {
+                // The NIC queue is empty at construction: its free space
+                // is its capacity, the send queue's uplink-idle mark.
+                nic_capacity: device.send_space(),
                 core: EngineCore::new(device, profile, costs),
                 handlers: HandlerTable::new(),
                 sync_handlers: HandlerTable::new(),
                 tasks,
                 idle_streams: Vec::new(),
-                deferred: VecDeque::new(),
                 local: VecDeque::new(),
                 local_task_counter: 0,
                 peer_handler: None,
@@ -221,9 +222,8 @@ impl<D: NetDevice> Fm2Engine<D> {
     /// A weak handle safe to capture inside handler closures (a strong
     /// clone there would cycle and leak the engine — see [`Fm2Handle`]).
     pub fn handle(&self) -> Fm2Handle<D> {
-        Fm2Handle {
-            inner: Rc::downgrade(&self.inner),
-        }
+        let (inner, sendq) = (Rc::downgrade(&self.inner), Rc::downgrade(&self.sendq));
+        Fm2Handle { inner, sendq }
     }
 
     /// Number of nodes in the network.
@@ -323,7 +323,7 @@ impl<D: NetDevice> Fm2Engine<D> {
     /// Apply pending membership transitions, then run the application's
     /// peer callback for each: the core resets the shared per-peer
     /// protocol state, this face aborts the handler tasks fed by, and
-    /// the deferred sends held for, a peer that died or restarted.
+    /// the queued sends held for, a peer that died or restarted.
     pub(super) fn drain_peer_events(&self) {
         let (events, handler) = {
             let mut inner = self.inner.borrow_mut();
@@ -332,7 +332,9 @@ impl<D: NetDevice> Fm2Engine<D> {
             while let Some(ev) = inner.core.poll_peer_event() {
                 if matches!(ev.kind, PeerEventKind::Down | PeerEventKind::Rejoining) {
                     inner.tasks[ev.peer].clear();
-                    inner.deferred.retain(|d| d.dst != ev.peer);
+                    // A started stream's sequence numbers belong to the
+                    // peer's old incarnation.
+                    self.sendq.borrow_mut().fifos[ev.peer].clear();
                 }
                 events.push(ev);
             }

@@ -39,8 +39,8 @@
 //!
 //! One file per concern: [`Fm2Engine`] itself (type, constructors,
 //! accessors, membership drain) in `engine.rs`, the send verbs and the
-//! deferred queue in `send.rs`, the handler tables, `FM_extract` and the
-//! handler executor in `exec.rs`.
+//! queue of the sends FM cannot admit yet in `send.rs`, the handler
+//! tables, `FM_extract` and the handler executor in `exec.rs`.
 
 mod engine;
 mod exec;
@@ -50,5 +50,6 @@ mod stream;
 
 pub use engine::{Fm2Engine, Fm2Handle};
 pub use exec::{Fm2HandlerFn, SinkHandlerFn, SinkMeta};
+pub use send::{Message, SentFlag, INLINE_HEAD};
 pub use sendstream::SendStream;
 pub use stream::FmStream;

@@ -1,11 +1,25 @@
 //! The FM 2.x send side: `FM_begin_message` / `FM_send_piece` /
 //! `FM_end_message`, the two gather conveniences built on them, and the
-//! deferred queue of handler-initiated sends.
+//! engine's queue of the sends FM cannot admit yet.
 //!
-//! [`Fm2Engine::try_send_rest`] is the one resume loop in the tree: the
-//! deferred-queue flush below, MPI-FM's pending heads and the one-sided
-//! chunk pump all park a [`SendStream`] and call it again with the same
-//! piece list — none of them keeps a byte or piece cursor of its own.
+//! A send waits in that queue when it comes from a handler
+//! ([`Fm2Engine::send_from_handler`], which always queues: handlers
+//! cannot block on credits) or when FM refuses it whole
+//! ([`Fm2Engine::send_or_queue`], which sends at once when it can). The
+//! queue is one FIFO per destination with an arrival stamp on every
+//! entry; a pass serves the heads oldest first, and stops at a stalled
+//! head while the NIC still holds packets (DESIGN.md §5, decision 7).
+//! Layers above keep no send queue of their own: MPI-FM 2.x's sends and
+//! CTSs wait here beside the handler replies of `shmem` and sockets.
+//!
+//! [`Fm2Engine::try_send_rest`] is the one resume loop in the tree: this
+//! queue's pass and the one-sided chunk pump park a [`SendStream`] and
+//! call it again with the same piece list — neither keeps a byte or
+//! piece cursor of its own.
+
+use std::cell::{Cell, RefCell};
+use std::collections::VecDeque;
+use std::rc::Rc;
 
 use fm_model::Nanos;
 
@@ -19,17 +33,117 @@ use crate::packet::{HandlerId, PacketFlags};
 use super::engine::Fm2Engine;
 use super::sendstream::SendStream;
 
-/// A handler-initiated send, possibly mid-flight: deferred sends stream
-/// through a [`SendStream`] so that messages of *any* size (including
-/// larger than the credit window) make incremental progress — FIFO, so
-/// deferred sends never overtake each other.
-pub(super) struct DeferredSend {
-    pub(super) dst: usize,
+/// Header bytes a queued [`Message`] keeps inline: MPI-FM's header and
+/// `shmem`'s op are 24 bytes.
+pub const INLINE_HEAD: usize = 24;
+
+/// A message handed to the engine whole: a short header and an owned
+/// body, sent as the two pieces of one gather message — no assembly
+/// copy. If it has to wait in the send queue, the header is copied
+/// inline and the body moved, so queuing allocates nothing the caller
+/// did not hand over.
+pub struct Message<'a> {
+    head: &'a [u8],
+    body: Option<Vec<u8>>,
+}
+
+impl<'a> Message<'a> {
+    /// `head` ⧺ `body`; `None` for a message that is its header alone,
+    /// which offers FM one piece (a body is offered even when empty).
+    ///
+    /// # Panics
+    /// Panics if `head` is longer than [`INLINE_HEAD`].
+    #[inline]
+    pub fn new(head: &'a [u8], body: Option<Vec<u8>>) -> Self {
+        assert!(head.len() <= INLINE_HEAD, "header too long to hold inline");
+        Message { head, body }
+    }
+}
+
+/// A body alone, as a handler's reply usually is.
+impl From<Vec<u8>> for Message<'_> {
+    fn from(body: Vec<u8>) -> Self {
+        Message::new(&[], Some(body))
+    }
+}
+
+/// Run `f` over a message's pieces: the header, then the body if any.
+fn with_pieces<R>(head: &[u8], body: &Option<Vec<u8>>, f: impl FnOnce(&[&[u8]]) -> R) -> R {
+    match body {
+        Some(body) => f(&[head, body]),
+        None => f(&[head]),
+    }
+}
+
+/// Set by the engine once a message given to
+/// [`Fm2Engine::send_or_queue`] is wholly handed to FM; shared with
+/// whoever waits on that (MPI-FM's send requests).
+pub type SentFlag = Rc<Cell<bool>>;
+
+/// A send FM could not admit yet, behind the earlier ones to its peer
+/// in the engine's queue: one FIFO per destination. FM's delivery order
+/// is per (source, destination) pair, so a send stalled on one peer's
+/// credit window holds back only the later sends *to that peer*, and
+/// another peer's open window can soak up the uplink time the stall
+/// would otherwise waste. Queued sends *stream*: each attempt resumes the
+/// open message with `try_send_rest`, which pushes as many packets as
+/// credits allow, so a message of any size (even larger than the credit
+/// window) completes.
+pub(super) struct Queued {
+    /// Arrival order over all peers: a pass visits heads oldest first.
+    stamp: u64,
     handler: HandlerId,
-    pieces: Vec<Vec<u8>>,
-    /// The open stream once sending has started; it alone knows how far
-    /// the message got.
+    head: [u8; INLINE_HEAD],
+    head_len: u8,
+    body: Option<Vec<u8>>,
+    sent: Option<SentFlag>,
+    /// The open message once sending has started; it alone knows how
+    /// far the message got.
     started: Option<SendStream>,
+}
+
+/// The engine's sends FM could not admit yet: one FIFO of [`Queued`]
+/// per destination. It sits in a cell of its own so that a pass keeps it
+/// borrowed while it calls FM.
+pub(super) struct SendQueue {
+    pub(super) fifos: Vec<VecDeque<Queued>>,
+    next_stamp: u64,
+    /// Test probes: heads a pass looked at (the complexity pin), and
+    /// whether passes run the arrival-order scan this scheduler replaced
+    /// (the reference model).
+    #[cfg(test)]
+    pub(super) visits: u64,
+    #[cfg(test)]
+    pub(super) arrival_scan: bool,
+}
+
+impl SendQueue {
+    pub(super) fn new(num_nodes: usize) -> Rc<RefCell<Self>> {
+        Rc::new(RefCell::new(SendQueue {
+            fifos: (0..num_nodes).map(|_| VecDeque::new()).collect(),
+            next_stamp: 0,
+            #[cfg(test)]
+            visits: 0,
+            #[cfg(test)]
+            arrival_scan: false,
+        }))
+    }
+
+    #[inline]
+    fn push(&mut self, dst: usize, handler: HandlerId, msg: Message<'_>, sent: Option<SentFlag>) {
+        let mut head = [0u8; INLINE_HEAD];
+        head[..msg.head.len()].copy_from_slice(msg.head);
+        self.fifos[dst].push_back(Queued {
+            stamp: self.next_stamp,
+            handler,
+            head,
+            head_len: msg.head.len() as u8,
+            body: msg.body,
+            sent,
+            started: None,
+        });
+        self.next_stamp += 1;
+    }
 }
 
 impl<D: NetDevice> Fm2Engine<D> {
@@ -240,21 +354,132 @@ impl<D: NetDevice> Fm2Engine<D> {
     }
 
     /// Queue a message from inside a handler (handlers cannot block on
-    /// credits). Flushed by `extract`/`progress` as capacity allows.
-    pub fn send_from_handler(&self, dst: usize, handler: HandlerId, data: Vec<u8>) {
-        self.send_pieces_from_handler(dst, handler, vec![data]);
+    /// credits): behind what waits for `dst`, flushed by the pass at the
+    /// end of `extract` and by `progress`.
+    pub fn send_from_handler<'a>(&self, dst: usize, id: HandlerId, msg: impl Into<Message<'a>>) {
+        self.sendq.borrow_mut().push(dst, id, msg.into(), None);
     }
 
-    /// Gather variant of [`Fm2Engine::send_from_handler`]: the pieces are
-    /// sent as one message without an assembly copy (used e.g. by MPI's
-    /// rendezvous data path, where the payload must not be copied).
-    pub fn send_pieces_from_handler(&self, dst: usize, handler: HandlerId, pieces: Vec<Vec<u8>>) {
-        self.inner.borrow_mut().deferred.push_back(DeferredSend {
-            dst,
-            handler,
-            pieces,
-            started: None,
-        });
+    /// Send `msg` to `dst` now if nothing waits for `dst` and FM admits
+    /// the whole message; otherwise queue it behind what waits and run a
+    /// pass at once, so that a message wider than the credit window gets
+    /// its first window onto the wire here — an event-driven caller (the
+    /// simulator) would otherwise park a send nothing wakes up to flush.
+    /// `sent` is set once the message is wholly handed to FM, now or by a
+    /// later pass; a send queued for a peer that goes down or restarts is
+    /// dropped and never sets it.
+    pub fn send_or_queue<'a>(
+        &self,
+        dst: usize,
+        handler: HandlerId,
+        msg: impl Into<Message<'a>>,
+        sent: Option<SentFlag>,
+    ) {
+        let msg = msg.into();
+        if self.sendq.borrow().fifos[dst].is_empty() {
+            let send = |p: &[&[u8]]| self.try_send_message(dst, handler, p);
+            if with_pieces(msg.head, &msg.body, send).is_ok() {
+                sent.inspect(|s| s.set(true));
+                return;
+            }
+        }
+        self.sendq.borrow_mut().push(dst, handler, msg, sent);
+        self.pass();
+    }
+
+    /// One pass over the queue: serve the heads oldest first. A head that
+    /// goes out whole uncovers its successor, which takes its place in
+    /// the order; a head that stalls keeps its place for the next pass
+    /// (never reordered: the oldest send keeps uplink priority across
+    /// passes) and takes its peer out of this one. The pass ends when
+    /// every head has had its attempt — the visiting order of one scan
+    /// over all queued sends in arrival order that skips the sends behind
+    /// a stalled one, at the cost of the sends actually attempted.
+    fn pass(&self) {
+        let mut q = self.sendq.borrow_mut();
+        #[cfg(test)]
+        if q.arrival_scan {
+            return self.pass_by_arrival_scan(&mut q);
+        }
+        // Every head stamped below the cursor stalled earlier in this
+        // pass; a successor is always stamped above its predecessor.
+        let mut cursor = 0;
+        while let Some((stamp, dst)) = (q.fifos.iter().enumerate())
+            .filter_map(|(dst, f)| Some((f.front()?.stamp, dst)))
+            .filter(|&(stamp, _)| stamp >= cursor)
+            .min()
+        {
+            cursor = stamp + 1;
+            #[cfg(test)]
+            {
+                q.visits += 1;
+            }
+            if self.push_head(dst, &mut q.fifos[dst]) {
+                continue;
+            }
+            // The head stalled on its peer's *credit window* or on the
+            // NIC queue. While the NIC queue sits idle, a later send to a
+            // peer with an open window soaks up the uplink time the stall
+            // would otherwise waste. But if the NIC still has queued
+            // packets the pass stops at the stall: the uplink isn't idle,
+            // and letting later sends interleave would only delay the
+            // head's completion (which downstream dependency chains —
+            // ring collectives — are waiting on).
+            if !self.nic_idle() {
+                break;
+            }
+        }
+    }
+
+    /// The scheduler this one replaced, kept as the model the tests hold
+    /// it to: one scan over *all* queued sends in arrival order, skipping
+    /// each send whose peer stalled earlier in the pass.
+    #[cfg(test)]
+    fn pass_by_arrival_scan(&self, q: &mut SendQueue) {
+        let mut order: Vec<(u64, usize)> = (q.fifos.iter().enumerate())
+            .flat_map(|(dst, f)| f.iter().map(move |e| (e.stamp, dst)))
+            .collect();
+        order.sort_unstable();
+        let mut blocked = vec![false; q.fifos.len()];
+        for (stamp, dst) in order {
+            q.visits += 1;
+            if blocked[dst] {
+                continue;
+            }
+            assert_eq!(q.fifos[dst].front().map(|e| e.stamp), Some(stamp));
+            if self.push_head(dst, &mut q.fifos[dst]) {
+                continue;
+            }
+            blocked[dst] = true;
+            if !self.nic_idle() {
+                break;
+            }
+        }
+    }
+
+    /// Whether the NIC queue has drained completely (`send_space` back at
+    /// its high-water mark): the uplink is idle.
+    fn nic_idle(&self) -> bool {
+        let mut inner = self.inner.borrow_mut();
+        let space = inner.core.device.send_space();
+        inner.nic_capacity = inner.nic_capacity.max(space);
+        space == inner.nic_capacity
+    }
+
+    /// Push as much of the head of `dst`'s FIFO into FM as it admits,
+    /// parking the partial stream in place. True when the whole message
+    /// is handed over (its flag set), false when it stalled.
+    fn push_head(&self, dst: usize, fifo: &mut VecDeque<Queued>) -> bool {
+        let e = fifo.front_mut().expect("a queued head");
+        let head = &e.head[..e.head_len as usize];
+        let len = head.len() + e.body.as_ref().map_or(0, Vec::len);
+        let ss = (e.started).get_or_insert_with(|| self.begin_message(dst, len, e.handler));
+        if with_pieces(head, &e.body, |p| self.try_send_rest(ss, p)).is_err() {
+            return false;
+        }
+        e.sent.as_ref().inspect(|s| s.set(true));
+        fifo.pop_front();
+        true
     }
 
     /// Resumable gather-send: push the part of `pieces` that `ss` has not
@@ -288,32 +513,22 @@ impl<D: NetDevice> Fm2Engine<D> {
         self.try_end_message(ss)
     }
 
-    /// Flush deferred handler-initiated sends and owed explicit credits.
-    /// Returns true when nothing remains deferred.
+    /// Return owed explicit credits, then run a pass over the queued
+    /// sends (handler-initiated or refused by FM). Returns true when
+    /// nothing remains queued.
     ///
-    /// Deferred sends *stream*: each call pushes as many packets of the
-    /// front message as credits allow, so even a message larger than the
-    /// whole credit window completes across calls. Strictly FIFO.
+    /// Queued sends *stream*: each pass pushes as many packets of every
+    /// head it reaches as credits allow, so even a message larger than
+    /// the whole credit window completes across calls. FIFO per peer.
+    /// The credits go first: MPI-FM's sends are timed in
+    /// `BENCH_sim.json` as attempted after `extract` returned them
+    /// (DESIGN.md §5, decision 7).
     pub fn progress(&self) -> bool {
         self.drain_peer_events();
-        loop {
-            let front = self.inner.borrow_mut().deferred.pop_front();
-            let Some(mut d) = front else { break };
-            let ss = d.started.get_or_insert_with(|| {
-                let total = d.pieces.iter().map(Vec::len).sum();
-                self.begin_message(d.dst, total, d.handler)
-            });
-            if self.try_send_rest(ss, &d.pieces).is_ok() {
-                continue; // fully sent; next deferred message
-            }
-            // Park the partial stream at the front (FIFO order preserved).
-            self.inner.borrow_mut().deferred.push_front(d);
-            break;
-        }
-        let mut inner = self.inner.borrow_mut();
-        inner.core.return_explicit_credits();
-        inner.core.reliability_poll();
-        inner.deferred.is_empty()
+        self.inner.borrow_mut().core.return_explicit_credits();
+        self.pass();
+        self.inner.borrow_mut().core.reliability_poll();
+        self.sendq.borrow().fifos.iter().all(VecDeque::is_empty)
     }
 }
 
@@ -322,11 +537,13 @@ mod tests {
     use std::cell::RefCell;
     use std::rc::Rc;
 
+    use fm_model::rng::{env_cases, DetRng};
     use fm_model::MachineProfile;
 
     use super::*;
-    use crate::device::{LoopbackDevice, LoopbackPair};
+    use crate::device::{DeviceFull, LoopbackDevice, LoopbackPair};
     use crate::fm2::FmStream;
+    use crate::packet::FmPacket;
 
     const H: HandlerId = HandlerId(1);
 
@@ -409,5 +626,238 @@ mod tests {
                 .is_err());
         });
         assert_eq!(supplied, 0);
+    }
+
+    // ---- the send queue ----
+
+    /// This node's NIC toward four peers, as the send queue sees it: a
+    /// bounded queue the test drains by hand, and a log of what was
+    /// emitted in what order. Peers exist only as credit returns.
+    struct Fanout {
+        capacity: usize,
+        /// Destinations of the packets still queued in the NIC.
+        queue: VecDeque<u16>,
+        /// Packets the NIC delivered, per peer, not yet credited back.
+        delivered: Vec<u16>,
+        /// Every data packet handed to the NIC: (dst, msg_seq, pkt_seq).
+        emitted: Vec<(u16, u32, u32)>,
+        inq: VecDeque<FmPacket>,
+    }
+
+    const PEERS: usize = 4;
+
+    impl NetDevice for Fanout {
+        fn node_id(&self) -> usize {
+            0
+        }
+        fn num_nodes(&self) -> usize {
+            PEERS + 1
+        }
+        fn try_send(&mut self, pkt: FmPacket) -> Result<(), DeviceFull> {
+            if self.queue.len() == self.capacity {
+                return Err(DeviceFull);
+            }
+            let h = pkt.header;
+            self.queue.push_back(h.dst);
+            self.emitted.push((h.dst, h.msg_seq, h.pkt_seq));
+            Ok(())
+        }
+        fn try_recv(&mut self) -> Option<FmPacket> {
+            self.inq.pop_front()
+        }
+        fn send_space(&self) -> usize {
+            self.capacity - self.queue.len()
+        }
+        fn now(&self) -> Nanos {
+            Nanos::ZERO
+        }
+        fn charge(&mut self, _cost: Nanos) {}
+    }
+
+    impl Fanout {
+        /// The NIC puts up to `k` queued packets on the wire.
+        fn drain(&mut self, k: usize) {
+            for _ in 0..k.min(self.queue.len()) {
+                let dst = self.queue.pop_front().expect("counted");
+                self.delivered[dst as usize] += 1;
+            }
+        }
+
+        /// `peer` returns `k` of the credits it holds for delivered packets.
+        fn credit(&mut self, peer: usize, k: u16) {
+            if k > 0 {
+                self.delivered[peer] -= k;
+                self.inq.push_back(FmPacket::credit_only(peer as u16, 0, k));
+            }
+        }
+    }
+
+    fn fanout(arrival_scan: bool) -> Fm2Engine<Fanout> {
+        let dev = Fanout {
+            capacity: 16,
+            queue: VecDeque::new(),
+            delivered: vec![0; PEERS + 1],
+            emitted: Vec::new(),
+            inq: VecDeque::new(),
+        };
+        let fm = Fm2Engine::new(dev, MachineProfile::ppro200_fm2());
+        fm.sendq.borrow_mut().arrival_scan = arrival_scan;
+        fm
+    }
+
+    fn visits(fm: &Fm2Engine<Fanout>) -> u64 {
+        fm.sendq.borrow().visits
+    }
+
+    /// A layer's message: a 24-byte header and a body of `size` bytes.
+    fn layered(size: usize) -> Message<'static> {
+        Message::new(&[0; 24], Some(vec![7u8; size]))
+    }
+
+    /// Replay one seeded schedule of sends (some from handlers), NIC
+    /// drains, credit returns and turns of the engine; returns
+    /// everything emitted, in order.
+    fn replay(seed: u64, arrival_scan: bool) -> Vec<(u16, u32, u32)> {
+        // A few 16 KiB messages overrun a 64-packet window mid-message.
+        const SIZES: [usize; 6] = [0, 8, 900, 3_000, 9_000, 16 * 1024];
+        let mut rng = DetRng::seed_from_u64(seed);
+        let fm = fanout(arrival_scan);
+        let mut sent = Vec::new();
+        let mut packets = 0;
+        for _ in 0..rng.range_usize(20, 120) {
+            let peer = rng.range_usize(1, PEERS + 1);
+            match rng.below(100) {
+                0..=44 => {
+                    let size = SIZES[rng.below(SIZES.len() as u64) as usize];
+                    packets += (24 + size).div_ceil(1024);
+                    let flag = SentFlag::default();
+                    if rng.below(4) == 0 {
+                        fm.send_from_handler(peer, H, layered(size));
+                        sent.push(None);
+                    } else {
+                        fm.send_or_queue(peer, H, layered(size), Some(flag.clone()));
+                        sent.push(Some(flag));
+                    }
+                }
+                45..=64 => {
+                    let k = rng.range_usize(1, 17);
+                    fm.with_device(|d| d.drain(k));
+                }
+                65..=84 => fm.with_device(|d| {
+                    let k = rng.below(d.delivered[peer] as u64 + 1) as u16;
+                    d.credit(peer, k);
+                }),
+                _ => {
+                    fm.progress();
+                    fm.extract_all();
+                }
+            }
+        }
+        // Let everything through: the whole schedule must complete.
+        for _ in 0..10_000 {
+            fm.with_device(|d| {
+                d.drain(usize::MAX);
+                for peer in 1..=PEERS {
+                    d.credit(peer, d.delivered[peer]);
+                }
+            });
+            fm.extract_all();
+            if fm.progress() {
+                break;
+            }
+        }
+        assert!(fm.progress(), "seed {seed}: wedged");
+        assert!(sent.iter().flatten().all(|s| s.get()), "seed {seed}");
+        let emitted = fm.with_device(|d| std::mem::take(&mut d.emitted));
+        assert_eq!(emitted.len(), packets, "seed {seed}: every packet, once");
+        emitted
+    }
+
+    #[test]
+    fn the_queue_emits_what_the_arrival_order_scan_emitted() {
+        for case in 0..env_cases(200) as u64 {
+            let seed = 0x5EED_1000 + case;
+            let (got, want) = (replay(seed, false), replay(seed, true));
+            assert_eq!(got, want, "seed {seed}: emission order diverged");
+            // Pairwise FIFO: each peer sees its packets in sequence.
+            for peer in 1..=PEERS as u16 {
+                let seqs: Vec<u32> = (got.iter().filter(|e| e.0 == peer)).map(|e| e.2).collect();
+                assert!(seqs.iter().copied().eq(0..seqs.len() as u32), "seed {seed}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_send_onto_a_stalled_peer_visits_one_head() {
+        // Nobody returns credits: after the first window every send
+        // queues behind a stalled head, and neither it nor a pass may
+        // walk what is queued.
+        let fm = fanout(false);
+        for i in 0..4096u32 {
+            let before = visits(&fm);
+            fm.send_or_queue(1, H, layered(8), None);
+            assert!(visits(&fm) - before <= 1, "send {i}");
+            fm.with_device(|d| d.drain(usize::MAX));
+            let before = visits(&fm);
+            fm.progress();
+            assert!(visits(&fm) - before <= 1, "pass {i}");
+        }
+        assert_eq!(fm.sendq.borrow().fifos[1].len(), 4096 - 64);
+        // The scan it replaced looked at everything queued, every pass.
+        let scan = fanout(true);
+        for _ in 0..4096 {
+            scan.send_or_queue(1, H, layered(8), None);
+            scan.with_device(|d| d.drain(usize::MAX));
+        }
+        assert!(visits(&scan) > 4096 * 1024);
+    }
+
+    #[test]
+    fn a_closed_window_holds_back_only_the_replies_to_its_own_peer() {
+        let fm = fanout(false);
+        // Peer 1's window closes and the NIC drains: the uplink is idle.
+        for _ in 0..64 {
+            fm.send_or_queue(1, H, layered(8), None);
+            fm.with_device(|d| d.drain(usize::MAX));
+        }
+        // Two replies from a handler, the first to the stalled peer.
+        fm.send_from_handler(1, H, vec![1u8; 8]);
+        fm.send_from_handler(2, H, vec![2u8; 8]);
+        assert!(!fm.progress(), "peer 1's reply waits for credits");
+        let last = fm.with_device(|d| *d.emitted.last().expect("sent"));
+        assert_eq!(last, (2, 0, 0), "peer 2's reply went past it");
+        // Credits back: peer 1's reply follows.
+        fm.with_device(|d| d.credit(1, 1));
+        fm.extract_all();
+        assert!(fm.progress());
+        let last = fm.with_device(|d| *d.emitted.last().expect("sent"));
+        assert_eq!(last, (1, 64, 64));
+    }
+
+    #[test]
+    fn queuing_takes_the_body_and_the_header_inline() {
+        // A header-only message offers FM one piece, a header and an
+        // empty body two, exactly as the caller's piece lists would.
+        let (s, _r) = pair();
+        let piece_call = s.profile().host.piece_call_ns;
+        let cost = |msg: Message| {
+            let before = s.now();
+            s.send_or_queue(1, H, msg, None);
+            (s.now() - before).0
+        };
+        let header_only = cost(Message::new(&[1u8; INLINE_HEAD], None));
+        let with_empty_body = cost(Message::new(&[1u8; INLINE_HEAD], Some(Vec::new())));
+        assert_eq!(with_empty_body - header_only, piece_call);
+        let body = vec![5u8; 100];
+        let at = body.as_ptr();
+        s.send_from_handler(1, H, body);
+        let sendq = s.sendq.borrow();
+        let queued = sendq.fifos[1].back().expect("queued");
+        assert_eq!(queued.head_len, 0);
+        assert_eq!(
+            queued.body.as_ref().map(|b| b.as_ptr()),
+            Some(at),
+            "not copied"
+        );
     }
 }

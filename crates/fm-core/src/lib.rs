@@ -92,7 +92,7 @@ pub use buf::{BufPool, PacketBuf, PoolStats};
 pub use device::{NetDevice, PeerEvent, PeerEventKind, SimDevice};
 pub use error::{FmError, WouldBlock};
 pub use fm1::Fm1Engine;
-pub use fm2::{Fm2Engine, Fm2Handle, FmStream, SinkMeta};
+pub use fm2::{Fm2Engine, Fm2Handle, FmStream, Message, SentFlag, SinkMeta};
 pub use obs::{LogHistogram, ObsEvent, ObsSink, SpanKind};
 pub use onesided::{
     Onesided, OnesidedConfig, OsCompletion, OsError, OsPort, OsStatus, OsToken, RegionHandle,

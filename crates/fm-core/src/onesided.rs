@@ -66,11 +66,12 @@ mod peer_mem;
 
 use peer_mem::PeerMem;
 
-/// Handler id carrying one-sided control traffic (GET/FIN) and granted
-/// DATA segments. Installed as a per-packet sink.
+/// Handler id carrying FINs and granted DATA segments. Installed as a
+/// per-packet sink.
 pub const ONESIDED_HANDLER: HandlerId = HandlerId(140);
-/// Handler id carrying puts (header + payload, one message per chunk).
-/// Installed as a per-packet sink into the same landing path.
+/// Handler id carrying puts (header + payload, one message per chunk)
+/// and gets (a header alone). Installed as a per-packet sink into the
+/// same landing path.
 pub const OS_EAGER_HANDLER: HandlerId = HandlerId(141);
 
 /// Bytes of the on-wire op header. Smaller than every profile's MTU, so
@@ -461,7 +462,9 @@ enum JobSrc {
 /// A payload to stream: chunk-sized FM messages on its lane's handler,
 /// every one under `hdr` — a put's own header (token, handle, offset,
 /// length) or DATA tagged with the transfer credit its receiver granted.
-/// Either way `hdr`'s `a` is the job's id in its lane.
+/// Either way `hdr`'s `a` is the job's id in its lane. A get is a job
+/// with no payload: one message of its header alone, queued with the
+/// puts so it leaves after those issued before it.
 struct SendJob {
     dst: usize,
     lane: Lane,
@@ -575,7 +578,7 @@ struct OsCore {
     grants: HashMap<GrantKey, Grant>,
     /// In-progress multi-packet messages: (src, msg_seq) → their entry.
     rx: HashMap<(usize, u32), GrantKey>,
-    /// Control frames awaiting a credit slot on the wire.
+    /// FINs awaiting a credit slot on the wire.
     outbox: VecDeque<(usize, OpHeader)>,
     /// Payload jobs awaiting streaming by the driver.
     jobs: VecDeque<SendJob>,
@@ -719,20 +722,28 @@ impl OsCore {
         Ok(xfer)
     }
 
-    /// Queue `len` bytes of `src` as DATA into `dst`'s credit `xfer`.
-    fn send_data(&mut self, dst: usize, xfer: u32, src: JobSrc, len: usize) {
-        self.jobs.push_back(SendJob {
+    /// Queue `len` bytes of `src` for `dst`, each chunk a message under
+    /// `hdr` on `lane`'s handler (a get's header goes alone).
+    fn push_job(&mut self, dst: usize, lane: Lane, hdr: OpHeader, src: JobSrc, len: usize) {
+        let (hdr, cursor) = (hdr.encode(), 0);
+        let job = SendJob {
             dst,
-            lane: Lane::Xfer,
-            hdr: OpHeader {
-                a: xfer,
-                ..OpHeader::zero(OP_DATA)
-            }
-            .encode(),
+            lane,
+            hdr,
             src,
             len,
-            cursor: 0,
-        });
+            cursor,
+        };
+        self.jobs.push_back(job);
+    }
+
+    /// Queue `len` bytes of `src` as DATA into `dst`'s credit `xfer`.
+    fn send_data(&mut self, dst: usize, xfer: u32, src: JobSrc, len: usize) {
+        let hdr = OpHeader {
+            a: xfer,
+            ..OpHeader::zero(OP_DATA)
+        };
+        self.push_job(dst, Lane::Xfer, hdr, src, len);
     }
 
     // -- initiator-side API ------------------------------------------
@@ -757,23 +768,16 @@ impl OsCore {
             pulled: None,
         };
         self.ops.insert(token, op);
-        self.jobs.push_back(SendJob {
-            dst,
-            lane: Lane::Op,
-            hdr: OpHeader {
-                op: OP_PUT,
-                a: token,
-                b: h.index,
-                c: h.epoch,
-                d: offset,
-                e: len as u64,
-                f: 0,
-            }
-            .encode(),
-            src,
-            len,
-            cursor: 0,
-        });
+        let hdr = OpHeader {
+            op: OP_PUT,
+            a: token,
+            b: h.index,
+            c: h.epoch,
+            d: offset,
+            e: len as u64,
+            f: 0,
+        };
+        self.push_job(dst, Lane::Op, hdr, src, len);
         OsToken(token)
     }
 
@@ -825,18 +829,19 @@ impl OsCore {
             pulled: None,
         };
         self.ops.insert(token, op);
-        self.outbox.push_back((
-            dst,
-            OpHeader {
-                op: OP_GET,
-                a: token,
-                b: remote_h.index,
-                c: remote_h.epoch,
-                d: remote_off,
-                e: len as u64,
-                f: xfer as u64,
-            },
-        ));
+        let hdr = OpHeader {
+            op: OP_GET,
+            a: token,
+            b: remote_h.index,
+            c: remote_h.epoch,
+            d: remote_off,
+            e: len as u64,
+            f: xfer as u64,
+        };
+        // In the job queue, not the outbox: a get of a window this port
+        // is still putting to must leave after those puts, or it reads
+        // the bytes from before them.
+        self.push_job(dst, Lane::Op, hdr, JobSrc::Owned(Vec::new()), 0);
         Ok(OsToken(token))
     }
 
@@ -1552,11 +1557,12 @@ impl<D: NetDevice> Onesided<D> {
     }
 
     /// Move queued protocol work onto the wire: charge sink copies to
-    /// the cost model, abort ops to downed peers, flush control frames
-    /// and stream put/DATA jobs as credits allow. Returns `true` when
-    /// nothing remains queued and no peer is still to read a DATA job's
-    /// source (completions queue for [`OsPort::poll_completion`]).
-    /// Call from the transport's pump loop alongside `extract`.
+    /// the cost model, abort ops to downed peers, flush FINs and stream
+    /// put/get/DATA jobs, in issue order, as credits allow. Returns
+    /// `true` when nothing remains queued and no peer is still to read a
+    /// DATA job's source (completions queue for
+    /// [`OsPort::poll_completion`]). Call from the transport's pump loop
+    /// alongside `extract`.
     pub fn progress(&mut self) -> bool {
         self.fm.progress();
         let copied = std::mem::take(&mut self.port.core.borrow_mut().pending_copy_bytes);
@@ -1574,23 +1580,22 @@ impl<D: NetDevice> Onesided<D> {
             }
             self.port.core.borrow_mut().abort_peers(&downed);
         }
-        let mut blocked = false;
         loop {
             let next = self.port.core.borrow_mut().outbox.pop_front();
             let Some((dst, hdr)) = next else { break };
+            let fin = hdr.encode();
             if self
                 .fm
-                .try_send_message(dst, ONESIDED_HANDLER, &[&hdr.encode()])
+                .try_send_message(dst, ONESIDED_HANDLER, &[&fin])
                 .is_err()
             {
                 self.port.core.borrow_mut().outbox.push_front((dst, hdr));
-                blocked = true;
-                break;
+                return false;
             }
         }
         let fm = self.fm.clone();
         let same_host = |dst| fm.same_host_pid(dst).is_some();
-        while !blocked {
+        loop {
             if self.active.is_none() {
                 let Some((job, pull)) = self.port.core.borrow_mut().next_job(same_host) else {
                     break;
@@ -1601,23 +1606,29 @@ impl<D: NetDevice> Onesided<D> {
                     pull,
                 });
             }
-            if self.pump_active() {
-                let act = self.active.take().expect("pump_active had an active job");
-                let mut core = self.port.core.borrow_mut();
-                match act.pull {
-                    true => core.await_fin(act.job),
-                    false => core.finish_job_src(&act.job.src),
-                }
-            } else {
-                blocked = true;
+            if !self.pump_active() {
+                return false;
+            }
+            let act = self.active.take().expect("pump_active had an active job");
+            let mut core = self.port.core.borrow_mut();
+            match act.pull {
+                true => core.await_fin(act.job),
+                false => core.finish_job_src(&act.job.src),
             }
         }
+        self.is_idle()
+    }
+
+    /// Whether [`progress`](Self::progress) has nothing to move: no
+    /// control frame or job queued or streaming, no peer still to read a
+    /// DATA job's source, no sink copy left to charge.
+    pub fn is_idle(&self) -> bool {
         let core = self.port.core.borrow();
-        !blocked
-            && core.outbox.is_empty()
+        core.outbox.is_empty()
             && core.jobs.is_empty()
             && self.active.is_none()
             && core.pulled_data.is_empty()
+            && core.pending_copy_bytes == 0
     }
 
     /// Stream the active job as far as credits allow. Returns `true`
@@ -1633,7 +1644,8 @@ impl<D: NetDevice> Onesided<D> {
                 .is_ok();
         }
         let chunk_max = core.cfg.chunk_bytes.max(1);
-        while act.job.cursor < act.job.len {
+        // At least one message: a get's header goes alone.
+        loop {
             let at = act.job.cursor;
             let clen = chunk_max.min(act.job.len - at);
             let ss = act.open.get_or_insert_with(|| {
@@ -1651,8 +1663,10 @@ impl<D: NetDevice> Onesided<D> {
             }
             act.open = None;
             act.job.cursor += clen;
+            if act.job.cursor == act.job.len {
+                return true;
+            }
         }
-        true
     }
 }
 
@@ -1814,6 +1828,32 @@ mod tests {
         let mut out = vec![0u8; data.len()];
         p.a.port().read_local(local, 128, &mut out).unwrap();
         assert_eq!(out, data);
+    }
+
+    #[test]
+    fn a_get_issued_after_a_put_reads_the_put() {
+        let mut p = Pair::new();
+        let remote = p.b.register(0, 60 * 1024).unwrap();
+        let local = p.a.register(0, 60 * 1024).unwrap();
+        // Fourteen chunks and a runt, more than one credit window, then a
+        // get of the same window, both issued before anything moved.
+        let data = pattern(56 * 1024 + 13, 17);
+        let put = p.a.put(1, remote, 0, &data);
+        let get = p.a.get(1, remote, 0, local, 0, data.len()).unwrap();
+        let mut seen = Vec::new();
+        p.pump_until(|p| {
+            seen.extend(p.a.poll_completion());
+            seen.len() == 2
+        });
+        seen.sort_by_key(|c| c.token.0);
+        let ok = |token| OsCompletion {
+            token,
+            status: OsStatus::Ok,
+        };
+        assert_eq!(seen, [ok(put), ok(get)]);
+        let mut out = vec![0u8; data.len()];
+        p.a.port().read_local(local, 0, &mut out).unwrap();
+        assert!(out == data, "the get read the window from before the put");
     }
 
     #[test]

@@ -37,6 +37,13 @@
 //!    still lands bit-exact, over packets;
 //! 9. a port over an arena its same-host peers map themselves
 //!    (`Onesided::with_arena`) pulls nothing and streams every payload.
+//!
+//! And the wire itself:
+//!
+//! 10. seeded random and mutated op-header messages fed into a live
+//!     port's two sinks panic nothing, write nothing outside the one
+//!     registered window, and each malformed one counts in
+//!     `protocol_drops` — exactly those, by a model of the header.
 
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
@@ -44,6 +51,7 @@ use std::rc::Rc;
 use std::sync::Arc;
 
 use fm_core::device::{LoopbackDevice, LoopbackPair};
+use fm_core::onesided::{ONESIDED_HANDLER, OP_HDR_BYTES, OS_EAGER_HANDLER};
 use fm_core::{
     Fm2Engine, FmPacket, NetDevice, Onesided, OnesidedConfig, OsError, OsPort, OsStatus, OsToken,
     PeerEvent, PeerEventKind, RegionHandle, SimDevice,
@@ -907,5 +915,180 @@ fn a_port_over_a_shared_arena_streams_every_payload() {
         assert_eq!(port.pulled_bytes(), 0);
         assert_eq!(port.pull_declines(), 0);
         assert_eq!(port.protocol_drops(), 0);
+    }
+}
+
+// ----------------------------------------------------------------------
+// The op header, fuzzed
+// ----------------------------------------------------------------------
+
+/// The wire op codes (`onesided.rs`): PUT, DATA, FIN, GET, PULL.
+const PUT: u32 = 1;
+const DATA: u32 = 4;
+const FIN: u32 = 5;
+const GET: u32 = 6;
+const PULL: u32 = 7;
+
+/// The 40-byte op header: `op`, `a`, `b`, `c` as u32, `d`, `e`, `f` as
+/// u64, little-endian.
+fn op_header(op: u32, abc: [u32; 3], def: [u64; 3]) -> Vec<u8> {
+    let mut h = op.to_le_bytes().to_vec();
+    abc.iter().for_each(|v| h.extend(v.to_le_bytes()));
+    def.iter().for_each(|v| h.extend(v.to_le_bytes()));
+    h
+}
+
+fn u32_at(h: &[u8], i: usize) -> u32 {
+    u32::from_le_bytes(h[i..i + 4].try_into().unwrap())
+}
+
+fn u64_at(h: &[u8], i: usize) -> u64 {
+    u64::from_le_bytes(h[i..i + 8].try_into().unwrap())
+}
+
+/// What the target does with one single-packet message `msg` (header ⧺
+/// body) arriving on the put sink (`op_lane`) or the control one, as far
+/// as drops go: the puts it has open, by token, are `(length, landed)`.
+/// True when the message is malformed — the port must count a drop.
+fn malformed(msg: &[u8], op_lane: bool, open_puts: &mut HashMap<u32, (u64, u64)>) -> bool {
+    if msg.len() < OP_HDR_BYTES {
+        return true;
+    }
+    let (body, e) = (msg.len() - OP_HDR_BYTES, u64_at(msg, 24));
+    match u32_at(msg, 0) {
+        // The target has issued no op: a FIN on the op lane answers one
+        // that was aborted (late, not malformed); it has pulled nothing,
+        // so one on the DATA lane answers nothing.
+        FIN => u32_at(msg, 12) != 0,
+        GET => false,
+        // It granted no credit: DATA, or a pulled DATA request, names none.
+        DATA => true,
+        PULL => !op_lane,
+        PUT if body as u64 == e => false,
+        PUT => {
+            let (len, landed) = open_puts.entry(u32_at(msg, 4)).or_insert((e, 0));
+            if *landed + body as u64 > *len {
+                return true;
+            }
+            *landed += body as u64;
+            if *landed == *len {
+                open_puts.remove(&u32_at(msg, 4));
+            }
+            false
+        }
+        _ => true,
+    }
+}
+
+#[test]
+fn the_op_header_survives_random_and_mutated_messages() {
+    const ARENA: usize = 16 * 1024;
+    const WINDOW: (usize, usize) = (4096, 8192);
+    let cases = env_cases(48);
+    for case in 0..cases {
+        let mut rng = DetRng::seed_from_u64(0xF022_0000 ^ case as u64);
+        let (a, b) = LoopbackPair::new(256);
+        let fuzzer = Fm2Engine::new(a, MachineProfile::ppro200_fm2());
+        let fb = Fm2Engine::new(b, MachineProfile::ppro200_fm2());
+        let cfg = OnesidedConfig {
+            arena_bytes: ARENA,
+            chunk_bytes: 4096,
+        };
+        let mut target = Onesided::new(&fb, cfg);
+        let w = target.register(WINDOW.0, WINDOW.1).unwrap();
+        let mut open_puts = HashMap::new();
+        let mut drops = 0;
+        for i in 0..64 {
+            let body: Vec<u8> = (0..rng.below(200)).map(|_| rng.below(256) as u8).collect();
+            let blen = body.len() as u64;
+            // Fields near the window's edges, or anything at all.
+            let mut pick_u32 = |near: u32| match rng.below(3) {
+                0 => near,
+                1 => rng.below(4) as u32,
+                _ => rng.next_u64() as u32,
+            };
+            let (index, epoch, token) = (pick_u32(w.index), pick_u32(w.epoch), pick_u32(0));
+            let off = match rng.below(4) {
+                0 => rng.below(WINDOW.1 as u64 + 64),
+                1 => WINDOW.1 as u64 - blen,
+                2 => u64::MAX - rng.below(64),
+                _ => rng.next_u64(),
+            };
+            let len = match rng.below(4) {
+                0 | 1 => blen,
+                2 => blen + rng.below(300),
+                _ => rng.next_u64(),
+            };
+            let op = [PUT, DATA, FIN, GET, PULL, 0, 2, 8][rng.below(8) as usize];
+            let lane = rng.below(4) as u32;
+            let fields = match op {
+                FIN => [token, rng.below(6) as u32, lane],
+                _ => [token, index, epoch],
+            };
+            let mut hdr = op_header(op, fields, [off, len, rng.next_u64()]);
+            // Mutate: flip bytes, or cut the header short.
+            match rng.below(4) {
+                0 => {
+                    for _ in 0..rng.range_usize(1, 5) {
+                        let at = rng.below(OP_HDR_BYTES as u64) as usize;
+                        hdr[at] ^= 1 << rng.below(8);
+                    }
+                }
+                1 => hdr.truncate(rng.below(OP_HDR_BYTES as u64) as usize),
+                _ => {}
+            }
+            let msg: Vec<u8> = if hdr.len() < OP_HDR_BYTES {
+                hdr
+            } else {
+                [hdr, body].concat()
+            };
+            let op_lane = rng.below(2) == 0;
+            let handler = if op_lane {
+                OS_EAGER_HANDLER
+            } else {
+                ONESIDED_HANDLER
+            };
+            drops += malformed(&msg, op_lane, &mut open_puts) as u64;
+            let mut sent = false;
+            for _ in 0..64 {
+                sent = fuzzer.try_send_message(1, handler, &[&msg]).is_ok();
+                if sent {
+                    break;
+                }
+                turn(&fuzzer, &fb, &mut target);
+            }
+            assert!(sent, "case {case} message {i}: the window never reopened");
+            turn(&fuzzer, &fb, &mut target);
+            let got = target.protocol_drops();
+            assert_eq!(got, drops, "case {case} message {i}: {msg:02x?}");
+        }
+        // Nothing outside the registered window was written.
+        for (at, len) in [
+            (0, WINDOW.0),
+            (WINDOW.0 + WINDOW.1, ARENA - WINDOW.0 - WINDOW.1),
+        ] {
+            let h = target.register(at, len).unwrap();
+            let mut out = vec![0xAAu8; len];
+            target.read_local(h, 0, &mut out).unwrap();
+            assert!(out.iter().all(|&x| x == 0), "case {case}: wrote at {at}..");
+        }
+    }
+}
+
+/// Move the fuzzer's messages to the target, let it act on them and
+/// answer, and take its answers back (the fuzzer has no one-sided port:
+/// they drain into the void).
+fn turn(
+    fuzzer: &Fm2Engine<LoopbackDevice>,
+    fb: &Fm2Engine<LoopbackDevice>,
+    os: &mut Onesided<LoopbackDevice>,
+) {
+    for _ in 0..2 {
+        fuzzer.with_device(|x| fb.with_device(|y| LoopbackPair::deliver(x, y)));
+        fb.extract_all();
+        os.progress();
+        fuzzer.with_device(|x| fb.with_device(|y| LoopbackPair::deliver(x, y)));
+        fuzzer.extract_all();
+        fuzzer.take_errors();
     }
 }

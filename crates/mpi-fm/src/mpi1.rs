@@ -176,7 +176,7 @@ impl<D: NetDevice> Mpi1<D> {
             match self.fm.try_send(dst, MPI_HANDLER, &buf) {
                 Ok(()) => {
                     if let Some(req) = req {
-                        req.inner.borrow_mut().done = true;
+                        req.sent.set(true);
                     }
                 }
                 Err(_) => {
@@ -286,7 +286,7 @@ impl<D: NetDevice> Mpi for Mpi1<D> {
             for (i, seg) in iter.by_ref() {
                 if self.fm.try_send(dst, MPI_HANDLER, &seg).is_ok() {
                     if i == last {
-                        req.inner.borrow_mut().done = true;
+                        req.sent.set(true);
                     }
                     continue;
                 }

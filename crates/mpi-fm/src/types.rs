@@ -1,7 +1,9 @@
 //! Request, status, and wildcard types.
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::rc::Rc;
+
+use fm_core::SentFlag;
 
 /// Match any source rank (the `src` argument of `irecv`).
 pub const ANY_SOURCE: Option<usize> = None;
@@ -19,29 +21,25 @@ pub struct Status {
     pub len: usize,
 }
 
-#[derive(Debug, Default)]
-pub(crate) struct SendBox {
-    pub(crate) done: bool,
-}
-
 /// Handle to a non-blocking send. Complete once the message has been
 /// handed to FM (eager semantics — FM's flow control guarantees delivery
-/// from that point).
+/// from that point). Over FM 2.x the flag is the one the engine's send
+/// queue sets.
 #[derive(Clone)]
 pub struct SendReq {
-    pub(crate) inner: Rc<RefCell<SendBox>>,
+    pub(crate) sent: SentFlag,
 }
 
 impl SendReq {
     pub(crate) fn new(done: bool) -> Self {
         SendReq {
-            inner: Rc::new(RefCell::new(SendBox { done })),
+            sent: Rc::new(Cell::new(done)),
         }
     }
 
     /// True once the send has been accepted by FM.
     pub fn is_done(&self) -> bool {
-        self.inner.borrow().done
+        self.sent.get()
     }
 }
 
@@ -90,7 +88,7 @@ mod tests {
     fn send_req_reports_done() {
         let r = SendReq::new(false);
         assert!(!r.is_done());
-        r.inner.borrow_mut().done = true;
+        r.sent.set(true);
         assert!(r.is_done());
     }
 

@@ -24,7 +24,7 @@ use fm_core::blocking::Backoff;
 use fm_core::device::NetDevice;
 use fm_core::onesided::CHUNK_BYTES;
 use fm_core::packet::HandlerId;
-use fm_core::{Fm2Engine, FmStream, Onesided, OsPort, OsStatus, OsToken, RegionHandle};
+use fm_core::{Fm2Engine, FmStream, Message, Onesided, OsPort, OsStatus, OsToken, RegionHandle};
 use fm_shm::heap;
 use fm_sys::SharedMem;
 
@@ -115,18 +115,16 @@ impl<D: NetDevice + 'static> Shmem<D> {
                         heap.write(offset as usize, &cur);
                         // Accumulates are acked like puts so `quiet`
                         // covers them.
-                        fm.send_from_handler(src, SHMEM_HANDLER, Op::PutAck.encode().to_vec());
+                        let ack = Op::PutAck.encode();
+                        fm.send_from_handler(src, SHMEM_HANDLER, Message::new(&ack, None));
                     }
                     Op::Fadd { req, offset, delta } => {
                         let mut cur = [0u8; 8];
                         heap.read(offset as usize, &mut cur);
                         let old = i64::from_le_bytes(cur);
                         heap.write(offset as usize, &old.wrapping_add(delta).to_le_bytes());
-                        fm.send_from_handler(
-                            src,
-                            SHMEM_HANDLER,
-                            Op::FaddReply { req, old }.encode().to_vec(),
-                        );
+                        let reply = Op::FaddReply { req, old }.encode();
+                        fm.send_from_handler(src, SHMEM_HANDLER, Message::new(&reply, None));
                     }
                     Op::FaddReply { req, old } => {
                         st.borrow_mut().fadd_replies.insert(req, old);
