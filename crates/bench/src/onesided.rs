@@ -109,14 +109,13 @@ fn initiator<D: NetDevice + 'static>(
             };
         }
         pump(&port, size, count, &mut issued, &mut done);
-        // Newly issued jobs must hit the wire before parking — a parked
-        // rank wakes on *new* activity only.
-        os.progress();
         if done == count {
             elapsed = Some((fm.now() - started).as_ns());
             port.put(1, ARENA, geo.sentinel_off as u64, &[0xFF]);
-            os.progress();
         }
+        // Newly issued puts must hit the wire before parking — a parked
+        // rank wakes on *new* activity only.
+        fm.progress();
         Step::pending(moved)
     })
 }

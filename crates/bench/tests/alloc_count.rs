@@ -317,7 +317,7 @@ fn onesided_alloc_delta<F: Fabric>(
             }
             // Issued work must hit the wire before parking — a parked
             // rank wakes on *new* activity only.
-            os.progress();
+            fm.progress();
             snapshot_at_warm(&mut at_warm, done >= warmup);
             if done < count {
                 return Step::Idle;
@@ -389,7 +389,7 @@ fn onesided_get_alloc_delta<F: Fabric>(
                 port.put(1, arena_handle(), 0, &[0xFF]);
             }
             // Issued work must hit the wire before parking.
-            os.progress();
+            fm.progress();
             match result {
                 Some(r) if done > count => Step::Done(r),
                 _ => Step::Idle,

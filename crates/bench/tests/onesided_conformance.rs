@@ -143,8 +143,8 @@ impl OsScript {
     }
 
     /// Drain completions and run every state transition that has become
-    /// possible. Caller must flush (`os.progress()`) afterwards so
-    /// anything issued here hits the wire before the driver sleeps.
+    /// possible. Caller must turn the engine (`fm.progress()`) afterwards
+    /// so anything issued here hits the wire before the driver sleeps.
     fn step(&mut self) {
         if self.finished {
             return;
@@ -385,6 +385,7 @@ fn outputs<F: Fabric>(
             script.step();
             // Anything the step issued must hit the wire before the rank
             // parks — a parked rank wakes on *new* activity only.
+            fm.progress();
             let flushed = os.progress();
             if !(script.finished && flushed) {
                 return Step::pending(moved);

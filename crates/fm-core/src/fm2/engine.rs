@@ -87,7 +87,7 @@ pub struct Fm2Engine<D: NetDevice> {
     pub(super) inner: Rc<RefCell<Inner<D>>>,
     /// Sends FM could not admit yet, one FIFO per destination (`send.rs`),
     /// in a cell of its own: a pass keeps it borrowed while it calls FM.
-    pub(super) sendq: Rc<RefCell<SendQueue>>,
+    pub(crate) sendq: Rc<RefCell<SendQueue>>,
 }
 
 impl<D: NetDevice> Clone for Fm2Engine<D> {
@@ -323,7 +323,8 @@ impl<D: NetDevice> Fm2Engine<D> {
     /// Apply pending membership transitions, then run the application's
     /// peer callback for each: the core resets the shared per-peer
     /// protocol state, this face aborts the handler tasks fed by, and
-    /// the queued sends held for, a peer that died or restarted.
+    /// the queued sends held for, a peer that died or restarted — the
+    /// one-sided port first taking back its own and ending its ops.
     pub(super) fn drain_peer_events(&self) {
         let (events, handler) = {
             let mut inner = self.inner.borrow_mut();
@@ -332,9 +333,6 @@ impl<D: NetDevice> Fm2Engine<D> {
             while let Some(ev) = inner.core.poll_peer_event() {
                 if matches!(ev.kind, PeerEventKind::Down | PeerEventKind::Rejoining) {
                     inner.tasks[ev.peer].clear();
-                    // A started stream's sequence numbers belong to the
-                    // peer's old incarnation.
-                    self.sendq.borrow_mut().fifos[ev.peer].clear();
                 }
                 events.push(ev);
             }
@@ -343,6 +341,15 @@ impl<D: NetDevice> Fm2Engine<D> {
             }
             (events, inner.peer_handler.clone())
         };
+        for ev in &events {
+            if matches!(ev.kind, PeerEventKind::Down | PeerEventKind::Rejoining) {
+                let lender = self.sendq.borrow().lender.as_ref().and_then(Weak::upgrade);
+                lender.inspect(|l| l.reset(ev.peer));
+                // A started stream's sequence numbers belong to the
+                // peer's old incarnation.
+                self.sendq.borrow_mut().purge(ev.peer, |_| true);
+            }
+        }
         if let Some(h) = handler {
             for ev in events {
                 h(ev);

@@ -50,6 +50,7 @@ mod stream;
 
 pub use engine::{Fm2Engine, Fm2Handle};
 pub use exec::{Fm2HandlerFn, SinkHandlerFn, SinkMeta};
+pub(crate) use send::{Body, Lender, Queued, Resume, SendQueue};
 pub use send::{Message, SentFlag, INLINE_HEAD};
 pub use sendstream::SendStream;
 pub use stream::FmStream;

@@ -42,24 +42,31 @@
 //!   symmetric heap) never pulls: a peer that could not map the arena
 //!   could not read this process either.
 //!
-//! The protocol core ([`OsCore`] behind [`OsPort`]) is sans-IO: it
-//! consumes packets and emits control frames / send jobs without
-//! touching an engine, and a packet that asks for a pull returns the
-//! read it wants; [`Onesided`] drives it over [`Fm2Engine`]: each chunk
-//! of a job is one gather message (op header ⧺ a slice of the source)
-//! that [`Fm2Engine::try_send_rest`] resumes until it is out, so the
-//! driver's only position is the number of whole chunks sent, and the
-//! sink makes each read at once, in FM order, and reports how it went.
+//! The port keeps no send queue: every put, get, DATA and FIN it sends
+//! is an entry in the engine's per-peer send queue (`fm2/send.rs`),
+//! beside every other layer's sends. A payload's entry is chunked, one
+//! gather message per chunk (op header ⧺ a slice of the source), and a
+//! [`OsPort::put_from`]'s or a get reply's body is a pinned region
+//! window the port lends when FM admits it. When an entry longer than a
+//! chunk reaches the head of a same-host peer's FIFO, the port decides
+//! whether it leaves as a PULL, and the first pull to a peer, the probe,
+//! waits there for its answer. The protocol core ([`OsCore`] behind
+//! [`OsPort`]) takes packets in the port's two sinks; a packet that asks
+//! for a pull returns the read it wants, and the sink makes it at once,
+//! in FM order, and reports how it went.
 
 use std::cell::RefCell;
 use std::collections::{HashMap, HashSet, VecDeque};
-use std::rc::Rc;
+use std::rc::{Rc, Weak};
 use std::sync::Arc;
 
 use fm_sys::SharedMem;
 
 use crate::device::NetDevice;
-use crate::fm2::{Fm2Engine, SendStream, SinkMeta};
+use crate::error::WouldBlock;
+use crate::fm2::{
+    Body, Fm2Engine, Lender, Queued, Resume, SendQueue, SentFlag, SinkMeta, INLINE_HEAD,
+};
 use crate::packet::HandlerId;
 
 mod peer_mem;
@@ -75,8 +82,9 @@ pub const ONESIDED_HANDLER: HandlerId = HandlerId(140);
 pub const OS_EAGER_HANDLER: HandlerId = HandlerId(141);
 
 /// Bytes of the on-wire op header. Smaller than every profile's MTU, so
-/// the header always lands whole in the first packet of its message.
-pub const OP_HDR_BYTES: usize = 40;
+/// the header always lands whole in the first packet of its message, and
+/// as long as the header a send-queue entry keeps inline.
+pub const OP_HDR_BYTES: usize = INLINE_HEAD;
 
 const OP_PUT: u32 = 1;
 const OP_DATA: u32 = 4;
@@ -450,29 +458,8 @@ impl RegionTable {
 }
 
 // ----------------------------------------------------------------------
-// Sans-IO protocol core
+// Protocol core
 // ----------------------------------------------------------------------
-
-/// Source bytes for an outbound job: parked copy or pinned region.
-enum JobSrc {
-    Owned(Vec<u8>),
-    Region { index: u32, offset: usize },
-}
-
-/// A payload to stream: chunk-sized FM messages on its lane's handler,
-/// every one under `hdr` — a put's own header (token, handle, offset,
-/// length) or DATA tagged with the transfer credit its receiver granted.
-/// Either way `hdr`'s `a` is the job's id in its lane. A get is a job
-/// with no payload: one message of its header alone, queued with the
-/// puts so it leaves after those issued before it.
-struct SendJob {
-    dst: usize,
-    lane: Lane,
-    hdr: [u8; OP_HDR_BYTES],
-    src: JobSrc,
-    len: usize,
-    cursor: usize,
-}
 
 /// An outstanding initiator-side op. A put is completed by its target's
 /// FIN; a get locally, when the credit `reply` names has filled — by
@@ -480,22 +467,17 @@ struct SendJob {
 struct OpState {
     dst: usize,
     reply: Option<GrantKey>,
-    /// A put that left as a pull request: its job, source and all, kept
-    /// until the FIN says the target has read it — or has declined, and
-    /// the job goes again as packets.
-    pulled: Option<SendJob>,
 }
 
 /// Whether a peer the engine knows runs on this host may read this
 /// process: how a payload longer than a chunk travels there.
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum PullPath {
-    /// No pull tried yet: the next one is the probe.
+    /// No pull read yet: the next one is the probe, which waits at the
+    /// head of the peer's queue for its answer, so a declined probe goes
+    /// again as packets ahead of everything issued after it, and puts
+    /// still land in issue order.
     Untried,
-    /// The probe is out. Nothing more leaves for that peer until it is
-    /// answered, so a declined probe goes again as packets ahead of
-    /// everything issued after it, and puts still land in issue order.
-    Probing,
     /// The peer has read a payload: pull.
     Open,
     /// The peer could not read this process: packets, for the port's
@@ -503,7 +485,7 @@ enum PullPath {
     Closed,
 }
 
-/// A read [`OsCore::on_packet`] asks its driver to make: `len` bytes of
+/// A read [`OsCore::on_packet`] asks its sink to make: `len` bytes of
 /// `peer`'s memory (process `pid`) at `addr`, into this node's region
 /// slot `slot` at `offset` — a window `check` has passed, or a live
 /// credit's. The sink makes it before any other packet is handled and
@@ -567,8 +549,9 @@ struct Grant {
     origin: GrantOrigin,
 }
 
-/// The engine-agnostic protocol state machine. Drivers feed it packets
-/// ([`OsCore::on_packet`]) and drain its outbox / job queue.
+/// The protocol state machine. The port's sinks feed it packets
+/// ([`OsCore::on_packet`]); what it sends it queues in the engine's send
+/// queue, which asks it ([`Lender`]) for window bytes and pull decisions.
 struct OsCore {
     cfg: OnesidedConfig,
     regions: RegionTable,
@@ -578,22 +561,17 @@ struct OsCore {
     grants: HashMap<GrantKey, Grant>,
     /// In-progress multi-packet messages: (src, msg_seq) → their entry.
     rx: HashMap<(usize, u32), GrantKey>,
-    /// FINs awaiting a credit slot on the wire.
-    outbox: VecDeque<(usize, OpHeader)>,
-    /// Payload jobs awaiting streaming by the driver.
-    jobs: VecDeque<SendJob>,
+    /// The engine's send queue, where everything this port sends waits.
+    sendq: Rc<RefCell<SendQueue>>,
     completions: VecDeque<OsCompletion>,
     completed_grants: HashSet<(usize, u32)>,
-    /// Bytes copied by sink handlers, to be charged to the engine's
-    /// memcpy cost model by the driver.
+    /// Bytes the sink copied for the packet in hand, charged to the
+    /// engine's memcpy cost model once the sink lets go of the core.
     pending_copy_bytes: u64,
     /// Malformed or unmatchable packets dropped by the protocol.
     protocol_drops: u64,
     next_token: u32,
     next_xfer: Vec<u32>,
-    /// DATA jobs that left as a pull request, each holding its source
-    /// until its reader's FIN or `Down`: (reader, its credit) → job.
-    pulled_data: HashMap<(usize, u32), SendJob>,
     /// Per peer: whether it may read this process.
     pull_path: Vec<PullPath>,
     /// Bytes this node read out of peers' memory.
@@ -603,23 +581,28 @@ struct OsCore {
 }
 
 impl OsCore {
-    /// A core over `arena`, every peer's pull path starting at `path`.
-    fn new(num_nodes: usize, cfg: OnesidedConfig, arena: Arc<SharedMem>, path: PullPath) -> Self {
+    /// A core over `arena` that sends through `sendq`, every peer's pull
+    /// path starting at `path`.
+    fn new(
+        num_nodes: usize,
+        cfg: OnesidedConfig,
+        arena: Arc<SharedMem>,
+        path: PullPath,
+        sendq: Rc<RefCell<SendQueue>>,
+    ) -> Self {
         OsCore {
             cfg,
             regions: RegionTable::new(arena),
             ops: HashMap::new(),
             grants: HashMap::new(),
             rx: HashMap::new(),
-            outbox: VecDeque::new(),
-            jobs: VecDeque::new(),
+            sendq,
             completions: VecDeque::new(),
             completed_grants: HashSet::new(),
             pending_copy_bytes: 0,
             protocol_drops: 0,
             next_token: 0,
             next_xfer: vec![0; num_nodes.max(1)],
-            pulled_data: HashMap::new(),
             pull_path: vec![path; num_nodes],
             pulled_bytes: 0,
             pull_declines: 0,
@@ -658,42 +641,57 @@ impl OsCore {
 
     /// Queue FIN(id, status) toward `dst`, answering its `lane` job `id`.
     fn fin(&mut self, dst: usize, lane: Lane, id: u32, status: OsStatus) {
-        self.outbox.push_back((
-            dst,
-            OpHeader {
-                a: id,
-                b: status.to_wire(),
-                c: lane as u32,
-                ..OpHeader::zero(OP_FIN)
-            },
-        ));
+        let fin = OpHeader {
+            a: id,
+            b: status.to_wire(),
+            c: lane as u32,
+            ..OpHeader::zero(OP_FIN)
+        };
+        let e = Queued::new(
+            ONESIDED_HANDLER,
+            &fin.encode(),
+            Body::Owned(Vec::new()),
+            0,
+            None,
+        );
+        self.sendq.borrow_mut().push_answer(dst, e);
     }
 
-    /// `peer` could not read the pulled `job`: it reads nothing more of
-    /// ours, and the job goes again as packets, ahead of everything
-    /// still queued.
-    fn decline(&mut self, peer: usize, job: SendJob) {
-        self.pull_path[peer] = PullPath::Closed;
-        self.pull_declines += 1;
-        self.jobs.push_front(job);
-    }
-
-    /// `peer` answered the pulled `job`, having read it (`read`) or
-    /// refused its window: the job is finished. A refused probe read
-    /// nothing, so the next pull probes.
-    fn answered(&mut self, peer: usize, job: SendJob, read: bool) {
-        if self.pull_path[peer] == PullPath::Probing {
-            self.pull_path[peer] = match read {
-                true => PullPath::Open,
-                false => PullPath::Untried,
-            };
+    /// `peer`'s FIN for our pulled payload `(lane, id)`, which waits in
+    /// the engine's queue. Declined: `peer` reads nothing more of ours,
+    /// and the payload goes again as packets, ahead of everything still
+    /// queued for it. Otherwise `peer` read it (`Ok`, which opens the
+    /// path) or refused its window, and it is done with. False if no
+    /// pulled payload of ours is `(lane, id)`.
+    fn pull_answered(&mut self, peer: usize, lane: Lane, id: u32, verdict: OsStatus) -> bool {
+        // The payload's id is `a` of its op header: a put's token, or the
+        // credit DATA fills.
+        let is = |e: &Queued| {
+            e.handler == lane.handler() && OpHeader::decode(e.head()).is_some_and(|h| h.a == id)
+        };
+        let mut q = self.sendq.borrow_mut();
+        let Some(e) = q.take_pulled(peer, is) else {
+            return false;
+        };
+        if verdict == OsStatus::Declined {
+            q.push_front(peer, e);
+            self.pull_path[peer] = PullPath::Closed;
+            self.pull_declines += 1;
+            return true;
         }
-        self.finish_job_src(&job.src);
+        drop(q);
+        if verdict == OsStatus::Ok {
+            self.pull_path[peer] = PullPath::Open;
+        }
+        self.release(&e);
+        e.sent.inspect(|s| s.set(true));
+        true
     }
 
-    fn finish_job_src(&mut self, src: &JobSrc) {
-        if let JobSrc::Region { index, .. } = src {
-            self.regions.unpin(*index);
+    /// Unpin what a queue entry's body pins.
+    fn release(&mut self, e: &Queued) {
+        if let Body::Window { slot, .. } = e.body {
+            self.regions.unpin(slot);
         }
     }
 
@@ -722,52 +720,33 @@ impl OsCore {
         Ok(xfer)
     }
 
-    /// Queue `len` bytes of `src` for `dst`, each chunk a message under
-    /// `hdr` on `lane`'s handler (a get's header goes alone).
-    fn push_job(&mut self, dst: usize, lane: Lane, hdr: OpHeader, src: JobSrc, len: usize) {
-        let (hdr, cursor) = (hdr.encode(), 0);
-        let job = SendJob {
-            dst,
-            lane,
-            hdr,
-            src,
-            len,
-            cursor,
-        };
-        self.jobs.push_back(job);
+    /// Queue `body` for `dst` on `lane`'s handler, each chunk a message
+    /// under `hdr` (a get's header goes alone).
+    fn push(&mut self, dst: usize, lane: Lane, hdr: OpHeader, body: Body, sent: Option<SentFlag>) {
+        let chunk = self.cfg.chunk_bytes.max(1);
+        let e = Queued::new(lane.handler(), &hdr.encode(), body, chunk, sent);
+        self.sendq.borrow_mut().push(dst, e);
     }
 
-    /// Queue `len` bytes of `src` as DATA into `dst`'s credit `xfer`.
-    fn send_data(&mut self, dst: usize, xfer: u32, src: JobSrc, len: usize) {
+    /// Queue `body` as DATA into `dst`'s credit `xfer`.
+    fn send_data(&mut self, dst: usize, xfer: u32, body: Body, sent: Option<SentFlag>) {
         let hdr = OpHeader {
             a: xfer,
             ..OpHeader::zero(OP_DATA)
         };
-        self.push_job(dst, Lane::Xfer, hdr, src, len);
+        self.push(dst, Lane::Xfer, hdr, body, sent);
     }
 
     // -- initiator-side API ------------------------------------------
 
-    fn put_bytes(
-        &mut self,
-        dst: usize,
-        h: RegionHandle,
-        offset: u64,
-        src: JobSrc,
-        len: usize,
-    ) -> OsToken {
+    fn put_bytes(&mut self, dst: usize, h: RegionHandle, offset: u64, body: Body) -> OsToken {
         let token = self.alloc_token();
+        let len = body.len();
         if len == 0 {
-            self.finish_job_src(&src);
             self.complete(token, OsStatus::Ok);
             return OsToken(token);
         }
-        let op = OpState {
-            dst,
-            reply: None,
-            pulled: None,
-        };
-        self.ops.insert(token, op);
+        self.ops.insert(token, OpState { dst, reply: None });
         let hdr = OpHeader {
             op: OP_PUT,
             a: token,
@@ -777,135 +756,29 @@ impl OsCore {
             e: len as u64,
             f: 0,
         };
-        self.push_job(dst, Lane::Op, hdr, src, len);
+        self.push(dst, Lane::Op, hdr, body, None);
         OsToken(token)
     }
 
-    fn put_from(
-        &mut self,
-        dst: usize,
-        dst_h: RegionHandle,
-        dst_off: u64,
-        src_h: RegionHandle,
-        src_off: usize,
-        len: usize,
-    ) -> Result<OsToken, OsError> {
-        if len > 0 {
-            self.regions.check_local(src_h, src_off, len)?;
-            self.regions.pin(src_h.index);
-        }
-        Ok(self.put_bytes(
-            dst,
-            dst_h,
-            dst_off,
-            JobSrc::Region {
-                index: src_h.index,
-                offset: src_off,
-            },
-            len,
-        ))
-    }
+    // -- same-host pulls (send queue side) ------------------------------
 
-    fn get(
-        &mut self,
-        dst: usize,
-        remote_h: RegionHandle,
-        remote_off: u64,
-        local_h: RegionHandle,
-        local_off: usize,
-        len: usize,
-    ) -> Result<OsToken, OsError> {
-        let token = self.alloc_token();
-        if len == 0 {
-            self.complete(token, OsStatus::Ok);
-            return Ok(OsToken(token));
-        }
-        let origin = GrantOrigin::GetLocal { token };
-        let xfer = self.open_xfer(dst, local_h, local_off, len, origin)?;
-        let reply = Some((dst, Lane::Xfer, xfer));
-        let op = OpState {
-            dst,
-            reply,
-            pulled: None,
-        };
-        self.ops.insert(token, op);
-        let hdr = OpHeader {
-            op: OP_GET,
-            a: token,
-            b: remote_h.index,
-            c: remote_h.epoch,
-            d: remote_off,
-            e: len as u64,
-            f: xfer as u64,
-        };
-        // In the job queue, not the outbox: a get of a window this port
-        // is still putting to must leave after those puts, or it reads
-        // the bytes from before them.
-        self.push_job(dst, Lane::Op, hdr, JobSrc::Owned(Vec::new()), 0);
-        Ok(OsToken(token))
-    }
-
-    // -- same-host pulls (driver side) --------------------------------
-
-    /// Take the next job to stream, and whether it leaves as a pull
-    /// request: a job longer than a chunk to a peer `same_host` says
-    /// shares this host, unless that peer is packet-only. `None` when
-    /// the queue is empty or its head waits on its peer's probe.
-    fn next_job(&mut self, same_host: impl Fn(usize) -> bool) -> Option<(SendJob, bool)> {
-        let job = self.jobs.front()?;
-        let dst = job.dst;
-        let long = job.len > self.cfg.chunk_bytes;
-        let pull = match self.pull_path[dst] {
-            PullPath::Probing => return None,
-            PullPath::Closed => false,
-            path => {
-                let pull = long && same_host(dst);
-                if pull && path == PullPath::Untried {
-                    self.pull_path[dst] = PullPath::Probing;
-                }
-                pull
+    /// The header a pulled entry leaves as: its own, naming its length
+    /// and where its body is for the receiver to read.
+    fn pull_request(&self, e: &Queued) -> [u8; OP_HDR_BYTES] {
+        let src = match &e.body {
+            Body::Owned(v) => v.as_ptr() as u64,
+            Body::Window { slot, offset, len } => {
+                (self.regions).with_window(*slot, *offset, *len, |w| w.as_ptr() as u64)
             }
         };
-        self.jobs.pop_front().map(|job| (job, pull))
-    }
-
-    /// The header a pulled job leaves as: its own, naming its length and
-    /// where its source is for the receiver to read.
-    fn pull_request(&self, job: &SendJob) -> OpHeader {
-        let src = match &job.src {
-            JobSrc::Owned(v) => v.as_ptr() as u64,
-            JobSrc::Region { index, offset } => {
-                self.regions
-                    .with_window(*index, *offset, job.len, |w| w.as_ptr() as u64)
-            }
-        };
-        let own = OpHeader::decode(&job.hdr).expect("a job's header is whole");
-        OpHeader {
+        let own = OpHeader::decode(e.head()).expect("a queued op's header is whole");
+        let pull = OpHeader {
             op: OP_PULL,
-            e: job.len as u64,
+            e: e.body.len() as u64,
             f: src,
             ..own
-        }
-    }
-
-    /// A pull request is on the wire: its job, which owns or pins the
-    /// source, waits for the FIN — a put's in its op, DATA by the credit
-    /// it fills.
-    fn await_fin(&mut self, job: SendJob) {
-        let id = OpHeader::decode(&job.hdr)
-            .expect("a job's header is whole")
-            .a;
-        let job = match job.lane {
-            Lane::Op => match self.ops.get_mut(&id) {
-                Some(op) => op.pulled.replace(job),
-                None => Some(job),
-            },
-            Lane::Xfer => self.pulled_data.insert((job.dst, id), job),
         };
-        // Only a duplicate credit or a lost op leaves one over.
-        if let Some(job) = job {
-            self.finish_job_src(&job.src);
-        }
+        pull.encode()
     }
 
     /// The sink made `pull`'s read; `ok` if every byte came. A credit
@@ -1095,19 +968,14 @@ impl OsCore {
             return false;
         };
         if verdict == OsStatus::Declined {
-            let Some(job) = op.pulled.take() else {
-                return false;
-            };
-            self.decline(dst, job);
-            return true;
+            return self.pull_answered(dst, Lane::Op, token, verdict);
         }
         if verdict == OsStatus::Ok && op.reply.is_some() {
             return false;
         }
         let op = self.ops.remove(&token).expect("found above");
-        if let Some(job) = op.pulled {
-            self.answered(dst, job, verdict == OsStatus::Ok);
-        }
+        // A put that went as packets was not pulled: nothing to answer.
+        self.pull_answered(dst, Lane::Op, token, verdict);
         if let Some(credit) = op.reply {
             self.drop_grant(credit);
         }
@@ -1115,20 +983,13 @@ impl OsCore {
         true
     }
 
-    /// The FIN of our DATA job into `peer`'s credit `xfer`, which `peer`
-    /// was asked to read.
+    /// The FIN of our DATA into `peer`'s credit `xfer`, which `peer` was
+    /// asked to read.
     fn on_data_fin(&mut self, peer: usize, xfer: u32, status: u32) -> bool {
         let Some(verdict) = OsStatus::from_wire(status) else {
             return false;
         };
-        let Some(job) = self.pulled_data.remove(&(peer, xfer)) else {
-            return false;
-        };
-        match verdict {
-            OsStatus::Declined => self.decline(peer, job),
-            verdict => self.answered(peer, job, verdict == OsStatus::Ok),
-        }
-        true
+        self.pull_answered(peer, Lane::Xfer, xfer, verdict)
     }
 
     fn on_get(&mut self, src: usize, hdr: OpHeader) {
@@ -1138,11 +999,12 @@ impl OsCore {
             return;
         }
         self.regions.pin(hdr.b);
-        let from = JobSrc::Region {
-            index: hdr.b,
+        let from = Body::Window {
+            slot: hdr.b,
             offset: hdr.d as usize,
+            len: hdr.e as usize,
         };
-        self.send_data(src, hdr.f as u32, from, hdr.e as usize);
+        self.send_data(src, hdr.f as u32, from, None);
     }
 
     /// Close a landing entry — filled or abandoned — releasing its pin.
@@ -1195,54 +1057,57 @@ impl OsCore {
     // -- peer failure -------------------------------------------------
 
     /// Abort everything addressed to (or fed by) downed peers: ops
-    /// complete with [`OsStatus::PeerDown`] instead of hanging.
+    /// complete with [`OsStatus::PeerDown`] instead of hanging, and this
+    /// port's entries still queued for them — a probe among them, which
+    /// will never be answered — leave the engine's queue unsent.
     fn abort_peers(&mut self, downed: &[usize]) {
         let dead = |p: usize| downed.contains(&p);
-        let tokens: Vec<u32> = self
-            .ops
-            .iter()
-            .filter(|(_, op)| dead(op.dst))
-            .map(|(&t, _)| t)
-            .collect();
-        for t in tokens {
-            let op = self.ops.remove(&t).expect("collected above");
+        let aborted: Vec<(u32, OpState)> = self.ops.extract_if(|_, op| dead(op.dst)).collect();
+        for (token, op) in aborted {
             if let Some(credit) = op.reply {
                 self.drop_grant(credit);
             }
-            if let Some(job) = op.pulled {
-                self.finish_job_src(&job.src);
-            }
-            self.complete(t, OsStatus::PeerDown);
+            self.complete(token, OsStatus::PeerDown);
         }
         let gone: Vec<GrantKey> = self.grants.keys().filter(|k| dead(k.0)).copied().collect();
         for key in gone {
             self.drop_grant(key);
         }
-        let unread: Vec<SendJob> = self
-            .pulled_data
-            .extract_if(|&(p, _), _| dead(p))
-            .map(|(_, job)| job)
-            .collect();
-        for job in unread {
-            self.finish_job_src(&job.src);
-        }
-        // A probe that will never be answered holds nothing back.
-        for &p in downed {
-            if self.pull_path[p] == PullPath::Probing {
-                self.pull_path[p] = PullPath::Untried;
-            }
-        }
         self.rx.retain(|(p, _), _| !dead(*p));
-        self.outbox.retain(|(d, _)| !dead(*d));
-        let mut keep = VecDeque::with_capacity(self.jobs.len());
-        while let Some(job) = self.jobs.pop_front() {
-            if dead(job.dst) {
-                self.finish_job_src(&job.src);
-            } else {
-                keep.push_back(job);
-            }
+        let sendq = Rc::clone(&self.sendq);
+        let mut q = sendq.borrow_mut();
+        for &p in downed {
+            q.purge(p, |e| {
+                let ours = [ONESIDED_HANDLER, OS_EAGER_HANDLER].contains(&e.handler);
+                if ours {
+                    self.release(e);
+                }
+                ours
+            });
         }
-        self.jobs = keep;
+    }
+}
+
+/// What the engine's send queue asks of this port.
+impl Lender for RefCell<OsCore> {
+    fn lend(&self, slot: u32, offset: usize, len: usize, f: &mut Resume) -> Result<(), WouldBlock> {
+        self.borrow().regions.with_window(slot, offset, len, f)
+    }
+
+    fn release(&self, slot: u32) {
+        self.borrow_mut().regions.unpin(slot);
+    }
+
+    fn pull(&self, dst: usize, e: &Queued) -> Option<([u8; OP_HDR_BYTES], bool)> {
+        let core = self.borrow();
+        match core.pull_path[dst] {
+            PullPath::Closed => None,
+            path => Some((core.pull_request(e), path == PullPath::Untried)),
+        }
+    }
+
+    fn reset(&self, peer: usize) {
+        self.borrow_mut().abort_peers(&[peer]);
     }
 }
 
@@ -1252,7 +1117,7 @@ impl OsCore {
 
 /// Clonable handle to a node's one-sided state (region table, ops,
 /// grants). All registration and transfer-initiation APIs live here;
-/// engine driver ([`Onesided`]) moves its queued work onto the wire.
+/// what they send waits in the engine's send queue for its next pass.
 #[derive(Clone)]
 pub struct OsPort {
     core: Rc<RefCell<OsCore>>,
@@ -1285,15 +1150,11 @@ impl OsPort {
     pub fn deregister_owned(&self, h: RegionHandle) -> Result<Vec<u8>, OsError> {
         let mut core = self.core.borrow_mut();
         // Refuse (without freeing) if this is an arena region.
+        let slot = core.regions.slots.get(h.index as usize);
+        if slot
+            .is_some_and(|s| s.epoch == h.epoch && matches!(s.kind, Some(RegionKind::Arena { .. })))
         {
-            let slot = core
-                .regions
-                .slots
-                .get(h.index as usize)
-                .ok_or(OsError::BadHandle)?;
-            if slot.epoch == h.epoch && matches!(slot.kind, Some(RegionKind::Arena { .. })) {
-                return Err(OsError::BadHandle);
-            }
+            return Err(OsError::BadHandle);
         }
         match core.regions.deregister(h)? {
             RegionKind::Owned(v) => Ok(v),
@@ -1324,13 +1185,12 @@ impl OsPort {
 
     /// `FM_put`: copy `data` into the remote region `h` at `offset`.
     /// The payload is captured immediately (the caller's buffer is free
-    /// on return); completion arrives as an [`OsCompletion`], and
-    /// completions of puts toward one target arrive in issue order.
+    /// on return) and queued in the engine, whose next pass sends it;
+    /// completion arrives as an [`OsCompletion`], and completions of puts
+    /// toward one target arrive in issue order.
     pub fn put(&self, dst: usize, h: RegionHandle, offset: u64, data: &[u8]) -> OsToken {
-        let src = JobSrc::Owned(data.to_vec());
-        self.core
-            .borrow_mut()
-            .put_bytes(dst, h, offset, src, data.len())
+        let body = Body::Owned(data.to_vec());
+        self.core.borrow_mut().put_bytes(dst, h, offset, body)
     }
 
     /// Zero-copy `FM_put`: source the payload from a *local* registered
@@ -1346,9 +1206,17 @@ impl OsPort {
         src_off: usize,
         len: usize,
     ) -> Result<OsToken, OsError> {
-        self.core
-            .borrow_mut()
-            .put_from(dst, dst_h, dst_off, src_h, src_off, len)
+        let mut core = self.core.borrow_mut();
+        if len > 0 {
+            core.regions.check_local(src_h, src_off, len)?;
+            core.regions.pin(src_h.index);
+        }
+        let body = Body::Window {
+            slot: src_h.index,
+            offset: src_off,
+            len,
+        };
+        Ok(core.put_bytes(dst, dst_h, dst_off, body))
     }
 
     /// `FM_get`: fetch `len` bytes of remote region `remote_h` at
@@ -1364,9 +1232,30 @@ impl OsPort {
         local_off: usize,
         len: usize,
     ) -> Result<OsToken, OsError> {
-        self.core
-            .borrow_mut()
-            .get(dst, remote_h, remote_off, local_h, local_off, len)
+        let mut core = self.core.borrow_mut();
+        let token = core.alloc_token();
+        if len == 0 {
+            core.complete(token, OsStatus::Ok);
+            return Ok(OsToken(token));
+        }
+        let origin = GrantOrigin::GetLocal { token };
+        let xfer = core.open_xfer(dst, local_h, local_off, len, origin)?;
+        let reply = Some((dst, Lane::Xfer, xfer));
+        core.ops.insert(token, OpState { dst, reply });
+        let hdr = OpHeader {
+            op: OP_GET,
+            a: token,
+            b: remote_h.index,
+            c: remote_h.epoch,
+            d: remote_off,
+            e: len as u64,
+            f: xfer as u64,
+        };
+        // Queued behind the puts to `dst`: a get of a window this port
+        // is still putting to must leave after them, or it reads the
+        // bytes from before them.
+        core.push(dst, Lane::Op, hdr, Body::Owned(Vec::new()), None);
+        Ok(OsToken(token))
     }
 
     /// Grant `src_peer` a transfer credit into local region `h` at
@@ -1387,14 +1276,15 @@ impl OsPort {
 
     /// Stream `data` into a transfer credit previously granted by `dst`
     /// (the counterpart of [`grant_from`](Self::grant_from)); a same-host
-    /// `dst` reads it instead, as it reads a put.
-    pub fn send_granted(&self, dst: usize, xfer: u32, data: Vec<u8>) {
-        if !data.is_empty() {
-            let len = data.len();
-            self.core
-                .borrow_mut()
-                .send_data(dst, xfer, JobSrc::Owned(data), len);
+    /// `dst` reads it instead, as it reads a put. `sent` is set once this
+    /// port holds none of `data`: handed to FM whole, or read by `dst` —
+    /// never, if `dst` goes down or restarts first.
+    pub fn send_granted(&self, dst: usize, xfer: u32, data: Vec<u8>, sent: Option<SentFlag>) {
+        if data.is_empty() {
+            sent.inspect(|s| s.set(true));
+            return;
         }
+        (self.core.borrow_mut()).send_data(dst, xfer, Body::Owned(data), sent);
     }
 
     /// True once the grant `xfer` from `peer` has been filled; consumes
@@ -1445,18 +1335,8 @@ impl OsPort {
 }
 
 // ----------------------------------------------------------------------
-// FM 2.x driver
+// The port on an FM 2.x engine
 // ----------------------------------------------------------------------
-
-/// The job being streamed: one FM message per chunk, every chunk under
-/// the job's op header. An open message is resumed with
-/// [`Fm2Engine::try_send_rest`]; `job.cursor` counts only whole chunks.
-/// A pulled job is one header-only message instead.
-struct ActiveSend {
-    job: SendJob,
-    open: Option<SendStream>,
-    pull: bool,
-}
 
 /// One-sided port over an [`Fm2Engine`]: put and DATA chunks are
 /// gather-sent straight out of the source region (no send staging copy)
@@ -1466,7 +1346,6 @@ struct ActiveSend {
 pub struct Onesided<D: NetDevice> {
     fm: Fm2Engine<D>,
     port: OsPort,
-    active: Option<ActiveSend>,
 }
 
 /// The registration and transfer verbs are [`OsPort`]'s: `os.put(..)`,
@@ -1521,7 +1400,11 @@ impl<D: NetDevice + 'static> Onesided<D> {
                 OS_EAGER_HANDLER.0
             );
         }
-        let core = Rc::new(RefCell::new(OsCore::new(fm.num_nodes(), cfg, arena, path)));
+        let sendq = Rc::clone(&fm.sendq);
+        let core = OsCore::new(fm.num_nodes(), cfg, arena, path, sendq);
+        let core = Rc::new(RefCell::new(core));
+        let lender: Weak<dyn Lender> = Rc::downgrade(&core) as Weak<RefCell<OsCore>>;
+        fm.sendq.borrow_mut().lender = Some(lender);
         let mem = Rc::new(RefCell::new(PeerMem::default()));
         for lane in [Lane::Xfer, Lane::Op] {
             let (c, mem, engine) = (Rc::clone(&core), Rc::clone(&mem), fm.handle());
@@ -1539,134 +1422,43 @@ impl<D: NetDevice + 'static> Onesided<D> {
                         .with_window_mut(pull.slot, pull.offset, pull.len, read);
                     core.pulled(pull, ok);
                 }
+                let copied = std::mem::take(&mut core.pending_copy_bytes);
+                drop(core);
+                if copied > 0 {
+                    engine.charge_memcpy(copied as usize);
+                }
             });
         }
         Onesided {
             fm: fm.clone(),
             port: OsPort { core },
-            active: None,
         }
     }
 }
 
 impl<D: NetDevice> Onesided<D> {
     /// The shared state handle (registration + transfer APIs). Clone it
-    /// freely; the driver and all clones see the same tables.
+    /// freely; the `Onesided` and all clones see the same tables.
     pub fn port(&self) -> OsPort {
         self.port.clone()
     }
 
-    /// Move queued protocol work onto the wire: charge sink copies to
-    /// the cost model, abort ops to downed peers, flush FINs and stream
-    /// put/get/DATA jobs, in issue order, as credits allow. Returns
-    /// `true` when nothing remains queued and no peer is still to read a
-    /// DATA job's source (completions queue for
-    /// [`OsPort::poll_completion`]). Call from the transport's pump loop
-    /// alongside `extract`.
+    /// End every op to a peer that is down, as its `Down` did (ops
+    /// issued to it since complete with [`OsStatus::PeerDown`] too).
+    /// Returns `true` when nothing waits in the engine's send queue and
+    /// no peer is still to read a DATA payload of this port's
+    /// (completions queue for [`OsPort::poll_completion`]). The queued
+    /// work moves in the engine's pass, at the end of every `extract`
+    /// and in [`Fm2Engine::progress`]: a caller that must see what it
+    /// just issued on the wire before it sleeps runs one of those.
     pub fn progress(&mut self) -> bool {
-        self.fm.progress();
-        let copied = std::mem::take(&mut self.port.core.borrow_mut().pending_copy_bytes);
-        if copied > 0 {
-            self.fm.charge_memcpy(copied as usize);
-        }
         if self.fm.has_downed_peers() {
             let downed = self.fm.downed_peers();
-            if let Some(act) = self.active.take() {
-                if downed.contains(&act.job.dst) {
-                    self.port.core.borrow_mut().finish_job_src(&act.job.src);
-                } else {
-                    self.active = Some(act);
-                }
-            }
             self.port.core.borrow_mut().abort_peers(&downed);
         }
-        loop {
-            let next = self.port.core.borrow_mut().outbox.pop_front();
-            let Some((dst, hdr)) = next else { break };
-            let fin = hdr.encode();
-            if self
-                .fm
-                .try_send_message(dst, ONESIDED_HANDLER, &[&fin])
-                .is_err()
-            {
-                self.port.core.borrow_mut().outbox.push_front((dst, hdr));
-                return false;
-            }
-        }
-        let fm = self.fm.clone();
-        let same_host = |dst| fm.same_host_pid(dst).is_some();
-        loop {
-            if self.active.is_none() {
-                let Some((job, pull)) = self.port.core.borrow_mut().next_job(same_host) else {
-                    break;
-                };
-                self.active = Some(ActiveSend {
-                    job,
-                    open: None,
-                    pull,
-                });
-            }
-            if !self.pump_active() {
-                return false;
-            }
-            let act = self.active.take().expect("pump_active had an active job");
-            let mut core = self.port.core.borrow_mut();
-            match act.pull {
-                true => core.await_fin(act.job),
-                false => core.finish_job_src(&act.job.src),
-            }
-        }
-        self.is_idle()
-    }
-
-    /// Whether [`progress`](Self::progress) has nothing to move: no
-    /// control frame or job queued or streaming, no peer still to read a
-    /// DATA job's source, no sink copy left to charge.
-    pub fn is_idle(&self) -> bool {
-        let core = self.port.core.borrow();
-        core.outbox.is_empty()
-            && core.jobs.is_empty()
-            && self.active.is_none()
-            && core.pulled_data.is_empty()
-            && core.pending_copy_bytes == 0
-    }
-
-    /// Stream the active job as far as credits allow. Returns `true`
-    /// when the job is fully on the wire.
-    fn pump_active(&mut self) -> bool {
-        let act = self.active.as_mut().expect("caller checked");
-        let fm = &self.fm;
-        let core = self.port.core.borrow();
-        if act.pull {
-            let request = core.pull_request(&act.job).encode();
-            return fm
-                .try_send_message(act.job.dst, act.job.lane.handler(), &[&request])
-                .is_ok();
-        }
-        let chunk_max = core.cfg.chunk_bytes.max(1);
-        // At least one message: a get's header goes alone.
-        loop {
-            let at = act.job.cursor;
-            let clen = chunk_max.min(act.job.len - at);
-            let ss = act.open.get_or_insert_with(|| {
-                fm.begin_message(act.job.dst, OP_HDR_BYTES + clen, act.job.lane.handler())
-            });
-            let mut send = |chunk: &[u8]| fm.try_send_rest(ss, &[&act.job.hdr[..], chunk]);
-            let sent = match &act.job.src {
-                JobSrc::Owned(v) => send(&v[at..at + clen]),
-                JobSrc::Region { index, offset } => {
-                    core.regions.with_window(*index, offset + at, clen, send)
-                }
-            };
-            if sent.is_err() {
-                return false;
-            }
-            act.open = None;
-            act.job.cursor += clen;
-            if act.job.cursor == act.job.len {
-                return true;
-            }
-        }
+        let q = self.port.core.borrow().sendq.clone();
+        let q = q.borrow();
+        q.is_empty() && q.pulled.is_empty()
     }
 }
 
@@ -1953,7 +1745,7 @@ mod tests {
         let mut p = Pair::new();
         let dst = p.b.register(0, 64 * 1024).unwrap();
         // A multi-chunk put, a refused one and two single-packet ones:
-        // one FIFO of jobs out, one FIFO of FINs back — no overtaking.
+        // one FIFO of puts out, one FIFO of FINs back — no overtaking.
         let big = pattern(24 * 1024, 21);
         let small = pattern(256, 22);
         let issued = [
@@ -2006,7 +1798,7 @@ mod tests {
         let buf = p.b.register_owned(vec![0u8; 8 * 1024]).unwrap();
         let xfer = p.b.port().grant_from(0, buf, 0, 8 * 1024).unwrap();
         let data = pattern(8 * 1024, 41);
-        p.a.port().send_granted(1, xfer, data.clone());
+        p.a.port().send_granted(1, xfer, data.clone(), None);
         p.pump_until(|p| p.b.port().take_grant_complete(0, xfer));
         let out = p.b.deregister_owned(buf).unwrap();
         assert_eq!(out, data);

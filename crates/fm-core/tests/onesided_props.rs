@@ -46,15 +46,15 @@
 //!     `protocol_drops` — exactly those, by a model of the header.
 
 use std::cell::{Cell, RefCell};
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::rc::Rc;
 use std::sync::Arc;
 
-use fm_core::device::{LoopbackDevice, LoopbackPair};
+use fm_core::device::{DeviceFull, LoopbackDevice, LoopbackPair};
 use fm_core::onesided::{ONESIDED_HANDLER, OP_HDR_BYTES, OS_EAGER_HANDLER};
 use fm_core::{
-    Fm2Engine, FmPacket, NetDevice, Onesided, OnesidedConfig, OsError, OsPort, OsStatus, OsToken,
-    PeerEvent, PeerEventKind, RegionHandle, SimDevice,
+    Fm2Engine, FmPacket, NetDevice, Onesided, OnesidedConfig, OsCompletion, OsError, OsPort,
+    OsStatus, OsToken, PeerEvent, PeerEventKind, RegionHandle, SimDevice,
 };
 use fm_model::rng::{env_cases, DetRng};
 use fm_model::{MachineProfile, Nanos};
@@ -564,6 +564,8 @@ fn event(peer: usize, kind: PeerEventKind) -> PeerEvent {
 struct PullPair {
     fm: [Fm2Engine<LoopbackDevice>; 2],
     os: [Onesided<LoopbackDevice>; 2],
+    /// Node 0's completions, in the order they arrived.
+    completed: Vec<OsToken>,
 }
 
 impl PullPair {
@@ -588,7 +590,11 @@ impl PullPair {
             Fm2Engine::new(dev, MachineProfile::ppro200_fm2())
         });
         let os = [0, 1].map(|node| port(node, &fm[node]));
-        PullPair { fm, os }
+        PullPair {
+            fm,
+            os,
+            completed: Vec::new(),
+        }
     }
 
     fn port(&self, node: usize) -> OsPort {
@@ -620,6 +626,7 @@ impl PullPair {
             self.deliver();
             while let Some(c) = self.os[0].poll_completion() {
                 seen.entry(c.token).or_default().push(c.status);
+                self.completed.push(c.token);
             }
             let done = tokens.iter().all(|t| seen.contains_key(t)) && self.os[0].pending_ops() == 0;
             match settle {
@@ -825,9 +832,16 @@ fn an_unreadable_peer_declines_once_and_everything_lands_over_packets() {
         target
             .write_local(theirs, 512 * KIB, &remote)
             .expect("fill");
-        let puts = [(0, ours(1, 64 * KIB)), (64 * KIB, ours(2, 256 * KIB))];
+        // The last put is short and lands inside the 256 KiB one's window,
+        // issued right after it: the window must end up holding its bytes.
+        let puts = [
+            (0, ours(1, 64 * KIB)),
+            (64 * KIB, ours(2, 256 * KIB)),
+            (100 * KIB + 3, ours(3, 2 * KIB)),
+        ];
         let gets = [(512 * KIB, 64 * KIB), (576 * KIB, 256 * KIB)];
         let mut tokens = Vec::new();
+        let mut put_tokens = Vec::new();
         for phase in [gets_first, !gets_first] {
             if phase {
                 for &(at, len) in &gets {
@@ -839,22 +853,27 @@ fn an_unreadable_peer_declines_once_and_everything_lands_over_packets() {
                 }
             } else {
                 for (at, data) in &puts {
-                    tokens.push(initiator.put(1, theirs, *at as u64, data));
+                    put_tokens.push(initiator.put(1, theirs, *at as u64, data));
                 }
+                tokens.extend(&put_tokens);
             }
         }
         let seen = pair.complete(&tokens);
         for t in &tokens {
             assert_eq!(seen[t], vec![OsStatus::Ok], "gets first: {gets_first}");
         }
+        let mut image = vec![0u8; 320 * KIB];
         for (at, data) in &puts {
-            let mut got = vec![0u8; data.len()];
-            target.read_local(theirs, *at, &mut got).expect("read back");
-            assert!(
-                got == *data,
-                "gets first: {gets_first}: put at {at} diverged"
-            );
+            image[*at..*at + data.len()].copy_from_slice(data);
         }
+        let mut got = vec![0u8; image.len()];
+        target.read_local(theirs, 0, &mut got).expect("read back");
+        assert!(got == image, "gets first: {gets_first}: the puts diverged");
+        let put_order: Vec<OsToken> = (pair.completed.iter())
+            .filter(|t| put_tokens.contains(t))
+            .copied()
+            .collect();
+        assert_eq!(put_order, put_tokens, "gets first: {gets_first}");
         let mut got = vec![0u8; remote.len()];
         initiator
             .read_local(mine, 512 * KIB, &mut got)
@@ -916,6 +935,183 @@ fn a_port_over_a_shared_arena_streams_every_payload() {
         assert_eq!(port.pull_declines(), 0);
         assert_eq!(port.protocol_drops(), 0);
     }
+}
+
+// ----------------------------------------------------------------------
+// One queue per peer
+// ----------------------------------------------------------------------
+
+/// One node of [`Mesh`]: a packet is in its destination's inbox the
+/// moment it is sent, and the NIC never holds one back.
+struct MeshDevice {
+    node: usize,
+    inboxes: Rc<RefCell<Vec<VecDeque<FmPacket>>>>,
+    events: VecDeque<PeerEvent>,
+}
+
+impl NetDevice for MeshDevice {
+    fn node_id(&self) -> usize {
+        self.node
+    }
+    fn num_nodes(&self) -> usize {
+        self.inboxes.borrow().len()
+    }
+    fn try_send(&mut self, pkt: FmPacket) -> Result<(), DeviceFull> {
+        self.inboxes.borrow_mut()[pkt.header.dst as usize].push_back(pkt);
+        Ok(())
+    }
+    fn try_recv(&mut self) -> Option<FmPacket> {
+        self.inboxes.borrow_mut()[self.node].pop_front()
+    }
+    fn send_space(&self) -> usize {
+        1 << 20
+    }
+    fn now(&self) -> Nanos {
+        Nanos::ZERO
+    }
+    fn charge(&mut self, _cost: Nanos) {}
+    fn poll_event(&mut self) -> Option<PeerEvent> {
+        self.events.pop_front()
+    }
+}
+
+/// `n` engines of this process on one switch, each with a port over a
+/// 1 MiB arena registered whole (so `ARENA` names it on every node). A
+/// node the test never turns takes in nothing and returns no credit:
+/// the window toward it closes, and a pull probe to it is never
+/// answered.
+struct Mesh {
+    fm: Vec<Fm2Engine<MeshDevice>>,
+    os: Vec<Onesided<MeshDevice>>,
+}
+
+const ARENA: RegionHandle = RegionHandle { index: 0, epoch: 0 };
+
+impl Mesh {
+    /// With `same_host`, every node is told the others run on its host,
+    /// as this process.
+    fn new(n: usize, same_host: bool) -> Self {
+        let inboxes = Rc::new(RefCell::new(vec![VecDeque::new(); n]));
+        let cfg = OnesidedConfig {
+            arena_bytes: 1 << 20,
+            ..OnesidedConfig::default()
+        };
+        let pid = std::process::id();
+        let fm: Vec<_> = (0..n)
+            .map(|node| {
+                let events = (0..n)
+                    .filter(|&peer| same_host && peer != node)
+                    .map(|peer| event(peer, PeerEventKind::SameHost { pid }))
+                    .collect();
+                let inboxes = Rc::clone(&inboxes);
+                let dev = MeshDevice {
+                    node,
+                    inboxes,
+                    events,
+                };
+                Fm2Engine::new(dev, MachineProfile::ppro200_fm2())
+            })
+            .collect();
+        let os: Vec<_> = fm.iter().map(|fm| Onesided::new(fm, cfg)).collect();
+        for port in &os {
+            assert_eq!(port.register(0, 1 << 20), Ok(ARENA));
+        }
+        Mesh { fm, os }
+    }
+
+    /// Turn `nodes` until node 0 has a completion for every one of
+    /// `tokens`; returns node 0's completions in arrival order.
+    fn complete(&mut self, nodes: &[usize], tokens: &[OsToken]) -> Vec<OsCompletion> {
+        let mut seen = Vec::new();
+        for _ in 0..1_000 {
+            for &node in nodes {
+                self.fm[node].extract_all();
+                self.os[node].progress();
+            }
+            seen.extend(std::iter::from_fn(|| self.os[0].poll_completion()));
+            if tokens.iter().all(|t| seen.iter().any(|c| c.token == *t)) {
+                return seen;
+            }
+        }
+        panic!("held back: {seen:?} of {tokens:?}");
+    }
+}
+
+/// Node 0 puts to node 2, then gets the bytes back, while `stalled` —
+/// its ops to node 1, which never turns — cannot finish: both complete
+/// `Ok`, the get reads the put, and every one of `stalled` stays
+/// outstanding.
+fn node_2_is_not_held_back(mesh: &mut Mesh, stalled: &[OsToken]) {
+    let data: Vec<u8> = (0..64 * 1024).map(|i| (i % 239) as u8 + 1).collect();
+    let port = mesh.os[0].port();
+    let put = port.put(2, ARENA, 0, &data);
+    let get = (port.get(2, ARENA, 0, ARENA, 512 * 1024, data.len())).expect("get");
+    let seen = mesh.complete(&[0, 2], &[put, get]);
+    let ok = |token| OsCompletion {
+        token,
+        status: OsStatus::Ok,
+    };
+    assert_eq!(seen, [ok(put), ok(get)]);
+    let mut got = vec![0u8; data.len()];
+    port.read_local(ARENA, 512 * 1024, &mut got)
+        .expect("read back");
+    assert!(got == data, "the get did not read the put");
+    assert_eq!(port.pending_ops_to(1), stalled.len(), "of {stalled:?}");
+}
+
+#[test]
+fn a_closed_credit_window_to_one_peer_holds_back_no_other_peer() {
+    // 256 KiB is four times node 0's credit window toward node 1.
+    let mut mesh = Mesh::new(3, false);
+    let stalled = mesh.os[0].put(1, ARENA, 0, &vec![1u8; 256 * 1024]);
+    node_2_is_not_held_back(&mut mesh, &[stalled]);
+}
+
+#[test]
+fn a_pull_probe_in_flight_to_one_peer_holds_back_no_other_peer() {
+    // The first put longer than a chunk to node 1 leaves as a PULL, the
+    // probe, and waits for an answer node 1 never sends; a short put to
+    // node 1 waits behind it. Node 2 reads node 0's payloads (this
+    // process) as they come.
+    let mut mesh = Mesh::new(3, true);
+    let probe = mesh.os[0].put(1, ARENA, 0, &vec![1u8; 64 * 1024]);
+    let behind = mesh.os[0].put(1, ARENA, 0, &[2u8; 100]);
+    node_2_is_not_held_back(&mut mesh, &[probe, behind]);
+    // Both of node 2's payloads were read, each by the side it was for.
+    assert_eq!(mesh.os[2].pulled_bytes(), 64 * 1024);
+    assert_eq!(mesh.os[0].pulled_bytes(), 64 * 1024);
+}
+
+#[test]
+fn a_put_from_dropped_for_a_downed_peer_releases_its_source() {
+    // Node 1 never turns: a put wider than the credit window stalls, and
+    // a put_from queues behind it with its source pinned.
+    let (a, b) = LoopbackPair::new(256);
+    let fm = [a, b].map(|dev| Fm2Engine::new(dev, MachineProfile::ppro200_fm2()));
+    let mut os = Onesided::new(&fm[0], OnesidedConfig::default());
+    let _target = Onesided::new(&fm[1], OnesidedConfig::default());
+    let src = os.register(0, 64 * 1024).expect("source");
+    let wide = os.put(1, ARENA, 0, &vec![1u8; 256 * 1024]);
+    let from = (os.put_from(1, ARENA, 0, src, 0, 64 * 1024)).expect("put_from");
+    fm[0].extract_all();
+    os.progress();
+    assert_eq!(os.deregister(src), Err(OsError::RegionBusy));
+    // Node 1 goes down: both ops end, and the source is free again.
+    fm[0].with_device(|d| d.report(event(1, PeerEventKind::Down)));
+    fm[0].extract_all();
+    os.progress();
+    let down = |token| OsCompletion {
+        token,
+        status: OsStatus::PeerDown,
+    };
+    let mut seen: Vec<_> = std::iter::from_fn(|| os.poll_completion()).collect();
+    seen.sort_by_key(|c| c.token.0);
+    assert_eq!(seen, [down(wide), down(from)]);
+    assert_eq!(
+        os.deregister(src),
+        Ok(()),
+        "the dropped put_from kept its pin"
+    );
 }
 
 // ----------------------------------------------------------------------

@@ -71,12 +71,12 @@ const MPI2_RECV_SW_NS: u64 = 1_500;
 /// registers receives).
 #[derive(Default)]
 struct RndvState {
-    /// Parked sends awaiting CTS: seq -> (dst, payload, request).
+    /// Parked sends awaiting CTS: seq -> (dst, payload, request). At
+    /// CTS the payload goes to the one-sided layer, which sets the
+    /// request's flag once it holds none of it, so a sender that waits
+    /// for its sends and then exits leaves no bytes behind to stream or
+    /// be read.
     parked: HashMap<u32, (usize, Vec<u8>, SendReq)>,
-    /// Sends whose payload went to the one-sided layer at CTS: complete
-    /// once that layer holds no payload, so a sender that waits for its
-    /// sends and then exits leaves no bytes behind to stream or be read.
-    handed: Vec<SendReq>,
     /// Receives whose buffer is granted to the one-sided layer and is
     /// being filled by streaming DATA segments: (src_rank, seq).
     granted: HashMap<(usize, u32), GrantedRecv>,
@@ -96,10 +96,10 @@ struct GrantedRecv {
 /// MPI over FM 2.x.
 pub struct Mpi2<D: NetDevice> {
     fm: Fm2Engine<D>,
-    /// One-sided layer carrying rendezvous payloads: receive buffers
+    /// One-sided port carrying rendezvous payloads: receive buffers
     /// are registered and granted to the sender, DATA streams into them
-    /// with no staging copy.
-    os: Onesided<D>,
+    /// with no staging copy. Its sends wait in the engine's queue.
+    os: OsPort,
     queues: Rc<RefCell<MatchQueues>>,
     rndv: Rc<RefCell<RndvState>>,
     /// Byte budget passed to `FM_extract` on each progress call (receiver
@@ -125,8 +125,9 @@ impl<D: NetDevice + 'static> Mpi2<D> {
                 arena_bytes: 0,
                 ..OnesidedConfig::default()
             },
-        );
-        let os_port = os.port();
+        )
+        .port();
+        let os_port = os.clone();
         let q = Rc::clone(&queues);
         let rv = Rc::clone(&rndv);
         let fm_for_handler = fm.handle();
@@ -209,10 +210,9 @@ impl<D: NetDevice + 'static> Mpi2<D> {
                         // one-sided transfer (xfer id rides in the CTS `len`
                         // field); the DATA segments stream straight into the
                         // buffer the receiver registered.
-                        let mut rv = rndv.borrow_mut();
-                        if let Some((dst, data, req)) = rv.parked.remove(&hdr.seq) {
-                            port.send_granted(dst, hdr.len, data);
-                            rv.handed.push(req);
+                        let parked = rndv.borrow_mut().parked.remove(&hdr.seq);
+                        if let Some((dst, data, req)) = parked {
+                            port.send_granted(dst, hdr.len, data, Some(req.sent));
                         }
                     }
                     k => panic!("unknown MPI wire kind {k}"),
@@ -272,7 +272,7 @@ impl<D: NetDevice + 'static> Mpi2<D> {
         if self.rndv.borrow().granted.is_empty() {
             return;
         }
-        let port = self.os.port();
+        let port = &self.os;
         let done: Vec<(usize, u32)> = self
             .rndv
             .borrow()
@@ -424,14 +424,6 @@ impl<D: NetDevice + 'static> Mpi for Mpi2<D> {
         // refused offer is charged, and `BENCH_sim.json` encodes two).
         self.fm.progress();
         self.fm.extract(self.extract_budget);
-        // The one-sided layer carries rendezvous payloads only: turn it
-        // while it holds any. Once it holds none, every payload it was
-        // handed is on the wire or read.
-        if self.os.is_idle() || self.os.progress() {
-            for req in self.rndv.borrow_mut().handed.drain(..) {
-                req.sent.set(true);
-            }
-        }
         self.poll_granted();
     }
 
