@@ -9,6 +9,12 @@
 //! contiguous-buffer face) and [`crate::Fm2Engine`] (the stream face) own
 //! only what their APIs add on top.
 //!
+//! FM keeps its guarantees per peer, and so does the core: everything it
+//! knows about one peer — the link's facts, the sequence numbers of both
+//! streams, the credits and, over a link that may lose packets, the
+//! retransmit state — is that peer's [`Peer`] record. A peer that
+//! restarts gets a fresh record, in one assignment.
+//!
 //! The one thing that differs below the faces is what a packet *costs*
 //! the host — the quantity Figs. 3–4 measure. Each face prices its
 //! packets in a [`PacketCosts`] table handed over at construction; the
@@ -20,10 +26,10 @@ use fm_model::{MachineProfile, Nanos};
 use crate::buf::{BufPool, PacketBuf};
 use crate::device::{NetDevice, PeerEvent, PeerEventKind};
 use crate::error::FmError;
-use crate::flow::CreditLedger;
+use crate::flow::{CreditWindow, Credits};
 use crate::obs::{ObsEvent, ObsSink, SpanKind};
 use crate::packet::{FmPacket, HandlerId, PacketFlags, PacketHeader};
-use crate::reliable::{RecvDecision, ReliableState};
+use crate::reliable::{PeerRel, RecvDecision};
 use crate::stats::FmStats;
 
 /// Free-list depth of each engine's send-payload pool. Deep enough to
@@ -127,6 +133,64 @@ impl<T> HandlerTable<T> {
     }
 }
 
+/// What the engine knows about one peer, in one place. A restarted peer
+/// gets a fresh one ([`Peer::fresh`]).
+pub(crate) struct Peer {
+    pub(crate) link: Link,
+    pub(crate) seq: Seqs,
+    /// Toward a trusted peer, its flow control; unused toward a lossy one.
+    pub(crate) credits: Credits,
+    /// Retransmission state toward a peer whose link may lose packets
+    /// (`None` toward a trusted one): there it replaces the credits.
+    /// Boxed, so every record is 56 bytes and the scan of the credit
+    /// return, which runs at the end of every extract, stays short.
+    pub(crate) rel: Option<Box<PeerRel>>,
+}
+
+/// What the device has said about the link to one peer.
+pub(crate) struct Link {
+    /// The largest packet payload toward the peer: the profile's MTU, or
+    /// what a [`PeerEventKind::Link`] fact says the link carries.
+    pub(crate) mtu: usize,
+    /// The peer's pid, if the device reported it on this host
+    /// ([`PeerEventKind::SameHost`]).
+    pub(crate) pid: Option<u32>,
+    /// Declared down by the device's liveness engine. Upper layers poll
+    /// this to abort instead of spinning on a dead peer.
+    pub(crate) down: bool,
+}
+
+/// The sequence numbers between this node and one peer, one counter per
+/// direction: the credit path and the retransmit path read the same ones.
+#[derive(Default)]
+pub(crate) struct Seqs {
+    /// Next packet sequence number to send.
+    pub(crate) send_pkt: u32,
+    /// Next message sequence number to send.
+    pub(crate) send_msg: u32,
+    /// Next packet sequence number expected; over a lossy link also the
+    /// cumulative ack owed.
+    pub(crate) recv_pkt: u32,
+}
+
+impl Peer {
+    /// A peer before any fact or traffic: on the profile's `mtu`, no pid,
+    /// up, every sequence number 0, the whole credit window, and — if its
+    /// link is `lossy` — retransmit state with nothing in flight.
+    fn fresh(mtu: usize, window: CreditWindow, lossy: bool) -> Peer {
+        Peer {
+            link: Link {
+                mtu,
+                pid: None,
+                down: false,
+            },
+            seq: Seqs::default(),
+            credits: window.fresh(),
+            rel: lossy.then(|| Box::new(PeerRel::fresh(window.window()))),
+        }
+    }
+}
+
 /// The state and protocol decisions common to both engine generations.
 pub(crate) struct EngineCore<D: NetDevice> {
     pub(crate) device: D,
@@ -137,17 +201,18 @@ pub(crate) struct EngineCore<D: NetDevice> {
     room: usize,
     pub(crate) profile: MachineProfile,
     costs: PacketCosts,
-    pub(crate) flow: CreditLedger,
-    /// Next packet sequence number per destination.
-    send_pkt_seq: Vec<u32>,
-    /// Next message sequence number per destination.
-    pub(crate) send_msg_seq: Vec<u32>,
-    /// Expected next packet sequence number per trusted source (the
-    /// reliable window keeps its own for a lossy one).
-    recv_pkt_seq: Vec<u32>,
-    /// Retransmission state for the peers whose links may lose packets
-    /// (`None` if none may): toward them it replaces the credit ledger.
-    reliable: Option<ReliableState>,
+    /// The credit window, the same toward every peer (and the retransmit
+    /// window toward a lossy one).
+    credit_window: CreditWindow,
+    /// Everything the engine knows about each peer, by node id.
+    pub(crate) peers: Vec<Peer>,
+    /// Whether any peer's link may lose packets. If none may, the
+    /// reliability poll has nothing to do and reads no clock.
+    lossy: bool,
+    /// The lossy source whose expected packet was last accepted with the
+    /// next one already held: [`EngineCore::recv`] drains that run before
+    /// the device is asked again, so at most one peer has a run pending.
+    releasing: Option<usize>,
     /// Frame pool sized to the largest MTU of any link ([`Self::mtu`]):
     /// faces stage payload bytes directly into pooled frames, which then
     /// *become* packet payloads — steady-state sends never allocate.
@@ -159,17 +224,6 @@ pub(crate) struct EngineCore<D: NetDevice> {
     /// Observability sink (`None` by default: recording is opt-in and a
     /// single branch per site when absent).
     pub(crate) obs: Option<ObsSink>,
-    /// Peers currently declared down by the device's liveness engine.
-    /// Upper layers poll this to abort instead of spinning on a dead
-    /// peer.
-    pub(crate) peer_down: Vec<bool>,
-    /// The pid of each peer the device reported on this host
-    /// ([`PeerEventKind::SameHost`]), until its `Down` or `Rejoining`.
-    pub(crate) same_host: Vec<Option<u32>>,
-    /// The largest packet payload toward each peer: the profile's MTU,
-    /// or what a [`PeerEventKind::Link`] fact says the link carries,
-    /// until the peer's `Down` or `Rejoining`.
-    link_mtu: Vec<usize>,
     /// `(dst, msg_seq)` of the message whose stall span is out: a sender
     /// polling until admitted traces its stall once, not once per poll.
     stall_traced: (usize, u32),
@@ -186,29 +240,25 @@ impl<D: NetDevice> EngineCore<D> {
     /// A core that retransmits, in a window of `credits_per_peer`, to
     /// the peers whose links may lose packets, and trusts the rest.
     pub(crate) fn new(device: D, profile: MachineProfile, costs: PacketCosts) -> Self {
-        let n = device.num_nodes();
-        let lossy: Vec<bool> = (0..n).map(|peer| device.is_lossy_to(peer)).collect();
-        let reliable = lossy
-            .contains(&true)
-            .then(|| ReliableState::new(lossy, profile.fm.credits_per_peer));
+        let credit_window = CreditWindow::new(profile.fm.credits_per_peer);
+        let mtu = profile.fm.mtu_payload;
+        let peers: Vec<Peer> = (0..device.num_nodes())
+            .map(|peer| Peer::fresh(mtu, credit_window, device.is_lossy_to(peer)))
+            .collect();
         EngineCore {
             device,
             room: 0,
             profile,
             costs,
-            flow: CreditLedger::new(n, profile.fm.credits_per_peer),
-            send_pkt_seq: vec![0; n],
-            send_msg_seq: vec![0; n],
-            recv_pkt_seq: vec![0; n],
-            reliable,
-            pool: BufPool::new(profile.fm.mtu_payload, SEND_POOL_FRAMES),
+            credit_window,
+            lossy: peers.iter().any(|p| p.rel.is_some()),
+            peers,
+            releasing: None,
+            pool: BufPool::new(mtu, SEND_POOL_FRAMES),
             errors: Vec::new(),
             stats: FmStats::default(),
             in_extract: false,
             obs: None,
-            peer_down: vec![false; n],
-            same_host: vec![None; n],
-            link_mtu: vec![profile.fm.mtu_payload; n],
             stall_traced: (usize::MAX, 0),
         }
     }
@@ -238,17 +288,17 @@ impl<D: NetDevice> EngineCore<D> {
     /// takes, as the device reported it, else the profile's MTU.
     #[inline]
     pub(crate) fn mtu(&self, dst: usize) -> usize {
-        self.link_mtu[dst]
+        self.peers[dst].link.mtu
     }
 
     /// Record that the link to `peer` carries packets of up to
     /// `max_payload` bytes, growing the send pool's frames to match —
     /// once, here, never per message. Frames of the retired pool still
     /// in flight are freed by their last reader.
-    fn set_link_mtu(&mut self, peer: usize, max_payload: u32) {
+    fn set_mtu(&mut self, peer: usize, max_payload: u32) {
         assert!(max_payload > 0, "a link that carries no payload byte");
         let mtu = max_payload as usize;
-        self.link_mtu[peer] = mtu;
+        self.peers[peer].link.mtu = mtu;
         if mtu > self.pool.frame_capacity() {
             let retired = std::mem::replace(&mut self.pool, BufPool::new(mtu, SEND_POOL_FRAMES));
             let p = retired.stats();
@@ -272,30 +322,20 @@ impl<D: NetDevice> EngineCore<D> {
     /// Whether any peer is currently declared down (one slice scan, no
     /// allocation: blocking waits ask this on every poll).
     pub(crate) fn has_downed_peers(&self) -> bool {
-        self.peer_down.contains(&true)
+        self.peers.iter().any(|p| p.link.down)
     }
 
     /// The peers currently declared down, in node order.
     pub(crate) fn downed_peers(&self) -> Vec<usize> {
-        self.peer_down
-            .iter()
-            .enumerate()
-            .filter_map(|(i, &d)| d.then_some(i))
-            .collect()
-    }
-
-    /// The retransmission state, if the link to `peer` may lose packets.
-    #[inline]
-    pub(crate) fn reliable_to(&self, peer: usize) -> Option<&ReliableState> {
-        self.reliable.as_ref().filter(|r| r.covers(peer))
+        let down = self.peers.iter().enumerate();
+        down.filter_map(|(i, p)| p.link.down.then_some(i)).collect()
     }
 
     /// Data packets sent to lossy peers but not yet acknowledged (always
     /// 0 toward trusted ones).
     pub(crate) fn unacked_packets(&self) -> usize {
-        self.reliable
-            .as_ref()
-            .map_or(0, ReliableState::unacked_packets)
+        let rels = self.peers.iter().filter_map(|p| p.rel.as_deref());
+        rels.map(PeerRel::unacked_packets).sum()
     }
 
     // ------------------------------------------------------------------
@@ -352,10 +392,11 @@ impl<D: NetDevice> EngineCore<D> {
             self.stats.device_stalls += 1;
             (Stall::Device, SpanKind::DeviceStall)
         } else {
-            let open = match self.reliable_to(dst) {
+            let p = &self.peers[dst];
+            let open = match &p.rel {
                 // A lossy link: the sliding window is the flow control.
-                Some(rel) => rel.can_send(dst, packets),
-                None => self.costs.flow_control.is_none() || self.flow.available(dst) >= packets,
+                Some(rel) => rel.can_send(packets),
+                None => self.costs.flow_control.is_none() || p.credits.available() >= packets,
             };
             if open {
                 return Ok(());
@@ -388,8 +429,9 @@ impl<D: NetDevice> EngineCore<D> {
         msg_len: u32,
     ) -> Result<(), Stall> {
         self.room_for(dst, packets, msg_seq, msg_len)?;
-        if self.reliable_to(dst).is_none() && self.costs.flow_control.is_some() {
-            let reserved = self.flow.try_reserve(dst, packets);
+        let p = &mut self.peers[dst];
+        if p.rel.is_none() && self.costs.flow_control.is_some() {
+            let reserved = p.credits.try_reserve(packets);
             debug_assert!(reserved, "room_for saw the credits");
         }
         Ok(())
@@ -402,8 +444,9 @@ impl<D: NetDevice> EngineCore<D> {
         let msg_seq = if dst == self.device.node_id() {
             0
         } else {
-            let s = self.send_msg_seq[dst];
-            self.send_msg_seq[dst] += 1;
+            let seq = &mut self.peers[dst].seq;
+            let s = seq.send_msg;
+            seq.send_msg += 1;
             s
         };
         self.obs_emit(|t, me| {
@@ -445,12 +488,13 @@ impl<D: NetDevice> EngineCore<D> {
         flags: PacketFlags,
         payload: PacketBuf,
     ) {
-        let (credits, ack) = match self.reliable.as_mut().filter(|r| r.covers(dst)) {
-            Some(rel) => (0, rel.piggyback_ack(dst)),
-            None => (self.flow.take_owed(dst), 0),
+        let p = &mut self.peers[dst];
+        let (credits, ack) = match &mut p.rel {
+            Some(rel) => (0, rel.piggyback_ack(&p.seq)),
+            None => (p.credits.take_owed(), 0),
         };
-        let pkt_seq = self.send_pkt_seq[dst];
-        self.send_pkt_seq[dst] += 1;
+        let pkt_seq = p.seq.send_pkt;
+        p.seq.send_pkt = pkt_seq.wrapping_add(1);
         let pkt = FmPacket {
             header: PacketHeader {
                 src: self.device.node_id() as u16,
@@ -467,9 +511,8 @@ impl<D: NetDevice> EngineCore<D> {
         };
         // Only the retransmit timer wants to know when: a trusted
         // packet leaves without a clock read.
-        if let Some(rel) = self.reliable.as_mut().filter(|r| r.covers(dst)) {
-            let now = self.device.now();
-            rel.on_data_sent(dst, &pkt, now);
+        if let Some(rel) = &mut p.rel {
+            rel.on_data_sent(&pkt, self.device.now());
         }
         let payload_len = pkt.payload.len() as u32;
         self.hand_off(pkt, self.costs.data);
@@ -499,24 +542,20 @@ impl<D: NetDevice> EngineCore<D> {
         });
     }
 
-    /// Trace the AIMD window toward `peer` after a timeout halved it.
-    fn emit_cwnd(&self, rel: &ReliableState, peer: usize) {
-        let cwnd = rel.cwnd_packets(peer);
-        self.obs_emit(|t, me| {
-            ObsEvent::new(t, me, SpanKind::CwndChange)
-                .peer(peer as u16)
-                .seq(cwnd)
-        });
-    }
-
     /// Send the standalone ack owed to `peer`, if one is: the one place an
     /// ack-only frame leaves from. A full NIC queue keeps the duty — the
-    /// next call retries.
-    fn send_due_ack(&mut self, rel: &mut ReliableState, peer: usize) {
-        if !rel.ack_due(peer) || !self.device_takes(1) {
+    /// next call retries. Out of line: besides the poll it runs from
+    /// `admit`, once per half window of a burst, and inlined there it cost
+    /// the trusted receive path 4–6 % on the simulator workloads.
+    #[inline(never)]
+    fn send_due_ack(&mut self, peer: usize) {
+        let due = self.peers[peer].rel.as_ref().is_some_and(|r| r.ack_due());
+        if !due || !self.device_takes(1) {
             return;
         }
-        let (ack, sack) = rel.take_due_ack(peer).expect("an ack is due");
+        let p = &mut self.peers[peer];
+        let rel = p.rel.as_mut().expect("an ack is due");
+        let (ack, sack) = rel.take_due_ack(&p.seq).expect("an ack is due");
         let me = self.device.node_id() as u16;
         let pkt = FmPacket::ack_sack(me, peer as u16, ack, sack);
         self.hand_off(pkt, self.costs.control);
@@ -529,55 +568,52 @@ impl<D: NetDevice> EngineCore<D> {
         });
     }
 
-    /// Half a window into a burst that is still being consumed: the ack
-    /// — the sender's credit — goes now, not when this poll ends, so the
-    /// window never closes on a receiver that keeps up. Out of line: it
-    /// runs once per half window, and inlined into `admit` it cost the
-    /// trusted receive path 4–6 % on the simulator workloads.
-    #[inline(never)]
-    fn ack_mid_burst(&mut self, src: usize) {
-        let mut rel = self.reliable.take().expect("a lossy peer");
-        self.send_due_ack(&mut rel, src);
-        self.reliable = Some(rel);
-    }
-
     /// Housekeeping toward lossy peers: flush standalone acks, re-send
-    /// the head packet of each timed-out peer, and arm the timer alarm
-    /// (a trusted peer never owes an ack nor arms a timer).
+    /// the head packet of each timed-out peer, and arm the timer alarm.
+    /// A trusted peer never owes an ack nor arms a timer, so an engine
+    /// with no lossy peer leaves at the first branch.
     #[inline]
     pub(crate) fn reliability_poll(&mut self) {
-        let Some(mut rel) = self.reliable.take() else {
+        if !self.lossy {
             return;
-        };
+        }
         // Standalone acks for one-sided traffic (piggybacking already
         // discharged the duty wherever reverse data flowed, and a burst
         // acknowledged its first halves from inside `admit`): the tail,
         // the SACK state, the answer to a duplicate.
-        for peer in 0..rel.num_peers() {
-            self.send_due_ack(&mut rel, peer);
+        for peer in 0..self.peers.len() {
+            self.send_due_ack(peer);
         }
         // A timeout costs one packet: the oldest unacknowledged,
         // whatever else the ring holds.
         let now = self.device.now();
-        for peer in 0..rel.num_peers() {
-            if !rel.timed_out(peer, now) {
+        for peer in 0..self.peers.len() {
+            let p = &mut self.peers[peer];
+            let Some(rel) = p.rel.as_mut().filter(|r| r.timed_out(now)) else {
                 continue;
-            }
+            };
+            let pkt = rel.on_timeout(&p.seq, now, &mut self.stats);
+            let cwnd = rel.cwnd_packets();
             self.obs_emit(|t, me| {
                 ObsEvent::new(t, me, SpanKind::RetransmitTimeout).peer(peer as u16)
             });
-            if let Some(pkt) = rel.on_timeout(peer, now, &mut self.stats) {
+            if let Some(pkt) = pkt {
                 if self.device_takes(1) {
                     self.resend(peer, pkt); // else the next timeout retries
                 }
             }
-            self.emit_cwnd(&rel, peer);
+            // The AIMD window the timeout halved.
+            self.obs_emit(|t, me| {
+                ObsEvent::new(t, me, SpanKind::CwndChange)
+                    .peer(peer as u16)
+                    .seq(cwnd)
+            });
         }
         // Make sure we get polled again even on a quiet network.
-        if let Some(at) = rel.next_deadline() {
+        let deadlines = self.peers.iter().filter_map(|p| p.rel.as_ref()?.deadline());
+        if let Some(at) = deadlines.min() {
             self.device.request_wake(at);
         }
-        self.reliable = Some(rel);
     }
 
     /// Return owed credits in explicit credit-only packets to every peer
@@ -588,17 +624,15 @@ impl<D: NetDevice> EngineCore<D> {
         // Per-peer index scan (not a collected iterator): this runs on
         // every extract/progress, and the datapath must stay
         // allocation-free.
-        for peer in 0..self.flow.num_peers() {
-            if !self.flow.explicit_return_due(peer) {
+        let window = self.credit_window;
+        for peer in 0..self.peers.len() {
+            if !self.peers[peer].credits.explicit_return_due(window) {
                 continue;
             }
             if !self.device_takes(1) {
                 return; // retry next time
             }
-            let credits = self.flow.take_owed(peer);
-            if credits == 0 {
-                continue;
-            }
+            let credits = self.peers[peer].credits.take_owed();
             let me = self.device.node_id() as u16;
             self.hand_off(
                 FmPacket::credit_only(me, peer as u16, credits),
@@ -645,15 +679,15 @@ impl<D: NetDevice> EngineCore<D> {
             // Where the peer lives and what its link carries, not
             // whether it lives: recorded, not traced.
             PeerEventKind::SameHost { pid } => {
-                self.same_host[peer] = Some(pid);
+                self.peers[peer].link.pid = Some(pid);
                 return Some(ev);
             }
             PeerEventKind::Link { max_payload } => {
-                self.set_link_mtu(peer, max_payload);
+                self.set_mtu(peer, max_payload);
                 return Some(ev);
             }
             PeerEventKind::Up => {
-                self.peer_down[peer] = false;
+                self.peers[peer].link.down = false;
                 SpanKind::PeerUp
             }
             // Liveness in doubt, protocol state intact: the AIMD window
@@ -661,29 +695,29 @@ impl<D: NetDevice> EngineCore<D> {
             // structural to do.
             PeerEventKind::Suspect => SpanKind::PeerSuspect,
             PeerEventKind::Down => {
-                self.peer_down[peer] = true;
-                self.same_host[peer] = None;
-                self.link_mtu[peer] = self.profile.fm.mtu_payload;
+                // The link's facts end with the peer; its sequence
+                // numbers stay, in case the same incarnation comes back.
+                let p = &mut self.peers[peer];
+                p.link = Link {
+                    mtu: self.profile.fm.mtu_payload,
+                    pid: None,
+                    down: true,
+                };
                 // Stop the retransmit storm toward the corpse.
-                if let Some(rel) = self.reliable.as_mut().filter(|r| r.covers(peer)) {
-                    rel.abandon_peer(peer);
+                if let Some(rel) = &mut p.rel {
+                    rel.abandon();
                 }
                 SpanKind::PeerDown
             }
             PeerEventKind::Rejoining => {
-                // The peer restarted: every sequence number and
-                // retransmit clone from its old incarnation is invalid.
-                // Both sides reset symmetrically (the restarted peer
-                // starts from scratch by construction).
-                self.peer_down[peer] = false;
-                self.same_host[peer] = None;
-                self.link_mtu[peer] = self.profile.fm.mtu_payload;
-                if let Some(rel) = self.reliable.as_mut().filter(|r| r.covers(peer)) {
-                    rel.reset_peer(peer);
-                }
-                self.send_pkt_seq[peer] = 0;
-                self.send_msg_seq[peer] = 0;
-                self.recv_pkt_seq[peer] = 0;
+                // The peer restarted: everything known of its old
+                // incarnation is invalid. Both sides start over
+                // symmetrically (the restarted peer from scratch by
+                // construction); only whether its link may lose packets
+                // carries over.
+                let lossy = self.peers[peer].rel.is_some();
+                self.peers[peer] =
+                    Peer::fresh(self.profile.fm.mtu_payload, self.credit_window, lossy);
                 self.stats.peer_resets += 1;
                 SpanKind::PeerRejoin
             }
@@ -701,11 +735,13 @@ impl<D: NetDevice> EngineCore<D> {
     /// off the NIC, charging the per-packet receive cost.
     #[inline]
     pub(crate) fn recv(&mut self) -> Option<FmPacket> {
-        if let Some(rel) = self.reliable.as_mut() {
+        if let Some(src) = self.releasing {
             // A released packet was charged for when it arrived.
-            if let Some(pkt) = rel.take_released() {
+            let rel = self.peers[src].rel.as_mut();
+            if let Some(pkt) = rel.and_then(|r| r.take_released()) {
                 return Some(pkt);
             }
+            self.releasing = None;
         }
         let pkt = self.device.try_recv()?;
         self.device
@@ -732,7 +768,7 @@ impl<D: NetDevice> EngineCore<D> {
                 .serial_opt(self.device.last_recv_serial())
                 .bytes(pkt.payload.len() as u32)
         });
-        if self.reliable_to(src).is_some() {
+        if self.peers[src].rel.is_some() {
             // A lossy link: ack/window bookkeeping replaces the credit
             // bookkeeping (same charge).
             self.absorb_ack(src, h.ack, pkt.sack());
@@ -748,12 +784,20 @@ impl<D: NetDevice> EngineCore<D> {
             // The in-order filter: duplicates are suppressed and early
             // arrivals held here, never surfaced as errors — selective
             // repeat fills the gap instead.
-            let rel = self.reliable.as_mut().expect("a lossy peer");
-            return match rel.accept(src, pkt, &mut self.stats) {
+            let p = &mut self.peers[src];
+            let rel = p.rel.as_mut().expect("a lossy peer");
+            return match rel.accept(&mut p.seq, pkt, &mut self.stats) {
                 RecvDecision::Accept => {
+                    if rel.holds_next() {
+                        self.releasing = Some(src);
+                    }
                     self.stats.packets_received += 1;
-                    if rel.ack_overdue(src) {
-                        self.ack_mid_burst(src);
+                    // Half a window into a burst that is still being
+                    // consumed, the ack — the sender's credit — goes now,
+                    // not when this poll ends, so the window never closes
+                    // on a receiver that keeps up.
+                    if rel.ack_overdue(&p.seq) {
+                        self.send_due_ack(src);
                     }
                     Admit::Data { gap: false }
                 }
@@ -770,18 +814,21 @@ impl<D: NetDevice> EngineCore<D> {
             };
         }
         let credits = self.costs.flow_control.is_some();
+        let p = &mut self.peers[src];
         if credits && h.credits > 0 {
-            self.flow.credit_returned(src, h.credits as u32);
+            p.credits
+                .credit_returned(h.credits as u32, self.credit_window);
         }
         if !pkt.is_data() {
             return Admit::Control;
         }
         if credits {
-            self.flow.packet_drained(src);
+            p.credits.packet_drained(self.credit_window);
         }
         // In-order guarantee check: on a trusted substrate a gap is a
         // violation to report, then resynchronize past.
-        let expected = self.recv_pkt_seq[src];
+        let expected = p.seq.recv_pkt;
+        p.seq.recv_pkt = h.pkt_seq.wrapping_add(1);
         let gap = h.pkt_seq != expected;
         if gap {
             self.report_error(FmError::SequenceGap {
@@ -790,7 +837,6 @@ impl<D: NetDevice> EngineCore<D> {
                 got: h.pkt_seq,
             });
         }
-        self.recv_pkt_seq[src] = h.pkt_seq.wrapping_add(1);
         self.stats.packets_received += 1;
         Admit::Data { gap }
     }
@@ -800,10 +846,10 @@ impl<D: NetDevice> EngineCore<D> {
     /// hole the bitmap exposes that is not already being repaired.
     fn absorb_ack(&mut self, src: usize, ack: u32, sack: u64) {
         let now = self.device.now();
-        let rel = self.reliable.as_mut().expect("a lossy peer");
-        let holes = rel.on_ack(src, ack, sack, now);
-        if let Some(sample) = rel.take_rtt_sample(src) {
-            let rto_us = (rel.current_rto_ns(src) / 1_000).min(u32::MAX as u64);
+        let rel = self.peers[src].rel.as_mut().expect("a lossy peer");
+        let holes = rel.on_ack(ack, sack, now);
+        if let Some(sample) = rel.take_rtt_sample() {
+            let rto_us = (rel.current_rto_ns() / 1_000).min(u32::MAX as u64);
             self.obs_emit(|t, me| {
                 ObsEvent::new(t, me, SpanKind::RtoUpdate)
                     .peer(src as u16)
@@ -816,8 +862,9 @@ impl<D: NetDevice> EngineCore<D> {
         }
         // Repairs leave the window alone: only a timeout moves it.
         while self.device_takes(1) {
-            let rel = self.reliable.as_mut().expect("a lossy peer");
-            let Some(pkt) = rel.next_hole(src, now) else {
+            let p = &mut self.peers[src];
+            let rel = p.rel.as_mut().expect("a lossy peer");
+            let Some(pkt) = rel.next_hole(&p.seq, now) else {
                 break;
             };
             self.stats.fast_retransmits += 1;
@@ -916,6 +963,7 @@ mod tests {
     /// them.
     struct ChurnDevice {
         node: usize,
+        lossy: bool,
         inq: VecDeque<FmPacket>,
         out: Vec<FmPacket>,
         events: VecDeque<PeerEvent>,
@@ -923,9 +971,10 @@ mod tests {
     }
 
     impl ChurnDevice {
-        fn new(node: usize) -> ChurnDevice {
+        fn new(node: usize, lossy: bool) -> ChurnDevice {
             ChurnDevice {
                 node,
+                lossy,
                 inq: VecDeque::new(),
                 out: Vec::new(),
                 events: VecDeque::new(),
@@ -963,7 +1012,7 @@ mod tests {
             self.clock += cost;
         }
         fn is_lossy(&self) -> bool {
-            true
+            self.lossy
         }
         fn poll_event(&mut self) -> Option<PeerEvent> {
             self.events.pop_front()
@@ -972,10 +1021,12 @@ mod tests {
 
     /// The slice of either engine's API the shared script drives.
     trait Face {
-        /// An engine on node 1, over a lossy link, whose handler `H` logs the
-        /// first byte of each message it is given.
-        fn new(log: Rc<RefCell<Vec<u8>>>) -> Self;
+        /// An engine on node 1, over a link that may lose packets if
+        /// `lossy`, whose handler `H` logs the first byte of each message
+        /// it is given.
+        fn new(log: Rc<RefCell<Vec<u8>>>, lossy: bool) -> Self;
         fn dev<R>(&mut self, f: impl FnOnce(&mut ChurnDevice) -> R) -> R;
+        fn core<R>(&self, f: impl FnOnce(&EngineCore<ChurnDevice>) -> R) -> R;
         fn extract(&mut self);
         fn progress(&mut self);
         fn send_byte(&mut self, dst: usize, val: u8);
@@ -987,14 +1038,17 @@ mod tests {
     }
 
     impl Face for Fm1Engine<ChurnDevice> {
-        fn new(log: Rc<RefCell<Vec<u8>>>) -> Self {
+        fn new(log: Rc<RefCell<Vec<u8>>>, lossy: bool) -> Self {
             let profile = MachineProfile::sparc_fm1();
-            let mut e = Fm1Engine::new(ChurnDevice::new(1), profile);
+            let mut e = Fm1Engine::new(ChurnDevice::new(1, lossy), profile);
             e.set_handler(H, Box::new(move |_, _, msg| log.borrow_mut().push(msg[0])));
             e
         }
         fn dev<R>(&mut self, f: impl FnOnce(&mut ChurnDevice) -> R) -> R {
             f(self.device_mut())
+        }
+        fn core<R>(&self, f: impl FnOnce(&EngineCore<ChurnDevice>) -> R) -> R {
+            f(self.core_for_test())
         }
         fn extract(&mut self) {
             Fm1Engine::extract(self);
@@ -1023,9 +1077,9 @@ mod tests {
     }
 
     impl Face for Fm2Engine<ChurnDevice> {
-        fn new(log: Rc<RefCell<Vec<u8>>>) -> Self {
+        fn new(log: Rc<RefCell<Vec<u8>>>, lossy: bool) -> Self {
             let profile = MachineProfile::ppro200_fm2();
-            let e = Fm2Engine::new(ChurnDevice::new(1), profile);
+            let e = Fm2Engine::new(ChurnDevice::new(1, lossy), profile);
             e.set_handler(H, move |stream: FmStream, _| {
                 let log = Rc::clone(&log);
                 async move {
@@ -1037,6 +1091,9 @@ mod tests {
         }
         fn dev<R>(&mut self, f: impl FnOnce(&mut ChurnDevice) -> R) -> R {
             self.with_device(f)
+        }
+        fn core<R>(&self, f: impl FnOnce(&EngineCore<ChurnDevice>) -> R) -> R {
+            self.with_core_for_test(f)
         }
         fn extract(&mut self) {
             self.extract_all();
@@ -1091,16 +1148,54 @@ mod tests {
         }
     }
 
-    /// Rejoining resets the peer's sequence spaces, retransmit ring and
+    /// The facts a device reports about a same-host peer 0: its pid and
+    /// a link that takes `LINK`-byte packets.
+    fn same_host_facts() -> [PeerEvent; 2] {
+        let link = PeerEventKind::Link { max_payload: LINK };
+        [link, PeerEventKind::SameHost { pid: 7 }].map(event)
+    }
+
+    /// The fields of peer 0's record that differ from a fresh record's: a
+    /// link on the profile's MTU with no pid and up, every sequence number
+    /// 0, the whole credit window with nothing owed, and retransmit state
+    /// (if any) with nothing sent or held.
+    fn stale_fields(c: &EngineCore<ChurnDevice>) -> Vec<&'static str> {
+        let p = &c.peers[0];
+        let rel_fresh = p
+            .rel
+            .as_ref()
+            .is_none_or(|r| r.unacked_packets() + r.held_packets() == 0);
+        let fields = [
+            ("mtu", p.link.mtu == c.profile.fm.mtu_payload),
+            ("pid", p.link.pid.is_none()),
+            ("down", !p.link.down),
+            ("send_pkt", p.seq.send_pkt == 0),
+            ("send_msg", p.seq.send_msg == 0),
+            ("recv_pkt", p.seq.recv_pkt == 0),
+            (
+                "credits",
+                p.credits.available() == c.profile.fm.credits_per_peer,
+            ),
+            ("owed", p.credits.owed() == 0),
+            ("rel", rel_fresh),
+        ];
+        fields.iter().filter(|f| !f.1).map(|f| f.0).collect()
+    }
+
+    /// Rejoining resets every field of the peer's record and drops its
     /// half-received messages; Down stops retransmission and is
     /// queryable; Up clears it — and the engine keeps hearing the device
     /// throughout.
     fn peer_events_reset_per_peer_state<F: Face>(e: &mut F, seen: &RefCell<Vec<u8>>) {
         let whole = PacketFlags::FIRST | PacketFlags::LAST;
 
-        // Old incarnation: seq 0 delivered, its duplicate suppressed, and
-        // the first half of a two-packet message left open.
-        e.dev(|d| d.inq.push_back(data(0, 0, 1, whole, 1)));
+        // Old incarnation: the link's facts, seq 0 delivered, its
+        // duplicate suppressed, and the first half of a two-packet
+        // message left open.
+        e.dev(|d| {
+            d.events.extend(same_host_facts());
+            d.inq.push_back(data(0, 0, 1, whole, 1));
+        });
         e.extract();
         assert_eq!(*seen.borrow(), vec![1]);
         e.dev(|d| {
@@ -1113,6 +1208,9 @@ mod tests {
         // Send toward peer 0 so there is un-acked send state to reset.
         e.send_byte(0, 9);
         assert_eq!(e.unacked(), 1);
+        // Over a lossy link the credits go unused.
+        let stale = ["mtu", "pid", "send_pkt", "send_msg", "recv_pkt", "rel"];
+        assert_eq!(e.core(stale_fields), stale);
 
         // The peer restarts: Rejoining, then its new-incarnation seq 0.
         // Its seq 1 claims to finish a message 1 — which the old
@@ -1138,6 +1236,9 @@ mod tests {
         assert_eq!(e.stats().peer_resets, 1);
         assert_eq!(e.unacked(), 0, "old retransmit ring dropped");
         assert!(!e.is_peer_down(0));
+        // The new incarnation's seq 0 and seq 1 moved the receive count
+        // on; nothing else was carried over.
+        assert_eq!(e.core(stale_fields), ["recv_pkt"]);
         // The send sequence space restarted too: the next packet to the
         // rejoined peer carries seq 0 again.
         e.send_byte(0, 9);
@@ -1161,17 +1262,63 @@ mod tests {
         assert!(e.take_errors().is_empty());
     }
 
+    /// Over a trusted link too, `Rejoining` resets every field of the
+    /// peer's record, credits included: before it the link's facts have
+    /// arrived, this side has spent credits and owes some, and every
+    /// sequence number has moved on. (A trusted link reports a duplicate
+    /// as a `SequenceGap`, so this script has none.)
+    fn rejoining_resets_a_trusted_peers_record<F: Face>(e: &mut F, seen: &RefCell<Vec<u8>>) {
+        let whole = PacketFlags::FIRST | PacketFlags::LAST;
+        e.dev(|d| {
+            d.events.extend(same_host_facts());
+            d.inq.push_back(data(0, 0, 1, whole, 1));
+        });
+        e.extract();
+        // The send spends a credit and takes the one owed; the open
+        // half-message owes another.
+        e.send_byte(0, 9);
+        e.dev(|d| d.inq.push_back(data(1, 1, 2, PacketFlags::FIRST, 5)));
+        e.extract();
+        let stale = [
+            "mtu", "pid", "send_pkt", "send_msg", "recv_pkt", "credits", "owed",
+        ];
+        assert_eq!(e.core(stale_fields), stale);
+
+        e.dev(|d| d.events.push_back(event(PeerEventKind::Rejoining)));
+        e.progress();
+        assert_eq!(e.core(stale_fields), Vec::<&str>::new());
+        // The new incarnation's seq 0 is the expected packet.
+        e.dev(|d| d.inq.push_back(data(0, 0, 1, whole, 7)));
+        e.extract();
+        assert_eq!(*seen.borrow(), vec![1, 7]);
+        assert!(e.take_errors().is_empty());
+
+        // A peer that went down and restarts comes back up.
+        e.dev(|d| {
+            d.events.push_back(event(PeerEventKind::Down));
+            d.events.push_back(event(PeerEventKind::Rejoining));
+        });
+        e.progress();
+        assert!(!e.is_peer_down(0));
+        assert_eq!(e.core(stale_fields), Vec::<&str>::new());
+        assert_eq!(e.stats().peer_resets, 2);
+    }
+
     #[test]
     fn fm1_peer_events_reset_per_peer_state() {
         let seen: Rc<RefCell<Vec<u8>>> = Rc::default();
-        let mut e = <Fm1Engine<ChurnDevice> as Face>::new(Rc::clone(&seen));
+        let mut e = <Fm1Engine<ChurnDevice> as Face>::new(Rc::clone(&seen), true);
         peer_events_reset_per_peer_state(&mut e, &seen);
+
+        let seen: Rc<RefCell<Vec<u8>>> = Rc::default();
+        let mut e = <Fm1Engine<ChurnDevice> as Face>::new(Rc::clone(&seen), false);
+        rejoining_resets_a_trusted_peers_record(&mut e, &seen);
     }
 
     #[test]
     fn fm2_peer_events_reset_per_peer_state_and_fire_the_peer_handler() {
         let seen: Rc<RefCell<Vec<u8>>> = Rc::default();
-        let mut e = <Fm2Engine<ChurnDevice> as Face>::new(Rc::clone(&seen));
+        let mut e = <Fm2Engine<ChurnDevice> as Face>::new(Rc::clone(&seen), true);
         let log: Rc<RefCell<Vec<PeerEventKind>>> = Rc::default();
         {
             let l = Rc::clone(&log);
@@ -1179,15 +1326,23 @@ mod tests {
         }
         peer_events_reset_per_peer_state(&mut e, &seen);
         assert_eq!(e.pending_handlers(), 0, "no task outlived its peer");
+        let [link, same_host] = same_host_facts().map(|ev| ev.kind);
         assert_eq!(
             *log.borrow(),
             vec![
+                link,
+                same_host,
                 PeerEventKind::Rejoining,
                 PeerEventKind::Down,
                 PeerEventKind::Up
             ],
             "callback saw every transition, in order"
         );
+
+        let seen: Rc<RefCell<Vec<u8>>> = Rc::default();
+        let mut e = <Fm2Engine<ChurnDevice> as Face>::new(Rc::clone(&seen), false);
+        rejoining_resets_a_trusted_peers_record(&mut e, &seen);
+        assert_eq!(e.pending_handlers(), 0, "no task outlived its peer");
     }
 
     /// The retransmit window slides while a burst is still being
@@ -1269,6 +1424,10 @@ mod tests {
         queued: Cell<usize>,
         sends: Cell<usize>,
         space_calls: Cell<usize>,
+        /// Calls of `now()`: the clock reads of the engine above.
+        now_calls: Cell<usize>,
+        /// Packets waiting to be received.
+        inbox: RefCell<VecDeque<FmPacket>>,
     }
 
     struct CountingDevice(Rc<Nic>);
@@ -1288,7 +1447,7 @@ mod tests {
             Ok(())
         }
         fn try_recv(&mut self) -> Option<FmPacket> {
-            None
+            self.0.inbox.borrow_mut().pop_front()
         }
         fn send_space(&self) -> usize {
             let nic = &self.0;
@@ -1296,6 +1455,7 @@ mod tests {
             nic.capacity - nic.queued.get()
         }
         fn now(&self) -> Nanos {
+            self.0.now_calls.set(self.0.now_calls.get() + 1);
             Nanos::ZERO
         }
         fn charge(&mut self, _: Nanos) {}
@@ -1377,6 +1537,79 @@ mod tests {
         assert!(e.try_send_rest(&mut ss, &[&msg]).is_err());
         assert_eq!((nic.sends.get(), nic.space_calls.get() - built), (53, 6));
         assert_eq!(e.stats().device_stalls, 4);
+    }
+
+    /// One step of [`a_trusted_engine_never_reads_the_clock`].
+    enum Step {
+        /// Send a one-byte message to node 1.
+        Send,
+        /// Extract everything that has arrived.
+        Extract,
+    }
+
+    /// Over links that are all trusted, a packet leaves and arrives with
+    /// no timestamp and the reliability poll leaves at its first branch:
+    /// neither sends nor extracts read the clock. 48 one-packet messages
+    /// arrive from node 1, enough to owe an explicit credit return, and 8
+    /// go out.
+    fn a_trusted_engine_never_reads_the_clock(nic: &Nic, mut step: impl FnMut(Step)) {
+        let inbound = |i: u32| FmPacket {
+            header: PacketHeader {
+                src: 1,
+                dst: 0,
+                handler: H,
+                msg_seq: i,
+                pkt_seq: i,
+                msg_len: 1,
+                flags: PacketFlags::FIRST | PacketFlags::LAST,
+                credits: 0,
+                ack: 0,
+            },
+            payload: vec![i as u8].into(),
+        };
+        nic.now_calls.set(0);
+        nic.inbox.borrow_mut().extend((0..40).map(inbound));
+        step(Step::Extract);
+        for _ in 0..8 {
+            step(Step::Send);
+        }
+        nic.inbox.borrow_mut().extend((40..48).map(inbound));
+        step(Step::Extract);
+        assert_eq!(nic.sends.get(), 9, "a credit return and 8 messages");
+        assert_eq!(nic.now_calls.get(), 0, "clock reads on a trusted datapath");
+    }
+
+    #[test]
+    fn fm1_trusted_engine_never_reads_the_clock() {
+        let nic = nic();
+        let mut e = Fm1Engine::new(CountingDevice(Rc::clone(&nic)), MachineProfile::sparc_fm1());
+        e.set_handler(H, Box::new(|_, _, _| {}));
+        a_trusted_engine_never_reads_the_clock(&nic, |step| match step {
+            Step::Send => e.try_send(1, H, &[7]).unwrap(),
+            Step::Extract => {
+                e.extract();
+            }
+        });
+        assert_eq!(e.stats().messages_received, 48);
+        assert_eq!(e.stats().credit_packets_sent, 1);
+    }
+
+    #[test]
+    fn fm2_trusted_engine_never_reads_the_clock() {
+        let nic = nic();
+        let e = Fm2Engine::new(
+            CountingDevice(Rc::clone(&nic)),
+            MachineProfile::ppro200_fm2(),
+        );
+        e.set_fast_handler(H, |_, _| {});
+        a_trusted_engine_never_reads_the_clock(&nic, |step| match step {
+            Step::Send => e.try_send_message(1, H, &[&[7]]).unwrap(),
+            Step::Extract => {
+                e.extract_all();
+            }
+        });
+        assert_eq!(e.stats().messages_received, 48);
+        assert_eq!(e.stats().credit_packets_sent, 1);
     }
 
     // ------------------------------------------------------------------

@@ -217,7 +217,7 @@ impl<D: NetDevice> Fm1Engine<D> {
     /// later `Up` or `Rejoining` transition clears it. See
     /// [`crate::Fm2Engine::is_peer_down`].
     pub fn is_peer_down(&self, peer: usize) -> bool {
-        self.core.peer_down[peer]
+        self.core.peers[peer].link.down
     }
 
     /// Whether *any* peer is currently declared down — the
@@ -258,7 +258,7 @@ impl<D: NetDevice> Fm1Engine<D> {
         }
         let mtu = core.mtu(dst);
         let total = data.len().div_ceil(mtu).max(1);
-        core.reserve(dst, total as u32, core.send_msg_seq[dst], len)
+        core.reserve(dst, total as u32, core.peers[dst].seq.send_msg, len)
             .map_err(|_| WouldBlock)?;
         let msg_seq = core.begin_message(dst, handler, data.len());
         for (i, chunk) in chunks_or_empty(data, mtu).enumerate() {
@@ -883,12 +883,18 @@ mod tests {
     }
 
     // --- test-only accessors ---
+    impl<D: NetDevice> Fm1Engine<D> {
+        pub(crate) fn core_for_test(&self) -> &EngineCore<D> {
+            &self.core
+        }
+    }
+
     impl Fm1Engine<LoopbackDevice> {
         fn flow_owed_for_test(&self, peer: usize) -> u32 {
-            self.core.flow.owed(peer)
+            self.core.peers[peer].credits.owed()
         }
         fn flow_available_for_test(&self, peer: usize) -> u32 {
-            self.core.flow.available(peer)
+            self.core.peers[peer].credits.available()
         }
         fn device_out_remove_for_test(&mut self, idx: usize) -> FmPacket {
             self.core.device.out_remove_for_test(idx)

@@ -279,7 +279,7 @@ impl<D: NetDevice> Fm2Engine<D> {
     /// instead of waiting forever on a dead peer; a later `Up` or
     /// `Rejoining` transition clears it.
     pub fn is_peer_down(&self, peer: usize) -> bool {
-        self.inner.borrow().core.peer_down[peer]
+        self.inner.borrow().core.peers[peer].link.down
     }
 
     /// The process id of `peer` if the device reported it on this host
@@ -287,13 +287,8 @@ impl<D: NetDevice> Fm2Engine<D> {
     /// `Rejoining` since; `None` on the simulator, on UDP, and for
     /// cross-host peers.
     pub fn same_host_pid(&self, peer: usize) -> Option<u32> {
-        self.inner
-            .borrow()
-            .core
-            .same_host
-            .get(peer)
-            .copied()
-            .flatten()
+        let inner = self.inner.borrow();
+        inner.core.peers.get(peer).and_then(|p| p.link.pid)
     }
 
     /// Whether *any* peer is currently declared down — an allocation-free
@@ -361,22 +356,16 @@ impl<D: NetDevice> Fm2Engine<D> {
     /// in nanoseconds (`None` over a trusted link or before the first
     /// sample).
     pub fn srtt_ns(&self, peer: usize) -> Option<u64> {
-        self.inner
-            .borrow()
-            .core
-            .reliable_to(peer)
-            .and_then(|r| r.srtt_ns(peer))
+        let inner = self.inner.borrow();
+        inner.core.peers[peer].rel.as_ref()?.srtt_ns()
     }
 
     /// The reliability sublayer's current base retransmit timeout toward
     /// `peer`, in nanoseconds: the RTT-derived estimate, or the initial
     /// 200 µs before the first sample (`None` over a trusted link).
     pub fn current_rto_ns(&self, peer: usize) -> Option<u64> {
-        self.inner
-            .borrow()
-            .core
-            .reliable_to(peer)
-            .map(|r| r.current_rto_ns(peer))
+        let inner = self.inner.borrow();
+        Some(inner.core.peers[peer].rel.as_ref()?.current_rto_ns())
     }
 
     /// Data packets sent but not yet acknowledged (always 0 in

@@ -7,6 +7,14 @@ use crate::device::{LoopbackDevice, LoopbackPair};
 use crate::error::WouldBlock;
 use crate::fm2::SendStream;
 
+impl<D: NetDevice> Fm2Engine<D> {
+    /// Test-only: the engine core, for a test that checks its per-peer
+    /// records.
+    pub(crate) fn with_core_for_test<R>(&self, f: impl FnOnce(&EngineCore<D>) -> R) -> R {
+        f(&self.inner.borrow().core)
+    }
+}
+
 const H: HandlerId = HandlerId(1);
 
 fn profile() -> MachineProfile {

@@ -504,7 +504,7 @@ impl<D: NetDevice> Fm2Engine<D> {
             let core = &mut inner.core;
             if dst != core.device.node_id() {
                 let packets = total.div_ceil(core.mtu(dst)).max(1);
-                let msg_seq = core.send_msg_seq[dst];
+                let msg_seq = core.peers[dst].seq.send_msg;
                 core.room_for(dst, packets as u32, msg_seq, total as u32)
                     .map_err(|_| WouldBlock)?;
             }

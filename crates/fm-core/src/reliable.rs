@@ -14,7 +14,13 @@
 //! guarantee hold, at the price of one packet per lost packet, for both
 //! engines ([`crate::Fm1Engine`] and [`crate::Fm2Engine`]). Its window
 //! is the profile's `credits_per_peer`, the credit window it stands in
-//! for, and the timers set themselves from the measured round trip:
+//! for, and the timers set themselves from the measured round trip.
+//!
+//! The state is per peer: a lossy peer's record in the engine carries a
+//! `PeerRel` as its `rel` (a trusted peer's is `None`). It keeps no
+//! sequence counter of its own: it reads the record's packet sequence
+//! numbers, the ones the credit path uses too, and a restarted peer gets
+//! a fresh record, this state included. Per peer:
 //!
 //! * **Receiver**, per source: the next expected `pkt_seq` is delivered;
 //!   anything older is a duplicate (dropped, but forces an ack so a
@@ -43,7 +49,7 @@
 //!   (burst tails, SACK state, duplicates), and — inside the poll, while
 //!   a burst is still being consumed — every `window / 2` packets
 //!   accepted since the last ack of either kind left
-//!   (`ReliableState::ack_overdue`). Without the second, a receiver
+//!   (`PeerRel::ack_overdue`). Without the second, a receiver
 //!   that drains a whole window in one poll acknowledges it once, after
 //!   the last packet, and the sender sits behind a closed window for the
 //!   whole drain: the two ends run in lock step and neither overlaps the
@@ -94,6 +100,7 @@ use std::collections::VecDeque;
 
 use fm_model::Nanos;
 
+use crate::engine::Seqs;
 use crate::packet::FmPacket;
 use crate::stats::FmStats;
 
@@ -180,8 +187,6 @@ struct PeerSend {
     sacked: u32,
     /// Everything with `pkt_seq <` this is acknowledged.
     cum_acked: u32,
-    /// One past the highest `pkt_seq` sent.
-    next_seq: u32,
     /// When the retransmit timer fires (armed while the ring is
     /// non-empty).
     deadline: Option<Nanos>,
@@ -200,19 +205,11 @@ struct PeerSend {
     /// `1.0 ..= window`).
     cwnd: f64,
     /// RTT sample taken by the most recent ack, for the engine's
-    /// observability hook ([`ReliableState::take_rtt_sample`]).
+    /// observability hook ([`PeerRel::take_rtt_sample`]).
     last_sample_ns: Option<u64>,
 }
 
 impl PeerSend {
-    /// A peer-send slot with no history and a fully open AIMD window.
-    fn fresh(window: u32) -> PeerSend {
-        PeerSend {
-            cwnd: window as f64,
-            ..PeerSend::default()
-        }
-    }
-
     /// The base (pre-backoff) retransmit timeout toward this peer: the
     /// RTT-derived estimate once a sample exists, the initial RTO before.
     fn rto(&self) -> u64 {
@@ -231,60 +228,38 @@ impl PeerSend {
 
 #[derive(Debug)]
 struct PeerRecv {
-    /// Next expected `pkt_seq` from this peer — also the cumulative ack
-    /// we owe them.
-    expected: u32,
-    /// `expected` as the last ack let go — standalone or piggybacked —
-    /// reported it: what the peer may already know.
+    /// The next expected `pkt_seq` ([`Seqs::recv_pkt`]) as the last ack
+    /// let go — standalone or piggybacked — reported it: what the peer
+    /// may already know.
     acked: u32,
     /// An ack is owed that no outgoing packet has carried yet: a data
     /// packet was accepted or held since the last one, or a duplicate
     /// asked for a repeat (the peer is, or soon will be, retransmitting).
     ack_due: bool,
-    /// Packets that arrived ahead of `expected`, each `ahead` of it at
-    /// slot `(head + ahead) % window`. Keyed by distance, not by
-    /// `pkt_seq % window`: across the `u32` wrap two live sequence
-    /// numbers can never share a slot, whatever the window.
+    /// Packets that arrived ahead of the expected one, each `ahead` of it
+    /// at slot `(head + ahead) % window`: one slot per packet of the
+    /// window. Keyed by distance, not by `pkt_seq % window`: across the
+    /// `u32` wrap two live sequence numbers can never share a slot,
+    /// whatever the window.
     held: Box<[Option<FmPacket>]>,
-    /// The slot of `expected`; it moves on with `expected`.
+    /// The slot of the expected packet; it moves on with it.
     head: usize,
     /// Occupied `held` slots: zero on the loss-free path, which then
     /// never touches the table.
     holding: u32,
-    /// Bit `i`: `expected + i` is held (the SACK bitmap as it goes on the
-    /// wire). Bit 0 is set only while a held run is being released.
+    /// Bit `i`: the expected packet `+ i` is held (the SACK bitmap as it
+    /// goes on the wire). Bit 0 is set only while a held run is being
+    /// released.
     sack: u64,
 }
 
 impl PeerRecv {
-    fn fresh(slots: u32) -> PeerRecv {
-        PeerRecv {
-            expected: 0,
-            acked: 0,
-            ack_due: false,
-            held: (0..slots).map(|_| None).collect(),
-            head: 0,
-            holding: 0,
-            sack: 0,
-        }
-    }
-
-    /// The slot of the packet `ahead` of `expected`.
+    /// The slot of the packet `ahead` of the expected one.
     fn slot(&self, ahead: u32) -> usize {
         (self.head + ahead as usize) % self.held.len()
     }
 
-    /// `expected` was accepted: the next one is expected, in the next
-    /// slot.
-    fn advance(&mut self) {
-        self.expected = self.expected.wrapping_add(1);
-        self.head += 1;
-        if self.head == self.held.len() {
-            self.head = 0;
-        }
-    }
-
-    /// Let go of every held frame (the peer is gone or starting over).
+    /// Let go of every held frame (the peer is gone).
     fn drop_held(&mut self) {
         self.held.fill(None);
         self.holding = 0;
@@ -292,93 +267,84 @@ impl PeerRecv {
     }
 }
 
-/// Per-engine state of the retransmission protocol, for the peers whose
-/// links may lose packets. Owned by an engine that has such a peer.
+/// The retransmission protocol toward one peer whose link may lose
+/// packets: the send ring, its timer and estimators, and the hold table
+/// and ack duty for what the peer sends here. It is the `rel` of that
+/// peer's record in the engine, beside the sequence numbers ([`Seqs`])
+/// it reads: one counter per direction serves credits and retransmission
+/// alike, and a restarted peer gets a fresh record, this state included.
 #[derive(Debug)]
-pub(crate) struct ReliableState {
-    /// Max unacknowledged data packets per destination (and hold slots).
-    window: u32,
-    /// Which peers this state serves; the engine trusts the others.
-    lossy: Box<[bool]>,
-    send: Vec<PeerSend>,
-    recv: Vec<PeerRecv>,
-    /// The source whose expected packet was last accepted with the next
-    /// one already held: [`ReliableState::take_released`] drains that run
-    /// before the device is asked again, so at most one peer has a run
-    /// pending.
-    releasing: Option<usize>,
+pub(crate) struct PeerRel {
+    send: PeerSend,
+    recv: PeerRecv,
 }
 
-impl ReliableState {
-    /// State for the peers `lossy` marks, in a window of `window`
-    /// packets. Only they get a hold table.
-    pub(crate) fn new(lossy: Vec<bool>, window: u32) -> Self {
+impl PeerRel {
+    /// The state of a fresh conversation in a window of `window`
+    /// packets: nothing in flight, the AIMD window fully open, and a
+    /// hold table of `window` empty slots, built here so that holding
+    /// never allocates.
+    pub(crate) fn fresh(window: u32) -> PeerRel {
         assert!(window >= 1, "a zero window can never send");
-        let recv = lossy
-            .iter()
-            .map(|&l| PeerRecv::fresh(if l { window } else { 0 }));
-        ReliableState {
-            window,
-            send: lossy.iter().map(|_| PeerSend::fresh(window)).collect(),
-            recv: recv.collect(),
-            lossy: lossy.into(),
-            releasing: None,
+        PeerRel {
+            send: PeerSend {
+                cwnd: window as f64,
+                ..PeerSend::default()
+            },
+            recv: PeerRecv {
+                acked: 0,
+                ack_due: false,
+                held: (0..window).map(|_| None).collect(),
+                head: 0,
+                holding: 0,
+                sack: 0,
+            },
         }
     }
 
-    /// Whether the link to `peer` may lose packets, so that this state
-    /// carries its traffic.
-    #[inline]
-    pub(crate) fn covers(&self, peer: usize) -> bool {
-        self.lossy[peer]
+    /// Max unacknowledged data packets: the hold table has a slot for
+    /// each.
+    fn window(&self) -> u32 {
+        self.recv.held.len() as u32
     }
 
-    pub(crate) fn num_peers(&self) -> usize {
-        self.send.len()
-    }
-
-    /// Data packets that can still go to `dst` before the window closes:
-    /// the ring may not outgrow the configured window (the peer's hold
-    /// table is that big), and the packets in flight — the ring less what
-    /// the peer says it holds — may not outgrow the AIMD window.
-    pub(crate) fn send_budget(&self, dst: usize) -> u32 {
-        let ps = &self.send[dst];
+    /// Data packets that can still go before the window closes: the ring
+    /// may not outgrow the configured window (the peer's hold table is
+    /// that big), and the packets in flight — the ring less what the peer
+    /// says it holds — may not outgrow the AIMD window.
+    pub(crate) fn send_budget(&self) -> u32 {
+        let ps = &self.send;
         let ring = ps.ring.len() as u32;
-        let room = self.window.saturating_sub(ring);
-        room.min(self.effective_window(ps).saturating_sub(ring - ps.sacked))
+        let room = self.window().saturating_sub(ring);
+        room.min(self.cwnd_packets().saturating_sub(ring - ps.sacked))
     }
 
-    fn effective_window(&self, ps: &PeerSend) -> u32 {
-        (ps.cwnd as u32).clamp(1, self.window)
+    /// Can `extra` more data packets fit in the window right now?
+    pub(crate) fn can_send(&self, extra: u32) -> bool {
+        extra <= self.send_budget()
     }
 
-    /// Can `extra` more data packets to `dst` fit in the window right now?
-    pub(crate) fn can_send(&self, dst: usize, extra: u32) -> bool {
-        extra <= self.send_budget(dst)
-    }
-
-    /// The cumulative ack to piggyback on a packet headed to `dst`. That
-    /// discharges the ack duty to that peer — unless packets from it are
-    /// held, which only a standalone ack's bitmap can say.
-    pub(crate) fn piggyback_ack(&mut self, dst: usize) -> u32 {
-        let pr = &mut self.recv[dst];
+    /// The cumulative ack to piggyback on a packet headed to the peer.
+    /// That discharges the ack duty — unless packets from it are held,
+    /// which only a standalone ack's bitmap can say.
+    pub(crate) fn piggyback_ack(&mut self, seq: &Seqs) -> u32 {
+        let pr = &mut self.recv;
         if pr.sack == 0 {
             pr.ack_due = false;
         }
-        pr.acked = pr.expected;
-        pr.expected
+        pr.acked = seq.recv_pkt;
+        seq.recv_pkt
     }
 
     /// Record a data packet handed to the device: retain it in the
     /// retransmit ring and arm the timer if idle. The clone is a header
     /// copy plus a payload refcount bump — the ring shares the packet's
     /// pooled frame, it does not deep-copy it.
-    pub(crate) fn on_data_sent(&mut self, dst: usize, pkt: &FmPacket, now: Nanos) {
-        let ps = &mut self.send[dst];
+    pub(crate) fn on_data_sent(&mut self, pkt: &FmPacket, now: Nanos) {
+        let ps = &mut self.send;
         if ps.probe.is_none() {
             ps.probe = Some((pkt.header.pkt_seq, now));
         }
-        ps.next_seq = pkt.header.pkt_seq.wrapping_add(1);
         ps.ring.push_back(Unacked {
             pkt: pkt.clone(),
             sacked: false,
@@ -389,17 +355,17 @@ impl ReliableState {
         }
     }
 
-    /// Process an ack from `src`: it has delivered everything with
+    /// Process an ack from the peer: it has delivered everything with
     /// `pkt_seq < ack` that we sent it, and holds `ack + i` for every set
     /// bit `i` of `sack` (zero on piggybacked acks and whenever it holds
     /// nothing).
     ///
     /// Returns `true` when the peer is holding packets behind a gap, so
-    /// the caller should re-send what [`ReliableState::next_hole`] yields
-    /// now instead of waiting for the timer.
-    pub(crate) fn on_ack(&mut self, src: usize, ack: u32, sack: u64, now: Nanos) -> bool {
-        let window = self.window;
-        let ps = &mut self.send[src];
+    /// the caller should re-send what [`PeerRel::next_hole`] yields now
+    /// instead of waiting for the timer.
+    pub(crate) fn on_ack(&mut self, ack: u32, sack: u64, now: Nanos) -> bool {
+        let window = self.window();
+        let ps = &mut self.send;
         if seq_lt(ack, ps.cum_acked) {
             return false; // ancient ack, reordered in transit
         }
@@ -469,15 +435,14 @@ impl ReliableState {
         ps.sacked > 0
     }
 
-    /// The next hole toward `dst` to re-send: the oldest ring entry below
-    /// the highest SACKed one that the peer does not hold and that has
-    /// not been re-sent since (see [`Unacked::resent_before`]), as a clone
-    /// with its piggybacked ack refreshed. Marks it re-sent; `None` when
-    /// every hole has its re-send in flight.
+    /// The next hole to re-send: the oldest ring entry below the highest
+    /// SACKed one that the peer does not hold and that has not been
+    /// re-sent since (see [`Unacked::resent_before`]), as a clone with
+    /// its piggybacked ack refreshed. Marks it re-sent; `None` when every
+    /// hole has its re-send in flight.
     /// The AIMD window is left alone (module docs, "Window policy").
-    pub(crate) fn next_hole(&mut self, dst: usize, now: Nanos) -> Option<FmPacket> {
-        let ack = self.recv[dst].expected;
-        let ps = &mut self.send[dst];
+    pub(crate) fn next_hole(&mut self, seq: &Seqs, now: Nanos) -> Option<FmPacket> {
+        let ps = &mut self.send;
         let rto = ps.rto();
         let high = ps.ring.iter().rposition(|u| u.sacked)?;
         let high_seq = ps.ring[high].pkt.header.pkt_seq;
@@ -485,43 +450,42 @@ impl ReliableState {
             ps.ring.iter_mut().take(high).find(|u| {
                 !u.sacked && u.resent_before.is_none_or(|sent| !seq_lt(high_seq, sent))
             })?;
-        let pkt = hole.resend(ps.next_seq, ack);
+        let pkt = hole.resend(seq.send_pkt, seq.recv_pkt);
         // Push the timer back: the re-send is in flight, give it a chance
         // before the timeout fires on the same packet.
         ps.on_resend(now, rto << ps.timeouts);
         Some(pkt)
     }
 
-    /// Run an incoming data packet from `src` through the in-order
-    /// filter, keeping a clone (header copy, payload refcount) if it has
-    /// to wait for the packets before it.
+    /// Run an incoming data packet from the peer through the in-order
+    /// filter, moving `seq.recv_pkt` on when it is the expected one and
+    /// keeping a clone (header copy, payload refcount) if it has to wait
+    /// for the packets before it.
     pub(crate) fn accept(
         &mut self,
-        src: usize,
+        seq: &mut Seqs,
         pkt: &FmPacket,
         stats: &mut FmStats,
     ) -> RecvDecision {
-        let pr = &mut self.recv[src];
-        let pkt_seq = pkt.header.pkt_seq;
+        let pr = &mut self.recv;
+        let (pkt_seq, expected) = (pkt.header.pkt_seq, seq.recv_pkt);
         // Every arrival owes an ack: progress to report, a bitmap that
         // changed, or a peer that is retransmitting and needs telling.
         pr.ack_due = true;
-        if pkt_seq == pr.expected {
-            pr.advance();
-            pr.sack >>= 1;
-            if pr.holding > 0 && pr.held[pr.head].is_some() {
-                self.releasing = Some(src);
+        if pkt_seq == expected {
+            seq.recv_pkt = expected.wrapping_add(1);
+            pr.head += 1;
+            if pr.head == pr.held.len() {
+                pr.head = 0;
             }
+            pr.sack >>= 1;
             return RecvDecision::Accept;
         }
-        let ahead = pkt_seq.wrapping_sub(pr.expected);
+        let ahead = pkt_seq.wrapping_sub(expected);
         let slot = pr.slot(ahead);
         // Inside the window a slot names one sequence number, so an
         // occupied slot is this very packet, already held.
-        if seq_lt(pkt_seq, pr.expected)
-            || ahead as usize >= pr.held.len()
-            || pr.held[slot].is_some()
-        {
+        if seq_lt(pkt_seq, expected) || ahead as usize >= pr.held.len() || pr.held[slot].is_some() {
             stats.duplicates_dropped += 1;
             return RecvDecision::Duplicate;
         }
@@ -533,59 +497,62 @@ impl ReliableState {
         RecvDecision::Held
     }
 
-    /// The held packet that has become the next expected one, if any:
-    /// hand it to [`ReliableState::accept`] like a fresh arrival (it *is*
-    /// the expected packet, so it is accepted and the run continues).
+    /// Whether the expected packet is already held: after an accept, a
+    /// run is waiting behind it for [`PeerRel::take_released`].
+    #[inline]
+    pub(crate) fn holds_next(&self) -> bool {
+        let pr = &self.recv;
+        pr.holding > 0 && pr.held[pr.head].is_some()
+    }
+
+    /// The held packet that has become the expected one, if any: hand it
+    /// to [`PeerRel::accept`] like a fresh arrival (it *is* the expected
+    /// packet, so it is accepted and the run continues).
     #[inline]
     pub(crate) fn take_released(&mut self) -> Option<FmPacket> {
-        let pr = &mut self.recv[self.releasing?];
+        let pr = &mut self.recv;
         let pkt = pr.held[pr.head].take();
-        debug_assert!(pkt.as_ref().is_none_or(|p| p.header.pkt_seq == pr.expected));
-        match pkt {
-            Some(_) => pr.holding -= 1,
-            None => self.releasing = None,
-        }
+        pr.holding -= pkt.is_some() as u32;
         pkt
     }
 
-    /// Whether a standalone ack is owed to `peer`: ask before the device
-    /// is asked for room, so a full queue leaves the duty standing for
-    /// the next poll.
-    pub(crate) fn ack_due(&self, peer: usize) -> bool {
-        self.recv[peer].ack_due
+    /// Whether a standalone ack is owed: ask before the device is asked
+    /// for room, so a full queue leaves the duty standing for the next
+    /// poll.
+    pub(crate) fn ack_due(&self) -> bool {
+        self.recv.ack_due
     }
 
-    /// Whether the ack owed to `peer` should leave now, mid-poll: half a
-    /// window of packets has been accepted since the last ack it was let
-    /// go, so the peer is about to run — or is running — into a window
-    /// this side has long since emptied. (A window of one acknowledges
-    /// every packet.)
-    pub(crate) fn ack_overdue(&self, peer: usize) -> bool {
-        let pr = &self.recv[peer];
-        pr.expected.wrapping_sub(pr.acked) >= (self.window / 2).max(1)
+    /// Whether the ack owed should leave now, mid-poll: half a window of
+    /// packets has been accepted since the last ack it was let go, so the
+    /// peer is about to run — or is running — into a window this side
+    /// has long since emptied. (A window of one acknowledges every
+    /// packet.)
+    pub(crate) fn ack_overdue(&self, seq: &Seqs) -> bool {
+        seq.recv_pkt.wrapping_sub(self.recv.acked) >= (self.window() / 2).max(1)
     }
 
-    /// The standalone ack owed to `peer` (no outgoing packet piggybacked
-    /// it first), as `(ack, sack)`; discharges the duty.
-    pub(crate) fn take_due_ack(&mut self, peer: usize) -> Option<(u32, u64)> {
-        let pr = &mut self.recv[peer];
+    /// The standalone ack owed (no outgoing packet piggybacked it first),
+    /// as `(ack, sack)`; discharges the duty.
+    pub(crate) fn take_due_ack(&mut self, seq: &Seqs) -> Option<(u32, u64)> {
+        let pr = &mut self.recv;
         if !std::mem::take(&mut pr.ack_due) {
             return None;
         }
-        pr.acked = pr.expected;
-        Some((pr.expected, pr.sack))
+        pr.acked = seq.recv_pkt;
+        Some((seq.recv_pkt, pr.sack))
     }
 
-    /// Whether `peer`'s retransmit timer has expired at `now`; the caller
-    /// then re-sends what [`ReliableState::on_timeout`] yields.
-    pub(crate) fn timed_out(&self, peer: usize, now: Nanos) -> bool {
-        self.send[peer].deadline.is_some_and(|d| d <= now)
+    /// Whether the retransmit timer has expired at `now`; the caller then
+    /// re-sends what [`PeerRel::on_timeout`] yields.
+    pub(crate) fn timed_out(&self, now: Nanos) -> bool {
+        self.send.deadline.is_some_and(|d| d <= now)
     }
 
-    /// Handle an expired timer toward `dst`: back off exponentially,
-    /// re-arm, halve the AIMD window (floor one packet; module docs,
-    /// "Window policy"), and yield the oldest unacknowledged packet — that
-    /// one only — to re-send.
+    /// Handle an expired timer: back off exponentially, re-arm, halve the
+    /// AIMD window (floor one packet; module docs, "Window policy"), and
+    /// yield the oldest unacknowledged packet — that one only — to
+    /// re-send.
     ///
     /// A timeout also forgets every SACK mark: silence may mean the peer
     /// let go of what it reported (it keeps nothing for a peer it
@@ -594,12 +561,11 @@ impl ReliableState {
     /// still stands.
     pub(crate) fn on_timeout(
         &mut self,
-        dst: usize,
+        seq: &Seqs,
         now: Nanos,
         stats: &mut FmStats,
     ) -> Option<FmPacket> {
-        let ack = self.recv[dst].expected;
-        let ps = &mut self.send[dst];
+        let ps = &mut self.send;
         stats.retransmit_timeouts += 1;
         ps.timeouts = (ps.timeouts + 1).min(MAX_BACKOFF_EXP);
         ps.on_resend(now, ps.rto() << ps.timeouts);
@@ -608,111 +574,135 @@ impl ReliableState {
             u.sacked = false;
         }
         ps.sacked = 0;
-        let next_seq = ps.next_seq;
-        Some(ps.ring.front_mut()?.resend(next_seq, ack))
+        Some(ps.ring.front_mut()?.resend(seq.send_pkt, seq.recv_pkt))
     }
 
-    /// The earliest armed retransmit deadline across all peers, for
-    /// [`crate::device::NetDevice::request_wake`].
-    pub(crate) fn next_deadline(&self) -> Option<Nanos> {
-        self.send.iter().filter_map(|ps| ps.deadline).min()
+    /// When the retransmit timer fires, if it is armed.
+    pub(crate) fn deadline(&self) -> Option<Nanos> {
+        self.send.deadline
     }
 
-    /// Total unacknowledged data packets across all peers — SACKed ones
-    /// included: only the cumulative ack confirms delivery. Zero means
-    /// every send has been confirmed delivered.
+    /// Unacknowledged data packets — SACKed ones included: only the
+    /// cumulative ack confirms delivery.
     pub(crate) fn unacked_packets(&self) -> usize {
-        self.send.iter().map(|ps| ps.ring.len()).sum()
+        self.send.ring.len()
     }
 
-    /// Forget everything about `peer` — both sequence spaces restart at
-    /// zero, the retransmit ring and every held frame are dropped, and
-    /// the RTT/window estimators return to their initial state. Called
-    /// when the peer restarts with a new incarnation epoch
-    /// ([`crate::device::PeerEventKind::Rejoining`]): its old in-flight
-    /// state would otherwise poison the new incarnation's sequence
-    /// numbers.
-    pub(crate) fn reset_peer(&mut self, peer: usize) {
-        self.send[peer] = PeerSend::fresh(self.window);
-        let pr = &mut self.recv[peer];
-        pr.drop_held();
-        pr.expected = 0;
-        pr.acked = 0;
-        pr.ack_due = false;
-    }
-
-    /// Stop retransmitting toward `peer` (declared down): drop the ring
-    /// and every frame held from it and disarm the timer, but keep both
-    /// sequence spaces — if the same incarnation comes back
-    /// (`Suspect`→`Up` without a restart), the protocol state is still
-    /// coherent and the window resumes from the cumulative ack.
-    pub(crate) fn abandon_peer(&mut self, peer: usize) {
-        let ps = &mut self.send[peer];
+    /// Stop retransmitting (the peer is declared down): drop the ring and
+    /// every frame held from the peer and disarm the timer. The sequence
+    /// numbers live in the record beside this state and are kept — if the
+    /// same incarnation comes back (`Suspect`→`Up` without a restart), the
+    /// protocol state is still coherent and the window resumes from the
+    /// cumulative ack.
+    pub(crate) fn abandon(&mut self) {
+        let ps = &mut self.send;
         ps.ring.clear();
         ps.sacked = 0;
         ps.deadline = None;
         ps.timeouts = 0;
         ps.probe = None;
-        self.recv[peer].drop_held();
+        self.recv.drop_held();
     }
 
-    /// The current base RTO toward `peer` (the estimate once a sample
-    /// exists; the initial RTO before).
-    pub(crate) fn current_rto_ns(&self, peer: usize) -> u64 {
-        self.send[peer].rto()
+    /// The current base RTO (the estimate once a sample exists; the
+    /// initial RTO before).
+    pub(crate) fn current_rto_ns(&self) -> u64 {
+        self.send.rto()
     }
 
-    /// The effective AIMD window toward `peer`, in packets.
-    pub(crate) fn cwnd_packets(&self, peer: usize) -> u32 {
-        self.effective_window(&self.send[peer])
+    /// The effective AIMD window, in packets.
+    pub(crate) fn cwnd_packets(&self) -> u32 {
+        (self.send.cwnd as u32).clamp(1, self.window())
     }
 
-    /// Take the RTT sample recorded by the most recent ack from `peer`,
-    /// if one was taken (observability hook; consuming it keeps the
-    /// engine from double-reporting).
-    pub(crate) fn take_rtt_sample(&mut self, peer: usize) -> Option<u64> {
-        self.send[peer].last_sample_ns.take()
+    /// Take the RTT sample recorded by the most recent ack, if one was
+    /// taken (observability hook; consuming it keeps the engine from
+    /// double-reporting).
+    pub(crate) fn take_rtt_sample(&mut self) -> Option<u64> {
+        self.send.last_sample_ns.take()
     }
 
-    /// The smoothed RTT estimate toward `peer` (`None` before the first
-    /// sample).
-    pub(crate) fn srtt_ns(&self, peer: usize) -> Option<u64> {
-        self.send[peer].srtt_ns
-    }
-
-    /// Test-only: a state whose send and receive sequence spaces start at
-    /// `start` instead of 0, so wraparound behaviour can be exercised
-    /// without sending 2³² packets first.
-    #[cfg(test)]
-    pub(crate) fn with_start_seq(num_nodes: usize, window: u32, start: u32) -> Self {
-        let mut st = ReliableState::new(vec![true; num_nodes], window);
-        for ps in &mut st.send {
-            ps.cum_acked = start;
-            ps.next_seq = start;
-        }
-        for pr in &mut st.recv {
-            pr.expected = start;
-            pr.acked = start;
-        }
-        st
-    }
-
-    /// Test-only: frames held from all peers.
-    #[cfg(test)]
-    pub(crate) fn held_packets(&self) -> usize {
-        self.recv
-            .iter()
-            .map(|pr| {
-                let held = pr.held.iter().flatten().count();
-                assert_eq!(held, pr.holding as usize);
-                held
-            })
-            .sum()
+    /// The smoothed RTT estimate (`None` before the first sample).
+    pub(crate) fn srtt_ns(&self) -> Option<u64> {
+        self.send.srtt_ns
     }
 }
 
 #[cfg(test)]
 mod oracle;
+
+#[cfg(test)]
+impl PeerRel {
+    /// Frames held from the peer.
+    pub(crate) fn held_packets(&self) -> usize {
+        let held = self.recv.held.iter().flatten().count();
+        assert_eq!(held, self.recv.holding as usize);
+        held
+    }
+}
+
+/// Test-only: the part of a lossy peer's record the retransmit protocol
+/// reads — its sequence numbers and its [`PeerRel`] — driven the way
+/// [`crate::engine::EngineCore`] drives them.
+#[cfg(test)]
+pub(crate) struct Record {
+    pub(crate) seq: Seqs,
+    pub(crate) rel: PeerRel,
+}
+
+#[cfg(test)]
+impl Record {
+    /// A record in a window of `window` packets.
+    pub(crate) fn new(window: u32) -> Record {
+        Record::starting_at(window, 0)
+    }
+
+    /// A record whose send and receive sequence numbers start at `start`
+    /// instead of 0, so wraparound behaviour can be exercised without
+    /// sending 2³² packets first.
+    pub(crate) fn starting_at(window: u32, start: u32) -> Record {
+        let mut rel = PeerRel::fresh(window);
+        rel.send.cum_acked = start;
+        rel.recv.acked = start;
+        let seq = Seqs {
+            send_pkt: start,
+            recv_pkt: start,
+            ..Seqs::default()
+        };
+        Record { seq, rel }
+    }
+
+    /// A data packet went out; the engine numbers packets in order, so
+    /// the next one follows it.
+    pub(crate) fn on_data_sent(&mut self, pkt: &FmPacket, now: Nanos) {
+        self.seq.send_pkt = pkt.header.pkt_seq.wrapping_add(1);
+        self.rel.on_data_sent(pkt, now);
+    }
+
+    pub(crate) fn accept(&mut self, pkt: &FmPacket, stats: &mut FmStats) -> RecvDecision {
+        self.rel.accept(&mut self.seq, pkt, stats)
+    }
+
+    pub(crate) fn piggyback_ack(&mut self) -> u32 {
+        self.rel.piggyback_ack(&self.seq)
+    }
+
+    pub(crate) fn next_hole(&mut self, now: Nanos) -> Option<FmPacket> {
+        self.rel.next_hole(&self.seq, now)
+    }
+
+    pub(crate) fn on_timeout(&mut self, now: Nanos, stats: &mut FmStats) -> Option<FmPacket> {
+        self.rel.on_timeout(&self.seq, now, stats)
+    }
+
+    pub(crate) fn ack_overdue(&self) -> bool {
+        self.rel.ack_overdue(&self.seq)
+    }
+
+    pub(crate) fn take_due_ack(&mut self) -> Option<(u32, u64)> {
+        self.rel.take_due_ack(&self.seq)
+    }
+}
 
 #[cfg(test)]
 mod prop_tests {
@@ -742,8 +732,8 @@ mod prop_tests {
     /// `last_ack`) checked at every event.
     struct World {
         window: u32,
-        s: ReliableState,
-        r: ReliableState,
+        s: Record,
+        r: Record,
         stats: FmStats,
         pool: BufPool,
         wire: Vec<FmPacket>,
@@ -766,8 +756,8 @@ mod prop_tests {
         fn with_window(window: u32, start: u32, case: usize) -> World {
             World {
                 window,
-                s: ReliableState::with_start_seq(2, window, start),
-                r: ReliableState::with_start_seq(2, window, start),
+                s: Record::starting_at(window, start),
+                r: Record::starting_at(window, start),
                 stats: FmStats::default(),
                 pool: BufPool::new(4, POOL_FRAMES),
                 wire: Vec::new(),
@@ -801,14 +791,14 @@ mod prop_tests {
         }
 
         fn try_send(&mut self) {
-            if self.s.can_send(1, 1) {
+            if self.s.rel.can_send(1) {
                 let pkt = self.data_pkt(self.next_seq);
-                self.s.on_data_sent(1, &pkt, self.now);
+                self.s.on_data_sent(&pkt, self.now);
                 self.wire.push(pkt);
                 self.next_seq = self.next_seq.wrapping_add(1);
             }
             assert!(
-                self.s.unacked_packets() <= self.window as usize,
+                self.s.rel.unacked_packets() <= self.window as usize,
                 "case {}: window exceeded",
                 self.case
             );
@@ -832,20 +822,20 @@ mod prop_tests {
             let case = self.case;
             let dups_before = self.stats.duplicates_dropped;
             let ahead = seq.wrapping_sub(self.model_expected);
-            let decision = self.r.accept(0, &pkt, &mut self.stats);
+            let decision = self.r.accept(&pkt, &mut self.stats);
             match decision {
                 RecvDecision::Accept => {
                     self.model_accept(seq);
                     // The run held behind it comes out now, in order,
                     // each packet exactly once.
-                    while let Some(p) = self.r.take_released() {
+                    while let Some(p) = self.r.rel.take_released() {
                         let seq = p.header.pkt_seq;
                         assert_eq!(&p.payload[..], seq.to_le_bytes(), "case {case}");
                         assert!(
                             self.model_held.remove(&seq),
                             "case {case}: released seq {seq} was never held"
                         );
-                        let again = self.r.accept(0, &p, &mut self.stats);
+                        let again = self.r.accept(&p, &mut self.stats);
                         assert_eq!(again, RecvDecision::Accept, "case {case}");
                         self.model_accept(seq);
                     }
@@ -876,7 +866,11 @@ mod prop_tests {
                 "case {case}: {decision:?}"
             );
             assert!(self.model_held.len() < self.window as usize, "case {case}");
-            assert_eq!(self.r.held_packets(), self.model_held.len(), "case {case}");
+            assert_eq!(
+                self.r.rel.held_packets(),
+                self.model_held.len(),
+                "case {case}"
+            );
             assert!(
                 !self.model_held.contains(&self.model_expected),
                 "case {case}: a releasable packet was left held"
@@ -888,8 +882,11 @@ mod prop_tests {
         /// cumulative-ack monotonicity (in serial order) and that the
         /// bitmap is exactly the held set.
         fn collect_acks(&mut self) {
-            assert!(self.r.take_due_ack(1).is_none());
-            let Some((ack, sack)) = self.r.take_due_ack(0) else {
+            assert!(
+                self.s.take_due_ack().is_none(),
+                "the sender received nothing"
+            );
+            let Some((ack, sack)) = self.r.take_due_ack() else {
                 return;
             };
             assert!(
@@ -914,9 +911,9 @@ mod prop_tests {
 
         fn deliver_ack(&mut self, idx: usize) {
             let (ack, sack) = self.acks.remove(idx);
-            let before = self.s.send[1].cum_acked;
-            let holes = self.s.on_ack(1, ack, sack, self.now);
-            let ps = &self.s.send[1];
+            let before = self.s.rel.send.cum_acked;
+            let holes = self.s.rel.on_ack(ack, sack, self.now);
+            let ps = &self.s.rel.send;
             assert!(
                 !seq_lt(ps.cum_acked, before),
                 "case {}: cum_acked went backwards",
@@ -929,7 +926,7 @@ mod prop_tests {
                 self.case
             );
             if holes {
-                while let Some(hole) = self.s.next_hole(1, self.now) {
+                while let Some(hole) = self.s.next_hole(self.now) {
                     self.resent(hole);
                 }
             }
@@ -939,7 +936,10 @@ mod prop_tests {
         /// receiver has not been heard to hold.
         fn resent(&mut self, pkt: FmPacket) {
             let seq = pkt.header.pkt_seq;
-            let entry = self.s.send[1]
+            let entry = self
+                .s
+                .rel
+                .send
                 .ring
                 .iter()
                 .find(|u| u.pkt.header.pkt_seq == seq);
@@ -952,12 +952,12 @@ mod prop_tests {
         }
 
         fn fire_timeouts(&mut self) {
-            if self.s.timed_out(1, self.now) {
-                let unacked = self.s.unacked_packets();
-                if let Some(head) = self.s.on_timeout(1, self.now, &mut self.stats) {
+            if self.s.rel.timed_out(self.now) {
+                let unacked = self.s.rel.unacked_packets();
+                if let Some(head) = self.s.on_timeout(self.now, &mut self.stats) {
                     self.resent(head);
                 }
-                assert_eq!(self.s.unacked_packets(), unacked, "case {}", self.case);
+                assert_eq!(self.s.rel.unacked_packets(), unacked, "case {}", self.case);
             }
         }
 
@@ -966,7 +966,7 @@ mod prop_tests {
         /// sequence exactly once.
         fn drain(&mut self) {
             let mut guard = 0u32;
-            while self.s.unacked_packets() > 0
+            while self.s.rel.unacked_packets() > 0
                 || self.model_expected != self.next_seq
                 || !self.wire.is_empty()
                 || !self.acks.is_empty()
@@ -977,10 +977,11 @@ mod prop_tests {
                     self.deliver(0);
                 } else if !self.acks.is_empty() {
                     self.deliver_ack(0);
-                } else if self.s.unacked_packets() > 0 {
+                } else if self.s.rel.unacked_packets() > 0 {
                     self.now = self
                         .s
-                        .next_deadline()
+                        .rel
+                        .deadline()
                         .expect("outstanding packets arm the timer")
                         .max(self.now);
                     self.fire_timeouts();
@@ -990,13 +991,13 @@ mod prop_tests {
             }
             assert_eq!(self.model_expected, self.next_seq, "case {}", self.case);
             assert_eq!(
-                self.s.send[1].cum_acked, self.next_seq,
+                self.s.rel.send.cum_acked, self.next_seq,
                 "case {}: final cumulative ack",
                 self.case
             );
-            assert_eq!(self.r.recv[0].expected, self.next_seq, "case {}", self.case);
-            assert_eq!(self.s.unacked_packets(), 0, "case {}", self.case);
-            assert_eq!(self.r.held_packets(), 0, "case {}", self.case);
+            assert_eq!(self.r.seq.recv_pkt, self.next_seq, "case {}", self.case);
+            assert_eq!(self.s.rel.unacked_packets(), 0, "case {}", self.case);
+            assert_eq!(self.r.rel.held_packets(), 0, "case {}", self.case);
             assert_eq!(
                 self.pool.free_frames(),
                 self.frames_made(),
@@ -1121,8 +1122,8 @@ mod prop_tests {
 
     #[test]
     fn prop_departed_peers_pin_no_frames() {
-        // A peer that restarts (`reset_peer`) or is declared down
-        // (`abandon_peer`) mid-conversation leaves nothing behind on
+        // A peer that restarts (a fresh record) or is declared down
+        // (`abandon`) mid-conversation leaves nothing behind on
         // either side: every frame a ring or a hold table shared comes
         // back to the pool once the wire is empty too.
         for case in 0..env_cases(64) {
@@ -1131,25 +1132,22 @@ mod prop_tests {
             let mut held_something = false;
             for _ in 0..rng.range_usize(20, 200) {
                 w.random_step(&mut rng);
-                held_something |= w.r.held_packets() > 0;
+                held_something |= w.r.rel.held_packets() > 0;
             }
             if case % 2 == 0 {
-                w.s.reset_peer(1);
-                w.r.reset_peer(0);
-                assert_eq!(w.r.recv[0].expected, 0, "case {case}");
+                w.s = Record::new(w.window);
+                w.r = Record::new(w.window);
+                assert_eq!(w.r.seq.recv_pkt, 0, "case {case}");
             } else {
-                let expected = w.r.recv[0].expected;
-                w.s.abandon_peer(1);
-                w.r.abandon_peer(0);
-                assert_eq!(
-                    w.r.recv[0].expected, expected,
-                    "case {case}: sequences kept"
-                );
+                let expected = w.r.seq.recv_pkt;
+                w.s.rel.abandon();
+                w.r.rel.abandon();
+                assert_eq!(w.r.seq.recv_pkt, expected, "case {case}: sequences kept");
             }
-            assert_eq!(w.s.unacked_packets(), 0, "case {case}");
-            assert_eq!(w.s.next_deadline(), None, "case {case}");
-            assert_eq!(w.r.held_packets(), 0, "case {case}");
-            assert!(w.r.take_released().is_none(), "case {case}");
+            assert_eq!(w.s.rel.unacked_packets(), 0, "case {case}");
+            assert_eq!(w.s.rel.deadline(), None, "case {case}");
+            assert_eq!(w.r.rel.held_packets(), 0, "case {case}");
+            assert!(w.r.rel.take_released().is_none(), "case {case}");
             w.wire.clear();
             assert_eq!(
                 w.pool.free_frames(),
@@ -1172,7 +1170,7 @@ mod prop_tests {
             for _ in 0..rng.range_usize(20, 200) {
                 w.random_step(&mut rng);
                 if rng.chance(0.02) {
-                    w.r.abandon_peer(0);
+                    w.r.rel.abandon();
                     w.model_held.clear();
                 }
             }
@@ -1301,14 +1299,14 @@ mod tests {
         }
     }
 
-    fn state(window: u32) -> ReliableState {
-        ReliableState::new(vec![true; 2], window)
+    fn state(window: u32) -> Record {
+        Record::new(window)
     }
 
     /// Every hole `r` would re-send toward node 1 right now, by sequence
     /// number.
-    fn holes(r: &mut ReliableState, now: u64) -> Vec<u32> {
-        std::iter::from_fn(|| r.next_hole(1, Nanos(now)))
+    fn holes(r: &mut Record, now: u64) -> Vec<u32> {
+        std::iter::from_fn(|| r.next_hole(Nanos(now)))
             .map(|p| p.header.pkt_seq)
             .collect()
     }
@@ -1317,55 +1315,55 @@ mod tests {
     fn window_bounds_outstanding_packets() {
         let mut r = state(4);
         for seq in 0..4 {
-            assert!(r.can_send(1, 1));
-            r.on_data_sent(1, &data_pkt(1, seq), Nanos(0));
+            assert!(r.rel.can_send(1));
+            r.on_data_sent(&data_pkt(1, seq), Nanos(0));
         }
-        assert!(!r.can_send(1, 1), "window full");
-        assert_eq!(r.unacked_packets(), 4);
-        r.on_ack(1, 2, 0, Nanos(10));
-        assert_eq!(r.unacked_packets(), 2);
-        assert!(r.can_send(1, 2));
-        assert!(!r.can_send(1, 3));
+        assert!(!r.rel.can_send(1), "window full");
+        assert_eq!(r.rel.unacked_packets(), 4);
+        r.rel.on_ack(2, 0, Nanos(10));
+        assert_eq!(r.rel.unacked_packets(), 2);
+        assert!(r.rel.can_send(2));
+        assert!(!r.rel.can_send(3));
         // A SACKed packet still fills its slot of the peer's hold table:
         // only the cumulative ack reopens the window.
-        r.on_ack(1, 2, 0b10, Nanos(20));
-        assert_eq!(r.unacked_packets(), 2, "SACKed is not acknowledged");
-        assert!(!r.can_send(1, 3));
+        r.rel.on_ack(2, 0b10, Nanos(20));
+        assert_eq!(r.rel.unacked_packets(), 2, "SACKed is not acknowledged");
+        assert!(!r.rel.can_send(3));
     }
 
     #[test]
     fn cumulative_acks_release_and_rearm() {
         let mut r = state(4);
-        r.on_data_sent(1, &data_pkt(1, 0), Nanos(0));
-        r.on_data_sent(1, &data_pkt(1, 1), Nanos(5));
+        r.on_data_sent(&data_pkt(1, 0), Nanos(0));
+        r.on_data_sent(&data_pkt(1, 1), Nanos(5));
         assert_eq!(
-            r.next_deadline(),
+            r.rel.deadline(),
             Some(Nanos(INITIAL_RTO_NS)),
             "armed at first send, before any sample"
         );
-        r.on_ack(1, 1, 0, Nanos(500));
-        assert_eq!(r.unacked_packets(), 1);
+        r.rel.on_ack(1, 0, Nanos(500));
+        assert_eq!(r.rel.unacked_packets(), 1);
         // The ack timed seq 0 at 500 ns: an estimate far below the floor.
         assert_eq!(
-            r.next_deadline(),
+            r.rel.deadline(),
             Some(Nanos(500 + RTO_MIN_NS)),
             "restarted on progress, under the estimate"
         );
-        r.on_ack(1, 2, 0, Nanos(800));
-        assert_eq!(r.unacked_packets(), 0);
-        assert_eq!(r.next_deadline(), None, "disarmed when ring empties");
+        r.rel.on_ack(2, 0, Nanos(800));
+        assert_eq!(r.rel.unacked_packets(), 0);
+        assert_eq!(r.rel.deadline(), None, "disarmed when ring empties");
         // Stale ack is ignored.
-        r.on_ack(1, 1, 0, Nanos(900));
-        assert_eq!(r.unacked_packets(), 0);
+        r.rel.on_ack(1, 0, Nanos(900));
+        assert_eq!(r.rel.unacked_packets(), 0);
     }
 
     #[test]
     fn receive_filter_accepts_in_order_only() {
         let mut r = state(4);
         let mut stats = FmStats::default();
-        let mut accept = |r: &mut ReliableState, seq| r.accept(1, &data_pkt(1, seq), &mut stats);
+        let mut accept = |r: &mut Record, seq| r.accept(&data_pkt(1, seq), &mut stats);
         assert_eq!(accept(&mut r, 0), RecvDecision::Accept);
-        assert!(r.take_released().is_none(), "nothing was waiting");
+        assert!(r.rel.take_released().is_none(), "nothing was waiting");
         // Seq 1 is lost; 2 and 3 arrive and wait for it.
         assert_eq!(accept(&mut r, 3), RecvDecision::Held);
         assert_eq!(accept(&mut r, 2), RecvDecision::Held);
@@ -1376,19 +1374,19 @@ mod tests {
             RecvDecision::Duplicate,
             "past the window"
         );
-        assert_eq!(r.held_packets(), 2);
-        assert_eq!(r.take_due_ack(1), Some((1, 0b110)), "holds 1+1 and 1+2");
-        assert!(r.take_released().is_none(), "seq 1 is still missing");
+        assert_eq!(r.rel.held_packets(), 2);
+        assert_eq!(r.take_due_ack(), Some((1, 0b110)), "holds 1+1 and 1+2");
+        assert!(r.rel.take_released().is_none(), "seq 1 is still missing");
         // The repair arrives: the run behind it comes out in order.
         assert_eq!(accept(&mut r, 1), RecvDecision::Accept);
         for seq in [2, 3] {
-            let p = r.take_released().expect("held run");
+            let p = r.rel.take_released().expect("held run");
             assert_eq!(p.header.pkt_seq, seq);
-            assert_eq!(r.accept(1, &p, &mut stats), RecvDecision::Accept);
+            assert_eq!(r.accept(&p, &mut stats), RecvDecision::Accept);
         }
-        assert!(r.take_released().is_none());
-        assert_eq!(r.held_packets(), 0);
-        assert_eq!(r.take_due_ack(1), Some((4, 0)), "a plain ack again");
+        assert!(r.rel.take_released().is_none());
+        assert_eq!(r.rel.held_packets(), 0);
+        assert_eq!(r.take_due_ack(), Some((4, 0)), "a plain ack again");
         assert_eq!(stats.duplicates_dropped, 3, "held packets are not drops");
     }
 
@@ -1396,36 +1394,36 @@ mod tests {
     fn ack_duty_piggyback_and_standalone() {
         let mut r = state(4);
         let mut stats = FmStats::default();
-        r.accept(1, &data_pkt(1, 0), &mut stats);
+        r.accept(&data_pkt(1, 0), &mut stats);
         // Piggybacking discharges the duty...
-        assert_eq!(r.piggyback_ack(1), 1);
-        assert_eq!(r.take_due_ack(1), None);
+        assert_eq!(r.piggyback_ack(), 1);
+        assert_eq!(r.take_due_ack(), None);
         // ...otherwise a standalone ack is due.
-        r.accept(1, &data_pkt(1, 1), &mut stats);
-        assert_eq!(r.take_due_ack(1), Some((2, 0)));
-        assert_eq!(r.take_due_ack(1), None, "duty discharged");
+        r.accept(&data_pkt(1, 1), &mut stats);
+        assert_eq!(r.take_due_ack(), Some((2, 0)));
+        assert_eq!(r.take_due_ack(), None, "duty discharged");
         // A duplicate forces an ack even with nothing newly accepted.
-        r.accept(1, &data_pkt(1, 0), &mut stats);
-        assert_eq!(r.take_due_ack(1), Some((2, 0)));
+        r.accept(&data_pkt(1, 0), &mut stats);
+        assert_eq!(r.take_due_ack(), Some((2, 0)));
         // While something is held a piggybacked ack cannot say so: the
         // standalone ack stays due.
-        r.accept(1, &data_pkt(1, 3), &mut stats);
-        assert_eq!(r.piggyback_ack(1), 2);
-        assert_eq!(r.take_due_ack(1), Some((2, 0b10)));
+        r.accept(&data_pkt(1, 3), &mut stats);
+        assert_eq!(r.piggyback_ack(), 2);
+        assert_eq!(r.take_due_ack(), Some((2, 0b10)));
     }
 
     /// Accept `n` in-order packets from node 1 starting at `*seq`, the
     /// way `EngineCore::admit` does: the ack leaves mid-burst whenever it
     /// is overdue. Returns the acks that left.
-    fn accept_burst(r: &mut ReliableState, seq: &mut u32, n: u32) -> Vec<u32> {
+    fn accept_burst(r: &mut Record, seq: &mut u32, n: u32) -> Vec<u32> {
         let mut stats = FmStats::default();
         let mut acks = Vec::new();
         for _ in 0..n {
-            let decision = r.accept(1, &data_pkt(1, *seq), &mut stats);
+            let decision = r.accept(&data_pkt(1, *seq), &mut stats);
             assert_eq!(decision, RecvDecision::Accept);
             *seq = seq.wrapping_add(1);
-            if r.ack_overdue(1) {
-                let (ack, sack) = r.take_due_ack(1).expect("an accept owes an ack");
+            if r.ack_overdue() {
+                let (ack, sack) = r.take_due_ack().expect("an accept owes an ack");
                 assert_eq!((ack, sack), (*seq, 0));
                 acks.push(ack);
             }
@@ -1438,7 +1436,7 @@ mod tests {
         let window = 8;
         // From zero, and from a start that crosses the u32 wrap mid-burst.
         for start in [0, u32::MAX - 9] {
-            let mut r = ReliableState::with_start_seq(2, window, start);
+            let mut r = Record::starting_at(window, start);
             let mut seq = start;
             // No reverse traffic, nothing lost: 21 packets in one poll are
             // acknowledged at every fourth, never in between...
@@ -1446,13 +1444,13 @@ mod tests {
             let at = |n: u32| start.wrapping_add(n);
             assert_eq!(acks, [4, 8, 12, 16, 20].map(at), "start {start}");
             // ...and the end of the poll owes the tail, once.
-            assert!(!r.ack_overdue(1));
-            assert_eq!(r.take_due_ack(1), Some((at(21), 0)));
-            assert_eq!(r.take_due_ack(1), None);
+            assert!(!r.ack_overdue());
+            assert_eq!(r.take_due_ack(), Some((at(21), 0)));
+            assert_eq!(r.take_due_ack(), None);
             // The tail ack restarted the count: the next one is four on.
             assert_eq!(accept_burst(&mut r, &mut seq, 7), [at(25)]);
             // So does a piggybacked ack: it told the peer the same thing.
-            assert_eq!(r.piggyback_ack(1), at(28));
+            assert_eq!(r.piggyback_ack(), at(28));
             assert_eq!(accept_burst(&mut r, &mut seq, 3), []);
             assert_eq!(accept_burst(&mut r, &mut seq, 1), [at(32)]);
         }
@@ -1465,20 +1463,20 @@ mod tests {
         // The device has no room at the half-window mark: the caller asks
         // (`ack_due`, `ack_overdue`) and takes nothing.
         for seq in 0..4 {
-            r.accept(1, &data_pkt(1, seq), &mut stats);
+            r.accept(&data_pkt(1, seq), &mut stats);
         }
-        assert!(r.ack_due(1) && r.ack_overdue(1));
+        assert!(r.rel.ack_due() && r.ack_overdue());
         // Every later packet asks again, and the ack that finally leaves
         // covers everything accepted meanwhile.
         for seq in 4..7 {
-            r.accept(1, &data_pkt(1, seq), &mut stats);
-            assert!(r.ack_due(1) && r.ack_overdue(1));
+            r.accept(&data_pkt(1, seq), &mut stats);
+            assert!(r.rel.ack_due() && r.ack_overdue());
         }
-        assert_eq!(r.take_due_ack(1), Some((7, 0)));
-        assert!(!r.ack_due(1) && !r.ack_overdue(1));
+        assert_eq!(r.take_due_ack(), Some((7, 0)));
+        assert!(!r.rel.ack_due() && !r.ack_overdue());
         // A window of one has no half: every packet is acknowledged.
         let mut one = state(1);
-        assert!(!one.ack_overdue(1), "nothing accepted yet");
+        assert!(!one.ack_overdue(), "nothing accepted yet");
         assert_eq!(accept_burst(&mut one, &mut 0, 3), [1, 2, 3]);
     }
 
@@ -1486,42 +1484,45 @@ mod tests {
     fn sack_holes_are_resent_once_per_round_trip() {
         let mut r = state(8);
         for seq in 0..6 {
-            r.on_data_sent(1, &data_pkt(1, seq), Nanos(0));
+            r.on_data_sent(&data_pkt(1, seq), Nanos(0));
         }
-        assert!(!r.on_ack(1, 1, 0, Nanos(10)), "a plain ack exposes no hole");
+        assert!(
+            !r.rel.on_ack(1, 0, Nanos(10)),
+            "a plain ack exposes no hole"
+        );
         assert!(holes(&mut r, 10).is_empty());
         // The peer holds 2 and 4: 1 and 3 are holes, 5 is merely late.
-        assert!(r.on_ack(1, 1, 0b1010, Nanos(20)));
+        assert!(r.rel.on_ack(1, 0b1010, Nanos(20)));
         assert_eq!(holes(&mut r, 20), vec![1, 3]);
         // The 10 ns sample put the estimate at its floor.
         assert_eq!(
-            r.next_deadline(),
+            r.rel.deadline(),
             Some(Nanos(20 + RTO_MIN_NS)),
             "the re-sends get an RTO"
         );
         // The same news again, or more of it, re-sends nothing: the
         // repairs are still in flight.
-        assert!(r.on_ack(1, 1, 0b11010, Nanos(30)));
+        assert!(r.rel.on_ack(1, 0b11010, Nanos(30)));
         assert!(holes(&mut r, 30).is_empty());
         // Fresh packets go out after the re-sends...
-        r.on_data_sent(1, &data_pkt(1, 6), Nanos(40));
-        r.on_data_sent(1, &data_pkt(1, 7), Nanos(40));
+        r.on_data_sent(&data_pkt(1, 6), Nanos(40));
+        r.on_data_sent(&data_pkt(1, 7), Nanos(40));
         // ...the repair of 1 lands, and then one of them is reported
         // while 3 is still missing: the repair of 3 was lost too.
-        assert!(r.on_ack(1, 3, 0b110, Nanos(50)));
+        assert!(r.rel.on_ack(3, 0b110, Nanos(50)));
         assert!(holes(&mut r, 50).is_empty(), "5 arrived, nothing newer did");
-        assert!(r.on_ack(1, 3, 0b1110, Nanos(60)));
+        assert!(r.rel.on_ack(3, 0b1110, Nanos(60)));
         assert_eq!(
             holes(&mut r, 60),
             vec![3],
             "6 was sent after the re-send of 3"
         );
-        assert_eq!(r.unacked_packets(), 5);
+        assert_eq!(r.rel.unacked_packets(), 5);
         // SACKed packets are never re-sent, and the cumulative ack
         // sweeps them out.
-        r.on_ack(1, 7, 0, Nanos(70));
-        assert_eq!(r.unacked_packets(), 1);
-        assert!(!r.on_ack(1, 7, 0, Nanos(80)));
+        r.rel.on_ack(7, 0, Nanos(70));
+        assert_eq!(r.rel.unacked_packets(), 1);
+        assert!(!r.rel.on_ack(7, 0, Nanos(80)));
     }
 
     #[test]
@@ -1529,66 +1530,69 @@ mod tests {
         let mut r = state(4);
         let mut stats = FmStats::default();
         for seq in 0..3 {
-            r.on_data_sent(1, &data_pkt(1, seq), Nanos(0));
+            r.on_data_sent(&data_pkt(1, seq), Nanos(0));
         }
         // Receive something so the refreshed piggyback ack is non-zero.
-        r.accept(1, &data_pkt(1, 0), &mut stats);
+        r.accept(&data_pkt(1, 0), &mut stats);
 
         // No ack has come back, so no sample: the initial RTO applies.
         let rto = INITIAL_RTO_NS;
-        assert!(!r.timed_out(1, Nanos(rto - 1)));
-        assert!(r.timed_out(1, Nanos(rto)));
-        assert!(!r.timed_out(0, Nanos(rto)), "nothing outstanding there");
-        let head = r.on_timeout(1, Nanos(rto), &mut stats).unwrap();
+        assert!(!r.rel.timed_out(Nanos(rto - 1)));
+        assert!(r.rel.timed_out(Nanos(rto)));
+        assert!(
+            !state(4).rel.timed_out(Nanos(rto)),
+            "nothing outstanding toward another peer"
+        );
+        let head = r.on_timeout(Nanos(rto), &mut stats).unwrap();
         assert_eq!(head.header.pkt_seq, 0, "one packet, the oldest");
         assert_eq!(head.header.ack, 1, "stale stored ack refreshed");
         assert_eq!(stats.retransmit_timeouts, 1);
-        assert_eq!(r.unacked_packets(), 3, "the rest of the ring stays put");
-        assert_eq!(r.next_deadline(), Some(Nanos(rto + 2 * rto)), "rto doubled");
+        assert_eq!(r.rel.unacked_packets(), 3, "the rest of the ring stays put");
+        assert_eq!(r.rel.deadline(), Some(Nanos(rto + 2 * rto)), "rto doubled");
         // Silence voids what the peer reported: the marks go (the next
         // ack's bitmap restores what still stands) and with them their
         // discount on the packets in flight.
-        assert!(r.on_ack(1, 0, 0b110, Nanos(2 * rto)));
+        assert!(r.rel.on_ack(0, 0b110, Nanos(2 * rto)));
         assert!(
             holes(&mut r, 2 * rto).is_empty(),
             "the head was just re-sent"
         );
-        let head = r.on_timeout(1, Nanos(3 * rto), &mut stats).unwrap();
+        let head = r.on_timeout(Nanos(3 * rto), &mut stats).unwrap();
         assert_eq!(head.header.pkt_seq, 0, "still one packet, still the oldest");
-        assert_eq!(r.send[1].sacked, 0);
-        assert_eq!(r.next_deadline(), Some(Nanos(3 * rto + 4 * rto)));
+        assert_eq!(r.rel.send.sacked, 0);
+        assert_eq!(r.rel.deadline(), Some(Nanos(3 * rto + 4 * rto)));
         // Backoff caps at MAX_BACKOFF_EXP.
         for _ in 0..10 {
-            r.on_timeout(1, Nanos(0), &mut stats);
+            r.on_timeout(Nanos(0), &mut stats);
         }
-        assert_eq!(r.next_deadline(), Some(Nanos(rto << 6)));
+        assert_eq!(r.rel.deadline(), Some(Nanos(rto << 6)));
         // Progress resets the backoff. The acknowledged head was re-sent,
         // so its ack is no sample (Karn): the initial RTO again.
-        r.on_ack(1, 1, 0, Nanos(100 * rto));
-        assert_eq!(r.next_deadline(), Some(Nanos(101 * rto)), "plain rto again");
+        r.rel.on_ack(1, 0, Nanos(100 * rto));
+        assert_eq!(r.rel.deadline(), Some(Nanos(101 * rto)), "plain rto again");
     }
 
     #[test]
     fn adaptive_rto_tracks_rtt_samples() {
         let mut r = state(8);
         // No sample yet: the initial RTO applies.
-        assert_eq!(r.current_rto_ns(1), INITIAL_RTO_NS);
-        r.on_data_sent(1, &data_pkt(1, 0), Nanos(0));
-        assert_eq!(r.next_deadline(), Some(Nanos(INITIAL_RTO_NS)));
+        assert_eq!(r.rel.current_rto_ns(), INITIAL_RTO_NS);
+        r.on_data_sent(&data_pkt(1, 0), Nanos(0));
+        assert_eq!(r.rel.deadline(), Some(Nanos(INITIAL_RTO_NS)));
         // Acked 100 µs later: srtt = 100 000, rttvar = 50 000 →
         // rto = 100 000 + 4·50 000 = 300 000.
-        r.on_ack(1, 1, 0, Nanos(100_000));
-        assert_eq!(r.srtt_ns(1), Some(100_000));
-        assert_eq!(r.current_rto_ns(1), 300_000);
-        assert_eq!(r.take_rtt_sample(1), Some(100_000));
-        assert_eq!(r.take_rtt_sample(1), None, "sample consumed");
+        r.rel.on_ack(1, 0, Nanos(100_000));
+        assert_eq!(r.rel.srtt_ns(), Some(100_000));
+        assert_eq!(r.rel.current_rto_ns(), 300_000);
+        assert_eq!(r.rel.take_rtt_sample(), Some(100_000));
+        assert_eq!(r.rel.take_rtt_sample(), None, "sample consumed");
         // The next send arms the estimated RTO, not the initial one.
-        r.on_data_sent(1, &data_pkt(1, 1), Nanos(200_000));
-        assert_eq!(r.next_deadline(), Some(Nanos(500_000)));
+        r.on_data_sent(&data_pkt(1, 1), Nanos(200_000));
+        assert_eq!(r.rel.deadline(), Some(Nanos(500_000)));
         // A second, identical sample tightens the variance: srtt stays
         // 100 000, rttvar → 37 500, rto → 250 000.
-        r.on_ack(1, 2, 0, Nanos(300_000));
-        assert_eq!(r.current_rto_ns(1), 250_000);
+        r.rel.on_ack(2, 0, Nanos(300_000));
+        assert_eq!(r.rel.current_rto_ns(), 250_000);
     }
 
     #[test]
@@ -1597,12 +1601,12 @@ mod tests {
         // arms the floor, not a timeout per poll that would drown the
         // wire in duplicates of the head packet.
         let mut r = state(8);
-        r.on_data_sent(1, &data_pkt(1, 0), Nanos(0));
-        r.on_ack(1, 1, 0, Nanos(500));
-        assert_eq!(r.srtt_ns(1), Some(500));
-        assert_eq!(r.current_rto_ns(1), RTO_MIN_NS);
-        r.on_data_sent(1, &data_pkt(1, 1), Nanos(1_000));
-        assert_eq!(r.next_deadline(), Some(Nanos(1_000 + RTO_MIN_NS)));
+        r.on_data_sent(&data_pkt(1, 0), Nanos(0));
+        r.rel.on_ack(1, 0, Nanos(500));
+        assert_eq!(r.rel.srtt_ns(), Some(500));
+        assert_eq!(r.rel.current_rto_ns(), RTO_MIN_NS);
+        r.on_data_sent(&data_pkt(1, 1), Nanos(1_000));
+        assert_eq!(r.rel.deadline(), Some(Nanos(1_000 + RTO_MIN_NS)));
     }
 
     #[test]
@@ -1610,83 +1614,83 @@ mod tests {
         let mut r = state(8);
         // A ~0 RTT sample clamps to the floor rather than melting down
         // into a timeout-per-poll storm.
-        r.on_data_sent(1, &data_pkt(1, 0), Nanos(0));
-        r.on_ack(1, 1, 0, Nanos(1));
-        assert_eq!(r.current_rto_ns(1), RTO_MIN_NS);
+        r.on_data_sent(&data_pkt(1, 0), Nanos(0));
+        r.rel.on_ack(1, 0, Nanos(1));
+        assert_eq!(r.rel.current_rto_ns(), RTO_MIN_NS);
         // An enormous sample clamps to the ceiling.
-        r.on_data_sent(1, &data_pkt(1, 1), Nanos(10));
-        r.on_ack(1, 2, 0, Nanos(10_000_000_000));
-        assert_eq!(r.current_rto_ns(1), RTO_MAX_NS);
+        r.on_data_sent(&data_pkt(1, 1), Nanos(10));
+        r.rel.on_ack(2, 0, Nanos(10_000_000_000));
+        assert_eq!(r.rel.current_rto_ns(), RTO_MAX_NS);
     }
 
     #[test]
     fn karn_rule_discards_samples_after_retransmission() {
         let mut r = state(8);
         let mut stats = FmStats::default();
-        r.on_data_sent(1, &data_pkt(1, 0), Nanos(0));
+        r.on_data_sent(&data_pkt(1, 0), Nanos(0));
         // Timer fires; the head is resent — the eventual ack for seq 0
         // is now ambiguous and must not feed the estimator.
-        r.on_timeout(1, Nanos(100_000), &mut stats);
-        r.on_ack(1, 1, 0, Nanos(150_000));
-        assert_eq!(r.srtt_ns(1), None, "ambiguous ack not sampled");
-        assert_eq!(r.take_rtt_sample(1), None);
+        r.on_timeout(Nanos(100_000), &mut stats);
+        r.rel.on_ack(1, 0, Nanos(150_000));
+        assert_eq!(r.rel.srtt_ns(), None, "ambiguous ack not sampled");
+        assert_eq!(r.rel.take_rtt_sample(), None);
         // The next never-retransmitted packet is sampled again.
-        r.on_data_sent(1, &data_pkt(1, 1), Nanos(200_000));
-        r.on_ack(1, 2, 0, Nanos(203_000));
-        assert_eq!(r.srtt_ns(1), Some(3_000));
+        r.on_data_sent(&data_pkt(1, 1), Nanos(200_000));
+        r.rel.on_ack(2, 0, Nanos(203_000));
+        assert_eq!(r.rel.srtt_ns(), Some(3_000));
         // A SACK-driven re-send voids the probe just the same.
         for seq in 2..5 {
-            r.on_data_sent(1, &data_pkt(1, seq), Nanos(300_000));
+            r.on_data_sent(&data_pkt(1, seq), Nanos(300_000));
         }
-        assert!(r.on_ack(1, 2, 0b100, Nanos(301_000)));
+        assert!(r.rel.on_ack(2, 0b100, Nanos(301_000)));
         assert_eq!(holes(&mut r, 301_000), vec![2, 3]);
-        r.on_ack(1, 5, 0, Nanos(309_000));
-        assert_eq!(r.srtt_ns(1), Some(3_000), "no sample from the episode");
+        r.rel.on_ack(5, 0, Nanos(309_000));
+        assert_eq!(r.rel.srtt_ns(), Some(3_000), "no sample from the episode");
     }
 
     #[test]
     fn aimd_window_halves_on_loss_and_regrows_on_acks() {
         let mut r = state(8);
         let mut stats = FmStats::default();
-        assert_eq!(r.cwnd_packets(1), 8, "starts fully open");
+        assert_eq!(r.rel.cwnd_packets(), 8, "starts fully open");
         for seq in 0..4 {
-            r.on_data_sent(1, &data_pkt(1, seq), Nanos(0));
+            r.on_data_sent(&data_pkt(1, seq), Nanos(0));
         }
-        r.on_timeout(1, Nanos(100_000), &mut stats);
-        assert_eq!(r.cwnd_packets(1), 4, "halved by the expiry");
+        r.on_timeout(Nanos(100_000), &mut stats);
+        assert_eq!(r.rel.cwnd_packets(), 4, "halved by the expiry");
         // A SACK hole in the same flight is repaired, and moves nothing.
-        assert!(r.on_ack(1, 0, 0b1000, Nanos(150_000)));
+        assert!(r.rel.on_ack(0, 0b1000, Nanos(150_000)));
         assert_eq!(holes(&mut r, 150_000), vec![1, 2]);
-        assert_eq!(r.cwnd_packets(1), 4, "a repair is not a loss signal");
+        assert_eq!(r.rel.cwnd_packets(), 4, "a repair is not a loss signal");
         // Every expiry halves: there is no episode to wait out, the
         // backoff already spaces them a (doubling) RTO apart.
-        r.on_timeout(1, Nanos(900_000), &mut stats);
-        assert_eq!(r.cwnd_packets(1), 2, "the second expiry halves again");
-        r.on_timeout(1, Nanos(2_000_000), &mut stats);
-        assert_eq!(r.cwnd_packets(1), 1);
-        r.on_timeout(1, Nanos(3_000_000), &mut stats);
-        assert_eq!(r.cwnd_packets(1), 1, "never below one packet");
-        assert_eq!(r.send_budget(1), 0, "four outstanding overfill cwnd 1");
+        r.on_timeout(Nanos(900_000), &mut stats);
+        assert_eq!(r.rel.cwnd_packets(), 2, "the second expiry halves again");
+        r.on_timeout(Nanos(2_000_000), &mut stats);
+        assert_eq!(r.rel.cwnd_packets(), 1);
+        r.on_timeout(Nanos(3_000_000), &mut stats);
+        assert_eq!(r.rel.cwnd_packets(), 1, "never below one packet");
+        assert_eq!(r.rel.send_budget(), 0, "four outstanding overfill cwnd 1");
         // Acks regrow the window additively, one packet per window of
         // acked packets: 1 → 2 → 2.5 → 2.9 → 3.24.
         for (ack, cwnd) in [(1, 2), (2, 2), (3, 2), (4, 3)] {
-            r.on_ack(1, ack, 0, Nanos(3_100_000));
-            assert_eq!(r.cwnd_packets(1), cwnd, "after ack {ack}");
+            r.rel.on_ack(ack, 0, Nanos(3_100_000));
+            assert_eq!(r.rel.cwnd_packets(), cwnd, "after ack {ack}");
         }
         // ...toward the configured cap.
         let mut seq = 4u32;
         let mut t = 6_000_000u64;
-        while r.cwnd_packets(1) < 8 {
-            let budget = r.send_budget(1);
+        while r.rel.cwnd_packets() < 8 {
+            let budget = r.rel.send_budget();
             for _ in 0..budget {
-                r.on_data_sent(1, &data_pkt(1, seq), Nanos(t));
+                r.on_data_sent(&data_pkt(1, seq), Nanos(t));
                 seq += 1;
             }
             t += 1_000;
-            r.on_ack(1, seq, 0, Nanos(t));
+            r.rel.on_ack(seq, 0, Nanos(t));
             assert!(seq < 10_000, "cwnd failed to regrow");
         }
-        assert_eq!(r.cwnd_packets(1), 8, "capped at the configured window");
+        assert_eq!(r.rel.cwnd_packets(), 8, "capped at the configured window");
     }
 
     #[test]
@@ -1694,28 +1698,28 @@ mod tests {
         let mut r = state(8);
         let mut stats = FmStats::default();
         for seq in 0..6 {
-            r.on_data_sent(1, &data_pkt(1, seq), Nanos(0));
+            r.on_data_sent(&data_pkt(1, seq), Nanos(0));
         }
-        assert_eq!(r.send_budget(1), 2);
+        assert_eq!(r.rel.send_budget(), 2);
         // Seq 0 is lost, the peer holds 1..=5: 0 is re-sent, and the
         // window stays open.
-        assert!(r.on_ack(1, 0, 0b111110, Nanos(10)));
+        assert!(r.rel.on_ack(0, 0b111110, Nanos(10)));
         assert_eq!(holes(&mut r, 10), vec![0]);
-        assert_eq!(r.cwnd_packets(1), 8, "a repaired hole is no loss signal");
+        assert_eq!(r.rel.cwnd_packets(), 8, "a repaired hole is no loss signal");
         // SACKed packets are not in flight — only the hole is — but they
         // do fill the peer's table.
         assert_eq!(
-            r.send_budget(1),
+            r.rel.send_budget(),
             2,
             "one in flight of eight; the peer's table has two free slots"
         );
         // The timer is what shrinks the window. It also forgets the marks,
         // so all six count as in flight until the next bitmap restores them.
-        r.on_timeout(1, Nanos(200_000), &mut stats);
-        assert_eq!(r.cwnd_packets(1), 4);
-        assert_eq!(r.send_budget(1), 0, "six in flight of four");
-        assert!(r.on_ack(1, 0, 0b111110, Nanos(200_010)));
-        assert_eq!(r.send_budget(1), 2, "one in flight of four again");
+        r.on_timeout(Nanos(200_000), &mut stats);
+        assert_eq!(r.rel.cwnd_packets(), 4);
+        assert_eq!(r.rel.send_budget(), 0, "six in flight of four");
+        assert!(r.rel.on_ack(0, 0b111110, Nanos(200_010)));
+        assert_eq!(r.rel.send_budget(), 2, "one in flight of four again");
     }
 
     /// A 2 → 1 stream of `count` packets at a profile's window,
@@ -1732,12 +1736,12 @@ mod tests {
         let (mut sent, mut lost, mut resent) = (0u32, 0u32, 0u32);
         let (mut wire, mut now, mut windows) = (Vec::new(), Nanos(0), Vec::new());
         let mut stalled = false;
-        while sent < count || s.unacked_packets() > 0 {
+        while sent < count || s.rel.unacked_packets() > 0 {
             now += Nanos(1_000);
-            assert!(!s.timed_out(1, now), "a timer expired at packet {sent}");
-            for _ in 0..s.send_budget(1).min(count - sent) {
+            assert!(!s.rel.timed_out(now), "a timer expired at packet {sent}");
+            for _ in 0..s.rel.send_budget().min(count - sent) {
                 let pkt = data_pkt(1, sent);
-                s.on_data_sent(1, &pkt, now);
+                s.on_data_sent(&pkt, now);
                 sent += 1;
                 // The tail is never lost: nothing after it could expose it.
                 if sent + WINDOW < count && rng.chance(0.01) {
@@ -1748,28 +1752,28 @@ mod tests {
             }
             if !stalled && sent >= stall_at {
                 stalled = true;
-                now = s.next_deadline().expect("packets are outstanding");
-                let head = s.on_timeout(1, now, &mut stats).expect("a head to re-send");
+                now = s.rel.deadline().expect("packets are outstanding");
+                let head = s.on_timeout(now, &mut stats).expect("a head to re-send");
                 resent += 1;
                 wire.push(head);
-                windows.push(s.cwnd_packets(1));
+                windows.push(s.rel.cwnd_packets());
             }
             for pkt in wire.drain(..) {
                 let mut next = Some(pkt);
                 while let Some(p) = next {
-                    r.accept(0, &p, &mut stats);
-                    next = r.take_released();
+                    r.accept(&p, &mut stats);
+                    next = r.rel.take_released();
                 }
             }
-            if let Some((ack, sack)) = r.take_due_ack(0) {
-                if s.on_ack(1, ack, sack, now) {
-                    while let Some(hole) = s.next_hole(1, now) {
+            if let Some((ack, sack)) = r.take_due_ack() {
+                if s.rel.on_ack(ack, sack, now) {
+                    while let Some(hole) = s.next_hole(now) {
                         resent += 1;
                         wire.push(hole);
                     }
                 }
             }
-            windows.push(s.cwnd_packets(1));
+            windows.push(s.rel.cwnd_packets());
         }
         assert!(lost > 50, "1 % of {count} packets, seed 7: {lost}");
         assert_eq!(
@@ -1807,28 +1811,26 @@ mod tests {
         let mut r = state(4);
         let mut stats = FmStats::default();
         for seq in 0..3 {
-            r.on_data_sent(1, &data_pkt(1, seq), Nanos(0));
+            r.on_data_sent(&data_pkt(1, seq), Nanos(0));
         }
-        r.on_ack(1, 2, 0, Nanos(10));
-        r.accept(1, &data_pkt(1, 0), &mut stats);
-        r.accept(1, &data_pkt(1, 1), &mut stats);
-        r.accept(1, &data_pkt(1, 3), &mut stats);
-        assert_eq!(r.held_packets(), 1);
-        r.reset_peer(1);
-        assert_eq!(r.unacked_packets(), 0, "ring dropped");
-        assert_eq!(r.held_packets(), 0, "held frames dropped");
-        assert_eq!(r.next_deadline(), None, "timer disarmed");
-        assert_eq!(r.send_budget(1), 4, "window fully open");
+        r.rel.on_ack(2, 0, Nanos(10));
+        r.accept(&data_pkt(1, 0), &mut stats);
+        r.accept(&data_pkt(1, 1), &mut stats);
+        r.accept(&data_pkt(1, 3), &mut stats);
+        assert_eq!(r.rel.held_packets(), 1);
+        // The peer restarts: the engine gives it a fresh record.
+        r = state(4);
+        assert_eq!(r.rel.unacked_packets(), 0, "ring dropped");
+        assert_eq!(r.rel.held_packets(), 0, "held frames dropped");
+        assert_eq!(r.rel.deadline(), None, "timer disarmed");
+        assert_eq!(r.rel.send_budget(), 4, "window fully open");
         // Both spaces restart at zero: seq 0 is the next expected packet
         // and the first send is unacked from zero again.
-        assert_eq!(
-            r.accept(1, &data_pkt(1, 0), &mut stats),
-            RecvDecision::Accept
-        );
-        assert_eq!(r.piggyback_ack(1), 1);
-        r.on_data_sent(1, &data_pkt(1, 0), Nanos(20));
-        r.on_ack(1, 1, 0, Nanos(30));
-        assert_eq!(r.unacked_packets(), 0);
+        assert_eq!(r.accept(&data_pkt(1, 0), &mut stats), RecvDecision::Accept);
+        assert_eq!(r.piggyback_ack(), 1);
+        r.on_data_sent(&data_pkt(1, 0), Nanos(20));
+        r.rel.on_ack(1, 0, Nanos(30));
+        assert_eq!(r.rel.unacked_packets(), 0);
     }
 
     #[test]
@@ -1836,24 +1838,21 @@ mod tests {
         let mut r = state(4);
         let mut stats = FmStats::default();
         for seq in 0..2 {
-            r.on_data_sent(1, &data_pkt(1, seq), Nanos(0));
+            r.on_data_sent(&data_pkt(1, seq), Nanos(0));
         }
-        r.accept(1, &data_pkt(1, 0), &mut stats);
-        r.accept(1, &data_pkt(1, 2), &mut stats);
-        r.abandon_peer(1);
-        assert_eq!(r.unacked_packets(), 0);
-        assert_eq!(r.held_packets(), 0, "a downed peer pins no frames");
-        assert_eq!(r.next_deadline(), None);
-        assert!(!r.timed_out(1, Nanos(u64::MAX / 2)));
+        r.accept(&data_pkt(1, 0), &mut stats);
+        r.accept(&data_pkt(1, 2), &mut stats);
+        r.rel.abandon();
+        assert_eq!(r.rel.unacked_packets(), 0);
+        assert_eq!(r.rel.held_packets(), 0, "a downed peer pins no frames");
+        assert_eq!(r.rel.deadline(), None);
+        assert!(!r.rel.timed_out(Nanos(u64::MAX / 2)));
         // Sequence spaces survive: the receive side still expects seq 1,
         // and the send side still considers seqs 0..2 used.
+        assert_eq!(r.accept(&data_pkt(1, 1), &mut stats), RecvDecision::Accept);
+        assert!(r.rel.take_released().is_none(), "seq 2 has to come again");
         assert_eq!(
-            r.accept(1, &data_pkt(1, 1), &mut stats),
-            RecvDecision::Accept
-        );
-        assert!(r.take_released().is_none(), "seq 2 has to come again");
-        assert_eq!(
-            r.accept(1, &data_pkt(1, 0), &mut stats),
+            r.accept(&data_pkt(1, 0), &mut stats),
             RecvDecision::Duplicate
         );
     }

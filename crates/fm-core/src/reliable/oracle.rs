@@ -3,9 +3,10 @@
 //!
 //! One seeded fault schedule — the fate of the n-th frame put on each
 //! direction of a link: delivered, dropped, duplicated or delayed past
-//! its successors — is driven through [`ReliableState`] (window, SACK
-//! bitmap, hold table, timers, an AIMD window only the timer halves, an
-//! ack every half window from inside a burst) and through [`StopAndWait`]
+//! its successors — is driven through the retransmit state of two peer
+//! records ([`Record`]: window, SACK bitmap, hold table, timers, an AIMD
+//! window only the timer halves, an ack every half window from inside a
+//! burst) and through [`StopAndWait`]
 //! (one frame outstanding, resend on a fixed timer, accept only the
 //! expected sequence number). Both must hand the application the same
 //! stream: every message once, in order. Window policy decides when
@@ -182,11 +183,12 @@ impl Arq for StopAndWait {
     }
 }
 
-/// The production protocol: node 0's `ReliableState` sends to node 1's,
-/// driven the way `EngineCore` drives them, acks through the wire codec.
+/// The production protocol: node 0's record of node 1 sends to node 1's
+/// record of node 0, driven the way `EngineCore` drives them, acks
+/// through the wire codec.
 struct Production {
-    s: ReliableState,
-    r: ReliableState,
+    s: Record,
+    r: Record,
     stats: FmStats,
     next_seq: u32,
     /// Acks that left from inside the poll, half a window into a burst,
@@ -200,8 +202,8 @@ struct Production {
 impl Production {
     fn new(window: u32, start: u32) -> Self {
         Production {
-            s: ReliableState::with_start_seq(2, window, start),
-            r: ReliableState::with_start_seq(2, window, start),
+            s: Record::starting_at(window, start),
+            r: Record::starting_at(window, start),
             stats: FmStats::default(),
             next_seq: start,
             mid_burst: Vec::new(),
@@ -214,7 +216,7 @@ impl Arq for Production {
     type Ack = Vec<u8>;
 
     fn send(&mut self, msg: u32, now: u64, link: &mut Link<FmPacket>) -> bool {
-        if !self.s.can_send(1, 1) {
+        if !self.s.rel.can_send(1) {
             return false;
         }
         let pkt = FmPacket {
@@ -232,7 +234,7 @@ impl Arq for Production {
             payload: msg.to_le_bytes().to_vec().into(),
         };
         self.next_seq = self.next_seq.wrapping_add(1);
-        self.s.on_data_sent(1, &pkt, Nanos(now));
+        self.s.on_data_sent(&pkt, Nanos(now));
         link.put(pkt, now);
         true
     }
@@ -240,20 +242,20 @@ impl Arq for Production {
     fn on_data(&mut self, frame: FmPacket, delivered: &mut Vec<u32>) {
         let mut next = Some(frame);
         while let Some(pkt) = next {
-            if self.r.accept(0, &pkt, &mut self.stats) == RecvDecision::Accept {
+            if self.r.accept(&pkt, &mut self.stats) == RecvDecision::Accept {
                 delivered.push(u32::from_le_bytes(pkt.payload[..].try_into().unwrap()));
                 // Half a window into the burst — a released run counts —
                 // the ack leaves from inside the poll.
-                if self.r.ack_overdue(0) {
-                    self.mid_burst.extend(self.r.take_due_ack(0));
+                if self.r.ack_overdue() {
+                    self.mid_burst.extend(self.r.take_due_ack());
                 }
             }
-            next = self.r.take_released();
+            next = self.r.rel.take_released();
         }
     }
 
     fn flush_ack(&mut self, now: u64, link: &mut Link<Vec<u8>>) {
-        let tail = self.r.take_due_ack(0);
+        let tail = self.r.take_due_ack();
         for (ack, sack) in self.mid_burst.drain(..).chain(tail) {
             let wire = FmPacket::ack_sack(1, 0, ack, sack).encode_wire().unwrap();
             link.put(wire, now);
@@ -262,23 +264,23 @@ impl Arq for Production {
 
     fn on_ack(&mut self, wire: Vec<u8>, now: u64, link: &mut Link<FmPacket>) {
         let pkt = FmPacket::decode_wire(&wire).unwrap();
-        if self.s.on_ack(1, pkt.header.ack, pkt.sack(), Nanos(now)) {
-            while let Some(hole) = self.s.next_hole(1, Nanos(now)) {
+        if self.s.rel.on_ack(pkt.header.ack, pkt.sack(), Nanos(now)) {
+            while let Some(hole) = self.s.next_hole(Nanos(now)) {
                 link.put(hole, now);
             }
         }
     }
 
     fn on_timer(&mut self, now: u64, link: &mut Link<FmPacket>) {
-        if self.s.timed_out(1, Nanos(now)) {
-            if let Some(head) = self.s.on_timeout(1, Nanos(now), &mut self.stats) {
+        if self.s.rel.timed_out(Nanos(now)) {
+            if let Some(head) = self.s.on_timeout(Nanos(now), &mut self.stats) {
                 link.put(head, now);
             }
         }
     }
 
     fn all_acked(&self) -> bool {
-        self.s.unacked_packets() == 0
+        self.s.rel.unacked_packets() == 0
     }
 }
 

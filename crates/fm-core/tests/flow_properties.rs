@@ -1,9 +1,9 @@
-//! Model-based randomized tests of the flow-control ledger: a reference
-//! model tracks what the credit state must be; the ledger must agree
+//! Model-based randomized tests of one peer's credits: a reference
+//! model tracks what the credit state must be; the credits must agree
 //! after any operation sequence. Cases are drawn from the workspace's
 //! seeded [`DetRng`] so every failure is reproducible.
 
-use fm_core::flow::CreditLedger;
+use fm_core::flow::CreditWindow;
 use fm_model::rng::DetRng;
 
 #[derive(Debug, Clone)]
@@ -32,7 +32,8 @@ fn ledger_matches_reference_model() {
             .map(|_| random_op(&mut rng))
             .collect();
 
-        let mut ledger = CreditLedger::new(2, window);
+        let w = CreditWindow::new(window);
+        let mut ledger = w.fresh();
         // Reference: credits available to us, packets in flight toward
         // the peer (drained but unacked bookkeeping happens atomically in
         // DrainAndReturn here).
@@ -43,7 +44,7 @@ fn ledger_matches_reference_model() {
             match op {
                 Op::Reserve(n) => {
                     let expect_ok = avail >= n;
-                    let got_ok = ledger.try_reserve(0, n);
+                    let got_ok = ledger.try_reserve(n);
                     assert_eq!(got_ok, expect_ok, "case {case}");
                     if expect_ok {
                         avail -= n;
@@ -58,13 +59,13 @@ fn ledger_matches_reference_model() {
                     }
                     // Peer-side bookkeeping (drain k packets, owe k
                     // credits, return them all) collapses to one return.
-                    ledger.credit_returned(0, k);
+                    ledger.credit_returned(k, w);
                     in_flight -= k;
                     avail += k;
                 }
             }
             // Invariants after every step.
-            assert_eq!(ledger.available(0), avail, "case {case}");
+            assert_eq!(ledger.available(), avail, "case {case}");
             assert!(avail <= window, "case {case}");
             assert!(
                 avail + in_flight == window,
@@ -82,19 +83,17 @@ fn owed_accounting() {
     for case in 0..256 {
         let window = 2 + rng.below(62) as u32;
         let drains = (rng.below(200) as u32).min(window); // can't owe more than the window
-        let mut ledger = CreditLedger::new(2, window);
+        let w = CreditWindow::new(window);
+        let mut ledger = w.fresh();
         for _ in 0..drains {
-            ledger.packet_drained(1);
+            ledger.packet_drained(w);
         }
-        assert_eq!(ledger.owed(1), drains, "case {case}");
+        assert_eq!(ledger.owed(), drains, "case {case}");
         let threshold = (window / 2).max(1);
-        let flagged = ledger.explicit_return_due(1);
+        let flagged = ledger.explicit_return_due(w);
         assert_eq!(flagged, drains >= threshold, "case {case}");
-        assert_eq!(u32::from(ledger.take_owed(1)), drains, "case {case}");
-        assert_eq!(ledger.owed(1), 0, "case {case}");
-        assert!(
-            (0..ledger.num_peers()).all(|p| !ledger.explicit_return_due(p)),
-            "case {case}"
-        );
+        assert_eq!(u32::from(ledger.take_owed()), drains, "case {case}");
+        assert_eq!(ledger.owed(), 0, "case {case}");
+        assert!(!ledger.explicit_return_due(w), "case {case}");
     }
 }
