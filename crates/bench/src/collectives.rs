@@ -1,15 +1,14 @@
 //! Collective-communication latency: one per-rank program over any
 //! [`Fabric`].
 //!
-//! Each rank drives the poll-based collective state machines
-//! (`BarrierOp`, `AllreduceOp`, `BcastOp`) of MPI-FM 2.x from its step
-//! program: in lockstep virtual time on the simulator, where the numbers
+//! Each rank polls MPI-FM 2.x's collective schedules (`Sched::barrier`,
+//! `Sched::allreduce`, `Sched::bcast_with`) from its step program: in lockstep virtual time on the simulator, where the numbers
 //! are properties of the modeled hardware and the tree/ring schedules,
 //! and in real microseconds on the wall-clock fabrics.
 
 use fm_core::{Fm2Engine, NetDevice};
 use fm_model::{MachineProfile, Nanos};
-use mpi_fm::{AllreduceOp, BarrierOp, BcastAlgo, BcastOp, Mpi, Mpi2, ReduceOp};
+use mpi_fm::{BcastAlgo, Mpi, Mpi2, ReduceOp, Sched};
 
 use crate::fabric::{Fabric, Program, Sim, Step};
 
@@ -26,41 +25,23 @@ pub enum Coll {
     Bcast(usize, BcastAlgo),
 }
 
-/// A poll step for one in-flight collective: true when complete.
-type Poller<D> = Box<dyn FnMut(&mut Mpi2<D>) -> bool>;
-
-/// Start iteration `iter`'s collective on this rank.
-fn start<D: NetDevice + 'static>(coll: Coll, mpi: &mut Mpi2<D>, iter: usize) -> Poller<D> {
+/// Iteration `iter`'s collectives on this rank, to run in order.
+fn start<D: NetDevice + 'static>(coll: Coll, mpi: &mut Mpi2<D>, iter: usize) -> Vec<Sched> {
     let rank = mpi.rank();
     match coll {
-        Coll::Barrier => {
-            let mut op = BarrierOp::new(mpi);
-            Box::new(move |m| op.poll(m))
-        }
+        Coll::Barrier => vec![Sched::barrier(mpi)],
         Coll::Allreduce(bytes) => {
             assert_eq!(bytes % 8, 0, "f64 reduction payload");
             let contrib: Vec<u8> = (0..bytes / 8)
                 .map(|j| ((j % 9 + 1) * (rank + 1) + iter % 3) as f64)
                 .flat_map(f64::to_le_bytes)
                 .collect();
-            let mut op = AllreduceOp::new(mpi, &contrib, ReduceOp::SumF64);
-            Box::new(move |m| op.poll(m))
+            vec![Sched::allreduce(mpi, &contrib, ReduceOp::SumF64)]
         }
         Coll::Bcast(bytes, algo) => {
             let data = (rank == 0).then(|| vec![(iter % 251) as u8; bytes]);
-            let mut bc = Some(BcastOp::with_algo(mpi, 0, data, bytes, algo));
-            let mut bar: Option<BarrierOp> = None;
-            Box::new(move |m| {
-                if let Some(op) = &mut bc {
-                    if !op.poll(m) {
-                        return false;
-                    }
-                    let _ = op.take_result();
-                    bc = None;
-                    bar = Some(BarrierOp::new(m));
-                }
-                bar.as_mut().expect("barrier follows bcast").poll(m)
-            })
+            let bcast = Sched::bcast_with(mpi, 0, data, bytes, algo);
+            vec![bcast, Sched::barrier(mpi)]
         }
     }
 }
@@ -79,23 +60,25 @@ fn coll_program<D: NetDevice + 'static>(
     let mut mpi = Mpi2::new(fm);
     mpi.set_coll_hosts(hosts);
     let mut iter = 0usize;
-    let mut current: Option<Poller<D>> = None;
+    let mut current: Vec<Sched> = Vec::new();
     let mut started = mpi.fm().now();
     Box::new(move || {
         mpi.progress();
         let before = iter;
         loop {
-            match &mut current {
+            match current.first_mut() {
                 None if iter == warmup + iters => return Step::Done(mpi.fm().now() - started),
-                None => current = Some(start(coll, &mut mpi, iter)),
-                Some(poll) => {
-                    if !poll(&mut mpi) {
+                None => current = start(coll, &mut mpi, iter),
+                Some(sched) => {
+                    if !sched.poll(&mut mpi) {
                         return Step::pending(iter > before);
                     }
-                    current = None;
-                    iter += 1;
-                    if iter == warmup {
-                        started = mpi.fm().now();
+                    current.remove(0);
+                    if current.is_empty() {
+                        iter += 1;
+                        if iter == warmup {
+                            started = mpi.fm().now();
+                        }
                     }
                 }
             }

@@ -78,8 +78,8 @@ fn conformance_script_is_identical_to_pure_udp() {
 
 #[test]
 fn polled_script_under_a_host_map_matches_model_and_pure_udp() {
-    // The script is poll-driven: it builds `BarrierOp::new`,
-    // `BcastOp::new`, `AllreduceOp::new` itself, so with the placement
+    // The script is poll-driven: it builds `Sched::barrier`,
+    // `Sched::bcast`, `Sched::allreduce` itself, so with the placement
     // declared its barriers, small bcasts and allreduces take the
     // two-level schedules. What they compute must not move.
     let routed = Routed::blocks(2, 2);

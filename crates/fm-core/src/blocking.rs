@@ -19,8 +19,13 @@
 //! `ShmCluster` over named ones, `UdpCluster`, the routed fabric of
 //! `fm-bench`) opens its devices its own way and hands them here.
 //! [`quiesce`] is what each of those ranks does between finishing and
-//! dropping its device.
+//! dropping its device. A rank that panics sets its run's abort flag as
+//! it unwinds, and every [`Backoff`] wait of the other ranks then panics
+//! too: a dead rank fails its run instead of leaving its peers spinning.
 
+use std::cell::RefCell;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crate::device::NetDevice;
@@ -39,12 +44,18 @@ const SPIN_LIMIT: u64 = if cfg!(test) { 10_000 } else { 500_000_000 };
 /// still hands the core over almost at once.
 const SPINS_BEFORE_YIELD: u64 = 64;
 
+thread_local! {
+    /// On a rank thread of [`run_ranks`]: the abort flag of its run.
+    static ABORT: RefCell<Option<Arc<AtomicBool>>> = const { RefCell::new(None) };
+}
+
 /// The one wait primitive of every blocking call above the engines:
 /// poll, and after each fruitless poll call [`Backoff::snooze`]. The
 /// first [`SPINS_BEFORE_YIELD`] fruitless polls spin (a syscall per poll
 /// costs more than the poll), later ones yield the core, and a wait that
-/// stays fruitless for the whole limit panics with a diagnosis — no
-/// blocking wait is without an exit.
+/// stays fruitless for the whole limit, or outlives a peer rank of
+/// [`run_ranks`] that panicked, panics with a diagnosis — no blocking
+/// wait is without an exit.
 pub struct Backoff {
     what: &'static str,
     limit: u64,
@@ -76,8 +87,19 @@ impl Backoff {
     /// The last poll was fruitless: spin or yield before the next one.
     ///
     /// # Panics
-    /// Panics once the wait has been fruitless `limit` polls in a row.
+    /// Panics once the wait has been fruitless `limit` polls in a row, or
+    /// once another rank of this thread's [`run_ranks`] has panicked.
     pub fn snooze(&mut self) {
+        let aborted = ABORT.with(|a| {
+            a.borrow()
+                .as_ref()
+                .is_some_and(|f| f.load(Ordering::Relaxed))
+        });
+        assert!(
+            !aborted,
+            "peer rank panicked: blocking {} abandoned",
+            self.what
+        );
         self.fruitless += 1;
         assert!(
             self.fruitless < self.limit,
@@ -93,9 +115,21 @@ impl Backoff {
     }
 }
 
+/// Sets its run's abort flag when its rank thread unwinds.
+struct AbortOnUnwind(Arc<AtomicBool>);
+
+impl Drop for AbortOnUnwind {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.store(true, Ordering::Relaxed);
+        }
+    }
+}
+
 /// Run one rank per device: rank `i` runs `f(i, devices[i])` on its own
 /// scoped thread named `{name}-{i}`. Returns every rank's result in rank
-/// order; a panic in any rank propagates once the others have been joined.
+/// order; a panic in any rank ends the other ranks' [`Backoff`] waits and
+/// propagates once they have been joined.
 ///
 /// Engines are single-threaded by design, so only the device crosses the
 /// spawn and `f` builds the engine inside the thread.
@@ -105,15 +139,21 @@ where
     F: Fn(usize, D) -> R + Sync,
     R: Send,
 {
-    let f = &f;
+    let (f, abort) = (&f, Arc::new(AtomicBool::new(false)));
     std::thread::scope(|scope| {
         let handles: Vec<_> = devices
             .into_iter()
             .enumerate()
             .map(|(i, dev)| {
+                let abort = Arc::clone(&abort);
+                let rank = move || {
+                    ABORT.with(|a| *a.borrow_mut() = Some(Arc::clone(&abort)));
+                    let _guard = AbortOnUnwind(abort);
+                    f(i, dev)
+                };
                 std::thread::Builder::new()
                     .name(format!("{name}-{i}"))
-                    .spawn_scoped(scope, move || f(i, dev))
+                    .spawn_scoped(scope, rank)
                     .expect("spawn node thread")
             })
             .collect();

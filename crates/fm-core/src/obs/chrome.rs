@@ -20,7 +20,7 @@ use std::fmt::Write as _;
 
 use myrinet_sim::trace::{TraceEvent, TraceKind};
 
-use super::{ObsEvent, ObsSink, SpanKind, NO_PEER, NO_SERIAL, NO_U32};
+use super::{ObsEvent, SpanKind, NO_PEER, NO_SERIAL, NO_U32};
 
 /// Wire-side stage name for a simulator trace kind.
 pub fn wire_stage_name(kind: TraceKind) -> &'static str {
@@ -166,11 +166,6 @@ pub fn chrome_trace_json(engine: &[ObsEvent], wire: &[TraceEvent]) -> String {
 
     out.push_str("]}");
     out
-}
-
-/// Convenience: export one sink's events (no wire trace).
-pub fn sink_to_json(sink: &ObsSink) -> String {
-    chrome_trace_json(&sink.events(), &[])
 }
 
 #[cfg(test)]

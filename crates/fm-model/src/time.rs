@@ -216,12 +216,6 @@ impl Bandwidth {
         self.bytes_per_sec / 1.0e6
     }
 
-    /// In bytes per second.
-    #[inline]
-    pub fn as_bytes_per_sec(self) -> f64 {
-        self.bytes_per_sec
-    }
-
     /// Time to move `bytes` at this rate, rounded up to whole nanoseconds.
     ///
     /// # Panics

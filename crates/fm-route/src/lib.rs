@@ -187,11 +187,6 @@ impl<L: NetDevice, R: NetDevice> RoutedDevice<L, R> {
         self.stats
     }
 
-    /// The rank → host assignment in force.
-    pub fn host_map(&self) -> &HostMap {
-        &self.map
-    }
-
     /// The local (intra-host) member, for transport-specific calls.
     pub fn local_mut(&mut self) -> &mut L {
         &mut self.local

@@ -128,3 +128,22 @@ fn a_departed_rank_is_reported_down_and_pending_sends_complete() {
     });
     assert!(results[0], "rank 1's departure went unreported for 2 s");
 }
+
+/// A rank that panics ends its peers' blocking waits: the run fails with
+/// the panic at once instead of spinning out the wait's poll limit.
+#[test]
+fn a_panicking_rank_ends_its_peers_waits() {
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let run = std::panic::catch_unwind(|| {
+            ThreadedCluster::run(2, |i, dev| {
+                assert_ne!(i, 0, "rank 0 fails");
+                let fm = Fm2Engine::new(dev, MachineProfile::ppro200_fm2());
+                fm2_wait_until(&fm, || false); // rank 0 never sends
+            })
+        });
+        tx.send(run.is_err()).expect("the test is listening");
+    });
+    let failed = rx.recv_timeout(Duration::from_secs(10));
+    assert_eq!(failed, Ok(true), "the run must fail within 10 s");
+}

@@ -10,7 +10,7 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use fm_core::blocking::{fm1_send, fm2_send, fm2_wait_until};
+use fm_core::blocking::{fm1_send, fm2_send, fm2_wait_until, Backoff};
 use fm_core::device::{DeviceFull, NetDevice};
 use fm_core::packet::HandlerId;
 use fm_core::{Fm1Engine, Fm2Engine, FmPacket, FmStream};
@@ -149,9 +149,10 @@ fn fm1_recovers_all_messages_over_a_lossy_device() {
                 for seq in 0..MSGS {
                     fm1_send(&mut fm, 1, H, &vec![seq as u8; 300]);
                 }
+                let mut backoff = Backoff::new("the last acks");
                 while fm.unacked_packets() > 0 {
                     fm.extract();
-                    std::thread::yield_now();
+                    backoff.snooze();
                 }
                 sender_confirmed.store(true, Ordering::SeqCst);
                 assert!(fm.stats().retransmissions > 0);
@@ -166,9 +167,10 @@ fn fm1_recovers_all_messages_over_a_lossy_device() {
                         c.set(c.get() + 1);
                     }),
                 );
+                let mut backoff = Backoff::new("every message and the sender's last ack");
                 while count.get() < MSGS || !sender_confirmed.load(Ordering::SeqCst) {
                     fm.extract();
-                    std::thread::yield_now();
+                    backoff.snooze();
                 }
                 assert!(
                     fm.take_errors().is_empty(),

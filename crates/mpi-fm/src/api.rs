@@ -4,25 +4,23 @@
 //! Collectives are built purely on `isend`/`irecv`/`progress`, so they
 //! run identically over the FM 1.x and FM 2.x bindings — which is the
 //! point: the paper's efficiency gap is in the *binding*, not in MPI's
-//! algorithms. The algorithms themselves live in [`crate::collectives`]
-//! as poll-driven state machines (binomial trees and dissemination for
-//! small payloads, pipelined chunk rings for large ones, two-level
-//! compositions across hosts — each machine's constructor picks); the
-//! default methods here are blocking `poll`+`progress` spin loops over
-//! those machines and decide nothing.
+//! algorithms. The algorithms themselves are schedules ([`Sched`]) built
+//! by [`crate::collectives`] (binomial trees and dissemination for small
+//! payloads, pipelined chunk rings for large ones, two-level plans
+//! across hosts — each constructor picks); the default methods here run
+//! one to completion with [`Sched::wait`] and decide nothing.
 //!
 //! The blocking operations (and therefore these collective methods) spin
 //! on `progress`; use them on the threaded and UDP transports.
-//! Discrete-event simulations drive the non-blocking API — and the
-//! collective `poll` machines directly — from their step functions
-//! instead.
+//! Discrete-event simulations drive the non-blocking API — and
+//! [`Sched::poll`] directly — from their step functions instead.
 
 use fm_core::blocking::Backoff;
 
-use crate::collectives::{AllreduceOp, BarrierOp, BcastOp, GatherOp, ReduceToRootOp, ScatterOp};
 use crate::comm::CollPhase;
+use crate::sched::Sched;
 use crate::types::{RecvReq, SendReq, Status};
-use crate::wire::{coll_tag, CollKind};
+use crate::wire::CollKind;
 
 /// Reduction operators for [`Mpi::reduce`] / [`Mpi::allreduce`].
 ///
@@ -96,17 +94,17 @@ pub trait Mpi {
     /// The host each rank lives on (`hosts[r]` = host id of rank `r`),
     /// when the transport knows the placement — e.g. a routed device
     /// composing shared memory within hosts and a network across them.
-    /// Three constructors read it — [`BarrierOp::new`], [`BcastOp::new`]
-    /// and [`AllreduceOp::new`] — and nothing else does: when the map
-    /// covers every rank with at least two distinct hosts, they run the
+    /// Three constructors read it — [`Sched::barrier`], [`Sched::bcast`]
+    /// and [`Sched::allreduce`] — and nothing else does: when the map
+    /// covers every rank with at least two distinct hosts, they build the
     /// two-level schedules of [`crate::hier`] (bcast and allreduce only
     /// below the pipeline threshold; large payloads keep the flat ring
     /// and chain, whose bandwidth a hierarchy cannot beat). So blocking
     /// callers, poll-driven callers and simulated programs all take the
-    /// same schedule. `with_algo` constructors stay flat, as do reduce,
-    /// gather, scatter and alltoall. Every
-    /// rank must return the same map (it is part of the distributed
-    /// algorithm-choice agreement). Default: `None` — flat schedules.
+    /// same schedule. [`Sched::bcast_with`] stays flat, as do reduce,
+    /// gather, scatter and alltoall. Every rank must return the same map
+    /// (it is part of the distributed algorithm-choice agreement).
+    /// Default: `None` — flat schedules.
     fn coll_hosts(&self) -> Option<&[usize]> {
         None
     }
@@ -167,17 +165,16 @@ pub trait Mpi {
         self.wait_recv(&r)
     }
 
-    // ---- collectives (blocking drivers over crate::collectives) ----
+    // ---- collectives (blocking runs of crate::collectives' schedules) ----
 
     /// Barrier: dissemination, ⌈log₂ n⌉ rounds — or, across hosts
     /// ([`Mpi::coll_hosts`]), ⌈log₂ H⌉ cross-host rounds between a local
-    /// gather and release. See [`BarrierOp`].
+    /// gather and release. See [`Sched::barrier`].
     fn barrier(&mut self)
     where
         Self: Sized,
     {
-        let mut op = BarrierOp::new(self);
-        drive(self, "collective", |mpi| op.poll(mpi));
+        Sched::barrier(self).wait(self);
     }
 
     /// Broadcast. The root passes `Some(data)`; everyone else passes
@@ -189,9 +186,9 @@ pub trait Mpi {
     where
         Self: Sized,
     {
-        let mut op = BcastOp::new(self, root, data, max_len);
-        drive(self, "collective", |mpi| op.poll(mpi));
-        op.take_result()
+        Sched::bcast(self, root, data, max_len)
+            .wait(self)
+            .take_result()
     }
 
     /// Reduce to the root (`Some(result)` there, `None` elsewhere).
@@ -202,9 +199,8 @@ pub trait Mpi {
     where
         Self: Sized,
     {
-        let mut r = ReduceToRootOp::new(self, root, contrib, op);
-        drive(self, "collective", |mpi| r.poll(mpi));
-        r.take_result()
+        let mut s = Sched::reduce(self, root, contrib, op).wait(self);
+        (self.rank() == root).then(|| s.take_result())
     }
 
     /// Allreduce; every rank gets the result. Small payloads compose
@@ -214,9 +210,7 @@ pub trait Mpi {
     where
         Self: Sized,
     {
-        let mut a = AllreduceOp::new(self, contrib, op);
-        drive(self, "collective", |mpi| a.poll(mpi));
-        a.take_result()
+        Sched::allreduce(self, contrib, op).wait(self).take_result()
     }
 
     /// Gather every rank's buffer at the root (rank order). Returns
@@ -225,9 +219,8 @@ pub trait Mpi {
     where
         Self: Sized,
     {
-        let mut g = GatherOp::new(self, root, data, max_len);
-        drive(self, "collective", |mpi| g.poll(mpi));
-        g.take_result()
+        let mut s = Sched::gather(self, root, data, max_len).wait(self);
+        (self.rank() == root).then(|| s.take_parts())
     }
 
     /// Scatter the root's per-rank chunks; returns this rank's chunk.
@@ -235,59 +228,28 @@ pub trait Mpi {
     where
         Self: Sized,
     {
-        let mut s = ScatterOp::new(self, root, chunks, max_len);
-        drive(self, "collective", |mpi| s.poll(mpi));
-        s.take_result()
+        Sched::scatter(self, root, chunks, max_len)
+            .wait(self)
+            .take_result()
     }
 
     /// Personalized all-to-all: `data[r]` goes to rank `r`; returns the
     /// buffers received from every rank (rank order).
     fn alltoall(&mut self, data: Vec<Vec<u8>>, max_len: usize) -> Vec<Vec<u8>> {
-        let (rank, size) = (self.rank(), self.size());
-        assert_eq!(data.len(), size, "one buffer per rank");
-        let seq = self.next_coll_seq();
-        let tag = coll_tag(CollKind::Alltoall, seq, 0);
-        let mut recvs: Vec<Option<RecvReq>> = (0..size)
-            .map(|r| {
-                if r == rank {
-                    None
-                } else {
-                    Some(self.irecv(Some(r), Some(tag), max_len))
-                }
-            })
-            .collect();
-        let mut mine = Vec::new();
-        let mut pending = Vec::new();
-        for (r, d) in data.into_iter().enumerate() {
-            if r == rank {
-                mine = d;
-            } else {
-                pending.push(self.isend(r, tag, d));
-            }
-        }
-        let mut out = Vec::with_capacity(size);
-        for (r, req) in recvs.iter_mut().enumerate() {
-            match req.take() {
-                None => {
-                    let _ = r;
-                    out.push(std::mem::take(&mut mine));
-                }
-                Some(req) => out.push(self.wait_recv(&req).0),
-            }
-        }
-        for s in &pending {
-            self.wait_send(s);
-        }
-        out
+        Sched::alltoall(self, data, max_len).wait(self).take_parts()
     }
 }
 
-/// The one blocking driver: poll a request or a collective state machine
+/// The one blocking driver: poll a request or a collective schedule
 /// to completion, driving `progress` between polls. Exits by panic on a
 /// confirmed peer loss, or when the wait stays fruitless for the whole
 /// wedge limit of [`Backoff`] (low under this crate's own unit tests,
 /// which never block on a live peer and pin that exit).
-fn drive<M: Mpi + ?Sized>(mpi: &mut M, during: &'static str, mut poll: impl FnMut(&mut M) -> bool) {
+pub(crate) fn drive<M: Mpi + ?Sized>(
+    mpi: &mut M,
+    during: &'static str,
+    mut poll: impl FnMut(&mut M) -> bool,
+) {
     let mut backoff = if cfg!(test) {
         Backoff::with_limit(during, 10_000)
     } else {

@@ -1,24 +1,18 @@
-//! Poll-driven collective operations over the [`Mpi`] point-to-point
-//! surface.
+//! The collective operations, each a function that builds a [`Sched`].
 //!
-//! Every collective here is a small state machine: construct it (which
-//! may post the first sends and receives), then call `poll` until it
-//! returns `true`, driving [`Mpi::progress`] between polls. The blocking
-//! trait methods on [`Mpi`] are just `poll`+`progress` spin loops;
-//! discrete-event simulations drive `poll` from their step functions
-//! instead, which is what lets the *same* algorithms run over the
-//! threaded, UDP, and simulated transports.
-//!
-//! Each machine has two constructors. `on` runs the flat algorithm on a
-//! group — a [`Communicator`] and a sequence number the caller owns — and
-//! is what the machines compose each other from. `new` is what callers
-//! use: it allocates the sequence number and is the **one place the
-//! schedule is picked**, from values every rank agrees on: the payload
-//! bound against the pipeline threshold and, for barrier, bcast and
-//! allreduce, the host map ([`Mpi::coll_hosts`]) — spanning two or more
-//! hosts, it selects the two-level composition of [`crate::hier`].
-//! Blocking wrappers, poll-driven probes and simulated programs all
-//! construct through `new`, so they all take the same schedule.
+//! A builder appends one flat algorithm on a group — a [`Communicator`]
+//! — to a schedule, reading and writing the buffer slots it is handed;
+//! the two-level schedules of [`crate::hier`] are the same builders
+//! appended on sub-groups. The public constructors (`Sched::barrier`,
+//! `Sched::bcast`, …) allocate the sequence number and are the **one
+//! place the schedule is picked**, from values every rank agrees on: the
+//! payload bound against the pipeline threshold and, for barrier, bcast
+//! and allreduce, the host map ([`Mpi::coll_hosts`]) — spanning two or
+//! more hosts, it selects the two-level plan. Blocking wrappers,
+//! poll-driven probes and simulated programs all construct through them,
+//! so they all take the same schedule, and one executor
+//! ([`Sched::poll`]) runs every one of them over the threaded, UDP and
+//! simulated transports alike.
 //!
 //! Two flat algorithm families, chosen by [`Communicator::use_pipeline`]:
 //!
@@ -38,294 +32,12 @@
 //! never by message arrival timing — so results are bit-identical
 //! across transports, seeds, and runs.
 
-use fm_core::buf::{BufPool, PacketBuf};
-
 use crate::api::{Mpi, ReduceOp};
-use crate::comm::{elem_chunk_bounds, CollPhase, Communicator, PIPELINE_SEGMENT};
-use crate::hier::{self, Composed};
-use crate::types::{RecvReq, SendReq};
+use crate::comm::CollPhase::{End, Round, Start};
+use crate::comm::{elem_chunk_bounds, Communicator, PIPELINE_SEGMENT};
+use crate::hier;
+use crate::sched::{Act, Sched, Slot, NOW};
 use crate::wire::CollKind;
-
-// ---------------------------------------------------------------- barrier
-
-/// Dissemination barrier: ⌈log₂ n⌉ rounds, each rank sends to
-/// `rank + 2^k` and hears from `rank - 2^k`. Across hosts, two-level:
-/// ⌈log₂ H⌉ rounds among the host leaders between a local fan-in and a
-/// local release.
-pub struct BarrierOp {
-    comm: Communicator,
-    seq: u32,
-    dist: usize,
-    round: u32,
-    pending: Option<(SendReq, RecvReq)>,
-    /// Across hosts, the plan that runs in place of the rounds above.
-    composed: Option<Box<Composed>>,
-}
-
-impl BarrierOp {
-    /// Start a barrier (allocates the collective sequence number).
-    pub fn new<M: Mpi + ?Sized>(mpi: &mut M) -> Self {
-        let comm = Communicator::world(mpi);
-        let seq = mpi.next_coll_seq();
-        let plan = mpi
-            .coll_hosts()
-            .and_then(|h| hier::reduce_plan(&comm, h, None));
-        match plan {
-            None => Self::on(mpi, &comm, seq),
-            Some(plan) => Self::rounds(comm, seq, Some(Composed::new(seq, plan, Vec::new(), 0))),
-        }
-    }
-
-    fn rounds(comm: Communicator, seq: u32, composed: Option<Box<Composed>>) -> Self {
-        BarrierOp {
-            comm,
-            seq,
-            dist: 1,
-            round: 0,
-            pending: None,
-            composed,
-        }
-    }
-
-    /// Start the dissemination rounds of collective `seq` on `comm`.
-    pub(crate) fn on<M: Mpi + ?Sized>(mpi: &mut M, comm: &Communicator, seq: u32) -> Self {
-        mpi.obs_coll(CollPhase::Start, CollKind::Barrier, seq, comm.round(0), 0);
-        if comm.size <= 1 {
-            mpi.obs_coll(CollPhase::End, CollKind::Barrier, seq, comm.round(0), 0);
-        }
-        Self::rounds(comm.clone(), seq, None)
-    }
-
-    /// Advance; `true` when every rank has passed the barrier point.
-    pub fn poll<M: Mpi + ?Sized>(&mut self, mpi: &mut M) -> bool {
-        if let Some(composed) = &mut self.composed {
-            return composed.poll(mpi);
-        }
-        let (comm, kind) = (&self.comm, CollKind::Barrier);
-        loop {
-            match &self.pending {
-                None if self.dist >= comm.size => return true,
-                None => {
-                    let tag = comm.tag(kind, self.seq, self.round);
-                    let dst = (comm.rank + self.dist) % comm.size;
-                    let src = (comm.rank + comm.size - self.dist) % comm.size;
-                    let s = comm.isend(mpi, dst, tag, Vec::new());
-                    let r = comm.irecv(mpi, src, tag, 0);
-                    mpi.obs_coll(CollPhase::Round, kind, self.seq, comm.round(self.round), 0);
-                    self.pending = Some((s, r));
-                }
-                Some((s, r)) => {
-                    if !(s.is_done() && r.is_done()) {
-                        return false;
-                    }
-                    self.pending = None;
-                    self.dist *= 2;
-                    if self.dist >= comm.size {
-                        mpi.obs_coll(CollPhase::End, kind, self.seq, comm.round(self.round), 0);
-                    }
-                    self.round += 1;
-                }
-            }
-        }
-    }
-}
-
-// ------------------------------------------------------- ring sub-machines
-
-/// Ring allgather: n−1 rounds; in round r each rank sends chunk
-/// `(start − r) mod n` to its right neighbor and receives chunk
-/// `(start − r − 1) mod n` from the left. After the last round every
-/// rank holds every chunk.
-struct RingAllgather {
-    seq: u32,
-    /// The ring, rebased so its rounds don't collide with the
-    /// reduce-scatter's under the same sequence number.
-    comm: Communicator,
-    /// Chunk index this rank owns entering round 0.
-    start: usize,
-    /// Per-chunk receive bound.
-    bound: usize,
-    round: usize,
-    pair: Option<(SendReq, RecvReq)>,
-    chunks: Vec<Option<Vec<u8>>>,
-}
-
-impl RingAllgather {
-    fn new(
-        seq: u32,
-        comm: Communicator,
-        start: usize,
-        bound: usize,
-        chunks: Vec<Option<Vec<u8>>>,
-    ) -> Self {
-        RingAllgather {
-            seq,
-            comm,
-            start,
-            bound,
-            round: 0,
-            pair: None,
-            chunks,
-        }
-    }
-
-    fn poll<M: Mpi + ?Sized>(&mut self, mpi: &mut M) -> bool {
-        let (comm, n) = (&self.comm, self.comm.size);
-        loop {
-            if self.round >= n - 1 {
-                return true;
-            }
-            match &self.pair {
-                None => {
-                    let send_idx = (self.start + n - self.round % n) % n;
-                    let round = self.round as u32;
-                    let tag = comm.tag(CollKind::Reduce, self.seq, round);
-                    let data = self.chunks[send_idx]
-                        .clone()
-                        .expect("ring allgather owns the chunk it forwards");
-                    let s = comm.isend(mpi, comm.right(), tag, data);
-                    let r = comm.irecv(mpi, comm.left(), tag, self.bound);
-                    mpi.obs_coll(
-                        CollPhase::Round,
-                        CollKind::Reduce,
-                        self.seq,
-                        comm.round(round),
-                        0,
-                    );
-                    self.pair = Some((s, r));
-                }
-                Some((s, r)) => {
-                    if !(s.is_done() && r.is_done()) {
-                        return false;
-                    }
-                    let (_, r) = self.pair.take().expect("pair present");
-                    let recv_idx = (self.start + 2 * n - self.round - 1) % n;
-                    self.chunks[recv_idx] = Some(r.take().expect("done"));
-                    self.round += 1;
-                }
-            }
-        }
-    }
-
-    /// All chunks, concatenated in index order.
-    fn assemble(&mut self) -> Vec<u8> {
-        let mut out = Vec::new();
-        for c in &mut self.chunks {
-            out.extend_from_slice(c.as_ref().expect("allgather complete"));
-        }
-        out
-    }
-}
-
-/// Ring reduce-scatter: n−1 rounds; in round r each rank sends its
-/// partial of chunk `(rank − r) mod n` right and folds the incoming
-/// partial of chunk `(rank − r − 1) mod n` into its own contribution.
-/// Afterwards rank `i` holds the fully reduced chunk `(i + 1) mod n`.
-///
-/// Per-chunk accumulators live in pooled [`PacketBuf`] frames
-/// (reduction scratch), so soak loops recycle frames instead of
-/// reallocating each round.
-struct RingReduceScatter {
-    seq: u32,
-    op: ReduceOp,
-    acc: Vec<PacketBuf>,
-    lens: Vec<usize>,
-    round: usize,
-    pair: Option<(SendReq, RecvReq)>,
-    /// Keeps recycled frames alive across collectives on this instance.
-    _pool: BufPool,
-}
-
-impl RingReduceScatter {
-    fn new(seq: u32, contrib: &[u8], op: ReduceOp, n: usize) -> Self {
-        let max_chunk = elem_chunk_bounds(contrib.len(), n, 0).1;
-        let pool = BufPool::new(max_chunk.max(8), n + 1);
-        let mut acc = Vec::with_capacity(n);
-        let mut lens = Vec::with_capacity(n);
-        for i in 0..n {
-            let (s, e) = elem_chunk_bounds(contrib.len(), n, i);
-            let mut frame = pool.take();
-            frame.extend_from_slice(&contrib[s..e]);
-            acc.push(frame);
-            lens.push(e - s);
-        }
-        RingReduceScatter {
-            seq,
-            op,
-            acc,
-            lens,
-            round: 0,
-            pair: None,
-            _pool: pool,
-        }
-    }
-
-    fn poll<M: Mpi + ?Sized>(&mut self, mpi: &mut M, comm: &Communicator) -> bool {
-        let n = comm.size;
-        loop {
-            if self.round >= n - 1 {
-                return true;
-            }
-            match &self.pair {
-                None => {
-                    let send_idx = (comm.rank + n - self.round % n) % n;
-                    let recv_idx = (comm.rank + 2 * n - self.round - 1) % n;
-                    let tag = comm.tag(CollKind::Reduce, self.seq, self.round as u32);
-                    let s = comm.isend(mpi, comm.right(), tag, self.acc[send_idx].to_vec());
-                    let r = comm.irecv(mpi, comm.left(), tag, self.lens[recv_idx]);
-                    mpi.obs_coll(
-                        CollPhase::Round,
-                        CollKind::Reduce,
-                        self.seq,
-                        self.round as u32,
-                        0,
-                    );
-                    self.pair = Some((s, r));
-                }
-                Some((s, r)) => {
-                    if !(s.is_done() && r.is_done()) {
-                        return false;
-                    }
-                    let (_, r) = self.pair.take().expect("pair present");
-                    let recv_idx = (comm.rank + 2 * n - self.round - 1) % n;
-                    let incoming = r.take().expect("done");
-                    assert_eq!(incoming.len(), self.lens[recv_idx], "chunk length");
-                    let len = self.lens[recv_idx];
-                    let frame = self.acc[recv_idx]
-                        .frame_mut()
-                        .expect("accumulator frames are uniquely owned");
-                    // acc = acc (op) incoming: commutative operators, so
-                    // the traveling partial absorbs contributions in ring
-                    // order regardless of which operand is "left".
-                    self.op.apply(&mut frame[..len], &incoming);
-                    self.round += 1;
-                }
-            }
-        }
-    }
-
-    /// Chunk index this rank owns once reduce-scatter completes.
-    fn owned_idx(&self, comm: &Communicator) -> usize {
-        (comm.rank + 1) % comm.size
-    }
-
-    fn owned_chunk(&self, comm: &Communicator) -> Vec<u8> {
-        self.acc[self.owned_idx(comm)].to_vec()
-    }
-
-    /// Length of the longest chunk: the receive bound of a later phase.
-    fn max_chunk(&self) -> usize {
-        self.lens.iter().copied().max().unwrap_or(0)
-    }
-}
-
-// ---------------------------------------------------------------- bcast
-
-/// Number of chain segments for a `max_len`-byte pipelined broadcast —
-/// at least one, so zero-length broadcasts still traverse the chain.
-fn pipe_segments(max_len: usize, seg: usize) -> usize {
-    max_len.div_ceil(seg).max(1)
-}
 
 /// Broadcast algorithm choice (normally made by
 /// [`Communicator::use_pipeline`]; explicit for benchmarks).
@@ -346,726 +58,617 @@ pub enum BcastAlgo {
     Pipelined,
 }
 
-enum BcastState {
-    /// Non-root tree algorithms: waiting for the (whole) buffer.
-    TreeRecv {
-        recv: RecvReq,
-        algo: BcastAlgo,
-    },
-    /// Forwarding to tree children (empty for leaves / flat non-roots;
-    /// also the pipelined root, whose "children" are the per-segment
-    /// sends down the chain).
-    TreeSend {
-        buf: Vec<u8>,
-        sends: Vec<SendReq>,
-    },
-    /// Pipelined non-root: segments arrive in order from the chain
-    /// predecessor; each is forwarded to the successor as it lands.
-    PipeChain {
-        recvs: Vec<RecvReq>,
-        sends: Vec<SendReq>,
-        segs: Vec<Vec<u8>>,
-    },
-    /// Across hosts: root → its host's leader, leader → leaders,
-    /// leaders → their hosts.
-    Composed(Box<Composed>),
-    Finished(Vec<u8>),
-    Taken,
+/// Dissemination barrier: ⌈log₂ n⌉ rounds; in round k each rank sends to
+/// `rank + 2^k` and hears from `rank - 2^k`, once round k − 1 is done.
+pub(crate) fn barrier(s: &mut Sched, c: &Communicator) {
+    let (kind, n, none) = (CollKind::Barrier, c.size, s.slot(Vec::new()));
+    s.mark(Start, kind, c.round(0), None, NOW);
+    let (mut dist, mut round, mut prev) = (1, 0, NOW);
+    while dist < n {
+        let tag = c.tag(kind, s.seq, round);
+        let send = s.send(c, (c.rank + dist) % n, tag, none, prev);
+        s.recv(c, (c.rank + n - dist) % n, tag, 0, none);
+        s.mark(Round, kind, c.round(round), None, NOW);
+        (dist, round, prev) = (dist * 2, round + 1, send..send + 2);
+    }
+    s.mark(End, kind, c.round(round.saturating_sub(1)), None, prev);
 }
 
-/// Broadcast from `root`; every rank ends with the same buffer.
-pub struct BcastOp {
-    comm: Communicator,
+/// Broadcast `buf` from group rank `root` (where it holds the data;
+/// elsewhere it receives them).
+pub(crate) fn bcast(
+    s: &mut Sched,
+    c: &Communicator,
     root: usize,
-    seq: u32,
+    buf: Slot,
     max_len: usize,
-    state: BcastState,
-}
-
-impl BcastOp {
-    /// Start a broadcast, choosing the schedule from `max_len` (which
-    /// must be identical on every rank — it is what keeps the ranks'
-    /// choices in agreement; `data.len() <= max_len` at the root) and
-    /// the host map: the segmented chain at or above the pipeline
-    /// threshold, below it the two-level composition when the map spans
-    /// hosts and the binomial tree otherwise. The root passes
-    /// `Some(data)`, everyone else `None`.
-    pub fn new<M: Mpi + ?Sized>(
-        mpi: &mut M,
-        root: usize,
-        data: Option<Vec<u8>>,
-        max_len: usize,
-    ) -> Self {
-        let comm = Communicator::world(mpi);
-        let seq = mpi.next_coll_seq();
-        if comm.use_pipeline(max_len) {
-            return Self::on(mpi, &comm, seq, root, data, max_len, BcastAlgo::Pipelined);
+    algo: BcastAlgo,
+) {
+    let (kind, round0, me) = (CollKind::Bcast, c.round(0), c.rank);
+    let tag = c.tag(kind, s.seq, 0);
+    s.mark(Start, kind, round0, (me == root).then_some(buf), NOW);
+    let first = s.steps.len();
+    if algo == BcastAlgo::Pipelined && c.size > 1 {
+        // The chain runs in virtual-rank order (root = vrank 0); the
+        // segment count derives from max_len, which every rank agrees on,
+        // so trailing segments travel empty when the data are shorter.
+        // Matching is FIFO per (source, tag), so one tag serves every
+        // segment: arrival order is segment order.
+        let (seg, vr) = (PIPELINE_SEGMENT, c.vrank(root));
+        let mut parts: Vec<Vec<u8>> = s.slots[buf].chunks(seg).map(<[u8]>::to_vec).collect();
+        parts.resize(max_len.div_ceil(seg).max(1), Vec::new());
+        let segs: Vec<Slot> = parts.into_iter().map(|p| s.slot(p)).collect();
+        let (prev, next) = (
+            c.from_vrank(vr + c.size - 1, root),
+            c.from_vrank(vr + 1, root),
+        );
+        for (k, &part) in segs.iter().enumerate().filter(|_| vr > 0) {
+            s.recv(c, prev, tag, seg.min(max_len - k * seg), part);
         }
-        let Some(plan) = mpi
-            .coll_hosts()
-            .and_then(|h| hier::bcast_plan(&comm, h, root))
-        else {
-            return Self::on(mpi, &comm, seq, root, data, max_len, BcastAlgo::Binomial);
-        };
-        let data = data.unwrap_or_default();
-        BcastOp {
-            comm,
-            root,
-            seq,
-            max_len,
-            state: BcastState::Composed(Composed::new(seq, plan, data, max_len)),
-        }
-    }
-
-    /// Start a broadcast with an explicit flat algorithm (must match on
-    /// all ranks).
-    pub fn with_algo<M: Mpi + ?Sized>(
-        mpi: &mut M,
-        root: usize,
-        data: Option<Vec<u8>>,
-        max_len: usize,
-        algo: BcastAlgo,
-    ) -> Self {
-        let comm = Communicator::world(mpi);
-        let seq = mpi.next_coll_seq();
-        Self::on(mpi, &comm, seq, root, data, max_len, algo)
-    }
-
-    /// Start broadcast `seq` from group rank `root` on `comm`.
-    pub(crate) fn on<M: Mpi + ?Sized>(
-        mpi: &mut M,
-        comm: &Communicator,
-        seq: u32,
-        root: usize,
-        data: Option<Vec<u8>>,
-        max_len: usize,
-        algo: BcastAlgo,
-    ) -> Self {
-        let is_root = comm.rank == root;
-        if is_root {
-            let d = data.as_ref().expect("root must supply the broadcast data");
-            assert!(d.len() <= max_len, "root data exceeds max_len");
-        }
-        let bytes = data.as_ref().map_or(0, Vec::len);
-        mpi.obs_coll(CollPhase::Start, CollKind::Bcast, seq, comm.round(0), bytes);
-        let tag = comm.tag(CollKind::Bcast, seq, 0);
-        let state = if comm.size <= 1 {
-            BcastState::Finished(data.unwrap_or_default())
-        } else {
-            match algo {
-                BcastAlgo::Binomial | BcastAlgo::Flat if is_root => {
-                    Self::tree_send(mpi, comm, root, seq, algo, data.expect("root data"))
-                }
-                BcastAlgo::Binomial | BcastAlgo::Flat => {
-                    let parent = match algo {
-                        BcastAlgo::Flat => root,
-                        _ => comm.binomial_parent(root).expect("non-root has a parent"),
-                    };
-                    let recv = comm.irecv(mpi, parent, tag, max_len);
-                    BcastState::TreeRecv { recv, algo }
-                }
-                BcastAlgo::Pipelined => {
-                    // The chain is laid out in virtual-rank order (root =
-                    // vrank 0); the segment schedule derives from max_len,
-                    // which every rank agrees on, so the per-segment
-                    // message counts match even when the actual payload is
-                    // shorter (trailing segments travel empty).
-                    let seg = PIPELINE_SEGMENT;
-                    let nsegs = pipe_segments(max_len, seg);
-                    if is_root {
-                        let buf = data.expect("root data");
-                        let next = comm.from_vrank(1, root);
-                        let sends = (0..nsegs)
-                            .map(|k| {
-                                let s = (k * seg).min(buf.len());
-                                let e = ((k + 1) * seg).min(buf.len());
-                                comm.isend(mpi, next, tag, buf[s..e].to_vec())
-                            })
-                            .collect();
-                        BcastState::TreeSend { buf, sends }
-                    } else {
-                        let vr = comm.vrank(root);
-                        let prev = comm.from_vrank(vr - 1, root);
-                        // Matching is FIFO per (source, tag), so one tag
-                        // serves every segment: arrival order is segment
-                        // order.
-                        let recvs = (0..nsegs)
-                            .map(|k| {
-                                let bound = seg.min(max_len - k * seg);
-                                comm.irecv(mpi, prev, tag, bound)
-                            })
-                            .collect();
-                        BcastState::PipeChain {
-                            recvs,
-                            sends: Vec::new(),
-                            segs: Vec::new(),
-                        }
-                    }
-                }
+        for (k, &part) in segs.iter().enumerate() {
+            // A segment goes on once it is here: at once at the root.
+            let got = first + k..first + k + usize::from(vr > 0);
+            if vr + 1 < c.size {
+                s.send(c, next, tag, part, got.clone());
             }
-        };
-        BcastOp {
-            comm: comm.clone(),
-            root,
-            seq,
-            max_len,
-            state,
+            if vr > 0 {
+                s.mark(Round, kind, c.round(k as u32), Some(part), got);
+            }
         }
-    }
-
-    /// Forward `buf` down the tree of `algo`: to the binomial children,
-    /// biggest subtree first as in classic binomial bcast; in the flat
-    /// tree from the root to everyone, and from nobody else.
-    fn tree_send<M: Mpi + ?Sized>(
-        mpi: &mut M,
-        comm: &Communicator,
-        root: usize,
-        seq: u32,
-        algo: BcastAlgo,
-        buf: Vec<u8>,
-    ) -> BcastState {
-        let tag = comm.tag(CollKind::Bcast, seq, 0);
+        if vr > 0 {
+            s.push(Act::Concat(buf, segs), NOW);
+        }
+    } else {
+        if me != root {
+            let parent = match algo {
+                BcastAlgo::Binomial => c.binomial_parent(root).expect("non-root has a parent"),
+                _ => root,
+            };
+            s.recv(c, parent, tag, max_len, buf);
+            s.mark(Round, kind, round0, Some(buf), first..first + 1);
+        }
+        // Biggest subtree first, as in classic binomial bcast; the flat
+        // tree's root sends to everyone, nobody else sends.
         let children: Vec<usize> = match algo {
-            BcastAlgo::Flat if comm.rank != root => Vec::new(),
-            BcastAlgo::Flat => (0..comm.size).filter(|&r| r != root).collect(),
-            _ => comm.binomial_children(root).into_iter().rev().collect(),
+            BcastAlgo::Flat if me == root => (0..c.size).filter(|&r| r != root).collect(),
+            BcastAlgo::Flat => Vec::new(),
+            _ => c.binomial_children(root).into_iter().rev().collect(),
         };
-        let send = |c| comm.isend(mpi, c, tag, buf.clone());
-        let sends = children.into_iter().map(send).collect();
-        BcastState::TreeSend { buf, sends }
-    }
-
-    /// Advance; `true` once this rank holds the full buffer and its
-    /// forwarding duties are done.
-    pub fn poll<M: Mpi + ?Sized>(&mut self, mpi: &mut M) -> bool {
-        let (kind, round0) = (CollKind::Bcast, self.comm.round(0));
-        loop {
-            match &mut self.state {
-                BcastState::TreeRecv { recv, algo } => {
-                    if !recv.is_done() {
-                        return false;
-                    }
-                    let buf = recv.take().expect("done");
-                    mpi.obs_coll(CollPhase::Round, kind, self.seq, round0, buf.len());
-                    let (comm, algo) = (&self.comm, *algo);
-                    self.state = Self::tree_send(mpi, comm, self.root, self.seq, algo, buf);
-                }
-                BcastState::TreeSend { buf, sends } => {
-                    if !sends.iter().all(SendReq::is_done) {
-                        return false;
-                    }
-                    let buf = std::mem::take(buf);
-                    mpi.obs_coll(CollPhase::End, kind, self.seq, round0, buf.len());
-                    self.state = BcastState::Finished(buf);
-                }
-                BcastState::PipeChain { recvs, sends, segs } => {
-                    let vr = self.comm.vrank(self.root);
-                    let next =
-                        (vr + 1 < self.comm.size).then(|| self.comm.from_vrank(vr + 1, self.root));
-                    let tag = self.comm.tag(kind, self.seq, 0);
-                    while segs.len() < recvs.len() {
-                        let k = segs.len();
-                        if !recvs[k].is_done() {
-                            break;
-                        }
-                        let data = recvs[k].take().expect("done");
-                        if let Some(dst) = next {
-                            sends.push(self.comm.isend(mpi, dst, tag, data.clone()));
-                        }
-                        mpi.obs_coll(CollPhase::Round, kind, self.seq, k as u32, data.len());
-                        segs.push(data);
-                    }
-                    if segs.len() < recvs.len() || !sends.iter().all(SendReq::is_done) {
-                        return false;
-                    }
-                    let mut buf = Vec::with_capacity(self.max_len);
-                    for s in segs.iter() {
-                        buf.extend_from_slice(s);
-                    }
-                    mpi.obs_coll(CollPhase::End, kind, self.seq, round0, buf.len());
-                    self.state = BcastState::Finished(buf);
-                }
-                BcastState::Composed(composed) => {
-                    if !composed.poll(mpi) {
-                        return false;
-                    }
-                    self.state = BcastState::Finished(composed.take_value());
-                }
-                BcastState::Finished(_) => return true,
-                BcastState::Taken => panic!("poll after take_result"),
-            }
+        for child in children {
+            s.send(c, child, tag, buf, NOW);
         }
     }
-
-    /// The broadcast buffer; call once after `poll` returns `true`.
-    pub fn take_result(&mut self) -> Vec<u8> {
-        match std::mem::replace(&mut self.state, BcastState::Taken) {
-            BcastState::Finished(b) => b,
-            _ => panic!("broadcast not complete"),
-        }
-    }
+    let sent = first..s.steps.len();
+    s.mark(End, kind, round0, Some(buf), sent);
 }
 
-// ------------------------------------------------------- reduce to root
-
-/// Reduction algorithm choice.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ReduceAlgo {
-    /// Binomial tree: children's contributions fold upward in ascending
-    /// mask order.
-    Binomial,
-    /// Ring reduce-scatter, then the owned chunks converge on the root.
-    Ring,
-}
-
-/// True when a reduction of `len` bytes on `comm` takes the ring: above
+/// True when a reduction of `len` bytes on `c` takes the ring: above
 /// the pipeline threshold, with at least one element per rank to scatter.
-fn ring_reduces(comm: &Communicator, len: usize) -> bool {
-    comm.use_pipeline(len) && len / 8 >= comm.size
+fn ring_reduces(c: &Communicator, len: usize) -> bool {
+    c.use_pipeline(len) && len / 8 >= c.size
 }
 
-enum ReduceState {
-    /// Binomial: waiting for all children (ascending-mask order).
-    Gather {
-        recvs: Vec<RecvReq>,
-        acc: Vec<u8>,
-    },
-    SendUp(SendReq),
-    RingRs(RingReduceScatter),
-    RingGather(GatherOp),
-    FinishedRoot(Vec<u8>),
-    FinishedNonRoot,
-    Taken,
+/// Binomial reduction of `acc` to group rank `root`: each rank folds its
+/// children's partials in ascending-mask order — fixed, so f64 results
+/// are deterministic — and sends the sum to its parent.
+fn tree_reduce(s: &mut Sched, c: &Communicator, root: usize, acc: Slot, op: ReduceOp) {
+    let (kind, round0, len) = (CollKind::Reduce, c.round(0), s.slots[acc].len());
+    let tag = c.tag(kind, s.seq, 0);
+    s.mark(Start, kind, round0, Some(acc), NOW);
+    let (first, mut parts) = (s.steps.len(), Vec::new());
+    for child in c.binomial_children(root) {
+        let part = s.slot(Vec::new());
+        s.recv(c, child, tag, len, part);
+        parts.push(part);
+    }
+    let recvs = first..s.steps.len();
+    for from in parts {
+        s.push(Act::Fold(acc, from, op), recvs.clone());
+    }
+    s.mark(Round, kind, round0, Some(acc), NOW);
+    match c.binomial_parent(root) {
+        None => s.mark(End, kind, round0, Some(acc), NOW),
+        Some(parent) => {
+            let up = s.send(c, parent, tag, acc, NOW);
+            s.mark(End, kind, round0, None, up..up + 1)
+        }
+    };
 }
 
-/// Reduce every rank's contribution to `root`.
-pub struct ReduceToRootOp {
-    comm: Communicator,
+/// Ring reduce-scatter of `acc`: n−1 rounds; in round r each rank sends
+/// its partial of chunk `(rank − r) mod n` right and folds the partial of
+/// chunk `(rank − r − 1) mod n` arriving from the left into its own
+/// (commutative operators, so the traveling partial absorbs
+/// contributions in ring order whichever operand is "left"). Returns the
+/// chunk slots; rank `i` ends holding reduced chunk `(i + 1) mod n`.
+fn reduce_scatter(s: &mut Sched, c: &Communicator, acc: Slot, op: ReduceOp) -> Vec<Slot> {
+    let (n, me, len) = (c.size, c.rank, s.slots[acc].len());
+    let chunks: Vec<Slot> = (0..n)
+        .map(|i| {
+            let (a, b) = elem_chunk_bounds(len, n, i);
+            let part = s.slots[acc][a..b].to_vec();
+            s.slot(part)
+        })
+        .collect();
+    for r in 0..n - 1 {
+        let (out, into) = (chunks[(me + n - r) % n], chunks[(me + 2 * n - r - 1) % n]);
+        let (tag, part) = (c.tag(CollKind::Reduce, s.seq, r as u32), s.slot(Vec::new()));
+        let send = s.send(c, c.right(), tag, out, NOW);
+        s.recv(c, c.left(), tag, s.slots[into].len(), part);
+        s.mark(Round, CollKind::Reduce, c.round(r as u32), None, NOW);
+        s.push(Act::Fold(into, part, op), send..send + 2);
+    }
+    chunks
+}
+
+/// Reduce `acc` to group rank `root`, leaving the result there.
+fn reduce(s: &mut Sched, c: &Communicator, root: usize, acc: Slot, op: ReduceOp) {
+    if !ring_reduces(c, s.slots[acc].len()) {
+        return tree_reduce(s, c, root, acc, op);
+    }
+    s.mark(Start, CollKind::Reduce, c.round(0), Some(acc), NOW);
+    let chunks = reduce_scatter(s, c, acc, op);
+    let (n, bound) = (c.size, s.slots[chunks[0]].len());
+    let parts = gather(s, c, root, chunks[(c.rank + 1) % n], bound);
+    if !parts.is_empty() {
+        // Rank r holds chunk r + 1: rank order → chunk order.
+        let parts = (0..n).map(|i| parts[(i + n - 1) % n]).collect();
+        s.push(Act::Concat(acc, parts), NOW);
+    }
+    s.mark(End, CollKind::Reduce, c.round(0), None, NOW);
+}
+
+/// Ring allreduce of `acc`: reduce-scatter, then n−1 allgather rounds
+/// (on the ring rebased past the reduce-scatter's rounds) in which each
+/// rank forwards the chunk it got last; `acc` ends holding every chunk.
+fn ring_allreduce(s: &mut Sched, c: &Communicator, acc: Slot, op: ReduceOp) {
+    let (n, kind) = (c.size, CollKind::Reduce);
+    s.mark(Start, kind, c.round(0), Some(acc), NOW);
+    let chunks = reduce_scatter(s, c, acc, op);
+    let (ag, start) = (c.rebased(n as u32), (c.rank + 1) % n);
+    let bound = s.slots[chunks[0]].len();
+    let mut prev = NOW;
+    for r in 0..n - 1 {
+        let tag = ag.tag(kind, s.seq, r as u32);
+        let send = s.send(c, c.right(), tag, chunks[(start + n - r) % n], prev);
+        s.recv(c, c.left(), tag, bound, chunks[(start + 2 * n - r - 1) % n]);
+        s.mark(Round, kind, ag.round(r as u32), None, NOW);
+        prev = send..send + 2;
+    }
+    s.push(Act::Concat(acc, chunks), prev);
+    s.mark(End, kind, c.round(0), Some(acc), NOW);
+}
+
+/// Gather every rank's `own` at group rank `root`; returns the parts
+/// there in group rank order (`own` among them), none elsewhere.
+pub(crate) fn gather(
+    s: &mut Sched,
+    c: &Communicator,
     root: usize,
-    seq: u32,
-    rop: ReduceOp,
-    state: ReduceState,
+    own: Slot,
+    bound: usize,
+) -> Vec<Slot> {
+    let (kind, round0) = (CollKind::Gather, c.round(0));
+    let tag = c.tag(kind, s.seq, 0);
+    s.mark(Start, kind, round0, Some(own), NOW);
+    let first = s.steps.len();
+    let mut parts = Vec::new();
+    if c.rank == root {
+        for r in 0..c.size {
+            let part = if r == root { own } else { s.slot(Vec::new()) };
+            if r != root {
+                s.recv(c, r, tag, bound, part);
+            }
+            parts.push(part);
+        }
+    } else {
+        s.send(c, root, tag, own, NOW);
+    }
+    s.mark(End, kind, round0, None, first..s.steps.len());
+    parts
 }
 
-impl ReduceToRootOp {
-    /// Start a reduction, choosing the algorithm from `contrib.len()`
-    /// (identical on every rank by contract).
-    pub fn new<M: Mpi + ?Sized>(mpi: &mut M, root: usize, contrib: &[u8], rop: ReduceOp) -> Self {
-        let algo = if ring_reduces(&Communicator::world(mpi), contrib.len()) {
-            ReduceAlgo::Ring
-        } else {
-            ReduceAlgo::Binomial
-        };
-        Self::with_algo(mpi, root, contrib, rop, algo)
+impl Sched {
+    /// The world group of `mpi` and an empty schedule under its next
+    /// collective sequence number.
+    fn world<M: Mpi + ?Sized>(mpi: &mut M) -> (Communicator, Sched) {
+        (Communicator::world(mpi), Sched::new(mpi.next_coll_seq()))
     }
 
-    /// Start a reduction with an explicit algorithm (must match on all
+    /// A barrier: dissemination — or, across hosts, ⌈log₂ H⌉ rounds
+    /// among the host leaders between a local fan-in and a local release.
+    pub fn barrier<M: Mpi + ?Sized>(mpi: &mut M) -> Sched {
+        let (world, mut s) = Sched::world(mpi);
+        let none = s.slot(Vec::new());
+        let plan = |h| hier::reduce_plan(&mut s, &world, h, none, None, 0);
+        if !mpi.coll_hosts().is_some_and(plan) {
+            barrier(&mut s, &world);
+        }
+        s
+    }
+
+    /// A broadcast from `root`, the schedule chosen from `max_len` (which
+    /// must be identical on every rank — it is what keeps the ranks'
+    /// choices in agreement; `data.len() <= max_len` at the root) and the
+    /// host map: the segmented chain at or above the pipeline threshold,
+    /// below it the two-level plan when the map spans hosts and the
+    /// binomial tree otherwise. The root passes `Some(data)`, everyone
+    /// else `None`.
+    pub fn bcast<M: Mpi + ?Sized>(
+        mpi: &mut M,
+        root: usize,
+        data: Option<Vec<u8>>,
+        max_len: usize,
+    ) -> Sched {
+        let (world, mut s) = Sched::world(mpi);
+        let buf = s.bcast_buf(&world, root, data, max_len);
+        if world.use_pipeline(max_len) {
+            bcast(&mut s, &world, root, buf, max_len, BcastAlgo::Pipelined);
+        } else if !mpi
+            .coll_hosts()
+            .is_some_and(|h| hier::bcast_plan(&mut s, &world, h, root, buf, max_len))
+        {
+            bcast(&mut s, &world, root, buf, max_len, BcastAlgo::Binomial);
+        }
+        s
+    }
+
+    /// A broadcast with an explicit flat algorithm (must match on all
     /// ranks).
-    pub fn with_algo<M: Mpi + ?Sized>(
+    pub fn bcast_with<M: Mpi + ?Sized>(
+        mpi: &mut M,
+        root: usize,
+        data: Option<Vec<u8>>,
+        max_len: usize,
+        algo: BcastAlgo,
+    ) -> Sched {
+        let (world, mut s) = Sched::world(mpi);
+        let buf = s.bcast_buf(&world, root, data, max_len);
+        bcast(&mut s, &world, root, buf, max_len, algo);
+        s
+    }
+
+    /// The broadcast buffer, made the result: the root's data, empty
+    /// elsewhere until received.
+    fn bcast_buf(
+        &mut self,
+        c: &Communicator,
+        root: usize,
+        data: Option<Vec<u8>>,
+        max_len: usize,
+    ) -> Slot {
+        let data = (c.rank == root).then(|| data.expect("root must supply the broadcast data"));
+        assert!(
+            data.as_ref().is_none_or(|d| d.len() <= max_len),
+            "root data exceeds max_len"
+        );
+        let buf = self.slot(data.unwrap_or_default());
+        self.result = vec![buf];
+        buf
+    }
+
+    /// A reduction of every rank's `contrib` (the same length everywhere,
+    /// which picks the binomial tree or, above the pipeline threshold,
+    /// ring reduce-scatter + chunk gather) to `root`, the result there.
+    pub fn reduce<M: Mpi + ?Sized>(
         mpi: &mut M,
         root: usize,
         contrib: &[u8],
-        rop: ReduceOp,
-        algo: ReduceAlgo,
-    ) -> Self {
-        let comm = Communicator::world(mpi);
-        let seq = mpi.next_coll_seq();
-        Self::on(mpi, &comm, seq, root, contrib, rop, algo)
+        op: ReduceOp,
+    ) -> Sched {
+        let (world, mut s) = Sched::world(mpi);
+        let acc = s.slot(contrib.to_vec());
+        reduce(&mut s, &world, root, acc, op);
+        if world.rank == root {
+            s.result = vec![acc];
+        }
+        s
     }
 
-    /// Start reduction `seq` to group rank `root` on `comm`.
-    pub(crate) fn on<M: Mpi + ?Sized>(
+    /// An allreduce: every rank ends with the reduction of all
+    /// contributions (`contrib.len()` identical everywhere). Small
+    /// payloads run binomial reduce-to-0 + binomial bcast — or, across
+    /// hosts, the two-level fold of [`crate::hier`]; large payloads the
+    /// ring (reduce-scatter + allgather, 2(n−1) rounds, each link
+    /// carrying ≈`len/n` per round).
+    pub fn allreduce<M: Mpi + ?Sized>(mpi: &mut M, contrib: &[u8], op: ReduceOp) -> Sched {
+        let (world, mut s) = Sched::world(mpi);
+        let (acc, len) = (s.slot(contrib.to_vec()), contrib.len());
+        let mut out = acc;
+        if ring_reduces(&world, len) {
+            ring_allreduce(&mut s, &world, acc, op);
+        } else if world.use_pipeline(len)
+            || !mpi
+                .coll_hosts()
+                .is_some_and(|h| hier::reduce_plan(&mut s, &world, h, acc, Some(op), len))
+        {
+            tree_reduce(&mut s, &world, 0, acc, op);
+            if world.rank != 0 {
+                out = s.slot(Vec::new());
+            }
+            bcast(&mut s, &world, 0, out, len, BcastAlgo::Binomial);
+        }
+        s.result = vec![out];
+        s
+    }
+
+    /// A gather of every rank's `data` at `root`, in rank order there.
+    pub fn gather<M: Mpi + ?Sized>(
         mpi: &mut M,
-        comm: &Communicator,
-        seq: u32,
-        root: usize,
-        contrib: &[u8],
-        rop: ReduceOp,
-        algo: ReduceAlgo,
-    ) -> Self {
-        mpi.obs_coll(CollPhase::Start, CollKind::Reduce, seq, 0, contrib.len());
-        let state = if comm.size <= 1 {
-            ReduceState::FinishedRoot(contrib.to_vec())
-        } else {
-            match algo {
-                ReduceAlgo::Binomial => {
-                    let tag = comm.tag(CollKind::Reduce, seq, 0);
-                    let recvs = comm
-                        .binomial_children(root)
-                        .into_iter()
-                        .map(|c| comm.irecv(mpi, c, tag, contrib.len()))
-                        .collect();
-                    ReduceState::Gather {
-                        recvs,
-                        acc: contrib.to_vec(),
-                    }
-                }
-                ReduceAlgo::Ring => {
-                    ReduceState::RingRs(RingReduceScatter::new(seq, contrib, rop, comm.size))
-                }
-            }
-        };
-        ReduceToRootOp {
-            comm: comm.clone(),
-            root,
-            seq,
-            rop,
-            state,
-        }
-    }
-
-    /// Advance; `true` once this rank's part is complete.
-    pub fn poll<M: Mpi + ?Sized>(&mut self, mpi: &mut M) -> bool {
-        loop {
-            match &mut self.state {
-                ReduceState::Gather { recvs, acc } => {
-                    if !recvs.iter().all(RecvReq::is_done) {
-                        return false;
-                    }
-                    // Ascending-mask order — fixed, so f64 results are
-                    // deterministic.
-                    for r in recvs.iter() {
-                        let data = r.take().expect("done");
-                        self.rop.apply(acc, &data);
-                    }
-                    let acc = std::mem::take(acc);
-                    mpi.obs_coll(CollPhase::Round, CollKind::Reduce, self.seq, 0, acc.len());
-                    self.state = match self.comm.binomial_parent(self.root) {
-                        None => {
-                            mpi.obs_coll(CollPhase::End, CollKind::Reduce, self.seq, 0, acc.len());
-                            ReduceState::FinishedRoot(acc)
-                        }
-                        Some(parent) => {
-                            let tag = self.comm.tag(CollKind::Reduce, self.seq, 0);
-                            ReduceState::SendUp(self.comm.isend(mpi, parent, tag, acc))
-                        }
-                    };
-                }
-                ReduceState::SendUp(s) => {
-                    if !s.is_done() {
-                        return false;
-                    }
-                    mpi.obs_coll(CollPhase::End, CollKind::Reduce, self.seq, 0, 0);
-                    self.state = ReduceState::FinishedNonRoot;
-                }
-                ReduceState::RingRs(rs) => {
-                    if !rs.poll(mpi, &self.comm) {
-                        return false;
-                    }
-                    // Rank i now owns reduced chunk (i + 1) mod n: gather
-                    // them at the root.
-                    let owned = rs.owned_chunk(&self.comm);
-                    let bound = rs.max_chunk();
-                    self.state = ReduceState::RingGather(GatherOp::on(
-                        mpi, &self.comm, self.seq, self.root, owned, bound,
-                    ));
-                }
-                ReduceState::RingGather(g) => {
-                    if !g.poll(mpi) {
-                        return false;
-                    }
-                    self.state = match g.take_result() {
-                        None => ReduceState::FinishedNonRoot,
-                        Some(mut chunks) => {
-                            chunks.rotate_right(1); // rank order → chunk order
-                            ReduceState::FinishedRoot(chunks.concat())
-                        }
-                    };
-                    mpi.obs_coll(CollPhase::End, CollKind::Reduce, self.seq, 0, 0);
-                }
-                ReduceState::FinishedRoot(_) | ReduceState::FinishedNonRoot => return true,
-                ReduceState::Taken => panic!("poll after take_result"),
-            }
-        }
-    }
-
-    /// `Some(result)` at the root, `None` elsewhere; call once after
-    /// `poll` returns `true`.
-    pub fn take_result(&mut self) -> Option<Vec<u8>> {
-        match std::mem::replace(&mut self.state, ReduceState::Taken) {
-            ReduceState::FinishedRoot(b) => Some(b),
-            ReduceState::FinishedNonRoot => None,
-            _ => panic!("reduce not complete"),
-        }
-    }
-}
-
-// ---------------------------------------------------------------- allreduce
-
-enum AllreduceState {
-    SmallReduce(ReduceToRootOp),
-    SmallBcast(BcastOp),
-    LargeRs(RingReduceScatter),
-    LargeAg(RingAllgather),
-    /// Across hosts: fold within each host, fold the hosts' partials at
-    /// the first leader, and fan the result back out the same way.
-    Composed(Box<Composed>),
-    Finished(Vec<u8>),
-    Taken,
-}
-
-/// Allreduce: every rank ends with the reduction of all contributions.
-///
-/// Small payloads compose binomial reduce-to-0 + binomial bcast — or,
-/// across hosts, the two-level fold of [`crate::hier`]; large payloads
-/// run the classic ring (reduce-scatter + allgather, 2(n−1) rounds,
-/// each link carrying ≈`len/n` per round).
-pub struct AllreduceOp {
-    comm: Communicator,
-    seq: u32,
-    len: usize,
-    state: AllreduceState,
-}
-
-impl AllreduceOp {
-    /// Start an allreduce (`contrib.len()` identical on every rank, so
-    /// every rank picks the same schedule from it and the host map).
-    pub fn new<M: Mpi + ?Sized>(mpi: &mut M, contrib: &[u8], rop: ReduceOp) -> Self {
-        let comm = Communicator::world(mpi);
-        let seq = mpi.next_coll_seq();
-        let len = contrib.len();
-        let plan = if comm.use_pipeline(len) {
-            None
-        } else {
-            mpi.coll_hosts()
-                .and_then(|h| hier::reduce_plan(&comm, h, Some(rop)))
-        };
-        let state = if let Some(plan) = plan {
-            AllreduceState::Composed(Composed::new(seq, plan, contrib.to_vec(), len))
-        } else if comm.size <= 1 {
-            AllreduceState::Finished(contrib.to_vec())
-        } else if ring_reduces(&comm, len) {
-            mpi.obs_coll(CollPhase::Start, CollKind::Reduce, seq, 0, len);
-            AllreduceState::LargeRs(RingReduceScatter::new(seq, contrib, rop, comm.size))
-        } else {
-            let algo = ReduceAlgo::Binomial;
-            AllreduceState::SmallReduce(ReduceToRootOp::on(mpi, &comm, seq, 0, contrib, rop, algo))
-        };
-        AllreduceOp {
-            comm,
-            seq,
-            len,
-            state,
-        }
-    }
-
-    /// Advance; `true` once the reduced buffer is available here.
-    pub fn poll<M: Mpi + ?Sized>(&mut self, mpi: &mut M) -> bool {
-        loop {
-            match &mut self.state {
-                AllreduceState::SmallReduce(r) => {
-                    if !r.poll(mpi) {
-                        return false;
-                    }
-                    let (result, algo) = (r.take_result(), BcastAlgo::Binomial);
-                    self.state = AllreduceState::SmallBcast(BcastOp::on(
-                        mpi, &self.comm, self.seq, 0, result, self.len, algo,
-                    ));
-                }
-                AllreduceState::SmallBcast(b) => {
-                    if !b.poll(mpi) {
-                        return false;
-                    }
-                    self.state = AllreduceState::Finished(b.take_result());
-                }
-                AllreduceState::LargeRs(rs) => {
-                    if !rs.poll(mpi, &self.comm) {
-                        return false;
-                    }
-                    let n = self.comm.size;
-                    let start = rs.owned_idx(&self.comm);
-                    let bound = rs.max_chunk();
-                    let mut chunks: Vec<Option<Vec<u8>>> = vec![None; n];
-                    chunks[start] = Some(rs.owned_chunk(&self.comm));
-                    self.state = AllreduceState::LargeAg(RingAllgather::new(
-                        self.seq,
-                        self.comm.rebased(n as u32),
-                        start,
-                        bound,
-                        chunks,
-                    ));
-                }
-                AllreduceState::LargeAg(ag) => {
-                    if !ag.poll(mpi) {
-                        return false;
-                    }
-                    let out = ag.assemble();
-                    mpi.obs_coll(CollPhase::End, CollKind::Reduce, self.seq, 0, out.len());
-                    self.state = AllreduceState::Finished(out);
-                }
-                AllreduceState::Composed(composed) => {
-                    if !composed.poll(mpi) {
-                        return false;
-                    }
-                    self.state = AllreduceState::Finished(composed.take_value());
-                }
-                AllreduceState::Finished(_) => return true,
-                AllreduceState::Taken => panic!("poll after take_result"),
-            }
-        }
-    }
-
-    /// The reduced buffer; call once after `poll` returns `true`.
-    pub fn take_result(&mut self) -> Vec<u8> {
-        match std::mem::replace(&mut self.state, AllreduceState::Taken) {
-            AllreduceState::Finished(b) => b,
-            _ => panic!("allreduce not complete"),
-        }
-    }
-}
-
-// ---------------------------------------------------------------- gather
-
-enum GatherState {
-    Root {
-        recvs: Vec<Option<RecvReq>>,
-        own: Vec<u8>,
-    },
-    Leaf(SendReq),
-    FinishedRoot(Vec<Vec<u8>>),
-    FinishedNonRoot,
-    Taken,
-}
-
-/// Gather every rank's buffer at `root` (rank order).
-pub struct GatherOp {
-    seq: u32,
-    round: u32,
-    state: GatherState,
-}
-
-impl GatherOp {
-    /// Start a gather; every rank contributes `data`.
-    pub fn new<M: Mpi + ?Sized>(mpi: &mut M, root: usize, data: Vec<u8>, max_len: usize) -> Self {
-        let comm = Communicator::world(mpi);
-        let seq = mpi.next_coll_seq();
-        Self::on(mpi, &comm, seq, root, data, max_len)
-    }
-
-    /// Start gather `seq` at group rank `root` on `comm`.
-    pub(crate) fn on<M: Mpi + ?Sized>(
-        mpi: &mut M,
-        comm: &Communicator,
-        seq: u32,
         root: usize,
         data: Vec<u8>,
         max_len: usize,
-    ) -> Self {
-        let round = comm.round(0);
-        mpi.obs_coll(CollPhase::Start, CollKind::Gather, seq, round, data.len());
-        let tag = comm.tag(CollKind::Gather, seq, 0);
-        let state = if comm.rank == root {
-            let recvs = (0..comm.size)
-                .map(|r| (r != root).then(|| comm.irecv(mpi, r, tag, max_len)))
-                .collect();
-            GatherState::Root { recvs, own: data }
-        } else {
-            GatherState::Leaf(comm.isend(mpi, root, tag, data))
-        };
-        GatherOp { seq, round, state }
+    ) -> Sched {
+        let (world, mut s) = Sched::world(mpi);
+        let own = s.slot(data);
+        s.result = gather(&mut s, &world, root, own, max_len);
+        s
     }
 
-    /// Advance; `true` once this rank's part is complete.
-    pub fn poll<M: Mpi + ?Sized>(&mut self, mpi: &mut M) -> bool {
-        let finished = match &mut self.state {
-            GatherState::Root { recvs, own } => {
-                if !recvs.iter().flatten().all(RecvReq::is_done) {
-                    return false;
-                }
-                let part = |r: &Option<RecvReq>| match r {
-                    None => std::mem::take(own),
-                    Some(r) => r.take().expect("done"),
-                };
-                GatherState::FinishedRoot(recvs.iter().map(part).collect())
-            }
-            GatherState::Leaf(s) if s.is_done() => GatherState::FinishedNonRoot,
-            GatherState::Leaf(_) => return false,
-            GatherState::FinishedRoot(_) | GatherState::FinishedNonRoot => return true,
-            GatherState::Taken => panic!("poll after take_result"),
-        };
-        mpi.obs_coll(CollPhase::End, CollKind::Gather, self.seq, self.round, 0);
-        self.state = finished;
-        true
-    }
-
-    /// `Some(buffers)` at the root (rank order), `None` elsewhere.
-    pub fn take_result(&mut self) -> Option<Vec<Vec<u8>>> {
-        match std::mem::replace(&mut self.state, GatherState::Taken) {
-            GatherState::FinishedRoot(v) => Some(v),
-            GatherState::FinishedNonRoot => None,
-            _ => panic!("gather not complete"),
-        }
-    }
-}
-
-// ---------------------------------------------------------------- scatter
-
-enum ScatterState {
-    Root { sends: Vec<SendReq>, own: Vec<u8> },
-    Leaf(RecvReq),
-    Finished(Vec<u8>),
-    Taken,
-}
-
-/// Scatter the root's per-rank chunks; each rank ends with its chunk.
-pub struct ScatterOp {
-    seq: u32,
-    state: ScatterState,
-}
-
-impl ScatterOp {
-    /// Start a scatter; the root passes `Some(chunks)` (one per rank).
-    pub fn new<M: Mpi + ?Sized>(
+    /// A scatter of the root's per-rank `chunks` (`Some` there, one per
+    /// rank); each rank ends with its chunk.
+    pub fn scatter<M: Mpi + ?Sized>(
         mpi: &mut M,
         root: usize,
         chunks: Option<Vec<Vec<u8>>>,
         max_len: usize,
-    ) -> Self {
-        let comm = Communicator::world(mpi);
-        let seq = mpi.next_coll_seq();
-        mpi.obs_coll(CollPhase::Start, CollKind::Scatter, seq, 0, 0);
-        let tag = comm.tag(CollKind::Scatter, seq, 0);
-        let state = if comm.rank == root {
+    ) -> Sched {
+        let (c, mut s) = Sched::world(mpi);
+        let (kind, tag) = (CollKind::Scatter, c.tag(CollKind::Scatter, s.seq, 0));
+        s.mark(Start, kind, 0, None, NOW);
+        let first = s.steps.len();
+        let mine = if c.rank == root {
             let chunks = chunks.expect("root must supply the chunks");
-            assert_eq!(chunks.len(), comm.size, "one chunk per rank");
-            let mut own = Vec::new();
-            let mut sends = Vec::new();
-            for (r, c) in chunks.into_iter().enumerate() {
-                if r == root {
-                    own = c;
-                } else {
-                    sends.push(comm.isend(mpi, r, tag, c));
+            assert_eq!(chunks.len(), c.size, "one chunk per rank");
+            let slots: Vec<Slot> = chunks.into_iter().map(|d| s.slot(d)).collect();
+            for (r, &chunk) in slots.iter().enumerate().filter(|&(r, _)| r != root) {
+                s.send(&c, r, tag, chunk, NOW);
+            }
+            slots[root]
+        } else {
+            let mine = s.slot(Vec::new());
+            s.recv(&c, root, tag, max_len, mine);
+            mine
+        };
+        s.mark(End, kind, 0, Some(mine), first..s.steps.len());
+        s.result = vec![mine];
+        s
+    }
+
+    /// A personalized all-to-all: `data[r]` goes to rank `r`; the result
+    /// parts are the buffers received from every rank, in rank order.
+    pub fn alltoall<M: Mpi + ?Sized>(mpi: &mut M, data: Vec<Vec<u8>>, max_len: usize) -> Sched {
+        let (c, mut s) = Sched::world(mpi);
+        assert_eq!(data.len(), c.size, "one buffer per rank");
+        let (kind, tag) = (CollKind::Alltoall, c.tag(CollKind::Alltoall, s.seq, 0));
+        s.mark(Start, kind, 0, None, NOW);
+        let first = s.steps.len();
+        let out: Vec<Slot> = data.into_iter().map(|d| s.slot(d)).collect();
+        s.result = out.clone();
+        for r in (0..c.size).filter(|&r| r != c.rank) {
+            let part = s.slot(Vec::new());
+            s.recv(&c, r, tag, max_len, part);
+            s.result[r] = part;
+        }
+        for r in (0..c.size).filter(|&r| r != c.rank) {
+            s.send(&c, r, tag, out[r], NOW);
+        }
+        s.mark(End, kind, 0, None, first..s.steps.len());
+        s
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::cell::RefCell;
+    use std::collections::{HashMap, VecDeque};
+    use std::rc::Rc;
+
+    use super::*;
+    use crate::types::{RecvReq, SendReq, Status};
+    use crate::PIPELINE_THRESHOLD;
+
+    /// Messages sent and receives posted, FIFO per (source, destination,
+    /// tag): the k-th send of a key pairs with its k-th receive.
+    #[derive(Default)]
+    struct Wire {
+        sent: HashMap<(usize, usize, u32), VecDeque<Vec<u8>>>,
+        posted: HashMap<(usize, usize, u32), VecDeque<(RecvReq, usize)>>,
+    }
+
+    impl Wire {
+        fn pair(&mut self, key: (usize, usize, u32)) {
+            let sent = self.sent.entry(key).or_default();
+            let posted = self.posted.entry(key).or_default();
+            while !sent.is_empty() && !posted.is_empty() {
+                let (data, (req, bound)) = (sent.pop_front().unwrap(), posted.pop_front().unwrap());
+                assert!(
+                    data.len() <= bound,
+                    "{key:x?}: {} B over a {bound} B bound",
+                    data.len()
+                );
+                let mut b = req.inner.borrow_mut();
+                b.status = Some(Status {
+                    src: key.0,
+                    tag: key.2,
+                    len: data.len(),
+                });
+                b.data = Some(data);
+            }
+        }
+    }
+
+    /// One rank on a [`Wire`]: a send is done at once, a receive once the
+    /// send it pairs with is there.
+    struct Rank {
+        rank: usize,
+        size: usize,
+        hosts: Option<Vec<usize>>,
+        seq: u32,
+        wire: Rc<RefCell<Wire>>,
+    }
+
+    impl Mpi for Rank {
+        fn rank(&self) -> usize {
+            self.rank
+        }
+        fn size(&self) -> usize {
+            self.size
+        }
+        fn isend(&mut self, dst: usize, tag: u32, data: Vec<u8>) -> SendReq {
+            let key = (self.rank, dst, tag);
+            let mut wire = self.wire.borrow_mut();
+            wire.sent.entry(key).or_default().push_back(data);
+            wire.pair(key);
+            SendReq::new(true)
+        }
+        fn irecv(&mut self, src: Option<usize>, tag: Option<u32>, max_len: usize) -> RecvReq {
+            let key = (
+                src.expect("named source"),
+                self.rank,
+                tag.expect("named tag"),
+            );
+            let (req, mut wire) = (RecvReq::new(), self.wire.borrow_mut());
+            wire.posted
+                .entry(key)
+                .or_default()
+                .push_back((req.clone(), max_len));
+            wire.pair(key);
+            req
+        }
+        fn progress(&mut self) {}
+        fn next_coll_seq(&mut self) -> u32 {
+            self.seq += 1;
+            self.seq
+        }
+        fn coll_hosts(&self) -> Option<&[usize]> {
+            self.hosts.as_deref()
+        }
+    }
+
+    #[derive(Clone, Copy, Debug)]
+    enum Coll {
+        Barrier,
+        /// The constructor's own choice, or an explicit algorithm.
+        Bcast(Option<BcastAlgo>),
+        Reduce,
+        Allreduce,
+        Gather,
+        Scatter,
+        Alltoall,
+    }
+
+    /// Rank `r`'s `len`-byte reduction operand: `r + 1` in every element.
+    fn operand(r: usize, len: usize) -> Vec<u8> {
+        (r as u64 + 1).to_le_bytes().repeat(len / 8)
+    }
+
+    /// Build `coll` on every rank of an `n`-rank wire under `hosts`, run
+    /// the schedules until none can go on, and check that every one
+    /// finished, that every send paired with exactly one receive (and so
+    /// no receive is left), and what each rank holds.
+    fn agree(n: usize, hosts: Option<&[usize]>, coll: Coll, root: usize, len: usize) {
+        let wire: Rc<RefCell<Wire>> = Rc::default();
+        let mut ranks: Vec<Rank> = (0..n)
+            .map(|rank| {
+                let (hosts, wire) = (hosts.map(<[usize]>::to_vec), Rc::clone(&wire));
+                Rank {
+                    rank,
+                    size: n,
+                    hosts,
+                    seq: 0,
+                    wire,
+                }
+            })
+            .collect();
+        let data = |r: usize| vec![r as u8; len];
+        let mut scheds: Vec<Sched> = ranks
+            .iter_mut()
+            .map(|m| {
+                let me = m.rank;
+                let root_data = (me == root).then(|| data(root));
+                match coll {
+                    Coll::Barrier => Sched::barrier(m),
+                    Coll::Bcast(None) => Sched::bcast(m, root, root_data, len),
+                    Coll::Bcast(Some(algo)) => Sched::bcast_with(m, root, root_data, len, algo),
+                    Coll::Reduce => Sched::reduce(m, root, &operand(me, len), ReduceOp::SumU64),
+                    Coll::Allreduce => Sched::allreduce(m, &operand(me, len), ReduceOp::SumU64),
+                    Coll::Gather => Sched::gather(m, root, data(me), len),
+                    Coll::Scatter => {
+                        let chunks = (me == root).then(|| (0..n).map(data).collect());
+                        Sched::scatter(m, root, chunks, len)
+                    }
+                    Coll::Alltoall => {
+                        Sched::alltoall(m, (0..n).map(|r| data(me * n + r)).collect(), len)
+                    }
+                }
+            })
+            .collect();
+        // A pass that finishes nothing issues a step, or nothing ever will.
+        let case = format!("{coll:?} n={n} root={root} len={len} hosts={hosts:?}");
+        let steps: usize = scheds.iter().map(|s| s.steps.len()).sum();
+        let mut passes = 0;
+        while !ranks
+            .iter_mut()
+            .zip(&mut scheds)
+            .fold(true, |all, (m, s)| s.poll(m) && all)
+        {
+            passes += 1;
+            assert!(
+                passes <= steps,
+                "{case}: a schedule waits for what no rank sends"
+            );
+        }
+        let w = wire.borrow();
+        assert!(
+            w.sent.values().all(VecDeque::is_empty),
+            "{case}: a send no rank receives"
+        );
+        assert!(
+            w.posted.values().all(VecDeque::is_empty),
+            "{case}: a receive no rank sends"
+        );
+        let sum = operand(n * (n + 1) / 2 - 1, len);
+        for (me, s) in scheds.iter_mut().enumerate() {
+            let parts: Vec<Vec<u8>> = match coll {
+                Coll::Barrier => Vec::new(),
+                Coll::Bcast(_) => vec![data(root)],
+                Coll::Reduce | Coll::Gather if me != root => Vec::new(),
+                Coll::Reduce | Coll::Allreduce => vec![sum.clone()],
+                Coll::Gather => (0..n).map(data).collect(),
+                Coll::Scatter => vec![data(me)],
+                Coll::Alltoall => (0..n).map(|r| data(r * n + me)).collect(),
+            };
+            assert_eq!(s.take_parts(), parts, "{case}: what rank {me} holds");
+        }
+    }
+
+    #[test]
+    fn every_send_pairs_with_one_receive_in_every_schedule() {
+        let maps: [&[usize]; 3] = [
+            &[0, 0, 0, 0, 1, 1, 1, 1],
+            &[0, 1, 2, 1, 1, 2],
+            &[7, 3, 7, 3],
+        ];
+        let algos = [BcastAlgo::Binomial, BcastAlgo::Flat, BcastAlgo::Pipelined];
+        let mut colls: Vec<Coll> = algos.map(|a| Coll::Bcast(Some(a))).to_vec();
+        colls.extend([Coll::Bcast(None), Coll::Reduce, Coll::Gather, Coll::Scatter]);
+        for n in 1..=9 {
+            let map = maps.iter().copied().find(|m| m.len() == n);
+            for hosts in [None].into_iter().chain(map.map(Some)) {
+                // Small payloads, and pipelined ones: three segments of a
+                // chain, a ring of at least one element per rank.
+                for len in [24, PIPELINE_THRESHOLD + 24] {
+                    for coll in [Coll::Barrier, Coll::Allreduce, Coll::Alltoall] {
+                        agree(n, hosts, coll, 0, len);
+                    }
+                    for root in 0..n {
+                        for &coll in &colls {
+                            agree(n, hosts, coll, root, len);
+                        }
+                    }
                 }
             }
-            ScatterState::Root { sends, own }
-        } else {
-            ScatterState::Leaf(comm.irecv(mpi, root, tag, max_len))
-        };
-        ScatterOp { seq, state }
-    }
-
-    /// Advance; `true` once this rank holds its chunk (root: once all
-    /// chunks are handed off).
-    pub fn poll<M: Mpi + ?Sized>(&mut self, mpi: &mut M) -> bool {
-        let chunk = match &mut self.state {
-            ScatterState::Root { sends, own } if sends.iter().all(SendReq::is_done) => {
-                std::mem::take(own)
-            }
-            ScatterState::Leaf(r) if r.is_done() => r.take().expect("done"),
-            ScatterState::Root { .. } | ScatterState::Leaf(_) => return false,
-            ScatterState::Finished(_) => return true,
-            ScatterState::Taken => panic!("poll after take_result"),
-        };
-        mpi.obs_coll(CollPhase::End, CollKind::Scatter, self.seq, 0, chunk.len());
-        self.state = ScatterState::Finished(chunk);
-        true
-    }
-
-    /// This rank's chunk; call once after `poll` returns `true`.
-    pub fn take_result(&mut self) -> Vec<u8> {
-        match std::mem::replace(&mut self.state, ScatterState::Taken) {
-            ScatterState::Finished(c) => c,
-            _ => panic!("scatter not complete"),
         }
     }
 }

@@ -11,9 +11,9 @@
 //! reductions).
 //!
 //! A [`Communicator`] is a *group*: all geometry is in group ranks, and
-//! the group is the one place a group rank becomes a world rank
-//! ([`Communicator::isend`] / [`Communicator::irecv`]) and a round
-//! becomes a tag ([`Communicator::tag`]). The world group has no member
+//! the group is the one place a group rank becomes a world rank and a
+//! round becomes a tag ([`Communicator::tag`]) — which the builders do
+//! as they write a schedule's steps. The world group has no member
 //! table and allocates nothing; a sub-group ([`Communicator::group`])
 //! carries one plus a tag round base, which is how several flat
 //! collectives run under one sequence number without their tags
@@ -29,7 +29,6 @@
 use std::rc::Rc;
 
 use crate::api::Mpi;
-use crate::types::{RecvReq, SendReq};
 use crate::wire::{coll_tag, CollKind};
 
 /// Payloads of at least this many bytes take the pipelined-chunk path
@@ -114,7 +113,7 @@ impl Communicator {
     }
 
     /// The world rank of group rank `r`.
-    fn world_rank(&self, r: usize) -> usize {
+    pub(crate) fn world_rank(&self, r: usize) -> usize {
         self.members.as_ref().map_or(r, |m| m[r])
     }
 
@@ -126,28 +125,6 @@ impl Communicator {
     /// The tag of round `r` of collective (`kind`, `seq`) on this group.
     pub fn tag(&self, kind: CollKind, seq: u32, r: u32) -> u32 {
         coll_tag(kind, seq, self.round(r))
-    }
-
-    /// Send to group rank `dst`.
-    pub fn isend<M: Mpi + ?Sized>(
-        &self,
-        mpi: &mut M,
-        dst: usize,
-        tag: u32,
-        data: Vec<u8>,
-    ) -> SendReq {
-        mpi.isend(self.world_rank(dst), tag, data)
-    }
-
-    /// Receive from group rank `src`.
-    pub fn irecv<M: Mpi + ?Sized>(
-        &self,
-        mpi: &mut M,
-        src: usize,
-        tag: u32,
-        max_len: usize,
-    ) -> RecvReq {
-        mpi.irecv(Some(self.world_rank(src)), Some(tag), max_len)
     }
 
     /// Virtual rank with `root` renumbered to 0 (binomial trees are

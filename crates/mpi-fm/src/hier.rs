@@ -1,5 +1,5 @@
-//! Hierarchy-aware collectives: two-level schedules *composed* from the
-//! flat machines of [`crate::collectives`] running on sub-groups.
+//! Hierarchy-aware collectives: two-level schedules *appended* from the
+//! flat builders of [`crate::collectives`] running on sub-groups.
 //!
 //! When ranks are spread across hosts — shared memory within a host,
 //! a network between hosts — the flat schedules waste the asymmetry: a
@@ -9,13 +9,15 @@
 //! *within* each host first over the cheap fabric, cross the expensive
 //! fabric once per host, then fan back out locally.
 //!
-//! Nothing here sends a message. A host map ([`crate::Mpi::coll_hosts`])
-//! yields two groups ([`host_groups`]): the ranks of my host, led by its
-//! lowest rank, and the leaders of all hosts in ascending host id. A
-//! *plan* lists the `Step`s — each a flat gather, dissemination barrier
-//! or flat broadcast on a group — this rank takes part in, and
-//! `Composed` runs them in order under the collective's one sequence
-//! number, each group tagging from its own round base:
+//! A host map ([`crate::Mpi::coll_hosts`]) yields two groups
+//! ([`host_groups`]): the ranks of my host, led by its lowest rank, and
+//! the leaders of all hosts in ascending host id. A *plan* appends, to
+//! one [`Sched`] under the collective's one sequence number, the group
+//! schedules this rank takes part in — each a flat gather, dissemination
+//! barrier or flat broadcast, each group tagging from its own round base
+//! — all reading and writing one value slot. The executor runs a
+//! schedule's steps in list order, so each group schedule starts once
+//! the one before has ended:
 //!
 //! * **barrier** — gather on my host → barrier among the leaders
 //!   (⌈log₂ H⌉ cross-host rounds) → flat bcast on my host.
@@ -33,14 +35,14 @@
 //! the flat path in the last ulp — exactly as MPI permits between
 //! algorithms; integer operations are bitwise identical.
 //!
-//! Who takes these schedules is decided elsewhere: the `new`
-//! constructors of `BarrierOp`, `BcastOp` and `AllreduceOp` ask for a
-//! plan, and get `None` unless the map covers every rank and spans at
-//! least two hosts.
+//! Who takes these schedules is decided elsewhere: `Sched::barrier`,
+//! `Sched::bcast` and `Sched::allreduce` ask for a plan, and get none
+//! unless the map covers every rank and spans at least two hosts.
 
-use crate::api::{Mpi, ReduceOp};
-use crate::collectives::{BarrierOp, BcastAlgo, BcastOp, GatherOp};
+use crate::api::ReduceOp;
+use crate::collectives::{barrier, bcast, gather, BcastAlgo};
 use crate::comm::Communicator;
+use crate::sched::{Act, Sched, Slot, NOW};
 
 /// Round base of the fan-in on a host (and of a broadcast's hop from a
 /// non-leader root to its leader).
@@ -69,17 +71,6 @@ pub fn host_groups(rank: usize, hosts: &[usize]) -> (Vec<usize>, Vec<usize>) {
     )
 }
 
-/// One step of a composed schedule: a flat machine on a group.
-pub(crate) enum Step {
-    /// Fan-in to the group's first rank, which with an operator folds
-    /// the contributions in ascending group rank.
-    Gather(Communicator, Option<ReduceOp>),
-    /// Dissemination rounds.
-    Barrier(Communicator),
-    /// Flat broadcast from this group rank.
-    Bcast(Communicator, usize),
-}
-
 /// This rank's host and leader groups, when `hosts` makes a two-level
 /// schedule worthwhile: it must cover every rank and span at least two
 /// hosts (on one host the flat schedules are strictly better).
@@ -91,34 +82,76 @@ fn two_level(world: &Communicator, hosts: &[usize]) -> Option<(Vec<usize>, Vec<u
     (leaders.len() >= 2).then_some((local, leaders))
 }
 
-/// This rank's steps of the two-level allreduce under `hosts` — or, with
-/// no operator and so nothing to fold, of the two-level barrier: up my
-/// host, across the leaders, down my host.
-pub(crate) fn reduce_plan(
-    world: &Communicator,
-    hosts: &[usize],
-    rop: Option<ReduceOp>,
-) -> Option<Vec<Step>> {
-    let (local, leaders) = two_level(world, hosts)?;
-    let local = world.group(&local, R_LOCAL)?;
-    let mut plan = vec![Step::Gather(local.clone(), rop)];
-    match (world.group(&leaders, R_LEADER), rop) {
-        (None, _) => {}
-        (Some(l), None) => plan.push(Step::Barrier(l)),
-        (Some(l), Some(_)) => {
-            let back = l.rebased(R_LEADER_BC);
-            plan.extend([Step::Gather(l, rop), Step::Bcast(back, 0)]);
+/// Gather `value` at the group's first rank, which with an operator folds
+/// the parts into it in ascending group rank.
+fn fold_in(s: &mut Sched, g: &Communicator, value: Slot, rop: Option<ReduceOp>, max_len: usize) {
+    let parts = gather(s, g, 0, value, max_len);
+    if let Some(op) = rop {
+        for &from in parts.iter().skip(1) {
+            s.push(Act::Fold(value, from, op), NOW);
         }
     }
-    plan.push(Step::Bcast(local.rebased(R_RELEASE), 0));
-    Some(plan)
 }
 
-/// This rank's steps of the two-level broadcast from world rank `root`
-/// under `hosts`.
-pub(crate) fn bcast_plan(world: &Communicator, hosts: &[usize], root: usize) -> Option<Vec<Step>> {
-    let (local, leaders) = two_level(world, hosts)?;
-    let root_leader = leaders.iter().position(|&l| hosts[l] == hosts[root])?;
+/// Append this rank's part of the two-level allreduce of `value` under
+/// `hosts` — or, with no operator and so nothing to fold, of the
+/// two-level barrier: up my host, across the leaders, down my host.
+/// `false`, appending nothing, when `hosts` plans no two levels.
+pub(crate) fn reduce_plan(
+    s: &mut Sched,
+    world: &Communicator,
+    hosts: &[usize],
+    value: Slot,
+    rop: Option<ReduceOp>,
+    max_len: usize,
+) -> bool {
+    let Some((local, leaders)) = two_level(world, hosts) else {
+        return false;
+    };
+    let local = world.group(&local, R_LOCAL).expect("a rank is on its host");
+    fold_in(s, &local, value, rop, max_len);
+    match (world.group(&leaders, R_LEADER), rop) {
+        (None, _) => {}
+        (Some(l), None) => barrier(s, &l),
+        (Some(l), Some(_)) => {
+            fold_in(s, &l, value, rop, max_len);
+            bcast(
+                s,
+                &l.rebased(R_LEADER_BC),
+                0,
+                value,
+                max_len,
+                BcastAlgo::Flat,
+            );
+        }
+    }
+    bcast(
+        s,
+        &local.rebased(R_RELEASE),
+        0,
+        value,
+        max_len,
+        BcastAlgo::Flat,
+    );
+    true
+}
+
+/// Append this rank's part of the two-level broadcast of `value` from
+/// world rank `root` under `hosts`; `false`, appending nothing, when
+/// `hosts` plans no two levels.
+pub(crate) fn bcast_plan(
+    s: &mut Sched,
+    world: &Communicator,
+    hosts: &[usize],
+    root: usize,
+    value: Slot,
+    max_len: usize,
+) -> bool {
+    let Some((local, leaders)) = two_level(world, hosts) else {
+        return false;
+    };
+    let root_leader = leaders.iter().position(|&l| hosts[l] == hosts[root]);
+    let root_leader = root_leader.expect("the root's host has a leader");
     let hop = [root, leaders[root_leader]];
     // The root already holds the buffer: it may lead its host's release
     // but never receives it.
@@ -127,101 +160,20 @@ pub(crate) fn bcast_plan(world: &Communicator, hosts: &[usize], root: usize) -> 
         .copied()
         .filter(|&r| r != root || r == local[0])
         .collect();
-    let mut plan = Vec::new();
-    let mut bcast = |group: Option<Communicator>, from| {
-        plan.extend(group.map(|g| Step::Bcast(g, from)));
-    };
-    if hop[0] != hop[1] {
-        bcast(world.group(&hop, R_LOCAL), 0);
-    }
-    bcast(world.group(&leaders, R_LEADER), root_leader);
-    bcast(world.group(&release, R_RELEASE), 0);
-    Some(plan)
-}
-
-enum Running {
-    Gather(GatherOp, Option<ReduceOp>),
-    Barrier(BarrierOp),
-    Bcast(BcastOp),
-}
-
-/// A plan in progress: the steps run one after another, each handed the
-/// value the one before left here (a gather's fold, a broadcast's
-/// buffer), all under one sequence number.
-pub(crate) struct Composed {
-    seq: u32,
-    max_len: usize,
-    value: Vec<u8>,
-    steps: std::vec::IntoIter<Step>,
-    running: Option<Running>,
-}
-
-impl Composed {
-    /// Run `plan` as collective `seq`, starting from this rank's
-    /// `value`; no step's message exceeds `max_len`.
-    pub(crate) fn new(seq: u32, plan: Vec<Step>, value: Vec<u8>, max_len: usize) -> Box<Self> {
-        Box::new(Composed {
-            seq,
-            max_len,
-            value,
-            steps: plan.into_iter(),
-            running: None,
-        })
-    }
-
-    /// Advance; `true` once this rank's last step is complete.
-    pub(crate) fn poll<M: Mpi + ?Sized>(&mut self, mpi: &mut M) -> bool {
-        loop {
-            match &mut self.running {
-                None => {
-                    let Some(step) = self.steps.next() else {
-                        return true;
-                    };
-                    let (seq, max_len) = (self.seq, self.max_len);
-                    let value = std::mem::take(&mut self.value);
-                    self.running = Some(match step {
-                        Step::Gather(g, fold) => {
-                            Running::Gather(GatherOp::on(mpi, &g, seq, 0, value, max_len), fold)
-                        }
-                        Step::Barrier(g) => Running::Barrier(BarrierOp::on(mpi, &g, seq)),
-                        Step::Bcast(g, root) => {
-                            let data = (g.rank == root).then_some(value);
-                            let algo = BcastAlgo::Flat;
-                            Running::Bcast(BcastOp::on(mpi, &g, seq, root, data, max_len, algo))
-                        }
-                    });
-                    continue;
-                }
-                Some(Running::Gather(op, fold)) => {
-                    if !op.poll(mpi) {
-                        return false;
-                    }
-                    if let (Some(parts), Some(rop)) = (op.take_result(), fold) {
-                        let mut parts = parts.into_iter();
-                        self.value = parts.next().expect("the root's own part");
-                        parts.for_each(|p| rop.apply(&mut self.value, &p));
-                    }
-                }
-                Some(Running::Barrier(op)) => {
-                    if !op.poll(mpi) {
-                        return false;
-                    }
-                }
-                Some(Running::Bcast(op)) => {
-                    if !op.poll(mpi) {
-                        return false;
-                    }
-                    self.value = op.take_result();
-                }
-            }
-            self.running = None;
+    let hop = (hop[0] != hop[1])
+        .then(|| world.group(&hop, R_LOCAL))
+        .flatten();
+    let leaders = world.group(&leaders, R_LEADER);
+    for (g, from) in [
+        (hop, 0),
+        (leaders, root_leader),
+        (world.group(&release, R_RELEASE), 0),
+    ] {
+        if let Some(g) = g {
+            bcast(s, &g, from, value, max_len, BcastAlgo::Flat);
         }
     }
-
-    /// The value the last step left (the reduction, the buffer).
-    pub(crate) fn take_value(&mut self) -> Vec<u8> {
-        std::mem::take(&mut self.value)
-    }
+    true
 }
 
 #[cfg(test)]
@@ -235,7 +187,7 @@ mod tests {
     use myrinet_sim::{NodeId, Simulation, StepOutcome, Topology};
 
     use super::*;
-    use crate::collectives::AllreduceOp;
+    use crate::api::Mpi;
     use crate::wire::MPI_HEADER_BYTES;
     use crate::Mpi2;
 
@@ -254,10 +206,12 @@ mod tests {
         // led by rank 1, host 7 by rank 0.
         assert_eq!(host_groups(2, &[7, 3, 7, 3]), (vec![0, 2], vec![1, 0]));
         // One host, or a map that misses a rank, plans nothing.
-        let world = Communicator::new(2, 4);
-        assert!(reduce_plan(&world, &[0, 0, 0, 0], None).is_none());
-        assert!(bcast_plan(&world, &[0, 1, 0], 0).is_none());
-        assert!(reduce_plan(&world, &[0, 1, 0, 1], None).is_some());
+        let (world, mut s) = (Communicator::new(2, 4), Sched::new(0));
+        let v = s.slot(Vec::new());
+        assert!(!reduce_plan(&mut s, &world, &[0, 0, 0, 0], v, None, 0));
+        assert!(!bcast_plan(&mut s, &world, &[0, 1, 0], 0, v, 0));
+        assert!(s.steps.is_empty());
+        assert!(reduce_plan(&mut s, &world, &[0, 1, 0, 1], v, None, 0));
     }
 
     #[derive(Clone, Copy, Debug)]
@@ -279,16 +233,16 @@ mod tests {
     fn start(op: Op, m: &mut Node) -> Poll {
         match op {
             Op::Barrier => {
-                let mut b = BarrierOp::new(m);
+                let mut b = Sched::barrier(m);
                 Box::new(move |m| b.poll(m).then(Vec::new))
             }
             Op::Bcast(root) => {
                 let data = (m.rank() == root).then(|| vec![root as u8; BCAST_LEN]);
-                let mut b = BcastOp::new(m, root, data, BCAST_LEN);
+                let mut b = Sched::bcast(m, root, data, BCAST_LEN);
                 Box::new(move |m| b.poll(m).then(|| b.take_result()))
             }
             Op::Allreduce => {
-                let mut a = AllreduceOp::new(m, &contrib(m.rank()), ReduceOp::SumF64);
+                let mut a = Sched::allreduce(m, &contrib(m.rank()), ReduceOp::SumF64);
                 Box::new(move |m| a.poll(m).then(|| a.take_result()))
             }
         }

@@ -21,7 +21,14 @@
 //! Both implement the [`Mpi`] trait: non-blocking `isend`/`irecv` with a
 //! progress engine (usable from the discrete-event simulator), plus
 //! blocking operations and collectives (barrier, bcast, reduce, allreduce,
-//! gather, alltoall) as default methods for threaded use.
+//! gather, scatter, alltoall) as default methods for threaded use.
+//!
+//! Every collective is a [`Sched`]: a list of sends, receives, folds and
+//! trace marks that [`collectives`] builds per rank, and that one
+//! executor, [`Sched::poll`], runs over any transport — blocking callers
+//! through the [`Mpi`] methods, simulated programs by polling it from
+//! their step functions. A two-level collective across hosts ([`hier`])
+//! is the schedules of its groups appended one after another.
 //!
 //! # Example: nonblocking point-to-point over the FM 2.x binding
 //!
@@ -60,18 +67,18 @@ pub mod hier;
 pub mod matching;
 pub mod mpi1;
 pub mod mpi2;
+pub mod sched;
 pub mod shuffle;
 pub mod testutil;
 pub mod types;
 pub mod wire;
 
 pub use api::{Mpi, ReduceOp};
-pub use collectives::{
-    AllreduceOp, BarrierOp, BcastAlgo, BcastOp, GatherOp, ReduceAlgo, ReduceToRootOp, ScatterOp,
-};
+pub use collectives::BcastAlgo;
 pub use comm::{CollPhase, Communicator, PIPELINE_SEGMENT, PIPELINE_THRESHOLD};
 pub use mpi1::Mpi1;
 pub use mpi2::Mpi2;
+pub use sched::Sched;
 pub use shuffle::{run_shuffle, ShuffleReport, ShuffleRunner, ShuffleSpec};
 pub use types::{RecvReq, SendReq, Status, ANY_SOURCE, ANY_TAG};
 pub use wire::{coll_tag, CollKind};

@@ -14,7 +14,7 @@
 //! compare full digest strings.
 
 use crate::api::{Mpi, ReduceOp};
-use crate::collectives::{AllreduceOp, BarrierOp, BcastOp, GatherOp, ScatterOp};
+use crate::sched::Sched;
 
 /// Payload length of the small broadcasts.
 pub const SMALL_BCAST_LEN: usize = 97;
@@ -145,15 +145,6 @@ pub fn expected_outputs(rank: usize, size: usize, large: bool) -> Vec<String> {
     out
 }
 
-enum Active {
-    Idle,
-    Barrier(BarrierOp),
-    Bcast { op: BcastOp, label: String },
-    Allreduce { op: AllreduceOp, label: String },
-    Gather(GatherOp),
-    Scatter(ScatterOp),
-}
-
 /// Poll-driven executor of the conformance script.
 ///
 /// Blocking transports call [`run_blocking`](Self::run_blocking);
@@ -162,8 +153,8 @@ enum Active {
 /// [`outputs`](Self::outputs).
 pub struct ScriptRunner {
     large: bool,
-    step: usize,
-    active: Active,
+    /// The step in flight and the label its output line starts with.
+    active: Option<(Sched, String)>,
     out: Vec<String>,
 }
 
@@ -173,8 +164,7 @@ impl ScriptRunner {
     pub fn new(large: bool) -> Self {
         ScriptRunner {
             large,
-            step: 0,
-            active: Active::Idle,
+            active: None,
             out: Vec::new(),
         }
     }
@@ -192,115 +182,97 @@ impl ScriptRunner {
     /// Advance the script; `true` once every step has completed.
     pub fn poll<M: Mpi + ?Sized>(&mut self, mpi: &mut M) -> bool {
         loop {
-            match &mut self.active {
-                Active::Idle => {
-                    if self.step >= script_len(self.large) {
-                        return true;
-                    }
-                    self.active = Self::start(mpi, self.step);
+            let step = self.out.len();
+            let Some((sched, label)) = &mut self.active else {
+                if step >= script_len(self.large) {
+                    return true;
                 }
-                Active::Barrier(op) => {
-                    if !op.poll(mpi) {
-                        return false;
-                    }
-                    self.finish("barrier ok".into());
-                }
-                Active::Bcast { op, label } => {
-                    if !op.poll(mpi) {
-                        return false;
-                    }
-                    let line = format!("{label} {:016x}", fnv64(&op.take_result()));
-                    self.finish(line);
-                }
-                Active::Allreduce { op, label } => {
-                    if !op.poll(mpi) {
-                        return false;
-                    }
-                    let line = format!("{label} {:016x}", fnv64(&op.take_result()));
-                    self.finish(line);
-                }
-                Active::Gather(op) => {
-                    if !op.poll(mpi) {
-                        return false;
-                    }
-                    let line = match op.take_result() {
-                        Some(bufs) => {
-                            let mut all = Vec::new();
-                            for b in &bufs {
-                                all.extend_from_slice(&(b.len() as u32).to_le_bytes());
-                                all.extend_from_slice(b);
-                            }
-                            format!("gather {:016x}", fnv64(&all))
-                        }
-                        None => "gather -".into(),
-                    };
-                    self.finish(line);
-                }
-                Active::Scatter(op) => {
-                    if !op.poll(mpi) {
-                        return false;
-                    }
-                    let line = format!("scatter {:016x}", fnv64(&op.take_result()));
-                    self.finish(line);
-                }
+                self.active = Some(Self::start(mpi, step));
+                continue;
+            };
+            if !sched.poll(mpi) {
+                return false;
             }
+            let line = match label.as_str() {
+                "barrier" => "barrier ok".into(),
+                "gather" => match sched.take_parts() {
+                    parts if parts.is_empty() => "gather -".into(),
+                    parts => {
+                        let mut all = Vec::new();
+                        for b in &parts {
+                            all.extend_from_slice(&(b.len() as u32).to_le_bytes());
+                            all.extend_from_slice(b);
+                        }
+                        format!("gather {:016x}", fnv64(&all))
+                    }
+                },
+                _ => format!("{label} {:016x}", fnv64(&sched.take_result())),
+            };
+            self.out.push(line);
+            self.active = None;
         }
     }
 
-    fn finish(&mut self, line: String) {
-        self.out.push(line);
-        self.step += 1;
-        self.active = Active::Idle;
-    }
-
-    fn start<M: Mpi + ?Sized>(mpi: &mut M, step: usize) -> Active {
+    /// The schedule of script step `step` and its label.
+    fn start<M: Mpi + ?Sized>(mpi: &mut M, step: usize) -> (Sched, String) {
         let (rank, size) = (mpi.rank(), mpi.size());
         let last = size - 1;
+        let allreduce = |mpi: &mut M, contrib: Vec<u8>, op, label: &str| {
+            (Sched::allreduce(mpi, &contrib, op), label.to_string())
+        };
         match step {
-            0 | 8 => Active::Barrier(BarrierOp::new(mpi)),
+            0 | 8 | 11 => (Sched::barrier(mpi), "barrier".into()),
             1 => {
                 let data = (rank == 0).then(|| pattern(SMALL_BCAST_LEN, 0));
-                Active::Bcast {
-                    op: BcastOp::new(mpi, 0, data, SMALL_BCAST_LEN),
-                    label: "bcast r0".into(),
-                }
+                (
+                    Sched::bcast(mpi, 0, data, SMALL_BCAST_LEN),
+                    "bcast r0".into(),
+                )
             }
-            2 => Active::Allreduce {
-                op: AllreduceOp::new(mpi, &sumf64_contrib(rank), ReduceOp::SumF64),
-                label: "allreduce_sumf64".into(),
-            },
-            3 => Active::Allreduce {
-                op: AllreduceOp::new(mpi, &sumu64_contrib(rank), ReduceOp::SumU64),
-                label: "allreduce_sumu64".into(),
-            },
+            2 => allreduce(
+                mpi,
+                sumf64_contrib(rank),
+                ReduceOp::SumF64,
+                "allreduce_sumf64",
+            ),
+            3 => allreduce(
+                mpi,
+                sumu64_contrib(rank),
+                ReduceOp::SumU64,
+                "allreduce_sumu64",
+            ),
             4 => {
                 let data = (rank == last).then(|| pattern(SMALL_BCAST_LEN, last as u8));
-                Active::Bcast {
-                    op: BcastOp::new(mpi, last, data, SMALL_BCAST_LEN),
-                    label: format!("bcast r{last}"),
-                }
+                let bcast = Sched::bcast(mpi, last, data, SMALL_BCAST_LEN);
+                (bcast, format!("bcast r{last}"))
             }
-            5 => Active::Gather(GatherOp::new(mpi, 0, gather_contrib(rank), size)),
+            5 => (
+                Sched::gather(mpi, 0, gather_contrib(rank), size),
+                "gather".into(),
+            ),
             6 => {
                 let chunks = (rank == last).then(|| scatter_chunks(size));
-                Active::Scatter(ScatterOp::new(mpi, last, chunks, 4 + size))
+                (
+                    Sched::scatter(mpi, last, chunks, 4 + size),
+                    "scatter".into(),
+                )
             }
-            7 => Active::Allreduce {
-                op: AllreduceOp::new(mpi, &maxf64_contrib(rank), ReduceOp::MaxF64),
-                label: "allreduce_maxf64".into(),
-            },
+            7 => allreduce(
+                mpi,
+                maxf64_contrib(rank),
+                ReduceOp::MaxF64,
+                "allreduce_maxf64",
+            ),
             9 => {
                 let data = (rank == 0).then(|| pattern(LARGE_LEN, 0xA5));
-                Active::Bcast {
-                    op: BcastOp::new(mpi, 0, data, LARGE_LEN),
-                    label: "bcast_large".into(),
-                }
+                (Sched::bcast(mpi, 0, data, LARGE_LEN), "bcast_large".into())
             }
-            10 => Active::Allreduce {
-                op: AllreduceOp::new(mpi, &large_sumf64_contrib(rank), ReduceOp::SumF64),
-                label: "allreduce_large".into(),
-            },
-            11 => Active::Barrier(BarrierOp::new(mpi)),
+            10 => allreduce(
+                mpi,
+                large_sumf64_contrib(rank),
+                ReduceOp::SumF64,
+                "allreduce_large",
+            ),
             _ => unreachable!("script step {step}"),
         }
     }

@@ -140,14 +140,14 @@ fn conformance_script_matches_model_on_threads() {
 
 #[test]
 fn explicit_bcast_algorithms_agree() {
-    use mpi_fm::{BcastAlgo, BcastOp};
+    use mpi_fm::{BcastAlgo, Sched};
     const LEN: usize = 96 * 1024;
     for algo in [BcastAlgo::Binomial, BcastAlgo::Flat, BcastAlgo::Pipelined] {
         let outputs = ThreadedCluster::run(4, move |rank, dev| {
             let mut mpi = Mpi2::new(Fm2Engine::new(dev, MachineProfile::ppro200_fm2()));
             let data: Vec<u8> = (0..LEN).map(|i| (i * 31 + 7) as u8).collect();
             let mut op =
-                BcastOp::with_algo(&mut mpi, 0, (rank == 0).then(|| data.clone()), LEN, algo);
+                Sched::bcast_with(&mut mpi, 0, (rank == 0).then(|| data.clone()), LEN, algo);
             while !op.poll(&mut mpi) {
                 mpi.progress();
                 std::thread::yield_now();

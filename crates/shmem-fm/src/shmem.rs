@@ -164,11 +164,6 @@ impl<D: NetDevice + 'static> Shmem<D> {
         &self.fm
     }
 
-    /// The symmetric heap's region handle (identical on every node).
-    pub fn heap_handle(&self) -> RegionHandle {
-        self.heap_h
-    }
-
     /// This node's id.
     pub fn my_pe(&self) -> usize {
         self.fm.node_id()

@@ -17,7 +17,7 @@ use fast_messages::mpi::{Mpi, Mpi2, ReduceOp};
 use fast_messages::sim::fault::FaultModel;
 use fast_messages::sim::{NodeId, Simulation, StepOutcome, Topology};
 use mpi_fm::testutil::{expected_outputs, ScriptRunner};
-use mpi_fm::{AllreduceOp, BarrierOp};
+use mpi_fm::Sched;
 
 /// Build an n-node lossy sim plus one engine per node (each retransmits:
 /// the wire has a fault model).
@@ -142,8 +142,8 @@ fn barrier_allreduce_soak_1k_iterations_under_loss() {
 
     enum Phase {
         Idle,
-        Barrier(BarrierOp),
-        Allreduce(AllreduceOp),
+        Barrier(Sched),
+        Allreduce(Sched),
     }
 
     fn contrib(rank: usize, iter: usize) -> Vec<u8> {
@@ -184,13 +184,13 @@ fn barrier_allreduce_soak_1k_iterations_under_loss() {
                                 done_flags.borrow_mut()[me] = true;
                                 break;
                             }
-                            phase = Phase::Barrier(BarrierOp::new(&mut mpi));
+                            phase = Phase::Barrier(Sched::barrier(&mut mpi));
                         }
                         Phase::Barrier(op) => {
                             if !op.poll(&mut mpi) {
                                 break;
                             }
-                            phase = Phase::Allreduce(AllreduceOp::new(
+                            phase = Phase::Allreduce(Sched::allreduce(
                                 &mut mpi,
                                 &contrib(me, iter),
                                 ReduceOp::SumF64,
