@@ -211,4 +211,21 @@ mod tests {
             "pipelined bcast speedup {speedup:.2}x (flat {flat}, pipelined {pipe})"
         );
     }
+
+    #[test]
+    fn binomial_bcast_serves_one_child_at_a_time() {
+        // The root hands its biggest subtree the whole buffer first, and
+        // that child forwards it while the root serves the next: at 256
+        // KiB on 4 nodes the tree takes at most 3/4 of the flat time.
+        // Sending to both children at once interleaves them on the
+        // root's uplink, and the first child forwards only after two
+        // message times (0.91 of flat).
+        const LEN: usize = 256 * 1024;
+        let flat = sim_coll_latency(PPRO(), 4, 3, Coll::Bcast(LEN, BcastAlgo::Flat));
+        let tree = sim_coll_latency(PPRO(), 4, 3, Coll::Bcast(LEN, BcastAlgo::Binomial));
+        assert!(
+            tree.as_ns() * 4 <= flat.as_ns() * 3,
+            "binomial bcast {tree} against flat {flat}"
+        );
+    }
 }

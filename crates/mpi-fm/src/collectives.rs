@@ -127,15 +127,21 @@ pub(crate) fn bcast(
             s.recv(c, parent, tag, max_len, buf);
             s.mark(Round, kind, round0, Some(buf), first..first + 1);
         }
-        // Biggest subtree first, as in classic binomial bcast; the flat
-        // tree's root sends to everyone, nobody else sends.
+        // Biggest subtree first, as in classic binomial bcast, each child
+        // once the one before holds the whole buffer, so that it forwards
+        // while this rank serves the next; the flat tree's root sends to
+        // everyone at once, nobody else sends.
         let children: Vec<usize> = match algo {
             BcastAlgo::Flat if me == root => (0..c.size).filter(|&r| r != root).collect(),
             BcastAlgo::Flat => Vec::new(),
             _ => c.binomial_children(root).into_iter().rev().collect(),
         };
+        let mut prev = NOW;
         for child in children {
-            s.send(c, child, tag, buf, NOW);
+            let send = s.send(c, child, tag, buf, prev.clone());
+            if algo == BcastAlgo::Binomial {
+                prev = send..send + 1;
+            }
         }
     }
     let sent = first..s.steps.len();
