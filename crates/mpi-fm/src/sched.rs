@@ -29,7 +29,6 @@ pub(crate) type Slot = usize;
 pub(crate) const NOW: Range<usize> = 0..0;
 
 /// What one step does.
-#[derive(Debug)]
 pub(crate) enum Act {
     /// `Send(to, tag, slot)`: send a copy of `slot` to world rank `to`.
     Send(usize, u32, Slot),
@@ -45,13 +44,22 @@ pub(crate) enum Act {
     Mark(CollPhase, CollKind, u32, Option<Slot>),
 }
 
-/// An issued step.
-enum Issued {
+/// How far a step has got.
+enum Req {
+    /// Not issued yet.
+    Waiting,
     /// Finished: a mark, fold or concatenation at once, a receive once its
     /// payload is in its slot.
     Done,
     Send(SendReq),
-    Recv(RecvReq, Slot),
+    Recv(RecvReq),
+}
+
+/// One step: what it does, the steps it waits for, how far it has got.
+pub(crate) struct Step {
+    act: Act,
+    after: Range<usize>,
+    req: Req,
 }
 
 /// A collective on this rank: its steps, its buffers and how far it has
@@ -61,42 +69,49 @@ enum Issued {
 /// exactly that loop ([`wait`](Self::wait)).
 pub struct Sched {
     pub(crate) seq: u32,
-    /// Each step and the steps it waits for.
-    pub(crate) steps: Vec<(Act, Range<usize>)>,
+    pub(crate) steps: Vec<Step>,
+    /// The first step not issued yet.
+    next: usize,
     pub(crate) slots: Vec<Vec<u8>>,
-    issued: Vec<Issued>,
     /// The slots this rank's result is read from, in rank order where
     /// there are several.
     pub(crate) result: Vec<Slot>,
 }
 
 impl Sched {
-    /// An empty schedule for collective `seq`.
+    /// An empty schedule for collective `seq`, with room for the steps
+    /// of a small one (a blocking barrier or 16 B allreduce builds one a
+    /// call, so regrowing would be most of its allocations).
     pub(crate) fn new(seq: u32) -> Self {
-        let (steps, slots, issued, result) = Default::default();
+        let (steps, next) = (Vec::with_capacity(8), 0);
+        let (slots, result) = Default::default();
         Sched {
             seq,
             steps,
+            next,
             slots,
-            issued,
             result,
         }
     }
 
     /// A new slot holding `data`.
+    #[inline]
     pub(crate) fn slot(&mut self, data: Vec<u8>) -> Slot {
         self.slots.push(data);
         self.slots.len() - 1
     }
 
     /// Append `act`, issued once the steps `after` are done; its index.
+    #[inline]
     pub(crate) fn push(&mut self, act: Act, after: Range<usize>) -> usize {
-        self.steps.push((act, after));
+        let req = Req::Waiting;
+        self.steps.push(Step { act, after, req });
         self.steps.len() - 1
     }
 
     /// Append a send of `slot` to group rank `to` of `c`, once `after`
     /// are done.
+    #[inline]
     pub(crate) fn send(
         &mut self,
         c: &Communicator,
@@ -109,6 +124,7 @@ impl Sched {
     }
 
     /// Append a receive from group rank `from` of `c` into `slot`.
+    #[inline]
     pub(crate) fn recv(
         &mut self,
         c: &Communicator,
@@ -122,6 +138,7 @@ impl Sched {
 
     /// Append a mark of `phase` reporting the length of `bytes`, once
     /// `after` are done.
+    #[inline]
     pub(crate) fn mark(
         &mut self,
         phase: CollPhase,
@@ -136,34 +153,34 @@ impl Sched {
     /// Issue every step whose turn has come; `true` once all are issued,
     /// which the builders make mean that this rank's part is complete.
     pub fn poll<M: Mpi + ?Sized>(&mut self, mpi: &mut M) -> bool {
-        while self.issued.len() < self.steps.len() {
-            let i = self.issued.len();
-            if !self.steps[i].1.clone().all(|d| self.done(d)) {
+        while let Some(step) = self.steps.get(self.next) {
+            if !step.after.clone().all(|d| self.done(d)) {
                 return false;
             }
-            let slots = &mut self.slots;
-            self.issued.push(match &self.steps[i].0 {
-                Act::Send(to, tag, s) => Issued::Send(mpi.isend(*to, *tag, slots[*s].clone())),
-                Act::Recv(from, tag, bound, s) => {
-                    Issued::Recv(mpi.irecv(Some(*from), Some(*tag), *bound), *s)
+            let (step, slots) = (&mut self.steps[self.next], &mut self.slots);
+            step.req = match &step.act {
+                Act::Send(to, tag, s) => Req::Send(mpi.isend(*to, *tag, slots[*s].clone())),
+                Act::Recv(from, tag, bound, _) => {
+                    Req::Recv(mpi.irecv(Some(*from), Some(*tag), *bound))
                 }
                 Act::Fold(acc, from, op) => {
                     let from = std::mem::take(&mut slots[*from]);
                     op.apply(&mut slots[*acc], &from);
-                    Issued::Done
+                    Req::Done
                 }
                 Act::Concat(into, parts) => {
                     let mut all = Vec::new();
                     parts.iter().for_each(|&p| all.extend_from_slice(&slots[p]));
                     slots[*into] = all;
-                    Issued::Done
+                    Req::Done
                 }
                 Act::Mark(phase, kind, round, bytes) => {
                     let len = bytes.map_or(0, |s| slots[s].len());
                     mpi.obs_coll(*phase, *kind, self.seq, *round, len);
-                    Issued::Done
+                    Req::Done
                 }
-            });
+            };
+            self.next += 1;
         }
         true
     }
@@ -171,17 +188,16 @@ impl Sched {
     /// Whether issued step `i` has finished; a finished receive moves its
     /// payload into its slot.
     fn done(&mut self, i: usize) -> bool {
-        match &self.issued[i] {
-            Issued::Done => true,
-            Issued::Send(s) => s.is_done(),
-            Issued::Recv(r, slot) => {
-                let Some(data) = r.is_done().then(|| r.take()).flatten() else {
-                    return false;
-                };
-                self.slots[*slot] = data;
-                self.issued[i] = Issued::Done;
+        let step = &mut self.steps[i];
+        match (&step.req, &step.act) {
+            (Req::Done, _) => true,
+            (Req::Send(s), _) => s.is_done(),
+            (Req::Recv(r), &Act::Recv(.., slot)) if r.is_done() => {
+                self.slots[slot] = r.take().expect("a finished receive holds its payload");
+                step.req = Req::Done;
                 true
             }
+            _ => false,
         }
     }
 

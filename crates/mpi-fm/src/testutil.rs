@@ -13,7 +13,7 @@
 //! expected model) produces the exact same bits; determinism checks
 //! compare full digest strings.
 
-use crate::api::{Mpi, ReduceOp};
+use crate::api::{drive, Mpi, ReduceOp};
 use crate::sched::Sched;
 
 /// Payload length of the small broadcasts.
@@ -278,13 +278,12 @@ impl ScriptRunner {
     }
 
     /// Run the whole script with blocking `poll`+`progress` spinning
-    /// (threaded and UDP transports); returns the outputs.
+    /// (threaded and UDP transports), under the wait of the blocking
+    /// collectives, which a lost peer or a panicked rank ends; returns
+    /// the outputs.
     pub fn run_blocking<M: Mpi>(mpi: &mut M, large: bool) -> Vec<String> {
         let mut runner = ScriptRunner::new(large);
-        while !runner.poll(mpi) {
-            mpi.progress();
-            std::thread::yield_now();
-        }
+        drive(mpi, "conformance script", |m| runner.poll(m));
         runner.into_outputs()
     }
 }

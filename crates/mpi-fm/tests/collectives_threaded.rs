@@ -146,13 +146,8 @@ fn explicit_bcast_algorithms_agree() {
         let outputs = ThreadedCluster::run(4, move |rank, dev| {
             let mut mpi = Mpi2::new(Fm2Engine::new(dev, MachineProfile::ppro200_fm2()));
             let data: Vec<u8> = (0..LEN).map(|i| (i * 31 + 7) as u8).collect();
-            let mut op =
-                Sched::bcast_with(&mut mpi, 0, (rank == 0).then(|| data.clone()), LEN, algo);
-            while !op.poll(&mut mpi) {
-                mpi.progress();
-                std::thread::yield_now();
-            }
-            assert_eq!(op.take_result(), data, "algo {algo:?}");
+            let op = Sched::bcast_with(&mut mpi, 0, (rank == 0).then(|| data.clone()), LEN, algo);
+            assert_eq!(op.wait(&mut mpi).take_result(), data, "algo {algo:?}");
             mpi.barrier();
             true
         });
