@@ -119,6 +119,11 @@ impl<T> HandlerTable<T> {
         self.0.get(id.0 as usize).and_then(Option::as_ref)
     }
 
+    /// Every registered handler.
+    pub(crate) fn iter_mut(&mut self) -> impl Iterator<Item = &mut T> {
+        self.0.iter_mut().flatten()
+    }
+
     pub(crate) fn take(&mut self, id: HandlerId) -> Option<T> {
         self.0.get_mut(id.0 as usize).and_then(Option::take)
     }

@@ -317,9 +317,10 @@ impl<D: NetDevice> Fm2Engine<D> {
 
     /// Apply pending membership transitions, then run the application's
     /// peer callback for each: the core resets the shared per-peer
-    /// protocol state, this face aborts the handler tasks fed by, and
-    /// the queued sends held for, a peer that died or restarted — the
-    /// one-sided port first taking back its own and ending its ops.
+    /// protocol state, this face aborts the handler tasks fed by, tells
+    /// every per-packet sink about, and drops the queued sends held for,
+    /// a peer that died or restarted — the one-sided port first taking
+    /// back its own and ending its ops.
     pub(super) fn drain_peer_events(&self) {
         let (events, handler) = {
             let mut inner = self.inner.borrow_mut();
@@ -328,6 +329,11 @@ impl<D: NetDevice> Fm2Engine<D> {
             while let Some(ev) = inner.core.poll_peer_event() {
                 if matches!(ev.kind, PeerEventKind::Down | PeerEventKind::Rejoining) {
                     inner.tasks[ev.peer].clear();
+                    for h in inner.sync_handlers.iter_mut() {
+                        if let SyncHandler::PerPacket(sink) = h {
+                            sink.peer_reset(ev.peer);
+                        }
+                    }
                 }
                 events.push(ev);
             }

@@ -44,12 +44,29 @@ pub struct SinkMeta {
     pub last: bool,
 }
 
-/// A synchronous per-packet **sink** handler (see
-/// [`Fm2Engine::set_sink_handler`]): called once per arriving packet of a
-/// message — any size — with the sender, per-packet metadata, and a
-/// zero-copy view of the packet's payload inside the arrival frame. The
-/// view is valid only for the duration of the call.
-pub type SinkHandlerFn = Box<dyn FnMut(usize, SinkMeta, &[u8])>;
+/// A synchronous per-packet **sink** (see [`Fm2Engine::set_packet_sink`]).
+pub trait PacketSink {
+    /// One arriving packet of a message — any size — from `src`, with
+    /// its metadata and a zero-copy view of its payload inside the
+    /// arrival frame. The view is valid only for the duration of the call.
+    fn packet(&mut self, src: usize, meta: SinkMeta, payload: &[u8]);
+
+    /// `peer` went down or restarted: no more packets of the messages it
+    /// had part-way in will come, so whatever the sink keeps for them is
+    /// dead. Called from the engine's membership drain, before any packet
+    /// that follows the transition; it must not call the engine.
+    fn peer_reset(&mut self, _peer: usize) {}
+}
+
+/// A closure sink keeps nothing across packets that a reset would kill.
+impl<F: FnMut(usize, SinkMeta, &[u8])> PacketSink for F {
+    fn packet(&mut self, src: usize, meta: SinkMeta, payload: &[u8]) {
+        self(src, meta, payload)
+    }
+}
+
+/// A registered per-packet sink.
+pub type SinkHandlerFn = Box<dyn PacketSink>;
 
 /// An entry of the synchronous handler table: called from the extract
 /// loop on a zero-copy view of the arrival frame — no stream, no task,
@@ -128,6 +145,16 @@ impl<D: NetDevice> Fm2Engine<D> {
     }
 
     /// Register a synchronous per-packet **sink** handler under `id`
+    /// (replacing any synchronous handler already there): a closure
+    /// [`PacketSink`] (see [`set_packet_sink`](Self::set_packet_sink)).
+    pub fn set_sink_handler<F>(&self, id: HandlerId, f: F)
+    where
+        F: FnMut(usize, SinkMeta, &[u8]) + 'static,
+    {
+        self.set_packet_sink(id, f);
+    }
+
+    /// Register a synchronous per-packet **sink** under `id`
     /// (replacing any synchronous handler already there).
     ///
     /// A sink fires once per arriving packet of a message — messages of
@@ -139,17 +166,16 @@ impl<D: NetDevice> Fm2Engine<D> {
     /// flags) so the sink can scatter the bytes to their final
     /// destination itself. This is the one-sided receive path: put and
     /// DATA segments land straight in a registered region with no
-    /// staging copy.
+    /// staging copy, and MPI-FM 2.x's messages in their matched receives.
+    /// A sink that keeps messages part-way in is told when their sender
+    /// goes down or restarts ([`PacketSink::peer_reset`]).
     ///
     /// A sink consumes everything addressed to its id; an async handler
     /// under the same id never runs. The payload view is valid **only
     /// for the duration of the call**; sinks may call engine send methods
     /// but not `extract`.
-    pub fn set_sink_handler<F>(&self, id: HandlerId, f: F)
-    where
-        F: FnMut(usize, SinkMeta, &[u8]) + 'static,
-    {
-        let entry = SyncHandler::PerPacket(Box::new(f));
+    pub fn set_packet_sink<S: PacketSink + 'static>(&self, id: HandlerId, sink: S) {
+        let entry = SyncHandler::PerPacket(Box::new(sink));
         self.inner.borrow_mut().sync_handlers.set(id, entry);
     }
 
@@ -246,7 +272,7 @@ impl<D: NetDevice> Fm2Engine<D> {
         };
         match &mut f {
             SyncHandler::Whole(f) => f(src, payload),
-            SyncHandler::PerPacket(f) => f(src, meta, payload),
+            SyncHandler::PerPacket(f) => f.packet(src, meta, payload),
         }
         let mut inner = self.inner.borrow_mut();
         inner

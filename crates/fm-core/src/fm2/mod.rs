@@ -49,7 +49,7 @@ mod sendstream;
 mod stream;
 
 pub use engine::{Fm2Engine, Fm2Handle};
-pub use exec::{Fm2HandlerFn, SinkHandlerFn, SinkMeta};
+pub use exec::{Fm2HandlerFn, PacketSink, SinkHandlerFn, SinkMeta};
 pub(crate) use send::{Body, Lender, Queued, Resume, SendQueue};
 pub use send::{Message, SentFlag, INLINE_HEAD};
 pub use sendstream::SendStream;

@@ -4,12 +4,24 @@
 //!
 //! * **Gather/scatter**: `isend` passes the 24-byte MPI header and the
 //!   payload as two pieces of one message — no assembly copy.
-//! * **Layer interleaving**: the receive handler reads the header with its
-//!   first `FM_receive`, matches the posted-receive queue *while the rest
-//!   of the message is still arriving*, and lands the payload directly in
-//!   the receive buffer with its second `FM_receive` — one copy, the
-//!   receive-region → user transfer. (This handler is the paper's §4.1
-//!   example code, almost line for line.)
+//! * **Layer interleaving**: the receive handler reads the header from
+//!   the message's first packet, matches the posted-receive queue *while
+//!   the rest of the message is still arriving*, and lands the payload
+//!   directly in the receive buffer — one copy, the receive-region → user
+//!   transfer. This is the paper's §4.1 handler (header → match → land),
+//!   written as a two-state per-packet handler instead of a suspended
+//!   task: an FM sink ([`fm_core::PacketSink`]) called once per packet,
+//!   with a small landing table of the eager messages part-way in, keyed
+//!   by (source, FM message sequence). A message has no state before its
+//!   first packet, which carries the header; an eager one longer than
+//!   that packet is then *landing*, and each later packet's bytes are
+//!   appended to its receive buffer (or its bounce buffer) until the last
+//!   completes it. No future, task, stream cell or reference count is made
+//!   per message, and the sink charges exactly what the handler's two
+//!   `FM_receive` calls did: the call cost twice, the header's copy, and
+//!   each packet's payload copy rounded on its own. A sender that goes
+//!   down or restarts loses its landings, and the receives they matched
+//!   never complete, as a dropped handler task's did.
 //! * **Receiver flow control**: `progress` extracts with a configurable
 //!   byte budget, so MPI can pace the network to its posted receives
 //!   instead of being flooded into unexpected-queue copies.
@@ -39,8 +51,8 @@ use fm_core::device::NetDevice;
 use fm_core::onesided::CHUNK_BYTES;
 use fm_core::packet::HandlerId;
 use fm_core::{
-    Fm2Engine, Fm2Handle, FmStream, Message, ObsEvent, Onesided, OnesidedConfig, OsPort,
-    RegionHandle, SpanKind,
+    Fm2Engine, Fm2Handle, Message, ObsEvent, Onesided, OnesidedConfig, OsPort, PacketSink,
+    RegionHandle, SinkMeta, SpanKind,
 };
 use fm_model::Nanos;
 
@@ -127,98 +139,15 @@ impl<D: NetDevice + 'static> Mpi2<D> {
             },
         )
         .port();
-        let os_port = os.clone();
-        let q = Rc::clone(&queues);
-        let rv = Rc::clone(&rndv);
-        let fm_for_handler = fm.handle();
-        fm.set_handler(MPI_HANDLER, move |stream: FmStream, src_node| {
-            let q = Rc::clone(&q);
-            let rndv = Rc::clone(&rv);
-            let fm = fm_for_handler.clone();
-            let port = os_port.clone();
-            async move {
-                // "get the header" — first FM_receive; may suspend if even
-                // the header hasn't fully arrived.
-                let mut hdrb = [0u8; MPI_HEADER_BYTES];
-                let n = stream.receive(&mut hdrb).await;
-                debug_assert_eq!(n, MPI_HEADER_BYTES);
-                let hdr = MpiHeader::decode(&hdrb);
-                let src_rank = hdr.src_rank as usize;
-                debug_assert_eq!(src_rank, src_node, "ranks are FM node ids");
-                // MPI-level receive processing (matching, queue upkeep).
-                fm.charge(Nanos(MPI2_RECV_SW_NS));
-                match hdr.kind {
-                    KIND_EAGER => {
-                        let matched = q.borrow_mut().match_arrival(src_rank, hdr.tag);
-                        match matched {
-                            Some(posted) => {
-                                // Posted: the payload lands directly in the
-                                // receive buffer — the one unavoidable copy.
-                                let mut buf = Vec::new();
-                                let got = stream.receive_into(&mut buf, hdr.len as usize).await;
-                                debug_assert_eq!(got, hdr.len as usize);
-                                MatchQueues::complete(&posted, src_rank, hdr.tag, buf);
-                            }
-                            None => {
-                                // Unexpected at header time: bounce-buffer it.
-                                let data = stream.receive_vec(hdr.len as usize).await;
-                                // A matching receive may have been posted
-                                // while the payload streamed in — re-check
-                                // before queueing, or the two would
-                                // deadlock past each other.
-                                let late = q.borrow_mut().match_arrival(src_rank, hdr.tag);
-                                match late {
-                                    Some(posted) => {
-                                        let user = data.clone();
-                                        fm.charge_memcpy(user.len());
-                                        MatchQueues::complete(&posted, src_rank, hdr.tag, user);
-                                    }
-                                    None => {
-                                        q.borrow_mut().store_unexpected(src_rank, hdr.tag, data)
-                                    }
-                                }
-                            }
-                        }
-                    }
-                    KIND_RTS => {
-                        // Rendezvous announcement: header only; match now,
-                        // pull the payload only once a receive exists.
-                        let matched = q.borrow_mut().match_arrival(src_rank, hdr.tag);
-                        match matched {
-                            Some(posted) => {
-                                assert!(
-                                    hdr.len as usize <= posted.max_len,
-                                    "MPI truncation: {}-byte rendezvous for a {}-byte receive",
-                                    hdr.len,
-                                    posted.max_len
-                                );
-                                let len = hdr.len as usize;
-                                grant(&fm, &port, &rndv, (src_rank, hdr.seq), len, hdr.tag, posted);
-                            }
-                            None => q.borrow_mut().store_unexpected_body(
-                                src_rank,
-                                hdr.tag,
-                                UnexpectedBody::Rts {
-                                    seq: hdr.seq,
-                                    len: hdr.len as usize,
-                                },
-                            ),
-                        }
-                    }
-                    KIND_CTS => {
-                        // Our parked payload may now travel down the granted
-                        // one-sided transfer (xfer id rides in the CTS `len`
-                        // field); the DATA segments stream straight into the
-                        // buffer the receiver registered.
-                        let parked = rndv.borrow_mut().parked.remove(&hdr.seq);
-                        if let Some((dst, data, req)) = parked {
-                            port.send_granted(dst, hdr.len, data, Some(req.sent));
-                        }
-                    }
-                    k => panic!("unknown MPI wire kind {k}"),
-                }
-            }
-        });
+        let sink = WireSink {
+            fm: fm.handle(),
+            port: os.clone(),
+            queues: Rc::clone(&queues),
+            rndv: Rc::clone(&rndv),
+            landings: Vec::new(),
+            receive_call_ns: fm.profile().host.piece_call_ns,
+        };
+        fm.set_packet_sink(MPI_HANDLER, sink);
         Mpi2 {
             fm,
             os,
@@ -286,6 +215,175 @@ impl<D: NetDevice + 'static> Mpi2<D> {
             let buf = port.deregister_owned(g.h).expect("granted buffer");
             MatchQueues::complete(&g.posted, key.0, g.tag, buf);
         }
+    }
+}
+
+/// An eager message whose packets are still arriving: the receive its
+/// header matched, or none (the bytes go to a bounce buffer), and the
+/// payload so far.
+struct Landing {
+    src: usize,
+    msg_seq: u32,
+    tag: u32,
+    posted: Option<Posted>,
+    buf: Vec<u8>,
+}
+
+/// MPI's wire handler, the paper's §4.1 handler, as a per-packet sink.
+/// A message is in one of two states. Before its first packet there is
+/// nothing: that packet carries the header, and the sink matches it
+/// there — an eager message against the posted receives (or a bounce
+/// buffer), an RTS granted or stored, a CTS releasing its parked
+/// payload. An eager message longer than that packet is then *landing*:
+/// each later packet's bytes are appended to the matched receive's
+/// buffer, and the last completes it. The charges are those of the two
+/// `FM_receive` calls the handler used to make: the call cost twice (once
+/// for a header-only RTS or CTS), the header's copy and each packet's
+/// payload copy, each rounded on its own.
+struct WireSink<D: NetDevice> {
+    fm: Fm2Handle<D>,
+    port: OsPort,
+    queues: Rc<RefCell<MatchQueues>>,
+    rndv: Rc<RefCell<RndvState>>,
+    /// Eager messages part-way in, found by (source, `msg_seq`): a source
+    /// has at most a few open at once.
+    landings: Vec<Landing>,
+    /// The fixed cost of one `FM_receive` call.
+    receive_call_ns: u64,
+}
+
+impl<D: NetDevice> PacketSink for WireSink<D> {
+    fn packet(&mut self, src: usize, meta: SinkMeta, payload: &[u8]) {
+        if meta.first {
+            let Some(mut landing) = self.header(src, meta.msg_seq, payload) else {
+                return;
+            };
+            land(&self.fm, &mut landing.buf, &payload[MPI_HEADER_BYTES..]);
+            if meta.last {
+                self.finish(landing);
+            } else {
+                self.landings.push(landing);
+            }
+            return;
+        }
+        let open = |l: &Landing| l.src == src && l.msg_seq == meta.msg_seq;
+        // A message whose sender restarted was dropped with its landing.
+        let Some(at) = self.landings.iter().position(open) else {
+            return;
+        };
+        land(&self.fm, &mut self.landings[at].buf, payload);
+        if meta.last {
+            let landing = self.landings.swap_remove(at);
+            self.finish(landing);
+        }
+    }
+
+    fn peer_reset(&mut self, peer: usize) {
+        // The receive a half-landed message matched never completes, as
+        // when its handler task was dropped.
+        self.landings.retain(|l| l.src != peer);
+    }
+}
+
+impl<D: NetDevice> WireSink<D> {
+    /// A message's first packet: read the header and act on it. Returns
+    /// the landing of an eager message, whose payload follows the header.
+    fn header(&mut self, src: usize, msg_seq: u32, payload: &[u8]) -> Option<Landing> {
+        let hdr = MpiHeader::decode(payload);
+        debug_assert_eq!(hdr.src_rank as usize, src, "ranks are FM node ids");
+        // The header's `FM_receive`, the payload's if there is one, and
+        // MPI-level receive processing (matching, queue upkeep).
+        let calls = if hdr.kind == KIND_EAGER { 2 } else { 1 };
+        let fm = &self.fm;
+        fm.charge(Nanos(calls * self.receive_call_ns + MPI2_RECV_SW_NS));
+        fm.charge_memcpy(MPI_HEADER_BYTES);
+        let arrival = || self.queues.borrow_mut().match_arrival(src, hdr.tag);
+        match hdr.kind {
+            KIND_EAGER => {
+                // Posted: the payload lands directly in the receive buffer
+                // — the one unavoidable copy. Unexpected at header time:
+                // bounce-buffer it.
+                return Some(Landing {
+                    src,
+                    msg_seq,
+                    tag: hdr.tag,
+                    posted: arrival(),
+                    buf: Vec::with_capacity(hdr.len as usize),
+                });
+            }
+            KIND_RTS => match arrival() {
+                // Rendezvous announcement: header only; match now, pull
+                // the payload only once a receive exists.
+                Some(posted) => {
+                    assert!(
+                        hdr.len as usize <= posted.max_len,
+                        "MPI truncation: {}-byte rendezvous for a {}-byte receive",
+                        hdr.len,
+                        posted.max_len
+                    );
+                    let (port, rndv) = (&self.port, &self.rndv);
+                    let (key, len) = ((src, hdr.seq), hdr.len as usize);
+                    grant(fm, port, rndv, key, len, hdr.tag, posted);
+                }
+                None => self.queues.borrow_mut().store_unexpected_body(
+                    src,
+                    hdr.tag,
+                    UnexpectedBody::Rts {
+                        seq: hdr.seq,
+                        len: hdr.len as usize,
+                    },
+                ),
+            },
+            KIND_CTS => {
+                // Our parked payload may now travel down the granted
+                // one-sided transfer (xfer id rides in the CTS `len`
+                // field); the DATA segments stream straight into the
+                // buffer the receiver registered.
+                let parked = self.rndv.borrow_mut().parked.remove(&hdr.seq);
+                if let Some((dst, data, req)) = parked {
+                    self.port.send_granted(dst, hdr.len, data, Some(req.sent));
+                }
+            }
+            k => panic!("unknown MPI wire kind {k}"),
+        }
+        None
+    }
+
+    /// An eager message has wholly arrived: complete its receive, or
+    /// queue it as unexpected.
+    fn finish(&mut self, l: Landing) {
+        let Landing {
+            src,
+            tag,
+            posted,
+            buf,
+            ..
+        } = l;
+        if let Some(posted) = posted {
+            MatchQueues::complete(&posted, src, tag, buf);
+            return;
+        }
+        // A matching receive may have been posted while the payload
+        // streamed in — re-check before queueing, or the two would
+        // deadlock past each other.
+        let late = self.queues.borrow_mut().match_arrival(src, tag);
+        match late {
+            Some(posted) => {
+                let user = buf.clone();
+                self.fm.charge_memcpy(user.len());
+                MatchQueues::complete(&posted, src, tag, user);
+            }
+            None => self.queues.borrow_mut().store_unexpected(src, tag, buf),
+        }
+    }
+}
+
+/// Append one packet's payload bytes to a landing message: one copy,
+/// charged on its own.
+fn land<D: NetDevice>(fm: &Fm2Handle<D>, buf: &mut Vec<u8>, bytes: &[u8]) {
+    if !bytes.is_empty() {
+        buf.extend_from_slice(bytes);
+        fm.charge_memcpy(bytes.len());
     }
 }
 
@@ -624,6 +722,182 @@ mod tests {
         let st = req.status().expect("completed");
         assert_eq!(st.len, 0);
         assert_eq!(req.take(), Some(Vec::new()));
+    }
+
+    // ---- the landing table ----
+
+    /// One node of an in-process three-node network: what it sends waits
+    /// in `out` until the test moves it.
+    #[derive(Default)]
+    struct Node3 {
+        node: usize,
+        out: VecDeque<FmPacket>,
+        inq: VecDeque<FmPacket>,
+    }
+
+    impl NetDevice for Node3 {
+        fn node_id(&self) -> usize {
+            self.node
+        }
+        fn num_nodes(&self) -> usize {
+            3
+        }
+        fn try_send(&mut self, pkt: FmPacket) -> Result<(), DeviceFull> {
+            self.out.push_back(pkt);
+            Ok(())
+        }
+        fn try_recv(&mut self) -> Option<FmPacket> {
+            self.inq.pop_front()
+        }
+        fn send_space(&self) -> usize {
+            256 - self.out.len()
+        }
+        fn now(&self) -> Nanos {
+            Nanos::ZERO
+        }
+        fn charge(&mut self, _cost: Nanos) {}
+    }
+
+    /// Move at most one packet out of `from`; true if one moved.
+    fn hop(nodes: &[Mpi2<Node3>], from: usize) -> bool {
+        let Some(pkt) = nodes[from].fm.with_device(|d| d.out.pop_front()) else {
+            return false;
+        };
+        let to = pkt.header.dst as usize;
+        nodes[to].fm.with_device(|d| d.inq.push_back(pkt));
+        true
+    }
+
+    #[test]
+    fn two_sources_interleaved_packet_by_packet_land_in_per_source_order() {
+        let p = MachineProfile::ppro200_fm2();
+        assert_eq!(p.fm.mtu_payload, 1024, "3000 B is three packets");
+        let dev = |node| Node3 {
+            node,
+            ..Node3::default()
+        };
+        let mut nodes: Vec<Mpi2<Node3>> = (0..3)
+            .map(|node| Mpi2::new(Fm2Engine::new(dev(node), p)))
+            .collect();
+        let msg = |src: usize, k: usize| -> Vec<u8> {
+            (0..3000)
+                .map(|i| (i * 7 + src * 101 + k * 13) as u8)
+                .collect()
+        };
+        // The first two messages of each source find their receives
+        // posted, the third lands in a bounce buffer beside the other
+        // source's.
+        let posted: Vec<Vec<RecvReq>> = (0..2)
+            .map(|src| {
+                (0..2)
+                    .map(|_| nodes[2].irecv(Some(src), Some(4), 4096))
+                    .collect()
+            })
+            .collect();
+        for (src, node) in nodes[..2].iter_mut().enumerate() {
+            for k in 0..3 {
+                node.isend(2, 4, msg(src, k));
+            }
+        }
+        // Node 2 sees one packet of source 0, then one of source 1, ...
+        let mut moved = true;
+        while moved {
+            moved = false;
+            for src in 0..2 {
+                moved |= hop(&nodes, src);
+                nodes[2].progress();
+            }
+            while hop(&nodes, 2) {}
+            for node in &mut nodes[..2] {
+                node.progress();
+            }
+        }
+        assert_eq!(nodes[2].fm().stats().packets_received, 18);
+        assert_eq!(nodes[2].unexpected_total(), 2);
+        for (src, reqs) in posted.iter().enumerate() {
+            for (k, req) in reqs.iter().enumerate() {
+                assert_eq!(req.take(), Some(msg(src, k)), "source {src}, message {k}");
+            }
+            let late = nodes[2].irecv(Some(src), Some(4), 4096);
+            assert_eq!(late.take(), Some(msg(src, 2)), "source {src}, message 2");
+        }
+        assert!(nodes[2].fm.take_errors().is_empty());
+    }
+
+    #[test]
+    fn a_source_that_restarts_mid_message_leaves_no_landing() {
+        let (mut s, mut r) = pair();
+        let reqs: Vec<RecvReq> = (0..3).map(|_| r.irecv(Some(0), Some(6), 4096)).collect();
+        s.isend(1, 6, vec![1u8; 100]);
+        s.isend(1, 6, vec![2u8; 3000]); // three packets
+        s.progress();
+        // The first message and the second one's first packet.
+        for _ in 0..2 {
+            let (fs, fr) = (s.fm.clone(), r.fm.clone());
+            fs.with_device(|a| fr.with_device(|b| LoopbackPair::deliver_one(a, b)));
+        }
+        r.progress();
+        assert_eq!(reqs[0].take(), Some(vec![1u8; 100]));
+        assert!(!reqs[1].is_done(), "the second message is landing");
+
+        // The sender restarts: its old incarnation's packets never come,
+        // the new one numbers its messages from 0 again.
+        drop(s);
+        let (a, _) = LoopbackPair::new(64);
+        let mut s = Mpi2::new(Fm2Engine::new(a, MachineProfile::ppro200_fm2()));
+        let (mut old, _) = LoopbackPair::new(64);
+        r.fm.with_device(|d| {
+            LoopbackPair::deliver(&mut old, d);
+            d.report(PeerEvent {
+                peer: 0,
+                kind: PeerEventKind::Rejoining,
+                epoch: 1,
+            })
+        });
+        s.isend(1, 6, vec![3u8; 3000]);
+        pump(&mut s, &mut r);
+        assert_eq!(
+            reqs[2].take(),
+            Some(vec![3u8; 3000]),
+            "the next posted receive"
+        );
+        // The half-landed receive is dropped with its landing: it never
+        // completes, and nothing but its requester holds it.
+        assert!(!reqs[1].is_done());
+        assert_eq!(
+            Rc::strong_count(&reqs[1].inner),
+            1,
+            "a landing was left behind"
+        );
+        assert_eq!(r.unexpected_total(), 0);
+    }
+
+    #[test]
+    fn zero_byte_messages_and_self_sends_land_whole() {
+        let (mut s, mut r) = pair();
+        let hdr = MPI_HEADER_BYTES as u64;
+        // Zero bytes, posted then unexpected: the header is all it copies.
+        let req = r.irecv(Some(0), Some(1), 0);
+        s.isend(1, 1, Vec::new());
+        s.isend(1, 2, Vec::new());
+        pump(&mut s, &mut r);
+        assert_eq!(req.take(), Some(Vec::new()));
+        assert_eq!(r.unexpected_total(), 1);
+        assert_eq!(r.irecv(Some(0), Some(2), 0).take(), Some(Vec::new()));
+        assert_eq!(r.fm().stats().bytes_copied, 2 * hdr);
+        // A self-send of three packets' worth arrives whole: one copy
+        // posted, two unexpected.
+        let big: Vec<u8> = (0..3000u32).map(|i| i as u8).collect();
+        let req = s.irecv(Some(0), Some(3), 4096);
+        s.isend(0, 3, big.clone());
+        s.progress();
+        assert_eq!(req.take(), Some(big.clone()));
+        assert_eq!(s.fm().stats().bytes_copied, hdr + 3000);
+        s.isend(0, 4, big.clone());
+        s.progress();
+        assert_eq!(s.unexpected_total(), 1);
+        assert_eq!(s.irecv(Some(0), Some(4), 4096).take(), Some(big));
+        assert_eq!(s.fm().stats().bytes_copied, 2 * (hdr + 3000) + 3000);
     }
 
     // ---- rendezvous protocol ----
