@@ -754,6 +754,24 @@ impl<D: NetDevice> EngineCore<D> {
         Some(pkt)
     }
 
+    /// Take the credit and ack frames waiting on the device, each charged
+    /// and absorbed as an extract would ([`EngineCore::recv`] and
+    /// [`EngineCore::admit`]), up to the first data packet. That one is
+    /// returned admitted, for the face to deliver before it next reads the
+    /// device; `None` when the device ran dry first, or the reliability
+    /// sublayer withheld the data packet.
+    #[inline]
+    pub(crate) fn absorb_control(&mut self) -> Option<FmPacket> {
+        loop {
+            let pkt = self.recv()?;
+            match self.admit(&pkt) {
+                Admit::Control => {}
+                Admit::Data { .. } => return Some(pkt),
+                Admit::Withheld => return None,
+            }
+        }
+    }
+
     /// Run an arriving packet through flow control and the in-order
     /// guarantee: absorb its ack or credits, owe its sender a slot, and
     /// decide whether it is the next data packet to deliver.

@@ -21,7 +21,7 @@ use crate::device::{NetDevice, PeerEvent, PeerEventKind};
 use crate::engine::{EngineCore, HandlerTable, PacketCosts, SendCost};
 use crate::error::FmError;
 use crate::obs::{ObsEvent, ObsSink};
-use crate::packet::HandlerId;
+use crate::packet::{FmPacket, HandlerId};
 use crate::stats::FmStats;
 
 use super::exec::{Fm2HandlerFn, SyncHandler, Task};
@@ -51,6 +51,10 @@ pub(super) struct Inner<D: NetDevice> {
     /// the uplink is idle.
     pub(super) nic_capacity: usize,
     pub(super) local: VecDeque<(HandlerId, PacketBuf)>,
+    /// A data packet already admitted off the device by a send that took
+    /// the credits waiting ahead of it ([`Fm2Engine::send_or_queue`]):
+    /// the next extract delivers it before it reads the device.
+    pub(super) kept: Option<FmPacket>,
     /// Distinguishes concurrently-pending local (self-send) handler tasks;
     /// local tasks count `msg_seq` down from `u32::MAX` under this node's
     /// own source slot, which cannot collide with network messages (self
@@ -186,6 +190,7 @@ impl<D: NetDevice> Fm2Engine<D> {
                 tasks,
                 idle_streams: Vec::new(),
                 local: VecDeque::new(),
+                kept: None,
                 local_task_counter: 0,
                 peer_handler: None,
             })),
@@ -317,10 +322,10 @@ impl<D: NetDevice> Fm2Engine<D> {
 
     /// Apply pending membership transitions, then run the application's
     /// peer callback for each: the core resets the shared per-peer
-    /// protocol state, this face aborts the handler tasks fed by, tells
-    /// every per-packet sink about, and drops the queued sends held for,
-    /// a peer that died or restarted — the one-sided port first taking
-    /// back its own and ending its ops.
+    /// protocol state, this face aborts the handler tasks fed by (and
+    /// drops the kept packet from), tells every per-packet sink about,
+    /// and drops the queued sends held for, a peer that died or restarted
+    /// — the one-sided port first taking back its own and ending its ops.
     pub(super) fn drain_peer_events(&self) {
         let (events, handler) = {
             let mut inner = self.inner.borrow_mut();
@@ -329,6 +334,13 @@ impl<D: NetDevice> Fm2Engine<D> {
             while let Some(ev) = inner.core.poll_peer_event() {
                 if matches!(ev.kind, PeerEventKind::Down | PeerEventKind::Rejoining) {
                     inner.tasks[ev.peer].clear();
+                    if inner
+                        .kept
+                        .as_ref()
+                        .is_some_and(|p| p.header.src as usize == ev.peer)
+                    {
+                        inner.kept = None;
+                    }
                     for h in inner.sync_handlers.iter_mut() {
                         if let SyncHandler::PerPacket(sink) = h {
                             sink.peer_reset(ev.peer);

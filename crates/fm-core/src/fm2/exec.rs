@@ -225,13 +225,20 @@ impl<D: NetDevice> Fm2Engine<D> {
             self.drain_peer_events();
             let pkt = {
                 let mut inner = self.inner.borrow_mut();
-                let Some(pkt) = inner.core.recv() else { break };
-                match inner.core.admit(&pkt) {
-                    // After a gap the stream face still feeds the packet
-                    // in: a message that lost packets is reported as
-                    // orphans where it no longer joins an open stream.
-                    Admit::Data { .. } => pkt,
-                    Admit::Control | Admit::Withheld => continue,
+                // A packet a queued send admitted goes first: the device
+                // holds only what arrived after it.
+                if let Some(pkt) = inner.kept.take() {
+                    pkt
+                } else {
+                    let Some(pkt) = inner.core.recv() else { break };
+                    match inner.core.admit(&pkt) {
+                        // After a gap the stream face still feeds the
+                        // packet in: a message that lost packets is
+                        // reported as orphans where it no longer joins an
+                        // open stream.
+                        Admit::Data { .. } => pkt,
+                        Admit::Control | Admit::Withheld => continue,
+                    }
                 }
             };
             // The budget counts handler-delivered payload bytes: a packet

@@ -537,10 +537,12 @@ impl<D: NetDevice> Fm2Engine<D> {
     }
 
     /// Send `msg` to `dst` now if nothing waits for `dst` and FM admits
-    /// the whole message; otherwise queue it behind what waits and run a
-    /// pass at once, so that a message wider than the credit window gets
-    /// its first window onto the wire here — an event-driven caller (the
-    /// simulator) would otherwise park a send nothing wakes up to flush.
+    /// the whole message; otherwise queue it behind what waits, take the
+    /// credits already waiting on the device, and run a pass at once, so
+    /// that a message wider than the credit window gets its first window
+    /// onto the wire here — an event-driven caller (the simulator) would
+    /// otherwise park a send nothing wakes up to flush — and a burst of
+    /// sends keeps the window its peer has already reopened full.
     /// `sent` is set once the message is wholly handed to FM, now or by a
     /// later pass; a send queued for a peer that goes down or restarts is
     /// dropped and never sets it.
@@ -560,7 +562,25 @@ impl<D: NetDevice> Fm2Engine<D> {
             }
         }
         self.queue(dst, handler, msg, sent);
+        self.take_waiting_credits();
         self.pass();
+    }
+
+    /// Take the credit and ack frames already on the device, charged as
+    /// an extract charges them, up to the first data packet, which stays
+    /// admitted for the next extract to deliver (DESIGN.md §5, decision
+    /// 7). Membership is drained first, as an extract does before each
+    /// packet. Not from a handler, and not while a packet is kept.
+    fn take_waiting_credits(&self) {
+        {
+            let inner = self.inner.borrow();
+            if inner.core.in_extract || inner.kept.is_some() {
+                return;
+            }
+        }
+        self.drain_peer_events();
+        let mut inner = self.inner.borrow_mut();
+        inner.kept = inner.core.absorb_control();
     }
 
     /// One pass over the queue: serve the heads oldest first. A head that
@@ -1063,6 +1083,55 @@ mod tests {
         assert!(fm.progress());
         let last = fm.with_device(|d| *d.emitted.last().expect("sent"));
         assert_eq!(last, (1, 64, 64));
+    }
+
+    #[test]
+    fn a_queued_send_keeps_the_data_packet_behind_the_credits_for_extract() {
+        let (s, r) = pair();
+        let got: Rc<RefCell<Vec<Vec<u8>>>> = Rc::default();
+        let g = Rc::clone(&got);
+        s.set_fast_handler(H, move |_, payload| g.borrow_mut().push(payload.to_vec()));
+        let window = s.profile().fm.credits_per_peer as usize;
+        let deliver = || s.with_device(|a| r.with_device(|b| LoopbackPair::deliver(a, b)));
+        let fill = |n: usize| {
+            for _ in 0..n {
+                s.send_or_queue(1, H, layered(8), None);
+            }
+        };
+        // Node 0's window closes with one send queued. Node 1 takes the
+        // window, returns its credits, and sends a message back: node 0's
+        // device holds a credit frame, then a data packet.
+        fill(window + 1);
+        deliver();
+        r.extract_all();
+        r.send_or_queue(0, H, vec![1u8; 8], None);
+        deliver();
+        // A send queued behind the stalled head takes the credits and
+        // stops at the data packet, which waits admitted for the extract.
+        fill(1);
+        assert_eq!(s.stats().packets_sent as usize, window + 2);
+        assert_eq!(s.stats().packets_received, 1);
+        assert!(got.borrow().is_empty(), "no handler runs in a send");
+        s.extract_all();
+        assert_eq!(*got.borrow(), [vec![1u8; 8]]);
+
+        // A kept packet from a peer that restarts is dropped with the
+        // rest of what the peer sent.
+        fill(window - 2 + 1);
+        r.send_or_queue(0, H, vec![2u8; 8], None);
+        deliver();
+        fill(1);
+        assert_eq!(s.stats().packets_received, 2, "kept");
+        s.with_device(|d| {
+            d.report(crate::PeerEvent {
+                peer: 1,
+                kind: crate::PeerEventKind::Rejoining,
+                epoch: 1,
+            })
+        });
+        s.extract_all();
+        assert_eq!(got.borrow().len(), 1, "the restarted peer's packet");
+        assert!(s.take_errors().is_empty());
     }
 
     #[test]

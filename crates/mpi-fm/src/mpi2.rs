@@ -1246,12 +1246,16 @@ mod tests {
     }
 
     /// FNV-1a over the emissions of the seeded replays `0x5EED_0000 +
-    /// 0..200`, each prefixed by its length. The value is what MPI-FM
-    /// 2.x's own scheduler emitted when it lived in this file, where these
-    /// replays held it to the arrival-order scan it replaced; the
-    /// scheduler has since moved into FM's send queue unchanged, and the
-    /// scan with it (`fm_core::fm2::send`'s tests).
-    const ARRIVAL_SCAN_EMISSIONS: u64 = 0xff10_2a74_a4c7_aa8b;
+    /// 0..200`, each prefixed by its length. MPI-FM 2.x's own scheduler
+    /// lived in this file once, where these replays held it to the
+    /// arrival-order scan it replaced; the scheduler has since moved into
+    /// FM's send queue unchanged, and the scan with it
+    /// (`fm_core::fm2::send`'s tests, which keep comparing the two live).
+    /// The value was `0xff10_2a74_a4c7_aa8b` while only `extract` and
+    /// `progress` took returned credits; it moved when a queued send
+    /// began to take those already waiting, which puts a queued head on
+    /// the wire at the `isend` instead of at the next `progress`.
+    const ARRIVAL_SCAN_EMISSIONS: u64 = 0xd4fb_a421_e493_a69b;
 
     #[test]
     fn scheduler_emits_what_the_arrival_order_scan_emitted() {
@@ -1312,6 +1316,29 @@ mod tests {
         }
         let waiting = reqs.iter().filter(|r| !r.is_done()).count();
         assert_eq!(waiting, 4096 - window, "one credit window left");
+    }
+
+    #[test]
+    fn a_queued_send_takes_the_credits_already_waiting() {
+        // Peer 1's window closes with one send queued; the NIC drains and
+        // the peer hands back four credits. The next `isend` queues behind
+        // the stalled head, takes the credits off the device and puts both
+        // sends on the wire, with no `progress` or `extract` in between.
+        let mut mpi = fanout();
+        let window = mpi.fm.profile().fm.credits_per_peer as usize;
+        let mut reqs: Vec<SendReq> = (0..=window)
+            .map(|_| {
+                let req = mpi.isend(1, 7, vec![0u8; 8]);
+                mpi.fm.with_device(|d| d.drain(usize::MAX));
+                req
+            })
+            .collect();
+        assert!(!reqs[window].is_done(), "the window is closed");
+        mpi.fm.with_device(|d| d.credit(1, 4));
+        reqs.push(mpi.isend(1, 7, vec![0u8; 8]));
+        assert!(reqs.iter().all(SendReq::is_done));
+        let emitted = mpi.fm.with_device(|d| d.emitted.len());
+        assert_eq!(emitted, window + 2);
     }
 
     #[test]
