@@ -255,7 +255,7 @@ struct WireSink<D: NetDevice> {
 impl<D: NetDevice> PacketSink for WireSink<D> {
     fn packet(&mut self, src: usize, meta: SinkMeta, payload: &[u8]) {
         if meta.first {
-            let Some(mut landing) = self.header(src, meta.msg_seq, payload) else {
+            let Some(mut landing) = self.header(src, meta, payload) else {
                 return;
             };
             land(&self.fm, &mut landing.buf, &payload[MPI_HEADER_BYTES..]);
@@ -288,7 +288,7 @@ impl<D: NetDevice> PacketSink for WireSink<D> {
 impl<D: NetDevice> WireSink<D> {
     /// A message's first packet: read the header and act on it. Returns
     /// the landing of an eager message, whose payload follows the header.
-    fn header(&mut self, src: usize, msg_seq: u32, payload: &[u8]) -> Option<Landing> {
+    fn header(&mut self, src: usize, meta: SinkMeta, payload: &[u8]) -> Option<Landing> {
         let hdr = MpiHeader::decode(payload);
         debug_assert_eq!(hdr.src_rank as usize, src, "ranks are FM node ids");
         // The header's `FM_receive`, the payload's if there is one, and
@@ -302,13 +302,15 @@ impl<D: NetDevice> WireSink<D> {
             KIND_EAGER => {
                 // Posted: the payload lands directly in the receive buffer
                 // — the one unavoidable copy. Unexpected at header time:
-                // bounce-buffer it.
+                // bounce-buffer it. The wire names the length; the FM
+                // message bounds what is reserved.
+                let left = (meta.msg_len as usize).saturating_sub(MPI_HEADER_BYTES);
                 return Some(Landing {
                     src,
-                    msg_seq,
+                    msg_seq: meta.msg_seq,
                     tag: hdr.tag,
                     posted: arrival(),
-                    buf: Vec::with_capacity(hdr.len as usize),
+                    buf: Vec::with_capacity(left.min(hdr.len as usize)),
                 });
             }
             KIND_RTS => match arrival() {
