@@ -267,12 +267,12 @@ impl<D: NetDevice> Fm2Engine<D> {
     /// `FM_set_peer_handler`: register a callback for membership
     /// transitions reported by the device (peers going
     /// up/suspect/down/rejoining, and same-host facts — see
-    /// [`PeerEventKind`]). The callback
-    /// runs during `extract`/`progress`, *after* the engine has already
-    /// applied the transition's protocol consequences (state reset on
-    /// rejoin, retransmit abandonment on down), and outside any engine
-    /// borrow, so it may call engine methods (not `extract`). Devices
-    /// with static membership never produce events. Replaces any
+    /// [`PeerEventKind`]). The callback runs during `extract`,
+    /// `progress` or a `send_or_queue` that queues, *after* the engine
+    /// has already applied the transition's protocol consequences (state
+    /// reset on rejoin, retransmit abandonment on down), and outside any
+    /// engine borrow, so it may call engine methods (not `extract`).
+    /// Devices with static membership never produce events. Replaces any
     /// previous callback.
     pub fn set_peer_handler<F: Fn(PeerEvent) + 'static>(&self, f: F) {
         self.inner.borrow_mut().peer_handler = Some(Rc::new(f));
@@ -334,13 +334,7 @@ impl<D: NetDevice> Fm2Engine<D> {
             while let Some(ev) = inner.core.poll_peer_event() {
                 if matches!(ev.kind, PeerEventKind::Down | PeerEventKind::Rejoining) {
                     inner.tasks[ev.peer].clear();
-                    if inner
-                        .kept
-                        .as_ref()
-                        .is_some_and(|p| p.header.src as usize == ev.peer)
-                    {
-                        inner.kept = None;
-                    }
+                    inner.kept.take_if(|p| p.header.src as usize == ev.peer);
                     for h in inner.sync_handlers.iter_mut() {
                         if let SyncHandler::PerPacket(sink) = h {
                             sink.peer_reset(ev.peer);

@@ -58,7 +58,7 @@ pub trait PacketSink {
     fn peer_reset(&mut self, _peer: usize) {}
 }
 
-/// A closure sink keeps nothing across packets that a reset would kill.
+/// A closure is a sink that ignores resets.
 impl<F: FnMut(usize, SinkMeta, &[u8])> PacketSink for F {
     fn packet(&mut self, src: usize, meta: SinkMeta, payload: &[u8]) {
         self(src, meta, payload)

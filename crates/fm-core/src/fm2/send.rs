@@ -8,7 +8,9 @@
 //! ([`Fm2Engine::send_or_queue`], which sends at once when it can). The
 //! queue is one FIFO per destination with an arrival stamp on every
 //! entry; a pass serves the heads oldest first, and stops at a stalled
-//! head while the NIC still holds packets (DESIGN.md §5, decision 7).
+//! head while the NIC still holds packets (DESIGN.md §5, decision 7). A
+//! send that has to queue first takes the credits already waiting on the
+//! device, so a burst of sends refills the window its peer reopened.
 //! Layers above keep no send queue of their own: MPI-FM 2.x's sends and
 //! CTSs wait here beside the handler replies of `shmem` and sockets, and
 //! so does everything the one-sided port sends — puts, gets, DATA and

@@ -229,17 +229,12 @@ struct Landing {
     buf: Vec<u8>,
 }
 
-/// MPI's wire handler, the paper's §4.1 handler, as a per-packet sink.
-/// A message is in one of two states. Before its first packet there is
-/// nothing: that packet carries the header, and the sink matches it
+/// MPI's wire handler: the two-state per-packet handler of the module
+/// docs. A message's first packet carries the header, which is matched
 /// there — an eager message against the posted receives (or a bounce
 /// buffer), an RTS granted or stored, a CTS releasing its parked
-/// payload. An eager message longer than that packet is then *landing*:
-/// each later packet's bytes are appended to the matched receive's
-/// buffer, and the last completes it. The charges are those of the two
-/// `FM_receive` calls the handler used to make: the call cost twice (once
-/// for a header-only RTS or CTS), the header's copy and each packet's
-/// payload copy, each rounded on its own.
+/// payload; an eager message longer than that packet is then *landing*
+/// until its last packet completes it.
 struct WireSink<D: NetDevice> {
     fm: Fm2Handle<D>,
     port: OsPort,
