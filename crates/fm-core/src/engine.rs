@@ -5,7 +5,7 @@
 //! interface above them. [`EngineCore`] is those guarantees, implemented
 //! once: packet emission, receive admission, the reliability poll,
 //! explicit credit return, the per-peer half of the membership drain and
-//! the accounting around synchronous handlers. [`crate::Fm1Engine`] (the
+//! the accounting around handlers. [`crate::Fm1Engine`] (the
 //! contiguous-buffer face) and [`crate::Fm2Engine`] (the stream face) own
 //! only what their APIs add on top.
 //!
@@ -96,9 +96,9 @@ pub(crate) enum Admit {
 }
 
 /// A handler table indexed by [`HandlerId`], with the take/restore
-/// discipline synchronous handlers need: a handler is moved out while it
-/// runs (so it may touch the engine, including re-registering itself)
-/// and put back afterwards.
+/// discipline handlers need: a handler is moved out while it runs (so it
+/// may touch the engine, including re-registering itself) and put back
+/// afterwards.
 pub(crate) struct HandlerTable<T>(Vec<Option<T>>);
 
 impl<T> HandlerTable<T> {
@@ -106,17 +106,22 @@ impl<T> HandlerTable<T> {
         HandlerTable(Vec::new())
     }
 
-    /// Register `h` under `id` (replacing any previous one).
-    pub(crate) fn set(&mut self, id: HandlerId, h: T) {
+    /// Register `h` under `id`; returns the handler it replaces.
+    pub(crate) fn set(&mut self, id: HandlerId, h: T) -> Option<T> {
         let idx = id.0 as usize;
         if self.0.len() <= idx {
             self.0.resize_with(idx + 1, || None);
         }
-        self.0[idx] = Some(h);
+        self.0[idx].replace(h)
     }
 
     pub(crate) fn get(&self, id: HandlerId) -> Option<&T> {
         self.0.get(id.0 as usize).and_then(Option::as_ref)
+    }
+
+    /// Every registered handler.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = &T> {
+        self.0.iter().flatten()
     }
 
     /// Every registered handler.
@@ -129,12 +134,15 @@ impl<T> HandlerTable<T> {
     }
 
     /// Put back a handler moved out by [`HandlerTable::take`], unless it
-    /// registered a replacement for itself while it ran.
-    pub(crate) fn restore(&mut self, id: HandlerId, h: T) {
+    /// registered a replacement for itself while it ran; then it is
+    /// returned.
+    pub(crate) fn restore(&mut self, id: HandlerId, h: T) -> Option<T> {
         let slot = &mut self.0[id.0 as usize];
-        if slot.is_none() {
-            *slot = Some(h);
+        if slot.is_some() {
+            return Some(h);
         }
+        *slot = Some(h);
+        None
     }
 }
 
@@ -921,48 +929,25 @@ impl<D: NetDevice> EngineCore<D> {
         });
     }
 
-    /// Enter a synchronous handler call. The caller has moved the handler
-    /// out of its [`HandlerTable`]; `first` marks the call that delivers
-    /// the message's first packet (per-packet sinks are entered once per
-    /// packet, whole-message handlers once with `first` and `last`).
+    /// Account the end of a message its handler took call by call: the
+    /// receive counters and the trace span.
     #[inline]
-    pub(crate) fn sync_enter(
+    pub(crate) fn message_ended(
         &mut self,
         src: usize,
         handler: HandlerId,
         msg_seq: u32,
         msg_len: u32,
-        first: bool,
     ) {
-        if first {
-            self.handler_started(src, handler, msg_seq, msg_len);
-        }
-        self.in_extract = true;
-    }
-
-    /// Leave a synchronous handler call; `last` marks the call that
-    /// delivered the message's last packet, which completes the message.
-    #[inline]
-    pub(crate) fn sync_exit(
-        &mut self,
-        src: usize,
-        handler: HandlerId,
-        msg_seq: u32,
-        msg_len: u32,
-        last: bool,
-    ) {
-        self.in_extract = false;
-        if last {
-            self.stats.messages_received += 1;
-            self.stats.bytes_received += msg_len as u64;
-            self.obs_emit(|t, me| {
-                ObsEvent::new(t, me, SpanKind::HandlerEnd)
-                    .peer(src as u16)
-                    .handler(handler.0)
-                    .msg_seq(msg_seq)
-                    .bytes(msg_len)
-            });
-        }
+        self.stats.messages_received += 1;
+        self.stats.bytes_received += msg_len as u64;
+        self.obs_emit(|t, me| {
+            ObsEvent::new(t, me, SpanKind::HandlerEnd)
+                .peer(src as u16)
+                .handler(handler.0)
+                .msg_seq(msg_seq)
+                .bytes(msg_len)
+        });
     }
 }
 

@@ -435,9 +435,11 @@ impl<D: NetDevice> Fm1Engine<D> {
             return 0;
         };
         let len = data.len() as u32;
-        self.core.sync_enter(src, handler, msg_seq, len, true);
+        self.core.handler_started(src, handler, msg_seq, len);
+        self.core.in_extract = true;
         h(self, src, &data);
-        self.core.sync_exit(src, handler, msg_seq, len, true);
+        self.core.in_extract = false;
+        self.core.message_ended(src, handler, msg_seq, len);
         self.handlers.restore(handler, h);
         1
     }

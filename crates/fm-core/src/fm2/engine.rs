@@ -1,7 +1,7 @@
 //! The FM 2.x engine type: one shared handle over the [`EngineCore`],
 //! its constructors, accessors and membership drain. The send verbs are
-//! in [`super::send`], `FM_extract` and the handler task executor in
-//! [`super::exec`].
+//! in [`super::send`], the handler table and `FM_extract` in
+//! [`super::exec`], the async handler executor in [`super::tasks`].
 //!
 //! The engine is a shared handle (`Clone`) so that handler tasks can send
 //! messages and layered libraries can keep a reference inside their own
@@ -24,28 +24,15 @@ use crate::obs::{ObsEvent, ObsSink};
 use crate::packet::{FmPacket, HandlerId};
 use crate::stats::FmStats;
 
-use super::exec::{Fm2HandlerFn, SyncHandler, Task};
+use super::exec::Handler;
 use super::send::{Message, SendQueue};
-use super::stream::FmStream;
 
 /// The stream face's state over the shared [`EngineCore`].
 pub(super) struct Inner<D: NetDevice> {
     pub(super) core: EngineCore<D>,
-    pub(super) handlers: HandlerTable<Fm2HandlerFn>,
-    /// Synchronous handlers, consulted before the async table: a
-    /// per-packet sink takes every packet addressed to its id (the
-    /// one-sided datapath, where payloads land without staging buffers or
-    /// task allocation), a whole-message handler the messages one call
-    /// can deliver; what it does not take falls through to `handlers`.
-    pub(super) sync_handlers: HandlerTable<SyncHandler>,
-    /// In-flight incoming messages by source, found by `msg_seq` with a
-    /// linear scan: a source has one message open in the common case,
-    /// and interleaved messages stay few.
-    pub(super) tasks: Vec<Vec<Task>>,
-    /// Stream cells of retired tasks, re-armed for the next message so
-    /// that a handler task in steady state allocates only its future.
-    /// Never longer than the most tasks that were open at once.
-    pub(super) idle_streams: Vec<FmStream>,
+    /// Every registered handler, whatever its kind: a per-packet sink, a
+    /// whole-message handler, an async handler and its open messages.
+    pub(super) handlers: HandlerTable<Box<dyn Handler<D>>>,
     /// High-water `send_space` observation = the NIC queue's capacity
     /// (it is empty at construction). `send_space == nic_capacity` means
     /// the uplink is idle.
@@ -55,11 +42,6 @@ pub(super) struct Inner<D: NetDevice> {
     /// the credits waiting ahead of it ([`Fm2Engine::send_or_queue`]):
     /// the next extract delivers it before it reads the device.
     pub(super) kept: Option<FmPacket>,
-    /// Distinguishes concurrently-pending local (self-send) handler tasks;
-    /// local tasks count `msg_seq` down from `u32::MAX` under this node's
-    /// own source slot, which cannot collide with network messages (self
-    /// never sends to itself over the wire).
-    pub(super) local_task_counter: u32,
     /// Application callback for membership transitions
     /// (`FM_set_peer_handler`); invoked outside any engine borrow, so it
     /// may call engine methods.
@@ -177,7 +159,6 @@ impl<D: NetDevice> Fm2Engine<D> {
     /// It retransmits where a link may lose packets ([`NetDevice::is_lossy_to`]).
     pub fn new(device: D, profile: MachineProfile) -> Self {
         let costs = packet_costs(&profile);
-        let tasks = (0..device.num_nodes()).map(|_| Vec::new()).collect();
         Fm2Engine {
             sendq: SendQueue::new(device.num_nodes()),
             inner: Rc::new(RefCell::new(Inner {
@@ -186,12 +167,8 @@ impl<D: NetDevice> Fm2Engine<D> {
                 nic_capacity: device.send_space(),
                 core: EngineCore::new(device, profile, costs),
                 handlers: HandlerTable::new(),
-                sync_handlers: HandlerTable::new(),
-                tasks,
-                idle_streams: Vec::new(),
                 local: VecDeque::new(),
                 kept: None,
-                local_task_counter: 0,
                 peer_handler: None,
             })),
         }
@@ -322,23 +299,26 @@ impl<D: NetDevice> Fm2Engine<D> {
 
     /// Apply pending membership transitions, then run the application's
     /// peer callback for each: the core resets the shared per-peer
-    /// protocol state, this face aborts the handler tasks fed by (and
-    /// drops the kept packet from), tells every per-packet sink about,
+    /// protocol state, this face drops the kept packet from, tells every
+    /// handler about (an async one ends its tasks, a sink its landings),
     /// and drops the queued sends held for, a peer that died or restarted
     /// — the one-sided port first taking back its own and ending its ops.
+    /// Not while a handler runs: it is out of the table then and would
+    /// miss its reset, so the events wait for the extract loop's next
+    /// drain, which comes before any further packet.
     pub(super) fn drain_peer_events(&self) {
         let (events, handler) = {
             let mut inner = self.inner.borrow_mut();
             let inner = &mut *inner;
+            if inner.core.in_extract {
+                return;
+            }
             let mut events: Vec<PeerEvent> = Vec::new();
             while let Some(ev) = inner.core.poll_peer_event() {
                 if matches!(ev.kind, PeerEventKind::Down | PeerEventKind::Rejoining) {
-                    inner.tasks[ev.peer].clear();
                     inner.kept.take_if(|p| p.header.src as usize == ev.peer);
-                    for h in inner.sync_handlers.iter_mut() {
-                        if let SyncHandler::PerPacket(sink) = h {
-                            sink.peer_reset(ev.peer);
-                        }
+                    for h in inner.handlers.iter_mut() {
+                        h.peer_reset(ev.peer);
                     }
                 }
                 events.push(ev);
@@ -389,7 +369,8 @@ impl<D: NetDevice> Fm2Engine<D> {
     /// Incoming messages whose handlers are still pending (suspended in
     /// `FM_receive` or waiting for more packets).
     pub fn pending_handlers(&self) -> usize {
-        self.inner.borrow().tasks.iter().map(Vec::len).sum()
+        let inner = self.inner.borrow();
+        inner.handlers.iter().map(|h| h.pending()).sum()
     }
 }
 

@@ -3,6 +3,7 @@
 
 use super::*;
 use crate::device::{LoopbackDevice, LoopbackPair};
+use crate::fm2::FmStream;
 
 const H: HandlerId = HandlerId(1);
 

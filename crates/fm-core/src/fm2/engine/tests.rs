@@ -3,9 +3,12 @@
 //! the type both halves hang off. Tests of one half alone sit beside it.
 
 use super::*;
+use crate::buf::PacketBuf;
 use crate::device::{LoopbackDevice, LoopbackPair};
 use crate::error::WouldBlock;
-use crate::fm2::SendStream;
+use crate::fm2::exec::{Handler, Took};
+use crate::fm2::tasks::AsyncHandler;
+use crate::fm2::{FmStream, PacketSink, SendStream, SinkMeta};
 
 impl<D: NetDevice> Fm2Engine<D> {
     /// Test-only: the engine core, for a test that checks its per-peer
@@ -500,48 +503,69 @@ fn open_messages_of_one_source_retire_in_any_order() {
     assert!(r.take_errors().is_empty());
 }
 
+/// Hand `exec` — an async handler outside any table — one `bytes`-long
+/// message from node 0 in 1024-byte packets, as the dispatch would.
+fn feed(exec: &mut AsyncHandler, fm: &Fm2Engine<LoopbackDevice>, msg_seq: u32, bytes: &[u8]) {
+    let packets: Vec<&[u8]> = bytes.chunks(1024).collect();
+    for (i, p) in packets.iter().enumerate() {
+        let meta = SinkMeta {
+            msg_seq,
+            msg_len: bytes.len() as u32,
+            first: i == 0,
+            last: i + 1 == packets.len(),
+        };
+        assert!(matches!(
+            exec.take(fm, 0, meta, PacketBuf::from(*p)),
+            Took::Task
+        ));
+    }
+}
+
 #[test]
 fn retired_tasks_lend_their_stream_cells_to_the_next_message() {
     // One message open at a time: one set of stream cells serves them
     // all (the free list never grows past the open-task high water).
-    let (s, r, pump) = pair();
-    let log = recording_handler(&r, H, 4096);
+    let (_, r, _) = pair();
+    let log: Rc<RefCell<Vec<Vec<u8>>>> = Rc::default();
+    let l = Rc::clone(&log);
+    let mut exec = AsyncHandler::new(H, 2, profile().host, move |stream: FmStream, _| {
+        let l = Rc::clone(&l);
+        async move {
+            let msg = stream.receive_vec(stream.msg_len()).await;
+            l.borrow_mut().push(msg);
+        }
+    });
     for i in 0..50u8 {
-        s.try_send_message(1, H, &[&vec![i; 3000]]).unwrap();
-        pump.deliver();
-        r.extract_all();
-        pump.deliver();
-        s.extract_all();
-        assert_eq!(r.inner.borrow().idle_streams.len(), 1, "message {i}");
+        feed(&mut exec, &r, i.into(), &vec![i; 3000]);
+        assert_eq!(exec.idle_streams.len(), 1, "message {i}");
     }
+    assert_eq!(Handler::<LoopbackDevice>::pending(&exec), 0);
     assert_eq!(log.borrow().len(), 50);
     assert!(log
         .borrow()
         .iter()
         .enumerate()
-        .all(|(i, (_, m))| *m == vec![i as u8; 3000]));
+        .all(|(i, m)| *m == vec![i as u8; 3000]));
 }
 
 #[test]
 fn a_stream_handle_the_handler_kept_is_never_rearmed() {
     // `FmStream` is `Clone`: a handler may stash its handle. Cells
     // with a handle still out must not become another message's.
-    let (s, r, pump) = pair();
+    let (_, r, _) = pair();
     let kept: Rc<RefCell<Vec<FmStream>>> = Rc::default();
     let k = Rc::clone(&kept);
-    r.set_handler(H, move |stream: FmStream, _| {
+    let mut exec = AsyncHandler::new(H, 2, profile().host, move |stream: FmStream, _| {
         k.borrow_mut().push(stream.clone());
         async move {
             stream.skip(stream.msg_len()).await;
         }
     });
-    for len in [10usize, 20] {
-        s.try_send_message(1, H, &[&vec![0u8; len]]).unwrap();
-        pump.deliver();
-        r.extract_all();
+    for (seq, len) in [10usize, 20].into_iter().enumerate() {
+        feed(&mut exec, &r, seq as u32, &vec![0u8; len]);
     }
-    assert_eq!(r.pending_handlers(), 0);
-    assert!(r.inner.borrow().idle_streams.is_empty());
+    assert_eq!(Handler::<LoopbackDevice>::pending(&exec), 0);
+    assert!(exec.idle_streams.is_empty());
     let lens: Vec<usize> = kept.borrow().iter().map(FmStream::msg_len).collect();
     assert_eq!(
         lens,
@@ -567,7 +591,7 @@ type PacketLog = Rc<RefCell<Vec<(usize, bool, bool, u32, usize)>>>;
 fn packet_handler(e: &Fm2Engine<LoopbackDevice>, id: HandlerId) -> PacketLog {
     let log: PacketLog = Rc::default();
     let l = Rc::clone(&log);
-    e.set_sink_handler(id, move |src, meta, payload| {
+    e.set_packet_sink(id, move |src, meta: SinkMeta, payload: &[u8]| {
         l.borrow_mut()
             .push((src, meta.first, meta.last, meta.msg_len, payload.len()));
     });
@@ -592,26 +616,39 @@ fn whole_message_handler_takes_single_packet_messages_and_self_sends() {
 }
 
 #[test]
-fn multi_packet_message_falls_through_a_whole_message_handler() {
+fn multi_packet_message_to_a_whole_message_handler_is_an_unknown_handler() {
     let (s, r, pump) = pair();
-    let fast = whole_handler(&r, H);
     let slow = recording_handler(&r, H, 512);
+    // A later registration replaces an earlier one of any kind.
+    let fast = whole_handler(&r, H);
     let big: Vec<u8> = (0..2500).map(|i| i as u8).collect(); // three packets
     s.try_send_message(1, H, &[&big]).unwrap();
     s.try_send_message(1, H, &[&[7u8][..]]).unwrap();
     pump.deliver();
-    r.extract_all();
-    assert_eq!(*slow.borrow(), vec![(0, big)]);
+    let taken = r.extract_all();
     assert_eq!(*fast.borrow(), vec![(0, vec![7])]);
-    assert!(r.take_errors().is_empty());
+    assert!(
+        slow.borrow().is_empty(),
+        "the replaced async handler never runs"
+    );
+    assert!(
+        matches!(
+            r.take_errors()[..],
+            [FmError::UnknownHandler { handler: 1 }]
+        ),
+        "reported once for the message, not once per packet"
+    );
+    assert_eq!(taken, 1, "the dropped message takes none of the budget");
+    assert_eq!(r.stats().messages_received, 1);
 }
 
 #[test]
 fn per_packet_handler_sees_first_and_last() {
     let (s, r, pump) = pair();
-    let seen = packet_handler(&r, H);
-    // An async handler under a sink's id never runs.
+    // A later registration replaces an earlier one of any kind: the
+    // async handler never runs.
     let shadowed = recording_handler(&r, H, 512);
+    let seen = packet_handler(&r, H);
     s.try_send_message(1, H, &[&[0u8; 2500][..]]).unwrap();
     pump.deliver();
     r.extract_all();
@@ -630,6 +667,90 @@ fn per_packet_handler_sees_first_and_last() {
     assert!(shadowed.borrow().is_empty());
     assert_eq!(r.stats().messages_received, 2);
     assert_eq!(r.pending_handlers(), 0);
+    // And the other way round: an async handler replaces the sink.
+    let after = recording_handler(&r, H, 512);
+    s.try_send_message(1, H, &[&[9u8; 2500][..]]).unwrap();
+    pump.deliver();
+    r.extract_all();
+    assert_eq!(*after.borrow(), vec![(0, vec![9u8; 2500])]);
+    assert_eq!(seen.borrow().len(), 4, "the replaced sink saw nothing more");
+}
+
+#[test]
+fn a_restarting_peer_ends_an_async_handlers_task_and_a_sinks_landing() {
+    /// A sink that keeps one landing per open message, as MPI-FM 2.x's
+    /// does, and drops a peer's on its reset.
+    struct Landings(Rc<RefCell<Vec<(usize, u32)>>>);
+    impl PacketSink for Landings {
+        fn packet(&mut self, src: usize, meta: SinkMeta, _: &[u8]) {
+            let mut open = self.0.borrow_mut();
+            if meta.first {
+                open.push((src, meta.msg_seq));
+            }
+            if meta.last {
+                open.retain(|&l| l != (src, meta.msg_seq));
+            }
+        }
+        fn peer_reset(&mut self, peer: usize) {
+            self.0.borrow_mut().retain(|&(src, _)| src != peer);
+        }
+    }
+    let (s, r, pump) = pair();
+    let log = recording_handler(&r, H, 512);
+    let landings: Rc<RefCell<Vec<(usize, u32)>>> = Rc::default();
+    r.set_packet_sink(HandlerId(2), Landings(Rc::clone(&landings)));
+    // Each message's first packet leaves (past one MTU), the rest stays.
+    for id in [H, HandlerId(2)] {
+        let mut ss = s.begin_message(1, 3000, id);
+        assert_eq!(s.try_send_piece(&mut ss, &[1u8; 2000]).unwrap(), 2000);
+    }
+    pump.deliver();
+    r.extract_all();
+    assert_eq!(
+        r.pending_handlers(),
+        1,
+        "the async handler waits in FM_receive"
+    );
+    assert_eq!(landings.borrow().len(), 1, "the sink keeps its landing");
+    // Node 0 restarts: one reset reaches both through the same call.
+    let rejoin = PeerEvent {
+        peer: 0,
+        kind: PeerEventKind::Rejoining,
+        epoch: 1,
+    };
+    r.with_device(|d| d.report(rejoin));
+    r.extract_all();
+    assert_eq!(r.pending_handlers(), 0, "the task ended");
+    assert!(landings.borrow().is_empty(), "the landing ended");
+    assert!(log.borrow().is_empty(), "neither message completed");
+    assert!(r.take_errors().is_empty());
+}
+
+#[test]
+fn a_reset_reported_while_a_handler_runs_reaches_it_once_it_returns() {
+    // The handler itself turns the engine while a restart of its sender
+    // is reported: it is out of the table then, so the reset must wait
+    // for it rather than pass it by.
+    let (s, r, pump) = pair();
+    let fm = r.clone();
+    r.set_handler(H, move |stream: FmStream, src| {
+        let rejoin = PeerEvent {
+            peer: src,
+            kind: PeerEventKind::Rejoining,
+            epoch: 1,
+        };
+        fm.with_device(|d| d.report(rejoin));
+        fm.progress();
+        async move {
+            stream.skip(stream.msg_len()).await;
+        }
+    });
+    let mut ss = s.begin_message(1, 3000, H);
+    assert_eq!(s.try_send_piece(&mut ss, &[1u8; 2000]).unwrap(), 2000);
+    pump.deliver();
+    r.extract_all();
+    assert_eq!(r.pending_handlers(), 0, "the task ended with its sender");
+    assert_eq!(r.stats().peer_resets, 1);
 }
 
 #[test]

@@ -39,17 +39,20 @@
 //!
 //! One file per concern: [`Fm2Engine`] itself (type, constructors,
 //! accessors, membership drain) in `engine.rs`, the send verbs and the
-//! queue of the sends FM cannot admit yet in `send.rs`, the handler
-//! tables, `FM_extract` and the handler executor in `exec.rs`.
+//! queue of the sends FM cannot admit yet in `send.rs`, the one handler
+//! table, its one dispatch and `FM_extract` in `exec.rs`, and the async
+//! handler — a table entry like any sink, whose executor runs each
+//! message's future — in `tasks.rs`.
 
 mod engine;
 mod exec;
 mod send;
 mod sendstream;
 mod stream;
+mod tasks;
 
 pub use engine::{Fm2Engine, Fm2Handle};
-pub use exec::{Fm2HandlerFn, PacketSink, SinkHandlerFn, SinkMeta};
+pub use exec::{PacketSink, SinkMeta};
 pub(crate) use send::{Body, Lender, Queued, Resume, SendQueue};
 pub use send::{Message, SentFlag, INLINE_HEAD};
 pub use sendstream::SendStream;

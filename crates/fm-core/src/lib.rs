@@ -16,7 +16,12 @@
 //!   streams: **gather/scatter** without assembly copies, **layer
 //!   interleaving** (a handler starts on the first packet and can suspend
 //!   in `FM_receive` — transparent handler multithreading), and **receiver
-//!   flow control**.
+//!   flow control**. A handler is registered under its id in one table
+//!   and takes its message packet by packet, whatever its kind: an
+//!   `async` handler ([`Fm2Engine::set_handler`]), a whole-message
+//!   handler for single-packet messages ([`Fm2Engine::set_fast_handler`])
+//!   or a per-packet [`PacketSink`] ([`Fm2Engine::set_packet_sink`]); a
+//!   later registration under an id replaces the earlier one.
 //!
 //! Both engines run over any [`device::NetDevice`]: the discrete-event
 //! Myrinet simulator (virtual-time figures) via [`device::SimDevice`], or

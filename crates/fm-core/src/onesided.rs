@@ -1408,7 +1408,7 @@ impl<D: NetDevice + 'static> Onesided<D> {
         let mem = Rc::new(RefCell::new(PeerMem::default()));
         for lane in [Lane::Xfer, Lane::Op] {
             let (c, mem, engine) = (Rc::clone(&core), Rc::clone(&mem), fm.handle());
-            fm.set_sink_handler(lane.handler(), move |src, meta, payload| {
+            fm.set_packet_sink(lane.handler(), move |src, meta, payload: &[u8]| {
                 let mut core = c.borrow_mut();
                 let same_host = || engine.same_host_pid(src);
                 // A pull is made here, before the next packet: it lands
