@@ -154,40 +154,6 @@ impl LogHistogram {
     }
 }
 
-/// Per-peer histograms (e.g. round-trip latency to each node), indexed by
-/// dense node id.
-#[derive(Debug, Clone)]
-pub struct PeerHistograms {
-    hists: Vec<LogHistogram>,
-}
-
-impl PeerHistograms {
-    /// One empty histogram per peer.
-    pub fn new(num_peers: usize) -> PeerHistograms {
-        PeerHistograms {
-            hists: vec![LogHistogram::new(); num_peers],
-        }
-    }
-
-    /// Record a sample against `peer` (out-of-range peers are ignored so a
-    /// histogram can never panic a measurement run).
-    pub fn record(&mut self, peer: usize, v: u64) {
-        if let Some(h) = self.hists.get_mut(peer) {
-            h.record(v);
-        }
-    }
-
-    /// The histogram for `peer`.
-    pub fn peer(&self, peer: usize) -> Option<&LogHistogram> {
-        self.hists.get(peer)
-    }
-
-    /// Iterate `(peer, histogram)` over peers with at least one sample.
-    pub fn iter_nonempty(&self) -> impl Iterator<Item = (usize, &LogHistogram)> {
-        self.hists.iter().enumerate().filter(|(_, h)| !h.is_empty())
-    }
-}
-
 /// Histograms keyed by message-size class (log₂ of the size, so 1 KB and
 /// 1.5 KB messages share a class) — e.g. per-size bandwidth samples.
 #[derive(Debug, Clone, Default)]
@@ -370,17 +336,6 @@ mod tests {
         assert_eq!(a.min(), 10);
         assert_eq!(a.max(), 10_000);
         assert!(a.p50() < 10_000 && a.p99() >= 8_192);
-    }
-
-    #[test]
-    fn peer_histograms_index_by_peer() {
-        let mut p = PeerHistograms::new(3);
-        p.record(1, 500);
-        p.record(1, 700);
-        p.record(99, 1); // out of range: ignored, not a panic
-        assert_eq!(p.peer(1).unwrap().count(), 2);
-        assert!(p.peer(0).unwrap().is_empty());
-        assert_eq!(p.iter_nonempty().count(), 1);
     }
 
     #[test]

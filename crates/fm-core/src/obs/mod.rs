@@ -35,7 +35,7 @@ use std::rc::Rc;
 
 use fm_model::Nanos;
 
-pub use hist::{LogHistogram, PeerHistograms, SizeHistograms};
+pub use hist::{LogHistogram, SizeHistograms};
 
 /// Sentinel for "no substrate serial known" (e.g. loopback devices).
 pub const NO_SERIAL: u64 = u64::MAX;

@@ -6,11 +6,15 @@
 //! every message intact — driven purely by wall-clock retransmit timeouts
 //! (`ThreadedDevice::now`), since there is no simulator to schedule wake
 //! alarms.
+//!
+//! A rank whose wait lasts [`REPORT_AFTER`] prints its engine's state
+//! once and keeps waiting, so a stalled run says where it stands.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
-use fm_core::blocking::{fm1_send, fm2_send, fm2_wait_until, Backoff};
+use fm_core::blocking::{fm1_send, fm2_send, Backoff};
 use fm_core::device::{DeviceFull, NetDevice};
 use fm_core::packet::HandlerId;
 use fm_core::{Fm1Engine, Fm2Engine, FmPacket, FmStream};
@@ -18,6 +22,69 @@ use fm_model::{MachineProfile, Nanos};
 use fm_threaded::{ThreadedCluster, ThreadedDevice};
 
 const H: HandlerId = HandlerId(1);
+
+/// How long a wait lasts before its rank prints its engine's state.
+const REPORT_AFTER: Duration = Duration::from_secs(20);
+
+/// One wait's report: [`Watch::tick`] prints `state` once the wait has
+/// lasted [`REPORT_AFTER`], only the first time, and ends nothing.
+struct Watch {
+    what: &'static str,
+    start: Instant,
+    reported: bool,
+}
+
+impl Watch {
+    fn new(what: &'static str) -> Self {
+        Watch {
+            what,
+            start: Instant::now(),
+            reported: false,
+        }
+    }
+
+    fn tick(&mut self, state: impl FnOnce() -> String) {
+        if !self.reported && self.start.elapsed() >= REPORT_AFTER {
+            self.reported = true;
+            eprintln!(
+                "{} still waiting after {REPORT_AFTER:?}: {}",
+                self.what,
+                state()
+            );
+        }
+    }
+}
+
+/// `fm_core::blocking::fm2_wait_until`'s loop, with a [`Watch`] that
+/// prints the engine's unacked packets, `FmStats`, and smoothed RTT and
+/// retransmit timeout toward the other rank.
+fn fm2_wait<D: NetDevice>(fm: &Fm2Engine<D>, what: &'static str, mut done: impl FnMut() -> bool) {
+    let peer = 1 - fm.node_id();
+    let mut backoff = Backoff::new("FM_extract wait");
+    let mut watch = Watch::new(what);
+    while !done() {
+        if fm.extract_all() == 0 {
+            fm.progress();
+            backoff.snooze();
+        } else {
+            backoff.reset();
+        }
+        watch.tick(|| {
+            format!(
+                "unacked_packets {}, srtt_ns {:?}, current_rto_ns {:?}, {:?}",
+                fm.unacked_packets(),
+                fm.srtt_ns(peer),
+                fm.current_rto_ns(peer),
+                fm.stats()
+            )
+        });
+    }
+}
+
+/// The FM 1.x engine's state for a [`Watch`].
+fn fm1_state<D: NetDevice>(fm: &Fm1Engine<D>) -> String {
+    format!("unacked_packets {}, {:?}", fm.unacked_packets(), fm.stats())
+}
 
 /// A [`NetDevice`] that deterministically discards every `drop_every`-th
 /// outgoing packet (acks included — the protocol must survive both).
@@ -87,8 +154,9 @@ fn fm2_recovers_all_messages_over_a_lossy_device() {
                     fm2_send(&fm, 1, H, &[&seq.to_le_bytes(), &body]);
                 }
                 // Every message counts as delivered only once acked.
-                let fm2 = fm.clone();
-                fm2_wait_until(&fm, move || fm2.unacked_packets() == 0);
+                fm2_wait(&fm, "FM 2.x sender, the last acks", || {
+                    fm.unacked_packets() == 0
+                });
                 sender_confirmed.store(true, Ordering::SeqCst);
                 let stats = fm.stats();
                 assert!(
@@ -112,14 +180,18 @@ fn fm2_recovers_all_messages_over_a_lossy_device() {
                 });
                 // Keep draining (and acking) until the sender has seen every
                 // ack — returning earlier would strand the final ack.
-                fm2_wait_until(&fm, {
-                    let got = std::rc::Rc::clone(&got);
-                    let sender_confirmed = Arc::clone(&sender_confirmed);
-                    move || {
-                        got.borrow().len() == MSGS as usize
-                            && sender_confirmed.load(Ordering::SeqCst)
-                    }
-                });
+                fm2_wait(
+                    &fm,
+                    "FM 2.x receiver, every message and the sender's last ack",
+                    {
+                        let got = std::rc::Rc::clone(&got);
+                        let sender_confirmed = Arc::clone(&sender_confirmed);
+                        move || {
+                            got.borrow().len() == MSGS as usize
+                                && sender_confirmed.load(Ordering::SeqCst)
+                        }
+                    },
+                );
                 assert!(
                     fm.take_errors().is_empty(),
                     "loss is repaired, not reported"
@@ -150,9 +222,11 @@ fn fm1_recovers_all_messages_over_a_lossy_device() {
                     fm1_send(&mut fm, 1, H, &vec![seq as u8; 300]);
                 }
                 let mut backoff = Backoff::new("the last acks");
+                let mut watch = Watch::new("FM 1.x sender, the last acks");
                 while fm.unacked_packets() > 0 {
                     fm.extract();
                     backoff.snooze();
+                    watch.tick(|| fm1_state(&fm));
                 }
                 sender_confirmed.store(true, Ordering::SeqCst);
                 assert!(fm.stats().retransmissions > 0);
@@ -168,9 +242,12 @@ fn fm1_recovers_all_messages_over_a_lossy_device() {
                     }),
                 );
                 let mut backoff = Backoff::new("every message and the sender's last ack");
+                let mut watch =
+                    Watch::new("FM 1.x receiver, every message and the sender's last ack");
                 while count.get() < MSGS || !sender_confirmed.load(Ordering::SeqCst) {
                     fm.extract();
                     backoff.snooze();
+                    watch.tick(|| fm1_state(&fm));
                 }
                 assert!(
                     fm.take_errors().is_empty(),

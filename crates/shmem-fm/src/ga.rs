@@ -5,6 +5,11 @@
 //! at the same symmetric-heap offset on every PE. `get`/`put`/`acc`
 //! operate on arbitrary `[lo, hi)` element ranges and split themselves
 //! across owners transparently — the application never computes ownership.
+//! This module is layout only: it names a PE and a heap offset for every
+//! element, the caller's own included, and [`Shmem`] decides what is
+//! local.
+
+use std::ops::Range;
 
 use fm_core::device::NetDevice;
 
@@ -18,7 +23,7 @@ pub struct GlobalArray {
     /// Total elements.
     len: usize,
     /// Byte offset of the local block in every PE's symmetric heap.
-    base_offset: usize,
+    base: usize,
     /// Elements per PE block.
     chunk: usize,
 }
@@ -31,11 +36,12 @@ impl GlobalArray {
     /// Panics if `len` is zero or `n_pes` is zero.
     pub fn new(len: usize, base_offset: usize, n_pes: usize) -> Self {
         assert!(len > 0 && n_pes > 0);
-        GlobalArray {
-            len,
-            base_offset,
-            chunk: len.div_ceil(n_pes),
-        }
+        GlobalArray::blocked(len, base_offset, len.div_ceil(n_pes))
+    }
+
+    /// A `len`-element array at `base` in blocks of `chunk` elements.
+    fn blocked(len: usize, base: usize, chunk: usize) -> Self {
+        GlobalArray { len, base, chunk }
     }
 
     /// Total elements.
@@ -67,10 +73,7 @@ impl GlobalArray {
     /// Split `[lo, hi)` into per-owner (pe, local_lo, global_lo, count)
     /// spans.
     fn spans(&self, lo: usize, hi: usize) -> Vec<(usize, usize, usize, usize)> {
-        assert!(
-            lo <= hi && hi <= self.len,
-            "range [{lo},{hi}) out of bounds"
-        );
+        assert!(lo <= hi && hi <= self.len, "range {lo}..{hi} out of bounds");
         let mut out = Vec::new();
         let mut g = lo;
         while g < hi {
@@ -86,17 +89,8 @@ impl GlobalArray {
     pub fn get<D: NetDevice + 'static>(&self, sh: &Shmem<D>, lo: usize, hi: usize) -> Vec<f64> {
         let mut out = Vec::with_capacity(hi - lo);
         for (pe, local, _g, run) in self.spans(lo, hi) {
-            let off = self.base_offset + local * 8;
-            let bytes = if pe == sh.my_pe() {
-                sh.local_read(off, run * 8)
-            } else {
-                sh.get(pe, off, run * 8)
-            };
-            out.extend(
-                bytes
-                    .chunks_exact(8)
-                    .map(|c| f64::from_le_bytes(c.try_into().unwrap())),
-            );
+            let bytes = sh.get(pe, self.base + local * 8, run * 8);
+            out.extend(bytes.as_chunks().0.iter().map(|&c| f64::from_le_bytes(c)));
         }
         out
     }
@@ -104,17 +98,9 @@ impl GlobalArray {
     /// Write `data` to elements `[lo, lo + data.len())`. Remotely visible
     /// after [`Shmem::quiet`].
     pub fn put<D: NetDevice + 'static>(&self, sh: &Shmem<D>, lo: usize, data: &[f64]) {
+        let bytes: Vec<u8> = data.iter().flat_map(|x| x.to_le_bytes()).collect();
         for (pe, local, g, run) in self.spans(lo, lo + data.len()) {
-            let off = self.base_offset + local * 8;
-            let bytes: Vec<u8> = data[g - lo..g - lo + run]
-                .iter()
-                .flat_map(|x| x.to_le_bytes())
-                .collect();
-            if pe == sh.my_pe() {
-                sh.local_write(off, &bytes);
-            } else {
-                sh.put(pe, off, &bytes);
-            }
+            sh.put(pe, self.base + local * 8, &bytes[(g - lo) * 8..][..run * 8]);
         }
     }
 
@@ -124,83 +110,62 @@ impl GlobalArray {
     /// [`Shmem::quiet`].
     pub fn acc<D: NetDevice + 'static>(&self, sh: &Shmem<D>, lo: usize, data: &[f64]) {
         for (pe, local, g, run) in self.spans(lo, lo + data.len()) {
-            let off = self.base_offset + local * 8;
-            let contrib = &data[g - lo..g - lo + run];
-            if pe == sh.my_pe() {
-                // Apply locally with the same elementwise semantics.
-                let cur = sh.local_read(off, run * 8);
-                let mut new = Vec::with_capacity(run * 8);
-                for (c, x) in cur.chunks_exact(8).zip(contrib) {
-                    let v = f64::from_le_bytes(c.try_into().unwrap()) + x;
-                    new.extend_from_slice(&v.to_le_bytes());
-                }
-                sh.local_write(off, &new);
-            } else {
-                sh.accumulate_f64(pe, off, contrib);
-            }
+            sh.accumulate_f64(pe, self.base + local * 8, &data[g - lo..][..run]);
         }
     }
 }
 
-/// A block-row-distributed dense 2-D f64 array: PE `p` owns rows
-/// `[p*row_chunk, (p+1)*row_chunk)`, stored row-major at a common
-/// symmetric-heap offset. Sections (`[row_lo,row_hi) × [col_lo,col_hi)`)
-/// can be read, written, and accumulated one-sidedly; each row segment of
-/// a section lives entirely on one owner, so a section op becomes one
-/// shmem op per row.
+/// A block-row-distributed dense 2-D f64 array: the [`GlobalArray`] of
+/// its `rows × cols` elements, row-major, in blocks of `row_chunk` whole
+/// rows, so PE `p` owns rows `[p*row_chunk, (p+1)*row_chunk)`. Sections
+/// (`[row_lo,row_hi) × [col_lo,col_hi)`) can be read, written, and
+/// accumulated one-sidedly; each row segment of a section lives entirely
+/// on one owner, so a section op is one 1-D op, and one shmem op, per
+/// row.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GlobalArray2D {
-    rows: usize,
     cols: usize,
-    base_offset: usize,
-    row_chunk: usize,
+    flat: GlobalArray,
 }
 
 impl GlobalArray2D {
     /// Describe a `rows × cols` array at `base_offset` across `n_pes` PEs.
     pub fn new(rows: usize, cols: usize, base_offset: usize, n_pes: usize) -> Self {
         assert!(rows > 0 && cols > 0 && n_pes > 0);
-        GlobalArray2D {
-            rows,
-            cols,
-            base_offset,
-            row_chunk: rows.div_ceil(n_pes),
-        }
+        let flat = GlobalArray::blocked(rows * cols, base_offset, rows.div_ceil(n_pes) * cols);
+        GlobalArray2D { cols, flat }
     }
 
     /// Array shape (rows, cols).
     pub fn shape(&self) -> (usize, usize) {
-        (self.rows, self.cols)
+        (self.flat.len / self.cols, self.cols)
     }
 
     /// Rows per PE block.
     pub fn row_chunk(&self) -> usize {
-        self.row_chunk
+        self.flat.chunk / self.cols
     }
 
     /// Heap bytes each PE must reserve.
     pub fn bytes_per_pe(&self) -> usize {
-        self.row_chunk * self.cols * 8
+        self.flat.bytes_per_pe()
     }
 
     /// Owner PE and its local row index for global row `r`.
     pub fn owner_of_row(&self, r: usize) -> (usize, usize) {
-        assert!(r < self.rows, "row {r} out of bounds ({})", self.rows);
-        (r / self.row_chunk, r % self.row_chunk)
+        let (pe, local) = self.flat.owner_of(r * self.cols);
+        (pe, local / self.cols)
     }
 
-    fn check_section(&self, row_lo: usize, row_hi: usize, col_lo: usize, col_hi: usize) {
+    /// Each row's segment of the section `r × c`, as a range of flat
+    /// indices.
+    fn rows(&self, r: Range<usize>, c: Range<usize>) -> impl Iterator<Item = Range<usize>> {
+        let (rows, cols) = self.shape();
         assert!(
-            row_lo <= row_hi && row_hi <= self.rows && col_lo <= col_hi && col_hi <= self.cols,
-            "section [{row_lo},{row_hi})x[{col_lo},{col_hi}) out of bounds \
-             ({}x{})",
-            self.rows,
-            self.cols
+            r.start <= r.end && r.end <= rows && c.start <= c.end && c.end <= cols,
+            "section {r:?} x {c:?} out of bounds ({rows}x{cols})"
         );
-    }
-
-    fn row_offset(&self, local_row: usize, col: usize) -> usize {
-        self.base_offset + (local_row * self.cols + col) * 8
+        r.map(move |i| i * cols + c.start..i * cols + c.end)
     }
 
     /// Read a rectangular section (row-major order in the result).
@@ -212,24 +177,9 @@ impl GlobalArray2D {
         col_lo: usize,
         col_hi: usize,
     ) -> Vec<f64> {
-        self.check_section(row_lo, row_hi, col_lo, col_hi);
-        let width = col_hi - col_lo;
-        let mut out = Vec::with_capacity((row_hi - row_lo) * width);
-        for r in row_lo..row_hi {
-            let (pe, lr) = self.owner_of_row(r);
-            let off = self.row_offset(lr, col_lo);
-            let bytes = if pe == sh.my_pe() {
-                sh.local_read(off, width * 8)
-            } else {
-                sh.get(pe, off, width * 8)
-            };
-            out.extend(
-                bytes
-                    .chunks_exact(8)
-                    .map(|c| f64::from_le_bytes(c.try_into().unwrap())),
-            );
-        }
-        out
+        self.rows(row_lo..row_hi, col_lo..col_hi)
+            .flat_map(|r| self.flat.get(sh, r.start, r.end))
+            .collect()
     }
 
     /// Write a rectangular section (`data` row-major, length
@@ -239,28 +189,16 @@ impl GlobalArray2D {
         &self,
         sh: &Shmem<D>,
         row_lo: usize,
-        col_lo: usize,
         row_hi: usize,
+        col_lo: usize,
         col_hi: usize,
         data: &[f64],
     ) {
-        self.check_section(row_lo, row_hi, col_lo, col_hi);
-        let width = col_hi - col_lo;
-        assert_eq!(
-            data.len(),
-            (row_hi - row_lo) * width,
-            "section size mismatch"
-        );
-        for (i, r) in (row_lo..row_hi).enumerate() {
-            let (pe, lr) = self.owner_of_row(r);
-            let off = self.row_offset(lr, col_lo);
-            let row = &data[i * width..(i + 1) * width];
-            let bytes: Vec<u8> = row.iter().flat_map(|x| x.to_le_bytes()).collect();
-            if pe == sh.my_pe() {
-                sh.local_write(off, &bytes);
-            } else {
-                sh.put(pe, off, &bytes);
-            }
+        let rows = self.rows(row_lo..row_hi, col_lo..col_hi);
+        let w = col_hi - col_lo;
+        assert_eq!(data.len(), (row_hi - row_lo) * w, "section size mismatch");
+        for (i, r) in rows.enumerate() {
+            self.flat.put(sh, r.start, &data[i * w..][..w]);
         }
     }
 
@@ -270,33 +208,16 @@ impl GlobalArray2D {
         &self,
         sh: &Shmem<D>,
         row_lo: usize,
-        col_lo: usize,
         row_hi: usize,
+        col_lo: usize,
         col_hi: usize,
         data: &[f64],
     ) {
-        self.check_section(row_lo, row_hi, col_lo, col_hi);
-        let width = col_hi - col_lo;
-        assert_eq!(
-            data.len(),
-            (row_hi - row_lo) * width,
-            "section size mismatch"
-        );
-        for (i, r) in (row_lo..row_hi).enumerate() {
-            let (pe, lr) = self.owner_of_row(r);
-            let off = self.row_offset(lr, col_lo);
-            let row = &data[i * width..(i + 1) * width];
-            if pe == sh.my_pe() {
-                let cur = sh.local_read(off, width * 8);
-                let mut new = Vec::with_capacity(width * 8);
-                for (c, x) in cur.chunks_exact(8).zip(row) {
-                    let v = f64::from_le_bytes(c.try_into().unwrap()) + x;
-                    new.extend_from_slice(&v.to_le_bytes());
-                }
-                sh.local_write(off, &new);
-            } else {
-                sh.accumulate_f64(pe, off, row);
-            }
+        let rows = self.rows(row_lo..row_hi, col_lo..col_hi);
+        let w = col_hi - col_lo;
+        assert_eq!(data.len(), (row_hi - row_lo) * w, "section size mismatch");
+        for (i, r) in rows.enumerate() {
+            self.flat.acc(sh, r.start, &data[i * w..][..w]);
         }
     }
 }
@@ -347,10 +268,46 @@ mod tests {
     }
 
     #[test]
+    fn ga2d_is_the_row_block_layout_over_the_flat_array() {
+        // The block-row layout written out on its own: PE `r / row_chunk`
+        // holds row `r` at local row `r % row_chunk`, row-major.
+        for n_pes in 1..=5 {
+            for rows in 1..=7 {
+                for cols in 1..=4 {
+                    let base = 64;
+                    let ga = GlobalArray2D::new(rows, cols, base, n_pes);
+                    let row_chunk = rows.div_ceil(n_pes);
+                    assert_eq!(ga.shape(), (rows, cols));
+                    assert_eq!(ga.row_chunk(), row_chunk);
+                    assert_eq!(ga.bytes_per_pe(), row_chunk * cols * 8);
+                    for r in 0..rows {
+                        let (pe, local_row) = (r / row_chunk, r % row_chunk);
+                        assert_eq!(ga.owner_of_row(r), (pe, local_row));
+                        for c in 0..cols {
+                            let local = local_row * cols + c;
+                            assert_eq!(ga.flat.owner_of(r * cols + c), (pe, local));
+                        }
+                        // Any segment of one row is one span, one shmem op,
+                        // at the row's own heap offset.
+                        for (lo, hi) in [(0, cols), (cols / 2, cols), (0, 1)] {
+                            let seg = ga.rows(r..r + 1, lo..hi).next().unwrap();
+                            let spans = ga.flat.spans(seg.start, seg.end);
+                            let off = base + (local_row * cols + lo) * 8;
+                            assert_eq!(spans.len(), 1, "{rows}x{cols} over {n_pes}, row {r}");
+                            let (span_pe, span_local, _, run) = spans[0];
+                            assert_eq!((span_pe, base + span_local * 8, run), (pe, off, hi - lo));
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
     #[should_panic(expected = "out of bounds")]
     fn ga2d_section_bounds_checked() {
         let ga = GlobalArray2D::new(4, 4, 0, 2);
-        ga.check_section(0, 5, 0, 4);
+        let _ = ga.rows(0..5, 0..4);
     }
 
     #[test]
@@ -363,6 +320,6 @@ mod tests {
         let (d, _d2) = LoopbackPair::new(8);
         let sh = Shmem::new(Fm2Engine::new(d, MachineProfile::ppro200_fm2()), 1024);
         let ga = GlobalArray2D::new(4, 4, 0, 2);
-        ga.put_section(&sh, 0, 0, 2, 2, &[1.0; 3]); // needs 4
+        ga.put_section(&sh, 0, 2, 0, 2, &[1.0; 3]); // needs 4
     }
 }

@@ -9,10 +9,15 @@
 //!   `get`, elementwise f64 `accumulate`, an atomic `fetch-add`, `quiet`
 //!   (put completion), and `barrier_all`. One-sidedness falls straight
 //!   out of FM's handler model: the target's handler performs the memory
-//!   operation; the target application never posts anything.
+//!   operation; the target application never posts anything. It is the
+//!   one place that decides what is local: an op aimed at the caller's
+//!   own PE acts on its heap directly, with no FM message.
 //! * [`ga::GlobalArray`] — block-distributed dense f64 arrays on top of
 //!   shmem: `get`/`put`/`acc` over arbitrary index ranges, crossing
-//!   ownership boundaries transparently.
+//!   ownership boundaries transparently, and [`ga::GlobalArray2D`], the
+//!   same layout over `rows × cols` elements in blocks of whole rows,
+//!   with section ops taking `(row_lo, row_hi, col_lo, col_hi)`. The
+//!   layer is layout only: it calls `Shmem` for every element.
 //!
 //! # Naming: `shmem-fm` vs `fm-shm`
 //!

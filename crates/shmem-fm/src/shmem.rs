@@ -8,11 +8,15 @@
 //! "The mapped heap"), announced in one op on [`SHMEM_HANDLER`] and
 //! attached by the end of the first [`Shmem::barrier_all`]: a put or get
 //! longer than one chunk to such a PE is one copy into or out of its
-//! heap, made by the caller, with no message. Everything else is a
-//! message the target applies inside its own `FM_extract` — puts and
-//! gets through the one-sided landing path, with no staging copy, and
-//! `accumulate`, `fetch_add` and the barrier Active-Messages-style on
-//! this crate's own handler, which is what makes them atomic.
+//! heap, made by the caller, with no message. An op aimed at the caller's
+//! own PE acts on its heap directly and is complete on return. Everything
+//! else is a message the target applies inside its own `FM_extract` —
+//! puts and gets through the one-sided landing path, with no staging
+//! copy, and `accumulate`, `fetch_add` and the barrier
+//! Active-Messages-style on this crate's own handler, which is what makes
+//! them atomic. This type alone decides which ops are local: a layer
+//! above it (Global Arrays) names a PE and an offset for every element,
+//! its own included.
 
 use std::cell::{Cell, RefCell};
 use std::collections::{HashMap, HashSet};
@@ -56,6 +60,8 @@ pub struct Shmem<D: NetDevice> {
     heap_h: RegionHandle,
     /// The heap itself, which the port's arena is.
     heap: Heap,
+    /// This PE's id: ops aimed at it act on `heap` directly.
+    me: usize,
     state: Rc<RefCell<ShState>>,
     accs_issued: Cell<u64>,
     /// Ops refused (e.g. out of the remote heap's bounds), by token.
@@ -105,24 +111,14 @@ impl<D: NetDevice + 'static> Shmem<D> {
                         let len = stream.msg_len() - OP_BYTES;
                         assert_eq!(len % 8, 0, "accumulate operates on f64s");
                         let contrib = stream.receive_vec(len).await;
-                        let mut cur = vec![0u8; len];
-                        heap.read(offset as usize, &mut cur);
-                        for (c, slot) in contrib.chunks_exact(8).zip(cur.chunks_exact_mut(8)) {
-                            let a = f64::from_le_bytes(slot[..8].try_into().unwrap());
-                            let b = f64::from_le_bytes(c.try_into().unwrap());
-                            slot.copy_from_slice(&(a + b).to_le_bytes());
-                        }
-                        heap.write(offset as usize, &cur);
+                        add_f64(&heap, offset as usize, &contrib);
                         // Accumulates are acked like puts so `quiet`
                         // covers them.
                         let ack = Op::PutAck.encode();
                         fm.send_from_handler(src, SHMEM_HANDLER, Message::new(&ack, None));
                     }
                     Op::Fadd { req, offset, delta } => {
-                        let mut cur = [0u8; 8];
-                        heap.read(offset as usize, &mut cur);
-                        let old = i64::from_le_bytes(cur);
-                        heap.write(offset as usize, &old.wrapping_add(delta).to_le_bytes());
+                        let old = fetch_add(&heap, offset as usize, delta);
                         let reply = Op::FaddReply { req, old }.encode();
                         fm.send_from_handler(src, SHMEM_HANDLER, Message::new(&reply, None));
                     }
@@ -142,6 +138,7 @@ impl<D: NetDevice + 'static> Shmem<D> {
             }
         });
         let sh = Shmem {
+            me: fm.node_id(),
             fm,
             os: RefCell::new(os),
             port,
@@ -166,7 +163,7 @@ impl<D: NetDevice + 'static> Shmem<D> {
 
     /// This node's id.
     pub fn my_pe(&self) -> usize {
-        self.fm.node_id()
+        self.me
     }
 
     /// Number of nodes.
@@ -234,19 +231,24 @@ impl<D: NetDevice + 'static> Shmem<D> {
         })
     }
 
-    /// `dst`'s heap for a copy of `len` bytes at `offset` made here, once
-    /// this PE's message-path ops to `dst` are done; `None` where the
-    /// bytes travel as messages: one chunk or less, or no heap attached
-    /// (another host, a failed attach, `Down`).
-    fn mapped(&self, dst: usize, offset: usize, len: usize) -> Option<Result<Heap, OsStatus>> {
-        if len <= CHUNK_BYTES {
-            return None;
-        }
-        self.fm.same_host_pid(dst)?;
-        let heap = self.state.borrow().heaps.get(dst)?.clone()?;
-        self.wait_for("shmem put order", || {
-            (self.port.pending_ops_to(dst) == 0 && self.accs_quiet()).then_some(())
-        });
+    /// `dst`'s heap for a copy of `len` bytes at `offset` made here: this
+    /// PE's own at once, a peer's once this PE's message-path ops to it
+    /// are done; `None` where the bytes travel as messages: one chunk or
+    /// less, or no heap attached (another host, a failed attach, `Down`).
+    fn direct(&self, dst: usize, offset: usize, len: usize) -> Option<Result<Heap, OsStatus>> {
+        let heap = if dst == self.me {
+            Arc::clone(&self.heap)
+        } else {
+            if len <= CHUNK_BYTES {
+                return None;
+            }
+            self.fm.same_host_pid(dst)?;
+            let heap = self.state.borrow().heaps.get(dst)?.clone()?;
+            self.wait_for("shmem put order", || {
+                (self.port.pending_ops_to(dst) == 0 && self.accs_quiet()).then_some(())
+            });
+            heap
+        };
         let inside = offset
             .checked_add(len)
             .is_some_and(|end| end <= self.heap.len());
@@ -254,13 +256,14 @@ impl<D: NetDevice + 'static> Shmem<D> {
     }
 
     /// One-sided put: write `data` into `dst`'s heap at `offset`. The
-    /// caller may reuse `data` on return. To a PE whose heap this one
-    /// has mapped (module docs), a put longer than one chunk is copied
-    /// into that heap here and now. Otherwise `data` is copied at once
-    /// and lands in the remote heap packet by packet; completion
-    /// (remotely visible) is guaranteed only after [`Shmem::quiet`].
+    /// caller may reuse `data` on return. To this PE, and to a PE whose
+    /// heap this one has mapped (module docs) when longer than one chunk,
+    /// a put is copied into that heap here and now. Otherwise `data` is
+    /// copied at once and lands in the remote heap packet by packet;
+    /// completion (remotely visible) is guaranteed only after
+    /// [`Shmem::quiet`].
     pub fn put(&self, dst: usize, offset: usize, data: &[u8]) {
-        match self.mapped(dst, offset, data.len()) {
+        match self.direct(dst, offset, data.len()) {
             Some(Ok(heap)) => {
                 heap.write(offset, data);
                 self.fm.charge_memcpy(data.len());
@@ -273,9 +276,10 @@ impl<D: NetDevice + 'static> Shmem<D> {
     }
 
     /// Statuses of puts refused by their target (bad offset, stale
-    /// heap handle, peer down) since the last call. A put that fails
-    /// remotely still counts as complete for [`Shmem::quiet`] — SHMEM
-    /// has no reply channel for puts, so refusals surface here.
+    /// heap handle, peer down) since the last call, this PE included. A
+    /// put that fails remotely still counts as complete for
+    /// [`Shmem::quiet`] — SHMEM has no reply channel for puts, so
+    /// refusals surface here.
     pub fn take_put_failures(&self) -> Vec<OsStatus> {
         let refused = std::mem::take(&mut *self.refused.borrow_mut());
         refused.into_iter().map(|(_, status)| status).collect()
@@ -301,14 +305,14 @@ impl<D: NetDevice + 'static> Shmem<D> {
 
     /// One-sided get: read `len` bytes from `dst`'s heap at `offset`
     /// (blocking). The reply lands straight in the result buffer, no
-    /// bounce copy: through the one-sided layer's sink, or, longer than
-    /// a chunk from a PE whose heap this one has mapped, copied out of
-    /// that heap here, with no message at all.
+    /// bounce copy: through the one-sided layer's sink, or, from this PE
+    /// or longer than a chunk from a PE whose heap this one has mapped,
+    /// copied out of that heap here, with no message at all.
     pub fn get(&self, dst: usize, offset: usize, len: usize) -> Vec<u8> {
         if len == 0 {
             return Vec::new();
         }
-        if let Some(heap) = self.mapped(dst, offset, len) {
+        if let Some(heap) = self.direct(dst, offset, len) {
             let heap = heap.unwrap_or_else(|status| panic!("get refused by target: {status:?}"));
             let mut out = vec![0u8; len];
             heap.read(offset, &mut out);
@@ -334,9 +338,12 @@ impl<D: NetDevice + 'static> Shmem<D> {
     }
 
     /// One-sided elementwise f64 accumulate into `dst`'s heap. Covered by
-    /// [`Shmem::quiet`] like a put.
+    /// [`Shmem::quiet`] like a put; into this PE's heap it is applied here.
     pub fn accumulate_f64(&self, dst: usize, offset: usize, contrib: &[f64]) {
         let bytes: Vec<u8> = contrib.iter().flat_map(|x| x.to_le_bytes()).collect();
+        if dst == self.me {
+            return add_f64(&self.heap, offset, &bytes);
+        }
         self.accs_issued.set(self.accs_issued.get() + 1);
         self.send_op(
             dst,
@@ -350,8 +357,12 @@ impl<D: NetDevice + 'static> Shmem<D> {
 
     /// Atomic fetch-add on the i64 at `dst`'s heap `offset` (blocking;
     /// atomicity holds because the target applies it in its single-
-    /// threaded handler).
+    /// threaded handler; aimed at this PE, it is applied here, where no
+    /// handler can run in between).
     pub fn fetch_add_i64(&self, dst: usize, offset: usize, delta: i64) -> i64 {
+        if dst == self.me {
+            return fetch_add(&self.heap, offset, delta);
+        }
         let req = {
             let mut s = self.state.borrow_mut();
             s.next_req += 1;
@@ -416,6 +427,27 @@ impl<D: NetDevice + 'static> Shmem<D> {
             (self.state.borrow().heard >= self.local).then_some(())
         });
     }
+}
+
+/// Add the f64s of `contrib` into `heap` at `offset`, element by element.
+fn add_f64(heap: &SharedMem, offset: usize, contrib: &[u8]) {
+    let mut cur = vec![0u8; contrib.len()];
+    heap.read(offset, &mut cur);
+    for (c, slot) in contrib.chunks_exact(8).zip(cur.chunks_exact_mut(8)) {
+        let a = f64::from_le_bytes(slot[..8].try_into().unwrap());
+        let b = f64::from_le_bytes(c.try_into().unwrap());
+        slot.copy_from_slice(&(a + b).to_le_bytes());
+    }
+    heap.write(offset, &cur);
+}
+
+/// Add `delta` to the i64 in `heap` at `offset`; the value before.
+fn fetch_add(heap: &SharedMem, offset: usize, delta: i64) -> i64 {
+    let mut cur = [0u8; 8];
+    heap.read(offset, &mut cur);
+    let old = i64::from_le_bytes(cur);
+    heap.write(offset, &old.wrapping_add(delta).to_le_bytes());
+    old
 }
 
 #[cfg(test)]
@@ -511,6 +543,31 @@ mod tests {
         a.quiet();
         assert_eq!(b.local_read(4096, data.len()), data);
         assert!(a.take_put_failures().is_empty());
+    }
+
+    #[test]
+    fn ops_on_this_pe_send_nothing_and_are_visible_at_once() {
+        let (a, b) = pair(4096);
+        let sent = a.fm().stats().messages_sent;
+        a.put(0, 8, &[7, 7]);
+        assert_eq!(a.local_read(8, 2), vec![7, 7]);
+        assert_eq!(a.get(0, 8, 2), vec![7, 7]);
+        a.local_write(64, &1.5f64.to_le_bytes());
+        a.accumulate_f64(0, 64, &[2.25]);
+        assert_eq!(a.local_read(64, 8), 3.75f64.to_le_bytes());
+        a.local_write(128, &40i64.to_le_bytes());
+        assert_eq!(a.fetch_add_i64(0, 128, 2), 40);
+        assert_eq!(a.local_read(128, 8), 42i64.to_le_bytes());
+        a.quiet();
+        assert_eq!(a.fm().stats().messages_sent, sent, "a message left");
+        // Out of bounds it is refused as a peer's put is.
+        a.put(0, 4090, &[0u8; 16]);
+        a.put(1, 4090, &[0u8; 16]);
+        pump(&a, &b);
+        a.quiet();
+        let refused = vec![OsStatus::OutOfBounds; 2];
+        assert_eq!(a.take_put_failures(), refused);
+        assert_eq!(a.local_read(4090, 6), vec![0u8; 6]);
     }
 
     #[test]

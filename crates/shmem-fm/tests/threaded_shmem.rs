@@ -159,12 +159,12 @@ fn global_array_2d_sections_across_pes() {
             let all: Vec<f64> = (0..ROWS * COLS)
                 .map(|i| ((i / COLS) * 10 + i % COLS) as f64)
                 .collect();
-            ga.put_section(&sh, 0, 0, ROWS, COLS, &all);
+            ga.put_section(&sh, 0, ROWS, 0, COLS, &all);
             sh.quiet();
         }
         sh.barrier_all();
         // Every PE accumulates +1 into an interior block spanning owners.
-        ga.acc_section(&sh, 2, 3, 7, 6, &[1.0; 5 * 3]);
+        ga.acc_section(&sh, 2, 7, 3, 6, &[1.0; 5 * 3]);
         sh.quiet();
         sh.barrier_all();
         // Everyone reads a section crossing all three owners.
@@ -188,6 +188,56 @@ fn global_array_2d_sections_across_pes() {
         .collect();
     for (pe, sect) in out.iter().enumerate() {
         assert_eq!(sect, &expect, "pe {pe}");
+    }
+}
+
+#[test]
+fn global_array_2d_sections_on_own_and_peer_rows() {
+    // Rows 0-3 live on PE 0, 4-7 on PE 1, 8-9 on PE 2. Each PE writes a
+    // band of three rows that starts on its own rows or a peer's, all
+    // PEs accumulate into one block across the three owners, and every
+    // PE reads the whole array and a narrow column.
+    const PES: usize = 3;
+    const ROWS: usize = 10;
+    const COLS: usize = 5;
+    let band = |pe: usize| (3 * pe, 3 * pe + 3);
+    let out = ThreadedCluster::run(PES, move |pe, dev| {
+        let sh = make(dev, 4096);
+        let ga = shmem_fm::GlobalArray2D::new(ROWS, COLS, 64, PES);
+        sh.barrier_all();
+        let (lo, hi) = band(pe);
+        let vals: Vec<f64> = (lo * COLS..hi * COLS)
+            .map(|i| (1000 * pe + i) as f64)
+            .collect();
+        ga.put_section(&sh, lo, hi, 0, COLS, &vals);
+        sh.quiet();
+        sh.barrier_all();
+        let inc = vec![(pe + 1) as f64; 7 * 3];
+        ga.acc_section(&sh, 2, 9, 1, 4, &inc);
+        sh.quiet();
+        sh.barrier_all();
+        let all = ga.get_section(&sh, 0, ROWS, 0, COLS);
+        let column = ga.get_section(&sh, 3, 7, 2, 3);
+        sh.barrier_all();
+        (all, column)
+    });
+    let model = |r: usize, c: usize| -> f64 {
+        let put = (0..PES)
+            .find(|&pe| (band(pe).0..band(pe).1).contains(&r))
+            .map_or(0.0, |pe| (1000 * pe + r * COLS + c) as f64);
+        let acc = if (2..9).contains(&r) && (1..4).contains(&c) {
+            6.0
+        } else {
+            0.0
+        };
+        put + acc
+    };
+    let all: Vec<f64> = (0..ROWS * COLS)
+        .map(|i| model(i / COLS, i % COLS))
+        .collect();
+    let column: Vec<f64> = (3..7).map(|r| model(r, 2)).collect();
+    for (pe, got) in out.iter().enumerate() {
+        assert_eq!(got, &(all.clone(), column.clone()), "pe {pe}");
     }
 }
 

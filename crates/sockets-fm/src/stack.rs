@@ -65,14 +65,32 @@ struct Conn {
     consumed_unreported: usize,
 }
 
+impl Conn {
+    fn new(peer_node: usize, peer_conn: u32, state: ConnState) -> Conn {
+        Conn {
+            peer_node,
+            peer_conn,
+            state,
+            recv_segments: VecDeque::new(),
+            recv_front_offset: 0,
+            recv_buffered: 0,
+            recv_closed: false,
+            send_closed: false,
+            send_window: DEFAULT_WINDOW,
+            consumed_unreported: 0,
+        }
+    }
+}
+
 #[derive(Default)]
 struct StackState {
     /// Accept backlogs per listening port.
     listeners: HashMap<u16, VecDeque<SocketId>>,
     conns: HashMap<u32, Conn>,
     next_conn: u32,
-    /// Peak total buffered bytes across all connections (window pressure
-    /// diagnostics).
+    /// Bytes buffered across all connections, and their peak (window
+    /// pressure diagnostics).
+    buffered: usize,
     buffered_high_water: usize,
 }
 
@@ -120,23 +138,8 @@ impl<D: NetDevice + 'static> SocketStack<D> {
                             fm.send_from_handler(src_node, SOCKET_HANDLER, buf[..n].to_vec());
                             return;
                         }
-                        let id = s.next_conn;
-                        s.next_conn += 1;
-                        s.conns.insert(
-                            id,
-                            Conn {
-                                peer_node: src_node,
-                                peer_conn: src_conn,
-                                state: ConnState::Established,
-                                recv_segments: VecDeque::new(),
-                                recv_front_offset: 0,
-                                recv_buffered: 0,
-                                recv_closed: false,
-                                send_closed: false,
-                                send_window: DEFAULT_WINDOW,
-                                consumed_unreported: 0,
-                            },
-                        );
+                        let id =
+                            s.alloc_conn(Conn::new(src_node, src_conn, ConnState::Established));
                         s.listeners
                             .get_mut(&port)
                             .expect("checked")
@@ -162,13 +165,13 @@ impl<D: NetDevice + 'static> SocketStack<D> {
                         // Land the segment, then account buffering.
                         let len = stream.msg_len() - 5;
                         let data = stream.receive_vec(len).await;
-                        let mut s = st.borrow_mut();
+                        let s = &mut *st.borrow_mut();
                         if let Some(c) = s.conns.get_mut(&dst_conn) {
                             debug_assert!(!c.recv_closed, "data after FIN");
                             c.recv_buffered += data.len();
+                            s.buffered += data.len();
+                            s.buffered_high_water = s.buffered_high_water.max(s.buffered);
                             c.recv_segments.push_back(data);
-                            let total: usize = s.conns.values().map(|c| c.recv_buffered).sum();
-                            s.buffered_high_water = s.buffered_high_water.max(total);
                         }
                     }
                     Ctl::Window { dst_conn, bytes } => {
@@ -235,18 +238,8 @@ impl<D: NetDevice + 'static> SocketStack<D> {
     /// Start connecting to `port` on `node`; completes asynchronously
     /// (check [`SocketStack::is_established`]).
     pub fn connect_start(&self, node: usize, port: u16) -> SocketId {
-        let id = self.state.borrow_mut().alloc_conn(Conn {
-            peer_node: node,
-            peer_conn: u32::MAX,
-            state: ConnState::Connecting,
-            recv_segments: VecDeque::new(),
-            recv_front_offset: 0,
-            recv_buffered: 0,
-            recv_closed: false,
-            send_closed: false,
-            send_window: DEFAULT_WINDOW,
-            consumed_unreported: 0,
-        });
+        let conn = Conn::new(node, u32::MAX, ConnState::Connecting);
+        let id = self.state.borrow_mut().alloc_conn(conn);
         let mut buf = [0u8; MAX_CTL_BYTES];
         let n = Ctl::Syn { port, src_conn: id }.encode(&mut buf);
         self.send_ctl(node, &buf[..n], &[]);
@@ -365,7 +358,8 @@ impl<D: NetDevice + 'static> SocketStack<D> {
     /// (peer closed and the stream is drained) or an empty `buf`; returns
     /// `None` if no data is available yet.
     pub fn try_recv(&self, sock: SocketId, buf: &mut [u8]) -> Option<usize> {
-        let mut s = self.state.borrow_mut();
+        let mut st = self.state.borrow_mut();
+        let s = &mut *st;
         let c = s.conns.get_mut(&sock.0).expect("valid socket");
         if c.recv_buffered == 0 {
             return if c.recv_closed { Some(0) } else { None };
@@ -386,6 +380,7 @@ impl<D: NetDevice + 'static> SocketStack<D> {
             }
         }
         c.recv_buffered -= filled;
+        s.buffered -= filled;
         c.consumed_unreported += filled;
         // Return window credit lazily, like FM's own credit scheme.
         let report = c.consumed_unreported >= DEFAULT_WINDOW / 2;
@@ -394,7 +389,7 @@ impl<D: NetDevice + 'static> SocketStack<D> {
             c.consumed_unreported = 0;
         }
         // The receive-side copy is a real copy; account it to the model.
-        drop(s);
+        drop(st);
         self.fm.charge_memcpy(filled);
         if report {
             let mut hdr = [0u8; MAX_CTL_BYTES];
@@ -671,6 +666,33 @@ mod tests {
         assert_eq!(&buf[..3], b"one");
         assert_eq!(b.try_recv(s2, &mut buf), Some(3));
         assert_eq!(&buf[..3], b"two");
+    }
+
+    #[test]
+    fn high_water_is_the_peak_of_bytes_buffered_across_connections() {
+        // The peak of the sum over connections of their buffered bytes,
+        // sampled after each pump: only a landing segment raises the sum,
+        // and no read runs inside a pump.
+        let (a, b) = pair();
+        b.listen(1000);
+        b.listen(2000);
+        let (c1, c2) = (a.connect_start(1, 1000), a.connect_start(1, 2000));
+        pump(&a, &b);
+        let socks = [b.try_accept(1000).unwrap(), b.try_accept(2000).unwrap()];
+        pump(&a, &b);
+        let mut peak = 0;
+        let mut buf = [0u8; 3000];
+        for (n1, n2, read) in [(5000, 0, 0), (1000, 9000, 1), (0, 700, 0), (4000, 4000, 3)] {
+            a.try_send(c1, &vec![1u8; n1]);
+            a.try_send(c2, &vec![2u8; n2]);
+            pump(&a, &b);
+            peak = peak.max(socks.iter().map(|&s| b.buffered(s)).sum::<usize>());
+            for _ in 0..read {
+                socks.iter().for_each(|&s| _ = b.try_recv(s, &mut buf));
+            }
+        }
+        assert_eq!(peak, 5000 + 9000 + 1000 - 2 * 3000 + 700 + 8000);
+        assert_eq!(b.buffered_high_water(), peak);
     }
 
     #[test]
