@@ -14,7 +14,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use fm_core::blocking::{fm1_send, fm2_send, Backoff};
+use fm_core::blocking::{fm1_send, fm2_send, fm2_wait_until, Backoff};
 use fm_core::device::{DeviceFull, NetDevice};
 use fm_core::packet::HandlerId;
 use fm_core::{Fm1Engine, Fm2Engine, FmPacket, FmStream};
@@ -55,30 +55,26 @@ impl Watch {
     }
 }
 
-/// `fm_core::blocking::fm2_wait_until`'s loop, with a [`Watch`] that
-/// prints the engine's unacked packets, `FmStats`, and smoothed RTT and
-/// retransmit timeout toward the other rank.
+/// `fm2_wait_until` with a [`Watch`] that prints the engine's unacked
+/// packets, `FmStats`, and smoothed RTT and retransmit timeout toward the
+/// other rank.
 fn fm2_wait<D: NetDevice>(fm: &Fm2Engine<D>, what: &'static str, mut done: impl FnMut() -> bool) {
     let peer = 1 - fm.node_id();
-    let mut backoff = Backoff::new("FM_extract wait");
     let mut watch = Watch::new(what);
-    while !done() {
-        if fm.extract_all() == 0 {
-            fm.progress();
-            backoff.snooze();
-        } else {
-            backoff.reset();
+    fm2_wait_until(fm, || {
+        done() || {
+            watch.tick(|| {
+                format!(
+                    "unacked_packets {}, srtt_ns {:?}, current_rto_ns {:?}, {:?}",
+                    fm.unacked_packets(),
+                    fm.srtt_ns(peer),
+                    fm.current_rto_ns(peer),
+                    fm.stats()
+                )
+            });
+            false
         }
-        watch.tick(|| {
-            format!(
-                "unacked_packets {}, srtt_ns {:?}, current_rto_ns {:?}, {:?}",
-                fm.unacked_packets(),
-                fm.srtt_ns(peer),
-                fm.current_rto_ns(peer),
-                fm.stats()
-            )
-        });
-    }
+    });
 }
 
 /// The FM 1.x engine's state for a [`Watch`].
