@@ -7,9 +7,9 @@
 //! wall clock elsewhere. Programs are *poll steps* because that is the one
 //! form both worlds can run: [`Sim`] installs them as node programs of the
 //! event loop (a blocking call there never returns — virtual time only
-//! advances between steps), the thread fabrics call the same step in a
-//! loop under [`Backoff`]. `mpi_fm::testutil::ScriptRunner` has the same
-//! split (`poll` / `run_blocking`).
+//! advances between steps), the thread fabrics call the same step in
+//! [`Backoff::wait`]. `mpi_fm::testutil::ScriptRunner` has the same split
+//! (`poll` / `run_blocking`).
 
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
@@ -17,7 +17,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 use std::time::Instant;
 
-use fm_core::blocking::{quiesce, run_ranks, Backoff};
+use fm_core::blocking::{self, quiesce, run_ranks, Backoff};
 use fm_core::{Fm2Engine, NetDevice, ObsSink, SimDevice};
 use fm_model::{MachineProfile, Nanos};
 use fm_route::{HostMap, RoutedDevice};
@@ -99,18 +99,15 @@ pub trait Fabric {
     fn settled(&self, _fm: &Fm2Engine<Self::Dev>) {}
 }
 
-/// Poll `program` to completion under [`Backoff`]: how every rank that
-/// owns a thread runs — the thread fabrics' ranks below, and the one rank
-/// a process of the multi-process launcher is.
+/// Poll `program` to completion through [`Backoff::wait`]: how every
+/// rank that owns a thread runs — the thread fabrics' ranks below, and
+/// the one rank a process of the multi-process launcher is.
 pub fn drive<R>(mut program: Program<R>) -> R {
-    let mut backoff = Backoff::new("rank program");
-    loop {
-        match program() {
-            Step::Done(r) => return r,
-            Step::Idle => backoff.snooze(),
-            Step::Busy | Step::Again => backoff.reset(),
-        }
-    }
+    Backoff::new("rank program").wait(|| match program() {
+        Step::Done(r) => blocking::Step::Done(r),
+        Step::Busy | Step::Again => blocking::Step::Moved,
+        Step::Idle => blocking::Step::Idle,
+    })
 }
 
 /// A blocking body (MPI's `barrier()`, a socket `recv`) as a one-step

@@ -5,8 +5,19 @@
 //! transport does.
 
 use std::process::Command;
+use std::sync::RwLock;
+
+/// Every cluster of this file makes segments in /dev/shm; the cleanup
+/// check counts them there, so it runs alone (the write side) while the
+/// other tests share the read side.
+static SHM_DIR: RwLock<()> = RwLock::new(());
 
 fn run_cluster(args: &[&str]) -> String {
+    let _dir = SHM_DIR.read().unwrap_or_else(|e| e.into_inner());
+    launch(args)
+}
+
+fn launch(args: &[&str]) -> String {
     let out = Command::new(env!("CARGO_BIN_EXE_fm-udp-cluster"))
         .args(args)
         .output()
@@ -160,8 +171,9 @@ fn shm_segments_are_cleaned_up_after_the_run() {
     // Stale-segment hygiene at the binary level: after a graceful run no
     // fm-shm files with this run's (parent-chosen) id remain in the
     // segment directory.
+    let _dir = SHM_DIR.write().unwrap_or_else(|e| e.into_inner());
     let before: usize = segment_count();
-    let out = run_cluster(&[
+    let out = launch(&[
         "spawn",
         "--nodes",
         "3",

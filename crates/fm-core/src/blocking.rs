@@ -1,4 +1,5 @@
-//! Blocking convenience wrappers over the non-blocking engine API.
+//! Blocking convenience wrappers over the non-blocking engine API, and
+//! the one wait every blocking call of the stack is.
 //!
 //! The engines are non-blocking by design (the simulator needs `try_*` +
 //! yield). On real transports (threads or processes over `fm-shm` rings
@@ -8,6 +9,15 @@
 //! keep circulating (this mirrors what the real FM library did
 //! inside `FM_send`: poll the NIC while waiting for credits, or risk
 //! deadlock).
+//!
+//! That loop is written once, as [`Backoff::wait`]: it asks the caller's
+//! poll whether the wait is over, and the poll, when it is not, runs one
+//! progress step and says whether that step moved anything ([`Step`]).
+//! A step that moved starts the backoff over; a fruitless one snoozes.
+//! Every blocking call above the engines is a call of it — the FM
+//! wrappers below, MPI-FM's blocking requests and collectives, Socket-FM,
+//! Shmem, the shuffle and the bench harness's rank driver — so they share
+//! one exit rule.
 //!
 //! Generic over any [`NetDevice`], which is why this lives in `fm-core`
 //! rather than in one transport crate. Never call these on a simulator
@@ -20,8 +30,9 @@
 //! `fm-bench`) opens its devices its own way and hands them here.
 //! [`quiesce`] is what each of those ranks does between finishing and
 //! dropping its device. A rank that panics sets its run's abort flag as
-//! it unwinds, and every [`Backoff`] wait of the other ranks then panics
-//! too: a dead rank fails its run instead of leaving its peers spinning.
+//! it unwinds, and every [`Backoff::wait`] of the other ranks then panics
+//! at its next idle poll: a dead rank fails its run instead of leaving
+//! its peers spinning.
 
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -30,13 +41,17 @@ use std::time::{Duration, Instant};
 
 use crate::device::NetDevice;
 use crate::packet::HandlerId;
-use crate::{Fm1Engine, Fm2Engine, WouldBlock};
+use crate::{Fm1Engine, Fm2Engine};
 
-/// Upper bound on fruitless polls before declaring the cluster wedged —
-/// generous, but turns a genuine deadlock into a diagnosis instead of a
-/// hang. (This crate's own unit tests never block on a live peer; they
-/// run with a low limit so the exit itself can be tested.)
-const SPIN_LIMIT: u64 = if cfg!(test) { 10_000 } else { 500_000_000 };
+/// Upper bound on fruitless polls in a row before a wait declares the
+/// cluster wedged ([`Backoff::new`]) — generous, but turns a genuine
+/// deadlock into a diagnosis instead of a hang.
+pub const WEDGE_LIMIT: u64 = 500_000_000;
+
+/// [`WEDGE_LIMIT`], but low under this crate's own unit tests, which
+/// never block on a live peer, so that the exit itself can be tested.
+/// A layered crate does the same with [`Backoff::with_limit`].
+const SPIN_LIMIT: u64 = if cfg!(test) { 10_000 } else { WEDGE_LIMIT };
 
 /// Fruitless polls spent spinning before the first `yield_now`: about
 /// 20 µs of polling, which covers a peer that is running on another core
@@ -49,9 +64,34 @@ thread_local! {
     static ABORT: RefCell<Option<Arc<AtomicBool>>> = const { RefCell::new(None) };
 }
 
-/// The one wait primitive of every blocking call above the engines:
-/// poll, and after each fruitless poll call [`Backoff::snooze`]. The
-/// first [`SPINS_BEFORE_YIELD`] fruitless polls spin (a syscall per poll
+/// What one poll of a [`Backoff::wait`] found.
+#[derive(Debug)]
+pub enum Step<T> {
+    /// The wait is over, with this value.
+    Done(T),
+    /// Not yet, but the progress step moved something: poll again at
+    /// once.
+    Moved,
+    /// Not yet, and nothing moved: back off before the next poll.
+    Idle,
+}
+
+impl<T> Step<T> {
+    /// The poll of most waits: `ready`'s value if it has one; otherwise
+    /// run `progress`, which says whether it moved anything.
+    pub fn or_progress(ready: Option<T>, progress: impl FnOnce() -> bool) -> Self {
+        match ready {
+            Some(v) => Step::Done(v),
+            None if progress() => Step::Moved,
+            None => Step::Idle,
+        }
+    }
+}
+
+/// The one wait of every blocking call above the engines, and its exit
+/// rule. [`Backoff::wait`] polls until done; each fruitless poll is
+/// followed by a snooze, and a poll that moved anything starts the count
+/// over. The first 64 fruitless polls in a row spin (a syscall per poll
 /// costs more than the poll), later ones yield the core, and a wait that
 /// stays fruitless for the whole limit, or outlives a peer rank of
 /// [`run_ranks`] that panicked, panics with a diagnosis — no blocking
@@ -79,17 +119,26 @@ impl Backoff {
         }
     }
 
-    /// The last poll made progress: start over from spinning.
-    pub fn reset(&mut self) {
-        self.fruitless = 0;
-    }
-
-    /// The last poll was fruitless: spin or yield before the next one.
+    /// Poll until `poll` reports [`Step::Done`], and return its value.
+    /// `poll` checks readiness first and runs its progress step only when
+    /// not ready ([`Step::or_progress`]).
     ///
     /// # Panics
-    /// Panics once the wait has been fruitless `limit` polls in a row, or
-    /// once another rank of this thread's [`run_ranks`] has panicked.
-    pub fn snooze(&mut self) {
+    /// Panics, naming the wait, once `limit` polls in a row were
+    /// [`Step::Idle`], or once another rank of this thread's [`run_ranks`]
+    /// has panicked.
+    pub fn wait<T>(mut self, mut poll: impl FnMut() -> Step<T>) -> T {
+        loop {
+            match poll() {
+                Step::Done(v) => return v,
+                Step::Moved => self.fruitless = 0,
+                Step::Idle => self.snooze(),
+            }
+        }
+    }
+
+    /// A fruitless poll: spin or yield before the next one.
+    fn snooze(&mut self) {
         let aborted = ABORT.with(|a| {
             a.borrow()
                 .as_ref()
@@ -187,60 +236,36 @@ pub fn quiesce<D: NetDevice>(fm: &Fm2Engine<D>) {
     }
 }
 
+// The FM waits' progress step is one extract: it drains incoming
+// traffic, which is what returns credits and acks, and ends with the
+// engine's own `progress` (deferred sends, owed credits, timers). It
+// moved something when it handed a handler anything.
+
 /// Blocking `FM_send` on FM 1.x: retries until credits and queue space
 /// admit the whole message.
 pub fn fm1_send<D: NetDevice>(fm: &mut Fm1Engine<D>, dst: usize, handler: HandlerId, data: &[u8]) {
-    let mut backoff = Backoff::new("FM_send");
-    loop {
-        match fm.try_send(dst, handler, data) {
-            Ok(()) => return,
-            Err(WouldBlock) => {
-                // Drain incoming traffic: that is what returns credits.
-                fm.extract();
-                backoff.snooze();
-            }
-        }
-    }
+    Backoff::new("FM_send")
+        .wait(|| Step::or_progress(fm.try_send(dst, handler, data).ok(), || fm.extract() > 0));
 }
 
 /// Blocking gather-send on FM 2.x.
 pub fn fm2_send<D: NetDevice>(fm: &Fm2Engine<D>, dst: usize, handler: HandlerId, pieces: &[&[u8]]) {
-    let mut backoff = Backoff::new("FM_send_piece");
-    loop {
-        match fm.try_send_message(dst, handler, pieces) {
-            Ok(()) => return,
-            Err(WouldBlock) => {
-                fm.extract_all();
-                backoff.snooze();
-            }
-        }
-    }
+    Backoff::new("FM_send_piece").wait(|| {
+        let sent = fm.try_send_message(dst, handler, pieces).ok();
+        Step::or_progress(sent, || fm.extract_all() > 0)
+    });
 }
 
-/// Extract (unbounded) until `done()` turns true; yields between polls.
+/// Extract (unbounded) until `done()` turns true.
 pub fn fm2_wait_until<D: NetDevice>(fm: &Fm2Engine<D>, mut done: impl FnMut() -> bool) {
-    let mut backoff = Backoff::new("FM_extract wait");
-    while !done() {
-        if fm.extract_all() == 0 {
-            fm.progress();
-            backoff.snooze();
-        } else {
-            backoff.reset();
-        }
-    }
+    Backoff::new("FM_extract wait")
+        .wait(|| Step::or_progress(done().then_some(()), || fm.extract_all() > 0));
 }
 
 /// FM 1.x flavour of [`fm2_wait_until`].
 pub fn fm1_wait_until<D: NetDevice>(fm: &mut Fm1Engine<D>, mut done: impl FnMut() -> bool) {
-    let mut backoff = Backoff::new("FM_extract wait");
-    while !done() {
-        if fm.extract() == 0 {
-            fm.progress();
-            backoff.snooze();
-        } else {
-            backoff.reset();
-        }
-    }
+    Backoff::new("FM_extract wait")
+        .wait(|| Step::or_progress(done().then_some(()), || fm.extract() > 0));
 }
 
 #[cfg(test)]
@@ -251,13 +276,18 @@ mod tests {
 
     #[test]
     fn progress_restarts_the_count() {
-        let mut b = Backoff::with_limit("test wait", 100);
-        for _ in 0..10 {
-            for _ in 0..99 {
-                b.snooze();
+        // 99 idle polls, then one that moved, ten times over: never 100
+        // idle in a row.
+        let mut polls = 0u32;
+        let got = Backoff::with_limit("test wait", 100).wait(|| {
+            polls += 1;
+            match polls {
+                1000.. => Step::Done(polls),
+                _ if polls.is_multiple_of(100) => Step::Moved,
+                _ => Step::Idle,
             }
-            b.reset();
-        }
+        });
+        assert_eq!(got, 1000);
     }
 
     #[test]

@@ -387,14 +387,16 @@ impl<D: NetDevice> EngineCore<D> {
         self.room = self.room.saturating_sub(1);
     }
 
-    /// Whether `packets` data packets of message `msg_seq` (`msg_len`
-    /// bytes) toward `dst` fit in the NIC queue and the flow-control
-    /// window right now. Claims nothing; a refusal is counted as the
-    /// stall it is, once per refused call — a sender that polls until
-    /// admitted counts every poll — and traced once per message, at its
-    /// first refusal, so a traced run is not a record of its own spinning.
+    /// Claim room for `packets` data packets of message `msg_seq`
+    /// (`msg_len` bytes) toward `dst` in the NIC queue and the
+    /// flow-control window, all or nothing; each must then be handed to
+    /// [`EngineCore::emit_data`]. A refusal claims nothing and is counted
+    /// as the stall it is, once per refused call — a sender that polls
+    /// until admitted counts every poll — and traced once per message, at
+    /// its first refusal, so a traced run is not a record of its own
+    /// spinning.
     #[inline]
-    pub(crate) fn room_for(
+    pub(crate) fn reserve(
         &mut self,
         dst: usize,
         packets: u32,
@@ -405,11 +407,11 @@ impl<D: NetDevice> EngineCore<D> {
             self.stats.device_stalls += 1;
             (Stall::Device, SpanKind::DeviceStall)
         } else {
-            let p = &self.peers[dst];
+            let p = &mut self.peers[dst];
             let open = match &p.rel {
                 // A lossy link: the sliding window is the flow control.
                 Some(rel) => rel.can_send(packets),
-                None => self.costs.flow_control.is_none() || p.credits.available() >= packets,
+                None => self.costs.flow_control.is_none() || p.credits.try_reserve(packets),
             };
             if open {
                 return Ok(());
@@ -427,27 +429,6 @@ impl<D: NetDevice> EngineCore<D> {
             });
         }
         Err(stall)
-    }
-
-    /// Claim room for `packets` data packets of message `msg_seq`
-    /// (`msg_len` bytes) toward `dst`, all or nothing; each must then be
-    /// handed to [`EngineCore::emit_data`]. Refuses, counts and traces as
-    /// [`EngineCore::room_for`] does.
-    #[inline]
-    pub(crate) fn reserve(
-        &mut self,
-        dst: usize,
-        packets: u32,
-        msg_seq: u32,
-        msg_len: u32,
-    ) -> Result<(), Stall> {
-        self.room_for(dst, packets, msg_seq, msg_len)?;
-        let p = &mut self.peers[dst];
-        if p.rel.is_none() && self.costs.flow_control.is_some() {
-            let reserved = p.credits.try_reserve(packets);
-            debug_assert!(reserved, "room_for saw the credits");
-        }
-        Ok(())
     }
 
     /// Open a `len`-byte message to `dst`: allocates its sequence number

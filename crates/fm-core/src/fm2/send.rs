@@ -342,6 +342,7 @@ impl<D: NetDevice> Fm2Engine<D> {
             first_flushed: false,
             ended: false,
             local,
+            claimed: 0,
         }
     }
 
@@ -455,7 +456,13 @@ impl<D: NetDevice> Fm2Engine<D> {
     /// Flush the staged packet (possibly empty, for END) to the device.
     /// Returns false when out of credits or NIC space.
     fn flush_packet(core: &mut EngineCore<D>, ss: &mut SendStream, last: bool) -> bool {
-        match core.reserve(ss.dst, 1, ss.msg_seq, ss.msg_len) {
+        let claim = if ss.claimed > 0 {
+            ss.claimed -= 1;
+            Ok(())
+        } else {
+            core.reserve(ss.dst, 1, ss.msg_seq, ss.msg_len)
+        };
+        match claim {
             Ok(()) => {}
             Err(Stall::Device) => {
                 // The NIC queue is full but we still hold data for it: ask to
@@ -489,7 +496,8 @@ impl<D: NetDevice> Fm2Engine<D> {
 
     /// Convenience gather-send: the whole message from `pieces`, all or
     /// nothing. Fails with [`WouldBlock`] (sending nothing) unless credits
-    /// and NIC space for the entire message are available up front; each
+    /// and NIC space for the entire message are available up front, and
+    /// then claims them all at once, as FM 1.x's `FM_send` does; each
     /// refused call counts one `credit_stalls` or `device_stalls`, exactly
     /// as a refused `FM_send_piece` does — a caller that polls until
     /// admitted counts every poll; the stall span is traced once per
@@ -501,17 +509,19 @@ impl<D: NetDevice> Fm2Engine<D> {
         pieces: &[&[u8]],
     ) -> Result<(), WouldBlock> {
         let total: usize = pieces.iter().map(|p| p.len()).sum();
+        let mut claimed = 0;
         {
             let mut inner = self.inner.borrow_mut();
             let core = &mut inner.core;
             if dst != core.device.node_id() {
-                let packets = total.div_ceil(core.mtu(dst)).max(1);
+                claimed = total.div_ceil(core.mtu(dst)).max(1) as u32;
                 let msg_seq = core.peers[dst].seq.send_msg;
-                core.room_for(dst, packets as u32, msg_seq, total as u32)
+                core.reserve(dst, claimed, msg_seq, total as u32)
                     .map_err(|_| WouldBlock)?;
             }
         }
         let mut ss = self.begin_message(dst, total, handler);
+        ss.claimed = claimed;
         for p in pieces {
             let sent = self
                 .try_send_piece(&mut ss, p)

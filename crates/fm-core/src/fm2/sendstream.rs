@@ -38,6 +38,10 @@ pub struct SendStream {
     pub(crate) ended: bool,
     /// For self-addressed messages: accumulate and deliver locally at END.
     pub(crate) local: bool,
+    /// Packets still covered by the whole-message claim of
+    /// [`crate::Fm2Engine::try_send_message`]: each is flushed without a
+    /// claim of its own.
+    pub(crate) claimed: u32,
 }
 
 impl SendStream {
@@ -84,6 +88,7 @@ mod tests {
             first_flushed: false,
             ended: false,
             local: false,
+            claimed: 0,
         };
         assert_eq!(s.dst(), 3);
         assert_eq!(s.msg_len(), 100);

@@ -319,9 +319,14 @@ impl PeerRel {
         room.min(self.cwnd_packets().saturating_sub(ring - ps.sacked))
     }
 
-    /// Can `extra` more data packets fit in the window right now?
+    /// Can a message of `extra` more data packets go right now? Within
+    /// [`PeerRel::send_budget`] it can; and with nothing unacked, any
+    /// message the configured window holds can — RFC 5681 §3.1's "one
+    /// segment in flight", made message-atomic. Without that rule, a
+    /// message larger than a window the timer has shrunk would wait for
+    /// an ack that nothing in flight can bring.
     pub(crate) fn can_send(&self, extra: u32) -> bool {
-        extra <= self.send_budget()
+        extra <= self.send_budget() || (self.send.ring.is_empty() && extra <= self.window())
     }
 
     /// The cumulative ack to piggyback on a packet headed to the peer.
@@ -1691,6 +1696,28 @@ mod tests {
             assert!(seq < 10_000, "cwnd failed to regrow");
         }
         assert_eq!(r.rel.cwnd_packets(), 8, "capped at the configured window");
+    }
+
+    #[test]
+    fn an_empty_ring_admits_any_message_the_window_holds() {
+        let mut r = state(16);
+        let mut stats = FmStats::default();
+        r.on_data_sent(&data_pkt(1, 0), Nanos(0));
+        for t in 1..=4 {
+            r.on_timeout(Nanos(t * 1_000_000), &mut stats);
+        }
+        assert_eq!(r.rel.cwnd_packets(), 1, "four expiries: 16 → 1");
+        assert!(!r.rel.can_send(1), "the one packet in flight fills cwnd");
+        r.rel.on_ack(1, 0, Nanos(5_000_000));
+        assert_eq!(r.rel.unacked_packets(), 0);
+        assert_eq!(r.rel.cwnd_packets(), 2, "one ack regrows cwnd by one");
+        // Nothing is in flight, so no ack can come to grow cwnd to 3: a
+        // 3-packet message goes now or never.
+        assert!(r.rel.can_send(3));
+        assert!(r.rel.can_send(16));
+        assert!(!r.rel.can_send(17), "never past the receiver's hold table");
+        r.on_data_sent(&data_pkt(1, 1), Nanos(5_100_000));
+        assert!(!r.rel.can_send(2), "in flight again: cwnd rules");
     }
 
     #[test]

@@ -11,9 +11,12 @@
 //! expected sequence number). Both must hand the application the same
 //! stream: every message once, in order. Window policy decides when
 //! frames go, never which stream arrives, so this file does not change
-//! when it does. The schedules include the strictly periodic drop a
-//! fixed-size resend burst can phase-lock with, and both protocols start
-//! from sequence numbers that cross the `u32` wrap.
+//! when it does. Messages may span several frames, each admitted whole
+//! the way FM 1.x reserves one: a window the timer has shrunk below a
+//! message must still let it go once nothing is in flight, or the run
+//! stops making progress. The schedules include the strictly periodic
+//! drop a fixed-size resend burst can phase-lock with, and both protocols
+//! start from sequence numbers that cross the `u32` wrap.
 
 use std::collections::VecDeque;
 
@@ -88,8 +91,9 @@ impl<F: Clone> Link<F> {
 trait Arq {
     type Data: Clone;
     type Ack: Clone;
-    /// Put message `msg` on the link if the protocol has room for it.
-    fn send(&mut self, msg: u32, now: u64, link: &mut Link<Self::Data>) -> bool;
+    /// Put message `msg`, `parts` frames long, on the link if the protocol
+    /// has room for all of it.
+    fn send(&mut self, msg: u32, parts: u32, now: u64, link: &mut Link<Self::Data>) -> bool;
     /// A data frame arrives; messages it completes go to `delivered`.
     fn on_data(&mut self, frame: Self::Data, delivered: &mut Vec<u32>);
     /// End of a receive poll: put the ack owed, if any, on the link.
@@ -99,9 +103,15 @@ trait Arq {
     fn all_acked(&self) -> bool;
 }
 
-/// Stream messages `0..count` through `arq` under `faults`; the stream
-/// the application saw.
-fn run<A: Arq>(mut arq: A, faults: Faults, seed: u64, count: u32) -> Vec<u32> {
+/// Frames of message `msg` when messages span up to `max_parts` frames:
+/// a fixed scramble of `msg`, so both protocols send the same messages.
+fn parts(msg: u32, max_parts: u32) -> u32 {
+    1 + msg.wrapping_mul(0x9E37_79B9).rotate_right(16) % max_parts
+}
+
+/// Stream messages `0..count`, each up to `max_parts` frames, through
+/// `arq` under `faults`; the stream the application saw.
+fn run<A: Arq>(mut arq: A, faults: Faults, seed: u64, count: u32, max_parts: u32) -> Vec<u32> {
     let mut fwd = Link::new(faults, seed);
     let mut rev = Link::new(faults, !seed);
     let mut delivered = Vec::new();
@@ -117,12 +127,15 @@ fn run<A: Arq>(mut arq: A, faults: Faults, seed: u64, count: u32) -> Vec<u32> {
             arq.on_ack(frame, now, &mut fwd);
         }
         arq.on_timer(now, &mut fwd);
-        while next < count && arq.send(next, now, &mut fwd) {
+        while next < count && arq.send(next, parts(next, max_parts), now, &mut fwd) {
             next += 1;
         }
     }
     delivered
 }
+
+/// A stop-and-wait frame: `(seq, msg, last frame of msg)`.
+type Frame = (u32, u32, bool);
 
 /// The oracle: one frame outstanding, a fixed timer, full-width sequence
 /// numbers so nothing about it depends on the channel behaving.
@@ -130,28 +143,44 @@ struct StopAndWait {
     /// Sequence number of the next fresh frame.
     seq: u32,
     /// The frame awaiting its ack, and when to send it again.
-    outstanding: Option<((u32, u32), u64)>,
+    outstanding: Option<(Frame, u64)>,
+    /// The rest of the message being sent, as `(msg, frames left)`.
+    rest: Option<(u32, u32)>,
     expected: u32,
     ack_due: bool,
 }
 
-impl Arq for StopAndWait {
-    type Data = (u32, u32);
-    type Ack = u32;
-
-    fn send(&mut self, msg: u32, now: u64, link: &mut Link<(u32, u32)>) -> bool {
-        if self.outstanding.is_some() {
-            return false;
-        }
-        let frame = (self.seq, msg);
+impl StopAndWait {
+    /// Put the next frame of the message being sent on the link.
+    fn send_next(&mut self, now: u64, link: &mut Link<Frame>) {
+        let Some((msg, left)) = self.rest.take() else {
+            return;
+        };
+        let frame = (self.seq, msg, left == 1);
         link.put(frame, now);
         self.outstanding = Some((frame, now + RTO));
+        self.rest = (left > 1).then_some((msg, left - 1));
+    }
+}
+
+impl Arq for StopAndWait {
+    type Data = Frame;
+    type Ack = u32;
+
+    fn send(&mut self, msg: u32, parts: u32, now: u64, link: &mut Link<Frame>) -> bool {
+        if self.outstanding.is_some() || self.rest.is_some() {
+            return false;
+        }
+        self.rest = Some((msg, parts));
+        self.send_next(now, link);
         true
     }
 
-    fn on_data(&mut self, (seq, msg): (u32, u32), delivered: &mut Vec<u32>) {
+    fn on_data(&mut self, (seq, msg, last): Frame, delivered: &mut Vec<u32>) {
         if seq == self.expected {
-            delivered.push(msg);
+            if last {
+                delivered.push(msg);
+            }
             self.expected = self.expected.wrapping_add(1);
         }
         self.ack_due = true;
@@ -163,13 +192,14 @@ impl Arq for StopAndWait {
         }
     }
 
-    fn on_ack(&mut self, ack: u32, _: u64, _: &mut Link<(u32, u32)>) {
+    fn on_ack(&mut self, ack: u32, now: u64, link: &mut Link<Frame>) {
         if ack == self.seq.wrapping_add(1) && self.outstanding.take().is_some() {
             self.seq = ack;
+            self.send_next(now, link);
         }
     }
 
-    fn on_timer(&mut self, now: u64, link: &mut Link<(u32, u32)>) {
+    fn on_timer(&mut self, now: u64, link: &mut Link<Frame>) {
         if let Some((frame, deadline)) = &mut self.outstanding {
             if *deadline <= now {
                 link.put(*frame, now);
@@ -179,7 +209,7 @@ impl Arq for StopAndWait {
     }
 
     fn all_acked(&self) -> bool {
-        self.outstanding.is_none()
+        self.outstanding.is_none() && self.rest.is_none()
     }
 }
 
@@ -215,27 +245,32 @@ impl Arq for Production {
     type Data = FmPacket;
     type Ack = Vec<u8>;
 
-    fn send(&mut self, msg: u32, now: u64, link: &mut Link<FmPacket>) -> bool {
-        if !self.s.rel.can_send(1) {
+    fn send(&mut self, msg: u32, parts: u32, now: u64, link: &mut Link<FmPacket>) -> bool {
+        if !self.s.rel.can_send(parts) {
             return false;
         }
-        let pkt = FmPacket {
-            header: PacketHeader {
-                src: 0,
-                dst: 1,
-                handler: HandlerId(1),
-                msg_seq: msg,
-                pkt_seq: self.next_seq,
-                msg_len: 4,
-                flags: PacketFlags::FIRST | PacketFlags::LAST,
-                credits: 0,
-                ack: 0,
-            },
-            payload: msg.to_le_bytes().to_vec().into(),
-        };
-        self.next_seq = self.next_seq.wrapping_add(1);
-        self.s.on_data_sent(&pkt, Nanos(now));
-        link.put(pkt, now);
+        for part in 0..parts {
+            let pick = |on, flag| if on { flag } else { PacketFlags::EMPTY };
+            let flags =
+                pick(part == 0, PacketFlags::FIRST) | pick(part + 1 == parts, PacketFlags::LAST);
+            let pkt = FmPacket {
+                header: PacketHeader {
+                    src: 0,
+                    dst: 1,
+                    handler: HandlerId(1),
+                    msg_seq: msg,
+                    pkt_seq: self.next_seq,
+                    msg_len: 4 * parts,
+                    flags,
+                    credits: 0,
+                    ack: 0,
+                },
+                payload: msg.to_le_bytes().to_vec().into(),
+            };
+            self.next_seq = self.next_seq.wrapping_add(1);
+            self.s.on_data_sent(&pkt, Nanos(now));
+            link.put(pkt, now);
+        }
         true
     }
 
@@ -243,7 +278,9 @@ impl Arq for Production {
         let mut next = Some(frame);
         while let Some(pkt) = next {
             if self.r.accept(&pkt, &mut self.stats) == RecvDecision::Accept {
-                delivered.push(u32::from_le_bytes(pkt.payload[..].try_into().unwrap()));
+                if pkt.header.flags.contains(PacketFlags::LAST) {
+                    delivered.push(u32::from_le_bytes(pkt.payload[..].try_into().unwrap()));
+                }
                 // Half a window into the burst — a released run counts —
                 // the ack leaves from inside the poll.
                 if self.r.ack_overdue() {
@@ -284,21 +321,30 @@ impl Arq for Production {
     }
 }
 
-/// Both protocols under the same schedule from the same start sequence:
-/// the same stream, which is the one that was sent.
-fn assert_same_stream(faults: Faults, seed: u64, start: u32, window: u32, count: u32) {
+/// Both protocols under the same schedule from the same start sequence,
+/// messages up to `max_parts` frames: the same stream, which is the one
+/// that was sent.
+fn assert_same_stream(
+    faults: Faults,
+    seed: u64,
+    start: u32,
+    window: u32,
+    count: u32,
+    max_parts: u32,
+) {
     let oracle = StopAndWait {
         seq: start,
         outstanding: None,
+        rest: None,
         expected: start,
         ack_due: false,
     };
-    let expected = run(oracle, faults, seed, count);
+    let expected = run(oracle, faults, seed, count, max_parts);
     let production = Production::new(window, start);
-    let got = run(production, faults, seed, count);
+    let got = run(production, faults, seed, count, max_parts);
     assert_eq!(
         got, expected,
-        "seed {seed:#x} start {start} window {window}"
+        "seed {seed:#x} start {start} window {window} max_parts {max_parts}"
     );
     assert_eq!(got, (0..count).collect::<Vec<_>>(), "seed {seed:#x}");
 }
@@ -320,7 +366,9 @@ fn prop_production_arq_delivers_what_stop_and_wait_delivers() {
         } else {
             Faults::Random
         };
-        assert_same_stream(faults, seed, start, WINDOW, 120);
+        // Every other case sends messages of up to half a window.
+        let max_parts = if case % 2 == 1 { WINDOW / 2 } else { 1 };
+        assert_same_stream(faults, seed, start, WINDOW, 120, max_parts);
     }
 }
 
@@ -339,7 +387,7 @@ fn the_default_window_delivers_what_stop_and_wait_delivers() {
         } else {
             Faults::Random
         };
-        assert_same_stream(faults, seed, start, window, 500);
+        assert_same_stream(faults, seed, start, window, 500, 1);
     }
 }
 
@@ -352,6 +400,20 @@ fn periodic_drops_cannot_phase_lock_with_the_window() {
     // from a start that crosses the wrap.
     for period in 2..=4 * WINDOW as u64 {
         let faults = Faults::DropEveryNth(period);
-        assert_same_stream(faults, period, u32::MAX - 40, WINDOW, 200);
+        assert_same_stream(faults, period, u32::MAX - 40, WINDOW, 200, 1);
+    }
+}
+
+#[test]
+fn periodic_drops_cannot_shut_the_window_on_a_whole_message() {
+    // Messages of up to a whole window, each admitted whole, under every
+    // drop period from 2 to 16 on both directions: timeouts shrink the
+    // AIMD window below the next message, and the run still ends only if
+    // an empty ring lets that message go.
+    for period in 2..=16 {
+        for max_parts in [3, WINDOW] {
+            let faults = Faults::DropEveryNth(period);
+            assert_same_stream(faults, period, u32::MAX - 40, WINDOW, 200, max_parts);
+        }
     }
 }

@@ -14,7 +14,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use fm_core::blocking::{fm1_send, fm2_send, fm2_wait_until, Backoff};
+use fm_core::blocking::{fm1_send, fm2_send, fm2_wait_until, Backoff, Step};
 use fm_core::device::{DeviceFull, NetDevice};
 use fm_core::packet::HandlerId;
 use fm_core::{Fm1Engine, Fm2Engine, FmPacket, FmStream};
@@ -77,9 +77,18 @@ fn fm2_wait<D: NetDevice>(fm: &Fm2Engine<D>, what: &'static str, mut done: impl 
     });
 }
 
-/// The FM 1.x engine's state for a [`Watch`].
-fn fm1_state<D: NetDevice>(fm: &Fm1Engine<D>) -> String {
-    format!("unacked_packets {}, {:?}", fm.unacked_packets(), fm.stats())
+/// `fm1_wait_until`'s wait with a [`Watch`] that prints the engine's
+/// unacked packets and `FmStats`; `done` reads the engine.
+fn fm1_wait<D: NetDevice>(
+    fm: &mut Fm1Engine<D>,
+    what: &'static str,
+    mut done: impl FnMut(&Fm1Engine<D>) -> bool,
+) {
+    let mut watch = Watch::new(what);
+    Backoff::new(what).wait(|| {
+        watch.tick(|| format!("unacked_packets {}, {:?}", fm.unacked_packets(), fm.stats()));
+        Step::or_progress(done(fm).then_some(()), || fm.extract() > 0)
+    });
 }
 
 /// A [`NetDevice`] that deterministically discards every `drop_every`-th
@@ -217,13 +226,9 @@ fn fm1_recovers_all_messages_over_a_lossy_device() {
                 for seq in 0..MSGS {
                     fm1_send(&mut fm, 1, H, &vec![seq as u8; 300]);
                 }
-                let mut backoff = Backoff::new("the last acks");
-                let mut watch = Watch::new("FM 1.x sender, the last acks");
-                while fm.unacked_packets() > 0 {
-                    fm.extract();
-                    backoff.snooze();
-                    watch.tick(|| fm1_state(&fm));
-                }
+                fm1_wait(&mut fm, "FM 1.x sender, the last acks", |fm| {
+                    fm.unacked_packets() == 0
+                });
                 sender_confirmed.store(true, Ordering::SeqCst);
                 assert!(fm.stats().retransmissions > 0);
                 0
@@ -237,14 +242,11 @@ fn fm1_recovers_all_messages_over_a_lossy_device() {
                         c.set(c.get() + 1);
                     }),
                 );
-                let mut backoff = Backoff::new("every message and the sender's last ack");
-                let mut watch =
-                    Watch::new("FM 1.x receiver, every message and the sender's last ack");
-                while count.get() < MSGS || !sender_confirmed.load(Ordering::SeqCst) {
-                    fm.extract();
-                    backoff.snooze();
-                    watch.tick(|| fm1_state(&fm));
-                }
+                fm1_wait(
+                    &mut fm,
+                    "FM 1.x receiver, every message and the sender's last ack",
+                    |_| count.get() >= MSGS && sender_confirmed.load(Ordering::SeqCst),
+                );
                 assert!(
                     fm.take_errors().is_empty(),
                     "loss is repaired, not reported"

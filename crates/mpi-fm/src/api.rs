@@ -15,7 +15,7 @@
 //! Discrete-event simulations drive the non-blocking API — and
 //! [`Sched::poll`] directly — from their step functions instead.
 
-use fm_core::blocking::Backoff;
+use fm_core::blocking::{Backoff, Step, WEDGE_LIMIT};
 
 use crate::comm::CollPhase;
 use crate::sched::Sched;
@@ -86,8 +86,9 @@ pub trait Mpi {
     /// wildcard; `max_len` bounds the accepted message size.
     fn irecv(&mut self, src: Option<usize>, tag: Option<u32>, max_len: usize) -> RecvReq;
     /// Drive communication: flush deferred sends, extract from FM, run
-    /// handlers.
-    fn progress(&mut self);
+    /// handlers. Returns whether it moved anything (FM handed a handler
+    /// any bytes): the blocking waits back off only when it did not.
+    fn progress(&mut self) -> bool;
     /// Per-instance counter distinguishing successive collectives.
     fn next_coll_seq(&mut self) -> u32;
 
@@ -240,26 +241,24 @@ pub trait Mpi {
     }
 }
 
-/// The one blocking driver: poll a request or a collective schedule
-/// to completion, driving `progress` between polls. Exits by panic on a
-/// confirmed peer loss, or when the wait stays fruitless for the whole
-/// wedge limit of [`Backoff`] (low under this crate's own unit tests,
-/// which never block on a live peer and pin that exit).
+/// MPI's blocking driver, behind every blocking call, [`Sched::wait`]
+/// and the shuffle: poll a request or a schedule to completion through
+/// [`Backoff::wait`], whose progress step is [`Mpi::progress`]. Exits by
+/// panic on a confirmed peer loss, or when the wait stays fruitless for
+/// the whole wedge limit of [`Backoff`] (low under this crate's own unit
+/// tests, which never block on a live peer and pin that exit).
 pub(crate) fn drive<M: Mpi + ?Sized>(
     mpi: &mut M,
     during: &'static str,
     mut poll: impl FnMut(&mut M) -> bool,
 ) {
-    let mut backoff = if cfg!(test) {
-        Backoff::with_limit(during, 10_000)
-    } else {
-        Backoff::new(during)
-    };
-    while !poll(mpi) {
-        abort_if_peer_lost(mpi, during);
-        mpi.progress();
-        backoff.snooze();
-    }
+    let limit = if cfg!(test) { 10_000 } else { WEDGE_LIMIT };
+    Backoff::with_limit(during, limit).wait(|| {
+        Step::or_progress(poll(mpi).then_some(()), || {
+            abort_if_peer_lost(mpi, during);
+            mpi.progress()
+        })
+    });
 }
 
 /// Abort the rank when the transport has confirmed a peer `Down` while a
@@ -330,7 +329,9 @@ mod tests {
         fn irecv(&mut self, _src: Option<usize>, _tag: Option<u32>, _max_len: usize) -> RecvReq {
             RecvReq::new()
         }
-        fn progress(&mut self) {}
+        fn progress(&mut self) -> bool {
+            false
+        }
         fn next_coll_seq(&mut self) -> u32 {
             self.seq += 1;
             self.seq

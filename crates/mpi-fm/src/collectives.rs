@@ -542,7 +542,9 @@ mod tests {
             wire.pair(key);
             req
         }
-        fn progress(&mut self) {}
+        fn progress(&mut self) -> bool {
+            false
+        }
         fn next_coll_seq(&mut self) -> u32 {
             self.seq += 1;
             self.seq

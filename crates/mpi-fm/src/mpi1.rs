@@ -316,10 +316,11 @@ impl<D: NetDevice> Mpi for Mpi1<D> {
         req
     }
 
-    fn progress(&mut self) {
+    fn progress(&mut self) -> bool {
         self.try_flush_pending();
-        self.fm.extract();
+        let moved = self.fm.extract() > 0;
         self.try_flush_pending();
+        moved
     }
 
     fn next_coll_seq(&mut self) -> u32 {

@@ -513,13 +513,14 @@ impl<D: NetDevice + 'static> Mpi for Mpi2<D> {
         req
     }
 
-    fn progress(&mut self) {
+    fn progress(&mut self) -> bool {
         // A pass over FM's send queue before the extract, and one at its
         // end: a stalled send is offered to FM twice per progress (each
         // refused offer is charged, and `BENCH_sim.json` encodes two).
         self.fm.progress();
-        self.fm.extract(self.extract_budget);
+        let moved = self.fm.extract(self.extract_budget) > 0;
         self.poll_granted();
+        moved
     }
 
     fn next_coll_seq(&mut self) -> u32 {
@@ -578,6 +579,22 @@ mod tests {
         }
         a.progress();
         b.progress();
+    }
+
+    #[test]
+    fn a_wait_that_moves_on_every_poll_outlasts_the_wedge_limit() {
+        // Three times the 10,000-poll limit, every poll landing a message
+        // the peer sent: a busy wait is not a wedged one.
+        let (mut a, mut b) = pair();
+        let mut polls = 0;
+        crate::api::drive(&mut a, "busy test wait", |a| {
+            b.isend(0, 1, vec![7u8; 8]);
+            b.progress();
+            let (fa, fb) = (a.fm.clone(), b.fm.clone());
+            fa.with_device(|da| fb.with_device(|db| LoopbackPair::deliver(da, db)));
+            polls += 1;
+            polls == 30_000
+        });
     }
 
     #[test]
@@ -1220,7 +1237,9 @@ mod tests {
                     let k = rng.below(d.delivered[peer] as u64 + 1) as u16;
                     d.credit(peer, k);
                 }),
-                _ => mpi.progress(),
+                _ => {
+                    mpi.progress();
+                }
             }
         }
         // Let everything through: the whole schedule must complete.

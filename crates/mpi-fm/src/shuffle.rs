@@ -29,7 +29,7 @@ use std::collections::{HashMap, VecDeque};
 
 use fm_model::rng::DetRng;
 
-use crate::api::Mpi;
+use crate::api::{drive, Mpi};
 use crate::types::{RecvReq, SendReq};
 
 /// Tag carrying shuffle records.
@@ -310,14 +310,13 @@ impl ShuffleRunner {
     }
 }
 
-/// Spin one rank's shuffle to completion on a blocking-capable transport
+/// Run one rank's shuffle to completion on a blocking-capable transport
 /// (OS threads or processes over shm rings or fm-udp — never the
-/// simulator).
+/// simulator), under MPI's blocking driver: a lost peer, a panicked rank
+/// or a wedge ends it.
 pub fn run_shuffle(mpi: &mut impl Mpi, spec: ShuffleSpec) -> ShuffleReport {
     let mut runner = ShuffleRunner::new(spec, mpi.rank());
-    while !runner.poll(mpi) {
-        std::hint::spin_loop();
-    }
+    drive(mpi, "shuffle", |m| runner.poll(m));
     runner.report()
 }
 

@@ -14,7 +14,7 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use fm_core::blocking::Backoff;
+use fm_core::blocking::{Backoff, Step};
 use fm_core::{Fm2Engine, FmStats, NetDevice, SimDevice};
 use fm_model::{MachineProfile, Nanos};
 use fm_threaded::ThreadedCluster;
@@ -144,10 +144,13 @@ fn threaded() -> Vec<u64> {
     let mut out = ThreadedCluster::run(2, |rank, dev| {
         let mut mpi = Mpi2::new(Fm2Engine::new(dev, profile));
         let mut script = Script::new(rank);
-        let mut backoff = Backoff::new("rendezvous script");
-        while !script.step(&mut mpi) {
-            backoff.snooze();
-        }
+        Backoff::new("rendezvous script").wait(|| {
+            if script.step(&mut mpi) {
+                Step::Done(())
+            } else {
+                Step::Idle
+            }
+        });
         script.packets
     });
     out.swap_remove(0)

@@ -5,6 +5,8 @@
 //! test's job is the cross-rank accounting: every produced record was
 //! received by exactly one owner, and every rank closed every epoch.
 
+use std::time::Duration;
+
 use fm_core::Fm2Engine;
 use fm_model::MachineProfile;
 use fm_threaded::ThreadedCluster;
@@ -53,4 +55,31 @@ fn shuffle_reports_are_deterministic_per_seed() {
     // Thread interleaving varies; the *reports* (routing totals, epoch
     // counts, channel counts) are pure functions of the seed and must not.
     assert_eq!(run(), run());
+}
+
+/// A rank that panics ends its peers' shuffles: the run fails at once
+/// instead of leaving them spinning.
+#[test]
+fn a_panicking_rank_ends_its_peers_shuffles() {
+    let spec = ShuffleSpec {
+        ranks: 3,
+        keys: 32,
+        records_per_epoch: 100,
+        epochs: 3,
+        payload: 24,
+        seed: 7,
+    };
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let run = std::panic::catch_unwind(|| {
+            ThreadedCluster::run(spec.ranks, |i, dev| {
+                assert_ne!(i, 0, "rank 0 fails");
+                let mut mpi = Mpi2::new(Fm2Engine::new(dev, MachineProfile::ppro200_fm2()));
+                run_shuffle(&mut mpi, spec)
+            })
+        });
+        tx.send(run.is_err()).expect("the test is listening");
+    });
+    let failed = rx.recv_timeout(Duration::from_secs(10));
+    assert_eq!(failed, Ok(true), "the run must fail within 10 s");
 }

@@ -24,7 +24,7 @@ use std::rc::Rc;
 use std::sync::atomic::{fence, Ordering};
 use std::sync::Arc;
 
-use fm_core::blocking::Backoff;
+use fm_core::blocking::{Backoff, Step, WEDGE_LIMIT};
 use fm_core::device::NetDevice;
 use fm_core::onesided::CHUNK_BYTES;
 use fm_core::packet::HandlerId;
@@ -40,7 +40,8 @@ pub const SHMEM_HANDLER: HandlerId = HandlerId(120);
 
 struct ShState {
     next_req: u32,
-    fadd_replies: HashMap<u32, i64>,
+    /// Fetch-add replies by request; `None` when the target refused.
+    fadd_replies: HashMap<u32, Option<i64>>,
     /// Accumulate acknowledgements received (vs. issued, for `quiet`).
     acc_acks: u64,
     /// Barrier notifications seen: (epoch, round, src).
@@ -48,6 +49,8 @@ struct ShState {
     /// Heap ids heard, and per PE its heap if that could be attached.
     heard: usize,
     heaps: Vec<Option<Heap>>,
+    /// Ops refused (e.g. out of the target heap's bounds), by token.
+    refused: Vec<(Option<OsToken>, OsStatus)>,
 }
 
 type Heap = Arc<SharedMem>;
@@ -64,8 +67,6 @@ pub struct Shmem<D: NetDevice> {
     me: usize,
     state: Rc<RefCell<ShState>>,
     accs_issued: Cell<u64>,
-    /// Ops refused (e.g. out of the remote heap's bounds), by token.
-    refused: RefCell<Vec<(Option<OsToken>, OsStatus)>>,
     barrier_epoch: Cell<u64>,
     /// PEs this heap's id was sent to, each of which sends its own.
     local: usize,
@@ -93,6 +94,7 @@ impl<D: NetDevice + 'static> Shmem<D> {
             barrier_seen: HashSet::new(),
             heard: 0,
             heaps: vec![None; fm.num_nodes()],
+            refused: Vec::new(),
         }));
         let st = Rc::clone(&state);
         let (fm_h, hheap) = (fm.handle(), Arc::clone(&own));
@@ -104,21 +106,24 @@ impl<D: NetDevice + 'static> Shmem<D> {
                 let mut hdr = [0u8; OP_BYTES];
                 stream.receive(&mut hdr).await;
                 match Op::decode(&hdr) {
-                    Op::PutAck => {
-                        st.borrow_mut().acc_acks += 1;
+                    Op::AccAck { refused } => {
+                        let mut st = st.borrow_mut();
+                        st.acc_acks += 1;
+                        if refused {
+                            st.refused.push((None, OsStatus::OutOfBounds));
+                        }
                     }
                     Op::AccF64 { offset } => {
-                        let len = stream.msg_len() - OP_BYTES;
-                        assert_eq!(len % 8, 0, "accumulate operates on f64s");
+                        let len = stream.msg_len().saturating_sub(OP_BYTES);
                         let contrib = stream.receive_vec(len).await;
-                        add_f64(&heap, offset as usize, &contrib);
+                        let refused = !add_f64(&heap, offset, &contrib);
                         // Accumulates are acked like puts so `quiet`
-                        // covers them.
-                        let ack = Op::PutAck.encode();
+                        // covers them; a refusal rides on the ack.
+                        let ack = Op::AccAck { refused }.encode();
                         fm.send_from_handler(src, SHMEM_HANDLER, Message::new(&ack, None));
                     }
                     Op::Fadd { req, offset, delta } => {
-                        let old = fetch_add(&heap, offset as usize, delta);
+                        let old = fetch_add(&heap, offset, delta);
                         let reply = Op::FaddReply { req, old }.encode();
                         fm.send_from_handler(src, SHMEM_HANDLER, Message::new(&reply, None));
                     }
@@ -146,7 +151,6 @@ impl<D: NetDevice + 'static> Shmem<D> {
             heap: own,
             state,
             accs_issued: Cell::new(0),
-            refused: RefCell::new(Vec::new()),
             barrier_epoch: Cell::new(0),
             local: local.len(),
         };
@@ -188,39 +192,36 @@ impl<D: NetDevice + 'static> Shmem<D> {
         self.heap.write(offset, data);
     }
 
-    /// Drive communication.
-    pub fn progress(&self) {
-        self.fm.extract_all();
+    /// Drive communication. Returns whether it moved anything (FM handed
+    /// a handler any bytes).
+    pub fn progress(&self) -> bool {
+        let moved = self.fm.extract_all() > 0;
         self.os.borrow_mut().progress();
         self.drain_completions();
+        moved
     }
 
     fn drain_completions(&self) {
         while let Some(c) = self.port.poll_completion() {
             if c.status != OsStatus::Ok {
-                self.refused.borrow_mut().push((Some(c.token), c.status));
+                self.refuse(Some(c.token), c.status);
             }
         }
     }
 
-    /// The one blocking wait: poll `ready` until it yields a value,
-    /// driving communication between polls. Panics with the "peer gone?"
-    /// diagnosis when the wait stays fruitless for the whole wedge limit
-    /// of [`Backoff`] (low under this crate's own unit tests, which never
-    /// block on a live peer and pin that exit).
+    /// Every blocking op of this layer: poll `ready` until it yields a
+    /// value through [`Backoff::wait`], whose progress step is
+    /// [`Shmem::progress`]. Panics with the "peer gone?" diagnosis when
+    /// the wait stays fruitless for the whole wedge limit of [`Backoff`]
+    /// (low under this crate's own unit tests, which never block on a
+    /// live peer and pin that exit).
     fn wait_for<T>(&self, what: &'static str, mut ready: impl FnMut() -> Option<T>) -> T {
-        let mut backoff = if cfg!(test) {
-            Backoff::with_limit(what, 10_000)
-        } else {
-            Backoff::new(what)
-        };
-        loop {
-            if let Some(v) = ready() {
-                return v;
-            }
-            self.progress();
-            backoff.snooze();
-        }
+        Backoff::with_limit(what, if cfg!(test) { 10_000 } else { WEDGE_LIMIT })
+            .wait(|| Step::or_progress(ready(), || self.progress()))
+    }
+
+    fn refuse(&self, token: Option<OsToken>, status: OsStatus) {
+        self.state.borrow_mut().refused.push((token, status));
     }
 
     fn send_op(&self, dst: usize, hdr: &[u8], payload: &[u8]) {
@@ -249,10 +250,8 @@ impl<D: NetDevice + 'static> Shmem<D> {
             });
             heap
         };
-        let inside = offset
-            .checked_add(len)
-            .is_some_and(|end| end <= self.heap.len());
-        Some(inside.then_some(heap).ok_or(OsStatus::OutOfBounds))
+        let fits = inside(&self.heap, offset as u64, len);
+        Some(fits.then_some(heap).ok_or(OsStatus::OutOfBounds))
     }
 
     /// One-sided put: write `data` into `dst`'s heap at `offset`. The
@@ -268,20 +267,20 @@ impl<D: NetDevice + 'static> Shmem<D> {
                 heap.write(offset, data);
                 self.fm.charge_memcpy(data.len());
             }
-            Some(Err(status)) => self.refused.borrow_mut().push((None, status)),
+            Some(Err(status)) => self.refuse(None, status),
             None => {
                 self.port.put(dst, self.heap_h, offset as u64, data);
             }
         }
     }
 
-    /// Statuses of puts refused by their target (bad offset, stale
-    /// heap handle, peer down) since the last call, this PE included. A
-    /// put that fails remotely still counts as complete for
+    /// Statuses of puts and accumulates refused by their target (bad
+    /// offset, stale heap handle, peer down) since the last call, this PE
+    /// included. An op that fails remotely still counts as complete for
     /// [`Shmem::quiet`] — SHMEM has no reply channel for puts, so
     /// refusals surface here.
     pub fn take_put_failures(&self) -> Vec<OsStatus> {
-        let refused = std::mem::take(&mut *self.refused.borrow_mut());
+        let refused = std::mem::take(&mut self.state.borrow_mut().refused);
         refused.into_iter().map(|(_, status)| status).collect()
     }
 
@@ -330,8 +329,8 @@ impl<D: NetDevice + 'static> Shmem<D> {
         // The scratch is pinned until the get has completed, either way.
         let out = self.wait_for("shmem get", || self.port.deregister_owned(scratch).ok());
         self.drain_completions();
-        let refused = self.refused.borrow();
-        if let Some((_, status)) = refused.iter().find(|r| r.0 == Some(token)) {
+        let st = self.state.borrow();
+        if let Some((_, status)) = st.refused.iter().find(|r| r.0 == Some(token)) {
             panic!("get refused by target: {status:?}");
         }
         out
@@ -339,10 +338,15 @@ impl<D: NetDevice + 'static> Shmem<D> {
 
     /// One-sided elementwise f64 accumulate into `dst`'s heap. Covered by
     /// [`Shmem::quiet`] like a put; into this PE's heap it is applied here.
+    /// Outside the target's heap it is refused as a put is
+    /// ([`Shmem::take_put_failures`]).
     pub fn accumulate_f64(&self, dst: usize, offset: usize, contrib: &[f64]) {
         let bytes: Vec<u8> = contrib.iter().flat_map(|x| x.to_le_bytes()).collect();
         if dst == self.me {
-            return add_f64(&self.heap, offset, &bytes);
+            if !add_f64(&self.heap, offset as u64, &bytes) {
+                self.refuse(None, OsStatus::OutOfBounds);
+            }
+            return;
         }
         self.accs_issued.set(self.accs_issued.get() + 1);
         self.send_op(
@@ -359,28 +363,26 @@ impl<D: NetDevice + 'static> Shmem<D> {
     /// atomicity holds because the target applies it in its single-
     /// threaded handler; aimed at this PE, it is applied here, where no
     /// handler can run in between).
+    ///
+    /// # Panics
+    /// Panics if the target refuses it (outside its heap), as
+    /// [`Shmem::get`] does.
     pub fn fetch_add_i64(&self, dst: usize, offset: usize, delta: i64) -> i64 {
-        if dst == self.me {
-            return fetch_add(&self.heap, offset, delta);
-        }
-        let req = {
-            let mut s = self.state.borrow_mut();
-            s.next_req += 1;
-            s.next_req
+        let offset = offset as u64;
+        let old = if dst == self.me {
+            fetch_add(&self.heap, offset, delta)
+        } else {
+            let req = {
+                let mut s = self.state.borrow_mut();
+                s.next_req += 1;
+                s.next_req
+            };
+            self.send_op(dst, &Op::Fadd { req, offset, delta }.encode(), &[]);
+            self.wait_for("shmem fetch_add", || {
+                self.state.borrow_mut().fadd_replies.remove(&req)
+            })
         };
-        self.send_op(
-            dst,
-            &Op::Fadd {
-                req,
-                offset: offset as u64,
-                delta,
-            }
-            .encode(),
-            &[],
-        );
-        self.wait_for("shmem fetch_add", || {
-            self.state.borrow_mut().fadd_replies.remove(&req)
-        })
+        old.unwrap_or_else(|| panic!("fetch_add refused by target: {:?}", OsStatus::OutOfBounds))
     }
 
     /// Block until the i64 at *local* heap `offset` satisfies `pred`
@@ -429,8 +431,21 @@ impl<D: NetDevice + 'static> Shmem<D> {
     }
 }
 
-/// Add the f64s of `contrib` into `heap` at `offset`, element by element.
-fn add_f64(heap: &SharedMem, offset: usize, contrib: &[u8]) {
+/// `len` bytes at `offset` lie inside `heap`: what a target checks
+/// before it applies an op a peer named.
+fn inside(heap: &SharedMem, offset: u64, len: usize) -> bool {
+    offset
+        .checked_add(len as u64)
+        .is_some_and(|end| end <= heap.len() as u64)
+}
+
+/// Add the f64s of `contrib` into `heap` at `offset`, element by element;
+/// false, adding nothing, unless they are whole f64s inside the heap.
+fn add_f64(heap: &SharedMem, offset: u64, contrib: &[u8]) -> bool {
+    if !contrib.len().is_multiple_of(8) || !inside(heap, offset, contrib.len()) {
+        return false;
+    }
+    let offset = offset as usize;
     let mut cur = vec![0u8; contrib.len()];
     heap.read(offset, &mut cur);
     for (c, slot) in contrib.chunks_exact(8).zip(cur.chunks_exact_mut(8)) {
@@ -439,15 +454,21 @@ fn add_f64(heap: &SharedMem, offset: usize, contrib: &[u8]) {
         slot.copy_from_slice(&(a + b).to_le_bytes());
     }
     heap.write(offset, &cur);
+    true
 }
 
-/// Add `delta` to the i64 in `heap` at `offset`; the value before.
-fn fetch_add(heap: &SharedMem, offset: usize, delta: i64) -> i64 {
+/// Add `delta` to the i64 in `heap` at `offset`; the value before, or
+/// `None`, adding nothing, outside the heap.
+fn fetch_add(heap: &SharedMem, offset: u64, delta: i64) -> Option<i64> {
+    if !inside(heap, offset, 8) {
+        return None;
+    }
+    let offset = offset as usize;
     let mut cur = [0u8; 8];
     heap.read(offset, &mut cur);
     let old = i64::from_le_bytes(cur);
     heap.write(offset, &old.wrapping_add(delta).to_le_bytes());
-    old
+    Some(old)
 }
 
 #[cfg(test)]
@@ -568,6 +589,37 @@ mod tests {
         let refused = vec![OsStatus::OutOfBounds; 2];
         assert_eq!(a.take_put_failures(), refused);
         assert_eq!(a.local_read(4090, 6), vec![0u8; 6]);
+    }
+
+    #[test]
+    fn a_peers_accumulate_of_no_whole_f64s_is_refused() {
+        // Only a peer's own bytes can say 5: `accumulate_f64` sends f64s.
+        let (a, b) = pair(4096);
+        a.accs_issued.set(1);
+        let hdr = Op::AccF64 { offset: 0 }.encode();
+        a.fm()
+            .try_send_message(1, SHMEM_HANDLER, &[&hdr, &[1u8; 5]])
+            .expect("room for one message");
+        pump(&a, &b);
+        a.quiet();
+        assert_eq!(a.take_put_failures(), vec![OsStatus::OutOfBounds]);
+        assert_eq!(b.local_read(0, 8), vec![0u8; 8]);
+    }
+
+    #[test]
+    fn a_wait_that_moves_on_every_poll_outlasts_the_wedge_limit() {
+        // Three times the 10,000-poll limit, every poll landing an
+        // accumulate the peer sent: a busy wait is not a wedged one.
+        let (a, b) = pair(4096);
+        let mut polls = 0;
+        a.wait_for("busy test wait", || {
+            b.accumulate_f64(0, 0, &[1.0]);
+            b.progress();
+            a.fm()
+                .with_device(|da| b.fm().with_device(|db| LoopbackPair::deliver(da, db)));
+            polls += 1;
+            (polls == 30_000).then_some(())
+        });
     }
 
     #[test]

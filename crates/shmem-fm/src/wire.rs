@@ -8,8 +8,12 @@ use fm_shm::heap::HeapId;
 /// Shmem operation kinds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Op {
-    /// Acknowledge one accumulate (drives `quiet`).
-    PutAck,
+    /// Acknowledge one accumulate (drives `quiet`); `refused` when the
+    /// target did not apply it (not whole f64s inside its heap).
+    AccAck {
+        /// The target refused the accumulate.
+        refused: bool,
+    },
     /// Elementwise f64 add of the payload into the target heap at
     /// `offset` (one-sided accumulate).
     AccF64 {
@@ -30,8 +34,9 @@ pub enum Op {
     FaddReply {
         /// The request id being answered.
         req: u32,
-        /// Value before the add.
-        old: i64,
+        /// Value before the add; `None` when the target refused it
+        /// (outside its heap).
+        old: Option<i64>,
     },
     /// Barrier notification for dissemination round `round` of epoch
     /// `epoch`.
@@ -53,7 +58,10 @@ impl Op {
     pub fn encode(&self) -> [u8; OP_BYTES] {
         let mut b = [0u8; OP_BYTES];
         match *self {
-            Op::PutAck => b[0] = 2,
+            Op::AccAck { refused } => {
+                b[0] = 2;
+                b[1] = refused as u8;
+            }
             Op::AccF64 { offset } => {
                 b[0] = 5;
                 b[8..16].copy_from_slice(&offset.to_le_bytes());
@@ -66,8 +74,9 @@ impl Op {
             }
             Op::FaddReply { req, old } => {
                 b[0] = 7;
+                b[1] = old.is_none() as u8;
                 b[4..8].copy_from_slice(&req.to_le_bytes());
-                b[8..16].copy_from_slice(&old.to_le_bytes());
+                b[8..16].copy_from_slice(&old.unwrap_or(0).to_le_bytes());
             }
             Op::Barrier { epoch, round } => {
                 b[0] = 8;
@@ -94,7 +103,7 @@ impl Op {
         let u64_at = |i: usize| u64::from_le_bytes(b[i..i + 8].try_into().unwrap());
         let i64_at = |i: usize| i64::from_le_bytes(b[i..i + 8].try_into().unwrap());
         match b[0] {
-            2 => Op::PutAck,
+            2 => Op::AccAck { refused: b[1] != 0 },
             5 => Op::AccF64 { offset: u64_at(8) },
             6 => Op::Fadd {
                 req: u32_at(4),
@@ -103,7 +112,7 @@ impl Op {
             },
             7 => Op::FaddReply {
                 req: u32_at(4),
-                old: i64_at(8),
+                old: (b[1] == 0).then(|| i64_at(8)),
             },
             8 => Op::Barrier {
                 epoch: u64_at(8),
@@ -126,14 +135,19 @@ mod tests {
     #[test]
     fn all_ops_round_trip() {
         let ops = [
-            Op::PutAck,
+            Op::AccAck { refused: false },
+            Op::AccAck { refused: true },
             Op::AccF64 { offset: 16 },
             Op::Fadd {
                 req: 2,
                 offset: 0,
                 delta: -5,
             },
-            Op::FaddReply { req: 2, old: 41 },
+            Op::FaddReply {
+                req: 2,
+                old: Some(41),
+            },
+            Op::FaddReply { req: 3, old: None },
             Op::Barrier { epoch: 9, round: 3 },
             Op::Heap(HeapId {
                 fd: -1,

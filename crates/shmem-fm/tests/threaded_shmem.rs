@@ -1,6 +1,7 @@
 //! Shmem and Global Arrays over real OS threads.
 
 use std::cell::Cell;
+use std::panic::AssertUnwindSafe;
 use std::rc::Rc;
 use std::sync::{Arc, Barrier};
 
@@ -239,6 +240,36 @@ fn global_array_2d_sections_on_own_and_peer_rows() {
     for (pe, got) in out.iter().enumerate() {
         assert_eq!(got, &(all.clone(), column.clone()), "pe {pe}");
     }
+}
+
+#[test]
+fn a_peers_out_of_heap_accumulate_and_fetch_add_are_refused_not_fatal() {
+    // An accumulate and a fetch-add aimed past the end of PE 1's heap:
+    // PE 1 refuses both and keeps serving; PE 0 sees the accumulate in
+    // its failures, as a put's refusal, and the fetch-add panic, as a
+    // get's. An op inside the heap still lands after them.
+    let out = ThreadedCluster::run(2, |pe, dev| {
+        let sh = make(dev, 4096);
+        sh.barrier_all();
+        let mut seen = (Vec::new(), String::new());
+        if pe == 0 {
+            sh.accumulate_f64(1, 4090, &[1.0]);
+            sh.quiet();
+            seen.0 = sh.take_put_failures();
+            let fadd = std::panic::catch_unwind(AssertUnwindSafe(|| sh.fetch_add_i64(1, 4090, 1)));
+            let msg = fadd.expect_err("an out-of-heap fetch-add returned");
+            seen.1 = msg.downcast_ref::<String>().cloned().unwrap_or_default();
+            sh.accumulate_f64(1, 8, &[2.5]);
+            sh.quiet();
+        }
+        sh.barrier_all();
+        let value = f64::from_le_bytes(sh.local_read(8, 8).try_into().unwrap());
+        (seen, value)
+    });
+    let ((failures, fadd), _) = &out[0];
+    assert_eq!(failures, &vec![OsStatus::OutOfBounds]);
+    assert!(fadd.contains("refused by target"), "{fadd}");
+    assert_eq!(out[1].1, 2.5, "the target kept serving");
 }
 
 #[test]

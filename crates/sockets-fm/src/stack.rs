@@ -4,7 +4,7 @@ use std::cell::RefCell;
 use std::collections::{HashMap, VecDeque};
 use std::rc::Rc;
 
-use fm_core::blocking::Backoff;
+use fm_core::blocking::{Backoff, Step, WEDGE_LIMIT};
 use fm_core::device::NetDevice;
 use fm_core::packet::HandlerId;
 use fm_core::{Fm2Engine, FmStream};
@@ -210,10 +210,10 @@ impl<D: NetDevice + 'static> SocketStack<D> {
         self.state.borrow().buffered_high_water
     }
 
-    /// Drive the stack (flush handler replies, extract from FM).
-    pub fn progress(&self) {
-        self.fm.extract_all();
-        self.fm.progress();
+    /// Drive the stack (flush handler replies, extract from FM). Returns
+    /// whether it moved anything (FM handed a handler any bytes).
+    pub fn progress(&self) -> bool {
+        self.fm.extract_all() > 0
     }
 
     /// Open `port` for incoming connections.
@@ -475,24 +475,15 @@ impl<D: NetDevice + 'static> SocketStack<D> {
         })
     }
 
-    /// The one blocking wait: poll `ready` until it yields a value,
-    /// driving the stack between polls. Panics with the "peer gone?"
-    /// diagnosis when the wait stays fruitless for the whole wedge limit
-    /// of [`Backoff`] (low under this crate's own unit tests, which never
+    /// Every blocking call of this layer: poll `ready` until it yields a
+    /// value through [`Backoff::wait`], whose progress step is
+    /// [`SocketStack::progress`]. Panics with the "peer gone?" diagnosis
+    /// when the wait stays fruitless for the whole wedge limit of
+    /// [`Backoff`] (low under this crate's own unit tests, which never
     /// block on a live peer and pin that exit).
     fn wait_for<T>(&self, what: &'static str, mut ready: impl FnMut() -> Option<T>) -> T {
-        let mut backoff = if cfg!(test) {
-            Backoff::with_limit(what, 10_000)
-        } else {
-            Backoff::new(what)
-        };
-        loop {
-            if let Some(v) = ready() {
-                return v;
-            }
-            self.progress();
-            backoff.snooze();
-        }
+        Backoff::with_limit(what, if cfg!(test) { 10_000 } else { WEDGE_LIMIT })
+            .wait(|| Step::or_progress(ready(), || self.progress()))
     }
 }
 
@@ -745,6 +736,23 @@ mod tests {
         // `recv`'s only exit.
         let (_a, b, _ca, cb) = connected_pair();
         b.recv(cb, &mut [0u8; 4]);
+    }
+
+    #[test]
+    fn a_wait_that_moves_on_every_poll_outlasts_the_wedge_limit() {
+        // Three times the 10,000-poll limit, every poll landing a segment
+        // the peer sent: a busy wait is not a wedged one.
+        let (a, b, ca, cb) = connected_pair();
+        let mut polls = 0;
+        a.wait_for("busy test wait", || {
+            a.try_recv(ca, &mut [0u8; 8]);
+            assert_eq!(b.try_send(cb, b"x"), 1);
+            b.progress();
+            let (fa, fb) = (a.fm().clone(), b.fm().clone());
+            fa.with_device(|da| fb.with_device(|db| LoopbackPair::deliver(da, db)));
+            polls += 1;
+            (polls == 30_000).then_some(())
+        });
     }
 
     #[test]

@@ -412,3 +412,161 @@ fn a_lost_packet_costs_one_packet() {
         c.end
     );
 }
+
+/// Drop ratio that forces timeouts often: data and acks alike.
+fn heavy_loss() -> Vec<FaultModel> {
+    vec![FaultModel::Drop { p: 0.3, seed: 11 }]
+}
+
+/// Timeouts the sender must have taken, ring empty, before its
+/// multi-packet message: six halvings take a 64-packet window to 1.
+const FORCED_TIMEOUTS: u64 = 6;
+
+/// What [`fm1_whole_message_after_timeouts`] and its FM 2.x twin saw:
+/// (the sender's timeouts before the big message, big messages
+/// delivered intact).
+type AfterTimeouts = (u64, usize);
+
+/// The sender sends one-packet messages, one at a time, until the timer
+/// has fired [`FORCED_TIMEOUTS`] times and nothing is unacked, then one
+/// message of `big` bytes, and ends once that is acknowledged. Timeouts
+/// halve the AIMD window below the big message, and with the ring empty
+/// no ack is on its way to grow it again: the message must go anyway.
+fn fm1_whole_message_after_timeouts(big: usize) -> AfterTimeouts {
+    let profile = MachineProfile::sparc_fm1();
+    let mut sim: Simulation<FmPacket> = Simulation::new(profile, Topology::single_crossbar(2));
+    sim.set_fault_models(heavy_loss());
+
+    let mut fm_s = Fm1Engine::new(SimDevice::new(sim.host_interface(NodeId(0))), profile);
+    let before = Rc::new(Cell::new(0u64));
+    let (small, data) = ([1u8; 8], vec![7u8; big]);
+    let mut big_sent = false;
+    {
+        let before = Rc::clone(&before);
+        sim.set_program(
+            NodeId(0),
+            Box::new(move || {
+                fm_s.extract();
+                let timeouts = fm_s.stats().retransmit_timeouts;
+                if fm_s.unacked_packets() == 0 {
+                    if big_sent {
+                        return StepOutcome::Done;
+                    }
+                    if timeouts < FORCED_TIMEOUTS {
+                        fm_s.try_send(1, H, &small)
+                            .expect("an idle window takes a packet");
+                    } else if fm_s.try_send(1, H, &data).is_ok() {
+                        before.set(timeouts);
+                        big_sent = true;
+                    }
+                }
+                StepOutcome::Wait
+            }),
+        );
+    }
+
+    let mut fm_r = Fm1Engine::new(SimDevice::new(sim.host_interface(NodeId(1))), profile);
+    let got = Rc::new(Cell::new(0usize));
+    {
+        let got = Rc::clone(&got);
+        fm_r.set_handler(
+            H,
+            Box::new(move |_eng, _src, m| {
+                if m.len() == big && m.iter().all(|&b| b == 7) {
+                    got.set(got.get() + 1);
+                }
+            }),
+        );
+    }
+    sim.set_program(
+        NodeId(1),
+        Box::new(move || {
+            fm_r.extract();
+            StepOutcome::Wait
+        }),
+    );
+    sim.run(Some(Nanos::from_ms(2000)));
+    (before.get(), got.get())
+}
+
+/// [`fm1_whole_message_after_timeouts`] on FM 2.x, whose
+/// `try_send_message` preflights the whole message the same way.
+fn fm2_whole_message_after_timeouts(big: usize) -> AfterTimeouts {
+    let profile = MachineProfile::ppro200_fm2();
+    let mut sim: Simulation<FmPacket> = Simulation::new(profile, Topology::single_crossbar(2));
+    sim.set_fault_models(heavy_loss());
+
+    let fm_s = Fm2Engine::new(SimDevice::new(sim.host_interface(NodeId(0))), profile);
+    let before = Rc::new(Cell::new(0u64));
+    let (small, data) = ([1u8; 8], vec![7u8; big]);
+    let mut big_sent = false;
+    {
+        let before = Rc::clone(&before);
+        sim.set_program(
+            NodeId(0),
+            Box::new(move || {
+                fm_s.extract_all();
+                let timeouts = fm_s.stats().retransmit_timeouts;
+                if fm_s.unacked_packets() == 0 {
+                    if big_sent {
+                        return StepOutcome::Done;
+                    }
+                    if timeouts < FORCED_TIMEOUTS {
+                        fm_s.try_send_message(1, H, &[&small])
+                            .expect("an idle window takes a packet");
+                    } else if fm_s.try_send_message(1, H, &[&data]).is_ok() {
+                        before.set(timeouts);
+                        big_sent = true;
+                    }
+                }
+                StepOutcome::Wait
+            }),
+        );
+    }
+
+    let fm_r = Fm2Engine::new(SimDevice::new(sim.host_interface(NodeId(1))), profile);
+    let got = Rc::new(Cell::new(0usize));
+    {
+        let got = Rc::clone(&got);
+        fm_r.set_handler(H, move |stream: FmStream, _| {
+            let got = Rc::clone(&got);
+            async move {
+                let m = stream.receive_vec(stream.msg_len()).await;
+                if m.len() == big && m.iter().all(|&b| b == 7) {
+                    got.set(got.get() + 1);
+                }
+            }
+        });
+    }
+    sim.set_program(
+        NodeId(1),
+        Box::new(move || {
+            fm_r.extract_all();
+            StepOutcome::Wait
+        }),
+    );
+    sim.run(Some(Nanos::from_ms(2000)));
+    (before.get(), got.get())
+}
+
+#[test]
+fn fm1_sends_a_whole_message_after_timeouts_shrank_the_window() {
+    // 300 B is three packets at sparc_fm1's 128-byte MTU.
+    let (timeouts, got) = fm1_whole_message_after_timeouts(300);
+    assert!(
+        timeouts >= FORCED_TIMEOUTS,
+        "only {timeouts} timeouts forced"
+    );
+    assert_eq!(got, 1, "the 3-packet message never went");
+}
+
+#[test]
+fn fm2_sends_a_whole_message_after_timeouts_shrank_the_window() {
+    // 3 KB is three packets at ppro200_fm2's 1 KB MTU.
+    let (timeouts, got) = fm2_whole_message_after_timeouts(3 * 1024);
+    assert!(
+        timeouts >= FORCED_TIMEOUTS,
+        "only {timeouts} timeouts forced"
+    );
+    assert_eq!(got, 1, "the 3-packet message never went");
+}
