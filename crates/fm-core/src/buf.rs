@@ -21,8 +21,18 @@
 //! the write gate — a frame is writable only while exactly one reference
 //! points at it.
 //!
+//! A small packet needs none of this. A payload of at most [`INLINE`]
+//! (22) bytes rides inside the `PacketBuf` itself: cloning it copies the
+//! bytes, and it never touches a pool, an `Arc` or an atomic. The bound
+//! is what fits beside the enum's tag in the 24 bytes a frame window
+//! takes anyway, so `PacketBuf` — and every `FmPacket` the engines and
+//! the simulator move by value — stays the size it was.
+//!
 //! Ownership protocol (see DESIGN.md §11 for the full story):
 //!
+//! * **Size**: whoever stages a packet of known length asks
+//!   [`PacketBuf::for_len`], which keeps it inline when it fits and
+//!   takes a pool frame otherwise. Everything below is about frames.
 //! * **Allocate**: whoever produces bytes takes a frame from its pool
 //!   ([`BufPool::take`]) and fills it while uniquely owned.
 //! * **Share**: downstream layers clone the `PacketBuf` (refcount bump)
@@ -127,7 +137,11 @@ impl BufPool {
     /// without touching the allocator. The lent FIFO grows, during
     /// warm-up, to one frame more than the readers downstream keep in
     /// flight — a handful, however large the pool.
+    ///
+    /// # Panics
+    /// If `frame_capacity` is 4 GiB or more (a window is two `u32`s).
     pub fn new(frame_capacity: usize, max_free: usize) -> Self {
+        u32::try_from(frame_capacity).expect("a frame under 4 GiB");
         BufPool {
             shared: Arc::new(PoolShared {
                 free: Mutex::new(Vec::with_capacity(max_free)),
@@ -190,8 +204,8 @@ impl BufPool {
     /// shared downstream: the pool keeps a reference, and [`take`] hands
     /// the frame out again once every reader has dropped its view. Call
     /// it while `buf` is still the frame's only owner; a frame that is
-    /// already shared, detached or from elsewhere is left alone. From
-    /// here on the frame is read-only.
+    /// already shared or from elsewhere, and an inline or detached
+    /// buffer, are left alone. From here on the frame is read-only.
     ///
     /// The FIFO is bounded: when it is full its oldest frame — `max_free`
     /// others were lent after it and every one is still read — goes back
@@ -199,7 +213,9 @@ impl BufPool {
     ///
     /// [`take`]: BufPool::take
     pub fn lend(&self, buf: &PacketBuf) {
-        let Some(slot) = &buf.slot else { return };
+        let Repr::Frame { slot, .. } = &buf.repr else {
+            return;
+        };
         let ours = std::ptr::eq(slot.home.as_ptr(), Arc::as_ptr(&self.shared));
         if !ours || Arc::strong_count(slot) != 1 {
             return;
@@ -232,26 +248,54 @@ impl BufPool {
     }
 }
 
-/// A refcounted window into a slab frame (or into a plain `Vec` for
-/// pool-less compatibility).
+/// Payloads of at most this many bytes are held inline in their
+/// [`PacketBuf`], not in a pool frame: 22 is what fits beside the enum's
+/// tag and a length byte in the 24 bytes a frame window takes anyway.
+pub const INLINE: usize = 22;
+
+/// A packet's bytes: a refcounted window into a slab frame (or into a
+/// plain `Vec` for pool-less compatibility), or, for a payload of at
+/// most [`INLINE`] bytes, the bytes themselves.
 ///
 /// `PacketBuf` is what `FmPacket::payload` is made of. It dereferences
-/// to `&[u8]`, clones by bumping a refcount, and re-windows with
-/// [`slice`](Self::slice) — none of which copy payload bytes. Writing
+/// to `&[u8]`, clones by bumping a refcount (an inline buffer copies its
+/// few bytes instead), and re-windows with [`slice`](Self::slice) — none
+/// of which copy a frame's payload bytes. Writing
 /// ([`extend_from_slice`](Self::extend_from_slice),
 /// [`frame_mut`](Self::frame_mut)) is only possible while the frame has
 /// exactly one owner, which is how safe Rust guarantees readers never
-/// observe a frame being refilled.
+/// observe a frame being refilled. An inline buffer is always its own
+/// only owner.
 ///
 /// Dropping the last owner recycles the frame to its home [`BufPool`].
 #[derive(Debug, Default)]
 pub struct PacketBuf {
-    /// `None` is the canonical empty buffer (credit/ack-only packets):
-    /// zero bytes, zero allocation.
-    slot: Option<Arc<SlotInner>>,
-    off: usize,
-    len: usize,
+    repr: Repr,
 }
+
+/// The three things a [`PacketBuf`] can be. 24 bytes, like the
+/// `(Option<Arc>, usize, usize)` window it replaced: the inline array
+/// stops where the tag and the length byte leave off. The per-packet
+/// methods that match on it are `#[inline]`: the layers above call them
+/// from other crates, which cannot inline them without the hint (no
+/// build here uses LTO).
+#[derive(Debug, Default)]
+enum Repr {
+    /// The canonical empty buffer (credit/ack-only packets): zero bytes,
+    /// zero allocation.
+    #[default]
+    Detached,
+    /// A small payload held by value: `bytes[..len]` is live.
+    Inline { len: u8, bytes: [u8; INLINE] },
+    /// A window `[off, off + len)` into a refcounted frame.
+    Frame {
+        slot: Arc<SlotInner>,
+        off: u32,
+        len: u32,
+    },
+}
+
+const _: () = assert!(std::mem::size_of::<PacketBuf>() == 24);
 
 impl PacketBuf {
     /// The empty buffer: no frame, no allocation, `len() == 0`.
@@ -259,73 +303,133 @@ impl PacketBuf {
         PacketBuf::default()
     }
 
+    /// An empty inline buffer with room for [`INLINE`] bytes.
+    fn inline() -> Self {
+        PacketBuf {
+            repr: Repr::Inline {
+                len: 0,
+                bytes: [0; INLINE],
+            },
+        }
+    }
+
     /// An empty window at the start of `slot`.
     fn over(slot: Arc<SlotInner>) -> Self {
         PacketBuf {
-            slot: Some(slot),
-            off: 0,
-            len: 0,
+            repr: Repr::Frame {
+                slot,
+                off: 0,
+                len: 0,
+            },
         }
     }
 
-    /// A "homeless" writable buffer (no pool to recycle to) with room
-    /// for `capacity` bytes, starting empty. For one-off frames whose
-    /// size is known up front — e.g. staging a self-addressed message.
-    pub fn with_capacity(capacity: usize) -> Self {
-        if capacity == 0 {
-            return PacketBuf::empty();
+    /// An empty, writable buffer to stage a packet of `len` bytes in:
+    /// the empty buffer for `len == 0`, an inline one up to [`INLINE`]
+    /// bytes, else a frame from `pool` ([`BufPool::take`]). The one
+    /// place that decides whether a packet takes a pool frame.
+    #[inline]
+    pub fn for_len(pool: &BufPool, len: usize) -> Self {
+        match len {
+            0 => PacketBuf::empty(),
+            1..=INLINE => PacketBuf::inline(),
+            _ => pool.take(),
         }
-        PacketBuf::over(Arc::new(SlotInner {
-            data: vec![0u8; capacity],
-            home: Weak::new(),
-        }))
+    }
+
+    /// A writable buffer with room for `capacity` bytes, starting empty:
+    /// inline up to [`INLINE`] bytes, else a "homeless" frame (no pool
+    /// to recycle to) of exactly that size. For one-off frames whose
+    /// size is known up front — e.g. staging a self-addressed message.
+    ///
+    /// # Panics
+    /// If `capacity` is 4 GiB or more.
+    pub fn with_capacity(capacity: usize) -> Self {
+        match capacity {
+            0 => PacketBuf::empty(),
+            1..=INLINE => PacketBuf::inline(),
+            _ => {
+                u32::try_from(capacity).expect("a frame under 4 GiB");
+                PacketBuf::over(Arc::new(SlotInner {
+                    data: vec![0u8; capacity],
+                    home: Weak::new(),
+                }))
+            }
+        }
     }
 
     /// Bytes visible through this window.
+    #[inline]
     pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// True when the window is zero bytes long.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Total frame size behind this buffer (0 for the empty buffer).
-    pub fn capacity(&self) -> usize {
-        self.slot.as_ref().map_or(0, |s| s.data.len())
-    }
-
-    /// True when no frame is attached at all (the [`empty`](Self::empty)
-    /// buffer, or a buffer consumed by `std::mem::take`).
-    pub fn is_detached(&self) -> bool {
-        self.slot.is_none()
-    }
-
-    /// True while this is the frame's only owner — the state in which
-    /// the write methods succeed.
-    pub fn is_unique(&self) -> bool {
-        match &self.slot {
-            Some(slot) => Arc::strong_count(slot) == 1,
-            None => true,
+        match self.repr {
+            Repr::Detached => 0,
+            Repr::Inline { len, .. } => len as usize,
+            Repr::Frame { len, .. } => len as usize,
         }
     }
 
-    /// A zero-copy sub-window: `off`/`len` relative to this window.
+    /// True when the window is zero bytes long.
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Total frame size behind this buffer: [`INLINE`] for an inline
+    /// buffer, 0 for the empty one.
+    pub fn capacity(&self) -> usize {
+        match &self.repr {
+            Repr::Detached => 0,
+            Repr::Inline { .. } => INLINE,
+            Repr::Frame { slot, .. } => slot.data.len(),
+        }
+    }
+
+    /// True when no bytes are attached at all (the
+    /// [`empty`](Self::empty) buffer, or a buffer consumed by
+    /// `std::mem::take`).
+    pub fn is_detached(&self) -> bool {
+        matches!(self.repr, Repr::Detached)
+    }
+
+    /// True while this is the frame's only owner — the state in which
+    /// the write methods succeed. Always true of an inline buffer.
+    pub fn is_unique(&self) -> bool {
+        match &self.repr {
+            Repr::Frame { slot, .. } => Arc::strong_count(slot) == 1,
+            _ => true,
+        }
+    }
+
+    /// A sub-window: `off`/`len` relative to this window. Zero-copy on a
+    /// frame; an inline buffer copies the few bytes it keeps.
     ///
     /// # Panics
     /// If `off + len` exceeds [`len()`](Self::len).
     pub fn slice(&self, off: usize, len: usize) -> PacketBuf {
         assert!(
-            off.checked_add(len).is_some_and(|end| end <= self.len),
+            off.checked_add(len).is_some_and(|end| end <= self.len()),
             "slice({off}, {len}) out of bounds of {}-byte buffer",
-            self.len
+            self.len()
         );
-        PacketBuf {
-            slot: self.slot.clone(),
-            off: self.off + off,
-            len,
-        }
+        let repr = match &self.repr {
+            Repr::Detached => Repr::Detached,
+            Repr::Inline { bytes: from, .. } => {
+                let mut bytes = [0; INLINE];
+                bytes[..len].copy_from_slice(&from[off..off + len]);
+                Repr::Inline {
+                    len: len as u8,
+                    bytes,
+                }
+            }
+            Repr::Frame {
+                slot, off: start, ..
+            } => Repr::Frame {
+                slot: Arc::clone(slot),
+                off: start + off as u32,
+                len: len as u32,
+            },
+        };
+        PacketBuf { repr }
     }
 
     /// Append bytes at the end of the window (gather-send staging).
@@ -339,18 +443,27 @@ impl PacketBuf {
         if bytes.is_empty() {
             return;
         }
-        let slot = self
-            .slot
-            .as_mut()
-            .expect("extend_from_slice on a detached PacketBuf");
-        let inner = Arc::get_mut(slot).expect("extend_from_slice on a shared PacketBuf");
-        let start = self.off + self.len;
-        let end = start
-            .checked_add(bytes.len())
-            .filter(|&e| e <= inner.data.len())
-            .expect("extend_from_slice past frame capacity");
-        inner.data[start..end].copy_from_slice(bytes);
-        self.len += bytes.len();
+        let past_capacity = "extend_from_slice past frame capacity";
+        match &mut self.repr {
+            Repr::Detached => panic!("extend_from_slice on a detached PacketBuf"),
+            Repr::Inline { len, bytes: data } => {
+                let start = *len as usize;
+                let end = start + bytes.len();
+                assert!(end <= INLINE, "{past_capacity}");
+                data[start..end].copy_from_slice(bytes);
+                *len = end as u8;
+            }
+            Repr::Frame { slot, off, len } => {
+                let inner = Arc::get_mut(slot).expect("extend_from_slice on a shared PacketBuf");
+                let start = (*off + *len) as usize;
+                let end = start
+                    .checked_add(bytes.len())
+                    .filter(|&e| e <= inner.data.len())
+                    .expect(past_capacity);
+                inner.data[start..end].copy_from_slice(bytes);
+                *len += bytes.len() as u32;
+            }
+        }
     }
 
     /// Mutable access to the *whole* frame (for `recv`-style fills),
@@ -358,12 +471,16 @@ impl PacketBuf {
     /// [`set_window`](Self::set_window) to publish how many bytes are
     /// now live.
     pub fn frame_mut(&mut self) -> Option<&mut [u8]> {
-        let slot = self.slot.as_mut()?;
-        Arc::get_mut(slot).map(|inner| inner.data.as_mut_slice())
+        match &mut self.repr {
+            Repr::Detached => None,
+            Repr::Inline { bytes, .. } => Some(bytes),
+            Repr::Frame { slot, .. } => Arc::get_mut(slot).map(|inner| inner.data.as_mut_slice()),
+        }
     }
 
     /// Re-window onto `frame[off .. off + len]` (absolute frame
-    /// coordinates, unlike [`slice`](Self::slice)).
+    /// coordinates, unlike [`slice`](Self::slice)). An inline buffer
+    /// moves those bytes to its start.
     ///
     /// # Panics
     /// If the range exceeds the frame.
@@ -373,8 +490,21 @@ impl PacketBuf {
             off.checked_add(len).is_some_and(|end| end <= cap),
             "set_window({off}, {len}) out of bounds of {cap}-byte frame"
         );
-        self.off = off;
-        self.len = len;
+        match &mut self.repr {
+            Repr::Detached => {}
+            Repr::Inline { len: live, bytes } => {
+                bytes.copy_within(off..off + len, 0);
+                *live = len as u8;
+            }
+            Repr::Frame {
+                off: start,
+                len: live,
+                ..
+            } => {
+                *start = off as u32;
+                *live = len as u32;
+            }
+        }
     }
 
     /// Reset to an empty window at the start of the frame, keeping the
@@ -383,14 +513,17 @@ impl PacketBuf {
     /// # Panics
     /// If the frame is shared — a reader still holds a view.
     pub fn clear(&mut self) {
-        if let Some(slot) = &self.slot {
-            assert!(
-                Arc::strong_count(slot) == 1,
-                "clear() on a shared PacketBuf"
-            );
+        match &mut self.repr {
+            Repr::Detached => {}
+            Repr::Inline { len, .. } => *len = 0,
+            Repr::Frame { slot, off, len } => {
+                assert!(
+                    Arc::strong_count(slot) == 1,
+                    "clear() on a shared PacketBuf"
+                );
+                (*off, *len) = (0, 0);
+            }
         }
-        self.off = 0;
-        self.len = 0;
     }
 }
 
@@ -399,44 +532,56 @@ impl Drop for PacketBuf {
     /// its home pool's free list, capped at the pool's `max_free`.
     /// Shared drops (a view remains, or the pool's lent FIFO holds the
     /// frame for [`BufPool::take`] to find) and homeless frames just
-    /// decrement / free as usual. (If two clones race on the "am I
-    /// last?" check, at worst the frame goes to the allocator instead of
-    /// the free list — safe, merely a missed recycle.)
+    /// decrement / free as usual; inline and empty buffers own nothing.
+    /// (If two clones race on the "am I last?" check, at worst the frame
+    /// goes to the allocator instead of the free list — safe, merely a
+    /// missed recycle.)
+    #[inline]
     fn drop(&mut self) {
-        let Some(slot) = self.slot.take() else {
+        let Repr::Frame { slot, .. } = &self.repr else {
             return;
         };
-        if Arc::strong_count(&slot) != 1 {
+        if Arc::strong_count(slot) != 1 {
             return; // Another owner remains; it will recycle.
         }
         if let Some(pool) = slot.home.upgrade() {
             let mut free = pool.free_list();
             if free.len() < pool.max_free {
-                free.push(slot);
+                if let Repr::Frame { slot, .. } = std::mem::take(&mut self.repr) {
+                    free.push(slot);
+                }
             }
         }
     }
 }
 
 impl Clone for PacketBuf {
-    /// Refcount bump plus a copied `(off, len)` window — no payload
-    /// bytes move.
+    /// Refcount bump plus a copied `(off, len)` window — no frame bytes
+    /// move. An inline buffer is copied whole.
+    #[inline]
     fn clone(&self) -> Self {
-        PacketBuf {
-            slot: self.slot.clone(),
-            off: self.off,
-            len: self.len,
-        }
+        let repr = match &self.repr {
+            Repr::Detached => Repr::Detached,
+            &Repr::Inline { len, bytes } => Repr::Inline { len, bytes },
+            Repr::Frame { slot, off, len } => Repr::Frame {
+                slot: Arc::clone(slot),
+                off: *off,
+                len: *len,
+            },
+        };
+        PacketBuf { repr }
     }
 }
 
 impl std::ops::Deref for PacketBuf {
     type Target = [u8];
 
+    #[inline]
     fn deref(&self) -> &[u8] {
-        match &self.slot {
-            Some(slot) => &slot.data[self.off..self.off + self.len],
-            None => &[],
+        match &self.repr {
+            Repr::Detached => &[],
+            Repr::Inline { len, bytes } => &bytes[..*len as usize],
+            Repr::Frame { slot, off, len } => &slot.data[*off as usize..(*off + *len) as usize],
         }
     }
 }
@@ -450,19 +595,24 @@ impl AsRef<[u8]> for PacketBuf {
 impl From<Vec<u8>> for PacketBuf {
     /// Wrap a plain `Vec` as a "homeless" buffer (no pool to recycle
     /// to). The compatibility path for tests and cold paths; hot paths
-    /// use [`BufPool::take`].
+    /// use [`PacketBuf::for_len`].
+    ///
+    /// # Panics
+    /// If `data` is 4 GiB or longer (no wire frame comes near).
     fn from(data: Vec<u8>) -> Self {
-        let len = data.len();
-        if len == 0 {
+        if data.is_empty() {
             return PacketBuf::empty();
         }
+        let len = u32::try_from(data.len()).expect("a PacketBuf frame under 4 GiB");
         PacketBuf {
-            slot: Some(Arc::new(SlotInner {
-                data,
-                home: Weak::new(),
-            })),
-            off: 0,
-            len,
+            repr: Repr::Frame {
+                slot: Arc::new(SlotInner {
+                    data,
+                    home: Weak::new(),
+                }),
+                off: 0,
+                len,
+            },
         }
     }
 }
@@ -660,7 +810,10 @@ mod tests {
         pool.lend(&b);
         let done_with = pool.take();
         pool.lend(&done_with);
-        let probes = [&b, &done_with].map(|f| Arc::downgrade(f.slot.as_ref().unwrap()));
+        let probes = [&b, &done_with].map(|f| match &f.repr {
+            Repr::Frame { slot, .. } => Arc::downgrade(slot),
+            _ => unreachable!("a taken buffer is a frame"),
+        });
         drop(done_with);
         drop(pool); // frees the frame nobody reads, lets go of the other
         assert!(probes[1].upgrade().is_none(), "unread lent frame leaked");

@@ -58,6 +58,15 @@ pub enum FmError {
         /// What was wrong, in words.
         reason: &'static str,
     },
+    /// A layer above FM could not decode a message a peer sent to one of
+    /// its handlers (an unknown kind byte, a header too short) and
+    /// dropped it instead of acting on it.
+    MalformedMessage {
+        /// Sending node.
+        src: usize,
+        /// The handler the message was sent to.
+        handler: u32,
+    },
 }
 
 impl fmt::Display for FmError {
@@ -77,6 +86,10 @@ impl fmt::Display for FmError {
             FmError::MalformedHeader { reason } => {
                 write!(f, "malformed packet header: {reason}")
             }
+            FmError::MalformedMessage { src, handler } => write!(
+                f,
+                "malformed message from node {src} to handler {handler}, dropped"
+            ),
         }
     }
 }
@@ -110,5 +123,7 @@ mod tests {
         }
         .to_string()
         .contains("truncated"));
+        let dropped = FmError::MalformedMessage { src: 2, handler: 7 }.to_string();
+        assert!(dropped.contains("node 2") && dropped.contains("handler 7"));
     }
 }

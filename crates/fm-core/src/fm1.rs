@@ -269,7 +269,7 @@ impl<D: NetDevice> Fm1Engine<D> {
             if i + 1 == total {
                 flags = flags | PacketFlags::LAST;
             }
-            let mut payload = core.pool.take();
+            let mut payload = PacketBuf::for_len(&core.pool, chunk.len());
             payload.extend_from_slice(chunk);
             core.pool.lend(&payload);
             core.emit_data(dst, handler, msg_seq, len, flags, payload);

@@ -152,6 +152,14 @@ impl<D: NetDevice> Fm2Handle<D> {
     pub fn send_from_handler<'a>(&self, dst: usize, id: HandlerId, msg: impl Into<Message<'a>>) {
         self.engine().send_from_handler(dst, id, msg);
     }
+
+    /// Add `e` to the log [`Fm2Engine::take_errors`] empties and count
+    /// it in [`FmStats::errors_reported`]: how a layer above FM reports
+    /// a peer's message its handler dropped
+    /// ([`FmError::MalformedMessage`]).
+    pub fn report_error(&self, e: FmError) {
+        self.engine().inner.borrow_mut().core.report_error(e);
+    }
 }
 
 impl<D: NetDevice> Fm2Engine<D> {

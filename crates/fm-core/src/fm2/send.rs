@@ -391,10 +391,11 @@ impl<D: NetDevice> Fm2Engine<D> {
                 break;
             }
             if ss.pending.is_detached() {
-                // First piece of a fresh packet: grab a recycled frame to
-                // gather into (flushing hands the previous frame to the
-                // packet wholesale).
-                ss.pending = core.pool.take();
+                // First piece of a fresh packet: stage it inline when it
+                // is small, else in a recycled frame (flushing hands the
+                // previous one to the packet wholesale).
+                let len = mtu.min(ss.msg_len as usize - ss.accepted);
+                ss.pending = PacketBuf::for_len(&core.pool, len);
             }
             let space = mtu - ss.pending.len();
             let take = space.min(data.len() - offset);

@@ -232,6 +232,11 @@ pub struct FmPacket {
     pub payload: PacketBuf,
 }
 
+// Queues of packets move them by value (the simulator's above all): a
+// small payload rides inline only because that keeps this size.
+#[cfg(target_pointer_width = "64")]
+const _: () = assert!(std::mem::size_of::<FmPacket>() == 56);
+
 impl FmPacket {
     /// Bytes this packet occupies on the wire.
     pub fn wire_bytes(&self) -> u32 {
@@ -348,16 +353,7 @@ impl FmPacket {
     /// already hold the frame in a [`PacketBuf`] should use
     /// [`decode_from_buf`](Self::decode_from_buf), which does not.
     pub fn decode_wire(buf: &[u8]) -> Result<FmPacket, FmError> {
-        if buf.len() > MAX_WIRE_FRAME {
-            return Err(FmError::MalformedHeader {
-                reason: "frame exceeds MAX_WIRE_FRAME",
-            });
-        }
-        let header = PacketHeader::decode(buf)?;
-        Ok(FmPacket {
-            header,
-            payload: PacketBuf::from(buf[HEADER_WIRE_BYTES as usize..].to_vec()),
-        })
+        FmPacket::decode_with(buf, |body| PacketBuf::from(body.to_vec()))
     }
 
     /// Decode a full packet **zero-copy** from a frame already living in
@@ -366,18 +362,29 @@ impl FmPacket {
     /// `frame`, so no payload byte moves. Same rejections as
     /// [`decode_wire`](Self::decode_wire).
     pub fn decode_from_buf(frame: &PacketBuf) -> Result<FmPacket, FmError> {
-        if frame.len() > MAX_WIRE_FRAME {
+        let header = HEADER_WIRE_BYTES as usize;
+        FmPacket::decode_with(frame, |body| frame.slice(header, body.len()))
+    }
+
+    /// Decode a full packet from the wire frame `buf`, with the same
+    /// rejections as [`decode_wire`](Self::decode_wire), and build its
+    /// payload from the bytes after the header with `payload` — which
+    /// runs only once the header has decoded. A transport that reads
+    /// frames in place (a ring slot) copies out just the payload this
+    /// way, sized by [`PacketBuf::for_len`].
+    pub fn decode_with(
+        buf: &[u8],
+        payload: impl FnOnce(&[u8]) -> PacketBuf,
+    ) -> Result<FmPacket, FmError> {
+        if buf.len() > MAX_WIRE_FRAME {
             return Err(FmError::MalformedHeader {
                 reason: "frame exceeds MAX_WIRE_FRAME",
             });
         }
-        let header = PacketHeader::decode(frame)?;
+        let header = PacketHeader::decode(buf)?;
         Ok(FmPacket {
             header,
-            payload: frame.slice(
-                HEADER_WIRE_BYTES as usize,
-                frame.len() - HEADER_WIRE_BYTES as usize,
-            ),
+            payload: payload(&buf[HEADER_WIRE_BYTES as usize..]),
         })
     }
 

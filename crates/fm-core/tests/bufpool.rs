@@ -357,3 +357,246 @@ fn prop_lent_views_always_read_what_the_owner_wrote() {
         );
     }
 }
+
+// ---- the three representations against a `Vec<u8>` model ----
+
+/// What the model knows about one live buffer: its bytes, and for a
+/// pool frame which frame it is and where its window starts.
+struct Modeled {
+    buf: PacketBuf,
+    bytes: Vec<u8>,
+    capacity: usize,
+    /// `Some((frame id, window offset))` for a pool frame; inline and
+    /// detached buffers own no frame (an inline window starts at 0).
+    frame: Option<(u64, usize)>,
+}
+
+/// The pool as the model sees it: the ids of the frames its lent FIFO
+/// holds a reference to, oldest first.
+struct ModelPool {
+    pool: BufPool,
+    max_free: usize,
+    lent: std::collections::VecDeque<u64>,
+    next_frame: u64,
+}
+
+impl ModelPool {
+    /// References to `frame`: the live buffers on it, and the FIFO's.
+    fn refs(&self, live: &[Modeled], frame: u64) -> usize {
+        let views = live.iter().filter(|m| m.frame.map(|f| f.0) == Some(frame));
+        views.count() + usize::from(self.lent.contains(&frame))
+    }
+
+    fn unique(&self, live: &[Modeled], m: &Modeled) -> bool {
+        m.frame.is_none_or(|(frame, _)| self.refs(live, frame) == 1)
+    }
+
+    /// `BufPool::take`: the oldest lent frame nobody reads comes back
+    /// (the lent frames before it leave the FIFO), else some other frame.
+    fn take(&mut self, live: &[Modeled]) -> Modeled {
+        let buf = self.pool.take();
+        self.adopt(live, buf)
+    }
+
+    /// The model's side of a frame `buf` just taken from the pool.
+    fn adopt(&mut self, live: &[Modeled], buf: PacketBuf) -> Modeled {
+        if let Some(at) = self.lent.iter().position(|&f| self.refs(live, f) == 1) {
+            self.lent.drain(..=at);
+        }
+        self.next_frame += 1;
+        Modeled {
+            buf,
+            bytes: Vec::new(),
+            capacity: self.pool.frame_capacity(),
+            frame: Some((self.next_frame, 0)),
+        }
+    }
+
+    /// `PacketBuf::for_len`: empty, inline, or a frame as from
+    /// [`take`](Self::take).
+    fn for_len(&mut self, live: &[Modeled], len: usize) -> Modeled {
+        let buf = PacketBuf::for_len(&self.pool, len);
+        if len > fm_core::buf::INLINE {
+            return self.adopt(live, buf);
+        }
+        Modeled {
+            buf,
+            bytes: Vec::new(),
+            capacity: if len == 0 { 0 } else { fm_core::buf::INLINE },
+            frame: None,
+        }
+    }
+
+    /// `BufPool::lend`: a frame only its lender holds joins the FIFO,
+    /// pushing its oldest entry out when full.
+    fn lend(&mut self, live: &[Modeled], m: &Modeled) {
+        self.pool.lend(&m.buf);
+        let Some((frame, _)) = m.frame else { return };
+        if self.refs(live, frame) != 1 {
+            return;
+        }
+        if self.lent.len() >= self.max_free {
+            self.lent.pop_front();
+        }
+        self.lent.push_back(frame);
+    }
+}
+
+/// Seeded sequences of every operation a packet buffer has — `for_len`
+/// either side of the inline bound, `extend_from_slice`, `slice`,
+/// `clone`, `frame_mut` + `set_window`, `clear`, `lend`/`take` and drop
+/// — checked after each step against a `Vec<u8>` per live buffer:
+/// contents, `len`, `capacity`, `is_unique`, `is_detached`.
+#[test]
+fn prop_every_representation_matches_a_vec_model() {
+    use fm_core::buf::INLINE;
+    const FRAME: usize = 2 * INLINE + 4;
+    let cases = env_cases(128);
+    for case in 0..cases {
+        let mut rng = DetRng::seed_from_u64(0x1411_0000 ^ case as u64);
+        let max_free = [1, 3, 64][rng.range_usize(0, 3)];
+        let mut p = ModelPool {
+            pool: BufPool::new(FRAME, max_free),
+            max_free,
+            lent: Default::default(),
+            next_frame: 0,
+        };
+        let mut live: Vec<Modeled> = Vec::new();
+        for step in 0..200 {
+            let at = |rng: &mut DetRng, live: &[Modeled]| rng.range_usize(0, live.len());
+            match rng.below(9) {
+                _ if live.is_empty() => {
+                    // Mostly right at the bound: 21..=24 bytes.
+                    let len = match rng.below(3) {
+                        0 => rng.range_usize(0, FRAME + 1),
+                        _ => rng.range_usize(INLINE - 1, INLINE + 3),
+                    };
+                    let mut m = p.for_len(&live, len);
+                    let bytes = rng.bytes(len);
+                    m.buf.extend_from_slice(&bytes);
+                    m.bytes = bytes;
+                    live.push(m);
+                }
+                _ if live.len() > 12 => {
+                    let i = at(&mut rng, &live);
+                    live.swap_remove(i);
+                }
+                0 | 1 => {
+                    let len = rng.range_usize(INLINE - 2, INLINE + 3);
+                    let mut m = p.for_len(&live, len);
+                    let n = rng.range_usize(0, len + 1);
+                    let bytes = rng.bytes(n);
+                    m.buf.extend_from_slice(&bytes);
+                    m.bytes = bytes;
+                    live.push(m);
+                }
+                2 => {
+                    // Append to a writable buffer where the bytes fit.
+                    let i = at(&mut rng, &live);
+                    let m = &live[i];
+                    let end = m.frame.map_or(0, |f| f.1) + m.bytes.len();
+                    if m.buf.is_detached() || !p.unique(&live, m) || end == m.capacity {
+                        continue;
+                    }
+                    let n = rng.range_usize(1, m.capacity - end + 1);
+                    let more = rng.bytes(n);
+                    let m = &mut live[i];
+                    m.buf.extend_from_slice(&more);
+                    m.bytes.extend_from_slice(&more);
+                }
+                3 => {
+                    let m = &live[at(&mut rng, &live)];
+                    let off = rng.range_usize(0, m.bytes.len() + 1);
+                    let len = rng.range_usize(0, m.bytes.len() - off + 1);
+                    let view = Modeled {
+                        buf: m.buf.slice(off, len),
+                        bytes: m.bytes[off..off + len].to_vec(),
+                        capacity: m.capacity,
+                        frame: m.frame.map(|(f, start)| (f, start + off)),
+                    };
+                    live.push(view);
+                }
+                4 => {
+                    let m = &live[at(&mut rng, &live)];
+                    let copy = Modeled {
+                        buf: m.buf.clone(),
+                        bytes: m.bytes.clone(),
+                        capacity: m.capacity,
+                        frame: m.frame,
+                    };
+                    live.push(copy);
+                }
+                5 => {
+                    // A recv-style fill: write part of the frame, then
+                    // publish a window of it.
+                    let i = at(&mut rng, &live);
+                    let unique = p.unique(&live, &live[i]);
+                    let m = &mut live[i];
+                    let Some(frame) = m.buf.frame_mut() else {
+                        let why = "frame_mut refused";
+                        assert!(
+                            m.buf.is_detached() || !unique,
+                            "case {case} step {step}: {why}"
+                        );
+                        continue;
+                    };
+                    assert!(
+                        unique,
+                        "case {case} step {step}: a shared frame is writable"
+                    );
+                    assert_eq!(frame.len(), m.capacity, "case {case} step {step}");
+                    let start = m.frame.map_or(0, |f| f.1);
+                    assert_eq!(&frame[start..start + m.bytes.len()], &m.bytes[..]);
+                    let from = rng.range_usize(0, frame.len() + 1);
+                    let n = rng.range_usize(0, frame.len() - from + 1);
+                    let fill = rng.bytes(n);
+                    frame[from..from + fill.len()].copy_from_slice(&fill);
+                    let whole = frame.to_vec();
+                    let off = rng.range_usize(0, whole.len() + 1);
+                    let len = rng.range_usize(0, whole.len() - off + 1);
+                    m.buf.set_window(off, len);
+                    m.bytes = whole[off..off + len].to_vec();
+                    if let Some((_, start)) = &mut m.frame {
+                        *start = off;
+                    }
+                }
+                6 => {
+                    let i = at(&mut rng, &live);
+                    if !p.unique(&live, &live[i]) {
+                        continue; // a reader still holds a view: clear panics
+                    }
+                    let m = &mut live[i];
+                    m.buf.clear();
+                    m.bytes.clear();
+                    if let Some((_, start)) = &mut m.frame {
+                        *start = 0;
+                    }
+                }
+                7 => {
+                    let i = at(&mut rng, &live);
+                    p.lend(&live, &live[i]);
+                    if rng.below(2) == 0 {
+                        let m = p.take(&live);
+                        assert!(
+                            m.buf.is_empty() && m.buf.is_unique(),
+                            "case {case} step {step}"
+                        );
+                        live.push(m);
+                    }
+                }
+                _ => {
+                    let i = at(&mut rng, &live);
+                    live.swap_remove(i);
+                }
+            }
+            for (n, m) in live.iter().enumerate() {
+                let at = format!("case {case} step {step} buffer {n}");
+                assert_eq!(&m.buf[..], &m.bytes[..], "{at}: contents");
+                assert_eq!(m.buf.len(), m.bytes.len(), "{at}: len");
+                assert_eq!(m.buf.capacity(), m.capacity, "{at}: capacity");
+                assert_eq!(m.buf.is_unique(), p.unique(&live, m), "{at}: is_unique");
+                assert_eq!(m.buf.is_detached(), m.capacity == 0, "{at}: is_detached");
+            }
+        }
+    }
+}

@@ -4,11 +4,13 @@
 //! peer; the lower rank of each pair creates, the higher attaches.
 //! Sends encode **in place** into the peer ring's reserved slot with
 //! [`FmPacket::encode_into`] — no intermediate buffer, no allocation.
-//! Receives copy the frame out of the mapped slot into a recycled
-//! [`BufPool`] frame and decode with [`FmPacket::decode_from_buf`], so
-//! the payload the engine sees is a refcounted view of the pooled frame
-//! and the mapped slot is retired immediately — a slow handler can hold
-//! its payload view indefinitely without wedging the producer, and the
+//! Receives decode the header straight from the mapped slot
+//! ([`FmPacket::decode_with`]) and copy out the payload alone: a payload
+//! of at most [`fm_core::buf::INLINE`] bytes rides inline in its
+//! [`PacketBuf`] (no pool frame, no refcount), a larger one goes into a
+//! recycled [`BufPool`] frame, and a credit frame takes neither. The
+//! mapped slot is retired immediately — a slow handler can hold its
+//! payload view indefinitely without wedging the producer, and the
 //! steady-state receive path performs zero allocations. Each frame is
 //! lent ([`BufPool::lend`]) as it is filled: once the engine has dropped
 //! its view, the next receive refills that very frame in place, with no
@@ -42,9 +44,10 @@ use std::io;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
-use fm_core::buf::BufPool;
+use fm_core::buf::{BufPool, PacketBuf};
 use fm_core::device::{DeviceFull, NetDevice, PeerEvent, PeerEventKind};
 use fm_core::packet::FmPacket;
+use fm_core::FmError;
 use fm_model::Nanos;
 
 use crate::seg::{pid_alive, SegGeometry, Segment};
@@ -405,6 +408,18 @@ fn link_payload(slot_payload: usize) -> u32 {
     (slot_payload - header).min(fm_core::packet::MAX_FRAME_PAYLOAD) as u32
 }
 
+/// Decode the packet in a ring slot: the header straight from the slot,
+/// and a copy of the payload alone — inline when it is small, else in a
+/// frame of `pool`, lent as it goes; a credit frame takes nothing.
+fn decode_slot(frame: &[u8], pool: &BufPool) -> Result<FmPacket, FmError> {
+    FmPacket::decode_with(frame, |body| {
+        let mut payload = PacketBuf::for_len(pool, body.len());
+        payload.extend_from_slice(body);
+        pool.lend(&payload);
+        payload
+    })
+}
+
 impl NetDevice for ShmDevice {
     fn node_id(&self) -> usize {
         self.node
@@ -446,28 +461,21 @@ impl NetDevice for ShmDevice {
     fn try_recv(&mut self) -> Option<FmPacket> {
         // Round-robin over peer rings so one chatty peer cannot starve
         // the rest.
-        for i in 0..self.num_nodes {
-            let idx = (self.rr + i) % self.num_nodes;
+        let (rr, n) = (self.rr, self.num_nodes);
+        for idx in (rr..n).chain(0..rr) {
             let Some(link) = &self.links[idx] else {
                 continue;
             };
             let pool = &self.pool;
-            let pop = || {
-                link.seg.rx.try_pop(|frame| {
-                    let mut buf = pool.take();
-                    buf.extend_from_slice(frame);
-                    pool.lend(&buf);
-                    buf
-                })
-            };
-            while let Some(frame) = pop() {
-                match FmPacket::decode_from_buf(&frame) {
+            let pop = || link.seg.rx.try_pop(|frame| decode_slot(frame, pool));
+            while let Some(decoded) = pop() {
+                match decoded {
                     Ok(pkt) => {
                         // Resume fairness scanning *after* this peer
                         // next time.
-                        self.rr = (idx + 1) % self.num_nodes;
+                        self.rr = if idx + 1 == n { 0 } else { idx + 1 };
                         self.stats.frames_recv += 1;
-                        self.stats.bytes_recv += frame.len() as u64;
+                        self.stats.bytes_recv += pkt.wire_bytes() as u64;
                         return Some(pkt);
                     }
                     // Should be impossible over an intact ring: count it
@@ -787,5 +795,69 @@ mod tests {
         drop(b);
         std::fs::remove_file(&young).expect("remove young leftover");
         let _ = std::fs::remove_dir(&dir); // empty again after graceful drops
+    }
+
+    /// Pool frames taken on each side, `[rank 0, rank 1]` — by the
+    /// rank's engine and by its device — while rank 0 streams `n`
+    /// `size`-byte FM 2.x messages to rank 1 over an in-process pair,
+    /// after a warm-up of as many; and the data packets rank 0 sent.
+    fn frames_taken(size: usize, n: u64) -> ([u64; 2], u64) {
+        use fm_core::Fm2Engine;
+        use std::{cell::Cell, rc::Rc};
+        const H: HandlerId = HandlerId(9);
+        let profile = fm_model::MachineProfile::ppro200_fm2();
+        let mesh = ShmDevice::in_process_mesh(2, 64).expect("in-process pair");
+        let fms: Vec<_> = mesh
+            .into_iter()
+            .map(|dev| Fm2Engine::new(dev, profile))
+            .collect();
+        let got = Rc::new(Cell::new(0u64));
+        let seen = Rc::clone(&got);
+        fms[1].set_fast_handler(H, move |_, body| {
+            assert_eq!(body, vec![0x5A; size]);
+            seen.set(seen.get() + 1);
+        });
+        // Turned once, each engine cuts at the ring's packet size.
+        for fm in &fms {
+            fm.extract_all();
+        }
+        let body = vec![0x5A; size];
+        let stream = || {
+            let (until, mut sent) = (got.get() + n, 0);
+            while got.get() < until {
+                if sent < n && fms[0].try_send_message(1, H, &[&body]).is_ok() {
+                    sent += 1;
+                }
+                fms[1].extract_all();
+                fms[0].extract_all();
+            }
+        };
+        let taken = |fm: &Fm2Engine<ShmDevice>| {
+            let (engine, device) = (fm.stats(), fm.with_device(|d| d.pool.stats()));
+            engine.pool_hits + engine.pool_misses + device.hits + device.misses
+        };
+        let packets = || fms[0].stats().packets_sent;
+        stream();
+        let before = (fms.iter().map(taken).collect::<Vec<_>>(), packets());
+        stream();
+        let frames = [0, 1].map(|r| taken(&fms[r]) - before.0[r]);
+        (frames, packets() - before.1)
+    }
+
+    /// Count, don't time: a 16 B message rides inline from the sender's
+    /// staging to the receiver's handler and takes no pool frame on
+    /// either rank, and a 2 KB one — one packet at the ring's size —
+    /// still takes exactly one a side, which pins where the bound sits.
+    #[test]
+    fn a_small_message_takes_no_pool_frame_and_a_large_one_one_a_side() {
+        const N: u64 = 2_000;
+        assert_eq!(frames_taken(16, N), ([0, 0], N), "16 B");
+        assert_eq!(frames_taken(fm_core::buf::INLINE, N), ([0, 0], N), "22 B");
+        assert_eq!(
+            frames_taken(fm_core::buf::INLINE + 1, N),
+            ([N, N], N),
+            "23 B"
+        );
+        assert_eq!(frames_taken(2048, N), ([N, N], N), "2 KB");
     }
 }

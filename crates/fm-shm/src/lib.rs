@@ -19,9 +19,12 @@
 //!   mapped slot — the gather-send half of the zero-copy datapath) and
 //!   publishes with a single release store of a stamp into the slot's
 //!   header: the doorbell rides the frame's own cache line. The consumer
-//!   polls the stamp of the slot it is waiting for, copies the frame
-//!   into a recycled [`fm_core::BufPool`] frame, decodes zero-copy
-//!   ([`fm_core::packet::FmPacket::decode_from_buf`]), and retires the
+//!   polls the stamp of the slot it is waiting for, decodes the header
+//!   in place, copies the payload alone out — inline in the
+//!   [`fm_core::PacketBuf`] when it is at most
+//!   [`fm_core::buf::INLINE`] bytes, else into a recycled
+//!   [`fm_core::BufPool`] frame
+//!   ([`fm_core::packet::FmPacket::decode_with`]) — and retires the
 //!   slot — handing slots back a quarter ring at a time through the one
 //!   cursor both sides touch. No locks, no syscalls, one cache line
 //!   crossing per small frame, 0 allocations per message in steady

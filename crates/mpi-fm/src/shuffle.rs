@@ -23,7 +23,8 @@
 //!
 //! [`ShuffleRunner`] is poll-driven like `testutil::ScriptRunner`, so the
 //! same state machine runs on the virtual-time simulator (one `poll` per
-//! program step) and on blocking transports ([`run_shuffle`] spins it).
+//! program step, beside the step's own progress) and on blocking
+//! transports ([`run_shuffle`] spins it, with one progress per idle poll).
 
 use std::collections::{HashMap, VecDeque};
 
@@ -232,9 +233,9 @@ impl ShuffleRunner {
 
     /// Advance producer and owner state; returns `true` once this rank
     /// has sent everything, received everything it owns, and closed every
-    /// epoch.
+    /// epoch. Like `ScriptRunner::poll` it does not progress `mpi`: its
+    /// driver does, once between polls that leave it unfinished.
     pub fn poll(&mut self, mpi: &mut impl Mpi) -> bool {
-        mpi.progress();
         // Drain whatever the matcher already completed (repost-and-check
         // loops through queued unexpected messages synchronously).
         let max_len = self.spec.payload.max(REC_HDR);
@@ -380,5 +381,77 @@ mod tests {
         let mut bar = vec![0u8; 8];
         bar[4..8].copy_from_slice(&0u32.to_le_bytes());
         r.process(1, BAR_TAG, &bar);
+    }
+
+    /// An `Mpi` that counts its progress calls.
+    struct Counted<M> {
+        mpi: M,
+        progressed: u64,
+    }
+
+    impl<M: Mpi> Mpi for Counted<M> {
+        fn rank(&self) -> usize {
+            self.mpi.rank()
+        }
+        fn size(&self) -> usize {
+            self.mpi.size()
+        }
+        fn isend(&mut self, dst: usize, tag: u32, data: Vec<u8>) -> SendReq {
+            self.mpi.isend(dst, tag, data)
+        }
+        fn irecv(&mut self, src: Option<usize>, tag: Option<u32>, max_len: usize) -> RecvReq {
+            self.mpi.irecv(src, tag, max_len)
+        }
+        fn progress(&mut self) -> bool {
+            self.progressed += 1;
+            self.mpi.progress()
+        }
+        fn next_coll_seq(&mut self) -> u32 {
+            self.mpi.next_coll_seq()
+        }
+    }
+
+    /// Under the blocking driver, each poll that leaves the shuffle
+    /// unfinished is followed by exactly one progress of the transport.
+    /// Rank 1 is driven by hand inside rank 0's polls, packets moved
+    /// between them each time.
+    #[test]
+    fn run_shuffle_progresses_once_per_idle_poll() {
+        use fm_core::device::LoopbackPair;
+        let profile = fm_model::MachineProfile::ppro200_fm2();
+        let (da, db) = LoopbackPair::new(64);
+        let mpi = |dev| crate::Mpi2::new(fm_core::Fm2Engine::new(dev, profile));
+        let mut a = Counted {
+            mpi: mpi(da),
+            progressed: 0,
+        };
+        let mut b = mpi(db);
+        let s = ShuffleSpec { ranks: 2, ..spec() };
+        let (mut ra, mut rb) = (ShuffleRunner::new(s, 0), ShuffleRunner::new(s, 1));
+        let (mut idle, mut b_done) = (0, false);
+        let deliver = |a: &Counted<crate::Mpi2<_>>, b: &crate::Mpi2<_>| {
+            let (fa, fb) = (a.mpi.fm(), b.fm());
+            fa.with_device(|da| fb.with_device(|db| LoopbackPair::deliver(da, db)));
+        };
+        drive(&mut a, "shuffle", |a| {
+            if !b_done {
+                b_done = rb.poll(&mut b);
+                b.progress();
+            }
+            deliver(a, &b);
+            let done = ra.poll(a);
+            idle += u64::from(!done);
+            done
+        });
+        assert!(idle > 0, "rank 0 waited on its peer");
+        assert_eq!(a.progressed, idle, "progress calls for {idle} idle polls");
+        while !b_done {
+            a.progress();
+            deliver(&a, &b);
+            b_done = rb.poll(&mut b);
+            b.progress();
+        }
+        let received = ra.report().records_received + rb.report().records_received;
+        assert_eq!(received, s.total_records());
     }
 }

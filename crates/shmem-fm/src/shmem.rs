@@ -28,7 +28,9 @@ use fm_core::blocking::{Backoff, Step, WEDGE_LIMIT};
 use fm_core::device::NetDevice;
 use fm_core::onesided::CHUNK_BYTES;
 use fm_core::packet::HandlerId;
-use fm_core::{Fm2Engine, FmStream, Message, Onesided, OsPort, OsStatus, OsToken, RegionHandle};
+use fm_core::{
+    Fm2Engine, FmError, FmStream, Message, Onesided, OsPort, OsStatus, OsToken, RegionHandle,
+};
 use fm_shm::heap;
 use fm_sys::SharedMem;
 
@@ -104,8 +106,15 @@ impl<D: NetDevice + 'static> Shmem<D> {
             let heap = Arc::clone(&hheap);
             async move {
                 let mut hdr = [0u8; OP_BYTES];
-                stream.receive(&mut hdr).await;
-                match Op::decode(&hdr) {
+                let got = stream.receive(&mut hdr).await;
+                let Some(op) = Op::decode(&hdr[..got]) else {
+                    // A kind this PE does not know, or a message that
+                    // ends inside its header: drop it, report it.
+                    let handler = SHMEM_HANDLER.0;
+                    fm.report_error(FmError::MalformedMessage { src, handler });
+                    return;
+                };
+                match op {
                     Op::AccAck { refused } => {
                         let mut st = st.borrow_mut();
                         st.acc_acks += 1;
@@ -604,6 +613,31 @@ mod tests {
         a.quiet();
         assert_eq!(a.take_put_failures(), vec![OsStatus::OutOfBounds]);
         assert_eq!(b.local_read(0, 8), vec![0u8; 8]);
+    }
+
+    #[test]
+    fn a_peers_message_of_an_unknown_kind_or_cut_short_is_dropped_and_reported() {
+        // No `Op` encodes to kind 42, and every header is 24 bytes: only
+        // a peer's own bytes say either.
+        let (a, b) = pair(4096);
+        let mut hdr = [0u8; OP_BYTES];
+        hdr[0] = 42;
+        let short = Op::Barrier { epoch: 0, round: 0 }.encode();
+        for pieces in [&[&hdr[..], &[7u8; 8]][..], &[&short[..5]]] {
+            a.fm()
+                .try_send_message(1, SHMEM_HANDLER, pieces)
+                .expect("room for one message");
+        }
+        pump(&a, &b);
+        let handler = SHMEM_HANDLER.0;
+        let refused = FmError::MalformedMessage { src: 0, handler };
+        assert_eq!(b.fm().take_errors(), vec![refused.clone(), refused]);
+        assert_eq!(b.local_read(0, 8), vec![0u8; 8]);
+        // The PE goes on serving its peer.
+        a.put(1, 0, &[1, 2, 3]);
+        pump(&a, &b);
+        a.quiet();
+        assert_eq!(b.local_read(0, 3), vec![1, 2, 3]);
     }
 
     #[test]

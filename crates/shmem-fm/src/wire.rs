@@ -93,16 +93,15 @@ impl Op {
         b
     }
 
-    /// Decode a 24-byte header.
-    ///
-    /// # Panics
-    /// Panics on an unknown kind byte or short input.
-    pub fn decode(b: &[u8]) -> Op {
-        assert!(b.len() >= OP_BYTES, "truncated shmem header");
+    /// Decode a 24-byte header: `None` for an unknown kind byte or
+    /// fewer than [`OP_BYTES`] bytes — a peer's bytes, refused, never a
+    /// panic.
+    pub fn decode(b: &[u8]) -> Option<Op> {
+        let b = b.get(..OP_BYTES)?;
         let u32_at = |i: usize| u32::from_le_bytes(b[i..i + 4].try_into().unwrap());
         let u64_at = |i: usize| u64::from_le_bytes(b[i..i + 8].try_into().unwrap());
         let i64_at = |i: usize| i64::from_le_bytes(b[i..i + 8].try_into().unwrap());
-        match b[0] {
+        Some(match b[0] {
             2 => Op::AccAck { refused: b[1] != 0 },
             5 => Op::AccF64 { offset: u64_at(8) },
             6 => Op::Fadd {
@@ -123,8 +122,8 @@ impl Op {
                 dev: u64_at(8),
                 ino: u64_at(16),
             }),
-            k => panic!("unknown shmem op kind {k}"),
-        }
+            _ => return None,
+        })
     }
 }
 
@@ -156,15 +155,19 @@ mod tests {
             }),
         ];
         for op in ops {
-            assert_eq!(Op::decode(&op.encode()), op, "{op:?}");
+            assert_eq!(Op::decode(&op.encode()), Some(op), "{op:?}");
         }
     }
 
     #[test]
-    #[should_panic(expected = "unknown shmem op kind")]
-    fn unknown_kind_panics() {
+    fn unknown_kinds_and_short_headers_are_refused() {
         let mut b = [0u8; OP_BYTES];
-        b[0] = 42;
-        let _ = Op::decode(&b);
+        for kind in [0, 1, 3, 4, 10, 42, 255] {
+            b[0] = kind;
+            assert_eq!(Op::decode(&b), None, "kind {kind}");
+        }
+        let ok = Op::Barrier { epoch: 1, round: 2 }.encode();
+        assert_eq!(Op::decode(&ok[..OP_BYTES - 1]), None, "one byte short");
+        assert_eq!(Op::decode(&[]), None);
     }
 }

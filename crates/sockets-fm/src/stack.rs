@@ -7,7 +7,7 @@ use std::rc::Rc;
 use fm_core::blocking::{Backoff, Step, WEDGE_LIMIT};
 use fm_core::device::NetDevice;
 use fm_core::packet::HandlerId;
-use fm_core::{Fm2Engine, FmStream};
+use fm_core::{Fm2Engine, FmError, FmStream};
 
 use crate::wire::{Ctl, MAX_CTL_BYTES};
 
@@ -119,13 +119,21 @@ impl<D: NetDevice + 'static> SocketStack<D> {
             let st = Rc::clone(&st);
             let fm = fm_h.clone();
             async move {
-                let mut kind = [0u8; 1];
-                stream.receive(&mut kind).await;
-                let hdr_len = Ctl::len_for_kind(kind[0]);
-                let mut rest = [0u8; MAX_CTL_BYTES];
-                stream.receive(&mut rest[1..hdr_len]).await;
-                rest[0] = kind[0];
-                let ctl = Ctl::decode(&rest[..hdr_len]);
+                let mut hdr = [0u8; MAX_CTL_BYTES];
+                let mut got = stream.receive(&mut hdr[..1]).await;
+                if let Some(len) = Ctl::len_for_kind(hdr[0]) {
+                    got += stream.receive(&mut hdr[1..len]).await;
+                }
+                let Some(ctl) = Ctl::decode(&hdr[..got]) else {
+                    // A kind this stack does not know, or a message that
+                    // ends inside its header: drop it, report it.
+                    let handler = SOCKET_HANDLER.0;
+                    fm.report_error(FmError::MalformedMessage {
+                        src: src_node,
+                        handler,
+                    });
+                    return;
+                };
                 match ctl {
                     Ctl::Syn { port, src_conn } => {
                         let mut s = st.borrow_mut();
@@ -759,5 +767,27 @@ mod tests {
     fn backlog_on_unlistened_port_is_zero() {
         let (a, _b) = pair();
         assert_eq!(a.backlog(99), 0);
+    }
+
+    #[test]
+    fn a_peers_message_of_an_unknown_kind_or_cut_short_is_dropped_and_reported() {
+        let (a, b, ca, cb) = connected_pair();
+        // No `Ctl` encodes to kind 99, and a DATA header is 5 bytes:
+        // only a peer's own bytes say either.
+        for raw in [&[99, 1, 2, 3, 4][..], &[3, 1]] {
+            a.fm()
+                .try_send_message(1, SOCKET_HANDLER, &[raw])
+                .expect("room for one message");
+        }
+        pump(&a, &b);
+        let handler = SOCKET_HANDLER.0;
+        let refused = FmError::MalformedMessage { src: 0, handler };
+        assert_eq!(b.fm().take_errors(), vec![refused.clone(), refused]);
+        // The connection lives on.
+        assert_eq!(a.try_send(ca, b"after"), 5);
+        pump(&a, &b);
+        let mut buf = [0u8; 8];
+        assert_eq!(b.try_recv(cb, &mut buf), Some(5));
+        assert_eq!(&buf[..5], b"after");
     }
 }

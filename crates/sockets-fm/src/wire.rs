@@ -88,21 +88,25 @@ impl Ctl {
         }
     }
 
-    /// Bytes this control kind occupies, given its first (kind) byte.
-    pub fn len_for_kind(kind: u8) -> usize {
+    /// Bytes this control kind occupies, given its first (kind) byte;
+    /// `None` for a kind byte no `Ctl` encodes to.
+    pub fn len_for_kind(kind: u8) -> Option<usize> {
         match kind {
-            1 => 7,
-            2 | 4 => 9,
-            3 | 5 | 6 => 5,
-            k => panic!("unknown socket control kind {k}"),
+            1 => Some(7),
+            2 | 4 => Some(9),
+            3 | 5 | 6 => Some(5),
+            _ => None,
         }
     }
 
-    /// Decode from an encoded header.
-    pub fn decode(buf: &[u8]) -> Ctl {
+    /// Decode from an encoded header: `None` for an unknown kind byte or
+    /// fewer bytes than the kind takes — a peer's bytes, refused, never a
+    /// panic.
+    pub fn decode(buf: &[u8]) -> Option<Ctl> {
+        let buf = buf.get(..Ctl::len_for_kind(*buf.first()?)?)?;
         let u16_at = |i: usize| u16::from_le_bytes(buf[i..i + 2].try_into().unwrap());
         let u32_at = |i: usize| u32::from_le_bytes(buf[i..i + 4].try_into().unwrap());
-        match buf[0] {
+        Some(match buf[0] {
             1 => Ctl::Syn {
                 port: u16_at(1),
                 src_conn: u32_at(3),
@@ -121,11 +125,10 @@ impl Ctl {
             5 => Ctl::Fin {
                 dst_conn: u32_at(1),
             },
-            6 => Ctl::Rst {
+            _ => Ctl::Rst {
                 dst_conn: u32_at(1),
             },
-            k => panic!("unknown socket control kind {k}"),
-        }
+        })
     }
 }
 
@@ -155,14 +158,24 @@ mod tests {
         for k in kinds {
             let mut buf = [0u8; MAX_CTL_BYTES];
             let n = k.encode(&mut buf);
-            assert_eq!(n, Ctl::len_for_kind(buf[0]));
-            assert_eq!(Ctl::decode(&buf[..n]), k);
+            assert_eq!(Some(n), Ctl::len_for_kind(buf[0]));
+            assert_eq!(Ctl::decode(&buf[..n]), Some(k));
         }
     }
 
     #[test]
-    #[should_panic(expected = "unknown socket control kind")]
-    fn unknown_kind_panics() {
-        let _ = Ctl::decode(&[99]);
+    fn unknown_kinds_and_short_headers_are_refused() {
+        for kind in [0, 7, 99, 255] {
+            assert_eq!(Ctl::len_for_kind(kind), None, "kind {kind}");
+            assert_eq!(Ctl::decode(&[kind; MAX_CTL_BYTES]), None, "kind {kind}");
+        }
+        let mut buf = [0u8; MAX_CTL_BYTES];
+        let n = Ctl::Window {
+            dst_conn: 1,
+            bytes: 2,
+        }
+        .encode(&mut buf);
+        assert_eq!(Ctl::decode(&buf[..n - 1]), None, "one byte short");
+        assert_eq!(Ctl::decode(&[]), None);
     }
 }
