@@ -56,9 +56,10 @@ use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 use fm_bench::fabric::{drive, Fabric, Routed, Shm, Udp};
 use fm_bench::ping_pong_program;
 use fm_bench::workload::{traffic_program, RankProgress, RankReport};
-use fm_core::blocking::{fm2_send, quiesce};
+use fm_core::blocking::{fm2_send, quiesce, Backoff, Step};
 use fm_core::obs::chrome::chrome_trace_json;
 use fm_core::packet::HandlerId;
+use fm_core::stats::Counters;
 use fm_core::{Fm2Engine, ObsSink};
 use fm_model::workload::{Shape, WorkloadSpec};
 use fm_route::{HostMap, RoutedDevice};
@@ -662,46 +663,7 @@ fn run_node_udp(opts: &Opts) {
     // The UDP fabric's engine: adaptive reliability over a real network
     // (RTT-sampled RTO; SACK holes re-sent at once, and an AIMD send
     // window that only a retransmit timeout halves).
-    let fm = Udp::default().engine(device);
-    let elapsed = drive_workload(&fm, opts, None);
-
-    let st = fm.stats();
-    let udp = fm.with_device(|d| d.stats());
-    let errors = fm.take_errors();
-    // RTT/RTO toward the ring successor, as a representative peer.
-    let probe_peer = (opts.node_id + 1) % opts.nodes;
-    println!(
-        "STATS node={} rounds={} elapsed_ms={:.1} rtt_us={:.2} \
-         retransmits={} timeouts={} acks={} dups={} \
-         frames_sent={} frames_recv={} drops_injected={} \
-         suspects={} downs={} rejoins={} stale={} peer_resets={} \
-         srtt_us={:.1} rto_us={:.1} errors={}",
-        opts.node_id,
-        opts.rounds,
-        elapsed.as_secs_f64() * 1e3,
-        // Per-round-trip for ping-pong; per-operation for collectives.
-        per_op_us(opts, elapsed),
-        st.retransmissions,
-        st.retransmit_timeouts,
-        st.acks_sent,
-        st.duplicates_dropped,
-        udp.frames_sent,
-        udp.frames_received,
-        udp.drops_injected,
-        udp.suspects,
-        udp.downs,
-        udp.rejoins,
-        udp.stale_rejected,
-        st.peer_resets,
-        fm.srtt_ns(probe_peer).map_or(f64::NAN, |n| n as f64 / 1e3),
-        fm.current_rto_ns(probe_peer)
-            .map_or(f64::NAN, |n| n as f64 / 1e3),
-        errors.len(),
-    );
-    // Part on the record: a goodbye burst turns our absence from a
-    // suspicion timeout into an immediate, explicit Down at the peers.
-    fm.with_device(|d| d.leave());
-    assert!(errors.is_empty(), "engine reported errors: {errors:?}");
+    run_and_report(&Udp::default().engine(device), opts, None);
 }
 
 fn run_node_shm(opts: &Opts) {
@@ -723,28 +685,7 @@ fn run_node_shm(opts: &Opts) {
 
     // The shm fabric's engine: the rings are lossless and in-order, so
     // FM's guarantees come straight from the substrate.
-    let fm = SHM.engine(device);
-    let elapsed = drive_workload(&fm, opts, None);
-
-    let sh = fm.with_device(|d| d.stats());
-    let errors = fm.take_errors();
-    println!(
-        "STATS node={} rounds={} elapsed_ms={:.1} op_us={:.2} \
-         frames_sent={} bytes_sent={} frames_recv={} bytes_recv={} \
-         full_rejections={} corrupt={} errors={}",
-        opts.node_id,
-        opts.rounds,
-        elapsed.as_secs_f64() * 1e3,
-        per_op_us(opts, elapsed),
-        sh.frames_sent,
-        sh.bytes_sent,
-        sh.frames_recv,
-        sh.bytes_recv,
-        sh.full_rejections,
-        sh.corrupt_frames,
-        errors.len(),
-    );
-    assert!(errors.is_empty(), "engine reported errors: {errors:?}");
+    run_and_report(&SHM.engine(device), opts, None);
 }
 
 fn run_node_routed(opts: &Opts) {
@@ -771,43 +712,87 @@ fn run_node_routed(opts: &Opts) {
     let device = RoutedDevice::new(shm, udp, map);
 
     // The routed fabric's engine: the cross-host half is lossy UDP, so it
-    // keeps the adaptive retransmission sublayer.
+    // keeps the adaptive retransmission sublayer. The placement feeds the
+    // hierarchy-aware collectives: barrier and allreduce run
+    // leader-per-host schedules over this exact map.
     let fm = Routed {
         hosts: hosts.clone(),
     }
     .engine(device);
-    // The placement feeds the hierarchy-aware collectives: barrier and
-    // allreduce run leader-per-host schedules over this exact map.
-    let elapsed = drive_workload(&fm, opts, Some(&hosts));
+    run_and_report(&fm, opts, Some(&hosts));
+}
 
-    let st = fm.stats();
-    let (route, sh, udp) = fm.with_device(|d| {
-        let r = d.stats();
-        let s = d.local_mut().stats();
-        let u = d.remote_mut().stats();
-        (r, s, u)
-    });
+/// A transport as the `STATS` tail sees it.
+trait NodeDevice: fm_core::NetDevice + 'static {
+    /// Every device counter, each ` transport.name=value`.
+    fn counters(&mut self) -> String;
+    /// Part on the record, where the transport can: a goodbye burst
+    /// turns our absence from a suspicion timeout into an immediate,
+    /// explicit Down at the peers.
+    fn part(&mut self) {}
+}
+
+impl NodeDevice for UdpDevice {
+    fn counters(&mut self) -> String {
+        labelled("udp.", &self.stats())
+    }
+    fn part(&mut self) {
+        self.leave();
+    }
+}
+
+impl NodeDevice for ShmDevice {
+    fn counters(&mut self) -> String {
+        labelled("shm.", &self.stats())
+    }
+}
+
+impl NodeDevice for RoutedDevice<ShmDevice, UdpDevice> {
+    fn counters(&mut self) -> String {
+        let route = labelled("route.", &self.stats());
+        route + &self.local_mut().counters() + &self.remote_mut().counters()
+    }
+    fn part(&mut self) {
+        self.remote_mut().part();
+    }
+}
+
+/// ` {prefix}{name}={value}` for every counter of `c`, zeros included.
+fn labelled(prefix: &str, c: &impl Counters) -> String {
+    c.fields()
+        .map(|(name, v)| format!(" {prefix}{name}={v}"))
+        .collect()
+}
+
+/// Run the workload on `fm` and print the node's one `STATS` line: the
+/// run's figures, then every engine counter, then the device's counters
+/// under its transport's prefix (`bytes_sent` is both an engine and an
+/// shm counter), and, over a link that retransmits, the RTT estimate
+/// toward the first such ring successor. Then part and fail on any error
+/// the engine reported.
+fn run_and_report<D: NodeDevice>(fm: &Fm2Engine<D>, opts: &Opts, hosts: Option<&[usize]>) {
+    let elapsed = drive_workload(fm, opts, hosts);
     let errors = fm.take_errors();
+    let (me, n) = (opts.node_id, opts.nodes);
+    let us = |ns: u64| ns as f64 / 1e3;
+    let rtt = (1..n)
+        .map(|k| (me + k) % n)
+        .find_map(|p| Some((fm.srtt_ns(p), fm.current_rto_ns(p)?)))
+        .map_or(String::new(), |(srtt, rto)| {
+            let srtt = srtt.map_or(f64::NAN, us);
+            format!(" srtt_us={srtt:.1} rto_us={:.1}", us(rto))
+        });
     println!(
-        "STATS node={} rounds={} elapsed_ms={:.1} op_us={:.2} \
-         local_sent={} remote_sent={} local_recv={} remote_recv={} \
-         shm_frames_sent={} udp_frames_sent={} retransmits={} timeouts={} \
-         errors={}",
-        opts.node_id,
+        "STATS node={me} rounds={} elapsed_ms={:.1} op_us={:.2} errors={}{}{}{rtt}",
         opts.rounds,
         elapsed.as_secs_f64() * 1e3,
+        // Per-round-trip for ping-pong; per-operation for collectives.
         per_op_us(opts, elapsed),
-        route.local_sent,
-        route.remote_sent,
-        route.local_recv,
-        route.remote_recv,
-        sh.frames_sent,
-        udp.frames_sent,
-        st.retransmissions,
-        st.retransmit_timeouts,
         errors.len(),
+        labelled("", &fm.stats()),
+        fm.with_device(|d| d.counters()),
     );
-    fm.with_device(|d| d.remote_mut().leave());
+    fm.with_device(|d| d.part());
     assert!(errors.is_empty(), "engine reported errors: {errors:?}");
 }
 
@@ -986,33 +971,28 @@ fn churn_workload<D: fm_core::NetDevice + 'static>(fm: &Fm2Engine<D>, opts: &Opt
             fm2_send(fm, p, PING, &[&round.to_le_bytes(), &body]);
         }
         let pace = Instant::now();
-        while pace.elapsed() < Duration::from_millis(1) {
-            fm.extract_all();
-            fm.progress();
-        }
+        Backoff::new("churn pace").wait(|| {
+            let paced = pace.elapsed() >= Duration::from_millis(1);
+            Step::or_progress(paced.then_some(()), || fm.extract_all() > 0)
+        });
     }
     // Run to completion: every peer has either delivered its final round
     // (under whatever incarnation it currently runs) or gone down. The
     // deadline turns a wedge into a diagnosable failure instead of a
     // hang for the parent to reap.
     let deadline = Instant::now() + Duration::from_secs(opts.join_timeout_s.max(20));
-    loop {
+    Backoff::new("churn drain").wait(|| {
         let done = (0..n)
             .filter(|&p| p != me)
             .all(|p| down.borrow()[p] || expected.borrow()[p] == Some(rounds));
-        if done {
-            break;
-        }
         assert!(
-            Instant::now() < deadline,
+            done || Instant::now() < deadline,
             "node {me}: churn drain timed out; expected={:?} down={:?}",
             expected.borrow(),
             down.borrow()
         );
-        fm.extract_all();
-        fm.progress();
-        std::thread::yield_now();
-    }
+        Step::or_progress(done.then_some(()), || fm.extract_all() > 0)
+    });
     if !opts.rejoin {
         for p in (0..n).filter(|&p| p != me) {
             if !churned.borrow()[p] {

@@ -10,7 +10,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use fm_core::blocking::fm2_send;
+use fm_core::blocking::{fm2_send, Backoff, Step};
 use fm_core::packet::HandlerId;
 use fm_core::{Fm2Engine, FmStream, LogHistogram, PeerEventKind};
 use fm_udp::{loopback_cluster, restart_node, UdpConfig, UdpDevice};
@@ -73,9 +73,10 @@ pub fn udp_churn_dist(cycles: usize) -> ChurnDist {
                     fm2_send(&fm, 1, PING, &[&payload]);
                 }
                 let pace = Instant::now();
-                while pace.elapsed() < Duration::from_micros(200) {
-                    fm.extract_all();
-                }
+                Backoff::new("churn probe pace").wait(|| {
+                    let paced = pace.elapsed() >= Duration::from_micros(200);
+                    Step::or_progress(paced.then_some(()), || fm.extract_all() > 0)
+                });
             }
             fm.with_device(|d| d.stats())
         })
@@ -97,13 +98,14 @@ pub fn udp_churn_dist(cycles: usize) -> ChurnDist {
             });
         }
         let deadline = Instant::now() + Duration::from_secs(10);
-        while got.get() == 0 {
+        Backoff::new("churn probe incarnation").wait(|| {
+            let resumed = got.get() > 0;
             assert!(
-                Instant::now() < deadline,
+                resumed || Instant::now() < deadline,
                 "churn probe: stream never resumed"
             );
-            fm.extract_all();
-        }
+            Step::or_progress(resumed.then_some(()), || fm.extract_all() > 0)
+        });
     };
 
     first_life

@@ -8,6 +8,10 @@
 
 use std::process::Command;
 
+use fm_core::stats::Counters;
+use fm_core::FmStats;
+use fm_udp::UdpStats;
+
 fn run_cluster(args: &[&str]) -> String {
     let out = Command::new(env!("CARGO_BIN_EXE_fm-udp-cluster"))
         .args(args)
@@ -30,6 +34,17 @@ fn stat(stats_line: &str, key: &str) -> u64 {
         .unwrap_or_else(|| panic!("no {key}= in {stats_line:?}"))
         .parse()
         .unwrap_or_else(|_| panic!("unparsable {key}= in {stats_line:?}"))
+}
+
+/// Every engine counter and every `udp.` device counter is on the line,
+/// zeros included: a report prints the sets, not a hand-picked few.
+fn carries_every_counter(stats_line: &str) {
+    let (engine, udp) = (FmStats::default(), UdpStats::default());
+    let engine = engine.fields().map(|(name, _)| name.to_string());
+    let udp = udp.fields().map(|(name, _)| format!("udp.{name}"));
+    for key in engine.chain(udp) {
+        stat(stats_line, &key);
+    }
 }
 
 fn stats_lines(output: &str) -> Vec<&str> {
@@ -57,8 +72,8 @@ fn two_processes_10k_roundtrips_with_1pct_drop() {
     assert!(out.contains("OK nodes=2 rounds=10000"), "{out}");
     let lines = stats_lines(&out);
     assert_eq!(lines.len(), 2, "one STATS line per node:\n{out}");
-    let total_drops: u64 = lines.iter().map(|l| stat(l, "drops_injected")).sum();
-    let total_retx: u64 = lines.iter().map(|l| stat(l, "retransmits")).sum();
+    let total_drops: u64 = lines.iter().map(|l| stat(l, "udp.drops_injected")).sum();
+    let total_retx: u64 = lines.iter().map(|l| stat(l, "retransmissions")).sum();
     // ~1% of ≥20k data frames: the injector really fired...
     assert!(
         total_drops >= 50,
@@ -97,8 +112,8 @@ fn four_process_ring_with_drop_injection() {
     // The ring workload asserts in-order arrival inside each node (any
     // out-of-order or lost message panics the child, failing the run);
     // here we check the loss machinery was genuinely exercised.
-    let total_drops: u64 = lines.iter().map(|l| stat(l, "drops_injected")).sum();
-    let total_retx: u64 = lines.iter().map(|l| stat(l, "retransmits")).sum();
+    let total_drops: u64 = lines.iter().map(|l| stat(l, "udp.drops_injected")).sum();
+    let total_retx: u64 = lines.iter().map(|l| stat(l, "retransmissions")).sum();
     assert!(total_drops > 0, "no drops injected:\n{out}");
     assert!(total_retx > 0, "no retransmissions recorded:\n{out}");
     for l in &lines {
@@ -111,8 +126,9 @@ fn lossless_two_process_run_needs_no_retransmissions() {
     let out = run_cluster(&["spawn", "--nodes", "2", "--rounds", "500"]);
     assert!(out.contains("OK nodes=2 rounds=500"), "{out}");
     for l in stats_lines(&out) {
-        assert_eq!(stat(l, "drops_injected"), 0, "{l}");
+        assert_eq!(stat(l, "udp.drops_injected"), 0, "{l}");
         assert_eq!(stat(l, "errors"), 0, "{l}");
+        carries_every_counter(l);
     }
 }
 
@@ -149,7 +165,7 @@ fn churn_kill_and_restart_completes_with_zero_survivor_loss() {
     // exactly one engine-level peer reset; nobody reported errors.
     let lines = stats_lines(&out);
     assert_eq!(lines.len(), 3, "{out}");
-    let rejoins: u64 = lines.iter().map(|l| stat(l, "rejoins")).sum();
+    let rejoins: u64 = lines.iter().map(|l| stat(l, "udp.rejoins")).sum();
     assert!(
         rejoins >= 2,
         "both survivors should record a rejoin:\n{out}"
@@ -185,7 +201,7 @@ fn churn_kill_without_restart_lets_survivors_finish() {
     let lines = stats_lines(&out);
     assert_eq!(lines.len(), 2, "only the survivors report:\n{out}");
     for l in &lines {
-        assert!(stat(l, "downs") >= 1, "{l}");
+        assert!(stat(l, "udp.downs") >= 1, "{l}");
         assert_eq!(stat(l, "errors"), 0, "{l}");
     }
 }

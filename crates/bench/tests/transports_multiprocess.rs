@@ -7,6 +7,12 @@
 use std::process::Command;
 use std::sync::RwLock;
 
+use fm_core::stats::Counters;
+use fm_core::FmStats;
+use fm_route::RouteStats;
+use fm_shm::ShmStats;
+use fm_udp::UdpStats;
+
 /// Every cluster of this file makes segments in /dev/shm; the cleanup
 /// check counts them there, so it runs alone (the write side) while the
 /// other tests share the read side.
@@ -41,6 +47,25 @@ fn stat(stats_line: &str, key: &str) -> u64 {
         .unwrap_or_else(|_| panic!("unparsable {key}= in {stats_line:?}"))
 }
 
+/// The names of a counter set, in declaration order.
+fn names(c: impl Counters) -> Vec<&'static str> {
+    c.fields().map(|(name, _)| name).collect()
+}
+
+/// Every engine counter is on the line, and every counter of each
+/// device set under its prefix, zeros included: a report prints the
+/// sets, not a hand-picked few.
+fn carries_every_counter(stats_line: &str, devices: &[(&str, Vec<&str>)]) {
+    for name in names(FmStats::default()) {
+        stat(stats_line, name);
+    }
+    for (prefix, names) in devices {
+        for name in names {
+            stat(stats_line, &format!("{prefix}{name}"));
+        }
+    }
+}
+
 fn stats_lines(output: &str) -> Vec<&str> {
     output.lines().filter(|l| l.contains("STATS ")).collect()
 }
@@ -62,9 +87,14 @@ fn shm_two_process_ping_pong() {
     let lines = stats_lines(&out);
     assert_eq!(lines.len(), 2, "one STATS line per node:\n{out}");
     for l in &lines {
-        assert_eq!(stat(l, "corrupt"), 0, "torn frame through the rings: {l}");
+        assert_eq!(
+            stat(l, "shm.corrupt_frames"),
+            0,
+            "torn frame through the rings: {l}"
+        );
         assert_eq!(stat(l, "errors"), 0);
-        assert!(stat(l, "frames_sent") >= 2000, "ping or pong per round");
+        assert!(stat(l, "shm.frames_sent") >= 2000, "ping or pong per round");
+        carries_every_counter(l, &[("shm.", names(ShmStats::default()))]);
     }
 }
 
@@ -87,7 +117,7 @@ fn shm_four_process_allreduce() {
     // internally; OK means all four processes agreed.
     assert!(out.contains("OK nodes=4 rounds=50"), "{out}");
     for l in stats_lines(&out) {
-        assert_eq!(stat(l, "corrupt"), 0);
+        assert_eq!(stat(l, "shm.corrupt_frames"), 0);
         assert_eq!(stat(l, "errors"), 0);
     }
 }
@@ -119,12 +149,12 @@ fn routed_four_process_mixed_locality_allreduce() {
         assert_eq!(stat(l, "errors"), 0);
         // Under the two-level schedule every rank at least gathers and
         // releases within its host over shm...
-        assert!(stat(l, "local_sent") > 0, "no shm traffic: {l}");
+        assert!(stat(l, "route.local_sent") > 0, "no shm traffic: {l}");
     }
     // ...but only the host leaders cross the wire — that concentration
     // is exactly the hierarchy's win. Non-leader members (ranks 1 and 3)
     // must send zero cross-host frames.
-    let remote: Vec<u64> = lines.iter().map(|l| stat(l, "remote_sent")).collect();
+    let remote: Vec<u64> = lines.iter().map(|l| stat(l, "route.remote_sent")).collect();
     let find = |n: u64| {
         lines
             .iter()
@@ -160,8 +190,16 @@ fn routed_ring_with_default_half_and_half_hosts() {
     ]);
     assert!(out.contains("OK nodes=4 rounds=300"), "{out}");
     let lines = stats_lines(&out);
-    let local: u64 = lines.iter().map(|l| stat(l, "local_sent")).sum();
-    let remote: u64 = lines.iter().map(|l| stat(l, "remote_sent")).sum();
+    let devices = [
+        ("route.", names(RouteStats::default())),
+        ("shm.", names(ShmStats::default())),
+        ("udp.", names(UdpStats::default())),
+    ];
+    for l in &lines {
+        carries_every_counter(l, &devices);
+    }
+    let local: u64 = lines.iter().map(|l| stat(l, "route.local_sent")).sum();
+    let remote: u64 = lines.iter().map(|l| stat(l, "route.remote_sent")).sum();
     assert!(local >= 600, "two local ring legs of 300: {local}");
     assert!(remote >= 600, "two remote ring legs of 300: {remote}");
 }

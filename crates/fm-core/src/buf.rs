@@ -118,15 +118,16 @@ pub struct BufPool {
     misses: Cell<u64>,
 }
 
-/// Running counters for one pool: how often `take()` reused a frame
-/// (`hits`) versus allocated one (`misses`). Steady-state traffic
-/// should be all hits.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PoolStats {
-    /// Frames served by refilling a lent frame or from the free list.
-    pub hits: u64,
-    /// Frames that required a fresh allocation.
-    pub misses: u64,
+crate::counters! {
+    /// Running counters for one pool: how often `take()` reused a frame
+    /// (`hits`) versus allocated one (`misses`). Steady-state traffic
+    /// should be all hits.
+    pub struct PoolStats {
+        /// Frames served by refilling a lent frame or from the free list.
+        pub hits: u64,
+        /// Frames that required a fresh allocation.
+        pub misses: u64,
+    }
 }
 
 impl BufPool {

@@ -212,6 +212,14 @@ impl<D: NetDevice> Fm1Engine<D> {
         std::mem::take(&mut self.core.errors)
     }
 
+    /// Add `e` to the log [`take_errors`](Self::take_errors) empties and
+    /// count it in [`FmStats::errors_reported`]: how a layer above FM
+    /// reports a peer's message its handler dropped
+    /// ([`FmError::MalformedMessage`]).
+    pub fn report_error(&mut self, e: FmError) {
+        self.core.report_error(e);
+    }
+
     /// Whether `peer` is currently declared down by the device's
     /// liveness engine (false for devices with static membership); a
     /// later `Up` or `Rejoining` transition clears it. See

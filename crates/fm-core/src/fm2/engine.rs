@@ -148,6 +148,12 @@ impl<D: NetDevice> Fm2Handle<D> {
         self.engine().same_host_pid(peer)
     }
 
+    /// See [`Fm2Engine::is_peer_down`]; false once the engine is gone.
+    pub(crate) fn is_peer_down(&self, peer: usize) -> bool {
+        let inner = self.inner.upgrade();
+        inner.is_some_and(|i| i.borrow().core.peers[peer].link.down)
+    }
+
     /// See [`Fm2Engine::send_from_handler`].
     pub fn send_from_handler<'a>(&self, dst: usize, id: HandlerId, msg: impl Into<Message<'a>>) {
         self.engine().send_from_handler(dst, id, msg);

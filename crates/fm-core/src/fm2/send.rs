@@ -621,6 +621,7 @@ impl<D: NetDevice> Fm2Engine<D> {
         // answer queued ahead of a waiting probe (which the pass then
         // reaches on its next run).
         let mut cursor = 0;
+        let any_down = self.has_downed_peers();
         while let Some((stamp, dst)) = (q.fifos.iter().enumerate())
             .filter_map(|(dst, f)| Some((f.front()?.stamp, dst)))
             .filter(|&(stamp, _)| stamp >= cursor)
@@ -630,6 +631,11 @@ impl<D: NetDevice> Fm2Engine<D> {
             #[cfg(test)]
             {
                 q.visits += 1;
+            }
+            // Nothing goes to a peer held `Down`: what waits for it stays
+            // until it is `Up` again, or its restart purges it.
+            if any_down && self.is_peer_down(dst) {
+                continue;
             }
             if self.push_head(q, dst) {
                 continue;
@@ -805,7 +811,7 @@ mod tests {
     use fm_model::MachineProfile;
 
     use super::*;
-    use crate::device::{DeviceFull, LoopbackDevice, LoopbackPair};
+    use crate::device::{DeviceFull, LoopbackDevice, LoopbackPair, PeerEvent, PeerEventKind};
     use crate::fm2::FmStream;
     use crate::packet::FmPacket;
 
@@ -1145,6 +1151,31 @@ mod tests {
         s.extract_all();
         assert_eq!(got.borrow().len(), 1, "the restarted peer's packet");
         assert!(s.take_errors().is_empty());
+    }
+
+    #[test]
+    fn a_pass_serves_no_peer_held_down() {
+        let (s, r) = pair();
+        let ev = |kind| PeerEvent {
+            peer: 1,
+            kind,
+            epoch: 0,
+        };
+        s.with_device(|d| d.report(ev(PeerEventKind::Down)));
+        s.progress();
+        s.send_from_handler(1, H, vec![7u8; 64]);
+        assert!(!s.progress(), "the send waits");
+        assert_eq!(
+            s.stats().packets_sent,
+            0,
+            "a packet left for a peer held down"
+        );
+        // Back up under the same incarnation: what waited goes.
+        s.with_device(|d| d.report(ev(PeerEventKind::Up)));
+        assert!(s.progress());
+        assert_eq!(s.stats().packets_sent, 1);
+        exchange(&s, &r);
+        assert_eq!(r.stats().packets_received, 1);
     }
 
     #[test]

@@ -578,17 +578,22 @@ struct OsCore {
     pulled_bytes: u64,
     /// This node's payloads whose pull was declined and went as packets.
     pull_declines: u64,
+    /// Whether the engine holds a peer `Down`: an op issued to it ends
+    /// at once, with nothing queued.
+    down: Box<dyn Fn(usize) -> bool>,
 }
 
 impl OsCore {
     /// A core over `arena` that sends through `sendq`, every peer's pull
-    /// path starting at `path`.
+    /// path starting at `path`; `down` says which peers the engine holds
+    /// `Down`.
     fn new(
         num_nodes: usize,
         cfg: OnesidedConfig,
         arena: Arc<SharedMem>,
         path: PullPath,
         sendq: Rc<RefCell<SendQueue>>,
+        down: Box<dyn Fn(usize) -> bool>,
     ) -> Self {
         OsCore {
             cfg,
@@ -606,6 +611,7 @@ impl OsCore {
             pull_path: vec![path; num_nodes],
             pulled_bytes: 0,
             pull_declines: 0,
+            down,
         }
     }
 
@@ -744,6 +750,13 @@ impl OsCore {
         let len = body.len();
         if len == 0 {
             self.complete(token, OsStatus::Ok);
+            return OsToken(token);
+        }
+        if (self.down)(dst) {
+            if let Body::Window { slot, .. } = body {
+                self.regions.unpin(slot);
+            }
+            self.complete(token, OsStatus::PeerDown);
             return OsToken(token);
         }
         self.ops.insert(token, OpState { dst, reply: None });
@@ -1238,6 +1251,11 @@ impl OsPort {
             core.complete(token, OsStatus::Ok);
             return Ok(OsToken(token));
         }
+        if (core.down)(dst) {
+            core.regions.check_local(local_h, local_off, len)?;
+            core.complete(token, OsStatus::PeerDown);
+            return Ok(OsToken(token));
+        }
         let origin = GrantOrigin::GetLocal { token };
         let xfer = core.open_xfer(dst, local_h, local_off, len, origin)?;
         let reply = Some((dst, Lane::Xfer, xfer));
@@ -1401,7 +1419,9 @@ impl<D: NetDevice + 'static> Onesided<D> {
             );
         }
         let sendq = Rc::clone(&fm.sendq);
-        let core = OsCore::new(fm.num_nodes(), cfg, arena, path, sendq);
+        let engine = fm.handle();
+        let down = Box::new(move |peer| engine.is_peer_down(peer));
+        let core = OsCore::new(fm.num_nodes(), cfg, arena, path, sendq, down);
         let core = Rc::new(RefCell::new(core));
         let lender: Weak<dyn Lender> = Rc::downgrade(&core) as Weak<RefCell<OsCore>>;
         fm.sendq.borrow_mut().lender = Some(lender);
@@ -1467,7 +1487,7 @@ impl<D: NetDevice> Onesided<D> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::device::{LoopbackDevice, LoopbackPair};
+    use crate::device::{LoopbackDevice, LoopbackPair, PeerEvent, PeerEventKind};
     use fm_model::MachineProfile;
 
     const ARENA: usize = 1 << 16;
@@ -1534,6 +1554,38 @@ mod tests {
             });
             got.expect("completion observed")
         }
+    }
+
+    #[test]
+    fn an_op_issued_to_a_peer_held_down_ends_at_once_and_sends_nothing() {
+        let p = Pair::new();
+        let remote = p.b.register(0, 4096).unwrap();
+        let local = p.a.register(0, 4096).unwrap();
+        let down = PeerEvent {
+            peer: 1,
+            kind: PeerEventKind::Down,
+            epoch: 0,
+        };
+        p.a.fm.with_device(|d| d.report(down));
+        p.a.fm.progress();
+        assert!(p.a.fm.is_peer_down(1));
+        let put = p.a.put(1, remote, 0, &pattern(8 * 1024, 1));
+        let get = p.a.get(1, remote, 0, local, 0, 64).unwrap();
+        assert_eq!(p.a.pending_ops(), 0, "nothing waits on a peer held down");
+        p.a.fm.progress();
+        p.a.fm.extract_all();
+        let stats = p.a.fm.stats();
+        assert_eq!(stats.packets_sent + stats.credit_packets_sent, 0);
+        let moved =
+            p.a.fm
+                .with_device(|x| p.b.fm.with_device(|y| LoopbackPair::deliver(x, y)));
+        assert_eq!(moved, 0, "a packet left for a peer held down");
+        let done: Vec<_> = std::iter::from_fn(|| p.a.poll_completion()).collect();
+        let want = [(put, OsStatus::PeerDown), (get, OsStatus::PeerDown)];
+        assert_eq!(
+            done.iter().map(|c| (c.token, c.status)).collect::<Vec<_>>(),
+            want
+        );
     }
 
     #[test]

@@ -127,18 +127,19 @@ impl HostMap {
     }
 }
 
-/// Traffic split between the two transports, via
-/// [`RoutedDevice::stats`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct RouteStats {
-    /// Packets admitted onto the local (intra-host) transport.
-    pub local_sent: u64,
-    /// Packets admitted onto the remote (cross-host) transport.
-    pub remote_sent: u64,
-    /// Packets received from the local transport.
-    pub local_recv: u64,
-    /// Packets received from the remote transport.
-    pub remote_recv: u64,
+fm_core::counters! {
+    /// Traffic split between the two transports, via
+    /// [`RoutedDevice::stats`].
+    pub struct RouteStats {
+        /// Packets admitted onto the local (intra-host) transport.
+        pub local_sent: u64,
+        /// Packets admitted onto the remote (cross-host) transport.
+        pub remote_sent: u64,
+        /// Packets received from the local transport.
+        pub local_recv: u64,
+        /// Packets received from the remote transport.
+        pub remote_recv: u64,
+    }
 }
 
 /// Two transports behind one [`NetDevice`]; see the module docs for the
@@ -310,6 +311,22 @@ mod tests {
     use super::*;
     use fm_core::device::{LoopbackDevice, LoopbackPair};
     use fm_core::packet::{HandlerId, PacketFlags, PacketHeader};
+
+    #[test]
+    fn stats_delta_subtracts_fieldwise_and_display_shows_only_nonzero() {
+        let early = RouteStats {
+            local_sent: 1,
+            remote_recv: 2,
+            ..RouteStats::default()
+        };
+        let late = RouteStats {
+            local_sent: 4,
+            remote_recv: 2,
+            ..RouteStats::default()
+        };
+        assert_eq!(late.delta(&early).to_string(), "local_sent=3");
+        assert_eq!(early.delta(&late).to_string(), "(all zero)");
+    }
 
     fn pkt(src: u16, dst: u16, n: u8) -> FmPacket {
         FmPacket {

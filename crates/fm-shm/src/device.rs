@@ -133,22 +133,23 @@ fn unique_run_id() -> String {
     )
 }
 
-/// Running counters, exposed via [`ShmDevice::stats`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ShmStats {
-    /// Frames pushed into peer rings.
-    pub frames_sent: u64,
-    /// Wire bytes pushed into peer rings.
-    pub bytes_sent: u64,
-    /// Frames popped from peer rings.
-    pub frames_recv: u64,
-    /// Wire bytes popped from peer rings.
-    pub bytes_recv: u64,
-    /// Sends rejected because the destination ring was full.
-    pub full_rejections: u64,
-    /// Frames dropped because they failed to decode (indicates
-    /// corruption or a protocol bug; should stay 0).
-    pub corrupt_frames: u64,
+fm_core::counters! {
+    /// Running counters, exposed via [`ShmDevice::stats`].
+    pub struct ShmStats {
+        /// Frames pushed into peer rings.
+        pub frames_sent: u64,
+        /// Wire bytes pushed into peer rings.
+        pub bytes_sent: u64,
+        /// Frames popped from peer rings.
+        pub frames_recv: u64,
+        /// Wire bytes popped from peer rings.
+        pub bytes_recv: u64,
+        /// Sends rejected because the destination ring was full.
+        pub full_rejections: u64,
+        /// Frames dropped because they failed to decode (indicates
+        /// corruption or a protocol bug; should stay 0).
+        pub corrupt_frames: u64,
+    }
 }
 
 /// One peer link: the mapped segment plus cached state.
@@ -531,6 +532,27 @@ impl NetDevice for ShmDevice {
 mod tests {
     use super::*;
     use fm_core::packet::{HandlerId, PacketFlags, PacketHeader};
+
+    #[test]
+    fn stats_delta_subtracts_fieldwise_and_display_shows_only_nonzero() {
+        let early = ShmStats {
+            frames_sent: 3,
+            bytes_sent: 84,
+            ..ShmStats::default()
+        };
+        let late = ShmStats {
+            frames_sent: 5,
+            bytes_sent: 140,
+            full_rejections: 1,
+            ..ShmStats::default()
+        };
+        let d = late.delta(&early);
+        assert_eq!(
+            d.to_string(),
+            "frames_sent=2 bytes_sent=56 full_rejections=1"
+        );
+        assert_eq!(early.delta(&late).to_string(), "(all zero)");
+    }
 
     fn cfg(run: &str) -> ShmConfig {
         ShmConfig {

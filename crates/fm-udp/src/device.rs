@@ -189,43 +189,44 @@ impl Default for UdpConfig {
     }
 }
 
-/// Transport-level counters (below the FM engine's own [`fm_core::FmStats`]).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct UdpStats {
-    /// Data frames handed to the socket.
-    pub frames_sent: u64,
-    /// Data frames received and accepted.
-    pub frames_received: u64,
-    /// Frames rejected by validation (magic/version/peer/codec).
-    pub frames_rejected: u64,
-    /// Frames rejected for carrying a stale or downed incarnation epoch
-    /// (a subset of `frames_rejected`).
-    pub stale_rejected: u64,
-    /// Outbound data frames swallowed by the injected-loss hook.
-    pub drops_injected: u64,
-    /// Sends deferred because the kernel buffer was full (`EWOULDBLOCK`).
-    pub send_retries: u64,
-    /// Sends that failed with a real socket error (frame dropped; the
-    /// reliability sublayer recovers).
-    pub send_errors: u64,
-    /// Hello frames sent (join beacons, heartbeats, straggler replies).
-    pub hellos_sent: u64,
-    /// Hello frames received.
-    pub hellos_received: u64,
-    /// Goodbye frames received (graceful leaves).
-    pub goodbyes_received: u64,
-    /// Peers that turned [`PeerHealth::Suspect`].
-    pub suspects: u64,
-    /// Peers that turned [`PeerHealth::Down`] (timeout or goodbye).
-    pub downs: u64,
-    /// Peers readmitted under a new incarnation epoch.
-    pub rejoins: u64,
-    /// Always 0: the device sends every frame the engine hands it and
-    /// drops no ack. Kept only for readers that still report it.
-    pub acks_coalesced: u64,
-    /// Multi-frame [`wire::FrameKind::Train`] datagrams sent; each one
-    /// replaced that many single-frame `sendto` calls with one.
-    pub trains_sent: u64,
+fm_core::counters! {
+    /// Transport-level counters (below the FM engine's own [`fm_core::FmStats`]).
+    pub struct UdpStats {
+        /// Data frames handed to the socket.
+        pub frames_sent: u64,
+        /// Data frames received and accepted.
+        pub frames_received: u64,
+        /// Frames rejected by validation (magic/version/peer/codec).
+        pub frames_rejected: u64,
+        /// Frames rejected for carrying a stale or downed incarnation epoch
+        /// (a subset of `frames_rejected`).
+        pub stale_rejected: u64,
+        /// Outbound data frames swallowed by the injected-loss hook.
+        pub drops_injected: u64,
+        /// Sends deferred because the kernel buffer was full (`EWOULDBLOCK`).
+        pub send_retries: u64,
+        /// Sends that failed with a real socket error (frame dropped; the
+        /// reliability sublayer recovers).
+        pub send_errors: u64,
+        /// Hello frames sent (join beacons, heartbeats, straggler replies).
+        pub hellos_sent: u64,
+        /// Hello frames received.
+        pub hellos_received: u64,
+        /// Goodbye frames received (graceful leaves).
+        pub goodbyes_received: u64,
+        /// Peers that turned [`PeerHealth::Suspect`].
+        pub suspects: u64,
+        /// Peers that turned [`PeerHealth::Down`] (timeout or goodbye).
+        pub downs: u64,
+        /// Peers readmitted under a new incarnation epoch.
+        pub rejoins: u64,
+        /// Always 0: the device sends every frame the engine hands it and
+        /// drops no ack. Kept only for readers that still report it.
+        pub acks_coalesced: u64,
+        /// Multi-frame [`wire::FrameKind::Train`] datagrams sent; each one
+        /// replaced that many single-frame `sendto` calls with one.
+        pub trains_sent: u64,
+    }
 }
 
 /// [`NetDevice`] over one bound UDP socket and a static peer map.
@@ -1036,6 +1037,24 @@ impl NetDevice for UdpDevice {
 mod tests {
     use super::*;
     use fm_core::packet::{HandlerId, PacketFlags, PacketHeader};
+
+    #[test]
+    fn stats_delta_subtracts_fieldwise_and_display_shows_only_nonzero() {
+        let early = UdpStats {
+            frames_sent: 10,
+            hellos_sent: 4,
+            ..UdpStats::default()
+        };
+        let late = UdpStats {
+            frames_sent: 12,
+            hellos_sent: 4,
+            trains_sent: 1,
+            ..UdpStats::default()
+        };
+        let d = late.delta(&early);
+        assert_eq!(d.to_string(), "frames_sent=2 trains_sent=1");
+        assert_eq!(early.delta(&late).to_string(), "(all zero)");
+    }
 
     fn pkt(src: usize, dst: usize, tag: u8) -> FmPacket {
         FmPacket {

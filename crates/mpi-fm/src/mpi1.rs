@@ -22,7 +22,7 @@ use std::rc::Rc;
 
 use fm_core::device::NetDevice;
 use fm_core::packet::HandlerId;
-use fm_core::Fm1Engine;
+use fm_core::{Fm1Engine, FmError};
 use fm_model::Nanos;
 
 use crate::api::Mpi;
@@ -78,8 +78,17 @@ impl<D: NetDevice> Mpi1<D> {
         let ra = Rc::clone(&reassembly);
         fm.set_handler(
             MPI_HANDLER,
-            Box::new(move |eng, _src_node, data| {
-                let hdr = MpiHeader::decode(data);
+            Box::new(move |eng, src, data| {
+                // A header cut short, a kind MPI-FM 1.x does not send, a
+                // FRAG with no first segment: only a peer's own bytes say
+                // any of these. Drop the message, report it.
+                let malformed = |eng: &mut Fm1Engine<D>| {
+                    let handler = MPI_HANDLER.0;
+                    eng.report_error(FmError::MalformedMessage { src, handler });
+                };
+                let Some(hdr) = MpiHeader::decode(data) else {
+                    return malformed(eng);
+                };
                 let payload = &data[MPI_HEADER_BYTES..];
                 let src_rank = hdr.src_rank as usize;
                 // MPI-level receive processing (matching, queue upkeep).
@@ -110,9 +119,9 @@ impl<D: NetDevice> Mpi1<D> {
                     crate::wire::KIND_FRAG => {
                         let complete = {
                             let mut ra = ra.borrow_mut();
-                            let entry = ra
-                                .get_mut(&(src_rank, hdr.seq))
-                                .expect("FRAG without its first segment (FM order violated?)");
+                            let Some(entry) = ra.get_mut(&(src_rank, hdr.seq)) else {
+                                return malformed(eng);
+                            };
                             entry.buf.extend_from_slice(payload);
                             eng.charge_memcpy(payload.len());
                             if entry.buf.len() >= entry.total {
@@ -126,7 +135,7 @@ impl<D: NetDevice> Mpi1<D> {
                             deliver_complete(eng, &q, src_rank, r.tag, r.buf);
                         }
                     }
-                    k => panic!("MPI-FM 1.x is eager-only; unexpected wire kind {k}"),
+                    _ => malformed(eng),
                 }
             }),
         );
@@ -354,6 +363,39 @@ mod tests {
         }
         a.progress();
         b.progress();
+    }
+
+    #[test]
+    fn a_peers_malformed_message_is_dropped_and_reported() {
+        // A header cut short, a kind MPI-FM 1.x does not send, a FRAG
+        // with no first segment: only a peer's own bytes say any of them.
+        let (mut s, mut r) = pair();
+        let hdr = |kind| MpiHeader {
+            src_rank: 0,
+            tag: 5,
+            comm: COMM_WORLD,
+            len: 4,
+            kind,
+            seq: 77,
+        };
+        let unknown = hdr(42).encode();
+        let mut frag = hdr(crate::wire::KIND_FRAG).encode().to_vec();
+        frag.extend_from_slice(&[9u8; 4]);
+        for raw in [&unknown[..10], &unknown[..], &frag[..]] {
+            s.fm.try_send(1, MPI_HANDLER, raw)
+                .expect("room for one message");
+        }
+        pump(&mut s, &mut r);
+        let refused = FmError::MalformedMessage {
+            src: 0,
+            handler: MPI_HANDLER.0,
+        };
+        assert_eq!(r.fm.take_errors(), vec![refused; 3]);
+        // The rank goes on serving its peer.
+        let req = r.irecv(Some(0), Some(5), 16);
+        s.isend(1, 5, vec![1, 2, 3]);
+        pump(&mut s, &mut r);
+        assert_eq!(req.take(), Some(vec![1, 2, 3]));
     }
 
     #[test]

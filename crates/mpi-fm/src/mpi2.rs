@@ -51,7 +51,7 @@ use fm_core::device::NetDevice;
 use fm_core::onesided::CHUNK_BYTES;
 use fm_core::packet::HandlerId;
 use fm_core::{
-    Fm2Engine, Fm2Handle, Message, ObsEvent, Onesided, OnesidedConfig, OsPort, PacketSink,
+    Fm2Engine, Fm2Handle, FmError, Message, ObsEvent, Onesided, OnesidedConfig, OsPort, PacketSink,
     RegionHandle, SinkMeta, SpanKind,
 };
 use fm_model::Nanos;
@@ -284,7 +284,17 @@ impl<D: NetDevice> WireSink<D> {
     /// A message's first packet: read the header and act on it. Returns
     /// the landing of an eager message, whose payload follows the header.
     fn header(&mut self, src: usize, meta: SinkMeta, payload: &[u8]) -> Option<Landing> {
-        let hdr = MpiHeader::decode(payload);
+        // A header cut short or of a kind MPI-FM does not send: only a
+        // peer's own bytes say either. Drop the message, report it.
+        let malformed = || {
+            let handler = MPI_HANDLER.0;
+            self.fm
+                .report_error(FmError::MalformedMessage { src, handler });
+        };
+        let Some(hdr) = MpiHeader::decode(payload) else {
+            malformed();
+            return None;
+        };
         debug_assert_eq!(hdr.src_rank as usize, src, "ranks are FM node ids");
         // The header's `FM_receive`, the payload's if there is one, and
         // MPI-level receive processing (matching, queue upkeep).
@@ -341,7 +351,7 @@ impl<D: NetDevice> WireSink<D> {
                     self.port.send_granted(dst, hdr.len, data, Some(req.sent));
                 }
             }
-            k => panic!("unknown MPI wire kind {k}"),
+            _ => malformed(),
         }
         None
     }
@@ -595,6 +605,36 @@ mod tests {
             polls += 1;
             polls == 30_000
         });
+    }
+
+    #[test]
+    fn a_peers_message_cut_short_or_of_an_unknown_kind_is_dropped_and_reported() {
+        // Every MPI-FM 2.x header is 24 bytes of a kind it sends: only a
+        // peer's own bytes say otherwise.
+        let (mut s, mut r) = pair();
+        let hdr = MpiHeader {
+            src_rank: 0,
+            tag: 5,
+            comm: COMM_WORLD,
+            len: 4,
+            kind: 42,
+            seq: 0,
+        }
+        .encode();
+        for raw in [&hdr[..], &hdr[..10]] {
+            (s.fm().try_send_message(1, MPI_HANDLER, &[raw])).expect("room for one message");
+        }
+        pump(&mut s, &mut r);
+        let refused = FmError::MalformedMessage {
+            src: 0,
+            handler: MPI_HANDLER.0,
+        };
+        assert_eq!(r.fm().take_errors(), vec![refused.clone(), refused]);
+        // The rank goes on serving its peer.
+        let req = r.irecv(Some(0), Some(5), 16);
+        s.isend(1, 5, vec![1, 2, 3]);
+        pump(&mut s, &mut r);
+        assert_eq!(req.take(), Some(vec![1, 2, 3]));
     }
 
     #[test]

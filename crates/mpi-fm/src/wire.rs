@@ -97,21 +97,19 @@ impl MpiHeader {
         out
     }
 
-    /// Decode from the wire form.
-    ///
-    /// # Panics
-    /// Panics if `bytes` is shorter than [`MPI_HEADER_BYTES`].
-    pub fn decode(bytes: &[u8]) -> MpiHeader {
-        assert!(bytes.len() >= MPI_HEADER_BYTES, "truncated MPI header");
+    /// Decode from the wire form; `None` if `bytes` is shorter than
+    /// [`MPI_HEADER_BYTES`].
+    pub fn decode(bytes: &[u8]) -> Option<MpiHeader> {
+        let bytes = bytes.get(..MPI_HEADER_BYTES)?;
         let w = |i: usize| u32::from_le_bytes(bytes[i * 4..i * 4 + 4].try_into().unwrap());
-        MpiHeader {
+        Some(MpiHeader {
             src_rank: w(0),
             tag: w(1),
             comm: w(2),
             len: w(3),
             kind: w(4),
             seq: w(5),
-        }
+        })
     }
 }
 
@@ -134,13 +132,13 @@ mod tests {
             kind: KIND_EAGER,
             seq: 12345,
         };
-        assert_eq!(MpiHeader::decode(&h.encode()), h);
+        assert_eq!(MpiHeader::decode(&h.encode()), Some(h));
     }
 
     #[test]
-    #[should_panic(expected = "truncated MPI header")]
     fn decode_rejects_short_input() {
-        let _ = MpiHeader::decode(&[0u8; 10]);
+        assert_eq!(MpiHeader::decode(&[0u8; 10]), None);
+        assert_eq!(MpiHeader::decode(&[0u8; MPI_HEADER_BYTES - 1]), None);
     }
 
     #[test]
